@@ -577,3 +577,32 @@ func TestPDSCallbackByNestedStrategy(t *testing.T) {
 		t.Errorf("strategy B callback: %v, want success", err)
 	}
 }
+
+// Drivers create their clients from concurrent tracked goroutines; every one
+// of them must be registered, or Cluster.Close leaves its receive loop
+// parked and the virtual kernel reports a deadlock (run under -race).
+func TestClusterNewClientConcurrent(t *testing.T) {
+	const n = 16
+	rt := vtime.Virtual()
+	c := replobj.NewCluster(rt)
+	counterGroup(t, c, "cnt", 3, replobj.WithScheduler(replobj.SEQ))
+	run(rt, c, func() {
+		done := vtime.NewMailbox[error](rt, "done")
+		for i := 0; i < n; i++ {
+			name := fmt.Sprintf("c%d", i)
+			rt.Go("client/"+name, func() {
+				_, err := c.NewClient(name).Invoke("cnt", "add", []byte{1})
+				done.Put(err)
+			})
+		}
+		for i := 0; i < n; i++ {
+			if err, _ := done.Get(); err != nil {
+				t.Errorf("invoke: %v", err)
+			}
+		}
+		v, err := c.NewClient("reader").Invoke("cnt", "get", nil)
+		if err != nil || fromU64(v) != n {
+			t.Errorf("get = %d, %v; want %d", fromU64(v), err, n)
+		}
+	})
+}

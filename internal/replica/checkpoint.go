@@ -173,11 +173,16 @@ func (r *Replica) restoreState(env *snapshotEnvelope) {
 	if len(env.State) == 0 || r.state == nil {
 		return
 	}
-	if s, ok := r.state.(Snapshotter); ok && !env.UsedGob {
-		_ = s.Restore(env.State)
-		return
+	_ = restoreInto(r.state, env.State, env.UsedGob)
+}
+
+// restoreInto replaces the contents of state st with an image produced by
+// snapshotState.
+func restoreInto(st any, data []byte, usedGob bool) error {
+	if s, ok := st.(Snapshotter); ok && !usedGob {
+		return s.Restore(data)
 	}
-	_ = gob.NewDecoder(bytes.NewReader(env.State)).Decode(r.state)
+	return gob.NewDecoder(bytes.NewReader(data)).Decode(st)
 }
 
 // evictStableLocked drops reply-cache entries that have aged out of the

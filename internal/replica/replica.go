@@ -177,7 +177,7 @@ type Config struct {
 	CheckpointEvery int
 	// Speculative enables speculative execution on optimistic delivery (see
 	// speculate.go): arriving submits are executed immediately against a
-	// forked state and the precomputed reply is released when the total
+	// fork of the state and the precomputed reply is released when the total
 	// order confirms the speculation as conflict-free. Requires State (the
 	// factory builds the forks); ignored on sharded groups, whose requests
 	// are validated and possibly redirected at their ordered position. Also
@@ -245,6 +245,10 @@ type Replica struct {
 	specAborts      *obs.Counter
 	specMismatches  *obs.Counter
 	specHintMatches *obs.Counter
+	specRefreshes   *obs.Counter
+	specForkReuses  *obs.Counter
+	specCatchUps    *obs.Counter
+	specSkipped     *obs.Counter
 	checkpoints     *obs.Counter
 	ckptSkipped     *obs.Counter
 	snapSize        *obs.Gauge
@@ -287,9 +291,9 @@ type Replica struct {
 
 	// specMgr holds the speculation bookkeeping (nil when Config.Speculative
 	// is off or unusable); specPending counts requests dispatched to local
-	// execution whose handler has not completed — the fork image may only be
-	// refreshed when it is zero (the primary state is then exactly the
-	// ordered prefix). evictFloor is the highest stream position whose
+	// execution whose handler has not completed — the state may only be
+	// snapshotted for the forks when it is zero (the primary state is then
+	// exactly the ordered prefix). evictFloor is the highest stream position whose
 	// reply-cache entries evictStableLocked has dropped; duplicates ordered
 	// at or below it are answered with a typed expired-duplicate error.
 	specMgr     *spec.Manager
@@ -374,6 +378,14 @@ func New(cfg Config) *Replica {
 			r.specAborts = cfg.Metrics.Counter("replobj_replica_spec_aborts_total" + label)
 			r.specMismatches = cfg.Metrics.Counter("replobj_replica_spec_mismatches_total" + label)
 			r.specHintMatches = cfg.Metrics.Counter("replobj_replica_spec_hint_matches_total" + label)
+			// An attempt runs either on a fork restored for it (a refresh:
+			// one copy of the whole state, sometimes a snapshot too) or on
+			// one reused as it stands; a submit that got no fork is skipped,
+			// and a catch-up is a re-run, not an attempt.
+			r.specRefreshes = cfg.Metrics.Counter("replobj_replica_spec_refreshes_total" + label)
+			r.specForkReuses = cfg.Metrics.Counter("replobj_replica_spec_fork_reuses_total" + label)
+			r.specCatchUps = cfg.Metrics.Counter("replobj_replica_spec_catchups_total" + label)
+			r.specSkipped = cfg.Metrics.Counter("replobj_replica_spec_skipped_total" + label)
 		}
 		r.checkpoints = cfg.Metrics.Counter("replobj_replica_checkpoints_total" + label)
 		r.ckptSkipped = cfg.Metrics.Counter("replobj_replica_checkpoints_skipped_total" + label)
@@ -693,11 +705,7 @@ func (r *Replica) dispatchRequest(req Request, seq uint64) {
 		if r.classes != nil {
 			classes = r.classes(req.Method, req.Args)
 		}
-		// Confirm against the floors as of the previous dispatch, then raise
-		// them with this request: its own dispatch must not invalidate its
-		// own speculation.
-		act = r.specConfirmLocked(req, seq, classes)
-		r.specMgr.TrackDispatch(seq, classes)
+		act = r.specDispatchLocked(req, seq, classes)
 		r.specPending++
 	}
 	callback := r.logicalLive[req.Logical()] > 0
@@ -710,11 +718,11 @@ func (r *Replica) dispatchRequest(req Request, seq uint64) {
 		// Defer it; Invoke flushes it once the originator is in place.
 		r.pendingCallbacks[req.Logical()] = append(r.pendingCallbacks[req.Logical()], pendingCallback{req: req, epoch: epoch})
 		r.rt.Unlock()
-		r.specConfirmFinish(req, act)
+		r.specDispatchFinish(req, act)
 		return
 	}
 	r.rt.Unlock()
-	r.specConfirmFinish(req, act)
+	r.specDispatchFinish(req, act)
 	r.submitRequest(req, callback, seq, epoch)
 }
 
@@ -852,8 +860,10 @@ func (r *Replica) execute(req Request, t *adets.Thread, epoch *shard.Epoch) {
 				} else {
 					// The speculative reply differed from the ordered one —
 					// the handler broke the purity/class-confinement contract.
-					// Send the authoritative reply too and surface the event.
+					// Send the authoritative reply too, surface the event, and
+					// trust no fork any further: they carry such writes along.
 					mismatch = true
+					r.specMgr.DropForks()
 				}
 			}
 		}

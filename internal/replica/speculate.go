@@ -1,9 +1,6 @@
 package replica
 
 import (
-	"bytes"
-	"encoding/gob"
-	"errors"
 	"strings"
 	"time"
 
@@ -18,24 +15,37 @@ import (
 // Clients already send every Submit to every member, so each replica sees a
 // request the moment it arrives — long before the sequencer assigns it a
 // position. With Config.Speculative set, the replica uses that window: it
-// executes the request immediately against a forked copy of the object
+// executes the request immediately against a private fork of the object
 // state, and when the total order confirms the request it releases the
 // precomputed reply at once if no conflicting request was dispatched in
 // between (a hit). The ordered execution still runs unchanged on every
 // replica — it is what mutates the primary state, feeds the schedule-trace
 // digests, and populates the reply cache — so committed state, traces and
 // at-most-once behaviour are bit-identical to a non-speculative run; a
-// speculation only ever touches its private fork, and an abort is a plain
-// discard. What speculation changes is purely when the client's reply
-// leaves the replica.
+// speculation only ever touches a fork. What speculation changes is purely
+// when the client's reply leaves the replica.
+//
+// Forks are few and long-lived (see package spec): restoring one costs a
+// copy of the whole state, so a fork is restored from a snapshot image once
+// and from then on follows the total order through its own work. A
+// speculation the order confirms leaves its conflict classes on the fork
+// exactly as the primary will have them; a request dispatched without a
+// valid speculation (it arrived late, went stale, aborted) is re-run on a
+// fork that held its classes current — a catch-up, its reply discarded — so
+// the next request of those classes finds a fork to run on. Only when no
+// fork and no cached image is current for a request's classes is the state
+// snapshotted again, and only while it is quiescent.
 //
 // Validity is judged with conflict classes (the same classes ADETS-CC
-// schedules by): a speculation forked at stream position base is a hit iff
-// no request whose classes intersect was dispatched after base. A handler
-// must therefore confine its reads and writes to its declared classes and
-// be a pure function of (state, args) — a handler that peeks outside them
-// can produce a speculative reply that differs from the ordered one; the
-// mismatch counter surfaces exactly that.
+// schedules by): a run on a fork that holds the request's classes at stream
+// position v is valid iff no request whose classes intersect was dispatched
+// after v. A handler must therefore confine its reads and writes to its
+// declared classes and be a pure function of (state, args) — and because a
+// fork carries confirmed writes forward from one request to the next, a
+// handler that strays outside its classes corrupts the fork for every later
+// request, not just its own reply. A released reply that differs from the
+// ordered one is the evidence: the mismatch counter surfaces it and every
+// fork is discarded.
 //
 // A speculation whose handler is still running when the order confirms it
 // is not discarded: its validity verdict is frozen (later dispatches are
@@ -86,7 +96,7 @@ type specAbort struct{}
 // onOptimisticSubmit fires (outside the runtime lock) for every fresh
 // Submit arriving at this member, before the total order positions it.
 // It feeds the conflict classes to an early-scheduling-capable scheduler
-// and, when possible, starts a speculative execution on a forked state.
+// and starts a speculative execution.
 func (r *Replica) onOptimisticSubmit(sub gcs.Submit) {
 	req, ok := sub.Payload.(Request)
 	if !ok || req.Kind != KindClient {
@@ -101,42 +111,13 @@ func (r *Replica) onOptimisticSubmit(sub gcs.Submit) {
 	if es, ok := r.sched.(adets.EarlyScheduler); ok {
 		es.EarlySubmit(req.ID, classes)
 	}
-	h, ok := r.handlers[req.Method]
-	if !ok {
+	if r.specMgr == nil {
 		return
 	}
-	r.rt.Lock()
-	if r.stopped || r.specMgr == nil {
-		r.rt.Unlock()
-		return
+	if h, ok := r.handlers[req.Method]; ok {
+		id := req.ID.String()
+		r.rt.Go("spec/"+id, func() { r.runSpeculation(id, req, h, classes) })
 	}
-	if _, seen := r.seen[req.ID]; seen {
-		// Already ordered and dispatched: speculating now cannot beat it.
-		r.rt.Unlock()
-		return
-	}
-	// Refresh the fork image when it is stale and the state is quiescent:
-	// no dispatched request is between submission and completed execution,
-	// so the primary state is exactly the ordered prefix up to LastSeq.
-	// Holding the runtime lock keeps it that way (dispatch takes the lock
-	// first), so the snapshot cannot tear.
-	if r.specMgr.NeedImage() && r.specPending == 0 {
-		if data, usedGob, err := r.snapshotState(); err == nil {
-			r.specMgr.SetImage(data, usedGob, r.specMgr.LastSeq())
-		}
-	}
-	image, usedGob, base, okImg := r.specMgr.Image()
-	if !okImg || !r.specMgr.Begin(req.ID.String(), base, classes) {
-		// No usable image (or a duplicate/overflowing record): skip — the
-		// ordered execution alone serves this request.
-		r.rt.Unlock()
-		return
-	}
-	r.rt.Unlock()
-	r.specAttempts.Inc()
-	r.rt.Go("spec/"+req.ID.String(), func() {
-		r.runSpeculation(req, h, image, usedGob)
-	})
 }
 
 // onHint records a sequencer spontaneous-order hint: the predicted stream
@@ -151,66 +132,93 @@ func (r *Replica) onHint(h gcs.Hint) {
 	r.rt.Unlock()
 }
 
-// forkState builds a private state instance from the cached image.
-func (r *Replica) forkState(image []byte, usedGob bool) (any, error) {
-	if r.stateFactory == nil {
-		return nil, errors.New("replica: no state factory to fork")
-	}
+// restoreFork gives f a fresh state instance restored from img. (Fresh:
+// gob decodes into what is there, it does not replace it.)
+func (r *Replica) restoreFork(f *spec.Fork, img *spec.Image) error {
 	st := r.stateFactory()
-	if len(image) == 0 {
-		return st, nil
-	}
-	if s, ok := st.(Snapshotter); ok && !usedGob {
-		if err := s.Restore(image); err != nil {
-			return nil, err
+	if len(img.Data) > 0 {
+		if err := restoreInto(st, img.Data, img.Gob); err != nil {
+			return err
 		}
-		return st, nil
 	}
-	if err := gob.NewDecoder(bytes.NewReader(image)).Decode(st); err != nil {
-		return nil, err
-	}
-	return st, nil
+	f.State = st
+	return nil
 }
 
-// runSpeculation executes req's handler against a fork restored from
-// image, entirely outside the scheduler: the fork is private to this
-// goroutine, so locks degenerate to no-ops and no deterministic decision
-// is ever taken (nothing here reaches the trace streams). On completion
-// the reply is stored for the confirm path — or sent directly when the
-// total order already confirmed the speculation as valid (deferred hit).
-func (r *Replica) runSpeculation(req Request, h Handler, image []byte, usedGob bool) {
-	id := req.ID.String()
-	fork, err := r.forkState(image, usedGob)
-	if err != nil {
-		r.rt.Lock()
-		r.specMgr.Abort(id)
+// runOnFork executes req's handler against fork, entirely outside the
+// scheduler: the caller holds the fork, so locks degenerate to no-ops and no
+// deterministic decision is ever taken (nothing here reaches the trace
+// streams). ok is false when the handler used a facility that cannot run
+// against a fork.
+func (r *Replica) runOnFork(req Request, h Handler, fork *spec.Fork) (reply Reply, ok bool) {
+	defer func() {
+		if p := recover(); p != nil {
+			if _, abort := p.(specAbort); !abort {
+				panic(p)
+			}
+			ok = false
+		}
+	}()
+	result, herr := h(&Invocation{r: r, req: req, speculative: true, fork: fork.State})
+	reply = Reply{ID: req.ID, From: r.self, Result: result}
+	if herr != nil {
+		reply.Err = herr.Error()
+	}
+	return reply, true
+}
+
+// runSpeculation is the body of a speculation's goroutine. The fork is
+// picked here, when the handler is about to run, not when the submit
+// arrived: a fork is then held for the length of the handler instead of
+// also for the goroutine's scheduling delay. On completion the reply is
+// stored for the confirm path — or sent directly when the total order
+// already confirmed the speculation as valid (deferred hit).
+func (r *Replica) runSpeculation(id string, req Request, h Handler, classes []string) {
+	r.rt.Lock()
+	if r.stopped {
 		r.rt.Unlock()
 		return
+	}
+	if _, seen := r.seen[req.ID]; seen {
+		// Already ordered and dispatched: speculating now cannot beat it.
+		r.rt.Unlock()
+		return
+	}
+	// The state may be snapshotted only while quiescent: no dispatched
+	// request is between submission and completed execution, so the primary
+	// state is exactly the ordered prefix up to LastSeq. Holding the runtime
+	// lock keeps it that way (dispatch takes the lock first), so the
+	// snapshot cannot tear.
+	var snapshot func() ([]byte, bool, error)
+	if r.specPending == 0 {
+		snapshot = r.snapshotState
+	}
+	fork, img := r.specMgr.Speculate(id, classes, snapshot)
+	r.rt.Unlock()
+	if fork == nil {
+		// The ordered execution alone serves this request.
+		r.specSkipped.Inc()
+		return
+	}
+	r.specAttempts.Inc()
+	if img == nil {
+		r.specForkReuses.Inc()
+	} else {
+		r.specRefreshes.Inc()
+		if err := r.restoreFork(fork, img); err != nil {
+			r.rt.Lock()
+			r.specMgr.Abort(id)
+			r.specMgr.Discard(fork)
+			r.rt.Unlock()
+			return
+		}
 	}
 	traced := r.spans != nil && req.Trace.Valid()
 	var tStart time.Duration
 	if traced {
 		tStart = r.rt.Now()
 	}
-	inv := &Invocation{r: r, req: req, speculative: true, fork: fork}
-	var reply Reply
-	aborted := false
-	func() {
-		defer func() {
-			if p := recover(); p != nil {
-				if _, ok := p.(specAbort); ok {
-					aborted = true
-					return
-				}
-				panic(p)
-			}
-		}()
-		result, herr := h(inv)
-		reply = Reply{ID: req.ID, From: r.self, Result: result}
-		if herr != nil {
-			reply.Err = herr.Error()
-		}
-	}()
+	reply, ok := r.runOnFork(req, h, fork)
 	if traced {
 		tEnd := r.rt.Now()
 		specID := tracing.NewSpanID(req.Trace.TraceID, "spec", string(r.self), tStart)
@@ -229,12 +237,13 @@ func (r *Replica) runSpeculation(req Request, h Handler, image []byte, usedGob b
 		reply.Trace = tracing.Context{TraceID: req.Trace.TraceID, Span: specID}
 	}
 	r.rt.Lock()
-	if aborted {
+	release := false
+	if ok {
+		release, _ = r.specMgr.Finish(id, reply)
+	} else {
 		r.specMgr.Abort(id)
-		r.rt.Unlock()
-		return
 	}
-	release, _ := r.specMgr.Finish(id, reply)
+	r.specMgr.Release(fork)
 	stopped := r.stopped
 	r.rt.Unlock()
 	if release && !stopped {
@@ -245,44 +254,81 @@ func (r *Replica) runSpeculation(req Request, h Handler, image []byte, usedGob b
 	}
 }
 
-// specConfirm resolves a confirmed request against the speculation state
-// at its totally ordered dispatch point. Called under the runtime lock,
-// before the request's own TrackDispatch; the returned action is performed
-// by the caller after unlocking.
+// runCatchUp re-runs a request that was dispatched without a valid
+// speculation on a fork that held its classes as the primary did at that
+// point (see specAction), so that the fork keeps following the order. The
+// reply is discarded: the ordered execution answers.
+func (r *Replica) runCatchUp(req Request, h Handler, act specAction) {
+	r.rt.Lock()
+	var fork *spec.Fork
+	if !r.stopped {
+		fork = r.specMgr.BindCatchUp(act.classes, act.floor, act.seq)
+	}
+	r.rt.Unlock()
+	if fork == nil {
+		return
+	}
+	r.specCatchUps.Inc()
+	_, ok := r.runOnFork(req, h, fork)
+	r.rt.Lock()
+	if ok {
+		r.specMgr.CaughtUp(fork, act.classes, act.seq)
+	} else {
+		r.specMgr.Release(fork)
+	}
+	r.rt.Unlock()
+}
+
+// specAction is what the ordered dispatch of a request owes speculation
+// once the runtime lock is released. The zero value owes nothing.
 type specAction struct {
 	reply     Reply
 	send      bool // hit: release the precomputed reply now
 	abort     bool // stale or poisoned: count it
 	hintMatch bool // the sequencer's position hint was exact
-	hintSeen  bool
+	// catchUp: no valid speculation, but a fork held classes current up to
+	// floor, their floor before the dispatch at seq — re-run the request
+	// there.
+	catchUp    bool
+	classes    []string
+	floor, seq uint64
 }
 
-func (r *Replica) specConfirmLocked(req Request, seq uint64, classes []string) (act specAction) {
-	if r.specMgr == nil || req.Kind != KindClient {
-		return act
+// specDispatchLocked resolves a request against the speculation state at
+// its totally ordered dispatch point and raises the floors with it. Called
+// under the runtime lock; the returned action is performed by
+// specDispatchFinish after unlocking.
+func (r *Replica) specDispatchLocked(req Request, seq uint64, classes []string) specAction {
+	act := specAction{classes: classes, floor: r.specMgr.Floor(classes), seq: seq}
+	out := spec.Miss
+	if req.Kind == KindClient {
+		id := req.ID.String()
+		match, seen := r.specMgr.HintMatch(id, seq)
+		act.hintMatch = seen && match
+		var rep any
+		rep, out = r.specMgr.Dispatch(id, seq, classes)
+		act.reply, act.send = rep.(Reply)
+	} else {
+		// Never speculated, but it moves the state all the same.
+		r.specMgr.TrackDispatch(seq, classes)
 	}
-	id := req.ID.String()
-	act.hintMatch, act.hintSeen = r.specMgr.HintMatch(id, seq)
-	rep, out := r.specMgr.Confirm(id, classes)
 	switch out {
-	case spec.Hit:
-		if rp, ok := rep.(Reply); ok {
-			act.reply = rp
-			act.send = true
-		}
 	case spec.Stale, spec.Aborted:
 		act.abort = true
-	case spec.Pending, spec.Miss:
+		fallthrough
+	case spec.Miss:
+		act.catchUp = r.specMgr.CanCatchUp(classes, act.floor, seq)
+	case spec.Hit, spec.Pending:
 		// Pending: the running handler releases the reply on finish (or the
-		// ordered execution outruns it — counted there). Miss: nothing to do.
+		// ordered execution outruns it — counted there).
 	}
 	return act
 }
 
-// specConfirmFinish performs the side effects of a confirm outcome outside
-// the runtime lock.
-func (r *Replica) specConfirmFinish(req Request, act specAction) {
-	if act.hintSeen && act.hintMatch {
+// specDispatchFinish performs the side effects of a dispatch outcome
+// outside the runtime lock.
+func (r *Replica) specDispatchFinish(req Request, act specAction) {
+	if act.hintMatch {
 		r.specHintMatches.Inc()
 	}
 	if act.abort {
@@ -291,5 +337,16 @@ func (r *Replica) specConfirmFinish(req Request, act specAction) {
 	if act.send {
 		r.specHits.Inc()
 		r.sendReply(req, act.reply)
+	}
+	if act.catchUp {
+		r.startCatchUp(req, act)
+	}
+}
+
+// startCatchUp is a function of its own so that only dispatches that do
+// catch up pay for moving req and act to the heap for the goroutine.
+func (r *Replica) startCatchUp(req Request, act specAction) {
+	if h, ok := r.handlers[req.Method]; ok {
+		r.rt.Go("spec-catchup/"+req.ID.String(), func() { r.runCatchUp(req, h, act) })
 	}
 }

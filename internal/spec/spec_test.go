@@ -5,10 +5,6 @@ import "testing"
 func TestHitWhenNoConflictingDispatch(t *testing.T) {
 	m := NewManager()
 	m.TrackDispatch(5, []string{"a"})
-	m.SetImage([]byte("img"), false, 5)
-	if m.NeedImage() {
-		t.Fatal("image at lastSeq should be current")
-	}
 	if !m.Begin("x", 5, []string{"b"}) {
 		t.Fatal("Begin declined")
 	}
@@ -153,26 +149,6 @@ func itoa(i int) string {
 	return string(b[p:])
 }
 
-func TestImageStaleness(t *testing.T) {
-	m := NewManager()
-	if !m.NeedImage() {
-		t.Fatal("fresh manager needs an image")
-	}
-	m.SetImage([]byte("s"), true, 0)
-	if m.NeedImage() {
-		t.Fatal("image at base 0 with no dispatches is current")
-	}
-	m.TrackDispatch(1, nil)
-	if !m.NeedImage() {
-		t.Fatal("dispatch past imageSeq makes the image stale")
-	}
-	m.SetImage([]byte("s2"), false, 1)
-	data, gob, seq, ok := m.Image()
-	if !ok || gob || seq != 1 || string(data) != "s2" {
-		t.Fatalf("Image = %q,%v,%d,%v", data, gob, seq, ok)
-	}
-}
-
 func TestHints(t *testing.T) {
 	m := NewManager()
 	m.Hint("x", 7)
@@ -205,7 +181,7 @@ func TestReset(t *testing.T) {
 	m.Begin("x", 4, []string{"a"})
 	m.Hint("x", 5)
 	m.Reset(10)
-	if _, _, _, ok := m.Image(); ok {
+	if m.image != nil {
 		t.Fatal("Reset must drop the image")
 	}
 	if m.Pending() != 0 {

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -35,6 +36,17 @@ type VirtualRuntime struct {
 	timers   timerHeap
 	parked   map[*Parker]struct{}
 	stopped  bool
+	// runs counts Run calls in progress. Outside Run the untracked owner of
+	// the runtime (main, a test) is presumed to be at work — building a
+	// cluster, between two Runs — and counts as runnable: it can still wake
+	// any parked goroutine, so the kernel neither advances time nor declares
+	// a deadlock until some Run is blocked waiting for the tracked world.
+	runs int
+	// dead is set, under mu, by the terminal deadlock report. From then on
+	// Lock and Unlock are no-ops, so the report's panic unwinds safely both
+	// through callers that pair Lock/Unlock by hand and through callers that
+	// deferred their Unlock.
+	dead atomic.Bool
 
 	// onDeadlock, if non-nil, is invoked (with the kernel lock held) when a
 	// global deadlock is detected. If it returns true the kernel assumes the
@@ -96,10 +108,44 @@ func (rt *VirtualRuntime) GoLocked(_ string, fn func()) {
 }
 
 // Lock implements Runtime.
-func (rt *VirtualRuntime) Lock() { rt.mu.Lock() }
+func (rt *VirtualRuntime) Lock() {
+	if rt.dead.Load() {
+		return
+	}
+	rt.mu.Lock()
+	if rt.dead.Load() {
+		// Died while we waited: the matching Unlock will be a no-op.
+		rt.mu.Unlock()
+	}
+}
 
 // Unlock implements Runtime.
-func (rt *VirtualRuntime) Unlock() { rt.mu.Unlock() }
+func (rt *VirtualRuntime) Unlock() {
+	if rt.dead.Load() {
+		return
+	}
+	rt.mu.Unlock()
+}
+
+// run is Run on the virtual kernel: fn counts as a Run in progress (see
+// runs) from before it becomes runnable until it returns, with no window
+// in which a parking goroutine could see one without the other.
+func (rt *VirtualRuntime) run(name string, fn func()) {
+	done := make(chan struct{})
+	rt.mu.Lock()
+	rt.runs++
+	rt.GoLocked(name, func() {
+		defer func() {
+			rt.mu.Lock()
+			rt.runs--
+			rt.mu.Unlock()
+			close(done)
+		}()
+		fn()
+	})
+	rt.mu.Unlock()
+	<-done
+}
 
 // Park implements Runtime.
 func (rt *VirtualRuntime) Park(p *Parker) {
@@ -230,11 +276,12 @@ func (rt *VirtualRuntime) addTimerLocked(d time.Duration, name string, fire func
 	return t
 }
 
-// advanceLocked is called whenever the runnable count reaches zero. It fires
-// timers (advancing virtual time) until some goroutine becomes runnable
-// again, the runtime is stopped, or a deadlock is detected.
+// advanceLocked is called whenever the runnable count reaches zero. Inside
+// a Run (see runs) it fires timers (advancing virtual time) until some
+// goroutine becomes runnable again, the runtime is stopped, or a deadlock is
+// detected.
 func (rt *VirtualRuntime) advanceLocked() {
-	for rt.runnable == 0 && !rt.stopped {
+	for rt.runnable == 0 && rt.runs > 0 && !rt.stopped {
 		// Drop cancelled timers lazily.
 		for len(rt.timers) > 0 && rt.timers[0].cancelled {
 			heap.Pop(&rt.timers)
@@ -247,10 +294,12 @@ func (rt *VirtualRuntime) advanceLocked() {
 			if rt.onDeadlock != nil && rt.onDeadlock(info) {
 				return
 			}
-			// Terminal: stop the kernel and release the lock before
-			// panicking so that a recovering test binary does not wedge on
-			// the kernel mutex.
+			// Terminal: stop the kernel, retire the lock (see dead) and
+			// release it before panicking, so that neither a caller's
+			// deferred Unlock nor a recovering test binary's next Lock can
+			// turn the report into a double unlock or a wedge.
 			rt.stopped = true
+			rt.dead.Store(true)
 			rt.mu.Unlock()
 			panic(info.String())
 		}

@@ -1,6 +1,8 @@
 package vtime
 
 import (
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -263,18 +265,88 @@ func TestVirtualDeadlockPanicsWithoutHandler(t *testing.T) {
 	rt := Virtual()
 	defer rt.Stop()
 	panicked := make(chan any, 1)
-	done := make(chan struct{})
-	rt.Go("main", func() {
-		defer close(done)
+	Run(rt, "main", func() {
 		defer func() { panicked <- recover() }()
 		p := NewParker("alone")
 		rt.Lock()
 		rt.Park(p)
 		rt.Unlock()
 	})
-	<-done
 	if v := <-panicked; v == nil {
 		t.Fatal("expected deadlock panic, got none")
+	}
+}
+
+// The terminal report must reach a recover (or the process's crash output)
+// intact when it unwinds through a deferred Unlock — Mailbox.get's shape.
+// It used to unlock first and then die in the deferred second unlock with
+// "fatal error: sync: unlock of unlocked mutex", which no recover catches
+// and which hid the DeadlockInfo.
+func TestVirtualDeadlockReportSurvivesDeferredUnlock(t *testing.T) {
+	rt := Virtual()
+	defer rt.Stop()
+	panicked := make(chan any, 1)
+	Run(rt, "main", func() {
+		defer func() { panicked <- recover() }()
+		NewMailbox[int](rt, "empty").Get()
+	})
+	msg, _ := (<-panicked).(string)
+	if !strings.Contains(msg, "global deadlock") || !strings.Contains(msg, "empty/get") {
+		t.Fatalf("panic = %q, want the DeadlockInfo naming empty/get", msg)
+	}
+	// The retired lock must not wedge or double-unlock later users.
+	rt.Lock()
+	rt.Unlock()
+}
+
+// An untracked goroutine that starts tracked loops and then keeps working
+// (or idles) before its first Run, or between two Runs, is not deadlocked:
+// it can still make the parked loops runnable. Clusters are built exactly
+// this way — Group.Start, then Run.
+func TestVirtualNoDeadlockOutsideRun(t *testing.T) {
+	rt := Virtual()
+	defer rt.Stop()
+	rt.SetDeadlockHandler(func(info DeadlockInfo) bool {
+		t.Errorf("deadlock declared outside Run: %v", info)
+		return true
+	})
+	mb := NewMailbox[int](rt, "loop")
+	sum := 0
+	finished := make(chan struct{})
+	rt.Go("loop", func() {
+		defer close(finished)
+		for {
+			v, ok := mb.Get()
+			if !ok {
+				return
+			}
+			sum += v
+		}
+	})
+	awaitParked := func() {
+		for {
+			rt.mu.Lock()
+			n := len(rt.parked)
+			rt.mu.Unlock()
+			if n == 1 {
+				return
+			}
+			runtime.Gosched()
+		}
+	}
+	// Construct-then-idle: the loop parks with nothing runnable and no timer
+	// while this (untracked) goroutine is still "constructing".
+	awaitParked()
+	Run(rt, "main", func() { mb.Put(1) })
+	// Between two Runs the loop parks again.
+	awaitParked()
+	Run(rt, "main", func() {
+		mb.Put(2)
+		mb.Close()
+	})
+	<-finished
+	if sum != 3 {
+		t.Errorf("sum = %d, want 3", sum)
 	}
 }
 

@@ -133,8 +133,14 @@ func (t *Timer) Deadline() time.Duration { return t.deadline }
 
 // Run executes fn on a tracked goroutine and blocks the caller until it
 // returns. It is the bridge from untracked code (main, tests, benchmarks)
-// into a runtime.
+// into a runtime. On the virtual kernel, time advances and deadlocks are
+// declared only while a Run is in progress: outside it the untracked caller
+// itself counts as runnable.
 func Run(rt Runtime, name string, fn func()) {
+	if v, ok := rt.(*VirtualRuntime); ok {
+		v.run(name, fn)
+		return
+	}
 	done := make(chan struct{})
 	rt.Go(name, func() {
 		defer close(done)

@@ -42,6 +42,7 @@ package replobj
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/replobj/replobj/internal/adets"
@@ -241,9 +242,13 @@ type Cluster struct {
 	inproc  *transport.Inproc // nil when a custom network is used
 	dir     *replica.Directory
 	groups  map[GroupID]*Group
-	clients []*client.Client
 	metrics *obs.Registry
 	spans   *tracing.Collector
+
+	// clientsMu guards clients: drivers create their clients from concurrent
+	// goroutines, and a lost append is a client that Close never stops.
+	clientsMu sync.Mutex
+	clients   []*client.Client
 }
 
 // NewCluster builds a cluster on rt.
@@ -339,7 +344,10 @@ func (c *Cluster) SetDropRule(f func(from, to NodeID) bool) error {
 
 // Close stops all groups and clients and shuts the runtime down.
 func (c *Cluster) Close() {
-	for _, cl := range c.clients {
+	c.clientsMu.Lock()
+	clients := c.clients
+	c.clientsMu.Unlock()
+	for _, cl := range clients {
 		cl.Close()
 	}
 	for _, g := range c.groups {
@@ -507,15 +515,19 @@ func WithCheckpointEvery(n int) GroupOption {
 // network delay instead of waiting for the full ordering round. The ordered
 // execution still runs unchanged, so committed state, schedule-trace
 // digests and at-most-once semantics are identical to a non-speculative
-// run; a stale speculation is discarded for free. Also enables sequencer
-// spontaneous-order hints and early scheduling (conflict classes reach
-// ADETS-CC at arrival time).
+// run; a stale speculation's reply is simply discarded. Also enables
+// sequencer spontaneous-order hints and early scheduling (conflict classes
+// reach ADETS-CC at arrival time).
 //
-// Speculation requires WithState (the factory builds the forks) and a
-// handler that confines itself to its declared conflict classes and is a
-// pure function of (state, args) — see the spec-mismatch counter. Handlers
-// using condition variables or nested invocations abort their speculation
-// harmlessly. Ignored on sharded objects.
+// Speculation requires WithState (the factory builds the forks) and
+// handlers that confine their reads and writes to their declared conflict
+// classes and are pure functions of (state, args). The forks are few and
+// long-lived — each carries confirmed speculative writes on to later
+// requests — so a handler that strays outside its classes spoils a fork
+// for every request after it; the spec-mismatch counter fires and all
+// forks are discarded. Handlers using condition variables or nested
+// invocations abort their speculation harmlessly. Ignored on sharded
+// objects.
 func WithSpeculation() GroupOption {
 	return func(g *groupConfig) { g.speculative = true }
 }
@@ -805,7 +817,9 @@ func (c *Cluster) NewClient(name string, opts ...ClientOption) *Client {
 		o(&cfg)
 	}
 	cl := client.New(cfg)
+	c.clientsMu.Lock()
 	c.clients = append(c.clients, cl)
+	c.clientsMu.Unlock()
 	return cl
 }
 

@@ -236,6 +236,241 @@ func TestSpeculationDigestsMatchBaseline(t *testing.T) {
 	}
 }
 
+// specCounter sums one per-replica speculation counter over a group.
+func specCounter(reg *replobj.MetricsRegistry, group, name string, replicas int) uint64 {
+	var n uint64
+	for i := 0; i < replicas; i++ {
+		n += reg.Counter(fmt.Sprintf(`replobj_replica_spec_%s_total{node="%s/%d"}`, name, group, i)).Value()
+	}
+	return n
+}
+
+// TestSpeculationForksFollowTheOrder pins what long-lived forks add to the
+// contract: a fork carries confirmed speculative writes from one request to
+// the next, so a few hot keys hammered by several clients — every request
+// conflicting with its predecessors, forks going stale, dirty and being
+// caught up all the time, stale sequencer hints thrown in — must still leave
+// exact effect counts, equal digests on every replica and not one reply that
+// differs from the ordered one, while the state is snapshotted and restored
+// for a fraction of the speculations only. A second, single-client pass over
+// the same keys (same total order with and without speculation) checks that
+// the committed digests are those of a non-speculative run.
+func TestSpeculationForksFollowTheOrder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("needs the full workload")
+	}
+	keys := []byte{'x', 'y', 'z'}
+	for _, kind := range []replobj.SchedulerKind{replobj.SEQ, replobj.CC, replobj.ADAPT} {
+		kind := kind
+		t.Run(string(kind)+"/chaos", func(t *testing.T) {
+			const (
+				replicas = 3
+				clients  = 3
+				rounds   = 40
+			)
+			// Every third round puts all three clients on one key.
+			keyOf := func(ci, i int) byte { return keys[(i*i+ci*i)%len(keys)] }
+			rt := vtime.Virtual()
+			net := transport.NewInproc(rt)
+			reg := replobj.NewMetricsRegistry()
+			c := replobj.NewCluster(rt, replobj.WithNetwork(net), replobj.WithMetrics(reg))
+			opts := append(groupOptsFor(kind, clients),
+				replobj.WithSpeculation(),
+				replobj.WithSchedTrace(0),
+				replobj.WithCheckpointEvery(16))
+			g := kcounterGroup(t, c, "hot", replicas, opts...)
+			want := make(map[byte]uint64)
+			run(rt, c, func() {
+				inj := net.Endpoint("hint-injector")
+				defer inj.Close()
+				for ci := 0; ci < clients; ci++ {
+					for i := 1; i <= rounds; i++ {
+						for _, m := range g.Members() {
+							inj.Send(m, gcs.Hint{Group: "hot", ID: fmt.Sprintf("c%d#%d#0", ci, i), Seq: uint64(10_000 + i)})
+						}
+					}
+				}
+				results := vtime.NewMailbox[error](rt, "results")
+				for ci := 0; ci < clients; ci++ {
+					ci := ci
+					for i := 0; i < rounds; i++ {
+						want[keyOf(ci, i)]++
+					}
+					rt.Go(fmt.Sprintf("client/c%d", ci), func() {
+						cl := c.NewClient(fmt.Sprintf("c%d", ci))
+						var err error
+						for i := 0; i < rounds && err == nil; i++ {
+							_, err = cl.Invoke("hot", "add", []byte{keyOf(ci, i), 1})
+						}
+						results.Put(err)
+					})
+				}
+				for i := 0; i < clients; i++ {
+					if err, _ := results.Get(); err != nil {
+						t.Fatalf("client error: %v", err)
+					}
+				}
+				reader := c.NewClient("reader", replobj.WithReplyPolicy(replobj.All))
+				for _, key := range keys {
+					replies, err := reader.InvokeAll("hot", "get", []byte{key})
+					if err != nil {
+						t.Fatalf("InvokeAll(get %q): %v", key, err)
+					}
+					for node, rep := range replies {
+						if rep.Err != "" {
+							t.Errorf("%v: get %q: %s", node, key, rep.Err)
+						} else if got := fromU64(rep.Result); got != want[key] {
+							t.Errorf("%v: key %q = %d, want %d", node, key, got, want[key])
+						}
+					}
+				}
+				for i := 1; i < replicas; i++ {
+					if d := replobj.FirstTraceDivergence(g.Trace(0), g.Trace(i)); d != nil {
+						t.Errorf("trace divergence rank0 vs rank%d: %+v", i, d)
+					}
+				}
+			})
+			count := func(name string) uint64 { return specCounter(reg, "hot", name, replicas) }
+			attempts, refreshes := count("attempts"), count("refreshes")
+			t.Logf("attempts %d hits %d aborts %d refreshes %d reuses %d catch-ups %d skipped %d",
+				attempts, count("hits"), count("aborts"), refreshes, count("fork_reuses"), count("catchups"), count("skipped"))
+			if n := count("mismatches"); n != 0 {
+				t.Errorf("%d speculative replies differed from the ordered ones", n)
+			}
+			if attempts == 0 || count("hits") == 0 {
+				t.Errorf("%d attempts, %d hits: speculation never worked", attempts, count("hits"))
+			}
+			if refreshes+count("fork_reuses") != attempts {
+				t.Errorf("%d refreshes + %d reuses != %d attempts", refreshes, count("fork_reuses"), attempts)
+			}
+			if count("catchups") == 0 {
+				t.Error("contended keys produced no catch-up")
+			}
+			// Each pile-up leaves two forks dirty on the key; most runs still
+			// find a fork as it stands.
+			if refreshes*2 > attempts {
+				t.Errorf("%d refreshes for %d attempts: forks are not being reused", refreshes, attempts)
+			}
+		})
+		t.Run(string(kind)+"/baseline", func(t *testing.T) {
+			const invokes = 24
+			traces := make(map[bool]*replobj.ScheduleTrace)
+			for _, speculative := range []bool{false, true} {
+				rt := vtime.Virtual()
+				reg := replobj.NewMetricsRegistry()
+				c := replobj.NewCluster(rt, replobj.WithMetrics(reg))
+				opts := append(groupOptsFor(kind, 1), replobj.WithSchedTrace(0), replobj.WithCheckpointEvery(8))
+				if speculative {
+					opts = append(opts, replobj.WithSpeculation())
+				}
+				g := kcounterGroup(t, c, "hot", 3, opts...)
+				run(rt, c, func() {
+					cl := c.NewClient("c0")
+					for i := 0; i < invokes; i++ {
+						if _, err := cl.Invoke("hot", "add", []byte{keys[i*i%len(keys)], 1}); err != nil {
+							t.Fatalf("Invoke: %v", err)
+						}
+					}
+				})
+				traces[speculative] = g.Trace(0)
+				if speculative {
+					// One client, one request at a time: after the first restore a
+					// request nearly always finds the fork where the last one left
+					// it (not always: a late submit's catch-up may still hold it).
+					attempts, refreshes := specCounter(reg, "hot", "attempts", 3), specCounter(reg, "hot", "refreshes", 3)
+					if hits := specCounter(reg, "hot", "hits", 3); hits == 0 || refreshes*6 > attempts {
+						t.Errorf("%d attempts, %d hits, %d refreshes over %d sequential requests", attempts, hits, refreshes, invokes)
+					}
+				}
+			}
+			if d := replobj.FirstTraceDivergence(traces[false], traces[true]); d != nil {
+				t.Errorf("speculative run diverges from baseline: %+v", d)
+			}
+		})
+	}
+}
+
+// TestSpeculationMismatchDiscardsForks breaks the handlers' contract on
+// purpose: "bump" declares its key as its only class but also counts into a
+// shared total and returns it. Two clients on two keys then run on two forks
+// whose totals each miss the other client's requests, so released replies
+// differ from the ordered ones. The committed run must not care — exact
+// totals and equal digests on every replica — and every mismatch must cost
+// the forks: they carry the stray writes forward, so none can be kept.
+func TestSpeculationMismatchDiscardsForks(t *testing.T) {
+	const (
+		replicas = 3
+		rounds   = 20
+	)
+	rt := vtime.Virtual()
+	reg := replobj.NewMetricsRegistry()
+	c := replobj.NewCluster(rt, replobj.WithMetrics(reg))
+	g, err := c.NewGroup("stray", replicas,
+		replobj.WithScheduler(replobj.CC),
+		replobj.WithSpeculation(),
+		replobj.WithSchedTrace(0),
+		replobj.WithState(newKCounter))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Register("bump", func(inv *replobj.Invocation) ([]byte, error) {
+		st := inv.State().(*kcounter)
+		if err := inv.Lock("total"); err != nil {
+			return nil, err
+		}
+		defer func() { _ = inv.Unlock("total") }()
+		inv.Compute(200 * time.Microsecond) // long enough for the two clients' runs to overlap
+		st.Slots[string(inv.Args()[:1])]++
+		st.Slots["total"]++ // outside the declared class
+		return u64(st.Slots["total"]), nil
+	})
+	g.Register("total", func(inv *replobj.Invocation) ([]byte, error) {
+		return u64(inv.State().(*kcounter).Slots["total"]), nil // classless
+	})
+	g.Start()
+	run(rt, c, func() {
+		results := vtime.NewMailbox[error](rt, "results")
+		for ci := 0; ci < 2; ci++ {
+			ci := ci
+			rt.Go(fmt.Sprintf("client/c%d", ci), func() {
+				cl := c.NewClient(fmt.Sprintf("c%d", ci))
+				var err error
+				for i := 0; i < rounds && err == nil; i++ {
+					_, err = cl.Invoke("stray", "bump", []byte{byte('a' + ci)})
+				}
+				results.Put(err)
+			})
+		}
+		for i := 0; i < 2; i++ {
+			if err, _ := results.Get(); err != nil {
+				t.Fatalf("client error: %v", err)
+			}
+		}
+		replies, err := c.NewClient("reader", replobj.WithReplyPolicy(replobj.All)).InvokeAll("stray", "total", nil)
+		if err != nil {
+			t.Fatalf("InvokeAll(total): %v", err)
+		}
+		for node, rep := range replies {
+			if got := fromU64(rep.Result); rep.Err != "" || got != 2*rounds {
+				t.Errorf("%v: total = %d (%s), want %d", node, got, rep.Err, 2*rounds)
+			}
+		}
+		for i := 1; i < replicas; i++ {
+			if d := replobj.FirstTraceDivergence(g.Trace(0), g.Trace(i)); d != nil {
+				t.Errorf("trace divergence rank0 vs rank%d: %+v", i, d)
+			}
+		}
+	})
+	mismatches, refreshes := specCounter(reg, "stray", "mismatches", replicas), specCounter(reg, "stray", "refreshes", replicas)
+	if mismatches == 0 {
+		t.Fatal("a handler writing outside its classes went unnoticed")
+	}
+	// Each mismatch empties the pool, so the next speculation restores.
+	if refreshes < mismatches {
+		t.Errorf("%d mismatches but only %d refreshes: forks survived a mismatch", mismatches, refreshes)
+	}
+}
+
 // submitFor builds the raw wire Submit a client would send for a request —
 // the injection vehicle for the duplicate-retransmission regressions.
 func submitFor(group replobj.GroupID, id wire.InvocationID, method string, args []byte, replyTo replobj.NodeID) gcs.Submit {

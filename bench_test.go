@@ -8,8 +8,13 @@ package replobj_test
 
 import (
 	"testing"
+	"time"
 
+	replobj "github.com/replobj/replobj"
 	"github.com/replobj/replobj/internal/bench"
+	"github.com/replobj/replobj/internal/transport"
+	"github.com/replobj/replobj/internal/vtime"
+	"github.com/replobj/replobj/internal/wire"
 )
 
 // benchCfg keeps bench runs small; cmd/replbench is the tool for
@@ -84,3 +89,44 @@ func BenchmarkAblationPDSNested(b *testing.B) { benchExperiment(b, bench.AB5PDSN
 func BenchmarkAblationPDSAssignment(b *testing.B) { benchExperiment(b, bench.AB6PDSAssignment) }
 
 func BenchmarkAblationMATPredict(b *testing.B) { benchExperiment(b, bench.AB7MATPredict) }
+
+// BenchmarkInvokeTCP is the wall-clock layer microbench of the fixed
+// per-request path: one closed-loop client, three SEQ replicas, real clock,
+// loopback TCP, a 1-byte add — the same shape as the benchmark's
+// counter-seq cell. allocs/op here counts everything the process allocates
+// per invocation (client, wire, transport, gcs, replica dispatch, vtime on
+// all three replicas), so
+//
+//	go test -run xxx -bench InvokeTCP -benchmem -memprofile mem.out -memprofilerate 1 .
+//
+// attributes the end-to-end allocs_per_op figure to source lines.
+func BenchmarkInvokeTCP(b *testing.B) {
+	rt := vtime.Real()
+	defer rt.Stop()
+	addrs := map[wire.NodeID]string{wire.ClientID("c0"): "127.0.0.1:0"}
+	for i := 0; i < 3; i++ {
+		addrs[wire.ReplicaID("cnt", i)] = "127.0.0.1:0"
+	}
+	c := replobj.NewCluster(rt, replobj.WithNetwork(transport.NewTCP(rt, addrs)))
+	defer c.Close()
+	counterGroup(b, c, "cnt", 3, replobj.WithScheduler(replobj.SEQ))
+	cl := c.NewClient("c0", replobj.WithInvocationTimeout(10*time.Second))
+	args := []byte{1}
+	var err error
+	// Invoke parks on the runtime, so the loop runs on one of its goroutines.
+	replobj.Run(rt, func() {
+		invoke := func(n int) {
+			for i := 0; i < n && err == nil; i++ {
+				_, err = cl.Invoke("cnt", "add", args)
+			}
+		}
+		invoke(200) // connections dialed, pools and maps warm
+		b.ReportAllocs()
+		b.ResetTimer()
+		invoke(b.N)
+		b.StopTimer()
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}

@@ -18,7 +18,7 @@ import (
 // counter is the canonical per-replica object state.
 type counter struct{ v uint64 }
 
-func counterGroup(t *testing.T, c *replobj.Cluster, name string, n int, opts ...replobj.GroupOption) *replobj.Group {
+func counterGroup(t testing.TB, c *replobj.Cluster, name string, n int, opts ...replobj.GroupOption) *replobj.Group {
 	t.Helper()
 	opts = append(opts, replobj.WithState(func() any { return &counter{} }))
 	g, err := c.NewGroup(name, n, opts...)

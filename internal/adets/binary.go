@@ -26,11 +26,11 @@ func init() {
 				return nil, err
 			}
 			t.Target = wire.LogicalID(s)
-			if s, err = r.String(); err != nil {
+			if s, err = r.Ident(); err != nil {
 				return nil, err
 			}
 			t.Mutex = MutexID(s)
-			if s, err = r.String(); err != nil {
+			if s, err = r.Ident(); err != nil {
 				return nil, err
 			}
 			t.Cond = CondID(s)

@@ -27,7 +27,7 @@ func init() {
 		},
 		func(r *wire.Reader) (any, error) {
 			var u TableUpdate
-			s, err := r.String()
+			s, err := r.Ident()
 			if err != nil {
 				return nil, err
 			}
@@ -43,7 +43,7 @@ func init() {
 				u.Entries = make([]TableEntry, 0, n)
 				for i := uint64(0); i < n; i++ {
 					var e TableEntry
-					if s, err = r.String(); err != nil {
+					if s, err = r.Ident(); err != nil {
 						return nil, err
 					}
 					e.M = adets.MutexID(s)

@@ -11,6 +11,7 @@ import (
 
 	"github.com/replobj/replobj/internal/adets"
 	"github.com/replobj/replobj/internal/gcs"
+	"github.com/replobj/replobj/internal/ring"
 	"github.com/replobj/replobj/internal/wire"
 )
 
@@ -18,7 +19,7 @@ import (
 type Scheduler struct {
 	env      adets.Env
 	reg      *adets.Registry
-	queue    []adets.Request
+	queue    ring.Queue[adets.Request]
 	busy     bool
 	inNested bool
 	stopped  bool
@@ -54,7 +55,7 @@ func (s *Scheduler) Start(env adets.Env) {
 func (s *Scheduler) Stop() {
 	s.env.RT.Lock()
 	s.stopped = true
-	s.queue = nil
+	s.queue = ring.Queue[adets.Request]{}
 	if s.worker != nil && !s.busy {
 		s.worker.Unpark(s.env.RT)
 	}
@@ -70,7 +71,7 @@ func (s *Scheduler) Submit(req adets.Request) {
 		return
 	}
 	s.env.Obs.Submitted()
-	s.queue = append(s.queue, req)
+	s.queue.Push(req)
 	if s.worker == nil {
 		s.worker = s.reg.NewThread("seq-worker", "")
 		// Busy from birth: the worker drains the queue before it first
@@ -94,14 +95,13 @@ func (s *Scheduler) loop(w *adets.Thread) {
 			rt.Unlock()
 			return
 		}
-		if len(s.queue) == 0 {
+		req, ok := s.queue.Pop()
+		if !ok {
 			s.busy = false
 			s.checkQuiesceLocked()
 			w.Park(rt)
 			continue
 		}
-		req := s.queue[0]
-		s.queue = s.queue[1:]
 		s.busy = true
 		w.Logical = req.Logical
 		rt.Unlock()
@@ -174,7 +174,7 @@ func (s *Scheduler) checkQuiesceLocked() {
 	if s.quiesce == nil {
 		return
 	}
-	idle := !s.busy && len(s.queue) == 0
+	idle := !s.busy && s.queue.Len() == 0
 	if !idle && !s.inNested {
 		return // worker running or about to: wait for its next park
 	}

@@ -12,6 +12,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"github.com/replobj/replobj/internal/gcs"
@@ -97,18 +98,31 @@ type Client struct {
 	metrics *obs.Registry
 
 	// guarded by the runtime lock
-	calls   map[wire.InvocationID]*call
+	cur     call          // the one invocation in flight; reused by the next
+	parker  *vtime.Parker // the invoking goroutine waits here, call after call
+	idBuf   []byte        // scratch the invocation ids are built in
 	reqSeq  uint64
 	stopped bool
 }
 
+// call is the state of the invocation in flight. A Client serves one
+// goroutine at a time, so there is exactly one, and its reply slots are
+// reused from call to call.
 type call struct {
-	parker  *vtime.Parker
-	replies map[wire.NodeID]replica.Reply
+	active  bool
+	id      wire.InvocationID
+	members []wire.NodeID // the group in rank order
+	slots   []replySlot   // slots[i] is members[i]'s answer
+	got     int           // filled slots
 	need    int
 	done    bool
 	ctx     tracing.Context // zero when tracing is off
 	t0      time.Duration   // submit time (tracing only)
+}
+
+type replySlot struct {
+	reply replica.Reply
+	ok    bool
 }
 
 // New builds a client stub.
@@ -128,8 +142,8 @@ func New(cfg Config) *Client {
 		retry:   cfg.Retransmit,
 		spans:   cfg.Spans,
 		metrics: cfg.Metrics,
-		calls:   make(map[wire.InvocationID]*call),
 	}
+	c.parker = vtime.NewParker("client-call/" + string(c.self))
 	c.ep = cfg.Network.Endpoint(c.self)
 	cfg.RT.Go("client-recv/"+string(c.self), c.recvLoop)
 	return c
@@ -139,8 +153,8 @@ func New(cfg Config) *Client {
 func (c *Client) Close() {
 	c.rt.Lock()
 	c.stopped = true
-	for _, cl := range c.calls {
-		c.rt.Unpark(cl.parker)
+	if c.cur.active {
+		c.rt.Unpark(c.parker)
 	}
 	c.rt.Unlock()
 	c.ep.Close()
@@ -158,9 +172,9 @@ func (c *Client) recvLoop() {
 		}
 		now := c.rt.Now() // before taking the lock: Now() locks internally
 		c.rt.Lock()
-		cl := c.calls[reply.ID]
-		if cl != nil && !cl.done {
-			if _, dup := cl.replies[reply.From]; !dup && cl.ctx.Valid() && c.spans != nil {
+		cl := &c.cur
+		if slot := c.slotLocked(reply); slot != nil {
+			if cl.ctx.Valid() && c.spans != nil {
 				// One span per replica answer, from submit to arrival; its
 				// parent is the replica's exec span when the reply carried
 				// one, else the root.
@@ -179,14 +193,32 @@ func (c *Client) recvLoop() {
 					Dur:    now - cl.t0,
 				})
 			}
-			cl.replies[reply.From] = reply
-			if len(cl.replies) >= cl.need {
+			slot.reply, slot.ok = reply, true
+			cl.got++
+			if cl.got >= cl.need {
 				cl.done = true
-				c.rt.Unpark(cl.parker)
+				c.rt.Unpark(c.parker)
 			}
 		}
 		c.rt.Unlock()
 	}
+}
+
+// slotLocked returns the empty slot reply belongs in, or nil when it is
+// not (or no longer) wanted: an answer to an earlier call, one that arrives
+// after the policy was met, one from a node outside the invoked group, or a
+// second one from the same replica.
+func (c *Client) slotLocked(reply replica.Reply) *replySlot {
+	cl := &c.cur
+	if !cl.active || cl.done || cl.id != reply.ID {
+		return nil
+	}
+	for i, m := range cl.members {
+		if m == reply.From && !cl.slots[i].ok {
+			return &cl.slots[i]
+		}
+	}
+	return nil
 }
 
 // Invoke calls a method on a replicated object group and blocks until the
@@ -208,38 +240,37 @@ func (c *Client) Invoke(group wire.GroupID, method string, args []byte) ([]byte,
 // identically. Unlike Invoke it surfaces the whole Reply, which the shard
 // Router needs: a wrong-shard redirect is an application-level Err plus
 // the replica's current ShardEpoch. mod, when non-nil, edits the request
-// before submission (the Router stamps shard routing fields with it).
-func (c *Client) invokeReply(group wire.GroupID, method string, args []byte, mod func(*replica.Request)) (replica.Reply, error) {
-	cl, members, err := c.invoke(group, method, args, -1, mod)
+// before submission (the Router stamps shard routing fields with it); it
+// maps a value to a value so the request stays off the heap until it is
+// boxed into the submit.
+func (c *Client) invokeReply(group wire.GroupID, method string, args []byte, mod func(replica.Request) replica.Request) (replica.Reply, error) {
+	cl, err := c.invoke(group, method, args, -1, mod)
 	if err != nil {
 		return replica.Reply{}, err
 	}
 	c.rt.Lock()
-	var best *replica.Reply
-	for _, m := range members {
-		if rep, ok := cl.replies[m]; ok {
-			best = &rep
-			break
+	defer c.rt.Unlock()
+	for i := range cl.slots {
+		if cl.slots[i].ok {
+			return cl.slots[i].reply, nil
 		}
 	}
-	c.rt.Unlock()
-	if best == nil {
-		return replica.Reply{}, errors.New("client: no reply recorded")
-	}
-	return *best, nil
+	return replica.Reply{}, errors.New("client: no reply recorded")
 }
 
 // InvokeAll waits for every replica's reply (policy All for this call) and
 // returns them per node — used by consistency checks and tooling.
 func (c *Client) InvokeAll(group wire.GroupID, method string, args []byte) (map[wire.NodeID]replica.Reply, error) {
-	cl, _, err := c.invoke(group, method, args, len(c.dir.Members(group)), nil)
+	cl, err := c.invoke(group, method, args, len(c.dir.Members(group)), nil)
 	if err != nil {
 		return nil, err
 	}
 	c.rt.Lock()
-	out := make(map[wire.NodeID]replica.Reply, len(cl.replies))
-	for n, rep := range cl.replies {
-		out[n] = rep
+	out := make(map[wire.NodeID]replica.Reply, cl.got)
+	for i, slot := range cl.slots {
+		if slot.ok {
+			out[cl.members[i]] = slot.reply
+		}
 	}
 	c.rt.Unlock()
 	return out, nil
@@ -247,11 +278,12 @@ func (c *Client) InvokeAll(group wire.GroupID, method string, args []byte) (map[
 
 // invoke runs the request/retransmit/collect loop until `need` replies
 // arrived (need < 0 applies the configured policy). mod, when non-nil,
-// edits the request before submission.
-func (c *Client) invoke(group wire.GroupID, method string, args []byte, need int, mod func(*replica.Request)) (*call, []wire.NodeID, error) {
+// edits the request before submission. The returned call is the client's
+// reusable one: read it under the runtime lock, before the next invoke.
+func (c *Client) invoke(group wire.GroupID, method string, args []byte, need int, mod func(replica.Request) replica.Request) (*call, error) {
 	members := c.dir.Members(group)
 	if len(members) == 0 {
-		return nil, nil, fmt.Errorf("client: unknown group %q", group)
+		return nil, fmt.Errorf("client: unknown group %q", group)
 	}
 	if need < 0 {
 		need = c.policy.need(len(members))
@@ -259,16 +291,31 @@ func (c *Client) invoke(group wire.GroupID, method string, args []byte, need int
 	c.rt.Lock()
 	if c.stopped {
 		c.rt.Unlock()
-		return nil, nil, errors.New("client: closed")
+		return nil, errors.New("client: closed")
+	}
+	cl := &c.cur
+	if cl.active {
+		c.rt.Unlock()
+		return nil, errors.New("client: concurrent invocations on one Client")
 	}
 	c.reqSeq++
-	logical := wire.LogicalID(fmt.Sprintf("%s#%d", c.self, c.reqSeq))
+	// One string serves both ids: the submit id is the invocation id's
+	// String() form, "<logical>#<seq>" with seq 0, and the logical thread id
+	// "<self>#<reqSeq>" is its prefix.
+	buf := append(c.idBuf[:0], c.self...)
+	buf = append(buf, '#')
+	buf = strconv.AppendUint(buf, c.reqSeq, 10)
+	logicalLen := len(buf)
+	buf = append(buf, "#0"...)
+	c.idBuf = buf
+	subID := string(buf)
+	logical := wire.LogicalID(subID[:logicalLen])
 	id := wire.InvocationID{Logical: logical, Seq: 0}
-	cl := &call{
-		parker:  vtime.NewParker("client-call/" + string(logical)),
-		replies: make(map[wire.NodeID]replica.Reply),
-		need:    need,
+	slots := cl.slots[:0]
+	for range members {
+		slots = append(slots, replySlot{})
 	}
+	*cl = call{active: true, id: id, members: members, slots: slots, need: need}
 	if c.spans != nil {
 		// The trace id is a pure function of the logical thread id —
 		// deterministic from (member, submit seq), identical on every
@@ -277,7 +324,7 @@ func (c *Client) invoke(group wire.GroupID, method string, args []byte, need int
 		cl.ctx = tracing.Context{TraceID: tid, Span: tid}
 		cl.t0 = c.rt.NowLocked()
 	}
-	c.calls[id] = cl
+	ctx, t0 := cl.ctx, cl.t0
 	c.rt.Unlock()
 
 	req := replica.Request{
@@ -287,16 +334,18 @@ func (c *Client) invoke(group wire.GroupID, method string, args []byte, need int
 		Args:    args,
 		Kind:    replica.KindClient,
 		ReplyTo: c.self,
-		Trace:   cl.ctx,
+		Trace:   ctx,
 	}
 	if mod != nil {
-		mod(&req)
+		req = mod(req)
 	}
 	shardLabel := ""
 	if req.ShardEpoch != 0 {
 		shardLabel = string(group)
 	}
-	sub := gcs.Submit{Group: group, ID: id.String(), Origin: c.self, Payload: req}
+	// Boxed once: every member (and every retransmission) gets the same
+	// interface value.
+	var sub any = gcs.Submit{Group: group, ID: subID, Origin: c.self, Payload: req}
 	send := func() {
 		for _, m := range members {
 			c.ep.Send(m, sub)
@@ -307,7 +356,7 @@ func (c *Client) invoke(group wire.GroupID, method string, args []byte, need int
 	deadline := c.rt.Now() + c.timeout
 	defer func() {
 		c.rt.Lock()
-		delete(c.calls, id)
+		cl.active = false
 		c.rt.Unlock()
 	}()
 	for {
@@ -319,38 +368,42 @@ func (c *Client) invoke(group wire.GroupID, method string, args []byte, need int
 		}
 		remaining := deadline - now
 		if remaining <= 0 {
+			got := cl.got
 			c.rt.Unlock()
-			return nil, nil, fmt.Errorf("%w: %s.%s after %v (got %d/%d replies)",
-				ErrTimeout, group, method, c.timeout, len(cl.replies), cl.need)
+			return nil, fmt.Errorf("%w: %s.%s after %v (got %d/%d replies)",
+				ErrTimeout, group, method, c.timeout, got, need)
 		}
 		wait := c.retry
 		if wait > remaining {
 			wait = remaining
 		}
-		timedOut := c.rt.ParkTimeout(cl.parker, wait)
+		// A wakeup that is not a timeout only means "look again": the
+		// parker outlives the call, so it may still hold the permit of a
+		// reply that completed the previous one.
+		timedOut := c.rt.ParkTimeout(c.parker, wait)
 		stopped := c.stopped
 		c.rt.Unlock()
 		if stopped {
-			return nil, nil, errors.New("client: closed")
+			return nil, errors.New("client: closed")
 		}
 		if timedOut {
 			send() // retransmit; replicas deduplicate
 		}
 	}
-	if c.spans != nil && cl.ctx.Valid() {
+	if c.spans != nil && ctx.Valid() {
 		end := c.rt.Now()
 		c.spans.Record(tracing.Span{
-			Trace:  cl.ctx.TraceID,
-			ID:     cl.ctx.TraceID, // root span: id == trace id
+			Trace:  ctx.TraceID,
+			ID:     ctx.TraceID, // root span: id == trace id
 			Name:   "rtt",
 			Node:   string(c.self),
 			Shard:  shardLabel,
 			Detail: string(group) + "." + method,
-			Start:  cl.t0,
-			Dur:    end - cl.t0,
+			Start:  t0,
+			Dur:    end - t0,
 		})
 	}
-	return cl, members, nil
+	return cl, nil
 }
 
 // NodeID returns the client's transport identity.

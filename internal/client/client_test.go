@@ -2,6 +2,7 @@ package client
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -270,6 +271,134 @@ func TestClientErrorReplyPropagates(t *testing.T) {
 		_, err := c.Invoke("g", "m", nil)
 		if err == nil || err.Error() != "boom" {
 			t.Errorf("err = %v, want boom", err)
+		}
+	})
+}
+
+// echoGroup is three fake replicas that answer every request with its own
+// logical thread id; replica i answers after delays[i].
+func echoGroup(rt vtime.Runtime, net *transport.Inproc, delays [3]time.Duration, onSubmit func(gcs.Submit)) (*replica.Directory, func()) {
+	var ids []wire.NodeID
+	var eps []transport.Endpoint
+	for i := range delays {
+		id := wire.ReplicaID("g", i)
+		ep := net.Endpoint(id)
+		ids, eps = append(ids, id), append(eps, ep)
+		rt.Go("echo/"+string(id), func() {
+			for {
+				msg, ok := ep.Recv()
+				if !ok {
+					return
+				}
+				sub := msg.Payload.(gcs.Submit)
+				if onSubmit != nil && i == 0 {
+					onSubmit(sub)
+				}
+				req := sub.Payload.(replica.Request)
+				rt.Go("echo-reply", func() {
+					rt.Sleep(delays[i])
+					ep.Send(req.ReplyTo, replica.Reply{ID: req.ID, From: id, Result: []byte(req.ID.Logical)})
+				})
+			}
+		})
+	}
+	d := replica.NewDirectory()
+	d.Add("g", ids)
+	return d, func() {
+		for _, ep := range eps {
+			ep.Close()
+		}
+	}
+}
+
+// TestClientIDsKeepTheirWireForm: the submit id and the logical thread id
+// are cut from one string; what goes on the wire must still be
+// "<client>#<n>" for the logical thread and its InvocationID.String() for
+// the submit, across a change in the counter's width.
+func TestClientIDsKeepTheirWireForm(t *testing.T) {
+	rt := vtime.Virtual()
+	defer rt.Stop()
+	net := transport.NewInproc(rt)
+	var subs []gcs.Submit
+	dir, closeGroup := echoGroup(rt, net, [3]time.Duration{}, func(s gcs.Submit) { subs = append(subs, s) })
+	c := New(Config{RT: rt, Name: "c1", Directory: dir, Network: net, Policy: All, Timeout: time.Second})
+	vtime.Run(rt, "main", func() {
+		defer closeGroup()
+		defer c.Close()
+		for i := 1; i <= 12; i++ {
+			out, err := c.Invoke("g", "m", nil)
+			want := fmt.Sprintf("client/c1#%d", i)
+			if err != nil || string(out) != want {
+				t.Errorf("invocation %d = (%q, %v), want logical thread %q", i, out, err, want)
+			}
+		}
+	})
+	if len(subs) != 12 {
+		t.Fatalf("replica 0 saw %d submits, want 12", len(subs))
+	}
+	for i, sub := range subs {
+		req := sub.Payload.(replica.Request)
+		wantID := wire.InvocationID{Logical: wire.LogicalID(fmt.Sprintf("client/c1#%d", i+1))}
+		if req.ID != wantID || sub.ID != wantID.String() || sub.Origin != "client/c1" {
+			t.Errorf("submit %d: id %q, request id %+v, origin %q; want %q, %+v, client/c1",
+				i+1, sub.ID, req.ID, sub.Origin, wantID.String(), wantID)
+		}
+	}
+}
+
+// TestClientIgnoresRepliesToEarlierCalls: the reply slots are reused from
+// call to call, so a straggler's answer to the previous invocation must not
+// be taken for its answer to the current one.
+func TestClientIgnoresRepliesToEarlierCalls(t *testing.T) {
+	rt := vtime.Virtual()
+	defer rt.Stop()
+	net := transport.NewInproc(rt)
+	// Replica 2 answers 3 ms late: its reply to the first call lands in the
+	// middle of the second.
+	dir, closeGroup := echoGroup(rt, net, [3]time.Duration{0, 0, 3 * time.Millisecond}, nil)
+	c := New(Config{RT: rt, Name: "c1", Directory: dir, Network: net, Policy: Majority, Timeout: time.Second})
+	vtime.Run(rt, "main", func() {
+		defer closeGroup()
+		defer c.Close()
+		if _, err := c.Invoke("g", "m", nil); err != nil {
+			t.Error(err)
+			return
+		}
+		replies, err := c.InvokeAll("g", "m", nil)
+		if err != nil || len(replies) != 3 {
+			t.Errorf("InvokeAll = (%d replies, %v), want 3", len(replies), err)
+		}
+		for node, rep := range replies {
+			if rep.From != node || string(rep.Result) != "client/c1#2" {
+				t.Errorf("%s: slot holds the answer of %s to %q, want its own to client/c1#2", node, rep.From, rep.Result)
+			}
+		}
+	})
+}
+
+// TestClientRejectsConcurrentInvocations: one goroutine at a time is the
+// contract the reused call state relies on; a second concurrent Invoke gets
+// an error, it does not corrupt the first.
+func TestClientRejectsConcurrentInvocations(t *testing.T) {
+	rt := vtime.Virtual()
+	defer rt.Stop()
+	net := transport.NewInproc(rt)
+	dir, closeGroup := echoGroup(rt, net, [3]time.Duration{5 * time.Millisecond, 5 * time.Millisecond, 5 * time.Millisecond}, nil)
+	c := New(Config{RT: rt, Name: "c1", Directory: dir, Network: net, Policy: All, Timeout: time.Second})
+	vtime.Run(rt, "main", func() {
+		defer closeGroup()
+		defer c.Close()
+		second := vtime.NewMailbox[error](rt, "second")
+		rt.Go("intruder", func() {
+			rt.Sleep(time.Millisecond) // the first call is in flight
+			_, err := c.Invoke("g", "m", nil)
+			second.Put(err)
+		})
+		if out, err := c.Invoke("g", "m", nil); err != nil || string(out) != "client/c1#1" {
+			t.Errorf("first Invoke = (%q, %v), want it undisturbed", out, err)
+		}
+		if err, _ := second.Get(); err == nil {
+			t.Error("a second concurrent Invoke succeeded")
 		}
 	})
 }

@@ -169,10 +169,11 @@ func (r *Router) Invoke(method string, args []byte, opts ...InvokeOption) ([]byt
 		}
 		home := r.ring.HomeGroup(o.key)
 		epoch := r.table.Epoch
-		rep, err := r.c.invokeReply(home, method, args, func(q *replica.Request) {
+		rep, err := r.c.invokeReply(home, method, args, func(q replica.Request) replica.Request {
 			q.ShardEpoch = epoch
 			q.ShardKey = o.key
 			q.CrossKeys = o.crossKeys
+			return q
 		})
 		if err != nil {
 			return nil, err

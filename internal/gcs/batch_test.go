@@ -111,12 +111,12 @@ func TestBatchedRoundSurvivesNack(t *testing.T) {
 		h.rt.Lock()
 		m0.handleNackLocked(Nack{Group: h.group, From: h.ids[2], Want: 1}, &act)
 		covered := uint64(0)
-		for _, s := range act.sends {
-			if o, ok := s.payload.(Ordered); ok && len(o.Batch) == 0 && o.ID != "" {
+		h.rt.Unlock()
+		act.do(func(_ wire.NodeID, payload any) {
+			if o, ok := payload.(Ordered); ok && len(o.Batch) == 0 && o.ID != "" {
 				covered++
 			}
-		}
-		h.rt.Unlock()
+		})
 		if covered < n {
 			t.Errorf("NACK resend covered %d single-form messages, want >= %d", covered, n)
 		}

@@ -176,13 +176,16 @@ func init() {
 		})
 }
 
+// Group and node names repeat in every frame of a connection: they are
+// read through the stream's intern table. Submit ids are unique per
+// request and stay plain strings.
 func groupID(r *wire.Reader) (wire.GroupID, error) {
-	s, err := r.String()
+	s, err := r.Ident()
 	return wire.GroupID(s), err
 }
 
 func nodeID(r *wire.Reader) (wire.NodeID, error) {
-	s, err := r.String()
+	s, err := r.Ident()
 	return wire.NodeID(s), err
 }
 

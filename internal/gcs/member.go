@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"github.com/replobj/replobj/internal/obs/tracing"
+	"github.com/replobj/replobj/internal/ring"
 	"github.com/replobj/replobj/internal/vtime"
 	"github.com/replobj/replobj/internal/wire"
 )
@@ -23,14 +24,17 @@ type Member struct {
 	// Sequencer state.
 	nextSeq    uint64
 	orderedIDs map[string]bool
-	idToSeq    map[string]uint64 // ordered id → sequence number (for resends)
-	idOrder    []string          // FIFO for pruning orderedIDs
+	idToSeq    map[string]uint64  // ordered id → sequence number (for resends)
+	idOrder    ring.Queue[string] // FIFO for pruning orderedIDs
+	// overtaken holds ids this member delivered before it saw their direct
+	// copy (pruned with idOrder); see handleSubmitLocked.
+	overtaken map[string]struct{}
 
 	// Sequencer-side submit batching (Config.MaxBatch/MaxBatchDelay):
 	// submits accepted but not yet broadcast. Flushed at the end of the
 	// event that opened the batch, when it fills, or when batchTimer fires.
 	batch      []Submit
-	batchAt    []time.Duration // batch[i]'s arrival time (span instrumentation)
+	batchAt    []time.Duration // batch[i]'s arrival time (only with cfg.Spans)
 	batchTimer *vtime.Timer
 
 	// Delivery state.
@@ -59,7 +63,7 @@ type Member struct {
 	// and re-sent by the FD tick once stale (cacheAt records when each was
 	// last sent toward the sequencer).
 	submitCache map[string]Submit
-	cacheOrder  []string
+	cacheOrder  ring.Queue[string]
 	cacheAt     map[string]time.Duration
 
 	// maxSeenEpoch is the highest view epoch observed in any protocol
@@ -71,7 +75,7 @@ type Member struct {
 	// Broadcast timestamps for self-originated ids, used to measure
 	// broadcast→deliver latency. Only populated when cfg.Stats is set.
 	submitAt    map[string]time.Duration
-	submitAtIDs []string
+	submitAtIDs ring.Queue[string]
 
 	// Failure detection.
 	lastSeen  map[wire.NodeID]time.Duration
@@ -93,6 +97,7 @@ func NewMember(rt vtime.Runtime, cfg Config) *Member {
 		nextDeliver:  1,
 		orderedIDs:   make(map[string]bool),
 		idToSeq:      make(map[string]uint64),
+		overtaken:    make(map[string]struct{}),
 		pendingOrder: make(map[uint64]Ordered),
 		log:          make(map[uint64]Ordered),
 		submitCache:  make(map[string]Submit),
@@ -171,10 +176,9 @@ func (m *Member) noteSubmitLocked(id string, now time.Duration) {
 		return
 	}
 	m.submitAt[id] = now
-	m.submitAtIDs = append(m.submitAtIDs, id)
-	if len(m.submitAtIDs) > maxTrackedSubmits {
-		old := m.submitAtIDs[0]
-		m.submitAtIDs = m.submitAtIDs[1:]
+	m.submitAtIDs.Push(id)
+	if m.submitAtIDs.Len() > maxTrackedSubmits {
+		old, _ := m.submitAtIDs.Pop()
 		delete(m.submitAt, old)
 	}
 }
@@ -328,7 +332,12 @@ type outMsg struct {
 // (the transport schedules timers, which itself needs the lock). Deliveries
 // go straight to the mailbox via PutLocked, preserving total order.
 type actions struct {
-	sends []outMsg
+	// Queued sends, in order: the first few in an array — an ordering round
+	// in a small group queues no more, so the common event's sends live in
+	// the caller's frame — the rest in a slice.
+	first  [4]outMsg
+	nfirst int
+	rest   []outMsg
 	// dups are already-ordered submits (with the position each was ordered
 	// at, 0 when pruned) to surface through the DuplicateSubmit hook once
 	// the lock is released.
@@ -350,11 +359,29 @@ type dupSubmit struct {
 }
 
 func (a *actions) send(to wire.NodeID, payload any) {
-	a.sends = append(a.sends, outMsg{to: to, payload: payload})
+	if a.nfirst < len(a.first) {
+		a.first[a.nfirst] = outMsg{to: to, payload: payload}
+		a.nfirst++
+		return
+	}
+	a.rest = append(a.rest, outMsg{to: to, payload: payload})
+}
+
+// sendPeers queues payload for every other member of the current view. The
+// payload is boxed by the caller, once, not once per peer.
+func (a *actions) sendPeers(m *Member, payload any) {
+	for _, peer := range m.view.Members {
+		if peer != m.cfg.Self {
+			a.send(peer, payload)
+		}
+	}
 }
 
 func (a *actions) do(send func(to wire.NodeID, payload any)) {
-	for _, s := range a.sends {
+	for _, s := range a.first[:a.nfirst] {
+		send(s.to, s.payload)
+	}
+	for _, s := range a.rest {
 		send(s.to, s.payload)
 	}
 }
@@ -428,7 +455,17 @@ func (m *Member) quorumOKLocked(now time.Duration) bool {
 
 func (m *Member) handleSubmitLocked(sub Submit, act *actions) {
 	if m.orderedIDs[sub.ID] {
-		if m.cfg.DuplicateSubmit != nil {
+		if _, first := m.overtaken[sub.ID]; first {
+			// Not a retransmission: the client sends to every member and
+			// this member's copy lost the race against the sequencer's
+			// Ordered. The execution replies on its own; a replay here would
+			// be a second reply to a client that never asked twice. The trade:
+			// when the direct copy and the reply were both lost, this is the
+			// client's first retransmission after all, and the replay waits
+			// for its second — one retransmit interval later. Only the report
+			// is withheld; the log re-broadcast below does not wait.
+			delete(m.overtaken, sub.ID)
+		} else if m.cfg.DuplicateSubmit != nil {
 			act.dups = append(act.dups, dupSubmit{sub: sub, seq: m.idToSeq[sub.ID]})
 		}
 		// A duplicate of something already ordered — usually a client
@@ -442,14 +479,8 @@ func (m *Member) handleSubmitLocked(sub Submit, act *actions) {
 			if seq, ok := m.idToSeq[sub.ID]; ok {
 				const batch = 64
 				for s := seq; s < m.nextSeq && s < seq+batch; s++ {
-					o, ok := m.log[s]
-					if !ok {
-						continue
-					}
-					for _, peer := range m.view.Members {
-						if peer != m.cfg.Self {
-							act.send(peer, o)
-						}
+					if o, ok := m.log[s]; ok {
+						act.sendPeers(m, o)
 					}
 				}
 			}
@@ -502,7 +533,9 @@ func (m *Member) sequenceSubmitLocked(sub Submit, act *actions) {
 	// in steady state, and harmlessly wrong across view changes.
 	m.hintLocked(sub.ID, m.nextSeq+uint64(len(m.batch)), act)
 	m.batch = append(m.batch, sub)
-	m.batchAt = append(m.batchAt, m.rt.NowLocked())
+	if m.cfg.Spans != nil {
+		m.batchAt = append(m.batchAt, m.rt.NowLocked())
+	}
 	if len(m.batch) >= m.cfg.MaxBatch {
 		m.flushBatchLocked(act)
 	}
@@ -516,11 +549,7 @@ func (m *Member) hintLocked(id string, seq uint64, act *actions) {
 		return
 	}
 	h := Hint{Group: m.cfg.Group, ID: id, Seq: seq}
-	for _, peer := range m.view.Members {
-		if peer != m.cfg.Self {
-			act.send(peer, h)
-		}
-	}
+	act.sendPeers(m, h)
 	if m.cfg.HintDeliver != nil {
 		act.hints = append(act.hints, h)
 	}
@@ -567,32 +596,39 @@ func (m *Member) flushBatchLocked(act *actions) {
 		m.rt.StopTimerLocked(t)
 	}
 	batch := m.batch
-	batchAt := m.batchAt
-	m.batch, m.batchAt = nil, nil
-	if len(batch) == 0 {
-		return
+	m.batch = nil
+	handedOff := len(batch) > 0 && m.isSequencerLocked() && m.orderBatchLocked(batch, act)
+	m.batchAt = m.batchAt[:0]
+	if !handedOff {
+		// The array serves the next batch too; cleared, so that idle it
+		// pins no payload.
+		clear(batch)
+		m.batch = batch[:0]
 	}
-	if !m.isSequencerLocked() {
-		return
-	}
+}
+
+// orderBatchLocked orders what is left of batch as one round. It reports
+// whether the round went out in the batch form, whose Ordered aliases
+// batch's backing array.
+func (m *Member) orderBatchLocked(batch []Submit, act *actions) bool {
 	if m.cfg.Spans != nil {
 		// Batch residency: how long each traced submit sat in the open
 		// batch before this ordering round broadcast it.
 		now := m.rt.NowLocked()
 		for i, sub := range batch {
-			if m.orderedIDs[sub.ID] || i >= len(batchAt) {
+			if m.orderedIDs[sub.ID] || i >= len(m.batchAt) {
 				continue
 			}
 			if ctx := sub.TraceCtx(); ctx.Valid() {
 				m.cfg.Spans.Record(tracing.Span{
 					Trace:  ctx.TraceID,
-					ID:     tracing.NewSpanID(ctx.TraceID, "seq.batch", string(m.cfg.Self), batchAt[i]),
+					ID:     tracing.NewSpanID(ctx.TraceID, "seq.batch", string(m.cfg.Self), m.batchAt[i]),
 					Parent: ctx.Span,
 					Name:   "seq.batch",
 					Node:   string(m.cfg.Self),
 					Shard:  m.cfg.Shard,
-					Start:  batchAt[i],
-					Dur:    now - batchAt[i],
+					Start:  m.batchAt[i],
+					Dur:    now - m.batchAt[i],
 				})
 			}
 		}
@@ -604,11 +640,11 @@ func (m *Member) flushBatchLocked(act *actions) {
 		}
 	}
 	if len(subs) == 0 {
-		return
+		return false
 	}
 	if len(subs) == 1 {
 		m.orderLocked(subs[0].ID, subs[0].Origin, subs[0].Payload, nil, act)
-		return
+		return false
 	}
 	o := Ordered{
 		Group:  m.cfg.Group,
@@ -626,12 +662,9 @@ func (m *Member) flushBatchLocked(act *actions) {
 		st.Batches.Inc()
 		st.BatchedSubmits.Add(uint64(len(subs)))
 	}
-	for _, peer := range m.view.Members {
-		if peer != m.cfg.Self {
-			act.send(peer, o)
-		}
-	}
+	act.sendPeers(m, o)
 	m.handleOrderedLocked(o, act)
+	return true
 }
 
 // orderLocked assigns the next sequence number and broadcasts. Only the
@@ -654,11 +687,7 @@ func (m *Member) orderLocked(id string, origin wire.NodeID, payload any, view *V
 	if id != "" {
 		m.idToSeq[id] = o.Seq
 	}
-	for _, peer := range m.view.Members {
-		if peer != m.cfg.Self {
-			act.send(peer, o)
-		}
-	}
+	act.sendPeers(m, o)
 	m.handleOrderedLocked(o, act)
 }
 
@@ -742,6 +771,14 @@ func (m *Member) deliverLocked(o Ordered, act *actions) {
 	m.markOrderedIDLocked(o.ID)
 	if o.ID != "" {
 		m.idToSeq[o.ID] = o.Seq
+		if _, direct := m.submitCache[o.ID]; !direct && !m.view.Contains(o.Origin) {
+			// The Ordered copy got here before the submitter's own. Only
+			// a client sends its submit to every member; a member's own
+			// broadcast goes to the sequencer alone, so no direct copy of
+			// it is on its way and a mark would only wait to swallow an
+			// unrelated duplicate.
+			m.overtaken[o.ID] = struct{}{}
+		}
 	}
 	delete(m.submitCache, o.ID)
 	delete(m.cacheAt, o.ID)
@@ -784,14 +821,14 @@ func (m *Member) installViewLocked(v View, act *actions) {
 	// Resubmit cached submits so nothing that only the crashed sequencer
 	// saw is lost. The new sequencer deduplicates by id.
 	if m.view.Sequencer() == m.cfg.Self {
-		for _, id := range append([]string(nil), m.cacheOrder...) {
+		for id := range m.cacheOrder.All() {
 			if sub, ok := m.submitCache[id]; ok {
 				m.orderLocked(sub.ID, sub.Origin, sub.Payload, nil, act)
 			}
 		}
 		return
 	}
-	for _, id := range m.cacheOrder {
+	for id := range m.cacheOrder.All() {
 		if sub, ok := m.submitCache[id]; ok {
 			act.send(m.view.Sequencer(), sub)
 		}
@@ -872,12 +909,12 @@ func (m *Member) markOrderedIDLocked(id string) {
 		return
 	}
 	m.orderedIDs[id] = true
-	m.idOrder = append(m.idOrder, id)
-	if len(m.idOrder) > maxTrackedIDs {
-		old := m.idOrder[0]
-		m.idOrder = m.idOrder[1:]
+	m.idOrder.Push(id)
+	if m.idOrder.Len() > maxTrackedIDs {
+		old, _ := m.idOrder.Pop()
 		delete(m.orderedIDs, old)
 		delete(m.idToSeq, old)
+		delete(m.overtaken, old)
 	}
 }
 
@@ -887,10 +924,9 @@ func (m *Member) cacheSubmitLocked(sub Submit) {
 	}
 	m.submitCache[sub.ID] = sub
 	m.cacheAt[sub.ID] = m.rt.NowLocked()
-	m.cacheOrder = append(m.cacheOrder, sub.ID)
-	if len(m.cacheOrder) > maxTrackedIDs {
-		old := m.cacheOrder[0]
-		m.cacheOrder = m.cacheOrder[1:]
+	m.cacheOrder.Push(sub.ID)
+	if m.cacheOrder.Len() > maxTrackedIDs {
+		old, _ := m.cacheOrder.Pop()
 		delete(m.submitCache, old)
 		delete(m.cacheAt, old)
 	}

@@ -3,6 +3,7 @@ package gcs
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -171,6 +172,78 @@ func TestSimultaneousSuspicion(t *testing.T) {
 			want := []wire.NodeID{h.ids[1], h.ids[2]}
 			if !reflect.DeepEqual(v.Members, want) {
 				t.Errorf("member %d view = %v", idx, v)
+			}
+		}
+	})
+}
+
+// TestOvertakenSubmitIsNotADuplicate: a follower that receives the
+// sequencer's Ordered copy before the submitter's own does not report that
+// late first arrival through DuplicateSubmit; the second arrival is a
+// retransmission and is reported, like every arrival on a member that saw
+// the direct copy in time.
+func TestOvertakenSubmitIsNotADuplicate(t *testing.T) {
+	var mu sync.Mutex
+	reported := make(map[wire.NodeID]int)
+	h := newHarnessCfg(3, false, func(c *Config) {
+		self := c.Self
+		c.DuplicateSubmit = func(Submit, uint64) {
+			mu.Lock()
+			reported[self]++
+			mu.Unlock()
+		}
+	})
+	dups := func(id wire.NodeID) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return reported[id]
+	}
+	h.run(func() {
+		cl := h.net.Endpoint(wire.ClientID("c1"))
+		defer cl.Close()
+		sub := Submit{Group: h.group, ID: "m1", Origin: cl.ID(), Payload: appMsg{Body: "x"}}
+		// Only the sequencer and follower 1 get the direct copy in time.
+		cl.Send(h.ids[0], sub)
+		cl.Send(h.ids[1], sub)
+		for _, m := range h.members {
+			take(t, h.rt, m, 1)
+		}
+		cl.Send(h.ids[2], sub) // follower 2's copy, overtaken by the Ordered
+		h.rt.Sleep(10 * time.Millisecond)
+		if n := dups(h.ids[2]); n != 0 {
+			t.Errorf("overtaken first arrival reported %d times through DuplicateSubmit, want 0", n)
+		}
+		h.submitFromClient(cl, "m1", "x") // a real retransmission, to everyone
+		h.rt.Sleep(10 * time.Millisecond)
+		for _, id := range h.ids {
+			if n := dups(id); n != 1 {
+				t.Errorf("%s: retransmission reported %d times, want 1", id, n)
+			}
+		}
+		h.rt.Lock()
+		left := len(h.members[2].overtaken)
+		h.rt.Unlock()
+		if left != 0 {
+			t.Errorf("follower still holds %d overtaken marks after the direct copy arrived", left)
+		}
+	})
+}
+
+// TestMemberBroadcastLeavesNoOvertakenMark: a member's own broadcast goes to
+// the sequencer only, so the other members deliver it without ever seeing a
+// direct copy — and must not keep a mark waiting for one.
+func TestMemberBroadcastLeavesNoOvertakenMark(t *testing.T) {
+	h := newHarness(3, false)
+	h.run(func() {
+		h.members[1].Broadcast("nested", appMsg{Body: "x"})
+		for _, m := range h.members {
+			take(t, h.rt, m, 1)
+		}
+		h.rt.Lock()
+		defer h.rt.Unlock()
+		for i, m := range h.members {
+			if n := len(m.overtaken); n != 0 {
+				t.Errorf("member %d holds %d overtaken marks after a member broadcast, want 0", i, n)
 			}
 		}
 	})

@@ -104,7 +104,7 @@ func (m *Member) fdTick() {
 	// back. The sequencer deduplicates by id, so resends are harmless; a
 	// suspended sequencer orders its own backlog here once it resumes.
 	if m.installing == nil {
-		for _, id := range m.cacheOrder {
+		for id := range m.cacheOrder.All() {
 			sub, ok := m.submitCache[id]
 			if !ok || m.orderedIDs[id] {
 				continue
@@ -340,7 +340,7 @@ func (m *Member) tailLocked(epoch uint64) SyncResp {
 		tail = append(tail, o)
 	}
 	pend := make([]Submit, 0, len(m.submitCache))
-	for _, id := range m.cacheOrder {
+	for id := range m.cacheOrder.All() {
 		if sub, ok := m.submitCache[id]; ok {
 			pend = append(pend, sub)
 		}

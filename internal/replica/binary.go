@@ -278,18 +278,18 @@ func encMigrateChunk(b *wire.Buffer, ck MigrateChunk) {
 func decMigrateChunk(r *wire.Reader) (MigrateChunk, error) {
 	var ck MigrateChunk
 	var err error
-	if ck.Object, err = r.String(); err != nil {
+	if ck.Object, err = r.Ident(); err != nil {
 		return ck, err
 	}
 	if ck.Epoch, err = r.Uvarint(); err != nil {
 		return ck, err
 	}
-	s, err := r.String()
+	s, err := r.Ident()
 	if err != nil {
 		return ck, err
 	}
 	ck.Source = wire.GroupID(s)
-	if s, err = r.String(); err != nil {
+	if s, err = r.Ident(); err != nil {
 		return ck, err
 	}
 	ck.Target = wire.GroupID(s)
@@ -393,12 +393,12 @@ func decRequestFields(r *wire.Reader) (Request, error) {
 	if q.ID, err = decInvocationID(r); err != nil {
 		return q, err
 	}
-	s, err := r.String()
+	s, err := r.Ident()
 	if err != nil {
 		return q, err
 	}
 	q.Group = wire.GroupID(s)
-	if q.Method, err = r.String(); err != nil {
+	if q.Method, err = r.Ident(); err != nil {
 		return q, err
 	}
 	if q.Args, err = r.Bytes(); err != nil {
@@ -409,11 +409,11 @@ func decRequestFields(r *wire.Reader) (Request, error) {
 		return q, err
 	}
 	q.Kind = RequestKind(kind)
-	if s, err = r.String(); err != nil {
+	if s, err = r.Ident(); err != nil {
 		return q, err
 	}
 	q.ReplyTo = wire.NodeID(s)
-	if s, err = r.String(); err != nil {
+	if s, err = r.Ident(); err != nil {
 		return q, err
 	}
 	q.Origin = wire.GroupID(s)
@@ -433,7 +433,7 @@ func decReplyFields(r *wire.Reader) (Reply, error) {
 	if p.ID, err = decInvocationID(r); err != nil {
 		return p, err
 	}
-	s, err := r.String()
+	s, err := r.Ident()
 	if err != nil {
 		return p, err
 	}

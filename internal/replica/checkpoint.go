@@ -8,6 +8,7 @@ import (
 	"github.com/replobj/replobj/internal/adets"
 	"github.com/replobj/replobj/internal/gcs"
 	"github.com/replobj/replobj/internal/obs"
+	"github.com/replobj/replobj/internal/ring"
 	"github.com/replobj/replobj/internal/shard"
 	"github.com/replobj/replobj/internal/vtime"
 	"github.com/replobj/replobj/internal/wire"
@@ -202,8 +203,10 @@ func (r *Replica) evictStableLocked(seq uint64) {
 	// whose entry is gone can no longer be answered from the reply cache —
 	// the duplicate hook returns a typed expired-duplicate error instead.
 	r.evictFloor = floor
-	kept := r.seenOrder[:0]
-	for _, id := range r.seenOrder {
+	// One turn of the ring: every id is popped, and the kept ones are
+	// pushed back in their original order.
+	for n := r.seenOrder.Len(); n > 0; n-- {
+		id, _ := r.seenOrder.Pop()
 		at, ok := r.seen[id]
 		if !ok {
 			continue
@@ -216,16 +219,15 @@ func (r *Replica) evictStableLocked(seq uint64) {
 				continue
 			}
 		}
-		kept = append(kept, id)
+		r.seenOrder.Push(id)
 	}
-	r.seenOrder = kept
 }
 
 // seenEntriesLocked copies the at-most-once bookkeeping for the envelope,
 // in first-seen order (already deterministic: it follows the stream).
 func (r *Replica) seenEntriesLocked() []seenEntry {
-	entries := make([]seenEntry, 0, len(r.seenOrder))
-	for _, id := range r.seenOrder {
+	entries := make([]seenEntry, 0, r.seenOrder.Len())
+	for id := range r.seenOrder.All() {
 		at, ok := r.seen[id]
 		if !ok {
 			continue
@@ -254,12 +256,12 @@ func (r *Replica) installSnapshot(d gcs.Delivery) {
 	r.restoreState(&env)
 	r.rt.Lock()
 	r.seen = make(map[wire.InvocationID]uint64, len(env.Entries))
-	r.seenOrder = r.seenOrder[:0]
+	r.seenOrder = ring.Queue[wire.InvocationID]{}
 	r.seenKey = make(map[wire.InvocationID]string)
 	r.cache = make(map[wire.InvocationID]Reply, len(env.Entries))
 	for _, e := range env.Entries {
 		r.seen[e.ID] = e.SeenAt
-		r.seenOrder = append(r.seenOrder, e.ID)
+		r.seenOrder.Push(e.ID)
 		if e.Key != "" {
 			r.seenKey[e.ID] = e.Key
 		}

@@ -475,7 +475,7 @@ func (r *Replica) movedCacheEntries(mv shard.Move) []CacheEntry {
 	r.rt.Lock()
 	defer r.rt.Unlock()
 	var out []CacheEntry
-	for _, id := range r.seenOrder {
+	for id := range r.seenOrder.All() {
 		key, ok := r.seenKey[id]
 		if !ok || key == "" {
 			continue

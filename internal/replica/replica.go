@@ -17,6 +17,7 @@ import (
 	"github.com/replobj/replobj/internal/gcs"
 	"github.com/replobj/replobj/internal/obs"
 	"github.com/replobj/replobj/internal/obs/tracing"
+	"github.com/replobj/replobj/internal/ring"
 	"github.com/replobj/replobj/internal/shard"
 	"github.com/replobj/replobj/internal/spec"
 	"github.com/replobj/replobj/internal/transport"
@@ -270,7 +271,7 @@ type Replica struct {
 
 	// All fields below are guarded by the runtime lock.
 	seen      map[wire.InvocationID]uint64 // delivered at least once, at this stream position
-	seenOrder []wire.InvocationID
+	seenOrder ring.Queue[wire.InvocationID]
 	// seenKey remembers the shard key an accepted routed request carried, so
 	// a migration can select the reply-cache entries riding a key move.
 	seenKey     map[wire.InvocationID]string
@@ -484,18 +485,10 @@ func (r *Replica) Register(method string, h Handler) {
 // Start launches the replica's receive and dispatch loops and the
 // scheduler.
 func (r *Replica) Start() {
-	rank := 0
-	members := r.dir.Members(r.group)
-	for i, m := range members {
-		if m == r.self {
-			rank = i
-		}
-	}
-	_ = rank
 	r.sched.Start(adets.Env{
 		RT:       r.rt,
 		Self:     r.self,
-		Peers:    members,
+		Peers:    r.dir.Members(r.group),
 		SendPeer: r.ep.Send,
 		BroadcastOrdered: func(id string, payload any) {
 			r.member.Broadcast(id, payload)
@@ -757,33 +750,27 @@ func (r *Replica) applyShardTable(req Request) {
 	r.sendReply(req, reply)
 }
 
+// dispatched carries one request from its ordered dispatch point through
+// the scheduler to its handler: the request, the routing epoch captured at
+// dispatch and the Invocation the handler will see, in a single allocation
+// whose exec method is the scheduler's Exec callback.
+type dispatched struct {
+	inv     Invocation
+	seq     uint64
+	tSubmit time.Duration // scheduler hand-off time (traced requests only)
+}
+
 func (r *Replica) submitRequest(req Request, callback bool, seq uint64, epoch *shard.Epoch) {
 	var classes []string
 	if r.classes != nil {
 		classes = r.classes(req.Method, req.Args)
 	}
-	exec := func(t *adets.Thread) { r.execute(req, t, epoch) }
+	d := &dispatched{inv: Invocation{r: r, req: req, epoch: epoch}, seq: seq}
 	if r.spans != nil && req.Trace.Valid() {
 		// The grant hooks only see the logical thread id; the binding lets
 		// them resolve it back to this request's trace (see SchedObs).
 		r.spans.Bind(string(req.Logical()), req.Trace)
-		tSubmit := r.rt.Now()
-		exec = func(t *adets.Thread) {
-			tStart := r.rt.Now()
-			r.spans.Record(tracing.Span{
-				Trace:  req.Trace.TraceID,
-				ID:     tracing.NewSpanID(req.Trace.TraceID, "sched.wait", string(r.self), tSubmit),
-				Parent: req.Trace.Span,
-				Name:   "sched.wait",
-				Node:   string(r.self),
-				Shard:  r.shardLabel,
-				Detail: req.Method,
-				Seq:    seq,
-				Start:  tSubmit,
-				Dur:    tStart - tSubmit,
-			})
-			r.execute(req, t, epoch)
-		}
+		d.tSubmit = r.rt.Now()
 	}
 	r.sched.Submit(adets.Request{
 		ID:       req.ID,
@@ -791,22 +778,44 @@ func (r *Replica) submitRequest(req Request, callback bool, seq uint64, epoch *s
 		Callback: callback,
 		Classes:  classes,
 		Seq:      seq,
-		Exec:     exec,
+		Exec:     d.exec,
 	})
+}
+
+// exec runs the request on the scheduler thread t.
+func (d *dispatched) exec(t *adets.Thread) {
+	r, req := d.inv.r, &d.inv.req
+	d.inv.t = t
+	if r.spans != nil && req.Trace.Valid() {
+		tStart := r.rt.Now()
+		r.spans.Record(tracing.Span{
+			Trace:  req.Trace.TraceID,
+			ID:     tracing.NewSpanID(req.Trace.TraceID, "sched.wait", string(r.self), d.tSubmit),
+			Parent: req.Trace.Span,
+			Name:   "sched.wait",
+			Node:   string(r.self),
+			Shard:  r.shardLabel,
+			Detail: req.Method,
+			Seq:    d.seq,
+			Start:  d.tSubmit,
+			Dur:    tStart - d.tSubmit,
+		})
+	}
+	r.execute(&d.inv)
 }
 
 // Logical returns the logical thread of a request.
 func (req Request) Logical() wire.LogicalID { return req.ID.Logical }
 
-func (r *Replica) execute(req Request, t *adets.Thread, epoch *shard.Epoch) {
+func (r *Replica) execute(inv *Invocation) {
 	r.inflight.Inc()
 	defer r.inflight.Dec()
+	req := inv.req
 	traced := r.spans != nil && req.Trace.Valid()
 	var tStart time.Duration
 	if traced {
 		tStart = r.rt.Now()
 	}
-	inv := &Invocation{r: r, t: t, req: req, epoch: epoch}
 	var reply Reply
 	h, ok := r.handlers[req.Method]
 	if !ok {
@@ -928,13 +937,12 @@ const maxSeen = 1 << 14
 
 func (r *Replica) markSeenLocked(id wire.InvocationID, seq uint64, key string) {
 	r.seen[id] = seq
-	r.seenOrder = append(r.seenOrder, id)
+	r.seenOrder.Push(id)
 	if key != "" {
 		r.seenKey[id] = key
 	}
-	if len(r.seenOrder) > maxSeen {
-		old := r.seenOrder[0]
-		r.seenOrder = r.seenOrder[1:]
+	if r.seenOrder.Len() > maxSeen {
+		old, _ := r.seenOrder.Pop()
 		delete(r.seen, old)
 		delete(r.seenKey, old)
 		delete(r.cache, old)

@@ -216,8 +216,8 @@ func TestSeenCacheBounded(t *testing.T) {
 		if len(h.r.seen) > maxSeen {
 			t.Errorf("seen cache grew to %d (cap %d)", len(h.r.seen), maxSeen)
 		}
-		if len(h.r.seenOrder) > maxSeen {
-			t.Errorf("seenOrder grew to %d", len(h.r.seenOrder))
+		if h.r.seenOrder.Len() > maxSeen {
+			t.Errorf("seenOrder grew to %d", h.r.seenOrder.Len())
 		}
 		h.rt.Unlock()
 	})

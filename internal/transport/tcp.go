@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/replobj/replobj/internal/obs/tracing"
@@ -36,9 +37,12 @@ type TCPNetwork struct {
 	sendQueueDepth int
 	coalesceBytes  int
 
+	// stats is read on every Send of every endpoint of the network, so it
+	// is published without a lock.
+	stats atomic.Pointer[Stats]
+
 	mu    sync.Mutex
 	addrs map[wire.NodeID]string
-	stats *Stats
 }
 
 var _ Network = (*TCPNetwork)(nil)
@@ -87,17 +91,7 @@ func NewTCP(rt vtime.Runtime, addrs map[wire.NodeID]string, opts ...TCPOption) *
 // SetStats installs st as the network's metric sink (nil disables). Shared
 // by all endpoints of this network; set it before creating endpoints so
 // connections count their bytes from the start.
-func (n *TCPNetwork) SetStats(st *Stats) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.stats = st
-}
-
-func (n *TCPNetwork) getStats() *Stats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.stats
-}
+func (n *TCPNetwork) SetStats(st *Stats) { n.stats.Store(st) }
 
 // countingConn wraps a net.Conn to count bytes moved in each direction.
 type countingConn struct {
@@ -123,7 +117,7 @@ func (c *countingConn) Write(p []byte) (int, error) {
 
 // wrapConn adds byte counting when stats are enabled.
 func (n *TCPNetwork) wrapConn(c net.Conn) net.Conn {
-	if st := n.getStats(); st != nil {
+	if st := n.stats.Load(); st != nil {
 		return &countingConn{Conn: c, st: st}
 	}
 	return c
@@ -269,7 +263,7 @@ func (e *TCPEndpoint) newConn(to wire.NodeID, raw net.Conn) *tcpConn {
 // flush error the connection is retired and everything still queued is
 // counted dropped.
 func (e *TCPEndpoint) writeLoop(to wire.NodeID, c *tcpConn) {
-	st := e.net.getStats()
+	st := e.net.stats.Load()
 	enc := wire.NewEncoder(c.c)
 	var inflight []queuedMsg // traced frames awaiting flush (spans on only)
 	track := func(qm queuedMsg) {
@@ -363,7 +357,7 @@ func (e *TCPEndpoint) Addr() string { return e.ln.Addr().String() }
 // nodes that are neither registered nor connected yet are buffered briefly
 // (see pending).
 func (e *TCPEndpoint) Send(to wire.NodeID, payload any) {
-	st := e.net.getStats()
+	st := e.net.stats.Load()
 	qm := queuedMsg{msg: wire.Message{From: e.id, To: to, Payload: payload}}
 	if st != nil && st.Spans != nil {
 		qm.at = e.net.rt.Now()
@@ -433,7 +427,7 @@ func (e *TCPEndpoint) connTo(to wire.NodeID) (*tcpConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %q at %s: %w", to, addr, err)
 	}
-	if st := e.net.getStats(); st != nil {
+	if st := e.net.stats.Load(); st != nil {
 		st.Dials.Inc()
 	}
 	raw := e.net.wrapConn(dialed)
@@ -466,7 +460,7 @@ func (e *TCPEndpoint) dropConn(to wire.NodeID, c *tcpConn) {
 	}
 	e.mu.Unlock()
 	c.shutdown()
-	if st := e.net.getStats(); st != nil {
+	if st := e.net.stats.Load(); st != nil {
 		st.ConnDrops.Inc()
 	}
 }
@@ -483,7 +477,7 @@ func (e *TCPEndpoint) acceptLoop() {
 }
 
 func (e *TCPEndpoint) readLoop(conn net.Conn) {
-	st := e.net.getStats()
+	st := e.net.stats.Load()
 	dec := wire.NewDecoder(conn)
 	learned := false
 	for {

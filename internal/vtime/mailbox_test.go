@@ -1,6 +1,7 @@
 package vtime
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -148,5 +149,163 @@ func TestMailboxManyProducersOneConsumer(t *testing.T) {
 		if len(seen) != n {
 			t.Errorf("received %d distinct items, want %d", len(seen), n)
 		}
+	})
+}
+
+// onBothRuntimes runs body on a tracked goroutine of a virtual and of a real
+// runtime: the mailbox must behave the same on either.
+func onBothRuntimes(t *testing.T, body func(t *testing.T, rt Runtime)) {
+	t.Helper()
+	for name, rt := range map[string]Runtime{"virtual": Virtual(), "real": Real()} {
+		t.Run(name, func(t *testing.T) {
+			defer rt.Stop()
+			Run(rt, "main", func() { body(t, rt) })
+		})
+	}
+}
+
+// waitForReaders polls until n readers are parked on m.
+func waitForReaders[T any](rt Runtime, m *Mailbox[T], n int) {
+	for {
+		rt.Lock()
+		parked := 0
+		for p := m.waitHead; p != nil; p = p.next {
+			parked++
+		}
+		rt.Unlock()
+		if parked == n {
+			return
+		}
+		rt.Sleep(time.Millisecond)
+	}
+}
+
+// idleParkers returns the parkers on m's free list.
+func idleParkers[T any](rt Runtime, m *Mailbox[T]) []*Parker {
+	rt.Lock()
+	defer rt.Unlock()
+	var out []*Parker
+	for p := m.free; p != nil; p = p.next {
+		out = append(out, p)
+	}
+	return out
+}
+
+// TestMailboxWakesReadersInArrivalOrder: with several readers blocked, each
+// Put goes to the reader that has waited longest, and items keep their
+// order.
+func TestMailboxWakesReadersInArrivalOrder(t *testing.T) {
+	onBothRuntimes(t, func(t *testing.T, rt Runtime) {
+		type got struct{ reader, value int }
+		m := NewMailbox[int](rt, "m")
+		results := NewMailbox[got](rt, "results")
+		const readers = 4
+		for i := 0; i < readers; i++ {
+			rt.Go("reader", func() {
+				v, _ := m.Get()
+				results.Put(got{i, v})
+			})
+			waitForReaders(rt, m, i+1)
+		}
+		for i := 0; i < readers; i++ {
+			m.Put(100 + i)
+			if g, _ := results.Get(); g != (got{i, 100 + i}) {
+				t.Errorf("put %d: reader %d received %d, want reader %d to receive %d",
+					i, g.reader, g.value, i, 100+i)
+			}
+		}
+		if n := len(idleParkers(rt, m)); n != readers {
+			t.Errorf("%d idle parkers after %d concurrent readers, want %d", n, readers, readers)
+		}
+	})
+}
+
+// TestMailboxReusesParkerAfterTimeout: a parker whose GetTimeout expired goes
+// back to the free list clean, and the next blocking Get waits — and is
+// woken — on that same parker.
+func TestMailboxReusesParkerAfterTimeout(t *testing.T) {
+	onBothRuntimes(t, func(t *testing.T, rt Runtime) {
+		m := NewMailbox[int](rt, "m")
+		if _, ok, timedOut := m.GetTimeout(5 * time.Millisecond); ok || !timedOut {
+			t.Errorf("GetTimeout on an empty mailbox = (ok=%v, timedOut=%v), want a timeout", ok, timedOut)
+			return
+		}
+		idle := idleParkers(rt, m)
+		if len(idle) != 1 {
+			t.Errorf("%d idle parkers after one timed-out reader, want 1", len(idle))
+			return
+		}
+		rt.Go("producer", func() {
+			waitForReaders(rt, m, 1)
+			rt.Lock()
+			reused := m.waitHead == idle[0]
+			rt.Unlock()
+			if !reused {
+				t.Error("the blocked reader did not take the idle parker")
+			}
+			m.Put(7)
+		})
+		// A long deadline: an expiry left over from the first wait, or a
+		// stale permit, would end this wait early and empty-handed.
+		if v, ok, timedOut := m.GetTimeout(time.Minute); !ok || timedOut || v != 7 {
+			t.Errorf("GetTimeout = (%d, ok=%v, timedOut=%v), want (7, true, false)", v, ok, timedOut)
+		}
+		if again := idleParkers(rt, m); len(again) != 1 || again[0] != idle[0] {
+			t.Errorf("free list holds %d parkers after reuse, want the same single one", len(again))
+		}
+	})
+}
+
+// TestMailboxCloseWakesEveryReader: Close releases all parked readers, and
+// their parkers all come back.
+func TestMailboxCloseWakesEveryReader(t *testing.T) {
+	onBothRuntimes(t, func(t *testing.T, rt Runtime) {
+		m := NewMailbox[int](rt, "m")
+		results := NewMailbox[bool](rt, "results")
+		const readers = 3
+		for i := 0; i < readers; i++ {
+			rt.Go("reader", func() {
+				_, ok := m.Get()
+				results.Put(ok)
+			})
+		}
+		waitForReaders(rt, m, readers)
+		m.Close()
+		for i := 0; i < readers; i++ {
+			if ok, _ := results.Get(); ok {
+				t.Error("Get on a closed, empty mailbox = ok")
+			}
+		}
+		waitForReaders(rt, m, 0)
+		if n := len(idleParkers(rt, m)); n != readers {
+			t.Errorf("%d idle parkers after Close, want %d", n, readers)
+		}
+	})
+}
+
+// TestMailboxReleasesPoppedItem: a mailbox slot must not pin what was
+// popped from it — a gcs delivery mailbox carries whole state snapshots.
+func TestMailboxReleasesPoppedItem(t *testing.T) {
+	onBothRuntimes(t, func(t *testing.T, rt Runtime) {
+		type snapshot struct{ image [1 << 20]byte }
+		m := NewMailbox[*snapshot](rt, "m")
+		collected := make(chan struct{})
+		func() {
+			s := new(snapshot)
+			runtime.SetFinalizer(s, func(*snapshot) { close(collected) })
+			m.Put(s)
+			if got, ok := m.Get(); !ok || got != s {
+				t.Error("Get did not return the snapshot that was put")
+			}
+		}()
+		for i := 0; i < 20; i++ {
+			runtime.GC()
+			select {
+			case <-collected:
+				return
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+		t.Error("a popped item is still reachable through the mailbox")
 	})
 }

@@ -63,13 +63,18 @@ func (rt *RealRuntime) ParkTimeout(p *Parker, d time.Duration) bool {
 	}
 	p.parked = true
 	rt.mu.Unlock()
-	t := time.NewTimer(d)
-	defer t.Stop()
+	// One wall timer per parker, re-armed for every timed park.
+	if p.wall == nil {
+		p.wall = time.NewTimer(d)
+	} else {
+		p.wall.Reset(d)
+	}
 	select {
 	case <-p.ch:
+		p.wall.Stop()
 		rt.mu.Lock()
 		return false
-	case <-t.C:
+	case <-p.wall.C:
 		rt.mu.Lock()
 		if !p.parked {
 			// An Unpark raced with the timeout and won: it already cleared

@@ -106,7 +106,9 @@ type Parker struct {
 	parked   bool
 	permit   bool
 	timedOut bool
-	timer    *Timer
+	timer    *Timer      // virtual mode: pending ParkTimeout deadline
+	wall     *time.Timer // real mode: ParkTimeout deadline, reused across parks
+	next     *Parker     // link in a Mailbox's waiter or free list
 }
 
 // NewParker returns a parker with the given diagnostic name.

@@ -80,6 +80,22 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
+// replay is an endless stream of one frame.
+type replay struct {
+	frame []byte
+	off   int
+}
+
+func (r *replay) Read(p []byte) (int, error) {
+	n := copy(p, r.frame[r.off:])
+	r.off = (r.off + n) % len(r.frame)
+	return n, nil
+}
+
+// BenchmarkDecode decodes each hot payload three ways: one-shot from a byte
+// slice (binary), the same through the gob fallback, and through a
+// long-lived stream Decoder (stream) — what a TCP connection runs, with the
+// frame reader reused and identifiers interned.
 func BenchmarkDecode(b *testing.B) {
 	for _, tc := range benchCases() {
 		m := tc.msg
@@ -105,6 +121,17 @@ func BenchmarkDecode(b *testing.B) {
 			b.SetBytes(int64(len(gobbed)))
 			for i := 0; i < b.N; i++ {
 				if _, _, _, err := wire.ConsumeMessage(gobbed); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(tc.name+"/stream", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(bin)))
+			dec := wire.NewDecoder(&replay{frame: bin})
+			var out wire.Message
+			for i := 0; i < b.N; i++ {
+				if err := dec.Decode(&out); err != nil {
 					b.Fatal(err)
 				}
 			}

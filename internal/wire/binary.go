@@ -16,7 +16,10 @@ package wire
 //
 // Primitive encodings: uvarint is encoding/binary's unsigned varint,
 // required to be minimal-length; string and byte-slice are uvarint(len)
-// followed by the raw bytes; bool is a single 0/1 byte. The decoder rejects
+// followed by the raw bytes; bool is a single 0/1 byte. A decoder reads a
+// string field with Reader.String or, for names that repeat from frame to
+// frame, Reader.Ident, which shares them through a small per-stream intern
+// table — a decode-side choice the bytes on the wire do not show. The decoder rejects
 // non-minimal varints, out-of-range bools and trailing bytes, so every
 // decodable binary frame re-encodes to the identical byte string — the
 // property the differential fuzzer pins down.
@@ -229,8 +232,11 @@ func (b *Buffer) Any(v any) error {
 		return c.enc(b, v)
 	}
 	b.Uvarint(tagGob)
+	// gob takes the value's address; taking v's own would move the
+	// parameter to the heap on every call, fast path included.
+	gv := v
 	var blob bytes.Buffer
-	if err := gob.NewEncoder(&blob).Encode(&v); err != nil {
+	if err := gob.NewEncoder(&blob).Encode(&gv); err != nil {
 		return fmt.Errorf("wire: gob-encode nested %T: %w", v, err)
 	}
 	b.Bytes(blob.Bytes())
@@ -248,7 +254,10 @@ func appendBody(b *Buffer, m *Message) error {
 	c, ok := binByType[reflect.TypeOf(m.Payload)]
 	if !ok {
 		b.Uvarint(tagGob)
-		if err := gob.NewEncoder(b).Encode(m); err != nil {
+		// gob gets a copy: handing it m would make every caller's message
+		// escape, whichever branch runs.
+		gm := *m
+		if err := gob.NewEncoder(b).Encode(&gm); err != nil {
 			return fmt.Errorf("wire: gob-encode message with %T payload: %w", m.Payload, err)
 		}
 		return nil
@@ -301,7 +310,20 @@ type Reader struct {
 	b      []byte
 	off    int
 	sawGob bool // a gob fallback was taken somewhere in this frame
+	// idents is the intern table of the stream this frame came from; nil
+	// when the frame is decoded on its own (ConsumeMessage).
+	idents map[string]string
 }
+
+// Caps of a stream's intern table. Node, group and method names are a few
+// dozen short strings per connection; anything longer than maxIdentLen is
+// not an identifier worth sharing, and a table that reaches maxIdents
+// entries (a peer cycling through names, or a hostile one) starts over, so
+// a Decoder never holds more than maxIdents*maxIdentLen bytes of them.
+const (
+	maxIdents   = 256
+	maxIdentLen = 64
+)
 
 // Remaining returns the number of unread bytes left in the frame.
 func (r *Reader) Remaining() int { return len(r.b) - r.off }
@@ -319,37 +341,58 @@ func (r *Reader) Uvarint() (uint64, error) {
 	return v, nil
 }
 
-// String reads a length-prefixed string.
-func (r *Reader) String() (string, error) {
+// span reads a length prefix and returns the bytes it covers — a window
+// into the frame buffer, for the caller to copy.
+func (r *Reader) span(what string) ([]byte, error) {
 	n, err := r.Uvarint()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n > uint64(r.Remaining()) {
-		return "", fmt.Errorf("wire: string of %d bytes exceeds remaining %d", n, r.Remaining())
+		return nil, fmt.Errorf("wire: %s of %d bytes exceeds remaining %d", what, n, r.Remaining())
 	}
-	s := string(r.b[r.off : r.off+int(n)])
+	raw := r.b[r.off : r.off+int(n)]
 	r.off += int(n)
+	return raw, nil
+}
+
+// String reads a length-prefixed string.
+func (r *Reader) String() (string, error) {
+	raw, err := r.span("string")
+	return string(raw), err
+}
+
+// Ident reads a length-prefixed string that names something long-lived — a
+// node, a group, a method, a mutex — and so repeats from frame to frame. On
+// a stream Decoder the result is interned: every occurrence after the first
+// is the same string, found without allocating. Fields that differ per
+// request (submit ids, logical thread ids, shard keys) belong to String;
+// routed through here they would only churn the table. Like String, the
+// result never aliases the frame buffer.
+func (r *Reader) Ident() (string, error) {
+	raw, err := r.span("string")
+	if err != nil || r.idents == nil || len(raw) > maxIdentLen {
+		return string(raw), err
+	}
+	if s, ok := r.idents[string(raw)]; ok { // the lookup does not allocate
+		return s, nil
+	}
+	if len(r.idents) >= maxIdents {
+		clear(r.idents)
+	}
+	s := string(raw)
+	r.idents[s] = s
 	return s, nil
 }
 
 // Bytes reads a length-prefixed byte slice. The result is a copy, never an
 // alias of the (pooled) frame buffer; zero length decodes as nil.
 func (r *Reader) Bytes() ([]byte, error) {
-	n, err := r.Uvarint()
-	if err != nil {
+	raw, err := r.span("byte slice")
+	if err != nil || len(raw) == 0 {
 		return nil, err
 	}
-	if n > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("wire: byte slice of %d bytes exceeds remaining %d", n, r.Remaining())
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	p := make([]byte, n)
-	copy(p, r.b[r.off:])
-	r.off += int(n)
-	return p, nil
+	return append([]byte(nil), raw...), nil
 }
 
 // Byte reads one raw byte.
@@ -405,26 +448,29 @@ func (r *Reader) Any() (any, error) {
 	return c.dec(r)
 }
 
-// parseBody decodes one frame body. It reports (via binaryClean) whether
-// the whole frame took the binary fast path — no gob fallback at any
+// parseBody decodes the frame body r holds. It reports (via binaryClean)
+// whether the whole frame took the binary fast path — no gob fallback at any
 // nesting level — which is when byte-identical re-encoding is guaranteed.
-func parseBody(data []byte, m *Message) (binaryClean bool, err error) {
-	r := &Reader{b: data}
+func parseBody(r *Reader, m *Message) (binaryClean bool, err error) {
 	tag, err := r.Uvarint()
 	if err != nil {
 		return false, err
 	}
 	if tag == tagGob {
-		if err := gob.NewDecoder(bytes.NewReader(data[r.off:])).Decode(m); err != nil {
+		// gob decodes into a local: handing it m would make every caller's
+		// message escape, whichever branch runs.
+		var gm Message
+		if err := gob.NewDecoder(bytes.NewReader(r.b[r.off:])).Decode(&gm); err != nil {
 			return false, fmt.Errorf("wire: decode message: %w", err)
 		}
+		*m = gm
 		return false, nil
 	}
-	from, err := r.String()
+	from, err := r.Ident()
 	if err != nil {
 		return false, err
 	}
-	to, err := r.String()
+	to, err := r.Ident()
 	if err != nil {
 		return false, err
 	}
@@ -466,8 +512,7 @@ func ConsumeMessage(data []byte) (m Message, n int, binaryClean bool, err error)
 	if size > uint64(len(data)-hn) {
 		return m, 0, false, fmt.Errorf("wire: frame body of %d bytes exceeds remaining %d", size, len(data)-hn)
 	}
-	body := data[hn : hn+int(size)]
-	clean, err := parseBody(body, &m)
+	clean, err := parseBody(&Reader{b: data[hn : hn+int(size)]}, &m)
 	if err != nil {
 		return m, 0, false, err
 	}

@@ -17,6 +17,10 @@ const maxFrame = 16 << 20 // 16 MiB
 // not safe for concurrent use; callers serialize writes per connection.
 type Encoder struct {
 	w *bufio.Writer
+	// hdr is the frame-length scratch. bufio.Writer.Write may hand its
+	// argument to the underlying io.Writer, so a header array local to
+	// EncodeBuffered would move to the heap once per frame.
+	hdr [binary.MaxVarintLen64]byte
 }
 
 // NewEncoder returns an Encoder writing to w. The buffer is sized above
@@ -47,9 +51,8 @@ func (e *Encoder) EncodeBuffered(m *Message) error {
 	if len(body.b) > maxFrame {
 		return fmt.Errorf("wire: frame of %d bytes exceeds limit", len(body.b))
 	}
-	var hdr [binary.MaxVarintLen64]byte
-	hn := binary.PutUvarint(hdr[:], uint64(len(body.b)))
-	if _, err := e.w.Write(hdr[:hn]); err != nil {
+	hn := binary.PutUvarint(e.hdr[:], uint64(len(body.b)))
+	if _, err := e.w.Write(e.hdr[:hn]); err != nil {
 		return fmt.Errorf("wire: write frame header: %w", err)
 	}
 	if _, err := e.w.Write(body.b); err != nil {
@@ -78,16 +81,25 @@ var framePool = sync.Pool{New: func() any {
 // Decoder reads length-prefixed frames.
 type Decoder struct {
 	r *bufio.Reader
+	// rd is the frame reader, reset for every frame. Payload codecs are
+	// reached through function values, so a Reader built per frame would be
+	// heap-allocated per frame. It carries the stream's intern table (see
+	// Reader.Ident).
+	rd Reader
 }
 
 // NewDecoder returns a Decoder reading from r.
 func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{r: bufio.NewReaderSize(r, 32<<10)}
+	return &Decoder{
+		r:  bufio.NewReaderSize(r, 32<<10),
+		rd: Reader{idents: make(map[string]string)},
+	}
 }
 
 // Decode reads the next message frame into m. The frame buffer is pooled;
 // decoded messages never alias it (all strings and byte slices are
-// copies).
+// copies). Identifier strings may be shared with earlier messages of the
+// same stream (see Reader.Ident).
 func (d *Decoder) Decode(m *Message) error {
 	n, err := d.readHeader()
 	if err != nil {
@@ -106,10 +118,10 @@ func (d *Decoder) Decode(m *Message) error {
 	if _, err := io.ReadFull(d.r, buf); err != nil {
 		return fmt.Errorf("wire: read frame body: %w", err)
 	}
-	if _, err := parseBody(buf, m); err != nil {
-		return err
-	}
-	return nil
+	d.rd.b, d.rd.off, d.rd.sawGob = buf, 0, false
+	_, err = parseBody(&d.rd, m)
+	d.rd.b = nil // the frame buffer goes back to the pool
+	return err
 }
 
 // readHeader reads and validates the uvarint frame-length header. A clean

@@ -10,7 +10,7 @@ package wire
 
 import (
 	"encoding/gob"
-	"fmt"
+	"strconv"
 )
 
 // NodeID identifies a process endpoint: a replica ("groupA/0") or a client
@@ -22,7 +22,7 @@ type GroupID string
 
 // ReplicaID builds the NodeID of the i-th replica of a group.
 func ReplicaID(g GroupID, i int) NodeID {
-	return NodeID(fmt.Sprintf("%s/%d", g, i))
+	return NodeID(string(g) + "/" + strconv.Itoa(i))
 }
 
 // ClientID builds the NodeID of a client endpoint.
@@ -48,7 +48,10 @@ type InvocationID struct {
 }
 
 func (id InvocationID) String() string {
-	return fmt.Sprintf("%s#%d", id.Logical, id.Seq)
+	var buf [48]byte
+	b := append(buf[:0], id.Logical...)
+	b = append(b, '#')
+	return string(strconv.AppendUint(b, id.Seq, 10))
 }
 
 // Message is the transport envelope. Payload is one of the protocol structs

@@ -622,3 +622,76 @@ func TestDuplicateSubmitMetricSplit(t *testing.T) {
 		}
 	})
 }
+
+// TestOvertakenSubmitDrawsNoSecondReply is the regression for the spurious
+// duplicate reply: a client sends its submit to every member, and a
+// follower's copy regularly loses the race against the sequencer's Ordered
+// copy of the same request. That late first arrival is not a
+// retransmission — the execution answers it — and must not be replayed
+// from the reply cache on top. A real retransmission afterwards still is.
+func TestOvertakenSubmitDrawsNoSecondReply(t *testing.T) {
+	rt := vtime.Virtual()
+	// The injector's links to the two followers are slow, so the Ordered
+	// copy (two default hops through the sequencer) gets there first.
+	slow := func(from, to wire.NodeID) time.Duration {
+		if from == "inj" && to != wire.ReplicaID("cnt", 0) {
+			return 10 * time.Millisecond
+		}
+		return transport.DefaultLatency
+	}
+	net := transport.NewInproc(rt, transport.WithLatencyFunc(slow))
+	reg := replobj.NewMetricsRegistry()
+	c := replobj.NewCluster(rt, replobj.WithNetwork(net), replobj.WithMetrics(reg))
+	counterGroup(t, c, "cnt", 3)
+	run(rt, c, func() {
+		inj := net.Endpoint("inj")
+		replies := vtime.NewMailbox[replica.Reply](rt, "inj-replies")
+		rt.Go("inj-recv", func() {
+			for {
+				msg, ok := inj.Recv()
+				if !ok {
+					return
+				}
+				replies.Put(msg.Payload.(replica.Reply))
+			}
+		})
+		defer inj.Close()
+		dupReplies := func() (n uint64) {
+			for i := 0; i < 3; i++ {
+				n += reg.Counter(fmt.Sprintf(`replobj_replica_duplicate_submit_replies_total{node="cnt/%d"}`, i)).Value()
+			}
+			return n
+		}
+		sub := submitFor("cnt", wire.InvocationID{Logical: "inj#1"}, "add", []byte{1}, "inj")
+		members := c.Directory().Members("cnt")
+		for _, m := range members {
+			inj.Send(m, sub)
+		}
+		rt.Sleep(50 * time.Millisecond) // the slow copies have long arrived
+		if n := replies.Len(); n != 3 {
+			t.Errorf("%d replies to one submit, want 3 (one per member)", n)
+		}
+		if n := dupReplies(); n != 0 {
+			t.Errorf("duplicate_submit_replies_total = %d after a submit that was only overtaken, want 0", n)
+		}
+		for replies.Len() > 0 {
+			replies.Get()
+		}
+		// The client asks again: now every member replays its cached reply.
+		for _, m := range members {
+			inj.Send(m, sub)
+		}
+		rt.Sleep(50 * time.Millisecond)
+		if n := replies.Len(); n != 3 {
+			t.Errorf("%d replays of a retransmitted submit, want 3", n)
+		}
+		for replies.Len() > 0 {
+			if rep, _ := replies.Get(); rep.Err != "" || fromU64(rep.Result) != 1 {
+				t.Errorf("replayed reply = %v/%q, want the cached result 1", rep.Result, rep.Err)
+			}
+		}
+		if n := dupReplies(); n != 3 {
+			t.Errorf("duplicate_submit_replies_total = %d after a retransmission, want 3", n)
+		}
+	})
+}

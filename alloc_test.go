@@ -15,12 +15,13 @@ import (
 // dispatch, SEQ scheduler, mailboxes — over the zero-latency in-process
 // network on the real clock (no codec and no sockets: the wire package
 // holds its own budgets). The bound is the figure measured when the
-// per-request allocation diet landed (68) plus 10 %; the same run read 151
-// before it. Much of what is left is the in-process network's timer per
+// client's request stopped travelling to every member (55) plus 10 %; the
+// same run read 68 before that and 151 before the per-request allocation
+// diet. Much of what is left is the in-process network's timer per
 // message, which TCP deployments do not pay. The race detector allocates on
 // its own, hence the build tag.
 func TestInvokeAllocationBudget(t *testing.T) {
-	const budget = 75
+	const budget = 60
 	rt := vtime.Real()
 	defer rt.Stop()
 	c := replobj.NewCluster(rt, replobj.WithLatency(0))
@@ -50,5 +51,56 @@ func TestInvokeAllocationBudget(t *testing.T) {
 	t.Logf("one Invoke, 3 SEQ replicas, zero-latency inproc: %v allocs (budget %d)", allocs, budget)
 	if allocs > budget {
 		t.Errorf("one Invoke allocates %v times, budget %d", allocs, budget)
+	}
+}
+
+// TestInvokeMessageBudget pins what one invocation sends, beside what it
+// allocates: in a plain group one Submit to the sequencer, an Ordered to
+// each follower and three replies — the client's request travels once (8
+// before it did: the test fails there). In a speculating group the
+// followers execute on the client's own copy, so the Submit goes to all
+// three, and the sequencer's position hint to both followers: 10, as it
+// was.
+func TestInvokeMessageBudget(t *testing.T) {
+	const calls = 500
+	for _, tc := range []struct {
+		name string
+		opts []replobj.GroupOption
+		want float64
+	}{
+		{"plain", nil, 6},
+		{"speculating", []replobj.GroupOption{replobj.WithSpeculation()}, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := vtime.Real()
+			defer rt.Stop()
+			reg := replobj.NewMetricsRegistry()
+			c := replobj.NewCluster(rt, replobj.WithLatency(0), replobj.WithMetrics(reg))
+			defer c.Close()
+			counterGroup(t, c, "cnt", 3, append(tc.opts, replobj.WithScheduler(replobj.SEQ))...)
+			// Policy All: every reply of one invocation is sent before the next
+			// begins, so the count divides evenly.
+			cl := c.NewClient("c0", replobj.WithInvocationTimeout(10*time.Second),
+				replobj.WithReplyPolicy(replobj.All))
+			sent := reg.Counter(`replobj_transport_msgs_sent_total{net="inproc"}`)
+			var err error
+			var before uint64
+			replobj.Run(rt, func() {
+				invoke := func(n int) {
+					for i := 0; i < n && err == nil; i++ {
+						_, err = cl.Invoke("cnt", "add", []byte{1})
+					}
+				}
+				invoke(200) // the first request of a client goes to every member
+				before = sent.Value()
+				invoke(calls)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := float64(sent.Value()-before) / calls; got != tc.want {
+				t.Errorf("%v messages per invocation, want exactly %v", got, tc.want)
+			}
+		})
 	}
 }

@@ -1,7 +1,10 @@
 // Package client implements the replication-aware client stub: it submits
-// invocation requests to every member of a replicated object group,
-// retransmits on silence, deduplicates replies per replica, and returns
-// once the configured reply policy is satisfied.
+// an invocation request to the group's contact member — the sequencer, as
+// far as the client knows — whose total-order broadcast carries it to the
+// others, retransmits to every member on silence, deduplicates replies per
+// replica, and returns once the configured reply policy is satisfied.
+// DESIGN.md §6 has the protocol: contact, introduction, relay, and what a
+// failure costs.
 //
 // The default policy is Majority: FTflex-style infrastructures do not trust
 // a single reply under fail-over, and — as DESIGN.md explains — waiting for
@@ -98,11 +101,31 @@ type Client struct {
 	metrics *obs.Registry
 
 	// guarded by the runtime lock
+	groups  map[wire.GroupID]*contact
 	cur     call          // the one invocation in flight; reused by the next
 	parker  *vtime.Parker // the invoking goroutine waits here, call after call
 	idBuf   []byte        // scratch the invocation ids are built in
 	reqSeq  uint64
 	stopped bool
+}
+
+// contact is what the client has learned about one group it invokes.
+type contact struct {
+	// info is the Directory entry the rest was learned under; a different
+	// entry for the group (it was registered again) voids it.
+	info *replica.GroupInfo
+	// rank indexes info.Members: the member a request's one copy goes to.
+	// It starts at the initial sequencer, rank 0 (gcs.View.Sequencer), and
+	// moves only after a call that needed a retransmission, to the
+	// lowest-ranked member that answered it — the sequencer of the view the
+	// group has changed to if rank 0 is gone — so a dead contact costs one
+	// retransmit interval once, not once per request.
+	rank int
+	// introduced is set once a request has gone to every member. Over TCP a
+	// replica answers a client outside its address registry over the
+	// connection the client dialed, so each must have heard from the client
+	// once before its replies can arrive.
+	introduced bool
 }
 
 // call is the state of the invocation in flight. A Client serves one
@@ -111,7 +134,7 @@ type Client struct {
 type call struct {
 	active  bool
 	id      wire.InvocationID
-	members []wire.NodeID // the group in rank order
+	members []wire.NodeID // the group in rank order (the Directory's slice: read-only)
 	slots   []replySlot   // slots[i] is members[i]'s answer
 	got     int           // filled slots
 	need    int
@@ -142,6 +165,7 @@ func New(cfg Config) *Client {
 		retry:   cfg.Retransmit,
 		spans:   cfg.Spans,
 		metrics: cfg.Metrics,
+		groups:  make(map[wire.GroupID]*contact),
 	}
 	c.parker = vtime.NewParker("client-call/" + string(c.self))
 	c.ep = cfg.Network.Endpoint(c.self)
@@ -244,7 +268,7 @@ func (c *Client) Invoke(group wire.GroupID, method string, args []byte) ([]byte,
 // maps a value to a value so the request stays off the heap until it is
 // boxed into the submit.
 func (c *Client) invokeReply(group wire.GroupID, method string, args []byte, mod func(replica.Request) replica.Request) (replica.Reply, error) {
-	cl, err := c.invoke(group, method, args, -1, mod)
+	cl, err := c.invoke(group, method, args, c.policy, mod)
 	if err != nil {
 		return replica.Reply{}, err
 	}
@@ -261,7 +285,7 @@ func (c *Client) invokeReply(group wire.GroupID, method string, args []byte, mod
 // InvokeAll waits for every replica's reply (policy All for this call) and
 // returns them per node — used by consistency checks and tooling.
 func (c *Client) InvokeAll(group wire.GroupID, method string, args []byte) (map[wire.NodeID]replica.Reply, error) {
-	cl, err := c.invoke(group, method, args, len(c.dir.Members(group)), nil)
+	cl, err := c.invoke(group, method, args, All, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -276,18 +300,24 @@ func (c *Client) InvokeAll(group wire.GroupID, method string, args []byte) (map[
 	return out, nil
 }
 
-// invoke runs the request/retransmit/collect loop until `need` replies
-// arrived (need < 0 applies the configured policy). mod, when non-nil,
-// edits the request before submission. The returned call is the client's
+// invoke runs the request/retransmit/collect loop until policy is
+// satisfied. mod, when non-nil, edits the request before submission. The returned call is the client's
 // reusable one: read it under the runtime lock, before the next invoke.
-func (c *Client) invoke(group wire.GroupID, method string, args []byte, need int, mod func(replica.Request) replica.Request) (*call, error) {
-	members := c.dir.Members(group)
-	if len(members) == 0 {
+//
+// The first transmission is one copy to the group's contact, whose total
+// order carries the request to the other members. It goes to every member
+// instead where the members need their own copies: in a direct-copy group,
+// and the first time this client addresses the group (see contact). Every
+// retransmission goes to every member, so a dead contact, a lost copy, a
+// lost Ordered and lost replies all cost one retransmit interval and no
+// more.
+func (c *Client) invoke(group wire.GroupID, method string, args []byte, policy ReplyPolicy, mod func(replica.Request) replica.Request) (*call, error) {
+	info := c.dir.Group(group)
+	if info == nil || len(info.Members) == 0 {
 		return nil, fmt.Errorf("client: unknown group %q", group)
 	}
-	if need < 0 {
-		need = c.policy.need(len(members))
-	}
+	members := info.Members
+	need := policy.need(len(members))
 	c.rt.Lock()
 	if c.stopped {
 		c.rt.Unlock()
@@ -297,6 +327,16 @@ func (c *Client) invoke(group wire.GroupID, method string, args []byte, need int
 	if cl.active {
 		c.rt.Unlock()
 		return nil, errors.New("client: concurrent invocations on one Client")
+	}
+	ct := c.groups[group]
+	if ct == nil || ct.info != info {
+		ct = &contact{info: info}
+		c.groups[group] = ct
+	}
+	first := members[ct.rank : ct.rank+1]
+	if info.DirectCopies || !ct.introduced {
+		first = members
+		ct.introduced = true
 	}
 	c.reqSeq++
 	// One string serves both ids: the submit id is the invocation id's
@@ -346,12 +386,9 @@ func (c *Client) invoke(group wire.GroupID, method string, args []byte, need int
 	// Boxed once: every member (and every retransmission) gets the same
 	// interface value.
 	var sub any = gcs.Submit{Group: group, ID: subID, Origin: c.self, Payload: req}
-	send := func() {
-		for _, m := range members {
-			c.ep.Send(m, sub)
-		}
+	for _, m := range first {
+		c.ep.Send(m, sub)
 	}
-	send()
 
 	deadline := c.rt.Now() + c.timeout
 	defer func() {
@@ -359,10 +396,19 @@ func (c *Client) invoke(group wire.GroupID, method string, args []byte, need int
 		cl.active = false
 		c.rt.Unlock()
 	}()
+	retransmitted := false
 	for {
 		now := c.rt.Now() // before taking the lock: Now() locks internally
 		c.rt.Lock()
 		if cl.done {
+			if retransmitted {
+				for i := range cl.slots {
+					if cl.slots[i].ok {
+						ct.rank = i
+						break
+					}
+				}
+			}
 			c.rt.Unlock()
 			break
 		}
@@ -387,7 +433,10 @@ func (c *Client) invoke(group wire.GroupID, method string, args []byte, need int
 			return nil, errors.New("client: closed")
 		}
 		if timedOut {
-			send() // retransmit; replicas deduplicate
+			retransmitted = true
+			for _, m := range members { // replicas deduplicate
+				c.ep.Send(m, sub)
+			}
 		}
 	}
 	if c.spans != nil && ctx.Valid() {

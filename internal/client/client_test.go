@@ -3,6 +3,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -40,62 +41,105 @@ func TestReplyPolicyNeed(t *testing.T) {
 	}
 }
 
-// fakeGroup simulates replicas that answer Submits directly (no scheduler):
-// enough to unit-test the client's collection, retransmission and timeout
-// logic in isolation.
+// fakeGroup simulates a replica group without schedulers or a sequencer:
+// the first copy of a request to reach any member stands for its ordering —
+// every member answers it, as every replica executes what the total order
+// delivers — and each further copy is answered again by the member that
+// received it, as a replica replays its cached reply to a retransmission.
+// It records which member received how many copies of which request.
+// Enough to unit-test the client's transmission, collection,
+// retransmission and timeout logic in isolation.
 type fakeGroup struct {
-	rt    vtime.Runtime
-	net   *transport.Inproc
-	ids   []wire.NodeID
-	eps   []transport.Endpoint
-	mute  map[wire.NodeID]bool // muted replicas never reply
-	delay map[wire.NodeID]time.Duration
-	seen  map[string]int // per-id delivery count (across replicas)
+	rt  vtime.Runtime
+	net *transport.Inproc
+	ids []wire.NodeID
+	eps []transport.Endpoint
+
+	// guarded by the runtime lock
+	mute   map[wire.NodeID]bool // muted replicas never reply
+	delay  map[wire.NodeID]time.Duration
+	first  []gcs.Submit     // each request's first copy, in order of arrival
+	copies map[string][]int // copies[id][rank]: copies that reached the member
 }
 
 func newFakeGroup(rt vtime.Runtime, net *transport.Inproc, n int) *fakeGroup {
 	fg := &fakeGroup{
-		rt:    rt,
-		net:   net,
-		mute:  make(map[wire.NodeID]bool),
-		delay: make(map[wire.NodeID]time.Duration),
-		seen:  make(map[string]int),
+		rt:     rt,
+		net:    net,
+		mute:   make(map[wire.NodeID]bool),
+		delay:  make(map[wire.NodeID]time.Duration),
+		copies: make(map[string][]int),
 	}
 	for i := 0; i < n; i++ {
 		id := wire.ReplicaID("g", i)
 		fg.ids = append(fg.ids, id)
-		ep := net.Endpoint(id)
-		fg.eps = append(fg.eps, ep)
-		rt.Go("fake/"+string(id), func() {
-			for {
-				msg, ok := ep.Recv()
-				if !ok {
-					return
-				}
-				sub, ok := msg.Payload.(gcs.Submit)
-				if !ok {
-					continue
-				}
-				req, ok := sub.Payload.(replica.Request)
-				if !ok {
-					continue
-				}
-				rt.Lock()
-				fg.seen[sub.ID]++
-				muted := fg.mute[id]
-				d := fg.delay[id]
-				rt.Unlock()
-				if muted {
-					continue
-				}
-				if d > 0 {
-					rt.Sleep(d)
-				}
-				ep.Send(req.ReplyTo, replica.Reply{ID: req.ID, From: id, Result: []byte("ok")})
-			}
-		})
+		fg.eps = append(fg.eps, net.Endpoint(id))
+	}
+	for i := range fg.ids {
+		rt.Go("fake/"+string(fg.ids[i]), func() { fg.serve(i) })
 	}
 	return fg
+}
+
+func (fg *fakeGroup) serve(rank int) {
+	for {
+		msg, ok := fg.eps[rank].Recv()
+		if !ok {
+			return
+		}
+		sub, ok := msg.Payload.(gcs.Submit)
+		if !ok {
+			continue
+		}
+		req, ok := sub.Payload.(replica.Request)
+		if !ok {
+			continue
+		}
+		fg.rt.Lock()
+		got := fg.copies[sub.ID]
+		fresh := got == nil
+		if fresh {
+			got = make([]int, len(fg.ids))
+			fg.copies[sub.ID] = got
+			fg.first = append(fg.first, sub)
+		}
+		got[rank]++
+		fg.rt.Unlock()
+		if !fresh {
+			fg.answer(rank, req)
+			continue
+		}
+		for r := range fg.ids {
+			fg.answer(r, req)
+		}
+	}
+}
+
+// answer sends the member's reply — the request's logical thread id — after
+// the member's delay, unless it is muted.
+func (fg *fakeGroup) answer(rank int, req replica.Request) {
+	id := fg.ids[rank]
+	fg.rt.Lock()
+	muted, d := fg.mute[id], fg.delay[id]
+	fg.rt.Unlock()
+	if muted {
+		return
+	}
+	fg.rt.Go("fake-reply/"+string(id), func() {
+		fg.rt.Sleep(d)
+		fg.eps[rank].Send(req.ReplyTo, replica.Reply{ID: req.ID, From: id, Result: []byte(req.ID.Logical)})
+	})
+}
+
+// received returns, per member, how many copies of the n-th request (from
+// 1, in order of first arrival) reached it.
+func (fg *fakeGroup) received(n int) []int {
+	fg.rt.Lock()
+	defer fg.rt.Unlock()
+	if n > len(fg.first) {
+		return nil
+	}
+	return append([]int(nil), fg.copies[fg.first[n-1].ID]...)
 }
 
 // close releases the fake replicas' endpoints so their receive loops exit
@@ -108,7 +152,7 @@ func (fg *fakeGroup) close() {
 
 func (fg *fakeGroup) directory() *replica.Directory {
 	d := replica.NewDirectory()
-	d.Add("g", fg.ids)
+	d.Add("g", fg.ids, false)
 	return d
 }
 
@@ -125,7 +169,7 @@ func TestClientMajorityReturnsAfterTwoOfThree(t *testing.T) {
 		defer fg.close()
 		defer c.Close()
 		out, err := c.Invoke("g", "m", nil)
-		if err != nil || string(out) != "ok" {
+		if err != nil || string(out) != "client/c1#1" {
 			t.Errorf("Invoke = (%q, %v)", out, err)
 		}
 		if now := rt.Now(); now > time.Second {
@@ -263,7 +307,7 @@ func TestClientErrorReplyPropagates(t *testing.T) {
 		}
 	})
 	d := replica.NewDirectory()
-	d.Add("g", ids)
+	d.Add("g", ids, false)
 	c := New(Config{RT: rt, Name: "c1", Directory: d, Network: net, Policy: First, Timeout: time.Second})
 	vtime.Run(rt, "main", func() {
 		defer ep.Close()
@@ -275,42 +319,6 @@ func TestClientErrorReplyPropagates(t *testing.T) {
 	})
 }
 
-// echoGroup is three fake replicas that answer every request with its own
-// logical thread id; replica i answers after delays[i].
-func echoGroup(rt vtime.Runtime, net *transport.Inproc, delays [3]time.Duration, onSubmit func(gcs.Submit)) (*replica.Directory, func()) {
-	var ids []wire.NodeID
-	var eps []transport.Endpoint
-	for i := range delays {
-		id := wire.ReplicaID("g", i)
-		ep := net.Endpoint(id)
-		ids, eps = append(ids, id), append(eps, ep)
-		rt.Go("echo/"+string(id), func() {
-			for {
-				msg, ok := ep.Recv()
-				if !ok {
-					return
-				}
-				sub := msg.Payload.(gcs.Submit)
-				if onSubmit != nil && i == 0 {
-					onSubmit(sub)
-				}
-				req := sub.Payload.(replica.Request)
-				rt.Go("echo-reply", func() {
-					rt.Sleep(delays[i])
-					ep.Send(req.ReplyTo, replica.Reply{ID: req.ID, From: id, Result: []byte(req.ID.Logical)})
-				})
-			}
-		})
-	}
-	d := replica.NewDirectory()
-	d.Add("g", ids)
-	return d, func() {
-		for _, ep := range eps {
-			ep.Close()
-		}
-	}
-}
-
 // TestClientIDsKeepTheirWireForm: the submit id and the logical thread id
 // are cut from one string; what goes on the wire must still be
 // "<client>#<n>" for the logical thread and its InvocationID.String() for
@@ -319,11 +327,10 @@ func TestClientIDsKeepTheirWireForm(t *testing.T) {
 	rt := vtime.Virtual()
 	defer rt.Stop()
 	net := transport.NewInproc(rt)
-	var subs []gcs.Submit
-	dir, closeGroup := echoGroup(rt, net, [3]time.Duration{}, func(s gcs.Submit) { subs = append(subs, s) })
-	c := New(Config{RT: rt, Name: "c1", Directory: dir, Network: net, Policy: All, Timeout: time.Second})
+	fg := newFakeGroup(rt, net, 3)
+	c := New(Config{RT: rt, Name: "c1", Directory: fg.directory(), Network: net, Policy: All, Timeout: time.Second})
 	vtime.Run(rt, "main", func() {
-		defer closeGroup()
+		defer fg.close()
 		defer c.Close()
 		for i := 1; i <= 12; i++ {
 			out, err := c.Invoke("g", "m", nil)
@@ -333,8 +340,9 @@ func TestClientIDsKeepTheirWireForm(t *testing.T) {
 			}
 		}
 	})
+	subs := fg.first
 	if len(subs) != 12 {
-		t.Fatalf("replica 0 saw %d submits, want 12", len(subs))
+		t.Fatalf("the group saw %d requests, want 12", len(subs))
 	}
 	for i, sub := range subs {
 		req := sub.Payload.(replica.Request)
@@ -355,10 +363,13 @@ func TestClientIgnoresRepliesToEarlierCalls(t *testing.T) {
 	net := transport.NewInproc(rt)
 	// Replica 2 answers 3 ms late: its reply to the first call lands in the
 	// middle of the second.
-	dir, closeGroup := echoGroup(rt, net, [3]time.Duration{0, 0, 3 * time.Millisecond}, nil)
-	c := New(Config{RT: rt, Name: "c1", Directory: dir, Network: net, Policy: Majority, Timeout: time.Second})
+	fg := newFakeGroup(rt, net, 3)
+	rt.Lock()
+	fg.delay[fg.ids[2]] = 3 * time.Millisecond
+	rt.Unlock()
+	c := New(Config{RT: rt, Name: "c1", Directory: fg.directory(), Network: net, Policy: Majority, Timeout: time.Second})
 	vtime.Run(rt, "main", func() {
-		defer closeGroup()
+		defer fg.close()
 		defer c.Close()
 		if _, err := c.Invoke("g", "m", nil); err != nil {
 			t.Error(err)
@@ -383,10 +394,15 @@ func TestClientRejectsConcurrentInvocations(t *testing.T) {
 	rt := vtime.Virtual()
 	defer rt.Stop()
 	net := transport.NewInproc(rt)
-	dir, closeGroup := echoGroup(rt, net, [3]time.Duration{5 * time.Millisecond, 5 * time.Millisecond, 5 * time.Millisecond}, nil)
-	c := New(Config{RT: rt, Name: "c1", Directory: dir, Network: net, Policy: All, Timeout: time.Second})
+	fg := newFakeGroup(rt, net, 3)
+	rt.Lock()
+	for _, id := range fg.ids {
+		fg.delay[id] = 5 * time.Millisecond
+	}
+	rt.Unlock()
+	c := New(Config{RT: rt, Name: "c1", Directory: fg.directory(), Network: net, Policy: All, Timeout: time.Second})
 	vtime.Run(rt, "main", func() {
-		defer closeGroup()
+		defer fg.close()
 		defer c.Close()
 		second := vtime.NewMailbox[error](rt, "second")
 		rt.Go("intruder", func() {
@@ -400,5 +416,125 @@ func TestClientRejectsConcurrentInvocations(t *testing.T) {
 		if err, _ := second.Get(); err == nil {
 			t.Error("a second concurrent Invoke succeeded")
 		}
+	})
+}
+
+// contactHarness is a three-member fake group and a Majority client with a
+// 20 ms retransmit interval.
+func contactHarness(t *testing.T, directCopies bool) (*vtime.VirtualRuntime, *fakeGroup, *replica.Directory, *Client) {
+	t.Helper()
+	rt := vtime.Virtual()
+	t.Cleanup(rt.Stop)
+	net := transport.NewInproc(rt)
+	fg := newFakeGroup(rt, net, 3)
+	dir := replica.NewDirectory()
+	dir.Add("g", fg.ids, directCopies)
+	c := New(Config{RT: rt, Name: "c1", Directory: dir, Network: net, Policy: Majority,
+		Timeout: time.Second, Retransmit: 20 * time.Millisecond})
+	return rt, fg, dir, c
+}
+
+// invokeTimed runs one invocation, fails the test on error and returns how
+// long it took.
+func invokeTimed(t *testing.T, rt vtime.Runtime, c *Client) time.Duration {
+	t.Helper()
+	t0 := rt.Now()
+	if _, err := c.Invoke("g", "m", nil); err != nil {
+		t.Fatal(err)
+	}
+	return rt.Now() - t0
+}
+
+func wantCopies(t *testing.T, fg *fakeGroup, call int, want ...int) {
+	t.Helper()
+	fg.rt.Sleep(5 * time.Millisecond) // copies to members the policy did not wait for
+	if got := fg.received(call); !reflect.DeepEqual(got, want) {
+		t.Errorf("call %d: copies per member = %v, want %v", call, got, want)
+	}
+}
+
+// TestOneCopyToTheContactAfterIntroduction: the first request a client sends
+// to a group goes to every member (each must have heard from the client
+// before it can answer it over TCP); from then on one copy goes to rank 0.
+func TestOneCopyToTheContactAfterIntroduction(t *testing.T) {
+	rt, fg, _, c := contactHarness(t, false)
+	vtime.Run(rt, "main", func() {
+		defer fg.close()
+		defer c.Close()
+		invokeTimed(t, rt, c)
+		wantCopies(t, fg, 1, 1, 1, 1)
+		for call := 2; call <= 5; call++ {
+			invokeTimed(t, rt, c)
+			wantCopies(t, fg, call, 1, 0, 0)
+		}
+	})
+}
+
+// TestDirectCopyGroupKeepsTheFanOut: members of a direct-copy group act on
+// the client's own copy, so every request goes to all of them.
+func TestDirectCopyGroupKeepsTheFanOut(t *testing.T) {
+	rt, fg, _, c := contactHarness(t, true)
+	vtime.Run(rt, "main", func() {
+		defer fg.close()
+		defer c.Close()
+		for call := 1; call <= 3; call++ {
+			invokeTimed(t, rt, c)
+			wantCopies(t, fg, call, 1, 1, 1)
+		}
+	})
+}
+
+// TestRetransmissionGoesToEveryMember: whatever was lost — the one copy,
+// its Ordered, the replies — a retransmission reaches all members.
+func TestRetransmissionGoesToEveryMember(t *testing.T) {
+	rt, fg, _, c := contactHarness(t, false)
+	vtime.Run(rt, "main", func() {
+		defer fg.close()
+		defer c.Close()
+		invokeTimed(t, rt, c)
+		rt.Lock()
+		for _, id := range fg.ids {
+			fg.mute[id] = true // the group takes the request in and stays silent
+		}
+		rt.Unlock()
+		rt.Go("unmute", func() {
+			rt.Sleep(30 * time.Millisecond)
+			rt.Lock()
+			clear(fg.mute)
+			rt.Unlock()
+		})
+		if took := invokeTimed(t, rt, c); took < 40*time.Millisecond {
+			t.Errorf("call completed after %v, before its second retransmission", took)
+		}
+		wantCopies(t, fg, 2, 3, 2, 2)
+	})
+}
+
+// TestDeadContactCostsOneRetransmitOnce: with rank 0 gone the one copy is
+// lost and the retransmission to everyone completes the call; the contact
+// moves to the lowest-ranked member that answered, so the next call pays
+// nothing. Registering the group again forgets all of it.
+func TestDeadContactCostsOneRetransmitOnce(t *testing.T) {
+	rt, fg, dir, c := contactHarness(t, false)
+	vtime.Run(rt, "main", func() {
+		defer fg.close()
+		defer c.Close()
+		invokeTimed(t, rt, c)
+		fg.net.Crash(fg.ids[0])
+		if took := invokeTimed(t, rt, c); took < 20*time.Millisecond || took >= 40*time.Millisecond {
+			t.Errorf("call to a dead contact took %v, want one retransmit interval (20ms)", took)
+		}
+		wantCopies(t, fg, 2, 0, 1, 1)
+		if took := invokeTimed(t, rt, c); took >= 20*time.Millisecond {
+			t.Errorf("call after the contact moved took %v, want no retransmission", took)
+		}
+		wantCopies(t, fg, 3, 0, 1, 0)
+
+		fg.net.Restore(fg.ids[0])
+		dir.Add("g", fg.ids, false)
+		invokeTimed(t, rt, c)
+		wantCopies(t, fg, 4, 1, 1, 1) // introduced again
+		invokeTimed(t, rt, c)
+		wantCopies(t, fg, 5, 1, 0, 0) // contact back at rank 0
 	})
 }

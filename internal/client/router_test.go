@@ -123,9 +123,9 @@ func (w *fakeShardWorld) close() {
 
 func (w *fakeShardWorld) directory() *replica.Directory {
 	d := replica.NewDirectory()
-	d.Add(shard.DirGroup("o"), []wire.NodeID{wire.ReplicaID(shard.DirGroup("o"), 0)})
+	d.Add(shard.DirGroup("o"), []wire.NodeID{wire.ReplicaID(shard.DirGroup("o"), 0)}, false)
 	for _, gid := range w.table.Shards {
-		d.Add(gid, []wire.NodeID{wire.ReplicaID(gid, 0)})
+		d.Add(gid, []wire.NodeID{wire.ReplicaID(gid, 0)}, false)
 	}
 	return d
 }

@@ -321,6 +321,14 @@ type Config struct {
 	// stream remains the only authority on what executes.
 	OptimisticDeliver func(sub Submit)
 
+	// DirectCopies is set by the replica layer, never by a user, on groups
+	// whose members act on a submitter's own copy before the ordered one
+	// arrives (it goes with OptimisticDeliver). Submitters send every
+	// submit to every member of such a group, so members never relay one
+	// to the sequencer, and a member whose copy lost the race against the
+	// sequencer's Ordered does not mistake it for a retransmission.
+	DirectCopies bool
+
 	// SpecHints, when true, makes the sequencer broadcast a Hint — its
 	// predicted sequence number — for every fresh submit it accepts, the
 	// moment it is accepted (before the ordering round completes). Hints

@@ -84,7 +84,8 @@ func (h *harness) run(fn func()) {
 	h.rt.Stop()
 }
 
-// submitFromClient mimics a client: sends the Submit to every member.
+// submitFromClient mimics a client's first request to the group, or a
+// retransmission: it sends the Submit to every member.
 func (h *harness) submitFromClient(cl transport.Endpoint, id, body string) {
 	sub := Submit{Group: h.group, ID: id, Origin: cl.ID(), Payload: appMsg{Body: body}}
 	for _, m := range h.ids {

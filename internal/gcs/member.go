@@ -27,7 +27,8 @@ type Member struct {
 	idToSeq    map[string]uint64  // ordered id → sequence number (for resends)
 	idOrder    ring.Queue[string] // FIFO for pruning orderedIDs
 	// overtaken holds ids this member delivered before it saw their direct
-	// copy (pruned with idOrder); see handleSubmitLocked.
+	// copy (pruned with idOrder); only with cfg.DirectCopies, see
+	// handleSubmitLocked.
 	overtaken map[string]struct{}
 
 	// Sequencer-side submit batching (Config.MaxBatch/MaxBatchDelay):
@@ -157,7 +158,7 @@ func (m *Member) Broadcast(id string, payload any) {
 			st.Broadcasts.Inc()
 			m.noteSubmitLocked(id, m.rt.NowLocked())
 		}
-		m.handleSubmitLocked(sub, &act)
+		m.handleSubmitLocked(m.cfg.Self, sub, &act)
 		m.maybeFlushBatchLocked(&act)
 	}
 	m.rt.Unlock()
@@ -257,7 +258,7 @@ func (m *Member) Handle(from wire.NodeID, payload any) bool {
 	m.touchLocked(from, now)
 	switch p := payload.(type) {
 	case Submit:
-		m.handleSubmitLocked(p, &act)
+		m.handleSubmitLocked(from, p, &act)
 	case Ordered:
 		m.noteEpochLocked(p.Epoch)
 		m.handleOrderedLocked(p, &act)
@@ -453,17 +454,30 @@ func (m *Member) quorumOKLocked(now time.Duration) bool {
 	return 2*alive > len(m.view.Members)
 }
 
-func (m *Member) handleSubmitLocked(sub Submit, act *actions) {
+// handleSubmitLocked takes in a submit that `from` sent: the origin itself
+// (a client or a member of another group addressing this member, or this
+// member's own Broadcast), or a member passing the origin's copy on — a
+// relay.
+func (m *Member) handleSubmitLocked(from wire.NodeID, sub Submit, act *actions) {
+	fromOrigin := from == sub.Origin
 	if m.orderedIDs[sub.ID] {
+		if !fromOrigin {
+			// A relay of something already ordered: another copy got to the
+			// sequencer first. Only a copy that comes from its origin says the
+			// origin is still waiting, so this one is neither reported nor
+			// answered with the log.
+			return
+		}
 		if _, first := m.overtaken[sub.ID]; first {
-			// Not a retransmission: the client sends to every member and
-			// this member's copy lost the race against the sequencer's
-			// Ordered. The execution replies on its own; a replay here would
-			// be a second reply to a client that never asked twice. The trade:
-			// when the direct copy and the reply were both lost, this is the
-			// client's first retransmission after all, and the replay waits
-			// for its second — one retransmit interval later. Only the report
-			// is withheld; the log re-broadcast below does not wait.
+			// Not a retransmission: in a direct-copy group the origin sends to
+			// every member and this member's copy lost the race against the
+			// sequencer's Ordered. The execution replies on its own; a replay
+			// here would be a second reply to a client that never asked twice.
+			// The trade: when the direct copy and the reply were both lost,
+			// this is the client's first retransmission after all, and the
+			// replay waits for its second — one retransmit interval later.
+			// Only the report is withheld; the log re-broadcast below does not
+			// wait.
 			delete(m.overtaken, sub.ID)
 		} else if m.cfg.DuplicateSubmit != nil {
 			act.dups = append(act.dups, dupSubmit{sub: sub, seq: m.idToSeq[sub.ID]})
@@ -487,29 +501,41 @@ func (m *Member) handleSubmitLocked(sub Submit, act *actions) {
 		}
 		return
 	}
-	if m.cfg.OptimisticDeliver != nil {
-		// First sight of a fresh, not-yet-ordered submit on this member:
-		// surface it on the optimistic-delivery stream (once per id — later
-		// retransmissions find it in the submit cache).
-		if _, seen := m.submitCache[sub.ID]; !seen {
-			act.opts = append(act.opts, sub)
-		}
+	// First sight of a fresh, not-yet-ordered submit on this member? Later
+	// copies find it in the submit cache.
+	first := m.cacheSubmitLocked(sub)
+	if first && m.cfg.OptimisticDeliver != nil {
+		// Surface it on the optimistic-delivery stream, once per id.
+		act.opts = append(act.opts, sub)
 	}
-	m.cacheSubmitLocked(sub)
 	if m.isSequencerLocked() {
 		m.sequenceSubmitLocked(sub, act)
 		return
 	}
-	// Not the sequencer (or a view change is in progress): if this submit
-	// originated here, forward it to the sequencer. Submits from clients
-	// reach the sequencer directly, so those are only cached for potential
-	// resubmission after a view change. A sequencer that is merely
-	// suspended (quorum lost, or superseded epoch seen) must not forward to
-	// itself — the cached submit is ordered once it resumes or a new view
-	// arrives.
-	if sub.Origin == m.cfg.Self && m.installing == nil && m.view.Sequencer() != m.cfg.Self {
-		act.send(m.view.Sequencer(), sub)
+	// Not the sequencer (or a view change is in progress): the submit stays
+	// cached for resubmission after a view change, and goes to the sequencer
+	// now if this member is where it entered the group. That is so for this
+	// member's own broadcasts, and for the first copy its origin hands this
+	// member: a client sends a request to one member, the sequencer unless
+	// its knowledge is stale, so the copy may be the only one (and with
+	// failure detection off nothing else would ever pass it on). Later
+	// copies are retransmissions, which go to every member, and in a
+	// direct-copy group so does the first: neither is passed on. Nor is a
+	// relay, ever. A sequencer that is merely suspended (quorum lost, or
+	// superseded epoch seen) must not forward to itself — the cached submit
+	// is ordered once it resumes or a new view arrives.
+	if !fromOrigin || m.installing != nil || m.view.Sequencer() == m.cfg.Self {
+		return
 	}
+	if sub.Origin != m.cfg.Self {
+		if !first || m.cfg.DirectCopies {
+			return
+		}
+		if st := m.cfg.Stats; st != nil {
+			st.SubmitsRelayed.Inc()
+		}
+	}
+	act.send(m.view.Sequencer(), sub)
 }
 
 // sequenceSubmitLocked accepts a submit for ordering on the sequencer.
@@ -746,7 +772,11 @@ func (m *Member) deliverLocked(o Ordered, act *actions) {
 	}
 	if m.cfg.Spans != nil && o.Payload != nil {
 		// Ordering span: from this member first seeing the submit (cached
-		// on its way to the sequencer) to total-order delivery here.
+		// on its way to the sequencer) to total-order delivery here. A
+		// member that never saw the submit — every follower of a group
+		// without direct copies — starts the span at the Ordered's arrival,
+		// so its span is empty and the time the request spent reaching and
+		// leaving the sequencer shows on the sequencer's span alone.
 		if t, ok := o.Payload.(tracing.Traced); ok {
 			if ctx := t.TraceCtx(); ctx.Valid() {
 				now := m.rt.NowLocked()
@@ -771,12 +801,13 @@ func (m *Member) deliverLocked(o Ordered, act *actions) {
 	m.markOrderedIDLocked(o.ID)
 	if o.ID != "" {
 		m.idToSeq[o.ID] = o.Seq
-		if _, direct := m.submitCache[o.ID]; !direct && !m.view.Contains(o.Origin) {
-			// The Ordered copy got here before the submitter's own. Only
-			// a client sends its submit to every member; a member's own
-			// broadcast goes to the sequencer alone, so no direct copy of
-			// it is on its way and a mark would only wait to swallow an
-			// unrelated duplicate.
+		if _, direct := m.submitCache[o.ID]; m.cfg.DirectCopies && !direct && !m.view.Contains(o.Origin) {
+			// The Ordered copy got here before the submitter's own, which in
+			// a direct-copy group is on its way. A member's own broadcast
+			// goes to the sequencer alone, and so does a client's request
+			// in any other group: there the first direct copy of an ordered
+			// id is a retransmission, and a mark would only make its
+			// replay wait for the second.
 			m.overtaken[o.ID] = struct{}{}
 		}
 	}
@@ -918,9 +949,11 @@ func (m *Member) markOrderedIDLocked(id string) {
 	}
 }
 
-func (m *Member) cacheSubmitLocked(sub Submit) {
+// cacheSubmitLocked remembers a not-yet-ordered submit and reports whether
+// this is the first this member sees of it.
+func (m *Member) cacheSubmitLocked(sub Submit) bool {
 	if _, ok := m.submitCache[sub.ID]; ok {
-		return
+		return false
 	}
 	m.submitCache[sub.ID] = sub
 	m.cacheAt[sub.ID] = m.rt.NowLocked()
@@ -930,6 +963,7 @@ func (m *Member) cacheSubmitLocked(sub Submit) {
 		delete(m.submitCache, old)
 		delete(m.cacheAt, old)
 	}
+	return true
 }
 
 func (m *Member) retainLocked(o Ordered) {

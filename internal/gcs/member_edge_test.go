@@ -177,27 +177,43 @@ func TestSimultaneousSuspicion(t *testing.T) {
 	})
 }
 
-// TestOvertakenSubmitIsNotADuplicate: a follower that receives the
-// sequencer's Ordered copy before the submitter's own does not report that
-// late first arrival through DuplicateSubmit; the second arrival is a
-// retransmission and is reported, like every arrival on a member that saw
-// the direct copy in time.
-func TestOvertakenSubmitIsNotADuplicate(t *testing.T) {
-	var mu sync.Mutex
-	reported := make(map[wire.NodeID]int)
-	h := newHarnessCfg(3, false, func(c *Config) {
-		self := c.Self
-		c.DuplicateSubmit = func(Submit, uint64) {
-			mu.Lock()
-			reported[self]++
-			mu.Unlock()
+// dupCounter counts DuplicateSubmit reports per member.
+type dupCounter struct {
+	mu       sync.Mutex
+	reported map[wire.NodeID]int
+}
+
+func (d *dupCounter) hook(c *Config) {
+	self := c.Self
+	c.DuplicateSubmit = func(Submit, uint64) {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		if d.reported == nil {
+			d.reported = make(map[wire.NodeID]int)
 		}
-	})
-	dups := func(id wire.NodeID) int {
-		mu.Lock()
-		defer mu.Unlock()
-		return reported[id]
+		d.reported[self]++
 	}
+}
+
+func (d *dupCounter) count(id wire.NodeID) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.reported[id]
+}
+
+// TestOvertakenSubmitIsNotADuplicate: in a direct-copy group the submitter
+// sends to every member, and a follower that receives the sequencer's
+// Ordered copy before the submitter's own does not report that late first
+// arrival through DuplicateSubmit; the second arrival is a retransmission
+// and is reported, like every arrival on a member that saw the direct copy
+// in time.
+func TestOvertakenSubmitIsNotADuplicate(t *testing.T) {
+	var dc dupCounter
+	h := newHarnessCfg(3, false, func(c *Config) {
+		c.DirectCopies = true
+		dc.hook(c)
+	})
+
 	h.run(func() {
 		cl := h.net.Endpoint(wire.ClientID("c1"))
 		defer cl.Close()
@@ -210,13 +226,13 @@ func TestOvertakenSubmitIsNotADuplicate(t *testing.T) {
 		}
 		cl.Send(h.ids[2], sub) // follower 2's copy, overtaken by the Ordered
 		h.rt.Sleep(10 * time.Millisecond)
-		if n := dups(h.ids[2]); n != 0 {
+		if n := dc.count(h.ids[2]); n != 0 {
 			t.Errorf("overtaken first arrival reported %d times through DuplicateSubmit, want 0", n)
 		}
 		h.submitFromClient(cl, "m1", "x") // a real retransmission, to everyone
 		h.rt.Sleep(10 * time.Millisecond)
 		for _, id := range h.ids {
-			if n := dups(id); n != 1 {
+			if n := dc.count(id); n != 1 {
 				t.Errorf("%s: retransmission reported %d times, want 1", id, n)
 			}
 		}
@@ -229,11 +245,41 @@ func TestOvertakenSubmitIsNotADuplicate(t *testing.T) {
 	})
 }
 
+// TestPlainGroupReplaysFirstDirectArrival is the twin: outside direct-copy
+// groups a client sends its one copy to the sequencer, so a follower never
+// sees a first copy race its Ordered — the first direct arrival of an
+// ordered id is the client's retransmission and is reported at once.
+func TestPlainGroupReplaysFirstDirectArrival(t *testing.T) {
+	var dc dupCounter
+	h := newHarnessCfg(3, false, dc.hook)
+	h.run(func() {
+		cl := h.net.Endpoint(wire.ClientID("c1"))
+		defer cl.Close()
+		sub := Submit{Group: h.group, ID: "m1", Origin: cl.ID(), Payload: appMsg{Body: "x"}}
+		cl.Send(h.ids[0], sub)
+		for _, m := range h.members {
+			take(t, h.rt, m, 1)
+		}
+		cl.Send(h.ids[2], sub)
+		h.rt.Sleep(10 * time.Millisecond)
+		if n := dc.count(h.ids[2]); n != 1 {
+			t.Errorf("first direct arrival of an ordered id reported %d times, want 1", n)
+		}
+		h.rt.Lock()
+		marks := len(h.members[2].overtaken)
+		h.rt.Unlock()
+		if marks != 0 {
+			t.Errorf("follower of a plain group holds %d overtaken marks, want 0", marks)
+		}
+	})
+}
+
 // TestMemberBroadcastLeavesNoOvertakenMark: a member's own broadcast goes to
 // the sequencer only, so the other members deliver it without ever seeing a
-// direct copy — and must not keep a mark waiting for one.
+// direct copy — and must not keep a mark waiting for one, direct-copy group
+// or not.
 func TestMemberBroadcastLeavesNoOvertakenMark(t *testing.T) {
-	h := newHarness(3, false)
+	h := newHarnessCfg(3, false, func(c *Config) { c.DirectCopies = true })
 	h.run(func() {
 		h.members[1].Broadcast("nested", appMsg{Body: "x"})
 		for _, m := range h.members {

@@ -16,6 +16,12 @@ type Stats struct {
 	// as sequencer; BatchedSubmits counts the submits they carried.
 	Batches        *obs.Counter
 	BatchedSubmits *obs.Counter
+	// SubmitsRelayed counts submits this member received straight from
+	// their origin while not the sequencer, and passed on to it. Clients
+	// address the sequencer, so outside a client's first request to a group
+	// and its retransmissions a steady non-zero rate means clients are
+	// pointed at a non-sequencer member (one extra hop per request).
+	SubmitsRelayed *obs.Counter
 	// DeliverLatency measures broadcast-to-self-delivery time in seconds
 	// for messages this member originated.
 	DeliverLatency *obs.Histogram
@@ -62,6 +68,7 @@ func newStats(reg *obs.Registry, label string) *Stats {
 		Suspicions:         reg.Counter("replobj_gcs_suspicions_total" + label),
 		Batches:            reg.Counter("replobj_gcs_batches_total" + label),
 		BatchedSubmits:     reg.Counter("replobj_gcs_batched_submits_total" + label),
+		SubmitsRelayed:     reg.Counter("replobj_gcs_submits_relayed_total" + label),
 		DeliverLatency:     reg.Histogram("replobj_gcs_deliver_latency_seconds"+label, obs.LatencyBuckets()),
 		LogLength:          reg.Gauge("replobj_gcs_log_length" + label),
 		Truncated:          reg.Counter("replobj_gcs_log_truncated_total" + label),

@@ -17,7 +17,7 @@ func newCkptReplica(t *testing.T, execCount *int, every int) *oneReplica {
 	rt := vtime.Virtual()
 	net := transport.NewInproc(rt)
 	dir := NewDirectory()
-	dir.Add("g", []wire.NodeID{wire.ReplicaID("g", 0)})
+	dir.Add("g", []wire.NodeID{wire.ReplicaID("g", 0)}, false)
 	r := New(Config{
 		RT:              rt,
 		Group:           "g",

@@ -30,26 +30,52 @@ import (
 // so groups can be added while others already run.
 type Directory struct {
 	mu sync.RWMutex
-	m  map[wire.GroupID][]wire.NodeID
+	m  map[wire.GroupID]*GroupInfo
+}
+
+// GroupInfo is one group's directory entry. An entry is never modified
+// once published — Add replaces it — so readers share it without copying,
+// and a holder learns that the group was re-registered by comparing
+// pointers.
+type GroupInfo struct {
+	// Members are the replica nodes in rank order.
+	Members []wire.NodeID
+	// DirectCopies marks a group whose members act on a client's own copy
+	// of a request before the sequencer's ordered copy reaches them
+	// (speculative execution). Clients send every request to all members of
+	// such a group; elsewhere one copy to one member suffices and the total
+	// order carries it to the rest.
+	DirectCopies bool
 }
 
 // NewDirectory returns an empty directory.
 func NewDirectory() *Directory {
-	return &Directory{m: make(map[wire.GroupID][]wire.NodeID)}
+	return &Directory{m: make(map[wire.GroupID]*GroupInfo)}
 }
 
-// Add registers (or replaces) a group's membership in rank order.
-func (d *Directory) Add(g wire.GroupID, members []wire.NodeID) {
+// Add registers (or replaces) a group's membership in rank order;
+// directCopies is GroupInfo.DirectCopies.
+func (d *Directory) Add(g wire.GroupID, members []wire.NodeID, directCopies bool) {
+	info := &GroupInfo{Members: append([]wire.NodeID(nil), members...), DirectCopies: directCopies}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.m[g] = append([]wire.NodeID(nil), members...)
+	d.m[g] = info
 }
 
-// Members returns the replica nodes of g (nil if unknown).
-func (d *Directory) Members(g wire.GroupID) []wire.NodeID {
+// Group returns g's current entry (nil if unknown). The entry is shared:
+// callers must not modify it.
+func (d *Directory) Group(g wire.GroupID) *GroupInfo {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return append([]wire.NodeID(nil), d.m[g]...)
+	return d.m[g]
+}
+
+// Members returns a copy of the replica nodes of g (nil if unknown).
+func (d *Directory) Members(g wire.GroupID) []wire.NodeID {
+	if info := d.Group(g); info != nil {
+		return append([]wire.NodeID(nil), info.Members...)
+	}
+	return nil
 }
 
 // Groups returns all registered group ids.
@@ -183,7 +209,9 @@ type Config struct {
 	// factory builds the forks); ignored on sharded groups, whose requests
 	// are validated and possibly redirected at their ordered position. Also
 	// enables sequencer spontaneous-order hints and early scheduling
-	// (conflict classes fed to ADETS-CC at arrival time).
+	// (conflict classes fed to ADETS-CC at arrival time). The group's
+	// Directory entry must be registered with DirectCopies set alongside,
+	// or clients send the followers nothing to act on.
 	Speculative bool
 	// Shard, if non-nil, marks this replica a member of a sharded object's
 	// shard group: requests routed with a shard epoch are validated against
@@ -463,12 +491,15 @@ func New(cfg Config) *Replica {
 	}
 	if r.specMgr != nil {
 		g.SpecHints = true
-		g.OptimisticDeliver = r.onOptimisticSubmit
 		g.HintDeliver = r.onHint
-	} else if cfg.Speculative {
-		// No forkable state (or a sharded group): speculation proper is off,
-		// but conflict classes are still fed to an early-scheduling-capable
-		// scheduler at arrival time.
+	}
+	// Without forkable state (or on a sharded group) speculation proper is
+	// off, but conflict classes are still fed to an early-scheduling-capable
+	// scheduler at arrival time. Either way the members act on the clients'
+	// own copies, so clients keep sending one to each (the Directory entry
+	// says the same to them) and no member passes one on.
+	g.DirectCopies = cfg.Speculative
+	if cfg.Speculative {
 		g.OptimisticDeliver = r.onOptimisticSubmit
 	}
 	r.member = gcs.NewMember(cfg.RT, g)

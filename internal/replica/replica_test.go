@@ -20,8 +20,8 @@ func TestDirectoryBasics(t *testing.T) {
 	if got := d.Members("ghost"); len(got) != 0 {
 		t.Errorf("Members(ghost) = %v", got)
 	}
-	d.Add("a", []wire.NodeID{"a/0", "a/1"})
-	d.Add("b", []wire.NodeID{"b/0"})
+	d.Add("a", []wire.NodeID{"a/0", "a/1"}, false)
+	d.Add("b", []wire.NodeID{"b/0"}, false)
 	got := d.Members("a")
 	if !reflect.DeepEqual(got, []wire.NodeID{"a/0", "a/1"}) {
 		t.Errorf("Members(a) = %v", got)
@@ -35,9 +35,19 @@ func TestDirectoryBasics(t *testing.T) {
 	if !reflect.DeepEqual(groups, []wire.GroupID{"a", "b"}) {
 		t.Errorf("Groups = %v", groups)
 	}
-	d.Add("a", []wire.NodeID{"a/0"}) // replacement
+	before := d.Group("a")
+	d.Add("a", []wire.NodeID{"a/0"}, true) // replacement
 	if n := len(d.Members("a")); n != 1 {
 		t.Errorf("after replacement: %d members", n)
+	}
+	// An entry is replaced, never edited: holders of the old one see what
+	// they saw, and learn of the change by comparing pointers.
+	after := d.Group("a")
+	if after == before || len(before.Members) != 2 || before.DirectCopies || !after.DirectCopies {
+		t.Errorf("replacement edited the published entry: before %+v, after %+v", before, after)
+	}
+	if d.Group("ghost") != nil {
+		t.Error("Group(ghost) is not nil")
 	}
 }
 
@@ -49,7 +59,7 @@ func TestQuickDirectoryConcurrentSafety(t *testing.T) {
 		go func() {
 			defer close(done)
 			for _, n := range names {
-				d.Add(wire.GroupID(n), []wire.NodeID{wire.NodeID(n)})
+				d.Add(wire.GroupID(n), []wire.NodeID{wire.NodeID(n)}, false)
 			}
 		}()
 		for _, n := range names {
@@ -85,7 +95,7 @@ func newOneReplica(t *testing.T, execCount *int) *oneReplica {
 	rt := vtime.Virtual()
 	net := transport.NewInproc(rt)
 	dir := NewDirectory()
-	dir.Add("g", []wire.NodeID{wire.ReplicaID("g", 0)})
+	dir.Add("g", []wire.NodeID{wire.ReplicaID("g", 0)}, false)
 	r := New(Config{
 		RT:        rt,
 		Group:     "g",

@@ -12,9 +12,10 @@ import (
 
 // Speculative execution on optimistic delivery.
 //
-// Clients already send every Submit to every member, so each replica sees a
-// request the moment it arrives — long before the sequencer assigns it a
-// position. With Config.Speculative set, the replica uses that window: it
+// Clients send every Submit to every member of a speculating group (a
+// direct-copy group, see Directory), so each replica sees a request the
+// moment it arrives — long before the sequencer assigns it a position.
+// With Config.Speculative set, the replica uses that window: it
 // executes the request immediately against a private fork of the object
 // state, and when the total order confirms the request it releases the
 // precomputed reply at once if no conflicting request was dispatched in

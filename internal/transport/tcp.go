@@ -190,8 +190,11 @@ type TCPEndpoint struct {
 	conns map[wire.NodeID]*tcpConn
 	// pending buffers messages to nodes with no address and no learned
 	// connection yet — e.g. a reply to a client whose ordered request
-	// (relayed by the sequencer) overtook its own direct connection. The
-	// buffer flushes as soon as the sender's connection is learned.
+	// (broadcast by the sequencer) overtook its own direct connection. A
+	// client dials every replica with its first request to a group and
+	// with every retransmission, not with each request, so a replica that
+	// missed those holds its replies here until the next one. The buffer
+	// flushes as soon as the sender's connection is learned.
 	pending map[wire.NodeID][]queuedMsg
 	closed  bool
 }

@@ -103,10 +103,20 @@ func TestMetricsEndToEnd(t *testing.T) {
 	counterGroup(t, c, "cnt", 3, replobj.WithScheduler(replobj.MAT))
 	run(rt, c, func() {
 		cl := c.NewClient("c0")
+		var introduced uint64
 		for i := 0; i < 5; i++ {
 			if _, err := cl.Invoke("cnt", "add", []byte{1}); err != nil {
 				t.Fatal(err)
 			}
+			if i == 0 {
+				introduced = submitsRelayed(reg, "cnt", 3)
+			}
+		}
+		// Only a client's first request goes to the followers too; after it
+		// the relay counter stands still for as long as the client addresses
+		// the sequencer (TestClientPointedAtFollower moves it).
+		if got := submitsRelayed(reg, "cnt", 3); got != introduced {
+			t.Errorf("submits_relayed_total went from %d to %d in steady state", introduced, got)
 		}
 	})
 	out := reg.Render()
@@ -116,6 +126,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		"replobj_gcs_broadcasts_total",
 		"replobj_gcs_delivered_total",
 		"replobj_gcs_deliver_latency_seconds",
+		"replobj_gcs_submits_relayed_total",
 		"replobj_transport_msgs_sent_total",
 		"replobj_replica_invocations_in_flight",
 	} {

@@ -509,8 +509,9 @@ func WithCheckpointEvery(n int) GroupOption {
 
 // WithSpeculation enables speculative execution on optimistic delivery:
 // every replica executes an arriving request immediately against a forked
-// copy of its state (clients already send each submit to every member, so
-// arrival precedes ordering) and releases the precomputed reply the moment
+// copy of its state (clients send each submit to every member of a
+// speculating group, not to the sequencer alone, so arrival precedes
+// ordering) and releases the precomputed reply the moment
 // the total order confirms it as conflict-free — the reply leaves after one
 // network delay instead of waiting for the full ordering round. The ordered
 // execution still runs unchanged, so committed state, schedule-trace
@@ -528,6 +529,13 @@ func WithCheckpointEvery(n int) GroupOption {
 // forks are discarded. Handlers using condition variables or nested
 // invocations abort their speculation harmlessly. Ignored on sharded
 // objects.
+//
+// A client process that only declares the group (NewGroup without Start,
+// the replicas being remote) must pass WithSpeculation too: the option is
+// how the client stub learns that every member wants its own copy of each
+// request. A client that omits it still gets correct answers — the
+// sequencer's copy reaches the followers through the total order — but the
+// followers have nothing to speculate on.
 func WithSpeculation() GroupOption {
 	return func(g *groupConfig) { g.speculative = true }
 }
@@ -598,7 +606,7 @@ func (c *Cluster) NewGroup(name string, n int, opts ...GroupOption) (*Group, err
 	for i := 0; i < n; i++ {
 		members[i] = wire.ReplicaID(id, i)
 	}
-	c.dir.Add(id, members)
+	c.dir.Add(id, members, cfg.speculative)
 
 	// Validate the scheduler configuration eagerly.
 	if _, err := cfg.scheduler(0); err != nil {

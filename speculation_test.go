@@ -624,11 +624,13 @@ func TestDuplicateSubmitMetricSplit(t *testing.T) {
 }
 
 // TestOvertakenSubmitDrawsNoSecondReply is the regression for the spurious
-// duplicate reply: a client sends its submit to every member, and a
-// follower's copy regularly loses the race against the sequencer's Ordered
-// copy of the same request. That late first arrival is not a
-// retransmission — the execution answers it — and must not be replayed
-// from the reply cache on top. A real retransmission afterwards still is.
+// duplicate reply: a client of a speculating group sends its submit to
+// every member, and a follower's copy regularly loses the race against the
+// sequencer's Ordered copy of the same request. That late first arrival is
+// not a retransmission — the execution answers it — and must not be
+// replayed from the reply cache on top. A real retransmission afterwards
+// still is. (In a group without direct copies a follower sees no first copy
+// at all; gcs.TestPlainGroupReplaysFirstDirectArrival is the twin.)
 func TestOvertakenSubmitDrawsNoSecondReply(t *testing.T) {
 	rt := vtime.Virtual()
 	// The injector's links to the two followers are slow, so the Ordered
@@ -642,7 +644,7 @@ func TestOvertakenSubmitDrawsNoSecondReply(t *testing.T) {
 	net := transport.NewInproc(rt, transport.WithLatencyFunc(slow))
 	reg := replobj.NewMetricsRegistry()
 	c := replobj.NewCluster(rt, replobj.WithNetwork(net), replobj.WithMetrics(reg))
-	counterGroup(t, c, "cnt", 3)
+	counterGroup(t, c, "cnt", 3, replobj.WithSpeculation())
 	run(rt, c, func() {
 		inj := net.Endpoint("inj")
 		replies := vtime.NewMailbox[replica.Reply](rt, "inj-replies")

@@ -253,17 +253,14 @@ func (c *Client) Invoke(group wire.GroupID, method string, args []byte) ([]byte,
 	if err != nil {
 		return nil, err
 	}
-	if best.Err != "" {
-		return nil, errors.New(best.Err)
-	}
-	return best.Result, nil
+	return best.Result, best.Failure()
 }
 
 // invokeReply runs an invocation and returns the deterministically chosen
 // reply — the lowest-ranked responder; all correct replicas answer
 // identically. Unlike Invoke it surfaces the whole Reply, which the shard
-// Router needs: a wrong-shard redirect is an application-level Err plus
-// the replica's current ShardEpoch. mod, when non-nil, edits the request
+// Router needs: a wrong-shard redirect is a reply Code plus the replica's
+// current ShardEpoch. mod, when non-nil, edits the request
 // before submission (the Router stamps shard routing fields with it); it
 // maps a value to a value so the request stays off the heap until it is
 // boxed into the submit.

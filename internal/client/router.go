@@ -19,7 +19,7 @@ import (
 //
 // Staleness is handled by the redirect protocol: a shard replica that
 // validates a request against a different table answers with a
-// deterministic wrong-shard reply carrying its current epoch; the router
+// deterministic CodeRedirect reply carrying its current epoch; the router
 // refreshes its table from the directory and retries under bounded
 // exponential backoff, up to MaxRedirects times. Like Client, a Router is
 // meant for one goroutine at a time.
@@ -178,7 +178,7 @@ func (r *Router) Invoke(method string, args []byte, opts ...InvokeOption) ([]byt
 		if err != nil {
 			return nil, err
 		}
-		if rep.ShardEpoch != 0 && rep.Err != "" && shard.IsRedirect(rep.Err) {
+		if rep.Code == replica.CodeRedirect {
 			r.redirects.Inc()
 			if attempt >= r.maxRedirects {
 				return nil, fmt.Errorf("client: gave up after %d wrong-shard redirects (last from %s: %s)",
@@ -217,9 +217,6 @@ func (r *Router) Invoke(method string, args []byte, opts ...InvokeOption) ([]byt
 		if len(o.crossKeys) > 0 {
 			r.cross.Inc()
 		}
-		if rep.Err != "" {
-			return nil, errors.New(rep.Err)
-		}
-		return rep.Result, nil
+		return rep.Result, rep.Failure()
 	}
 }

@@ -96,6 +96,7 @@ func newFakeShardWorld(t *testing.T, rt vtime.Runtime, net *transport.Inproc, sh
 				case req.ShardEpoch == epoch:
 					rep.Result = []byte("ok@" + string(gid))
 				default:
+					rep.Code = replica.CodeRedirect
 					rep.Err = shard.RedirectError(epoch, req.ShardKey, gid)
 					rep.ShardEpoch = epoch
 				}

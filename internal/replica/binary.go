@@ -7,248 +7,80 @@ import (
 	"github.com/replobj/replobj/internal/wire"
 )
 
-// Binary wire-codec fast paths for the invocation envelopes. Every client
-// invocation crosses the wire as a Request (inside a gcs.Submit, then again
-// inside the sequencer's gcs.Ordered) and returns as a Reply, so these two
-// types dominate payload bytes. Tags live in the 20–29 range assigned to
-// this package (see internal/wire/binary.go).
+// Binary wire codecs of the invocation envelopes. Every client invocation
+// crosses the wire as a Request (inside a gcs.Submit, then again inside the
+// sequencer's gcs.Ordered) and returns as a Reply, so these two types
+// dominate payload bytes. Tags live in the 20–29 range assigned to this
+// package (see internal/wire/binary.go).
 //
-// Traced requests and replies (non-zero Trace context) take the variant
-// tags 22/23, which append the two context words after the base fields.
-// Untraced values keep tags 20/21 with the exact pre-tracing byte layout,
-// so mixed-version peers interoperate as long as tracing stays off.
+// Each envelope is one frame: a presence byte, the fields every value has,
+// then one group of fields per bit set in the presence byte, in bit order.
 //
-// Shard-routed traffic takes tags 24–26: 24 appends the routing epoch,
-// the shard key and the trace words to a request; 25 additionally carries
-// the cross-shard key list; 26 appends a reply's shard epoch and trace
-// words. The variant predicates are mutually exclusive (a value matches
-// exactly one tag), so the canonical-encoding invariant — decode then
-// re-encode is byte-stable — holds regardless of registration order.
+//	Request := presence ID Group Method Args Kind ReplyTo Origin
+//	           [trace: TraceID Span] [shard: ShardEpoch ShardKey]
+//	           [cross: count key...]
+//	Reply   := presence ID From Result
+//	           [outcome: Code Err] [trace: TraceID Span] [epoch: ShardEpoch]
+//
+// A group is present exactly when it holds something: the decoder rejects a
+// set bit over an all-zero group, a bit outside the defined set and a value
+// outside its enum, so every value has one encoding and every frame that
+// decodes re-encodes to the same bytes. A trace context counts as present
+// when it is Valid; a context with a span but no trace id does not travel.
 
 const (
-	tagRequest       = 20
-	tagReply         = 21
-	tagRequestTraced = 22
-	tagReplyTraced   = 23
-	tagRequestShard  = 24
-	tagRequestCross  = 25
-	tagReplyShard    = 26
-	tagMigrateChunk  = 27
+	tagRequest      = 20
+	tagReply        = 21
+	tagMigrateChunk = 27
 )
 
-// errUntracedVariant rejects traced-tag frames whose context is zero —
-// the canonical encoding of those values is the untraced tag.
-var errUntracedVariant = errors.New("replica: traced payload tag without trace id")
-
-// errUnshardedVariant rejects shard-tag frames without shard fields — the
-// canonical encoding of those values is tag 20/22 (or 21/23 for replies).
-var errUnshardedVariant = errors.New("replica: shard payload tag without shard fields")
-
-// maxCrossKeys bounds the cross-shard key list a frame may carry: sanity
-// against hostile or corrupted length prefixes.
-const maxCrossKeys = 1 << 12
-
-// maxChunkKeys / maxChunkCache bound a migration chunk's key and
-// reply-cache entry counts — again sanity against corrupted prefixes (the
-// sender chunks at shard.DefaultChunkKeys, far below either).
+// Presence bits of a Request frame.
 const (
+	reqHasTrace = 1 << iota
+	reqHasShard
+	reqHasCross
+	reqPresenceMask = 1<<iota - 1
+)
+
+// Presence bits of a Reply frame.
+const (
+	repHasOutcome = 1 << iota
+	repHasTrace
+	repHasEpoch
+	repPresenceMask = 1<<iota - 1
+)
+
+var (
+	errPresenceBits = errors.New("replica: undefined presence bit")
+	errEmptyGroup   = errors.New("replica: presence bit set over an empty field group")
+)
+
+// Bounds on the counts a frame may announce: sanity against hostile or
+// corrupted length prefixes (a migration's sender chunks at
+// shard.DefaultChunkKeys, far below either chunk bound).
+const (
+	maxCrossKeys  = 1 << 12
 	maxChunkKeys  = 1 << 20
 	maxChunkCache = 1 << 16
 )
 
-func requestSharded(q Request) bool {
-	return q.ShardEpoch != 0 || q.ShardKey != ""
+// register installs T's two codecs: the binary one under tag, and the gob
+// twin the differential tests hold it against.
+func register[T any](tag uint64, enc func(*wire.Buffer, T), dec func(*wire.Reader) (T, error)) {
+	var prototype T
+	wire.RegisterPayload(prototype)
+	wire.RegisterBinaryPayload(tag, prototype,
+		func(b *wire.Buffer, v any) error {
+			enc(b, v.(T))
+			return nil
+		},
+		func(r *wire.Reader) (any, error) { return dec(r) })
 }
 
 func init() {
-	wire.RegisterBinaryPayload(tagRequest, Request{},
-		func(b *wire.Buffer, v any) error {
-			encRequestFields(b, v.(Request))
-			return nil
-		},
-		func(r *wire.Reader) (any, error) {
-			return decRequestFields(r)
-		})
-	wire.RegisterBinaryPayloadVariant(tagRequestTraced, Request{},
-		func(v any) bool {
-			q := v.(Request)
-			return q.Trace.Valid() && !requestSharded(q) && len(q.CrossKeys) == 0
-		},
-		func(b *wire.Buffer, v any) error {
-			q := v.(Request)
-			encRequestFields(b, q)
-			b.Uvarint(q.Trace.TraceID)
-			b.Uvarint(q.Trace.Span)
-			return nil
-		},
-		func(r *wire.Reader) (any, error) {
-			q, err := decRequestFields(r)
-			if err != nil {
-				return nil, err
-			}
-			if q.Trace.TraceID, err = r.Uvarint(); err != nil {
-				return nil, err
-			}
-			if q.Trace.Span, err = r.Uvarint(); err != nil {
-				return nil, err
-			}
-			if !q.Trace.Valid() {
-				// Canonical form: a zero trace id belongs on the untraced
-				// tag. Rejecting it keeps re-encoding byte-stable.
-				return nil, errUntracedVariant
-			}
-			return q, nil
-		})
-	wire.RegisterBinaryPayloadVariant(tagRequestShard, Request{},
-		func(v any) bool {
-			q := v.(Request)
-			return requestSharded(q) && len(q.CrossKeys) == 0
-		},
-		func(b *wire.Buffer, v any) error {
-			q := v.(Request)
-			encRequestFields(b, q)
-			b.Uvarint(q.ShardEpoch)
-			b.String(q.ShardKey)
-			b.Uvarint(q.Trace.TraceID)
-			b.Uvarint(q.Trace.Span)
-			return nil
-		},
-		func(r *wire.Reader) (any, error) {
-			q, err := decRequestShardFields(r)
-			if err != nil {
-				return nil, err
-			}
-			if !requestSharded(q) {
-				// Canonical form: without shard fields this is a 20/22 frame.
-				return nil, errUnshardedVariant
-			}
-			return q, nil
-		})
-	wire.RegisterBinaryPayloadVariant(tagRequestCross, Request{},
-		func(v any) bool { return len(v.(Request).CrossKeys) > 0 },
-		func(b *wire.Buffer, v any) error {
-			q := v.(Request)
-			encRequestFields(b, q)
-			b.Uvarint(q.ShardEpoch)
-			b.String(q.ShardKey)
-			b.Uvarint(uint64(len(q.CrossKeys)))
-			for _, k := range q.CrossKeys {
-				b.String(k)
-			}
-			b.Uvarint(q.Trace.TraceID)
-			b.Uvarint(q.Trace.Span)
-			return nil
-		},
-		func(r *wire.Reader) (any, error) {
-			q, err := decRequestFields(r)
-			if err != nil {
-				return nil, err
-			}
-			if q.ShardEpoch, err = r.Uvarint(); err != nil {
-				return nil, err
-			}
-			if q.ShardKey, err = r.String(); err != nil {
-				return nil, err
-			}
-			n, err := r.Uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if n == 0 {
-				// Canonical form: no cross keys belongs on tag 24 (or 20/22).
-				return nil, errUnshardedVariant
-			}
-			if n > maxCrossKeys {
-				return nil, errors.New("replica: implausible cross-shard key count")
-			}
-			q.CrossKeys = make([]string, n)
-			for i := range q.CrossKeys {
-				if q.CrossKeys[i], err = r.String(); err != nil {
-					return nil, err
-				}
-			}
-			if q.Trace.TraceID, err = r.Uvarint(); err != nil {
-				return nil, err
-			}
-			if q.Trace.Span, err = r.Uvarint(); err != nil {
-				return nil, err
-			}
-			return q, nil
-		})
-	wire.RegisterBinaryPayload(tagReply, Reply{},
-		func(b *wire.Buffer, v any) error {
-			encReplyFields(b, v.(Reply))
-			return nil
-		},
-		func(r *wire.Reader) (any, error) {
-			return decReplyFields(r)
-		})
-	wire.RegisterBinaryPayloadVariant(tagReplyTraced, Reply{},
-		func(v any) bool {
-			p := v.(Reply)
-			return p.Trace.Valid() && p.ShardEpoch == 0
-		},
-		func(b *wire.Buffer, v any) error {
-			p := v.(Reply)
-			encReplyFields(b, p)
-			b.Uvarint(p.Trace.TraceID)
-			b.Uvarint(p.Trace.Span)
-			return nil
-		},
-		func(r *wire.Reader) (any, error) {
-			p, err := decReplyFields(r)
-			if err != nil {
-				return nil, err
-			}
-			if p.Trace.TraceID, err = r.Uvarint(); err != nil {
-				return nil, err
-			}
-			if p.Trace.Span, err = r.Uvarint(); err != nil {
-				return nil, err
-			}
-			if !p.Trace.Valid() {
-				return nil, errUntracedVariant
-			}
-			return p, nil
-		})
-	wire.RegisterBinaryPayloadVariant(tagReplyShard, Reply{},
-		func(v any) bool { return v.(Reply).ShardEpoch != 0 },
-		func(b *wire.Buffer, v any) error {
-			p := v.(Reply)
-			encReplyFields(b, p)
-			b.Uvarint(p.ShardEpoch)
-			b.Uvarint(p.Trace.TraceID)
-			b.Uvarint(p.Trace.Span)
-			return nil
-		},
-		func(r *wire.Reader) (any, error) {
-			p, err := decReplyFields(r)
-			if err != nil {
-				return nil, err
-			}
-			if p.ShardEpoch, err = r.Uvarint(); err != nil {
-				return nil, err
-			}
-			if p.Trace.TraceID, err = r.Uvarint(); err != nil {
-				return nil, err
-			}
-			if p.Trace.Span, err = r.Uvarint(); err != nil {
-				return nil, err
-			}
-			if p.ShardEpoch == 0 {
-				// Canonical form: epoch-less replies belong on tags 21/23.
-				return nil, errUnshardedVariant
-			}
-			return p, nil
-		})
-	wire.RegisterBinaryPayload(tagMigrateChunk, MigrateChunk{},
-		func(b *wire.Buffer, v any) error {
-			encMigrateChunk(b, v.(MigrateChunk))
-			return nil
-		},
-		func(r *wire.Reader) (any, error) {
-			return decMigrateChunk(r)
-		})
+	register(tagRequest, encRequest, decRequest)
+	register(tagReply, encReply, decReply)
+	register(tagMigrateChunk, encMigrateChunk, decMigrateChunk)
 }
 
 func encMigrateChunk(b *wire.Buffer, ck MigrateChunk) {
@@ -268,10 +100,7 @@ func encMigrateChunk(b *wire.Buffer, ck MigrateChunk) {
 	for _, ce := range ck.Cache {
 		encInvocationID(b, ce.ID)
 		b.String(ce.Key)
-		encReplyFields(b, ce.Reply)
-		b.Uvarint(ce.Reply.ShardEpoch)
-		b.Uvarint(ce.Reply.Trace.TraceID)
-		b.Uvarint(ce.Reply.Trace.Span)
+		encReply(b, ce.Reply)
 	}
 }
 
@@ -284,15 +113,12 @@ func decMigrateChunk(r *wire.Reader) (MigrateChunk, error) {
 	if ck.Epoch, err = r.Uvarint(); err != nil {
 		return ck, err
 	}
-	s, err := r.Ident()
-	if err != nil {
+	if ck.Source, err = ident[wire.GroupID](r); err != nil {
 		return ck, err
 	}
-	ck.Source = wire.GroupID(s)
-	if s, err = r.Ident(); err != nil {
+	if ck.Target, err = ident[wire.GroupID](r); err != nil {
 		return ck, err
 	}
-	ck.Target = wire.GroupID(s)
 	u, err := r.Uvarint()
 	if err != nil {
 		return ck, err
@@ -338,16 +164,7 @@ func decMigrateChunk(r *wire.Reader) (MigrateChunk, error) {
 			if ck.Cache[i].Key, err = r.String(); err != nil {
 				return ck, err
 			}
-			if ck.Cache[i].Reply, err = decReplyFields(r); err != nil {
-				return ck, err
-			}
-			if ck.Cache[i].Reply.ShardEpoch, err = r.Uvarint(); err != nil {
-				return ck, err
-			}
-			if ck.Cache[i].Reply.Trace.TraceID, err = r.Uvarint(); err != nil {
-				return ck, err
-			}
-			if ck.Cache[i].Reply.Trace.Span, err = r.Uvarint(); err != nil {
+			if ck.Cache[i].Reply, err = decReply(r); err != nil {
 				return ck, err
 			}
 		}
@@ -355,29 +172,18 @@ func decMigrateChunk(r *wire.Reader) (MigrateChunk, error) {
 	return ck, nil
 }
 
-// decRequestShardFields decodes a tag-24 frame: base fields, shard epoch,
-// shard key, trace words.
-func decRequestShardFields(r *wire.Reader) (Request, error) {
-	q, err := decRequestFields(r)
-	if err != nil {
-		return q, err
+func encRequest(b *wire.Buffer, q Request) {
+	var presence byte
+	if q.Trace.Valid() {
+		presence |= reqHasTrace
 	}
-	if q.ShardEpoch, err = r.Uvarint(); err != nil {
-		return q, err
+	if q.ShardEpoch != 0 || q.ShardKey != "" {
+		presence |= reqHasShard
 	}
-	if q.ShardKey, err = r.String(); err != nil {
-		return q, err
+	if len(q.CrossKeys) > 0 {
+		presence |= reqHasCross
 	}
-	if q.Trace.TraceID, err = r.Uvarint(); err != nil {
-		return q, err
-	}
-	if q.Trace.Span, err = r.Uvarint(); err != nil {
-		return q, err
-	}
-	return q, nil
-}
-
-func encRequestFields(b *wire.Buffer, q Request) {
+	b.Byte(presence)
 	encInvocationID(b, q.ID)
 	b.String(string(q.Group))
 	b.String(q.Method)
@@ -385,19 +191,36 @@ func encRequestFields(b *wire.Buffer, q Request) {
 	b.Byte(byte(q.Kind))
 	b.String(string(q.ReplyTo))
 	b.String(string(q.Origin))
+	if presence&reqHasTrace != 0 {
+		encTrace(b, q.Trace)
+	}
+	if presence&reqHasShard != 0 {
+		b.Uvarint(q.ShardEpoch)
+		b.String(q.ShardKey)
+	}
+	if presence&reqHasCross != 0 {
+		b.Uvarint(uint64(len(q.CrossKeys)))
+		for _, k := range q.CrossKeys {
+			b.String(k)
+		}
+	}
 }
 
-func decRequestFields(r *wire.Reader) (Request, error) {
+func decRequest(r *wire.Reader) (Request, error) {
 	var q Request
-	var err error
-	if q.ID, err = decInvocationID(r); err != nil {
-		return q, err
-	}
-	s, err := r.Ident()
+	presence, err := r.Byte()
 	if err != nil {
 		return q, err
 	}
-	q.Group = wire.GroupID(s)
+	if presence&^reqPresenceMask != 0 {
+		return q, errPresenceBits
+	}
+	if q.ID, err = decInvocationID(r); err != nil {
+		return q, err
+	}
+	if q.Group, err = ident[wire.GroupID](r); err != nil {
+		return q, err
+	}
 	if q.Method, err = r.Ident(); err != nil {
 		return q, err
 	}
@@ -408,43 +231,154 @@ func decRequestFields(r *wire.Reader) (Request, error) {
 	if err != nil {
 		return q, err
 	}
-	q.Kind = RequestKind(kind)
-	if s, err = r.Ident(); err != nil {
+	if q.Kind = RequestKind(kind); q.Kind > KindNested {
+		return q, errors.New("replica: unknown request kind")
+	}
+	if q.ReplyTo, err = ident[wire.NodeID](r); err != nil {
 		return q, err
 	}
-	q.ReplyTo = wire.NodeID(s)
-	if s, err = r.Ident(); err != nil {
+	if q.Origin, err = ident[wire.GroupID](r); err != nil {
 		return q, err
 	}
-	q.Origin = wire.GroupID(s)
+	if presence&reqHasTrace != 0 {
+		if q.Trace, err = decTrace(r); err != nil {
+			return q, err
+		}
+	}
+	if presence&reqHasShard != 0 {
+		if q.ShardEpoch, err = r.Uvarint(); err != nil {
+			return q, err
+		}
+		if q.ShardKey, err = r.String(); err != nil {
+			return q, err
+		}
+		if q.ShardEpoch == 0 && q.ShardKey == "" {
+			return q, errEmptyGroup
+		}
+	}
+	if presence&reqHasCross != 0 {
+		n, err := r.Uvarint()
+		if err != nil {
+			return q, err
+		}
+		if n == 0 {
+			return q, errEmptyGroup
+		}
+		if n > maxCrossKeys {
+			return q, errors.New("replica: implausible cross-shard key count")
+		}
+		q.CrossKeys = make([]string, n)
+		for i := range q.CrossKeys {
+			if q.CrossKeys[i], err = r.String(); err != nil {
+				return q, err
+			}
+		}
+	}
 	return q, nil
 }
 
-func encReplyFields(b *wire.Buffer, p Reply) {
+func encReply(b *wire.Buffer, p Reply) {
+	var presence byte
+	if p.Code != CodeNone || p.Err != "" {
+		presence |= repHasOutcome
+	}
+	if p.Trace.Valid() {
+		presence |= repHasTrace
+	}
+	if p.ShardEpoch != 0 {
+		presence |= repHasEpoch
+	}
+	b.Byte(presence)
 	encInvocationID(b, p.ID)
 	b.String(string(p.From))
 	b.Bytes(p.Result)
-	b.String(p.Err)
+	if presence&repHasOutcome != 0 {
+		b.Byte(byte(p.Code))
+		b.String(p.Err)
+	}
+	if presence&repHasTrace != 0 {
+		encTrace(b, p.Trace)
+	}
+	if presence&repHasEpoch != 0 {
+		b.Uvarint(p.ShardEpoch)
+	}
 }
 
-func decReplyFields(r *wire.Reader) (Reply, error) {
+func decReply(r *wire.Reader) (Reply, error) {
 	var p Reply
-	var err error
-	if p.ID, err = decInvocationID(r); err != nil {
-		return p, err
-	}
-	s, err := r.Ident()
+	presence, err := r.Byte()
 	if err != nil {
 		return p, err
 	}
-	p.From = wire.NodeID(s)
+	if presence&^repPresenceMask != 0 {
+		return p, errPresenceBits
+	}
+	if p.ID, err = decInvocationID(r); err != nil {
+		return p, err
+	}
+	if p.From, err = ident[wire.NodeID](r); err != nil {
+		return p, err
+	}
 	if p.Result, err = r.Bytes(); err != nil {
 		return p, err
 	}
-	if p.Err, err = r.String(); err != nil {
-		return p, err
+	if presence&repHasOutcome != 0 {
+		code, err := r.Byte()
+		if err != nil {
+			return p, err
+		}
+		if p.Code = Code(code); p.Code > CodeExpiredDuplicate {
+			return p, errors.New("replica: unknown reply code")
+		}
+		if p.Err, err = r.String(); err != nil {
+			return p, err
+		}
+		if p.Code == CodeNone && p.Err == "" {
+			return p, errEmptyGroup
+		}
+	}
+	if presence&repHasTrace != 0 {
+		if p.Trace, err = decTrace(r); err != nil {
+			return p, err
+		}
+	}
+	if presence&repHasEpoch != 0 {
+		if p.ShardEpoch, err = r.Uvarint(); err != nil {
+			return p, err
+		}
+		if p.ShardEpoch == 0 {
+			return p, errEmptyGroup
+		}
 	}
 	return p, nil
+}
+
+func encTrace(b *wire.Buffer, c tracing.Context) {
+	b.Uvarint(c.TraceID)
+	b.Uvarint(c.Span)
+}
+
+// decTrace reads a trace group; an invalid context is an empty group.
+func decTrace(r *wire.Reader) (tracing.Context, error) {
+	var c tracing.Context
+	var err error
+	if c.TraceID, err = r.Uvarint(); err != nil {
+		return c, err
+	}
+	if c.Span, err = r.Uvarint(); err != nil {
+		return c, err
+	}
+	if !c.Valid() {
+		return c, errEmptyGroup
+	}
+	return c, nil
+}
+
+// ident reads an interned identifier (see wire.Reader.Ident) as one of the
+// wire package's named string types.
+func ident[T ~string](r *wire.Reader) (T, error) {
+	s, err := r.Ident()
+	return T(s), err
 }
 
 func encInvocationID(b *wire.Buffer, id wire.InvocationID) {
@@ -464,8 +398,3 @@ func decInvocationID(r *wire.Reader) (wire.InvocationID, error) {
 	}
 	return id, nil
 }
-
-var (
-	_ tracing.Traced = Request{}
-	_ tracing.Traced = Reply{}
-)

@@ -273,7 +273,7 @@ func (r *Replica) installSnapshot(d gcs.Delivery) {
 	r.nested = make(map[wire.InvocationID]*nestedCall)
 	r.earlyReplies = make(map[wire.InvocationID]Reply)
 	r.nestedWaiting = make(map[wire.LogicalID]int)
-	r.pendingCallbacks = make(map[wire.LogicalID][]pendingCallback)
+	r.pendingCallbacks = make(map[wire.LogicalID][]*dispatched)
 	// Checkpoints are never taken mid-migration, so the donor had no
 	// handoff state; any local leftovers are stale by construction. The
 	// ordered tail past the snapshot replays prepare/chunks/fence and

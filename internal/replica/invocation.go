@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/replobj/replobj/internal/adets"
-	"github.com/replobj/replobj/internal/gcs"
 	"github.com/replobj/replobj/internal/shard"
 	"github.com/replobj/replobj/internal/wire"
 )
@@ -35,7 +34,11 @@ type Invocation struct {
 	// that cannot run without the scheduler — condition variables, nested
 	// invocations — abort the speculation via a sentinel panic.
 	speculative bool
-	fork        any
+	// forward marks a dual-home relay (see executeForward): epoch is the
+	// transition's next epoch, and the thread invokes the key's home under
+	// it instead of the local handler.
+	forward bool
+	fork    any
 }
 
 // Args returns the marshalled invocation arguments.
@@ -243,18 +246,10 @@ func (inv *Invocation) invoke(group wire.GroupID, method string, args []byte, mo
 	r.rt.Unlock()
 
 	for _, cb := range flush {
-		r.submitRequest(cb.req, true, 0, cb.epoch)
+		r.submit(cb, true)
 	}
 	if nc.reply == nil {
-		sub := gcs.Submit{
-			Group:   group,
-			ID:      id.String(),
-			Origin:  r.self,
-			Payload: req,
-		}
-		for _, m := range r.dir.Members(group) {
-			r.ep.Send(m, sub)
-		}
+		r.submitTo(group, id.String(), req)
 	} else {
 		// The reply raced ahead of this thread (it lagged structurally);
 		// deposit the resume so BeginNested returns immediately.
@@ -277,8 +272,5 @@ func (inv *Invocation) invoke(group wire.GroupID, method string, args []byte, mo
 		}
 		return nil, errors.New("replica: nested invocation resumed without reply")
 	}
-	if reply.Err != "" {
-		return nil, errors.New(reply.Err)
-	}
-	return reply.Result, nil
+	return reply.Result, reply.Failure()
 }

@@ -5,8 +5,6 @@ import (
 	"sort"
 	"strconv"
 
-	"github.com/replobj/replobj/internal/adets"
-	"github.com/replobj/replobj/internal/gcs"
 	"github.com/replobj/replobj/internal/obs"
 	"github.com/replobj/replobj/internal/shard"
 	"github.com/replobj/replobj/internal/vtime"
@@ -105,10 +103,6 @@ type MigrateChunk struct {
 	Cache []CacheEntry
 }
 
-func init() {
-	wire.RegisterPayload(MigrateChunk{})
-}
-
 // chunkID is the gcs submission id of one handoff frame: identical on
 // every source replica, so the target's sequencer dedups the group-wide
 // resubmissions to one ordered instance.
@@ -152,12 +146,7 @@ type incomingStream struct {
 	done  bool
 	// parked buffers next-epoch requests for this stream's keys until the
 	// handoff installs, in arrival order.
-	parked []parkedRequest
-}
-
-type parkedRequest struct {
-	req Request
-	seq uint64
+	parked []*dispatched
 }
 
 // bufferChunk files a delivered chunk under its stream. Replayed or alien
@@ -198,50 +187,31 @@ func (r *Replica) dispatchMigrateChunk(ck MigrateChunk) {
 	r.mig.bufferChunk(ck)
 }
 
-// applyShardPrepare arms a transition at its ordered position (inline,
-// outside the scheduler, like EpochMethod installs).
-func (r *Replica) applyShardPrepare(req Request, seq uint64) {
-	reply := Reply{ID: req.ID, From: r.self}
-	if req.Trace.Valid() {
-		reply.Trace = req.Trace
-	}
-	err := r.prepareMigration(req.Args, seq)
-	cur := r.shard.Current().Table
-	reply.ShardEpoch = cur.Epoch
+// prepareMigration (shard.PrepareMethod) arms a transition at its ordered
+// position.
+func (r *Replica) prepareMigration(req Request, seq uint64) ([]byte, error) {
+	next, err := shard.DecodeTable(req.Args)
 	if err != nil {
-		reply.Err = err.Error()
-	} else {
-		reply.Result = cur.Encode()
-	}
-	r.rt.Lock()
-	r.cache[req.ID] = reply
-	r.rt.Unlock()
-	r.sendReply(req, reply)
-}
-
-func (r *Replica) prepareMigration(args []byte, seq uint64) error {
-	next, err := shard.DecodeTable(args)
-	if err != nil {
-		return err
+		return nil, err
 	}
 	cur := r.shard.Current().Table
 	if cur.Epoch == next.Epoch && cur.SameShards(next) {
-		return nil // post-fence prepare replay: idempotent
+		return r.installedTable() // post-fence prepare replay: idempotent
 	}
 	// Probe the plan before arming: a group whose state cannot do keyed
 	// transfer must reject with nothing armed, identically everywhere.
 	probe, err := shard.PlanMigration(cur, next)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(probe.Outgoing(r.group)) > 0 || len(probe.Incoming(r.group)) > 0 {
 		if _, ok := r.state.(KeyedSnapshotter); !ok {
-			return fmt.Errorf("replica: state %T does not implement KeyedSnapshotter; cannot reshard", r.state)
+			return nil, fmt.Errorf("replica: state %T does not implement KeyedSnapshotter; cannot reshard", r.state)
 		}
 	}
 	plan, err := r.shard.BeginTransition(next)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	r.rt.Lock()
 	if r.mig == nil {
@@ -264,23 +234,14 @@ func (r *Replica) prepareMigration(args []byte, seq uint64) error {
 	r.rt.Unlock()
 	r.member.HoldTruncation(seq)
 	r.migActive.Set(1)
-	return nil
+	return r.installedTable()
 }
 
-// applyShardStatus answers a migration progress probe at its ordered
-// position — a consistent cut of the stream, identical across replicas.
-func (r *Replica) applyShardStatus(req Request) {
-	reply := Reply{ID: req.ID, From: r.self}
-	if req.Trace.Valid() {
-		reply.Trace = req.Trace
-	}
-	st := r.migrationStatus()
-	reply.ShardEpoch = st.Epoch
-	reply.Result = st.Encode()
-	r.rt.Lock()
-	r.cache[req.ID] = reply
-	r.rt.Unlock()
-	r.sendReply(req, reply)
+// migrationProgress (shard.StatusMethod) answers a progress probe at its
+// ordered position — a consistent cut of the stream, identical across
+// replicas.
+func (r *Replica) migrationProgress(Request, uint64) ([]byte, error) {
+	return r.migrationStatus().Encode(), nil
 }
 
 func (r *Replica) migrationStatus() shard.Status {
@@ -307,46 +268,27 @@ func (r *Replica) migrationStatus() shard.Status {
 	return st
 }
 
-// applyShardFence completes (or deterministically refuses to complete)
-// the transition at its ordered position.
-func (r *Replica) applyShardFence(req Request) {
-	reply := Reply{ID: req.ID, From: r.self}
-	if req.Trace.Valid() {
-		reply.Trace = req.Trace
-	}
-	err := r.fenceMigration(req.Args)
-	cur := r.shard.Current().Table
-	reply.ShardEpoch = cur.Epoch
+// fenceMigration (shard.FenceMethod) completes, or deterministically
+// refuses to complete, the transition at its ordered position.
+func (r *Replica) fenceMigration(req Request, _ uint64) ([]byte, error) {
+	next, err := shard.DecodeTable(req.Args)
 	if err != nil {
-		reply.Err = err.Error()
-	} else {
-		reply.Result = cur.Encode()
-	}
-	r.rt.Lock()
-	r.cache[req.ID] = reply
-	r.rt.Unlock()
-	r.sendReply(req, reply)
-}
-
-func (r *Replica) fenceMigration(args []byte) error {
-	next, err := shard.DecodeTable(args)
-	if err != nil {
-		return err
+		return nil, err
 	}
 	cur := r.shard.Current().Table
 	if cur.Epoch == next.Epoch && cur.SameShards(next) {
-		return nil // post-fence replay: idempotent
+		return r.installedTable() // post-fence replay: idempotent
 	}
 	pending := r.shard.Pending()
 	if pending == nil || pending.Table.Epoch != next.Epoch {
-		return fmt.Errorf("replica: fence for epoch %d without matching transition (installed epoch %d)", next.Epoch, cur.Epoch)
+		return nil, fmt.Errorf("replica: fence for epoch %d without matching transition (installed epoch %d)", next.Epoch, cur.Epoch)
 	}
 	if st := r.migrationStatus(); !st.Done() {
-		return fmt.Errorf("replica: fence before handoff drained (out %d/%d, in %d/%d, parked %d)",
+		return nil, fmt.Errorf("replica: fence before handoff drained (out %d/%d, in %d/%d, parked %d)",
 			st.OutDone, st.OutTotal, st.InDone, st.InTotal, st.Parked)
 	}
 	if _, err := r.shard.FinalizeTransition(); err != nil {
-		return err
+		return nil, err
 	}
 	r.rt.Lock()
 	r.mig = nil
@@ -355,7 +297,7 @@ func (r *Replica) fenceMigration(args []byte) error {
 	r.shardEpochG.Set(int64(next.Epoch))
 	r.migActive.Set(0)
 	r.trace.Record("order", obs.KindCheckpoint, "migrate-fence", strconv.FormatUint(next.Epoch, 10))
-	return nil
+	return r.installedTable()
 }
 
 // migrationStep runs after every ordered delivery while a transition is
@@ -434,7 +376,6 @@ func (r *Replica) performCut(m *migration, seq uint64) {
 			return
 		}
 		chunks := shard.Chunks(keys, shard.DefaultChunkKeys)
-		members := r.dir.Members(mv.Target)
 		for i, chunkKeys := range chunks {
 			ck := MigrateChunk{
 				Object: object,
@@ -451,15 +392,7 @@ func (r *Replica) performCut(m *migration, seq uint64) {
 			if i == 0 {
 				ck.Cache = cache
 			}
-			sub := gcs.Submit{
-				Group:   mv.Target,
-				ID:      chunkID(object, ck.Epoch, r.group, mv.Target, i),
-				Origin:  r.self,
-				Payload: ck,
-			}
-			for _, node := range members {
-				r.ep.Send(node, sub)
-			}
+			r.submitTo(mv.Target, chunkID(object, ck.Epoch, r.group, mv.Target, i), ck)
 			r.migChunksSent.Inc()
 		}
 		r.migKeysMoved.Add(uint64(len(keys)))
@@ -526,7 +459,7 @@ func (r *Replica) performInstalls(m *migration, seq uint64) {
 			s.next++
 			r.rt.Unlock()
 			r.migChunksInstalled.Inc()
-			r.trace.Record("order", obs.KindCheckpoint, InstallLabel,
+			r.trace.Record("order", obs.KindCheckpoint, shard.InstallMethod,
 				strconv.FormatUint(seq, 10)+"/"+string(ck.Source)+"/"+strconv.Itoa(ck.Index))
 		}
 		if s.count > 0 && s.next >= s.count {
@@ -534,86 +467,44 @@ func (r *Replica) performInstalls(m *migration, seq uint64) {
 			parked := s.parked
 			s.parked = nil
 			r.migParked.Add(-int64(len(parked)))
-			for _, pr := range parked {
-				r.admit(pr.req, pr.seq, m.next)
+			for _, d := range parked {
+				r.rt.Lock()
+				if r.stopped {
+					r.rt.Unlock()
+					break
+				}
+				r.admit(d)
 			}
 		}
 	}
 }
 
-// InstallLabel is the trace id of a chunk-install event — the ordered
-// "_shard/install" position of the handoff on the target group's order.
-const InstallLabel = shard.InstallMethod
-
-// submitForward schedules the dual-home relay of an old-epoch request: a
-// scheduler thread performs a nested invocation of the new home (stamped
-// with the next epoch) and relays the ordered reply to the caller. The
-// nested id derives deterministically from the original request, so every
-// source replica submits the same invocation and gcs dedup executes it
-// exactly once at the target.
-func (r *Replica) submitForward(req Request, callback bool, seq uint64, next *shard.Epoch, target wire.GroupID) {
-	var classes []string
-	if r.classes != nil {
-		classes = r.classes(req.Method, req.Args)
-	}
-	r.sched.Submit(adets.Request{
-		ID:       req.ID,
-		Logical:  req.Logical(),
-		Callback: callback,
-		Classes:  classes,
-		Seq:      seq,
-		Exec:     func(t *adets.Thread) { r.executeForward(req, t, next, target) },
-	})
-}
-
-func (r *Replica) executeForward(req Request, t *adets.Thread, next *shard.Epoch, target wire.GroupID) {
-	r.inflight.Inc()
-	defer r.inflight.Dec()
-	inv := &Invocation{r: r, t: t, req: req, epoch: next}
-	result, err := inv.invoke(target, req.Method, req.Args, func(q *Request) {
-		q.ShardEpoch = next.Table.Epoch
+// executeForward is the dual-home relay of an old-epoch request whose key
+// has left with the cut: the scheduler thread performs a nested invocation
+// of the key's home under the next epoch (inv.epoch), stamped with it, and
+// relays the ordered reply to the caller. The nested id derives
+// deterministically from the original request, so every source replica
+// submits the same invocation and gcs dedup executes it exactly once at
+// the target.
+func (r *Replica) executeForward(inv *Invocation) {
+	req := &inv.req
+	reply := r.newReply(req)
+	var err error
+	reply.Result, err = inv.invoke(inv.epoch.Ring.HomeGroup(req.ShardKey), req.Method, req.Args, func(q *Request) {
+		q.ShardEpoch = inv.epoch.Table.Epoch
 		q.ShardKey = req.ShardKey
 		q.CrossKeys = req.CrossKeys
 	})
-	reply := Reply{ID: req.ID, From: r.self, Result: result}
 	if err != nil {
 		reply.Err = err.Error()
-		if shard.IsRedirect(reply.Err) {
+		if hasCode(err, CodeRedirect) {
 			// The new home bounced the relayed request (e.g. it is mid-
-			// failover on yet another transition). Keep the redirect signal
-			// intact so the router retries instead of failing terminally.
-			reply.ShardEpoch = next.Table.Epoch
+			// failover on yet another transition). The verdict is the
+			// runtime's own, handed up by invoke: pass it on so the router
+			// retries instead of failing terminally.
+			reply.Code = CodeRedirect
+			reply.ShardEpoch = inv.epoch.Table.Epoch
 		}
 	}
-	if req.Trace.Valid() {
-		reply.Trace = req.Trace
-	}
-	r.rt.Lock()
-	r.cache[req.ID] = reply
-	r.logicalLive[req.Logical()]--
-	if r.logicalLive[req.Logical()] == 0 {
-		delete(r.logicalLive, req.Logical())
-	}
-	r.rt.Unlock()
-	r.sendReply(req, reply)
-}
-
-// admit runs the post-validation tail of request dispatch (callback
-// classification and scheduler submission) — shared by the normal path
-// and the parked-request flush.
-func (r *Replica) admit(req Request, seq uint64, epoch *shard.Epoch) {
-	r.rt.Lock()
-	if r.stopped {
-		r.rt.Unlock()
-		return
-	}
-	callback := r.logicalLive[req.Logical()] > 0
-	r.logicalLive[req.Logical()]++
-	if callback && r.nestedWaiting[req.Logical()] == 0 {
-		r.pendingCallbacks[req.Logical()] = append(r.pendingCallbacks[req.Logical()], pendingCallback{req: req, epoch: epoch})
-		r.rt.Unlock()
-		return
-	}
-	r.rt.Unlock()
-	r.submitRequest(req, callback, seq, epoch)
+	r.complete(req, reply)
 }

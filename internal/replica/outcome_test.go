@@ -1,0 +1,279 @@
+package replica
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"github.com/replobj/replobj/internal/adets/sat"
+	"github.com/replobj/replobj/internal/gcs"
+	"github.com/replobj/replobj/internal/obs/tracing"
+	"github.com/replobj/replobj/internal/shard"
+	"github.com/replobj/replobj/internal/transport"
+	"github.com/replobj/replobj/internal/vtime"
+	"github.com/replobj/replobj/internal/wire"
+)
+
+// frame is the one-shot encoding of a message from "a" to "b" with payload.
+func frame(t *testing.T, payload any) []byte {
+	t.Helper()
+	b, err := wire.AppendMessage(nil, &wire.Message{From: "a", To: "b", Payload: payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// payloadStart is the offset of the payload inside a frame built by frame:
+// one length byte (the frames here are short), the tag, "a", "b".
+const payloadStart = 1 + 1 + 2 + 2
+
+// TestEnvelopeFramesAreCanonical: every combination of optional groups
+// round-trips and re-encodes to the same bytes, and each group costs
+// nothing when absent.
+func TestEnvelopeFramesAreCanonical(t *testing.T) {
+	id := wire.InvocationID{Logical: "client/c#1", Seq: 2}
+	var payloads []any
+	for mask := 0; mask <= reqPresenceMask; mask++ {
+		q := Request{ID: id, Group: "g", Method: "m", Args: []byte{1}, Kind: KindNested, ReplyTo: "client/c", Origin: "h"}
+		if mask&reqHasTrace != 0 {
+			q.Trace = tracing.Context{TraceID: 7, Span: 9}
+		}
+		if mask&reqHasShard != 0 {
+			q.ShardEpoch, q.ShardKey = 3, "k"
+		}
+		if mask&reqHasCross != 0 {
+			q.CrossKeys = []string{"x", "y"}
+		}
+		payloads = append(payloads, q)
+	}
+	for mask := 0; mask <= repPresenceMask; mask++ {
+		p := Reply{ID: id, From: "g/0", Result: []byte{4}}
+		if mask&repHasOutcome != 0 {
+			p.Code, p.Err = CodeRedirect, "shard: wrong shard (epoch 3)"
+		}
+		if mask&repHasTrace != 0 {
+			p.Trace = tracing.Context{TraceID: 7, Span: 9}
+		}
+		if mask&repHasEpoch != 0 {
+			p.ShardEpoch = 3
+		}
+		payloads = append(payloads, p)
+	}
+	// Half-filled groups are present too.
+	payloads = append(payloads,
+		Request{ID: id, ShardKey: "k"},
+		Request{ID: id, ShardEpoch: 1},
+		Reply{ID: id, Err: "app error"},
+		Reply{ID: id, Code: CodeExpiredDuplicate},
+		Reply{ID: id, Trace: tracing.Context{TraceID: 7}})
+	for _, in := range payloads {
+		bin := frame(t, in)
+		out, n, clean, err := wire.ConsumeMessage(bin)
+		if err != nil || n != len(bin) || !clean {
+			t.Fatalf("%+v: decode: n=%d/%d clean=%v err=%v", in, n, len(bin), clean, err)
+		}
+		if !reflect.DeepEqual(out.Payload, in) {
+			t.Errorf("round trip:\n in:  %+v\n out: %+v", in, out.Payload)
+		}
+		if re := frame(t, out.Payload); !bytes.Equal(re, bin) {
+			t.Errorf("%+v: re-encoding differs:\n first:  %x\n second: %x", in, bin, re)
+		}
+	}
+}
+
+// TestEnvelopeDecodersRejectNonCanonicalFrames: what reaches a decoder comes
+// from outside the process. An undefined presence bit, a bit set over an
+// empty group, a request kind or reply code outside its enum are all
+// refused — none of them is a frame an encoder of this tree produces.
+func TestEnvelopeDecodersRejectNonCanonicalFrames(t *testing.T) {
+	id := wire.InvocationID{Logical: "l", Seq: 1}
+	req := frame(t, Request{ID: id, Group: "g", Method: "m"})
+	rep := frame(t, Reply{ID: id, From: "n"})
+	// patch returns base with its presence byte replaced and tail appended;
+	// the frame's length header is adjusted for the tail.
+	patch := func(base []byte, presence byte, tail ...byte) []byte {
+		out := append(append([]byte(nil), base...), tail...)
+		out[0] += byte(len(tail))
+		out[payloadStart] = presence
+		return out
+	}
+	// kindAt is the offset of Request.Kind in req: presence, id ("l", 1),
+	// group, method, empty args.
+	const kindAt = payloadStart + 1 + 3 + 2 + 2 + 1
+	badKind := append([]byte(nil), req...)
+	badKind[kindAt] = byte(KindNested) + 1
+
+	cases := []struct {
+		name  string
+		frame []byte
+		want  string // in the error
+	}{
+		{"request: undefined presence bit", patch(req, reqPresenceMask+1), "undefined presence bit"},
+		{"request: every bit set", patch(req, 0xff), "undefined presence bit"},
+		{"request: trace bit, zero trace id", patch(req, reqHasTrace, 0, 5), "empty field group"},
+		{"request: shard bit, empty group", patch(req, reqHasShard, 0, 0), "empty field group"},
+		{"request: cross bit, no keys", patch(req, reqHasCross, 0), "empty field group"},
+		{"request: bit set, group missing", patch(req, reqHasShard), "varint"},
+		{"request: unknown kind", badKind, "unknown request kind"},
+		{"reply: undefined presence bit", patch(rep, repPresenceMask+1), "undefined presence bit"},
+		{"reply: outcome bit, empty group", patch(rep, repHasOutcome, byte(CodeNone), 0), "empty field group"},
+		{"reply: unknown code", patch(rep, repHasOutcome, byte(CodeExpiredDuplicate)+1, 1, 'e'), "unknown reply code"},
+		{"reply: trace bit, zero trace id", patch(rep, repHasTrace, 0, 0), "empty field group"},
+		{"reply: epoch bit, zero epoch", patch(rep, repHasEpoch, 0), "empty field group"},
+		{"reply: group without its bit", patch(rep, 0, 3), "trailing"},
+	}
+	for _, tc := range cases {
+		m, _, _, err := wire.ConsumeMessage(tc.frame)
+		if err == nil {
+			t.Errorf("%s: decoded to %+v", tc.name, m.Payload)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: refused with %q, want mention of %q", tc.name, err, tc.want)
+		}
+	}
+	// The patching itself is sound: well-formed groups do decode.
+	for name, f := range map[string][]byte{
+		"request shard group": patch(req, reqHasShard, 2, 1, 'k'),
+		"reply outcome group": patch(rep, repHasOutcome, byte(CodeRedirect), 1, 'e'),
+	} {
+		if _, _, _, err := wire.ConsumeMessage(f); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestPerRequestValuesStayInTheirSizeClasses: a Reply is boxed into an
+// interface on every send and a dispatched is allocated for every request;
+// what this PR added to them (the code byte, the classes, the relay flag)
+// must not push either into the next allocation class.
+func TestPerRequestValuesStayInTheirSizeClasses(t *testing.T) {
+	if size := reflect.TypeOf(Reply{}).Size(); size > 112 {
+		t.Errorf("Reply is %d bytes, want <= 112", size)
+	}
+	if size := reflect.TypeOf(dispatched{}).Size(); size > 288 {
+		t.Errorf("dispatched is %d bytes, want <= 288", size)
+	}
+}
+
+// keyedState is the least a state needs to take part in a ring transition.
+type keyedState struct{}
+
+func (keyedState) ExportKeys(func(string) bool) (map[string][]byte, error) { return nil, nil }
+func (keyedState) InstallKeys(map[string][]byte) error                     { return nil }
+func (keyedState) DropKeys([]string) error                                 { return nil }
+
+// TestForwardedRedirectKeepsItsCode: in the dual-home window a source
+// replica relays an old-epoch request to the key's new home over a nested
+// invocation. When the new home bounces it, the verdict is the runtime's
+// and must come out of the relay as a code, not as text to be recognised
+// again; a mere application error with the same text must not turn into one.
+func TestForwardedRedirectKeepsItsCode(t *testing.T) {
+	cur := shard.NewTable("kv", 1, 16)
+	next := cur.Reshape(2)
+	plan, err := shard.PlanMigration(cur, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, dst := cur.Shards[0], next.Shards[1]
+	var key string
+	for i := 0; key == ""; i++ {
+		if mv, moved := plan.MoveOf(fmt.Sprintf("k%d", i)); moved && mv.Source == src {
+			key = fmt.Sprintf("k%d", i)
+		}
+	}
+
+	rt := vtime.Virtual()
+	defer rt.Stop()
+	net := transport.NewInproc(rt)
+	dir := NewDirectory()
+	self, newHome := wire.ReplicaID(src, 0), wire.ReplicaID(dst, 0)
+	dir.Add(src, []wire.NodeID{self}, false)
+	dir.Add(dst, []wire.NodeID{newHome}, false)
+	r := New(Config{
+		RT: rt, Group: src, Self: self, Directory: dir, Network: net,
+		Scheduler: sat.New(),
+		State:     func() any { return keyedState{} },
+		Shard:     shard.NewGroupState(src, cur),
+	})
+	r.Start()
+	cl, target := net.Endpoint(wire.ClientID("t")), net.Endpoint(newHome)
+	recv := func(ep transport.Endpoint) any {
+		t.Helper()
+		msg, ok := recvOne(rt, ep, 5*time.Second)
+		if !ok {
+			t.Fatalf("%s: nothing arrived", ep.ID())
+		}
+		return msg.Payload
+	}
+	submit := func(req Request) {
+		req.Group, req.Kind, req.ReplyTo = src, KindClient, cl.ID()
+		cl.Send(self, gcs.Submit{Group: src, ID: req.ID.String(), Origin: cl.ID(), Payload: req})
+	}
+
+	vtime.Run(rt, "main", func() {
+		defer r.Stop()
+		defer cl.Close()
+		defer target.Close()
+		// Arm the transition through the control plane; the idle scheduler
+		// lets the cut happen at the same position, and the (empty) handoff
+		// stream reaches the new home.
+		submit(Request{ID: wire.InvocationID{Logical: "client/t#1"}, Method: shard.PrepareMethod, Args: next.Encode()})
+		ack := recv(cl).(Reply)
+		if ack.Err != "" || ack.Code != CodeNone || ack.ShardEpoch != cur.Epoch || !bytes.Equal(ack.Result, cur.Encode()) {
+			t.Fatalf("prepare ack = %+v", ack)
+		}
+		if _, ok := recv(target).(gcs.Submit).Payload.(MigrateChunk); !ok {
+			t.Fatal("the cut sent no handoff chunk to the new home")
+		}
+
+		bounce := shard.RedirectError(next.Epoch+1, key, "kv@7")
+		for i, tc := range []struct {
+			answer   Reply // the new home's, less ID and From
+			wantCode Code
+			wantEp   uint64
+		}{
+			{Reply{Code: CodeRedirect, Err: bounce, ShardEpoch: next.Epoch + 1}, CodeRedirect, next.Epoch},
+			{Reply{Err: bounce}, CodeNone, 0},
+		} {
+			id := wire.InvocationID{Logical: wire.LogicalID(fmt.Sprintf("client/t#%d", 2+i))}
+			submit(Request{ID: id, Method: "get", ShardEpoch: cur.Epoch, ShardKey: key})
+			relayed := recv(target).(gcs.Submit).Payload.(Request)
+			if relayed.Kind != KindNested || relayed.Origin != src || relayed.ShardEpoch != next.Epoch || relayed.ShardKey != key {
+				t.Fatalf("relayed request = %+v", relayed)
+			}
+			answer := tc.answer
+			answer.ID, answer.From = relayed.ID, newHome
+			target.Send(self, gcs.Submit{Group: src, ID: "nested-reply/" + relayed.ID.String(), Origin: newHome, Payload: answer})
+			got := recv(cl).(Reply)
+			if got.ID != id || got.Err != bounce || got.Code != tc.wantCode || got.ShardEpoch != tc.wantEp {
+				t.Errorf("relay of %+v came out as %+v, want code %d epoch %d", tc.answer, got, tc.wantCode, tc.wantEp)
+			}
+			if err := got.Failure(); hasCode(err, CodeRedirect) != (tc.wantCode == CodeRedirect) {
+				t.Errorf("Failure() = %#v", err)
+			}
+		}
+	})
+}
+
+// TestFailureCarriesTheCode: the error an invoker gets keeps the reply's
+// code through wrapping, and only a code makes IsExpiredDuplicate true.
+func TestFailureCarriesTheCode(t *testing.T) {
+	if err := (Reply{Result: []byte{1}}).Failure(); err != nil {
+		t.Errorf("success reply failed: %v", err)
+	}
+	expired := Reply{Code: CodeExpiredDuplicate, Err: "replica: duplicate expired: reply evicted at stream position 9"}.Failure()
+	if expired.Error() != "replica: duplicate expired: reply evicted at stream position 9" {
+		t.Errorf("text = %q", expired)
+	}
+	if !IsExpiredDuplicate(expired) || !IsExpiredDuplicate(fmt.Errorf("nested hop: %w", expired)) {
+		t.Error("code lost")
+	}
+	same := Reply{Err: expired.Error()}.Failure()
+	if IsExpiredDuplicate(same) || IsExpiredDuplicate(errors.New(expired.Error())) || IsExpiredDuplicate(nil) {
+		t.Error("text alone passes for the code")
+	}
+}

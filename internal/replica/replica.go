@@ -8,6 +8,7 @@ package replica
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -108,10 +109,8 @@ type Request struct {
 	Kind    RequestKind
 	ReplyTo wire.NodeID  // client endpoint (KindClient)
 	Origin  wire.GroupID // originating group (KindNested)
-	// Trace is the optional trace context allocated at client submit. The
-	// zero value (tracing off) keeps the pre-tracing wire encoding
-	// byte-identical; a non-zero context selects the traced payload tag
-	// (see binary.go).
+	// Trace is the optional trace context allocated at client submit; the
+	// zero value (tracing off) takes no room on the wire (see binary.go).
 	Trace tracing.Context
 	// ShardEpoch is the directory epoch the submitter routed under; 0 marks
 	// unrouted traffic, which skips shard validation. A sharded replica
@@ -130,6 +129,28 @@ type Request struct {
 // TraceCtx implements tracing.Traced.
 func (req Request) TraceCtx() tracing.Context { return req.Trace }
 
+// Code is the runtime's verdict on a request it answered without (or
+// instead of) the handler's own result. Only the runtime sets one — at the
+// ordered dispatch point, in the duplicate-submit hook, when relaying a
+// dual-home forward — and never by looking at a handler's error: whatever
+// text a handler returns, its reply carries CodeNone.
+type Code uint8
+
+// Reply codes.
+const (
+	// CodeNone: no runtime verdict; Err, if set, is the handler's.
+	CodeNone Code = iota
+	// CodeRedirect: a shard replica validated the request against another
+	// routing table than the sender's (or is not the key's home); ShardEpoch
+	// is its installed epoch. The request did not execute.
+	CodeRedirect
+	// CodeExpiredDuplicate: a retransmission of a request whose reply has
+	// aged out of the duplicate-detection window (see evictStableLocked).
+	// At-most-once can no longer replay the original reply, and silence
+	// would leave the client retrying forever.
+	CodeExpiredDuplicate
+)
+
 // Reply is an invocation result. Client replies travel directly; nested
 // replies are submitted into the originating group's total order so every
 // replica resumes the blocked thread at the same position.
@@ -142,18 +163,51 @@ type Reply struct {
 	// exec span, so the client links its reply span under the execution.
 	Trace tracing.Context
 	// ShardEpoch, when non-zero, is the replying shard's installed routing
-	// epoch. Combined with a wrong-shard Err it is the redirect signal the
-	// client router refreshes on; EpochMethod acks carry it informationally.
+	// epoch: what a router refreshes towards on a CodeRedirect, information
+	// on the acks of the _shard/* control methods.
 	ShardEpoch uint64
+	Code       Code
 }
+
+// Failure returns the reply's error as an invoker sees it: nil for a
+// success, otherwise an *Error that keeps the code next to the text.
+func (p Reply) Failure() error {
+	if p.Err == "" {
+		return nil
+	}
+	return &Error{Code: p.Code, Msg: p.Err}
+}
+
+// Error is the error of a failed invocation, as returned by the client
+// stub, the shard router and nested invocations. Because the code travels
+// beside the message, a runtime verdict survives being passed up through a
+// nested hop, where errors.As finds it again.
+type Error struct {
+	Code Code
+	Msg  string
+}
+
+func (e *Error) Error() string { return e.Msg }
+
+// hasCode reports whether err is, or wraps, an invocation Error with code.
+func hasCode(err error, code Code) bool {
+	var e *Error
+	return errors.As(err, &e) && e.Code == code
+}
+
+// IsExpiredDuplicate reports whether an invocation error marks a
+// retransmission whose original reply was evicted from the reply cache.
+// The caller cannot learn the outcome of the original execution; it must
+// treat the request as possibly-executed.
+func IsExpiredDuplicate(err error) bool { return hasCode(err, CodeExpiredDuplicate) }
 
 // TraceCtx implements tracing.Traced.
 func (p Reply) TraceCtx() tracing.Context { return p.Trace }
 
-func init() {
-	wire.RegisterPayload(Request{})
-	wire.RegisterPayload(Reply{})
-}
+var (
+	_ tracing.Traced = Request{}
+	_ tracing.Traced = Reply{}
+)
 
 // Handler executes one method; it may use every Invocation facility
 // (locks, condition variables, nested invocations, simulated computation).
@@ -269,6 +323,7 @@ type Replica struct {
 	cacheHits       *obs.Counter
 	dupReplies      *obs.Counter
 	dupExpired      *obs.Counter
+	unknownMsgs     *obs.Counter
 	specAttempts    *obs.Counter
 	specHits        *obs.Counter
 	specAborts      *obs.Counter
@@ -315,7 +370,7 @@ type Replica struct {
 	// reached its Invoke so the logical program order (pre-invoke code →
 	// callback) holds on every replica.
 	nestedWaiting    map[wire.LogicalID]int
-	pendingCallbacks map[wire.LogicalID][]pendingCallback
+	pendingCallbacks map[wire.LogicalID][]*dispatched
 	stopped          bool
 
 	// specMgr holds the speculation bookkeeping (nil when Config.Speculative
@@ -341,15 +396,6 @@ type nestedCall struct {
 	reply  *Reply
 }
 
-// pendingCallback is a deferred callback request plus the shard routing
-// epoch captured at its ordered dispatch point — the epoch must travel
-// with the request so a table installed between deferral and flush cannot
-// change what the callback's handler routes against.
-type pendingCallback struct {
-	req   Request
-	epoch *shard.Epoch
-}
-
 // New wires a replica together: transport endpoint, group member,
 // scheduler.
 func New(cfg Config) *Replica {
@@ -367,7 +413,7 @@ func New(cfg Config) *Replica {
 		nested:           make(map[wire.InvocationID]*nestedCall),
 		earlyReplies:     make(map[wire.InvocationID]Reply),
 		nestedWaiting:    make(map[wire.LogicalID]int),
-		pendingCallbacks: make(map[wire.LogicalID][]pendingCallback),
+		pendingCallbacks: make(map[wire.LogicalID][]*dispatched),
 	}
 	if cfg.State != nil {
 		r.state = cfg.State()
@@ -401,6 +447,7 @@ func New(cfg Config) *Replica {
 		r.cacheHits = cfg.Metrics.Counter("replobj_replica_reply_cache_hits_total" + label)
 		r.dupReplies = cfg.Metrics.Counter("replobj_replica_duplicate_submit_replies_total" + label)
 		r.dupExpired = cfg.Metrics.Counter("replobj_replica_duplicate_expired_total" + label)
+		r.unknownMsgs = cfg.Metrics.Counter("replobj_replica_unknown_messages_total" + label)
 		if r.specMgr != nil {
 			r.specAttempts = cfg.Metrics.Counter("replobj_replica_spec_attempts_total" + label)
 			r.specHits = cfg.Metrics.Counter("replobj_replica_spec_hits_total" + label)
@@ -457,7 +504,7 @@ func New(cfg Config) *Replica {
 	// the retransmitted request's ordered position (0 when the member has
 	// pruned its mapping): when the reply-cache entry has aged out of the
 	// duplicate-detection window, replay is impossible and the client gets
-	// a typed expired-duplicate error instead of eternal silence.
+	// a CodeExpiredDuplicate reply instead of eternal silence.
 	g.DuplicateSubmit = func(sub gcs.Submit, seq uint64) {
 		req, ok := sub.Payload.(Request)
 		if !ok || req.Kind != KindClient {
@@ -480,10 +527,9 @@ func New(cfg Config) *Replica {
 			// Ordered and still executing: the original execution replies.
 		case seq != 0 && seq <= floor:
 			r.dupExpired.Inc()
-			reply := Reply{ID: req.ID, From: r.self, Err: expiredDuplicateError(seq)}
-			if req.Trace.Valid() {
-				reply.Trace = req.Trace
-			}
+			reply := r.newReply(&req)
+			reply.Code = CodeExpiredDuplicate
+			reply.Err = "replica: duplicate expired: reply evicted at stream position " + strconv.FormatUint(seq, 10)
 			r.sendReply(req, reply)
 		}
 		// Remaining case — ordered above the eviction floor but not yet
@@ -554,7 +600,10 @@ func (r *Replica) recvLoop() {
 		if r.sched.HandleDirect(msg.From, msg.Payload) {
 			continue
 		}
-		// Unknown direct message: dropped (a real middleware would log).
+		// Neither layer knows the payload. In a cluster built from one tree
+		// that does not happen; a rate here is the first sign of a peer that
+		// frames its messages differently.
+		r.unknownMsgs.Inc()
 	}
 }
 
@@ -604,10 +653,45 @@ func (r *Replica) dispatchLoop() {
 	}
 }
 
-// dispatchRequest applies at-most-once semantics and hands fresh requests
-// to the scheduler. Everything here happens at a totally ordered point, so
-// the classification (duplicate? callback?) is identical on every replica.
+// dispatched carries one request from its ordered dispatch point through
+// the scheduler to its handler: the request, the routing epoch captured at
+// dispatch and the Invocation the handler will see, in a single allocation
+// whose exec method is the scheduler's Exec callback. It is also the form
+// in which a request waits where it cannot be scheduled yet — parked behind
+// a migration's handoff, or as a callback deferred behind its originator.
+type dispatched struct {
+	inv     Invocation
+	seq     uint64
+	classes []string      // conflict classes, computed once at dispatch
+	tSubmit time.Duration // scheduler hand-off time (traced requests only)
+}
+
+// conflictClasses evaluates the group's class function on req (nil: global).
+func (r *Replica) conflictClasses(req *Request) []string {
+	if r.classes == nil {
+		return nil
+	}
+	return r.classes(req.Method, req.Args)
+}
+
+// newReply starts the reply to req, carrying the request's trace context
+// back. (The reply of an executed request points at its exec span instead.)
+func (r *Replica) newReply(req *Request) Reply {
+	reply := Reply{ID: req.ID, From: r.self}
+	if req.Trace.Valid() {
+		reply.Trace = req.Trace
+	}
+	return reply
+}
+
+// dispatchRequest applies at-most-once semantics, asks shard admission for
+// its verdict and acts on it. Everything here happens at a totally ordered
+// point under one hold of the runtime lock, so the classification
+// (duplicate? redirect? callback?) and the routing table an accepted
+// request executes against are pure functions of the stream — identical on
+// every replica.
 func (r *Replica) dispatchRequest(req Request, seq uint64) {
+	d := &dispatched{inv: Invocation{r: r, req: req}, seq: seq, classes: r.conflictClasses(&req)}
 	r.rt.Lock()
 	if r.stopped {
 		r.rt.Unlock()
@@ -624,179 +708,211 @@ func (r *Replica) dispatchRequest(req Request, seq uint64) {
 		return
 	}
 	r.markSeenLocked(req.ID, seq, req.ShardKey)
-	// Shard control and validation happen here, at the totally ordered
-	// dispatch point, so the verdict (install / redirect / accept / forward
-	// / park) and the routing table any accepted request will execute
-	// against are pure functions of the stream — identical on every replica.
-	var epoch *shard.Epoch
-	if r.shard != nil {
-		switch req.Method {
-		case shard.EpochMethod:
-			r.rt.Unlock()
-			r.applyShardTable(req)
-			return
-		case shard.PrepareMethod:
-			r.rt.Unlock()
-			r.applyShardPrepare(req, seq)
-			return
-		case shard.StatusMethod:
-			r.rt.Unlock()
-			r.applyShardStatus(req)
-			return
-		case shard.FenceMethod:
-			r.rt.Unlock()
-			r.applyShardFence(req)
-			return
-		}
-		epoch = r.shard.Current()
-		if req.ShardEpoch != 0 {
-			m := r.mig
-			var errstr string
-			switch {
-			case req.ShardEpoch == epoch.Table.Epoch:
-				if req.ShardKey != "" {
-					if home := epoch.Ring.HomeGroup(req.ShardKey); home != r.group {
-						errstr = shard.RedirectError(epoch.Table.Epoch, req.ShardKey, home)
-					} else if m != nil && m.cutDone {
-						// Dual-home window: the key's state has already left
-						// with the cut, but the fence has not flipped this
-						// request's epoch yet. Relay it over the ordered
-						// cross-shard path to its new home instead of
-						// redirecting — the client keeps its in-flight call.
-						if mv, moved := m.plan.MoveOf(req.ShardKey); moved && mv.Source == r.group {
-							m.forwarded++
-							callback := r.logicalLive[req.Logical()] > 0
-							r.logicalLive[req.Logical()]++
-							next := m.next
-							r.rt.Unlock()
-							r.migForwarded.Inc()
-							r.shardRouted.Inc()
-							r.submitForward(req, callback, seq, next, mv.Target)
-							return
-						}
-					}
-				}
-			case m != nil && req.ShardEpoch == m.next.Table.Epoch:
-				// Routed under the transition's target epoch (the client
-				// refreshed ahead of this group's fence). Valid on the new
-				// home; parked while the key's handoff is still in flight.
-				if req.ShardKey != "" {
-					if home := m.next.Ring.HomeGroup(req.ShardKey); home != r.group {
-						errstr = shard.RedirectError(epoch.Table.Epoch, req.ShardKey, home)
-					} else {
-						if mv, moved := m.plan.MoveOf(req.ShardKey); moved && mv.Target == r.group {
-							if s := m.incoming[mv.Source]; s != nil && !s.done {
-								s.parked = append(s.parked, parkedRequest{req: req, seq: seq})
-								r.rt.Unlock()
-								r.migParked.Inc()
-								return
-							}
-						}
-						epoch = m.next
-					}
-				} else {
-					epoch = m.next
-				}
-			default:
-				errstr = shard.RedirectError(epoch.Table.Epoch, "", "")
-			}
-			if errstr != "" {
-				reply := Reply{ID: req.ID, From: r.self, Err: errstr, ShardEpoch: epoch.Table.Epoch}
-				if req.Trace.Valid() {
-					reply.Trace = req.Trace
-				}
-				// A redirected request never executes; its key must not ride
-				// a migration's reply-cache handoff.
-				delete(r.seenKey, req.ID)
-				r.cache[req.ID] = reply
-				r.rt.Unlock()
-				r.shardRedirects.Inc()
-				r.sendReply(req, reply)
-				return
-			}
-			r.shardRouted.Inc()
-			if len(req.CrossKeys) > 0 {
-				r.shardCross.Inc()
-			}
-		}
-	}
-	if r.journal != nil && req.Kind == KindClient {
-		r.journal(req)
-	}
-	var act specAction
-	if r.specMgr != nil {
-		var classes []string
-		if r.classes != nil {
-			classes = r.classes(req.Method, req.Args)
-		}
-		act = r.specDispatchLocked(req, seq, classes)
-		r.specPending++
-	}
-	callback := r.logicalLive[req.Logical()] > 0
-	r.logicalLive[req.Logical()]++
-	if callback && r.nestedWaiting[req.Logical()] == 0 {
-		// The originating thread has not reached its nested invocation on
-		// this replica yet (it lags structurally, e.g. an LSA follower
-		// waiting for a mutex-table grant). Running the callback now would
-		// execute "later" code of the logical thread before "earlier" code.
-		// Defer it; Invoke flushes it once the originator is in place.
-		r.pendingCallbacks[req.Logical()] = append(r.pendingCallbacks[req.Logical()], pendingCallback{req: req, epoch: epoch})
-		r.rt.Unlock()
-		r.specDispatchFinish(req, act)
+	verdict, redirect := r.admission(d)
+	if verdict == verdictAccept {
+		r.admit(d)
 		return
 	}
 	r.rt.Unlock()
-	r.specDispatchFinish(req, act)
-	r.submitRequest(req, callback, seq, epoch)
+	switch verdict {
+	case verdictControl:
+		r.applyControl(req, seq)
+	case verdictRedirect:
+		r.shardRedirects.Inc()
+		r.sendReply(req, redirect)
+	case verdictPark:
+		r.migParked.Inc()
+	}
 }
 
-// applyShardTable installs a table update delivered as a reserved
-// shard.EpochMethod control request. It runs at the request's ordered
-// position, outside the scheduler — table installs must not contend with
-// application threads — and replies like any invocation so the updater
-// learns the outcome. Install is idempotent for replayed epochs, and its
-// verdict depends only on (installed table, args), so every replica
-// accepts or rejects identically.
-func (r *Replica) applyShardTable(req Request) {
-	reply := Reply{ID: req.ID, From: r.self}
-	if req.Trace.Valid() {
-		reply.Trace = req.Trace
+// verdictKind is what shard admission decides about a fresh request at its
+// ordered position.
+type verdictKind uint8
+
+const (
+	// verdictAccept: schedule it — to execute under d.inv.epoch, or, with
+	// d.inv.forward set, to be relayed to the key's new home.
+	verdictAccept verdictKind = iota
+	// verdictControl: a reserved _shard/* method, applied inline.
+	verdictControl
+	// verdictRedirect: wrong epoch or wrong home; admission returns the
+	// reply, already cached.
+	verdictRedirect
+	// verdictPark: accepted under the next epoch, held on the stream whose
+	// handoff still carries its key.
+	verdictPark
+)
+
+// admission validates a fresh request against the installed routing table
+// and a ring transition in progress, fills in what an accepted request
+// executes under (d.inv.epoch, d.inv.forward) and does the verdict's
+// bookkeeping. Called under the runtime lock; unsharded groups and unrouted
+// requests (ShardEpoch 0) are accepted unexamined.
+func (r *Replica) admission(d *dispatched) (verdictKind, Reply) {
+	if r.shard == nil {
+		return verdictAccept, Reply{}
 	}
-	t, err := shard.DecodeTable(req.Args)
-	if err == nil {
-		err = r.shard.Install(t)
+	req := &d.inv.req
+	if controlMethods[req.Method] != nil {
+		return verdictControl, Reply{}
 	}
+	cur := r.shard.Current()
+	d.inv.epoch = cur
+	if req.ShardEpoch == 0 {
+		return verdictAccept, Reply{}
+	}
+	m := r.mig
+	// under is the table the sender routed by, if this replica holds it: the
+	// installed one or, during a transition, the next (the client refreshed
+	// ahead of this group's fence).
+	var under *shard.Epoch
+	switch {
+	case req.ShardEpoch == cur.Table.Epoch:
+		under = cur
+	case m != nil && req.ShardEpoch == m.next.Table.Epoch:
+		under = m.next
+	}
+	var home wire.GroupID // where the request belongs; none under a foreign epoch
+	if under != nil {
+		home = r.group
+		if req.ShardKey != "" {
+			home = under.Ring.HomeGroup(req.ShardKey)
+		}
+	}
+	if home != r.group {
+		reply := r.newReply(req)
+		reply.Code = CodeRedirect
+		reply.Err = shard.RedirectError(cur.Table.Epoch, req.ShardKey, home)
+		reply.ShardEpoch = cur.Table.Epoch
+		// A redirected request never executes; its key must not ride a
+		// migration's reply-cache handoff.
+		delete(r.seenKey, req.ID)
+		r.cache[req.ID] = reply
+		return verdictRedirect, reply
+	}
+	d.inv.epoch = under
+	if m != nil && req.ShardKey != "" {
+		mv, moved := m.plan.MoveOf(req.ShardKey)
+		switch {
+		case !moved:
+		case under == cur && m.cutDone && mv.Source == r.group:
+			// Dual-home window: the key's state has already left with the
+			// cut, but the fence has not flipped this request's epoch yet.
+			// Relay it over the ordered cross-shard path to its new home
+			// instead of redirecting — the client keeps its in-flight call.
+			m.forwarded++
+			r.migForwarded.Inc()
+			d.inv.epoch, d.inv.forward = m.next, true
+		case under == m.next && mv.Target == r.group:
+			// Valid on the new home, but parked while the key's handoff is
+			// still in flight.
+			if s := m.incoming[mv.Source]; s != nil && !s.done {
+				s.parked = append(s.parked, d)
+				return verdictPark, Reply{}
+			}
+		}
+	}
+	r.shardRouted.Inc()
+	if len(req.CrossKeys) > 0 {
+		r.shardCross.Inc()
+	}
+	return verdictAccept, Reply{}
+}
+
+// controlFunc applies one reserved control method at its ordered position
+// and returns the ack's result.
+type controlFunc func(r *Replica, req Request, seq uint64) ([]byte, error)
+
+// controlMethods is the ordered control plane of a shard-group member.
+// Every verdict depends only on (installed tables, migration progress,
+// args), all of them functions of the stream, so each replica accepts or
+// rejects identically.
+var controlMethods = map[string]controlFunc{
+	shard.EpochMethod:   (*Replica).installTable,
+	shard.PrepareMethod: (*Replica).prepareMigration,
+	shard.StatusMethod:  (*Replica).migrationProgress,
+	shard.FenceMethod:   (*Replica).fenceMigration,
+}
+
+// applyControl runs a control method inline at its request's ordered
+// position — outside the scheduler: the control plane must not contend
+// with application threads — and acknowledges it like any invocation, with
+// the table epoch the method left installed, so the orchestrator learns
+// the outcome.
+func (r *Replica) applyControl(req Request, seq uint64) {
+	reply := r.newReply(&req)
+	result, err := controlMethods[req.Method](r, req, seq)
 	if err != nil {
 		reply.Err = err.Error()
+	} else {
+		reply.Result = result
 	}
-	cur := r.shard.Current().Table
-	reply.ShardEpoch = cur.Epoch
-	if err == nil {
-		reply.Result = cur.Encode()
-		r.shardEpochG.Set(int64(cur.Epoch))
-	}
+	reply.ShardEpoch = r.shard.Current().Table.Epoch
 	r.rt.Lock()
 	r.cache[req.ID] = reply
 	r.rt.Unlock()
 	r.sendReply(req, reply)
 }
 
-// dispatched carries one request from its ordered dispatch point through
-// the scheduler to its handler: the request, the routing epoch captured at
-// dispatch and the Invocation the handler will see, in a single allocation
-// whose exec method is the scheduler's Exec callback.
-type dispatched struct {
-	inv     Invocation
-	seq     uint64
-	tSubmit time.Duration // scheduler hand-off time (traced requests only)
+// installedTable is the ack of a control method that leaves a table
+// installed: that table, encoded.
+func (r *Replica) installedTable() ([]byte, error) {
+	return r.shard.Current().Table.Encode(), nil
 }
 
-func (r *Replica) submitRequest(req Request, callback bool, seq uint64, epoch *shard.Epoch) {
-	var classes []string
-	if r.classes != nil {
-		classes = r.classes(req.Method, req.Args)
+// installTable applies a shard.EpochMethod table update. Install is
+// idempotent for replayed epochs.
+func (r *Replica) installTable(req Request, _ uint64) ([]byte, error) {
+	t, err := shard.DecodeTable(req.Args)
+	if err == nil {
+		err = r.shard.Install(t)
 	}
-	d := &dispatched{inv: Invocation{r: r, req: req, epoch: epoch}, seq: seq}
+	if err != nil {
+		return nil, err
+	}
+	r.shardEpochG.Set(int64(r.shard.Current().Table.Epoch))
+	return r.installedTable()
+}
+
+// admit is the tail of every accepted request's dispatch, whether it comes
+// straight from the ordered stream or out of a migration's parking lot:
+// journal, speculation's verdict, callback classification, scheduler
+// hand-off. It is entered with the runtime lock held and releases it.
+func (r *Replica) admit(d *dispatched) {
+	req := &d.inv.req
+	if r.journal != nil && req.Kind == KindClient {
+		r.journal(*req)
+	}
+	var act specAction
+	if r.specMgr != nil {
+		act = r.specDispatchLocked(req, d.seq, d.classes)
+		r.specPending++
+	}
+	logical := req.Logical()
+	callback := r.logicalLive[logical] > 0
+	r.logicalLive[logical]++
+	deferred := callback && r.nestedWaiting[logical] == 0
+	if deferred {
+		// The originating thread has not reached its nested invocation on
+		// this replica yet (it lags structurally, e.g. an LSA follower
+		// waiting for a mutex-table grant). Running the callback now would
+		// execute "later" code of the logical thread before "earlier" code.
+		// Defer it; Invoke flushes it once the originator is in place — off
+		// the ordered stream, so it then carries no stream position for a
+		// scheduler to key a decision on.
+		d.seq = 0
+		r.pendingCallbacks[logical] = append(r.pendingCallbacks[logical], d)
+	}
+	r.rt.Unlock()
+	r.specDispatchFinish(req, act)
+	if !deferred {
+		r.submit(d, callback)
+	}
+}
+
+// submit hands a request to the scheduler.
+func (r *Replica) submit(d *dispatched, callback bool) {
+	req := &d.inv.req
 	if r.spans != nil && req.Trace.Valid() {
 		// The grant hooks only see the logical thread id; the binding lets
 		// them resolve it back to this request's trace (see SchedObs).
@@ -807,8 +923,8 @@ func (r *Replica) submitRequest(req Request, callback bool, seq uint64, epoch *s
 		ID:       req.ID,
 		Logical:  req.Logical(),
 		Callback: callback,
-		Classes:  classes,
-		Seq:      seq,
+		Classes:  d.classes,
+		Seq:      d.seq,
 		Exec:     d.exec,
 	})
 }
@@ -832,29 +948,31 @@ func (d *dispatched) exec(t *adets.Thread) {
 			Dur:    tStart - d.tSubmit,
 		})
 	}
-	r.execute(&d.inv)
+	r.inflight.Inc()
+	defer r.inflight.Dec()
+	if d.inv.forward {
+		r.executeForward(&d.inv)
+	} else {
+		r.execute(&d.inv)
+	}
 }
 
 // Logical returns the logical thread of a request.
 func (req Request) Logical() wire.LogicalID { return req.ID.Logical }
 
 func (r *Replica) execute(inv *Invocation) {
-	r.inflight.Inc()
-	defer r.inflight.Dec()
-	req := inv.req
+	req := &inv.req
 	traced := r.spans != nil && req.Trace.Valid()
 	var tStart time.Duration
 	if traced {
 		tStart = r.rt.Now()
 	}
-	var reply Reply
-	h, ok := r.handlers[req.Method]
-	if !ok {
-		reply = Reply{ID: req.ID, From: r.self, Err: fmt.Sprintf("replica: unknown method %q", req.Method)}
+	reply := Reply{ID: req.ID, From: r.self}
+	if h, ok := r.handlers[req.Method]; !ok {
+		reply.Err = fmt.Sprintf("replica: unknown method %q", req.Method)
 	} else {
-		result, err := h(inv)
-		reply = Reply{ID: req.ID, From: r.self, Result: result}
-		if err != nil {
+		var err error
+		if reply.Result, err = h(inv); err != nil {
 			reply.Err = err.Error()
 		}
 	}
@@ -875,13 +993,21 @@ func (r *Replica) execute(inv *Invocation) {
 		// Replies (cached ones included) link back to this execution.
 		reply.Trace = tracing.Context{TraceID: req.Trace.TraceID, Span: execID}
 	}
+	r.complete(req, reply)
+}
+
+// complete publishes the reply of a request that went through the
+// scheduler: reply cache, the logical thread's liveness and span binding,
+// speculation's account of an early reply, and the send.
+func (r *Replica) complete(req *Request, reply Reply) {
+	logical := req.Logical()
 	r.rt.Lock()
 	r.cache[req.ID] = reply
-	r.logicalLive[req.Logical()]--
-	if r.logicalLive[req.Logical()] == 0 {
-		delete(r.logicalLive, req.Logical())
-		if traced {
-			r.spans.Unbind(string(req.Logical()))
+	r.logicalLive[logical]--
+	if r.logicalLive[logical] == 0 {
+		delete(r.logicalLive, logical)
+		if r.spans != nil && req.Trace.Valid() {
+			r.spans.Unbind(string(logical))
 		}
 	}
 	var suppress, mismatch, late bool
@@ -893,7 +1019,7 @@ func (r *Replica) execute(inv *Invocation) {
 			srep, released, l := r.specMgr.Resolve(req.ID.String())
 			late = l
 			if released {
-				if sr, ok := srep.(Reply); ok && sr.Err == reply.Err && bytes.Equal(sr.Result, reply.Result) {
+				if sr, ok := srep.(Reply); ok && sr.Code == reply.Code && sr.Err == reply.Err && bytes.Equal(sr.Result, reply.Result) {
 					// The released speculative reply matches: the client has
 					// it already, suppress the duplicate send.
 					suppress = true
@@ -918,7 +1044,7 @@ func (r *Replica) execute(inv *Invocation) {
 		r.specAborts.Inc()
 	}
 	if !suppress {
-		r.sendReply(req, reply)
+		r.sendReply(*req, reply)
 	}
 }
 
@@ -929,15 +1055,17 @@ func (r *Replica) sendReply(req Request, reply Reply) {
 	case KindClient:
 		r.ep.Send(req.ReplyTo, reply)
 	case KindNested:
-		sub := gcs.Submit{
-			Group:   req.Origin,
-			ID:      "nested-reply/" + req.ID.String(),
-			Origin:  r.self,
-			Payload: reply,
-		}
-		for _, m := range r.dir.Members(req.Origin) {
-			r.ep.Send(m, sub)
-		}
+		r.submitTo(req.Origin, "nested-reply/"+req.ID.String(), reply)
+	}
+}
+
+// submitTo submits payload into another group's total order under id: one
+// copy to every member, since any replica of this group may be the one that
+// crashed and the target dedups the group-wide resubmissions by id.
+func (r *Replica) submitTo(group wire.GroupID, id string, payload any) {
+	var sub any = gcs.Submit{Group: group, ID: id, Origin: r.self, Payload: payload}
+	for _, m := range r.dir.Members(group) {
+		r.ep.Send(m, sub)
 	}
 }
 

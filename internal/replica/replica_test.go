@@ -10,6 +10,7 @@ import (
 
 	"github.com/replobj/replobj/internal/adets/sat"
 	"github.com/replobj/replobj/internal/gcs"
+	"github.com/replobj/replobj/internal/obs"
 	"github.com/replobj/replobj/internal/transport"
 	"github.com/replobj/replobj/internal/vtime"
 	"github.com/replobj/replobj/internal/wire"
@@ -91,6 +92,10 @@ type oneReplica struct {
 }
 
 func newOneReplica(t *testing.T, execCount *int) *oneReplica {
+	return newOneReplicaWithMetrics(t, execCount, nil)
+}
+
+func newOneReplicaWithMetrics(t *testing.T, execCount *int, reg *obs.Registry) *oneReplica {
 	t.Helper()
 	rt := vtime.Virtual()
 	net := transport.NewInproc(rt)
@@ -103,6 +108,7 @@ func newOneReplica(t *testing.T, execCount *int) *oneReplica {
 		Directory: dir,
 		Network:   net,
 		Scheduler: sat.New(),
+		Metrics:   reg,
 	})
 	r.Register("echo", func(inv *Invocation) ([]byte, error) {
 		rt.Lock()
@@ -207,6 +213,27 @@ func TestHandlerErrorPropagates(t *testing.T) {
 		rep := h.recvReply(t)
 		if rep.Err != "app error" {
 			t.Errorf("Err = %q, want app error", rep.Err)
+		}
+	})
+}
+
+// TestUnknownDirectMessageIsCounted: a direct message neither the group
+// member nor the scheduler claims is dropped, and the drop is visible.
+func TestUnknownDirectMessageIsCounted(t *testing.T) {
+	execs := 0
+	reg := obs.NewRegistry()
+	h := newOneReplicaWithMetrics(t, &execs, reg)
+	defer h.rt.Stop()
+	vtime.Run(h.rt, "main", func() {
+		defer h.r.Stop()
+		defer h.cl.Close()
+		// A bare Reply is nothing a replica expects outside a gcs.Submit.
+		h.cl.Send(wire.ReplicaID("g", 0), Reply{ID: wire.InvocationID{Logical: "client/t#9"}})
+		// The echo's reply is behind it in the replica's mailbox.
+		h.submit(wire.InvocationID{Logical: "client/t#1"}, "echo", []byte("x"))
+		h.recvReply(t)
+		if got := reg.Counter(`replobj_replica_unknown_messages_total{node="g/0"}`).Value(); got != 1 {
+			t.Errorf("unknown_messages_total = %d, want 1", got)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"strings"
 	"time"
 
 	"github.com/replobj/replobj/internal/adets"
@@ -54,40 +53,6 @@ import (
 // released the moment the handler finishes — the deferred hit that keeps
 // speculation profitable when execution time exceeds the ordering delay.
 
-// expiredDuplicatePrefix tags the typed error a replica returns when a
-// client retransmits a request whose reply has aged out of the
-// duplicate-detection window (see evictStableLocked): at-most-once can no
-// longer replay the original reply, and silence would leave the client
-// retrying forever.
-const expiredDuplicatePrefix = "replica: duplicate expired"
-
-// expiredDuplicateError formats the typed expired-duplicate error.
-func expiredDuplicateError(seq uint64) string {
-	return expiredDuplicatePrefix + ": reply evicted at stream position " + utoa(seq)
-}
-
-// IsExpiredDuplicate reports whether an invocation error marks a
-// retransmission whose original reply was evicted from the reply cache.
-// The caller cannot learn the outcome of the original execution; it must
-// treat the request as possibly-executed.
-func IsExpiredDuplicate(err error) bool {
-	return err != nil && strings.HasPrefix(err.Error(), expiredDuplicatePrefix)
-}
-
-func utoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [20]byte
-	p := len(b)
-	for v > 0 {
-		p--
-		b[p] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[p:])
-}
-
 // errSpecAbort is the sentinel a speculative invocation panics with when
 // the handler uses a facility that cannot run against a private fork
 // (condition variables, nested invocations). runSpeculation recovers it
@@ -103,10 +68,7 @@ func (r *Replica) onOptimisticSubmit(sub gcs.Submit) {
 	if !ok || req.Kind != KindClient {
 		return
 	}
-	var classes []string
-	if r.classes != nil {
-		classes = r.classes(req.Method, req.Args)
-	}
+	classes := r.conflictClasses(&req)
 	// Early scheduling: the class→lane plan is computed (and cached) now,
 	// so the ordered Submit finds it ready.
 	if es, ok := r.sched.(adets.EarlyScheduler); ok {
@@ -299,7 +261,7 @@ type specAction struct {
 // its totally ordered dispatch point and raises the floors with it. Called
 // under the runtime lock; the returned action is performed by
 // specDispatchFinish after unlocking.
-func (r *Replica) specDispatchLocked(req Request, seq uint64, classes []string) specAction {
+func (r *Replica) specDispatchLocked(req *Request, seq uint64, classes []string) specAction {
 	act := specAction{classes: classes, floor: r.specMgr.Floor(classes), seq: seq}
 	out := spec.Miss
 	if req.Kind == KindClient {
@@ -328,7 +290,7 @@ func (r *Replica) specDispatchLocked(req Request, seq uint64, classes []string) 
 
 // specDispatchFinish performs the side effects of a dispatch outcome
 // outside the runtime lock.
-func (r *Replica) specDispatchFinish(req Request, act specAction) {
+func (r *Replica) specDispatchFinish(req *Request, act specAction) {
 	if act.hintMatch {
 		r.specHintMatches.Inc()
 	}
@@ -337,7 +299,7 @@ func (r *Replica) specDispatchFinish(req Request, act specAction) {
 	}
 	if act.send {
 		r.specHits.Inc()
-		r.sendReply(req, act.reply)
+		r.sendReply(*req, act.reply)
 	}
 	if act.catchUp {
 		r.startCatchUp(req, act)
@@ -345,9 +307,9 @@ func (r *Replica) specDispatchFinish(req Request, act specAction) {
 }
 
 // startCatchUp is a function of its own so that only dispatches that do
-// catch up pay for moving req and act to the heap for the goroutine.
-func (r *Replica) startCatchUp(req Request, act specAction) {
+// catch up pay for moving act to the heap for the goroutine.
+func (r *Replica) startCatchUp(req *Request, act specAction) {
 	if h, ok := r.handlers[req.Method]; ok {
-		r.rt.Go("spec-catchup/"+req.ID.String(), func() { r.runCatchUp(req, h, act) })
+		r.rt.Go("spec-catchup/"+req.ID.String(), func() { r.runCatchUp(*req, h, act) })
 	}
 }

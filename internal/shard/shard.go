@@ -241,22 +241,13 @@ func readString(b []byte) (string, []byte, error) {
 	return string(b[:n]), b[n:], nil
 }
 
-// RedirectPrefix opens the deterministic error string of a wrong-shard
-// reply. The authoritative redirect marker on the wire is the reply's
-// non-zero ShardEpoch field; the prefix exists for log readability and
-// for IsRedirect checks on flattened errors.
-const RedirectPrefix = "shard: wrong shard"
-
-// RedirectError formats a wrong-shard reply error: the replica's installed
-// epoch and, when the key itself is misrouted, the key's current home.
+// RedirectError formats the message of a wrong-shard reply for whoever
+// reads it — the protocol goes by the reply's code, never by this text: the
+// replica's installed epoch and, when the key itself is misrouted, the
+// key's current home.
 func RedirectError(epoch uint64, key string, home wire.GroupID) string {
 	if home != "" {
-		return fmt.Sprintf("%s (epoch %d; key %q is homed on %s)", RedirectPrefix, epoch, key, home)
+		return fmt.Sprintf("shard: wrong shard (epoch %d; key %q is homed on %s)", epoch, key, home)
 	}
-	return fmt.Sprintf("%s (epoch %d)", RedirectPrefix, epoch)
-}
-
-// IsRedirect reports whether an error string is a wrong-shard redirect.
-func IsRedirect(errstr string) bool {
-	return strings.HasPrefix(errstr, RedirectPrefix)
+	return fmt.Sprintf("shard: wrong shard (epoch %d)", epoch)
 }

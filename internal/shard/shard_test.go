@@ -178,17 +178,14 @@ func TestGroupStateInstall(t *testing.T) {
 	}
 }
 
+// TestRedirectError pins the operator-facing texts of a wrong-shard reply
+// (the protocol itself goes by the reply code).
 func TestRedirectError(t *testing.T) {
-	e := RedirectError(3, "k", "kv@1")
-	if !IsRedirect(e) || !strings.Contains(e, "kv@1") || !strings.Contains(e, "epoch 3") {
-		t.Fatalf("redirect error malformed: %q", e)
+	if e, want := RedirectError(3, "k", "kv@1"), `shard: wrong shard (epoch 3; key "k" is homed on kv@1)`; e != want {
+		t.Fatalf("redirect error %q, want %q", e, want)
 	}
-	plain := RedirectError(2, "", "")
-	if !IsRedirect(plain) || strings.Contains(plain, "homed") {
-		t.Fatalf("epoch-only redirect malformed: %q", plain)
-	}
-	if IsRedirect("some other error") {
-		t.Fatalf("IsRedirect false positive")
+	if e, want := RedirectError(2, "k", ""), "shard: wrong shard (epoch 2)"; e != want {
+		t.Fatalf("epoch-only redirect %q, want %q", e, want)
 	}
 }
 

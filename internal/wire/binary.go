@@ -9,20 +9,27 @@ package wire
 //
 //	tag 0 (gob):  rest = one self-contained gob stream encoding the whole
 //	              Message — the fallback for payload types without a
-//	              registered binary codec.
+//	              registered binary codec. Every payload type of this tree
+//	              has one; the path stays as the reference the differential
+//	              tests and the fuzzer decode every binary frame's twin
+//	              through (and carries a new type until it gets a codec).
 //	tag 1 (nil):  rest = string(From) string(To); the payload is nil.
 //	tag >= 8:     rest = string(From) string(To) payload, where the payload
-//	              encoding is owned by the codec registered for the tag.
+//	              encoding is owned by the codec registered for the tag. A
+//	              payload type has exactly one tag; a type with optional
+//	              fields says inside its own encoding which are present
+//	              (see internal/replica/binary.go).
 //
 // Primitive encodings: uvarint is encoding/binary's unsigned varint,
 // required to be minimal-length; string and byte-slice are uvarint(len)
 // followed by the raw bytes; bool is a single 0/1 byte. A decoder reads a
 // string field with Reader.String or, for names that repeat from frame to
 // frame, Reader.Ident, which shares them through a small per-stream intern
-// table — a decode-side choice the bytes on the wire do not show. The decoder rejects
-// non-minimal varints, out-of-range bools and trailing bytes, so every
-// decodable binary frame re-encodes to the identical byte string — the
-// property the differential fuzzer pins down.
+// table — a decode-side choice the bytes on the wire do not show. The
+// decoder rejects non-minimal varints, out-of-range bools and trailing
+// bytes, and payload codecs reject whatever else their encoder never
+// writes, so every decodable binary frame re-encodes to the identical byte
+// string — the property the differential fuzzer pins down.
 //
 // Nested payloads (the Payload any fields of gcs.Submit and gcs.Ordered)
 // recurse with the same tagging through Buffer.Any / Reader.Any; an
@@ -33,9 +40,10 @@ package wire
 // without negotiation:
 //
 //	 0– 7  reserved (gob fallback, nil payload)
-//	10–19  internal/gcs
-//	20–29  internal/replica
-//	30–39  internal/adets (schedulers)
+//	10–19  internal/gcs (10–18: submit, ordered, nack, heartbeat, propose,
+//	       sync request/response, snapshot, hint)
+//	20–29  internal/replica (20 request, 21 reply, 27 migration chunk)
+//	30–39  internal/adets (30 timeout, 31 LSA table update)
 
 import (
 	"bytes"
@@ -58,23 +66,6 @@ type binaryCodec struct {
 	typ reflect.Type
 	enc func(*Buffer, any) error
 	dec func(*Reader) (any, error)
-	// use selects this codec over the base codec of the same type (variant
-	// registrations only; nil on a base codec).
-	use func(v any) bool
-	// variants are alternate encodings of the same type, consulted in
-	// registration order at encode time (base codecs only).
-	variants []*binaryCodec
-}
-
-// forValue returns the codec to encode v with: the first variant whose
-// predicate accepts v, or the base codec itself.
-func (c *binaryCodec) forValue(v any) *binaryCodec {
-	for _, vc := range c.variants {
-		if vc.use(v) {
-			return vc
-		}
-	}
-	return c
 }
 
 var (
@@ -102,35 +93,6 @@ func RegisterBinaryPayload(tag uint64, prototype any, enc func(*Buffer, any) err
 	c := &binaryCodec{tag: tag, typ: t, enc: enc, dec: dec}
 	binByTag[tag] = c
 	binByType[t] = c
-}
-
-// RegisterBinaryPayloadVariant installs an alternate binary encoding for a
-// type that already has a base codec, selected at encode time by the use
-// predicate. Values the predicate rejects keep the base codec — and its
-// exact byte layout — so extending a wire type with an optional field (a
-// trace context, say) stays tag-compatible: frames of values without the
-// field are byte-identical to frames produced before the variant existed.
-// The decode side is symmetric: the variant's tag maps to its dec, which
-// must produce a value the predicate accepts (so re-encoding a decoded
-// frame reproduces it bit for bit, the fuzzer-pinned codec invariant).
-func RegisterBinaryPayloadVariant(tag uint64, prototype any, use func(v any) bool, enc func(*Buffer, any) error, dec func(*Reader) (any, error)) {
-	if tag < TagUserMin {
-		panic(fmt.Sprintf("wire: binary payload tag %d is reserved", tag))
-	}
-	if use == nil {
-		panic("wire: binary payload variant needs a selection predicate")
-	}
-	t := reflect.TypeOf(prototype)
-	if _, dup := binByTag[tag]; dup {
-		panic(fmt.Sprintf("wire: binary payload tag %d registered twice", tag))
-	}
-	base, ok := binByType[t]
-	if !ok {
-		panic(fmt.Sprintf("wire: binary payload variant for %v has no base codec", t))
-	}
-	c := &binaryCodec{tag: tag, typ: t, enc: enc, dec: dec, use: use}
-	binByTag[tag] = c
-	base.variants = append(base.variants, c)
 }
 
 // HasBinaryCodec reports whether v's type has a registered binary fast
@@ -227,7 +189,6 @@ func (b *Buffer) Any(v any) error {
 		return nil
 	}
 	if c, ok := binByType[reflect.TypeOf(v)]; ok {
-		c = c.forValue(v)
 		b.Uvarint(c.tag)
 		return c.enc(b, v)
 	}
@@ -262,7 +223,6 @@ func appendBody(b *Buffer, m *Message) error {
 		}
 		return nil
 	}
-	c = c.forValue(m.Payload)
 	b.Uvarint(c.tag)
 	b.String(string(m.From))
 	b.String(string(m.To))

@@ -8,13 +8,16 @@ import (
 	"github.com/replobj/replobj/internal/adets"
 	"github.com/replobj/replobj/internal/adets/lsa"
 	"github.com/replobj/replobj/internal/gcs"
+	"github.com/replobj/replobj/internal/obs/tracing"
 	"github.com/replobj/replobj/internal/replica"
 	"github.com/replobj/replobj/internal/wire"
 )
 
 // exemplarMessages covers every protocol payload the middleware registers
 // with the codec: gcs ordering and view-change traffic, replica
-// request/reply envelopes, scheduler timeout and LSA table messages.
+// request/reply envelopes with each of their optional field groups,
+// migration chunks, scheduler timeout and LSA table messages. New exemplars
+// go at the end: the checked-in corpus files are numbered by position.
 func exemplarMessages() []wire.Message {
 	view := gcs.View{Epoch: 3, Members: []wire.NodeID{"g/0", "g/1", "g/2"}}
 	sub := gcs.Submit{Group: "g", ID: "inv-1", Origin: "client/c1",
@@ -74,7 +77,55 @@ func exemplarMessages() []wire.Message {
 						From:   "kv@0/0",
 						Result: []byte{0, 0, 0, 0, 0, 0, 0, 5}},
 				}}}}},
+		// The envelopes' optional field groups, one at a time and all at
+		// once: trace context, shard routing, cross-shard keys on a request;
+		// outcome, trace context, shard epoch on a reply.
+		{From: "client/c1", To: "g/0", Payload: request(func(q *replica.Request) { q.Trace = trace })},
+		{From: "client/c1", To: "kv@0/0", Payload: request(func(q *replica.Request) { q.ShardEpoch, q.ShardKey = 2, "acct-4" })},
+		{From: "client/c1", To: "kv@0/0", Payload: request(func(q *replica.Request) { q.CrossKeys = []string{"acct-12", "acct-9"} })},
+		{From: "kv@0/1", To: "kv@2/0", Payload: request(func(q *replica.Request) {
+			q.Kind, q.ReplyTo, q.Origin = replica.KindNested, "", "kv@0"
+			q.Trace, q.ShardEpoch, q.ShardKey, q.CrossKeys = trace, 2, "acct-4", []string{"acct-12"}
+		})},
+		{From: "g/0", To: "client/c1", Payload: reply(func(p *replica.Reply) { p.Result, p.Err = nil, "insufficient funds on acct-4" })},
+		{From: "g/0", To: "client/c1", Payload: reply(func(p *replica.Reply) { p.Trace = trace })},
+		{From: "kv@0/0", To: "client/c1", Payload: reply(func(p *replica.Reply) { p.ShardEpoch = 2 })},
+		{From: "g/0", To: "client/c1", Payload: reply(func(p *replica.Reply) {
+			p.Result, p.Code = nil, replica.CodeExpiredDuplicate
+			p.Err = "replica: duplicate expired: reply evicted at stream position 41"
+		})},
+		{From: "kv@0/0", To: "client/c1", Payload: redirect},
+		// A redirect among a chunk's migrated reply-cache entries: the frame
+		// inside the frame is the same one.
+		{From: "kv@0/1", To: "kv@2/1", Payload: gcs.Submit{
+			Group: "kv@2", ID: "migrate/kv/3/kv@0/kv@2/0", Origin: "kv@0/1",
+			Payload: replica.MigrateChunk{
+				Object: "kv", Epoch: 3, Source: "kv@0", Target: "kv@2", Count: 1, Cut: 90,
+				Cache: []replica.CacheEntry{{ID: redirect.ID, Key: "acct-4", Reply: redirect}}}}},
 	}
+}
+
+var trace = tracing.Context{TraceID: 0x9e3779b97f4a7c15, Span: 77}
+
+// redirect has every optional group of a reply set.
+var redirect = reply(func(p *replica.Reply) {
+	p.Result, p.Code, p.Trace, p.ShardEpoch = nil, replica.CodeRedirect, trace, 2
+	p.Err = `shard: wrong shard (epoch 2; key "acct-4" is homed on kv@2)`
+})
+
+// request and reply return the plain client envelopes, edited.
+func request(edit func(*replica.Request)) replica.Request {
+	q := replica.Request{
+		ID:    wire.InvocationID{Logical: "client/c1", Seq: 7},
+		Group: "g", Method: "add", Args: []byte{1, 2, 3}, ReplyTo: "client/c1"}
+	edit(&q)
+	return q
+}
+
+func reply(edit func(*replica.Reply)) replica.Reply {
+	p := replica.Reply{ID: wire.InvocationID{Logical: "client/c1", Seq: 7}, From: "g/0", Result: []byte{9}}
+	edit(&p)
+	return p
 }
 
 // TestRoundTripAllMessageTypes: encode→decode preserves every registered

@@ -55,8 +55,9 @@ func (id InvocationID) String() string {
 }
 
 // Message is the transport envelope. Payload is one of the protocol structs
-// registered with RegisterPayload (gob needs concrete types for the TCP
-// path; the in-process transport passes the value through untouched).
+// registered with the codec: over TCP it travels in the binary encoding
+// registered for its type (RegisterBinaryPayload), or as gob where there is
+// none; the in-process transport passes the value through untouched.
 type Message struct {
 	From    NodeID
 	To      NodeID
@@ -64,9 +65,10 @@ type Message struct {
 }
 
 // RegisterPayload registers a payload type with the codec's gob fallback.
-// Each protocol layer registers its message structs from an init function;
-// hot types additionally install a binary fast path with
-// RegisterBinaryPayload.
+// Each protocol layer registers its message structs from an init function,
+// and every one in this tree also installs a binary encoding with
+// RegisterBinaryPayload; the gob registration is then the twin the codec
+// tests compare that encoding against.
 func RegisterPayload(v any) {
 	gob.Register(v)
 }

@@ -118,6 +118,14 @@ func TestMetricsEndToEnd(t *testing.T) {
 		if got := submitsRelayed(reg, "cnt", 3); got != introduced {
 			t.Errorf("submits_relayed_total went from %d to %d in steady state", introduced, got)
 		}
+		// Every direct message found its layer. A replica counting unknown
+		// ones is talking to a peer that frames its messages differently.
+		for i := 0; i < 3; i++ {
+			name := fmt.Sprintf(`replobj_replica_unknown_messages_total{node="cnt/%d"}`, i)
+			if got := reg.Counter(name).Value(); got != 0 {
+				t.Errorf("%s = %d in steady state", name, got)
+			}
+		}
 	})
 	out := reg.Render()
 	for _, want := range []string{
@@ -129,6 +137,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		"replobj_gcs_submits_relayed_total",
 		"replobj_transport_msgs_sent_total",
 		"replobj_replica_invocations_in_flight",
+		"replobj_replica_unknown_messages_total",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered metrics missing %q", want)

@@ -1,6 +1,7 @@
 package replobj_test
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -439,4 +440,70 @@ func TestShardedNamingRejectsAt(t *testing.T) {
 		t.Fatal("NewSharded accepted an object name containing '@'")
 	}
 	rt.Stop()
+}
+
+// TestHandlerErrorCannotSpoofRuntimeCodes: the runtime's verdicts on a
+// request — wrong shard, expired duplicate — travel as a reply code only
+// the runtime sets. A handler that returns the very text of one gets it
+// back as an ordinary application error: no redirect loop, no
+// IsExpiredDuplicate.
+func TestHandlerErrorCannotSpoofRuntimeCodes(t *testing.T) {
+	texts := []string{
+		"replica: duplicate expired: made up",
+		`shard: wrong shard (epoch 1; key "k" is homed on kv@1)`,
+	}
+	spoof := func(inv *replobj.Invocation) ([]byte, error) {
+		return nil, errors.New(string(inv.Args()))
+	}
+	check := func(t *testing.T, text string, err error) {
+		t.Helper()
+		if err == nil || err.Error() != text {
+			t.Fatalf("error = %v, want the handler's own %q", err, text)
+		}
+		if replobj.IsExpiredDuplicate(err) {
+			t.Errorf("handler error %q passes for the runtime's expired-duplicate verdict", text)
+		}
+	}
+
+	t.Run("plain", func(t *testing.T) {
+		rt := vtime.Virtual()
+		c := replobj.NewCluster(rt)
+		g, err := c.NewGroup("obj", 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Register("spoof", spoof)
+		g.Start()
+		run(rt, c, func() {
+			cl := c.NewClient("c0")
+			for _, text := range texts {
+				_, err := cl.Invoke("obj", "spoof", []byte(text))
+				check(t, text, err)
+			}
+		})
+	})
+
+	t.Run("sharded", func(t *testing.T) {
+		rt := vtime.Virtual()
+		reg := replobj.NewMetricsRegistry()
+		c := replobj.NewCluster(rt, replobj.WithMetrics(reg))
+		s, err := c.NewSharded("kv", 3, replobj.WithShards(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Register("spoof", spoof)
+		s.Start()
+		run(rt, c, func() {
+			r := c.NewClient("c0").Router("kv")
+			for _, text := range texts {
+				_, err := r.Invoke("spoof", []byte(text), replobj.WithShardKey("k"))
+				check(t, text, err)
+			}
+		})
+		for _, line := range strings.Split(grepMetrics(reg.Render(), "redirects_total"), "\n") {
+			if line != "" && !strings.HasPrefix(line, "#") && !strings.HasSuffix(line, " 0") {
+				t.Errorf("a handler's error text was taken for a redirect: %s", line)
+			}
+		}
+	})
 }

@@ -1,8 +1,8 @@
 package replobj_test
 
 import (
-	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -555,8 +555,12 @@ func TestDuplicateAfterEvictionReturnsTypedError(t *testing.T) {
 			if rep.Err == "" {
 				t.Fatalf("expected a typed expired-duplicate error, got success %v", rep.Result)
 			}
-			if !replobj.IsExpiredDuplicate(errors.New(rep.Err)) {
-				t.Fatalf("error %q is not the typed expired-duplicate error", rep.Err)
+			if !replobj.IsExpiredDuplicate(rep.Failure()) {
+				t.Fatalf("reply %+v is not the typed expired-duplicate error", rep)
+			}
+			// The code is the protocol; the text is what replclient prints.
+			if !strings.HasPrefix(rep.Err, "replica: duplicate expired: reply evicted at stream position ") {
+				t.Errorf("operator-facing text changed: %q", rep.Err)
 			}
 		}
 		close(stop)

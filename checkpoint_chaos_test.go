@@ -153,6 +153,15 @@ func truncatedRejoinRun(t *testing.T, kind replobj.SchedulerKind) {
 			}
 		}
 
+		// What a replica retains for its clients is a function of the stream:
+		// the rejoiner, whose table came with the snapshot, holds as many
+		// replies as the replicas that built theirs request by request.
+		for rank := 1; rank < replicas; rank++ {
+			if n, ref := g.Replica(rank).CacheSize(), g.Replica(0).CacheSize(); n != ref {
+				t.Errorf("chaos seed %d: rank %d holds %d replies, rank 0 holds %d", chaosSeed, rank, n, ref)
+			}
+		}
+
 		// All five replicas — the rejoiner included — agree on the schedule
 		// trace. PDS kinds compare the ordered stream only (see the chaos
 		// suite header for why round grants may legitimately differ).

@@ -64,7 +64,7 @@ func main() {
 		sched        = flag.String("scheduler", "ADETS-MAT", "scheduling strategy (see replbench Table 1)")
 		fd           = flag.Bool("fd", true, "enable failure detection / view changes")
 		httpAddr     = flag.String("http", "", "serve /metrics, /trace and /debug/pprof on this address (e.g. :7070)")
-		retain       = flag.Int("trace", obs.DefaultRetain, "schedule-trace events retained per stream (0 disables tracing)")
+		retain       = flag.Int("trace", obs.DefaultRetain, "schedule-trace events retained per trace, over all its streams (0 disables tracing)")
 		chaosProfile = flag.String("chaos-profile", "none", "fault-injection profile: none, mild or harsh")
 		chaosSeed    = flag.Int64("chaos-seed", 0, "fault-schedule seed (0 picks one; the resolved seed is printed at startup)")
 		ckptEvery    = flag.Int("checkpoint-every", 0, "take a checkpoint (and truncate the ordered log) every N deliveries (0 disables)")

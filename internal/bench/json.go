@@ -22,7 +22,7 @@ type Report struct {
 }
 
 // HeapStats is the bench process's heap profile at report-write time —
-// together with the "memory" experiment's retained-log/reply-cache series
+// together with the "memory" experiment's retained-log/held-replies series
 // it documents the memory side of a run, not just latency.
 type HeapStats struct {
 	HeapAllocBytes  uint64 `json:"heap_alloc_bytes"`

@@ -10,10 +10,11 @@ import (
 )
 
 // This file measures the memory-bounding effect of deterministic
-// checkpoints: without them a replica retains the full ordered message log
-// (for NACK gap repair) and the full reply cache (for at-most-once
-// duplicate suppression) forever; with WithCheckpointEvery(n) both are
-// truncated at stream-pure points and stay within a small multiple of n.
+// checkpoints: without them a replica retains the ordered message log (for
+// NACK gap repair) up to its retention cap; with WithCheckpointEvery(n) it
+// is truncated at stream-pure points and stays within a small multiple of
+// n. The replies held for at-most-once replay are one per client in both
+// cases.
 
 // ckptRegister is a checkpointable counter state for the memory experiment
 // (an explicit Snapshotter — the gob fallback cannot serialize unexported
@@ -34,19 +35,20 @@ func (s *ckptRegister) Restore(b []byte) error {
 
 var _ replobj.Snapshotter = (*ckptRegister)(nil)
 
-// MemoryBounds reports the retained ordered-log length and reply-cache
-// size (worst rank) after a duplicate-free workload, as a function of the
-// checkpoint interval; interval 0 is checkpointing off, the unbounded
-// baseline.
+// MemoryBounds reports the retained ordered-log length and the number of
+// replies held for retransmission (worst rank) after a duplicate-free
+// workload, as a function of the checkpoint interval; interval 0 is
+// checkpointing off, where only the log is unbounded — a replica holds one
+// reply per client either way.
 func MemoryBounds(cfg Config) (Result, error) {
 	res := Result{
 		ID:     "memory",
-		Title:  "Retained gcs log and reply cache vs checkpoint interval",
+		Title:  "Retained gcs log and held replies vs checkpoint interval",
 		XLabel: "checkpoint interval (0 = off)",
 		YLabel: "entries after run",
 	}
 	logS := Series{Label: "gcs-log"}
-	cacheS := Series{Label: "reply-cache"}
+	cacheS := Series{Label: "replies-held"}
 	for _, every := range []int{0, 8, 16, 32} {
 		logLen, cacheLen, err := memoryRun(cfg, every)
 		if err != nil {
@@ -60,8 +62,8 @@ func MemoryBounds(cfg Config) (Result, error) {
 }
 
 // memoryRun drives 2 clients × cfg.PerClient unique invocations against a
-// checkpointing group and returns the worst retained log length and reply
-// cache size across the replicas.
+// checkpointing group and returns the worst retained log length and count of
+// held replies across the replicas.
 func memoryRun(cfg Config, every int) (logLen, cacheLen int, err error) {
 	const clients = 2
 	rt := vtime.Virtual()

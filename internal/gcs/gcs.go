@@ -308,9 +308,9 @@ type Config struct {
 	// can wait forever once every live replica has delivered the request
 	// (the sequencer's log re-broadcast only repairs members that missed
 	// the ordered message itself). seq is the stream position the id was
-	// ordered at, 0 when the position has been pruned from the tracking
-	// window — the replica layer uses it to classify retransmissions whose
-	// reply-cache entry has already been evicted.
+	// ordered at — the replica layer uses it to classify retransmissions
+	// whose reply-cache entry has already been evicted. (An id pruned from
+	// the tracking window is not a duplicate any more: it is ordered again.)
 	DuplicateSubmit func(sub Submit, seq uint64)
 
 	// OptimisticDeliver, when non-nil, is invoked (outside the runtime

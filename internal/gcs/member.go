@@ -21,15 +21,11 @@ type Member struct {
 	view       View
 	installing *View // adopted proposal, not yet installed via view event
 
-	// Sequencer state.
-	nextSeq    uint64
-	orderedIDs map[string]bool
-	idToSeq    map[string]uint64  // ordered id → sequence number (for resends)
-	idOrder    ring.Queue[string] // FIFO for pruning orderedIDs
-	// overtaken holds ids this member delivered before it saw their direct
-	// copy (pruned with idOrder); only with cfg.DirectCopies, see
-	// handleSubmitLocked.
-	overtaken map[string]struct{}
+	// Sequencer state. ids is what this member knows of message ids (see
+	// idEntry), pruned first in, first out through idOrder.
+	nextSeq uint64
+	ids     map[string]idEntry
+	idOrder ring.Queue[string]
 
 	// Sequencer-side submit batching (Config.MaxBatch/MaxBatchDelay):
 	// submits accepted but not yet broadcast. Flushed at the end of the
@@ -38,12 +34,12 @@ type Member struct {
 	batchAt    []time.Duration // batch[i]'s arrival time (only with cfg.Spans)
 	batchTimer *vtime.Timer
 
-	// Delivery state.
-	nextDeliver  uint64
-	pendingOrder map[uint64]Ordered
-
-	// Retained ordered messages for NACK retransmission and view sync.
-	log map[uint64]Ordered
+	// Delivery state: everything below nextDeliver has been delivered. The
+	// log retains ordered messages for NACK retransmission and view sync,
+	// and holds those that arrived ahead of the frontier until it reaches
+	// them.
+	nextDeliver uint64
+	log         window
 
 	// Checkpoint / truncation state. peerAcked records each peer's delivery
 	// frontier (piggybacked on heartbeats); the minimum over the current
@@ -60,23 +56,17 @@ type Member struct {
 	// replayable for rejoiners until the fence releases the hold.
 	holdSeq uint64
 
-	// Submits seen but possibly not yet ordered; resubmitted on view change
-	// and re-sent by the FD tick once stale (cacheAt records when each was
-	// last sent toward the sequencer).
-	submitCache map[string]Submit
+	// Submits seen but possibly not yet ordered, in arrival order in
+	// cacheOrder; resubmitted on view change and re-sent by the FD tick once
+	// stale.
+	submitCache map[string]cachedSubmit
 	cacheOrder  ring.Queue[string]
-	cacheAt     map[string]time.Duration
 
 	// maxSeenEpoch is the highest view epoch observed in any protocol
 	// message. A sequencer whose installed epoch is below it has been
 	// superseded (e.g. it was partitioned away and deposed) and must not
 	// order messages until it catches up to the newer view.
 	maxSeenEpoch uint64
-
-	// Broadcast timestamps for self-originated ids, used to measure
-	// broadcast→deliver latency. Only populated when cfg.Stats is set.
-	submitAt    map[string]time.Duration
-	submitAtIDs ring.Queue[string]
 
 	// Failure detection.
 	lastSeen  map[wire.NodeID]time.Duration
@@ -90,21 +80,17 @@ type Member struct {
 func NewMember(rt vtime.Runtime, cfg Config) *Member {
 	cfg.applyDefaults()
 	return &Member{
-		rt:           rt,
-		cfg:          cfg,
-		deliveries:   vtime.NewMailbox[Delivery](rt, "gcs/"+string(cfg.Self)),
-		view:         View{Epoch: 0, Members: append([]wire.NodeID(nil), cfg.Members...)},
-		nextSeq:      1,
-		nextDeliver:  1,
-		orderedIDs:   make(map[string]bool),
-		idToSeq:      make(map[string]uint64),
-		overtaken:    make(map[string]struct{}),
-		pendingOrder: make(map[uint64]Ordered),
-		log:          make(map[uint64]Ordered),
-		submitCache:  make(map[string]Submit),
-		cacheAt:      make(map[string]time.Duration),
-		lastSeen:     make(map[wire.NodeID]time.Duration),
-		peerAcked:    make(map[wire.NodeID]uint64),
+		rt:          rt,
+		cfg:         cfg,
+		deliveries:  vtime.NewMailbox[Delivery](rt, "gcs/"+string(cfg.Self)),
+		view:        View{Epoch: 0, Members: append([]wire.NodeID(nil), cfg.Members...)},
+		nextSeq:     1,
+		nextDeliver: 1,
+		log:         window{lo: 1},
+		ids:         make(map[string]idEntry),
+		submitCache: make(map[string]cachedSubmit),
+		lastSeen:    make(map[wire.NodeID]time.Duration),
+		peerAcked:   make(map[wire.NodeID]uint64),
 	}
 }
 
@@ -156,32 +142,17 @@ func (m *Member) Broadcast(id string, payload any) {
 	if !m.stopped {
 		if st := m.cfg.Stats; st != nil {
 			st.Broadcasts.Inc()
-			m.noteSubmitLocked(id, m.rt.NowLocked())
+			// Remember when, so the delivery latency can be observed.
+			if e, known := m.ids[id]; !e.sent && id != "" {
+				e.sent, e.sentAt = true, m.rt.NowLocked()
+				m.setIDLocked(id, e, !known)
+			}
 		}
 		m.handleSubmitLocked(m.cfg.Self, sub, &act)
 		m.maybeFlushBatchLocked(&act)
 	}
 	m.rt.Unlock()
 	act.finish(m)
-}
-
-// noteSubmitLocked remembers when a self-originated id was broadcast so its
-// delivery latency can be observed. The map is capped to bound memory when
-// deliveries stall.
-func (m *Member) noteSubmitLocked(id string, now time.Duration) {
-	const maxTrackedSubmits = 1 << 13
-	if m.submitAt == nil {
-		m.submitAt = make(map[string]time.Duration)
-	}
-	if _, ok := m.submitAt[id]; ok {
-		return
-	}
-	m.submitAt[id] = now
-	m.submitAtIDs.Push(id)
-	if m.submitAtIDs.Len() > maxTrackedSubmits {
-		old, _ := m.submitAtIDs.Pop()
-		delete(m.submitAt, old)
-	}
 }
 
 // SetCheckpoint records a checkpoint taken by the layer above: data stands
@@ -237,7 +208,7 @@ func (m *Member) ReleaseTruncation() {
 func (m *Member) LogLen() int {
 	m.rt.Lock()
 	defer m.rt.Unlock()
-	return len(m.log)
+	return m.log.n
 }
 
 // Handle processes an incoming payload, returning true if it was a group
@@ -460,7 +431,7 @@ func (m *Member) quorumOKLocked(now time.Duration) bool {
 // relay.
 func (m *Member) handleSubmitLocked(from wire.NodeID, sub Submit, act *actions) {
 	fromOrigin := from == sub.Origin
-	if m.orderedIDs[sub.ID] {
+	if e := m.ids[sub.ID]; e.seq != 0 {
 		if !fromOrigin {
 			// A relay of something already ordered: another copy got to the
 			// sequencer first. Only a copy that comes from its origin says the
@@ -468,7 +439,7 @@ func (m *Member) handleSubmitLocked(from wire.NodeID, sub Submit, act *actions) 
 			// answered with the log.
 			return
 		}
-		if _, first := m.overtaken[sub.ID]; first {
+		if e.overtaken {
 			// Not a retransmission: in a direct-copy group the origin sends to
 			// every member and this member's copy lost the race against the
 			// sequencer's Ordered. The execution replies on its own; a replay
@@ -478,9 +449,10 @@ func (m *Member) handleSubmitLocked(from wire.NodeID, sub Submit, act *actions) 
 			// replay waits for its second — one retransmit interval later.
 			// Only the report is withheld; the log re-broadcast below does not
 			// wait.
-			delete(m.overtaken, sub.ID)
+			e.overtaken = false
+			m.ids[sub.ID] = e
 		} else if m.cfg.DuplicateSubmit != nil {
-			act.dups = append(act.dups, dupSubmit{sub: sub, seq: m.idToSeq[sub.ID]})
+			act.dups = append(act.dups, dupSubmit{sub: sub, seq: e.seq})
 		}
 		// A duplicate of something already ordered — usually a client
 		// retransmission because some replica never received the ordered
@@ -490,12 +462,10 @@ func (m *Member) handleSubmitLocked(from wire.NodeID, sub Submit, act *actions) 
 		// scheduler's mutex-table update ordered right after the request)
 		// may be the very thing the lagging replica is missing.
 		if m.isSequencerLocked() {
-			if seq, ok := m.idToSeq[sub.ID]; ok {
-				const batch = 64
-				for s := seq; s < m.nextSeq && s < seq+batch; s++ {
-					if o, ok := m.log[s]; ok {
-						act.sendPeers(m, o)
-					}
+			const batch = 64
+			for s := e.seq; s < m.nextSeq && s < e.seq+batch; s++ {
+				if o, ok := m.log.get(s); ok {
+					act.sendPeers(m, o)
 				}
 			}
 		}
@@ -642,7 +612,7 @@ func (m *Member) orderBatchLocked(batch []Submit, act *actions) bool {
 		// batch before this ordering round broadcast it.
 		now := m.rt.NowLocked()
 		for i, sub := range batch {
-			if m.orderedIDs[sub.ID] || i >= len(m.batchAt) {
+			if m.orderedLocked(sub.ID) || i >= len(m.batchAt) {
 				continue
 			}
 			if ctx := sub.TraceCtx(); ctx.Valid() {
@@ -661,7 +631,7 @@ func (m *Member) orderBatchLocked(batch []Submit, act *actions) bool {
 	}
 	subs := batch[:0]
 	for _, sub := range batch {
-		if !m.orderedIDs[sub.ID] {
+		if !m.orderedLocked(sub.ID) {
 			subs = append(subs, sub)
 		}
 	}
@@ -681,8 +651,7 @@ func (m *Member) orderBatchLocked(batch []Submit, act *actions) bool {
 	}
 	m.nextSeq += uint64(len(subs))
 	for i, sub := range subs {
-		m.markOrderedIDLocked(sub.ID)
-		m.idToSeq[sub.ID] = o.Seq + uint64(i)
+		m.markOrderedIDLocked(sub.ID, o.Seq+uint64(i))
 	}
 	if st := m.cfg.Stats; st != nil {
 		st.Batches.Inc()
@@ -696,7 +665,7 @@ func (m *Member) orderBatchLocked(batch []Submit, act *actions) bool {
 // orderLocked assigns the next sequence number and broadcasts. Only the
 // sequencer calls it.
 func (m *Member) orderLocked(id string, origin wire.NodeID, payload any, view *View, act *actions) {
-	if id != "" && m.orderedIDs[id] {
+	if m.orderedLocked(id) {
 		return
 	}
 	o := Ordered{
@@ -709,10 +678,7 @@ func (m *Member) orderLocked(id string, origin wire.NodeID, payload any, view *V
 		View:    view,
 	}
 	m.nextSeq++
-	m.markOrderedIDLocked(id)
-	if id != "" {
-		m.idToSeq[id] = o.Seq
-	}
+	m.markOrderedIDLocked(id, o.Seq)
 	act.sendPeers(m, o)
 	m.handleOrderedLocked(o, act)
 }
@@ -737,21 +703,20 @@ func (m *Member) handleOrderedLocked(o Ordered, act *actions) {
 	if o.Seq < m.nextDeliver {
 		return // duplicate
 	}
-	m.pendingOrder[o.Seq] = o
-	m.retainLocked(o)
 	if m.nextSeq <= o.Seq {
 		m.nextSeq = o.Seq + 1 // keep the shared sequence space monotone
 	}
-	for {
-		next, ok := m.pendingOrder[m.nextDeliver]
-		if !ok {
-			break
-		}
-		delete(m.pendingOrder, m.nextDeliver)
-		m.nextDeliver++
-		m.deliverLocked(next, act)
+	// A message further above the frontier than the log would retain is a
+	// member that fell far behind hearing of the present: it tells of a gap
+	// and is not kept (the log spans every number in between). The NACK
+	// brings the tail in from the frontier up, or a snapshot in its place.
+	gap := true
+	if o.Seq-m.nextDeliver < uint64(m.cfg.LogRetain) {
+		m.retainLocked(o)
+		m.deliverReadyLocked(act)
+		gap = m.log.hi() > m.nextDeliver
 	}
-	if len(m.pendingOrder) > 0 && !act.nacked {
+	if gap && !act.nacked {
 		// One NACK per lock section: unpacking a batch that lands above the
 		// delivery frontier would otherwise request the same gap once per
 		// element.
@@ -760,14 +725,27 @@ func (m *Member) handleOrderedLocked(o Ordered, act *actions) {
 	}
 }
 
+// deliverReadyLocked delivers what the log holds at the frontier, up to the
+// first gap.
+func (m *Member) deliverReadyLocked(act *actions) {
+	for {
+		next, ok := m.log.get(m.nextDeliver)
+		if !ok {
+			return
+		}
+		m.nextDeliver++
+		m.deliverLocked(next, act)
+	}
+}
+
 func (m *Member) deliverLocked(o Ordered, act *actions) {
+	e, known := m.ids[o.ID]
+	cached, direct := m.submitCache[o.ID]
 	if st := m.cfg.Stats; st != nil {
 		st.Delivered.Inc()
-		if o.Origin == m.cfg.Self && o.ID != "" {
-			if t0, ok := m.submitAt[o.ID]; ok {
-				delete(m.submitAt, o.ID)
-				st.DeliverLatency.Observe((m.rt.NowLocked() - t0).Seconds())
-			}
+		if e.sent && o.Origin == m.cfg.Self {
+			e.sent = false
+			st.DeliverLatency.Observe((m.rt.NowLocked() - e.sentAt).Seconds())
 		}
 	}
 	if m.cfg.Spans != nil && o.Payload != nil {
@@ -781,8 +759,8 @@ func (m *Member) deliverLocked(o Ordered, act *actions) {
 			if ctx := t.TraceCtx(); ctx.Valid() {
 				now := m.rt.NowLocked()
 				start := now
-				if t0, ok := m.cacheAt[o.ID]; ok {
-					start = t0
+				if direct {
+					start = cached.at
 				}
 				m.cfg.Spans.Record(tracing.Span{
 					Trace:  ctx.TraceID,
@@ -798,21 +776,20 @@ func (m *Member) deliverLocked(o Ordered, act *actions) {
 			}
 		}
 	}
-	m.markOrderedIDLocked(o.ID)
 	if o.ID != "" {
-		m.idToSeq[o.ID] = o.Seq
-		if _, direct := m.submitCache[o.ID]; m.cfg.DirectCopies && !direct && !m.view.Contains(o.Origin) {
+		if m.cfg.DirectCopies && !direct && !m.view.Contains(o.Origin) {
 			// The Ordered copy got here before the submitter's own, which in
 			// a direct-copy group is on its way. A member's own broadcast
 			// goes to the sequencer alone, and so does a client's request
 			// in any other group: there the first direct copy of an ordered
 			// id is a retransmission, and a mark would only make its
 			// replay wait for the second.
-			m.overtaken[o.ID] = struct{}{}
+			e.overtaken = true
 		}
+		e.seq = o.Seq
+		m.setIDLocked(o.ID, e, !known)
+		delete(m.submitCache, o.ID)
 	}
-	delete(m.submitCache, o.ID)
-	delete(m.cacheAt, o.ID)
 	if o.View == nil && o.Payload == nil {
 		return // gap filler ordered by a recovering sequencer
 	}
@@ -853,15 +830,15 @@ func (m *Member) installViewLocked(v View, act *actions) {
 	// saw is lost. The new sequencer deduplicates by id.
 	if m.view.Sequencer() == m.cfg.Self {
 		for id := range m.cacheOrder.All() {
-			if sub, ok := m.submitCache[id]; ok {
-				m.orderLocked(sub.ID, sub.Origin, sub.Payload, nil, act)
+			if c, ok := m.submitCache[id]; ok {
+				m.orderLocked(c.sub.ID, c.sub.Origin, c.sub.Payload, nil, act)
 			}
 		}
 		return
 	}
 	for id := range m.cacheOrder.All() {
-		if sub, ok := m.submitCache[id]; ok {
-			act.send(m.view.Sequencer(), sub)
+		if c, ok := m.submitCache[id]; ok {
+			act.send(m.view.Sequencer(), c.sub)
 		}
 	}
 }
@@ -883,8 +860,8 @@ func (m *Member) handleNackLocked(n Nack, act *actions) {
 	// Resend whatever is retained from start upward (bounded batch).
 	const batch = 256
 	sent := 0
-	for seq := start; seq < m.nextSeq && sent < batch; seq++ {
-		if o, ok := m.log[seq]; ok {
+	for seq := max(start, m.log.lo); seq < m.log.hi() && sent < batch; seq++ {
+		if o, ok := m.log.get(seq); ok {
 			act.send(n.From, o)
 			sent++
 		}
@@ -903,11 +880,6 @@ func (m *Member) handleSnapshotLocked(p Snapshot, act *actions) {
 	if st := m.cfg.Stats; st != nil {
 		st.SnapshotsInstalled.Inc()
 	}
-	for seq := range m.pendingOrder {
-		if seq <= p.Seq {
-			delete(m.pendingOrder, seq)
-		}
-	}
 	if m.nextSeq <= p.Seq {
 		m.nextSeq = p.Seq + 1
 	}
@@ -920,32 +892,54 @@ func (m *Member) handleSnapshotLocked(p Snapshot, act *actions) {
 		m.snapData = p.Data
 		m.truncateLocked()
 	}
-	for {
-		next, ok := m.pendingOrder[m.nextDeliver]
-		if !ok {
-			break
-		}
-		delete(m.pendingOrder, m.nextDeliver)
-		m.nextDeliver++
-		m.deliverLocked(next, act)
-	}
+	m.deliverReadyLocked(act)
 }
 
 // --- bookkeeping ---
 
 const maxTrackedIDs = 1 << 14
 
-func (m *Member) markOrderedIDLocked(id string) {
-	if id == "" || m.orderedIDs[id] {
+// idEntry is what a member knows of one message id. seq is the position the
+// id was ordered at, 0 while this member has only broadcast it; sentAt is
+// when it did (own ids, with cfg.Stats), until the delivery has been timed.
+// overtaken marks an id this member delivered before it saw the origin's
+// direct copy (only with cfg.DirectCopies, see handleSubmitLocked).
+type idEntry struct {
+	seq       uint64
+	sentAt    time.Duration
+	sent      bool
+	overtaken bool
+}
+
+// cachedSubmit is a submit not known to be ordered and when it last went
+// toward the sequencer.
+type cachedSubmit struct {
+	sub Submit
+	at  time.Duration
+}
+
+// orderedLocked reports whether id is known to be ordered (never the empty
+// id: it is not tracked).
+func (m *Member) orderedLocked(id string) bool { return m.ids[id].seq != 0 }
+
+// setIDLocked stores id's entry; a fresh id joins the pruning order, and
+// the oldest leaves the table once it tracks more than maxTrackedIDs.
+func (m *Member) setIDLocked(id string, e idEntry, fresh bool) {
+	m.ids[id] = e
+	if !fresh {
 		return
 	}
-	m.orderedIDs[id] = true
 	m.idOrder.Push(id)
 	if m.idOrder.Len() > maxTrackedIDs {
 		old, _ := m.idOrder.Pop()
-		delete(m.orderedIDs, old)
-		delete(m.idToSeq, old)
-		delete(m.overtaken, old)
+		delete(m.ids, old)
+	}
+}
+
+func (m *Member) markOrderedIDLocked(id string, seq uint64) {
+	if e, known := m.ids[id]; id != "" && e.seq == 0 {
+		e.seq = seq
+		m.setIDLocked(id, e, !known)
 	}
 }
 
@@ -955,40 +949,38 @@ func (m *Member) cacheSubmitLocked(sub Submit) bool {
 	if _, ok := m.submitCache[sub.ID]; ok {
 		return false
 	}
-	m.submitCache[sub.ID] = sub
-	m.cacheAt[sub.ID] = m.rt.NowLocked()
+	m.submitCache[sub.ID] = cachedSubmit{sub: sub, at: m.rt.NowLocked()}
 	m.cacheOrder.Push(sub.ID)
-	if m.cacheOrder.Len() > maxTrackedIDs {
-		old, _ := m.cacheOrder.Pop()
-		delete(m.submitCache, old)
-		delete(m.cacheAt, old)
+	// Submits are ordered about as they came, so what the head of the queue
+	// names has mostly left the cache since: dropped here, the queue stays
+	// about as short as the cache instead of filling up with ordered ids.
+	for {
+		head := *m.cacheOrder.At(0)
+		if _, live := m.submitCache[head]; live && m.cacheOrder.Len() <= maxTrackedIDs {
+			return true
+		}
+		m.cacheOrder.Pop()
+		delete(m.submitCache, head)
 	}
-	return true
 }
 
+// retainLocked puts o in the log, and past twice cfg.LogRetain cuts the log
+// back to that many below the delivery frontier plus everything not yet
+// delivered — never evicting a held migration tail.
 func (m *Member) retainLocked(o Ordered) {
-	m.log[o.Seq] = o
-	defer func() {
-		if st := m.cfg.Stats; st != nil {
-			st.LogLength.Set(int64(len(m.log)))
+	m.log.put(o)
+	if m.log.n > 2*m.cfg.LogRetain {
+		floor := uint64(0)
+		if m.nextDeliver > uint64(m.cfg.LogRetain) {
+			floor = m.nextDeliver - uint64(m.cfg.LogRetain)
 		}
-	}()
-	if len(m.log) <= 2*m.cfg.LogRetain {
-		return
-	}
-	// Rebuild, keeping a window below the delivery frontier plus everything
-	// not yet delivered — and never evicting a held migration tail.
-	floor := uint64(0)
-	if m.nextDeliver > uint64(m.cfg.LogRetain) {
-		floor = m.nextDeliver - uint64(m.cfg.LogRetain)
-	}
-	if m.holdSeq != 0 && floor > m.holdSeq {
-		floor = m.holdSeq
-	}
-	for seq := range m.log {
-		if seq < floor {
-			delete(m.log, seq)
+		if m.holdSeq != 0 && floor > m.holdSeq {
+			floor = m.holdSeq
 		}
+		m.log.dropBelow(floor)
+	}
+	if st := m.cfg.Stats; st != nil {
+		st.LogLength.Set(int64(m.log.n))
 	}
 }
 
@@ -1019,17 +1011,11 @@ func (m *Member) truncateLocked() {
 	if floor <= m.logFloor {
 		return
 	}
-	removed := uint64(0)
-	for seq := range m.log {
-		if seq <= floor {
-			delete(m.log, seq)
-			removed++
-		}
-	}
+	removed := m.log.dropBelow(floor + 1)
 	m.logFloor = floor
 	if st := m.cfg.Stats; st != nil {
-		st.Truncated.Add(removed)
-		st.LogLength.Set(int64(len(m.log)))
+		st.Truncated.Add(uint64(removed))
+		st.LogLength.Set(int64(m.log.n))
 	}
 }
 

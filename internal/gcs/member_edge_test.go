@@ -84,7 +84,7 @@ func TestDuplicateOrderedIgnored(t *testing.T) {
 		}
 		// Replay the retained ordered message at member 1.
 		h.rt.Lock()
-		o, ok := h.members[1].log[1]
+		o, ok := h.members[1].log.get(1)
 		h.rt.Unlock()
 		if !ok {
 			t.Fatal("seq 1 not retained")
@@ -128,7 +128,7 @@ func TestLogRetentionBounded(t *testing.T) {
 		}
 		_ = take(t, rt.rt, rt.members[0], n)
 		rt.rt.Lock()
-		size := len(rt.members[0].log)
+		size := rt.members[0].log.n
 		rt.rt.Unlock()
 		if size > 2*32 {
 			t.Errorf("retained log has %d entries, cap 2×32", size)
@@ -237,12 +237,22 @@ func TestOvertakenSubmitIsNotADuplicate(t *testing.T) {
 			}
 		}
 		h.rt.Lock()
-		left := len(h.members[2].overtaken)
+		left := overtakenMarks(h.members[2])
 		h.rt.Unlock()
 		if left != 0 {
 			t.Errorf("follower still holds %d overtaken marks after the direct copy arrived", left)
 		}
 	})
+}
+
+// overtakenMarks counts the ids m still expects a direct copy of.
+func overtakenMarks(m *Member) (n int) {
+	for _, e := range m.ids {
+		if e.overtaken {
+			n++
+		}
+	}
+	return n
 }
 
 // TestPlainGroupReplaysFirstDirectArrival is the twin: outside direct-copy
@@ -266,7 +276,7 @@ func TestPlainGroupReplaysFirstDirectArrival(t *testing.T) {
 			t.Errorf("first direct arrival of an ordered id reported %d times, want 1", n)
 		}
 		h.rt.Lock()
-		marks := len(h.members[2].overtaken)
+		marks := overtakenMarks(h.members[2])
 		h.rt.Unlock()
 		if marks != 0 {
 			t.Errorf("follower of a plain group holds %d overtaken marks, want 0", marks)
@@ -288,7 +298,7 @@ func TestMemberBroadcastLeavesNoOvertakenMark(t *testing.T) {
 		h.rt.Lock()
 		defer h.rt.Unlock()
 		for i, m := range h.members {
-			if n := len(m.overtaken); n != 0 {
+			if n := overtakenMarks(m); n != 0 {
 				t.Errorf("member %d holds %d overtaken marks after a member broadcast, want 0", i, n)
 			}
 		}

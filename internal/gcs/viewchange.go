@@ -1,6 +1,7 @@
 package gcs
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/replobj/replobj/internal/wire"
@@ -105,21 +106,18 @@ func (m *Member) fdTick() {
 	// suspended sequencer orders its own backlog here once it resumes.
 	if m.installing == nil {
 		for id := range m.cacheOrder.All() {
-			sub, ok := m.submitCache[id]
-			if !ok || m.orderedIDs[id] {
+			c, ok := m.submitCache[id]
+			if !ok || m.orderedLocked(id) || now-c.at < m.cfg.ResubmitAfter {
 				continue
 			}
-			at, ok := m.cacheAt[id]
-			if !ok || now-at < m.cfg.ResubmitAfter {
-				continue
-			}
-			m.cacheAt[id] = now // refresh: one resend per ResubmitAfter
+			c.at = now // refresh: one resend per ResubmitAfter
+			m.submitCache[id] = c
 			if m.isSequencerLocked() {
 				// A resubmit burst (e.g. a resumed sequencer ordering its
 				// backlog) is the batching sweet spot: one round for the lot.
-				m.sequenceSubmitLocked(sub, &act)
+				m.sequenceSubmitLocked(c.sub, &act)
 			} else if m.view.Sequencer() != m.cfg.Self {
-				act.send(m.view.Sequencer(), sub)
+				act.send(m.view.Sequencer(), c.sub)
 			}
 		}
 	}
@@ -227,9 +225,9 @@ func (m *Member) maybeFinishSyncLocked(act *actions) {
 // submits.
 func (m *Member) finishSyncLocked(act *actions) {
 	v := m.installing.clone()
-	merged := make(map[uint64]Ordered, len(m.log))
-	for seq, o := range m.log {
-		merged[seq] = o
+	merged := make(map[uint64]Ordered, m.log.n)
+	for o := range m.log.all() {
+		merged[o.Seq] = o
 	}
 	minDelivered := m.nextDeliver - 1
 	maxSeq := m.nextSeq - 1
@@ -259,7 +257,7 @@ func (m *Member) finishSyncLocked(act *actions) {
 		}
 	}
 	for _, o := range merged {
-		m.markOrderedIDLocked(o.ID)
+		m.markOrderedIDLocked(o.ID, o.Seq)
 	}
 	// Best checkpoint across the responses. When a member's frontier sits
 	// below it, the stretch in between may have been truncated everywhere —
@@ -317,8 +315,8 @@ func (m *Member) finishSyncLocked(act *actions) {
 	m.view.Epoch = prevEpoch // authoritative bump happens at delivery
 	m.orderLocked(viewEventID(v), m.cfg.Self, nil, &v, act)
 	// Re-order surviving submits in a deterministic order.
-	for id, sub := range m.submitCache {
-		pending[id] = sub
+	for id, c := range m.submitCache {
+		pending[id] = c.sub
 	}
 	ids := make([]string, 0, len(pending))
 	for id := range pending {
@@ -327,22 +325,17 @@ func (m *Member) finishSyncLocked(act *actions) {
 	sort.Strings(ids)
 	for _, id := range ids {
 		sub := pending[id]
-		if !m.orderedIDs[sub.ID] {
-			m.orderLocked(sub.ID, sub.Origin, sub.Payload, nil, act)
-		}
+		m.orderLocked(sub.ID, sub.Origin, sub.Payload, nil, act)
 	}
 }
 
 // tailLocked snapshots this member's retained state for the new sequencer.
 func (m *Member) tailLocked(epoch uint64) SyncResp {
-	tail := make([]Ordered, 0, len(m.log))
-	for _, o := range m.log {
-		tail = append(tail, o)
-	}
+	tail := slices.Collect(m.log.all())
 	pend := make([]Submit, 0, len(m.submitCache))
 	for id := range m.cacheOrder.All() {
-		if sub, ok := m.submitCache[id]; ok {
-			pend = append(pend, sub)
+		if c, ok := m.submitCache[id]; ok {
+			pend = append(pend, c.sub)
 		}
 	}
 	return SyncResp{

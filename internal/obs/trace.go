@@ -33,6 +33,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"github.com/replobj/replobj/internal/ring"
 )
 
 // Kind classifies a schedule event.
@@ -128,34 +130,57 @@ func fnvByte(h uint64, b byte) uint64 {
 	return h
 }
 
-// stream is one digest-carrying event sequence; retained events form a ring.
+// stream is one digest-carrying event sequence.
 type stream struct {
 	count  uint64
 	digest uint64
-	ring   []Event // capacity = retain; oldest retained event at head
-	head   int     // ring index of the oldest event once the ring is full
+}
+
+// slot is one retained event and the stream it belongs to.
+type slot struct {
+	s  *stream
+	ev Event
 }
 
 // Trace is a per-replica schedule trace. All methods are safe for
 // concurrent use and safe on a nil receiver (no-ops / zero values), so
 // instrumented code needs no enabled-check.
+//
+// The events of all streams are retained in one ring, evicted oldest first
+// regardless of stream, so the memory a trace holds does not grow with the
+// number of streams (a mutex-heavy object has one per mutex). What is left
+// of a stream is always a contiguous tail of it; one that has been quiet
+// for `retain` events of the others keeps its count and digest only.
 type Trace struct {
-	mu      sync.Mutex
-	retain  int
-	streams map[string]*stream
+	mu       sync.Mutex
+	retain   int
+	streams  map[string]*stream
+	ring     ring.Queue[slot]
+	retained *Gauge
 }
 
-// DefaultRetain is the default number of events retained per stream.
-const DefaultRetain = 4096
+// DefaultRetain is the default number of events retained per trace.
+const DefaultRetain = 16384
 
-// NewTrace returns a trace retaining the last `retain` events per stream
-// (DefaultRetain if retain <= 0). The rolling digests always cover the full
-// history regardless of retention.
+// NewTrace returns a trace retaining the last `retain` events recorded,
+// over all streams (DefaultRetain if retain <= 0). The rolling digests
+// always cover the full history regardless of retention.
 func NewTrace(retain int) *Trace {
 	if retain <= 0 {
 		retain = DefaultRetain
 	}
 	return &Trace{retain: retain, streams: make(map[string]*stream)}
+}
+
+// ExportRetained makes the trace keep g at the number of events it retains.
+// Safe on a nil receiver.
+func (t *Trace) ExportRetained(g *Gauge) {
+	if t != nil {
+		t.mu.Lock()
+		t.retained = g
+		g.Set(int64(t.ring.Len()))
+		t.mu.Unlock()
+	}
 }
 
 // Record appends an event to a stream and folds it into the stream digest.
@@ -167,7 +192,7 @@ func (t *Trace) Record(streamName string, kind Kind, subject, detail string) {
 	t.mu.Lock()
 	s := t.streams[streamName]
 	if s == nil {
-		s = &stream{digest: fnvOffset64, ring: make([]Event, 0, t.retain)}
+		s = &stream{digest: fnvOffset64}
 		t.streams[streamName] = s
 	}
 	h := fnvByte(s.digest, byte(kind))
@@ -176,13 +201,11 @@ func (t *Trace) Record(streamName string, kind Kind, subject, detail string) {
 	h = fnvString(h, detail)
 	h = fnvByte(h, 0xff)
 	s.digest = h
-	ev := Event{Pos: s.count, Kind: kind, Subject: subject, Detail: detail, Digest: h}
-	if len(s.ring) < t.retain {
-		s.ring = append(s.ring, ev)
-	} else {
-		s.ring[s.head] = ev
-		s.head = (s.head + 1) % t.retain
+	if t.ring.Len() == t.retain {
+		t.ring.Pop()
 	}
+	t.ring.Push(slot{s: s, ev: Event{Pos: s.count, Kind: kind, Subject: subject, Detail: detail, Digest: h}})
+	t.retained.Set(int64(t.ring.Len()))
 	s.count++
 	t.mu.Unlock()
 }
@@ -214,18 +237,18 @@ func (t *Trace) Snapshot() map[string]StreamSnapshot {
 		return out
 	}
 	t.mu.Lock()
+	byStream := make(map[*stream]*StreamSnapshot, len(t.streams))
 	for name, s := range t.streams {
-		evs := make([]Event, 0, len(s.ring))
-		if len(s.ring) == t.retain && s.head > 0 {
-			// Ring wrapped: oldest retained is at head.
-			evs = append(evs, s.ring[s.head:]...)
-			evs = append(evs, s.ring[:s.head]...)
-		} else {
-			evs = append(evs, s.ring...)
-		}
-		out[name] = StreamSnapshot{Stream: name, Count: s.count, Digest: s.digest, Events: evs}
+		byStream[s] = &StreamSnapshot{Stream: name, Count: s.count, Digest: s.digest}
+	}
+	for sl := range t.ring.All() {
+		ss := byStream[sl.s]
+		ss.Events = append(ss.Events, sl.ev)
 	}
 	t.mu.Unlock()
+	for _, ss := range byStream {
+		out[ss.Stream] = *ss
+	}
 	return out
 }
 
@@ -367,8 +390,8 @@ func (t *Trace) ExportStreams() map[string]StreamState {
 }
 
 // RestoreStreams resets the trace to a snapshot's exported digest state:
-// every stream named in states is set to the given count and digest with an
-// empty retained ring, and streams not named are dropped. A replica
+// every stream named in states is set to the given count and digest, streams
+// not named are dropped, and no event stays retained. A replica
 // installing a snapshot calls this so its digests continue from the donor's
 // positions instead of from its own stale history. Safe on nil.
 func (t *Trace) RestoreStreams(states map[string]StreamState) {
@@ -378,12 +401,10 @@ func (t *Trace) RestoreStreams(states map[string]StreamState) {
 	t.mu.Lock()
 	t.streams = make(map[string]*stream, len(states))
 	for name, st := range states {
-		t.streams[name] = &stream{
-			count:  st.Count,
-			digest: st.Digest,
-			ring:   make([]Event, 0, t.retain),
-		}
+		t.streams[name] = &stream{count: st.Count, digest: st.Digest}
 	}
+	t.ring = ring.Queue[slot]{}
+	t.retained.Set(0)
 	t.mu.Unlock()
 }
 

@@ -170,3 +170,86 @@ func TestTraceDump(t *testing.T) {
 		t.Errorf("filter ignored:\n%s", b.String())
 	}
 }
+
+// recordRounds records rounds events on each of streams mutex streams,
+// round by round; at (perturbRound, perturbStream) the grant goes to an
+// intruder.
+func recordRounds(t *Trace, streams, rounds, perturbRound, perturbStream int) {
+	for r := 0; r < rounds; r++ {
+		for s := 0; s < streams; s++ {
+			subj := "c" + strconv.Itoa(r%7)
+			if r == perturbRound && s == perturbStream {
+				subj = "intruder"
+			}
+			t.Record("mutex/m"+strconv.Itoa(s), KindGrant, subj, "")
+		}
+	}
+}
+
+// TestTraceRetentionIsPerTrace: what a trace retains is bounded by retain,
+// not by retain times the number of streams — and every stream still has
+// its full count and digest, and whatever it retains is its latest events.
+func TestTraceRetentionIsPerTrace(t *testing.T) {
+	const streams, rounds, retain = 1000, 100, 512
+	bounded, full := NewTrace(retain), NewTrace(streams*rounds)
+	var retained Gauge
+	bounded.ExportRetained(&retained)
+	recordRounds(bounded, streams, rounds, -1, -1)
+	recordRounds(full, streams, rounds, -1, -1)
+	snap, ref := bounded.Snapshot(), full.Snapshot()
+	total := 0
+	for name, want := range ref {
+		got := snap[name]
+		if got.Count != want.Count || got.Digest != want.Digest || len(want.Events) != rounds {
+			t.Fatalf("%s: count %d digest %x, unbounded trace has count %d digest %x (%d events)",
+				name, got.Count, got.Digest, want.Count, want.Digest, len(want.Events))
+		}
+		total += len(got.Events)
+		for i, e := range got.Events {
+			if pos := got.Count - uint64(len(got.Events)-i); e.Pos != pos || e != want.Events[pos] {
+				t.Fatalf("%s: retained event %d is %+v, want the stream's event %d %+v", name, i, e, pos, want.Events[pos])
+			}
+		}
+	}
+	if total != retain || retained.Value() != retain {
+		t.Errorf("%d events retained over %d streams (gauge %d), want %d", total, streams, retained.Value(), retain)
+	}
+	if d := FirstDivergence(snap, ref); d != nil {
+		t.Errorf("bounded and unbounded trace of one history diverge: %v", d)
+	}
+
+	// A divergence among the retained events is named with both of them...
+	recent := NewTrace(retain)
+	recordRounds(recent, streams, rounds, rounds-1, streams-3)
+	d := FirstDivergence(snap, recent.Snapshot())
+	if d == nil || d.Stream != "mutex/m"+strconv.Itoa(streams-3) || d.Pos != rounds-1 || d.A == nil || d.B == nil || d.B.Subject != "intruder" {
+		t.Errorf("recent divergence reported as %v", d)
+	}
+	// ...and one evicted since is still reported, without them.
+	early := NewTrace(retain)
+	recordRounds(early, streams, rounds, 2, 3)
+	d = FirstDivergence(snap, early.Snapshot())
+	if d == nil || d.Stream != "mutex/m3" || d.A != nil || d.B != nil {
+		t.Errorf("evicted divergence reported as %v", d)
+	}
+
+	// A trace restored from exported stream states retains nothing, forgets
+	// its own streams and continues every digest where the donor's stands.
+	restored := NewTrace(retain)
+	restored.ExportRetained(&retained)
+	restored.Record("stale", KindExec, "x", "")
+	restored.RestoreStreams(bounded.ExportStreams())
+	if retained.Value() != 0 {
+		t.Errorf("restored trace retains %d events", retained.Value())
+	}
+	bounded.Record("mutex/m5", KindUnlock, "c1", "")
+	restored.Record("mutex/m5", KindUnlock, "c1", "")
+	after := restored.Snapshot()
+	if _, kept := after["stale"]; kept || len(after) != streams {
+		t.Errorf("restored trace has %d streams (stale kept: %v), want %d", len(after), kept, streams)
+	}
+	bc, bd := bounded.Digest("mutex/m5")
+	if got := after["mutex/m5"]; got.Count != bc || got.Digest != bd || len(got.Events) != 1 || got.Events[0].Pos != rounds {
+		t.Errorf("restored stream continues at %+v, the donor is at count %d digest %x", got, bc, bd)
+	}
+}

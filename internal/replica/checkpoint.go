@@ -38,18 +38,12 @@ type Snapshotter interface {
 	Restore(data []byte) error
 }
 
-// seenEntry is one at-most-once bookkeeping entry carried by a checkpoint:
-// the invocation id, the stream position it was first seen at, and the
-// cached reply once execution finished.
+// seenEntry is one row of the at-most-once table as a checkpoint carries
+// it. The shard keys in the rows keep a rejoiner's migration reply-cache
+// handoffs byte-identical to its peers'.
 type seenEntry struct {
-	ID     wire.InvocationID
-	SeenAt uint64
-	Done   bool
-	Reply  Reply
-	// Key is the shard key the request was accepted under (empty when
-	// unrouted); restoring it keeps a rejoiner's migration reply-cache
-	// handoffs byte-identical to its peers'.
-	Key string
+	ID    wire.InvocationID
+	Entry amoEntry
 }
 
 // snapshotEnvelope is the serialized form of a checkpoint: everything a
@@ -111,7 +105,7 @@ func (r *Replica) checkpoint(seq uint64) {
 	}
 	r.rt.Lock()
 	r.evictStableLocked(seq)
-	entries := r.seenEntriesLocked()
+	entries, heldBytes := r.seenEntriesLocked(), r.heldBytes
 	r.rt.Unlock()
 	// Record before exporting: the envelope's digest state must include the
 	// checkpoint event itself, so a replica restored from this snapshot
@@ -141,8 +135,10 @@ func (r *Replica) checkpoint(seq uint64) {
 	if r.shard != nil {
 		env.Shard = r.shard.Current().Table.Encode()
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
+	// Sized up front: grown by doubling, a multi-megabyte envelope leaves
+	// several times its size in dead buffers for the collector.
+	buf := bytes.NewBuffer(make([]byte, 0, len(state)+len(env.Sched)+len(env.Shard)+heldBytes+64*len(entries)+4096))
+	if err := gob.NewEncoder(buf).Encode(env); err != nil {
 		return
 	}
 	data := buf.Bytes()
@@ -205,39 +201,22 @@ func (r *Replica) evictStableLocked(seq uint64) {
 	r.evictFloor = floor
 	// One turn of the ring: every id is popped, and the kept ones are
 	// pushed back in their original order.
-	for n := r.seenOrder.Len(); n > 0; n-- {
-		id, _ := r.seenOrder.Pop()
-		at, ok := r.seen[id]
-		if !ok {
+	for n := r.amoOrder.Len(); n > 0; n-- {
+		id, _ := r.amoOrder.Pop()
+		if e := r.amo[id]; e.At <= floor && e.Done {
+			r.forgetLocked(id)
 			continue
 		}
-		if at <= floor {
-			if _, done := r.cache[id]; done {
-				delete(r.seen, id)
-				delete(r.seenKey, id)
-				delete(r.cache, id)
-				continue
-			}
-		}
-		r.seenOrder.Push(id)
+		r.amoOrder.Push(id)
 	}
 }
 
 // seenEntriesLocked copies the at-most-once bookkeeping for the envelope,
 // in first-seen order (already deterministic: it follows the stream).
 func (r *Replica) seenEntriesLocked() []seenEntry {
-	entries := make([]seenEntry, 0, r.seenOrder.Len())
-	for id := range r.seenOrder.All() {
-		at, ok := r.seen[id]
-		if !ok {
-			continue
-		}
-		e := seenEntry{ID: id, SeenAt: at, Key: r.seenKey[id]}
-		if rep, done := r.cache[id]; done {
-			e.Done = true
-			e.Reply = rep
-		}
-		entries = append(entries, e)
+	entries := make([]seenEntry, 0, r.amoOrder.Len())
+	for id := range r.amoOrder.All() {
+		entries = append(entries, seenEntry{ID: id, Entry: r.amo[id]})
 	}
 	return entries
 }
@@ -251,23 +230,27 @@ func (r *Replica) seenEntriesLocked() []seenEntry {
 func (r *Replica) installSnapshot(d gcs.Delivery) {
 	var env snapshotEnvelope
 	if err := gob.NewDecoder(bytes.NewReader(d.Snapshot)).Decode(&env); err != nil {
+		// The member has already moved the delivery frontier past the
+		// snapshot, so this replica's state now lacks that prefix. Say so
+		// where it is looked for: in the count, and in the order digest,
+		// which from here on differs from every peer's.
+		r.snapErrors.Inc()
+		r.trace.Record("order", obs.KindCheckpoint, "snapshot-install-failed", strconv.FormatUint(d.Seq, 10))
 		return
 	}
 	r.restoreState(&env)
 	r.rt.Lock()
-	r.seen = make(map[wire.InvocationID]uint64, len(env.Entries))
-	r.seenOrder = ring.Queue[wire.InvocationID]{}
-	r.seenKey = make(map[wire.InvocationID]string)
-	r.cache = make(map[wire.InvocationID]Reply, len(env.Entries))
+	r.amo = make(map[wire.InvocationID]amoEntry, len(env.Entries))
+	r.amoOrder = ring.Queue[wire.InvocationID]{}
+	r.latest = make(map[wire.NodeID]wire.InvocationID)
+	r.held, r.heldBytes = 0, 0
 	for _, e := range env.Entries {
-		r.seen[e.ID] = e.SeenAt
-		r.seenOrder.Push(e.ID)
-		if e.Key != "" {
-			r.seenKey[e.ID] = e.Key
+		r.amo[e.ID] = e.Entry
+		r.amoOrder.Push(e.ID)
+		if e.Entry.Client != "" && !e.Entry.Superseded {
+			r.latest[e.Entry.Client] = e.ID
 		}
-		if e.Done {
-			r.cache[e.ID] = e.Reply
-		}
+		r.countHeldLocked(&e.Entry, +1)
 	}
 	r.logicalLive = make(map[wire.LogicalID]int)
 	r.nested = make(map[wire.InvocationID]*nestedCall)
@@ -307,9 +290,10 @@ func (r *Replica) installSnapshot(d gcs.Delivery) {
 	r.trace.RestoreStreams(env.Streams)
 }
 
-// CacheSize returns the number of cached replies (tests, bench reporter).
+// CacheSize returns the number of replies the at-most-once table holds
+// (tests, bench reporter).
 func (r *Replica) CacheSize() int {
 	r.rt.Lock()
 	defer r.rt.Unlock()
-	return len(r.cache)
+	return r.held
 }

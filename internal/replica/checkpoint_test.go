@@ -2,9 +2,12 @@ package replica
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
+	"time"
 
 	"github.com/replobj/replobj/internal/adets/sat"
+	"github.com/replobj/replobj/internal/gcs"
 	"github.com/replobj/replobj/internal/obs"
 	"github.com/replobj/replobj/internal/transport"
 	"github.com/replobj/replobj/internal/vtime"
@@ -26,6 +29,7 @@ func newCkptReplica(t *testing.T, execCount *int, every int) *oneReplica {
 		Network:         net,
 		Scheduler:       sat.New(),
 		Metrics:         obs.NewRegistry(),
+		Trace:           obs.NewTrace(0),
 		CheckpointEvery: every,
 	})
 	r.Register("echo", func(inv *Invocation) ([]byte, error) {
@@ -55,7 +59,7 @@ func TestReplyCacheEvictedAtCheckpoints(t *testing.T) {
 			h.recvReply(t)
 		}
 		h.rt.Lock()
-		cached, seen := len(h.r.cache), len(h.r.seen)
+		cached, seen := h.r.held, len(h.r.amo)
 		ckpts := h.r.checkpoints.Value()
 		h.rt.Unlock()
 		if ckpts == 0 {
@@ -101,6 +105,86 @@ func TestCheckpointHandsSnapshotToMember(t *testing.T) {
 		h.rt.Unlock()
 		if size <= 0 {
 			t.Errorf("snapshot size gauge = %d, want > 0", size)
+		}
+	})
+}
+
+// TestInstallSnapshotCarriesTheTable: a replica restored by state transfer
+// has the donor's at-most-once table row for row — which replies are held,
+// which entries are superseded, who each client's latest request is — so it
+// answers duplicates exactly as the donor does, and its order digest
+// continues the donor's. A snapshot that does not decode is counted and
+// breaks the digest instead of passing in silence.
+func TestInstallSnapshotCarriesTheTable(t *testing.T) {
+	const every = 4
+	var execs, execs2 int
+	donor, rejoiner := newCkptReplica(t, &execs, every), newCkptReplica(t, &execs2, every)
+	defer donor.rt.Stop()
+	defer rejoiner.rt.Stop()
+	request := func(ep transport.Endpoint, k int) Request {
+		id := wire.InvocationID{Logical: wire.LogicalID(fmt.Sprintf("%s#%d", ep.ID(), k))}
+		return Request{ID: id, Group: "g", Method: "echo", Args: []byte(id.String()), Kind: KindClient, ReplyTo: ep.ID()}
+	}
+	const clients = 2
+	var snap gcs.Snapshot
+	vtime.Run(donor.rt, "donor", func() {
+		defer donor.r.Stop()
+		defer donor.cl.Close()
+		eps := [clients]transport.Endpoint{donor.cl, donor.net.Endpoint(wire.ClientID("u"))}
+		for k := 0; k < 2*every; k++ { // the last request lands on a checkpoint
+			ep := eps[k%clients]
+			req := request(ep, k/clients)
+			ep.Send(wire.ReplicaID("g", 0), gcs.Submit{Group: "g", ID: req.ID.String(), Origin: ep.ID(), Payload: req})
+			if _, ok := recvOne(donor.rt, ep, 5*time.Second); !ok {
+				t.Fatalf("no reply to %v", req.ID)
+			}
+		}
+		donor.rt.Sleep(10 * time.Millisecond)
+		// The log below the checkpoint is gone: a NACK draws the snapshot.
+		donor.cl.Send(wire.ReplicaID("g", 0), gcs.Nack{Group: "g", From: donor.cl.ID(), Want: 1})
+		msg, _ := recvOne(donor.rt, donor.cl, 5*time.Second)
+		snap, _ = msg.Payload.(gcs.Snapshot)
+	})
+	if snap.Seq != 2*every {
+		t.Fatalf("donor served snapshot %d, want the checkpoint at %d", snap.Seq, 2*every)
+	}
+	vtime.Run(rejoiner.rt, "rejoiner", func() {
+		defer rejoiner.r.Stop()
+		defer rejoiner.cl.Close()
+		rejoiner.r.installSnapshot(gcs.Delivery{Seq: snap.Seq, Snapshot: snap.Data})
+		d, r := donor.r, rejoiner.r
+		if !reflect.DeepEqual(d.amo, r.amo) || !reflect.DeepEqual(d.latest, r.latest) || d.held != r.held || d.heldBytes != r.heldBytes {
+			t.Errorf("restored table differs from the donor's:\n  %v %v %d %d\n  %v %v %d %d",
+				d.amo, d.latest, d.held, d.heldBytes, r.amo, r.latest, r.held, r.heldBytes)
+		}
+		if r.held != clients || len(r.amo) != 2*every {
+			t.Errorf("restored table holds %d replies in %d rows, want %d in %d", r.held, len(r.amo), clients, 2*every)
+		}
+		dc, dd := d.trace.Digest("order")
+		if rc, rd := r.trace.Digest("order"); rc != dc || rd != dd {
+			t.Errorf("order stream restored at (%d, %x), the donor is at (%d, %x)", rc, rd, dc, dd)
+		}
+		for _, ep := range [clients]transport.Endpoint{rejoiner.cl, rejoiner.net.Endpoint(wire.ClientID("u"))} {
+			latest, older := request(ep, every-1), request(ep, every-2)
+			r.dispatchRequest(latest, 99)
+			msg, _ := recvOne(rejoiner.rt, ep, 5*time.Second)
+			if rep, _ := msg.Payload.(Reply); string(rep.Result) != latest.ID.String() || rep.From != r.self {
+				t.Errorf("%s: latest request answered %+v after the restore", ep.ID(), rep)
+			}
+			r.dispatchRequest(older, 99)
+			msg, _ = recvOne(rejoiner.rt, ep, 5*time.Second)
+			if rep, _ := msg.Payload.(Reply); rep.Code != CodeExpiredDuplicate {
+				t.Errorf("%s: superseded request answered %+v after the restore", ep.ID(), rep)
+			}
+		}
+		if execs2 != 0 {
+			t.Errorf("the restored replica ran the handler %d times", execs2)
+		}
+		count, digest := r.trace.Digest("order")
+		r.installSnapshot(gcs.Delivery{Seq: snap.Seq + 4, Snapshot: []byte("not a snapshot")})
+		if c2, d2 := r.trace.Digest("order"); r.snapErrors.Value() != 1 || c2 != count+1 || d2 == digest {
+			t.Errorf("undecodable snapshot: %d errors counted, order stream (%d, %x) -> (%d, %x)",
+				r.snapErrors.Value(), count, digest, c2, d2)
 		}
 	})
 }

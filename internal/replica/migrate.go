@@ -402,23 +402,20 @@ func (r *Replica) performCut(m *migration, seq uint64) {
 	r.trace.Record("order", obs.KindCheckpoint, "migrate-cut", strconv.FormatUint(seq, 10))
 }
 
-// movedCacheEntries collects the Done reply-cache entries of keys riding
-// a move, in first-seen order (deterministic: it follows the stream).
+// movedCacheEntries collects the replies the at-most-once table holds for
+// keys riding a move, in first-seen order (deterministic: it follows the
+// stream).
 func (r *Replica) movedCacheEntries(mv shard.Move) []CacheEntry {
 	r.rt.Lock()
 	defer r.rt.Unlock()
 	var out []CacheEntry
-	for id := range r.seenOrder.All() {
-		key, ok := r.seenKey[id]
-		if !ok || key == "" {
+	for id := range r.amoOrder.All() {
+		e := r.amo[id]
+		if e.Key == "" || !e.holdsReply() {
 			continue
 		}
-		got, moved := r.mig.plan.MoveOf(key)
-		if !moved || got != mv {
-			continue
-		}
-		if rep, done := r.cache[id]; done {
-			out = append(out, CacheEntry{ID: id, Key: key, Reply: rep})
+		if got, moved := r.mig.plan.MoveOf(e.Key); moved && got == mv {
+			out = append(out, CacheEntry{ID: id, Key: e.Key, Reply: r.reply(id, &e)})
 		}
 	}
 	return out
@@ -449,11 +446,11 @@ func (r *Replica) performInstalls(m *migration, seq uint64) {
 			}
 			r.rt.Lock()
 			for _, ce := range ck.Cache {
-				if _, dup := r.seen[ce.ID]; dup {
+				if _, dup := r.amo[ce.ID]; dup {
 					continue // already seen here: at-most-once wins
 				}
-				r.markSeenLocked(ce.ID, seq, ce.Key)
-				r.cache[ce.ID] = ce.Reply
+				r.markSeenLocked(ce.ID, seq, ce.Key, "")
+				r.storeReplyLocked(ce.ID, ce.Reply)
 			}
 			delete(s.buffered, s.next)
 			s.next++

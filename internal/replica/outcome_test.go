@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/replobj/replobj/internal/adets/sat"
 	"github.com/replobj/replobj/internal/gcs"
@@ -156,6 +157,12 @@ func TestPerRequestValuesStayInTheirSizeClasses(t *testing.T) {
 	}
 	if size := reflect.TypeOf(dispatched{}).Size(); size > 288 {
 		t.Errorf("dispatched is %d bytes, want <= 288", size)
+	}
+	// A map keeps values of up to 128 bytes in its buckets and allocates
+	// larger ones one by one: an at-most-once entry past that line costs
+	// every request an allocation.
+	if size := unsafe.Sizeof(amoEntry{}); size > 112 {
+		t.Errorf("amoEntry is %d bytes, want <= 112", size)
 	}
 }
 

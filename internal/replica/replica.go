@@ -333,9 +333,12 @@ type Replica struct {
 	specForkReuses  *obs.Counter
 	specCatchUps    *obs.Counter
 	specSkipped     *obs.Counter
+	cacheEntries    *obs.Gauge
+	cacheBytes      *obs.Gauge
 	checkpoints     *obs.Counter
 	ckptSkipped     *obs.Counter
 	snapSize        *obs.Gauge
+	snapErrors      *obs.Counter
 	ckptDuration    *obs.Histogram
 	shardRouted     *obs.Counter
 	shardRedirects  *obs.Counter
@@ -353,12 +356,15 @@ type Replica struct {
 	handlers map[string]Handler
 
 	// All fields below are guarded by the runtime lock.
-	seen      map[wire.InvocationID]uint64 // delivered at least once, at this stream position
-	seenOrder ring.Queue[wire.InvocationID]
-	// seenKey remembers the shard key an accepted routed request carried, so
-	// a migration can select the reply-cache entries riding a key move.
-	seenKey     map[wire.InvocationID]string
-	cache       map[wire.InvocationID]Reply // completed (reply cache)
+	// amo is the at-most-once table: every request delivered at least once,
+	// amoOrder its ids in first-seen order. latest names each client's most
+	// recent request by stream position — the only one whose reply is kept
+	// (see amoEntry) — and held / heldBytes count the replies kept.
+	amo         map[wire.InvocationID]amoEntry
+	amoOrder    ring.Queue[wire.InvocationID]
+	latest      map[wire.NodeID]wire.InvocationID
+	held        int
+	heldBytes   int
 	logicalLive map[wire.LogicalID]int
 	nested      map[wire.InvocationID]*nestedCall
 	// earlyReplies buffers nested replies that arrive before this replica's
@@ -406,9 +412,8 @@ func New(cfg Config) *Replica {
 		dir:              cfg.Directory,
 		sched:            cfg.Scheduler,
 		handlers:         make(map[string]Handler),
-		seen:             make(map[wire.InvocationID]uint64),
-		seenKey:          make(map[wire.InvocationID]string),
-		cache:            make(map[wire.InvocationID]Reply),
+		amo:              make(map[wire.InvocationID]amoEntry),
+		latest:           make(map[wire.NodeID]wire.InvocationID),
 		logicalLive:      make(map[wire.LogicalID]int),
 		nested:           make(map[wire.InvocationID]*nestedCall),
 		earlyReplies:     make(map[wire.InvocationID]Reply),
@@ -466,6 +471,10 @@ func New(cfg Config) *Replica {
 		r.checkpoints = cfg.Metrics.Counter("replobj_replica_checkpoints_total" + label)
 		r.ckptSkipped = cfg.Metrics.Counter("replobj_replica_checkpoints_skipped_total" + label)
 		r.snapSize = cfg.Metrics.Gauge("replobj_replica_snapshot_bytes" + label)
+		r.snapErrors = cfg.Metrics.Counter("replobj_replica_snapshot_install_errors_total" + label)
+		r.cacheEntries = cfg.Metrics.Gauge("replobj_replica_reply_cache_entries" + label)
+		r.cacheBytes = cfg.Metrics.Gauge("replobj_replica_reply_cache_bytes" + label)
+		cfg.Trace.ExportRetained(cfg.Metrics.Gauge("replobj_trace_events_retained" + label))
 		r.ckptDuration = cfg.Metrics.Histogram("replobj_replica_checkpoint_seconds"+label, obs.LatencyBuckets())
 		if r.shard != nil {
 			slabel := `{node="` + string(cfg.Self) + `",shard="` + r.shardLabel + `"}`
@@ -501,39 +510,30 @@ func New(cfg Config) *Replica {
 	// the cached at-most-once reply here instead — the original reply may
 	// have been lost in the network, and with replicas down the client may
 	// have no slack to reach its reply quorum without this replica. seq is
-	// the retransmitted request's ordered position (0 when the member has
-	// pruned its mapping): when the reply-cache entry has aged out of the
-	// duplicate-detection window, replay is impossible and the client gets
-	// a CodeExpiredDuplicate reply instead of eternal silence.
+	// the retransmitted request's ordered position: when the entry has aged
+	// out of the duplicate-detection window, replay is impossible and the
+	// client gets a CodeExpiredDuplicate reply instead of eternal silence.
+	// An id not in the table and ordered above the eviction floor has not
+	// been dispatched locally yet, and resolves when the delivery arrives.
 	g.DuplicateSubmit = func(sub gcs.Submit, seq uint64) {
 		req, ok := sub.Payload.(Request)
 		if !ok || req.Kind != KindClient {
 			return
 		}
 		r.rt.Lock()
-		cached, done := r.cache[req.ID]
-		_, seen := r.seen[req.ID]
-		floor := r.evictFloor
+		e, seen := r.amo[req.ID]
+		expired := !seen && seq <= r.evictFloor
 		stopped := r.stopped
 		r.rt.Unlock()
-		if stopped {
-			return
-		}
 		switch {
-		case done:
-			r.dupReplies.Inc()
-			r.sendReply(req, cached)
+		case stopped:
 		case seen:
-			// Ordered and still executing: the original execution replies.
-		case seq != 0 && seq <= floor:
-			r.dupExpired.Inc()
-			reply := r.newReply(&req)
-			reply.Code = CodeExpiredDuplicate
-			reply.Err = "replica: duplicate expired: reply evicted at stream position " + strconv.FormatUint(seq, 10)
-			r.sendReply(req, reply)
+			if r.answerDuplicate(&req, e) {
+				r.dupReplies.Inc()
+			}
+		case expired:
+			r.sendExpired(&req, seq)
 		}
-		// Remaining case — ordered above the eviction floor but not yet
-		// dispatched locally — resolves when the delivery arrives.
 	}
 	if r.specMgr != nil {
 		g.SpecHints = true
@@ -697,17 +697,17 @@ func (r *Replica) dispatchRequest(req Request, seq uint64) {
 		r.rt.Unlock()
 		return
 	}
-	if _, dup := r.seen[req.ID]; dup {
-		cached, done := r.cache[req.ID]
+	if e, dup := r.amo[req.ID]; dup {
 		r.rt.Unlock()
 		r.cacheHits.Inc()
-		if done {
-			r.sendReply(req, cached)
-		}
-		// Still executing: the original execution will reply.
+		r.answerDuplicate(&req, e)
 		return
 	}
-	r.markSeenLocked(req.ID, seq, req.ShardKey)
+	var client wire.NodeID
+	if req.Kind == KindClient {
+		client = req.ReplyTo
+	}
+	r.markSeenLocked(req.ID, seq, req.ShardKey, client)
 	verdict, redirect := r.admission(d)
 	if verdict == verdictAccept {
 		r.admit(d)
@@ -784,10 +784,7 @@ func (r *Replica) admission(d *dispatched) (verdictKind, Reply) {
 		reply.Code = CodeRedirect
 		reply.Err = shard.RedirectError(cur.Table.Epoch, req.ShardKey, home)
 		reply.ShardEpoch = cur.Table.Epoch
-		// A redirected request never executes; its key must not ride a
-		// migration's reply-cache handoff.
-		delete(r.seenKey, req.ID)
-		r.cache[req.ID] = reply
+		r.storeReplyLocked(req.ID, reply)
 		return verdictRedirect, reply
 	}
 	d.inv.epoch = under
@@ -849,7 +846,7 @@ func (r *Replica) applyControl(req Request, seq uint64) {
 	}
 	reply.ShardEpoch = r.shard.Current().Table.Epoch
 	r.rt.Lock()
-	r.cache[req.ID] = reply
+	r.storeReplyLocked(req.ID, reply)
 	r.rt.Unlock()
 	r.sendReply(req, reply)
 }
@@ -1002,7 +999,7 @@ func (r *Replica) execute(inv *Invocation) {
 func (r *Replica) complete(req *Request, reply Reply) {
 	logical := req.Logical()
 	r.rt.Lock()
-	r.cache[req.ID] = reply
+	r.storeReplyLocked(req.ID, reply)
 	r.logicalLive[logical]--
 	if r.logicalLive[logical] == 0 {
 		delete(r.logicalLive, logical)
@@ -1094,18 +1091,121 @@ func (r *Replica) dispatchNestedReply(reply Reply) {
 
 const maxSeen = 1 << 14
 
-func (r *Replica) markSeenLocked(id wire.InvocationID, seq uint64, key string) {
-	r.seen[id] = seq
-	r.seenOrder.Push(id)
-	if key != "" {
-		r.seenKey[id] = key
+// amoEntry is what the replica remembers of one request it has ordered: its
+// position, its shard key (so a migration can select the entries riding a
+// key move) and, once done, its reply less the id and sender. A Client has
+// one call outstanding at a time, so only its latest request can still be
+// retransmitted: when a later request of the same client is ordered the
+// entry is superseded — it gives up the reply and stays as a tombstone that
+// suppresses ordered duplicates, answered with CodeExpiredDuplicate, until
+// it ages out with the rest. Superseding happens at an ordered position, so
+// every replica keeps the same replies. Nested and migrated-in entries have
+// no client and keep their reply for the whole window. (The fields are
+// exported for the checkpoint envelope's gob.)
+type amoEntry struct {
+	At         uint64
+	Key        string
+	Client     wire.NodeID
+	Result     []byte
+	Err        string
+	Trace      tracing.Context
+	Epoch      uint64
+	Code       Code
+	Done       bool
+	Superseded bool
+}
+
+func (e *amoEntry) holdsReply() bool { return e.Done && !e.Superseded }
+
+// reply rebuilds the cached reply of a done entry, as this replica's own.
+func (r *Replica) reply(id wire.InvocationID, e *amoEntry) Reply {
+	return Reply{ID: id, From: r.self, Result: e.Result, Err: e.Err, Trace: e.Trace, ShardEpoch: e.Epoch, Code: e.Code}
+}
+
+// markSeenLocked enters a fresh request (client is its ReplyTo, empty for a
+// nested one) at stream position seq and supersedes the client's previous.
+func (r *Replica) markSeenLocked(id wire.InvocationID, seq uint64, key string, client wire.NodeID) {
+	if client != "" {
+		if prev, ok := r.latest[client]; ok {
+			e := r.amo[prev]
+			r.countHeldLocked(&e, -1)
+			r.amo[prev] = amoEntry{At: e.At, Key: e.Key, Client: client, Done: e.Done, Superseded: true}
+		}
+		r.latest[client] = id
 	}
-	if r.seenOrder.Len() > maxSeen {
-		old, _ := r.seenOrder.Pop()
-		delete(r.seen, old)
-		delete(r.seenKey, old)
-		delete(r.cache, old)
+	r.amo[id] = amoEntry{At: seq, Key: key, Client: client}
+	r.amoOrder.Push(id)
+	if r.amoOrder.Len() > maxSeen {
+		old, _ := r.amoOrder.Pop()
+		r.forgetLocked(old)
 	}
+}
+
+// storeReplyLocked records the outcome of a request in the table. A
+// redirected request never executed; its key must not ride a migration's
+// reply-cache handoff.
+func (r *Replica) storeReplyLocked(id wire.InvocationID, reply Reply) {
+	e, ok := r.amo[id]
+	if !ok || e.Done {
+		return
+	}
+	e.Done = true
+	if reply.Code == CodeRedirect {
+		e.Key = ""
+	}
+	if !e.Superseded {
+		e.Result, e.Err, e.Trace, e.Epoch, e.Code = reply.Result, reply.Err, reply.Trace, reply.ShardEpoch, reply.Code
+		r.countHeldLocked(&e, +1)
+	}
+	r.amo[id] = e
+}
+
+// forgetLocked drops an entry (not its amoOrder slot). The entry latest
+// points at is the one of that client not superseded.
+func (r *Replica) forgetLocked(id wire.InvocationID) {
+	e := r.amo[id]
+	r.countHeldLocked(&e, -1)
+	if e.Client != "" && !e.Superseded {
+		delete(r.latest, e.Client)
+	}
+	delete(r.amo, id)
+}
+
+// countHeldLocked adds (sign +1) or removes (-1) e's reply, if it holds one,
+// from the reply-cache gauges.
+func (r *Replica) countHeldLocked(e *amoEntry, sign int) {
+	if !e.holdsReply() {
+		return
+	}
+	r.held += sign
+	r.heldBytes += sign * (len(e.Result) + len(e.Err))
+	r.cacheEntries.Set(int64(r.held))
+	r.cacheBytes.Set(int64(r.heldBytes))
+}
+
+// answerDuplicate answers a duplicate of a request in the table (e is its
+// entry) and reports whether from the cache: otherwise with a typed refusal
+// when the reply is no longer kept, and not at all while the original is
+// still executing and will reply.
+func (r *Replica) answerDuplicate(req *Request, e amoEntry) bool {
+	if e.holdsReply() {
+		r.sendReply(*req, r.reply(req.ID, &e))
+		return true
+	}
+	if e.Done {
+		r.sendExpired(req, e.At)
+	}
+	return false
+}
+
+// sendExpired tells a client that the reply of the request it retransmitted,
+// ordered at seq, is gone.
+func (r *Replica) sendExpired(req *Request, seq uint64) {
+	r.dupExpired.Inc()
+	reply := r.newReply(req)
+	reply.Code = CodeExpiredDuplicate
+	reply.Err = "replica: duplicate expired: reply evicted at stream position " + strconv.FormatUint(seq, 10)
+	r.sendReply(*req, reply)
 }
 
 // Scheduler exposes the scheduler (capability metadata, tests).

@@ -248,13 +248,13 @@ func TestSeenCacheBounded(t *testing.T) {
 		// Force far more ids than the cap through markSeen directly.
 		h.rt.Lock()
 		for i := 0; i < maxSeen+100; i++ {
-			h.r.markSeenLocked(wire.InvocationID{Logical: wire.LogicalID(fmt.Sprintf("l%d", i))}, uint64(i+1), "")
+			h.r.markSeenLocked(wire.InvocationID{Logical: wire.LogicalID(fmt.Sprintf("l%d", i))}, uint64(i+1), "", "")
 		}
-		if len(h.r.seen) > maxSeen {
-			t.Errorf("seen cache grew to %d (cap %d)", len(h.r.seen), maxSeen)
+		if len(h.r.amo) > maxSeen {
+			t.Errorf("at-most-once table grew to %d (cap %d)", len(h.r.amo), maxSeen)
 		}
-		if h.r.seenOrder.Len() > maxSeen {
-			t.Errorf("seenOrder grew to %d", h.r.seenOrder.Len())
+		if h.r.amoOrder.Len() > maxSeen {
+			t.Errorf("amoOrder grew to %d", h.r.amoOrder.Len())
 		}
 		h.rt.Unlock()
 	})

@@ -142,7 +142,7 @@ func (r *Replica) runSpeculation(id string, req Request, h Handler, classes []st
 		r.rt.Unlock()
 		return
 	}
-	if _, seen := r.seen[req.ID]; seen {
+	if _, seen := r.amo[req.ID]; seen {
 		// Already ordered and dispatched: speculating now cannot beat it.
 		r.rt.Unlock()
 		return

@@ -44,6 +44,10 @@ func (q *Queue[T]) Pop() (v T, ok bool) {
 	return v, true
 }
 
+// At returns the i-th oldest element, 0 <= i < Len, in place: the pointer is
+// good until the next Push or Pop.
+func (q *Queue[T]) At(i int) *T { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
+
 // All iterates over the queued elements, oldest first, without removing
 // them. Pushing or popping inside the loop is allowed: the iteration visits
 // positions 0, 1, 2, … of the queue as it is when each is reached.

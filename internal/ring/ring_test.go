@@ -32,6 +32,9 @@ func TestQueueMatchesSliceModel(t *testing.T) {
 		if q.Len() != len(model) {
 			t.Fatalf("step %d: Len = %d, want %d", step, q.Len(), len(model))
 		}
+		if n := len(model); n > 0 && (*q.At(0) != model[0] || *q.At(n - 1) != model[n-1]) {
+			t.Fatalf("step %d: At(0), At(%d) = %d, %d, want %d, %d", step, n-1, *q.At(0), *q.At(n - 1), model[0], model[n-1])
+		}
 	}
 	i := 0
 	for v := range q.All() {

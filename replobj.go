@@ -541,8 +541,10 @@ func WithSpeculation() GroupOption {
 }
 
 // WithSchedTrace enables the deterministic schedule trace on every replica
-// of the group, retaining the last retain events per stream (0 selects the
-// default). Retrieve traces with Group.Trace and compare them with
+// of the group, retaining the last retain events per trace — one budget
+// shared by all of a replica's streams (0 selects the default, 16384). The
+// per-stream counts and digests cover the whole history regardless.
+// Retrieve traces with Group.Trace and compare them with
 // FirstTraceDivergence.
 func WithSchedTrace(retain int) GroupOption {
 	return func(g *groupConfig) {

@@ -7,7 +7,11 @@ import (
 	"time"
 
 	replobj "github.com/replobj/replobj"
+	"github.com/replobj/replobj/internal/replica"
+	"github.com/replobj/replobj/internal/shard"
+	"github.com/replobj/replobj/internal/transport"
 	"github.com/replobj/replobj/internal/vtime"
+	"github.com/replobj/replobj/internal/wire"
 )
 
 // This file is the migration torture-test suite for elastic resharding
@@ -394,4 +398,61 @@ func TestReshardWithCheckpointsDeferred(t *testing.T) {
 		reshardCheck(t, c, s, admin, want, replicas)
 	})
 	rt.Stop()
+}
+
+// TestReshardCarriesHeldRepliesToTheNewHome: the replies a source shard
+// still holds for keys that move ride the handoff chunk, so a request that
+// ran at the old home and is presented again at the new one — same id,
+// stamped with the new epoch — is answered from the table there, by the new
+// home's own replicas, and does not run twice.
+func TestReshardCarriesHeldRepliesToTheNewHome(t *testing.T) {
+	const replicas = 3
+	rt := vtime.Virtual()
+	net := transport.NewInproc(rt)
+	c := replobj.NewCluster(rt, replobj.WithNetwork(net))
+	s := shardedKV(t, c, "kv", 2, replicas, replobj.WithSchedTrace(0))
+	run(rt, c, func() {
+		before := s.Table()
+		oldRing, newRing := shard.NewRing(before), shard.NewRing(before.Reshape(4))
+		// One client per key, so that each put stays its client's latest.
+		type moved struct {
+			rc      rawClient
+			req     replica.Request
+			replies map[replobj.NodeID]replica.Reply
+		}
+		var moves []moved
+		for i := 0; len(moves) < 3; i++ {
+			key := fmt.Sprintf("acct-%d", i)
+			if oldRing.HomeGroup(key) == newRing.HomeGroup(key) {
+				continue
+			}
+			rc := rawClient{t, net.Endpoint(replobj.NodeID(fmt.Sprintf("raw%d", i)))}
+			req := replica.Request{
+				ID:    wire.InvocationID{Logical: wire.LogicalID(string(rc.ep.ID()) + "#1")},
+				Group: oldRing.HomeGroup(key), Method: "put", Args: u64(5),
+				ShardEpoch: before.Epoch, ShardKey: key,
+			}
+			moves = append(moves, moved{rc, req, rc.call(c, req)})
+		}
+		admin := c.NewClient("admin")
+		if err := s.Reshard(admin, 4); err != nil {
+			t.Fatalf("Reshard 2->4: %v", err)
+		}
+		for _, mv := range moves {
+			again := mv.req
+			again.Group, again.ShardEpoch = newRing.HomeGroup(mv.req.ShardKey), s.Table().Epoch
+			for node, rep := range mv.rc.call(c, again) {
+				if rep.Err != "" || fromU64(rep.Result) != 5 {
+					t.Errorf("%s answered the repeated put of %s with %+v, want the first answer (5)", node, again.ShardKey, rep)
+				}
+			}
+			v, err := admin.Router("kv").Invoke("get", nil, replobj.WithShardKey(again.ShardKey))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fromU64(v); got != 5 {
+				t.Errorf("%s = %d after the repeated put, want 5: it ran again at the new home", again.ShardKey, got)
+			}
+		}
+	})
 }

@@ -274,15 +274,16 @@ func TestSoakCheckpointTruncation(t *testing.T) {
 				rt.Sleep(200 * time.Millisecond)
 
 				// Bounded memory at the end of the run: the retained ordered
-				// log and the reply cache both stay within a small multiple of
-				// the checkpoint interval, no matter how long the run was.
+				// log stays within a small multiple of the checkpoint interval
+				// and the replies held within one per client, no matter how
+				// long the run was.
 				for rank := 0; rank < 3; rank++ {
 					r := g.Replica(rank)
 					if n := r.Member().LogLen(); n > 2*every {
 						t.Errorf("rank %d retains %d ordered messages, want <= %d", rank, n, 2*every)
 					}
-					if n := r.CacheSize(); n > 3*every {
-						t.Errorf("rank %d reply cache holds %d entries, want <= %d", rank, n, 3*every)
+					if n := r.CacheSize(); n > clients {
+						t.Errorf("rank %d holds %d replies, want <= %d (one per client)", rank, n, clients)
 					}
 				}
 

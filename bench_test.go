@@ -7,6 +7,7 @@ package replobj_test
 // evaluation section; cmd/replbench prints the full tables.
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -97,36 +98,70 @@ func BenchmarkAblationMATPredict(b *testing.B) { benchExperiment(b, bench.AB7MAT
 // per invocation (client, wire, transport, gcs, replica dispatch, vtime on
 // all three replicas), so
 //
-//	go test -run xxx -bench InvokeTCP -benchmem -memprofile mem.out -memprofilerate 1 .
+//	go test -run xxx -bench 'InvokeTCP$' -benchmem -memprofile mem.out -memprofilerate 1 .
 //
 // attributes the end-to-end allocs_per_op figure to source lines.
-func BenchmarkInvokeTCP(b *testing.B) {
+func BenchmarkInvokeTCP(b *testing.B) { benchInvokeTCP(b, 1) }
+
+// BenchmarkInvokeTCPClients is the same cluster under load: 32 closed-loop
+// clients keep the sequencer's queue full, which is where per-round costs
+// (and anything that claims to amortise them) show on the ops/s axis.
+func BenchmarkInvokeTCPClients(b *testing.B) { benchInvokeTCP(b, 32) }
+
+func benchInvokeTCP(b *testing.B, clients int) {
 	rt := vtime.Real()
 	defer rt.Stop()
-	addrs := map[wire.NodeID]string{wire.ClientID("c0"): "127.0.0.1:0"}
+	addrs := map[wire.NodeID]string{}
+	for i := 0; i < clients; i++ {
+		addrs[wire.ClientID(fmt.Sprintf("c%d", i))] = "127.0.0.1:0"
+	}
 	for i := 0; i < 3; i++ {
 		addrs[wire.ReplicaID("cnt", i)] = "127.0.0.1:0"
 	}
 	c := replobj.NewCluster(rt, replobj.WithNetwork(transport.NewTCP(rt, addrs)))
 	defer c.Close()
 	counterGroup(b, c, "cnt", 3, replobj.WithScheduler(replobj.SEQ))
-	cl := c.NewClient("c0", replobj.WithInvocationTimeout(10*time.Second))
+	cls := make([]*replobj.Client, clients)
+	for i := range cls {
+		cls[i] = c.NewClient(fmt.Sprintf("c%d", i), replobj.WithInvocationTimeout(10*time.Second))
+	}
 	args := []byte{1}
-	var err error
-	// Invoke parks on the runtime, so the loop runs on one of its goroutines.
-	replobj.Run(rt, func() {
-		invoke := func(n int) {
-			for i := 0; i < n && err == nil; i++ {
-				_, err = cl.Invoke("cnt", "add", args)
+	// Invoke parks on the runtime, so the clients run on its goroutines.
+	// drive splits n invocations over them and returns the first error.
+	errs := vtime.NewMailbox[error](rt, "bench-clients")
+	drive := func(n int) (first error) {
+		for i, cl := range cls {
+			share := n / clients
+			if i < n%clients {
+				share++
+			}
+			rt.Go("bench-client", func() {
+				var err error
+				for j := 0; j < share && err == nil; j++ {
+					_, err = cl.Invoke("cnt", "add", args)
+				}
+				errs.Put(err)
+			})
+		}
+		for range cls {
+			if err, _ := errs.Get(); err != nil && first == nil {
+				first = err
 			}
 		}
-		invoke(200) // connections dialed, pools and maps warm
+		return first
+	}
+	var err error
+	replobj.Run(rt, func() {
+		err = drive(200 * clients) // connections dialed, pools and maps warm
 		b.ReportAllocs()
 		b.ResetTimer()
-		invoke(b.N)
+		if err == nil {
+			err = drive(b.N)
+		}
 		b.StopTimer()
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
 }

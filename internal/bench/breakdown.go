@@ -12,11 +12,10 @@ import (
 // This file implements the latency-breakdown experiment: it reruns a
 // contended lock-compute-unlock workload under every scheduling strategy
 // with request tracing enabled and decomposes the end-to-end invocation
-// latency into its pipeline stages (transport, total ordering, batch
-// residency, scheduler wait, mutex-grant wait, execution, reply
-// collection). The per-stage p50/p99/p99.9 quantiles are exact sample
-// quantiles over the recorded spans, so they are reproducible bit for bit
-// under the virtual-time kernel.
+// latency into its pipeline stages (transport, total ordering, scheduler
+// wait, mutex-grant wait, execution, reply collection). The per-stage
+// p50/p99/p99.9 quantiles are exact sample quantiles over the recorded
+// spans, so they are reproducible bit for bit under the virtual-time kernel.
 
 // StageQuantile is the latency summary of one pipeline stage under one
 // scheduling strategy.
@@ -31,8 +30,7 @@ type StageQuantile struct {
 
 // stageOrder lists the span names in pipeline order, for stable reporting.
 var stageOrder = []string{
-	"xport", "order", "seq.batch", "sched.wait", "sched.grant",
-	"exec", "reply", "rtt",
+	"xport", "order", "sched.wait", "sched.grant", "exec", "reply", "rtt",
 }
 
 // BreakdownClients is the client count of the latency-breakdown workload —

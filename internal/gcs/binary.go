@@ -273,12 +273,6 @@ func encOrdered(b *wire.Buffer, o Ordered) error {
 	if o.View != nil {
 		encView(b, *o.View)
 	}
-	b.Uvarint(uint64(len(o.Batch)))
-	for _, s := range o.Batch {
-		if err := encSubmit(b, s); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -313,20 +307,6 @@ func decOrdered(r *wire.Reader) (Ordered, error) {
 			return o, err
 		}
 		o.View = &v
-	}
-	n, err := sliceLen(r, "ordered batch")
-	if err != nil {
-		return o, err
-	}
-	if n > 0 {
-		o.Batch = make([]Submit, 0, n)
-		for i := 0; i < n; i++ {
-			s, err := decSubmit(r)
-			if err != nil {
-				return o, err
-			}
-			o.Batch = append(o.Batch, s)
-		}
 	}
 	return o, nil
 }

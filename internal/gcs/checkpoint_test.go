@@ -69,6 +69,29 @@ func TestNackBelowFloorServesSnapshot(t *testing.T) {
 	})
 }
 
+// TestSnapshotInstallForgetsOthersSubmits: a snapshot stands in for
+// deliveries whose ids the member never learns, so the cached copies of what
+// others submitted go with it — the sequencer drops a relay of an ordered id
+// silently, and the FD tick would resend them for ever. Its own broadcasts,
+// which nobody else would resend, stay.
+func TestSnapshotInstallForgetsOthersSubmits(t *testing.T) {
+	h := newHarness(3, false)
+	h.run(func() {
+		m := h.members[1]
+		var act actions
+		h.rt.Lock()
+		m.cacheSubmitLocked(Submit{Group: h.group, ID: "theirs", Origin: "client/c1"})
+		m.cacheSubmitLocked(Submit{Group: h.group, ID: "own", Origin: m.cfg.Self})
+		m.handleSnapshotLocked(Snapshot{Group: h.group, Seq: 5, Data: []byte("snapimage")}, &act)
+		_, theirs := m.submitCache["theirs"]
+		_, own := m.submitCache["own"]
+		h.rt.Unlock()
+		if theirs || !own {
+			t.Errorf("after the install the cache holds theirs: %v, own: %v; want false, true", theirs, own)
+		}
+	})
+}
+
 // TestBackToBackProposalsDropStaleSyncState: when a second view proposal
 // supersedes an unfinished sync round, responses collected for the
 // abandoned epoch must not leak into the new round (and the old grace

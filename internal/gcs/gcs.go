@@ -25,6 +25,7 @@ package gcs
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/replobj/replobj/internal/obs/tracing"
@@ -48,14 +49,7 @@ func (v View) Sequencer() wire.NodeID {
 }
 
 // Contains reports whether id is a member of the view.
-func (v View) Contains(id wire.NodeID) bool {
-	for _, m := range v.Members {
-		if m == id {
-			return true
-		}
-	}
-	return false
-}
+func (v View) Contains(id wire.NodeID) bool { return slices.Contains(v.Members, id) }
 
 // clone returns a deep copy of the view.
 func (v View) clone() View {
@@ -108,15 +102,9 @@ func (s Submit) TraceCtx() tracing.Context {
 	return tracing.Context{}
 }
 
-// Ordered is a sequenced message broadcast by the sequencer.
-//
-// Two wire forms exist. The single form carries one message: Seq, ID,
-// Origin, Payload (and View for in-stream view-change announcements). The
-// batch form — produced by sequencer-side submit batching — leaves those
-// blank and carries Batch instead: len(Batch) consecutively sequenced
-// messages, Batch[i] holding sequence number Seq+i. Receivers unpack a
-// batch into single messages immediately, so the retransmission log, NACK
-// recovery and view synchronization only ever see the single form.
+// Ordered is a sequenced message broadcast by the sequencer: one message
+// and the position it takes. An Ordered without Payload and View fills a
+// sequence number whose message was lost with a crashed sequencer.
 type Ordered struct {
 	Group   wire.GroupID
 	Epoch   uint64
@@ -126,22 +114,12 @@ type Ordered struct {
 	Payload any
 	// View is non-nil for in-stream view-change announcements.
 	View *View
-	// Batch, when non-empty, turns this message into one ordering round:
-	// submit i is assigned sequence number Seq+i.
-	Batch []Submit
 }
 
-// TraceCtx returns the trace context of the payload, or — for a batch —
-// of the first traced batch element, so transport spans can attach a
-// batched broadcast to at least one of the traces riding in it.
+// TraceCtx delegates to the payload, as Submit's does.
 func (o Ordered) TraceCtx() tracing.Context {
 	if t, ok := o.Payload.(tracing.Traced); ok {
 		return t.TraceCtx()
-	}
-	for _, s := range o.Batch {
-		if ctx := s.TraceCtx(); ctx.Valid() {
-			return ctx
-		}
 	}
 	return tracing.Context{}
 }
@@ -179,7 +157,7 @@ type Snapshot struct {
 
 // Hint is the sequencer's spontaneous-order announcement: on accepting a
 // fresh submit for ordering it predicts the sequence number the submit
-// will take (exact under stable batching, wrong across view changes or
+// will take (exact in steady state, wrong across view changes or
 // resubmit races) and broadcasts the prediction immediately, before the
 // ordering round completes. Replicas use hints purely as speculation
 // fuel — a wrong hint costs a discarded speculative execution, never
@@ -282,22 +260,10 @@ type Config struct {
 	// isolated minority can neither form its own view nor order messages.
 	Quorum bool
 
-	// LogRetain is how many ordered messages are kept for retransmission
-	// and view synchronization (default 4096).
+	// LogRetain is how many delivered messages are kept for retransmission
+	// and view synchronization beyond what a checkpoint has made
+	// unnecessary (default 4096); messages not yet delivered are kept on top.
 	LogRetain int
-
-	// MaxBatch caps how many submits the sequencer packs into one Ordered
-	// broadcast (default 64; 1 disables batching). Batching amortizes the
-	// per-broadcast fan-out — one wire message per round instead of one per
-	// submit — without changing the total order any member observes.
-	MaxBatch int
-	// MaxBatchDelay is how long the sequencer may hold a partially filled
-	// batch open waiting for more submits. The default 0 closes every
-	// batch at the end of the event that opened it, so isolated submits
-	// are ordered with unchanged latency and batching only coalesces
-	// submits that arrive together (e.g. a resubmit burst). A positive
-	// delay trades that latency for bigger rounds under sustained load.
-	MaxBatchDelay time.Duration
 
 	// DuplicateSubmit, when non-nil, is invoked (outside the runtime lock)
 	// for each submit whose id this member has already seen ordered. The
@@ -343,8 +309,8 @@ type Config struct {
 	// Stats receives protocol metrics. May be nil (all recordings no-op).
 	Stats *Stats
 
-	// Spans, when non-nil, records ordering-stage spans ("order",
-	// "seq.batch") for traced payloads.
+	// Spans, when non-nil, records the ordering-stage span ("order") for
+	// traced payloads.
 	Spans *tracing.Collector
 
 	// Shard, when non-empty, labels this member's spans with its shard
@@ -368,8 +334,5 @@ func (c *Config) applyDefaults() {
 	}
 	if c.LogRetain <= 0 {
 		c.LogRetain = 4096
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
 	}
 }

@@ -27,13 +27,6 @@ type Member struct {
 	ids     map[string]idEntry
 	idOrder ring.Queue[string]
 
-	// Sequencer-side submit batching (Config.MaxBatch/MaxBatchDelay):
-	// submits accepted but not yet broadcast. Flushed at the end of the
-	// event that opened the batch, when it fills, or when batchTimer fires.
-	batch      []Submit
-	batchAt    []time.Duration // batch[i]'s arrival time (only with cfg.Spans)
-	batchTimer *vtime.Timer
-
 	// Delivery state: everything below nextDeliver has been delivered. The
 	// log retains ordered messages for NACK retransmission and view sync,
 	// and holds those that arrived ahead of the frontier until it reaches
@@ -43,15 +36,14 @@ type Member struct {
 
 	// Checkpoint / truncation state. peerAcked records each peer's delivery
 	// frontier (piggybacked on heartbeats); the minimum over the current
-	// view is the stability watermark. Entries at or below logFloor have
-	// been truncated from the log and can only be recovered via snapshot.
+	// view is the stability watermark. What floorLocked lets go of is below
+	// log.lo and can only be recovered via snapshot.
 	peerAcked map[wire.NodeID]uint64
-	logFloor  uint64
 	snapSeq   uint64 // latest checkpoint position (0 = none)
 	snapData  []byte // latest checkpoint state image
 	// holdSeq, when non-zero, pins the truncation floor below it: entries
 	// at or above holdSeq survive checkpoints, the stability watermark and
-	// the retention cap. The replica holds its shard-migration prepare
+	// the retention count. The replica holds its shard-migration prepare
 	// position so the prepare→fence tail (including handoff chunks) stays
 	// replayable for rejoiners until the fence releases the hold.
 	holdSeq uint64
@@ -105,12 +97,11 @@ func (m *Member) Start() {
 func (m *Member) Stop() {
 	m.rt.Lock()
 	m.stopped = true
-	fd, sy, bt := m.fdTimer, m.syncTimer, m.batchTimer
-	m.fdTimer, m.syncTimer, m.batchTimer = nil, nil, nil
+	fd, sy := m.fdTimer, m.syncTimer
+	m.fdTimer, m.syncTimer = nil, nil
 	m.rt.Unlock()
 	m.rt.StopTimer(fd)
 	m.rt.StopTimer(sy)
-	m.rt.StopTimer(bt)
 	m.deliveries.Close()
 }
 
@@ -138,8 +129,7 @@ func (m *Member) View() View {
 func (m *Member) Broadcast(id string, payload any) {
 	sub := Submit{Group: m.cfg.Group, ID: id, Origin: m.cfg.Self, Payload: payload}
 	var act actions
-	m.rt.Lock()
-	if !m.stopped {
+	if m.enter() {
 		if st := m.cfg.Stats; st != nil {
 			st.Broadcasts.Inc()
 			// Remember when, so the delivery latency can be observed.
@@ -149,10 +139,8 @@ func (m *Member) Broadcast(id string, payload any) {
 			}
 		}
 		m.handleSubmitLocked(m.cfg.Self, sub, &act)
-		m.maybeFlushBatchLocked(&act)
 	}
-	m.rt.Unlock()
-	act.finish(m)
+	m.leave(&act)
 }
 
 // SetCheckpoint records a checkpoint taken by the layer above: data stands
@@ -161,26 +149,23 @@ func (m *Member) Broadcast(id string, payload any) {
 // it, and truncates the retransmission log up to the checkpoint (bounded
 // additionally by the stability watermark when failure detection is on).
 func (m *Member) SetCheckpoint(seq uint64, data []byte) {
-	m.rt.Lock()
-	if !m.stopped && seq > m.snapSeq && len(data) > 0 {
-		m.snapSeq = seq
-		m.snapData = data
-		m.truncateLocked()
+	if m.enter() && seq > m.snapSeq && len(data) > 0 {
+		m.snapSeq, m.snapData = seq, data
+		m.trimLocked()
 	}
 	m.rt.Unlock()
 }
 
 // HoldTruncation pins the truncation floor strictly below seq: ordered
 // messages at or above seq are retained regardless of later checkpoints,
-// the stability watermark, or the retention cap. Holds do not stack — a
+// the stability watermark, or the retention count. Holds do not stack — a
 // second call only lowers the pin — and Release resumes normal
 // truncation. The shard-migration protocol holds its prepare position so
 // a replica that rejoins mid-handoff recovers by snapshot (necessarily
 // pre-prepare, checkpoints being suppressed during migration) plus a tail
 // that still contains the prepare, the source cut and every chunk.
 func (m *Member) HoldTruncation(seq uint64) {
-	m.rt.Lock()
-	if !m.stopped && seq > 0 && (m.holdSeq == 0 || seq < m.holdSeq) {
+	if m.enter() && seq > 0 && (m.holdSeq == 0 || seq < m.holdSeq) {
 		m.holdSeq = seq
 		if st := m.cfg.Stats; st != nil {
 			st.TruncationHold.Set(int64(seq))
@@ -189,16 +174,15 @@ func (m *Member) HoldTruncation(seq uint64) {
 	m.rt.Unlock()
 }
 
-// ReleaseTruncation lifts the HoldTruncation pin and immediately
-// re-truncates up to the normal stability floor.
+// ReleaseTruncation lifts the HoldTruncation pin and immediately trims the
+// log to the floor the pin kept it from.
 func (m *Member) ReleaseTruncation() {
-	m.rt.Lock()
-	if !m.stopped && m.holdSeq != 0 {
+	if m.enter() && m.holdSeq != 0 {
 		m.holdSeq = 0
 		if st := m.cfg.Stats; st != nil {
 			st.TruncationHold.Set(0)
 		}
-		m.truncateLocked()
+		m.trimLocked()
 	}
 	m.rt.Unlock()
 }
@@ -219,53 +203,46 @@ func (m *Member) Handle(from wire.NodeID, payload any) bool {
 	if !isGCS || group != m.cfg.Group {
 		return false
 	}
-	now := m.rt.Now()
 	var act actions
-	m.rt.Lock()
-	if m.stopped {
-		m.rt.Unlock()
-		return true
+	if m.enter() {
+		m.lastSeen[from] = m.rt.NowLocked() // any message is a sign of life
+		switch p := payload.(type) {
+		case Submit:
+			m.handleSubmitLocked(from, p, &act)
+		case Ordered:
+			m.noteEpochLocked(p.Epoch)
+			m.handleOrderedLocked(p, &act)
+		case Nack:
+			m.handleNackLocked(p, &act)
+		case Heartbeat:
+			m.noteEpochLocked(p.Epoch)
+			if p.Acked > m.peerAcked[p.From] {
+				m.peerAcked[p.From] = p.Acked
+				m.trimLocked() // the stability watermark may have advanced
+			}
+			// Frontier check: a peer knows an ordered seq we never delivered
+			// and no later traffic will open the gap for us — ask the sequencer.
+			if m.installing == nil && p.Epoch == m.view.Epoch &&
+				p.MaxSeq >= m.nextDeliver && m.view.Sequencer() != m.cfg.Self {
+				act.send(m.view.Sequencer(), Nack{Group: m.cfg.Group, From: m.cfg.Self, Want: m.nextDeliver})
+			}
+		case Snapshot:
+			m.handleSnapshotLocked(p, &act)
+		case Hint:
+			if m.cfg.HintDeliver != nil {
+				act.hints = append(act.hints, p)
+			}
+		case Propose:
+			m.noteEpochLocked(p.View.Epoch)
+			m.adoptProposalLocked(p.View, &act)
+		case SyncReq:
+			m.noteEpochLocked(p.View.Epoch)
+			m.handleSyncReqLocked(p, &act)
+		case SyncResp:
+			m.handleSyncRespLocked(p, &act)
+		}
 	}
-	m.touchLocked(from, now)
-	switch p := payload.(type) {
-	case Submit:
-		m.handleSubmitLocked(from, p, &act)
-	case Ordered:
-		m.noteEpochLocked(p.Epoch)
-		m.handleOrderedLocked(p, &act)
-	case Nack:
-		m.handleNackLocked(p, &act)
-	case Heartbeat:
-		// touch already recorded liveness
-		m.noteEpochLocked(p.Epoch)
-		if p.Acked > m.peerAcked[p.From] {
-			m.peerAcked[p.From] = p.Acked
-			m.truncateLocked() // the stability watermark may have advanced
-		}
-		// Frontier check: a peer knows an ordered seq we never delivered and
-		// no later traffic will open the gap for us — ask the sequencer.
-		if m.installing == nil && p.Epoch == m.view.Epoch &&
-			p.MaxSeq >= m.nextDeliver && m.view.Sequencer() != m.cfg.Self {
-			act.send(m.view.Sequencer(), Nack{Group: m.cfg.Group, From: m.cfg.Self, Want: m.nextDeliver})
-		}
-	case Snapshot:
-		m.handleSnapshotLocked(p, &act)
-	case Hint:
-		if m.cfg.HintDeliver != nil {
-			act.hints = append(act.hints, p)
-		}
-	case Propose:
-		m.noteEpochLocked(p.View.Epoch)
-		m.adoptProposalLocked(p.View, &act)
-	case SyncReq:
-		m.noteEpochLocked(p.View.Epoch)
-		m.handleSyncReqLocked(p, &act)
-	case SyncResp:
-		m.handleSyncRespLocked(p, &act)
-	}
-	m.maybeFlushBatchLocked(&act)
-	m.rt.Unlock()
-	act.finish(m)
+	m.leave(&act)
 	return true
 }
 
@@ -293,16 +270,34 @@ func payloadGroup(payload any) (wire.GroupID, bool) {
 	return "", false
 }
 
-// --- actions ---
+// --- events ---
+//
+// Every event — Broadcast, Handle, the FD tick, the two view-change grace
+// timers — has one shape: enter, work under the runtime lock while queuing in
+// an actions value what must happen without it, leave.
+
+// enter takes the runtime lock and reports whether the member still runs: a
+// stopped member's events do nothing between enter and leave.
+func (m *Member) enter() bool {
+	m.rt.Lock()
+	return !m.stopped
+}
+
+// leave releases the runtime lock and runs what the event queued.
+func (m *Member) leave(act *actions) {
+	m.rt.Unlock()
+	act.finish(m)
+}
 
 type outMsg struct {
 	to      wire.NodeID
 	payload any
 }
 
-// actions accumulates sends to perform after the runtime lock is released
-// (the transport schedules timers, which itself needs the lock). Deliveries
-// go straight to the mailbox via PutLocked, preserving total order.
+// actions accumulates what an event does once the runtime lock is released:
+// sends (the transport schedules timers, which itself needs the lock) and the
+// owner's hooks. Deliveries go straight to the mailbox via PutLocked,
+// preserving total order.
 type actions struct {
 	// Queued sends, in order: the first few in an array — an ordering round
 	// in a small group queues no more, so the common event's sends live in
@@ -310,18 +305,15 @@ type actions struct {
 	first  [4]outMsg
 	nfirst int
 	rest   []outMsg
-	// dups are already-ordered submits (with the position each was ordered
-	// at, 0 when pruned) to surface through the DuplicateSubmit hook once
-	// the lock is released.
+	// dups are already-ordered submits, with the position each was ordered
+	// at, to surface through the DuplicateSubmit hook.
 	dups []dupSubmit
-	// opts are fresh submits to surface through the OptimisticDeliver hook
-	// once the lock is released.
+	// opts are fresh submits to surface through the OptimisticDeliver hook.
 	opts []Submit
 	// hints are sequencer spontaneous-order predictions to surface through
-	// the HintDeliver hook once the lock is released.
+	// the HintDeliver hook.
 	hints []Hint
-	// nacked dedups gap NACKs within one lock section (see
-	// handleOrderedLocked).
+	// nacked dedups gap NACKs within one event (see handleOrderedLocked).
 	nacked bool
 }
 
@@ -339,45 +331,34 @@ func (a *actions) send(to wire.NodeID, payload any) {
 	a.rest = append(a.rest, outMsg{to: to, payload: payload})
 }
 
-// sendPeers queues payload for every other member of the current view. The
-// payload is boxed by the caller, once, not once per peer.
-func (a *actions) sendPeers(m *Member, payload any) {
-	for _, peer := range m.view.Members {
+// sendAll queues payload for every one of members but m itself. The payload
+// is boxed by the caller, once, not once per peer.
+func (a *actions) sendAll(m *Member, members []wire.NodeID, payload any) {
+	for _, peer := range members {
 		if peer != m.cfg.Self {
 			a.send(peer, payload)
 		}
 	}
 }
 
-func (a *actions) do(send func(to wire.NodeID, payload any)) {
+// finish is the only way out of an event: the queued sends, then the
+// duplicate-submit / optimistic-delivery / hint notifications (each queued
+// only where its hook is set), which may call back into the replica layer.
+func (a *actions) finish(m *Member) {
 	for _, s := range a.first[:a.nfirst] {
-		send(s.to, s.payload)
+		m.cfg.Send(s.to, s.payload)
 	}
 	for _, s := range a.rest {
-		send(s.to, s.payload)
+		m.cfg.Send(s.to, s.payload)
 	}
-}
-
-// finish runs the post-lock tail of an event: queued sends, then the
-// duplicate-submit / optimistic-delivery / hint notifications (which may
-// call back into the replica layer and so must also run without the
-// runtime lock held).
-func (a *actions) finish(m *Member) {
-	a.do(m.cfg.Send)
-	if m.cfg.DuplicateSubmit != nil {
-		for _, d := range a.dups {
-			m.cfg.DuplicateSubmit(d.sub, d.seq)
-		}
+	for _, d := range a.dups {
+		m.cfg.DuplicateSubmit(d.sub, d.seq)
 	}
-	if m.cfg.OptimisticDeliver != nil {
-		for _, s := range a.opts {
-			m.cfg.OptimisticDeliver(s)
-		}
+	for _, s := range a.opts {
+		m.cfg.OptimisticDeliver(s)
 	}
-	if m.cfg.HintDeliver != nil {
-		for _, h := range a.hints {
-			m.cfg.HintDeliver(h)
-		}
+	for _, h := range a.hints {
+		m.cfg.HintDeliver(h)
 	}
 }
 
@@ -425,241 +406,156 @@ func (m *Member) quorumOKLocked(now time.Duration) bool {
 	return 2*alive > len(m.view.Members)
 }
 
-// handleSubmitLocked takes in a submit that `from` sent: the origin itself
-// (a client or a member of another group addressing this member, or this
-// member's own Broadcast), or a member passing the origin's copy on — a
-// relay.
+// submitVerdict is what a member does with one copy of a submit. Whatever
+// the verdict, a copy of an id not yet ordered is first kept in the submit
+// cache, for resubmission after a view change and by the FD tick.
+type submitVerdict uint8
+
+const (
+	// hold: nothing beyond the cache. The copy is a relay (never relayed
+	// again) or a later copy from the origin (a retransmission, which goes to
+	// every member anyway — as does the first copy in a direct-copy group);
+	// or there is no sequencer to pass it to: a view is being installed, or
+	// this member is the sequencer, suspended, and must not forward to itself
+	// — it orders its backlog when it resumes or a new view arrives.
+	hold submitVerdict = iota
+	// staleRelay: a member passed on a copy of something already ordered —
+	// another copy got to the sequencer first. Only a copy from its origin
+	// says the origin is still waiting, so this one is dropped: neither
+	// reported nor answered with the log.
+	staleRelay
+	// overtakenFirstCopy: in a direct-copy group the origin sends to every
+	// member, and this member's copy lost the race against the sequencer's
+	// Ordered. Not a retransmission: the execution replies on its own, and a
+	// replay would be a second reply to a client that never asked twice. Only
+	// the report is withheld; the mark is spent and the log is resent as for
+	// a retransmission. The trade: when the direct copy and the reply were
+	// both lost this is the client's first retransmission after all, and the
+	// replay waits for its second — one retransmit interval later.
+	overtakenFirstCopy
+	// retransmission: the origin sent again something already ordered, so it
+	// is still waiting. The owner hears of it through DuplicateSubmit (the
+	// ordered stream carries no second delivery) and the sequencer resends
+	// the retained log from that position through the frontier: usually
+	// some replica never received the Ordered — the last of a burst, with no
+	// later traffic to draw a NACK — and what was ordered right after it
+	// (a scheduler's mutex-table update, say) may be missing there too.
+	retransmission
+	// orderHere: this member is the sequencer and may order.
+	orderHere
+	// relayToSequencer: this is where the submit entered the group — this
+	// member's own broadcast, or the first copy its origin hands this member:
+	// a client sends a request to one member, the sequencer unless its
+	// knowledge is stale, so the copy may be the only one, and with failure
+	// detection off nothing else would ever pass it on.
+	relayToSequencer
+)
+
+// submitCase is everything the verdict on a copy of a submit depends on.
+type submitCase struct {
+	ordered      bool // the id has its position in the order
+	overtaken    bool // ...which got here before the origin's direct copy (see deliverLocked)
+	fromOrigin   bool // sent by the origin itself (a client, a member of another group, this member's Broadcast), not passed on by a member
+	own          bool // this member is the origin
+	first        bool // the id is not in the submit cache: this member's first sight of it
+	sequencer    bool // this member orders now (isSequencerLocked)
+	suspended    bool // it is the installed view's sequencer and may not: quorum lost, or a superseded epoch seen
+	installing   bool // a view change is in progress
+	directCopies bool // cfg.DirectCopies
+}
+
+func (c submitCase) verdict() submitVerdict {
+	switch {
+	case c.ordered && !c.fromOrigin:
+		return staleRelay
+	case c.ordered && c.overtaken:
+		return overtakenFirstCopy
+	case c.ordered:
+		return retransmission
+	case c.sequencer:
+		return orderHere
+	case !c.fromOrigin, c.installing, c.suspended:
+		return hold
+	case c.own, c.first && !c.directCopies:
+		return relayToSequencer
+	}
+	return hold
+}
+
+// handleSubmitLocked takes in a copy of a submit that `from` sent.
 func (m *Member) handleSubmitLocked(from wire.NodeID, sub Submit, act *actions) {
-	fromOrigin := from == sub.Origin
-	if e := m.ids[sub.ID]; e.seq != 0 {
-		if !fromOrigin {
-			// A relay of something already ordered: another copy got to the
-			// sequencer first. Only a copy that comes from its origin says the
-			// origin is still waiting, so this one is neither reported nor
-			// answered with the log.
-			return
-		}
-		if e.overtaken {
-			// Not a retransmission: in a direct-copy group the origin sends to
-			// every member and this member's copy lost the race against the
-			// sequencer's Ordered. The execution replies on its own; a replay
-			// here would be a second reply to a client that never asked twice.
-			// The trade: when the direct copy and the reply were both lost,
-			// this is the client's first retransmission after all, and the
-			// replay waits for its second — one retransmit interval later.
-			// Only the report is withheld; the log re-broadcast below does not
-			// wait.
+	e := m.ids[sub.ID]
+	_, cached := m.submitCache[sub.ID]
+	orders := m.isSequencerLocked()
+	c := submitCase{
+		ordered:      e.seq != 0,
+		overtaken:    e.overtaken,
+		fromOrigin:   from == sub.Origin,
+		own:          sub.Origin == m.cfg.Self,
+		first:        !cached,
+		sequencer:    orders,
+		suspended:    !orders && m.view.Sequencer() == m.cfg.Self,
+		installing:   m.installing != nil,
+		directCopies: m.cfg.DirectCopies,
+	}
+	v := c.verdict()
+	switch v {
+	case staleRelay:
+		return
+	case overtakenFirstCopy, retransmission:
+		if v == overtakenFirstCopy {
 			e.overtaken = false
 			m.ids[sub.ID] = e
 		} else if m.cfg.DuplicateSubmit != nil {
 			act.dups = append(act.dups, dupSubmit{sub: sub, seq: e.seq})
 		}
-		// A duplicate of something already ordered — usually a client
-		// retransmission because some replica never received the ordered
-		// message (e.g. the final message of a burst was lost and no later
-		// traffic triggered a NACK). Re-broadcast the retained log from that
-		// point through the frontier: trailing messages (such as a
-		// scheduler's mutex-table update ordered right after the request)
-		// may be the very thing the lagging replica is missing.
-		if m.isSequencerLocked() {
-			const batch = 64
-			for s := e.seq; s < m.nextSeq && s < e.seq+batch; s++ {
+		if c.sequencer {
+			const burst = 64
+			for s := e.seq; s < m.nextSeq && s < e.seq+burst; s++ {
 				if o, ok := m.log.get(s); ok {
-					act.sendPeers(m, o)
+					act.sendAll(m, m.view.Members, o)
 				}
 			}
 		}
 		return
 	}
-	// First sight of a fresh, not-yet-ordered submit on this member? Later
-	// copies find it in the submit cache.
-	first := m.cacheSubmitLocked(sub)
-	if first && m.cfg.OptimisticDeliver != nil {
-		// Surface it on the optimistic-delivery stream, once per id.
-		act.opts = append(act.opts, sub)
-	}
-	if m.isSequencerLocked() {
-		m.sequenceSubmitLocked(sub, act)
-		return
-	}
-	// Not the sequencer (or a view change is in progress): the submit stays
-	// cached for resubmission after a view change, and goes to the sequencer
-	// now if this member is where it entered the group. That is so for this
-	// member's own broadcasts, and for the first copy its origin hands this
-	// member: a client sends a request to one member, the sequencer unless
-	// its knowledge is stale, so the copy may be the only one (and with
-	// failure detection off nothing else would ever pass it on). Later
-	// copies are retransmissions, which go to every member, and in a
-	// direct-copy group so does the first: neither is passed on. Nor is a
-	// relay, ever. A sequencer that is merely suspended (quorum lost, or
-	// superseded epoch seen) must not forward to itself — the cached submit
-	// is ordered once it resumes or a new view arrives.
-	if !fromOrigin || m.installing != nil || m.view.Sequencer() == m.cfg.Self {
-		return
-	}
-	if sub.Origin != m.cfg.Self {
-		if !first || m.cfg.DirectCopies {
-			return
+	if c.first {
+		m.cacheSubmitLocked(sub)
+		if m.cfg.OptimisticDeliver != nil {
+			// Surface it on the optimistic-delivery stream, once per id.
+			act.opts = append(act.opts, sub)
 		}
-		if st := m.cfg.Stats; st != nil {
+	}
+	switch v {
+	case orderHere:
+		m.sequenceLocked(sub, act)
+	case relayToSequencer:
+		if st := m.cfg.Stats; st != nil && !c.own {
 			st.SubmitsRelayed.Inc()
 		}
-	}
-	act.send(m.view.Sequencer(), sub)
-}
-
-// sequenceSubmitLocked accepts a submit for ordering on the sequencer.
-// With batching enabled it joins the open batch — broadcast at the end of
-// the current event, when the batch fills, or when the delay timer fires —
-// otherwise it is ordered immediately.
-func (m *Member) sequenceSubmitLocked(sub Submit, act *actions) {
-	if m.cfg.MaxBatch <= 1 {
-		m.hintLocked(sub.ID, m.nextSeq, act)
-		m.orderLocked(sub.ID, sub.Origin, sub.Payload, nil, act)
-		return
-	}
-	for i := range m.batch {
-		if m.batch[i].ID == sub.ID {
-			return // already waiting in the open batch
-		}
-	}
-	// Predicted position: the open batch flushes before anything else is
-	// ordered in this event, so the submit takes nextSeq plus its batch
-	// index. The prediction is announced before the ordering round — exact
-	// in steady state, and harmlessly wrong across view changes.
-	m.hintLocked(sub.ID, m.nextSeq+uint64(len(m.batch)), act)
-	m.batch = append(m.batch, sub)
-	if m.cfg.Spans != nil {
-		m.batchAt = append(m.batchAt, m.rt.NowLocked())
-	}
-	if len(m.batch) >= m.cfg.MaxBatch {
-		m.flushBatchLocked(act)
+		act.send(m.view.Sequencer(), sub)
 	}
 }
 
-// hintLocked queues a spontaneous-order hint for broadcast to every view
-// member (the sequencer's own HintDeliver fires via the local actions
-// tail). No-op unless Config.SpecHints is set.
+// sequenceLocked orders a submit the sequencer has not ordered yet. The
+// position is announced before the ordering round — exact in steady state,
+// harmlessly wrong across view changes.
+func (m *Member) sequenceLocked(sub Submit, act *actions) {
+	m.hintLocked(sub.ID, m.nextSeq, act)
+	m.orderLocked(sub.ID, sub.Origin, sub.Payload, nil, act)
+}
+
+// hintLocked queues a spontaneous-order hint for every view member, this
+// one's own HintDeliver included. No-op unless Config.SpecHints is set.
 func (m *Member) hintLocked(id string, seq uint64, act *actions) {
 	if !m.cfg.SpecHints || id == "" {
 		return
 	}
 	h := Hint{Group: m.cfg.Group, ID: id, Seq: seq}
-	act.sendPeers(m, h)
+	act.sendAll(m, m.view.Members, h)
 	if m.cfg.HintDeliver != nil {
 		act.hints = append(act.hints, h)
 	}
-}
-
-// maybeFlushBatchLocked closes the open batch at the end of a lock section
-// (immediate mode) or arms the delay timer. Every public entry point that
-// can grow the batch calls it before releasing the runtime lock, so in
-// immediate mode (MaxBatchDelay 0) a batch never outlives the event that
-// opened it and a lone submit is broadcast exactly as without batching.
-func (m *Member) maybeFlushBatchLocked(act *actions) {
-	if len(m.batch) == 0 {
-		return
-	}
-	if m.cfg.MaxBatchDelay <= 0 {
-		m.flushBatchLocked(act)
-		return
-	}
-	if m.batchTimer == nil {
-		m.batchTimer = m.rt.AfterLocked(m.cfg.MaxBatchDelay, "gcs-batch/"+string(m.cfg.Self), m.batchTick)
-	}
-}
-
-func (m *Member) batchTick() {
-	var act actions
-	m.rt.Lock()
-	if !m.stopped {
-		m.batchTimer = nil
-		m.flushBatchLocked(&act)
-	}
-	m.rt.Unlock()
-	act.finish(m)
-}
-
-// flushBatchLocked broadcasts the open batch as one ordering round:
-// a single Ordered carrying len(batch) submits, Batch[i] taking sequence
-// number Seq+i. Submits ordered since they were batched (by a view change
-// or resubmit race) are filtered out; if the member lost the sequencer role
-// while the batch was open the whole batch is dropped — every submit
-// survives in submitCache and the view-change/resubmit paths re-send them.
-func (m *Member) flushBatchLocked(act *actions) {
-	if t := m.batchTimer; t != nil {
-		m.batchTimer = nil
-		m.rt.StopTimerLocked(t)
-	}
-	batch := m.batch
-	m.batch = nil
-	handedOff := len(batch) > 0 && m.isSequencerLocked() && m.orderBatchLocked(batch, act)
-	m.batchAt = m.batchAt[:0]
-	if !handedOff {
-		// The array serves the next batch too; cleared, so that idle it
-		// pins no payload.
-		clear(batch)
-		m.batch = batch[:0]
-	}
-}
-
-// orderBatchLocked orders what is left of batch as one round. It reports
-// whether the round went out in the batch form, whose Ordered aliases
-// batch's backing array.
-func (m *Member) orderBatchLocked(batch []Submit, act *actions) bool {
-	if m.cfg.Spans != nil {
-		// Batch residency: how long each traced submit sat in the open
-		// batch before this ordering round broadcast it.
-		now := m.rt.NowLocked()
-		for i, sub := range batch {
-			if m.orderedLocked(sub.ID) || i >= len(m.batchAt) {
-				continue
-			}
-			if ctx := sub.TraceCtx(); ctx.Valid() {
-				m.cfg.Spans.Record(tracing.Span{
-					Trace:  ctx.TraceID,
-					ID:     tracing.NewSpanID(ctx.TraceID, "seq.batch", string(m.cfg.Self), m.batchAt[i]),
-					Parent: ctx.Span,
-					Name:   "seq.batch",
-					Node:   string(m.cfg.Self),
-					Shard:  m.cfg.Shard,
-					Start:  m.batchAt[i],
-					Dur:    now - m.batchAt[i],
-				})
-			}
-		}
-	}
-	subs := batch[:0]
-	for _, sub := range batch {
-		if !m.orderedLocked(sub.ID) {
-			subs = append(subs, sub)
-		}
-	}
-	if len(subs) == 0 {
-		return false
-	}
-	if len(subs) == 1 {
-		m.orderLocked(subs[0].ID, subs[0].Origin, subs[0].Payload, nil, act)
-		return false
-	}
-	o := Ordered{
-		Group:  m.cfg.Group,
-		Epoch:  m.view.Epoch,
-		Seq:    m.nextSeq,
-		Origin: m.cfg.Self,
-		Batch:  subs,
-	}
-	m.nextSeq += uint64(len(subs))
-	for i, sub := range subs {
-		m.markOrderedIDLocked(sub.ID, o.Seq+uint64(i))
-	}
-	if st := m.cfg.Stats; st != nil {
-		st.Batches.Inc()
-		st.BatchedSubmits.Add(uint64(len(subs)))
-	}
-	act.sendPeers(m, o)
-	m.handleOrderedLocked(o, act)
-	return true
 }
 
 // orderLocked assigns the next sequence number and broadcasts. Only the
@@ -679,27 +575,11 @@ func (m *Member) orderLocked(id string, origin wire.NodeID, payload any, view *V
 	}
 	m.nextSeq++
 	m.markOrderedIDLocked(id, o.Seq)
-	act.sendPeers(m, o)
+	act.sendAll(m, m.view.Members, o)
 	m.handleOrderedLocked(o, act)
 }
 
 func (m *Member) handleOrderedLocked(o Ordered, act *actions) {
-	if len(o.Batch) > 0 {
-		// A batched round: unpack into single messages immediately so the
-		// retransmission log, NACK recovery and view sync never see the
-		// batch form.
-		for i, sub := range o.Batch {
-			m.handleOrderedLocked(Ordered{
-				Group:   o.Group,
-				Epoch:   o.Epoch,
-				Seq:     o.Seq + uint64(i),
-				ID:      sub.ID,
-				Origin:  sub.Origin,
-				Payload: sub.Payload,
-			}, act)
-		}
-		return
-	}
 	if o.Seq < m.nextDeliver {
 		return // duplicate
 	}
@@ -712,14 +592,15 @@ func (m *Member) handleOrderedLocked(o Ordered, act *actions) {
 	// brings the tail in from the frontier up, or a snapshot in its place.
 	gap := true
 	if o.Seq-m.nextDeliver < uint64(m.cfg.LogRetain) {
-		m.retainLocked(o)
+		m.log.put(o)
 		m.deliverReadyLocked(act)
+		m.trimLocked()
 		gap = m.log.hi() > m.nextDeliver
 	}
 	if gap && !act.nacked {
-		// One NACK per lock section: unpacking a batch that lands above the
-		// delivery frontier would otherwise request the same gap once per
-		// element.
+		// One NACK per event: a new sequencer feeding itself a merged tail
+		// (finishSyncLocked) would otherwise request the same gap once per
+		// message above it.
 		act.nacked = true
 		act.send(m.view.Sequencer(), Nack{Group: m.cfg.Group, From: m.cfg.Self, Want: m.nextDeliver})
 	}
@@ -797,14 +678,14 @@ func (m *Member) deliverLocked(o Ordered, act *actions) {
 	if o.View != nil {
 		v := o.View.clone()
 		d.NewView = &v
-		// Enqueue before installing: if this member is the new sequencer,
-		// installViewLocked re-orders its cached submits, which delivers
-		// them recursively — the view event must precede them in the stream.
-		m.deliveries.PutLocked(d)
-		m.installViewLocked(v, act)
-		return
 	}
+	// Enqueue before installing: if this member is the new sequencer,
+	// installViewLocked re-orders its cached submits, which delivers them
+	// recursively — the view event must precede them in the stream.
 	m.deliveries.PutLocked(d)
+	if d.NewView != nil {
+		m.installViewLocked(*d.NewView, act)
+	}
 }
 
 func (m *Member) installViewLocked(v View, act *actions) {
@@ -825,19 +706,15 @@ func (m *Member) installViewLocked(v View, act *actions) {
 	}
 	// The view may have shrunk: the stability watermark no longer waits on
 	// departed members, so retained entries may become truncatable.
-	m.truncateLocked()
+	m.trimLocked()
 	// Resubmit cached submits so nothing that only the crashed sequencer
 	// saw is lost. The new sequencer deduplicates by id.
-	if m.view.Sequencer() == m.cfg.Self {
-		for id := range m.cacheOrder.All() {
-			if c, ok := m.submitCache[id]; ok {
-				m.orderLocked(c.sub.ID, c.sub.Origin, c.sub.Payload, nil, act)
-			}
-		}
-		return
-	}
 	for id := range m.cacheOrder.All() {
-		if c, ok := m.submitCache[id]; ok {
+		if c, ok := m.submitCache[id]; !ok {
+			continue
+		} else if m.view.Sequencer() == m.cfg.Self {
+			m.orderLocked(c.sub.ID, c.sub.Origin, c.sub.Payload, nil, act)
+		} else {
 			act.send(m.view.Sequencer(), c.sub)
 		}
 	}
@@ -848,7 +725,7 @@ func (m *Member) handleNackLocked(n Nack, act *actions) {
 		st.Nacks.Inc()
 	}
 	start := n.Want
-	if n.Want <= m.logFloor && m.snapData != nil {
+	if n.Want < m.log.lo && n.Want <= m.snapSeq {
 		// The requested tail has been truncated: bring the peer forward
 		// with the latest checkpoint, then resend what is retained above it.
 		act.send(n.From, Snapshot{Group: m.cfg.Group, Seq: m.snapSeq, Data: m.snapData})
@@ -857,10 +734,10 @@ func (m *Member) handleNackLocked(n Nack, act *actions) {
 		}
 		start = m.snapSeq + 1
 	}
-	// Resend whatever is retained from start upward (bounded batch).
-	const batch = 256
+	// Resend whatever is retained from start upward, a bounded burst.
+	const burst = 256
 	sent := 0
-	for seq := max(start, m.log.lo); seq < m.log.hi() && sent < batch; seq++ {
+	for seq := max(start, m.log.lo); seq < m.log.hi() && sent < burst; seq++ {
 		if o, ok := m.log.get(seq); ok {
 			act.send(n.From, o)
 			sent++
@@ -885,14 +762,25 @@ func (m *Member) handleSnapshotLocked(p Snapshot, act *actions) {
 	}
 	m.deliveries.PutLocked(Delivery{Seq: p.Seq, Snapshot: p.Data})
 	m.nextDeliver = p.Seq + 1
+	// A delivery takes its submit out of the cache; the snapshot stands in
+	// for deliveries whose ids this member never learns, and the sequencer
+	// drops a relay of an ordered id without a word (staleRelay) — the FD
+	// tick would resend such a submit for ever. So what others submitted is
+	// forgotten here: their origins send again until they are answered, or
+	// sent to every member in the first place. This member's own broadcasts
+	// stay, since nobody else would resend those.
+	for id, c := range m.submitCache {
+		if c.sub.Origin != m.cfg.Self {
+			delete(m.submitCache, id)
+		}
+	}
 	// Adopt the checkpoint as our own so we can serve it onward and
 	// truncate the (now irrelevant) retained prefix.
 	if p.Seq > m.snapSeq {
-		m.snapSeq = p.Seq
-		m.snapData = p.Data
-		m.truncateLocked()
+		m.snapSeq, m.snapData = p.Seq, p.Data
 	}
 	m.deliverReadyLocked(act)
+	m.trimLocked()
 }
 
 // --- bookkeeping ---
@@ -943,12 +831,9 @@ func (m *Member) markOrderedIDLocked(id string, seq uint64) {
 	}
 }
 
-// cacheSubmitLocked remembers a not-yet-ordered submit and reports whether
-// this is the first this member sees of it.
-func (m *Member) cacheSubmitLocked(sub Submit) bool {
-	if _, ok := m.submitCache[sub.ID]; ok {
-		return false
-	}
+// cacheSubmitLocked remembers a not-yet-ordered submit this member sees for
+// the first time.
+func (m *Member) cacheSubmitLocked(sub Submit) {
 	m.submitCache[sub.ID] = cachedSubmit{sub: sub, at: m.rt.NowLocked()}
 	m.cacheOrder.Push(sub.ID)
 	// Submits are ordered about as they came, so what the head of the queue
@@ -957,50 +842,33 @@ func (m *Member) cacheSubmitLocked(sub Submit) bool {
 	for {
 		head := *m.cacheOrder.At(0)
 		if _, live := m.submitCache[head]; live && m.cacheOrder.Len() <= maxTrackedIDs {
-			return true
+			return
 		}
 		m.cacheOrder.Pop()
 		delete(m.submitCache, head)
 	}
 }
 
-// retainLocked puts o in the log, and past twice cfg.LogRetain cuts the log
-// back to that many below the delivery frontier plus everything not yet
-// delivered — never evicting a held migration tail.
-func (m *Member) retainLocked(o Ordered) {
-	m.log.put(o)
-	if m.log.n > 2*m.cfg.LogRetain {
-		floor := uint64(0)
-		if m.nextDeliver > uint64(m.cfg.LogRetain) {
-			floor = m.nextDeliver - uint64(m.cfg.LogRetain)
-		}
-		if m.holdSeq != 0 && floor > m.holdSeq {
-			floor = m.holdSeq
-		}
-		m.log.dropBelow(floor)
-	}
-	if st := m.cfg.Stats; st != nil {
-		st.LogLength.Set(int64(m.log.n))
-	}
-}
-
-// truncateLocked drops retained log entries at or below the stability
-// floor. With failure detection the floor is min(checkpoint, watermark),
-// where the watermark is the lowest delivery frontier across the current
-// view (self included; peers report theirs via heartbeat Acked, a peer
-// never heard from holds it at 0) — so no entry a live view member might
-// still NACK is dropped. Without failure detection there are no acks and
-// the checkpoint alone bounds the log: NACKs below the floor are answered
-// with the snapshot instead of the dropped entries.
-func (m *Member) truncateLocked() {
-	if m.snapSeq == 0 {
-		return
-	}
+// floorLocked is the highest sequence number the log lets go of:
+//
+//	min(hold − 1, max(stable, delivered − LogRetain))
+//
+// stable is what no member can ask for again. With failure detection that is
+// min(checkpoint, watermark), the watermark being the lowest delivery
+// frontier across the current view (self included; peers report theirs via
+// heartbeat Acked, a peer never heard from holds it at 0) — so no entry a live
+// view member might still NACK is dropped. Without failure detection there
+// are no acks and the checkpoint alone decides: NACKs below the floor are
+// answered with the snapshot instead of the dropped entries. Above stable
+// the log keeps cfg.LogRetain delivered messages, and everything not yet
+// delivered. A HoldTruncation pin wins over both.
+func (m *Member) floorLocked() uint64 {
 	floor := m.snapSeq
-	if m.cfg.FailureDetection {
-		if w := m.watermarkLocked(); w < floor {
-			floor = w
-		}
+	if m.cfg.FailureDetection && floor != 0 {
+		floor = min(floor, m.watermarkLocked())
+	}
+	if retain := uint64(m.cfg.LogRetain); m.nextDeliver-1 > retain {
+		floor = max(floor, m.nextDeliver-1-retain)
 	}
 	if m.holdSeq != 0 && floor >= m.holdSeq {
 		floor = m.holdSeq - 1
@@ -1008,11 +876,14 @@ func (m *Member) truncateLocked() {
 			st.TruncationHeld.Inc()
 		}
 	}
-	if floor <= m.logFloor {
-		return
-	}
-	removed := m.log.dropBelow(floor + 1)
-	m.logFloor = floor
+	return floor
+}
+
+// trimLocked cuts the log back to floorLocked. It runs after whatever can
+// move the floor: a put (the frontier), a checkpoint, a peer's ack, a view
+// change, the release of a hold.
+func (m *Member) trimLocked() {
+	removed := m.log.dropBelow(m.floorLocked() + 1)
 	if st := m.cfg.Stats; st != nil {
 		st.Truncated.Add(uint64(removed))
 		st.LogLength.Set(int64(m.log.n))
@@ -1032,8 +903,4 @@ func (m *Member) watermarkLocked() uint64 {
 		}
 	}
 	return w
-}
-
-func (m *Member) touchLocked(from wire.NodeID, now time.Duration) {
-	m.lastSeen[from] = now
 }

@@ -130,8 +130,8 @@ func TestLogRetentionBounded(t *testing.T) {
 		rt.rt.Lock()
 		size := rt.members[0].log.n
 		rt.rt.Unlock()
-		if size > 2*32 {
-			t.Errorf("retained log has %d entries, cap 2×32", size)
+		if size > 32 {
+			t.Errorf("retained log has %d entries, LogRetain 32", size)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package gcs
 
 import (
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -96,6 +97,49 @@ func TestQuorumBlocksMinorityProgress(t *testing.T) {
 			got := ids(take(t, h.rt, m, 1))
 			if !reflect.DeepEqual(got, []string{"stuck"}) {
 				t.Errorf("member %d delivered %v, want [stuck]", i, got)
+			}
+		}
+	})
+}
+
+// TestResumedSequencerHintsItsBacklogLocally: a sequencer that lost its
+// quorum caches what it is sent and orders the backlog from the FD tick once
+// it hears a majority again. The hints it announces for those submits reach
+// its own HintDeliver as they reach its peers' — every event leaves through
+// actions.finish, the FD tick included.
+func TestResumedSequencerHintsItsBacklogLocally(t *testing.T) {
+	var hints [3]atomic.Int32
+	h := newHarnessCfg(3, true, func(c *Config) {
+		c.Quorum, c.SpecHints = true, true
+		for rank := range hints {
+			if c.Self == wire.ReplicaID(c.Group, rank) {
+				c.HintDeliver = func(Hint) { hints[rank].Add(1) }
+			}
+		}
+	})
+	h.run(func() {
+		cl := h.net.Endpoint(wire.ClientID("c1"))
+		defer cl.Close()
+		h.rt.Sleep(50 * time.Millisecond)
+		h.net.Crash(h.ids[1])
+		h.net.Crash(h.ids[2])
+		h.rt.Sleep(300 * time.Millisecond) // well past SuspectAfter
+		h.submitFromClient(cl, "held-a", "x")
+		h.submitFromClient(cl, "held-b", "x")
+		h.rt.Sleep(100 * time.Millisecond)
+		if n := hints[0].Load(); n != 0 {
+			t.Fatalf("suspended sequencer announced %d positions", n)
+		}
+		h.net.Restore(h.ids[1])
+		h.net.Restore(h.ids[2])
+		for i, m := range h.members {
+			if got := ids(take(t, h.rt, m, 2)); !reflect.DeepEqual(got, []string{"held-a", "held-b"}) {
+				t.Errorf("member %d delivered %v, want [held-a held-b]", i, got)
+			}
+		}
+		for rank := range hints {
+			if n := hints[rank].Load(); n != 2 {
+				t.Errorf("member %d saw %d hints for the sequencer's backlog, want 2", rank, n)
 			}
 		}
 	})

@@ -12,10 +12,6 @@ type Stats struct {
 	ViewChanges *obs.Counter
 	Heartbeats  *obs.Counter
 	Suspicions  *obs.Counter
-	// Batches counts multi-submit ordering rounds broadcast by this member
-	// as sequencer; BatchedSubmits counts the submits they carried.
-	Batches        *obs.Counter
-	BatchedSubmits *obs.Counter
 	// SubmitsRelayed counts submits this member received straight from
 	// their origin while not the sequencer, and passed on to it. Clients
 	// address the sequencer, so outside a client's first request to a group
@@ -26,7 +22,7 @@ type Stats struct {
 	// for messages this member originated.
 	DeliverLatency *obs.Histogram
 	// LogLength tracks the number of retained ordered messages; Truncated
-	// counts log entries dropped below the stability watermark.
+	// counts the entries the log has let go of (see Member.floorLocked).
 	LogLength *obs.Gauge
 	Truncated *obs.Counter
 	// TruncationHold is the current HoldTruncation pin (0 = none);
@@ -66,8 +62,6 @@ func newStats(reg *obs.Registry, label string) *Stats {
 		ViewChanges:        reg.Counter("replobj_gcs_view_changes_total" + label),
 		Heartbeats:         reg.Counter("replobj_gcs_heartbeats_sent_total" + label),
 		Suspicions:         reg.Counter("replobj_gcs_suspicions_total" + label),
-		Batches:            reg.Counter("replobj_gcs_batches_total" + label),
-		BatchedSubmits:     reg.Counter("replobj_gcs_batched_submits_total" + label),
 		SubmitsRelayed:     reg.Counter("replobj_gcs_submits_relayed_total" + label),
 		DeliverLatency:     reg.Histogram("replobj_gcs_deliver_latency_seconds"+label, obs.LatencyBuckets()),
 		LogLength:          reg.Gauge("replobj_gcs_log_length" + label),

@@ -3,6 +3,7 @@ package gcs
 import (
 	"slices"
 	"sort"
+	"strconv"
 
 	"github.com/replobj/replobj/internal/wire"
 )
@@ -12,23 +13,25 @@ import (
 // view-change announcement.
 
 func (m *Member) scheduleFDTick() {
-	m.rt.Lock()
-	if m.stopped {
-		m.rt.Unlock()
-		return
+	if m.enter() {
+		m.fdTimer = m.rt.AfterLocked(m.cfg.HeartbeatEvery, "gcs-fd/"+string(m.cfg.Self), m.fdTick)
 	}
-	m.fdTimer = m.rt.AfterLocked(m.cfg.HeartbeatEvery, "gcs-fd/"+string(m.cfg.Self), m.fdTick)
 	m.rt.Unlock()
 }
 
+// fdTick is the failure detector's periodic event: heartbeat, suspicion and
+// proposal, resend of stale submits.
 func (m *Member) fdTick() {
-	now := m.rt.Now()
 	var act actions
-	m.rt.Lock()
-	if m.stopped {
-		m.rt.Unlock()
-		return
+	if m.enter() {
+		m.fdTickLocked(&act)
 	}
+	m.leave(&act)
+	m.scheduleFDTick()
+}
+
+func (m *Member) fdTickLocked(act *actions) {
+	now := m.rt.NowLocked()
 	hb := Heartbeat{
 		Group:  m.cfg.Group,
 		From:   m.cfg.Self,
@@ -91,13 +94,8 @@ func (m *Member) fdTick() {
 		members := rankSubset(m.cfg.Members, excluded)
 		if len(members) > 0 && (!m.cfg.Quorum || 2*len(members) > len(m.view.Members)) {
 			next := View{Epoch: m.view.Epoch + 1, Members: members}
-			prop := Propose{Group: m.cfg.Group, From: m.cfg.Self, View: next}
-			for _, peer := range members {
-				if peer != m.cfg.Self {
-					act.send(peer, prop)
-				}
-			}
-			m.adoptProposalLocked(next, &act)
+			act.sendAll(m, members, Propose{Group: m.cfg.Group, From: m.cfg.Self, View: next})
+			m.adoptProposalLocked(next, act)
 		}
 	}
 	// Re-send cached submits that have sat unordered for too long: either
@@ -113,18 +111,12 @@ func (m *Member) fdTick() {
 			c.at = now // refresh: one resend per ResubmitAfter
 			m.submitCache[id] = c
 			if m.isSequencerLocked() {
-				// A resubmit burst (e.g. a resumed sequencer ordering its
-				// backlog) is the batching sweet spot: one round for the lot.
-				m.sequenceSubmitLocked(c.sub, &act)
+				m.sequenceLocked(c.sub, act)
 			} else if m.view.Sequencer() != m.cfg.Self {
 				act.send(m.view.Sequencer(), c.sub)
 			}
 		}
 	}
-	m.maybeFlushBatchLocked(&act)
-	m.rt.Unlock()
-	act.do(m.cfg.Send)
-	m.scheduleFDTick()
 }
 
 // adoptProposalLocked moves the member into the "installing" state for a
@@ -156,35 +148,28 @@ func (m *Member) adoptProposalLocked(v View, act *actions) {
 		// plus delivery slack) so suspicion and re-proposal can resume.
 		epoch := vv.Epoch
 		m.syncTimer = m.rt.AfterLocked(2*m.cfg.SyncGrace, "gcs-installgrace/"+string(m.cfg.Self), func() {
-			m.rt.Lock()
-			if !m.stopped && m.installing != nil && m.installing.Epoch == epoch &&
+			var out actions
+			if m.enter() && m.installing != nil && m.installing.Epoch == epoch &&
 				m.installing.Sequencer() != m.cfg.Self {
 				m.installing = nil
 				m.syncResps = nil
 				m.syncTimer = nil
 			}
-			m.rt.Unlock()
+			m.leave(&out)
 		})
 		return
 	}
 	// New sequencer: collect tails from every proposed member.
-	req := SyncReq{Group: m.cfg.Group, From: m.cfg.Self, View: vv}
-	for _, peer := range vv.Members {
-		if peer != m.cfg.Self {
-			act.send(peer, req)
-		}
-	}
+	act.sendAll(m, vv.Members, SyncReq{Group: m.cfg.Group, From: m.cfg.Self, View: vv})
 	m.syncResps[m.cfg.Self] = m.tailLocked(vv.Epoch)
 	epoch := vv.Epoch
 	m.syncTimer = m.rt.AfterLocked(m.cfg.SyncGrace, "gcs-syncgrace/"+string(m.cfg.Self), func() {
-		var act2 actions
-		m.rt.Lock()
-		if !m.stopped && m.installing != nil && m.installing.Epoch == epoch &&
+		var out actions
+		if m.enter() && m.installing != nil && m.installing.Epoch == epoch &&
 			m.installing.Sequencer() == m.cfg.Self {
-			m.finishSyncLocked(&act2)
+			m.finishSyncLocked(&out)
 		}
-		m.rt.Unlock()
-		act2.do(m.cfg.Send)
+		m.leave(&out)
 	})
 	m.maybeFinishSyncLocked(act)
 }
@@ -298,11 +283,7 @@ func (m *Member) finishSyncLocked(act *actions) {
 		if !ok {
 			o = Ordered{Group: m.cfg.Group, Epoch: v.Epoch, Seq: seq, Origin: m.cfg.Self}
 		}
-		for _, peer := range v.Members {
-			if peer != m.cfg.Self {
-				act.send(peer, o)
-			}
-		}
+		act.sendAll(m, v.Members, o)
 		m.handleOrderedLocked(o, act)
 	}
 	// Become the sequencer of the new view: continue the shared numbering.
@@ -351,19 +332,5 @@ func (m *Member) tailLocked(epoch uint64) SyncResp {
 }
 
 func viewEventID(v View) string {
-	return "viewevent/" + string(v.Sequencer()) + "/" + itoa(v.Epoch)
-}
-
-func itoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
+	return "viewevent/" + string(v.Sequencer()) + "/" + strconv.FormatUint(v.Epoch, 10)
 }

@@ -150,9 +150,6 @@ func TestViewChangeDeterministicIDs(t *testing.T) {
 	if got := viewEventID(v); got != "viewevent/g/1/3" {
 		t.Errorf("viewEventID = %q", got)
 	}
-	if itoa(0) != "0" || itoa(12345) != "12345" {
-		t.Errorf("itoa broken: %q %q", itoa(0), itoa(12345))
-	}
 }
 
 func TestViewHelpers(t *testing.T) {

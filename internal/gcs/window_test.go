@@ -78,9 +78,51 @@ func TestOrderedAheadOfTheFrontierWaitsInTheLog(t *testing.T) {
 	})
 }
 
-// TestHoldSurvivesTheRetentionCap: without checkpoints the log is cut back
-// to cfg.LogRetain whenever it passes twice that — but never past a held
-// position, and to the cap again once the hold is released.
+// TestLogKeepsLogRetainBelowTheFrontier: Config.LogRetain means what its doc
+// says. Without a checkpoint the log holds that many delivered messages — not
+// up to twice as many — plus whatever waits above the frontier; a
+// HoldTruncation pin wins over the count until it is released.
+func TestLogKeepsLogRetainBelowTheFrontier(t *testing.T) {
+	const retain = 8
+	h := newHarness(3, false)
+	h.run(func() {
+		m := h.members[1]
+		m.cfg.LogRetain = retain
+		feed := func(seqs ...uint64) {
+			for _, seq := range seqs {
+				m.Handle(h.ids[0], Ordered{Group: h.group, Seq: seq, ID: fmt.Sprint("m", seq), Origin: "client/c1", Payload: appMsg{Body: "x"}})
+			}
+		}
+		expect := func(when string, lo uint64, n int) {
+			t.Helper()
+			h.rt.Lock()
+			gotLo := m.log.lo
+			h.rt.Unlock()
+			if got := m.LogLen(); got != n || gotLo != lo {
+				t.Errorf("%s: log holds %d messages from seq %d up, want %d from %d", when, got, gotLo, n, lo)
+			}
+		}
+		for seq := uint64(1); seq <= 3*retain; seq++ {
+			feed(seq)
+		}
+		take(t, h.rt, m, 3*retain)
+		expect("after 3×LogRetain deliveries", 2*retain+1, retain)
+		feed(3*retain + 2)
+		expect("with one message above a gap", 2*retain+1, retain+1)
+		m.HoldTruncation(2*retain + 3)
+		for seq := uint64(3*retain + 1); seq <= 4*retain+2; seq++ {
+			feed(seq)
+		}
+		take(t, h.rt, m, retain+2)
+		expect("under a hold", 2*retain+3, 2*retain)
+		m.ReleaseTruncation()
+		expect("after the release", 3*retain+3, retain)
+	})
+}
+
+// TestHoldSurvivesTheRetentionCap: without checkpoints the log keeps
+// cfg.LogRetain delivered messages — but never cuts past a held position,
+// and is back at the count once the hold is released.
 func TestHoldSurvivesTheRetentionCap(t *testing.T) {
 	const retain = 4
 	h := newHarness(1, false)
@@ -107,8 +149,8 @@ func TestHoldSurvivesTheRetentionCap(t *testing.T) {
 		}
 		m.ReleaseTruncation()
 		send(30, 31)
-		if got := m.LogLen(); got > 2*retain {
-			t.Errorf("log has %d messages after the release, want <= %d", got, 2*retain)
+		if got := m.LogLen(); got != retain {
+			t.Errorf("log has %d messages after the release, want %d", got, retain)
 		}
 	})
 }

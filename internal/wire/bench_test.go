@@ -1,7 +1,6 @@
 package wire_test
 
 import (
-	"fmt"
 	"testing"
 
 	"github.com/replobj/replobj/internal/gcs"
@@ -26,12 +25,6 @@ func benchCases() []struct {
 		ReplyTo: "client/c1",
 	}
 	sub := gcs.Submit{Group: "g", ID: "client/c1#7", Origin: "client/c1", Payload: req}
-	batch := make([]gcs.Submit, 8)
-	for i := range batch {
-		r := req
-		r.ID.Seq = uint64(i)
-		batch[i] = gcs.Submit{Group: "g", ID: fmt.Sprintf("client/c1#%d", i), Origin: "client/c1", Payload: r}
-	}
 	return []struct {
 		name string
 		msg  wire.Message
@@ -42,8 +35,6 @@ func benchCases() []struct {
 		{"Submit", wire.Message{From: "client/c1", To: "g/0", Payload: sub}},
 		{"Ordered", wire.Message{From: "g/0", To: "g/1", Payload: gcs.Ordered{
 			Group: "g", Epoch: 3, Seq: 41, ID: sub.ID, Origin: sub.Origin, Payload: req}}},
-		{"OrderedBatch8", wire.Message{From: "g/0", To: "g/1", Payload: gcs.Ordered{
-			Group: "g", Epoch: 3, Seq: 41, Origin: "g/0", Batch: batch}}},
 		{"Heartbeat", wire.Message{From: "g/2", To: "g/0", Payload: gcs.Heartbeat{
 			Group: "g", From: "g/2", Epoch: 3, MaxSeq: 40}}},
 		{"ViewChange", wire.Message{From: "g/0", To: "g/1", Payload: gcs.Ordered{

@@ -12,24 +12,16 @@ import (
 	"github.com/replobj/replobj/internal/vtime"
 )
 
-// spanChaosGroupOpts is chaosGroupOpts with the quorum guard kept, plus an
-// aggressive sequencer batching configuration so trace contexts must
-// survive being packed into (and unpacked from) multi-submit Ordered
-// envelopes.
+// spanChaosGroupOpts is chaosGroupOpts with the quorum guard kept.
 func spanChaosGroupOpts(kind replobj.SchedulerKind, clients int) []replobj.GroupOption {
-	opts := chaosGroupOpts(kind, clients)
-	return append(opts, replobj.WithGCSConfig(gcs.Config{
-		Quorum:        true,
-		MaxBatch:      4,
-		MaxBatchDelay: 200 * time.Microsecond,
-	}))
+	return append(chaosGroupOpts(kind, clients), replobj.WithGCSConfig(gcs.Config{Quorum: true}))
 }
 
 // assertSpanChains checks every completed invocation's trace in the
 // collector: an rtt root whose id is the trace id, every pipeline stage
 // present at least once, and no dangling parent links. It returns the
-// number of roots and of seq.batch spans seen.
-func assertSpanChains(t *testing.T, kind replobj.SchedulerKind, spans *replobj.SpanCollector) (roots, batched int) {
+// number of roots seen.
+func assertSpanChains(t *testing.T, kind replobj.SchedulerKind, spans *replobj.SpanCollector) (roots int) {
 	t.Helper()
 	traces := byTrace(spans.Snapshot())
 	for tid, sps := range traces {
@@ -43,7 +35,6 @@ func assertSpanChains(t *testing.T, kind replobj.SchedulerKind, spans *replobj.S
 				root = &sps[i]
 			}
 		}
-		batched += have["seq.batch"]
 		if root == nil {
 			t.Errorf("%s: trace %016x has no rtt root", kind, tid)
 			continue
@@ -62,14 +53,14 @@ func assertSpanChains(t *testing.T, kind replobj.SchedulerKind, spans *replobj.S
 			}
 		}
 	}
-	return roots, batched
+	return roots
 }
 
 // TestChaosSpanChainsAllSchedulers: every scheduler kind runs a 5-replica
 // contended workload over a seeded faulty network (drops, duplicates,
-// delays, reorders, corruption) with request tracing on and aggressive
-// sequencer batching. Despite retransmissions, duplicate deliveries and
-// batch packing, every completed invocation must leave a complete span
+// delays, reorders, corruption) with request tracing on. Despite
+// retransmissions and duplicate deliveries, every completed invocation must
+// leave a complete span
 // chain — rtt root, transport, total ordering, scheduler wait, execution
 // and reply — with all parent links resolving inside the trace.
 func TestChaosSpanChainsAllSchedulers(t *testing.T) {
@@ -115,12 +106,8 @@ func TestChaosSpanChainsAllSchedulers(t *testing.T) {
 				}
 				rt.Sleep(100 * time.Millisecond) // drain trailing replies
 
-				roots, batched := assertSpanChains(t, kind, spans)
-				if roots != clients*invokes {
+				if roots := assertSpanChains(t, kind, spans); roots != clients*invokes {
 					t.Errorf("chaos seed %d: %d rtt roots, want %d", chaosSeed, roots, clients*invokes)
-				}
-				if batched == 0 {
-					t.Errorf("chaos seed %d: no seq.batch spans — batching never engaged, context-through-batch untested", chaosSeed)
 				}
 				if cnt := fnet.Counts(); cnt.Messages == 0 ||
 					cnt.Dropped+cnt.Duplicated+cnt.Delayed+cnt.Reordered+cnt.Corrupted+cnt.PartDrops == 0 {
@@ -209,7 +196,7 @@ func TestChaosSpansSurviveSnapshotRejoin(t *testing.T) {
 		phase(replobj.All)
 		rt.Sleep(100 * time.Millisecond)
 
-		roots, _ := assertSpanChains(t, replobj.CC, spans)
+		roots := assertSpanChains(t, replobj.CC, spans)
 		if roots != clients*invokes {
 			t.Errorf("chaos seed %d: %d rtt roots after rejoin, want %d", chaosSeed, roots, clients*invokes)
 		}

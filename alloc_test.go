@@ -15,13 +15,13 @@ import (
 // dispatch, SEQ scheduler, mailboxes — over the zero-latency in-process
 // network on the real clock (no codec and no sockets: the wire package
 // holds its own budgets). The bound is the figure measured when the
-// client's request stopped travelling to every member (55) plus 10 %; the
-// same run read 68 before that and 151 before the per-request allocation
-// diet. Much of what is left is the in-process network's timer per
+// "order" stream stopped formatting a decimal per delivery (52) plus 10 %;
+// the same run read 55 before that, 68 while the client's request travelled
+// to every member and 151 before the per-request allocation diet. Much of what is left is the in-process network's timer per
 // message, which TCP deployments do not pay. The race detector allocates on
 // its own, hence the build tag.
 func TestInvokeAllocationBudget(t *testing.T) {
-	const budget = 60
+	const budget = 57
 	rt := vtime.Real()
 	defer rt.Stop()
 	c := replobj.NewCluster(rt, replobj.WithLatency(0))
@@ -102,5 +102,63 @@ func TestInvokeMessageBudget(t *testing.T) {
 				t.Errorf("%v messages per invocation, want exactly %v", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestLockedInvokeAllocationBudget is TestInvokeAllocationBudget for the
+// scheduler layer: one invocation of a handler that takes eight nested
+// mutexes — the benchmark's locks-mat shape — on three ADETS-MAT replicas
+// with the schedule trace on, over the zero-latency in-process network on
+// the real clock. On top of the fixed path each replica pays for one
+// scheduler thread and sixteen traced lock operations. The bound is the
+// figure measured when the trace took stream handles and numeric details
+// and a thread became one record (55) plus 10 %; the same run read 118
+// before that, when every grant and unlock built its stream's name and a
+// thread was six objects.
+func TestLockedInvokeAllocationBudget(t *testing.T) {
+	const budget = 60
+	rt := vtime.Real()
+	defer rt.Stop()
+	c := replobj.NewCluster(rt, replobj.WithLatency(0))
+	defer c.Close()
+	g, err := c.NewGroup("locks", 3, replobj.WithScheduler(replobj.MAT), replobj.WithSchedTrace(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutexes := [8]replobj.MutexID{"m0", "m1", "m2", "m3", "m4", "m5", "m6", "m7"}
+	g.Register("work8", func(inv *replobj.Invocation) ([]byte, error) {
+		for _, m := range mutexes {
+			if err := inv.Lock(m); err != nil {
+				return nil, err
+			}
+		}
+		for i := len(mutexes) - 1; i >= 0; i-- {
+			if err := inv.Unlock(mutexes[i]); err != nil {
+				return nil, err
+			}
+		}
+		return nil, nil
+	})
+	g.Start()
+	cl := c.NewClient("c0", replobj.WithInvocationTimeout(10*time.Second),
+		replobj.WithReplyPolicy(replobj.All))
+	var allocs float64
+	replobj.Run(rt, func() {
+		invoke := func() {
+			if _, ierr := cl.Invoke("locks", "work8", nil); ierr != nil && err == nil {
+				err = ierr
+			}
+		}
+		for i := 0; i < 200; i++ {
+			invoke()
+		}
+		allocs = testing.AllocsPerRun(2000, invoke)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("one Invoke of 8 nested mutexes, 3 ADETS-MAT replicas, traced, zero-latency inproc: %v allocs (budget %d)", allocs, budget)
+	if allocs > budget {
+		t.Errorf("one Invoke allocates %v times, budget %d", allocs, budget)
 	}
 }

@@ -30,7 +30,6 @@
 package cc
 
 import (
-	"strconv"
 	"time"
 
 	"github.com/replobj/replobj/internal/adets"
@@ -55,11 +54,11 @@ func WithLanes(n int) Option {
 	}
 }
 
-// ticket is one lane-queue entry: a request occupying its assigned lanes,
-// or a fence (t == nil is never used; fence tickets carry fence == true and
-// span every lane).
+// ticket is one lane-queue entry: a request's thread occupying its assigned
+// lanes, one allocation a request, or a fence, which spans every lane and
+// whose Thread is never started.
 type ticket struct {
-	t     *adets.Thread
+	adets.Thread
 	lanes []int // sorted, duplicate-free; empty for callbacks (lane bypass)
 	fence bool
 
@@ -179,9 +178,8 @@ func (s *Scheduler) Submit(req adets.Request) {
 		return
 	}
 	s.env.Obs.Submitted()
-	t := s.reg.NewThread("cc/"+string(req.Logical), req.Logical)
-	tk := &ticket{t: t}
-	t.Sched = tk
+	tk := &ticket{}
+	t := s.reg.Init(&tk.Thread, "cc", req.Logical, tk)
 	s.threads[t] = true
 	if req.Callback {
 		tk.started = true // lane bypass: run immediately
@@ -190,11 +188,10 @@ func (s *Scheduler) Submit(req adets.Request) {
 		// local submission count — a replica restored from a checkpoint never
 		// saw the truncated prefix, but its lane trace must still line up
 		// with replicas that executed it.
-		pos := strconv.FormatUint(req.Seq, 10)
 		tk.lanes = s.takeEarlyPlanLocked(req.ID, req.Classes)
 		for _, l := range tk.lanes {
 			s.queues[l] = append(s.queues[l], tk)
-			s.env.Obs.LaneAssign(l, string(req.Logical), pos)
+			s.env.Obs.LaneAssign(l, string(req.Logical), req.Seq)
 		}
 	}
 	s.reg.Spawn(t, func() {
@@ -281,7 +278,7 @@ func (s *Scheduler) pumpLocked() {
 				s.env.Obs.LaneStart(hl)
 			}
 			if h.parked {
-				h.t.Unpark(s.env.RT)
+				h.Unpark(s.env.RT)
 			}
 		}
 	}

@@ -176,7 +176,7 @@ func (s *Scheduler) Submit(req adets.Request) {
 		return
 	}
 	s.env.Obs.Submitted()
-	t := s.reg.NewThread("lsa/"+string(req.Logical), req.Logical)
+	t := s.reg.NewThread("lsa", req.Logical)
 	t.Sched = &lsaThread{}
 	s.threads[t] = true
 	s.reg.Spawn(t, func() {
@@ -394,7 +394,7 @@ func (s *Scheduler) spawnTimeoutThreadLocked(target *adets.Thread, m adets.Mutex
 			rt.Unlock()
 			return
 		}
-		t := s.reg.NewThread(string(logical), logical)
+		t := s.reg.NewThread("lsa", logical)
 		t.Sched = &lsaThread{}
 		s.threads[t] = true
 		rt.Unlock()

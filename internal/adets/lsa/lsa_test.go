@@ -25,7 +25,7 @@ func newBare(self wire.NodeID, leader wire.NodeID) (*Scheduler, *vtime.VirtualRu
 func mkThread(s *Scheduler, rt *vtime.VirtualRuntime, logical wire.LogicalID) *adets.Thread {
 	rt.Lock()
 	defer rt.Unlock()
-	t := s.reg.NewThread(string(logical), logical)
+	t := s.reg.NewThread("lsa", logical)
 	t.Sched = &lsaThread{}
 	s.threads[t] = true
 	return t

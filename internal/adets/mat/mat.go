@@ -37,7 +37,9 @@ const (
 	stDone
 )
 
+// matThread is a request's thread and MAT's state for it in one allocation.
 type matThread struct {
+	adets.Thread
 	state        threadState
 	wantToken    bool
 	waiting      bool
@@ -152,8 +154,8 @@ func (s *Scheduler) Submit(req adets.Request) {
 		return
 	}
 	s.env.Obs.Submitted()
-	t := s.reg.NewThread("mat/"+string(req.Logical), req.Logical)
-	t.Sched = &matThread{state: stRunning}
+	mt := &matThread{state: stRunning}
+	t := s.reg.Init(&mt.Thread, "mat", req.Logical, mt)
 	s.threads[t] = true
 	if req.Callback {
 		s.succession.PushFront(t)

@@ -21,10 +21,19 @@ import (
 // only: whether a thread finds a mutex held depends on real-time arrival
 // order (e.g. against an ADETS-MAT secondary's unlock), while the resulting
 // grant sequence is still deterministic.
+//
+// Recording allocates nothing: the hooks keep one stream handle per mutex
+// (in a table guarded by the runtime lock every recording hook runs under),
+// per lane and for "sched" and "rounds", and pass numeric details as numbers.
 type SchedObs struct {
 	tr     *obs.Trace
 	reg    *obs.Registry
 	labels string
+
+	schedStream  *obs.Stream
+	roundsStream *obs.Stream
+	mutexStreams map[MutexID]*obs.Stream
+	laneStreams  []*obs.Stream
 
 	grants   *obs.Counter
 	blocks   *obs.Counter
@@ -78,6 +87,10 @@ func NewSchedObs(reg *obs.Registry, tr *obs.Trace, strategy, node string) *Sched
 		waitQueue:  reg.Gauge("replobj_sched_wait_queue_depth" + l),
 		grantLat:   reg.Histogram("replobj_sched_grant_wait_seconds"+l, obs.LatencyBuckets()),
 		reentDepth: reg.Histogram("replobj_sched_reentrancy_depth"+l, obs.DepthBuckets()),
+
+		schedStream:  tr.Stream("sched"),
+		roundsStream: tr.Stream("rounds"),
+		mutexStreams: make(map[MutexID]*obs.Stream),
 	}
 }
 
@@ -87,6 +100,16 @@ func (s *SchedObs) Trace() *obs.Trace {
 		return nil
 	}
 	return s.tr
+}
+
+// mutex returns the handle of m's stream (nil with the trace off).
+func (s *SchedObs) mutex(m MutexID) *obs.Stream {
+	st, ok := s.mutexStreams[m]
+	if !ok && s.tr != nil {
+		st = s.tr.Stream("mutex/" + string(m))
+		s.mutexStreams[m] = st
+	}
+	return st
 }
 
 // Submitted counts a totally-ordered request handed to the scheduler.
@@ -99,7 +122,7 @@ func (s *SchedObs) Submitted() {
 // Exec records an execution-order decision of a sequential strategy.
 func (s *SchedObs) Exec(logical string) {
 	if s != nil {
-		s.tr.Record("sched", obs.KindExec, logical, "")
+		s.schedStream.Record(obs.KindExec, logical, "")
 	}
 }
 
@@ -107,7 +130,7 @@ func (s *SchedObs) Exec(logical string) {
 func (s *SchedObs) Grant(m MutexID, logical string) {
 	if s != nil {
 		s.grants.Inc()
-		s.tr.Record("mutex/"+string(m), obs.KindGrant, logical, "")
+		s.mutex(m).Record(obs.KindGrant, logical, "")
 	}
 }
 
@@ -173,14 +196,14 @@ func (s *SchedObs) Unblocked() {
 // Unlock records mutex m being released by a logical thread.
 func (s *SchedObs) Unlock(m MutexID, logical string) {
 	if s != nil {
-		s.tr.Record("mutex/"+string(m), obs.KindUnlock, logical, "")
+		s.mutex(m).Record(obs.KindUnlock, logical, "")
 	}
 }
 
 // WaitStart records the owner releasing m to wait on condition c.
 func (s *SchedObs) WaitStart(m MutexID, c CondID, logical string) {
 	if s != nil {
-		s.tr.Record("mutex/"+string(m), obs.KindWait, logical, string(c))
+		s.mutex(m).Record(obs.KindWait, logical, string(c))
 	}
 }
 
@@ -193,7 +216,7 @@ func (s *SchedObs) Wake(m MutexID, c CondID, logical string, timedOut bool) {
 		if timedOut {
 			detail += "/timeout"
 		}
-		s.tr.Record("mutex/"+string(m), obs.KindWake, logical, detail)
+		s.mutex(m).Record(obs.KindWake, logical, detail)
 	}
 }
 
@@ -208,7 +231,7 @@ func (s *SchedObs) TimeoutFired() {
 func (s *SchedObs) Round(n uint64) {
 	if s != nil {
 		s.rounds.Inc()
-		s.tr.Record("rounds", obs.KindRound, "", strconv.FormatUint(n, 10))
+		s.roundsStream.RecordN(obs.KindRound, "", n)
 	}
 }
 
@@ -226,7 +249,7 @@ func (s *SchedObs) AdaptiveEpoch(epoch uint64, from, to, verdict string) {
 	if verdict == "switch" {
 		s.switches.Inc()
 	}
-	s.tr.Record("sched", obs.KindSwitch, from+">"+to,
+	s.schedStream.Record(obs.KindSwitch, from+">"+to,
 		strconv.FormatUint(epoch, 10)+"/"+verdict)
 }
 
@@ -234,7 +257,7 @@ func (s *SchedObs) AdaptiveEpoch(epoch uint64, from, to, verdict string) {
 func (s *SchedObs) ViewChange(epoch uint64) {
 	if s != nil {
 		s.views.Inc()
-		s.tr.Record("sched", obs.KindView, "", strconv.FormatUint(epoch, 10))
+		s.schedStream.RecordN(obs.KindView, "", epoch)
 	}
 }
 
@@ -254,26 +277,25 @@ func (s *SchedObs) Lanes(n int) {
 	}
 	s.laneAssigns = make([]*obs.Counter, n)
 	s.laneDepth = make([]*obs.Gauge, n)
+	s.laneStreams = make([]*obs.Stream, n)
 	base := strings.TrimSuffix(s.labels, "}")
 	for i := 0; i < n; i++ {
 		l := base + `,lane="` + strconv.Itoa(i) + `"}`
 		s.laneAssigns[i] = s.reg.Counter("replobj_sched_lane_assigns_total" + l)
 		s.laneDepth[i] = s.reg.Gauge("replobj_sched_lane_queue_depth" + l)
+		s.laneStreams[i] = s.tr.Stream("lane/" + strconv.Itoa(i))
 	}
 	s.fences = s.reg.Counter("replobj_sched_lane_fences_total" + s.labels)
 }
 
-// LaneAssign records a request being appended to a worker lane. The lane
-// assignment happens at the totally-ordered submit point and is a pure
-// function of the ordered stream, so it is traced (stream "lane/<i>");
-// execution start order across lanes is real-time dependent and is
-// deliberately metrics-only (see LaneStart).
-func (s *SchedObs) LaneAssign(lane int, logical, pos string) {
-	if s == nil {
-		return
-	}
-	s.tr.Record("lane/"+strconv.Itoa(lane), obs.KindExec, logical, pos)
-	if lane < len(s.laneAssigns) {
+// LaneAssign records the request at total-order position seq being appended
+// to a worker lane. The lane assignment happens at the totally-ordered submit
+// point and is a pure function of the ordered stream, so it is traced (stream
+// "lane/<i>"); execution start order across lanes is real-time dependent and
+// is deliberately metrics-only (see LaneStart).
+func (s *SchedObs) LaneAssign(lane int, logical string, seq uint64) {
+	if s != nil && lane < len(s.laneStreams) {
+		s.laneStreams[lane].RecordN(obs.KindExec, logical, seq)
 		s.laneAssigns[lane].Inc()
 		s.laneDepth[lane].Inc()
 	}

@@ -35,7 +35,9 @@ const (
 	stDone
 )
 
+// satThread is a request's thread and SAT's state for it in one allocation.
 type satThread struct {
+	adets.Thread
 	state        threadState
 	waiting      bool
 	waitSeq      uint64
@@ -161,8 +163,8 @@ func (s *Scheduler) Submit(req adets.Request) {
 		return
 	}
 	s.env.Obs.Submitted()
-	t := s.reg.NewThread("sat/"+string(req.Logical), req.Logical)
-	t.Sched = &satThread{state: stReady}
+	sth := &satThread{state: stReady}
+	t := s.reg.Init(&sth.Thread, "sat", req.Logical, sth)
 	s.threads[t] = true
 	if req.Callback {
 		s.ready.PushFront(t)

@@ -16,34 +16,39 @@ import (
 // deterministic choices (PDS grants mutexes in increasing thread-ID order).
 // Threads whose creation is not delivery-ordered (LSA's timeout threads)
 // are identified by their deterministic LogicalID instead.
+//
+// A thread is one allocation: the parker is held by value, the name is kept
+// as (role, logical id) until printed, and a scheduler's own per-thread
+// record embeds the Thread (Registry.Init). Records are not recycled: wait
+// queues, reentrancy tables and timers may hold a *Thread past its request.
 type Thread struct {
 	// ID is the replica-deterministic creation index (see type comment).
 	ID uint64
 	// Logical is the logical thread this physical thread executes for.
 	Logical wire.LogicalID
-	// Name is a diagnostic label.
-	Name string
 
-	parker *vtime.Parker
+	role   string // diagnostic name: role, or role/Logical
+	parker vtime.Parker
 
-	// Scheduler-private per-thread state; owned by the algorithm.
+	// Scheduler-private per-thread state; owned by the algorithm (the
+	// enclosing record, where that embeds the Thread).
 	Sched any
 }
 
 // Park suspends the thread; the runtime lock must be held.
-func (t *Thread) Park(rt vtime.Runtime) { rt.Park(t.parker) }
+func (t *Thread) Park(rt vtime.Runtime) { rt.Park(&t.parker) }
 
 // ParkTimeout suspends the thread for at most d; reports timeout. The
 // runtime lock must be held.
 func (t *Thread) ParkTimeout(rt vtime.Runtime, d time.Duration) bool {
-	return rt.ParkTimeout(t.parker, d)
+	return rt.ParkTimeout(&t.parker, d)
 }
 
 // Unpark resumes the thread; the runtime lock must be held.
-func (t *Thread) Unpark(rt vtime.Runtime) { rt.Unpark(t.parker) }
+func (t *Thread) Unpark(rt vtime.Runtime) { rt.Unpark(&t.parker) }
 
 func (t *Thread) String() string {
-	return fmt.Sprintf("thread{%d %s %s}", t.ID, t.Name, t.Logical)
+	return fmt.Sprintf("thread{%d %s}", t.ID, t.parker.Name())
 }
 
 // Registry assigns deterministic thread IDs and spawns the backing
@@ -59,16 +64,18 @@ func NewRegistry(rt vtime.Runtime) *Registry {
 	return &Registry{rt: rt}
 }
 
-// NewThread allocates a thread record (no goroutine yet). Runtime lock
+// NewThread allocates a thread record (no goroutine yet); see Init.
+func (r *Registry) NewThread(role string, logical wire.LogicalID) *Thread {
+	return r.Init(new(Thread), role, logical, nil)
+}
+
+// Init makes the zero Thread t — embedded in sched, the scheduler's record
+// for it — the registry's next thread, named role/logical. Runtime lock
 // required: the ID must be taken at a deterministic point.
-func (r *Registry) NewThread(name string, logical wire.LogicalID) *Thread {
-	t := &Thread{
-		ID:      r.next,
-		Logical: logical,
-		Name:    name,
-		parker:  vtime.NewParker(name),
-	}
+func (r *Registry) Init(t *Thread, role string, logical wire.LogicalID, sched any) *Thread {
+	t.ID, t.Logical, t.role, t.Sched = r.next, logical, role, sched
 	r.next++
+	t.parker.SetName(role, string(logical))
 	return t
 }
 
@@ -76,7 +83,7 @@ func (r *Registry) NewThread(name string, logical wire.LogicalID) *Thread {
 // required (schedulers spawn threads at deterministic points while holding
 // it).
 func (r *Registry) Spawn(t *Thread, body func()) {
-	r.rt.GoLocked(t.Name, body)
+	r.rt.GoLocked(t.role, body)
 }
 
 // FIFO is a deterministic queue of threads — the building block for lock

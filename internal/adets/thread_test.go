@@ -124,9 +124,44 @@ func TestRegistryAssignsSequentialIDs(t *testing.T) {
 }
 
 func TestThreadString(t *testing.T) {
-	th := &Thread{ID: 3, Name: "w", Logical: "cl1"}
-	if s := th.String(); !strings.Contains(s, "3") || !strings.Contains(s, "cl1") {
+	rt := vtime.Virtual()
+	defer rt.Stop()
+	r := NewRegistry(rt)
+	r.next = 3
+	th := r.NewThread("w", "cl1")
+	if s := th.String(); s != "thread{3 w/cl1}" {
 		t.Errorf("String = %q", s)
+	}
+	if s := r.NewThread("pool-worker", "").String(); s != "thread{4 pool-worker}" {
+		t.Errorf("String = %q", s)
+	}
+}
+
+// TestParkedThreadIsReportedByRoleAndLogical: a thread's name is kept in two
+// parts and never built on the request path, but the virtual kernel's
+// deadlock report still lists a parked thread under role/logical.
+func TestParkedThreadIsReportedByRoleAndLogical(t *testing.T) {
+	rt := vtime.Virtual()
+	defer rt.Stop()
+	r := NewRegistry(rt)
+	var rec struct {
+		Thread
+		state int
+	}
+	detected := make(chan vtime.DeadlockInfo, 1)
+	rt.SetDeadlockHandler(func(info vtime.DeadlockInfo) bool {
+		detected <- info
+		rec.Unpark(rt)
+		return true
+	})
+	vtime.Run(rt, "main", func() {
+		rt.Lock()
+		r.Init(&rec.Thread, "mat", "client/c1#7", &rec)
+		rec.Park(rt) // nobody unparks it: the kernel reports, the handler resolves
+		rt.Unlock()
+	})
+	if info := <-detected; len(info.Parked) != 1 || info.Parked[0] != "mat/client/c1#7" {
+		t.Errorf("deadlock report lists %v, want [mat/client/c1#7]", info.Parked)
 	}
 }
 

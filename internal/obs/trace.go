@@ -25,12 +25,19 @@
 // Digests hash only replica-deterministic inputs: event kind, the *logical*
 // thread or message id, and the detail string. Never physical thread ids,
 // never timestamps.
+//
+// Recording allocates nothing: a site resolves its stream once
+// (Trace.Stream) and records through the handle, and a numeric detail — a
+// sequence number, a round, an epoch — goes in as a number (RecordN) that
+// folds the decimal bytes strconv.FormatUint would contribute, so digests
+// are those of the string form; the string is built when an event is read.
 package obs
 
 import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -130,16 +137,31 @@ func fnvByte(h uint64, b byte) uint64 {
 	return h
 }
 
-// stream is one digest-carrying event sequence.
-type stream struct {
+// Stream is a handle on one digest-carrying event sequence of a trace
+// (Trace.Stream), good for the life of the trace: RestoreStreams resets
+// streams in place. Safe for concurrent use and on a nil receiver (the
+// handle of a nil trace).
+type Stream struct {
+	t      *Trace
 	count  uint64
 	digest uint64
 }
 
-// slot is one retained event and the stream it belongs to.
+// slot is one retained event; a numeric detail stays a number until read.
 type slot struct {
-	s  *stream
-	ev Event
+	s               *Stream
+	pos, digest, n  uint64
+	subject, detail string
+	kind            Kind
+	numeric         bool
+}
+
+func (sl *slot) event() Event {
+	ev := Event{Pos: sl.pos, Kind: sl.kind, Subject: sl.subject, Detail: sl.detail, Digest: sl.digest}
+	if sl.numeric {
+		ev.Detail = strconv.FormatUint(sl.n, 10)
+	}
+	return ev
 }
 
 // Trace is a per-replica schedule trace. All methods are safe for
@@ -151,10 +173,11 @@ type slot struct {
 // number of streams (a mutex-heavy object has one per mutex). What is left
 // of a stream is always a contiguous tail of it; one that has been quiet
 // for `retain` events of the others keeps its count and digest only.
+// Readers see a stream once it holds an event; a handle alone creates none.
 type Trace struct {
 	mu       sync.Mutex
 	retain   int
-	streams  map[string]*stream
+	streams  map[string]*Stream
 	ring     ring.Queue[slot]
 	retained *Gauge
 }
@@ -169,7 +192,7 @@ func NewTrace(retain int) *Trace {
 	if retain <= 0 {
 		retain = DefaultRetain
 	}
-	return &Trace{retain: retain, streams: make(map[string]*stream)}
+	return &Trace{retain: retain, streams: make(map[string]*Stream)}
 }
 
 // ExportRetained makes the trace keep g at the number of events it retains.
@@ -183,30 +206,69 @@ func (t *Trace) ExportRetained(g *Gauge) {
 	}
 }
 
-// Record appends an event to a stream and folds it into the stream digest.
-// Safe on a nil receiver.
-func (t *Trace) Record(streamName string, kind Kind, subject, detail string) {
+// Stream returns the handle of the named stream, for a recording site to
+// keep. Nil on a nil receiver.
+func (t *Trace) Stream(name string) *Stream {
 	if t == nil {
-		return
+		return nil
 	}
 	t.mu.Lock()
-	s := t.streams[streamName]
+	defer t.mu.Unlock()
+	return t.streamLocked(name)
+}
+
+func (t *Trace) streamLocked(name string) *Stream {
+	s := t.streams[name]
 	if s == nil {
-		s = &stream{digest: fnvOffset64}
-		t.streams[streamName] = s
+		s = &Stream{t: t, digest: fnvOffset64}
+		t.streams[name] = s
 	}
-	h := fnvByte(s.digest, byte(kind))
-	h = fnvString(h, subject)
+	return s
+}
+
+// Record is Stream(streamName).Record, for sites too cold to keep a handle.
+func (t *Trace) Record(streamName string, kind Kind, subject, detail string) {
+	t.Stream(streamName).Record(kind, subject, detail)
+}
+
+// Record appends an event and folds it into the stream digest.
+func (s *Stream) Record(kind Kind, subject, detail string) {
+	s.record(slot{kind: kind, subject: subject, detail: detail})
+}
+
+// RecordN is Record with the detail strconv.FormatUint(n, 10) — same digest,
+// same event when read — without building the string.
+func (s *Stream) RecordN(kind Kind, subject string, n uint64) {
+	s.record(slot{kind: kind, subject: subject, n: n, numeric: true})
+}
+
+// record is the one place an event is folded into a digest and retained.
+func (s *Stream) record(sl slot) {
+	if s == nil {
+		return
+	}
+	t := s.t
+	t.mu.Lock()
+	h := fnvByte(s.digest, byte(sl.kind))
+	h = fnvString(h, sl.subject)
 	h = fnvByte(h, 0xfe)
-	h = fnvString(h, detail)
+	if sl.numeric {
+		var dec [20]byte // len(strconv.FormatUint(math.MaxUint64, 10))
+		for _, b := range strconv.AppendUint(dec[:0], sl.n, 10) {
+			h = fnvByte(h, b)
+		}
+	} else {
+		h = fnvString(h, sl.detail)
+	}
 	h = fnvByte(h, 0xff)
 	s.digest = h
+	sl.s, sl.pos, sl.digest = s, s.count, h
+	s.count++
 	if t.ring.Len() == t.retain {
 		t.ring.Pop()
 	}
-	t.ring.Push(slot{s: s, ev: Event{Pos: s.count, Kind: kind, Subject: subject, Detail: detail, Digest: h}})
+	t.ring.Push(sl)
 	t.retained.Set(int64(t.ring.Len()))
-	s.count++
 	t.mu.Unlock()
 }
 
@@ -237,13 +299,15 @@ func (t *Trace) Snapshot() map[string]StreamSnapshot {
 		return out
 	}
 	t.mu.Lock()
-	byStream := make(map[*stream]*StreamSnapshot, len(t.streams))
+	byStream := make(map[*Stream]*StreamSnapshot, len(t.streams))
 	for name, s := range t.streams {
-		byStream[s] = &StreamSnapshot{Stream: name, Count: s.count, Digest: s.digest}
+		if s.count > 0 {
+			byStream[s] = &StreamSnapshot{Stream: name, Count: s.count, Digest: s.digest}
+		}
 	}
 	for sl := range t.ring.All() {
 		ss := byStream[sl.s]
-		ss.Events = append(ss.Events, sl.ev)
+		ss.Events = append(ss.Events, sl.event())
 	}
 	t.mu.Unlock()
 	for _, ss := range byStream {
@@ -260,7 +324,7 @@ func (t *Trace) Digest(streamName string) (count, digest uint64) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if s := t.streams[streamName]; s != nil {
+	if s := t.streams[streamName]; s != nil && s.count > 0 {
 		return s.count, s.digest
 	}
 	return 0, 0
@@ -383,7 +447,9 @@ func (t *Trace) ExportStreams() map[string]StreamState {
 	}
 	t.mu.Lock()
 	for name, s := range t.streams {
-		out[name] = StreamState{Count: s.count, Digest: s.digest}
+		if s.count > 0 {
+			out[name] = StreamState{Count: s.count, Digest: s.digest}
+		}
 	}
 	t.mu.Unlock()
 	return out
@@ -391,17 +457,20 @@ func (t *Trace) ExportStreams() map[string]StreamState {
 
 // RestoreStreams resets the trace to a snapshot's exported digest state:
 // every stream named in states is set to the given count and digest, streams
-// not named are dropped, and no event stays retained. A replica
-// installing a snapshot calls this so its digests continue from the donor's
-// positions instead of from its own stale history. Safe on nil.
+// not named restart empty, and no event stays retained; handles stay good.
+// A replica installing a snapshot calls this so its digests continue from
+// the donor's positions instead of from its own stale history. Safe on nil.
 func (t *Trace) RestoreStreams(states map[string]StreamState) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	t.streams = make(map[string]*stream, len(states))
+	for _, s := range t.streams {
+		s.count, s.digest = 0, fnvOffset64
+	}
 	for name, st := range states {
-		t.streams[name] = &stream{count: st.Count, digest: st.Digest}
+		s := t.streamLocked(name)
+		s.count, s.digest = st.Count, st.Digest
 	}
 	t.ring = ring.Queue[slot]{}
 	t.retained.Set(0)

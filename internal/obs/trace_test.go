@@ -1,10 +1,12 @@
 package obs
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"testing/quick"
 )
 
 func record(t *Trace, n int, perturb int) {
@@ -252,4 +254,100 @@ func TestTraceRetentionIsPerTrace(t *testing.T) {
 	if got := after["mutex/m5"]; got.Count != bc || got.Digest != bd || len(got.Events) != 1 || got.Events[0].Pos != rounds {
 		t.Errorf("restored stream continues at %+v, the donor is at count %d digest %x", got, bc, bd)
 	}
+}
+
+// TestStreamHandleSurvivesRestore: a handle taken before a snapshot install
+// records into the restored stream — RestoreStreams resets streams in place
+// — and a stream the donor does not name restarts empty, unknown to readers
+// until it is recorded into again.
+func TestStreamHandleSurvivesRestore(t *testing.T) {
+	donor := NewTrace(0)
+	for i := 0; i < 5; i++ {
+		donor.Record("order", KindExec, "c0#"+strconv.Itoa(i), strconv.Itoa(i))
+	}
+	tr := NewTrace(0)
+	order, stale := tr.Stream("order"), tr.Stream("mutex/stale")
+	order.Record(KindExec, "own-history", "1")
+	stale.Record(KindGrant, "c0", "")
+
+	tr.RestoreStreams(donor.ExportStreams())
+	order.RecordN(KindExec, "c0#5", 5)
+	donor.Record("order", KindExec, "c0#5", "5")
+	dc, dd := donor.Digest("order")
+	if c, d := tr.Digest("order"); c != dc || d != dd || dc != 6 {
+		t.Errorf("old handle after restore: count %d digest %x, donor folded once more has count %d digest %x", c, d, dc, dd)
+	}
+
+	if c, d := tr.Digest("mutex/stale"); c != 0 || d != 0 {
+		t.Errorf("stream the donor does not name: count %d digest %x after restore", c, d)
+	}
+	if _, ok := tr.ExportStreams()["mutex/stale"]; ok {
+		t.Error("empty stream exported")
+	}
+	if _, ok := tr.Snapshot()["mutex/stale"]; ok {
+		t.Error("empty stream in the snapshot")
+	}
+	stale.Record(KindGrant, "c1", "")
+	fresh := NewTrace(0)
+	fresh.Record("mutex/stale", KindGrant, "c1", "")
+	_, fd := fresh.Digest("mutex/stale")
+	if st := tr.ExportStreams()["mutex/stale"]; st.Count != 1 || st.Digest != fd {
+		t.Errorf("restarted stream exports %+v, a fresh stream's first event has digest %x", st, fd)
+	}
+}
+
+// TestQuickNumericDetailMatchesString: RecordN(kind, subject, n) and
+// Record(kind, subject, FormatUint(n)) are one event — equal digests, equal
+// rendered Detail — so a trace recorded with numeric details compares by
+// FirstDivergence against one recorded with strings.
+func TestQuickNumericDetailMatchesString(t *testing.T) {
+	num, str := NewTrace(0), NewTrace(0)
+	ns, ss := num.Stream("s"), str.Stream("s")
+	f := func(kind uint8, subject string, n uint64, small uint8) bool {
+		for _, v := range []uint64{n, uint64(small)} {
+			ns.RecordN(Kind(kind), subject, v)
+			ss.Record(Kind(kind), subject, strconv.FormatUint(v, 10))
+		}
+		a, b := num.Snapshot()["s"], str.Snapshot()["s"]
+		return a.Digest == b.Digest && a.Events[len(a.Events)-1] == b.Events[len(b.Events)-1] &&
+			FirstDivergence(num.Snapshot(), str.Snapshot()) == nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+	for _, n := range []uint64{0, 9, 10, math.MaxUint64} {
+		ns.RecordN(KindExec, "edge", n)
+		ss.Record(KindExec, "edge", strconv.FormatUint(n, 10))
+	}
+	if d := FirstDivergence(num.Snapshot(), str.Snapshot()); d != nil {
+		t.Errorf("numeric and string traces diverge: %v", d)
+	}
+}
+
+// BenchmarkTraceRecord is the schedule trace's microbench: one event into a
+// warm trace. by-name builds the stream's name and looks it up for every
+// event, as the scheduler hooks did before they held handles.
+func BenchmarkTraceRecord(b *testing.B) {
+	b.Run("by-name", func(b *testing.B) {
+		tr := NewTrace(0)
+		mutexes := []string{"m00", "m01", "m02", "m03"}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tr.Record("mutex/"+mutexes[i&3], KindGrant, "c0", "")
+		}
+	})
+	b.Run("handle", func(b *testing.B) {
+		s := NewTrace(0).Stream("mutex/state")
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.Record(KindGrant, "c0", "")
+		}
+	})
+	b.Run("handle-numeric", func(b *testing.B) {
+		s := NewTrace(0).Stream("order")
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.RecordN(KindExec, "c0#1", uint64(i))
+		}
+	})
 }

@@ -318,6 +318,7 @@ type Replica struct {
 	// Observability (all nil-safe; nil when disabled).
 	schedObs        *adets.SchedObs
 	trace           *obs.Trace
+	order           *obs.Stream // the "order" stream of trace: one event per delivery
 	spans           *tracing.Collector
 	inflight        *obs.Gauge
 	cacheHits       *obs.Counter
@@ -440,6 +441,7 @@ func New(cfg Config) *Replica {
 	}
 	r.ep = cfg.Network.Endpoint(cfg.Self)
 	r.trace = cfg.Trace
+	r.order = cfg.Trace.Stream("order")
 	r.spans = cfg.Spans
 	r.schedObs = adets.NewSchedObs(cfg.Metrics, cfg.Trace, cfg.Scheduler.Name(), string(cfg.Self)).
 		WithSpans(cfg.Spans, cfg.RT.NowLocked, string(cfg.Self))
@@ -625,7 +627,7 @@ func (r *Replica) dispatchLoop() {
 		}
 		// One event per totally-ordered delivery: position and id must agree
 		// across replicas, so the "order" stream digests are comparable.
-		r.trace.Record("order", obs.KindExec, d.ID, strconv.FormatUint(d.Seq, 10))
+		r.order.RecordN(obs.KindExec, d.ID, d.Seq)
 		if d.NewView != nil {
 			r.sched.ViewChanged(*d.NewView)
 			if d.Payload == nil {

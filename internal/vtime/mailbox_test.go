@@ -309,3 +309,47 @@ func TestMailboxReleasesPoppedItem(t *testing.T) {
 		t.Error("a popped item is still reachable through the mailbox")
 	})
 }
+
+// TestParkerByValue: the zero Parker works in place inside its owner's
+// record on both runtimes, its two-part name is joined only by Name, and
+// its channel is made by the first park that blocks — a park that finds a
+// permit, and a parker never parked on, cost none.
+func TestParkerByValue(t *testing.T) {
+	onBothRuntimes(t, func(t *testing.T, rt Runtime) {
+		var owner struct {
+			id uint64
+			p  Parker
+		}
+		p := &owner.p
+		p.SetName("mat", "client/c1#7")
+		if p.Name() != "mat/client/c1#7" || NewParker("worker").Name() != "worker" {
+			t.Errorf("names %q, %q", p.Name(), NewParker("worker").Name())
+		}
+		rt.Lock()
+		rt.Unpark(p)
+		rt.Park(p) // consumes the permit
+		rt.Unpark(p)
+		if timedOut := rt.ParkTimeout(p, time.Second); timedOut || p.ch != nil {
+			t.Errorf("parks on a permit: timedOut=%v, channel made=%v", timedOut, p.ch != nil)
+		}
+		rt.Unlock()
+		woke := NewMailbox[bool](rt, "woke")
+		rt.Go("parker", func() {
+			rt.Lock()
+			timedOut := rt.ParkTimeout(p, time.Hour)
+			rt.Unlock()
+			woke.Put(timedOut)
+		})
+		for parked := false; !parked; {
+			rt.Lock()
+			if parked = p.parked; parked {
+				rt.Unpark(p)
+			}
+			rt.Unlock()
+			runtime.Gosched()
+		}
+		if timedOut, _ := woke.Get(); timedOut || p.ch == nil {
+			t.Errorf("blocking park: timedOut=%v, channel made=%v", timedOut, p.ch != nil)
+		}
+	})
+}

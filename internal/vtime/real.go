@@ -46,8 +46,9 @@ func (rt *RealRuntime) Park(p *Parker) {
 		return
 	}
 	p.parked = true
+	ch := p.wake()
 	rt.mu.Unlock()
-	<-p.ch
+	<-ch
 	rt.mu.Lock()
 }
 
@@ -62,6 +63,7 @@ func (rt *RealRuntime) ParkTimeout(p *Parker, d time.Duration) bool {
 		return false
 	}
 	p.parked = true
+	ch := p.wake()
 	rt.mu.Unlock()
 	// One wall timer per parker, re-armed for every timed park.
 	if p.wall == nil {
@@ -70,7 +72,7 @@ func (rt *RealRuntime) ParkTimeout(p *Parker, d time.Duration) bool {
 		p.wall.Reset(d)
 	}
 	select {
-	case <-p.ch:
+	case <-ch:
 		p.wall.Stop()
 		rt.mu.Lock()
 		return false
@@ -80,7 +82,7 @@ func (rt *RealRuntime) ParkTimeout(p *Parker, d time.Duration) bool {
 			// An Unpark raced with the timeout and won: it already cleared
 			// parked and deposited a wake token under the lock. Consume it
 			// and report a normal wakeup.
-			<-p.ch
+			<-ch
 			return false
 		}
 		p.parked = false

@@ -164,6 +164,7 @@ func (rt *VirtualRuntime) parkTimeoutLocked(p *Parker, d time.Duration) bool {
 	}
 	p.parked = true
 	p.timedOut = false
+	ch := p.wake()
 	if d > 0 {
 		p.timer = rt.addTimerLocked(d, p.name+"/timeout", func() {
 			// Runs with the kernel lock held during advanceLocked.
@@ -172,7 +173,7 @@ func (rt *VirtualRuntime) parkTimeoutLocked(p *Parker, d time.Duration) bool {
 				p.timedOut = true
 				delete(rt.parked, p)
 				rt.runnable++
-				p.ch <- struct{}{}
+				ch <- struct{}{}
 			}
 		})
 	}
@@ -182,7 +183,7 @@ func (rt *VirtualRuntime) parkTimeoutLocked(p *Parker, d time.Duration) bool {
 		rt.advanceLocked()
 	}
 	rt.mu.Unlock()
-	<-p.ch
+	<-ch
 	rt.mu.Lock()
 	if p.timer != nil {
 		p.timer.cancelled = true
@@ -314,7 +315,7 @@ func (rt *VirtualRuntime) advanceLocked() {
 func (rt *VirtualRuntime) parkedNamesLocked() []string {
 	names := make([]string, 0, len(rt.parked))
 	for p := range rt.parked {
-		names = append(names, p.name)
+		names = append(names, p.Name())
 	}
 	sort.Strings(names)
 	return names

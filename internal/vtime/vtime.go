@@ -98,26 +98,45 @@ type Runtime interface {
 }
 
 // Parker is a one-goroutine parking slot with binary-permit semantics
-// (like java.util.concurrent.LockSupport). The zero value is not usable;
-// create parkers with NewParker.
+// (like java.util.concurrent.LockSupport). The zero value is a usable,
+// unnamed parker: its owner can hold it by value and name it in place.
 type Parker struct {
-	name     string
-	ch       chan struct{}
-	parked   bool
-	permit   bool
-	timedOut bool
-	timer    *Timer      // virtual mode: pending ParkTimeout deadline
-	wall     *time.Timer // real mode: ParkTimeout deadline, reused across parks
-	next     *Parker     // link in a Mailbox's waiter or free list
+	name, sub string        // diagnostic name: name, or name/sub (see Name)
+	ch        chan struct{} // made by the first park that blocks (see wake)
+	parked    bool
+	permit    bool
+	timedOut  bool
+	timer     *Timer      // virtual mode: pending ParkTimeout deadline
+	wall      *time.Timer // real mode: ParkTimeout deadline, reused across parks
+	next      *Parker     // link in a Mailbox's waiter or free list
 }
 
 // NewParker returns a parker with the given diagnostic name.
 func NewParker(name string) *Parker {
-	return &Parker{name: name, ch: make(chan struct{}, 1)}
+	return &Parker{name: name}
 }
 
+// SetName names the parker name/sub (name alone with no sub), the parts
+// joined only when Name or the kernel's deadlock report asks.
+func (p *Parker) SetName(name, sub string) { p.name, p.sub = name, sub }
+
 // Name returns the parker's diagnostic name.
-func (p *Parker) Name() string { return p.name }
+func (p *Parker) Name() string {
+	if p.sub == "" {
+		return p.name
+	}
+	return p.name + "/" + p.sub
+}
+
+// wake returns the channel a blocked park is woken through, made by the
+// first park that has to block (most scheduler threads never do). Runtime
+// lock required; Unpark sends only to a parker it found parked.
+func (p *Parker) wake() chan struct{} {
+	if p.ch == nil {
+		p.ch = make(chan struct{}, 1)
+	}
+	return p.ch
+}
 
 // Timer is a handle to a scheduled callback.
 type Timer struct {

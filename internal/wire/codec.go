@@ -80,7 +80,8 @@ var framePool = sync.Pool{New: func() any {
 
 // Decoder reads length-prefixed frames.
 type Decoder struct {
-	r *bufio.Reader
+	r   *bufio.Reader
+	hdr headerReader // over r
 	// rd is the frame reader, reset for every frame. Payload codecs are
 	// reached through function values, so a Reader built per frame would be
 	// heap-allocated per frame. It carries the stream's intern table (see
@@ -90,10 +91,8 @@ type Decoder struct {
 
 // NewDecoder returns a Decoder reading from r.
 func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{
-		r:  bufio.NewReaderSize(r, 32<<10),
-		rd: Reader{idents: make(map[string]string)},
-	}
+	br := bufio.NewReaderSize(r, 32<<10)
+	return &Decoder{r: br, hdr: headerReader{r: br}, rd: Reader{idents: make(map[string]string)}}
 }
 
 // Decode reads the next message frame into m. The frame buffer is pooled;
@@ -124,18 +123,32 @@ func (d *Decoder) Decode(m *Message) error {
 	return err
 }
 
-// readHeader reads and validates the uvarint frame-length header. A clean
-// EOF before the first header byte is io.EOF; EOF mid-header is an error.
+// readHeader reads and validates the uvarint frame-length header, minimal
+// like every varint of the format (ConsumeMessage applies the same rule). A
+// clean EOF before the first header byte is io.EOF; EOF mid-header is an
+// error.
 func (d *Decoder) readHeader() (uint64, error) {
-	n, err := binary.ReadUvarint(d.r)
+	d.hdr.n = 0
+	n, err := binary.ReadUvarint(&d.hdr)
 	if err != nil {
 		if err == io.EOF {
 			return 0, io.EOF
 		}
 		return 0, fmt.Errorf("wire: read frame header: %w", err)
 	}
+	if d.hdr.n != uvarintLen(n) {
+		return 0, fmt.Errorf("wire: non-minimal frame header")
+	}
 	if n > maxFrame {
 		return 0, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
 	return n, nil
 }
+
+// headerReader counts the bytes binary.ReadUvarint takes for one header.
+type headerReader struct {
+	r *bufio.Reader
+	n int
+}
+
+func (h *headerReader) ReadByte() (byte, error) { h.n++; return h.r.ReadByte() }

@@ -2,7 +2,9 @@ package wire_test
 
 import (
 	"bytes"
+	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/replobj/replobj/internal/adets"
@@ -192,6 +194,40 @@ func TestDifferentialBinaryVsGob(t *testing.T) {
 	}
 }
 
+// nonMinimalHeaderFrame is a well-formed 16-byte frame behind a two-byte
+// encoding of 16, found by FuzzDecode: the one-shot parser refused the
+// header, the stream decoder used to take it.
+var nonMinimalHeaderFrame = []byte("\x90\x00\x01\f000000000000\x010")
+
+// TestStreamDecoderRejectsNonMinimalHeader: the frame-length varint must be
+// minimal for the stream decoder as it must for ConsumeMessage; the same
+// frame behind the one-byte header decodes on both.
+func TestStreamDecoderRejectsNonMinimalHeader(t *testing.T) {
+	var m wire.Message
+	if _, _, _, err := wire.ConsumeMessage(nonMinimalHeaderFrame); err == nil {
+		t.Fatal("ConsumeMessage accepted a non-minimal frame header")
+	}
+	err := wire.NewDecoder(bytes.NewReader(nonMinimalHeaderFrame)).Decode(&m)
+	if err == nil || !strings.Contains(err.Error(), "non-minimal frame header") {
+		t.Errorf("Decode of a non-minimal frame header: %v, want a refusal naming it", err)
+	}
+	minimal := append([]byte{0x10}, nonMinimalHeaderFrame[2:]...)
+	want, _, _, err := wire.ConsumeMessage(minimal)
+	if err != nil {
+		t.Fatalf("ConsumeMessage of the minimal form: %v", err)
+	}
+	if err := wire.NewDecoder(bytes.NewReader(minimal)).Decode(&m); err != nil || !reflect.DeepEqual(m, want) {
+		t.Errorf("Decode of the minimal form: %+v, %v; want %+v", m, err, want)
+	}
+	// A header cut short is an error, not a clean end of stream.
+	if err := wire.NewDecoder(bytes.NewReader([]byte{0x90})).Decode(&m); err == nil || err == io.EOF {
+		t.Errorf("Decode of half a header: %v", err)
+	}
+	if err := wire.NewDecoder(bytes.NewReader(nil)).Decode(&m); err != io.EOF {
+		t.Errorf("Decode at a clean end of stream: %v, want io.EOF", err)
+	}
+}
+
 // FuzzDecode is a differential fuzzer over the frame decoder. Arbitrary
 // bytes must never panic; any frame that does decode must (a) re-encode
 // and decode to the same envelope, (b) if it decoded entirely through the
@@ -216,6 +252,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3})
 	f.Add([]byte{2, 1, 0}) // frame of size 2: tag nil, empty From — short
 	f.Add([]byte{1, 1})    // frame of size 1: tag nil alone
+	f.Add(nonMinimalHeaderFrame)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The stream decoder must agree with the one-shot parser.

@@ -42,4 +42,5 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 		write(fmt.Sprintf("seed-gob-%02d", i), gobbed)
 	}
 	write("seed-stream", all)
+	write("seed-non-minimal-header", nonMinimalHeaderFrame)
 }

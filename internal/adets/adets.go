@@ -10,11 +10,13 @@
 // routed to the scheduler, which decides deterministically, identically on
 // every replica, which thread may proceed.
 //
-// The algorithms of the paper live in the subpackages seq, sl, sat, mat,
-// lsa and pds. This package holds what they share: the plug-in interface,
-// the thread abstraction with logical-thread identity, deterministic wait
-// queues, reentrancy accounting, the deterministic timeout machinery, and
-// the capability metadata reproduced in the paper's Table 1.
+// The algorithms of the paper live in the subpackages seq (SEQ and SL), sat,
+// mat, lsa and pds. This package holds what they share: the plug-in
+// interface, the thread abstraction with logical-thread identity, the Monitor
+// every lock-based strategy embeds (mutex table, deterministic wait queues,
+// deterministic timeouts, nested-invocation parking, thread life cycle),
+// reentrancy accounting above it, and the capability metadata reproduced in
+// the paper's Table 1.
 package adets
 
 import (

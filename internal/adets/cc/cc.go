@@ -62,32 +62,22 @@ type ticket struct {
 	lanes []int // sorted, duplicate-free; empty for callbacks (lane bypass)
 	fence bool
 
-	started      bool // allowed to run (or fence completed)
-	parked       bool // goroutine parked awaiting first activation
-	blockT0      time.Duration
-	lockBlocked  bool // parked in Lock awaiting a grant
-	nested       bool // parked in BeginNested
-	pendingReply bool // nested reply arrived before the thread parked
-}
-
-type lockState struct {
-	owner   wire.LogicalID
-	waiters adets.FIFO
+	started bool // allowed to run (or fence completed)
+	parked  bool // goroutine parked awaiting first activation
 }
 
 // Scheduler implements adets.Scheduler with conflict-class parallel
-// dispatch (MA over declared classes).
+// dispatch (MA over declared classes). Mutexes, nested-invocation parking,
+// Stop and Quiesce are the embedded Monitor's; CC adds the lanes: when a
+// request may start.
 type Scheduler struct {
+	adets.Monitor
 	env       adets.Env
 	reg       *adets.Registry
 	laneCount int
 
 	// All fields below are guarded by the runtime lock.
-	queues  [][]*ticket // one FIFO of tickets per lane
-	locks   map[adets.MutexID]*lockState
-	threads map[*adets.Thread]bool
-	stopped bool
-	quiesce func(drained bool)
+	queues [][]*ticket // one FIFO of tickets per lane
 
 	// early caches lane plans computed at optimistic-delivery time (see
 	// adets.EarlyScheduler); earlyOrder bounds it FIFO.
@@ -96,17 +86,13 @@ type Scheduler struct {
 }
 
 var (
-	_ adets.Scheduler      = (*Scheduler)(nil)
+	_ adets.Strategy       = (*Scheduler)(nil)
 	_ adets.EarlyScheduler = (*Scheduler)(nil)
 )
 
 // New returns an ADETS-CC scheduler.
 func New(opts ...Option) *Scheduler {
-	s := &Scheduler{
-		laneCount: DefaultLanes,
-		locks:     make(map[adets.MutexID]*lockState),
-		threads:   make(map[*adets.Thread]bool),
-	}
+	s := &Scheduler{laneCount: DefaultLanes}
 	for _, o := range opts {
 		o(s)
 	}
@@ -139,26 +125,9 @@ func (s *Scheduler) Capabilities() adets.Capabilities {
 func (s *Scheduler) Start(env adets.Env) {
 	s.env = env
 	s.reg = adets.NewRegistry(env.RT)
+	s.Init(env, s)
 	s.queues = make([][]*ticket, s.laneCount)
 	env.Obs.Lanes(s.laneCount)
-}
-
-// Stop implements adets.Scheduler: blocked threads are woken and their
-// pending operations fail with ErrStopped.
-func (s *Scheduler) Stop() {
-	rt := s.env.RT
-	rt.Lock()
-	s.stopped = true
-	for t := range s.threads {
-		t.Unpark(rt)
-	}
-	rt.Unlock()
-}
-
-func (s *Scheduler) isStopped() bool {
-	s.env.RT.Lock()
-	defer s.env.RT.Unlock()
-	return s.stopped
 }
 
 func st(t *adets.Thread) *ticket { return t.Sched.(*ticket) }
@@ -174,13 +143,13 @@ func (s *Scheduler) Submit(req adets.Request) {
 	rt := s.env.RT
 	rt.Lock()
 	defer rt.Unlock()
-	if s.stopped {
+	if s.Stopped() {
 		return
 	}
 	s.env.Obs.Submitted()
 	tk := &ticket{}
 	t := s.reg.Init(&tk.Thread, "cc", req.Logical, tk)
-	s.threads[t] = true
+	s.Enter(t)
 	if req.Callback {
 		tk.started = true // lane bypass: run immediately
 	} else {
@@ -196,31 +165,25 @@ func (s *Scheduler) Submit(req adets.Request) {
 	}
 	s.reg.Spawn(t, func() {
 		rt.Lock()
-		for !tk.started && !s.stopped {
+		for !tk.started && !s.Stopped() {
 			tk.parked = true
-			s.checkQuiesceLocked()
+			s.CheckQuiesce()
 			t.Park(rt)
 			tk.parked = false
 		}
 		rt.Unlock()
-		if !s.isStopped() {
+		if s.Alive() {
 			req.Exec(t)
 		}
-		s.threadDone(t)
+		rt.Lock()
+		s.removeLocked(tk)
+		s.pumpLocked()
+		s.Exit(t)
+		rt.Unlock()
 	})
 	if !tk.started {
 		s.pumpLocked()
 	}
-}
-
-func (s *Scheduler) threadDone(t *adets.Thread) {
-	rt := s.env.RT
-	rt.Lock()
-	delete(s.threads, t)
-	s.removeLocked(st(t))
-	s.pumpLocked()
-	s.checkQuiesceLocked()
-	rt.Unlock()
 }
 
 // removeLocked deletes a ticket from every lane it occupies.
@@ -254,7 +217,7 @@ func (s *Scheduler) eligibleLocked(tk *ticket) bool {
 // fences, repeating until no further progress — a fence completing can
 // unblock heads in all lanes at once.
 func (s *Scheduler) pumpLocked() {
-	if s.stopped {
+	if s.Stopped() {
 		return
 	}
 	for progressed := true; progressed; {
@@ -284,79 +247,29 @@ func (s *Scheduler) pumpLocked() {
 	}
 }
 
-func (s *Scheduler) lock(m adets.MutexID) *lockState {
-	ls, ok := s.locks[m]
-	if !ok {
-		ls = &lockState{}
-		s.locks[m] = ls
-	}
-	return ls
-}
-
-// Lock implements adets.Scheduler. Under correct class declarations every
+// Runnable implements adets.Strategy: lanes put no order on running threads.
+// (Lock and Unlock are the Monitor's. Under correct class declarations every
 // pair of requests locking the same mutex shares a conflict class and is
 // therefore serialized by the lanes — the uncontended path is the common
 // one, and the grant order per mutex is the lane (= total) order. The
 // blocking path exists for defense in depth against mis-declared classes;
-// it grants FIFO, which the chaos digests then validate.
-func (s *Scheduler) Lock(t *adets.Thread, m adets.MutexID) error {
-	rt := s.env.RT
-	rt.Lock()
-	defer rt.Unlock()
-	if s.stopped {
-		return adets.ErrStopped
-	}
-	ls := s.lock(m)
-	if ls.owner == "" {
-		ls.owner = t.Logical
-		s.env.Obs.Grant(m, string(t.Logical))
-		return nil
-	}
-	var t0 time.Duration
-	if s.env.Obs != nil {
-		s.env.Obs.Blocked()
-		t0 = rt.NowLocked()
-	}
-	ls.waiters.Push(t)
-	tk := st(t)
-	tk.lockBlocked = true
-	s.checkQuiesceLocked()
-	t.Park(rt)
-	tk.lockBlocked = false
-	if s.stopped {
-		s.env.Obs.Unblocked()
-		return adets.ErrStopped
-	}
-	if s.env.Obs != nil {
-		s.env.Obs.GrantedAfterBlock(m, string(t.Logical), rt.NowLocked()-t0)
-	}
-	// Woken ⇒ granted ownership by releaseLocked.
-	return nil
-}
+// it grants FIFO, which the chaos digests then validate.)
+func (s *Scheduler) Runnable(t *adets.Thread) { t.Unpark(s.env.RT) }
 
-// Unlock implements adets.Scheduler.
-func (s *Scheduler) Unlock(t *adets.Thread, m adets.MutexID) error {
-	rt := s.env.RT
-	rt.Lock()
-	defer rt.Unlock()
-	if s.stopped {
-		return adets.ErrStopped
-	}
-	ls := s.lock(m)
-	if ls.owner != t.Logical {
-		return adets.ErrNotHeld
-	}
-	s.env.Obs.Unlock(m, string(t.Logical))
-	w := ls.waiters.Pop()
-	if w == nil {
-		ls.owner = ""
-		return nil
-	}
-	ls.owner = w.Logical
-	s.env.Obs.Grant(m, string(w.Logical))
-	st(w).lockBlocked = false // cleared by the granter: the permit is pending
-	w.Unpark(rt)
-	return nil
+// Blocked implements adets.Strategy: a blocked thread keeps occupying its
+// lanes, so later same-class requests stay queued behind it — per-class
+// program order is preserved; callbacks of the same logical thread bypass
+// the lanes (see Submit) and therefore still make progress.
+func (s *Scheduler) Blocked(*adets.Thread) {}
+
+// Stable implements adets.Strategy. CC is stable when every ticket is parked
+// for good until a future delivery: awaiting its lane activation (which,
+// with dispatch paused, only a completing earlier ticket can trigger —
+// covered by the re-check when that one exits), blocked on a lock, or parked
+// in a nested invocation.
+func (s *Scheduler) Stable(t *adets.Thread) bool {
+	tk := st(t)
+	return (!tk.started && tk.parked) || t.Parked() != adets.NotParked
 }
 
 // Wait implements adets.Scheduler: unsupported. A deterministic
@@ -382,40 +295,6 @@ func (s *Scheduler) NotifyAll(*adets.Thread, adets.MutexID, adets.CondID) error 
 // per-class total order).
 func (s *Scheduler) Yield(*adets.Thread) {}
 
-// BeginNested implements adets.Scheduler: the thread parks until the
-// totally-ordered reply resumes it. It keeps occupying its lanes while
-// nested, so later same-class requests stay queued behind it — per-class
-// program order is preserved; callbacks of the same logical thread bypass
-// the lanes (see Submit) and therefore still make progress.
-func (s *Scheduler) BeginNested(t *adets.Thread) {
-	rt := s.env.RT
-	rt.Lock()
-	tk := st(t)
-	if tk.pendingReply {
-		tk.pendingReply = false
-		rt.Unlock()
-		return
-	}
-	tk.nested = true
-	s.checkQuiesceLocked()
-	t.Park(rt)
-	tk.nested = false
-	rt.Unlock()
-}
-
-// EndNested implements adets.Scheduler.
-func (s *Scheduler) EndNested(t *adets.Thread) {
-	rt := s.env.RT
-	rt.Lock()
-	defer rt.Unlock()
-	tk := st(t)
-	if !tk.nested {
-		tk.pendingReply = true // reply beat the park (real-time race)
-		return
-	}
-	t.Unpark(rt)
-}
-
 // maxEarlyPlans bounds the early-plan cache: requests that are optimistically
 // delivered but never ordered (lost submits) must not pin memory.
 const maxEarlyPlans = 1 << 12
@@ -433,7 +312,7 @@ func (s *Scheduler) EarlySubmit(id wire.InvocationID, classes []string) {
 	}
 	rt.Lock()
 	defer rt.Unlock()
-	if s.stopped {
+	if s.Stopped() {
 		return
 	}
 	if _, ok := s.early[id]; ok {
@@ -469,7 +348,7 @@ func (s *Scheduler) ViewChanged(v gcs.View) {
 	rt := s.env.RT
 	rt.Lock()
 	defer rt.Unlock()
-	if s.stopped {
+	if s.Stopped() {
 		return
 	}
 	s.env.Obs.ViewChange(v.Epoch)
@@ -484,44 +363,22 @@ func (s *Scheduler) ViewChanged(v gcs.View) {
 	s.pumpLocked()
 }
 
-// Quiesce implements adets.Scheduler. CC is stable when every ticket is
-// parked for good until a future delivery: awaiting its lane activation
-// (which, with dispatch paused, only a completing earlier ticket can
-// trigger — covered by the threadDone re-check), blocked on a lock, or
-// parked in a nested invocation. Fences carry no thread and are removed
+// Quiesce implements adets.Scheduler. Fences carry no thread and are removed
 // eagerly by pumpLocked, so an empty thread set implies empty lanes — the
 // all-lane drain the barrier semantics require.
 func (s *Scheduler) Quiesce(report func(drained bool)) {
-	rt := s.env.RT
-	rt.Lock()
-	s.quiesce = report
-	s.checkQuiesceLocked()
-	rt.Unlock()
-}
-
-func (s *Scheduler) checkQuiesceLocked() {
-	if s.quiesce == nil {
-		return
-	}
-	for t := range s.threads {
-		tk := st(t)
-		stable := (!tk.started && tk.parked) || tk.nested || tk.lockBlocked
-		if !stable {
-			return
+	s.Monitor.Quiesce(func(drained bool) {
+		if drained {
+			// Drained boundary: drop cached early plans. They are arrival-time
+			// hints, not ordered state — a checkpoint cut (and any replica
+			// restored from it) must not depend on what happened to arrive
+			// optimistically here; un-ordered requests recompute their plan at
+			// their ordered Submit.
+			s.early = nil
+			s.earlyOrder = nil
 		}
-	}
-	report := s.quiesce
-	s.quiesce = nil
-	if len(s.threads) == 0 {
-		// Drained boundary: drop cached early plans. They are arrival-time
-		// hints, not ordered state — a checkpoint cut (and any replica
-		// restored from it) must not depend on what happened to arrive
-		// optimistically here; un-ordered requests recompute their plan at
-		// their ordered Submit.
-		s.early = nil
-		s.earlyOrder = nil
-	}
-	report(len(s.threads) == 0)
+		report(drained)
+	})
 }
 
 // HandleOrdered implements adets.Scheduler.

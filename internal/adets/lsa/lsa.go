@@ -48,27 +48,13 @@ type TableUpdate struct {
 
 func init() { wire.RegisterPayload(TableUpdate{}) }
 
-type lsaThread struct {
-	waiting     bool
-	waitSeq     uint64
-	timedOut    bool
-	granted     bool // set by the grant path before unparking a lock waiter
-	lockWait    bool // parked in Lock awaiting a grant
-	nested      bool // parked in BeginNested awaiting the ordered reply
-	replyPermit bool // EndNested arrived before BeginNested: next park is a no-op
-}
-
+// lockState is what LSA's grant rule keeps per mutex beside the Monitor's
+// row (which says who owns it).
 type lockState struct {
-	owner    wire.LogicalID
 	schedule []wire.LogicalID // applied table entries, grant order
 	nextIdx  int              // next schedule position to grant
 	pending  map[wire.LogicalID]*adets.Thread
 	arrival  []wire.LogicalID // request arrival order (leader grant order)
-}
-
-type condKey struct {
-	m adets.MutexID
-	c adets.CondID
 }
 
 // Option configures the scheduler.
@@ -80,37 +66,32 @@ func WithPeriod(d time.Duration) Option {
 }
 
 // Scheduler implements adets.Scheduler with the leader-follower LSA model.
+// Mutex ownership, condition variables, the timeout check, nested-invocation
+// parking, Stop and Quiesce are the embedded Monitor's; LSA replaces its
+// grant rule (Release, Reacquire: the leader's schedule) and its timeout
+// transport (Expired: the local TO-thread of Fig. 1).
 type Scheduler struct {
+	adets.Monitor
 	env    adets.Env
 	reg    *adets.Registry
 	period time.Duration
 
-	leader  wire.NodeID
-	locks   map[adets.MutexID]*lockState
-	conds   map[condKey]*adets.FIFO
-	waiters map[wire.LogicalID]*adets.Thread
-	threads map[*adets.Thread]bool
+	leader wire.NodeID
+	locks  map[adets.MutexID]*lockState
 
 	pendingLog []TableEntry // leader: grants not yet broadcast
 	inflight   int          // table batches broadcast but not yet delivered back
 	batchSeq   uint64
-	waitSeqs   map[wire.LogicalID]uint64
 	flushTimer *vtime.Timer
-	stopped    bool
-	quiesce    func(drained bool)
 }
 
-var _ adets.Scheduler = (*Scheduler)(nil)
+var _ adets.Strategy = (*Scheduler)(nil)
 
 // New returns an ADETS-LSA scheduler.
 func New(opts ...Option) *Scheduler {
 	s := &Scheduler{
-		period:   DefaultPeriod,
-		locks:    make(map[adets.MutexID]*lockState),
-		conds:    make(map[condKey]*adets.FIFO),
-		waiters:  make(map[wire.LogicalID]*adets.Thread),
-		threads:  make(map[*adets.Thread]bool),
-		waitSeqs: make(map[wire.LogicalID]uint64),
+		period: DefaultPeriod,
+		locks:  make(map[adets.MutexID]*lockState),
 	}
 	for _, o := range opts {
 		o(s)
@@ -140,6 +121,7 @@ func (s *Scheduler) Capabilities() adets.Capabilities {
 func (s *Scheduler) Start(env adets.Env) {
 	s.env = env
 	s.reg = adets.NewRegistry(env.RT)
+	s.Init(env, s)
 	if len(env.Peers) > 0 {
 		s.leader = env.Peers[0]
 	}
@@ -148,20 +130,15 @@ func (s *Scheduler) Start(env adets.Env) {
 
 // Stop implements adets.Scheduler.
 func (s *Scheduler) Stop() {
+	s.Monitor.Stop()
 	rt := s.env.RT
 	rt.Lock()
-	s.stopped = true
 	if s.flushTimer != nil {
 		rt.StopTimerLocked(s.flushTimer)
 		s.flushTimer = nil
 	}
-	for t := range s.threads {
-		t.Unpark(rt)
-	}
 	rt.Unlock()
 }
-
-func st(t *adets.Thread) *lsaThread { return t.Sched.(*lsaThread) }
 
 func (s *Scheduler) isLeaderLocked() bool { return s.leader == s.env.Self }
 
@@ -172,32 +149,20 @@ func (s *Scheduler) Submit(req adets.Request) {
 	rt := s.env.RT
 	rt.Lock()
 	defer rt.Unlock()
-	if s.stopped {
+	if s.Stopped() {
 		return
 	}
 	s.env.Obs.Submitted()
 	t := s.reg.NewThread("lsa", req.Logical)
-	t.Sched = &lsaThread{}
-	s.threads[t] = true
+	s.Enter(t)
 	s.reg.Spawn(t, func() {
-		if !s.isStopped() {
+		if s.Alive() {
 			req.Exec(t)
 		}
-		s.threadDone(t)
+		s.env.RT.Lock() // not rt: the closure stays in its size class
+		s.Exit(t)
+		s.env.RT.Unlock()
 	})
-}
-
-func (s *Scheduler) isStopped() bool {
-	s.env.RT.Lock()
-	defer s.env.RT.Unlock()
-	return s.stopped
-}
-
-func (s *Scheduler) threadDone(t *adets.Thread) {
-	s.env.RT.Lock()
-	delete(s.threads, t)
-	s.checkQuiesceLocked()
-	s.env.RT.Unlock()
 }
 
 func (s *Scheduler) lock(m adets.MutexID) *lockState {
@@ -209,16 +174,6 @@ func (s *Scheduler) lock(m adets.MutexID) *lockState {
 	return ls
 }
 
-func (s *Scheduler) cond(m adets.MutexID, c adets.CondID) *adets.FIFO {
-	k := condKey{m, c}
-	q, ok := s.conds[k]
-	if !ok {
-		q = &adets.FIFO{}
-		s.conds[k] = q
-	}
-	return q
-}
-
 // Lock implements adets.Scheduler. On the leader the request is granted
 // FCFS and logged; on a follower it is granted when the applied mutex
 // table says so.
@@ -226,40 +181,18 @@ func (s *Scheduler) Lock(t *adets.Thread, m adets.MutexID) error {
 	rt := s.env.RT
 	rt.Lock()
 	defer rt.Unlock()
-	if s.stopped {
+	if s.Stopped() {
 		return adets.ErrStopped
 	}
 	s.requestLocked(t, m)
-	blocked := !st(t).granted
-	var t0 time.Duration
-	if blocked && s.env.Obs != nil {
-		s.env.Obs.Blocked()
-		t0 = rt.NowLocked()
+	mu := s.Mutex(m)
+	if mu.Owner == t.Logical {
+		return nil // granted at once: the leader found m free, or the table already names t
 	}
-	// Park unconditionally: if the grant already happened, the unpark left
-	// a permit and Park returns immediately — no lost wakeup, no stale
-	// permit.
-	st(t).lockWait = true
-	s.checkQuiesceLocked()
-	t.Park(rt)
-	st(t).lockWait = false
-	granted := st(t).granted
-	st(t).granted = false
-	if !granted && s.stopped {
-		if blocked {
-			s.env.Obs.Unblocked()
-		}
-		return adets.ErrStopped
-	}
-	if blocked && s.env.Obs != nil {
-		s.env.Obs.GrantedAfterBlock(m, string(t.Logical), rt.NowLocked()-t0)
-	}
-	return nil
+	return s.AwaitGrant(t, mu)
 }
 
 // requestLocked registers a lock request and runs the grant machinery.
-// If the request can be satisfied immediately, the grant deposits an
-// unpark permit the caller's Park consumes.
 func (s *Scheduler) requestLocked(t *adets.Thread, m adets.MutexID) {
 	ls := s.lock(m)
 	ls.pending[t.Logical] = t
@@ -273,8 +206,8 @@ func (s *Scheduler) requestLocked(t *adets.Thread, m adets.MutexID) {
 //   - then, on the leader only, FCFS over arrived requests, logging each
 //     grant for the next table broadcast.
 func (s *Scheduler) tryGrantLocked(m adets.MutexID) {
-	ls := s.lock(m)
-	for ls.owner == "" {
+	ls, mu := s.lock(m), s.Mutex(m)
+	for mu.Owner == "" {
 		if ls.nextIdx < len(ls.schedule) {
 			next := ls.schedule[ls.nextIdx]
 			th := ls.pending[next]
@@ -282,7 +215,7 @@ func (s *Scheduler) tryGrantLocked(m adets.MutexID) {
 				return // that thread has not requested yet on this replica
 			}
 			ls.nextIdx++
-			s.grantLocked(ls, th, m, false)
+			s.grantLocked(ls, th, mu, false)
 			continue
 		}
 		if !s.isLeaderLocked() {
@@ -292,7 +225,7 @@ func (s *Scheduler) tryGrantLocked(m adets.MutexID) {
 		if th == nil {
 			return
 		}
-		s.grantLocked(ls, th, m, true)
+		s.grantLocked(ls, th, mu, true)
 	}
 }
 
@@ -308,197 +241,60 @@ func (s *Scheduler) nextArrivalLocked(ls *lockState) *adets.Thread {
 	return nil
 }
 
-func (s *Scheduler) grantLocked(ls *lockState, th *adets.Thread, m adets.MutexID, log bool) {
+// grantLocked makes th the owner; a thread already parked for the mutex (a
+// queued Lock, a woken waiter) resumes, one still on its way into Lock finds
+// itself the owner there.
+func (s *Scheduler) grantLocked(ls *lockState, th *adets.Thread, mu *adets.Mutex, log bool) {
 	delete(ls.pending, th.Logical)
-	ls.owner = th.Logical
-	s.env.Obs.Grant(m, string(th.Logical))
-	st(th).granted = true
-	th.Unpark(s.env.RT) // harmless permit if the thread has not parked yet
+	parked := th.Parked() == adets.ForMutex
+	s.Grant(mu, th)
+	if parked {
+		th.Unpark(s.env.RT)
+	}
 	if log {
-		s.pendingLog = append(s.pendingLog, TableEntry{M: m, L: th.Logical})
+		s.pendingLog = append(s.pendingLog, TableEntry{M: mu.ID, L: th.Logical})
 	}
 }
 
-// Unlock implements adets.Scheduler.
-func (s *Scheduler) Unlock(t *adets.Thread, m adets.MutexID) error {
-	rt := s.env.RT
-	rt.Lock()
-	defer rt.Unlock()
-	if s.stopped {
-		return adets.ErrStopped
-	}
-	ls := s.lock(m)
-	if ls.owner != t.Logical {
-		return adets.ErrNotHeld
-	}
-	s.env.Obs.Unlock(m, string(t.Logical))
-	ls.owner = ""
-	s.tryGrantLocked(m)
-	return nil
+// Release implements adets.Strategy: the next owner is whoever the table —
+// or, on the leader, arrival order — says.
+func (s *Scheduler) Release(mu *adets.Mutex) {
+	mu.Owner = ""
+	s.tryGrantLocked(mu.ID)
 }
 
-// Wait implements adets.Scheduler. Operations on a condition variable are
-// protected by its mutex, whose grant order is deterministic, so plain
-// local FIFO queues suffice (Section 4.1). Time bounds use the timeout
-// thread of Fig. 1.
-func (s *Scheduler) Wait(t *adets.Thread, m adets.MutexID, c adets.CondID, d time.Duration) (bool, error) {
-	rt := s.env.RT
-	rt.Lock()
-	defer rt.Unlock()
-	if s.stopped {
-		return false, adets.ErrStopped
-	}
-	ls := s.lock(m)
-	if ls.owner != t.Logical {
-		return false, adets.ErrNotHeld
-	}
-	lst := st(t)
-	lst.waiting = true
-	lst.timedOut = false
-	s.waitSeqs[t.Logical]++
-	lst.waitSeq = s.waitSeqs[t.Logical]
-	s.waiters[t.Logical] = t
-	s.cond(m, c).Push(t)
-	var timer *vtime.Timer
-	if d > 0 {
-		timer = s.spawnTimeoutThreadLocked(t, m, c, lst.waitSeq, d)
-	}
-	s.env.Obs.WaitStart(m, c, string(t.Logical))
-	ls.owner = ""
-	s.tryGrantLocked(m)
-	s.checkQuiesceLocked()
-	t.Park(rt) // woken when re-granted m after notify/timeout
-	lst.waiting = false
-	delete(s.waiters, t.Logical)
-	if timer != nil {
-		rt.StopTimerLocked(timer)
-	}
-	if s.stopped {
-		return false, adets.ErrStopped
-	}
-	st(t).granted = false
-	return lst.timedOut, nil
+// Reacquire implements adets.Strategy: a woken condition waiter reacquires
+// its mutex through the regular grant machinery. Operations on a condition
+// variable are protected by its mutex, whose grant order is deterministic, so
+// the Monitor's plain local FIFO queues suffice (Section 4.1).
+func (s *Scheduler) Reacquire(w *adets.Thread, mu *adets.Mutex) {
+	s.requestLocked(w, mu.ID)
 }
 
-// spawnTimeoutThreadLocked arms the local timer that creates the TO-thread
-// of paper Fig. 1: a scheduler-managed thread that locks the mutex and, if
-// the target is still waiting, performs the timeout wake. Its lock request
-// is ordered by the normal LSA machinery, so leader and followers resolve
-// the timeout-vs-notify race identically.
-func (s *Scheduler) spawnTimeoutThreadLocked(target *adets.Thread, m adets.MutexID, c adets.CondID, seq uint64, d time.Duration) *vtime.Timer {
-	logical := wire.LogicalID(fmt.Sprintf("lsa-to/%s/%d", target.Logical, seq))
-	return s.env.RT.AfterLocked(d, string(logical), func() {
-		rt := s.env.RT
-		rt.Lock()
-		if s.stopped {
-			rt.Unlock()
-			return
-		}
-		t := s.reg.NewThread("lsa", logical)
-		t.Sched = &lsaThread{}
-		s.threads[t] = true
-		rt.Unlock()
-		if err := s.Lock(t, m); err == nil {
-			rt.Lock()
-			w := s.waiters[target.Logical]
-			if w != nil && st(w).waiting && st(w).waitSeq == seq {
-				s.env.Obs.TimeoutFired()
-				s.env.Obs.Wake(m, c, string(w.Logical), true)
-				s.cond(m, c).Remove(w)
-				st(w).timedOut = true
-				s.requeueWaiterLocked(w, m)
-			}
-			rt.Unlock()
-			_ = s.Unlock(t, m)
-		}
-		s.threadDone(t)
-	})
+// Expired implements adets.Strategy with the TO-thread of paper Fig. 1: the
+// timeout is not broadcast; a local scheduler-managed thread locks the mutex
+// and, if the target is still in that wait, performs the timeout wake. Its
+// lock request is ordered by the normal LSA machinery, so leader and
+// followers resolve the timeout-vs-notify race identically.
+func (s *Scheduler) Expired(msg adets.TimeoutMsg) {
+	s.TimeoutRequest(wire.LogicalID(fmt.Sprintf("lsa-to/%s/%d", msg.Target, msg.WaitSeq)), msg)
 }
 
-// requeueWaiterLocked makes a woken condition waiter reacquire its mutex
-// through the regular grant machinery.
-func (s *Scheduler) requeueWaiterLocked(w *adets.Thread, m adets.MutexID) {
-	ls := s.lock(m)
-	ls.pending[w.Logical] = w
-	ls.arrival = append(ls.arrival, w.Logical)
-	s.tryGrantLocked(m)
-}
+// Runnable implements adets.Strategy: "a thread waiting for a nested
+// invocation reply does not have any influence on the progress of other
+// threads" (Section 4.1) — it simply resumes.
+func (s *Scheduler) Runnable(t *adets.Thread) { t.Unpark(s.env.RT) }
 
-// Notify implements adets.Scheduler.
-func (s *Scheduler) Notify(t *adets.Thread, m adets.MutexID, c adets.CondID) error {
-	rt := s.env.RT
-	rt.Lock()
-	defer rt.Unlock()
-	if s.stopped {
-		return adets.ErrStopped
-	}
-	ls := s.lock(m)
-	if ls.owner != t.Logical {
-		return adets.ErrNotHeld
-	}
-	if w := s.cond(m, c).Pop(); w != nil {
-		s.env.Obs.Wake(m, c, string(w.Logical), false)
-		s.requeueWaiterLocked(w, m)
-	}
-	return nil
-}
+// Blocked implements adets.Strategy: LSA has no scheduling points.
+func (s *Scheduler) Blocked(*adets.Thread) {}
 
-// NotifyAll implements adets.Scheduler.
-func (s *Scheduler) NotifyAll(t *adets.Thread, m adets.MutexID, c adets.CondID) error {
-	rt := s.env.RT
-	rt.Lock()
-	defer rt.Unlock()
-	if s.stopped {
-		return adets.ErrStopped
-	}
-	ls := s.lock(m)
-	if ls.owner != t.Logical {
-		return adets.ErrNotHeld
-	}
-	for _, w := range s.cond(m, c).Drain() {
-		s.env.Obs.Wake(m, c, string(w.Logical), false)
-		s.requeueWaiterLocked(w, m)
-	}
-	return nil
-}
+// Stable implements adets.Strategy. LSA is stable when every live thread is
+// parked awaiting a grant, a notification, or a nested reply.
+func (s *Scheduler) Stable(t *adets.Thread) bool { return t.Parked() != adets.NotParked }
 
 // Yield implements adets.Scheduler (no-op: LSA threads are never
 // token-gated).
 func (s *Scheduler) Yield(*adets.Thread) {}
-
-// BeginNested implements adets.Scheduler: "a thread waiting for a nested
-// invocation reply does not have any influence on the progress of other
-// threads" (Section 4.1) — it simply parks. An early EndNested leaves a
-// permit, so the order of the two calls does not matter.
-func (s *Scheduler) BeginNested(t *adets.Thread) {
-	rt := s.env.RT
-	rt.Lock()
-	lst := st(t)
-	if lst.replyPermit {
-		// The reply was delivered before we parked: consume the permit
-		// without ever looking blocked to a concurrent Quiesce.
-		lst.replyPermit = false
-		t.Park(rt)
-		rt.Unlock()
-		return
-	}
-	lst.nested = true
-	s.checkQuiesceLocked()
-	t.Park(rt)
-	lst.nested = false
-	rt.Unlock()
-}
-
-// EndNested implements adets.Scheduler.
-func (s *Scheduler) EndNested(t *adets.Thread) {
-	rt := s.env.RT
-	rt.Lock()
-	if !st(t).nested {
-		st(t).replyPermit = true
-	}
-	t.Unpark(rt)
-	rt.Unlock()
-}
 
 // ViewChanged implements adets.Scheduler: the new leader is the lowest
 // ranked member of the view, delivered at the same stream position on
@@ -533,14 +329,14 @@ func (s *Scheduler) HandleOrdered(_ string, payload any) bool {
 	rt := s.env.RT
 	rt.Lock()
 	defer rt.Unlock()
-	if s.stopped {
+	if s.Stopped() {
 		return true
 	}
 	if up.From == s.env.Self {
 		// Our own broadcast returning through the order: grants were already
 		// applied locally at log time; the batch is now published to all.
 		s.inflight--
-		s.checkQuiesceLocked()
+		s.CheckQuiesce()
 		return true
 	}
 	touched := make(map[adets.MutexID]bool)
@@ -564,9 +360,8 @@ func sortedMutexes(set map[adets.MutexID]bool) []adets.MutexID {
 	return out
 }
 
-// Quiesce implements adets.Scheduler. LSA is stable when every live thread
-// is parked awaiting a grant, a notification, or a nested reply. Drained
-// additionally requires that the leader's grant log is fully published AND
+// Quiesce implements adets.Scheduler. Drained additionally requires
+// that the leader's grant log is fully published AND
 // delivered back through the order: an unpublished (or undelivered) grant
 // means the leader executed ahead of the stream — the grantee may have
 // finished here while it is still blocked on every follower, so leader and
@@ -575,28 +370,9 @@ func sortedMutexes(set map[adets.MutexID]bool) []adets.MutexID {
 // is drained=false (checkpoint skipped) on the leader — and on followers
 // too, whose corresponding threads are still parked awaiting the table.
 func (s *Scheduler) Quiesce(report func(drained bool)) {
-	rt := s.env.RT
-	rt.Lock()
-	s.quiesce = report
-	s.checkQuiesceLocked()
-	rt.Unlock()
-}
-
-func (s *Scheduler) checkQuiesceLocked() {
-	if s.quiesce == nil {
-		return
-	}
-	for t := range s.threads {
-		lst := st(t)
-		stable := lst.nested || ((lst.waiting || lst.lockWait) && !lst.granted)
-		if !stable {
-			return
-		}
-	}
-	pubClean := len(s.pendingLog) == 0 && s.inflight == 0
-	report := s.quiesce
-	s.quiesce = nil
-	report(len(s.threads) == 0 && pubClean)
+	s.Monitor.Quiesce(func(drained bool) {
+		report(drained && len(s.pendingLog) == 0 && s.inflight == 0)
+	})
 }
 
 // HandleDirect implements adets.Scheduler.
@@ -606,7 +382,7 @@ func (s *Scheduler) HandleDirect(wire.NodeID, any) bool { return false }
 func (s *Scheduler) scheduleFlush() {
 	rt := s.env.RT
 	rt.Lock()
-	if s.stopped {
+	if s.Stopped() {
 		rt.Unlock()
 		return
 	}
@@ -619,7 +395,7 @@ func (s *Scheduler) flush() {
 	rt.Lock()
 	var batch []TableEntry
 	var id string
-	if !s.stopped && s.isLeaderLocked() && len(s.pendingLog) > 0 {
+	if !s.Stopped() && s.isLeaderLocked() && len(s.pendingLog) > 0 {
 		batch = s.pendingLog
 		s.pendingLog = nil
 		s.batchSeq++

@@ -18,6 +18,7 @@ func newBare(self wire.NodeID, leader wire.NodeID) (*Scheduler, *vtime.VirtualRu
 	s := New()
 	s.env = adets.Env{RT: rt, Self: self, Peers: []wire.NodeID{"g/0", "g/1"}}
 	s.reg = adets.NewRegistry(rt)
+	s.Init(s.env, s)
 	s.leader = leader
 	return s, rt
 }
@@ -26,8 +27,7 @@ func mkThread(s *Scheduler, rt *vtime.VirtualRuntime, logical wire.LogicalID) *a
 	rt.Lock()
 	defer rt.Unlock()
 	t := s.reg.NewThread("lsa", logical)
-	t.Sched = &lsaThread{}
-	s.threads[t] = true
+	s.Enter(t)
 	return t
 }
 
@@ -38,17 +38,17 @@ func TestLeaderGrantsFCFSAndLogs(t *testing.T) {
 	b := mkThread(s, rt, "b")
 	rt.Lock()
 	s.requestLocked(a, "m")
-	if got := s.lock("m").owner; got != "a" {
+	if got := s.Mutex("m").Owner; got != "a" {
 		t.Errorf("owner = %q, want a (immediate leader grant)", got)
 	}
 	s.requestLocked(b, "m") // held: must queue
-	if got := s.lock("m").owner; got != "a" {
+	if got := s.Mutex("m").Owner; got != "a" {
 		t.Errorf("owner = %q after second request", got)
 	}
 	// Release: b granted next, both grants logged in order.
-	s.lock("m").owner = ""
+	s.Mutex("m").Owner = ""
 	s.tryGrantLocked("m")
-	if got := s.lock("m").owner; got != "b" {
+	if got := s.Mutex("m").Owner; got != "b" {
 		t.Errorf("owner = %q, want b", got)
 	}
 	if len(s.pendingLog) != 2 || s.pendingLog[0].L != "a" || s.pendingLog[1].L != "b" {
@@ -66,21 +66,21 @@ func TestFollowerWaitsForSchedule(t *testing.T) {
 	// Requests arrive in the "wrong" order locally; the schedule decides.
 	s.requestLocked(b, "m")
 	s.requestLocked(a, "m")
-	if got := s.lock("m").owner; got != "" {
+	if got := s.Mutex("m").Owner; got != "" {
 		t.Errorf("follower granted %q without a schedule", got)
 	}
 	// Apply the leader's table: a first, then b.
 	s.lock("m").schedule = append(s.lock("m").schedule, "a", "b")
 	s.tryGrantLocked("m")
-	if got := s.lock("m").owner; got != "a" {
+	if got := s.Mutex("m").Owner; got != "a" {
 		t.Errorf("owner = %q, want a (schedule order)", got)
 	}
 	if len(s.pendingLog) != 0 {
 		t.Errorf("follower logged grants: %+v", s.pendingLog)
 	}
-	s.lock("m").owner = ""
+	s.Mutex("m").Owner = ""
 	s.tryGrantLocked("m")
-	if got := s.lock("m").owner; got != "b" {
+	if got := s.Mutex("m").Owner; got != "b" {
 		t.Errorf("owner = %q, want b", got)
 	}
 	rt.Unlock()
@@ -97,11 +97,11 @@ func TestFollowerBlocksOnScheduleForAbsentThread(t *testing.T) {
 	// b must keep waiting (the grant order is sacrosanct).
 	s.lock("m").schedule = append(s.lock("m").schedule, "a", "b")
 	s.tryGrantLocked("m")
-	if got := s.lock("m").owner; got != "" {
+	if got := s.Mutex("m").Owner; got != "" {
 		t.Errorf("owner = %q; follower must wait for thread a", got)
 	}
 	s.requestLocked(a, "m")
-	if got := s.lock("m").owner; got != "a" {
+	if got := s.Mutex("m").Owner; got != "a" {
 		t.Errorf("owner = %q, want a once it arrives", got)
 	}
 	rt.Unlock()
@@ -120,7 +120,7 @@ func TestPromotionFinishesScheduleThenGrantsFresh(t *testing.T) {
 	// Published schedule covers only a.
 	s.lock("m").schedule = append(s.lock("m").schedule, "a")
 	s.tryGrantLocked("m")
-	if got := s.lock("m").owner; got != "a" {
+	if got := s.Mutex("m").Owner; got != "a" {
 		t.Errorf("owner = %q", got)
 	}
 	rt.Unlock()
@@ -131,9 +131,9 @@ func TestPromotionFinishesScheduleThenGrantsFresh(t *testing.T) {
 	rt.Lock()
 	// After a releases, the new leader grants the remaining requests
 	// fresh, logging them.
-	s.lock("m").owner = ""
+	s.Mutex("m").Owner = ""
 	s.tryGrantLocked("m")
-	owner := s.lock("m").owner
+	owner := s.Mutex("m").Owner
 	if owner != "b" && owner != "c" {
 		t.Errorf("owner = %q, want one of the pending requesters", owner)
 	}

@@ -27,6 +27,7 @@
 package pds
 
 import (
+	"strconv"
 	"time"
 
 	"github.com/replobj/replobj/internal/adets"
@@ -92,17 +93,13 @@ const (
 )
 
 type pdsThread struct {
-	state       threadState
-	inActive    bool          // member of the round's active set
-	reqMutex    adets.MutexID // pending mutex request while suspended
-	eligible    bool          // request may be granted in the current round
-	resume      adets.MutexID // mutex to reacquire when resuming ("" = none)
-	waiting     bool
-	waitSeq     uint64
-	timedOut    bool
-	nestedA     bool            // strategy A: parked awaiting the ordered nested reply
-	replyPermit bool            // EndNested raced ahead of BeginNested: next park is a no-op
-	ownQueue    []adets.Request // round-robin assignment
+	state    threadState
+	inActive bool            // member of the round's active set
+	reqMutex adets.MutexID   // pending mutex request while suspended
+	eligible bool            // request may be granted in the current round
+	resume   adets.MutexID   // mutex to reacquire when resuming ("" = none)
+	between  wire.LogicalID  // the worker's own identity between requests (queue-mutex owner)
+	ownQueue []adets.Request // round-robin assignment
 
 	// PDS-2 per-round bookkeeping.
 	got1      bool // received a phase-1 grant this round
@@ -111,15 +108,6 @@ type pdsThread struct {
 	//                    grant received, or suspended/waiting)
 	secondPending bool // suspended on a second request that may still be
 	//                    granted within the current round
-}
-
-type lockState struct {
-	owner wire.LogicalID
-}
-
-type condKey struct {
-	m adets.MutexID
-	c adets.CondID
 }
 
 // Config parameterizes the scheduler.
@@ -174,8 +162,12 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// Scheduler implements adets.Scheduler with the PDS round model.
+// Scheduler implements adets.Scheduler with the PDS round model. Mutex
+// ownership, condition variables, deterministic timeouts, nested-invocation
+// parking, Stop and Quiesce are the embedded Monitor's; PDS replaces its grant
+// rule (Release, Reacquire: rounds) and keeps the pool.
 type Scheduler struct {
+	adets.Monitor
 	env adets.Env
 	reg *adets.Registry
 	cfg Config
@@ -192,24 +184,14 @@ type Scheduler struct {
 	// the lack of requests": it goes idle, releasing the queue mutex.
 	awaiting  *adets.Thread
 	convTimer *vtime.Timer // pending awaiting→idle conversion (grace period)
-	locks     map[adets.MutexID]*lockState
-	conds     map[condKey]*adets.FIFO
-	waiters   map[wire.LogicalID]*adets.Thread
-	stopped   bool
-	quiesce   func(drained bool)
 }
 
-var _ adets.Scheduler = (*Scheduler)(nil)
+var _ adets.Strategy = (*Scheduler)(nil)
 
 // New returns an ADETS-PDS scheduler.
 func New(cfg Config) *Scheduler {
 	cfg.applyDefaults()
-	return &Scheduler{
-		cfg:     cfg,
-		locks:   make(map[adets.MutexID]*lockState),
-		conds:   make(map[condKey]*adets.FIFO),
-		waiters: make(map[wire.LogicalID]*adets.Thread),
-	}
+	return &Scheduler{cfg: cfg}
 }
 
 // Name implements adets.Scheduler.
@@ -239,6 +221,7 @@ func (s *Scheduler) Capabilities() adets.Capabilities {
 func (s *Scheduler) Start(env adets.Env) {
 	s.env = env
 	s.reg = adets.NewRegistry(env.RT)
+	s.Init(env, s)
 	rt := env.RT
 	rt.Lock()
 	for i := 0; i < s.cfg.PoolSize; i++ {
@@ -247,26 +230,31 @@ func (s *Scheduler) Start(env adets.Env) {
 	rt.Unlock()
 }
 
-// addWorkerLocked creates and starts one pool thread.
+// addWorkerLocked creates and starts one pool thread. Between requests a
+// worker acts — takes the queue mutex — under an identity of its own.
 func (s *Scheduler) addWorkerLocked() *adets.Thread {
 	t := s.reg.NewThread("pds-worker", "")
-	t.Sched = &pdsThread{state: stRunning, inActive: true}
+	t.Logical = wire.LogicalID("pds-worker-" + strconv.FormatUint(t.ID, 10))
+	t.Sched = &pdsThread{state: stRunning, inActive: true, between: t.Logical}
 	s.pool = append(s.pool, t)
-	s.reg.Spawn(t, func() { s.workerLoop(t) })
+	s.Enter(t)
+	s.reg.Spawn(t, func() {
+		s.workerLoop(t)
+		s.env.RT.Lock()
+		s.Exit(t)
+		s.env.RT.Unlock()
+	})
 	return t
 }
 
 // Stop implements adets.Scheduler.
 func (s *Scheduler) Stop() {
+	s.Monitor.Stop()
 	rt := s.env.RT
 	rt.Lock()
-	s.stopped = true
 	if s.convTimer != nil {
 		rt.StopTimerLocked(s.convTimer)
 		s.convTimer = nil
-	}
-	for _, t := range s.pool {
-		t.Unpark(rt)
 	}
 	rt.Unlock()
 }
@@ -280,7 +268,7 @@ func (s *Scheduler) Submit(req adets.Request) {
 	rt := s.env.RT
 	rt.Lock()
 	defer rt.Unlock()
-	if s.stopped {
+	if s.Stopped() {
 		return
 	}
 	s.env.Obs.Submitted()
@@ -362,7 +350,7 @@ func (s *Scheduler) workerLoop(t *adets.Thread) {
 		t.Logical = req.Logical
 		req.Exec(t)
 		rt.Lock()
-		t.Logical = ""
+		t.Logical = st(t).between
 		rt.Unlock()
 	}
 }
@@ -391,7 +379,7 @@ func (s *Scheduler) nextSynchronized(t *adets.Thread) (adets.Request, bool) {
 	rt := s.env.RT
 	for {
 		rt.Lock()
-		if s.stopped || st(t).state == stRetired {
+		if s.Stopped() || st(t).state == stRetired {
 			rt.Unlock()
 			return adets.Request{}, false
 		}
@@ -413,12 +401,12 @@ func (s *Scheduler) nextSynchronized(t *adets.Thread) (adets.Request, bool) {
 			pt := st(t)
 			pt.state = stIdle
 			pt.committed = true
-			s.env.Obs.Unlock(QueueMutex, string(s.ownerID(t)))
-			s.releaseLocked(QueueMutex)
+			s.env.Obs.Unlock(QueueMutex, string(t.Logical))
+			s.Release(s.Mutex(QueueMutex))
 			s.roundCheckLocked()
-			s.checkQuiesceLocked()
+			s.CheckQuiesce()
 			t.Park(rt)
-			if s.stopped || pt.state == stRetired {
+			if s.Stopped() || pt.state == stRetired {
 				rt.Unlock()
 				return adets.Request{}, false
 			}
@@ -433,12 +421,12 @@ func (s *Scheduler) nextSynchronized(t *adets.Thread) (adets.Request, bool) {
 		// us holding the queue mutex again.
 		s.awaiting = t
 		s.roundCheckLocked()
-		s.checkQuiesceLocked()
+		s.CheckQuiesce()
 		t.Park(rt)
 		if s.awaiting == t {
 			s.awaiting = nil
 		}
-		if s.stopped || st(t).state == stRetired {
+		if s.Stopped() || st(t).state == stRetired {
 			rt.Unlock()
 			return adets.Request{}, false
 		}
@@ -453,7 +441,7 @@ func (s *Scheduler) nextOwn(t *adets.Thread) (adets.Request, bool) {
 	defer rt.Unlock()
 	pt := st(t)
 	for {
-		if s.stopped || pt.state == stRetired {
+		if s.Stopped() || pt.state == stRetired {
 			return adets.Request{}, false
 		}
 		if len(pt.ownQueue) > 0 {
@@ -464,31 +452,12 @@ func (s *Scheduler) nextOwn(t *adets.Thread) (adets.Request, bool) {
 		pt.state = stIdle
 		pt.committed = true
 		s.roundCheckLocked()
-		s.checkQuiesceLocked()
+		s.CheckQuiesce()
 		t.Park(rt)
 	}
 }
 
 // --- round machinery ---
-
-func (s *Scheduler) lockState(m adets.MutexID) *lockState {
-	ls, ok := s.locks[m]
-	if !ok {
-		ls = &lockState{}
-		s.locks[m] = ls
-	}
-	return ls
-}
-
-func (s *Scheduler) cond(m adets.MutexID, c adets.CondID) *adets.FIFO {
-	k := condKey{m, c}
-	q, ok := s.conds[k]
-	if !ok {
-		q = &adets.FIFO{}
-		s.conds[k] = q
-	}
-	return q
-}
 
 // roundCheckLocked starts a new round when no active thread is running and
 // progress is possible. It first revisits PDS-2 pending second grants —
@@ -505,7 +474,7 @@ func (s *Scheduler) roundCheckLocked() {
 // by the expired grace timer and allows converting the queue-waiting worker
 // to idle so the round can start.
 func (s *Scheduler) roundCheck(force bool) {
-	if s.stopped {
+	if s.Stopped() {
 		return
 	}
 	s.evalSecondGrantsLocked()
@@ -549,7 +518,7 @@ func (s *Scheduler) roundCheck(force bool) {
 				s.convTimer = s.env.RT.AfterLocked(s.cfg.AssignGrace, "pds-grace", func() {
 					s.env.RT.Lock()
 					s.convTimer = nil
-					if !s.stopped {
+					if !s.Stopped() {
 						s.roundCheck(true)
 					}
 					s.env.RT.Unlock()
@@ -564,8 +533,8 @@ func (s *Scheduler) roundCheck(force bool) {
 		pt := st(w)
 		pt.state = stIdle
 		pt.committed = true
-		s.env.Obs.Unlock(QueueMutex, string(s.ownerID(w)))
-		s.lockState(QueueMutex).owner = ""
+		s.env.Obs.Unlock(QueueMutex, string(w.Logical))
+		s.Mutex(QueueMutex).Owner = ""
 		// The freed queue mutex is re-granted by the round (or by
 		// releaseLocked below the round) to a suspended requester.
 	}
@@ -647,8 +616,8 @@ func (s *Scheduler) startRoundLocked(nonWaiting int) {
 // tryGrantThreadLocked grants t its pending request if the mutex is free.
 func (s *Scheduler) tryGrantThreadLocked(t *adets.Thread) {
 	pt := st(t)
-	ls := s.lockState(pt.reqMutex)
-	if ls.owner != "" {
+	mu := s.Mutex(pt.reqMutex)
+	if mu.Owner != "" {
 		return
 	}
 	if pt.reqMutex == QueueMutex && s.cfg.ArtificialRequests && !s.artTurnLocked(t) {
@@ -656,11 +625,10 @@ func (s *Scheduler) tryGrantThreadLocked(t *adets.Thread) {
 		// a request to pop). Another candidate, or a later round, retries.
 		return
 	}
-	ls.owner = s.ownerID(t)
+	s.Grant(mu, t)
 	if pt.reqMutex == QueueMutex && s.cfg.ArtificialRequests {
 		s.qRot++
 	}
-	s.env.Obs.Grant(pt.reqMutex, string(ls.owner))
 	pt.state = stRunning
 	pt.eligible = false
 	if pt.reqMutex != QueueMutex {
@@ -700,12 +668,11 @@ func (s *Scheduler) evalSecondGrantsLocked() {
 			if !s.allLowerCommittedLocked(t) {
 				continue
 			}
-			ls := s.lockState(pt.reqMutex)
-			if ls.owner != "" {
+			mu := s.Mutex(pt.reqMutex)
+			if mu.Owner != "" {
 				continue
 			}
-			ls.owner = s.ownerID(t)
-			s.env.Obs.Grant(pt.reqMutex, string(ls.owner))
+			s.Grant(mu, t)
 			pt.secondPending = false
 			pt.state = stRunning
 			pt.phase2 = true
@@ -734,41 +701,17 @@ func (s *Scheduler) allLowerCommittedLocked(t *adets.Thread) bool {
 	return true
 }
 
-// ownerID returns the ownership identity for t: its logical thread when
-// executing a request, or a worker-unique placeholder between requests
-// (queue-mutex acquisitions).
-func (s *Scheduler) ownerID(t *adets.Thread) wire.LogicalID {
-	if t.Logical != "" {
-		return t.Logical
-	}
-	return wire.LogicalID("pds-worker-" + itoa(t.ID))
-}
-
-func itoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
-}
-
-// releaseLocked frees m and grants it to the lowest-ID eligible suspended
-// requester of the current round ("as soon as T1 unlocks m, T2 may execute
-// concurrently"); pending PDS-2 second requests get the leftovers.
-func (s *Scheduler) releaseLocked(m adets.MutexID) {
-	ls := s.lockState(m)
-	ls.owner = ""
+// Release implements adets.Strategy: it frees mu and grants it to the
+// lowest-ID eligible suspended requester of the current round ("as soon as T1
+// unlocks m, T2 may execute concurrently"); pending PDS-2 second requests get
+// the leftovers.
+func (s *Scheduler) Release(mu *adets.Mutex) {
+	mu.Owner = ""
 	for _, t := range s.pool {
 		pt := st(t)
-		if pt.inActive && pt.state == stSuspended && pt.eligible && pt.reqMutex == m {
+		if pt.inActive && pt.state == stSuspended && pt.eligible && pt.reqMutex == mu.ID {
 			s.tryGrantThreadLocked(t)
-			if ls.owner != "" {
+			if mu.Owner != "" {
 				return
 			}
 			// Refused (artificial-requests rotation): keep looking for the
@@ -818,229 +761,71 @@ func (s *Scheduler) Lock(t *adets.Thread, m adets.MutexID) error {
 	rt := s.env.RT
 	rt.Lock()
 	defer rt.Unlock()
-	if s.stopped {
+	if s.Stopped() {
 		return adets.ErrStopped
 	}
 	pt := st(t)
-	if s.cfg.Variant == PDS2 && pt.got1 && !pt.phase2 && m != QueueMutex {
-		// Second request within the round (PDS-2): not immediately
-		// suspended — it stays grantable until the round ends.
-		pt.state = stSuspended
-		pt.reqMutex = m
-		pt.eligible = false
-		pt.secondPending = true
-		var t0 time.Duration
-		if s.env.Obs != nil {
-			s.env.Obs.Blocked()
-			t0 = rt.NowLocked()
-		}
-		s.evalSecondGrantsLocked()
-		if pt.secondPending {
-			s.roundCheckLocked()
-		}
-		s.checkQuiesceLocked()
-		t.Park(rt)
-		if s.stopped || pt.state == stRetired {
-			s.env.Obs.Unblocked()
-			return adets.ErrStopped
-		}
-		if s.env.Obs != nil {
-			s.env.Obs.GrantedAfterBlock(m, string(t.Logical), rt.NowLocked()-t0)
-		}
-		return nil
-	}
 	pt.state = stSuspended
 	pt.reqMutex = m
 	pt.eligible = false // becomes grantable at the next round start
-	pt.committed = true // this round's participation is decided
-	var t0 time.Duration
-	if s.env.Obs != nil {
-		s.env.Obs.Blocked()
-		t0 = rt.NowLocked()
+	if s.cfg.Variant == PDS2 && pt.got1 && !pt.phase2 && m != QueueMutex {
+		// Second request within the round (PDS-2): not immediately
+		// suspended — it stays grantable until the round ends.
+		pt.secondPending = true
+	} else {
+		pt.committed = true // this round's participation is decided
+	}
+	return s.AwaitGrant(t, s.Mutex(m)) // granted by the round machinery
+}
+
+// Blocked implements adets.Strategy: a thread that parks is suspended for the
+// round check. A waiter (paper Fig. 2) leaves the active set at the next
+// round boundary; so does a thread in a nested invocation under
+// NestedSuspend, while under NestedBlockRound it goes on counting as running
+// — the round cannot start while the reply is outstanding, exactly the
+// behaviour evaluated in the paper. Lock recorded its own request.
+func (s *Scheduler) Blocked(t *adets.Thread) {
+	pt := st(t)
+	switch t.Parked() {
+	case adets.ForCond:
+		pt.state = stWaiting
+		pt.committed = true
+	case adets.ForReply:
+		if s.cfg.Nested != NestedSuspend {
+			return
+		}
+		pt.state = stNestedSusp
+		pt.committed = true
 	}
 	s.roundCheckLocked()
-	s.checkQuiesceLocked()
-	t.Park(rt)
-	if s.stopped || pt.state == stRetired {
-		s.env.Obs.Unblocked()
-		return adets.ErrStopped
-	}
-	if s.env.Obs != nil {
-		s.env.Obs.GrantedAfterBlock(m, string(t.Logical), rt.NowLocked()-t0)
-	}
-	return nil // granted by round machinery
 }
 
-// Unlock implements adets.Scheduler.
-func (s *Scheduler) Unlock(t *adets.Thread, m adets.MutexID) error {
-	rt := s.env.RT
-	rt.Lock()
-	defer rt.Unlock()
-	if s.stopped {
-		return adets.ErrStopped
-	}
-	ls := s.lockState(m)
-	if ls.owner != s.ownerID(t) {
-		return adets.ErrNotHeld
-	}
-	s.env.Obs.Unlock(m, string(ls.owner))
-	s.releaseLocked(m)
-	return nil
+// Reacquire implements adets.Strategy: a notified or timed-out waiter rejoins
+// at the next round start, reacquiring the mutex from that round on.
+func (s *Scheduler) Reacquire(w *adets.Thread, mu *adets.Mutex) {
+	pt := st(w)
+	pt.state = stResuming
+	pt.resume = mu.ID
+	s.roundCheckLocked()
 }
 
-// Wait implements adets.Scheduler per the paper's Fig. 2: the thread is
-// considered suspended for the round check, leaves the active set at the
-// next round boundary, and — once notified or timed out — reacquires the
-// mutex starting with the following round.
-func (s *Scheduler) Wait(t *adets.Thread, m adets.MutexID, c adets.CondID, d time.Duration) (bool, error) {
-	rt := s.env.RT
-	rt.Lock()
-	defer rt.Unlock()
-	if s.stopped {
-		return false, adets.ErrStopped
-	}
-	ls := s.lockState(m)
-	if ls.owner != s.ownerID(t) {
-		return false, adets.ErrNotHeld
+// Runnable implements adets.Strategy for the nested reply (mutex grants are
+// the rounds' and unpark by themselves): under NestedSuspend the thread
+// resumes at the next round boundary, with no mutex to reacquire — up to one
+// round of delay; under NestedBlockRound at once.
+func (s *Scheduler) Runnable(t *adets.Thread) {
+	if s.cfg.Nested != NestedSuspend {
+		t.Unpark(s.env.RT)
+		return
 	}
 	pt := st(t)
-	pt.waiting = true
-	pt.timedOut = false
-	pt.waitSeq++
-	s.waiters[t.Logical] = t
-	s.cond(m, c).Push(t)
-	if d > 0 {
-		s.armTimeoutLocked(t, m, c, pt.waitSeq, d)
-	}
-	pt.state = stWaiting
-	pt.committed = true
-	s.env.Obs.WaitStart(m, c, string(t.Logical))
-	s.releaseLocked(m)
-	s.roundCheckLocked()
-	s.checkQuiesceLocked()
-	t.Park(rt)
-	pt.waiting = false
-	delete(s.waiters, t.Logical)
-	if s.stopped || pt.state == stRetired {
-		return false, adets.ErrStopped
-	}
-	return pt.timedOut, nil
-}
-
-// armTimeoutLocked schedules the local timer whose expiry broadcasts the
-// deterministic timeout request (handled by a normal request-handler
-// thread via HandleOrdered/Submit).
-func (s *Scheduler) armTimeoutLocked(t *adets.Thread, m adets.MutexID, c adets.CondID, seq uint64, d time.Duration) {
-	msg := adets.TimeoutMsg{Target: t.Logical, Mutex: m, Cond: c, WaitSeq: seq}
-	s.env.RT.AfterLocked(d, "pds-timeout/"+string(t.Logical), func() {
-		s.env.BroadcastOrdered(adets.TimeoutID(msg), msg)
-	})
-}
-
-// Notify implements adets.Scheduler: the deterministically-first waiter is
-// resumed, reacquiring the mutex from the next round on.
-func (s *Scheduler) Notify(t *adets.Thread, m adets.MutexID, c adets.CondID) error {
-	rt := s.env.RT
-	rt.Lock()
-	defer rt.Unlock()
-	if s.stopped {
-		return adets.ErrStopped
-	}
-	ls := s.lockState(m)
-	if ls.owner != s.ownerID(t) {
-		return adets.ErrNotHeld
-	}
-	if w := s.cond(m, c).Pop(); w != nil {
-		s.resumeWaiterLocked(w, m, c, false)
-	}
-	return nil
-}
-
-// NotifyAll implements adets.Scheduler.
-func (s *Scheduler) NotifyAll(t *adets.Thread, m adets.MutexID, c adets.CondID) error {
-	rt := s.env.RT
-	rt.Lock()
-	defer rt.Unlock()
-	if s.stopped {
-		return adets.ErrStopped
-	}
-	ls := s.lockState(m)
-	if ls.owner != s.ownerID(t) {
-		return adets.ErrNotHeld
-	}
-	for _, w := range s.cond(m, c).Drain() {
-		s.resumeWaiterLocked(w, m, c, false)
-	}
-	return nil
-}
-
-func (s *Scheduler) resumeWaiterLocked(w *adets.Thread, m adets.MutexID, c adets.CondID, timedOut bool) {
-	pt := st(w)
-	pt.timedOut = timedOut
-	s.env.Obs.Wake(m, c, string(w.Logical), timedOut)
 	pt.state = stResuming
-	pt.resume = m
+	pt.resume = ""
 	s.roundCheckLocked()
 }
 
 // Yield implements adets.Scheduler (no-op under the round model).
 func (s *Scheduler) Yield(*adets.Thread) {}
-
-// BeginNested implements adets.Scheduler with the configured strategy.
-func (s *Scheduler) BeginNested(t *adets.Thread) {
-	rt := s.env.RT
-	rt.Lock()
-	pt := st(t)
-	if pt.replyPermit {
-		// The reply was delivered before we parked: consume the permit
-		// without ever looking blocked to a concurrent Quiesce (and, under
-		// strategy B, without paying the round-boundary resume).
-		pt.replyPermit = false
-		t.Park(rt)
-		rt.Unlock()
-		return
-	}
-	if s.cfg.Nested == NestedSuspend {
-		pt.state = stNestedSusp
-		pt.committed = true
-		s.roundCheckLocked()
-		s.checkQuiesceLocked()
-		t.Park(rt)
-		if pt.state == stNestedSusp {
-			// The reply raced ahead of the park (real-time mode): EndNested
-			// left a permit instead of the round-boundary resume. Run on.
-			pt.state = stRunning
-		}
-		rt.Unlock()
-		return
-	}
-	// Strategy A: state stays stRunning — the round cannot start while the
-	// reply is outstanding, exactly the behaviour evaluated in the paper.
-	pt.nestedA = true
-	s.checkQuiesceLocked()
-	t.Park(rt)
-	pt.nestedA = false
-	rt.Unlock()
-}
-
-// EndNested implements adets.Scheduler.
-func (s *Scheduler) EndNested(t *adets.Thread) {
-	rt := s.env.RT
-	rt.Lock()
-	defer rt.Unlock()
-	pt := st(t)
-	if s.cfg.Nested == NestedSuspend && pt.state == stNestedSusp {
-		// Resume at the next round boundary, no mutex to reacquire.
-		pt.state = stResuming
-		pt.resume = ""
-		s.roundCheckLocked()
-		return
-	}
-	if !pt.nestedA {
-		pt.replyPermit = true
-	}
-	t.Unpark(rt)
-}
 
 // ViewChanged implements adets.Scheduler: PDS needs no communication and no
 // membership information — its signature advantage (Section 3.2).
@@ -1054,74 +839,37 @@ func (s *Scheduler) ViewChanged(gcs.View) {}
 // worker that is executing, resuming, or suspended on an object mutex will
 // cause further local progress (another round) and rules stability out.
 func (s *Scheduler) Quiesce(report func(drained bool)) {
-	rt := s.env.RT
-	rt.Lock()
-	s.quiesce = report
-	s.checkQuiesceLocked()
-	rt.Unlock()
+	s.Monitor.Quiesce(func(bool) { report(s.drainedLocked()) })
 }
 
-func (s *Scheduler) checkQuiesceLocked() {
-	if s.quiesce == nil {
-		return
-	}
-	live := false // some request is mid-execution (waiting or nested)
+// drainedLocked: no request is mid-execution (at a stable point that means
+// waiting or in a nested invocation) and none is queued. The pool itself
+// never drains.
+func (s *Scheduler) drainedLocked() bool {
 	for _, t := range s.pool {
-		pt := st(t)
-		switch {
-		case pt.state == stRetired:
-			continue
-		case pt.state == stWaiting, pt.state == stNestedSusp:
-			live = true
-		case pt.state == stRunning && pt.nestedA:
-			live = true
-		case pt.state == stIdle && len(pt.ownQueue) == 0:
-		case t == s.awaiting && len(s.queue) == 0:
-		case pt.state == stSuspended && pt.reqMutex == QueueMutex &&
-			!pt.secondPending && len(s.queue) == 0:
-			// Parked between requests: only a future Submit can trigger a
-			// round that re-grants the queue mutex.
-		default:
-			return // executing, resuming, or another round is still due
+		if r := t.Parked(); st(t).state != stRetired && (r == adets.ForCond || r == adets.ForReply) {
+			return false
 		}
 	}
-	report := s.quiesce
-	s.quiesce = nil
-	report(!live && len(s.queue) == 0)
+	return len(s.queue) == 0
 }
 
-// HandleOrdered implements adets.Scheduler: the timeout request enters the
-// normal request queue and is executed by a pool thread that locks the
-// mutex first — the deterministic resolution of the timeout-vs-notify race.
-func (s *Scheduler) HandleOrdered(id string, payload any) bool {
-	msg, ok := payload.(adets.TimeoutMsg)
-	if !ok {
-		return false
+// Stable implements adets.Strategy.
+func (s *Scheduler) Stable(t *adets.Thread) bool {
+	pt := st(t)
+	switch {
+	case pt.state == stRetired, pt.state == stWaiting, pt.state == stNestedSusp:
+	case pt.state == stRunning && t.Parked() == adets.ForReply:
+	case pt.state == stIdle && len(pt.ownQueue) == 0:
+	case t == s.awaiting && len(s.queue) == 0:
+	case pt.state == stSuspended && pt.reqMutex == QueueMutex &&
+		!pt.secondPending && len(s.queue) == 0:
+		// Parked between requests: only a future Submit can trigger a
+		// round that re-grants the queue mutex.
+	default:
+		return false // executing, resuming, or another round is still due
 	}
-	s.Submit(adets.Request{
-		Logical: wire.LogicalID(id),
-		Exec:    func(t *adets.Thread) { s.timeoutExec(t, msg) },
-	})
 	return true
-}
-
-func (s *Scheduler) timeoutExec(t *adets.Thread, msg adets.TimeoutMsg) {
-	if err := s.Lock(t, msg.Mutex); err != nil {
-		return
-	}
-	rt := s.env.RT
-	rt.Lock()
-	w := s.waiters[msg.Target]
-	if w != nil {
-		pt := st(w)
-		if pt.waiting && pt.waitSeq == msg.WaitSeq {
-			s.env.Obs.TimeoutFired()
-			s.cond(msg.Mutex, msg.Cond).Remove(w)
-			s.resumeWaiterLocked(w, msg.Mutex, msg.Cond, true)
-		}
-	}
-	rt.Unlock()
-	_ = s.Unlock(t, msg.Mutex)
 }
 
 // HandleDirect implements adets.Scheduler.

@@ -19,6 +19,7 @@ func newBare(variant Variant, n int) (*Scheduler, *vtime.VirtualRuntime, []*adet
 	s := New(Config{Variant: variant, PoolSize: n})
 	s.env = adets.Env{RT: rt, Self: "g/0", Peers: []wire.NodeID{"g/0"}}
 	s.reg = adets.NewRegistry(rt)
+	s.Init(s.env, s)
 	threads := make([]*adets.Thread, n)
 	rt.Lock()
 	for i := 0; i < n; i++ {
@@ -55,7 +56,7 @@ func TestSecondGrantRequiresLowerCommitted(t *testing.T) {
 	if st(th[1]).secondPending {
 		t.Error("second grant withheld although all lower threads committed")
 	}
-	if got := s.lockState("m").owner; got != th[1].Logical {
+	if got := s.Mutex("m").Owner; got != th[1].Logical {
 		t.Errorf("owner of m = %q, want %q", got, th[1].Logical)
 	}
 	if !st(th[1]).phase2 || !st(th[1]).committed {
@@ -71,7 +72,7 @@ func TestSecondGrantRequiresFreeMutex(t *testing.T) {
 	st(th[0]).got1 = true
 	st(th[0]).committed = true
 	st(th[0]).state = stSuspended
-	s.lockState("m").owner = "someone-else"
+	s.Mutex("m").Owner = "someone-else"
 	st(th[1]).got1 = true
 	st(th[1]).state = stSuspended
 	st(th[1]).reqMutex = "m"
@@ -81,7 +82,7 @@ func TestSecondGrantRequiresFreeMutex(t *testing.T) {
 		t.Error("second grant given for a held mutex")
 	}
 	// Free it: grant must follow.
-	s.lockState("m").owner = ""
+	s.Mutex("m").Owner = ""
 	s.evalSecondGrantsLocked()
 	if st(th[1]).secondPending {
 		t.Error("second grant withheld for a free mutex")

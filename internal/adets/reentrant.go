@@ -15,20 +15,17 @@ import (
 // extra physical thread may re-enter a mutex held by its originating
 // request (the SA+L and MA models of Section 3.1).
 //
-// The invocation context owns one Reentrancy per scheduler instance. All
-// methods require the runtime lock NOT to be held; they delegate blocking
-// operations to the scheduler, which synchronizes internally.
+// The invocation context owns one Reentrancy per scheduler instance. Its
+// methods must be called without the runtime lock: they take it for every
+// access to holds — that lock, and nothing else, guards the map — and release
+// it before they delegate a blocking operation to the scheduler, which
+// synchronizes internally. A logical thread's entries are only ever touched
+// by its own physical threads, and of those at most one runs at a time (a
+// callback runs while its originator is blocked in the nested invocation), so
+// the count read under one hold of the lock is still right under the next.
 type Reentrancy struct {
 	sched Scheduler
-	// holds is only mutated while the runtime lock is held via the
-	// scheduler's internal synchronization... it is not: Lock/Unlock below
-	// run outside the runtime lock, so Reentrancy brings its own discipline:
-	// entries for a logical thread are only touched by physical threads of
-	// that logical thread, which never run concurrently with each other
-	// except callbacks — and a callback only runs while its originator is
-	// blocked in a nested invocation. A plain map with the runtime lock
-	// held for map mutation keeps the race detector satisfied.
-	rt interface {
+	rt    interface {
 		Lock()
 		Unlock()
 	}

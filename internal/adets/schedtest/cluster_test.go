@@ -14,7 +14,6 @@ import (
 	"github.com/replobj/replobj/internal/adets/pds"
 	"github.com/replobj/replobj/internal/adets/sat"
 	"github.com/replobj/replobj/internal/adets/seq"
-	"github.com/replobj/replobj/internal/adets/sl"
 	"github.com/replobj/replobj/internal/wire"
 )
 
@@ -22,7 +21,7 @@ import (
 // largest request count used by the generic tests.
 var factories = map[string]func(i int) adets.Scheduler{
 	"SEQ":       func(int) adets.Scheduler { return seq.New() },
-	"SL":        func(int) adets.Scheduler { return sl.New() },
+	"SL":        func(int) adets.Scheduler { return seq.NewSL() },
 	"SAT-basic": func(int) adets.Scheduler { return sat.New(sat.Basic()) },
 	"ADETS-SAT": func(int) adets.Scheduler { return sat.New() },
 	"ADETS-MAT": func(int) adets.Scheduler { return mat.New() },

@@ -12,7 +12,6 @@ import (
 	"github.com/replobj/replobj/internal/adets/pds"
 	"github.com/replobj/replobj/internal/adets/sat"
 	"github.com/replobj/replobj/internal/adets/seq"
-	"github.com/replobj/replobj/internal/adets/sl"
 	"github.com/replobj/replobj/internal/gcs"
 	"github.com/replobj/replobj/internal/wire"
 )
@@ -87,7 +86,7 @@ func TestSEQWaitUnsupported(t *testing.T) {
 // executes on an extra physical thread while the worker is blocked — the
 // SL model's whole point.
 func TestSLCallbackRunsDuringNested(t *testing.T) {
-	c := New(1, func(int) adets.Scheduler { return sl.New() })
+	c := New(1, func(int) adets.Scheduler { return seq.NewSL() })
 	c.Run(func() {
 		c.Submit("chain", false, func(ic *Ictx) {
 			// Simulate A→B→A: after 5ms the "callback" arrives; the nested
@@ -114,7 +113,7 @@ func TestSLCallbackRunsDuringNested(t *testing.T) {
 // TestSLNonCallbackStillSequential: ordinary requests remain strictly
 // sequential under SL.
 func TestSLNonCallbackStillSequential(t *testing.T) {
-	c := New(1, func(int) adets.Scheduler { return sl.New() })
+	c := New(1, func(int) adets.Scheduler { return seq.NewSL() })
 	c.Run(func() {
 		for i := 0; i < 4; i++ {
 			c.Submit(wire.LogicalID(fmt.Sprintf("cl%d", i)), false, func(ic *Ictx) {

@@ -2,8 +2,17 @@ package schedtest
 
 import (
 	"fmt"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"time"
+
+	"github.com/replobj/replobj/internal/adets"
+	"github.com/replobj/replobj/internal/adets/mat"
+	"github.com/replobj/replobj/internal/adets/pds"
+	"github.com/replobj/replobj/internal/adets/sat"
+	"github.com/replobj/replobj/internal/wire"
 )
 
 // The timeout-vs-notify race (paper Section 4.1, Fig. 1): a thread waits
@@ -161,6 +170,97 @@ func TestRepeatedTimedWaitsSequence(t *testing.T) {
 				if fmt.Sprint(tr) != fmt.Sprint(want) {
 					t.Errorf("replica %d: %v, want %v", i, tr, want)
 				}
+			}
+		})
+	}
+}
+
+// orderedTimeoutKinds are the strategies that resolve a wait timeout through
+// the total order (LSA's TO-thread is local and broadcasts nothing), PDS with
+// a pool of one so that one worker serves successive requests.
+var orderedTimeoutKinds = map[string]func(int) adets.Scheduler{
+	"ADETS-SAT": func(int) adets.Scheduler { return sat.New() },
+	"ADETS-MAT": func(int) adets.Scheduler { return mat.New() },
+	"ADETS-PDS": func(int) adets.Scheduler {
+		return pds.New(pds.Config{Variant: pds.PDS1, PoolSize: 1})
+	},
+	"ADETS-PDS-2": func(int) adets.Scheduler {
+		return pds.New(pds.Config{Variant: pds.PDS2, PoolSize: 1})
+	},
+}
+
+// timeoutIDs returns the timeout broadcast ids that entered c's order.
+func timeoutIDs(c *Cluster) []string {
+	c.RT.Lock()
+	defer c.RT.Unlock()
+	var ids []string
+	for id := range c.seenIDs {
+		if strings.HasPrefix(id, "adets-timeout/") {
+			ids = append(ids, id)
+		}
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+// TestTimeoutIDIsAFunctionOfTheLogicalThread: the id a timeout is ordered
+// under counts the waits of the waiting *logical* thread. Whatever else
+// serves the request — a pool worker with a history of its own — must not
+// show in it: a replica whose workers are fresh (after a snapshot install)
+// would order the same timeout under a second id.
+func TestTimeoutIDIsAFunctionOfTheLogicalThread(t *testing.T) {
+	for name, factory := range orderedTimeoutKinds {
+		t.Run(name, func(t *testing.T) {
+			c := New(1, factory)
+			c.Run(func() {
+				for _, l := range []wire.LogicalID{"r1", "r2"} {
+					c.Submit(l, false, func(ic *Ictx) {
+						_ = ic.Lock("m")
+						if timedOut, err := ic.Wait("m", "", time.Millisecond); !timedOut || err != nil {
+							t.Errorf("%s: Wait = %v, %v; want a timeout", l, timedOut, err)
+						}
+						_ = ic.Unlock("m")
+					})
+					if _, err := c.Await(1, timeout); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+			want := []string{"adets-timeout/r1/1", "adets-timeout/r2/1"}
+			if got := timeoutIDs(c); !slices.Equal(got, want) {
+				t.Errorf("timeout ids = %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// TestNotifiedWaitBroadcastsNoTimeout: a bounded wait that is notified long
+// before its bound disarms its timer — nothing enters the order for it.
+func TestNotifiedWaitBroadcastsNoTimeout(t *testing.T) {
+	for name, factory := range orderedTimeoutKinds {
+		t.Run(name, func(t *testing.T) {
+			c := New(1, factory)
+			c.Run(func() {
+				c.Submit("waiter", false, func(ic *Ictx) {
+					_ = ic.Lock("m")
+					if timedOut, err := ic.Wait("m", "", 10*time.Millisecond); timedOut || err != nil {
+						t.Errorf("Wait = %v, %v; want a notification", timedOut, err)
+					}
+					_ = ic.Unlock("m")
+				})
+				c.RT.Sleep(time.Millisecond)
+				c.Submit("notifier", false, func(ic *Ictx) {
+					_ = ic.Lock("m")
+					_ = ic.Notify("m", "")
+					_ = ic.Unlock("m")
+				})
+				if _, err := c.Await(2, timeout); err != nil {
+					t.Fatal(err)
+				}
+				c.RT.Sleep(50 * time.Millisecond)
+			})
+			if got := timeoutIDs(c); len(got) != 0 {
+				t.Errorf("timeout ids = %v, want none", got)
 			}
 		})
 	}

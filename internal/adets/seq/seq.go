@@ -1,9 +1,18 @@
-// Package seq implements strictly sequential request execution — the SEQ
-// baseline of the paper (Table 1): one request at a time, implicit
-// synchronization, no condition variables, no support for external
-// interactions. A nested invocation blocks the only thread; a callback into
-// the object therefore deadlocks, which is precisely the motivation the
-// paper gives for multithreaded strategies (Section 2).
+// Package seq implements the two sequential strategies of the paper's
+// Table 1, one worker between them.
+//
+// SEQ (New) is the baseline: one request at a time, implicit synchronization,
+// no condition variables, no support for external interactions. A nested
+// invocation blocks the only thread; a callback into the object therefore
+// deadlocks, which is precisely the motivation the paper gives for
+// multithreaded strategies (Section 2).
+//
+// SL (NewSL) is the single-logical-thread model pioneered by the Eternal
+// middleware (Section 3.2): execution is sequential, but nested invocations
+// are tagged with the originating logical thread, so a callback — a request
+// whose logical thread matches the one currently blocked in a nested
+// invocation — is recognized and executed on an additional physical thread
+// instead of deadlocking.
 package seq
 
 import (
@@ -15,28 +24,48 @@ import (
 	"github.com/replobj/replobj/internal/wire"
 )
 
-// Scheduler is the sequential baseline.
+// Scheduler is the sequential worker.
 type Scheduler struct {
-	env      adets.Env
-	reg      *adets.Registry
-	queue    ring.Queue[adets.Request]
-	busy     bool
-	inNested bool
-	stopped  bool
-	worker   *adets.Thread
-	quiesce  func(drained bool)
+	env          adets.Env
+	reg          *adets.Registry
+	sl           bool // callbacks run on extra threads
+	queue        ring.Queue[adets.Request]
+	busy         bool
+	workerNested bool
+	cbLive       int // live callback threads
+	cbBlocked    int // callback threads parked in a nested invocation
+	stopped      bool
+	worker       *adets.Thread
+	quiesce      func(drained bool)
 }
 
 var _ adets.Scheduler = (*Scheduler)(nil)
 
-// New returns a sequential scheduler.
+// New returns a SEQ scheduler.
 func New() *Scheduler { return &Scheduler{} }
 
+// NewSL returns an Eternal-style SL scheduler.
+func NewSL() *Scheduler { return &Scheduler{sl: true} }
+
 // Name implements adets.Scheduler.
-func (s *Scheduler) Name() string { return "SEQ" }
+func (s *Scheduler) Name() string {
+	if s.sl {
+		return "Eternal"
+	}
+	return "SEQ"
+}
 
 // Capabilities implements adets.Scheduler.
 func (s *Scheduler) Capabilities() adets.Capabilities {
+	if s.sl {
+		return adets.Capabilities{
+			Coordination:   "implicit",
+			DeadlockFree:   "CB",
+			Deployment:     "interception",
+			Multithreading: "SL",
+			Callbacks:      true,
+		}
+	}
 	return adets.Capabilities{
 		Coordination:   "implicit",
 		DeadlockFree:   "NO",
@@ -63,7 +92,8 @@ func (s *Scheduler) Stop() {
 }
 
 // Submit implements adets.Scheduler: requests execute one after another in
-// delivery order, each to completion.
+// delivery order, each to completion. Under SL a callback runs immediately on
+// an extra physical thread under the same logical identity.
 func (s *Scheduler) Submit(req adets.Request) {
 	s.env.RT.Lock()
 	defer s.env.RT.Unlock()
@@ -71,6 +101,18 @@ func (s *Scheduler) Submit(req adets.Request) {
 		return
 	}
 	s.env.Obs.Submitted()
+	if s.sl && req.Callback {
+		t := s.reg.NewThread("seq-callback", req.Logical)
+		s.cbLive++
+		s.reg.Spawn(t, func() {
+			req.Exec(t)
+			s.env.RT.Lock()
+			s.cbLive--
+			s.checkQuiesceLocked()
+			s.env.RT.Unlock()
+		})
+		return
+	}
 	s.queue.Push(req)
 	if s.worker == nil {
 		s.worker = s.reg.NewThread("seq-worker", "")
@@ -112,7 +154,9 @@ func (s *Scheduler) loop(w *adets.Thread) {
 }
 
 // Lock implements adets.Scheduler. With a single thread, mutual exclusion
-// is implicit; the operation records nothing.
+// is implicit; the operation records nothing. Within one logical thread,
+// callback and originator never run simultaneously either (the originator is
+// blocked in the nested invocation while the callback runs).
 func (s *Scheduler) Lock(*adets.Thread, adets.MutexID) error { return nil }
 
 // Unlock implements adets.Scheduler.
@@ -138,15 +182,25 @@ func (s *Scheduler) NotifyAll(*adets.Thread, adets.MutexID, adets.CondID) error 
 // Yield implements adets.Scheduler (no-op: there is nothing to yield to).
 func (s *Scheduler) Yield(*adets.Thread) {}
 
-// BeginNested implements adets.Scheduler: the single thread blocks until
-// the reply is delivered; no other request makes progress meanwhile — the
-// deadlock hazard of the S model the paper describes in Section 2.
+// BeginNested implements adets.Scheduler: the thread blocks until the reply
+// is delivered; no other request makes progress meanwhile — the deadlock
+// hazard of the S model the paper describes in Section 2 — except, under SL,
+// the callbacks the invoked service issues.
 func (s *Scheduler) BeginNested(t *adets.Thread) {
 	s.env.RT.Lock()
-	s.inNested = true
+	isWorker := t == s.worker
+	if isWorker {
+		s.workerNested = true
+	} else {
+		s.cbBlocked++
+	}
 	s.checkQuiesceLocked()
 	t.Park(s.env.RT)
-	s.inNested = false
+	if isWorker {
+		s.workerNested = false
+	} else {
+		s.cbBlocked--
+	}
 	s.env.RT.Unlock()
 }
 
@@ -160,9 +214,10 @@ func (s *Scheduler) EndNested(t *adets.Thread) {
 // ViewChanged implements adets.Scheduler (membership is irrelevant to SEQ).
 func (s *Scheduler) ViewChanged(gcs.View) {}
 
-// Quiesce implements adets.Scheduler. SEQ is stable when its worker is
+// Quiesce implements adets.Scheduler. The worker is stable when it is
 // parked: idle on an empty queue (drained) or inside a nested invocation
-// awaiting the totally-ordered reply (skip).
+// awaiting the totally-ordered reply (skip); every callback thread must be
+// finished or itself parked in a nested invocation.
 func (s *Scheduler) Quiesce(report func(drained bool)) {
 	s.env.RT.Lock()
 	s.quiesce = report
@@ -175,12 +230,12 @@ func (s *Scheduler) checkQuiesceLocked() {
 		return
 	}
 	idle := !s.busy && s.queue.Len() == 0
-	if !idle && !s.inNested {
-		return // worker running or about to: wait for its next park
+	if !idle && !s.workerNested || s.cbBlocked != s.cbLive {
+		return // something is running or about to: wait for its next park
 	}
 	report := s.quiesce
 	s.quiesce = nil
-	report(idle)
+	report(idle && s.cbLive == 0)
 }
 
 // HandleOrdered implements adets.Scheduler.

@@ -1,4 +1,4 @@
-package sl
+package seq
 
 import (
 	"testing"
@@ -14,9 +14,9 @@ import (
 // with the logical thread currently blocked in a nested invocation — run
 // immediately on an extra physical thread (paper Section 3.2).
 
-func newBare() (*Scheduler, *vtime.VirtualRuntime) {
+func newBareSL() (*Scheduler, *vtime.VirtualRuntime) {
 	rt := vtime.Virtual()
-	s := New()
+	s := NewSL()
 	s.Start(adets.Env{
 		RT:               rt,
 		Self:             "g/0",
@@ -28,7 +28,7 @@ func newBare() (*Scheduler, *vtime.VirtualRuntime) {
 }
 
 func TestOrdinaryRequestsRunSequentially(t *testing.T) {
-	s, rt := newBare()
+	s, rt := newBareSL()
 	defer rt.Stop()
 	var order []string
 	vtime.Run(rt, "main", func() {
@@ -83,7 +83,7 @@ func TestOrdinaryRequestsRunSequentially(t *testing.T) {
 // callback for the logical thread blocked in a nested invocation executes on
 // an extra physical thread instead of deadlocking behind the single worker.
 func TestCallbackRunsWhileOriginatorNested(t *testing.T) {
-	s, rt := newBare()
+	s, rt := newBareSL()
 	defer rt.Stop()
 	var order []string
 	vtime.Run(rt, "main", func() {
@@ -137,7 +137,7 @@ func TestCallbackRunsWhileOriginatorNested(t *testing.T) {
 // ordinary requests — it is spawned directly, so it completes even while the
 // single worker is occupied by a long-running request.
 func TestCallbackOvertakesQueuedRequests(t *testing.T) {
-	s, rt := newBare()
+	s, rt := newBareSL()
 	defer rt.Stop()
 	var order []string
 	vtime.Run(rt, "main", func() {
@@ -193,8 +193,8 @@ func TestCallbackOvertakesQueuedRequests(t *testing.T) {
 // TestWaitUnsupportedDeterministically: like Eternal, SL offers no condition
 // variables — Wait/Notify must fail fast with ErrUnsupported for any timeout
 // without arming timers or advancing virtual time.
-func TestWaitUnsupportedDeterministically(t *testing.T) {
-	s, rt := newBare()
+func TestSLWaitUnsupportedDeterministically(t *testing.T) {
+	s, rt := newBareSL()
 	defer rt.Stop()
 	vtime.Run(rt, "main", func() {
 		done := vtime.NewMailbox[struct{}](rt, "done")
@@ -224,8 +224,8 @@ func TestWaitUnsupportedDeterministically(t *testing.T) {
 	})
 }
 
-func TestSubmitAfterStopIsNoop(t *testing.T) {
-	s, rt := newBare()
+func TestSLSubmitAfterStopIsNoop(t *testing.T) {
+	s, rt := newBareSL()
 	defer rt.Stop()
 	vtime.Run(rt, "main", func() {
 		done := vtime.NewMailbox[struct{}](rt, "done")

@@ -33,7 +33,33 @@ type Thread struct {
 	// Scheduler-private per-thread state; owned by the algorithm (the
 	// enclosing record, where that embeds the Thread).
 	Sched any
+
+	// The Monitor's record of the thread, guarded by the runtime lock. It
+	// sits here and not in a table of the monitor because every strategy's
+	// record already embeds the Thread: no second object, no lookup.
+	waitSeq  uint64     // identifies the current (or last) condition wait
+	parked   ParkReason // what the thread is parked for, NotParked once it has it
+	timedOut bool       // the last wait was ended by its timeout
+	permit   bool       // the nested reply arrived before the thread parked for it
 }
+
+// ParkReason says what a thread parked in the Monitor is waiting for.
+type ParkReason uint8
+
+// A thread parks for a mutex (Lock, and a woken waiter re-entering its
+// monitor), for a notification or for the reply to a nested invocation. The
+// reason is cleared by whoever supplies the thing — the grant, the reply —
+// not by the thread when it runs again, so a thread that has what it needs
+// never looks blocked to a quiesce scan.
+const (
+	NotParked ParkReason = iota
+	ForMutex
+	ForCond
+	ForReply
+)
+
+// Parked returns what t is parked for in the Monitor. Runtime lock required.
+func (t *Thread) Parked() ParkReason { return t.parked }
 
 // Park suspends the thread; the runtime lock must be held.
 func (t *Thread) Park(rt vtime.Runtime) { rt.Park(&t.parker) }
@@ -134,25 +160,3 @@ func (q *FIFO) Remove(t *Thread) bool {
 
 // Len returns the queue length.
 func (q *FIFO) Len() int { return len(q.items) }
-
-// Contains reports whether t is queued.
-func (q *FIFO) Contains(t *Thread) bool {
-	for _, x := range q.items {
-		if x == t {
-			return true
-		}
-	}
-	return false
-}
-
-// Drain empties the queue, returning the former contents in order.
-func (q *FIFO) Drain() []*Thread {
-	out := q.items
-	q.items = nil
-	return out
-}
-
-// Snapshot returns a copy of the queue contents in order.
-func (q *FIFO) Snapshot() []*Thread {
-	return append([]*Thread(nil), q.items...)
-}

@@ -75,37 +75,15 @@ func TestQuickFIFOMatchesModel(t *testing.T) {
 			}
 		}
 		// Final drain must equal the model.
-		drained := q.Drain()
-		if len(drained) != len(model) {
-			return false
-		}
-		for i := range drained {
-			if drained[i] != model[i] {
+		for _, want := range model {
+			if q.Pop() != want {
 				return false
 			}
 		}
-		return true
+		return q.Pop() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFIFOContainsAndSnapshot(t *testing.T) {
-	var q FIFO
-	a, b := &Thread{ID: 1}, &Thread{ID: 2}
-	q.Push(a)
-	if !q.Contains(a) || q.Contains(b) {
-		t.Error("Contains broken")
-	}
-	q.Push(b)
-	snap := q.Snapshot()
-	if len(snap) != 2 || snap[0] != a || snap[1] != b {
-		t.Errorf("Snapshot = %v", snap)
-	}
-	snap[0] = b // mutation must not alias the queue
-	if q.Peek() != a {
-		t.Error("Snapshot aliases queue storage")
 	}
 }
 

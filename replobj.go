@@ -53,7 +53,6 @@ import (
 	"github.com/replobj/replobj/internal/adets/pds"
 	"github.com/replobj/replobj/internal/adets/sat"
 	"github.com/replobj/replobj/internal/adets/seq"
-	"github.com/replobj/replobj/internal/adets/sl"
 	"github.com/replobj/replobj/internal/client"
 	"github.com/replobj/replobj/internal/gcs"
 	"github.com/replobj/replobj/internal/obs"
@@ -635,7 +634,7 @@ func (cfg *groupConfig) scheduler(rank int) (adets.Scheduler, error) {
 	case SEQ:
 		return seq.New(), nil
 	case SL:
-		return sl.New(), nil
+		return seq.NewSL(), nil
 	case SAT:
 		return sat.New(sat.Basic()), nil
 	case ADSAT, "":
@@ -841,7 +840,7 @@ type Client = client.Client
 func Table1() string {
 	rows := []adets.Table1Row{
 		adets.Row("SEQ", seq.New().Capabilities()),
-		adets.Row("Eternal", sl.New().Capabilities()),
+		adets.Row("Eternal", seq.NewSL().Capabilities()),
 		adets.Row("SAT", sat.New(sat.Basic()).Capabilities()),
 		adets.Row("ADETS-SAT", sat.New().Capabilities()),
 		adets.Row("ADETS-MAT", mat.New().Capabilities()),

@@ -25,7 +25,7 @@ func main() {
 		group    = flag.String("group", "counter", "replica group name")
 		addrs    = flag.String("addrs", "", "comma-separated host:port of all replicas, rank order")
 		listen   = flag.String("listen", "127.0.0.1:0", "address this client listens on for replies")
-		name     = flag.String("name", "cli", "client name (must be unique per concurrent client)")
+		name     = flag.String("name", fmt.Sprintf("cli-%d-%d", os.Getpid(), time.Now().Unix()), "client name, unique per client process: replicas remember a name's call numbers, which restart with the process")
 		method   = flag.String("method", "get", "method to invoke")
 		arg      = flag.Uint("arg", 1, "single-byte argument for add")
 		n        = flag.Int("n", 1, "number of invocations")

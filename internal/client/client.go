@@ -72,6 +72,10 @@ type Config struct {
 	Directory *replica.Directory
 	Network   transport.Network
 	Policy    ReplyPolicy
+	// Incarnation counts the clients that bore Name before this one. A
+	// client numbers its calls from Incarnation<<32, so a name's next bearer
+	// neither repeats an id nor reads its predecessor's at-most-once row.
+	Incarnation uint64
 	// Timeout bounds one invocation end to end (default 30s).
 	Timeout time.Duration
 	// Retransmit is the retransmission interval (default 2s).
@@ -166,6 +170,7 @@ func New(cfg Config) *Client {
 		spans:   cfg.Spans,
 		metrics: cfg.Metrics,
 		groups:  make(map[wire.GroupID]*contact),
+		reqSeq:  cfg.Incarnation << 32,
 	}
 	c.parker = vtime.NewParker("client-call/" + string(c.self))
 	c.ep = cfg.Network.Endpoint(c.self)
@@ -345,6 +350,7 @@ func (c *Client) invoke(group wire.GroupID, method string, args []byte, policy R
 	logicalLen := len(buf)
 	buf = append(buf, "#0"...)
 	c.idBuf = buf
+	callNo := c.reqSeq
 	subID := string(buf)
 	logical := wire.LogicalID(subID[:logicalLen])
 	id := wire.InvocationID{Logical: logical, Seq: 0}
@@ -371,6 +377,7 @@ func (c *Client) invoke(group wire.GroupID, method string, args []byte, policy R
 		Args:    args,
 		Kind:    replica.KindClient,
 		ReplyTo: c.self,
+		Call:    callNo,
 		Trace:   ctx,
 	}
 	if mod != nil {

@@ -18,7 +18,7 @@ import (
 //
 //	Request := presence ID Group Method Args Kind ReplyTo Origin
 //	           [trace: TraceID Span] [shard: ShardEpoch ShardKey]
-//	           [cross: count key...]
+//	           [cross: count key...] [call: Call]
 //	Reply   := presence ID From Result
 //	           [outcome: Code Err] [trace: TraceID Span] [epoch: ShardEpoch]
 //
@@ -39,6 +39,7 @@ const (
 	reqHasTrace = 1 << iota
 	reqHasShard
 	reqHasCross
+	reqHasCall
 	reqPresenceMask = 1<<iota - 1
 )
 
@@ -101,6 +102,8 @@ func encMigrateChunk(b *wire.Buffer, ck MigrateChunk) {
 		encInvocationID(b, ce.ID)
 		b.String(ce.Key)
 		encReply(b, ce.Reply)
+		b.String(string(ce.Client))
+		b.Uvarint(ce.Call)
 	}
 }
 
@@ -167,6 +170,12 @@ func decMigrateChunk(r *wire.Reader) (MigrateChunk, error) {
 			if ck.Cache[i].Reply, err = decReply(r); err != nil {
 				return ck, err
 			}
+			if ck.Cache[i].Client, err = ident[wire.NodeID](r); err != nil {
+				return ck, err
+			}
+			if ck.Cache[i].Call, err = r.Uvarint(); err != nil {
+				return ck, err
+			}
 		}
 	}
 	return ck, nil
@@ -182,6 +191,9 @@ func encRequest(b *wire.Buffer, q Request) {
 	}
 	if len(q.CrossKeys) > 0 {
 		presence |= reqHasCross
+	}
+	if q.Call != 0 {
+		presence |= reqHasCall
 	}
 	b.Byte(presence)
 	encInvocationID(b, q.ID)
@@ -203,6 +215,9 @@ func encRequest(b *wire.Buffer, q Request) {
 		for _, k := range q.CrossKeys {
 			b.String(k)
 		}
+	}
+	if presence&reqHasCall != 0 {
+		b.Uvarint(q.Call)
 	}
 }
 
@@ -272,6 +287,14 @@ func decRequest(r *wire.Reader) (Request, error) {
 			if q.CrossKeys[i], err = r.String(); err != nil {
 				return q, err
 			}
+		}
+	}
+	if presence&reqHasCall != 0 {
+		if q.Call, err = r.Uvarint(); err != nil {
+			return q, err
+		}
+		if q.Call == 0 {
+			return q, errEmptyGroup
 		}
 	}
 	return q, nil

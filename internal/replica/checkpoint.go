@@ -2,7 +2,9 @@ package replica
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
+	"slices"
 	"strconv"
 
 	"github.com/replobj/replobj/internal/adets"
@@ -42,7 +44,7 @@ type Snapshotter interface {
 // it. The shard keys in the rows keep a rejoiner's migration reply-cache
 // handoffs byte-identical to its peers'.
 type seenEntry struct {
-	ID    wire.InvocationID
+	Ref   callRef
 	Entry amoEntry
 }
 
@@ -182,13 +184,14 @@ func restoreInto(st any, data []byte, usedGob bool) error {
 	return gob.NewDecoder(bytes.NewReader(data)).Decode(st)
 }
 
-// evictStableLocked drops reply-cache entries that have aged out of the
-// duplicate-detection window: everything first seen at or below seq minus
-// two checkpoint intervals. The boundary is a pure function of the ordered
-// stream — unlike the gcs stability watermark, which depends on
-// failure-detector timing — so every replica evicts the same entries at the
-// same position and duplicate classification never diverges. Entries still
-// executing (no cached reply yet) are always retained.
+// evictStableLocked drops the rows that have aged out of the
+// duplicate-detection window: everything entered at or below seq minus two
+// checkpoint intervals — a client that has been idle that long, an id that
+// old. The boundary is a pure function of the ordered stream — unlike the
+// gcs stability watermark, which depends on failure-detector timing — so
+// every replica evicts the same rows at the same position and duplicate
+// classification never diverges. Entries still executing (no cached reply
+// yet) are always retained, and so is the id window behind one.
 func (r *Replica) evictStableLocked(seq uint64) {
 	window := 2 * r.ckptEvery
 	if seq <= window {
@@ -199,25 +202,36 @@ func (r *Replica) evictStableLocked(seq uint64) {
 	// whose entry is gone can no longer be answered from the reply cache —
 	// the duplicate hook returns a typed expired-duplicate error instead.
 	r.evictFloor = floor
-	// One turn of the ring: every id is popped, and the kept ones are
-	// pushed back in their original order.
-	for n := r.amoOrder.Len(); n > 0; n-- {
-		id, _ := r.amoOrder.Pop()
-		if e := r.amo[id]; e.At <= floor && e.Done {
-			r.forgetLocked(id)
-			continue
+	for name, row := range r.clients {
+		if row.Entry.At <= floor && row.Entry.Done {
+			r.forgetClientLocked(name)
 		}
-		r.amoOrder.Push(id)
 	}
+	for r.amoOrder.Len() > 0 {
+		id := *r.amoOrder.At(0)
+		if e := r.amo[id]; e.At > floor || !e.Done {
+			break
+		}
+		r.amoOrder.Pop()
+		r.forgetLocked(id)
+	}
+	r.exportTableLocked()
 }
 
-// seenEntriesLocked copies the at-most-once bookkeeping for the envelope,
-// in first-seen order (already deterministic: it follows the stream).
+// seenEntriesLocked copies the at-most-once table for the envelope (and a
+// migration's cut) in a deterministic order: the ids as first seen, then the
+// clients' rows by stream position, rows installed at one position by name.
 func (r *Replica) seenEntriesLocked() []seenEntry {
-	entries := make([]seenEntry, 0, r.amoOrder.Len())
+	entries := make([]seenEntry, 0, r.amoOrder.Len()+len(r.clients))
 	for id := range r.amoOrder.All() {
-		entries = append(entries, seenEntry{ID: id, Entry: r.amo[id]})
+		entries = append(entries, seenEntry{callRef{ID: id}, r.amo[id]})
 	}
+	for name, row := range r.clients {
+		entries = append(entries, seenEntry{callRef{row.ID, name, row.Call}, row.Entry})
+	}
+	slices.SortFunc(entries[r.amoOrder.Len():], func(a, b seenEntry) int {
+		return cmp.Or(cmp.Compare(a.Entry.At, b.Entry.At), cmp.Compare(a.Ref.Client, b.Ref.Client))
+	})
 	return entries
 }
 
@@ -240,18 +254,20 @@ func (r *Replica) installSnapshot(d gcs.Delivery) {
 	}
 	r.restoreState(&env)
 	r.rt.Lock()
-	r.amo = make(map[wire.InvocationID]amoEntry, len(env.Entries))
+	r.clients = make(map[wire.NodeID]*clientRow)
+	r.amo = make(map[wire.InvocationID]amoEntry)
 	r.amoOrder = ring.Queue[wire.InvocationID]{}
-	r.latest = make(map[wire.NodeID]wire.InvocationID)
 	r.held, r.heldBytes = 0, 0
 	for _, e := range env.Entries {
-		r.amo[e.ID] = e.Entry
-		r.amoOrder.Push(e.ID)
-		if e.Entry.Client != "" && !e.Entry.Superseded {
-			r.latest[e.Entry.Client] = e.ID
+		if e.Ref.Call != 0 {
+			r.clients[e.Ref.Client] = &clientRow{e.Ref.Call, e.Ref.ID, e.Entry}
+		} else {
+			r.amo[e.Ref.ID] = e.Entry
+			r.amoOrder.Push(e.Ref.ID)
 		}
 		r.countHeldLocked(&e.Entry, +1)
 	}
+	r.exportTableLocked()
 	r.logicalLive = make(map[wire.LogicalID]int)
 	r.nested = make(map[wire.InvocationID]*nestedCall)
 	r.earlyReplies = make(map[wire.InvocationID]Reply)

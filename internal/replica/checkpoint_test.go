@@ -43,9 +43,15 @@ func newCkptReplica(t *testing.T, execCount *int, every int) *oneReplica {
 }
 
 // TestReplyCacheEvictedAtCheckpoints: under a long duplicate-free workload
-// the reply cache must not grow with the stream — entries older than two
-// checkpoint intervals are dropped at each boundary.
+// the reply cache must not grow with the stream — rows older than two
+// checkpoint intervals are dropped at each boundary, the ids of unnumbered
+// requests and the rows of clients that made one call and went idle alike.
 func TestReplyCacheEvictedAtCheckpoints(t *testing.T) {
+	t.Run("ids", func(t *testing.T) { testReplyCacheEvicted(t, false) })
+	t.Run("clients", func(t *testing.T) { testReplyCacheEvicted(t, true) })
+}
+
+func testReplyCacheEvicted(t *testing.T, numbered bool) {
 	execs := 0
 	const every = 4
 	h := newCkptReplica(t, &execs, every)
@@ -55,11 +61,22 @@ func TestReplyCacheEvictedAtCheckpoints(t *testing.T) {
 		defer h.cl.Close()
 		const n = 40
 		for i := 0; i < n; i++ {
-			h.submit(wire.InvocationID{Logical: wire.LogicalID(fmt.Sprintf("client/t#%d", i))}, "echo", []byte("x"))
-			h.recvReply(t)
+			if !numbered {
+				h.submit(wire.InvocationID{Logical: wire.LogicalID(fmt.Sprintf("client/t#%d", i))}, "echo", []byte("x"))
+				h.recvReply(t)
+				continue
+			}
+			ep := h.net.Endpoint(wire.ClientID(fmt.Sprintf("c%d", i)))
+			id := wire.InvocationID{Logical: wire.LogicalID(ep.ID() + "#1")}
+			req := Request{ID: id, Group: "g", Method: "echo", Args: []byte("x"), Kind: KindClient, ReplyTo: ep.ID(), Call: 1}
+			ep.Send(wire.ReplicaID("g", 0), gcs.Submit{Group: "g", ID: id.String(), Origin: ep.ID(), Payload: req})
+			if _, ok := recvOne(h.rt, ep, 5*time.Second); !ok {
+				t.Fatalf("%s: no reply", ep.ID())
+			}
+			ep.Close()
 		}
 		h.rt.Lock()
-		cached, seen := h.r.held, len(h.r.amo)
+		cached, seen := h.r.held, len(h.r.amo)+len(h.r.clients)
 		ckpts := h.r.checkpoints.Value()
 		h.rt.Unlock()
 		if ckpts == 0 {
@@ -110,8 +127,8 @@ func TestCheckpointHandsSnapshotToMember(t *testing.T) {
 }
 
 // TestInstallSnapshotCarriesTheTable: a replica restored by state transfer
-// has the donor's at-most-once table row for row — which replies are held,
-// which entries are superseded, who each client's latest request is — so it
+// has the donor's at-most-once table row for row — each client's latest call
+// and the reply held for it — so it
 // answers duplicates exactly as the donor does, and its order digest
 // continues the donor's. A snapshot that does not decode is counted and
 // breaks the digest instead of passing in silence.
@@ -123,7 +140,7 @@ func TestInstallSnapshotCarriesTheTable(t *testing.T) {
 	defer rejoiner.rt.Stop()
 	request := func(ep transport.Endpoint, k int) Request {
 		id := wire.InvocationID{Logical: wire.LogicalID(fmt.Sprintf("%s#%d", ep.ID(), k))}
-		return Request{ID: id, Group: "g", Method: "echo", Args: []byte(id.String()), Kind: KindClient, ReplyTo: ep.ID()}
+		return Request{ID: id, Group: "g", Method: "echo", Args: []byte(id.String()), Kind: KindClient, ReplyTo: ep.ID(), Call: uint64(k + 1)}
 	}
 	const clients = 2
 	var snap gcs.Snapshot
@@ -134,6 +151,9 @@ func TestInstallSnapshotCarriesTheTable(t *testing.T) {
 		for k := 0; k < 2*every; k++ { // the last request lands on a checkpoint
 			ep := eps[k%clients]
 			req := request(ep, k/clients)
+			if k == 0 {
+				req.Call = 0 // one unnumbered request: a row of the id window
+			}
 			ep.Send(wire.ReplicaID("g", 0), gcs.Submit{Group: "g", ID: req.ID.String(), Origin: ep.ID(), Payload: req})
 			if _, ok := recvOne(donor.rt, ep, 5*time.Second); !ok {
 				t.Fatalf("no reply to %v", req.ID)
@@ -153,12 +173,13 @@ func TestInstallSnapshotCarriesTheTable(t *testing.T) {
 		defer rejoiner.cl.Close()
 		rejoiner.r.installSnapshot(gcs.Delivery{Seq: snap.Seq, Snapshot: snap.Data})
 		d, r := donor.r, rejoiner.r
-		if !reflect.DeepEqual(d.amo, r.amo) || !reflect.DeepEqual(d.latest, r.latest) || d.held != r.held || d.heldBytes != r.heldBytes {
+		if !reflect.DeepEqual(d.amo, r.amo) || !reflect.DeepEqual(d.clients, r.clients) || d.held != r.held || d.heldBytes != r.heldBytes {
 			t.Errorf("restored table differs from the donor's:\n  %v %v %d %d\n  %v %v %d %d",
-				d.amo, d.latest, d.held, d.heldBytes, r.amo, r.latest, r.held, r.heldBytes)
+				d.amo, d.clients, d.held, d.heldBytes, r.amo, r.clients, r.held, r.heldBytes)
 		}
-		if r.held != clients || len(r.amo) != 2*every {
-			t.Errorf("restored table holds %d replies in %d rows, want %d in %d", r.held, len(r.amo), clients, 2*every)
+		if r.held != clients+1 || len(r.clients) != clients || len(r.amo) != 1 || r.amoOrder.Len() != 1 {
+			t.Errorf("restored table holds %d replies in %d client rows and %d id rows, want %d in %d and 1",
+				r.held, len(r.clients), len(r.amo), clients+1, clients)
 		}
 		dc, dd := d.trace.Digest("order")
 		if rc, rd := r.trace.Digest("order"); rc != dc || rd != dd {

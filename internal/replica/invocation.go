@@ -25,9 +25,11 @@ type Invocation struct {
 	// totally ordered dispatch point (nil on unsharded groups). InvokeShard
 	// routes against it, never against the live table, so a table installed
 	// mid-execution cannot make replicas pick different nested targets.
-	epoch     *shard.Epoch
-	nestedSeq uint64
-	anonSeq   uint64
+	epoch *shard.Epoch
+	// The two counters share a word so that a dispatched stays in its size
+	// class (one invocation makes far fewer than 2^32 nested calls).
+	nestedSeq uint32
+	anonSeq   uint32
 	// speculative marks an execution against a private fork (see
 	// speculate.go): t is nil, State returns fork, lock operations are
 	// no-ops (the fork is single-threaded by construction), and facilities
@@ -212,7 +214,7 @@ func (inv *Invocation) invoke(group wire.GroupID, method string, args []byte, mo
 		panic(specAbort{})
 	}
 	inv.nestedSeq++
-	id := wire.InvocationID{Logical: inv.req.Logical(), Seq: inv.nestedSeq + inv.req.ID.Seq*1000}
+	id := wire.InvocationID{Logical: inv.req.Logical(), Seq: uint64(inv.nestedSeq) + inv.req.ID.Seq*1000}
 	req := Request{
 		ID:     id,
 		Group:  group,

@@ -73,6 +73,11 @@ type CacheEntry struct {
 	ID    wire.InvocationID
 	Key   string
 	Reply Reply
+	// Client and Call name the row of a numbered client request (see
+	// Request.Call): at the target a later call of that client supersedes it
+	// as it would have at the source. Both zero for a request kept by id.
+	Client wire.NodeID
+	Call   uint64
 }
 
 // MigrateChunk is one ordered handoff frame of a ring transition,
@@ -403,19 +408,18 @@ func (r *Replica) performCut(m *migration, seq uint64) {
 }
 
 // movedCacheEntries collects the replies the at-most-once table holds for
-// keys riding a move, in first-seen order (deterministic: it follows the
-// stream).
+// keys riding a move, in the table's deterministic order.
 func (r *Replica) movedCacheEntries(mv shard.Move) []CacheEntry {
 	r.rt.Lock()
 	defer r.rt.Unlock()
 	var out []CacheEntry
-	for id := range r.amoOrder.All() {
-		e := r.amo[id]
-		if e.Key == "" || !e.holdsReply() {
+	for _, s := range r.seenEntriesLocked() {
+		e := &s.Entry
+		if e.Key == "" || !e.Done {
 			continue
 		}
 		if got, moved := r.mig.plan.MoveOf(e.Key); moved && got == mv {
-			out = append(out, CacheEntry{ID: id, Key: e.Key, Reply: r.reply(id, &e)})
+			out = append(out, CacheEntry{ID: s.Ref.ID, Key: e.Key, Reply: r.reply(s.Ref.ID, e), Client: s.Ref.Client, Call: s.Ref.Call})
 		}
 	}
 	return out
@@ -446,11 +450,12 @@ func (r *Replica) performInstalls(m *migration, seq uint64) {
 			}
 			r.rt.Lock()
 			for _, ce := range ck.Cache {
-				if _, dup := r.amo[ce.ID]; dup {
-					continue // already seen here: at-most-once wins
+				ref := callRef{ce.ID, ce.Client, ce.Call}
+				if verdict, _ := r.classifyLocked(ref); verdict != amoFresh {
+					continue // seen here, or superseded here: at-most-once wins
 				}
-				r.markSeenLocked(ce.ID, seq, ce.Key, "")
-				r.storeReplyLocked(ce.ID, ce.Reply)
+				r.enterLocked(ref, seq, ce.Key)
+				r.storeReplyLocked(ref, ce.Reply)
 			}
 			delete(s.buffered, s.next)
 			s.next++

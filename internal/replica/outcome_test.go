@@ -50,6 +50,9 @@ func TestEnvelopeFramesAreCanonical(t *testing.T) {
 		if mask&reqHasCross != 0 {
 			q.CrossKeys = []string{"x", "y"}
 		}
+		if mask&reqHasCall != 0 {
+			q.Call = 1<<32 | 5 // the fifth call of a name's second bearer
+		}
 		payloads = append(payloads, q)
 	}
 	for mask := 0; mask <= repPresenceMask; mask++ {
@@ -84,6 +87,22 @@ func TestEnvelopeFramesAreCanonical(t *testing.T) {
 		if re := frame(t, out.Payload); !bytes.Equal(re, bin) {
 			t.Errorf("%+v: re-encoding differs:\n first:  %x\n second: %x", in, bin, re)
 		}
+		// The gob twin carries the same value.
+		gobbed, err := wire.AppendMessageGob(nil, &wire.Message{From: "a", To: "b", Payload: in})
+		if err != nil {
+			t.Fatalf("%+v: gob encode: %v", in, err)
+		}
+		if twin, _, _, err := wire.ConsumeMessage(gobbed); err != nil || !reflect.DeepEqual(twin.Payload, in) {
+			t.Errorf("gob twin:\n in:  %+v\n out: %+v (%v)", in, twin.Payload, err)
+		}
+	}
+	// An unnumbered request pays nothing for the group; a numbered one its
+	// varint.
+	plain := Request{ID: id, Group: "g", Method: "m", ReplyTo: "client/c"}
+	numbered := plain
+	numbered.Call = 100
+	if a, b := len(frame(t, plain)), len(frame(t, numbered)); b != a+1 {
+		t.Errorf("call 100 costs %d bytes on the wire, want 1", b-a)
 	}
 }
 
@@ -119,6 +138,8 @@ func TestEnvelopeDecodersRejectNonCanonicalFrames(t *testing.T) {
 		{"request: trace bit, zero trace id", patch(req, reqHasTrace, 0, 5), "empty field group"},
 		{"request: shard bit, empty group", patch(req, reqHasShard, 0, 0), "empty field group"},
 		{"request: cross bit, no keys", patch(req, reqHasCross, 0), "empty field group"},
+		{"request: call bit, call 0", patch(req, reqHasCall, 0), "empty field group"},
+		{"request: call without its bit", patch(req, 0, 5), "trailing"},
 		{"request: bit set, group missing", patch(req, reqHasShard), "varint"},
 		{"request: unknown kind", badKind, "unknown request kind"},
 		{"reply: undefined presence bit", patch(rep, repPresenceMask+1), "undefined presence bit"},
@@ -139,6 +160,7 @@ func TestEnvelopeDecodersRejectNonCanonicalFrames(t *testing.T) {
 	// The patching itself is sound: well-formed groups do decode.
 	for name, f := range map[string][]byte{
 		"request shard group": patch(req, reqHasShard, 2, 1, 'k'),
+		"request call group":  patch(req, reqHasCall, 5),
 		"reply outcome group": patch(rep, repHasOutcome, byte(CodeRedirect), 1, 'e'),
 	} {
 		if _, _, _, err := wire.ConsumeMessage(f); err != nil {
@@ -158,11 +180,20 @@ func TestPerRequestValuesStayInTheirSizeClasses(t *testing.T) {
 	if size := reflect.TypeOf(dispatched{}).Size(); size > 288 {
 		t.Errorf("dispatched is %d bytes, want <= 288", size)
 	}
+	// A Request is boxed into the submit's payload; with its call number it
+	// exactly fills the class it was in.
+	if size := unsafe.Sizeof(Request{}); size > 192 {
+		t.Errorf("Request is %d bytes, want <= 192", size)
+	}
 	// A map keeps values of up to 128 bytes in its buckets and allocates
 	// larger ones one by one: an at-most-once entry past that line costs
-	// every request an allocation.
+	// every unnumbered request an allocation; a client's row is allocated
+	// once, in the 128-byte class.
 	if size := unsafe.Sizeof(amoEntry{}); size > 112 {
 		t.Errorf("amoEntry is %d bytes, want <= 112", size)
+	}
+	if size := unsafe.Sizeof(clientRow{}); size > 128 {
+		t.Errorf("clientRow is %d bytes, want <= 128", size)
 	}
 }
 

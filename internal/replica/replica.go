@@ -109,6 +109,9 @@ type Request struct {
 	Kind    RequestKind
 	ReplyTo wire.NodeID  // client endpoint (KindClient)
 	Origin  wire.GroupID // originating group (KindNested)
+	// Call numbers a client's invocations: this is the Call-th one ReplyTo
+	// made, the number at-most-once compares (see amo.go). 0 is unnumbered.
+	Call uint64
 	// Trace is the optional trace context allocated at client submit; the
 	// zero value (tracing off) takes no room on the wire (see binary.go).
 	Trace tracing.Context
@@ -144,10 +147,10 @@ const (
 	// routing table than the sender's (or is not the key's home); ShardEpoch
 	// is its installed epoch. The request did not execute.
 	CodeRedirect
-	// CodeExpiredDuplicate: a retransmission of a request whose reply has
-	// aged out of the duplicate-detection window (see evictStableLocked).
-	// At-most-once can no longer replay the original reply, and silence
-	// would leave the client retrying forever.
+	// CodeExpiredDuplicate: a copy of a request older than its client's
+	// latest call, or one whose reply has aged out of the duplicate-detection
+	// window (see evictStableLocked). At-most-once can no longer replay the
+	// original reply, and silence would leave the client retrying forever.
 	CodeExpiredDuplicate
 )
 
@@ -336,6 +339,8 @@ type Replica struct {
 	specSkipped     *obs.Counter
 	cacheEntries    *obs.Gauge
 	cacheBytes      *obs.Gauge
+	clientRows      *obs.Gauge
+	idRows          *obs.Gauge
 	checkpoints     *obs.Counter
 	ckptSkipped     *obs.Counter
 	snapSize        *obs.Gauge
@@ -357,13 +362,13 @@ type Replica struct {
 	handlers map[string]Handler
 
 	// All fields below are guarded by the runtime lock.
-	// amo is the at-most-once table: every request delivered at least once,
-	// amoOrder its ids in first-seen order. latest names each client's most
-	// recent request by stream position — the only one whose reply is kept
-	// (see amoEntry) — and held / heldBytes count the replies kept.
+	// The at-most-once table (see amo.go): clients holds one row per client,
+	// its latest numbered call; amo the unnumbered requests of the window,
+	// amoOrder their ids in first-seen order. held / heldBytes count the
+	// replies both keep.
+	clients     map[wire.NodeID]*clientRow
 	amo         map[wire.InvocationID]amoEntry
 	amoOrder    ring.Queue[wire.InvocationID]
-	latest      map[wire.NodeID]wire.InvocationID
 	held        int
 	heldBytes   int
 	logicalLive map[wire.LogicalID]int
@@ -413,8 +418,8 @@ func New(cfg Config) *Replica {
 		dir:              cfg.Directory,
 		sched:            cfg.Scheduler,
 		handlers:         make(map[string]Handler),
+		clients:          make(map[wire.NodeID]*clientRow),
 		amo:              make(map[wire.InvocationID]amoEntry),
-		latest:           make(map[wire.NodeID]wire.InvocationID),
 		logicalLive:      make(map[wire.LogicalID]int),
 		nested:           make(map[wire.InvocationID]*nestedCall),
 		earlyReplies:     make(map[wire.InvocationID]Reply),
@@ -476,6 +481,8 @@ func New(cfg Config) *Replica {
 		r.snapErrors = cfg.Metrics.Counter("replobj_replica_snapshot_install_errors_total" + label)
 		r.cacheEntries = cfg.Metrics.Gauge("replobj_replica_reply_cache_entries" + label)
 		r.cacheBytes = cfg.Metrics.Gauge("replobj_replica_reply_cache_bytes" + label)
+		r.clientRows = cfg.Metrics.Gauge(`replobj_replica_amo_rows{node="` + string(cfg.Self) + `",kind="client"}`)
+		r.idRows = cfg.Metrics.Gauge(`replobj_replica_amo_rows{node="` + string(cfg.Self) + `",kind="id"}`)
 		cfg.Trace.ExportRetained(cfg.Metrics.Gauge("replobj_trace_events_retained" + label))
 		r.ckptDuration = cfg.Metrics.Histogram("replobj_replica_checkpoint_seconds"+label, obs.LatencyBuckets())
 		if r.shard != nil {
@@ -512,29 +519,26 @@ func New(cfg Config) *Replica {
 	// the cached at-most-once reply here instead — the original reply may
 	// have been lost in the network, and with replicas down the client may
 	// have no slack to reach its reply quorum without this replica. seq is
-	// the retransmitted request's ordered position: when the entry has aged
+	// the retransmitted request's ordered position: when the row has aged
 	// out of the duplicate-detection window, replay is impossible and the
 	// client gets a CodeExpiredDuplicate reply instead of eternal silence.
-	// An id not in the table and ordered above the eviction floor has not
-	// been dispatched locally yet, and resolves when the delivery arrives.
+	// A request the table calls fresh and ordered above the eviction floor
+	// has not been dispatched locally yet, and resolves when the delivery
+	// arrives.
 	g.DuplicateSubmit = func(sub gcs.Submit, seq uint64) {
 		req, ok := sub.Payload.(Request)
 		if !ok || req.Kind != KindClient {
 			return
 		}
 		r.rt.Lock()
-		e, seen := r.amo[req.ID]
-		expired := !seen && seq <= r.evictFloor
+		verdict, e := r.classifyLocked(req.ref())
+		if verdict == amoFresh && seq <= r.evictFloor {
+			verdict, e.At = amoExpired, seq
+		}
 		stopped := r.stopped
 		r.rt.Unlock()
-		switch {
-		case stopped:
-		case seen:
-			if r.answerDuplicate(&req, e) {
-				r.dupReplies.Inc()
-			}
-		case expired:
-			r.sendExpired(&req, seq)
+		if !stopped && verdict != amoFresh && r.answerDuplicate(&req, verdict, e) {
+			r.dupReplies.Inc()
 		}
 	}
 	if r.specMgr != nil {
@@ -699,17 +703,14 @@ func (r *Replica) dispatchRequest(req Request, seq uint64) {
 		r.rt.Unlock()
 		return
 	}
-	if e, dup := r.amo[req.ID]; dup {
+	ref := req.ref()
+	if verdict, e := r.classifyLocked(ref); verdict != amoFresh {
 		r.rt.Unlock()
 		r.cacheHits.Inc()
-		r.answerDuplicate(&req, e)
+		r.answerDuplicate(&req, verdict, e)
 		return
 	}
-	var client wire.NodeID
-	if req.Kind == KindClient {
-		client = req.ReplyTo
-	}
-	r.markSeenLocked(req.ID, seq, req.ShardKey, client)
+	r.enterLocked(ref, seq, req.ShardKey)
 	verdict, redirect := r.admission(d)
 	if verdict == verdictAccept {
 		r.admit(d)
@@ -786,7 +787,7 @@ func (r *Replica) admission(d *dispatched) (verdictKind, Reply) {
 		reply.Code = CodeRedirect
 		reply.Err = shard.RedirectError(cur.Table.Epoch, req.ShardKey, home)
 		reply.ShardEpoch = cur.Table.Epoch
-		r.storeReplyLocked(req.ID, reply)
+		r.storeReplyLocked(req.ref(), reply)
 		return verdictRedirect, reply
 	}
 	d.inv.epoch = under
@@ -848,7 +849,7 @@ func (r *Replica) applyControl(req Request, seq uint64) {
 	}
 	reply.ShardEpoch = r.shard.Current().Table.Epoch
 	r.rt.Lock()
-	r.storeReplyLocked(req.ID, reply)
+	r.storeReplyLocked(req.ref(), reply)
 	r.rt.Unlock()
 	r.sendReply(req, reply)
 }
@@ -1001,7 +1002,7 @@ func (r *Replica) execute(inv *Invocation) {
 func (r *Replica) complete(req *Request, reply Reply) {
 	logical := req.Logical()
 	r.rt.Lock()
-	r.storeReplyLocked(req.ID, reply)
+	r.storeReplyLocked(req.ref(), reply)
 	r.logicalLive[logical]--
 	if r.logicalLive[logical] == 0 {
 		delete(r.logicalLive, logical)
@@ -1091,117 +1092,23 @@ func (r *Replica) dispatchNestedReply(reply Reply) {
 	r.sched.EndNested(t)
 }
 
-const maxSeen = 1 << 14
-
-// amoEntry is what the replica remembers of one request it has ordered: its
-// position, its shard key (so a migration can select the entries riding a
-// key move) and, once done, its reply less the id and sender. A Client has
-// one call outstanding at a time, so only its latest request can still be
-// retransmitted: when a later request of the same client is ordered the
-// entry is superseded — it gives up the reply and stays as a tombstone that
-// suppresses ordered duplicates, answered with CodeExpiredDuplicate, until
-// it ages out with the rest. Superseding happens at an ordered position, so
-// every replica keeps the same replies. Nested and migrated-in entries have
-// no client and keep their reply for the whole window. (The fields are
-// exported for the checkpoint envelope's gob.)
-type amoEntry struct {
-	At         uint64
-	Key        string
-	Client     wire.NodeID
-	Result     []byte
-	Err        string
-	Trace      tracing.Context
-	Epoch      uint64
-	Code       Code
-	Done       bool
-	Superseded bool
-}
-
-func (e *amoEntry) holdsReply() bool { return e.Done && !e.Superseded }
-
-// reply rebuilds the cached reply of a done entry, as this replica's own.
-func (r *Replica) reply(id wire.InvocationID, e *amoEntry) Reply {
-	return Reply{ID: id, From: r.self, Result: e.Result, Err: e.Err, Trace: e.Trace, ShardEpoch: e.Epoch, Code: e.Code}
-}
-
-// markSeenLocked enters a fresh request (client is its ReplyTo, empty for a
-// nested one) at stream position seq and supersedes the client's previous.
-func (r *Replica) markSeenLocked(id wire.InvocationID, seq uint64, key string, client wire.NodeID) {
-	if client != "" {
-		if prev, ok := r.latest[client]; ok {
-			e := r.amo[prev]
-			r.countHeldLocked(&e, -1)
-			r.amo[prev] = amoEntry{At: e.At, Key: e.Key, Client: client, Done: e.Done, Superseded: true}
-		}
-		r.latest[client] = id
-	}
-	r.amo[id] = amoEntry{At: seq, Key: key, Client: client}
-	r.amoOrder.Push(id)
-	if r.amoOrder.Len() > maxSeen {
-		old, _ := r.amoOrder.Pop()
-		r.forgetLocked(old)
-	}
-}
-
-// storeReplyLocked records the outcome of a request in the table. A
-// redirected request never executed; its key must not ride a migration's
-// reply-cache handoff.
-func (r *Replica) storeReplyLocked(id wire.InvocationID, reply Reply) {
-	e, ok := r.amo[id]
-	if !ok || e.Done {
-		return
-	}
-	e.Done = true
-	if reply.Code == CodeRedirect {
-		e.Key = ""
-	}
-	if !e.Superseded {
-		e.Result, e.Err, e.Trace, e.Epoch, e.Code = reply.Result, reply.Err, reply.Trace, reply.ShardEpoch, reply.Code
-		r.countHeldLocked(&e, +1)
-	}
-	r.amo[id] = e
-}
-
-// forgetLocked drops an entry (not its amoOrder slot). The entry latest
-// points at is the one of that client not superseded.
-func (r *Replica) forgetLocked(id wire.InvocationID) {
-	e := r.amo[id]
-	r.countHeldLocked(&e, -1)
-	if e.Client != "" && !e.Superseded {
-		delete(r.latest, e.Client)
-	}
-	delete(r.amo, id)
-}
-
-// countHeldLocked adds (sign +1) or removes (-1) e's reply, if it holds one,
-// from the reply-cache gauges.
-func (r *Replica) countHeldLocked(e *amoEntry, sign int) {
-	if !e.holdsReply() {
-		return
-	}
-	r.held += sign
-	r.heldBytes += sign * (len(e.Result) + len(e.Err))
-	r.cacheEntries.Set(int64(r.held))
-	r.cacheBytes.Set(int64(r.heldBytes))
-}
-
-// answerDuplicate answers a duplicate of a request in the table (e is its
-// entry) and reports whether from the cache: otherwise with a typed refusal
-// when the reply is no longer kept, and not at all while the original is
-// still executing and will reply.
-func (r *Replica) answerDuplicate(req *Request, e amoEntry) bool {
-	if e.holdsReply() {
+// answerDuplicate answers a request the table did not call fresh (e is the
+// entry classifyLocked returned) and reports whether from the cache:
+// otherwise with a typed refusal when the reply is no longer kept, and not at
+// all while the original is still executing and will reply.
+func (r *Replica) answerDuplicate(req *Request, verdict amoVerdict, e amoEntry) bool {
+	switch {
+	case verdict == amoExpired:
+		r.sendExpired(req, e.At)
+	case e.Done:
 		r.sendReply(*req, r.reply(req.ID, &e))
 		return true
-	}
-	if e.Done {
-		r.sendExpired(req, e.At)
 	}
 	return false
 }
 
-// sendExpired tells a client that the reply of the request it retransmitted,
-// ordered at seq, is gone.
+// sendExpired tells a client that the reply of the request it retransmitted
+// is gone: superseded or evicted at stream position seq.
 func (r *Replica) sendExpired(req *Request, seq uint64) {
 	r.dupExpired.Inc()
 	reply := r.newReply(req)

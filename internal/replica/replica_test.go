@@ -245,16 +245,26 @@ func TestSeenCacheBounded(t *testing.T) {
 	vtime.Run(h.rt, "main", func() {
 		defer h.r.Stop()
 		defer h.cl.Close()
-		// Force far more ids than the cap through markSeen directly.
+		// Force far more ids, and far more clients, than the cap through
+		// enterLocked directly.
 		h.rt.Lock()
 		for i := 0; i < maxSeen+100; i++ {
-			h.r.markSeenLocked(wire.InvocationID{Logical: wire.LogicalID(fmt.Sprintf("l%d", i))}, uint64(i+1), "", "")
+			id := wire.InvocationID{Logical: wire.LogicalID(fmt.Sprintf("l%d", i))}
+			h.r.enterLocked(callRef{ID: id}, uint64(2*i+1), "")
+			h.r.enterLocked(callRef{ID: id, Client: wire.NodeID(id.Logical), Call: 1}, uint64(2*i+2), "")
 		}
 		if len(h.r.amo) > maxSeen {
 			t.Errorf("at-most-once table grew to %d (cap %d)", len(h.r.amo), maxSeen)
 		}
 		if h.r.amoOrder.Len() > maxSeen {
 			t.Errorf("amoOrder grew to %d", h.r.amoOrder.Len())
+		}
+		if len(h.r.clients) > maxSeen {
+			t.Errorf("client table grew to %d (cap %d)", len(h.r.clients), maxSeen)
+		}
+		// The clients that went were the ones entered longest ago.
+		if h.r.clients["l99"] != nil || h.r.clients["l100"] == nil {
+			t.Errorf("the cap did not evict by oldest position: l99 %v, l100 %v", h.r.clients["l99"], h.r.clients["l100"])
 		}
 		h.rt.Unlock()
 	})

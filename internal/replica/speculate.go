@@ -79,7 +79,7 @@ func (r *Replica) onOptimisticSubmit(sub gcs.Submit) {
 	}
 	if h, ok := r.handlers[req.Method]; ok {
 		id := req.ID.String()
-		r.rt.Go("spec/"+id, func() { r.runSpeculation(id, req, h, classes) })
+		r.rt.Go("spec", func() { r.runSpeculation(id, req, h, classes) })
 	}
 }
 
@@ -142,8 +142,9 @@ func (r *Replica) runSpeculation(id string, req Request, h Handler, classes []st
 		r.rt.Unlock()
 		return
 	}
-	if _, seen := r.amo[req.ID]; seen {
-		// Already ordered and dispatched: speculating now cannot beat it.
+	if verdict, _ := r.classifyLocked(req.ref()); verdict != amoFresh {
+		// Already ordered and dispatched (or superseded: it never will be):
+		// speculating now cannot beat it.
 		r.rt.Unlock()
 		return
 	}
@@ -310,6 +311,6 @@ func (r *Replica) specDispatchFinish(req *Request, act specAction) {
 // catch up pay for moving act to the heap for the goroutine.
 func (r *Replica) startCatchUp(req *Request, act specAction) {
 	if h, ok := r.handlers[req.Method]; ok {
-		r.rt.Go("spec-catchup/"+req.ID.String(), func() { r.runCatchUp(*req, h, act) })
+		r.rt.Go("spec-catchup", func() { r.runCatchUp(*req, h, act) })
 	}
 }

@@ -11,6 +11,7 @@ import (
 type snapshots struct {
 	n    int
 	fail bool
+	size int // bytes an image holds; 0 = a few
 }
 
 func (s *snapshots) take() ([]byte, bool, error) {
@@ -18,6 +19,9 @@ func (s *snapshots) take() ([]byte, bool, error) {
 		return nil, false, errors.New("unserializable")
 	}
 	s.n++
+	if s.size > 0 {
+		return make([]byte, s.size), false, nil
+	}
 	return []byte("image"), false, nil
 }
 
@@ -308,6 +312,72 @@ func TestPoolGrowsOnlyWhileAllForksAreBusy(t *testing.T) {
 	m.Discard(f)
 	if len(m.forks) != maxForks-1 {
 		t.Fatalf("%d forks after Discard", len(m.forks))
+	}
+}
+
+// Restores are paid for in bytes copied: with a state of 1 MiB the first
+// ones spend the burst, then a class no fork serves goes unspeculated — and
+// unsnapshotted — until the dispatches in between have earned the next copy.
+func TestCopyBudgetRationsRestores(t *testing.T) {
+	m, snap := NewManager(), &snapshots{size: 1 << 20}
+	seq := uint64(0)
+	// stale dispatches class a behind every fork's back and asks for it again.
+	stale := func(id string) *Fork {
+		seq++
+		m.TrackDispatch(seq, clsA)
+		f, _ := m.Speculate(id, clsA, snap.take)
+		if f != nil {
+			m.Abort(id)
+			m.Release(f)
+			m.Resolve(id)
+		}
+		return f
+	}
+	restored := 0
+	for stale("burst"+strconv.Itoa(restored)) != nil {
+		if restored++; restored > 8 {
+			t.Fatal("the budget never ran out")
+		}
+	}
+	if restored < 2 || snap.n != restored {
+		t.Fatalf("%d restores from %d snapshots before the budget ran out; want a burst of at least 2, one snapshot each", restored, snap.n)
+	}
+	if m.Pending() != 0 {
+		t.Fatal("a denied speculation must not leave a record")
+	}
+	// A fork that serves the class is still handed out: reuse copies nothing.
+	if f, img := m.Speculate("b", clsB, snap.take); f == nil || img != nil {
+		t.Fatal("an overdrawn budget must not keep a current fork from being reused")
+	}
+	// Each restore costs 2 MiB (snapshot + copy into the fork): the next one
+	// is due once the balance is back above zero, and from then on they come
+	// one per 2 MiB / copyPerDispatch dispatches.
+	denied := 0
+	for stale("wait"+strconv.Itoa(denied)) == nil {
+		if denied++; denied > 4<<20/copyPerDispatch {
+			t.Fatal("the budget never recovered")
+		}
+	}
+	before, period := snap.n, 2<<20/copyPerDispatch
+	for i := 0; i < 4*period; i++ {
+		stale("steady" + strconv.Itoa(i))
+	}
+	if got := snap.n - before; got < 3 || got > 5 {
+		t.Fatalf("%d restores in %d dispatches, want one per %d", got, 4*period, period)
+	}
+
+	// A small state never meets the bound: every request may restore.
+	m2, snap2 := NewManager(), &snapshots{size: 4 << 10}
+	for i := 1; i <= 10_000; i++ {
+		m2.TrackDispatch(uint64(i), clsA)
+		id := "s" + strconv.Itoa(i)
+		f, img := m2.Speculate(id, clsA, snap2.take)
+		if f == nil || img == nil {
+			t.Fatalf("request %d: a 4 KiB state was rationed", i)
+		}
+		m2.Abort(id)
+		m2.Release(f)
+		m2.Resolve(id)
 	}
 }
 

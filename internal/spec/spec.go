@@ -17,7 +17,9 @@
 // confirm time — no conflicting dispatch after the version the fork holds —
 // applied when a fork is picked, and the image is snapshotted again only
 // when neither a fork nor the cached image is current for the classes at
-// hand.
+// hand — and only within a budget of bytes copied per ordered request (see
+// copyPerDispatch), so that a large state under frequent conflicts costs
+// some speculations rather than a copy of itself per conflict.
 //
 // The Manager holds per-replica speculation state: the fork pool, the cached
 // image, per-conflict-class dispatch floors, the in-flight speculation
@@ -40,6 +42,8 @@ package spec
 import (
 	"math"
 	"slices"
+
+	"github.com/replobj/replobj/internal/ring"
 )
 
 // Record tracks one in-flight speculative execution.
@@ -121,6 +125,18 @@ const maxRecords = 1 << 12
 
 // maxHints caps remembered sequencer hints.
 const maxHints = 1 << 12
+
+// A fork restore copies the whole state — once to snapshot it, unless the
+// cached image will do, and once into the fork — so the copying is rationed
+// in bytes: every ordered dispatch earns copyPerDispatch, up to copyBurst, a
+// restore spends the bytes it copies, and while the balance is negative a
+// request that no fork serves goes unspeculated. What speculation copies is
+// then bounded by the request rate and not by the conflict rate times the
+// size of the state (a state of a few KiB never meets the bound).
+const (
+	copyPerDispatch = 16 << 10
+	copyBurst       = 4 << 20
+)
 
 // maxForks caps the fork pool. The pool grows only while every fork is
 // busy, so it settles at the number of runs the replica really overlaps.
@@ -254,16 +270,19 @@ type Manager struct {
 	// image is the cached snapshot forks are restored from (nil = none).
 	image *Image
 	forks []*Fork
+	// copyBudget is the balance of bytes restores may still copy.
+	copyBudget int
 
 	records map[string]*Record
 	serial  uint64
 	hints   map[string]uint64
-	hintsFD []string // FIFO eviction order for hints
+	hintsFD ring.Queue[string] // FIFO eviction order for hints
 }
 
 // NewManager returns an empty speculation manager.
 func NewManager() *Manager {
 	return &Manager{
+		copyBudget: copyBurst,
 		classFloor: make(map[string]uint64),
 		records:    make(map[string]*Record),
 		hints:      make(map[string]uint64),
@@ -281,6 +300,7 @@ func (m *Manager) TrackDispatch(seq uint64, classes []string) {
 	if seq > m.lastSeq {
 		m.lastSeq = seq
 	}
+	m.copyBudget = min(m.copyBudget+copyPerDispatch, copyBurst)
 	if len(classes) == 0 {
 		if seq > m.globalFloor {
 			m.globalFloor = seq
@@ -354,15 +374,15 @@ func (m *Manager) evictOldest() bool {
 // while the primary state is quiescent. restore is then that image and the
 // caller must set f.State from it before running — or Discard(f) if it
 // cannot. f is nil when the speculation cannot start: a duplicate id, the
-// record cap, every fork busy, or a stale image with the state in motion —
-// running then would only produce a certain Stale.
+// record cap, every fork busy, the copy budget overdrawn, or a stale image
+// with the state in motion — running then would only produce a certain Stale.
 func (m *Manager) Speculate(id string, classes []string, snapshot func() ([]byte, bool, error)) (f *Fork, restore *Image) {
 	if !m.admit(id) {
 		return nil, nil
 	}
 	floor := m.Floor(classes)
 	if f = m.bind(classes, floor, math.MaxUint64); f == nil {
-		if f = m.spare(); f == nil {
+		if f = m.spare(); f == nil || m.copyBudget < 0 {
 			return nil, nil
 		}
 		if m.image == nil || m.image.Seq < floor {
@@ -374,8 +394,10 @@ func (m *Manager) Speculate(id string, classes []string, snapshot func() ([]byte
 				return nil, nil
 			}
 			m.SetImage(data, usedGob, m.lastSeq)
+			m.copyBudget -= len(data)
 		}
 		restore = m.image
+		m.copyBudget -= len(restore.Data)
 		if f.gen == 0 {
 			m.forks = append(m.forks, f)
 		}
@@ -582,12 +604,11 @@ func (m *Manager) Resolve(id string) (reply any, released, late bool) {
 // Hint records the sequencer's predicted stream position for id.
 func (m *Manager) Hint(id string, seq uint64) {
 	if _, dup := m.hints[id]; !dup {
-		if len(m.hintsFD) >= maxHints {
-			old := m.hintsFD[0]
-			m.hintsFD = m.hintsFD[1:]
+		if m.hintsFD.Len() >= maxHints {
+			old, _ := m.hintsFD.Pop()
 			delete(m.hints, old)
 		}
-		m.hintsFD = append(m.hintsFD, id)
+		m.hintsFD.Push(id)
 	}
 	m.hints[id] = seq
 }
@@ -620,5 +641,5 @@ func (m *Manager) Reset(seq uint64) {
 	m.forks = nil
 	m.records = make(map[string]*Record)
 	m.hints = make(map[string]uint64)
-	m.hintsFD = nil
+	m.hintsFD = ring.Queue[string]{}
 }

@@ -104,6 +104,19 @@ func exemplarMessages() []wire.Message {
 			Payload: replica.MigrateChunk{
 				Object: "kv", Epoch: 3, Source: "kv@0", Target: "kv@2", Count: 1, Cut: 90,
 				Cache: []replica.CacheEntry{{ID: redirect.ID, Key: "acct-4", Reply: redirect}}}}},
+		// The call number: on a client's plain request, beside every other
+		// group, and on the migrated reply of a numbered call (a name's
+		// second bearer: the incarnation sits above bit 32).
+		{From: "client/c1", To: "g/0", Payload: request(func(q *replica.Request) { q.Call = 7 })},
+		{From: "client/c1", To: "kv@0/0", Payload: request(func(q *replica.Request) {
+			q.Trace, q.ShardEpoch, q.ShardKey, q.CrossKeys, q.Call = trace, 2, "acct-4", []string{"acct-12"}, 1<<32|7
+		})},
+		{From: "kv@0/1", To: "kv@2/1", Payload: gcs.Submit{
+			Group: "kv@2", ID: "migrate/kv/4/kv@0/kv@2/0", Origin: "kv@0/1",
+			Payload: replica.MigrateChunk{
+				Object: "kv", Epoch: 4, Source: "kv@0", Target: "kv@2", Count: 1, Cut: 120,
+				Cache: []replica.CacheEntry{{ID: redirect.ID, Key: "acct-4", Reply: reply(func(*replica.Reply) {}),
+					Client: "client/c1", Call: 1<<32 | 7}}}}},
 	}
 }
 

@@ -126,6 +126,12 @@ func TestMetricsEndToEnd(t *testing.T) {
 				t.Errorf("%s = %d in steady state", name, got)
 			}
 		}
+		// One client, five calls: one row in the at-most-once table of the
+		// sequencer (which has answered; the followers may still be running
+		// the last call), none in its id window.
+		if rows, ids := amoRows(reg, "cnt/0", "client"), amoRows(reg, "cnt/0", "id"); rows != 1 || ids != 0 {
+			t.Errorf("amo_rows on cnt/0: %d client rows, %d id rows after one client's five calls; want 1, 0", rows, ids)
+		}
 	})
 	out := reg.Render()
 	for _, want := range []string{
@@ -138,6 +144,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 		"replobj_transport_msgs_sent_total",
 		"replobj_replica_invocations_in_flight",
 		"replobj_replica_unknown_messages_total",
+		`replobj_replica_amo_rows{node="cnt/0",kind="client"}`,
+		`replobj_replica_amo_rows{node="cnt/0",kind="id"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered metrics missing %q", want)

@@ -246,8 +246,10 @@ type Cluster struct {
 
 	// clientsMu guards clients: drivers create their clients from concurrent
 	// goroutines, and a lost append is a client that Close never stops.
-	clientsMu sync.Mutex
-	clients   []*client.Client
+	// incarnations counts the clients made per name (client.Config.Incarnation).
+	clientsMu    sync.Mutex
+	clients      []*client.Client
+	incarnations map[string]uint64
 }
 
 // NewCluster builds a cluster on rt.
@@ -262,6 +264,8 @@ func NewCluster(rt vtime.Runtime, opts ...ClusterOption) *Cluster {
 		groups:  make(map[GroupID]*Group),
 		metrics: cfg.metrics,
 		spans:   cfg.spans,
+
+		incarnations: make(map[string]uint64),
 	}
 	// With both metrics and tracing on, every recorded span also feeds a
 	// per-stage latency histogram, so /metrics exposes the pipeline
@@ -825,10 +829,12 @@ func (c *Cluster) NewClient(name string, opts ...ClientOption) *Client {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	cl := client.New(cfg)
 	c.clientsMu.Lock()
+	defer c.clientsMu.Unlock()
+	cfg.Incarnation = c.incarnations[name]
+	c.incarnations[name]++
+	cl := client.New(cfg)
 	c.clients = append(c.clients, cl)
-	c.clientsMu.Unlock()
 	return cl
 }
 

@@ -404,7 +404,10 @@ func TestReshardWithCheckpointsDeferred(t *testing.T) {
 // still holds for keys that move ride the handoff chunk, so a request that
 // ran at the old home and is presented again at the new one — same id,
 // stamped with the new epoch — is answered from the table there, by the new
-// home's own replicas, and does not run twice.
+// home's own replicas, and does not run twice. A numbered call's reply lands
+// in its client's row at the new home: the client's next call supersedes it
+// there as it would have at the old one. (The last key's request is
+// unnumbered and rides the id window.)
 func TestReshardCarriesHeldRepliesToTheNewHome(t *testing.T) {
 	const replicas = 3
 	rt := vtime.Virtual()
@@ -430,7 +433,7 @@ func TestReshardCarriesHeldRepliesToTheNewHome(t *testing.T) {
 			req := replica.Request{
 				ID:    wire.InvocationID{Logical: wire.LogicalID(string(rc.ep.ID()) + "#1")},
 				Group: oldRing.HomeGroup(key), Method: "put", Args: u64(5),
-				ShardEpoch: before.Epoch, ShardKey: key,
+				ShardEpoch: before.Epoch, ShardKey: key, Call: uint64(1 - len(moves)/2),
 			}
 			moves = append(moves, moved{rc, req, rc.call(c, req)})
 		}
@@ -452,6 +455,21 @@ func TestReshardCarriesHeldRepliesToTheNewHome(t *testing.T) {
 			}
 			if got := fromU64(v); got != 5 {
 				t.Errorf("%s = %d after the repeated put, want 5: it ran again at the new home", again.ShardKey, got)
+			}
+			if again.Call == 0 {
+				continue
+			}
+			next := again
+			next.ID, next.Call, next.Args = wire.InvocationID{Logical: wire.LogicalID(string(mv.rc.ep.ID()) + "#2")}, 2, u64(1)
+			for node, rep := range mv.rc.call(c, next) {
+				if rep.Err != "" || fromU64(rep.Result) != 6 {
+					t.Errorf("%s answered the client's next put of %s with %+v, want 6", node, next.ShardKey, rep)
+				}
+			}
+			for node, rep := range mv.rc.call(c, again) {
+				if !replica.IsExpiredDuplicate(rep.Failure()) {
+					t.Errorf("%s answered the superseded put of %s with %+v, want an expired duplicate", node, again.ShardKey, rep)
+				}
 			}
 		}
 	})

@@ -1,11 +1,15 @@
 package replobj_test
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	replobj "github.com/replobj/replobj"
+	"github.com/replobj/replobj/internal/client"
+	"github.com/replobj/replobj/internal/faultnet"
 	"github.com/replobj/replobj/internal/gcs"
 	"github.com/replobj/replobj/internal/replica"
 	"github.com/replobj/replobj/internal/transport"
@@ -59,7 +63,7 @@ func TestRetransmissionAnsweredAlikeByAllReplicas(t *testing.T) {
 	run(rt, c, func() {
 		add := func(rc rawClient, k int) map[replobj.NodeID]replica.Reply {
 			id := wire.InvocationID{Logical: wire.LogicalID(fmt.Sprintf("%s#%d", rc.ep.ID(), k))}
-			return rc.call(c, replica.Request{ID: id, Group: "cnt", Method: "add", Args: []byte{1}})
+			return rc.call(c, replica.Request{ID: id, Group: "cnt", Method: "add", Args: []byte{1}, Call: uint64(k)})
 		}
 		var rcs []rawClient
 		for i := 0; i < clients; i++ {
@@ -102,6 +106,133 @@ func TestRetransmissionAnsweredAlikeByAllReplicas(t *testing.T) {
 			if d := replobj.FirstTraceDivergence(g.Trace(0), g.Trace(rank)); d != nil {
 				t.Errorf("rank 0 vs rank %d diverged: %v", rank, d)
 			}
+		}
+	})
+}
+
+// amoRows reads a replica's replobj_replica_amo_rows gauge.
+func amoRows(reg *replobj.MetricsRegistry, node replobj.NodeID, kind string) int64 {
+	return reg.Gauge(`replobj_replica_amo_rows{node="` + string(node) + `",kind="` + kind + `"}`).Value()
+}
+
+// TestClientTableStaysPerClient: on a group without checkpoints — nothing
+// ever ages a row out — four clients' 80 000 calls leave four rows in each
+// replica's at-most-once table and nothing in the id window: what a replica
+// remembers grows with the clients, not with the requests.
+func TestClientTableStaysPerClient(t *testing.T) {
+	if testing.Short() {
+		t.Skip("80 000 invocations")
+	}
+	const clients, perClient, replicas = 4, 20000, 3
+	rt := vtime.Virtual()
+	reg := replobj.NewMetricsRegistry()
+	c := replobj.NewCluster(rt, replobj.WithMetrics(reg))
+	g := ckptCounterGroup(t, c, "cnt", replicas)
+	run(rt, c, func() {
+		var cls []*replobj.Client
+		for i := 0; i < clients; i++ {
+			cls = append(cls, c.NewClient(fmt.Sprintf("c%d", i)))
+		}
+		for k := 0; k < perClient; k++ {
+			for _, cl := range cls {
+				if _, err := cl.Invoke("cnt", "add", []byte{1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		rt.Sleep(time.Second) // the slowest replica finishes the last call
+		for rank := 0; rank < replicas; rank++ {
+			node := g.Members()[rank]
+			if rows, ids, held := amoRows(reg, node, "client"), amoRows(reg, node, "id"), g.Replica(rank).CacheSize(); rows != clients || ids != 0 || held != clients {
+				t.Errorf("%s: %d client rows, %d id rows, %d replies held after %d calls; want %d, 0, %d",
+					node, rows, ids, held, clients*perClient, clients, clients)
+			}
+		}
+	})
+}
+
+// TestReusedClientNameStartsANewIncarnation: a client made under a name
+// that an earlier, closed client bore numbers its calls above all of its
+// predecessor's, so its first call is executed — not answered with the
+// reply the replicas hold for the predecessor's first call.
+func TestReusedClientNameStartsANewIncarnation(t *testing.T) {
+	const replicas = 3
+	rt := vtime.Virtual()
+	c := replobj.NewCluster(rt)
+	g := ckptCounterGroup(t, c, "cnt", replicas, replobj.WithSchedTrace(0))
+	run(rt, c, func() {
+		first := c.NewClient("cli")
+		if v, err := first.Invoke("cnt", "add", []byte{1}); err != nil || fromU64(v) != 1 {
+			t.Fatalf("first incarnation: add(1) = %v, %v", v, err)
+		}
+		first.Close()
+		second := c.NewClient("cli")
+		if v, err := second.Invoke("cnt", "add", []byte{5}); err != nil || fromU64(v) != 6 {
+			t.Fatalf("second incarnation: add(5) = %v, %v; want 6 (1 is the first incarnation's cached reply)", v, err)
+		}
+		replies, err := second.InvokeAll("cnt", "get", nil)
+		if err != nil || len(replies) != replicas {
+			t.Fatalf("get on all replicas: %d replies, %v", len(replies), err)
+		}
+		for node, rep := range replies {
+			if got := fromU64(rep.Result); got != 6 {
+				t.Errorf("%s: counter = %d, want 6", node, got)
+			}
+		}
+		for rank := 1; rank < replicas; rank++ {
+			if d := replobj.FirstTraceDivergence(g.Trace(0), g.Trace(rank)); d != nil {
+				t.Errorf("rank 0 vs rank %d diverged: %v", rank, d)
+			}
+		}
+	})
+}
+
+// TestAbandonedCallNeverRunsAfterALaterOne: a client gives up on call n (its
+// copies are held up in the network past its timeout) and makes call n+1,
+// which is ordered first. When the copies of n arrive and are ordered after
+// all, every replica refuses them: n must not take effect after n+1, which
+// its client made knowing n had failed.
+func TestAbandonedCallNeverRunsAfterALaterOne(t *testing.T) {
+	const replicas, held = 3, 300 * time.Millisecond
+	rt := vtime.Virtual()
+	inner := transport.NewInproc(rt)
+	reg := replobj.NewMetricsRegistry()
+	c := replobj.NewCluster(rt, replobj.WithNetwork(inner), replobj.WithMetrics(reg))
+	g := ckptCounterGroup(t, c, "cnt", replicas, replobj.WithSchedTrace(0))
+	// Only the client sends through the fault layer: every message of its
+	// is held up until Quiesce lets the later ones pass at once.
+	fnet := faultnet.New(rt, inner, faultnet.Profile{Name: "hold", DelayPerMill: 1000, DelayMin: held, DelayMax: held}, 1)
+	run(rt, c, func() {
+		cl := client.New(client.Config{RT: rt, Name: "slow", Directory: c.Directory(), Network: fnet,
+			Timeout: held / 3, Retransmit: held})
+		defer cl.Close()
+		if _, err := cl.Invoke("cnt", "add", []byte{7}); !errors.Is(err, client.ErrTimeout) {
+			t.Fatalf("call 1 = %v, want a timeout", err)
+		}
+		fnet.Quiesce()
+		if v, err := cl.Invoke("cnt", "add", []byte{1}); err != nil || fromU64(v) != 1 {
+			t.Fatalf("call 2: add(1) = %v, %v", v, err)
+		}
+		rt.Sleep(2 * held) // call 1 arrives, is ordered, and is refused
+		replies, err := cl.InvokeAll("cnt", "get", nil)
+		if err != nil || len(replies) != replicas {
+			t.Fatalf("get on all replicas: %d replies, %v", len(replies), err)
+		}
+		for rank, node := range g.Members() {
+			if got := fromU64(replies[node].Result); got != 1 {
+				t.Errorf("%s: counter = %d, want 1: the abandoned add(7) ran", node, got)
+			}
+			// Once at its ordered position, and once more where the member's
+			// own copy arrived after the sequencer's.
+			if n := reg.Counter(`replobj_replica_duplicate_expired_total{node="` + string(node) + `"}`).Value(); n < 1 {
+				t.Errorf("%s refused no request as expired", node)
+			}
+			if d := replobj.FirstTraceDivergence(g.Trace(0), g.Trace(rank)); d != nil {
+				t.Errorf("rank 0 vs rank %d diverged: %v", rank, d)
+			}
+		}
+		if count, _ := g.Trace(0).Digest("order"); count < 3 {
+			t.Errorf("order stream has %d events: the abandoned call was never ordered", count)
 		}
 	})
 }

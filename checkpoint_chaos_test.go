@@ -2,6 +2,8 @@ package replobj_test
 
 import (
 	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,6 +13,7 @@ import (
 	"github.com/replobj/replobj/internal/gcs"
 	"github.com/replobj/replobj/internal/transport"
 	"github.com/replobj/replobj/internal/vtime"
+	"github.com/replobj/replobj/internal/wire"
 )
 
 // ckptCounter is the counter state with an explicit serialization, so
@@ -46,6 +49,16 @@ func ckptCounterGroup(t *testing.T, c *replobj.Cluster, name string, n int, opts
 		}
 		defer func() { _ = inv.Unlock("state") }()
 		return u64(st.v), nil
+	})
+	// wait: a timed wait nobody notifies, of args[0] × 10 ms (schedulers
+	// with condition variables only).
+	g.Register("wait", func(inv *replobj.Invocation) ([]byte, error) {
+		if err := inv.Lock("state"); err != nil {
+			return nil, err
+		}
+		defer func() { _ = inv.Unlock("state") }()
+		_, err := inv.Wait("state", "never", time.Duration(inv.Args()[0])*10*time.Millisecond)
+		return nil, err
 	})
 	g.Start()
 	return g
@@ -284,4 +297,106 @@ func TestPDSArtificialRequestsFullStreamDeterminism(t *testing.T) {
 			rt.Stop()
 		})
 	}
+}
+
+// TestChaosRejoinerBroadcastDuringPartition: a follower of a timed-wait
+// group is cut off while a wait times out, so it broadcasts the timeout —
+// every replica does, and the others order one copy — into a partition. The
+// view excludes it, checkpoints move the log floor past it, and it rejoins
+// by snapshot, which skips the Ordered of its own broadcast. Its broadcast
+// is ordered once, the digests agree, and it sends no submit once it has
+// caught up: its FD tick would resend every ResubmitAfter anything still
+// cached, so silence over a second is the cache emptied (the sequencer
+// answered the resend with the position).
+func TestChaosRejoinerBroadcastDuringPartition(t *testing.T) {
+	const (
+		replicas = 3
+		every    = 8
+		wait     = 200 * time.Millisecond // "wait" with argument 20
+	)
+	rt := vtime.Virtual()
+	reg := replobj.NewMetricsRegistry()
+	fnet := faultnet.New(rt, transport.NewInproc(rt), faultnet.Mild(), chaosSeed)
+	rejoiner := wire.ReplicaID("cnt", 2)
+	var counting, resent atomic.Int64
+	watched := transport.NewWrappedNetwork(fnet, func(from, _ wire.NodeID, p any, _ func()) bool {
+		if _, ok := p.(gcs.Submit); ok && from == rejoiner && counting.Load() == 1 {
+			resent.Add(1)
+		}
+		return false
+	})
+	c := replobj.NewCluster(rt, replobj.WithNetwork(watched), replobj.WithMetrics(reg))
+	g := ckptCounterGroup(t, c, "cnt", replicas,
+		append(chaosGroupOpts(replobj.ADSAT, 1), replobj.WithCheckpointEvery(every))...)
+	if g.Members()[2] != rejoiner {
+		t.Fatalf("rank 2 is %s, want %s", g.Members()[2], rejoiner)
+	}
+
+	run(rt, c, func() {
+		invoke := func(name, method string, n int) {
+			cl := c.NewClient(name,
+				replobj.WithRetransmit(300*time.Millisecond),
+				replobj.WithInvocationTimeout(60*time.Second))
+			for i := 0; i < n; i++ {
+				if _, err := cl.Invoke("cnt", method, []byte{1}); err != nil {
+					t.Fatalf("chaos seed %d: %s %s %d: %v", chaosSeed, name, method, i, err)
+				}
+			}
+		}
+		invoke("warm", "add", 4)
+
+		// The wait is ordered everywhere; the follower is cut off before its
+		// timer fires, so it broadcasts the timeout into the partition.
+		waited := vtime.NewMailbox[bool](rt, "waited")
+		rt.Go("client/waiter", func() {
+			cl := c.NewClient("waiter", replobj.WithInvocationTimeout(60*time.Second))
+			_, err := cl.Invoke("cnt", "wait", []byte{byte(wait / (10 * time.Millisecond))})
+			waited.Put(err == nil)
+		})
+		rt.Sleep(wait / 4)
+		fnet.Crash(rejoiner)
+		if ok, _ := waited.Get(); !ok {
+			t.Fatalf("chaos seed %d: the wait failed", chaosSeed)
+		}
+		rt.Sleep(600 * time.Millisecond) // the view excludes it
+
+		invoke("past", "add", 3*every) // checkpoints move the floor past it
+		fnet.Restore(rejoiner)
+		rt.Sleep(1200 * time.Millisecond)
+		fnet.Quiesce()
+		rt.Sleep(1500 * time.Millisecond)
+		if n := reg.Counter(`replobj_gcs_snapshots_installed_total{node="` + string(rejoiner) + `"}`).Value(); n == 0 {
+			t.Fatalf("chaos seed %d: the rejoiner caught up without a snapshot — scenario vacuous", chaosSeed)
+		}
+		invoke("reader", "get", 1) // its first copy goes to every member, the rejoiner relays it
+		rt.Sleep(100 * time.Millisecond)
+
+		counting.Store(1)
+		rt.Sleep(time.Second)
+		counting.Store(0)
+		if n := resent.Load(); n != 0 {
+			t.Errorf("chaos seed %d: the rejoiner sent %d submits in a quiet second after catching up, want 0", chaosSeed, n)
+		}
+
+		// The timeout every replica broadcast took one position.
+		timeouts := map[string]int{}
+		for _, ev := range g.Trace(0).Snapshot()["order"].Events {
+			if strings.HasPrefix(ev.Subject, "adets-timeout/") {
+				timeouts[ev.Subject]++
+			}
+		}
+		if len(timeouts) == 0 {
+			t.Errorf("chaos seed %d: no timeout was ordered — scenario vacuous", chaosSeed)
+		}
+		for id, n := range timeouts {
+			if n != 1 {
+				t.Errorf("chaos seed %d: %s ordered %d times, want once", chaosSeed, id, n)
+			}
+		}
+		for rank := 1; rank < replicas; rank++ {
+			if d := replobj.FirstTraceDivergence(g.Trace(0), g.Trace(rank)); d != nil {
+				t.Errorf("chaos seed %d: rank 0 vs rank %d diverged: %v", chaosSeed, rank, d)
+			}
+		}
+	})
 }

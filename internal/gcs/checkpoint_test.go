@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/replobj/replobj/internal/vtime"
 	"github.com/replobj/replobj/internal/wire"
 )
 
@@ -69,27 +70,123 @@ func TestNackBelowFloorServesSnapshot(t *testing.T) {
 	})
 }
 
-// TestSnapshotInstallForgetsOthersSubmits: a snapshot stands in for
-// deliveries whose ids the member never learns, so the cached copies of what
-// others submitted go with it — the sequencer drops a relay of an ordered id
-// silently, and the FD tick would resend them for ever. Its own broadcasts,
-// which nobody else would resend, stay.
-func TestSnapshotInstallForgetsOthersSubmits(t *testing.T) {
-	h := newHarness(3, false)
-	h.run(func() {
-		m := h.members[1]
-		var act actions
-		h.rt.Lock()
-		m.cacheSubmitLocked(Submit{Group: h.group, ID: "theirs", Origin: "client/c1"})
-		m.cacheSubmitLocked(Submit{Group: h.group, ID: "own", Origin: m.cfg.Self})
-		m.handleSnapshotLocked(Snapshot{Group: h.group, Seq: 5, Data: []byte("snapimage")}, &act)
-		_, theirs := m.submitCache["theirs"]
-		_, own := m.submitCache["own"]
-		h.rt.Unlock()
-		if theirs || !own {
-			t.Errorf("after the install the cache holds theirs: %v, own: %v; want false, true", theirs, own)
-		}
-	})
+// TestSnapshotSettlesCachedSubmits: a member that skips a stretch of the
+// order by snapshot still holds the submits that stretch settled — its own
+// broadcast and the client copies it relayed. Its FD tick resends them, and
+// the sequencer's answers settle them: the retained Ordered (a
+// retransmission of its own broadcast) or, once the log has let go of that,
+// the position alone (a Hint). Within two resubmit periods the cache is
+// empty, and the member sends no submit after that.
+func TestSnapshotSettlesCachedSubmits(t *testing.T) {
+	for _, truncated := range []bool{false, true} {
+		t.Run(map[bool]string{false: "the log holds the Ordered", true: "the log has let go of it"}[truncated], func(t *testing.T) {
+			var fr frames
+			h := newHarnessCfg(3, true, fr.hook)
+			h.run(func() {
+				seqr, m2 := h.members[0], h.members[2]
+				cl := h.net.Endpoint(wire.ClientID("c1"))
+				defer cl.Close()
+				h.rt.Sleep(30 * time.Millisecond) // establish liveness
+				// Shorter than SuspectAfter, so no view change: member 2 sees
+				// none of the sequencer's frames while its broadcast and three
+				// client requests are ordered.
+				h.net.SetDropRule(func(from, to wire.NodeID) bool { return from == h.ids[0] && to == h.ids[2] })
+				m2.Broadcast("own", appMsg{Body: "x"})
+				for i := 0; i < 3; i++ {
+					h.submitFromClient(cl, fmt.Sprintf("theirs%d", i), "x")
+				}
+				take(t, h.rt, seqr, 4)
+				h.rt.Sleep(5 * time.Millisecond) // member 2 has every client copy
+				if truncated {
+					seqr.SetCheckpoint(4, []byte("snapimage"))
+				}
+				m2.Handle(h.ids[0], Snapshot{Group: h.group, Seq: 4, Data: []byte("snapimage")})
+				h.rt.Lock()
+				held := len(m2.submitCache)
+				h.rt.Unlock()
+				if held != 4 {
+					t.Fatalf("member 2 caches %d submits after the install, want 4 (its own, three relayed)", held)
+				}
+				h.rt.Sleep(30 * time.Millisecond)
+				h.net.SetDropRule(nil)
+				if truncated {
+					h.rt.Sleep(30 * time.Millisecond) // member 2's ack lets the log go
+					if n := seqr.LogLen(); n != 0 {
+						t.Fatalf("sequencer retains %d ordered messages, want 0 below the checkpoint", n)
+					}
+				}
+				h.rt.Sleep(2*seqr.cfg.ResubmitAfter - 30*time.Millisecond)
+				h.rt.Lock()
+				left := len(m2.submitCache)
+				h.rt.Unlock()
+				if left != 0 {
+					t.Errorf("member 2 still caches %d submits two resubmit periods after the install", left)
+				}
+				before := fr.count(h.ids[2], "Submit", "")
+				h.rt.Sleep(time.Second)
+				if n := fr.count(h.ids[2], "Submit", "") - before; n != 0 {
+					t.Errorf("member 2 sent %d submits in the second after, want 0", n)
+				}
+			})
+		})
+	}
+}
+
+// TestRepairFrom is the repair function on its own: what repairLocked
+// queues for one peer, given the log's floor and the checkpoint. Each case
+// is named by its precondition and postcondition.
+func TestRepairFrom(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		lo, hi, snap  uint64 // the log holds [lo, hi); the checkpoint stands at snap
+		from          uint64
+		wantSnap      bool
+		wantFirst, nO uint64 // Ordered messages sent: nO of them, from wantFirst up
+	}{
+		{name: "inside the log: the burst from there, no checkpoint",
+			lo: 10, hi: 21, snap: 9, from: 15, wantFirst: 15, nO: 6},
+		{name: "below the log and covered by the checkpoint: the checkpoint, then the log above it",
+			lo: 13, hi: 21, snap: 12, from: 5, wantSnap: true, wantFirst: 13, nO: 8},
+		{name: "below the log, not covered by the checkpoint: the log from its floor",
+			lo: 13, hi: 21, snap: 3, from: 5, wantFirst: 13, nO: 8},
+		{name: "at the top of the log: nothing",
+			lo: 10, hi: 21, snap: 9, from: 21},
+		{name: "far behind a long log: the burst bound holds",
+			lo: 1, hi: 1001, from: 1, wantFirst: 1, nO: repairBurst},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewMember(vtime.Virtual(), Config{Group: "g", Self: "a", Members: []wire.NodeID{"a", "b"}})
+			for seq := uint64(1); seq < tc.hi; seq++ {
+				m.log.put(Ordered{Group: "g", Seq: seq, ID: fmt.Sprint("m", seq)})
+			}
+			m.log.dropBelow(tc.lo)
+			m.snapSeq, m.snapData = tc.snap, []byte("snapimage")
+			var act actions
+			m.repairLocked("b", tc.from, &act)
+			sent := append(act.first[:act.nfirst:act.nfirst], act.rest...)
+			gotSnap := false
+			if len(sent) > 0 {
+				_, gotSnap = sent[0].payload.(Snapshot)
+			}
+			if gotSnap != tc.wantSnap {
+				t.Fatalf("checkpoint sent first: %v, want %v", gotSnap, tc.wantSnap)
+			}
+			if gotSnap {
+				if p := sent[0].payload.(Snapshot); p.Seq != tc.snap {
+					t.Errorf("checkpoint at %d, want %d", p.Seq, tc.snap)
+				}
+				sent = sent[1:]
+			}
+			if uint64(len(sent)) != tc.nO {
+				t.Fatalf("%d Ordered messages sent, want %d", len(sent), tc.nO)
+			}
+			for i, s := range sent {
+				if o := s.payload.(Ordered); s.to != "b" || o.Seq != tc.wantFirst+uint64(i) {
+					t.Errorf("message %d: seq %d to %s, want seq %d to b", i, o.Seq, s.to, tc.wantFirst+uint64(i))
+				}
+			}
+		})
+	}
 }
 
 // TestBackToBackProposalsDropStaleSyncState: when a second view proposal

@@ -14,7 +14,8 @@
 // The protocol is a fixed-sequencer total order: the lowest-ranked live
 // member sequences. On suspicion of a member, a new view is proposed; the
 // new sequencer synchronizes ordered-message tails from all live members,
-// rebroadcasts the union, and resumes numbering in the same sequence space.
+// catches each member up from the union, and resumes numbering in the same
+// sequence space.
 //
 // Assumptions (documented limits, adequate for the paper's experiments):
 // crash-stop failures, at most a minority of a group failing, and an
@@ -95,8 +96,10 @@ type Submit struct {
 
 // TraceCtx delegates to the nested payload, so the transport can annotate
 // a traced submit in flight without knowing the payload type.
-func (s Submit) TraceCtx() tracing.Context {
-	if t, ok := s.Payload.(tracing.Traced); ok {
+func (s Submit) TraceCtx() tracing.Context { return traceCtx(s.Payload) }
+
+func traceCtx(payload any) tracing.Context {
+	if t, ok := payload.(tracing.Traced); ok {
 		return t.TraceCtx()
 	}
 	return tracing.Context{}
@@ -117,12 +120,7 @@ type Ordered struct {
 }
 
 // TraceCtx delegates to the payload, as Submit's does.
-func (o Ordered) TraceCtx() tracing.Context {
-	if t, ok := o.Payload.(tracing.Traced); ok {
-		return t.TraceCtx()
-	}
-	return tracing.Context{}
-}
+func (o Ordered) TraceCtx() tracing.Context { return traceCtx(o.Payload) }
 
 // Nack requests retransmission of ordered messages starting at Want.
 type Nack struct {
@@ -155,14 +153,18 @@ type Snapshot struct {
 	Data  []byte
 }
 
-// Hint is the sequencer's spontaneous-order announcement: on accepting a
-// fresh submit for ordering it predicts the sequence number the submit
-// will take (exact in steady state, wrong across view changes or
+// Hint is a position the sequencer names for a message id, in two cases.
+// The spontaneous-order announcement (with Config.HintDeliver set): on
+// accepting a fresh submit for ordering it predicts the sequence number the
+// submit will take (exact in steady state, wrong across view changes or
 // resubmit races) and broadcasts the prediction immediately, before the
 // ordering round completes. Replicas use hints purely as speculation
 // fuel — a wrong hint costs a discarded speculative execution, never
 // correctness, because speculations are validated against the confirmed
-// position at the ordered dispatch point.
+// position at the ordered dispatch point. And the answer to a member's copy
+// of an id already ordered, to that member alone: a Hint below the
+// receiver's delivery frontier settles its cached submit (a snapshot may have
+// skipped the Ordered) and goes no further.
 type Hint struct {
 	Group wire.GroupID
 	ID    string
@@ -200,6 +202,17 @@ type SyncResp struct {
 	Snap      []byte    // checkpoint state image
 }
 
+// group names the group a protocol payload belongs to (Member.Handle).
+func (p Submit) group() wire.GroupID    { return p.Group }
+func (p Ordered) group() wire.GroupID   { return p.Group }
+func (p Nack) group() wire.GroupID      { return p.Group }
+func (p Heartbeat) group() wire.GroupID { return p.Group }
+func (p Snapshot) group() wire.GroupID  { return p.Group }
+func (p Hint) group() wire.GroupID      { return p.Group }
+func (p Propose) group() wire.GroupID   { return p.Group }
+func (p SyncReq) group() wire.GroupID   { return p.Group }
+func (p SyncResp) group() wire.GroupID  { return p.Group }
+
 func init() {
 	wire.RegisterPayload(Submit{})
 	wire.RegisterPayload(Ordered{})
@@ -210,18 +223,6 @@ func init() {
 	wire.RegisterPayload(SyncResp{})
 	wire.RegisterPayload(Snapshot{})
 	wire.RegisterPayload(Hint{})
-}
-
-// rankSubset returns the members of initial, in rank order, minus the
-// excluded set — the deterministic membership rule every node applies.
-func rankSubset(initial []wire.NodeID, excluded map[wire.NodeID]bool) []wire.NodeID {
-	out := make([]wire.NodeID, 0, len(initial))
-	for _, m := range initial {
-		if !excluded[m] {
-			out = append(out, m)
-		}
-	}
-	return out
 }
 
 // Config configures a group member.
@@ -243,10 +244,10 @@ type Config struct {
 	// HeartbeatEvery is the heartbeat period (default 25ms).
 	HeartbeatEvery time.Duration
 	// SuspectAfter is the silence threshold for suspicion (default 100ms).
+	// A view change's grace periods derive from it: a new sequencer waits
+	// 2×SuspectAfter for the tails of members that stay silent, any other
+	// member twice that for the view before it abandons the install.
 	SuspectAfter time.Duration
-	// SyncGrace bounds how long a new sequencer waits for SyncResps from
-	// members that stay silent (default 2×SuspectAfter).
-	SyncGrace time.Duration
 	// ResubmitAfter is how long a cached submit may stay unordered before
 	// the FD tick re-sends it to the sequencer (default 2×HeartbeatEvery).
 	// Repairs submits lost between a replica and the sequencer. Only active
@@ -284,26 +285,18 @@ type Config struct {
 	// the optimistic-delivery stream speculative execution runs on. The
 	// hook may fire for submits that are never ordered (e.g. lost before
 	// the sequencer) and fires at most once per id per member; the ordered
-	// stream remains the only authority on what executes.
+	// stream remains the only authority on what executes. Setting it makes
+	// the group a direct-copy group: members act on a submitter's own copy,
+	// so submitters send every submit to every member, members never relay
+	// one to the sequencer, and a member whose copy lost the race against
+	// the sequencer's Ordered does not mistake it for a retransmission.
 	OptimisticDeliver func(sub Submit)
 
-	// DirectCopies is set by the replica layer, never by a user, on groups
-	// whose members act on a submitter's own copy before the ordered one
-	// arrives (it goes with OptimisticDeliver). Submitters send every
-	// submit to every member of such a group, so members never relay one
-	// to the sequencer, and a member whose copy lost the race against the
-	// sequencer's Ordered does not mistake it for a retransmission.
-	DirectCopies bool
-
-	// SpecHints, when true, makes the sequencer broadcast a Hint — its
-	// predicted sequence number — for every fresh submit it accepts, the
-	// moment it is accepted (before the ordering round completes). Hints
-	// feed HintDeliver on every member, including the sequencer itself.
-	SpecHints bool
-
 	// HintDeliver, when non-nil, receives sequencer spontaneous-order
-	// hints (outside the runtime lock). Predictions are best-effort; see
-	// Hint.
+	// hints (outside the runtime lock). Setting it makes the sequencer
+	// broadcast a Hint — its predicted sequence number — for every fresh
+	// submit it accepts, before the ordering round completes, to every
+	// member, itself included. Predictions are best-effort; see Hint.
 	HintDeliver func(h Hint)
 
 	// Stats receives protocol metrics. May be nil (all recordings no-op).
@@ -325,9 +318,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.SuspectAfter <= 0 {
 		c.SuspectAfter = 100 * time.Millisecond
-	}
-	if c.SyncGrace <= 0 {
-		c.SyncGrace = 2 * c.SuspectAfter
 	}
 	if c.ResubmitAfter <= 0 {
 		c.ResubmitAfter = 2 * c.HeartbeatEvery

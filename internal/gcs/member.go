@@ -199,8 +199,7 @@ func (m *Member) LogLen() int {
 // communication message for this member's group (consumed), false
 // otherwise.
 func (m *Member) Handle(from wire.NodeID, payload any) bool {
-	group, isGCS := payloadGroup(payload)
-	if !isGCS || group != m.cfg.Group {
+	if p, isGCS := payload.(interface{ group() wire.GroupID }); !isGCS || p.group() != m.cfg.Group {
 		return false
 	}
 	var act actions
@@ -213,7 +212,10 @@ func (m *Member) Handle(from wire.NodeID, payload any) bool {
 			m.noteEpochLocked(p.Epoch)
 			m.handleOrderedLocked(p, &act)
 		case Nack:
-			m.handleNackLocked(p, &act)
+			if st := m.cfg.Stats; st != nil {
+				st.Nacks.Inc()
+			}
+			m.repairLocked(p.From, p.Want, &act)
 		case Heartbeat:
 			m.noteEpochLocked(p.Epoch)
 			if p.Acked > m.peerAcked[p.From] {
@@ -222,14 +224,15 @@ func (m *Member) Handle(from wire.NodeID, payload any) bool {
 			}
 			// Frontier check: a peer knows an ordered seq we never delivered
 			// and no later traffic will open the gap for us — ask the sequencer.
-			if m.installing == nil && p.Epoch == m.view.Epoch &&
-				p.MaxSeq >= m.nextDeliver && m.view.Sequencer() != m.cfg.Self {
-				act.send(m.view.Sequencer(), Nack{Group: m.cfg.Group, From: m.cfg.Self, Want: m.nextDeliver})
+			if m.installing == nil && p.Epoch == m.view.Epoch && p.MaxSeq >= m.nextDeliver {
+				m.nackLocked(&act)
 			}
 		case Snapshot:
 			m.handleSnapshotLocked(p, &act)
 		case Hint:
-			if m.cfg.HintDeliver != nil {
+			if p.Seq < m.nextDeliver {
+				m.settleLocked(p.ID, p.Seq) // an answer to a copy of an ordered id
+			} else if m.cfg.HintDeliver != nil {
 				act.hints = append(act.hints, p)
 			}
 		case Propose:
@@ -237,7 +240,10 @@ func (m *Member) Handle(from wire.NodeID, payload any) bool {
 			m.adoptProposalLocked(p.View, &act)
 		case SyncReq:
 			m.noteEpochLocked(p.View.Epoch)
-			m.handleSyncReqLocked(p, &act)
+			m.adoptProposalLocked(p.View, &act)
+			if p.View.Epoch > m.view.Epoch { // not installed yet: the requester waits for this tail
+				act.send(p.From, m.tailLocked(p.View.Epoch))
+			}
 		case SyncResp:
 			m.handleSyncRespLocked(p, &act)
 		}
@@ -246,34 +252,10 @@ func (m *Member) Handle(from wire.NodeID, payload any) bool {
 	return true
 }
 
-func payloadGroup(payload any) (wire.GroupID, bool) {
-	switch p := payload.(type) {
-	case Submit:
-		return p.Group, true
-	case Ordered:
-		return p.Group, true
-	case Nack:
-		return p.Group, true
-	case Heartbeat:
-		return p.Group, true
-	case Propose:
-		return p.Group, true
-	case SyncReq:
-		return p.Group, true
-	case SyncResp:
-		return p.Group, true
-	case Snapshot:
-		return p.Group, true
-	case Hint:
-		return p.Group, true
-	}
-	return "", false
-}
-
 // --- events ---
 //
-// Every event — Broadcast, Handle, the FD tick, the two view-change grace
-// timers — has one shape: enter, work under the runtime lock while queuing in
+// Every event — Broadcast, Handle, the FD tick, the view-change grace timer —
+// has one shape: enter, work under the runtime lock while queuing in
 // an actions value what must happen without it, leave.
 
 // enter takes the runtime lock and reports whether the member still runs: a
@@ -331,14 +313,17 @@ func (a *actions) send(to wire.NodeID, payload any) {
 	a.rest = append(a.rest, outMsg{to: to, payload: payload})
 }
 
-// sendAll queues payload for every one of members but m itself. The payload
-// is boxed by the caller, once, not once per peer.
-func (a *actions) sendAll(m *Member, members []wire.NodeID, payload any) {
+// sendAll queues payload for every one of members but m itself and reports
+// how many that is. The payload is boxed by the caller, once, not once per
+// peer.
+func (a *actions) sendAll(m *Member, members []wire.NodeID, payload any) (n int) {
 	for _, peer := range members {
 		if peer != m.cfg.Self {
 			a.send(peer, payload)
+			n++
 		}
 	}
+	return n
 }
 
 // finish is the only way out of an event: the queued sends, then the
@@ -394,12 +379,7 @@ func (m *Member) quorumOKLocked(now time.Duration) bool {
 	}
 	alive := 0
 	for _, peer := range m.view.Members {
-		if peer == m.cfg.Self {
-			alive++
-			continue
-		}
-		seen, ok := m.lastSeen[peer]
-		if !ok || now-seen <= m.cfg.SuspectAfter {
+		if seen, heard := m.lastSeen[peer]; peer == m.cfg.Self || !heard || now-seen <= m.cfg.SuspectAfter {
 			alive++
 		}
 	}
@@ -419,27 +399,23 @@ const (
 	// this member is the sequencer, suspended, and must not forward to itself
 	// — it orders its backlog when it resumes or a new view arrives.
 	hold submitVerdict = iota
-	// staleRelay: a member passed on a copy of something already ordered —
-	// another copy got to the sequencer first. Only a copy from its origin
-	// says the origin is still waiting, so this one is dropped: neither
-	// reported nor answered with the log.
-	staleRelay
-	// overtakenFirstCopy: in a direct-copy group the origin sends to every
-	// member, and this member's copy lost the race against the sequencer's
-	// Ordered. Not a retransmission: the execution replies on its own, and a
-	// replay would be a second reply to a client that never asked twice. Only
-	// the report is withheld; the mark is spent and the log is resent as for
-	// a retransmission. The trade: when the direct copy and the reply were
-	// both lost this is the client's first retransmission after all, and the
-	// replay waits for its second — one retransmit interval later.
+	// settled: a copy of an ordered id not from the origin it was ordered
+	// for — a relay, or another sender's copy of an id a whole group submits
+	// (a timeout, a nested request or reply, a migration chunk). Only that
+	// origin's copy says it still waits: neither report nor log re-broadcast.
+	settled
+	// overtakenFirstCopy: in a direct-copy group this member's copy from the
+	// origin lost the race against the sequencer's Ordered. The execution
+	// replies on its own, so only the report is withheld (a replay would be a
+	// second reply); the mark is spent, the log resent as for a
+	// retransmission. When the copy and the reply were both lost, the replay
+	// waits for the client's second retransmission.
 	overtakenFirstCopy
-	// retransmission: the origin sent again something already ordered, so it
-	// is still waiting. The owner hears of it through DuplicateSubmit (the
-	// ordered stream carries no second delivery) and the sequencer resends
-	// the retained log from that position through the frontier: usually
-	// some replica never received the Ordered — the last of a burst, with no
-	// later traffic to draw a NACK — and what was ordered right after it
-	// (a scheduler's mutex-table update, say) may be missing there too.
+	// retransmission: the origin an id was ordered for sent it again, so it
+	// still waits. The owner hears of it through DuplicateSubmit (the stream
+	// carries no second delivery) and the sequencer resends the log from that
+	// position: some replica may lack the Ordered — the last of a burst, no
+	// later traffic to draw a NACK — and what was ordered after it.
 	retransmission
 	// orderHere: this member is the sequencer and may order.
 	orderHere
@@ -453,21 +429,22 @@ const (
 
 // submitCase is everything the verdict on a copy of a submit depends on.
 type submitCase struct {
-	ordered      bool // the id has its position in the order
-	overtaken    bool // ...which got here before the origin's direct copy (see deliverLocked)
-	fromOrigin   bool // sent by the origin itself (a client, a member of another group, this member's Broadcast), not passed on by a member
-	own          bool // this member is the origin
-	first        bool // the id is not in the submit cache: this member's first sight of it
-	sequencer    bool // this member orders now (isSequencerLocked)
-	suspended    bool // it is the installed view's sequencer and may not: quorum lost, or a superseded epoch seen
-	installing   bool // a view change is in progress
-	directCopies bool // cfg.DirectCopies
+	ordered           bool // the id has its position in the order
+	overtaken         bool // ...which got here before the origin's direct copy (see deliverLocked)
+	fromOrigin        bool // sent by the origin itself (a client, a member of another group, this member's Broadcast), not passed on by a member
+	fromOrderedOrigin bool // ...the origin the id was ordered for: the retained Ordered's Origin, or any origin once the log has let go of it
+	own               bool // this member is the origin
+	first             bool // the id is not in the submit cache: this member's first sight of it
+	sequencer         bool // this member orders now (isSequencerLocked)
+	suspended         bool // it is the installed view's sequencer and may not: quorum lost, or a superseded epoch seen
+	installing        bool // a view change is in progress
+	directCopies      bool // a direct-copy group (cfg.OptimisticDeliver set)
 }
 
 func (c submitCase) verdict() submitVerdict {
 	switch {
-	case c.ordered && !c.fromOrigin:
-		return staleRelay
+	case c.ordered && !c.fromOrderedOrigin:
+		return settled
 	case c.ordered && c.overtaken:
 		return overtakenFirstCopy
 	case c.ordered:
@@ -496,26 +473,23 @@ func (m *Member) handleSubmitLocked(from wire.NodeID, sub Submit, act *actions) 
 		sequencer:    orders,
 		suspended:    !orders && m.view.Sequencer() == m.cfg.Self,
 		installing:   m.installing != nil,
-		directCopies: m.cfg.DirectCopies,
+		directCopies: m.cfg.OptimisticDeliver != nil,
+	}
+	if c.ordered && c.fromOrigin {
+		o, held := m.log.get(e.seq)
+		c.fromOrderedOrigin = !held || o.Origin == from
 	}
 	v := c.verdict()
 	switch v {
-	case staleRelay:
-		return
-	case overtakenFirstCopy, retransmission:
+	case settled, overtakenFirstCopy, retransmission:
 		if v == overtakenFirstCopy {
 			e.overtaken = false
 			m.ids[sub.ID] = e
-		} else if m.cfg.DuplicateSubmit != nil {
+		} else if v == retransmission && m.cfg.DuplicateSubmit != nil {
 			act.dups = append(act.dups, dupSubmit{sub: sub, seq: e.seq})
 		}
 		if c.sequencer {
-			const burst = 64
-			for s := e.seq; s < m.nextSeq && s < e.seq+burst; s++ {
-				if o, ok := m.log.get(s); ok {
-					act.sendAll(m, m.view.Members, o)
-				}
-			}
+			m.answerLocked(from, sub.ID, e.seq, v != settled, act)
 		}
 		return
 	}
@@ -537,6 +511,24 @@ func (m *Member) handleSubmitLocked(from wire.NodeID, sub Submit, act *actions) 
 	}
 }
 
+// answerLocked is the sequencer's answer to a copy of an id ordered at seq
+// from `from`: a member other than this one is told the position, which
+// settles it there even past a snapshot; if the origin still waits (resend),
+// every member is brought forward from there, or from the log's floor.
+func (m *Member) answerLocked(from wire.NodeID, id string, seq uint64, resend bool, act *actions) {
+	if from != m.cfg.Self && m.view.Contains(from) {
+		act.send(from, Hint{Group: m.cfg.Group, ID: id, Seq: seq})
+	}
+	if !resend {
+		return
+	}
+	for _, peer := range m.view.Members {
+		if peer != m.cfg.Self {
+			m.repairLocked(peer, max(seq, m.log.lo), act)
+		}
+	}
+}
+
 // sequenceLocked orders a submit the sequencer has not ordered yet. The
 // position is announced before the ordering round — exact in steady state,
 // harmlessly wrong across view changes.
@@ -546,16 +538,14 @@ func (m *Member) sequenceLocked(sub Submit, act *actions) {
 }
 
 // hintLocked queues a spontaneous-order hint for every view member, this
-// one's own HintDeliver included. No-op unless Config.SpecHints is set.
+// one's own HintDeliver included. No-op unless HintDeliver is set.
 func (m *Member) hintLocked(id string, seq uint64, act *actions) {
-	if !m.cfg.SpecHints || id == "" {
+	if m.cfg.HintDeliver == nil || id == "" {
 		return
 	}
 	h := Hint{Group: m.cfg.Group, ID: id, Seq: seq}
 	act.sendAll(m, m.view.Members, h)
-	if m.cfg.HintDeliver != nil {
-		act.hints = append(act.hints, h)
-	}
+	act.hints = append(act.hints, h)
 }
 
 // orderLocked assigns the next sequence number and broadcasts. Only the
@@ -581,7 +571,8 @@ func (m *Member) orderLocked(id string, origin wire.NodeID, payload any, view *V
 
 func (m *Member) handleOrderedLocked(o Ordered, act *actions) {
 	if o.Seq < m.nextDeliver {
-		return // duplicate
+		m.settleLocked(o.ID, o.Seq) // a duplicate, or a repair past a snapshot
+		return
 	}
 	if m.nextSeq <= o.Seq {
 		m.nextSeq = o.Seq + 1 // keep the shared sequence space monotone
@@ -597,13 +588,30 @@ func (m *Member) handleOrderedLocked(o Ordered, act *actions) {
 		m.trimLocked()
 		gap = m.log.hi() > m.nextDeliver
 	}
-	if gap && !act.nacked {
-		// One NACK per event: a new sequencer feeding itself a merged tail
-		// (finishSyncLocked) would otherwise request the same gap once per
-		// message above it.
-		act.nacked = true
-		act.send(m.view.Sequencer(), Nack{Group: m.cfg.Group, From: m.cfg.Self, Want: m.nextDeliver})
+	if gap {
+		m.nackLocked(act)
 	}
+}
+
+// nackLocked asks for the order from the frontier up, once per event, of the
+// sequencer of the view being installed (it catches members up) or else of
+// the installed view's.
+func (m *Member) nackLocked(act *actions) {
+	to := m.view.Sequencer()
+	if m.installing != nil {
+		to = m.installing.Sequencer()
+	}
+	if !act.nacked && to != m.cfg.Self {
+		act.nacked = true
+		act.send(to, Nack{Group: m.cfg.Group, From: m.cfg.Self, Want: m.nextDeliver})
+	}
+}
+
+// settleLocked records that id took position seq, below the delivery
+// frontier: its submit, if this member still holds one, is not resent.
+func (m *Member) settleLocked(id string, seq uint64) {
+	m.markOrderedIDLocked(id, seq)
+	delete(m.submitCache, id)
 }
 
 // deliverReadyLocked delivers what the log holds at the frontier, up to the
@@ -658,7 +666,7 @@ func (m *Member) deliverLocked(o Ordered, act *actions) {
 		}
 	}
 	if o.ID != "" {
-		if m.cfg.DirectCopies && !direct && !m.view.Contains(o.Origin) {
+		if m.cfg.OptimisticDeliver != nil && !direct && !m.view.Contains(o.Origin) {
 			// The Ordered copy got here before the submitter's own, which in
 			// a direct-copy group is on its way. A member's own broadcast
 			// goes to the sequencer alone, and so does a client's request
@@ -707,40 +715,57 @@ func (m *Member) installViewLocked(v View, act *actions) {
 	// The view may have shrunk: the stability watermark no longer waits on
 	// departed members, so retained entries may become truncatable.
 	m.trimLocked()
-	// Resubmit cached submits so nothing that only the crashed sequencer
-	// saw is lost. The new sequencer deduplicates by id.
-	for id := range m.cacheOrder.All() {
-		if c, ok := m.submitCache[id]; !ok {
-			continue
-		} else if m.view.Sequencer() == m.cfg.Self {
-			m.orderLocked(c.sub.ID, c.sub.Origin, c.sub.Payload, nil, act)
-		} else {
-			act.send(m.view.Sequencer(), c.sub)
+	// Nothing that only the crashed sequencer saw may be lost.
+	m.resubmitLocked(0, act)
+}
+
+// --- repair ---
+
+const repairBurst = 256 // a peer further behind asks again
+
+// repairLocked brings peer `to` forward from position from: a NACK's want,
+// a retransmitted id's position, a member's frontier in the sync round.
+// Pre: to lacks from. Post: to has been sent the checkpoint if from lies
+// below the log and the checkpoint covers it; then at most repairBurst
+// messages the log holds, from the next position up (from the log's floor
+// if the checkpoint falls short).
+func (m *Member) repairLocked(to wire.NodeID, from uint64, act *actions) {
+	if from < m.log.lo && from <= m.snapSeq {
+		act.send(to, Snapshot{Group: m.cfg.Group, Seq: m.snapSeq, Data: m.snapData})
+		if st := m.cfg.Stats; st != nil {
+			st.SnapshotsSent.Inc()
+		}
+		from = m.snapSeq + 1
+	}
+	sent := 0
+	for seq := max(from, m.log.lo); seq < m.log.hi() && sent < repairBurst; seq++ {
+		if o, ok := m.log.get(seq); ok {
+			act.send(to, o)
+			sent++
 		}
 	}
 }
 
-func (m *Member) handleNackLocked(n Nack, act *actions) {
-	if st := m.cfg.Stats; st != nil {
-		st.Nacks.Inc()
+// resubmitLocked passes on every cached submit that went toward the
+// sequencer at least age ago: the sequencer orders it, any other member
+// sends it there (answered with its position if ordered meanwhile). Nothing
+// moves while a view is installed; a suspended sequencer holds its backlog.
+func (m *Member) resubmitLocked(age time.Duration, act *actions) {
+	if m.installing != nil {
+		return
 	}
-	start := n.Want
-	if n.Want < m.log.lo && n.Want <= m.snapSeq {
-		// The requested tail has been truncated: bring the peer forward
-		// with the latest checkpoint, then resend what is retained above it.
-		act.send(n.From, Snapshot{Group: m.cfg.Group, Seq: m.snapSeq, Data: m.snapData})
-		if st := m.cfg.Stats; st != nil {
-			st.SnapshotsSent.Inc()
+	now := m.rt.NowLocked()
+	for id := range m.cacheOrder.All() {
+		c, ok := m.submitCache[id]
+		if !ok || m.orderedLocked(id) || now-c.at < age {
+			continue
 		}
-		start = m.snapSeq + 1
-	}
-	// Resend whatever is retained from start upward, a bounded burst.
-	const burst = 256
-	sent := 0
-	for seq := max(start, m.log.lo); seq < m.log.hi() && sent < burst; seq++ {
-		if o, ok := m.log.get(seq); ok {
-			act.send(n.From, o)
-			sent++
+		c.at = now // one resend per age
+		m.submitCache[id] = c
+		if m.isSequencerLocked() {
+			m.sequenceLocked(c.sub, act)
+		} else if m.view.Sequencer() != m.cfg.Self {
+			act.send(m.view.Sequencer(), c.sub)
 		}
 	}
 }
@@ -750,6 +775,7 @@ func (m *Member) handleNackLocked(n Nack, act *actions) {
 // including p.Seq, so pending messages at or below it are dropped and
 // delivery resumes at p.Seq+1. A snapshot behind the delivery frontier is
 // stale and ignored — everything it covers was already delivered here.
+// What it settled stays cached until a resend draws the position.
 func (m *Member) handleSnapshotLocked(p Snapshot, act *actions) {
 	if p.Seq < m.nextDeliver || len(p.Data) == 0 {
 		return
@@ -762,18 +788,6 @@ func (m *Member) handleSnapshotLocked(p Snapshot, act *actions) {
 	}
 	m.deliveries.PutLocked(Delivery{Seq: p.Seq, Snapshot: p.Data})
 	m.nextDeliver = p.Seq + 1
-	// A delivery takes its submit out of the cache; the snapshot stands in
-	// for deliveries whose ids this member never learns, and the sequencer
-	// drops a relay of an ordered id without a word (staleRelay) — the FD
-	// tick would resend such a submit for ever. So what others submitted is
-	// forgotten here: their origins send again until they are answered, or
-	// sent to every member in the first place. This member's own broadcasts
-	// stay, since nobody else would resend those.
-	for id, c := range m.submitCache {
-		if c.sub.Origin != m.cfg.Self {
-			delete(m.submitCache, id)
-		}
-	}
 	// Adopt the checkpoint as our own so we can serve it onward and
 	// truncate the (now irrelevant) retained prefix.
 	if p.Seq > m.snapSeq {
@@ -791,7 +805,7 @@ const maxTrackedIDs = 1 << 14
 // id was ordered at, 0 while this member has only broadcast it; sentAt is
 // when it did (own ids, with cfg.Stats), until the delivery has been timed.
 // overtaken marks an id this member delivered before it saw the origin's
-// direct copy (only with cfg.DirectCopies, see handleSubmitLocked).
+// direct copy (only in direct-copy groups, see handleSubmitLocked).
 type idEntry struct {
 	seq       uint64
 	sentAt    time.Duration

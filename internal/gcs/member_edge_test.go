@@ -210,7 +210,7 @@ func (d *dupCounter) count(id wire.NodeID) int {
 func TestOvertakenSubmitIsNotADuplicate(t *testing.T) {
 	var dc dupCounter
 	h := newHarnessCfg(3, false, func(c *Config) {
-		c.DirectCopies = true
+		c.OptimisticDeliver = func(Submit) {}
 		dc.hook(c)
 	})
 
@@ -289,7 +289,7 @@ func TestPlainGroupReplaysFirstDirectArrival(t *testing.T) {
 // direct copy — and must not keep a mark waiting for one, direct-copy group
 // or not.
 func TestMemberBroadcastLeavesNoOvertakenMark(t *testing.T) {
-	h := newHarnessCfg(3, false, func(c *Config) { c.DirectCopies = true })
+	h := newHarnessCfg(3, false, func(c *Config) { c.OptimisticDeliver = func(Submit) {} })
 	h.run(func() {
 		h.members[1].Broadcast("nested", appMsg{Body: "x"})
 		for _, m := range h.members {

@@ -1,48 +1,27 @@
 package gcs
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/replobj/replobj/internal/obs"
+	"github.com/replobj/replobj/internal/transport"
 	"github.com/replobj/replobj/internal/wire"
 )
 
 // These tests cover the relay rule: a client sends a request to one member;
 // a non-sequencer that gets it straight from its origin passes it on.
 
-// traffic counts messages per sender through the network's drop hook
-// (which drops nothing).
-type traffic struct {
-	mu   sync.Mutex
-	sent map[wire.NodeID]int
-}
-
-func watchTraffic(h *harness) *traffic {
-	tr := &traffic{sent: make(map[wire.NodeID]int)}
-	h.net.SetDropRule(func(from, _ wire.NodeID) bool {
-		tr.mu.Lock()
-		tr.sent[from]++
-		tr.mu.Unlock()
-		return false
-	})
-	return tr
-}
-
-func (tr *traffic) from(id wire.NodeID) int {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.sent[id]
-}
-
 // TestFollowerRelaysFreshClientSubmit: with failure detection off nothing
 // but the relay ever takes a submit from a follower to the sequencer.
 func TestFollowerRelaysFreshClientSubmit(t *testing.T) {
 	reg := obs.NewRegistry()
-	h := newHarnessCfg(3, false, func(c *Config) { c.Stats = NewStats(reg, string(c.Self)) })
+	var fr frames
+	h := newHarnessCfg(3, false, func(c *Config) { c.Stats = NewStats(reg, string(c.Self)); fr.hook(c) })
 	h.run(func() {
-		tr := watchTraffic(h)
 		cl := h.net.Endpoint(wire.ClientID("c1"))
 		defer cl.Close()
 		cl.Send(h.ids[1], Submit{Group: h.group, ID: "m1", Origin: cl.ID(), Payload: appMsg{Body: "x"}})
@@ -53,7 +32,7 @@ func TestFollowerRelaysFreshClientSubmit(t *testing.T) {
 		}
 		h.rt.Sleep(10 * time.Millisecond)
 		// One relay, two Ordered, nothing else: no member relays a relay.
-		if a, b, c := tr.from(h.ids[0]), tr.from(h.ids[1]), tr.from(h.ids[2]); a != 2 || b != 1 || c != 0 {
+		if a, b, c := fr.count(h.ids[0], "", ""), fr.count(h.ids[1], "", ""), fr.count(h.ids[2], "", ""); a != 2 || b != 1 || c != 0 {
 			t.Errorf("messages sent by members 0/1/2 = %d/%d/%d, want 2/1/0", a, b, c)
 		}
 		for i, want := range []uint64{0, 1, 0} {
@@ -64,30 +43,77 @@ func TestFollowerRelaysFreshClientSubmit(t *testing.T) {
 	})
 }
 
-// TestRelayOfOrderedIDIsSilent: when a client addresses every member, the
-// followers' relays reach the sequencer after the client's own copy. They
-// are not retransmissions: no DuplicateSubmit report, no log re-broadcast.
-// The origin's own second copy still is one.
-func TestRelayOfOrderedIDIsSilent(t *testing.T) {
+// frames records what members send, by payload type and id, through a
+// wrapped Config.Send (hook it with newHarnessCfg).
+type frames struct {
+	mu   sync.Mutex
+	sent []frame
+}
+
+type frame struct {
+	from     wire.NodeID
+	kind, id string // kind: "Submit", "Ordered", "Hint", …
+}
+
+func (f *frames) hook(c *Config) {
+	send, self := c.Send, c.Self
+	c.Send = func(to wire.NodeID, p any) {
+		fr := frame{from: self, kind: strings.TrimPrefix(fmt.Sprintf("%T", p), "gcs.")}
+		switch p := p.(type) {
+		case Submit:
+			fr.id = p.ID
+		case Ordered:
+			fr.id = p.ID
+		case Hint:
+			fr.id = p.ID
+		}
+		f.mu.Lock()
+		f.sent = append(f.sent, fr)
+		f.mu.Unlock()
+		send(to, p)
+	}
+}
+
+// count returns how many frames of kind from sent, for id ("" = any kind,
+// any id).
+func (f *frames) count(from wire.NodeID, kind, id string) (n int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, fr := range f.sent {
+		if fr.from == from && (kind == "" || fr.kind == kind) && (id == "" || fr.id == id) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestStaleRelayIsAnsweredWithItsPosition: when a client addresses every
+// member, the followers' relays reach the sequencer after the client's own
+// copy. They are not retransmissions — no DuplicateSubmit report, no log
+// re-broadcast — but each relayer is told the position, one Hint, which is
+// what settles its copy should it never see the Ordered. The origin's own
+// second copy still is a retransmission, reported on every member.
+func TestStaleRelayIsAnsweredWithItsPosition(t *testing.T) {
 	var dc dupCounter
-	h := newHarnessCfg(3, false, dc.hook)
+	var fr frames
+	h := newHarnessCfg(3, false, func(c *Config) { dc.hook(c); fr.hook(c) })
 	h.run(func() {
-		tr := watchTraffic(h)
 		cl := h.net.Endpoint(wire.ClientID("c1"))
 		defer cl.Close()
+		seqr := h.ids[0]
 		h.submitFromClient(cl, "m1", "x")
 		for _, m := range h.members {
 			take(t, h.rt, m, 1)
 		}
 		h.rt.Sleep(10 * time.Millisecond)
-		if b, c := tr.from(h.ids[1]), tr.from(h.ids[2]); b != 1 || c != 1 {
-			t.Fatalf("followers sent %d/%d messages, want one relay each", b, c)
+		if b, c := fr.count(h.ids[1], "Submit", ""), fr.count(h.ids[2], "Submit", ""); b != 1 || c != 1 {
+			t.Fatalf("followers sent %d/%d submits, want one relay each", b, c)
 		}
-		if n := dc.count(h.ids[0]); n != 0 {
+		if n := dc.count(seqr); n != 0 {
 			t.Errorf("sequencer reported %d relays as duplicate submits, want 0", n)
 		}
-		if n := tr.from(h.ids[0]); n != 2 {
-			t.Errorf("sequencer sent %d messages, want 2 (one Ordered per follower, no re-broadcast)", n)
+		if o, hi := fr.count(seqr, "Ordered", ""), fr.count(seqr, "Hint", "m1"); o != 2 || hi != 2 {
+			t.Errorf("sequencer sent %d Ordered and %d Hints, want 2 and 2 (one position per relaying follower, no re-broadcast)", o, hi)
 		}
 
 		h.submitFromClient(cl, "m1", "x") // the origin asks again
@@ -97,26 +123,88 @@ func TestRelayOfOrderedIDIsSilent(t *testing.T) {
 				t.Errorf("%s: retransmission reported %d times, want 1", id, n)
 			}
 		}
-		if n := tr.from(h.ids[0]); n != 4 {
-			t.Errorf("sequencer sent %d messages, want 4 (the retransmission re-broadcasts the log)", n)
+		if o, hi := fr.count(seqr, "Ordered", ""), fr.count(seqr, "Hint", ""); o != 4 || hi != 2 {
+			t.Errorf("sequencer sent %d Ordered and %d Hints in all, want 4 and 2 (the retransmission re-broadcasts the log)", o, hi)
 		}
-		if b, c := tr.from(h.ids[1]), tr.from(h.ids[2]); b != 1 || c != 1 {
-			t.Errorf("followers sent %d/%d messages, want no relay of a retransmission", b, c)
+		if b, c := fr.count(h.ids[1], "Submit", ""), fr.count(h.ids[2], "Submit", ""); b != 1 || c != 1 {
+			t.Errorf("followers sent %d/%d submits, want no relay of a retransmission", b, c)
 		}
+	})
+}
+
+// TestGroupWideSubmitIsNotARetransmission: an id that several senders
+// submit — an ordered timeout every replica broadcasts, a nested request or
+// reply every replica of the caller sends — is ordered once, and no second
+// copy is taken for a client retransmission: nothing is reported, the log is
+// not re-broadcast. Copies from members are answered with the position.
+func TestGroupWideSubmitIsNotARetransmission(t *testing.T) {
+	const n = 50
+	check := func(t *testing.T, h *harness, dc *dupCounter, fr *frames, maxHints int) {
+		t.Helper()
+		for _, m := range h.members {
+			take(t, h.rt, m, n)
+		}
+		h.rt.Sleep(10 * time.Millisecond)
+		seqr := h.ids[0]
+		for i := 0; i < n; i++ {
+			id := fmt.Sprintf("g%02d", i)
+			if o, hi := fr.count(seqr, "Ordered", id), fr.count(seqr, "Hint", id); o != 2 || hi > maxHints {
+				t.Errorf("%s: sequencer sent %d Ordered and %d Hints, want 2 and at most %d", id, o, hi, maxHints)
+			}
+		}
+		for _, id := range h.ids {
+			if d := dc.count(id); d != 0 {
+				t.Errorf("%s reported %d duplicate submits, want 0", id, d)
+			}
+		}
+	}
+	t.Run("every member broadcasts", func(t *testing.T) {
+		var dc dupCounter
+		var fr frames
+		h := newHarnessCfg(3, false, func(c *Config) { dc.hook(c); fr.hook(c) })
+		h.run(func() {
+			for i := 0; i < n; i++ {
+				for _, m := range h.members {
+					m.Broadcast(fmt.Sprintf("g%02d", i), appMsg{Body: "t"})
+				}
+			}
+			check(t, h, &dc, &fr, 2) // one position per follower's copy
+		})
+	})
+	t.Run("three origins outside the group", func(t *testing.T) {
+		var dc dupCounter
+		var fr frames
+		h := newHarnessCfg(3, false, func(c *Config) { dc.hook(c); fr.hook(c) })
+		h.run(func() {
+			var origins []transport.Endpoint // the replicas of a calling group
+			for rank := 0; rank < 3; rank++ {
+				origins = append(origins, h.net.Endpoint(wire.ReplicaID("caller", rank)))
+				defer origins[rank].Close()
+			}
+			for i := 0; i < n; i++ {
+				for _, o := range origins {
+					h.submitFromClient(o, fmt.Sprintf("g%02d", i), "t")
+				}
+			}
+			// Each follower relays the first copy it sees (it cannot tell a
+			// copy sent to every member from a client's only one); the
+			// sequencer answers that stale relay with the position.
+			check(t, h, &dc, &fr, 2)
+		})
 	})
 }
 
 // TestDirectCopyGroupRelaysNothing: members of a direct-copy group expect
 // the submitter to address all of them, the sequencer included.
 func TestDirectCopyGroupRelaysNothing(t *testing.T) {
-	h := newHarnessCfg(3, false, func(c *Config) { c.DirectCopies = true })
+	var fr frames
+	h := newHarnessCfg(3, false, func(c *Config) { c.OptimisticDeliver = func(Submit) {}; fr.hook(c) })
 	h.run(func() {
-		tr := watchTraffic(h)
 		cl := h.net.Endpoint(wire.ClientID("c1"))
 		defer cl.Close()
 		cl.Send(h.ids[1], Submit{Group: h.group, ID: "m1", Origin: cl.ID(), Payload: appMsg{Body: "x"}})
 		h.rt.Sleep(50 * time.Millisecond)
-		if n := tr.from(h.ids[1]); n != 0 {
+		if n := fr.count(h.ids[1], "", ""); n != 0 {
 			t.Errorf("follower of a direct-copy group sent %d messages, want 0", n)
 		}
 		// Its own broadcasts still go to the sequencer.
@@ -131,9 +219,9 @@ func TestDirectCopyGroupRelaysNothing(t *testing.T) {
 // sequencer is not settled; the submit stays cached and installing the view
 // resubmits it.
 func TestNoRelayDuringViewInstall(t *testing.T) {
-	h := newHarness(3, false)
+	var fr frames
+	h := newHarnessCfg(3, false, fr.hook)
 	h.run(func() {
-		tr := watchTraffic(h)
 		cl := h.net.Endpoint(wire.ClientID("c1"))
 		defer cl.Close()
 		next := View{Epoch: 1, Members: h.ids[1:]}
@@ -142,7 +230,7 @@ func TestNoRelayDuringViewInstall(t *testing.T) {
 		h.rt.Unlock()
 		cl.Send(h.ids[2], Submit{Group: h.group, ID: "m1", Origin: cl.ID(), Payload: appMsg{Body: "x"}})
 		h.rt.Sleep(10 * time.Millisecond)
-		if n := tr.from(h.ids[2]); n != 0 {
+		if n := fr.count(h.ids[2], "", ""); n != 0 {
 			t.Errorf("member sent %d messages while installing a view, want 0", n)
 		}
 		h.rt.Lock()

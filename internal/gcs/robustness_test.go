@@ -110,7 +110,7 @@ func TestQuorumBlocksMinorityProgress(t *testing.T) {
 func TestResumedSequencerHintsItsBacklogLocally(t *testing.T) {
 	var hints [3]atomic.Int32
 	h := newHarnessCfg(3, true, func(c *Config) {
-		c.Quorum, c.SpecHints = true, true
+		c.Quorum = true
 		for rank := range hints {
 			if c.Self == wire.ReplicaID(c.Group, rank) {
 				c.HintDeliver = func(Hint) { hints[rank].Add(1) }

@@ -11,7 +11,9 @@ type Stats struct {
 	Nacks       *obs.Counter
 	ViewChanges *obs.Counter
 	Heartbeats  *obs.Counter
-	Suspicions  *obs.Counter
+	// Suspicions counts the view members left out of a view this member
+	// proposed.
+	Suspicions *obs.Counter
 	// SubmitsRelayed counts submits this member received straight from
 	// their origin while not the sequencer, and passed on to it. Clients
 	// address the sequencer, so outside a client's first request to a group

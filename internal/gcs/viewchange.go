@@ -2,8 +2,8 @@ package gcs
 
 import (
 	"slices"
-	"sort"
 	"strconv"
+	"time"
 
 	"github.com/replobj/replobj/internal/wire"
 )
@@ -30,104 +30,84 @@ func (m *Member) fdTick() {
 	m.scheduleFDTick()
 }
 
+// fdTickLocked is heartbeat → membership decision → adoptProposalLocked →
+// resend of the submits that have sat unordered for ResubmitAfter (the
+// submit or its Ordered was lost, or a snapshot skipped the Ordered).
 func (m *Member) fdTickLocked(act *actions) {
 	now := m.rt.NowLocked()
-	hb := Heartbeat{
-		Group:  m.cfg.Group,
-		From:   m.cfg.Self,
-		Epoch:  m.view.Epoch,
-		MaxSeq: m.nextSeq - 1,
-		Acked:  m.nextDeliver - 1,
-	}
+	hb := Heartbeat{Group: m.cfg.Group, From: m.cfg.Self, Epoch: m.view.Epoch, MaxSeq: m.nextSeq - 1, Acked: m.nextDeliver - 1}
+	sent := act.sendAll(m, m.view.Members, hb)
 	for _, peer := range m.view.Members {
-		if peer != m.cfg.Self {
-			act.send(peer, hb)
-			if st := m.cfg.Stats; st != nil {
-				st.Heartbeats.Inc()
-			}
-		}
-	}
-	// Suspect silent members of the current view.
-	suspects := make(map[wire.NodeID]bool)
-	for _, peer := range m.view.Members {
-		if peer == m.cfg.Self {
-			continue
-		}
-		seen, ok := m.lastSeen[peer]
-		if !ok {
+		if _, heard := m.lastSeen[peer]; !heard && peer != m.cfg.Self {
 			m.lastSeen[peer] = now // never heard from it: start the clock
-			continue
-		}
-		if now-seen > m.cfg.SuspectAfter {
-			suspects[peer] = true
 		}
 	}
+	next := membership{
+		view: m.view, installing: m.installing != nil, initial: m.cfg.Members, self: m.cfg.Self,
+		lastSeen: m.lastSeen, now: now, suspectAfter: m.cfg.SuspectAfter, quorum: m.cfg.Quorum,
+	}.nextMembers()
 	if st := m.cfg.Stats; st != nil {
-		st.Suspicions.Add(uint64(len(suspects)))
+		st.Heartbeats.Add(uint64(sent))
 	}
-	// Desired membership: the current view minus suspects, plus initial
-	// members outside the view that have been heard again recently (a
-	// crash-restarted or healed node) — the latter re-added at their
-	// original rank, proposed only by the sequencer to avoid proposal
-	// storms.
-	isSeq := m.installing == nil && m.view.Sequencer() == m.cfg.Self
-	rejoin := false
-	excluded := make(map[wire.NodeID]bool)
-	for _, peer := range m.cfg.Members {
-		if peer == m.cfg.Self {
-			continue
-		}
-		if m.view.Contains(peer) {
-			if suspects[peer] {
-				excluded[peer] = true
-			}
-			continue
-		}
-		seen, ok := m.lastSeen[peer]
-		if isSeq && ok && now-seen <= m.cfg.SuspectAfter {
-			rejoin = true
-		} else {
-			excluded[peer] = true
-		}
-	}
-	if (len(suspects) > 0 || rejoin) && m.installing == nil && m.view.Contains(m.cfg.Self) {
-		members := rankSubset(m.cfg.Members, excluded)
-		if len(members) > 0 && (!m.cfg.Quorum || 2*len(members) > len(m.view.Members)) {
-			next := View{Epoch: m.view.Epoch + 1, Members: members}
-			act.sendAll(m, members, Propose{Group: m.cfg.Group, From: m.cfg.Self, View: next})
-			m.adoptProposalLocked(next, act)
-		}
-	}
-	// Re-send cached submits that have sat unordered for too long: either
-	// the submit never reached the sequencer or its Ordered never came
-	// back. The sequencer deduplicates by id, so resends are harmless; a
-	// suspended sequencer orders its own backlog here once it resumes.
-	if m.installing == nil {
-		for id := range m.cacheOrder.All() {
-			c, ok := m.submitCache[id]
-			if !ok || m.orderedLocked(id) || now-c.at < m.cfg.ResubmitAfter {
-				continue
-			}
-			c.at = now // refresh: one resend per ResubmitAfter
-			m.submitCache[id] = c
-			if m.isSequencerLocked() {
-				m.sequenceLocked(c.sub, act)
-			} else if m.view.Sequencer() != m.cfg.Self {
-				act.send(m.view.Sequencer(), c.sub)
+	if next != nil {
+		for _, p := range m.view.Members {
+			if st := m.cfg.Stats; st != nil && !slices.Contains(next, p) {
+				st.Suspicions.Inc()
 			}
 		}
+		v := View{Epoch: m.view.Epoch + 1, Members: next}
+		act.sendAll(m, next, Propose{Group: m.cfg.Group, From: m.cfg.Self, View: v})
+		m.adoptProposalLocked(v, act)
 	}
+	m.resubmitLocked(m.cfg.ResubmitAfter, act)
+}
+
+// membership is what the membership decision reads.
+type membership struct {
+	view         View
+	installing   bool
+	initial      []wire.NodeID
+	self         wire.NodeID
+	lastSeen     map[wire.NodeID]time.Duration
+	now          time.Duration
+	suspectAfter time.Duration
+	quorum       bool
+}
+
+// nextMembers is the membership decision: the next view's members in
+// initial rank order, or nil for no change. A view member silent for longer
+// than suspectAfter is suspected (one never heard from is not); an initial
+// member outside the view heard within it rejoins — proposed only by the
+// installed sequencer, against proposal storms. No change while installing,
+// when self is not in the view, or (quorum) without a strict majority.
+func (s membership) nextMembers() []wire.NodeID {
+	if s.installing || !s.view.Contains(s.self) {
+		return nil
+	}
+	mayRejoin := s.view.Sequencer() == s.self
+	next := make([]wire.NodeID, 0, len(s.initial))
+	changed := false
+	for _, p := range s.initial {
+		seen, heard := s.lastSeen[p]
+		fresh := heard && s.now-seen <= s.suspectAfter
+		inView := s.view.Contains(p)
+		keep := p == s.self || inView && (!heard || fresh) || !inView && mayRejoin && fresh
+		if keep {
+			next = append(next, p)
+		}
+		changed = changed || keep != inView
+	}
+	if !changed || s.quorum && 2*len(next) <= len(s.view.Members) {
+		return nil
+	}
+	return next
 }
 
 // adoptProposalLocked moves the member into the "installing" state for a
-// higher-epoch view. If this member is the proposed sequencer it starts the
-// tail synchronization round.
+// higher-epoch view and arms the one grace timer of that epoch. If this
+// member is the proposed sequencer it starts the tail synchronization round.
 func (m *Member) adoptProposalLocked(v View, act *actions) {
-	cur := m.view.Epoch
-	if m.installing != nil && m.installing.Epoch > cur {
-		cur = m.installing.Epoch
-	}
-	if v.Epoch <= cur {
+	if v.Epoch <= m.view.Epoch || m.installing != nil && v.Epoch <= m.installing.Epoch {
 		return
 	}
 	vv := v.clone()
@@ -140,61 +120,43 @@ func (m *Member) adoptProposalLocked(v View, act *actions) {
 		m.syncTimer = nil
 		m.rt.StopTimerLocked(t)
 	}
+	// The proposed sequencer waits that long for silent members' tails; any
+	// other member twice as long before it abandons the install (a dead
+	// proposer would leave it installing for ever: no tick proposes then).
+	grace := 2 * m.cfg.SuspectAfter
 	if vv.Sequencer() != m.cfg.Self {
-		// The proposed sequencer may die before committing the view event,
-		// which would otherwise leave this member in the installing state
-		// forever (fdTick proposes nothing while installing). Abandon the
-		// install once the proposer has had ample time (its own sync grace
-		// plus delivery slack) so suspicion and re-proposal can resume.
-		epoch := vv.Epoch
-		m.syncTimer = m.rt.AfterLocked(2*m.cfg.SyncGrace, "gcs-installgrace/"+string(m.cfg.Self), func() {
-			var out actions
-			if m.enter() && m.installing != nil && m.installing.Epoch == epoch &&
-				m.installing.Sequencer() != m.cfg.Self {
-				m.installing = nil
-				m.syncResps = nil
-				m.syncTimer = nil
-			}
-			m.leave(&out)
-		})
-		return
+		grace *= 2
 	}
-	// New sequencer: collect tails from every proposed member.
-	act.sendAll(m, vv.Members, SyncReq{Group: m.cfg.Group, From: m.cfg.Self, View: vv})
-	m.syncResps[m.cfg.Self] = m.tailLocked(vv.Epoch)
-	epoch := vv.Epoch
-	m.syncTimer = m.rt.AfterLocked(m.cfg.SyncGrace, "gcs-syncgrace/"+string(m.cfg.Self), func() {
-		var out actions
-		if m.enter() && m.installing != nil && m.installing.Epoch == epoch &&
-			m.installing.Sequencer() == m.cfg.Self {
-			m.finishSyncLocked(&out)
+	m.syncTimer = m.rt.AfterLocked(grace, "gcs-grace/"+string(m.cfg.Self), func() { m.graceExpired(vv.Epoch) })
+	if vv.Sequencer() == m.cfg.Self {
+		act.sendAll(m, vv.Members, SyncReq{Group: m.cfg.Group, From: m.cfg.Self, View: vv})
+		m.handleSyncRespLocked(m.tailLocked(vv.Epoch), act)
+	}
+}
+
+// graceExpired is the grace timer's event for the proposal of epoch: if it
+// is still being installed, its sequencer finishes the sync round with the
+// tails it has, and any other member abandons the install.
+func (m *Member) graceExpired(epoch uint64) {
+	var act actions
+	if m.enter() && m.installing != nil && m.installing.Epoch == epoch {
+		if m.installing.Sequencer() == m.cfg.Self {
+			m.finishSyncLocked(&act)
+		} else {
+			m.installing, m.syncResps, m.syncTimer = nil, nil, nil
 		}
-		m.leave(&out)
-	})
-	m.maybeFinishSyncLocked(act)
-}
-
-func (m *Member) handleSyncReqLocked(req SyncReq, act *actions) {
-	m.adoptProposalLocked(req.View, act)
-	if req.View.Epoch <= m.view.Epoch {
-		return // already installed; the requester has moved on too
 	}
-	act.send(req.From, m.tailLocked(req.View.Epoch))
+	m.leave(&act)
 }
 
+// handleSyncRespLocked takes in one member's tail, the proposed sequencer's
+// own included, and finishes the sync round once every proposed member's is in.
 func (m *Member) handleSyncRespLocked(resp SyncResp, act *actions) {
 	if m.installing == nil || resp.Epoch != m.installing.Epoch ||
 		m.installing.Sequencer() != m.cfg.Self {
 		return
 	}
 	m.syncResps[resp.From] = resp
-	m.maybeFinishSyncLocked(act)
-}
-
-func (m *Member) maybeFinishSyncLocked(act *actions) {
-	if m.installing == nil || m.installing.Sequencer() != m.cfg.Self {
-		return
-	}
 	for _, peer := range m.installing.Members {
 		if _, ok := m.syncResps[peer]; !ok {
 			return
@@ -203,132 +165,95 @@ func (m *Member) maybeFinishSyncLocked(act *actions) {
 	m.finishSyncLocked(act)
 }
 
-// finishSyncLocked is run by the new sequencer once all live members
-// answered (or the grace period expired). It merges tails, rebroadcasts the
-// union so every member can close gaps, fills irrecoverably lost sequence
-// numbers with no-ops, announces the view in-stream, and re-orders cached
-// submits.
+// finishSyncLocked is run by the new sequencer once every proposed member
+// answered (or the grace period expired), over the answers in rank order:
+// pick the best checkpoint, merge the tails, catch members up, announce the
+// view in-stream, re-order the surviving submits.
 func (m *Member) finishSyncLocked(act *actions) {
-	v := m.installing.clone()
-	merged := make(map[uint64]Ordered, m.log.n)
-	for o := range m.log.all() {
-		merged[o.Seq] = o
-	}
-	minDelivered := m.nextDeliver - 1
-	maxSeq := m.nextSeq - 1
-	pending := make(map[string]Submit)
-	for _, resp := range m.syncResps {
-		if resp.Delivered < minDelivered {
-			minDelivered = resp.Delivered
-		}
-		if resp.Delivered > maxSeq {
-			maxSeq = resp.Delivered
-		}
-		for _, o := range resp.Tail {
-			if o.Seq > maxSeq {
-				maxSeq = o.Seq
-			}
-			if _, ok := merged[o.Seq]; !ok {
-				merged[o.Seq] = o
-			}
-		}
-		for _, sub := range resp.Pending {
-			pending[sub.ID] = sub
+	v, got := m.installing.clone(), m.syncResps // the merge may install an older view, which clears syncResps
+	var resps []SyncResp
+	for _, p := range v.Members {
+		if r, ok := got[p]; ok {
+			resps = append(resps, r)
 		}
 	}
-	for seq := range merged {
-		if seq > maxSeq {
-			maxSeq = seq
+	m.adoptCheckpointLocked(resps, act)
+	low := m.mergeTailsLocked(resps, v.Epoch, act)
+	for _, p := range v.Members {
+		from := low + 1 // a member that did not answer: the lowest frontier reported
+		if r, ok := got[p]; ok {
+			from = r.Delivered + 1
 		}
-	}
-	for _, o := range merged {
-		m.markOrderedIDLocked(o.ID, o.Seq)
-	}
-	// Best checkpoint across the responses. When a member's frontier sits
-	// below it, the stretch in between may have been truncated everywhere —
-	// bring such members forward via state transfer instead of no-op
-	// fillers, which would silently skip real requests.
-	var bestSnapSeq uint64
-	var bestSnap []byte
-	for _, resp := range m.syncResps {
-		if resp.SnapSeq > bestSnapSeq && len(resp.Snap) > 0 {
-			bestSnapSeq = resp.SnapSeq
-			bestSnap = resp.Snap
+		if p != m.cfg.Self {
+			m.repairLocked(p, from, act)
 		}
-	}
-	start := minDelivered + 1
-	if bestSnapSeq > minDelivered {
-		snap := Snapshot{Group: m.cfg.Group, Seq: bestSnapSeq, Data: bestSnap}
-		for _, resp := range m.syncResps {
-			if resp.From != m.cfg.Self && resp.Delivered < bestSnapSeq {
-				act.send(resp.From, snap)
-				if st := m.cfg.Stats; st != nil {
-					st.SnapshotsSent.Inc()
-				}
-			}
-		}
-		m.handleSnapshotLocked(snap, act) // no-op unless self is behind too
-		if bestSnapSeq > m.snapSeq {
-			m.snapSeq = bestSnapSeq
-			m.snapData = bestSnap
-		}
-		start = bestSnapSeq + 1
-	}
-	// Rebroadcast the tail above the lowest delivery frontier (or the
-	// checkpoint) so every member can fill its gaps; sequence numbers nobody
-	// retains are filled with no-ops so the delivery frontier can pass them
-	// (their submits are re-ordered below or retransmitted by clients).
-	for seq := start; seq <= maxSeq; seq++ {
-		o, ok := merged[seq]
-		if !ok {
-			o = Ordered{Group: m.cfg.Group, Epoch: v.Epoch, Seq: seq, Origin: m.cfg.Self}
-		}
-		act.sendAll(m, v.Members, o)
-		m.handleOrderedLocked(o, act)
-	}
-	// Become the sequencer of the new view: continue the shared numbering.
-	if m.nextSeq <= maxSeq {
-		m.nextSeq = maxSeq + 1
 	}
 	m.installing = nil
-	prevEpoch := m.view.Epoch
-	m.view = v.clone()
-	m.view.Epoch = prevEpoch // authoritative bump happens at delivery
+	m.view = View{Epoch: m.view.Epoch, Members: slices.Clone(v.Members)} // the epoch moves at delivery
 	m.orderLocked(viewEventID(v), m.cfg.Self, nil, &v, act)
-	// Re-order surviving submits in a deterministic order.
-	for id, c := range m.submitCache {
-		pending[id] = c.sub
+	for _, r := range resps {
+		for _, sub := range r.Pending {
+			if _, cached := m.submitCache[sub.ID]; !cached && !m.orderedLocked(sub.ID) {
+				m.cacheSubmitLocked(sub)
+			}
+		}
 	}
-	ids := make([]string, 0, len(pending))
-	for id := range pending {
-		ids = append(ids, id)
+	m.resubmitLocked(0, act)
+}
+
+// adoptCheckpointLocked makes the best checkpoint any member holds this
+// one's (installed here if past the frontier): what repair sends members
+// behind a stretch the logs let go of, where no-op fillers would skip
+// real requests.
+func (m *Member) adoptCheckpointLocked(resps []SyncResp, act *actions) {
+	best := SyncResp{SnapSeq: m.snapSeq}
+	for _, r := range resps {
+		if r.SnapSeq > best.SnapSeq && len(r.Snap) > 0 {
+			best = r
+		}
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		sub := pending[id]
-		m.orderLocked(sub.ID, sub.Origin, sub.Payload, nil, act)
+	if best.SnapSeq > m.snapSeq {
+		m.handleSnapshotLocked(Snapshot{Group: m.cfg.Group, Seq: best.SnapSeq, Data: best.Snap}, act)
+		m.snapSeq, m.snapData = best.SnapSeq, best.Snap
 	}
+}
+
+// mergeTailsLocked logs what any member retains above this one's frontier,
+// fills the numbers nobody retains with no-ops (their submits are re-ordered
+// or retransmitted), delivers, continues the numbering above the highest
+// known, and returns the lowest frontier reported.
+func (m *Member) mergeTailsLocked(resps []SyncResp, epoch uint64, act *actions) (low uint64) {
+	low, top := m.nextDeliver-1, m.nextSeq-1
+	for _, r := range resps {
+		low, top = min(low, r.Delivered), max(top, r.Delivered)
+		for _, o := range r.Tail {
+			top = max(top, o.Seq)
+			if _, held := m.log.get(o.Seq); !held && o.Seq >= m.nextDeliver {
+				m.log.put(o)
+			}
+		}
+	}
+	for seq := m.nextDeliver; seq <= top; seq++ {
+		if _, held := m.log.get(seq); !held {
+			m.log.put(Ordered{Group: m.cfg.Group, Epoch: epoch, Seq: seq, Origin: m.cfg.Self})
+		}
+	}
+	m.nextSeq = max(m.nextSeq, top+1)
+	m.deliverReadyLocked(act)
+	m.trimLocked()
+	return low
 }
 
 // tailLocked snapshots this member's retained state for the new sequencer.
 func (m *Member) tailLocked(epoch uint64) SyncResp {
-	tail := slices.Collect(m.log.all())
-	pend := make([]Submit, 0, len(m.submitCache))
+	r := SyncResp{Group: m.cfg.Group, From: m.cfg.Self, Epoch: epoch, Delivered: m.nextDeliver - 1,
+		Tail: slices.Collect(m.log.all()), SnapSeq: m.snapSeq, Snap: m.snapData}
 	for id := range m.cacheOrder.All() {
 		if c, ok := m.submitCache[id]; ok {
-			pend = append(pend, c.sub)
+			r.Pending = append(r.Pending, c.sub)
 		}
 	}
-	return SyncResp{
-		Group:     m.cfg.Group,
-		From:      m.cfg.Self,
-		Epoch:     epoch,
-		Delivered: m.nextDeliver - 1,
-		Tail:      tail,
-		Pending:   pend,
-		SnapSeq:   m.snapSeq,
-		Snap:      m.snapData,
-	}
+	return r
 }
 
 func viewEventID(v View) string {

@@ -168,11 +168,78 @@ func TestViewHelpers(t *testing.T) {
 	if v.Members[0] != "a" {
 		t.Error("clone aliases members")
 	}
-	sub := rankSubset([]wire.NodeID{"a", "b", "c"}, map[wire.NodeID]bool{"b": true})
-	if !reflect.DeepEqual(sub, []wire.NodeID{"a", "c"}) {
-		t.Errorf("rankSubset = %v", sub)
-	}
 	if got := fmt.Sprint(v); got == "" {
 		t.Error("View.String empty")
+	}
+}
+
+// TestNextMembers is the membership decision on its own: no runtime, one
+// case per rule, each named by what it decides.
+func TestNextMembers(t *testing.T) {
+	const now, after = time.Second, 100 * time.Millisecond
+	fresh, stale := now-after/2, now-2*after
+	ids := func(s ...string) (out []wire.NodeID) {
+		for _, id := range s {
+			out = append(out, wire.NodeID(id))
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name       string
+		view       []wire.NodeID
+		installing bool
+		initial    []wire.NodeID // default: a b c
+		self       wire.NodeID
+		seen       map[wire.NodeID]time.Duration
+		quorum     bool
+		want       []wire.NodeID // nil: no change
+	}{
+		{name: "nobody silent: no change",
+			view: ids("a", "b", "c"), self: "a", seen: map[wire.NodeID]time.Duration{"b": fresh, "c": fresh}},
+		{name: "a view member never heard from is not suspected",
+			view: ids("a", "b", "c"), self: "a", seen: map[wire.NodeID]time.Duration{"b": fresh}},
+		{name: "one follower suspected",
+			view: ids("a", "b", "c"), self: "a", seen: map[wire.NodeID]time.Duration{"b": stale, "c": fresh},
+			want: ids("a", "c")},
+		{name: "the sequencer suspected, by a follower",
+			view: ids("a", "b", "c"), self: "b", seen: map[wire.NodeID]time.Duration{"a": stale, "c": fresh},
+			want: ids("b", "c")},
+		{name: "two of three suspected",
+			view: ids("a", "b", "c"), self: "a", seen: map[wire.NodeID]time.Duration{"b": stale, "c": stale},
+			want: ids("a")},
+		{name: "quorum refuses a minority",
+			view: ids("a", "b", "c"), self: "a", seen: map[wire.NodeID]time.Duration{"b": stale, "c": stale}, quorum: true},
+		{name: "quorum lets a majority through",
+			view: ids("a", "b", "c"), self: "a", seen: map[wire.NodeID]time.Duration{"b": stale, "c": fresh}, quorum: true,
+			want: ids("a", "c")},
+		{name: "the installed sequencer proposes a rejoin",
+			view: ids("a", "c"), self: "a", seen: map[wire.NodeID]time.Duration{"b": fresh, "c": fresh},
+			want: ids("a", "b", "c")},
+		{name: "a follower does not propose a rejoin",
+			view: ids("a", "c"), self: "c", seen: map[wire.NodeID]time.Duration{"a": fresh, "b": fresh}},
+		{name: "an excluded member heard long ago does not rejoin",
+			view: ids("a", "c"), self: "a", seen: map[wire.NodeID]time.Duration{"b": stale, "c": fresh}},
+		{name: "no proposal while installing",
+			view: ids("a", "b", "c"), installing: true, self: "a", seen: map[wire.NodeID]time.Duration{"b": stale, "c": stale}},
+		{name: "no proposal when self is not in the view",
+			view: ids("a", "b"), self: "c", seen: map[wire.NodeID]time.Duration{"a": stale, "b": fresh}},
+		{name: "original rank order kept across a rejoin and a suspicion",
+			view: ids("a", "c", "d"), initial: ids("a", "b", "c", "d"), self: "a",
+			seen: map[wire.NodeID]time.Duration{"b": fresh, "c": fresh, "d": stale},
+			want: ids("a", "b", "c")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			initial := tc.initial
+			if initial == nil {
+				initial = ids("a", "b", "c")
+			}
+			got := membership{
+				view: View{Epoch: 3, Members: tc.view}, installing: tc.installing, initial: initial, self: tc.self,
+				lastSeen: tc.seen, now: now, suspectAfter: after, quorum: tc.quorum,
+			}.nextMembers()
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("next members %v, want %v", got, tc.want)
+			}
+		})
 	}
 }

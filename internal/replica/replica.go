@@ -265,10 +265,12 @@ type Config struct {
 	// order confirms the speculation as conflict-free. Requires State (the
 	// factory builds the forks); ignored on sharded groups, whose requests
 	// are validated and possibly redirected at their ordered position. Also
-	// enables sequencer spontaneous-order hints and early scheduling
-	// (conflict classes fed to ADETS-CC at arrival time). The group's
-	// Directory entry must be registered with DirectCopies set alongside,
-	// or clients send the followers nothing to act on.
+	// enables sequencer spontaneous-order hints (gcs.Config.HintDeliver, set
+	// where speculation proper runs) and early scheduling (conflict classes
+	// fed to ADETS-CC at arrival time), and makes the group a direct-copy
+	// group (gcs.Config.OptimisticDeliver). The group's Directory entry must
+	// be registered with DirectCopies set alongside, or clients send the
+	// followers nothing to act on.
 	Speculative bool
 	// Shard, if non-nil, marks this replica a member of a sharded object's
 	// shard group: requests routed with a shard epoch are validated against
@@ -542,15 +544,13 @@ func New(cfg Config) *Replica {
 		}
 	}
 	if r.specMgr != nil {
-		g.SpecHints = true
-		g.HintDeliver = r.onHint
+		g.HintDeliver = r.onHint // the sequencer announces positions early
 	}
 	// Without forkable state (or on a sharded group) speculation proper is
 	// off, but conflict classes are still fed to an early-scheduling-capable
 	// scheduler at arrival time. Either way the members act on the clients'
 	// own copies, so clients keep sending one to each (the Directory entry
-	// says the same to them) and no member passes one on.
-	g.DirectCopies = cfg.Speculative
+	// says the same to them) and, the hook being set, no member passes one on.
 	if cfg.Speculative {
 		g.OptimisticDeliver = r.onOptimisticSubmit
 	}

@@ -1,9 +1,10 @@
 package replobj_test
 
-// The testing.B benches regenerate each of the paper's figures (Fig. 4(a-d),
-// Fig. 5(a), Fig. 5(b), Fig. 6(a), Fig. 6(b)) plus the ablations, one bench
-// per table/figure, reporting the headline metric of each experiment as
-// ms/invocation. `go test -bench .` therefore reproduces the entire
+// BenchmarkExperiments regenerates every entry of internal/bench's experiment
+// table — the paper's figures (Fig. 4(a-d), Fig. 5(a), Fig. 5(b), Fig. 6(a),
+// Fig. 6(b)), the ablations and the scenario suite — one sub-benchmark per
+// id, reporting the headline metric of each as ms/invocation of virtual
+// time. `go test -bench Experiments` therefore reproduces the entire
 // evaluation section; cmd/replbench prints the full tables.
 
 import (
@@ -40,56 +41,20 @@ func reportSeries(b *testing.B, res bench.Result) {
 	}
 }
 
-func benchExperiment(b *testing.B, fn func(bench.Config) (bench.Result, error)) {
-	b.Helper()
-	var res bench.Result
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = fn(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range bench.Experiments() {
+		b.Run(e.ID, func(b *testing.B) {
+			var res bench.Result
+			var err error
+			for i := 0; i < b.N; i++ {
+				if res, err = e.Run(benchCfg()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportSeries(b, res)
+		})
 	}
-	reportSeries(b, res)
 }
-
-func BenchmarkFig4a(b *testing.B) {
-	benchExperiment(b, func(c bench.Config) (bench.Result, error) { return bench.Fig4(c, bench.PatternA) })
-}
-
-func BenchmarkFig4b(b *testing.B) {
-	benchExperiment(b, func(c bench.Config) (bench.Result, error) { return bench.Fig4(c, bench.PatternB) })
-}
-
-func BenchmarkFig4c(b *testing.B) {
-	benchExperiment(b, func(c bench.Config) (bench.Result, error) { return bench.Fig4(c, bench.PatternC) })
-}
-
-func BenchmarkFig4d(b *testing.B) {
-	benchExperiment(b, func(c bench.Config) (bench.Result, error) { return bench.Fig4(c, bench.PatternD) })
-}
-
-func BenchmarkFig5a(b *testing.B) { benchExperiment(b, bench.Fig5a) }
-
-func BenchmarkFig5b(b *testing.B) { benchExperiment(b, bench.Fig5b) }
-
-func BenchmarkFig6a(b *testing.B) { benchExperiment(b, bench.Fig6a) }
-
-func BenchmarkFig6b(b *testing.B) { benchExperiment(b, bench.Fig6b) }
-
-func BenchmarkAblationPDS2(b *testing.B) { benchExperiment(b, bench.AB1PDS2) }
-
-func BenchmarkAblationLSAPeriod(b *testing.B) { benchExperiment(b, bench.AB2LSAPeriod) }
-
-func BenchmarkAblationReplyPolicy(b *testing.B) { benchExperiment(b, bench.AB3ReplyPolicy) }
-
-func BenchmarkAblationMATYield(b *testing.B) { benchExperiment(b, bench.AB4MATYield) }
-
-func BenchmarkAblationPDSNested(b *testing.B) { benchExperiment(b, bench.AB5PDSNested) }
-
-func BenchmarkAblationPDSAssignment(b *testing.B) { benchExperiment(b, bench.AB6PDSAssignment) }
-
-func BenchmarkAblationMATPredict(b *testing.B) { benchExperiment(b, bench.AB7MATPredict) }
 
 // BenchmarkInvokeTCP is the wall-clock layer microbench of the fixed
 // per-request path: one closed-loop client, three SEQ replicas, real clock,

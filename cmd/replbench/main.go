@@ -10,16 +10,15 @@
 //	replbench -json results.json    # full result tables + config + git SHA
 //
 // Experiments run on the virtual-time kernel: a full paper-scale sweep
-// takes seconds of host time and is reproducible run to run.
+// takes seconds of host time and is reproducible run to run. The numbers
+// reproduce the paper's figures; they are not wall-clock measurements.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
-	"strconv"
-	"strings"
+	"slices"
 	"time"
 
 	replobj "github.com/replobj/replobj"
@@ -28,48 +27,34 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id (see -list), 'table1', or 'all'")
-		n        = flag.Int("n", 60, "measured invocations per client")
-		warmup   = flag.Int("warmup", 5, "warm-up invocations per client (excluded)")
-		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		jsonOut  = flag.String("json", "", "also write all results as JSON to this path")
-		latency  = flag.Duration("latency", 600*time.Microsecond, "one-way network latency")
-		list     = flag.Bool("list", false, "list experiment ids and exit")
-		metrics  = flag.Bool("metrics", false, "collect cluster metrics and print a summary at the end")
-		conflict = flag.Float64("conflict-ratio", -1, "restrict the cc-conflict experiment to one global-request ratio in [0,1] (default: full sweep)")
-		shards   = flag.String("shards", "", "comma-separated shard counts for the shards experiment (default 1,2,4,8)")
+		exp     = flag.String("exp", "all", "experiment id (see -list), 'table1', or 'all'")
+		n       = flag.Int("n", 60, "measured invocations per client")
+		warmup  = flag.Int("warmup", 5, "warm-up invocations per client (excluded)")
+		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+		jsonOut = flag.String("json", "", "also write all results as JSON to this path")
+		latency = flag.Duration("latency", 600*time.Microsecond, "one-way network latency")
+		list    = flag.Bool("list", false, "list experiment ids and exit")
+		metrics = flag.Bool("metrics", false, "collect cluster metrics and print a summary at the end")
 	)
 	flag.Parse()
 
 	exps := bench.Experiments()
 	if *list {
-		ids := make([]string, 0, len(exps)+1)
-		for id := range exps {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
 		fmt.Println("table1")
-		for _, id := range ids {
-			fmt.Println(id)
+		for _, e := range exps {
+			fmt.Println(e.ID)
 		}
 		return
+	}
+	if err := checkFlags(*n, *warmup, *latency); err != nil {
+		fmt.Fprintf(os.Stderr, "replbench: %v\n", err)
+		os.Exit(2)
 	}
 
 	cfg := bench.Defaults()
 	cfg.PerClient = *n
 	cfg.Warmup = *warmup
 	cfg.Latency = *latency
-	cfg.ConflictRatio = *conflict
-	if *shards != "" {
-		for _, part := range strings.Split(*shards, ",") {
-			s, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || s <= 0 {
-				fmt.Fprintf(os.Stderr, "replbench: invalid -shards value %q\n", part)
-				os.Exit(2)
-			}
-			cfg.ShardCounts = append(cfg.ShardCounts, s)
-		}
-	}
 	if *metrics {
 		cfg.Metrics = replobj.NewMetricsRegistry()
 	}
@@ -107,12 +92,12 @@ func main() {
 		}
 		collected = results
 	default:
-		fn, ok := exps[*exp]
-		if !ok {
+		i := slices.IndexFunc(exps, func(e bench.Experiment) bool { return e.ID == *exp })
+		if i < 0 {
 			fmt.Fprintf(os.Stderr, "replbench: unknown experiment %q (use -list)\n", *exp)
 			os.Exit(2)
 		}
-		r, err := fn(cfg)
+		r, err := exps[i].Run(cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "replbench: %v\n", err)
 			os.Exit(1)
@@ -127,4 +112,18 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonOut)
 	}
+}
+
+// checkFlags rejects sample sizes and latencies no experiment can run with:
+// every experiment needs at least one measured invocation per client.
+func checkFlags(n, warmup int, latency time.Duration) error {
+	switch {
+	case n < 1:
+		return fmt.Errorf("-n must be at least 1, got %d", n)
+	case warmup < 0:
+		return fmt.Errorf("-warmup must not be negative, got %d", warmup)
+	case latency < 0:
+		return fmt.Errorf("-latency must not be negative, got %v", latency)
+	}
+	return nil
 }

@@ -273,73 +273,3 @@ func AB7MATPredict(cfg Config) (Result, error) {
 	}
 	return res, nil
 }
-
-// All runs every figure and ablation with the given configuration.
-func All(cfg Config) ([]Result, error) {
-	type exp struct {
-		name string
-		fn   func(Config) (Result, error)
-	}
-	exps := []exp{
-		{"fig4a", func(c Config) (Result, error) { return Fig4(c, PatternA) }},
-		{"fig4b", func(c Config) (Result, error) { return Fig4(c, PatternB) }},
-		{"fig4c", func(c Config) (Result, error) { return Fig4(c, PatternC) }},
-		{"fig4d", func(c Config) (Result, error) { return Fig4(c, PatternD) }},
-		{"fig5a", Fig5a},
-		{"fig5b", Fig5b},
-		{"fig6a", Fig6a},
-		{"fig6b", Fig6b},
-		{"ab-pds2", AB1PDS2},
-		{"ab-lsaperiod", AB2LSAPeriod},
-		{"ab-reply", AB3ReplyPolicy},
-		{"ab-yield", AB4MATYield},
-		{"ab-pdsnested", AB5PDSNested},
-		{"ab-pdsassign", AB6PDSAssignment},
-		{"ab-matpredict", AB7MATPredict},
-		{"cc-conflict", ConflictSweep},
-		{"memory", MemoryBounds},
-		{"latency-breakdown", LatencyBreakdown},
-		{"scenarios", ProductionScenarios},
-		{"shards", ShardScaleOut},
-		{"reshard", ReshardLive},
-		{"speculation", Speculation},
-	}
-	out := make([]Result, 0, len(exps))
-	for _, e := range exps {
-		r, err := e.fn(cfg)
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", e.name, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// Experiments maps experiment ids to their runners (for cmd/replbench).
-func Experiments() map[string]func(Config) (Result, error) {
-	return map[string]func(Config) (Result, error){
-		"fig4a":         func(c Config) (Result, error) { return Fig4(c, PatternA) },
-		"fig4b":         func(c Config) (Result, error) { return Fig4(c, PatternB) },
-		"fig4c":         func(c Config) (Result, error) { return Fig4(c, PatternC) },
-		"fig4d":         func(c Config) (Result, error) { return Fig4(c, PatternD) },
-		"fig5a":         Fig5a,
-		"fig5b":         Fig5b,
-		"fig6a":         Fig6a,
-		"fig6b":         Fig6b,
-		"ab-pds2":       AB1PDS2,
-		"ab-lsaperiod":  AB2LSAPeriod,
-		"ab-reply":      AB3ReplyPolicy,
-		"ab-yield":      AB4MATYield,
-		"ab-pdsnested":  AB5PDSNested,
-		"ab-pdsassign":  AB6PDSAssignment,
-		"ab-matpredict": AB7MATPredict,
-		"cc-conflict":   ConflictSweep,
-		"memory":        MemoryBounds,
-
-		"latency-breakdown": LatencyBreakdown,
-		"scenarios":         ProductionScenarios,
-		"shards":            ShardScaleOut,
-		"reshard":           ReshardLive,
-		"speculation":       Speculation,
-	}
-}

@@ -7,7 +7,9 @@
 // All experiments run on the virtual-time kernel: the simulated
 // computations, network latencies and scheduler interactions compose in
 // virtual time exactly as they would on the paper's testbed, while a full
-// sweep finishes in seconds of host time and is reproducible.
+// sweep finishes in seconds of host time and is reproducible. A virtual-time
+// table reproduces the paper's figure; it says nothing about how fast this
+// implementation runs — the wall-clock benchmark under benchmark/ does.
 package bench
 
 import (
@@ -39,24 +41,62 @@ type Config struct {
 	// Metrics, if non-nil, collects cluster metrics across every scenario
 	// of the run (cmd/replbench prints a summary at the end).
 	Metrics *replobj.MetricsRegistry
-	// ConflictRatio, when >= 0, restricts the cc-conflict experiment to a
-	// single global-request ratio instead of the default sweep grid.
-	ConflictRatio float64
-	// ShardCounts, when non-empty, overrides the shard-count sweep of the
-	// shards experiment (default {1,2,4,8}).
-	ShardCounts []int
 }
 
 // Defaults returns the standard experiment configuration.
 func Defaults() Config {
 	return Config{
-		PerClient:     60,
-		Warmup:        5,
-		Replicas:      3,
-		Latency:       600 * time.Microsecond,
-		Policy:        client.Majority,
-		ConflictRatio: -1,
+		PerClient: 60,
+		Warmup:    5,
+		Replicas:  3,
+		Latency:   600 * time.Microsecond,
+		Policy:    client.Majority,
 	}
+}
+
+// Experiment is one table or figure: the id cmd/replbench -exp takes, and
+// the function that produces it.
+type Experiment struct {
+	ID  string
+	Run func(Config) (Result, error)
+}
+
+// Experiments returns the one ordered experiment table — the paper's eight
+// figures, the seven ablations (DESIGN.md AB1–AB7) and the production
+// scenario suite. All, cmd/replbench and the root figure benchmarks read it.
+func Experiments() []Experiment {
+	return []Experiment{
+		{"fig4a", func(c Config) (Result, error) { return Fig4(c, PatternA) }},
+		{"fig4b", func(c Config) (Result, error) { return Fig4(c, PatternB) }},
+		{"fig4c", func(c Config) (Result, error) { return Fig4(c, PatternC) }},
+		{"fig4d", func(c Config) (Result, error) { return Fig4(c, PatternD) }},
+		{"fig5a", Fig5a},
+		{"fig5b", Fig5b},
+		{"fig6a", Fig6a},
+		{"fig6b", Fig6b},
+		{"ab-pds2", AB1PDS2},
+		{"ab-lsaperiod", AB2LSAPeriod},
+		{"ab-reply", AB3ReplyPolicy},
+		{"ab-yield", AB4MATYield},
+		{"ab-pdsnested", AB5PDSNested},
+		{"ab-pdsassign", AB6PDSAssignment},
+		{"ab-matpredict", AB7MATPredict},
+		{"scenarios", ProductionScenarios},
+	}
+}
+
+// All runs every experiment of the table, in table order.
+func All(cfg Config) ([]Result, error) {
+	exps := Experiments()
+	out := make([]Result, 0, len(exps))
+	for _, e := range exps {
+		r, err := e.Run(cfg)
+		if err != nil {
+			return out, fmt.Errorf("%s: %w", e.ID, err)
+		}
+		out = append(out, r)
+	}
+	return out, nil
 }
 
 // Point is one measured coordinate of a series.
@@ -78,21 +118,9 @@ type Result struct {
 	XLabel string
 	YLabel string
 	Series []Series
-	// Stages carries the per-stage latency decomposition of the
-	// latency-breakdown experiment (empty for every other result).
-	Stages []StageQuantile `json:",omitempty"`
 	// Scenarios carries the SLO rows of the production scenario suite
 	// (empty for every other result).
 	Scenarios []ScenarioSLO `json:",omitempty"`
-	// ShardCells carries the aggregate and per-shard rows of the shard
-	// scale-out experiment (empty for every other result).
-	ShardCells []ShardCell `json:",omitempty"`
-	// ReshardCells carries the per-transition rows of the live-resharding
-	// experiment (empty for every other result).
-	ReshardCells []ReshardCell `json:",omitempty"`
-	// SpecCells carries the per-(ratio, mode) rows of the speculation
-	// experiment (empty for every other result).
-	SpecCells []SpecCell `json:",omitempty"`
 }
 
 // Format renders a result as an aligned text table (clients × strategies),
@@ -129,56 +157,12 @@ func (r Result) Format() string {
 		}
 		b.WriteByte('\n')
 	}
-	if len(r.Stages) > 0 {
-		fmt.Fprintf(&b, "\n%-12s %-12s %8s %10s %10s %10s\n",
-			"scheduler", "stage", "count", "p50 ms", "p99 ms", "p99.9 ms")
-		for _, sq := range r.Stages {
-			fmt.Fprintf(&b, "%-12s %-12s %8d %10.3f %10.3f %10.3f\n",
-				sq.Scheduler, sq.Stage, sq.Count, sq.P50ms, sq.P99ms, sq.P999ms)
-		}
-	}
 	if len(r.Scenarios) > 0 {
 		fmt.Fprintf(&b, "\n%-16s %-12s %8s %10s %10s %10s %9s\n",
 			"scenario", "scheduler", "reqs", "p50 ms", "p99 ms", "p99.9 ms", "switches")
 		for _, sc := range r.Scenarios {
 			fmt.Fprintf(&b, "%-16s %-12s %8d %10.3f %10.3f %10.3f %9d\n",
 				sc.Scenario, sc.Scheduler, sc.Requests, sc.P50ms, sc.P99ms, sc.P999ms, sc.Switches)
-		}
-	}
-	if len(r.ShardCells) > 0 {
-		fmt.Fprintf(&b, "\n%-16s %-10s %7s %6s %8s %12s %10s %10s %8s\n",
-			"scenario", "scheduler", "shards", "shard", "reqs", "rps", "p50 ms", "p99 ms", "speedup")
-		for _, sc := range r.ShardCells {
-			shardCol := "all"
-			if sc.Shard >= 0 {
-				shardCol = fmt.Sprint(sc.Shard)
-			}
-			speedup := ""
-			if sc.SpeedupVsS1 > 0 {
-				speedup = fmt.Sprintf("%.2fx", sc.SpeedupVsS1)
-			}
-			fmt.Fprintf(&b, "%-16s %-10s %7d %6s %8d %12.1f %10.3f %10.3f %8s\n",
-				sc.Scenario, sc.Scheduler, sc.Shards, shardCol, sc.Requests,
-				sc.ThroughputRPS, sc.P50ms, sc.P99ms, speedup)
-		}
-	}
-	if len(r.SpecCells) > 0 {
-		fmt.Fprintf(&b, "\n%-8s %-6s %8s %10s %10s %10s %8s %8s %9s\n",
-			"ratio", "mode", "reqs", "p50 ms", "p99 ms", "attempts", "hits", "aborts", "hit rate")
-		for _, sc := range r.SpecCells {
-			fmt.Fprintf(&b, "%-8g %-6s %8d %10.3f %10.3f %10d %8d %8d %9.2f\n",
-				sc.Ratio, sc.Mode, sc.Requests, sc.P50ms, sc.P99ms,
-				sc.Attempts, sc.Hits, sc.Aborts, sc.HitRate)
-		}
-	}
-	if len(r.ReshardCells) > 0 {
-		fmt.Fprintf(&b, "\n%-12s %5s %3s %6s %10s %10s %10s %10s %10s %9s %5s %5s\n",
-			"transition", "from", "to", "reqs", "window ms", "base p99", "win p99", "after p99", "stall ms", "base p50", "lost", "dup")
-		for _, rc := range r.ReshardCells {
-			fmt.Fprintf(&b, "%-12s %5d %3d %6d %10.2f %10.3f %10.3f %10.3f %10.3f %9.3f %5d %5d\n",
-				rc.Transition, rc.FromShards, rc.ToShards, rc.Requests, rc.WindowMs,
-				rc.BaselineP99ms, rc.WindowP99ms, rc.AfterP99ms, rc.StallMs,
-				rc.BaselineP50ms, rc.LostEffects, rc.DupEffects)
 		}
 	}
 	return b.String()
@@ -247,19 +231,12 @@ type clientScript func(rt vtime.Runtime, cl *replobj.Client, clientIdx int) ([]t
 // register handlers, start), runs n concurrent clients with the given
 // script, and returns the mean invocation latency in milliseconds.
 func runScenario(cfg Config, n int, setup func(c *replobj.Cluster) error, script clientScript) (float64, error) {
-	return runScenarioOpts(cfg, n, nil, setup, script)
-}
-
-// runScenarioOpts is runScenario with extra cluster options — the
-// latency-breakdown experiment uses it to attach a span collector.
-func runScenarioOpts(cfg Config, n int, extra []replobj.ClusterOption, setup func(c *replobj.Cluster) error, script clientScript) (float64, error) {
 	rt := vtime.Virtual()
 	defer rt.Stop()
 	copts := []replobj.ClusterOption{replobj.WithLatency(cfg.Latency)}
 	if cfg.Metrics != nil {
 		copts = append(copts, replobj.WithMetrics(cfg.Metrics))
 	}
-	copts = append(copts, extra...)
 	c := replobj.NewCluster(rt, copts...)
 	var total time.Duration
 	var count int

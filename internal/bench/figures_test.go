@@ -209,34 +209,6 @@ func TestFig6bShape(t *testing.T) {
 	}
 }
 
-func TestConflictSweepShape(t *testing.T) {
-	cfg := testCfg()
-	res, err := ConflictSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, mat, cc := series(t, res, "SEQ"), series(t, res, "MAT"), series(t, res, "CC")
-	// Acceptance: at conflict ratio 0 (disjoint shards) CC must be at least
-	// 2× faster than the serialized SEQ baseline.
-	if s0, c0 := y(t, seq, 0), y(t, cc, 0); 2*c0 > s0 {
-		t.Errorf("at ratio 0 CC (%.2f ms) must be ≥2× faster than SEQ (%.2f ms)", c0, s0)
-	}
-	// The in-lock computation is pattern (c), which MAT serializes — the
-	// advantage must come from conflict classes, not multithreading alone.
-	if m0, c0 := y(t, mat, 0), y(t, cc, 0); 2*c0 > m0 {
-		t.Errorf("at ratio 0 CC (%.2f ms) must be ≥2× faster than MAT (%.2f ms)", c0, m0)
-	}
-	// At ratio 1 every request is global: CC degenerates to serialized
-	// execution and must stay in SEQ's ballpark (no pathological overhead).
-	if s1, c1 := y(t, seq, 1), y(t, cc, 1); c1 > 1.5*s1 {
-		t.Errorf("at ratio 1 CC (%.2f ms) must not exceed 1.5× SEQ (%.2f ms)", c1, s1)
-	}
-	// More conflicts must not make CC faster: ratio 1 ≥ ratio 0.
-	if c0, c1 := y(t, cc, 0), y(t, cc, 1); c1 < c0 {
-		t.Errorf("CC latency must not drop as conflicts rise: ratio0=%.2f ratio1=%.2f", c0, c1)
-	}
-}
-
 func TestAblationYieldShape(t *testing.T) {
 	res, err := AB4MATYield(testCfg())
 	if err != nil {

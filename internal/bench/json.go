@@ -17,29 +17,7 @@ type Report struct {
 	GitRevision string       `json:"git_revision"`
 	GoVersion   string       `json:"go_version"`
 	Config      ReportConfig `json:"config"`
-	Heap        HeapStats    `json:"heap"`
 	Results     []Result     `json:"results"`
-}
-
-// HeapStats is the bench process's heap profile at report-write time —
-// together with the "memory" experiment's retained-log/held-replies series
-// it documents the memory side of a run, not just latency.
-type HeapStats struct {
-	HeapAllocBytes  uint64 `json:"heap_alloc_bytes"`
-	HeapSysBytes    uint64 `json:"heap_sys_bytes"`
-	TotalAllocBytes uint64 `json:"total_alloc_bytes"`
-	NumGC           uint32 `json:"num_gc"`
-}
-
-func heapStats() HeapStats {
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return HeapStats{
-		HeapAllocBytes:  m.HeapAlloc,
-		HeapSysBytes:    m.HeapSys,
-		TotalAllocBytes: m.TotalAlloc,
-		NumGC:           m.NumGC,
-	}
 }
 
 // ReportConfig is the JSON shape of Config (the Metrics sink is runtime
@@ -98,7 +76,6 @@ func WriteJSON(path string, cfg Config, results []Result) error {
 			OneWayLatencyUS: cfg.Latency.Microseconds(),
 			ReplyPolicy:     policyName(cfg.Policy),
 		},
-		Heap:    heapStats(),
 		Results: results,
 	}
 	data, err := json.MarshalIndent(rep, "", "  ")

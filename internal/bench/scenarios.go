@@ -284,6 +284,22 @@ func RunScenario(cfg Config, kind replobj.SchedulerKind, spec ScenarioSpec) (Sce
 	return slo, nil
 }
 
+// quantileMS returns the exact q-quantile of the sorted samples in
+// milliseconds (nearest-rank method).
+func quantileMS(sorted []time.Duration, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	i := int(q*float64(len(sorted))+0.5) - 1
+	if i < 0 {
+		i = 0
+	}
+	if i >= len(sorted) {
+		i = len(sorted) - 1
+	}
+	return float64(sorted[i].Microseconds()) / 1000.0
+}
+
 // ProductionScenarios runs the full suite: every scenario under every
 // scheduler kind. The figure plots p99 per scenario index; the full SLO
 // rows (p50/p99/p99.9, request counts, adaptive switch counts) ride

@@ -238,11 +238,6 @@ type Config struct {
 	// retrievable in handlers via Invocation.State. Each replica gets its
 	// own instance; handlers must guard access with scheduler locks.
 	State func() any
-	// Journal, if non-nil, is invoked for every fresh (non-duplicate)
-	// request at its totally-ordered dispatch point — the hook passive
-	// replication uses to log what the primary executed since the last
-	// checkpoint (paper Section 1).
-	Journal func(Request)
 	// Classes, if non-nil, maps a request to its declared conflict classes
 	// for conflict-aware scheduling (ADETS-CC). It must be a pure function
 	// of (method, args) — it is evaluated at the totally-ordered dispatch
@@ -308,7 +303,6 @@ type Replica struct {
 	// stateFactory is Config.State, retained so speculative executions can
 	// build private fork instances (nil when speculation is off).
 	stateFactory func() any
-	journal      func(Request)
 	classes      func(method string, args []byte) []string
 
 	// shard is non-nil on shard-group members (see Config.Shard);
@@ -439,7 +433,6 @@ func New(cfg Config) *Replica {
 		r.stateFactory = cfg.State
 		r.specMgr = spec.NewManager()
 	}
-	r.journal = cfg.Journal
 	r.classes = cfg.Classes
 	if r.classes == nil {
 		if cc, ok := r.state.(ConflictClasser); ok {
@@ -876,13 +869,10 @@ func (r *Replica) installTable(req Request, _ uint64) ([]byte, error) {
 
 // admit is the tail of every accepted request's dispatch, whether it comes
 // straight from the ordered stream or out of a migration's parking lot:
-// journal, speculation's verdict, callback classification, scheduler
-// hand-off. It is entered with the runtime lock held and releases it.
+// speculation's verdict, callback classification, scheduler hand-off. It is
+// entered with the runtime lock held and releases it.
 func (r *Replica) admit(d *dispatched) {
 	req := &d.inv.req
-	if r.journal != nil && req.Kind == KindClient {
-		r.journal(*req)
-	}
 	var act specAction
 	if r.specMgr != nil {
 		act = r.specDispatchLocked(req, d.seq, d.classes)

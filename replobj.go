@@ -81,9 +81,6 @@ type (
 	NodeID = wire.NodeID
 	// ReplyPolicy selects how many replica replies a client waits for.
 	ReplyPolicy = client.ReplyPolicy
-	// Request is the wire form of a method invocation (journaling,
-	// passive replication).
-	Request = replica.Request
 	// Capabilities is a scheduler's Table 1 row plus feature flags.
 	Capabilities = adets.Capabilities
 	// ConflictClasser is implemented by object states that declare
@@ -364,7 +361,6 @@ type GroupOption func(*groupConfig)
 type groupConfig struct {
 	kind             SchedulerKind
 	state            func() any
-	journal          func(replica.Request)
 	factory          func(rank int) adets.Scheduler
 	lsaPeriod        time.Duration
 	pds              pds.Config
@@ -396,14 +392,6 @@ func WithScheduler(kind SchedulerKind) GroupOption {
 // locks.
 func WithState(factory func() any) GroupOption {
 	return func(g *groupConfig) { g.state = factory }
-}
-
-// WithJournal installs a request journal on the group's rank-0 replica: fn
-// is called for every fresh client request at its totally-ordered dispatch
-// point. Passive replication records these entries and replays them on a
-// backup (see the passive package).
-func WithJournal(fn func(replica.Request)) GroupOption {
-	return func(g *groupConfig) { g.journal = fn }
 }
 
 // WithSchedulerFactory installs a custom scheduler constructor, overriding
@@ -761,9 +749,6 @@ func (g *Group) StartRank(rank int) {
 		tr := obs.NewTrace(g.cfg.traceRetain)
 		g.traces[rank] = tr
 		rcfg.Trace = tr
-	}
-	if rank == 0 {
-		rcfg.Journal = g.cfg.journal
 	}
 	if g.cfg.conflictClasses != nil {
 		classes := g.cfg.conflictClasses

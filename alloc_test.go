@@ -17,9 +17,13 @@ import (
 // holds its own budgets). The bound is the figure measured when the
 // "order" stream stopped formatting a decimal per delivery (52) plus 10 %;
 // the same run read 55 before that, 68 while the client's request travelled
-// to every member and 151 before the per-request allocation diet. Much of what is left is the in-process network's timer per
-// message, which TCP deployments do not pay. The race detector allocates on
-// its own, hence the build tag.
+// to every member and 151 before the per-request allocation diet. It still
+// reads 52 since the group layer names a client's call by number: nothing
+// is decoded in process, and the id table that numbering replaced did not
+// allocate once full — the three id strings it saves a call are decoded
+// ones (BenchmarkInvokeTCP, 40 → 37). Much of what is left is the in-process
+// network's timer per message, which TCP deployments do not pay. The race
+// detector allocates on its own, hence the build tag.
 func TestInvokeAllocationBudget(t *testing.T) {
 	const budget = 57
 	rt := vtime.Real()

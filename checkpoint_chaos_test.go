@@ -237,15 +237,16 @@ func TestPDSArtificialRequestsFullStreamDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Lock-free handlers: the adds commute and the queue handoff is
-			// the only scheduler decision in play.
+			// the only scheduler decision in play. They take no object lock,
+			// so the pool's workers may run two at once: the counter is
+			// updated atomically.
 			g.Register("add", func(inv *replobj.Invocation) ([]byte, error) {
 				st := inv.State().(*counter)
-				st.v += uint64(inv.Args()[0])
-				return u64(st.v), nil
+				return u64(atomic.AddUint64(&st.v, uint64(inv.Args()[0]))), nil
 			})
 			g.Register("get", func(inv *replobj.Invocation) ([]byte, error) {
 				st := inv.State().(*counter)
-				return u64(st.v), nil
+				return u64(atomic.LoadUint64(&st.v)), nil
 			})
 			g.Start()
 			run(rt, c, func() {

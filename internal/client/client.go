@@ -341,18 +341,14 @@ func (c *Client) invoke(group wire.GroupID, method string, args []byte, policy R
 		ct.introduced = true
 	}
 	c.reqSeq++
-	// One string serves both ids: the submit id is the invocation id's
-	// String() form, "<logical>#<seq>" with seq 0, and the logical thread id
-	// "<self>#<reqSeq>" is its prefix.
+	// The group layer names the call by (self, call number); the replicas
+	// need the logical thread id "<self>#<call>" as text.
 	buf := append(c.idBuf[:0], c.self...)
 	buf = append(buf, '#')
 	buf = strconv.AppendUint(buf, c.reqSeq, 10)
-	logicalLen := len(buf)
-	buf = append(buf, "#0"...)
 	c.idBuf = buf
 	callNo := c.reqSeq
-	subID := string(buf)
-	logical := wire.LogicalID(subID[:logicalLen])
+	logical := wire.LogicalID(buf)
 	id := wire.InvocationID{Logical: logical, Seq: 0}
 	slots := cl.slots[:0]
 	for range members {
@@ -389,7 +385,7 @@ func (c *Client) invoke(group wire.GroupID, method string, args []byte, policy R
 	}
 	// Boxed once: every member (and every retransmission) gets the same
 	// interface value.
-	var sub any = gcs.Submit{Group: group, ID: subID, Origin: c.self, Payload: req}
+	var sub any = gcs.Submit{Group: group, Origin: c.self, Call: callNo, Payload: req}
 	for _, m := range first {
 		c.ep.Send(m, sub)
 	}

@@ -58,8 +58,8 @@ type fakeGroup struct {
 	// guarded by the runtime lock
 	mute   map[wire.NodeID]bool // muted replicas never reply
 	delay  map[wire.NodeID]time.Duration
-	first  []gcs.Submit     // each request's first copy, in order of arrival
-	copies map[string][]int // copies[id][rank]: copies that reached the member
+	first  []gcs.Submit                // each request's first copy, in order of arrival
+	copies map[wire.InvocationID][]int // copies[id][rank]: copies that reached the member
 }
 
 func newFakeGroup(rt vtime.Runtime, net *transport.Inproc, n int) *fakeGroup {
@@ -68,7 +68,7 @@ func newFakeGroup(rt vtime.Runtime, net *transport.Inproc, n int) *fakeGroup {
 		net:    net,
 		mute:   make(map[wire.NodeID]bool),
 		delay:  make(map[wire.NodeID]time.Duration),
-		copies: make(map[string][]int),
+		copies: make(map[wire.InvocationID][]int),
 	}
 	for i := 0; i < n; i++ {
 		id := wire.ReplicaID("g", i)
@@ -96,11 +96,11 @@ func (fg *fakeGroup) serve(rank int) {
 			continue
 		}
 		fg.rt.Lock()
-		got := fg.copies[sub.ID]
+		got := fg.copies[req.ID]
 		fresh := got == nil
 		if fresh {
 			got = make([]int, len(fg.ids))
-			fg.copies[sub.ID] = got
+			fg.copies[req.ID] = got
 			fg.first = append(fg.first, sub)
 		}
 		got[rank]++
@@ -139,7 +139,7 @@ func (fg *fakeGroup) received(n int) []int {
 	if n > len(fg.first) {
 		return nil
 	}
-	return append([]int(nil), fg.copies[fg.first[n-1].ID]...)
+	return append([]int(nil), fg.copies[fg.first[n-1].Payload.(replica.Request).ID]...)
 }
 
 // close releases the fake replicas' endpoints so their receive loops exit
@@ -319,10 +319,10 @@ func TestClientErrorReplyPropagates(t *testing.T) {
 	})
 }
 
-// TestClientIDsKeepTheirWireForm: the submit id and the logical thread id
-// are cut from one string; what goes on the wire must still be
-// "<client>#<n>" for the logical thread and its InvocationID.String() for
-// the submit, across a change in the counter's width.
+// TestClientIDsKeepTheirWireForm: the logical thread id is built in a
+// reused buffer; what goes on the wire must still be "<client>#<n>" for the
+// logical thread, across a change in the counter's width, and the submit is
+// the client's n-th call by number, with no text.
 func TestClientIDsKeepTheirWireForm(t *testing.T) {
 	rt := vtime.Virtual()
 	defer rt.Stop()
@@ -347,9 +347,9 @@ func TestClientIDsKeepTheirWireForm(t *testing.T) {
 	for i, sub := range subs {
 		req := sub.Payload.(replica.Request)
 		wantID := wire.InvocationID{Logical: wire.LogicalID(fmt.Sprintf("client/c1#%d", i+1))}
-		if req.ID != wantID || sub.ID != wantID.String() || sub.Origin != "client/c1" {
-			t.Errorf("submit %d: id %q, request id %+v, origin %q; want %q, %+v, client/c1",
-				i+1, sub.ID, req.ID, sub.Origin, wantID.String(), wantID)
+		if n := uint64(i + 1); req.ID != wantID || req.Call != n || sub.ID != "" || sub.Call != n || sub.Origin != "client/c1" {
+			t.Errorf("submit %d: id %q call %d, request id %+v call %d, origin %q; want no id, call %d, %+v, client/c1",
+				i+1, sub.ID, sub.Call, req.ID, req.Call, sub.Origin, n, wantID)
 		}
 	}
 }

@@ -25,193 +25,173 @@ const (
 )
 
 func init() {
-	wire.RegisterBinaryPayload(tagSubmit, Submit{},
-		func(b *wire.Buffer, v any) error { return encSubmit(b, v.(Submit)) },
-		func(r *wire.Reader) (any, error) { return decSubmit(r) })
-	wire.RegisterBinaryPayload(tagOrdered, Ordered{},
-		func(b *wire.Buffer, v any) error { return encOrdered(b, v.(Ordered)) },
-		func(r *wire.Reader) (any, error) { return decOrdered(r) })
-	wire.RegisterBinaryPayload(tagNack, Nack{},
-		func(b *wire.Buffer, v any) error {
-			n := v.(Nack)
-			b.String(string(n.Group))
-			b.String(string(n.From))
-			b.Uvarint(n.Want)
-			return nil
-		},
+	register(tagSubmit, encSubmit, decSubmit)
+	register(tagOrdered, encOrdered, decOrdered)
+	register(tagNack, func(b *wire.Buffer, n Nack) error {
+		b.String(string(n.Group))
+		b.String(string(n.From))
+		b.Uvarint(n.Want)
+		return nil
+	}, func(r *wire.Reader) (Nack, error) {
+		d := reader{r: r}
+		n := Nack{Group: d.group(), From: d.node(), Want: d.uvarint()}
+		return n, d.err
+	})
+	register(tagHeartbeat, func(b *wire.Buffer, h Heartbeat) error {
+		b.String(string(h.Group))
+		b.String(string(h.From))
+		b.Uvarint(h.Epoch)
+		b.Uvarint(h.MaxSeq)
+		b.Uvarint(h.Acked)
+		return nil
+	}, func(r *wire.Reader) (Heartbeat, error) {
+		d := reader{r: r}
+		h := Heartbeat{Group: d.group(), From: d.node(), Epoch: d.uvarint(), MaxSeq: d.uvarint(), Acked: d.uvarint()}
+		return h, d.err
+	})
+	register(tagPropose, func(b *wire.Buffer, p Propose) error {
+		b.String(string(p.Group))
+		b.String(string(p.From))
+		encView(b, p.View)
+		return nil
+	}, func(r *wire.Reader) (Propose, error) {
+		d := reader{r: r}
+		p := Propose{Group: d.group(), From: d.node(), View: d.view()}
+		return p, d.err
+	})
+	register(tagSyncReq, func(b *wire.Buffer, q SyncReq) error {
+		b.String(string(q.Group))
+		b.String(string(q.From))
+		encView(b, q.View)
+		return nil
+	}, func(r *wire.Reader) (SyncReq, error) {
+		d := reader{r: r}
+		q := SyncReq{Group: d.group(), From: d.node(), View: d.view()}
+		return q, d.err
+	})
+	register(tagSyncResp, encSyncResp, decSyncResp)
+	register(tagSnapshot, func(b *wire.Buffer, s Snapshot) error {
+		b.String(string(s.Group))
+		b.Uvarint(s.Seq)
+		b.Bytes(s.Data)
+		return nil
+	}, func(r *wire.Reader) (Snapshot, error) {
+		d := reader{r: r}
+		s := Snapshot{Group: d.group(), Seq: d.uvarint(), Data: d.bytes()}
+		return s, d.err
+	})
+	register(tagHint, func(b *wire.Buffer, h Hint) error {
+		b.String(string(h.Group))
+		if err := encID(b, h.ID, h.Call); err != nil {
+			return err
+		}
+		b.String(string(h.Origin))
+		b.Uvarint(h.Seq)
+		return nil
+	}, func(r *wire.Reader) (Hint, error) {
+		d := reader{r: r}
+		h := Hint{Group: d.group()}
+		h.ID, h.Call = d.id()
+		h.Origin, h.Seq = d.node(), d.uvarint()
+		return h, d.err
+	})
+}
+
+// register installs T's binary codec under tag, and the gob twin the
+// differential tests hold it against.
+func register[T any](tag uint64, enc func(*wire.Buffer, T) error, dec func(*wire.Reader) (T, error)) {
+	var prototype T
+	wire.RegisterPayload(prototype)
+	wire.RegisterBinaryPayload(tag, prototype,
+		func(b *wire.Buffer, v any) error { return enc(b, v.(T)) },
 		func(r *wire.Reader) (any, error) {
-			var n Nack
-			var err error
-			if n.Group, err = groupID(r); err != nil {
+			v, err := dec(r)
+			if err != nil {
 				return nil, err
 			}
-			if n.From, err = nodeID(r); err != nil {
-				return nil, err
-			}
-			if n.Want, err = r.Uvarint(); err != nil {
-				return nil, err
-			}
-			return n, nil
-		})
-	wire.RegisterBinaryPayload(tagHeartbeat, Heartbeat{},
-		func(b *wire.Buffer, v any) error {
-			h := v.(Heartbeat)
-			b.String(string(h.Group))
-			b.String(string(h.From))
-			b.Uvarint(h.Epoch)
-			b.Uvarint(h.MaxSeq)
-			b.Uvarint(h.Acked)
-			return nil
-		},
-		func(r *wire.Reader) (any, error) {
-			var h Heartbeat
-			var err error
-			if h.Group, err = groupID(r); err != nil {
-				return nil, err
-			}
-			if h.From, err = nodeID(r); err != nil {
-				return nil, err
-			}
-			if h.Epoch, err = r.Uvarint(); err != nil {
-				return nil, err
-			}
-			if h.MaxSeq, err = r.Uvarint(); err != nil {
-				return nil, err
-			}
-			if h.Acked, err = r.Uvarint(); err != nil {
-				return nil, err
-			}
-			return h, nil
-		})
-	wire.RegisterBinaryPayload(tagPropose, Propose{},
-		func(b *wire.Buffer, v any) error {
-			p := v.(Propose)
-			b.String(string(p.Group))
-			b.String(string(p.From))
-			encView(b, p.View)
-			return nil
-		},
-		func(r *wire.Reader) (any, error) {
-			var p Propose
-			var err error
-			if p.Group, err = groupID(r); err != nil {
-				return nil, err
-			}
-			if p.From, err = nodeID(r); err != nil {
-				return nil, err
-			}
-			if p.View, err = decView(r); err != nil {
-				return nil, err
-			}
-			return p, nil
-		})
-	wire.RegisterBinaryPayload(tagSyncReq, SyncReq{},
-		func(b *wire.Buffer, v any) error {
-			q := v.(SyncReq)
-			b.String(string(q.Group))
-			b.String(string(q.From))
-			encView(b, q.View)
-			return nil
-		},
-		func(r *wire.Reader) (any, error) {
-			var q SyncReq
-			var err error
-			if q.Group, err = groupID(r); err != nil {
-				return nil, err
-			}
-			if q.From, err = nodeID(r); err != nil {
-				return nil, err
-			}
-			if q.View, err = decView(r); err != nil {
-				return nil, err
-			}
-			return q, nil
-		})
-	wire.RegisterBinaryPayload(tagSyncResp, SyncResp{},
-		func(b *wire.Buffer, v any) error { return encSyncResp(b, v.(SyncResp)) },
-		func(r *wire.Reader) (any, error) { return decSyncResp(r) })
-	wire.RegisterBinaryPayload(tagSnapshot, Snapshot{},
-		func(b *wire.Buffer, v any) error {
-			s := v.(Snapshot)
-			b.String(string(s.Group))
-			b.Uvarint(s.Seq)
-			b.Bytes(s.Data)
-			return nil
-		},
-		func(r *wire.Reader) (any, error) {
-			var s Snapshot
-			var err error
-			if s.Group, err = groupID(r); err != nil {
-				return nil, err
-			}
-			if s.Seq, err = r.Uvarint(); err != nil {
-				return nil, err
-			}
-			if s.Data, err = r.Bytes(); err != nil {
-				return nil, err
-			}
-			return s, nil
-		})
-	wire.RegisterBinaryPayload(tagHint, Hint{},
-		func(b *wire.Buffer, v any) error {
-			h := v.(Hint)
-			b.String(string(h.Group))
-			b.String(h.ID)
-			b.Uvarint(h.Seq)
-			return nil
-		},
-		func(r *wire.Reader) (any, error) {
-			var h Hint
-			var err error
-			if h.Group, err = groupID(r); err != nil {
-				return nil, err
-			}
-			if h.ID, err = r.String(); err != nil {
-				return nil, err
-			}
-			if h.Seq, err = r.Uvarint(); err != nil {
-				return nil, err
-			}
-			return h, nil
+			return v, nil
 		})
 }
 
-// Group and node names repeat in every frame of a connection: they are
-// read through the stream's intern table. Submit ids are unique per
-// request and stay plain strings.
-func groupID(r *wire.Reader) (wire.GroupID, error) {
-	s, err := r.Ident()
-	return wire.GroupID(s), err
+// reader reads the fields of a frame in order. The first error sticks:
+// every later read returns the zero value, and the decoder returns it.
+type reader struct {
+	r   *wire.Reader
+	err error
 }
 
-func nodeID(r *wire.Reader) (wire.NodeID, error) {
-	s, err := r.Ident()
-	return wire.NodeID(s), err
+func (d *reader) uvarint() (v uint64) {
+	if d.err == nil {
+		v, d.err = d.r.Uvarint()
+	}
+	return v
 }
 
-func encSubmit(b *wire.Buffer, s Submit) error {
-	b.String(string(s.Group))
-	b.String(s.ID)
-	b.String(string(s.Origin))
-	return b.Any(s.Payload)
+// ident reads a name that repeats in every frame of a connection — a group,
+// a node — through the stream's intern table.
+func (d *reader) ident() (s string) {
+	if d.err == nil {
+		s, d.err = d.r.Ident()
+	}
+	return s
 }
 
-func decSubmit(r *wire.Reader) (Submit, error) {
-	var s Submit
-	var err error
-	if s.Group, err = groupID(r); err != nil {
-		return s, err
+func (d *reader) group() wire.GroupID { return wire.GroupID(d.ident()) }
+func (d *reader) node() wire.NodeID   { return wire.NodeID(d.ident()) }
+
+func (d *reader) bytes() (p []byte) {
+	if d.err == nil {
+		p, d.err = d.r.Bytes()
 	}
-	if s.ID, err = r.String(); err != nil {
-		return s, err
+	return p
+}
+
+func (d *reader) bool() (v bool) {
+	if d.err == nil {
+		v, d.err = d.r.Bool()
 	}
-	if s.Origin, err = nodeID(r); err != nil {
-		return s, err
+	return v
+}
+
+func (d *reader) any() (v any) {
+	if d.err == nil {
+		v, d.err = d.r.Any()
 	}
-	if s.Payload, err = r.Any(); err != nil {
-		return s, err
+	return v
+}
+
+// A message id on the wire: the call number, then — a named id, call 0 —
+// the name, which is unique per message and stays a plain string. A
+// numbered id is one varint and no text.
+func encID(b *wire.Buffer, id string, call uint64) error {
+	b.Uvarint(call)
+	if call == 0 {
+		b.String(id)
+	} else if id != "" {
+		return fmt.Errorf("gcs: message id %q with call number %d", id, call)
 	}
-	return s, nil
+	return nil
+}
+
+func (d *reader) id() (id string, call uint64) {
+	if call = d.uvarint(); call == 0 && d.err == nil {
+		id, d.err = d.r.String()
+	}
+	return id, call
+}
+
+// count reads a slice length and sanity-checks it against the bytes
+// remaining in the frame (every element costs at least one byte), so
+// corrupt input cannot request an absurd allocation.
+func (d *reader) count(what string) int {
+	n := d.uvarint()
+	if d.err == nil && n > uint64(d.r.Remaining()) {
+		d.err = fmt.Errorf("gcs: %s count %d exceeds frame", what, n)
+	}
+	if d.err != nil {
+		return 0
+	}
+	return int(n)
 }
 
 func encView(b *wire.Buffer, v View) {
@@ -222,49 +202,41 @@ func encView(b *wire.Buffer, v View) {
 	}
 }
 
-func decView(r *wire.Reader) (View, error) {
-	var v View
-	var err error
-	if v.Epoch, err = r.Uvarint(); err != nil {
-		return v, err
-	}
-	n, err := sliceLen(r, "view members")
-	if err != nil {
-		return v, err
-	}
-	if n == 0 {
-		return v, nil
-	}
-	v.Members = make([]wire.NodeID, 0, n)
-	for i := 0; i < n; i++ {
-		m, err := nodeID(r)
-		if err != nil {
-			return v, err
+func (d *reader) view() View {
+	v := View{Epoch: d.uvarint()}
+	if n := d.count("view members"); n > 0 {
+		v.Members = make([]wire.NodeID, 0, n)
+		for i := 0; i < n; i++ {
+			v.Members = append(v.Members, d.node())
 		}
-		v.Members = append(v.Members, m)
 	}
-	return v, nil
+	return v
 }
 
-// sliceLen reads a slice length and sanity-checks it against the bytes
-// remaining in the frame (every element costs at least one byte), so
-// corrupt input cannot request an absurd allocation.
-func sliceLen(r *wire.Reader, what string) (int, error) {
-	n, err := r.Uvarint()
-	if err != nil {
-		return 0, err
+func encSubmit(b *wire.Buffer, s Submit) error {
+	b.String(string(s.Group))
+	if err := encID(b, s.ID, s.Call); err != nil {
+		return err
 	}
-	if n > uint64(r.Remaining()) {
-		return 0, fmt.Errorf("gcs: %s count %d exceeds frame", what, n)
-	}
-	return int(n), nil
+	b.String(string(s.Origin))
+	return b.Any(s.Payload)
+}
+
+func decSubmit(r *wire.Reader) (Submit, error) {
+	d := reader{r: r}
+	s := Submit{Group: d.group()}
+	s.ID, s.Call = d.id()
+	s.Origin, s.Payload = d.node(), d.any()
+	return s, d.err
 }
 
 func encOrdered(b *wire.Buffer, o Ordered) error {
 	b.String(string(o.Group))
 	b.Uvarint(o.Epoch)
 	b.Uvarint(o.Seq)
-	b.String(o.ID)
+	if err := encID(b, o.ID, o.Call); err != nil {
+		return err
+	}
 	b.String(string(o.Origin))
 	if err := b.Any(o.Payload); err != nil {
 		return err
@@ -277,38 +249,15 @@ func encOrdered(b *wire.Buffer, o Ordered) error {
 }
 
 func decOrdered(r *wire.Reader) (Ordered, error) {
-	var o Ordered
-	var err error
-	if o.Group, err = groupID(r); err != nil {
-		return o, err
-	}
-	if o.Epoch, err = r.Uvarint(); err != nil {
-		return o, err
-	}
-	if o.Seq, err = r.Uvarint(); err != nil {
-		return o, err
-	}
-	if o.ID, err = r.String(); err != nil {
-		return o, err
-	}
-	if o.Origin, err = nodeID(r); err != nil {
-		return o, err
-	}
-	if o.Payload, err = r.Any(); err != nil {
-		return o, err
-	}
-	hasView, err := r.Bool()
-	if err != nil {
-		return o, err
-	}
-	if hasView {
-		v, err := decView(r)
-		if err != nil {
-			return o, err
-		}
+	d := reader{r: r}
+	o := Ordered{Group: d.group(), Epoch: d.uvarint(), Seq: d.uvarint()}
+	o.ID, o.Call = d.id()
+	o.Origin, o.Payload = d.node(), d.any()
+	if d.bool() {
+		v := d.view()
 		o.View = &v
 	}
-	return o, nil
+	return o, d.err
 }
 
 func encSyncResp(b *wire.Buffer, s SyncResp) error {
@@ -334,53 +283,20 @@ func encSyncResp(b *wire.Buffer, s SyncResp) error {
 }
 
 func decSyncResp(r *wire.Reader) (SyncResp, error) {
-	var s SyncResp
-	var err error
-	if s.Group, err = groupID(r); err != nil {
-		return s, err
-	}
-	if s.From, err = nodeID(r); err != nil {
-		return s, err
-	}
-	if s.Epoch, err = r.Uvarint(); err != nil {
-		return s, err
-	}
-	if s.Delivered, err = r.Uvarint(); err != nil {
-		return s, err
-	}
-	n, err := sliceLen(r, "sync tail")
-	if err != nil {
-		return s, err
-	}
-	if n > 0 {
-		s.Tail = make([]Ordered, 0, n)
-		for i := 0; i < n; i++ {
-			o, err := decOrdered(r)
-			if err != nil {
-				return s, err
-			}
-			s.Tail = append(s.Tail, o)
+	d := reader{r: r}
+	s := SyncResp{Group: d.group(), From: d.node(), Epoch: d.uvarint(), Delivered: d.uvarint()}
+	if n := d.count("sync tail"); n > 0 {
+		s.Tail = make([]Ordered, n)
+		for i := 0; i < n && d.err == nil; i++ {
+			s.Tail[i], d.err = decOrdered(r)
 		}
 	}
-	n, err = sliceLen(r, "sync pending")
-	if err != nil {
-		return s, err
-	}
-	if n > 0 {
-		s.Pending = make([]Submit, 0, n)
-		for i := 0; i < n; i++ {
-			sub, err := decSubmit(r)
-			if err != nil {
-				return s, err
-			}
-			s.Pending = append(s.Pending, sub)
+	if n := d.count("sync pending"); n > 0 {
+		s.Pending = make([]Submit, n)
+		for i := 0; i < n && d.err == nil; i++ {
+			s.Pending[i], d.err = decSubmit(r)
 		}
 	}
-	if s.SnapSeq, err = r.Uvarint(); err != nil {
-		return s, err
-	}
-	if s.Snap, err = r.Bytes(); err != nil {
-		return s, err
-	}
-	return s, nil
+	s.SnapSeq, s.Snap = d.uvarint(), d.bytes()
+	return s, d.err
 }

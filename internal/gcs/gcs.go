@@ -61,15 +61,29 @@ func (v View) String() string {
 	return fmt.Sprintf("view{epoch=%d members=%v}", v.Epoch, v.Members)
 }
 
+// Message ids. A message is named one of two ways, and every frame that
+// carries one (Submit, Ordered, Hint) and Delivery have room for both:
+//
+//   - numbered: a client's call, Origin and Call, the client's call number
+//     (Call > 0, ID empty). A client has one call outstanding at a time and
+//     sends call n+1 only once call n has completed or been abandoned, so its
+//     calls take positions in call order, and a member keeps one row per
+//     origin: the highest call it has seen ordered (see member.go).
+//   - named: ID, a string unique group-wide (Call 0) — a timeout, a nested
+//     request or reply, a migration chunk, an LSA table update, a view event.
+//     Every member that submits one submits it alike, whatever its origin,
+//     so a member remembers a window of the names it has seen.
+
 // Delivery is one element of the totally ordered stream a member hands to
 // the layer above.
 type Delivery struct {
 	// Seq is the position in the group-wide total order. Seqs are contiguous
 	// and shared across view changes.
 	Seq uint64
-	// ID is the submitter-chosen unique id of the message (used for
-	// deduplication end to end).
-	ID string
+	// ID is the name of a named message; Call the call number of a numbered
+	// one (see Message ids).
+	ID   string
+	Call uint64
 	// Origin is the node that submitted the message.
 	Origin wire.NodeID
 	// Payload is the application payload, nil for view events.
@@ -91,6 +105,7 @@ type Submit struct {
 	Group   wire.GroupID
 	ID      string
 	Origin  wire.NodeID
+	Call    uint64
 	Payload any
 }
 
@@ -114,6 +129,7 @@ type Ordered struct {
 	Seq     uint64
 	ID      string
 	Origin  wire.NodeID
+	Call    uint64
 	Payload any
 	// View is non-nil for in-stream view-change announcements.
 	View *View
@@ -155,20 +171,23 @@ type Snapshot struct {
 
 // Hint is a position the sequencer names for a message id, in two cases.
 // The spontaneous-order announcement (with Config.HintDeliver set): on
-// accepting a fresh submit for ordering it predicts the sequence number the
-// submit will take (exact in steady state, wrong across view changes or
-// resubmit races) and broadcasts the prediction immediately, before the
-// ordering round completes. Replicas use hints purely as speculation
-// fuel — a wrong hint costs a discarded speculative execution, never
-// correctness, because speculations are validated against the confirmed
-// position at the ordered dispatch point. And the answer to a member's copy
-// of an id already ordered, to that member alone: a Hint below the
-// receiver's delivery frontier settles its cached submit (a snapshot may have
-// skipped the Ordered) and goes no further.
+// accepting a fresh numbered submit for ordering it predicts the sequence
+// number the submit will take (exact in steady state, wrong across view
+// changes or resubmit races) and broadcasts the prediction immediately,
+// before the ordering round completes. Replicas use hints purely as
+// speculation fuel — a wrong hint costs a discarded speculative execution,
+// never correctness, because speculations are validated against the
+// confirmed position at the ordered dispatch point. And the answer to a
+// member's copy of an id already ordered, to that member alone: a Hint below
+// the receiver's delivery frontier settles its cached submit (a snapshot may
+// have skipped the Ordered) and goes no further — Seq 0 for a numbered call
+// superseded before it was ordered. Origin is set for numbered ids only.
 type Hint struct {
-	Group wire.GroupID
-	ID    string
-	Seq   uint64
+	Group  wire.GroupID
+	ID     string
+	Origin wire.NodeID
+	Call   uint64
+	Seq    uint64
 }
 
 // Propose announces a candidate next view after a suspicion.
@@ -212,18 +231,6 @@ func (p Hint) group() wire.GroupID      { return p.Group }
 func (p Propose) group() wire.GroupID   { return p.Group }
 func (p SyncReq) group() wire.GroupID   { return p.Group }
 func (p SyncResp) group() wire.GroupID  { return p.Group }
-
-func init() {
-	wire.RegisterPayload(Submit{})
-	wire.RegisterPayload(Ordered{})
-	wire.RegisterPayload(Nack{})
-	wire.RegisterPayload(Heartbeat{})
-	wire.RegisterPayload(Propose{})
-	wire.RegisterPayload(SyncReq{})
-	wire.RegisterPayload(SyncResp{})
-	wire.RegisterPayload(Snapshot{})
-	wire.RegisterPayload(Hint{})
-}
 
 // Config configures a group member.
 type Config struct {
@@ -276,7 +283,9 @@ type Config struct {
 	// (the sequencer's log re-broadcast only repairs members that missed
 	// the ordered message itself). seq is the stream position the id was
 	// ordered at — the replica layer uses it to classify retransmissions
-	// whose reply-cache entry has already been evicted. (An id pruned from
+	// whose reply-cache entry has already been evicted — or 0 for a numbered
+	// call below its origin's row: superseded by a later call of its client,
+	// it is never ordered, and its position is not known. (An id pruned from
 	// the tracking window is not a duplicate any more: it is ordered again.)
 	DuplicateSubmit func(sub Submit, seq uint64)
 
@@ -295,8 +304,8 @@ type Config struct {
 	// HintDeliver, when non-nil, receives sequencer spontaneous-order
 	// hints (outside the runtime lock). Setting it makes the sequencer
 	// broadcast a Hint — its predicted sequence number — for every fresh
-	// submit it accepts, before the ordering round completes, to every
-	// member, itself included. Predictions are best-effort; see Hint.
+	// numbered submit it accepts, before the ordering round completes, to
+	// every member, itself included. Predictions are best-effort; see Hint.
 	HintDeliver func(h Hint)
 
 	// Stats receives protocol metrics. May be nil (all recordings no-op).

@@ -93,6 +93,14 @@ func (h *harness) submitFromClient(cl transport.Endpoint, id, body string) {
 	}
 }
 
+// submitCall is submitFromClient for a client's numbered call.
+func (h *harness) submitCall(cl transport.Endpoint, call uint64, body string) {
+	sub := Submit{Group: h.group, Origin: cl.ID(), Call: call, Payload: appMsg{Body: body}}
+	for _, m := range h.ids {
+		cl.Send(m, sub)
+	}
+}
+
 // take reads n app deliveries (skipping view events) from a member, failing
 // the test on timeout. It must run on a tracked goroutine.
 func take(t *testing.T, rt vtime.Runtime, m *Member, n int) []Delivery {
@@ -114,12 +122,21 @@ func take(t *testing.T, rt vtime.Runtime, m *Member, n int) []Delivery {
 	return out
 }
 
+// ids names each delivery (see key.name).
 func ids(ds []Delivery) []string {
 	out := make([]string, len(ds))
 	for i, d := range ds {
-		out[i] = d.ID
+		out[i] = idKey(d.ID, d.Origin, d.Call).name()
 	}
 	return out
+}
+
+// name is a named id's name, or "<origin>#<call>" for a numbered one.
+func (k key) name() string {
+	if k.call != 0 {
+		return fmt.Sprintf("%s#%d", k.origin, k.call)
+	}
+	return k.id
 }
 
 func TestTotalOrderBasic(t *testing.T) {

@@ -21,9 +21,11 @@ type Member struct {
 	view       View
 	installing *View // adopted proposal, not yet installed via view event
 
-	// Sequencer state. ids is what this member knows of message ids (see
-	// idEntry), pruned first in, first out through idOrder.
+	// Sequencer state, and what this member knows of message ids (see
+	// "message ids" below): one row per origin of numbered ids, and the named
+	// ids in ids, pruned first in, first out through idOrder.
 	nextSeq uint64
+	origins map[wire.NodeID]originRow
 	ids     map[string]idEntry
 	idOrder ring.Queue[string]
 
@@ -51,8 +53,8 @@ type Member struct {
 	// Submits seen but possibly not yet ordered, in arrival order in
 	// cacheOrder; resubmitted on view change and re-sent by the FD tick once
 	// stale.
-	submitCache map[string]cachedSubmit
-	cacheOrder  ring.Queue[string]
+	submitCache map[key]cachedSubmit
+	cacheOrder  ring.Queue[key]
 
 	// maxSeenEpoch is the highest view epoch observed in any protocol
 	// message. A sequencer whose installed epoch is below it has been
@@ -79,8 +81,9 @@ func NewMember(rt vtime.Runtime, cfg Config) *Member {
 		nextSeq:     1,
 		nextDeliver: 1,
 		log:         window{lo: 1},
+		origins:     make(map[wire.NodeID]originRow),
 		ids:         make(map[string]idEntry),
-		submitCache: make(map[string]cachedSubmit),
+		submitCache: make(map[key]cachedSubmit),
 		lastSeen:    make(map[wire.NodeID]time.Duration),
 		peerAcked:   make(map[wire.NodeID]uint64),
 	}
@@ -133,9 +136,9 @@ func (m *Member) Broadcast(id string, payload any) {
 		if st := m.cfg.Stats; st != nil {
 			st.Broadcasts.Inc()
 			// Remember when, so the delivery latency can be observed.
-			if e, known := m.ids[id]; !e.sent && id != "" {
+			if e := m.ids[id]; !e.sent && id != "" {
 				e.sent, e.sentAt = true, m.rt.NowLocked()
-				m.setIDLocked(id, e, !known)
+				m.putEntryLocked(key{id: id}, e)
 			}
 		}
 		m.handleSubmitLocked(m.cfg.Self, sub, &act)
@@ -231,7 +234,7 @@ func (m *Member) Handle(from wire.NodeID, payload any) bool {
 			m.handleSnapshotLocked(p, &act)
 		case Hint:
 			if p.Seq < m.nextDeliver {
-				m.settleLocked(p.ID, p.Seq) // an answer to a copy of an ordered id
+				m.settleLocked(p.key(), p.Seq) // an answer to a copy of an ordered id
 			} else if m.cfg.HintDeliver != nil {
 				act.hints = append(act.hints, p)
 			}
@@ -404,12 +407,18 @@ const (
 	// (a timeout, a nested request or reply, a migration chunk). Only that
 	// origin's copy says it still waits: neither report nor log re-broadcast.
 	settled
+	// superseded: a client's copy of a call below its row — the client gave
+	// up on it, and a later call of its is ordered. It never will be, and its
+	// position (if it had one) is not kept: reported with none, so the owner
+	// refuses it, and no log re-broadcast.
+	superseded
 	// overtakenFirstCopy: in a direct-copy group this member's copy from the
-	// origin lost the race against the sequencer's Ordered. The execution
-	// replies on its own, so only the report is withheld (a replay would be a
-	// second reply); the mark is spent, the log resent as for a
-	// retransmission. When the copy and the reply were both lost, the replay
-	// waits for the client's second retransmission.
+	// origin lost the race against the sequencer's Ordered — its own, or a
+	// later call's. The execution replies on its own, so only the report is
+	// withheld (a replay would be a second reply); the mark is spent, the log
+	// resent from the position, if known, as for a retransmission. When the
+	// copy and the reply were both lost, the replay waits for the client's
+	// second retransmission.
 	overtakenFirstCopy
 	// retransmission: the origin an id was ordered for sent it again, so it
 	// still waits. The owner hears of it through DuplicateSubmit (the stream
@@ -429,10 +438,11 @@ const (
 
 // submitCase is everything the verdict on a copy of a submit depends on.
 type submitCase struct {
-	ordered           bool // the id has its position in the order
+	ordered           bool // the id has its position in the order: a named id's is known, a numbered call is at or below its origin's row
+	below             bool // ...a numbered call below the row, whose position is not kept
 	overtaken         bool // ...which got here before the origin's direct copy (see deliverLocked)
 	fromOrigin        bool // sent by the origin itself (a client, a member of another group, this member's Broadcast), not passed on by a member
-	fromOrderedOrigin bool // ...the origin the id was ordered for: the retained Ordered's Origin, or any origin once the log has let go of it
+	fromOrderedOrigin bool // ...the origin the id was ordered for: a numbered id's own, a named id's retained Ordered's, or any once the log has let go of it
 	own               bool // this member is the origin
 	first             bool // the id is not in the submit cache: this member's first sight of it
 	sequencer         bool // this member orders now (isSequencerLocked)
@@ -445,8 +455,10 @@ func (c submitCase) verdict() submitVerdict {
 	switch {
 	case c.ordered && !c.fromOrderedOrigin:
 		return settled
-	case c.ordered && c.overtaken:
+	case c.overtaken:
 		return overtakenFirstCopy
+	case c.below:
+		return superseded
 	case c.ordered:
 		return retransmission
 	case c.sequencer:
@@ -461,11 +473,13 @@ func (c submitCase) verdict() submitVerdict {
 
 // handleSubmitLocked takes in a copy of a submit that `from` sent.
 func (m *Member) handleSubmitLocked(from wire.NodeID, sub Submit, act *actions) {
-	e := m.ids[sub.ID]
-	_, cached := m.submitCache[sub.ID]
+	k := sub.key()
+	e, below := m.entryLocked(k)
+	_, cached := m.submitCache[k]
 	orders := m.isSequencerLocked()
 	c := submitCase{
-		ordered:      e.seq != 0,
+		ordered:      e.seq != 0 || below,
+		below:        below,
 		overtaken:    e.overtaken,
 		fromOrigin:   from == sub.Origin,
 		own:          sub.Origin == m.cfg.Self,
@@ -476,25 +490,27 @@ func (m *Member) handleSubmitLocked(from wire.NodeID, sub Submit, act *actions) 
 		directCopies: m.cfg.OptimisticDeliver != nil,
 	}
 	if c.ordered && c.fromOrigin {
+		// A numbered id's Ordered names its own origin; a named id's the one
+		// it was ordered for.
 		o, held := m.log.get(e.seq)
 		c.fromOrderedOrigin = !held || o.Origin == from
 	}
 	v := c.verdict()
 	switch v {
-	case settled, overtakenFirstCopy, retransmission:
+	case settled, superseded, overtakenFirstCopy, retransmission:
 		if v == overtakenFirstCopy {
 			e.overtaken = false
-			m.ids[sub.ID] = e
-		} else if v == retransmission && m.cfg.DuplicateSubmit != nil {
+			m.putEntryLocked(k, e)
+		} else if v != settled && m.cfg.DuplicateSubmit != nil {
 			act.dups = append(act.dups, dupSubmit{sub: sub, seq: e.seq})
 		}
 		if c.sequencer {
-			m.answerLocked(from, sub.ID, e.seq, v != settled, act)
+			m.answerLocked(from, k, e.seq, v == overtakenFirstCopy || v == retransmission, act)
 		}
 		return
 	}
 	if c.first {
-		m.cacheSubmitLocked(sub)
+		m.cacheSubmitLocked(k, sub)
 		if m.cfg.OptimisticDeliver != nil {
 			// Surface it on the optimistic-delivery stream, once per id.
 			act.opts = append(act.opts, sub)
@@ -511,15 +527,16 @@ func (m *Member) handleSubmitLocked(from wire.NodeID, sub Submit, act *actions) 
 	}
 }
 
-// answerLocked is the sequencer's answer to a copy of an id ordered at seq
-// from `from`: a member other than this one is told the position, which
-// settles it there even past a snapshot; if the origin still waits (resend),
-// every member is brought forward from there, or from the log's floor.
-func (m *Member) answerLocked(from wire.NodeID, id string, seq uint64, resend bool, act *actions) {
+// answerLocked is the sequencer's answer to a copy of k, ordered at seq
+// (0: a superseded call, whose position is not kept), from `from`: a member
+// other than this one is told the position, which settles it there even past
+// a snapshot; if the origin still waits (resend), every member is brought
+// forward from there, or from the log's floor.
+func (m *Member) answerLocked(from wire.NodeID, k key, seq uint64, resend bool, act *actions) {
 	if from != m.cfg.Self && m.view.Contains(from) {
-		act.send(from, Hint{Group: m.cfg.Group, ID: id, Seq: seq})
+		act.send(from, k.hint(m.cfg.Group, seq))
 	}
-	if !resend {
+	if !resend || seq == 0 {
 		return
 	}
 	for _, peer := range m.view.Members {
@@ -533,45 +550,48 @@ func (m *Member) answerLocked(from wire.NodeID, id string, seq uint64, resend bo
 // position is announced before the ordering round — exact in steady state,
 // harmlessly wrong across view changes.
 func (m *Member) sequenceLocked(sub Submit, act *actions) {
-	m.hintLocked(sub.ID, m.nextSeq, act)
-	m.orderLocked(sub.ID, sub.Origin, sub.Payload, nil, act)
+	m.hintLocked(sub.key(), m.nextSeq, act)
+	m.orderLocked(sub, nil, act)
 }
 
-// hintLocked queues a spontaneous-order hint for every view member, this
-// one's own HintDeliver included. No-op unless HintDeliver is set.
-func (m *Member) hintLocked(id string, seq uint64, act *actions) {
-	if m.cfg.HintDeliver == nil || id == "" {
+// hintLocked queues a spontaneous-order hint for a client's call to every
+// view member, this one's own HintDeliver included. No-op unless
+// HintDeliver is set.
+func (m *Member) hintLocked(k key, seq uint64, act *actions) {
+	if m.cfg.HintDeliver == nil || k.call == 0 {
 		return
 	}
-	h := Hint{Group: m.cfg.Group, ID: id, Seq: seq}
+	h := k.hint(m.cfg.Group, seq)
 	act.sendAll(m, m.view.Members, h)
 	act.hints = append(act.hints, h)
 }
 
-// orderLocked assigns the next sequence number and broadcasts. Only the
-// sequencer calls it.
-func (m *Member) orderLocked(id string, origin wire.NodeID, payload any, view *View, act *actions) {
-	if m.orderedLocked(id) {
+// orderLocked assigns the next sequence number to sub and broadcasts. Only
+// the sequencer calls it.
+func (m *Member) orderLocked(sub Submit, view *View, act *actions) {
+	k := sub.key()
+	if m.orderedLocked(k) {
 		return
 	}
 	o := Ordered{
 		Group:   m.cfg.Group,
 		Epoch:   m.view.Epoch,
 		Seq:     m.nextSeq,
-		ID:      id,
-		Origin:  origin,
-		Payload: payload,
+		ID:      sub.ID,
+		Origin:  sub.Origin,
+		Call:    sub.Call,
+		Payload: sub.Payload,
 		View:    view,
 	}
 	m.nextSeq++
-	m.markOrderedIDLocked(id, o.Seq)
+	m.markOrderedLocked(k, o.Seq)
 	act.sendAll(m, m.view.Members, o)
 	m.handleOrderedLocked(o, act)
 }
 
 func (m *Member) handleOrderedLocked(o Ordered, act *actions) {
 	if o.Seq < m.nextDeliver {
-		m.settleLocked(o.ID, o.Seq) // a duplicate, or a repair past a snapshot
+		m.settleLocked(o.key(), o.Seq) // a duplicate, or a repair past a snapshot
 		return
 	}
 	if m.nextSeq <= o.Seq {
@@ -607,11 +627,12 @@ func (m *Member) nackLocked(act *actions) {
 	}
 }
 
-// settleLocked records that id took position seq, below the delivery
-// frontier: its submit, if this member still holds one, is not resent.
-func (m *Member) settleLocked(id string, seq uint64) {
-	m.markOrderedIDLocked(id, seq)
-	delete(m.submitCache, id)
+// settleLocked records that k took position seq, below the delivery
+// frontier (0: a call superseded before it was ordered): its submit, if this
+// member still holds one, is not resent.
+func (m *Member) settleLocked(k key, seq uint64) {
+	m.markOrderedLocked(k, seq)
+	delete(m.submitCache, k)
 }
 
 // deliverReadyLocked delivers what the log holds at the frontier, up to the
@@ -628,8 +649,9 @@ func (m *Member) deliverReadyLocked(act *actions) {
 }
 
 func (m *Member) deliverLocked(o Ordered, act *actions) {
-	e, known := m.ids[o.ID]
-	cached, direct := m.submitCache[o.ID]
+	k := o.key()
+	e, _ := m.entryLocked(k)
+	cached, direct := m.submitCache[k]
 	if st := m.cfg.Stats; st != nil {
 		st.Delivered.Inc()
 		if e.sent && o.Origin == m.cfg.Self {
@@ -665,24 +687,21 @@ func (m *Member) deliverLocked(o Ordered, act *actions) {
 			}
 		}
 	}
-	if o.ID != "" {
-		if m.cfg.OptimisticDeliver != nil && !direct && !m.view.Contains(o.Origin) {
-			// The Ordered copy got here before the submitter's own, which in
-			// a direct-copy group is on its way. A member's own broadcast
-			// goes to the sequencer alone, and so does a client's request
-			// in any other group: there the first direct copy of an ordered
-			// id is a retransmission, and a mark would only make its
-			// replay wait for the second.
-			e.overtaken = true
-		}
-		e.seq = o.Seq
-		m.setIDLocked(o.ID, e, !known)
-		delete(m.submitCache, o.ID)
+	if k != (key{}) {
+		// overtaken: the Ordered copy got here before the submitter's own,
+		// which in a direct-copy group is on its way. A member's own
+		// broadcast goes to the sequencer alone, and so does a client's
+		// request in any other group: there the first direct copy of an
+		// ordered id is a retransmission, and a mark would only make its
+		// replay wait for the second.
+		e.seq, e.overtaken = o.Seq, m.cfg.OptimisticDeliver != nil && !direct && !m.view.Contains(o.Origin)
+		m.putEntryLocked(k, e)
+		delete(m.submitCache, k)
 	}
 	if o.View == nil && o.Payload == nil {
 		return // gap filler ordered by a recovering sequencer
 	}
-	d := Delivery{Seq: o.Seq, ID: o.ID, Origin: o.Origin, Payload: o.Payload}
+	d := Delivery{Seq: o.Seq, ID: o.ID, Call: o.Call, Origin: o.Origin, Payload: o.Payload}
 	if o.View != nil {
 		v := o.View.clone()
 		d.NewView = &v
@@ -755,13 +774,13 @@ func (m *Member) resubmitLocked(age time.Duration, act *actions) {
 		return
 	}
 	now := m.rt.NowLocked()
-	for id := range m.cacheOrder.All() {
-		c, ok := m.submitCache[id]
-		if !ok || m.orderedLocked(id) || now-c.at < age {
+	for k := range m.cacheOrder.All() {
+		c, ok := m.submitCache[k]
+		if !ok || m.orderedLocked(k) || now-c.at < age {
 			continue
 		}
 		c.at = now // one resend per age
-		m.submitCache[id] = c
+		m.submitCache[k] = c
 		if m.isSequencerLocked() {
 			m.sequenceLocked(c.sub, act)
 		} else if m.view.Sequencer() != m.cfg.Self {
@@ -797,19 +816,58 @@ func (m *Member) handleSnapshotLocked(p Snapshot, act *actions) {
 	m.trimLocked()
 }
 
-// --- bookkeeping ---
+// --- message ids ---
+//
+// A named id is remembered in a window: the last maxTrackedIDs names seen
+// ordered or broadcast, first in, first out. A client's calls take positions
+// in call order (see Message ids in gcs.go), so one row per origin — its
+// highest call seen ordered — answers for every call of that origin: above
+// the row a call is fresh, the row's own has the row's position, below it a
+// call is superseded. Past maxTrackedIDs origins the row ordered longest ago
+// goes. A forgotten id is no duplicate any more: it is ordered again, and
+// the layer above refuses it.
 
 const maxTrackedIDs = 1 << 14
 
-// idEntry is what a member knows of one message id. seq is the position the
-// id was ordered at, 0 while this member has only broadcast it; sentAt is
-// when it did (own ids, with cfg.Stats), until the delivery has been timed.
+// key is a message id as the tables compare it: a named id by its name,
+// whoever sent the copy; a numbered one by origin and call.
+type key struct {
+	id     string
+	origin wire.NodeID
+	call   uint64
+}
+
+func idKey(id string, origin wire.NodeID, call uint64) key {
+	if call == 0 {
+		return key{id: id}
+	}
+	return key{origin: origin, call: call}
+}
+
+func (s Submit) key() key  { return idKey(s.ID, s.Origin, s.Call) }
+func (o Ordered) key() key { return idKey(o.ID, o.Origin, o.Call) }
+func (h Hint) key() key    { return idKey(h.ID, h.Origin, h.Call) }
+
+// hint names position seq for k.
+func (k key) hint(g wire.GroupID, seq uint64) Hint {
+	return Hint{Group: g, ID: k.id, Origin: k.origin, Call: k.call, Seq: seq}
+}
+
+// idEntry is what a member knows of one id. seq is the position the id was
+// ordered at, 0 while this member has only broadcast it; sentAt is when it
+// did (own ids, with cfg.Stats), until the delivery has been timed.
 // overtaken marks an id this member delivered before it saw the origin's
 // direct copy (only in direct-copy groups, see handleSubmitLocked).
 type idEntry struct {
 	seq       uint64
 	sentAt    time.Duration
 	sent      bool
+	overtaken bool
+}
+
+// originRow is the highest call of one origin this member saw ordered.
+type originRow struct {
+	call, seq uint64
 	overtaken bool
 }
 
@@ -820,42 +878,96 @@ type cachedSubmit struct {
 	at  time.Duration
 }
 
-// orderedLocked reports whether id is known to be ordered (never the empty
-// id: it is not tracked).
-func (m *Member) orderedLocked(id string) bool { return m.ids[id].seq != 0 }
-
-// setIDLocked stores id's entry; a fresh id joins the pruning order, and
-// the oldest leaves the table once it tracks more than maxTrackedIDs.
-func (m *Member) setIDLocked(id string, e idEntry, fresh bool) {
-	m.ids[id] = e
-	if !fresh {
-		return
+// entryLocked is what this member knows of k: a named id's entry, or what
+// its origin's row says of a call — the row's entry for its own call,
+// nothing above it, below it that the call is superseded. In a direct-copy
+// group a copy of a call below the row may be the first this member sees,
+// overtaken by a later call's Ordered; nothing tells it from a repeat, and
+// its client, which has moved on, waits for neither: it is marked overtaken.
+func (m *Member) entryLocked(k key) (e idEntry, below bool) {
+	if k.call == 0 {
+		return m.ids[k.id], false
 	}
-	m.idOrder.Push(id)
-	if m.idOrder.Len() > maxTrackedIDs {
-		old, _ := m.idOrder.Pop()
-		delete(m.ids, old)
+	row, ok := m.origins[k.origin]
+	switch {
+	case !ok || k.call > row.call:
+		return idEntry{}, false
+	case k.call == row.call:
+		return idEntry{seq: row.seq, overtaken: row.overtaken}, false
+	}
+	return idEntry{overtaken: m.cfg.OptimisticDeliver != nil}, true
+}
+
+// putEntryLocked stores e for k: a named id's entry, a new name joining the
+// window; or the row of a numbered id's origin, moved up to its call (never
+// down), a new origin's row evicting the one ordered longest ago. Every
+// addition and eviction ends in the id-rows gauges.
+func (m *Member) putEntryLocked(k key, e idEntry) {
+	if k.call == 0 {
+		_, known := m.ids[k.id]
+		m.ids[k.id] = e
+		if known {
+			return
+		}
+		m.idOrder.Push(k.id)
+		if m.idOrder.Len() > maxTrackedIDs {
+			old, _ := m.idOrder.Pop()
+			delete(m.ids, old)
+		}
+	} else {
+		row, known := m.origins[k.origin]
+		if k.call < row.call {
+			return
+		}
+		if !known && len(m.origins) >= maxTrackedIDs {
+			var oldest wire.NodeID
+			low := ^uint64(0)
+			for o, r := range m.origins {
+				if r.seq < low {
+					oldest, low = o, r.seq
+				}
+			}
+			delete(m.origins, oldest)
+		}
+		m.origins[k.origin] = originRow{k.call, e.seq, e.overtaken}
+		if known {
+			return
+		}
+	}
+	if st := m.cfg.Stats; st != nil {
+		st.OriginRows.Set(int64(len(m.origins)))
+		st.NamedIDs.Set(int64(len(m.ids)))
 	}
 }
 
-func (m *Member) markOrderedIDLocked(id string, seq uint64) {
-	if e, known := m.ids[id]; id != "" && e.seq == 0 {
+// orderedLocked reports whether k is known to be ordered or superseded
+// (never the empty id: it is not tracked).
+func (m *Member) orderedLocked(k key) bool {
+	e, below := m.entryLocked(k)
+	return e.seq != 0 || below
+}
+
+// markOrderedLocked records that k took position seq, unless this member
+// knew it already or seq is 0 (a superseded call: nothing to record).
+func (m *Member) markOrderedLocked(k key, seq uint64) {
+	if e, below := m.entryLocked(k); seq != 0 && e.seq == 0 && !below && k != (key{}) {
 		e.seq = seq
-		m.setIDLocked(id, e, !known)
+		m.putEntryLocked(k, e)
 	}
 }
 
-// cacheSubmitLocked remembers a not-yet-ordered submit this member sees for
-// the first time.
-func (m *Member) cacheSubmitLocked(sub Submit) {
-	m.submitCache[sub.ID] = cachedSubmit{sub: sub, at: m.rt.NowLocked()}
-	m.cacheOrder.Push(sub.ID)
+// cacheSubmitLocked remembers a not-yet-ordered submit, which k names, that
+// this member sees for the first time.
+func (m *Member) cacheSubmitLocked(k key, sub Submit) {
+	m.submitCache[k] = cachedSubmit{sub: sub, at: m.rt.NowLocked()}
+	m.cacheOrder.Push(k)
 	// Submits are ordered about as they came, so what the head of the queue
-	// names has mostly left the cache since: dropped here, the queue stays
-	// about as short as the cache instead of filling up with ordered ids.
+	// names has mostly left the cache since — or been superseded, for a
+	// client's abandoned call: dropped here, the queue stays about as short
+	// as the cache instead of filling up with ordered ids.
 	for {
 		head := *m.cacheOrder.At(0)
-		if _, live := m.submitCache[head]; live && m.cacheOrder.Len() <= maxTrackedIDs {
+		if _, live := m.submitCache[head]; live && !m.orderedLocked(head) && m.cacheOrder.Len() <= maxTrackedIDs {
 			return
 		}
 		m.cacheOrder.Pop()

@@ -252,6 +252,11 @@ func overtakenMarks(m *Member) (n int) {
 			n++
 		}
 	}
+	for _, row := range m.origins {
+		if row.overtaken {
+			n++
+		}
+	}
 	return n
 }
 

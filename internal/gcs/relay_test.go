@@ -52,7 +52,7 @@ type frames struct {
 
 type frame struct {
 	from     wire.NodeID
-	kind, id string // kind: "Submit", "Ordered", "Hint", …
+	kind, id string // kind: "Submit", "Ordered", "Hint", …; id: see key.name
 }
 
 func (f *frames) hook(c *Config) {
@@ -61,11 +61,11 @@ func (f *frames) hook(c *Config) {
 		fr := frame{from: self, kind: strings.TrimPrefix(fmt.Sprintf("%T", p), "gcs.")}
 		switch p := p.(type) {
 		case Submit:
-			fr.id = p.ID
+			fr.id = p.key().name()
 		case Ordered:
-			fr.id = p.ID
+			fr.id = p.key().name()
 		case Hint:
-			fr.id = p.ID
+			fr.id = p.key().name()
 		}
 		f.mu.Lock()
 		f.sent = append(f.sent, fr)
@@ -234,7 +234,7 @@ func TestNoRelayDuringViewInstall(t *testing.T) {
 			t.Errorf("member sent %d messages while installing a view, want 0", n)
 		}
 		h.rt.Lock()
-		_, cached := h.members[2].submitCache["m1"]
+		_, cached := h.members[2].submitCache[key{id: "m1"}]
 		h.members[2].installing = nil
 		h.rt.Unlock()
 		if !cached {

@@ -124,8 +124,8 @@ func TestResumedSequencerHintsItsBacklogLocally(t *testing.T) {
 		h.net.Crash(h.ids[1])
 		h.net.Crash(h.ids[2])
 		h.rt.Sleep(300 * time.Millisecond) // well past SuspectAfter
-		h.submitFromClient(cl, "held-a", "x")
-		h.submitFromClient(cl, "held-b", "x")
+		h.submitCall(cl, 1, "x")
+		h.submitCall(cl, 2, "x")
 		h.rt.Sleep(100 * time.Millisecond)
 		if n := hints[0].Load(); n != 0 {
 			t.Fatalf("suspended sequencer announced %d positions", n)
@@ -133,8 +133,8 @@ func TestResumedSequencerHintsItsBacklogLocally(t *testing.T) {
 		h.net.Restore(h.ids[1])
 		h.net.Restore(h.ids[2])
 		for i, m := range h.members {
-			if got := ids(take(t, h.rt, m, 2)); !reflect.DeepEqual(got, []string{"held-a", "held-b"}) {
-				t.Errorf("member %d delivered %v, want [held-a held-b]", i, got)
+			if got := ids(take(t, h.rt, m, 2)); !reflect.DeepEqual(got, []string{"client/c1#1", "client/c1#2"}) {
+				t.Errorf("member %d delivered %v, want [client/c1#1 client/c1#2]", i, got)
 			}
 		}
 		for rank := range hints {

@@ -37,6 +37,11 @@ type Stats struct {
 	// (resp. from) peers whose requested tail was truncated.
 	SnapshotsSent      *obs.Counter
 	SnapshotsInstalled *obs.Counter
+	// OriginRows and NamedIDs are what the member keeps of message ids: one
+	// row per origin of numbered ids (the clients it has heard of), and the
+	// window of named ids (replobj_gcs_id_rows{kind="origin"|"name"}).
+	OriginRows *obs.Gauge
+	NamedIDs   *obs.Gauge
 }
 
 // NewStats builds the member's metric set in reg, labelling every series
@@ -57,7 +62,10 @@ func newStats(reg *obs.Registry, label string) *Stats {
 	if reg == nil {
 		return nil
 	}
+	kind := func(k string) string { return label[:len(label)-1] + `,kind="` + k + `"}` }
 	return &Stats{
+		OriginRows:         reg.Gauge("replobj_gcs_id_rows" + kind("origin")),
+		NamedIDs:           reg.Gauge("replobj_gcs_id_rows" + kind("name")),
 		Broadcasts:         reg.Counter("replobj_gcs_broadcasts_total" + label),
 		Delivered:          reg.Counter("replobj_gcs_delivered_total" + label),
 		Nacks:              reg.Counter("replobj_gcs_nacks_total" + label),

@@ -15,27 +15,41 @@ const (
 func (t tri) admits(b bool) bool { return t == whatever || (t == yes) == b }
 
 // TestSubmitVerdictTable is the submit classifier as a table: the rows
-// partition every combination of inputs that can occur, and each names the
-// test that checks its rule end to end.
+// partition every combination of inputs that can occur, for named ids and
+// for numbered ones (a client's call, judged by its origin's row), and each
+// names the test that checks its rule end to end.
 func TestSubmitVerdictTable(t *testing.T) {
 	rows := []struct {
 		name string // the rule, and where it is checked end to end
 
-		ordered, overtaken, fromOrigin, fromOrderedOrigin, own, first tri
-		sequencer, suspended, installing, directCopies                tri
+		numbered                                                      tri
+		ordered, below, overtaken, fromOrigin, fromOrderedOrigin, own tri
+		first, sequencer, suspended, installing, directCopies         tri
 
 		want submitVerdict
 	}{
 		{name: "a relay of an ordered id is settled (TestStaleRelayIsAnsweredWithItsPosition)",
-			ordered: yes, fromOrigin: no, want: settled},
+			numbered: no, ordered: yes, fromOrigin: no, want: settled},
 		{name: "another origin's copy of an ordered id is settled (TestGroupWideSubmitIsNotARetransmission)",
-			ordered: yes, fromOrigin: yes, fromOrderedOrigin: no, want: settled},
+			numbered: no, ordered: yes, fromOrigin: yes, fromOrderedOrigin: no, want: settled},
 		{name: "the direct copy an Ordered overtook is no retransmission (TestOvertakenSubmitIsNotADuplicate)",
-			ordered: yes, fromOrderedOrigin: yes, overtaken: yes, want: overtakenFirstCopy},
+			numbered: no, ordered: yes, fromOrderedOrigin: yes, overtaken: yes, want: overtakenFirstCopy},
 		{name: "the ordered origin sends an ordered id again (TestPlainGroupReplaysFirstDirectArrival, TestStaleRelayIsAnsweredWithItsPosition, TestSnapshotSettlesCachedSubmits)",
-			ordered: yes, fromOrderedOrigin: yes, overtaken: no, want: retransmission},
+			numbered: no, ordered: yes, fromOrderedOrigin: yes, overtaken: no, want: retransmission},
 		{name: "the sequencer orders (TestTotalOrderBasic)",
-			ordered: no, sequencer: yes, want: orderHere},
+			numbered: no, ordered: no, sequencer: yes, want: orderHere},
+		{name: "a call above its origin's row is fresh: the sequencer orders it (TestNumberedCallsAgainstTheRow)",
+			numbered: yes, ordered: no, sequencer: yes, want: orderHere},
+		{name: "a copy of a numbered call from anyone but its client is settled (TestNumberedCallsAgainstTheRow)",
+			numbered: yes, ordered: yes, fromOrigin: no, want: settled},
+		{name: "the row's own call from its client is a retransmission, at the row's position (TestNumberedCallsAgainstTheRow)",
+			numbered: yes, ordered: yes, below: no, fromOrigin: yes, overtaken: no, want: retransmission},
+		{name: "the row's own call, overtaken by its Ordered in a direct-copy group (TestNumberedCallsAgainstTheRow)",
+			numbered: yes, below: no, fromOrigin: yes, overtaken: yes, want: overtakenFirstCopy},
+		{name: "a call below the row from its client is superseded (TestNumberedCallsAgainstTheRow, TestAbandonedCallNeverRunsAfterALaterOne)",
+			numbered: yes, below: yes, fromOrigin: yes, directCopies: no, want: superseded},
+		{name: "a call below the row in a direct-copy group may be a first copy a later call overtook (TestNumberedCallsAgainstTheRow, TestInvokeMessageBudget)",
+			numbered: yes, below: yes, fromOrigin: yes, directCopies: yes, want: overtakenFirstCopy},
 		{name: "a relay is never relayed again (TestFollowerRelaysFreshClientSubmit)",
 			ordered: no, sequencer: no, fromOrigin: no, want: hold},
 		{name: "no relay while a view is installed (TestNoRelayDuringViewInstall)",
@@ -51,39 +65,48 @@ func TestSubmitVerdictTable(t *testing.T) {
 		{name: "a direct-copy group relays nothing (TestDirectCopyGroupRelaysNothing)",
 			ordered: no, sequencer: no, fromOrigin: yes, installing: no, suspended: no, own: no, first: yes, directCopies: yes, want: hold},
 	}
-	for bits := 0; bits < 1<<10; bits++ {
-		bit := func(i int) bool { return bits>>i&1 != 0 }
-		c := submitCase{
-			ordered: bit(0), overtaken: bit(1), fromOrigin: bit(2), own: bit(3), first: bit(4),
-			sequencer: bit(5), suspended: bit(6), installing: bit(7), directCopies: bit(8),
-			fromOrderedOrigin: bit(9),
-		}
-		// What cannot occur: the overtaken mark is set on delivery, in
-		// direct-copy groups, for origins outside the view; a member that
-		// orders is neither suspended nor installing a view; only an ordered
-		// id has an ordered origin, and only the origin's own copy is from it.
-		if c.overtaken && !(c.ordered && c.directCopies && !c.own) ||
-			c.sequencer && (c.suspended || c.installing) ||
-			c.fromOrderedOrigin && !(c.ordered && c.fromOrigin) {
-			continue
-		}
-		matched := -1
-		for i, r := range rows {
-			if r.ordered.admits(c.ordered) && r.overtaken.admits(c.overtaken) &&
-				r.fromOrigin.admits(c.fromOrigin) && r.fromOrderedOrigin.admits(c.fromOrderedOrigin) &&
-				r.own.admits(c.own) && r.first.admits(c.first) &&
-				r.sequencer.admits(c.sequencer) && r.suspended.admits(c.suspended) &&
-				r.installing.admits(c.installing) && r.directCopies.admits(c.directCopies) {
-				if matched >= 0 {
-					t.Errorf("%+v: rows %q and %q both apply", c, rows[matched].name, r.name)
-				}
-				matched = i
+	for _, numbered := range []bool{false, true} {
+		for bits := 0; bits < 1<<11; bits++ {
+			bit := func(i int) bool { return bits>>i&1 != 0 }
+			c := submitCase{
+				ordered: bit(0), overtaken: bit(1), fromOrigin: bit(2), own: bit(3), first: bit(4),
+				sequencer: bit(5), suspended: bit(6), installing: bit(7), directCopies: bit(8),
+				fromOrderedOrigin: bit(9), below: bit(10),
 			}
-		}
-		if matched < 0 {
-			t.Errorf("%+v: no row applies", c)
-		} else if got := c.verdict(); got != rows[matched].want {
-			t.Errorf("%+v: verdict %d, want %d — %s", c, got, rows[matched].want, rows[matched].name)
+			// What cannot occur: the overtaken mark is set on delivery, in
+			// direct-copy groups, for origins outside the view; a member that
+			// orders is neither suspended nor installing a view; only an ordered
+			// id has an ordered origin, and only the origin's own copy is from it.
+			// A numbered id is a client's, ordered for that client, and below its
+			// row only if ordered — marked overtaken there exactly in a
+			// direct-copy group; a named id is never below a row.
+			if c.overtaken && !(c.ordered && c.directCopies && !c.own) ||
+				c.sequencer && (c.suspended || c.installing) ||
+				c.fromOrderedOrigin && !(c.ordered && c.fromOrigin) ||
+				numbered && (c.own || c.fromOrderedOrigin != (c.ordered && c.fromOrigin) ||
+					c.below && (!c.ordered || c.overtaken != c.directCopies)) ||
+				!numbered && c.below {
+				continue
+			}
+			matched := -1
+			for i, r := range rows {
+				if r.numbered.admits(numbered) && r.ordered.admits(c.ordered) && r.below.admits(c.below) &&
+					r.overtaken.admits(c.overtaken) &&
+					r.fromOrigin.admits(c.fromOrigin) && r.fromOrderedOrigin.admits(c.fromOrderedOrigin) &&
+					r.own.admits(c.own) && r.first.admits(c.first) &&
+					r.sequencer.admits(c.sequencer) && r.suspended.admits(c.suspended) &&
+					r.installing.admits(c.installing) && r.directCopies.admits(c.directCopies) {
+					if matched >= 0 {
+						t.Errorf("numbered=%v %+v: rows %q and %q both apply", numbered, c, rows[matched].name, r.name)
+					}
+					matched = i
+				}
+			}
+			if matched < 0 {
+				t.Errorf("numbered=%v %+v: no row applies", numbered, c)
+			} else if got := c.verdict(); got != rows[matched].want {
+				t.Errorf("numbered=%v %+v: verdict %d, want %d — %s", numbered, c, got, rows[matched].want, rows[matched].name)
+			}
 		}
 	}
 }

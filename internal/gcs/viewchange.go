@@ -190,11 +190,12 @@ func (m *Member) finishSyncLocked(act *actions) {
 	}
 	m.installing = nil
 	m.view = View{Epoch: m.view.Epoch, Members: slices.Clone(v.Members)} // the epoch moves at delivery
-	m.orderLocked(viewEventID(v), m.cfg.Self, nil, &v, act)
+	m.orderLocked(Submit{ID: viewEventID(v), Origin: m.cfg.Self}, &v, act)
 	for _, r := range resps {
 		for _, sub := range r.Pending {
-			if _, cached := m.submitCache[sub.ID]; !cached && !m.orderedLocked(sub.ID) {
-				m.cacheSubmitLocked(sub)
+			k := sub.key()
+			if _, cached := m.submitCache[k]; !cached && !m.orderedLocked(k) {
+				m.cacheSubmitLocked(k, sub)
 			}
 		}
 	}
@@ -248,8 +249,8 @@ func (m *Member) mergeTailsLocked(resps []SyncResp, epoch uint64, act *actions) 
 func (m *Member) tailLocked(epoch uint64) SyncResp {
 	r := SyncResp{Group: m.cfg.Group, From: m.cfg.Self, Epoch: epoch, Delivered: m.nextDeliver - 1,
 		Tail: slices.Collect(m.log.all()), SnapSeq: m.snapSeq, Snap: m.snapData}
-	for id := range m.cacheOrder.All() {
-		if c, ok := m.submitCache[id]; ok {
+	for k := range m.cacheOrder.All() {
+		if c, ok := m.submitCache[k]; ok {
 			r.Pending = append(r.Pending, c.sub)
 		}
 	}

@@ -172,7 +172,7 @@ func TestIDTableForgetsOldestFirst(t *testing.T) {
 		take(t, h.rt, m, 2)
 		h.rt.Lock()
 		for i := 0; i < maxTrackedIDs-1; i++ {
-			m.markOrderedIDLocked(fmt.Sprint("filler", i), uint64(1000+i))
+			m.markOrderedLocked(key{id: fmt.Sprint("filler", i)}, uint64(1000+i))
 		}
 		tracked, queued := len(m.ids), m.idOrder.Len()
 		_, firstKept := m.ids["first"]

@@ -31,6 +31,7 @@
 // sequence number, a round, an epoch — goes in as a number (RecordN) that
 // folds the decimal bytes strconv.FormatUint would contribute, so digests
 // are those of the string form; the string is built when an event is read.
+// A numbered subject — a client's call — goes in the same way (RecordCall).
 package obs
 
 import (
@@ -137,6 +138,15 @@ func fnvByte(h uint64, b byte) uint64 {
 	return h
 }
 
+// fnvUint folds the decimal form of n, without building it.
+func fnvUint(h, n uint64) uint64 {
+	var dec [20]byte // len(strconv.FormatUint(math.MaxUint64, 10))
+	for _, b := range strconv.AppendUint(dec[:0], n, 10) {
+		h = fnvByte(h, b)
+	}
+	return h
+}
+
 // Stream is a handle on one digest-carrying event sequence of a trace
 // (Trace.Stream), good for the life of the trace: RestoreStreams resets
 // streams in place. Safe for concurrent use and on a nil receiver (the
@@ -147,17 +157,23 @@ type Stream struct {
 	digest uint64
 }
 
-// slot is one retained event; a numeric detail stays a number until read.
+// slot is one retained event; a numeric detail and a call number stay
+// numbers until read. Its position is not kept: a stream's retained events
+// are a contiguous tail of it, so Snapshot counts back from the stream's
+// count.
 type slot struct {
 	s               *Stream
-	pos, digest, n  uint64
+	digest, n, call uint64
 	subject, detail string
 	kind            Kind
 	numeric         bool
 }
 
 func (sl *slot) event() Event {
-	ev := Event{Pos: sl.pos, Kind: sl.kind, Subject: sl.subject, Detail: sl.detail, Digest: sl.digest}
+	ev := Event{Kind: sl.kind, Subject: sl.subject, Detail: sl.detail, Digest: sl.digest}
+	if sl.call != 0 {
+		ev.Subject += "#" + strconv.FormatUint(sl.call, 10)
+	}
 	if sl.numeric {
 		ev.Detail = strconv.FormatUint(sl.n, 10)
 	}
@@ -242,6 +258,13 @@ func (s *Stream) RecordN(kind Kind, subject string, n uint64) {
 	s.record(slot{kind: kind, subject: subject, n: n, numeric: true})
 }
 
+// RecordCall is RecordN with the subject origin + "#" +
+// strconv.FormatUint(call, 10): a client's call, named by its origin and
+// call number (call > 0), without building the string.
+func (s *Stream) RecordCall(kind Kind, origin string, call, n uint64) {
+	s.record(slot{kind: kind, subject: origin, call: call, n: n, numeric: true})
+}
+
 // record is the one place an event is folded into a digest and retained.
 func (s *Stream) record(sl slot) {
 	if s == nil {
@@ -251,18 +274,18 @@ func (s *Stream) record(sl slot) {
 	t.mu.Lock()
 	h := fnvByte(s.digest, byte(sl.kind))
 	h = fnvString(h, sl.subject)
+	if sl.call != 0 {
+		h = fnvUint(fnvByte(h, '#'), sl.call)
+	}
 	h = fnvByte(h, 0xfe)
 	if sl.numeric {
-		var dec [20]byte // len(strconv.FormatUint(math.MaxUint64, 10))
-		for _, b := range strconv.AppendUint(dec[:0], sl.n, 10) {
-			h = fnvByte(h, b)
-		}
+		h = fnvUint(h, sl.n)
 	} else {
 		h = fnvString(h, sl.detail)
 	}
 	h = fnvByte(h, 0xff)
 	s.digest = h
-	sl.s, sl.pos, sl.digest = s, s.count, h
+	sl.s, sl.digest = s, h
 	s.count++
 	if t.ring.Len() == t.retain {
 		t.ring.Pop()
@@ -311,6 +334,10 @@ func (t *Trace) Snapshot() map[string]StreamSnapshot {
 	}
 	t.mu.Unlock()
 	for _, ss := range byStream {
+		first := ss.Count - uint64(len(ss.Events))
+		for i := range ss.Events {
+			ss.Events[i].Pos = first + uint64(i)
+		}
 		out[ss.Stream] = *ss
 	}
 	return out

@@ -303,10 +303,14 @@ func TestStreamHandleSurvivesRestore(t *testing.T) {
 func TestQuickNumericDetailMatchesString(t *testing.T) {
 	num, str := NewTrace(0), NewTrace(0)
 	ns, ss := num.Stream("s"), str.Stream("s")
-	f := func(kind uint8, subject string, n uint64, small uint8) bool {
+	f := func(kind uint8, subject string, n uint64, small uint8, call uint32) bool {
 		for _, v := range []uint64{n, uint64(small)} {
 			ns.RecordN(Kind(kind), subject, v)
 			ss.Record(Kind(kind), subject, strconv.FormatUint(v, 10))
+			// A client's call as the subject: RecordCall folds the text.
+			c := uint64(call) + 1
+			ns.RecordCall(Kind(kind), subject, c, v)
+			ss.Record(Kind(kind), subject+"#"+strconv.FormatUint(c, 10), strconv.FormatUint(v, 10))
 		}
 		a, b := num.Snapshot()["s"], str.Snapshot()["s"]
 		return a.Digest == b.Digest && a.Events[len(a.Events)-1] == b.Events[len(b.Events)-1] &&
@@ -318,6 +322,8 @@ func TestQuickNumericDetailMatchesString(t *testing.T) {
 	for _, n := range []uint64{0, 9, 10, math.MaxUint64} {
 		ns.RecordN(KindExec, "edge", n)
 		ss.Record(KindExec, "edge", strconv.FormatUint(n, 10))
+		ns.RecordCall(KindExec, "client/c", max(n, 1), n)
+		ss.Record(KindExec, "client/c#"+strconv.FormatUint(max(n, 1), 10), strconv.FormatUint(n, 10))
 	}
 	if d := FirstDivergence(num.Snapshot(), str.Snapshot()); d != nil {
 		t.Errorf("numeric and string traces diverge: %v", d)

@@ -517,6 +517,8 @@ func New(cfg Config) *Replica {
 	// the retransmitted request's ordered position: when the row has aged
 	// out of the duplicate-detection window, replay is impossible and the
 	// client gets a CodeExpiredDuplicate reply instead of eternal silence.
+	// seq is 0 for a call the group layer found below its client's latest
+	// ordered call: it will never be ordered, and is refused the same way.
 	// A request the table calls fresh and ordered above the eviction floor
 	// has not been dispatched locally yet, and resolves when the delivery
 	// arrives.
@@ -623,8 +625,13 @@ func (r *Replica) dispatchLoop() {
 			continue
 		}
 		// One event per totally-ordered delivery: position and id must agree
-		// across replicas, so the "order" stream digests are comparable.
-		r.order.RecordN(obs.KindExec, d.ID, d.Seq)
+		// across replicas, so the "order" stream digests are comparable. A
+		// client's call is folded as "<origin>#<call>", with no string built.
+		if d.Call != 0 {
+			r.order.RecordCall(obs.KindExec, string(d.Origin), d.Call, d.Seq)
+		} else {
+			r.order.RecordN(obs.KindExec, d.ID, d.Seq)
+		}
 		if d.NewView != nil {
 			r.sched.ViewChanged(*d.NewView)
 			if d.Payload == nil {

@@ -84,13 +84,13 @@ func (r *Replica) onOptimisticSubmit(sub gcs.Submit) {
 }
 
 // onHint records a sequencer spontaneous-order hint: the predicted stream
-// position for a submission in flight. Hints are advisory — the conflict
+// position for a client's call in flight. Hints are advisory — the conflict
 // floors remain the sole validity authority — and are only consumed by the
 // hint-accuracy counter at confirm time.
 func (r *Replica) onHint(h gcs.Hint) {
 	r.rt.Lock()
 	if !r.stopped && r.specMgr != nil {
-		r.specMgr.Hint(h.ID, h.Seq)
+		r.specMgr.Hint(spec.Call{Origin: string(h.Origin), Num: h.Call}, h.Seq)
 	}
 	r.rt.Unlock()
 }
@@ -266,11 +266,10 @@ func (r *Replica) specDispatchLocked(req *Request, seq uint64, classes []string)
 	act := specAction{classes: classes, floor: r.specMgr.Floor(classes), seq: seq}
 	out := spec.Miss
 	if req.Kind == KindClient {
-		id := req.ID.String()
-		match, seen := r.specMgr.HintMatch(id, seq)
+		match, seen := r.specMgr.HintMatch(spec.Call{Origin: string(req.ReplyTo), Num: req.Call}, seq)
 		act.hintMatch = seen && match
 		var rep any
-		rep, out = r.specMgr.Dispatch(id, seq, classes)
+		rep, out = r.specMgr.Dispatch(req.ID.String(), seq, classes)
 		act.reply, act.send = rep.(Reply)
 	} else {
 		// Never speculated, but it moves the state all the same.

@@ -275,8 +275,15 @@ type Manager struct {
 
 	records map[string]*Record
 	serial  uint64
-	hints   map[string]uint64
-	hintsFD ring.Queue[string] // FIFO eviction order for hints
+	hints   map[Call]uint64
+	hintsFD ring.Queue[Call] // FIFO eviction order for hints
+}
+
+// Call names a client's call by number, as the sequencer's hints do: the
+// Num-th call of the client Origin.
+type Call struct {
+	Origin string
+	Num    uint64
 }
 
 // NewManager returns an empty speculation manager.
@@ -285,7 +292,7 @@ func NewManager() *Manager {
 		copyBudget: copyBurst,
 		classFloor: make(map[string]uint64),
 		records:    make(map[string]*Record),
-		hints:      make(map[string]uint64),
+		hints:      make(map[Call]uint64),
 	}
 }
 
@@ -601,26 +608,26 @@ func (m *Manager) Resolve(id string) (reply any, released, late bool) {
 	return nil, false, rec.Confirmed
 }
 
-// Hint records the sequencer's predicted stream position for id.
-func (m *Manager) Hint(id string, seq uint64) {
-	if _, dup := m.hints[id]; !dup {
+// Hint records the sequencer's predicted stream position for call c.
+func (m *Manager) Hint(c Call, seq uint64) {
+	if _, dup := m.hints[c]; !dup {
 		if m.hintsFD.Len() >= maxHints {
 			old, _ := m.hintsFD.Pop()
 			delete(m.hints, old)
 		}
-		m.hintsFD.Push(id)
+		m.hintsFD.Push(c)
 	}
-	m.hints[id] = seq
+	m.hints[c] = seq
 }
 
-// HintMatch consumes the hint for id and reports whether it predicted the
-// confirmed position exactly. ok is false when no hint was recorded.
-func (m *Manager) HintMatch(id string, seq uint64) (match, ok bool) {
-	h, ok := m.hints[id]
+// HintMatch consumes the hint for call c and reports whether it predicted
+// the confirmed position exactly. ok is false when no hint was recorded.
+func (m *Manager) HintMatch(c Call, seq uint64) (match, ok bool) {
+	h, ok := m.hints[c]
 	if !ok {
 		return false, false
 	}
-	delete(m.hints, id)
+	delete(m.hints, c)
 	return h == seq, true
 }
 
@@ -640,6 +647,6 @@ func (m *Manager) Reset(seq uint64) {
 	m.image = nil
 	m.forks = nil
 	m.records = make(map[string]*Record)
-	m.hints = make(map[string]uint64)
-	m.hintsFD = ring.Queue[string]{}
+	m.hints = make(map[Call]uint64)
+	m.hintsFD = ring.Queue[Call]{}
 }

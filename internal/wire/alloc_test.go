@@ -9,38 +9,47 @@ import (
 	"github.com/replobj/replobj/internal/wire"
 )
 
-// Allocation budgets of the stream codec on the two frames every
-// invocation is made of. They are upper bounds on a warm Encoder/Decoder;
-// the race detector allocates on its own, hence the build tag.
+// Allocation budgets of the stream codec on the frames every invocation is
+// made of. They are upper bounds on a warm Encoder/Decoder; the race
+// detector allocates on its own, hence the build tag.
 
-// hotFrames returns the two frames every invocation is made of, from the
-// codec benchmarks' cases.
-func hotFrames(t *testing.T) (submit, reply wire.Message) {
+// hotFrames returns the frames every invocation is made of, from the codec
+// benchmarks' cases.
+func hotFrames(t *testing.T) (submit, ordered, hint, reply wire.Message) {
 	t.Helper()
 	for _, tc := range benchCases() {
 		switch tc.name {
 		case "Submit":
 			submit = tc.msg
+		case "Ordered":
+			ordered = tc.msg
+		case "Hint":
+			hint = tc.msg
 		case "Reply":
 			reply = tc.msg
 		}
 	}
-	if submit.Payload == nil || reply.Payload == nil {
-		t.Fatal("benchCases lost its Submit or Reply case")
+	if submit.Payload == nil || ordered.Payload == nil || hint.Payload == nil || reply.Payload == nil {
+		t.Fatal("benchCases lost its Submit, Ordered, Hint or Reply case")
 	}
-	return submit, reply
+	return submit, ordered, hint, reply
 }
 
 func TestDecodeAllocationBudget(t *testing.T) {
-	submit, reply := hotFrames(t)
+	submit, ordered, hint, reply := hotFrames(t)
 	for _, tc := range []struct {
 		name   string
 		msg    wire.Message
 		budget float64
 	}{
-		// Submit id, logical thread id, args, and the Request and Submit
-		// boxed into their interfaces.
-		{"Submit{Request}", submit, 6},
+		// Logical thread id, args, and the Request and Submit boxed into
+		// their interfaces. A client's call is named by number: no id text
+		// (5 while the submit id was a string).
+		{"Submit{Request}", submit, 4},
+		// The same, the Ordered boxed (5 before).
+		{"Ordered{Request}", ordered, 4},
+		// The boxed Hint (2 before).
+		{"Hint", hint, 1},
 		// Logical thread id, result, and the boxed Reply.
 		{"Reply", reply, 4},
 	} {
@@ -65,8 +74,8 @@ func TestDecodeAllocationBudget(t *testing.T) {
 }
 
 func TestEncodeBufferedDoesNotAllocate(t *testing.T) {
-	submit, reply := hotFrames(t)
-	for _, m := range []wire.Message{submit, reply} {
+	submit, ordered, hint, reply := hotFrames(t)
+	for _, m := range []wire.Message{submit, ordered, hint, reply} {
 		enc := wire.NewEncoder(io.Discard)
 		encode := func() {
 			if err := enc.EncodeBuffered(&m); err != nil {

@@ -10,21 +10,23 @@ import (
 
 // benchCases are the hot payloads of the protocol: every client invocation
 // crosses the wire as a Request inside a Submit, is rebroadcast inside an
-// Ordered, and returns as a Reply; Heartbeats dominate message count at
-// idle. Each is benchmarked through the binary fast path and through the
-// gob fallback so the speedup is measured, not assumed.
+// Ordered (in a speculating group announced by a Hint first), and returns as
+// a Reply; Heartbeats dominate message count at idle. Each is benchmarked
+// through the binary fast path and through the gob fallback so the speedup
+// is measured, not assumed.
 func benchCases() []struct {
 	name string
 	msg  wire.Message
 } {
 	req := replica.Request{
-		ID:      wire.InvocationID{Logical: "client/c1", Seq: 7},
+		ID:      wire.InvocationID{Logical: "client/c1#7"},
 		Group:   "g",
 		Method:  "add",
 		Args:    []byte{1, 2, 3, 4, 5, 6, 7, 8},
 		ReplyTo: "client/c1",
+		Call:    7,
 	}
-	sub := gcs.Submit{Group: "g", ID: "client/c1#7", Origin: "client/c1", Payload: req}
+	sub := gcs.Submit{Group: "g", Origin: "client/c1", Call: req.Call, Payload: req}
 	return []struct {
 		name string
 		msg  wire.Message
@@ -34,7 +36,9 @@ func benchCases() []struct {
 			ID: req.ID, From: "g/0", Result: []byte{42, 0, 0, 0, 0, 0, 0, 0}}}},
 		{"Submit", wire.Message{From: "client/c1", To: "g/0", Payload: sub}},
 		{"Ordered", wire.Message{From: "g/0", To: "g/1", Payload: gcs.Ordered{
-			Group: "g", Epoch: 3, Seq: 41, ID: sub.ID, Origin: sub.Origin, Payload: req}}},
+			Group: "g", Epoch: 3, Seq: 41, Origin: sub.Origin, Call: sub.Call, Payload: req}}},
+		{"Hint", wire.Message{From: "g/0", To: "g/1", Payload: gcs.Hint{
+			Group: "g", Origin: sub.Origin, Call: sub.Call, Seq: 41}}},
 		{"Heartbeat", wire.Message{From: "g/2", To: "g/0", Payload: gcs.Heartbeat{
 			Group: "g", From: "g/2", Epoch: 3, MaxSeq: 40}}},
 		{"ViewChange", wire.Message{From: "g/0", To: "g/1", Payload: gcs.Ordered{

@@ -326,7 +326,7 @@ func (r *Reader) String() (string, error) {
 // node, a group, a method, a mutex — and so repeats from frame to frame. On
 // a stream Decoder the result is interned: every occurrence after the first
 // is the same string, found without allocating. Fields that differ per
-// request (submit ids, logical thread ids, shard keys) belong to String;
+// request (message names, logical thread ids, shard keys) belong to String;
 // routed through here they would only churn the table. Like String, the
 // result never aliases the frame buffer.
 func (r *Reader) Ident() (string, error) {

@@ -117,6 +117,20 @@ func exemplarMessages() []wire.Message {
 				Object: "kv", Epoch: 4, Source: "kv@0", Target: "kv@2", Count: 1, Cut: 120,
 				Cache: []replica.CacheEntry{{ID: redirect.ID, Key: "acct-4", Reply: reply(func(*replica.Reply) {}),
 					Client: "client/c1", Call: 1<<32 | 7}}}}},
+		// Message ids by number: a client's call is (origin, call) on the
+		// Submit, the Ordered and the Hint, with no text; a named id keeps
+		// its string, on a Hint too (the answer to a copy of an ordered
+		// nested reply).
+		{From: "client/c1", To: "g/0", Payload: gcs.Submit{Group: "g", Origin: "client/c1", Call: 7,
+			Payload: request(func(q *replica.Request) { q.Call = 7 })}},
+		{From: "g/0", To: "g/1", Payload: gcs.Ordered{Group: "g", Epoch: 3, Seq: 43, Origin: "client/c1", Call: 1<<32 | 7,
+			Payload: request(func(q *replica.Request) { q.Call = 1<<32 | 7 })}},
+		{From: "g/0", To: "g/1", Payload: gcs.Hint{Group: "g", Origin: "client/c1", Call: 7, Seq: 43}},
+		{From: "g/0", To: "g/2", Payload: gcs.Hint{Group: "g", ID: "nested-reply/g/0#3#1", Seq: 44}},
+		{From: "g/2", To: "g/1", Payload: gcs.SyncResp{
+			Group: "g", From: "g/2", Epoch: 3, Delivered: 42,
+			Tail:    []gcs.Ordered{{Group: "g", Epoch: 3, Seq: 43, Origin: "client/c1", Call: 7}},
+			Pending: []gcs.Submit{{Group: "g", Origin: "client/c2", Call: 1}}}},
 	}
 }
 

@@ -132,6 +132,14 @@ func TestMetricsEndToEnd(t *testing.T) {
 		if rows, ids := amoRows(reg, "cnt/0", "client"), amoRows(reg, "cnt/0", "id"); rows != 1 || ids != 0 {
 			t.Errorf("amo_rows on cnt/0: %d client rows, %d id rows after one client's five calls; want 1, 0", rows, ids)
 		}
+		// The group layer, too, keeps a row per client, not per call: one on
+		// the sequencer, at most one anywhere.
+		for i := 0; i < 3; i++ {
+			rows := reg.Gauge(fmt.Sprintf(`replobj_gcs_id_rows{node="cnt/%d",kind="origin"}`, i)).Value()
+			if rows > 1 || i == 0 && rows != 1 {
+				t.Errorf("gcs id_rows on cnt/%d: %d origin rows after one client's five calls; want 1", i, rows)
+			}
+		}
 	})
 	out := reg.Render()
 	for _, want := range []string{
@@ -141,6 +149,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 		"replobj_gcs_delivered_total",
 		"replobj_gcs_deliver_latency_seconds",
 		"replobj_gcs_submits_relayed_total",
+		`replobj_gcs_id_rows{node="cnt/0",kind="origin"}`,
+		`replobj_gcs_id_rows{node="cnt/0",kind="name"}`,
 		"replobj_transport_msgs_sent_total",
 		"replobj_replica_invocations_in_flight",
 		"replobj_replica_unknown_messages_total",

@@ -30,7 +30,10 @@ func (rc rawClient) call(c *replobj.Cluster, req replica.Request) map[replobj.No
 	rc.t.Helper()
 	req.Kind, req.ReplyTo = replica.KindClient, rc.ep.ID()
 	members := c.Directory().Members(req.Group)
-	sub := gcs.Submit{Group: req.Group, ID: req.ID.String(), Origin: rc.ep.ID(), Payload: req}
+	sub := gcs.Submit{Group: req.Group, Origin: rc.ep.ID(), Call: req.Call, Payload: req}
+	if req.Call == 0 {
+		sub.ID = req.ID.String()
+	}
 	for _, m := range members {
 		rc.ep.Send(m, sub)
 	}
@@ -189,9 +192,10 @@ func TestReusedClientNameStartsANewIncarnation(t *testing.T) {
 
 // TestAbandonedCallNeverRunsAfterALaterOne: a client gives up on call n (its
 // copies are held up in the network past its timeout) and makes call n+1,
-// which is ordered first. When the copies of n arrive and are ordered after
-// all, every replica refuses them: n must not take effect after n+1, which
-// its client made knowing n had failed.
+// which is ordered first. When the copies of n arrive, every member finds
+// them below the client's row and settles them before they are ordered:
+// each replica refuses them, and n never takes effect after n+1, which its
+// client made knowing n had failed.
 func TestAbandonedCallNeverRunsAfterALaterOne(t *testing.T) {
 	const replicas, held = 3, 300 * time.Millisecond
 	rt := vtime.Virtual()
@@ -213,7 +217,7 @@ func TestAbandonedCallNeverRunsAfterALaterOne(t *testing.T) {
 		if v, err := cl.Invoke("cnt", "add", []byte{1}); err != nil || fromU64(v) != 1 {
 			t.Fatalf("call 2: add(1) = %v, %v", v, err)
 		}
-		rt.Sleep(2 * held) // call 1 arrives, is ordered, and is refused
+		rt.Sleep(2 * held) // call 1 arrives and is refused, never ordered
 		replies, err := cl.InvokeAll("cnt", "get", nil)
 		if err != nil || len(replies) != replicas {
 			t.Fatalf("get on all replicas: %d replies, %v", len(replies), err)
@@ -222,8 +226,7 @@ func TestAbandonedCallNeverRunsAfterALaterOne(t *testing.T) {
 			if got := fromU64(replies[node].Result); got != 1 {
 				t.Errorf("%s: counter = %d, want 1: the abandoned add(7) ran", node, got)
 			}
-			// Once at its ordered position, and once more where the member's
-			// own copy arrived after the sequencer's.
+			// Every member had a copy of the client's first request.
 			if n := reg.Counter(`replobj_replica_duplicate_expired_total{node="` + string(node) + `"}`).Value(); n < 1 {
 				t.Errorf("%s refused no request as expired", node)
 			}
@@ -231,8 +234,8 @@ func TestAbandonedCallNeverRunsAfterALaterOne(t *testing.T) {
 				t.Errorf("rank 0 vs rank %d diverged: %v", rank, d)
 			}
 		}
-		if count, _ := g.Trace(0).Digest("order"); count < 3 {
-			t.Errorf("order stream has %d events: the abandoned call was never ordered", count)
+		if count, _ := g.Trace(0).Digest("order"); count != 2 {
+			t.Errorf("order stream has %d events, want 2 (call 2 and the get): the abandoned call is never ordered", count)
 		}
 	})
 }

@@ -104,9 +104,10 @@ func TestSpeculationChaosDigestsAndAtMostOnce(t *testing.T) {
 					for i := 1; i <= 2*rounds; i++ {
 						for _, m := range g.Members() {
 							inj.Send(m, gcs.Hint{
-								Group: "spec",
-								ID:    fmt.Sprintf("c%d#%d#0", ci, i),
-								Seq:   uint64(10_000 + i),
+								Group:  "spec",
+								Origin: wire.ClientID(fmt.Sprintf("c%d", ci)),
+								Call:   uint64(i),
+								Seq:    uint64(10_000 + i),
 							})
 						}
 					}
@@ -286,7 +287,7 @@ func TestSpeculationForksFollowTheOrder(t *testing.T) {
 				for ci := 0; ci < clients; ci++ {
 					for i := 1; i <= rounds; i++ {
 						for _, m := range g.Members() {
-							inj.Send(m, gcs.Hint{Group: "hot", ID: fmt.Sprintf("c%d#%d#0", ci, i), Seq: uint64(10_000 + i)})
+							inj.Send(m, gcs.Hint{Group: "hot", Origin: wire.ClientID(fmt.Sprintf("c%d", ci)), Call: uint64(i), Seq: uint64(10_000 + i)})
 						}
 					}
 				}

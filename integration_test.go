@@ -12,6 +12,7 @@ import (
 	replobj "github.com/replobj/replobj"
 	"github.com/replobj/replobj/internal/adets/pds"
 	"github.com/replobj/replobj/internal/client"
+	"github.com/replobj/replobj/internal/replica"
 	"github.com/replobj/replobj/internal/vtime"
 )
 
@@ -166,6 +167,55 @@ func TestNestedInvocationAcrossGroups(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestNestedCallLimitIsAnError: a nested call's id is its invocation's
+// Seq*1000 + n, so the 1001st call of A.many would carry the id of the call
+// B.m made to C for A.many's first: C would take it for a copy of that one
+// and never answer. Invoke refuses it instead, with an error the client
+// sees, and C has run each of the 1000 calls made before it once.
+func TestNestedCallLimitIsAnError(t *testing.T) {
+	rt := vtime.Virtual()
+	c := replobj.NewCluster(rt)
+	counterGroup(t, c, "C", 3)
+	b, err := c.NewGroup("B", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Register("m", func(inv *replobj.Invocation) ([]byte, error) {
+		return inv.Invoke("C", "add", []byte{1})
+	})
+	b.Start()
+	a, err := c.NewGroup("A", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Register("many", func(inv *replobj.Invocation) ([]byte, error) {
+		if _, err := inv.Invoke("B", "m", nil); err != nil {
+			return nil, err
+		}
+		for i := 0; i < 1000; i++ {
+			if _, err := inv.Invoke("C", "add", []byte{1}); err != nil {
+				return nil, fmt.Errorf("call %d: %w", i+2, err)
+			}
+		}
+		return nil, nil
+	})
+	a.Start()
+	run(rt, c, func() {
+		cl := c.NewClient("c1", replobj.WithInvocationTimeout(60*time.Second))
+		_, err := cl.Invoke("A", "many", nil)
+		var e *replica.Error
+		if !errors.As(err, &e) || !strings.Contains(e.Msg, "call 1001: replica: nested call 1001") {
+			t.Errorf("Invoke: %v, want the 1001st nested call refused", err)
+		}
+		v, err := c.NewClient("reader").Invoke("C", "get", nil)
+		if err != nil {
+			t.Errorf("C.get: %v", err)
+		} else if got := fromU64(v); got != 1000 {
+			t.Errorf("C ran %d adds, want 1000", got)
+		}
+	})
 }
 
 // TestCallbackChain: A.entry → B.bounce → A.cb under the same logical

@@ -1,8 +1,6 @@
 package lsa
 
 import (
-	"fmt"
-
 	"github.com/replobj/replobj/internal/adets"
 	"github.com/replobj/replobj/internal/wire"
 )
@@ -14,46 +12,22 @@ import (
 const tagTableUpdate = 31
 
 func init() {
-	wire.RegisterBinaryPayload(tagTableUpdate, TableUpdate{},
-		func(b *wire.Buffer, v any) error {
-			u := v.(TableUpdate)
-			b.String(string(u.From))
-			b.Uvarint(uint64(len(u.Entries)))
-			for _, e := range u.Entries {
-				b.String(string(e.M))
-				b.String(string(e.L))
+	wire.Register(tagTableUpdate, func(b *wire.Buffer, u TableUpdate) error {
+		b.String(string(u.From))
+		b.Uvarint(uint64(len(u.Entries)))
+		for _, e := range u.Entries {
+			b.String(string(e.M))
+			b.String(string(e.L))
+		}
+		return nil
+	}, func(r *wire.Reader) TableUpdate {
+		u := TableUpdate{From: wire.NodeID(r.Ident())}
+		if n := r.Count("table entry"); n > 0 {
+			u.Entries = make([]TableEntry, n)
+			for i := range u.Entries {
+				u.Entries[i] = TableEntry{M: adets.MutexID(r.Ident()), L: wire.LogicalID(r.String())}
 			}
-			return nil
-		},
-		func(r *wire.Reader) (any, error) {
-			var u TableUpdate
-			s, err := r.Ident()
-			if err != nil {
-				return nil, err
-			}
-			u.From = wire.NodeID(s)
-			n, err := r.Uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if n > uint64(r.Remaining()) {
-				return nil, fmt.Errorf("lsa: table entry count %d exceeds frame", n)
-			}
-			if n > 0 {
-				u.Entries = make([]TableEntry, 0, n)
-				for i := uint64(0); i < n; i++ {
-					var e TableEntry
-					if s, err = r.Ident(); err != nil {
-						return nil, err
-					}
-					e.M = adets.MutexID(s)
-					if s, err = r.String(); err != nil {
-						return nil, err
-					}
-					e.L = wire.LogicalID(s)
-					u.Entries = append(u.Entries, e)
-				}
-			}
-			return u, nil
-		})
+		}
+		return u
+	})
 }

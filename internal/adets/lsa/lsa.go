@@ -46,8 +46,6 @@ type TableUpdate struct {
 	Entries []TableEntry
 }
 
-func init() { wire.RegisterPayload(TableUpdate{}) }
-
 // lockState is what LSA's grant rule keeps per mutex beside the Monitor's
 // row (which says who owns it).
 type lockState struct {

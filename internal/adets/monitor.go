@@ -96,10 +96,6 @@ type TimeoutMsg struct {
 	WaitSeq uint64
 }
 
-func init() {
-	wire.RegisterPayload(TimeoutMsg{})
-}
-
 // TimeoutID returns the globally unique, replica-deterministic broadcast id
 // for a timeout message.
 func TimeoutID(m TimeoutMsg) string {

@@ -9,8 +9,9 @@ import (
 // Binary wire-codec fast paths for the gcs protocol messages — the hottest
 // payloads on the wire (every invocation crosses the network as a Submit
 // and again inside an Ordered, and heartbeats tick constantly). Tags live
-// in the 10–19 range assigned to this package (see internal/wire/binary.go
-// for the format and the canonical-encoding rules the decoders enforce).
+// in the 10–19 range assigned to this package; the format, the frame reader
+// and the canonical-encoding rules the decoders enforce are
+// internal/wire/binary.go's.
 
 const (
 	tagSubmit    = 10
@@ -25,62 +26,52 @@ const (
 )
 
 func init() {
-	register(tagSubmit, encSubmit, decSubmit)
-	register(tagOrdered, encOrdered, decOrdered)
-	register(tagNack, func(b *wire.Buffer, n Nack) error {
+	wire.Register(tagSubmit, encSubmit, decSubmit)
+	wire.Register(tagOrdered, encOrdered, decOrdered)
+	wire.Register(tagNack, func(b *wire.Buffer, n Nack) error {
 		b.String(string(n.Group))
 		b.String(string(n.From))
 		b.Uvarint(n.Want)
 		return nil
-	}, func(r *wire.Reader) (Nack, error) {
-		d := reader{r: r}
-		n := Nack{Group: d.group(), From: d.node(), Want: d.uvarint()}
-		return n, d.err
+	}, func(r *wire.Reader) Nack {
+		return Nack{Group: wire.GroupID(r.Ident()), From: wire.NodeID(r.Ident()), Want: r.Uvarint()}
 	})
-	register(tagHeartbeat, func(b *wire.Buffer, h Heartbeat) error {
+	wire.Register(tagHeartbeat, func(b *wire.Buffer, h Heartbeat) error {
 		b.String(string(h.Group))
 		b.String(string(h.From))
 		b.Uvarint(h.Epoch)
 		b.Uvarint(h.MaxSeq)
 		b.Uvarint(h.Acked)
 		return nil
-	}, func(r *wire.Reader) (Heartbeat, error) {
-		d := reader{r: r}
-		h := Heartbeat{Group: d.group(), From: d.node(), Epoch: d.uvarint(), MaxSeq: d.uvarint(), Acked: d.uvarint()}
-		return h, d.err
+	}, func(r *wire.Reader) Heartbeat {
+		return Heartbeat{Group: wire.GroupID(r.Ident()), From: wire.NodeID(r.Ident()), Epoch: r.Uvarint(), MaxSeq: r.Uvarint(), Acked: r.Uvarint()}
 	})
-	register(tagPropose, func(b *wire.Buffer, p Propose) error {
+	wire.Register(tagPropose, func(b *wire.Buffer, p Propose) error {
 		b.String(string(p.Group))
 		b.String(string(p.From))
 		encView(b, p.View)
 		return nil
-	}, func(r *wire.Reader) (Propose, error) {
-		d := reader{r: r}
-		p := Propose{Group: d.group(), From: d.node(), View: d.view()}
-		return p, d.err
+	}, func(r *wire.Reader) Propose {
+		return Propose{Group: wire.GroupID(r.Ident()), From: wire.NodeID(r.Ident()), View: decView(r)}
 	})
-	register(tagSyncReq, func(b *wire.Buffer, q SyncReq) error {
+	wire.Register(tagSyncReq, func(b *wire.Buffer, q SyncReq) error {
 		b.String(string(q.Group))
 		b.String(string(q.From))
 		encView(b, q.View)
 		return nil
-	}, func(r *wire.Reader) (SyncReq, error) {
-		d := reader{r: r}
-		q := SyncReq{Group: d.group(), From: d.node(), View: d.view()}
-		return q, d.err
+	}, func(r *wire.Reader) SyncReq {
+		return SyncReq{Group: wire.GroupID(r.Ident()), From: wire.NodeID(r.Ident()), View: decView(r)}
 	})
-	register(tagSyncResp, encSyncResp, decSyncResp)
-	register(tagSnapshot, func(b *wire.Buffer, s Snapshot) error {
+	wire.Register(tagSyncResp, encSyncResp, decSyncResp)
+	wire.Register(tagSnapshot, func(b *wire.Buffer, s Snapshot) error {
 		b.String(string(s.Group))
 		b.Uvarint(s.Seq)
 		b.Bytes(s.Data)
 		return nil
-	}, func(r *wire.Reader) (Snapshot, error) {
-		d := reader{r: r}
-		s := Snapshot{Group: d.group(), Seq: d.uvarint(), Data: d.bytes()}
-		return s, d.err
+	}, func(r *wire.Reader) Snapshot {
+		return Snapshot{Group: wire.GroupID(r.Ident()), Seq: r.Uvarint(), Data: r.Bytes()}
 	})
-	register(tagHint, func(b *wire.Buffer, h Hint) error {
+	wire.Register(tagHint, func(b *wire.Buffer, h Hint) error {
 		b.String(string(h.Group))
 		if err := encID(b, h.ID, h.Call); err != nil {
 			return err
@@ -88,76 +79,12 @@ func init() {
 		b.String(string(h.Origin))
 		b.Uvarint(h.Seq)
 		return nil
-	}, func(r *wire.Reader) (Hint, error) {
-		d := reader{r: r}
-		h := Hint{Group: d.group()}
-		h.ID, h.Call = d.id()
-		h.Origin, h.Seq = d.node(), d.uvarint()
-		return h, d.err
+	}, func(r *wire.Reader) Hint {
+		h := Hint{Group: wire.GroupID(r.Ident())}
+		h.ID, h.Call = decID(r)
+		h.Origin, h.Seq = wire.NodeID(r.Ident()), r.Uvarint()
+		return h
 	})
-}
-
-// register installs T's binary codec under tag, and the gob twin the
-// differential tests hold it against.
-func register[T any](tag uint64, enc func(*wire.Buffer, T) error, dec func(*wire.Reader) (T, error)) {
-	var prototype T
-	wire.RegisterPayload(prototype)
-	wire.RegisterBinaryPayload(tag, prototype,
-		func(b *wire.Buffer, v any) error { return enc(b, v.(T)) },
-		func(r *wire.Reader) (any, error) {
-			v, err := dec(r)
-			if err != nil {
-				return nil, err
-			}
-			return v, nil
-		})
-}
-
-// reader reads the fields of a frame in order. The first error sticks:
-// every later read returns the zero value, and the decoder returns it.
-type reader struct {
-	r   *wire.Reader
-	err error
-}
-
-func (d *reader) uvarint() (v uint64) {
-	if d.err == nil {
-		v, d.err = d.r.Uvarint()
-	}
-	return v
-}
-
-// ident reads a name that repeats in every frame of a connection — a group,
-// a node — through the stream's intern table.
-func (d *reader) ident() (s string) {
-	if d.err == nil {
-		s, d.err = d.r.Ident()
-	}
-	return s
-}
-
-func (d *reader) group() wire.GroupID { return wire.GroupID(d.ident()) }
-func (d *reader) node() wire.NodeID   { return wire.NodeID(d.ident()) }
-
-func (d *reader) bytes() (p []byte) {
-	if d.err == nil {
-		p, d.err = d.r.Bytes()
-	}
-	return p
-}
-
-func (d *reader) bool() (v bool) {
-	if d.err == nil {
-		v, d.err = d.r.Bool()
-	}
-	return v
-}
-
-func (d *reader) any() (v any) {
-	if d.err == nil {
-		v, d.err = d.r.Any()
-	}
-	return v
 }
 
 // A message id on the wire: the call number, then — a named id, call 0 —
@@ -173,25 +100,11 @@ func encID(b *wire.Buffer, id string, call uint64) error {
 	return nil
 }
 
-func (d *reader) id() (id string, call uint64) {
-	if call = d.uvarint(); call == 0 && d.err == nil {
-		id, d.err = d.r.String()
+func decID(r *wire.Reader) (id string, call uint64) {
+	if call = r.Uvarint(); call == 0 {
+		id = r.String()
 	}
 	return id, call
-}
-
-// count reads a slice length and sanity-checks it against the bytes
-// remaining in the frame (every element costs at least one byte), so
-// corrupt input cannot request an absurd allocation.
-func (d *reader) count(what string) int {
-	n := d.uvarint()
-	if d.err == nil && n > uint64(d.r.Remaining()) {
-		d.err = fmt.Errorf("gcs: %s count %d exceeds frame", what, n)
-	}
-	if d.err != nil {
-		return 0
-	}
-	return int(n)
 }
 
 func encView(b *wire.Buffer, v View) {
@@ -202,12 +115,12 @@ func encView(b *wire.Buffer, v View) {
 	}
 }
 
-func (d *reader) view() View {
-	v := View{Epoch: d.uvarint()}
-	if n := d.count("view members"); n > 0 {
-		v.Members = make([]wire.NodeID, 0, n)
-		for i := 0; i < n; i++ {
-			v.Members = append(v.Members, d.node())
+func decView(r *wire.Reader) View {
+	v := View{Epoch: r.Uvarint()}
+	if n := r.Count("view members"); n > 0 {
+		v.Members = make([]wire.NodeID, n)
+		for i := range v.Members {
+			v.Members[i] = wire.NodeID(r.Ident())
 		}
 	}
 	return v
@@ -222,12 +135,11 @@ func encSubmit(b *wire.Buffer, s Submit) error {
 	return b.Any(s.Payload)
 }
 
-func decSubmit(r *wire.Reader) (Submit, error) {
-	d := reader{r: r}
-	s := Submit{Group: d.group()}
-	s.ID, s.Call = d.id()
-	s.Origin, s.Payload = d.node(), d.any()
-	return s, d.err
+func decSubmit(r *wire.Reader) Submit {
+	s := Submit{Group: wire.GroupID(r.Ident())}
+	s.ID, s.Call = decID(r)
+	s.Origin, s.Payload = wire.NodeID(r.Ident()), r.Any()
+	return s
 }
 
 func encOrdered(b *wire.Buffer, o Ordered) error {
@@ -248,16 +160,15 @@ func encOrdered(b *wire.Buffer, o Ordered) error {
 	return nil
 }
 
-func decOrdered(r *wire.Reader) (Ordered, error) {
-	d := reader{r: r}
-	o := Ordered{Group: d.group(), Epoch: d.uvarint(), Seq: d.uvarint()}
-	o.ID, o.Call = d.id()
-	o.Origin, o.Payload = d.node(), d.any()
-	if d.bool() {
-		v := d.view()
+func decOrdered(r *wire.Reader) Ordered {
+	o := Ordered{Group: wire.GroupID(r.Ident()), Epoch: r.Uvarint(), Seq: r.Uvarint()}
+	o.ID, o.Call = decID(r)
+	o.Origin, o.Payload = wire.NodeID(r.Ident()), r.Any()
+	if r.Bool() {
+		v := decView(r)
 		o.View = &v
 	}
-	return o, d.err
+	return o
 }
 
 func encSyncResp(b *wire.Buffer, s SyncResp) error {
@@ -282,21 +193,20 @@ func encSyncResp(b *wire.Buffer, s SyncResp) error {
 	return nil
 }
 
-func decSyncResp(r *wire.Reader) (SyncResp, error) {
-	d := reader{r: r}
-	s := SyncResp{Group: d.group(), From: d.node(), Epoch: d.uvarint(), Delivered: d.uvarint()}
-	if n := d.count("sync tail"); n > 0 {
+func decSyncResp(r *wire.Reader) SyncResp {
+	s := SyncResp{Group: wire.GroupID(r.Ident()), From: wire.NodeID(r.Ident()), Epoch: r.Uvarint(), Delivered: r.Uvarint()}
+	if n := r.Count("sync tail"); n > 0 {
 		s.Tail = make([]Ordered, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			s.Tail[i], d.err = decOrdered(r)
+		for i := range s.Tail {
+			s.Tail[i] = decOrdered(r)
 		}
 	}
-	if n := d.count("sync pending"); n > 0 {
+	if n := r.Count("sync pending"); n > 0 {
 		s.Pending = make([]Submit, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			s.Pending[i], d.err = decSubmit(r)
+		for i := range s.Pending {
+			s.Pending[i] = decSubmit(r)
 		}
 	}
-	s.SnapSeq, s.Snap = d.uvarint(), d.bytes()
-	return s, d.err
+	s.SnapSeq, s.Snap = r.Uvarint(), r.Bytes()
+	return s
 }

@@ -11,7 +11,7 @@ import (
 // crosses the wire as a Request (inside a gcs.Submit, then again inside the
 // sequencer's gcs.Ordered) and returns as a Reply, so these two types
 // dominate payload bytes. Tags live in the 20–29 range assigned to this
-// package (see internal/wire/binary.go).
+// package; the format and the frame reader are internal/wire/binary.go's.
 //
 // Each envelope is one frame: a presence byte, the fields every value has,
 // then one group of fields per bit set in the presence byte, in bit order.
@@ -56,35 +56,23 @@ var (
 	errEmptyGroup   = errors.New("replica: presence bit set over an empty field group")
 )
 
-// Bounds on the counts a frame may announce: sanity against hostile or
-// corrupted length prefixes (a migration's sender chunks at
-// shard.DefaultChunkKeys, far below either chunk bound).
+// Bounds on the counts a frame may announce, beside wire.Reader.Count's
+// rule that a count fits the frame: sanity against hostile or corrupted
+// length prefixes (a migration's sender chunks at shard.DefaultChunkKeys,
+// far below either chunk bound).
 const (
 	maxCrossKeys  = 1 << 12
 	maxChunkKeys  = 1 << 20
 	maxChunkCache = 1 << 16
 )
 
-// register installs T's two codecs: the binary one under tag, and the gob
-// twin the differential tests hold it against.
-func register[T any](tag uint64, enc func(*wire.Buffer, T), dec func(*wire.Reader) (T, error)) {
-	var prototype T
-	wire.RegisterPayload(prototype)
-	wire.RegisterBinaryPayload(tag, prototype,
-		func(b *wire.Buffer, v any) error {
-			enc(b, v.(T))
-			return nil
-		},
-		func(r *wire.Reader) (any, error) { return dec(r) })
-}
-
 func init() {
-	register(tagRequest, encRequest, decRequest)
-	register(tagReply, encReply, decReply)
-	register(tagMigrateChunk, encMigrateChunk, decMigrateChunk)
+	wire.Register(tagRequest, encRequest, decRequest)
+	wire.Register(tagReply, encReply, decReply)
+	wire.Register(tagMigrateChunk, encMigrateChunk, decMigrateChunk)
 }
 
-func encMigrateChunk(b *wire.Buffer, ck MigrateChunk) {
+func encMigrateChunk(b *wire.Buffer, ck MigrateChunk) error {
 	b.String(ck.Object)
 	b.Uvarint(ck.Epoch)
 	b.String(string(ck.Source))
@@ -101,87 +89,36 @@ func encMigrateChunk(b *wire.Buffer, ck MigrateChunk) {
 	for _, ce := range ck.Cache {
 		encInvocationID(b, ce.ID)
 		b.String(ce.Key)
-		encReply(b, ce.Reply)
+		_ = encReply(b, ce.Reply) // a reply has no nested payload: it cannot fail
 		b.String(string(ce.Client))
 		b.Uvarint(ce.Call)
 	}
+	return nil
 }
 
-func decMigrateChunk(r *wire.Reader) (MigrateChunk, error) {
-	var ck MigrateChunk
-	var err error
-	if ck.Object, err = r.Ident(); err != nil {
-		return ck, err
-	}
-	if ck.Epoch, err = r.Uvarint(); err != nil {
-		return ck, err
-	}
-	if ck.Source, err = ident[wire.GroupID](r); err != nil {
-		return ck, err
-	}
-	if ck.Target, err = ident[wire.GroupID](r); err != nil {
-		return ck, err
-	}
-	u, err := r.Uvarint()
-	if err != nil {
-		return ck, err
-	}
-	ck.Index = int(u)
-	if u, err = r.Uvarint(); err != nil {
-		return ck, err
-	}
-	ck.Count = int(u)
-	if ck.Cut, err = r.Uvarint(); err != nil {
-		return ck, err
-	}
-	n, err := r.Uvarint()
-	if err != nil {
-		return ck, err
-	}
-	if n > maxChunkKeys {
-		return ck, errors.New("replica: implausible migration chunk key count")
-	}
-	if n > 0 {
+func decMigrateChunk(r *wire.Reader) MigrateChunk {
+	ck := MigrateChunk{Object: r.Ident(), Epoch: r.Uvarint(), Source: wire.GroupID(r.Ident()), Target: wire.GroupID(r.Ident()),
+		Index: int(r.Uvarint()), Count: int(r.Uvarint()), Cut: r.Uvarint()}
+	if n := r.Count("migration chunk key"); n > maxChunkKeys {
+		r.Fail(errors.New("replica: implausible migration chunk key count"))
+	} else if n > 0 {
 		ck.Keys = make([]KeyState, n)
 		for i := range ck.Keys {
-			if ck.Keys[i].Key, err = r.String(); err != nil {
-				return ck, err
-			}
-			if ck.Keys[i].Data, err = r.Bytes(); err != nil {
-				return ck, err
-			}
+			ck.Keys[i] = KeyState{Key: r.String(), Data: r.Bytes()}
 		}
 	}
-	if n, err = r.Uvarint(); err != nil {
-		return ck, err
-	}
-	if n > maxChunkCache {
-		return ck, errors.New("replica: implausible migration cache entry count")
-	}
-	if n > 0 {
+	if n := r.Count("migration cache entry"); n > maxChunkCache {
+		r.Fail(errors.New("replica: implausible migration cache entry count"))
+	} else if n > 0 {
 		ck.Cache = make([]CacheEntry, n)
 		for i := range ck.Cache {
-			if ck.Cache[i].ID, err = decInvocationID(r); err != nil {
-				return ck, err
-			}
-			if ck.Cache[i].Key, err = r.String(); err != nil {
-				return ck, err
-			}
-			if ck.Cache[i].Reply, err = decReply(r); err != nil {
-				return ck, err
-			}
-			if ck.Cache[i].Client, err = ident[wire.NodeID](r); err != nil {
-				return ck, err
-			}
-			if ck.Cache[i].Call, err = r.Uvarint(); err != nil {
-				return ck, err
-			}
+			ck.Cache[i] = CacheEntry{ID: decInvocationID(r), Key: r.String(), Reply: decReply(r), Client: wire.NodeID(r.Ident()), Call: r.Uvarint()}
 		}
 	}
-	return ck, nil
+	return ck
 }
 
-func encRequest(b *wire.Buffer, q Request) {
+func encRequest(b *wire.Buffer, q Request) error {
 	var presence byte
 	if q.Trace.Valid() {
 		presence |= reqHasTrace
@@ -219,88 +156,49 @@ func encRequest(b *wire.Buffer, q Request) {
 	if presence&reqHasCall != 0 {
 		b.Uvarint(q.Call)
 	}
+	return nil
 }
 
-func decRequest(r *wire.Reader) (Request, error) {
-	var q Request
-	presence, err := r.Byte()
-	if err != nil {
-		return q, err
-	}
+func decRequest(r *wire.Reader) Request {
+	presence := r.Byte()
 	if presence&^reqPresenceMask != 0 {
-		return q, errPresenceBits
+		r.Fail(errPresenceBits)
 	}
-	if q.ID, err = decInvocationID(r); err != nil {
-		return q, err
+	q := Request{ID: decInvocationID(r), Group: wire.GroupID(r.Ident()), Method: r.Ident(), Args: r.Bytes()}
+	if q.Kind = RequestKind(r.Byte()); q.Kind > KindNested {
+		r.Fail(errors.New("replica: unknown request kind"))
 	}
-	if q.Group, err = ident[wire.GroupID](r); err != nil {
-		return q, err
-	}
-	if q.Method, err = r.Ident(); err != nil {
-		return q, err
-	}
-	if q.Args, err = r.Bytes(); err != nil {
-		return q, err
-	}
-	kind, err := r.Byte()
-	if err != nil {
-		return q, err
-	}
-	if q.Kind = RequestKind(kind); q.Kind > KindNested {
-		return q, errors.New("replica: unknown request kind")
-	}
-	if q.ReplyTo, err = ident[wire.NodeID](r); err != nil {
-		return q, err
-	}
-	if q.Origin, err = ident[wire.GroupID](r); err != nil {
-		return q, err
-	}
+	q.ReplyTo, q.Origin = wire.NodeID(r.Ident()), wire.GroupID(r.Ident())
 	if presence&reqHasTrace != 0 {
-		if q.Trace, err = decTrace(r); err != nil {
-			return q, err
-		}
+		q.Trace = decTrace(r)
 	}
 	if presence&reqHasShard != 0 {
-		if q.ShardEpoch, err = r.Uvarint(); err != nil {
-			return q, err
-		}
-		if q.ShardKey, err = r.String(); err != nil {
-			return q, err
-		}
-		if q.ShardEpoch == 0 && q.ShardKey == "" {
-			return q, errEmptyGroup
+		if q.ShardEpoch, q.ShardKey = r.Uvarint(), r.String(); q.ShardEpoch == 0 && q.ShardKey == "" {
+			r.Fail(errEmptyGroup)
 		}
 	}
 	if presence&reqHasCross != 0 {
-		n, err := r.Uvarint()
-		if err != nil {
-			return q, err
-		}
-		if n == 0 {
-			return q, errEmptyGroup
-		}
-		if n > maxCrossKeys {
-			return q, errors.New("replica: implausible cross-shard key count")
-		}
-		q.CrossKeys = make([]string, n)
-		for i := range q.CrossKeys {
-			if q.CrossKeys[i], err = r.String(); err != nil {
-				return q, err
+		switch n := r.Count("cross-shard key"); {
+		case n == 0:
+			r.Fail(errEmptyGroup)
+		case n > maxCrossKeys:
+			r.Fail(errors.New("replica: implausible cross-shard key count"))
+		default:
+			q.CrossKeys = make([]string, n)
+			for i := range q.CrossKeys {
+				q.CrossKeys[i] = r.String()
 			}
 		}
 	}
 	if presence&reqHasCall != 0 {
-		if q.Call, err = r.Uvarint(); err != nil {
-			return q, err
-		}
-		if q.Call == 0 {
-			return q, errEmptyGroup
+		if q.Call = r.Uvarint(); q.Call == 0 {
+			r.Fail(errEmptyGroup)
 		}
 	}
-	return q, nil
+	return q
 }
 
-func encReply(b *wire.Buffer, p Reply) {
+func encReply(b *wire.Buffer, p Reply) error {
 	var presence byte
 	if p.Code != CodeNone || p.Err != "" {
 		presence |= repHasOutcome
@@ -325,55 +223,32 @@ func encReply(b *wire.Buffer, p Reply) {
 	if presence&repHasEpoch != 0 {
 		b.Uvarint(p.ShardEpoch)
 	}
+	return nil
 }
 
-func decReply(r *wire.Reader) (Reply, error) {
-	var p Reply
-	presence, err := r.Byte()
-	if err != nil {
-		return p, err
-	}
+func decReply(r *wire.Reader) Reply {
+	presence := r.Byte()
 	if presence&^repPresenceMask != 0 {
-		return p, errPresenceBits
+		r.Fail(errPresenceBits)
 	}
-	if p.ID, err = decInvocationID(r); err != nil {
-		return p, err
-	}
-	if p.From, err = ident[wire.NodeID](r); err != nil {
-		return p, err
-	}
-	if p.Result, err = r.Bytes(); err != nil {
-		return p, err
-	}
+	p := Reply{ID: decInvocationID(r), From: wire.NodeID(r.Ident()), Result: r.Bytes()}
 	if presence&repHasOutcome != 0 {
-		code, err := r.Byte()
-		if err != nil {
-			return p, err
+		if p.Code = Code(r.Byte()); p.Code > CodeExpiredDuplicate {
+			r.Fail(errors.New("replica: unknown reply code"))
 		}
-		if p.Code = Code(code); p.Code > CodeExpiredDuplicate {
-			return p, errors.New("replica: unknown reply code")
-		}
-		if p.Err, err = r.String(); err != nil {
-			return p, err
-		}
-		if p.Code == CodeNone && p.Err == "" {
-			return p, errEmptyGroup
+		if p.Err = r.String(); p.Code == CodeNone && p.Err == "" {
+			r.Fail(errEmptyGroup)
 		}
 	}
 	if presence&repHasTrace != 0 {
-		if p.Trace, err = decTrace(r); err != nil {
-			return p, err
-		}
+		p.Trace = decTrace(r)
 	}
 	if presence&repHasEpoch != 0 {
-		if p.ShardEpoch, err = r.Uvarint(); err != nil {
-			return p, err
-		}
-		if p.ShardEpoch == 0 {
-			return p, errEmptyGroup
+		if p.ShardEpoch = r.Uvarint(); p.ShardEpoch == 0 {
+			r.Fail(errEmptyGroup)
 		}
 	}
-	return p, nil
+	return p
 }
 
 func encTrace(b *wire.Buffer, c tracing.Context) {
@@ -382,26 +257,12 @@ func encTrace(b *wire.Buffer, c tracing.Context) {
 }
 
 // decTrace reads a trace group; an invalid context is an empty group.
-func decTrace(r *wire.Reader) (tracing.Context, error) {
-	var c tracing.Context
-	var err error
-	if c.TraceID, err = r.Uvarint(); err != nil {
-		return c, err
-	}
-	if c.Span, err = r.Uvarint(); err != nil {
-		return c, err
-	}
+func decTrace(r *wire.Reader) tracing.Context {
+	c := tracing.Context{TraceID: r.Uvarint(), Span: r.Uvarint()}
 	if !c.Valid() {
-		return c, errEmptyGroup
+		r.Fail(errEmptyGroup)
 	}
-	return c, nil
-}
-
-// ident reads an interned identifier (see wire.Reader.Ident) as one of the
-// wire package's named string types.
-func ident[T ~string](r *wire.Reader) (T, error) {
-	s, err := r.Ident()
-	return T(s), err
+	return c
 }
 
 func encInvocationID(b *wire.Buffer, id wire.InvocationID) {
@@ -409,15 +270,6 @@ func encInvocationID(b *wire.Buffer, id wire.InvocationID) {
 	b.Uvarint(id.Seq)
 }
 
-func decInvocationID(r *wire.Reader) (wire.InvocationID, error) {
-	var id wire.InvocationID
-	s, err := r.String()
-	if err != nil {
-		return id, err
-	}
-	id.Logical = wire.LogicalID(s)
-	if id.Seq, err = r.Uvarint(); err != nil {
-		return id, err
-	}
-	return id, nil
+func decInvocationID(r *wire.Reader) wire.InvocationID {
+	return wire.InvocationID{Logical: wire.LogicalID(r.String()), Seq: r.Uvarint()}
 }

@@ -91,16 +91,7 @@ func (r *Replica) checkpoint(seq uint64) {
 		return
 	}
 	start := r.rt.Now()
-	p := vtime.NewParker("ckpt/" + string(r.self))
-	drained := false
-	r.sched.Quiesce(func(d bool) {
-		drained = d
-		r.rt.Unpark(p)
-	})
-	r.rt.Lock()
-	r.rt.Park(p)
-	r.rt.Unlock()
-	if !drained {
+	if !r.quiesce("ckpt") {
 		r.ckptSkipped.Inc()
 		r.trace.Record("order", obs.KindCheckpoint, "ckpt", strconv.FormatUint(seq, 10)+"/skip")
 		return
@@ -150,6 +141,22 @@ func (r *Replica) checkpoint(seq uint64) {
 	r.ckptDuration.ObserveDuration(r.rt.Now() - start)
 }
 
+// quiesce waits for the scheduler's quiescence verdict at this position of
+// the stream: true when every request thread has drained, false when some
+// are still live. role names the wait.
+func (r *Replica) quiesce(role string) bool {
+	p := vtime.NewParker(role + "/" + string(r.self))
+	drained := false
+	r.sched.Quiesce(func(d bool) {
+		drained = d
+		r.rt.Unpark(p)
+	})
+	r.rt.Lock()
+	r.rt.Park(p)
+	r.rt.Unlock()
+	return drained
+}
+
 // snapshotState serializes the object state: Snapshotter when implemented,
 // gob otherwise (nil state yields a nil image).
 func (r *Replica) snapshotState() (data []byte, usedGob bool, err error) {
@@ -166,13 +173,6 @@ func (r *Replica) snapshotState() (data []byte, usedGob bool, err error) {
 		}
 		return buf.Bytes(), true, nil
 	}
-}
-
-func (r *Replica) restoreState(env *snapshotEnvelope) {
-	if len(env.State) == 0 || r.state == nil {
-		return
-	}
-	_ = restoreInto(r.state, env.State, env.UsedGob)
 }
 
 // restoreInto replaces the contents of state st with an image produced by
@@ -252,7 +252,9 @@ func (r *Replica) installSnapshot(d gcs.Delivery) {
 		r.trace.Record("order", obs.KindCheckpoint, "snapshot-install-failed", strconv.FormatUint(d.Seq, 10))
 		return
 	}
-	r.restoreState(&env)
+	if len(env.State) > 0 && r.state != nil {
+		_ = restoreInto(r.state, env.State, env.UsedGob) // same type, same image: it fails alike everywhere
+	}
 	r.rt.Lock()
 	r.clients = make(map[wire.NodeID]*clientRow)
 	r.amo = make(map[wire.InvocationID]amoEntry)
@@ -268,11 +270,7 @@ func (r *Replica) installSnapshot(d gcs.Delivery) {
 		r.countHeldLocked(&e.Entry, +1)
 	}
 	r.exportTableLocked()
-	r.logicalLive = make(map[wire.LogicalID]int)
-	r.nested = make(map[wire.InvocationID]*nestedCall)
-	r.earlyReplies = make(map[wire.InvocationID]Reply)
-	r.nestedWaiting = make(map[wire.LogicalID]int)
-	r.pendingCallbacks = make(map[wire.LogicalID][]*dispatched)
+	r.threads = make(map[wire.LogicalID]logicalThread)
 	// Checkpoints are never taken mid-migration, so the donor had no
 	// handoff state; any local leftovers are stale by construction. The
 	// ordered tail past the snapshot replays prepare/chunks/fence and
@@ -281,9 +279,8 @@ func (r *Replica) installSnapshot(d gcs.Delivery) {
 	r.earlyChunks = nil
 	if r.specMgr != nil {
 		// The primary state was rewritten wholesale: no fork taken before
-		// this point can be valid, and in-flight accounting is void.
+		// this point can be valid.
 		r.specMgr.Reset(env.Seq)
-		r.specPending = 0
 	}
 	r.rt.Unlock()
 	if r.shard != nil && len(env.Shard) > 0 {

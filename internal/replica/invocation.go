@@ -3,6 +3,7 @@ package replica
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/replobj/replobj/internal/adets"
@@ -192,66 +193,58 @@ func (inv *Invocation) InvokeShard(key, method string, args []byte) ([]byte, err
 	if inv.epoch == nil {
 		return nil, errors.New("replica: InvokeShard on an unsharded group")
 	}
-	home := inv.epoch.Ring.HomeGroup(key)
-	return inv.invoke(home, method, args, func(q *Request) {
-		q.ShardEpoch = inv.epoch.Table.Epoch
-		q.ShardKey = key
-	})
+	return inv.invoke(Request{Group: inv.epoch.Ring.HomeGroup(key), Method: method, Args: args, ShardEpoch: inv.epoch.Table.Epoch, ShardKey: key})
 }
 
 // Invoke performs a nested invocation of another replicated object. The
 // request carries this chain's logical thread id, so the target detects
 // callbacks; the reply is delivered through this group's total order and
 // resumes the thread at the same position on every replica.
+//
+// A nested call's id is derived from its invocation's, so that every
+// replica mints the same one: Seq*1000 + n for the n-th call. One
+// invocation may therefore make at most 1000 nested calls, and a chain of
+// them only as deep as its ids fit in 64 bits: six levels below a client's
+// request always, the seventh only while the call numbers stay small. A
+// call past either limit is refused with an *Error, identically on every
+// replica, and is not sent.
 func (inv *Invocation) Invoke(group wire.GroupID, method string, args []byte) ([]byte, error) {
-	return inv.invoke(group, method, args, nil)
+	return inv.invoke(Request{Group: group, Method: method, Args: args})
 }
 
-func (inv *Invocation) invoke(group wire.GroupID, method string, args []byte, mod func(*Request)) ([]byte, error) {
+// maxNestedCalls bounds the nested calls of one invocation (see Invoke).
+const maxNestedCalls = 1000
+
+// invoke sends req, addressed and filled in by the caller, as this
+// invocation's next nested call and waits for its ordered reply.
+func (inv *Invocation) invoke(req Request) ([]byte, error) {
 	if inv.speculative {
 		// A nested invocation would leak the speculation into another
 		// group's total order; abort and leave it to the ordered run.
 		panic(specAbort{})
 	}
+	n, parent := uint64(inv.nestedSeq)+1, inv.req.ID.Seq
+	if n > maxNestedCalls || parent > (math.MaxUint64-n)/maxNestedCalls {
+		return nil, &Error{Msg: fmt.Sprintf("replica: nested call %d of %s has no unique id (at most %d per invocation, ids of 64 bits)",
+			n, inv.req.ID, maxNestedCalls)}
+	}
 	inv.nestedSeq++
-	id := wire.InvocationID{Logical: inv.req.Logical(), Seq: uint64(inv.nestedSeq) + inv.req.ID.Seq*1000}
-	req := Request{
-		ID:     id,
-		Group:  group,
-		Method: method,
-		Args:   args,
-		Kind:   KindNested,
-		Origin: inv.r.group,
-		Trace:  inv.req.Trace,
-	}
-	if mod != nil {
-		mod(&req)
-	}
+	id := wire.InvocationID{Logical: inv.req.Logical(), Seq: parent*maxNestedCalls + n}
+	req.ID, req.Kind, req.Origin, req.Trace = id, KindNested, inv.r.group, inv.req.Trace
 	r := inv.r
 	r.rt.Lock()
 	if r.stopped {
 		r.rt.Unlock()
 		return nil, ErrStopped
 	}
-	nc := &nestedCall{thread: inv.t}
-	r.nested[id] = nc
-	// The originator is now "at" its nested invocation: deferred callbacks
-	// of this logical thread may run, and an early reply is consumed here.
-	logical := inv.req.Logical()
-	r.nestedWaiting[logical]++
-	flush := r.pendingCallbacks[logical]
-	delete(r.pendingCallbacks, logical)
-	if early, ok := r.earlyReplies[id]; ok {
-		delete(r.earlyReplies, id)
-		nc.reply = &early
-	}
+	flush, early := r.enterNestedLocked(id, inv.t)
 	r.rt.Unlock()
 
 	for _, cb := range flush {
 		r.submit(cb, true)
 	}
-	if nc.reply == nil {
-		r.submitTo(group, id.String(), req)
+	if early == nil {
+		r.submitTo(req.Group, id.String(), req)
 	} else {
 		// The reply raced ahead of this thread (it lagged structurally);
 		// deposit the resume so BeginNested returns immediately.
@@ -260,12 +253,7 @@ func (inv *Invocation) invoke(group wire.GroupID, method string, args []byte, mo
 	r.sched.BeginNested(inv.t) // blocks until the ordered reply resumes us
 
 	r.rt.Lock()
-	delete(r.nested, id)
-	r.nestedWaiting[logical]--
-	if r.nestedWaiting[logical] == 0 {
-		delete(r.nestedWaiting, logical)
-	}
-	reply := nc.reply
+	reply := r.exitNestedLocked(id)
 	stopped := r.stopped
 	r.rt.Unlock()
 	if reply == nil {

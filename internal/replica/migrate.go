@@ -7,7 +7,6 @@ import (
 
 	"github.com/replobj/replobj/internal/obs"
 	"github.com/replobj/replobj/internal/shard"
-	"github.com/replobj/replobj/internal/vtime"
 	"github.com/replobj/replobj/internal/wire"
 )
 
@@ -322,27 +321,16 @@ func (r *Replica) migrationStep(seq uint64) {
 	needCut := len(m.outgoing) > 0 && !m.cutDone
 	needInstall := false
 	for _, s := range m.incoming {
-		if !s.done {
-			if _, ok := s.buffered[s.next]; ok {
-				needInstall = true
-				break
-			}
+		if _, ok := s.buffered[s.next]; ok && !s.done {
+			needInstall = true
+			break
 		}
 	}
 	r.rt.Unlock()
 	if !needCut && !needInstall {
 		return
 	}
-	p := vtime.NewParker("migrate/" + string(r.self))
-	drained := false
-	r.sched.Quiesce(func(d bool) {
-		drained = d
-		r.rt.Unpark(p)
-	})
-	r.rt.Lock()
-	r.rt.Park(p)
-	r.rt.Unlock()
-	if !drained {
+	if !r.quiesce("migrate") {
 		r.trace.Record("order", obs.KindCheckpoint, "migrate", strconv.FormatUint(seq, 10)+"/busy")
 		return
 	}
@@ -492,11 +480,8 @@ func (r *Replica) executeForward(inv *Invocation) {
 	req := &inv.req
 	reply := r.newReply(req)
 	var err error
-	reply.Result, err = inv.invoke(inv.epoch.Ring.HomeGroup(req.ShardKey), req.Method, req.Args, func(q *Request) {
-		q.ShardEpoch = inv.epoch.Table.Epoch
-		q.ShardKey = req.ShardKey
-		q.CrossKeys = req.CrossKeys
-	})
+	reply.Result, err = inv.invoke(Request{Group: inv.epoch.Ring.HomeGroup(req.ShardKey), Method: req.Method, Args: req.Args,
+		ShardEpoch: inv.epoch.Table.Epoch, ShardKey: req.ShardKey, CrossKeys: req.CrossKeys})
 	if err != nil {
 		reply.Err = err.Error()
 		if hasCode(err, CodeRedirect) {

@@ -2,9 +2,11 @@ package replica
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -157,6 +159,34 @@ func TestEnvelopeDecodersRejectNonCanonicalFrames(t *testing.T) {
 			t.Errorf("%s: refused with %q, want mention of %q", tc.name, err, tc.want)
 		}
 	}
+	// A count beyond the bytes left in the frame is refused before anything
+	// is sized by it: a frame of a few bytes cannot make the decoder allocate
+	// megabytes, though each count is within its fixed cap.
+	chunk := frame(t, MigrateChunk{Object: "o", Source: "s", Target: "t"}) // ... keys 0, cache 0
+	refit := func(body []byte, count uint64) []byte {
+		out := append(append([]byte{0}, body...), binary.AppendUvarint(nil, count)...)
+		out[0] = byte(len(out) - 1)
+		return out
+	}
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"chunk: key count beyond the frame", refit(chunk[1:len(chunk)-2], maxChunkKeys)},
+		{"chunk: cache count beyond the frame", refit(chunk[1:len(chunk)-1], maxChunkCache)},
+		{"request: cross-key count beyond the frame", patch(req, reqHasCross, binary.AppendUvarint(nil, maxCrossKeys)...)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, _, _, err := wire.ConsumeMessage(tc.frame)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: decoded to %+v", tc.name, m.Payload)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+			t.Errorf("%s: a %d-byte frame allocated %d bytes before it was refused (%v)", tc.name, len(tc.frame), n, err)
+		}
+	}
 	// The patching itself is sound: well-formed groups do decode.
 	for name, f := range map[string][]byte{
 		"request shard group": patch(req, reqHasShard, 2, 1, 'k'),
@@ -194,6 +224,10 @@ func TestPerRequestValuesStayInTheirSizeClasses(t *testing.T) {
 	}
 	if size := unsafe.Sizeof(clientRow{}); size > 128 {
 		t.Errorf("clientRow is %d bytes, want <= 128", size)
+	}
+	// The logical-thread record is held by value in its map, like amoEntry.
+	if size := unsafe.Sizeof(logicalThread{}); size > 128 {
+		t.Errorf("logicalThread is %d bytes, want <= 128", size)
 	}
 }
 

@@ -79,17 +79,6 @@ func (d *Directory) Members(g wire.GroupID) []wire.NodeID {
 	return nil
 }
 
-// Groups returns all registered group ids.
-func (d *Directory) Groups() []wire.GroupID {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make([]wire.GroupID, 0, len(d.m))
-	for g := range d.m {
-		out = append(out, g)
-	}
-	return out
-}
-
 // RequestKind distinguishes top-level client requests from nested
 // invocations issued by another replicated object.
 type RequestKind uint8
@@ -362,35 +351,20 @@ type Replica struct {
 	// its latest numbered call; amo the unnumbered requests of the window,
 	// amoOrder their ids in first-seen order. held / heldBytes count the
 	// replies both keep.
-	clients     map[wire.NodeID]*clientRow
-	amo         map[wire.InvocationID]amoEntry
-	amoOrder    ring.Queue[wire.InvocationID]
-	held        int
-	heldBytes   int
-	logicalLive map[wire.LogicalID]int
-	nested      map[wire.InvocationID]*nestedCall
-	// earlyReplies buffers nested replies that arrive before this replica's
-	// own thread reached the Invoke (possible when a thread lags behind its
-	// peers structurally, e.g. an LSA follower waiting for a mutex table).
-	earlyReplies map[wire.InvocationID]Reply
-	// nestedWaiting counts, per logical thread, local threads inside a
-	// nested invocation; callbacks are deferred until the originator has
-	// reached its Invoke so the logical program order (pre-invoke code →
-	// callback) holds on every replica.
-	nestedWaiting    map[wire.LogicalID]int
-	pendingCallbacks map[wire.LogicalID][]*dispatched
-	stopped          bool
+	clients         map[wire.NodeID]*clientRow
+	amo             map[wire.InvocationID]amoEntry
+	amoOrder        ring.Queue[wire.InvocationID]
+	held, heldBytes int
+	// threads holds one record per live logical thread (see logical.go).
+	threads map[wire.LogicalID]logicalThread
+	stopped bool
 
 	// specMgr holds the speculation bookkeeping (nil when Config.Speculative
-	// is off or unusable); specPending counts requests dispatched to local
-	// execution whose handler has not completed — the state may only be
-	// snapshotted for the forks when it is zero (the primary state is then
-	// exactly the ordered prefix). evictFloor is the highest stream position whose
+	// is off or unusable). evictFloor is the highest stream position whose
 	// reply-cache entries evictStableLocked has dropped; duplicates ordered
 	// at or below it are answered with a typed expired-duplicate error.
-	specMgr     *spec.Manager
-	specPending int
-	evictFloor  uint64
+	specMgr    *spec.Manager
+	evictFloor uint64
 
 	// mig is the in-progress ring transition (nil outside migrations);
 	// earlyChunks buffers handoff chunks delivered before this group's own
@@ -399,28 +373,19 @@ type Replica struct {
 	earlyChunks []MigrateChunk
 }
 
-type nestedCall struct {
-	thread *adets.Thread
-	reply  *Reply
-}
-
 // New wires a replica together: transport endpoint, group member,
 // scheduler.
 func New(cfg Config) *Replica {
 	r := &Replica{
-		rt:               cfg.RT,
-		group:            cfg.Group,
-		self:             cfg.Self,
-		dir:              cfg.Directory,
-		sched:            cfg.Scheduler,
-		handlers:         make(map[string]Handler),
-		clients:          make(map[wire.NodeID]*clientRow),
-		amo:              make(map[wire.InvocationID]amoEntry),
-		logicalLive:      make(map[wire.LogicalID]int),
-		nested:           make(map[wire.InvocationID]*nestedCall),
-		earlyReplies:     make(map[wire.InvocationID]Reply),
-		nestedWaiting:    make(map[wire.LogicalID]int),
-		pendingCallbacks: make(map[wire.LogicalID][]*dispatched),
+		rt:       cfg.RT,
+		group:    cfg.Group,
+		self:     cfg.Self,
+		dir:      cfg.Directory,
+		sched:    cfg.Scheduler,
+		handlers: make(map[string]Handler),
+		clients:  make(map[wire.NodeID]*clientRow),
+		amo:      make(map[wire.InvocationID]amoEntry),
+		threads:  make(map[wire.LogicalID]logicalThread),
 	}
 	if cfg.State != nil {
 		r.state = cfg.State()
@@ -876,30 +841,15 @@ func (r *Replica) installTable(req Request, _ uint64) ([]byte, error) {
 
 // admit is the tail of every accepted request's dispatch, whether it comes
 // straight from the ordered stream or out of a migration's parking lot:
-// speculation's verdict, callback classification, scheduler hand-off. It is
-// entered with the runtime lock held and releases it.
+// speculation's verdict, the logical thread's arrive, scheduler hand-off. It
+// is entered with the runtime lock held and releases it.
 func (r *Replica) admit(d *dispatched) {
 	req := &d.inv.req
 	var act specAction
 	if r.specMgr != nil {
 		act = r.specDispatchLocked(req, d.seq, d.classes)
-		r.specPending++
 	}
-	logical := req.Logical()
-	callback := r.logicalLive[logical] > 0
-	r.logicalLive[logical]++
-	deferred := callback && r.nestedWaiting[logical] == 0
-	if deferred {
-		// The originating thread has not reached its nested invocation on
-		// this replica yet (it lags structurally, e.g. an LSA follower
-		// waiting for a mutex-table grant). Running the callback now would
-		// execute "later" code of the logical thread before "earlier" code.
-		// Defer it; Invoke flushes it once the originator is in place — off
-		// the ordered stream, so it then carries no stream position for a
-		// scheduler to key a decision on.
-		d.seq = 0
-		r.pendingCallbacks[logical] = append(r.pendingCallbacks[logical], d)
-	}
+	callback, deferred := r.arriveLocked(d)
 	r.rt.Unlock()
 	r.specDispatchFinish(req, act)
 	if !deferred {
@@ -931,19 +881,7 @@ func (d *dispatched) exec(t *adets.Thread) {
 	r, req := d.inv.r, &d.inv.req
 	d.inv.t = t
 	if r.spans != nil && req.Trace.Valid() {
-		tStart := r.rt.Now()
-		r.spans.Record(tracing.Span{
-			Trace:  req.Trace.TraceID,
-			ID:     tracing.NewSpanID(req.Trace.TraceID, "sched.wait", string(r.self), d.tSubmit),
-			Parent: req.Trace.Span,
-			Name:   "sched.wait",
-			Node:   string(r.self),
-			Shard:  r.shardLabel,
-			Detail: req.Method,
-			Seq:    d.seq,
-			Start:  d.tSubmit,
-			Dur:    tStart - d.tSubmit,
-		})
+		r.recordSpan(req, "sched.wait", d.seq, d.tSubmit)
 	}
 	r.inflight.Inc()
 	defer r.inflight.Dec()
@@ -974,60 +912,44 @@ func (r *Replica) execute(inv *Invocation) {
 		}
 	}
 	if traced {
-		tEnd := r.rt.Now()
-		execID := tracing.NewSpanID(req.Trace.TraceID, "exec", string(r.self), tStart)
-		r.spans.Record(tracing.Span{
-			Trace:  req.Trace.TraceID,
-			ID:     execID,
-			Parent: req.Trace.Span,
-			Name:   "exec",
-			Node:   string(r.self),
-			Shard:  r.shardLabel,
-			Detail: req.Method,
-			Start:  tStart,
-			Dur:    tEnd - tStart,
-		})
 		// Replies (cached ones included) link back to this execution.
-		reply.Trace = tracing.Context{TraceID: req.Trace.TraceID, Span: execID}
+		reply.Trace = tracing.Context{TraceID: req.Trace.TraceID, Span: r.recordSpan(req, "exec", 0, tStart)}
 	}
 	r.complete(req, reply)
 }
 
+// recordSpan records req's span name on this replica, from start until now
+// and under the request's own span, and returns its id.
+func (r *Replica) recordSpan(req *Request, name string, seq uint64, start time.Duration) uint64 {
+	id := tracing.NewSpanID(req.Trace.TraceID, name, string(r.self), start)
+	r.spans.Record(tracing.Span{Trace: req.Trace.TraceID, ID: id, Parent: req.Trace.Span, Name: name, Node: string(r.self),
+		Shard: r.shardLabel, Detail: req.Method, Seq: seq, Start: start, Dur: r.rt.Now() - start})
+	return id
+}
+
 // complete publishes the reply of a request that went through the
-// scheduler: reply cache, the logical thread's liveness and span binding,
-// speculation's account of an early reply, and the send.
+// scheduler: reply cache, the logical thread's leave, speculation's account
+// of an early reply, and the send.
 func (r *Replica) complete(req *Request, reply Reply) {
-	logical := req.Logical()
 	r.rt.Lock()
 	r.storeReplyLocked(req.ref(), reply)
-	r.logicalLive[logical]--
-	if r.logicalLive[logical] == 0 {
-		delete(r.logicalLive, logical)
-		if r.spans != nil && req.Trace.Valid() {
-			r.spans.Unbind(string(logical))
-		}
-	}
+	r.leaveLocked(req)
 	var suppress, mismatch, late bool
-	if r.specMgr != nil {
-		if r.specPending > 0 {
-			r.specPending--
-		}
-		if req.Kind == KindClient {
-			srep, released, l := r.specMgr.Resolve(req.ID.String())
-			late = l
-			if released {
-				if sr, ok := srep.(Reply); ok && sr.Code == reply.Code && sr.Err == reply.Err && bytes.Equal(sr.Result, reply.Result) {
-					// The released speculative reply matches: the client has
-					// it already, suppress the duplicate send.
-					suppress = true
-				} else {
-					// The speculative reply differed from the ordered one —
-					// the handler broke the purity/class-confinement contract.
-					// Send the authoritative reply too, surface the event, and
-					// trust no fork any further: they carry such writes along.
-					mismatch = true
-					r.specMgr.DropForks()
-				}
+	if r.specMgr != nil && req.Kind == KindClient {
+		srep, released, l := r.specMgr.Resolve(req.ID.String())
+		late = l
+		if released {
+			if sr, ok := srep.(Reply); ok && sr.Code == reply.Code && sr.Err == reply.Err && bytes.Equal(sr.Result, reply.Result) {
+				// The released speculative reply matches: the client has it
+				// already, suppress the duplicate send.
+				suppress = true
+			} else {
+				// The speculative reply differed from the ordered one — the
+				// handler broke the purity/class-confinement contract. Send
+				// the authoritative reply too, surface the event, and trust
+				// no fork any further: they carry such writes along.
+				mismatch = true
+				r.specMgr.DropForks()
 			}
 		}
 	}
@@ -1066,52 +988,35 @@ func (r *Replica) submitTo(group wire.GroupID, id string, payload any) {
 	}
 }
 
-// dispatchNestedReply resumes the thread blocked on the invocation, or
-// buffers the reply if the local thread has not issued the call yet.
+// dispatchNestedReply delivers a nested reply to its logical thread and
+// resumes the thread that waits for it, if one does.
 func (r *Replica) dispatchNestedReply(reply Reply) {
 	r.rt.Lock()
-	nc := r.nested[reply.ID]
-	if nc == nil {
-		if !r.stopped {
-			r.earlyReplies[reply.ID] = reply
-		}
-		r.rt.Unlock()
-		return
-	}
-	if nc.reply != nil {
-		r.rt.Unlock()
-		return // duplicate
-	}
-	cp := reply
-	nc.reply = &cp
-	t := nc.thread
+	t := r.deliverReplyLocked(reply)
 	r.rt.Unlock()
-	r.sched.EndNested(t)
+	if t != nil {
+		r.sched.EndNested(t)
+	}
 }
 
 // answerDuplicate answers a request the table did not call fresh (e is the
 // entry classifyLocked returned) and reports whether from the cache:
-// otherwise with a typed refusal when the reply is no longer kept, and not at
-// all while the original is still executing and will reply.
+// otherwise with a typed refusal when the reply is gone (superseded or
+// evicted at e.At), and not at all while the original is still executing
+// and will reply.
 func (r *Replica) answerDuplicate(req *Request, verdict amoVerdict, e amoEntry) bool {
 	switch {
 	case verdict == amoExpired:
-		r.sendExpired(req, e.At)
+		r.dupExpired.Inc()
+		reply := r.newReply(req)
+		reply.Code = CodeExpiredDuplicate
+		reply.Err = "replica: duplicate expired: reply evicted at stream position " + strconv.FormatUint(e.At, 10)
+		r.sendReply(*req, reply)
 	case e.Done:
 		r.sendReply(*req, r.reply(req.ID, &e))
 		return true
 	}
 	return false
-}
-
-// sendExpired tells a client that the reply of the request it retransmitted
-// is gone: superseded or evicted at stream position seq.
-func (r *Replica) sendExpired(req *Request, seq uint64) {
-	r.dupExpired.Inc()
-	reply := r.newReply(req)
-	reply.Code = CodeExpiredDuplicate
-	reply.Err = "replica: duplicate expired: reply evicted at stream position " + strconv.FormatUint(seq, 10)
-	r.sendReply(*req, reply)
 }
 
 // Scheduler exposes the scheduler (capability metadata, tests).

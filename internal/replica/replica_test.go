@@ -3,7 +3,6 @@ package replica
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -31,10 +30,8 @@ func TestDirectoryBasics(t *testing.T) {
 	if d.Members("a")[0] != "a/0" {
 		t.Error("Members aliases internal storage")
 	}
-	groups := d.Groups()
-	sort.Slice(groups, func(i, j int) bool { return groups[i] < groups[j] })
-	if !reflect.DeepEqual(groups, []wire.GroupID{"a", "b"}) {
-		t.Errorf("Groups = %v", groups)
+	if b := d.Group("b"); b == nil || !reflect.DeepEqual(b.Members, []wire.NodeID{"b/0"}) {
+		t.Errorf("Group(b) = %+v", b)
 	}
 	before := d.Group("a")
 	d.Add("a", []wire.NodeID{"a/0"}, true) // replacement
@@ -65,7 +62,7 @@ func TestQuickDirectoryConcurrentSafety(t *testing.T) {
 		}()
 		for _, n := range names {
 			_ = d.Members(wire.GroupID(n))
-			_ = d.Groups()
+			_ = d.Group(wire.GroupID(n))
 		}
 		<-done
 		for _, n := range names {

@@ -154,7 +154,7 @@ func (r *Replica) runSpeculation(id string, req Request, h Handler, classes []st
 	// lock keeps it that way (dispatch takes the lock first), so the
 	// snapshot cannot tear.
 	var snapshot func() ([]byte, bool, error)
-	if r.specPending == 0 {
+	if len(r.threads) == 0 {
 		snapshot = r.snapshotState
 	}
 	fork, img := r.specMgr.Speculate(id, classes, snapshot)
@@ -184,21 +184,10 @@ func (r *Replica) runSpeculation(id string, req Request, h Handler, classes []st
 	}
 	reply, ok := r.runOnFork(req, h, fork)
 	if traced {
-		tEnd := r.rt.Now()
-		specID := tracing.NewSpanID(req.Trace.TraceID, "spec", string(r.self), tStart)
-		r.spans.Record(tracing.Span{
-			Trace:  req.Trace.TraceID,
-			ID:     specID,
-			Parent: req.Trace.Span,
-			Name:   "spec",
-			Node:   string(r.self),
-			Detail: req.Method,
-			Start:  tStart,
-			Dur:    tEnd - tStart,
-		})
 		// A released speculative reply links back to this span exactly as an
-		// ordered reply links to its exec span.
-		reply.Trace = tracing.Context{TraceID: req.Trace.TraceID, Span: specID}
+		// ordered reply links to its exec span. (Speculation is off on shard
+		// groups, so the span carries no shard label.)
+		reply.Trace = tracing.Context{TraceID: req.Trace.TraceID, Span: r.recordSpan(&req, "spec", 0, tStart)}
 	}
 	r.rt.Lock()
 	release := false

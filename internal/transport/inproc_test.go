@@ -14,19 +14,10 @@ type ping struct{ N int }
 // fast path production payloads take; unregistered types would fall back to
 // per-frame gob and measure the codec fallback instead of the transport.
 func init() {
-	wire.RegisterPayload(ping{})
-	wire.RegisterBinaryPayload(100, ping{},
-		func(b *wire.Buffer, v any) error {
-			b.Uvarint(uint64(int64(v.(ping).N)))
-			return nil
-		},
-		func(r *wire.Reader) (any, error) {
-			n, err := r.Uvarint()
-			if err != nil {
-				return nil, err
-			}
-			return ping{N: int(int64(n))}, nil
-		})
+	wire.Register(100, func(b *wire.Buffer, p ping) error {
+		b.Uvarint(uint64(int64(p.N)))
+		return nil
+	}, func(r *wire.Reader) ping { return ping{N: int(int64(r.Uvarint()))} })
 }
 
 // pump forwards everything an endpoint receives into a mailbox so tests can

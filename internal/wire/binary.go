@@ -31,6 +31,14 @@ package wire
 // writes, so every decodable binary frame re-encodes to the identical byte
 // string — the property the differential fuzzer pins down.
 //
+// Every codec of the tree is installed with Register[T], which also
+// registers the type's gob twin, and decodes through the one frame reader,
+// Reader: the first error sticks, later reads return zero values, and the
+// decoder's result is dropped for that one error. A decoder states its own
+// refusals with Reader.Fail, and reads every slice length with
+// Reader.Count, which refuses a count beyond the bytes left in the frame
+// before anything is sized by it.
+//
 // Nested payloads (the Payload any fields of gcs.Submit and gcs.Ordered)
 // recurse with the same tagging through Buffer.Any / Reader.Any; an
 // unregistered nested payload becomes a length-prefixed gob blob without
@@ -65,7 +73,7 @@ type binaryCodec struct {
 	tag uint64
 	typ reflect.Type
 	enc func(*Buffer, any) error
-	dec func(*Reader) (any, error)
+	dec func(*Reader) any // nil once the Reader has failed
 }
 
 var (
@@ -73,13 +81,16 @@ var (
 	binByTag  = map[uint64]*binaryCodec{}
 )
 
-// RegisterBinaryPayload installs a binary fast-path codec for the payload
-// type of prototype under the given tag. Call it from an init function
-// (registration is not synchronized); duplicate tags or types panic. enc
-// receives a value of exactly prototype's type; dec must consume exactly
-// the bytes enc produced. Types without a binary codec still travel via the
-// gob fallback — RegisterPayload remains the minimum requirement.
-func RegisterBinaryPayload(tag uint64, prototype any, enc func(*Buffer, any) error, dec func(*Reader) (any, error)) {
+// Register installs T's two codecs: the binary one under tag, and the gob
+// twin (RegisterPayload) the differential tests and the fuzzer hold it
+// against. Call it from an init function (registration is not
+// synchronized); a reserved tag, or a second codec for a tag or a type,
+// panics. enc receives a value of exactly T; dec must consume exactly the
+// bytes enc produced, reading them through r, and what it returns is
+// dropped, for r's error, once a read has failed.
+func Register[T any](tag uint64, enc func(*Buffer, T) error, dec func(r *Reader) T) {
+	var prototype T
+	RegisterPayload(prototype)
 	if tag < TagUserMin {
 		panic(fmt.Sprintf("wire: binary payload tag %d is reserved", tag))
 	}
@@ -90,7 +101,14 @@ func RegisterBinaryPayload(tag uint64, prototype any, enc func(*Buffer, any) err
 	if _, dup := binByType[t]; dup {
 		panic(fmt.Sprintf("wire: binary payload type %v registered twice", t))
 	}
-	c := &binaryCodec{tag: tag, typ: t, enc: enc, dec: dec}
+	c := &binaryCodec{tag: tag, typ: t,
+		enc: func(b *Buffer, v any) error { return enc(b, v.(T)) },
+		dec: func(r *Reader) any {
+			if v := dec(r); r.err == nil {
+				return v
+			}
+			return nil
+		}}
 	binByTag[tag] = c
 	binByType[t] = c
 }
@@ -264,11 +282,15 @@ func AppendMessageGob(dst []byte, m *Message) ([]byte, error) {
 
 // --- decode side ---
 
-// Reader decodes the binary encoding of one frame body. All reads are
-// bounds-checked; any violation poisons the decode with an error.
+// Reader is the one frame reader of the tree: every payload codec decodes
+// its fields through it, in order. All reads are bounds-checked, and the
+// first error sticks: every later read returns the zero value, so a decoder
+// reads straight through without a branch per field, and the frame is
+// refused with that one error.
 type Reader struct {
 	b      []byte
 	off    int
+	err    error
 	sawGob bool // a gob fallback was taken somewhere in this frame
 	// idents is the intern table of the stream this frame came from; nil
 	// when the frame is decoded on its own (ConsumeMessage).
@@ -285,42 +307,68 @@ const (
 	maxIdentLen = 64
 )
 
+// Fail refuses the frame with err unless an earlier error already did: a
+// decoder's own verdicts (an undefined presence bit, a value outside its
+// enum) stick like a failed read.
+func (r *Reader) Fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
+
 // Remaining returns the number of unread bytes left in the frame.
 func (r *Reader) Remaining() int { return len(r.b) - r.off }
 
 // Uvarint reads a minimal unsigned varint.
-func (r *Reader) Uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("wire: truncated or overlong varint at offset %d", r.off)
+func (r *Reader) Uvarint() uint64 {
+	if r.err != nil {
+		return 0
 	}
-	if n != uvarintLen(v) {
-		return 0, fmt.Errorf("wire: non-minimal varint at offset %d", r.off)
+	v, n := binary.Uvarint(r.b[r.off:])
+	switch {
+	case n <= 0:
+		r.err = fmt.Errorf("wire: truncated or overlong varint at offset %d", r.off)
+		return 0
+	case n != uvarintLen(v):
+		r.err = fmt.Errorf("wire: non-minimal varint at offset %d", r.off)
+		return 0
 	}
 	r.off += n
-	return v, nil
+	return v
+}
+
+// Count reads the length of a slice of what. Every element takes at least
+// one byte, so a count beyond the bytes left in the frame is refused before
+// anything is sized by it: corrupt input cannot request an absurd
+// allocation.
+func (r *Reader) Count(what string) int {
+	n := r.Uvarint()
+	if r.err == nil && n > uint64(r.Remaining()) {
+		r.err = fmt.Errorf("wire: %s count %d exceeds frame", what, n)
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
 }
 
 // span reads a length prefix and returns the bytes it covers — a window
 // into the frame buffer, for the caller to copy.
-func (r *Reader) span(what string) ([]byte, error) {
-	n, err := r.Uvarint()
-	if err != nil {
-		return nil, err
+func (r *Reader) span(what string) []byte {
+	n := r.Uvarint()
+	if r.err == nil && n > uint64(r.Remaining()) {
+		r.err = fmt.Errorf("wire: %s of %d bytes exceeds remaining %d", what, n, r.Remaining())
 	}
-	if n > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("wire: %s of %d bytes exceeds remaining %d", what, n, r.Remaining())
+	if r.err != nil {
+		return nil
 	}
 	raw := r.b[r.off : r.off+int(n)]
 	r.off += int(n)
-	return raw, nil
+	return raw
 }
 
 // String reads a length-prefixed string.
-func (r *Reader) String() (string, error) {
-	raw, err := r.span("string")
-	return string(raw), err
-}
+func (r *Reader) String() string { return string(r.span("string")) }
 
 // Ident reads a length-prefixed string that names something long-lived — a
 // node, a group, a method, a mutex — and so repeats from frame to frame. On
@@ -329,81 +377,74 @@ func (r *Reader) String() (string, error) {
 // request (message names, logical thread ids, shard keys) belong to String;
 // routed through here they would only churn the table. Like String, the
 // result never aliases the frame buffer.
-func (r *Reader) Ident() (string, error) {
-	raw, err := r.span("string")
-	if err != nil || r.idents == nil || len(raw) > maxIdentLen {
-		return string(raw), err
+func (r *Reader) Ident() string {
+	raw := r.span("string")
+	if r.err != nil || r.idents == nil || len(raw) > maxIdentLen {
+		return string(raw)
 	}
 	if s, ok := r.idents[string(raw)]; ok { // the lookup does not allocate
-		return s, nil
+		return s
 	}
 	if len(r.idents) >= maxIdents {
 		clear(r.idents)
 	}
 	s := string(raw)
 	r.idents[s] = s
-	return s, nil
+	return s
 }
 
 // Bytes reads a length-prefixed byte slice. The result is a copy, never an
 // alias of the (pooled) frame buffer; zero length decodes as nil.
-func (r *Reader) Bytes() ([]byte, error) {
-	raw, err := r.span("byte slice")
-	if err != nil || len(raw) == 0 {
-		return nil, err
+func (r *Reader) Bytes() []byte {
+	raw := r.span("byte slice")
+	if len(raw) == 0 {
+		return nil
 	}
-	return append([]byte(nil), raw...), nil
+	return append([]byte(nil), raw...)
 }
 
 // Byte reads one raw byte.
-func (r *Reader) Byte() (byte, error) {
-	if r.Remaining() < 1 {
-		return 0, fmt.Errorf("wire: unexpected end of frame at offset %d", r.off)
+func (r *Reader) Byte() byte {
+	if r.err == nil && r.Remaining() < 1 {
+		r.err = fmt.Errorf("wire: unexpected end of frame at offset %d", r.off)
 	}
-	c := r.b[r.off]
+	if r.err != nil {
+		return 0
+	}
 	r.off++
-	return c, nil
+	return r.b[r.off-1]
 }
 
 // Bool reads a 0/1 byte.
-func (r *Reader) Bool() (bool, error) {
-	c, err := r.Byte()
-	if err != nil {
-		return false, err
+func (r *Reader) Bool() bool {
+	c := r.Byte()
+	if c > 1 {
+		r.Fail(fmt.Errorf("wire: invalid bool byte %#x", c))
 	}
-	switch c {
-	case 0:
-		return false, nil
-	case 1:
-		return true, nil
-	}
-	return false, fmt.Errorf("wire: invalid bool byte %#x", c)
+	return c == 1
 }
 
 // Any reads a nested payload written by Buffer.Any.
-func (r *Reader) Any() (any, error) {
-	tag, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
-	case tagNil:
-		return nil, nil
-	case tagGob:
+func (r *Reader) Any() any {
+	tag := r.Uvarint()
+	switch {
+	case r.err != nil || tag == tagNil:
+		return nil
+	case tag == tagGob:
 		r.sawGob = true
-		blob, err := r.Bytes()
-		if err != nil {
-			return nil, err
-		}
+		blob := r.Bytes()
 		var v any
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&v); err != nil {
-			return nil, fmt.Errorf("wire: gob-decode nested payload: %w", err)
+		if r.err == nil {
+			if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&v); err != nil {
+				r.Fail(fmt.Errorf("wire: gob-decode nested payload: %w", err))
+			}
 		}
-		return v, nil
+		return v
 	}
 	c, ok := binByTag[tag]
 	if !ok {
-		return nil, fmt.Errorf("wire: unknown nested payload tag %d", tag)
+		r.Fail(fmt.Errorf("wire: unknown nested payload tag %d", tag))
+		return nil
 	}
 	return c.dec(r)
 }
@@ -412,11 +453,8 @@ func (r *Reader) Any() (any, error) {
 // whether the whole frame took the binary fast path — no gob fallback at any
 // nesting level — which is when byte-identical re-encoding is guaranteed.
 func parseBody(r *Reader, m *Message) (binaryClean bool, err error) {
-	tag, err := r.Uvarint()
-	if err != nil {
-		return false, err
-	}
-	if tag == tagGob {
+	tag := r.Uvarint()
+	if r.err == nil && tag == tagGob {
 		// gob decodes into a local: handing it m would make every caller's
 		// message escape, whichever branch runs.
 		var gm Message
@@ -426,24 +464,17 @@ func parseBody(r *Reader, m *Message) (binaryClean bool, err error) {
 		*m = gm
 		return false, nil
 	}
-	from, err := r.Ident()
-	if err != nil {
-		return false, err
-	}
-	to, err := r.Ident()
-	if err != nil {
-		return false, err
-	}
+	from, to := r.Ident(), r.Ident()
 	var payload any
-	if tag != tagNil {
+	if r.err == nil && tag != tagNil {
 		c, ok := binByTag[tag]
 		if !ok {
 			return false, fmt.Errorf("wire: unknown payload tag %d", tag)
 		}
-		payload, err = c.dec(r)
-		if err != nil {
-			return false, err
-		}
+		payload = c.dec(r)
+	}
+	if r.err != nil {
+		return false, r.err
 	}
 	if r.Remaining() != 0 {
 		return false, fmt.Errorf("wire: %d trailing bytes after payload", r.Remaining())

@@ -117,7 +117,7 @@ func (d *Decoder) Decode(m *Message) error {
 	if _, err := io.ReadFull(d.r, buf); err != nil {
 		return fmt.Errorf("wire: read frame body: %w", err)
 	}
-	d.rd.b, d.rd.off, d.rd.sawGob = buf, 0, false
+	d.rd.b, d.rd.off, d.rd.err, d.rd.sawGob = buf, 0, nil, false
 	_, err = parseBody(&d.rd, m)
 	d.rd.b = nil // the frame buffer goes back to the pool
 	return err

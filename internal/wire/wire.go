@@ -56,19 +56,18 @@ func (id InvocationID) String() string {
 
 // Message is the transport envelope. Payload is one of the protocol structs
 // registered with the codec: over TCP it travels in the binary encoding
-// registered for its type (RegisterBinaryPayload), or as gob where there is
-// none; the in-process transport passes the value through untouched.
+// registered for its type (Register), or as gob where there is none; the
+// in-process transport passes the value through untouched.
 type Message struct {
 	From    NodeID
 	To      NodeID
 	Payload any
 }
 
-// RegisterPayload registers a payload type with the codec's gob fallback.
-// Each protocol layer registers its message structs from an init function,
-// and every one in this tree also installs a binary encoding with
-// RegisterBinaryPayload; the gob registration is then the twin the codec
-// tests compare that encoding against.
+// RegisterPayload registers a payload type with the codec's gob fallback
+// only. Every protocol message of this tree is registered with Register,
+// which installs its binary encoding and calls this for the gob twin the
+// codec tests compare that encoding against.
 func RegisterPayload(v any) {
 	gob.Register(v)
 }

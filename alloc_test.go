@@ -63,8 +63,8 @@ func TestInvokeAllocationBudget(t *testing.T) {
 // each follower and three replies — the client's request travels once (8
 // before it did: the test fails there). In a speculating group the
 // followers execute on the client's own copy, so the Submit goes to all
-// three, and the sequencer's position hint to both followers: 10, as it
-// was.
+// three: 8 (10 while the sequencer also announced each position to both
+// followers ahead of the Ordered).
 func TestInvokeMessageBudget(t *testing.T) {
 	const calls = 500
 	for _, tc := range []struct {
@@ -73,7 +73,7 @@ func TestInvokeMessageBudget(t *testing.T) {
 		want float64
 	}{
 		{"plain", nil, 6},
-		{"speculating", []replobj.GroupOption{replobj.WithSpeculation()}, 10},
+		{"speculating", []replobj.GroupOption{replobj.WithSpeculation()}, 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rt := vtime.Real()

@@ -169,15 +169,7 @@ type Snapshot struct {
 	Data  []byte
 }
 
-// Hint is a position the sequencer names for a message id, in two cases.
-// The spontaneous-order announcement (with Config.HintDeliver set): on
-// accepting a fresh numbered submit for ordering it predicts the sequence
-// number the submit will take (exact in steady state, wrong across view
-// changes or resubmit races) and broadcasts the prediction immediately,
-// before the ordering round completes. Replicas use hints purely as
-// speculation fuel — a wrong hint costs a discarded speculative execution,
-// never correctness, because speculations are validated against the
-// confirmed position at the ordered dispatch point. And the answer to a
+// Hint is the position the sequencer names for a message id, in answer to a
 // member's copy of an id already ordered, to that member alone: a Hint below
 // the receiver's delivery frontier settles its cached submit (a snapshot may
 // have skipped the Ordered) and goes no further — Seq 0 for a numbered call
@@ -294,19 +286,14 @@ type Config struct {
 	// the optimistic-delivery stream speculative execution runs on. The
 	// hook may fire for submits that are never ordered (e.g. lost before
 	// the sequencer) and fires at most once per id per member; the ordered
-	// stream remains the only authority on what executes. Setting it makes
-	// the group a direct-copy group: members act on a submitter's own copy,
-	// so submitters send every submit to every member, members never relay
-	// one to the sequencer, and a member whose copy lost the race against
-	// the sequencer's Ordered does not mistake it for a retransmission.
+	// stream remains the only authority on what executes. The member that
+	// orders a submit as it arrives does not surface it: it delivers the
+	// submit in the same event. Setting the hook makes the group a
+	// direct-copy group: members act on a submitter's own copy, so
+	// submitters send every submit to every member, members never relay one
+	// to the sequencer, and a member whose copy lost the race against the
+	// sequencer's Ordered does not mistake it for a retransmission.
 	OptimisticDeliver func(sub Submit)
-
-	// HintDeliver, when non-nil, receives sequencer spontaneous-order
-	// hints (outside the runtime lock). Setting it makes the sequencer
-	// broadcast a Hint — its predicted sequence number — for every fresh
-	// numbered submit it accepts, before the ordering round completes, to
-	// every member, itself included. Predictions are best-effort; see Hint.
-	HintDeliver func(h Hint)
 
 	// Stats receives protocol metrics. May be nil (all recordings no-op).
 	Stats *Stats

@@ -235,8 +235,6 @@ func (m *Member) Handle(from wire.NodeID, payload any) bool {
 		case Hint:
 			if p.Seq < m.nextDeliver {
 				m.settleLocked(p.key(), p.Seq) // an answer to a copy of an ordered id
-			} else if m.cfg.HintDeliver != nil {
-				act.hints = append(act.hints, p)
 			}
 		case Propose:
 			m.noteEpochLocked(p.View.Epoch)
@@ -295,9 +293,6 @@ type actions struct {
 	dups []dupSubmit
 	// opts are fresh submits to surface through the OptimisticDeliver hook.
 	opts []Submit
-	// hints are sequencer spontaneous-order predictions to surface through
-	// the HintDeliver hook.
-	hints []Hint
 	// nacked dedups gap NACKs within one event (see handleOrderedLocked).
 	nacked bool
 }
@@ -330,8 +325,8 @@ func (a *actions) sendAll(m *Member, members []wire.NodeID, payload any) (n int)
 }
 
 // finish is the only way out of an event: the queued sends, then the
-// duplicate-submit / optimistic-delivery / hint notifications (each queued
-// only where its hook is set), which may call back into the replica layer.
+// duplicate-submit / optimistic-delivery notifications (each queued only
+// where its hook is set), which may call back into the replica layer.
 func (a *actions) finish(m *Member) {
 	for _, s := range a.first[:a.nfirst] {
 		m.cfg.Send(s.to, s.payload)
@@ -344,9 +339,6 @@ func (a *actions) finish(m *Member) {
 	}
 	for _, s := range a.opts {
 		m.cfg.OptimisticDeliver(s)
-	}
-	for _, h := range a.hints {
-		m.cfg.HintDeliver(h)
 	}
 }
 
@@ -511,14 +503,16 @@ func (m *Member) handleSubmitLocked(from wire.NodeID, sub Submit, act *actions) 
 	}
 	if c.first {
 		m.cacheSubmitLocked(k, sub)
-		if m.cfg.OptimisticDeliver != nil {
-			// Surface it on the optimistic-delivery stream, once per id.
+		if m.cfg.OptimisticDeliver != nil && v != orderHere {
+			// Surface it on the optimistic-delivery stream, once per id — not
+			// here where it is ordered: the delivery is queued in this event,
+			// and acting on the copy first would win nothing.
 			act.opts = append(act.opts, sub)
 		}
 	}
 	switch v {
 	case orderHere:
-		m.sequenceLocked(sub, act)
+		m.orderLocked(sub, nil, act)
 	case relayToSequencer:
 		if st := m.cfg.Stats; st != nil && !c.own {
 			st.SubmitsRelayed.Inc()
@@ -544,26 +538,6 @@ func (m *Member) answerLocked(from wire.NodeID, k key, seq uint64, resend bool, 
 			m.repairLocked(peer, max(seq, m.log.lo), act)
 		}
 	}
-}
-
-// sequenceLocked orders a submit the sequencer has not ordered yet. The
-// position is announced before the ordering round — exact in steady state,
-// harmlessly wrong across view changes.
-func (m *Member) sequenceLocked(sub Submit, act *actions) {
-	m.hintLocked(sub.key(), m.nextSeq, act)
-	m.orderLocked(sub, nil, act)
-}
-
-// hintLocked queues a spontaneous-order hint for a client's call to every
-// view member, this one's own HintDeliver included. No-op unless
-// HintDeliver is set.
-func (m *Member) hintLocked(k key, seq uint64, act *actions) {
-	if m.cfg.HintDeliver == nil || k.call == 0 {
-		return
-	}
-	h := k.hint(m.cfg.Group, seq)
-	act.sendAll(m, m.view.Members, h)
-	act.hints = append(act.hints, h)
 }
 
 // orderLocked assigns the next sequence number to sub and broadcasts. Only
@@ -782,7 +756,7 @@ func (m *Member) resubmitLocked(age time.Duration, act *actions) {
 		c.at = now // one resend per age
 		m.submitCache[k] = c
 		if m.isSequencerLocked() {
-			m.sequenceLocked(c.sub, act)
+			m.orderLocked(c.sub, nil, act)
 		} else if m.view.Sequencer() != m.cfg.Self {
 			act.send(m.view.Sequencer(), c.sub)
 		}

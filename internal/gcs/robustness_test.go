@@ -2,7 +2,6 @@ package gcs
 
 import (
 	"reflect"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -102,24 +101,18 @@ func TestQuorumBlocksMinorityProgress(t *testing.T) {
 	})
 }
 
-// TestResumedSequencerHintsItsBacklogLocally: a sequencer that lost its
+// TestResumedSequencerOrdersItsBacklogFromTheTick: a sequencer that lost its
 // quorum caches what it is sent and orders the backlog from the FD tick once
-// it hears a majority again. The hints it announces for those submits reach
-// its own HintDeliver as they reach its peers' — every event leaves through
-// actions.finish, the FD tick included.
-func TestResumedSequencerHintsItsBacklogLocally(t *testing.T) {
-	var hints [3]atomic.Int32
-	h := newHarnessCfg(3, true, func(c *Config) {
-		c.Quorum = true
-		for rank := range hints {
-			if c.Self == wire.ReplicaID(c.Group, rank) {
-				c.HintDeliver = func(Hint) { hints[rank].Add(1) }
-			}
-		}
-	})
+// it hears a majority again, in the view it had. The backlog's Ordered frames
+// leave through actions.finish like every other event's, the FD tick's
+// included: one to each peer, and no view change stands in for them.
+func TestResumedSequencerOrdersItsBacklogFromTheTick(t *testing.T) {
+	var fr frames
+	h := newHarnessCfg(3, true, func(c *Config) { c.Quorum = true; fr.hook(c) })
 	h.run(func() {
 		cl := h.net.Endpoint(wire.ClientID("c1"))
 		defer cl.Close()
+		seqr := h.ids[0]
 		h.rt.Sleep(50 * time.Millisecond)
 		h.net.Crash(h.ids[1])
 		h.net.Crash(h.ids[2])
@@ -127,8 +120,8 @@ func TestResumedSequencerHintsItsBacklogLocally(t *testing.T) {
 		h.submitCall(cl, 1, "x")
 		h.submitCall(cl, 2, "x")
 		h.rt.Sleep(100 * time.Millisecond)
-		if n := hints[0].Load(); n != 0 {
-			t.Fatalf("suspended sequencer announced %d positions", n)
+		if n := fr.count(seqr, "Ordered", ""); n != 0 {
+			t.Fatalf("suspended sequencer sent %d Ordered frames", n)
 		}
 		h.net.Restore(h.ids[1])
 		h.net.Restore(h.ids[2])
@@ -137,9 +130,14 @@ func TestResumedSequencerHintsItsBacklogLocally(t *testing.T) {
 				t.Errorf("member %d delivered %v, want [client/c1#1 client/c1#2]", i, got)
 			}
 		}
-		for rank := range hints {
-			if n := hints[rank].Load(); n != 2 {
-				t.Errorf("member %d saw %d hints for the sequencer's backlog, want 2", rank, n)
+		for _, id := range []string{"client/c1#1", "client/c1#2"} {
+			if n := fr.count(seqr, "Ordered", id); n != 2 {
+				t.Errorf("sequencer sent %d Ordered frames for %s, want one to each peer", n, id)
+			}
+		}
+		for i, m := range h.members {
+			if v := m.View(); v.Epoch != 0 {
+				t.Errorf("member %d installed %v, want the backlog ordered in the first view", i, v)
 			}
 		}
 	})

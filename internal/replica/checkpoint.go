@@ -33,8 +33,9 @@ import (
 // exported fields; when neither works the checkpoint is skipped (the same
 // way on every replica) and the log falls back to the retention cap.
 type Snapshotter interface {
-	// Snapshot serializes the state. It is called only at a quiesced
-	// checkpoint boundary, with no request threads live.
+	// Snapshot serializes the state. It is called only with no request
+	// threads live — at a quiesced checkpoint boundary, or for a speculation's
+	// image — and never while another Snapshot or Restore of the state runs.
 	Snapshot() ([]byte, error)
 	// Restore replaces the state with a previously snapshotted image.
 	Restore(data []byte) error
@@ -97,6 +98,7 @@ func (r *Replica) checkpoint(seq uint64) {
 		return
 	}
 	r.rt.Lock()
+	r.enterGateLocked()
 	r.evictStableLocked(seq)
 	entries, heldBytes := r.seenEntriesLocked(), r.heldBytes
 	r.rt.Unlock()
@@ -105,6 +107,7 @@ func (r *Replica) checkpoint(seq uint64) {
 	// continues with digests identical to the donors'.
 	r.trace.Record("order", obs.KindCheckpoint, "ckpt", strconv.FormatUint(seq, 10))
 	state, usedGob, err := r.snapshotState()
+	r.leaveGate()
 	if err != nil {
 		// Same state type on every replica, so the failure (e.g. gob meeting
 		// unexported fields) is deterministic: nobody records a checkpoint
@@ -252,10 +255,14 @@ func (r *Replica) installSnapshot(d gcs.Delivery) {
 		r.trace.Record("order", obs.KindCheckpoint, "snapshot-install-failed", strconv.FormatUint(d.Seq, 10))
 		return
 	}
+	r.rt.Lock()
+	r.enterGateLocked()
+	r.rt.Unlock()
 	if len(env.State) > 0 && r.state != nil {
 		_ = restoreInto(r.state, env.State, env.UsedGob) // same type, same image: it fails alike everywhere
 	}
 	r.rt.Lock()
+	r.gateBusy = false
 	r.clients = make(map[wire.NodeID]*clientRow)
 	r.amo = make(map[wire.InvocationID]amoEntry)
 	r.amoOrder = ring.Queue[wire.InvocationID]{}

@@ -326,10 +326,13 @@ func (r *Replica) migrationStep(seq uint64) {
 			break
 		}
 	}
-	r.rt.Unlock()
 	if !needCut && !needInstall {
+		r.rt.Unlock()
 		return
 	}
+	r.enterGateLocked()
+	r.rt.Unlock()
+	defer r.leaveGate()
 	if !r.quiesce("migrate") {
 		r.trace.Record("order", obs.KindCheckpoint, "migrate", strconv.FormatUint(seq, 10)+"/busy")
 		return

@@ -249,12 +249,12 @@ type Config struct {
 	// order confirms the speculation as conflict-free. Requires State (the
 	// factory builds the forks); ignored on sharded groups, whose requests
 	// are validated and possibly redirected at their ordered position. Also
-	// enables sequencer spontaneous-order hints (gcs.Config.HintDeliver, set
-	// where speculation proper runs) and early scheduling (conflict classes
-	// fed to ADETS-CC at arrival time), and makes the group a direct-copy
-	// group (gcs.Config.OptimisticDeliver). The group's Directory entry must
-	// be registered with DirectCopies set alongside, or clients send the
-	// followers nothing to act on.
+	// enables early scheduling (conflict classes fed to ADETS-CC at arrival
+	// time), and makes the group a direct-copy group
+	// (gcs.Config.OptimisticDeliver). The group's Directory entry must be
+	// registered with DirectCopies set alongside, or clients send the
+	// followers nothing to act on. The sequencer does neither with a request
+	// it orders as it arrives.
 	Speculative bool
 	// Shard, if non-nil, marks this replica a member of a sharded object's
 	// shard group: requests routed with a shard epoch are validated against
@@ -304,37 +304,36 @@ type Replica struct {
 	ckptEvery uint64
 
 	// Observability (all nil-safe; nil when disabled).
-	schedObs        *adets.SchedObs
-	trace           *obs.Trace
-	order           *obs.Stream // the "order" stream of trace: one event per delivery
-	spans           *tracing.Collector
-	inflight        *obs.Gauge
-	cacheHits       *obs.Counter
-	dupReplies      *obs.Counter
-	dupExpired      *obs.Counter
-	unknownMsgs     *obs.Counter
-	specAttempts    *obs.Counter
-	specHits        *obs.Counter
-	specAborts      *obs.Counter
-	specMismatches  *obs.Counter
-	specHintMatches *obs.Counter
-	specRefreshes   *obs.Counter
-	specForkReuses  *obs.Counter
-	specCatchUps    *obs.Counter
-	specSkipped     *obs.Counter
-	cacheEntries    *obs.Gauge
-	cacheBytes      *obs.Gauge
-	clientRows      *obs.Gauge
-	idRows          *obs.Gauge
-	checkpoints     *obs.Counter
-	ckptSkipped     *obs.Counter
-	snapSize        *obs.Gauge
-	snapErrors      *obs.Counter
-	ckptDuration    *obs.Histogram
-	shardRouted     *obs.Counter
-	shardRedirects  *obs.Counter
-	shardCross      *obs.Counter
-	shardEpochG     *obs.Gauge
+	schedObs       *adets.SchedObs
+	trace          *obs.Trace
+	order          *obs.Stream // the "order" stream of trace: one event per delivery
+	spans          *tracing.Collector
+	inflight       *obs.Gauge
+	cacheHits      *obs.Counter
+	dupReplies     *obs.Counter
+	dupExpired     *obs.Counter
+	unknownMsgs    *obs.Counter
+	specAttempts   *obs.Counter
+	specHits       *obs.Counter
+	specAborts     *obs.Counter
+	specMismatches *obs.Counter
+	specRefreshes  *obs.Counter
+	specForkReuses *obs.Counter
+	specCatchUps   *obs.Counter
+	specSkipped    *obs.Counter
+	cacheEntries   *obs.Gauge
+	cacheBytes     *obs.Gauge
+	clientRows     *obs.Gauge
+	idRows         *obs.Gauge
+	checkpoints    *obs.Counter
+	ckptSkipped    *obs.Counter
+	snapSize       *obs.Gauge
+	snapErrors     *obs.Counter
+	ckptDuration   *obs.Histogram
+	shardRouted    *obs.Counter
+	shardRedirects *obs.Counter
+	shardCross     *obs.Counter
+	shardEpochG    *obs.Gauge
 
 	// Migration metrics (see migrate.go).
 	migActive          *obs.Gauge
@@ -365,6 +364,11 @@ type Replica struct {
 	// at or below it are answered with a typed expired-duplicate error.
 	specMgr    *spec.Manager
 	evictFloor uint64
+	// The image gate (see speculate.go): imaging while a speculation copies
+	// the state off the lock, gateBusy while the dispatch goroutine accesses
+	// it off the lock itself; the dispatch goroutine waits on gate.
+	imaging, gateBusy bool
+	gate              vtime.Parker
 
 	// mig is the in-progress ring transition (nil outside migrations);
 	// earlyChunks buffers handoff chunks delivered before this group's own
@@ -398,6 +402,7 @@ func New(cfg Config) *Replica {
 		r.stateFactory = cfg.State
 		r.specMgr = spec.NewManager()
 	}
+	r.gate.SetName("image-gate", string(cfg.Self))
 	r.classes = cfg.Classes
 	if r.classes == nil {
 		if cc, ok := r.state.(ConflictClasser); ok {
@@ -425,7 +430,6 @@ func New(cfg Config) *Replica {
 			r.specHits = cfg.Metrics.Counter("replobj_replica_spec_hits_total" + label)
 			r.specAborts = cfg.Metrics.Counter("replobj_replica_spec_aborts_total" + label)
 			r.specMismatches = cfg.Metrics.Counter("replobj_replica_spec_mismatches_total" + label)
-			r.specHintMatches = cfg.Metrics.Counter("replobj_replica_spec_hint_matches_total" + label)
 			// An attempt runs either on a fork restored for it (a refresh:
 			// one copy of the whole state, sometimes a snapshot too) or on
 			// one reused as it stands; a submit that got no fork is skipped,
@@ -502,9 +506,6 @@ func New(cfg Config) *Replica {
 		if !stopped && verdict != amoFresh && r.answerDuplicate(&req, verdict, e) {
 			r.dupReplies.Inc()
 		}
-	}
-	if r.specMgr != nil {
-		g.HintDeliver = r.onHint // the sequencer announces positions early
 	}
 	// Without forkable state (or on a sharded group) speculation proper is
 	// off, but conflict classes are still fed to an early-scheduling-capable
@@ -664,6 +665,7 @@ func (r *Replica) newReply(req *Request) Reply {
 func (r *Replica) dispatchRequest(req Request, seq uint64) {
 	d := &dispatched{inv: Invocation{r: r, req: req}, seq: seq, classes: r.conflictClasses(&req)}
 	r.rt.Lock()
+	r.waitImageLocked()
 	if r.stopped {
 		r.rt.Unlock()
 		return

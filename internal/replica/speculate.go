@@ -12,9 +12,10 @@ import (
 // Speculative execution on optimistic delivery.
 //
 // Clients send every Submit to every member of a speculating group (a
-// direct-copy group, see Directory), so each replica sees a request the
-// moment it arrives — long before the sequencer assigns it a position.
-// With Config.Speculative set, the replica uses that window: it
+// direct-copy group, see Directory), so each follower sees a request the
+// moment it arrives — long before the sequencer's Ordered reaches it. (The
+// member that orders the request on arrival delivers it at once and does not
+// speculate.) With Config.Speculative set, the replica uses that window: it
 // executes the request immediately against a private fork of the object
 // state, and when the total order confirms the request it releases the
 // precomputed reply at once if no conflicting request was dispatched in
@@ -34,7 +35,7 @@ import (
 // fork that held its classes current — a catch-up, its reply discarded — so
 // the next request of those classes finds a fork to run on. Only when no
 // fork and no cached image is current for a request's classes is the state
-// snapshotted again, and only while it is quiescent.
+// snapshotted again, and only while it is quiescent (see the gate below).
 //
 // Validity is judged with conflict classes (the same classes ADETS-CC
 // schedules by): a run on a fork that holds the request's classes at stream
@@ -83,16 +84,49 @@ func (r *Replica) onOptimisticSubmit(sub gcs.Submit) {
 	}
 }
 
-// onHint records a sequencer spontaneous-order hint: the predicted stream
-// position for a client's call in flight. Hints are advisory — the conflict
-// floors remain the sole validity authority — and are only consumed by the
-// hint-accuracy counter at confirm time.
-func (r *Replica) onHint(h gcs.Hint) {
-	r.rt.Lock()
-	if !r.stopped && r.specMgr != nil {
-		r.specMgr.Hint(spec.Call{Origin: string(h.Origin), Num: h.Call}, h.Seq)
+// The image gate. A speculation that finds neither a fork nor the cached
+// image current for its classes snapshots the primary state — a copy of all
+// of it, too long to hold the runtime lock for, which every replica of the
+// process shares. It copies with the lock released and imaging set, and only
+// while the state is quiescent: no request thread live and the dispatch
+// goroutine outside the gate. The dispatch goroutine makes every other
+// off-lock access to the state — it hands requests to their threads,
+// checkpoints, installs snapshots, cuts and installs migrations — and waits at
+// the gate before each. gateBusy marks it inside for the accesses it makes
+// itself; a request it hands over needs no mark, its thread being live from
+// the lock hold that waited.
+
+// waitImageLocked parks the dispatch goroutine while an image is being taken.
+func (r *Replica) waitImageLocked() {
+	for r.imaging {
+		r.rt.Park(&r.gate)
 	}
+}
+
+// enterGateLocked takes the dispatch goroutine into the gate; leaveGate lets
+// it out.
+func (r *Replica) enterGateLocked() {
+	r.waitImageLocked()
+	r.gateBusy = true
+}
+
+func (r *Replica) leaveGate() {
+	r.rt.Lock()
+	r.gateBusy = false
 	r.rt.Unlock()
+}
+
+// imageOffLock is the snapshot a quiescent replica offers Speculate, which
+// calls it under the runtime lock: it copies the state with the lock
+// released, imaging keeping the dispatch goroutine at the gate.
+func (r *Replica) imageOffLock() ([]byte, bool, error) {
+	r.imaging = true
+	r.rt.Unlock()
+	data, usedGob, err := r.snapshotState()
+	r.rt.Lock()
+	r.imaging = false
+	r.rt.Unpark(&r.gate)
+	return data, usedGob, err
 }
 
 // restoreFork gives f a fresh state instance restored from img. (Fresh:
@@ -149,13 +183,12 @@ func (r *Replica) runSpeculation(id string, req Request, h Handler, classes []st
 		return
 	}
 	// The state may be snapshotted only while quiescent: no dispatched
-	// request is between submission and completed execution, so the primary
-	// state is exactly the ordered prefix up to LastSeq. Holding the runtime
-	// lock keeps it that way (dispatch takes the lock first), so the
-	// snapshot cannot tear.
+	// request is between submission and completed execution, and the
+	// dispatch goroutine is outside the gate, so the primary state is exactly
+	// the ordered prefix up to the last dispatch and stays so (see the gate).
 	var snapshot func() ([]byte, bool, error)
-	if len(r.threads) == 0 {
-		snapshot = r.snapshotState
+	if len(r.threads) == 0 && !r.gateBusy && !r.imaging {
+		snapshot = r.imageOffLock
 	}
 	fork, img := r.specMgr.Speculate(id, classes, snapshot)
 	r.rt.Unlock()
@@ -235,10 +268,9 @@ func (r *Replica) runCatchUp(req Request, h Handler, act specAction) {
 // specAction is what the ordered dispatch of a request owes speculation
 // once the runtime lock is released. The zero value owes nothing.
 type specAction struct {
-	reply     Reply
-	send      bool // hit: release the precomputed reply now
-	abort     bool // stale or poisoned: count it
-	hintMatch bool // the sequencer's position hint was exact
+	reply Reply
+	send  bool // hit: release the precomputed reply now
+	abort bool // stale or poisoned: count it
 	// catchUp: no valid speculation, but a fork held classes current up to
 	// floor, their floor before the dispatch at seq — re-run the request
 	// there.
@@ -255,8 +287,6 @@ func (r *Replica) specDispatchLocked(req *Request, seq uint64, classes []string)
 	act := specAction{classes: classes, floor: r.specMgr.Floor(classes), seq: seq}
 	out := spec.Miss
 	if req.Kind == KindClient {
-		match, seen := r.specMgr.HintMatch(spec.Call{Origin: string(req.ReplyTo), Num: req.Call}, seq)
-		act.hintMatch = seen && match
 		var rep any
 		rep, out = r.specMgr.Dispatch(req.ID.String(), seq, classes)
 		act.reply, act.send = rep.(Reply)
@@ -280,9 +310,6 @@ func (r *Replica) specDispatchLocked(req *Request, seq uint64, classes []string)
 // specDispatchFinish performs the side effects of a dispatch outcome
 // outside the runtime lock.
 func (r *Replica) specDispatchFinish(req *Request, act specAction) {
-	if act.hintMatch {
-		r.specHintMatches.Inc()
-	}
 	if act.abort {
 		r.specAborts.Inc()
 	}

@@ -315,6 +315,31 @@ func TestPoolGrowsOnlyWhileAllForksAreBusy(t *testing.T) {
 	}
 }
 
+// The snapshot Speculate is handed may release the caller's lock while it
+// copies the state: a run that takes the last idle fork meanwhile keeps it,
+// and the image is still the state's at the last dispatch.
+func TestSnapshotMayReleaseTheLock(t *testing.T) {
+	m, snap := NewManager(), &snapshots{}
+	var held []*Fork
+	for i := 0; i < maxForks; i++ {
+		f, _ := m.Speculate("c"+strconv.Itoa(i), []string{"k" + strconv.Itoa(i)}, snap.take)
+		held = append(held, f)
+	}
+	m.Release(held[0])
+	m.TrackDispatch(1, clsA)
+	var other *Fork
+	unlocked := func() ([]byte, bool, error) {
+		other, _ = m.Speculate("other", []string{"k0"}, nil)
+		return snap.take()
+	}
+	if f, _ := m.Speculate("x", clsA, unlocked); f != nil {
+		t.Fatalf("got fork %p (the other run holds %p), want none: the pool is busy", f, other)
+	}
+	if other != held[0] || m.image.Seq != 1 {
+		t.Fatalf("other run got %p (idle fork %p), image at %d; want the idle fork and position 1", other, held[0], m.image.Seq)
+	}
+}
+
 // Restores are paid for in bytes copied: with a state of 1 MiB the first
 // ones spend the burst, then a class no fork serves goes unspeculated — and
 // unsnapshotted — until the dispatches in between have earned the next copy.

@@ -22,11 +22,11 @@
 // some speculations rather than a copy of itself per conflict.
 //
 // The Manager holds per-replica speculation state: the fork pool, the cached
-// image, per-conflict-class dispatch floors, the in-flight speculation
-// records, and the sequencer's spontaneous-order hints. It performs no
-// locking of its own — every method must be called under the replica's
-// runtime lock (vtime.Runtime), matching how the rest of the replica's
-// bookkeeping is guarded.
+// image, per-conflict-class dispatch floors and the in-flight speculation
+// records. It performs no locking of its own — every method must be called
+// under the replica's runtime lock (vtime.Runtime), matching how the rest of
+// the replica's bookkeeping is guarded; only the snapshot Speculate is handed
+// may release the lock while it runs.
 //
 // Correctness does not depend on speculation: a run only ever touches its
 // fork, never the primary state, so an abort costs at most a fork. The
@@ -42,8 +42,6 @@ package spec
 import (
 	"math"
 	"slices"
-
-	"github.com/replobj/replobj/internal/ring"
 )
 
 // Record tracks one in-flight speculative execution.
@@ -122,9 +120,6 @@ func (o Outcome) String() string {
 // maxRecords caps in-flight speculations; beyond it Begin declines, which
 // only costs latency, never correctness.
 const maxRecords = 1 << 12
-
-// maxHints caps remembered sequencer hints.
-const maxHints = 1 << 12
 
 // A fork restore copies the whole state — once to snapshot it, unless the
 // cached image will do, and once into the fork — so the copying is rationed
@@ -275,15 +270,6 @@ type Manager struct {
 
 	records map[string]*Record
 	serial  uint64
-	hints   map[Call]uint64
-	hintsFD ring.Queue[Call] // FIFO eviction order for hints
-}
-
-// Call names a client's call by number, as the sequencer's hints do: the
-// Num-th call of the client Origin.
-type Call struct {
-	Origin string
-	Num    uint64
 }
 
 // NewManager returns an empty speculation manager.
@@ -292,7 +278,6 @@ func NewManager() *Manager {
 		copyBudget: copyBurst,
 		classFloor: make(map[string]uint64),
 		records:    make(map[string]*Record),
-		hints:      make(map[Call]uint64),
 	}
 }
 
@@ -321,9 +306,11 @@ func (m *Manager) TrackDispatch(seq uint64, classes []string) {
 	}
 }
 
-// SetImage installs a fresh image snapshotted at stream position seq.
+// SetImage installs a fresh image snapshotted at stream position seq, and
+// charges the copy it took to the budget.
 func (m *Manager) SetImage(data []byte, usedGob bool, seq uint64) {
 	m.image = &Image{Data: data, Gob: usedGob, Seq: seq}
+	m.copyBudget -= len(data)
 }
 
 // Begin opens a speculation record for id, for a run on a copy of the
@@ -378,30 +365,38 @@ func (m *Manager) evictOldest() bool {
 // an idle fork (or a new one, while all are busy and the pool is under its
 // cap) is to be restored from an image that is current for the classes: the
 // cached one, or a fresh one from snapshot, which the caller passes only
-// while the primary state is quiescent. restore is then that image and the
-// caller must set f.State from it before running — or Discard(f) if it
-// cannot. f is nil when the speculation cannot start: a duplicate id, the
-// record cap, every fork busy, the copy budget overdrawn, or a stale image
-// with the state in motion — running then would only produce a certain Stale.
+// while the primary state is quiescent. The snapshot may release the
+// caller's lock while it copies the state, provided no dispatch is tracked
+// meanwhile: the image is taken at the last dispatched position and the fork
+// picked after it is in. restore is then that image and the caller must set
+// f.State from it before running — or Discard(f) if it cannot. f is nil when
+// the speculation cannot start: a duplicate id, the record cap, every fork
+// busy, the copy budget overdrawn, or a stale image with the state in motion
+// — running then would only produce a certain Stale.
 func (m *Manager) Speculate(id string, classes []string, snapshot func() ([]byte, bool, error)) (f *Fork, restore *Image) {
 	if !m.admit(id) {
 		return nil, nil
 	}
 	floor := m.Floor(classes)
 	if f = m.bind(classes, floor, math.MaxUint64); f == nil {
-		if f = m.spare(); f == nil || m.copyBudget < 0 {
+		if m.copyBudget < 0 || m.spare() == nil {
 			return nil, nil
 		}
 		if m.image == nil || m.image.Seq < floor {
 			if snapshot == nil {
 				return nil, nil
 			}
+			seq := m.lastSeq
 			data, usedGob, err := snapshot()
 			if err != nil {
 				return nil, nil
 			}
-			m.SetImage(data, usedGob, m.lastSeq)
-			m.copyBudget -= len(data)
+			m.SetImage(data, usedGob, seq)
+		}
+		// Other runs may have taken forks while the snapshot had the lock
+		// released.
+		if f = m.spare(); f == nil {
+			return nil, nil
 		}
 		restore = m.image
 		m.copyBudget -= len(restore.Data)
@@ -608,35 +603,12 @@ func (m *Manager) Resolve(id string) (reply any, released, late bool) {
 	return nil, false, rec.Confirmed
 }
 
-// Hint records the sequencer's predicted stream position for call c.
-func (m *Manager) Hint(c Call, seq uint64) {
-	if _, dup := m.hints[c]; !dup {
-		if m.hintsFD.Len() >= maxHints {
-			old, _ := m.hintsFD.Pop()
-			delete(m.hints, old)
-		}
-		m.hintsFD.Push(c)
-	}
-	m.hints[c] = seq
-}
-
-// HintMatch consumes the hint for call c and reports whether it predicted
-// the confirmed position exactly. ok is false when no hint was recorded.
-func (m *Manager) HintMatch(c Call, seq uint64) (match, ok bool) {
-	h, ok := m.hints[c]
-	if !ok {
-		return false, false
-	}
-	delete(m.hints, c)
-	return h == seq, true
-}
-
 // Pending returns the number of open speculation records (tests).
 func (m *Manager) Pending() int { return len(m.records) }
 
-// Reset drops every record, hint and fork and the cached image, and raises
-// all floors to seq. Called when a snapshot install rewrites the primary
-// state wholesale: nothing forked before it can be valid afterwards.
+// Reset drops every record and fork and the cached image, and raises all
+// floors to seq. Called when a snapshot install rewrites the primary state
+// wholesale: nothing forked before it can be valid afterwards.
 func (m *Manager) Reset(seq uint64) {
 	m.classFloor = make(map[string]uint64)
 	m.globalFloor = seq
@@ -647,6 +619,4 @@ func (m *Manager) Reset(seq uint64) {
 	m.image = nil
 	m.forks = nil
 	m.records = make(map[string]*Record)
-	m.hints = make(map[Call]uint64)
-	m.hintsFD = ring.Queue[Call]{}
 }

@@ -149,50 +149,17 @@ func itoa(i int) string {
 	return string(b[p:])
 }
 
-func TestHints(t *testing.T) {
-	m := NewManager()
-	x, y := Call{"client/c1", 1}, Call{"client/c2", 1}
-	m.Hint(x, 7)
-	if match, ok := m.HintMatch(x, 7); !ok || !match {
-		t.Fatal("exact hint should match")
-	}
-	if _, ok := m.HintMatch(x, 7); ok {
-		t.Fatal("hint must be consumed")
-	}
-	m.Hint(y, 3)
-	if _, ok := m.HintMatch(x, 3); ok {
-		t.Fatal("a hint is for its client's call only")
-	}
-	if match, ok := m.HintMatch(y, 4); !ok || match {
-		t.Fatal("wrong position must not match")
-	}
-	// FIFO eviction under the cap.
-	for i := 0; i < maxHints+10; i++ {
-		m.Hint(Call{"client/h", uint64(i + 1)}, uint64(i))
-	}
-	if _, ok := m.HintMatch(Call{"client/h", 1}, 0); ok {
-		t.Fatal("oldest hint should have been evicted")
-	}
-	if _, ok := m.HintMatch(Call{"client/h", maxHints + 10}, uint64(maxHints+9)); !ok {
-		t.Fatal("newest hint should survive")
-	}
-}
-
 func TestReset(t *testing.T) {
 	m := NewManager()
 	m.TrackDispatch(4, []string{"a"})
 	m.SetImage([]byte("s"), false, 4)
 	m.Begin("x", 4, []string{"a"})
-	m.Hint(Call{"client/c1", 1}, 5)
 	m.Reset(10)
 	if m.image != nil {
 		t.Fatal("Reset must drop the image")
 	}
 	if m.Pending() != 0 {
 		t.Fatal("Reset must drop records")
-	}
-	if _, ok := m.HintMatch(Call{"client/c1", 1}, 5); ok {
-		t.Fatal("Reset must drop hints")
 	}
 	// All floors raised to the reset position: a fork from below never hits.
 	m.Begin("y", 4, []string{"zz"})

@@ -10,8 +10,8 @@ import (
 
 // benchCases are the hot payloads of the protocol: every client invocation
 // crosses the wire as a Request inside a Submit, is rebroadcast inside an
-// Ordered (in a speculating group announced by a Hint first), and returns as
-// a Reply; Heartbeats dominate message count at idle. Each is benchmarked
+// Ordered (a copy of one already ordered is answered with a Hint), and
+// returns as a Reply; Heartbeats dominate message count at idle. Each is benchmarked
 // through the binary fast path and through the gob fallback so the speedup
 // is measured, not assumed.
 func benchCases() []struct {

@@ -499,7 +499,7 @@ func WithCheckpointEvery(n int) GroupOption {
 }
 
 // WithSpeculation enables speculative execution on optimistic delivery:
-// every replica executes an arriving request immediately against a forked
+// every follower executes an arriving request immediately against a forked
 // copy of its state (clients send each submit to every member of a
 // speculating group, not to the sequencer alone, so arrival precedes
 // ordering) and releases the precomputed reply the moment
@@ -507,9 +507,12 @@ func WithCheckpointEvery(n int) GroupOption {
 // network delay instead of waiting for the full ordering round. The ordered
 // execution still runs unchanged, so committed state, schedule-trace
 // digests and at-most-once semantics are identical to a non-speculative
-// run; a stale speculation's reply is simply discarded. Also enables
-// sequencer spontaneous-order hints and early scheduling (conflict classes
-// reach ADETS-CC at arrival time).
+// run; a stale speculation's reply is simply discarded. Also enables early
+// scheduling (conflict classes reach ADETS-CC at arrival time). The
+// sequencer orders a request the moment its copy arrives and delivers it in
+// the same step, so it neither speculates nor schedules early: a client
+// that takes the first reply (ReplyPolicy First) gives up the few
+// microseconds the sequencer's own speculation could have saved it.
 //
 // Speculation requires WithState (the factory builds the forks) and
 // handlers that confine their reads and writes to their declared conflict

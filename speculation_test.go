@@ -1,8 +1,11 @@
 package replobj_test
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -70,11 +73,11 @@ func kcounterGroup(t *testing.T, c *replobj.Cluster, name string, n int, opts ..
 // SEQ, CC and ADAPT with a mixed workload — each client alternating between
 // a private key (conflict ratio 0: speculations can hit) and a shared hot
 // key all clients contend on (seeded mis-speculation: forks go stale and
-// must be discarded) — while an injector floods every member with stale
-// sequencer hints for the clients' future invocation ids. The oracles are
-// exact effect counts (no speculation may be lost or applied twice) and
-// cross-replica schedule-digest equality (speculation must not perturb the
-// deterministic ordered run).
+// must be discarded). The oracles are exact effect counts (no speculation
+// may be lost or applied twice) and cross-replica schedule-digest equality
+// (speculation must not perturb the deterministic ordered run). Only the
+// followers speculate: the sequencer orders each request as its copy
+// arrives.
 func TestSpeculationChaosDigestsAndAtMostOnce(t *testing.T) {
 	for _, kind := range []replobj.SchedulerKind{replobj.SEQ, replobj.CC, replobj.ADAPT} {
 		kind := kind
@@ -85,33 +88,14 @@ func TestSpeculationChaosDigestsAndAtMostOnce(t *testing.T) {
 				rounds   = 6
 			)
 			rt := vtime.Virtual()
-			net := transport.NewInproc(rt)
 			reg := replobj.NewMetricsRegistry()
-			c := replobj.NewCluster(rt, replobj.WithNetwork(net), replobj.WithMetrics(reg))
+			c := replobj.NewCluster(rt, replobj.WithMetrics(reg))
 			opts := append(groupOptsFor(kind, clients),
 				replobj.WithSpeculation(),
 				replobj.WithSchedTrace(0),
 				replobj.WithCheckpointEvery(16))
 			g := kcounterGroup(t, c, "spec", replicas, opts...)
 			run(rt, c, func() {
-				// Seed mis-speculation: stale hints for ids the clients will
-				// actually use, pointing at absurd stream positions. Hints are
-				// advisory — wrong ones may cost a discarded speculation but
-				// can never corrupt the committed run.
-				inj := net.Endpoint("hint-injector")
-				defer inj.Close()
-				for ci := 0; ci < clients; ci++ {
-					for i := 1; i <= 2*rounds; i++ {
-						for _, m := range g.Members() {
-							inj.Send(m, gcs.Hint{
-								Group:  "spec",
-								Origin: wire.ClientID(fmt.Sprintf("c%d", ci)),
-								Call:   uint64(i),
-								Seq:    uint64(10_000 + i),
-							})
-						}
-					}
-				}
 				results := vtime.NewMailbox[error](rt, "results")
 				for ci := 0; ci < clients; ci++ {
 					ci := ci
@@ -161,12 +145,13 @@ func TestSpeculationChaosDigestsAndAtMostOnce(t *testing.T) {
 						t.Errorf("trace divergence rank0 vs rank%d: %+v", i, d)
 					}
 				}
-				var attempts uint64
 				for i := 0; i < replicas; i++ {
-					attempts += reg.Counter(fmt.Sprintf(`replobj_replica_spec_attempts_total{node="spec/%d"}`, i)).Value()
-				}
-				if attempts == 0 {
-					t.Error("no speculation was ever attempted")
+					attempts := reg.Counter(fmt.Sprintf(`replobj_replica_spec_attempts_total{node="spec/%d"}`, i)).Value()
+					if i == 0 && attempts != 0 {
+						t.Errorf("the sequencer speculated %d times on requests it ordered as they arrived", attempts)
+					} else if i > 0 && attempts == 0 {
+						t.Errorf("follower %d never speculated", i)
+					}
 				}
 			})
 		})
@@ -250,8 +235,7 @@ func specCounter(reg *replobj.MetricsRegistry, group, name string, replicas int)
 // contract: a fork carries confirmed speculative writes from one request to
 // the next, so a few hot keys hammered by several clients — every request
 // conflicting with its predecessors, forks going stale, dirty and being
-// caught up all the time, stale sequencer hints thrown in — must still leave
-// exact effect counts, equal digests on every replica and not one reply that
+// caught up all the time — must still leave exact effect counts, equal digests on every replica and not one reply that
 // differs from the ordered one, while the state is snapshotted and restored
 // for a fraction of the speculations only. A second, single-client pass over
 // the same keys (same total order with and without speculation) checks that
@@ -272,9 +256,8 @@ func TestSpeculationForksFollowTheOrder(t *testing.T) {
 			// Every third round puts all three clients on one key.
 			keyOf := func(ci, i int) byte { return keys[(i*i+ci*i)%len(keys)] }
 			rt := vtime.Virtual()
-			net := transport.NewInproc(rt)
 			reg := replobj.NewMetricsRegistry()
-			c := replobj.NewCluster(rt, replobj.WithNetwork(net), replobj.WithMetrics(reg))
+			c := replobj.NewCluster(rt, replobj.WithMetrics(reg))
 			opts := append(groupOptsFor(kind, clients),
 				replobj.WithSpeculation(),
 				replobj.WithSchedTrace(0),
@@ -282,15 +265,6 @@ func TestSpeculationForksFollowTheOrder(t *testing.T) {
 			g := kcounterGroup(t, c, "hot", replicas, opts...)
 			want := make(map[byte]uint64)
 			run(rt, c, func() {
-				inj := net.Endpoint("hint-injector")
-				defer inj.Close()
-				for ci := 0; ci < clients; ci++ {
-					for i := 1; i <= rounds; i++ {
-						for _, m := range g.Members() {
-							inj.Send(m, gcs.Hint{Group: "hot", Origin: wire.ClientID(fmt.Sprintf("c%d", ci)), Call: uint64(i), Seq: uint64(10_000 + i)})
-						}
-					}
-				}
 				results := vtime.NewMailbox[error](rt, "results")
 				for ci := 0; ci < clients; ci++ {
 					ci := ci
@@ -469,6 +443,217 @@ func TestSpeculationMismatchDiscardsForks(t *testing.T) {
 	// Each mismatch empties the pool, so the next speculation restores.
 	if refreshes < mismatches {
 		t.Errorf("%d mismatches but only %d refreshes: forks survived a mismatch", mismatches, refreshes)
+	}
+}
+
+// lockProbe is a counter whose Snapshot returns only once another goroutine
+// has taken and released the runtime lock — or, after two seconds, counts a
+// stall: an image taken with the lock held stops every replica in the
+// process for as long as the copy takes.
+type lockProbe struct {
+	v              uint64
+	rt             vtime.Runtime
+	images, stalls *atomic.Int32
+}
+
+func (p *lockProbe) Snapshot() ([]byte, error) {
+	done := make(chan struct{})
+	go func() {
+		p.rt.Lock()
+		p.rt.Unlock()
+		close(done)
+	}()
+	select {
+	case <-done:
+		p.images.Add(1)
+	case <-time.After(2 * time.Second):
+		p.stalls.Add(1)
+	}
+	return u64(p.v), nil
+}
+
+func (p *lockProbe) Restore(b []byte) error { p.v = fromU64(b); return nil }
+
+// TestSpeculationImageOffRuntimeLock: a speculation that needs a fresh image
+// of the state copies it with the runtime lock released.
+func TestSpeculationImageOffRuntimeLock(t *testing.T) {
+	rt := vtime.Real()
+	defer rt.Stop()
+	c := replobj.NewCluster(rt, replobj.WithLatency(0))
+	defer c.Close()
+	var images, stalls atomic.Int32
+	g, err := c.NewGroup("img", 3, replobj.WithScheduler(replobj.SEQ), replobj.WithSpeculation(),
+		replobj.WithState(func() any { return &lockProbe{rt: rt, images: &images, stalls: &stalls} }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Register("add", func(inv *replobj.Invocation) ([]byte, error) {
+		st := inv.State().(*lockProbe)
+		st.v += uint64(inv.Args()[0])
+		return u64(st.v), nil
+	})
+	g.Start()
+	cl := c.NewClient("c0", replobj.WithInvocationTimeout(10*time.Second), replobj.WithReplyPolicy(replobj.All))
+	replobj.Run(rt, func() {
+		for i := 0; i < 50 && err == nil; i++ {
+			_, err = cl.Invoke("img", "add", []byte{1})
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := stalls.Load(); n != 0 {
+		t.Errorf("%d of %d images were taken holding the runtime lock", n, n+images.Load())
+	}
+	if images.Load() == 0 {
+		t.Error("no speculation took an image")
+	}
+}
+
+// snapKV is the keyed counter with a serialization of its own that, like
+// many, reuses its encoding buffer: the Snapshotter contract promises no
+// concurrent calls, and no Snapshot while a Restore rewrites the state.
+type snapKV struct {
+	kcounter
+	buf bytes.Buffer
+}
+
+func (s *snapKV) Snapshot() ([]byte, error) {
+	s.buf.Reset()
+	if err := gob.NewEncoder(&s.buf).Encode(s.Slots); err != nil {
+		return nil, err
+	}
+	return bytes.Clone(s.buf.Bytes()), nil
+}
+
+func (s *snapKV) Restore(b []byte) error {
+	s.Slots = nil
+	return gob.NewDecoder(bytes.NewReader(b)).Decode(&s.Slots)
+}
+
+// TestSpeculationDuringSnapshotRejoin: a follower of a speculating group is
+// cut off until the log has been truncated past it and rejoins by snapshot,
+// while clients keep sending every member their own copy of each request and
+// checkpoints come every four positions. Speculations then want images
+// while the dispatch goroutine checkpoints and installs the snapshot off the
+// runtime lock; the image gate keeps the two apart (under -race, a Snapshot
+// beside a Restore or another Snapshot is reported). Effects stay exact and
+// the rejoiner's digests equal its peers'. Real clock: the accesses must
+// really overlap to be caught.
+func TestSpeculationDuringSnapshotRejoin(t *testing.T) {
+	const (
+		replicas = 3
+		clients  = 3
+	)
+	rt := vtime.Real()
+	defer rt.Stop()
+	net := transport.NewInproc(rt, transport.WithLatency(0))
+	reg := replobj.NewMetricsRegistry()
+	c := replobj.NewCluster(rt, replobj.WithNetwork(net), replobj.WithMetrics(reg))
+	defer c.Close()
+	g, err := c.NewGroup("kv", replicas,
+		replobj.WithScheduler(replobj.SEQ),
+		replobj.WithSpeculation(),
+		replobj.WithSchedTrace(0),
+		replobj.WithCheckpointEvery(4),
+		replobj.WithFailureDetection(true),
+		replobj.WithGCSConfig(gcs.Config{Quorum: true}),
+		replobj.WithState(func() any {
+			// Padded, so that an image takes a while.
+			st := &snapKV{kcounter: kcounter{Slots: make(map[string]uint64)}}
+			for i := 0; i < 512; i++ {
+				st.Slots[fmt.Sprintf("pad%03d", i)] = uint64(i)
+			}
+			return st
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Register("add", func(inv *replobj.Invocation) ([]byte, error) {
+		st := inv.State().(*snapKV)
+		st.Slots[string(inv.Args()[:1])] += uint64(inv.Args()[1])
+		return u64(st.Slots[string(inv.Args()[:1])]), nil
+	})
+	g.Register("get", func(inv *replobj.Invocation) ([]byte, error) {
+		return u64(inv.State().(*snapKV).Slots[string(inv.Args()[:1])]), nil
+	})
+	g.Start()
+	rejoiner := g.Members()[2]
+	installed := reg.Counter(`replobj_gcs_snapshots_installed_total{node="` + string(rejoiner) + `"}`)
+	total := make(map[byte]uint64)
+	var errs []error
+	replobj.Run(rt, func() {
+		var stop atomic.Int64 // the clients' last send, as rt.Now()
+		stop.Store(int64(rt.Now() + 10*time.Second))
+		results := vtime.NewMailbox[map[byte]uint64](rt, "results")
+		failures := vtime.NewMailbox[error](rt, "failures")
+		for ci := 0; ci < clients; ci++ {
+			name := fmt.Sprintf("c%d", ci)
+			keys := []byte{byte('a' + ci), 'H'}
+			rt.Go("client/"+name, func() {
+				cl := c.NewClient(name,
+					replobj.WithRetransmit(300*time.Millisecond),
+					replobj.WithInvocationTimeout(30*time.Second))
+				done := make(map[byte]uint64)
+				for i := 0; int64(rt.Now()) < stop.Load(); i++ {
+					key := keys[i%2]
+					if _, err := cl.Invoke("kv", "add", []byte{key, 1}); err != nil {
+						failures.Put(err)
+						break
+					}
+					done[key]++
+				}
+				results.Put(done)
+			})
+		}
+		rt.Sleep(200 * time.Millisecond)
+		net.Crash(rejoiner)
+		rt.Sleep(600 * time.Millisecond) // excluded, and the log truncated past it
+		net.Restore(rejoiner)
+		for installed.Value() == 0 && int64(rt.Now()) < stop.Load() {
+			rt.Sleep(10 * time.Millisecond)
+		}
+		stop.Store(min(stop.Load(), int64(rt.Now()+300*time.Millisecond))) // direct copies on through the rejoin
+		for i := 0; i < clients; i++ {
+			done, _ := results.Get()
+			for key, n := range done {
+				total[key] += n
+			}
+		}
+		for failures.Len() > 0 {
+			err, _ := failures.Get()
+			errs = append(errs, err)
+		}
+		reader := c.NewClient("reader", replobj.WithReplyPolicy(replobj.All), replobj.WithInvocationTimeout(30*time.Second))
+		for key, n := range total {
+			replies, err := reader.InvokeAll("kv", "get", []byte{key})
+			if err != nil {
+				errs = append(errs, err)
+				continue
+			}
+			for node, rep := range replies {
+				if got := fromU64(rep.Result); rep.Err != "" || got != n {
+					errs = append(errs, fmt.Errorf("%v: key %q = %d (%s), want %d", node, key, got, rep.Err, n))
+				}
+			}
+		}
+	})
+	for _, err := range errs {
+		t.Error(err)
+	}
+	if installed.Value() == 0 {
+		t.Fatal("the follower rejoined without a snapshot")
+	}
+	for i := 1; i < replicas; i++ {
+		if d := replobj.FirstTraceDivergence(g.Trace(0), g.Trace(i)); d != nil {
+			t.Errorf("trace divergence rank0 vs rank%d: %+v", i, d)
+		}
+	}
+	if n := reg.Counter(`replobj_replica_spec_attempts_total{node="` + string(rejoiner) + `"}`).Value(); n == 0 {
+		t.Error("the rejoiner never speculated")
+	}
+	if n := specCounter(reg, "kv", "mismatches", replicas); n != 0 {
+		t.Errorf("%d speculative replies differed from the ordered ones", n)
 	}
 }
 

@@ -174,7 +174,7 @@ func New(cfg Config) *Client {
 	}
 	c.parker = vtime.NewParker("client-call/" + string(c.self))
 	c.ep = cfg.Network.Endpoint(c.self)
-	cfg.RT.Go("client-recv/"+string(c.self), c.recvLoop)
+	c.ep.Serve(c.receive)
 	return c
 }
 
@@ -189,47 +189,45 @@ func (c *Client) Close() {
 	c.ep.Close()
 }
 
-func (c *Client) recvLoop() {
-	for {
-		msg, ok := c.ep.Recv()
-		if !ok {
-			return
+// receive files a replica's reply and wakes the caller once the policy is
+// met. On TCP it runs on the reader that decoded the frame and must not
+// block: it fills a slot and unparks the caller, under the runtime lock.
+func (c *Client) receive(msg wire.Message) {
+	reply, ok := msg.Payload.(replica.Reply)
+	if !ok {
+		return
+	}
+	now := c.rt.Now() // before taking the lock: Now() locks internally
+	c.rt.Lock()
+	defer c.rt.Unlock()
+	cl := &c.cur
+	slot := c.slotLocked(reply)
+	if slot == nil {
+		return
+	}
+	if cl.ctx.Valid() && c.spans != nil {
+		// One span per replica answer, from submit to arrival; its parent is
+		// the replica's exec span when the reply carried one, else the root.
+		parent := cl.ctx.Span
+		if reply.Trace.Valid() {
+			parent = reply.Trace.Span
 		}
-		reply, ok := msg.Payload.(replica.Reply)
-		if !ok {
-			continue
-		}
-		now := c.rt.Now() // before taking the lock: Now() locks internally
-		c.rt.Lock()
-		cl := &c.cur
-		if slot := c.slotLocked(reply); slot != nil {
-			if cl.ctx.Valid() && c.spans != nil {
-				// One span per replica answer, from submit to arrival; its
-				// parent is the replica's exec span when the reply carried
-				// one, else the root.
-				parent := cl.ctx.Span
-				if reply.Trace.Valid() {
-					parent = reply.Trace.Span
-				}
-				c.spans.Record(tracing.Span{
-					Trace:  cl.ctx.TraceID,
-					ID:     tracing.NewSpanID(cl.ctx.TraceID, "reply", string(reply.From), cl.t0),
-					Parent: parent,
-					Name:   "reply",
-					Node:   string(c.self),
-					Detail: string(reply.From),
-					Start:  cl.t0,
-					Dur:    now - cl.t0,
-				})
-			}
-			slot.reply, slot.ok = reply, true
-			cl.got++
-			if cl.got >= cl.need {
-				cl.done = true
-				c.rt.Unpark(c.parker)
-			}
-		}
-		c.rt.Unlock()
+		c.spans.Record(tracing.Span{
+			Trace:  cl.ctx.TraceID,
+			ID:     tracing.NewSpanID(cl.ctx.TraceID, "reply", string(reply.From), cl.t0),
+			Parent: parent,
+			Name:   "reply",
+			Node:   string(c.self),
+			Detail: string(reply.From),
+			Start:  cl.t0,
+			Dur:    now - cl.t0,
+		})
+	}
+	slot.reply, slot.ok = reply, true
+	cl.got++
+	if cl.got >= cl.need {
+		cl.done = true
+		c.rt.Unpark(c.parker)
 	}
 }
 

@@ -1,6 +1,7 @@
 package gcs
 
 import (
+	"slices"
 	"time"
 
 	"github.com/replobj/replobj/internal/obs/tracing"
@@ -62,7 +63,7 @@ type Member struct {
 	// order messages until it catches up to the newer view.
 	maxSeenEpoch uint64
 
-	// Failure detection.
+	// Failure detection; lastSeen keeps rows of cfg.Members only.
 	lastSeen  map[wire.NodeID]time.Duration
 	fdTimer   *vtime.Timer
 	syncTimer *vtime.Timer
@@ -207,7 +208,9 @@ func (m *Member) Handle(from wire.NodeID, payload any) bool {
 	}
 	var act actions
 	if m.enter() {
-		m.lastSeen[from] = m.rt.NowLocked() // any message is a sign of life
+		if slices.Contains(m.cfg.Members, from) {
+			m.lastSeen[from] = m.rt.NowLocked() // any member's message is a sign of life
+		}
 		switch p := payload.(type) {
 		case Submit:
 			m.handleSubmitLocked(from, p, &act)

@@ -9,6 +9,28 @@ import (
 	"github.com/replobj/replobj/internal/wire"
 )
 
+// TestLastSeenKeepsOnlyMembers: submits from 10 000 client origins leave
+// the failure detector a row per group member at most — a client's sign of
+// life is never read, and a long-lived member hears a new client name per
+// client process.
+func TestLastSeenKeepsOnlyMembers(t *testing.T) {
+	h := newHarness(3, true)
+	h.run(func() {
+		for i := range 10000 {
+			origin := wire.ClientID(fmt.Sprint("c", i))
+			h.members[0].Handle(origin, Submit{Group: h.group, Origin: origin, Call: 1, Payload: appMsg{Body: "x"}})
+		}
+		take(t, h.rt, h.members[2], 10000)
+		h.rt.Lock()
+		defer h.rt.Unlock()
+		for _, m := range h.members {
+			if n := len(m.lastSeen); n > len(m.cfg.Members) {
+				t.Errorf("%s keeps %d lastSeen rows for a group of %d", m.cfg.Self, n, len(m.cfg.Members))
+			}
+		}
+	})
+}
+
 // takeWithViews reads deliveries until n app messages have arrived,
 // returning app ids and the views announced along the way.
 func takeWithViews(t *testing.T, m *Member, n int) (app []string, views []View) {

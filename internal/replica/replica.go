@@ -526,8 +526,8 @@ func (r *Replica) Register(method string, h Handler) {
 	r.handlers[method] = h
 }
 
-// Start launches the replica's receive and dispatch loops and the
-// scheduler.
+// Start starts the scheduler, serves the endpoint and launches the
+// dispatch loop.
 func (r *Replica) Start() {
 	r.sched.Start(adets.Env{
 		RT:       r.rt,
@@ -540,7 +540,7 @@ func (r *Replica) Start() {
 		Obs: r.schedObs,
 	})
 	r.member.Start()
-	r.rt.Go("replica-recv/"+string(r.self), r.recvLoop)
+	r.ep.Serve(r.receive)
 	r.rt.Go("replica-dispatch/"+string(r.self), r.dispatchLoop)
 }
 
@@ -554,24 +554,19 @@ func (r *Replica) Stop() {
 	r.ep.Close()
 }
 
-// recvLoop feeds transport messages to the group member and the scheduler.
-func (r *Replica) recvLoop() {
-	for {
-		msg, ok := r.ep.Recv()
-		if !ok {
-			return
-		}
-		if r.member.Handle(msg.From, msg.Payload) {
-			continue
-		}
-		if r.sched.HandleDirect(msg.From, msg.Payload) {
-			continue
-		}
-		// Neither layer knows the payload. In a cluster built from one tree
-		// that does not happen; a rate here is the first sign of a peer that
-		// frames its messages differently.
-		r.unknownMsgs.Inc()
+// receive feeds one message to the group member or the scheduler. On TCP it
+// runs on the reader that decoded the frame and must not block: Handle is
+// one event under the runtime lock whose finish only enqueues sends and
+// calls DuplicateSubmit (sends a reply) and OptimisticDeliver (starts the
+// speculation goroutine); every HandleDirect returns false (ADAPT forwards).
+func (r *Replica) receive(msg wire.Message) {
+	if r.member.Handle(msg.From, msg.Payload) || r.sched.HandleDirect(msg.From, msg.Payload) {
+		return
 	}
+	// Neither layer knows the payload. In a cluster built from one tree
+	// that does not happen; a rate here is the first sign of a peer that
+	// frames its messages differently.
+	r.unknownMsgs.Inc()
 }
 
 // dispatchLoop consumes the totally ordered stream: requests, nested

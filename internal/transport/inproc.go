@@ -181,9 +181,11 @@ func (n *Inproc) send(from, to wire.NodeID, payload any) {
 }
 
 type inprocEndpoint struct {
-	net   *Inproc
-	id    wire.NodeID
-	inbox *vtime.Mailbox[wire.Message]
+	net     *Inproc
+	id      wire.NodeID
+	inbox   *vtime.Mailbox[wire.Message]
+	serveMu sync.Mutex // held around each handler call and by Close
+	closed  bool
 }
 
 var _ Endpoint = (*inprocEndpoint)(nil)
@@ -198,11 +200,28 @@ func (e *inprocEndpoint) Recv() (wire.Message, bool) {
 	return e.inbox.Get()
 }
 
+// Serve implements Endpoint with one tracked goroutine that takes the inbox
+// to h, so virtual time parks and wakes where the caller's own loop would.
+func (e *inprocEndpoint) Serve(h func(wire.Message)) {
+	e.net.rt.Go("inproc-serve/"+string(e.id), func() {
+		for m, ok := e.inbox.Get(); ok; m, ok = e.inbox.Get() {
+			e.serveMu.Lock()
+			if !e.closed {
+				h(m)
+			}
+			e.serveMu.Unlock()
+		}
+	})
+}
+
 func (e *inprocEndpoint) Close() {
 	e.net.mu.Lock()
 	if e.net.nodes[e.id] == e {
 		delete(e.net.nodes, e.id)
 	}
 	e.net.mu.Unlock()
+	e.serveMu.Lock()
+	e.closed = true
+	e.serveMu.Unlock()
 	e.inbox.Close()
 }

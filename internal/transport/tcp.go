@@ -168,8 +168,10 @@ func (n *TCPNetwork) Listen(id wire.NodeID) (*TCPEndpoint, error) {
 		ln:      ln,
 		inbox:   vtime.NewMailbox[wire.Message](n.rt, "tcp/"+string(id)),
 		conns:   make(map[wire.NodeID]*tcpConn),
+		reading: make(map[net.Conn]struct{}),
 		pending: make(map[wire.NodeID][]queuedMsg),
 	}
+	ep.handler = ep.inbox.Put
 	// If the registry used port 0, record the actual bound address so peers
 	// in the same process can reach this node.
 	n.mu.Lock()
@@ -184,10 +186,15 @@ type TCPEndpoint struct {
 	net   *TCPNetwork
 	id    wire.NodeID
 	ln    net.Listener
-	inbox *vtime.Mailbox[wire.Message]
+	inbox *vtime.Mailbox[wire.Message] // while nobody serves the endpoint
+
+	serveMu sync.Mutex         // held by a reader to deliver; taken before mu and the runtime lock
+	handler func(wire.Message) // inbox.Put until Serve, a no-op after Close
 
 	mu    sync.Mutex
 	conns map[wire.NodeID]*tcpConn
+	// reading is every connection a reader serves, so Close ends them all.
+	reading map[net.Conn]struct{}
 	// pending buffers messages to nodes with no address and no learned
 	// connection yet — e.g. a reply to a client whose ordered request
 	// (broadcast by the sequencer) overtook its own direct connection. A
@@ -390,6 +397,23 @@ func (e *TCPEndpoint) Recv() (wire.Message, bool) {
 	return e.inbox.Get()
 }
 
+// Serve implements Endpoint: each connection's reader calls h itself. The
+// inbox is drained into h first, so no reader overtakes a queued message.
+func (e *TCPEndpoint) Serve(h func(wire.Message)) {
+	e.serveMu.Lock()
+	defer e.serveMu.Unlock()
+	e.mu.Lock()
+	closed := e.closed
+	e.mu.Unlock()
+	if closed {
+		return
+	}
+	for m, ok := e.inbox.TryGet(); ok; m, ok = e.inbox.TryGet() {
+		h(m)
+	}
+	e.handler = h
+}
+
 // Close implements Endpoint.
 func (e *TCPEndpoint) Close() {
 	e.mu.Lock()
@@ -398,13 +422,19 @@ func (e *TCPEndpoint) Close() {
 		return
 	}
 	e.closed = true
-	conns := e.conns
-	e.conns = map[wire.NodeID]*tcpConn{}
+	conns, reading := e.conns, e.reading
+	e.conns, e.reading = map[wire.NodeID]*tcpConn{}, nil
 	e.mu.Unlock()
 	_ = e.ln.Close()
 	for _, c := range conns {
 		c.shutdown()
 	}
+	for c := range reading {
+		_ = c.Close()
+	}
+	e.serveMu.Lock() // waits for a delivery in progress; later ones are dropped
+	e.handler = func(wire.Message) {}
+	e.serveMu.Unlock()
 	e.inbox.Close()
 }
 
@@ -480,6 +510,14 @@ func (e *TCPEndpoint) acceptLoop() {
 }
 
 func (e *TCPEndpoint) readLoop(conn net.Conn) {
+	e.mu.Lock()
+	if e.closed {
+		e.mu.Unlock()
+		_ = conn.Close()
+		return
+	}
+	e.reading[conn] = struct{}{}
+	e.mu.Unlock()
 	st := e.net.stats.Load()
 	dec := wire.NewDecoder(conn)
 	learned := false
@@ -489,6 +527,9 @@ func (e *TCPEndpoint) readLoop(conn net.Conn) {
 			if err != io.EOF {
 				_ = conn.Close()
 			}
+			e.mu.Lock()
+			delete(e.reading, conn)
+			e.mu.Unlock()
 			return
 		}
 		if st != nil {
@@ -518,7 +559,9 @@ func (e *TCPEndpoint) readLoop(conn net.Conn) {
 				}
 			}
 		}
-		e.inbox.Put(m)
+		e.serveMu.Lock()
+		e.handler(m)
+		e.serveMu.Unlock()
 	}
 }
 
@@ -534,6 +577,7 @@ var _ Endpoint = (*brokenEndpoint)(nil)
 func (b *brokenEndpoint) ID() wire.NodeID            { return b.id }
 func (b *brokenEndpoint) Send(wire.NodeID, any)      {}
 func (b *brokenEndpoint) Recv() (wire.Message, bool) { return wire.Message{}, false }
+func (b *brokenEndpoint) Serve(func(wire.Message))   {}
 func (b *brokenEndpoint) Close()                     {}
 
 // EndpointErr returns the bind error of an endpoint created through

@@ -28,6 +28,13 @@ type Endpoint interface {
 	// Recv blocks until a message arrives; ok is false after Close.
 	Recv() (wire.Message, bool)
 
+	// Serve pushes instead: from the call on, every message goes to h, the
+	// ones already queued for Recv first, one at a time, in arrival order
+	// per sender. h runs on a goroutine of the transport and must not block
+	// (it may Send). Serve is called at most once, without the runtime
+	// lock; nothing reaches h after Close, which h must not call.
+	Serve(h func(wire.Message))
+
 	// Close detaches the endpoint; blocked Recvs return ok=false and
 	// messages addressed here are dropped from then on.
 	Close()
@@ -36,7 +43,7 @@ type Endpoint interface {
 // Network creates endpoints.
 type Network interface {
 	// Endpoint binds id and returns its endpoint. Binding an id twice
-	// replaces the previous binding (the old endpoint keeps its queued
-	// messages but receives no new ones).
+	// replaces the previous binding on Inproc (the old endpoint keeps its
+	// queued messages but receives no new ones) and fails on TCP.
 	Endpoint(id wire.NodeID) Endpoint
 }

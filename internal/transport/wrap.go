@@ -28,7 +28,7 @@ func NewWrappedNetwork(inner Network, intercept func(from, to wire.NodeID, paylo
 
 // Endpoint implements Network.
 func (w *WrappedNetwork) Endpoint(id wire.NodeID) Endpoint {
-	return &wrappedEndpoint{net: w, inner: w.inner.Endpoint(id)}
+	return &wrappedEndpoint{Endpoint: w.inner.Endpoint(id), net: w}
 }
 
 // Inner returns the wrapped network (e.g. to reach Inproc's Crash switch).
@@ -43,27 +43,20 @@ func (w *WrappedNetwork) SetStats(st *Stats) {
 	}
 }
 
+// wrappedEndpoint intercepts Send; the rest is the inner endpoint's.
 type wrappedEndpoint struct {
-	net   *WrappedNetwork
-	inner Endpoint
+	Endpoint
+	net *WrappedNetwork
 }
-
-var _ Endpoint = (*wrappedEndpoint)(nil)
-
-func (e *wrappedEndpoint) ID() wire.NodeID { return e.inner.ID() }
 
 func (e *wrappedEndpoint) Send(to wire.NodeID, payload any) {
 	if e.net.intercept != nil {
-		consumed := e.net.intercept(e.inner.ID(), to, payload, func() {
-			e.inner.Send(to, payload)
+		consumed := e.net.intercept(e.ID(), to, payload, func() {
+			e.Endpoint.Send(to, payload)
 		})
 		if consumed {
 			return
 		}
 	}
-	e.inner.Send(to, payload)
+	e.Endpoint.Send(to, payload)
 }
-
-func (e *wrappedEndpoint) Recv() (wire.Message, bool) { return e.inner.Recv() }
-
-func (e *wrappedEndpoint) Close() { e.inner.Close() }

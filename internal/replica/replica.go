@@ -1019,5 +1019,8 @@ func (r *Replica) answerDuplicate(req *Request, verdict amoVerdict, e amoEntry) 
 // Scheduler exposes the scheduler (capability metadata, tests).
 func (r *Replica) Scheduler() adets.Scheduler { return r.sched }
 
+// Runtime returns the runtime the replica's monitors lock.
+func (r *Replica) Runtime() vtime.Runtime { return r.rt }
+
 // Member exposes the group member (tests).
 func (r *Replica) Member() *gcs.Member { return r.member }

@@ -2,23 +2,37 @@ package vtime
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // RealRuntime implements Runtime over wall-clock time and standard sync
 // primitives. It is used for real deployments (TCP transport) and for
 // validating that results obtained under the virtual kernel carry over.
+//
+// The lock is the runtime's own; the clock origin and the stop are shared
+// with every runtime derived from it by Node.
 type RealRuntime struct {
 	mu      sync.Mutex
 	start   time.Time
-	stopped bool
+	stopped *atomic.Bool
 }
 
 var _ Runtime = (*RealRuntime)(nil)
 
 // Real returns a new wall-clock runtime starting now.
 func Real() *RealRuntime {
-	return &RealRuntime{start: time.Now()}
+	return &RealRuntime{start: time.Now(), stopped: new(atomic.Bool)}
+}
+
+// Node returns a runtime for one node of a deployment hosted in this
+// process — a replica or a client: it has a lock of its own, so the node's
+// monitors never wait for another node's, and it shares rt's clock origin
+// (every node's Now is on one time axis) and rt's stop (Stop on any of them
+// drops the timers of all). Parkers and mailboxes belong to the runtime
+// they are used with; none may be shared between two nodes.
+func (rt *RealRuntime) Node() *RealRuntime {
+	return &RealRuntime{start: rt.start, stopped: rt.stopped}
 }
 
 // Now implements Runtime.
@@ -107,25 +121,21 @@ func (rt *RealRuntime) Sleep(d time.Duration) {
 	}
 }
 
-// After implements Runtime.
+// After implements Runtime. (The real implementation arms a timer without
+// the lock: the stop it checks is atomic.)
 func (rt *RealRuntime) After(d time.Duration, name string, fn func()) *Timer {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	return rt.AfterLocked(d, name, fn)
 }
 
 // AfterLocked implements Runtime.
 func (rt *RealRuntime) AfterLocked(d time.Duration, name string, fn func()) *Timer {
 	t := &Timer{deadline: rt.Now() + d, name: name}
-	if rt.stopped {
+	if rt.stopped.Load() {
 		t.cancelled = true
 		return t
 	}
 	af := time.AfterFunc(d, func() {
-		rt.mu.Lock()
-		dead := rt.stopped
-		rt.mu.Unlock()
-		if !dead {
+		if !rt.stopped.Load() {
 			fn()
 		}
 	})
@@ -148,9 +158,8 @@ func (rt *RealRuntime) StopTimerLocked(t *Timer) bool {
 	return t.stopReal()
 }
 
-// Stop implements Runtime.
+// Stop implements Runtime. It stops rt and every runtime that shares its
+// stop (see Node).
 func (rt *RealRuntime) Stop() {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.stopped = true
+	rt.stopped.Store(true)
 }

@@ -128,3 +128,41 @@ func TestRealMailbox(t *testing.T) {
 		t.Fatal("mailbox Get never returned")
 	}
 }
+
+// TestRealNodeSharesClockAndStop: a node of a real runtime reads the same
+// clock, is stopped by the same Stop, and locks a mutex of its own.
+func TestRealNodeSharesClockAndStop(t *testing.T) {
+	rt := Real()
+	defer rt.Stop()
+	time.Sleep(5 * time.Millisecond) // a node's own clock origin would read ~0
+	node := rt.Node()
+	if d := node.Now() - rt.Now(); d < -time.Millisecond || d > time.Millisecond {
+		t.Errorf("node clock is %v off the parent's", d)
+	}
+
+	node.Lock()
+	locked := make(chan struct{})
+	go func() {
+		rt.Lock()
+		rt.Unlock()
+		close(locked)
+	}()
+	select {
+	case <-locked:
+	case <-time.After(2 * time.Second):
+		t.Error("a locked node blocks its parent's Lock")
+	}
+	node.Unlock()
+
+	fired := make(chan struct{}, 1)
+	node.After(5*time.Millisecond, "t", func() { fired <- struct{}{} })
+	rt.Stop()
+	time.Sleep(20 * time.Millisecond)
+	select {
+	case <-fired:
+		t.Error("a node's timer fired after the parent's Stop")
+	default:
+	}
+	node.After(time.Millisecond, "late", func() { t.Error("timer armed after Stop fired") })
+	time.Sleep(5 * time.Millisecond)
+}

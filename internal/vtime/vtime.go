@@ -14,7 +14,9 @@
 //     repeatable, and it detects global deadlocks exactly.
 //
 //   - Real() — the same interface over sync primitives and wall-clock time,
-//     used for real deployments (TCP transport) and validation runs.
+//     used for real deployments (TCP transport) and validation runs. Its
+//     Node() gives each node hosted in one process a lock of its own on
+//     one shared clock.
 //
 // Conventions (enforced by the implementations where possible):
 //

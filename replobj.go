@@ -249,7 +249,9 @@ type Cluster struct {
 	incarnations map[string]uint64
 }
 
-// NewCluster builds a cluster on rt.
+// NewCluster builds a cluster on rt. On the wall clock (rt a
+// *vtime.RealRuntime) every replica and client the cluster builds runs on a
+// node of rt, with a lock of its own; on the virtual kernel all share rt.
 func NewCluster(rt vtime.Runtime, opts ...ClusterOption) *Cluster {
 	cfg := clusterConfig{latency: transport.DefaultLatency}
 	for _, o := range opts {
@@ -312,8 +314,22 @@ func NewCluster(rt vtime.Runtime, opts ...ClusterOption) *Cluster {
 	return c
 }
 
-// Runtime returns the cluster's execution substrate.
+// Runtime returns the runtime the cluster was built on, the one its network
+// and the code that runs the cluster (vtime.Run, load generators) use. On
+// the wall clock the replicas and clients run on nodes of it (see
+// NewCluster).
 func (c *Cluster) Runtime() vtime.Runtime { return c.rt }
+
+// nodeRuntime returns the runtime of a replica or client about to be built.
+// On the wall clock each gets a node of the cluster's runtime: a lock of its
+// own on the cluster's clock and stop, as if it ran in a process of its own.
+// The virtual kernel stays one, because virtual time is one clock.
+func (c *Cluster) nodeRuntime() vtime.Runtime {
+	if rt, ok := c.rt.(*vtime.RealRuntime); ok {
+		return rt.Node()
+	}
+	return c.rt
+}
 
 // Directory returns the deployment descriptor.
 func (c *Cluster) Directory() *replica.Directory { return c.dir }
@@ -730,7 +746,7 @@ func (g *Group) StartRank(rank int) {
 	gcfg := g.cfg.gcs
 	gcfg.FailureDetection = g.cfg.failureDetection
 	rcfg := replica.Config{
-		RT:              g.cluster.rt,
+		RT:              g.cluster.nodeRuntime(),
 		Group:           g.id,
 		Self:            g.members[rank],
 		Directory:       g.cluster.dir,
@@ -807,7 +823,7 @@ func WithRetransmit(d time.Duration) ClientOption {
 // NewClient creates a client stub attached to the cluster's network.
 func (c *Cluster) NewClient(name string, opts ...ClientOption) *Client {
 	cfg := client.Config{
-		RT:        c.rt,
+		RT:        c.nodeRuntime(),
 		Name:      name,
 		Directory: c.dir,
 		Network:   c.net,

@@ -447,20 +447,22 @@ func TestSpeculationMismatchDiscardsForks(t *testing.T) {
 }
 
 // lockProbe is a counter whose Snapshot returns only once another goroutine
-// has taken and released the runtime lock — or, after two seconds, counts a
-// stall: an image taken with the lock held stops every replica in the
-// process for as long as the copy takes.
+// has taken and released the runtime lock of the replica that owns the
+// state — or, after two seconds, counts a stall: an image taken with the
+// lock held stops that replica's dispatch, scheduler and receive path for as
+// long as the copy takes.
 type lockProbe struct {
 	v              uint64
-	rt             vtime.Runtime
+	owner          func() vtime.Runtime // the owning replica's runtime
 	images, stalls *atomic.Int32
 }
 
 func (p *lockProbe) Snapshot() ([]byte, error) {
+	rt := p.owner()
 	done := make(chan struct{})
 	go func() {
-		p.rt.Lock()
-		p.rt.Unlock()
+		rt.Lock()
+		rt.Unlock()
 		close(done)
 	}()
 	select {
@@ -475,15 +477,23 @@ func (p *lockProbe) Snapshot() ([]byte, error) {
 func (p *lockProbe) Restore(b []byte) error { p.v = fromU64(b); return nil }
 
 // TestSpeculationImageOffRuntimeLock: a speculation that needs a fresh image
-// of the state copies it with the runtime lock released.
+// of the state copies it with its replica's runtime lock released.
 func TestSpeculationImageOffRuntimeLock(t *testing.T) {
 	rt := vtime.Real()
 	defer rt.Stop()
 	c := replobj.NewCluster(rt, replobj.WithLatency(0))
 	defer c.Close()
-	var images, stalls atomic.Int32
+	var images, stalls, made atomic.Int32
+	var g *replobj.Group
+	// Start builds rank i's state i-th; later instances are speculation
+	// forks, which are restored, never imaged.
+	newProbe := func() any {
+		rank := int(made.Add(1)) - 1
+		return &lockProbe{images: &images, stalls: &stalls,
+			owner: func() vtime.Runtime { return g.Replica(rank).Runtime() }}
+	}
 	g, err := c.NewGroup("img", 3, replobj.WithScheduler(replobj.SEQ), replobj.WithSpeculation(),
-		replobj.WithState(func() any { return &lockProbe{rt: rt, images: &images, stalls: &stalls} }))
+		replobj.WithState(newProbe))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,33 +62,57 @@ func TestInvokeAllocationBudget(t *testing.T) {
 // allocates: in a plain group one Submit to the sequencer, an Ordered to
 // each follower and three replies — the client's request travels once (8
 // before it did: the test fails there). In a speculating group the
-// followers execute on the client's own copy, so the Submit goes to all
-// three: 8 (10 while the sequencer also announced each position to both
-// followers ahead of the Ordered).
+// followers execute on the client's own copy, so the Submit goes to as many
+// members as the reply policy waits for: all three under All, 8 (10 while
+// the sequencer also announced each position to both followers ahead of the
+// Ordered); the sequencer and one follower under Majority, 7 (8 while every
+// request went to every member).
 func TestInvokeMessageBudget(t *testing.T) {
 	const calls = 500
 	for _, tc := range []struct {
-		name string
-		opts []replobj.GroupOption
-		want float64
+		name   string
+		opts   []replobj.GroupOption
+		policy replobj.ReplyPolicy
+		want   float64
 	}{
-		{"plain", nil, 6},
-		{"speculating", []replobj.GroupOption{replobj.WithSpeculation()}, 8},
+		{"plain", nil, replobj.All, 6},
+		{"speculating", []replobj.GroupOption{replobj.WithSpeculation()}, replobj.All, 8},
+		{"speculating, Majority", []replobj.GroupOption{replobj.WithSpeculation()}, replobj.Majority, 7},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rt := vtime.Real()
+			// The wall clock, where a late direct copy can really be
+			// overtaken by a later call's Ordered. Policy All: every reply
+			// of one invocation is sent before the next begins, so no frame
+			// of one call is in flight beside the next call's. Under
+			// Majority a call overlaps the previous call's last reply, and
+			// the zero-latency network on the wall clock may reorder two
+			// frames of one sender, so the NACKs that draws would be counted
+			// too: that row runs on virtual time.
+			var rt vtime.Runtime = vtime.Real()
+			if tc.policy != replobj.All {
+				rt = vtime.Virtual()
+			}
 			defer rt.Stop()
 			reg := replobj.NewMetricsRegistry()
 			c := replobj.NewCluster(rt, replobj.WithLatency(0), replobj.WithMetrics(reg))
 			defer c.Close()
 			counterGroup(t, c, "cnt", 3, append(tc.opts, replobj.WithScheduler(replobj.SEQ))...)
-			// Policy All: every reply of one invocation is sent before the next
-			// begins, so the count divides evenly.
 			cl := c.NewClient("c0", replobj.WithInvocationTimeout(10*time.Second),
-				replobj.WithReplyPolicy(replobj.All))
+				replobj.WithReplyPolicy(tc.policy))
 			sent := reg.Counter(`replobj_transport_msgs_sent_total{net="inproc"}`)
+			// Under Majority a call returns before its last reply is sent:
+			// count once the group has gone quiet.
+			settled := func() uint64 {
+				for {
+					n := sent.Value()
+					rt.Sleep(20 * time.Millisecond)
+					if sent.Value() == n {
+						return n
+					}
+				}
+			}
 			var err error
-			var before uint64
+			var before, after uint64
 			replobj.Run(rt, func() {
 				invoke := func(n int) {
 					for i := 0; i < n && err == nil; i++ {
@@ -96,13 +120,14 @@ func TestInvokeMessageBudget(t *testing.T) {
 					}
 				}
 				invoke(200) // the first request of a client goes to every member
-				before = sent.Value()
+				before = settled()
 				invoke(calls)
+				after = settled()
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := float64(sent.Value()-before) / calls; got != tc.want {
+			if got := float64(after-before) / calls; got != tc.want {
 				t.Errorf("%v messages per invocation, want exactly %v", got, tc.want)
 			}
 		})

@@ -132,3 +132,76 @@ func TestClientPointedAtFollower(t *testing.T) {
 		}
 	})
 }
+
+// TestSpeculatingClientPointedAtFollower is TestClientPointedAtFollower for
+// a direct-copy group: a Majority client sends its copies to its contact
+// and the member after it, so once its contact has moved to rank 1 the copy
+// set leaves the live sequencer out. Rank 1, the lowest-ranked member of
+// the set, passes its copy on: the request costs one more hop — 8 messages instead of 7 —
+// and never a timeout.
+func TestSpeculatingClientPointedAtFollower(t *testing.T) {
+	const retransmit = 100 * time.Millisecond
+	rt := vtime.Virtual()
+	reg := replobj.NewMetricsRegistry()
+	c := replobj.NewCluster(rt, replobj.WithMetrics(reg))
+	g := counterGroup(t, c, "cnt", 3, replobj.WithScheduler(replobj.SEQ), replobj.WithSpeculation())
+	run(rt, c, func() {
+		cl := c.NewClient("c1", replobj.WithInvocationTimeout(5*time.Second), replobj.WithRetransmit(retransmit))
+		add := func() time.Duration {
+			t0 := rt.Now()
+			if _, err := cl.Invoke("cnt", "add", []byte{1}); err != nil {
+				t.Fatal(err)
+			}
+			took := rt.Now() - t0
+			rt.Sleep(10 * time.Millisecond) // the reply the majority did not wait for
+			return took
+		}
+		sent := reg.Counter(`replobj_transport_msgs_sent_total{net="inproc"}`)
+		add() // introduction
+		relayed, msgs := submitsRelayed(reg, "cnt", 3), sent.Value()
+		add()
+		if d := submitsRelayed(reg, "cnt", 3) - relayed; d != 0 {
+			t.Errorf("%d submits relayed by a copy set that holds the sequencer, want 0", d)
+		}
+		if d := sent.Value() - msgs; d != 7 {
+			t.Errorf("%d messages for a request sent to the sequencer and rank 1, want 7", d)
+		}
+
+		// Silence ranks 0 and 2 towards the client for one call, rank 2 only
+		// until the second retransmission: ranks 1 and 2 answer it, and the
+		// contact moves to rank 1.
+		members, self := g.Members(), cl.NodeID()
+		mute := func(ranks ...int) {
+			if err := c.SetDropRule(func(from, to replobj.NodeID) bool {
+				for _, r := range ranks {
+					if from == members[r] && to == self {
+						return true
+					}
+				}
+				return false
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mute(0, 2)
+		rt.Go("unmute", func() {
+			rt.Sleep(retransmit + retransmit/2)
+			mute(0)
+		})
+		if took := add(); took < 2*retransmit || took >= 3*retransmit {
+			t.Errorf("call answered by rank 1 alone took %v, want two retransmit intervals (%v)", took, 2*retransmit)
+		}
+		mute()
+
+		relayed, msgs = submitsRelayed(reg, "cnt", 3), sent.Value()
+		if took := add(); took >= retransmit {
+			t.Errorf("call through a follower took %v, want no retransmission", took)
+		}
+		if d := submitsRelayed(reg, "cnt", 3) - relayed; d != 1 {
+			t.Errorf("%d submits relayed by a copy set that leaves the sequencer out, want 1", d)
+		}
+		if d := sent.Value() - msgs; d != 8 {
+			t.Errorf("%d messages for a request sent to ranks 1 and 2, want 8", d)
+		}
+	})
+}

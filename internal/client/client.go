@@ -118,7 +118,8 @@ type contact struct {
 	// info is the Directory entry the rest was learned under; a different
 	// entry for the group (it was registered again) voids it.
 	info *replica.GroupInfo
-	// rank indexes info.Members: the member a request's one copy goes to.
+	// rank indexes info.Members: the member a request's one copy goes to
+	// (in a direct-copy group, the first of its copies; see invoke).
 	// It starts at the initial sequencer, rank 0 (gcs.View.Sequencer), and
 	// moves only after a call that needed a retransmission, to the
 	// lowest-ranked member that answered it — the sequencer of the view the
@@ -305,12 +306,15 @@ func (c *Client) InvokeAll(group wire.GroupID, method string, args []byte) (map[
 // reusable one: read it under the runtime lock, before the next invoke.
 //
 // The first transmission is one copy to the group's contact, whose total
-// order carries the request to the other members. It goes to every member
-// instead where the members need their own copies: in a direct-copy group,
-// and the first time this client addresses the group (see contact). Every
-// retransmission goes to every member, so a dead contact, a lost copy, a
-// lost Ordered and lost replies all cost one retransmit interval and no
-// more.
+// order carries the request to the other members. The first time this
+// client addresses the group it goes to every member instead (see contact).
+// In a direct-copy group, where members act on their own copies before the
+// order reaches them, it goes to as many members as the reply policy waits
+// for — the contact and the members after it in rank order, wrapping round
+// — and the request names them (Request.Copies): an early answer from any
+// other member would arrive after the policy was met. Every retransmission
+// goes to every member, so a dead contact, a lost copy, a lost Ordered and
+// lost replies all cost one retransmit interval and no more.
 func (c *Client) invoke(group wire.GroupID, method string, args []byte, policy ReplyPolicy, mod func(replica.Request) replica.Request) (*call, error) {
 	info := c.dir.Group(group)
 	if info == nil || len(info.Members) == 0 {
@@ -333,10 +337,21 @@ func (c *Client) invoke(group wire.GroupID, method string, args []byte, policy R
 		ct = &contact{info: info}
 		c.groups[group] = ct
 	}
-	first := members[ct.rank : ct.rank+1]
-	if info.DirectCopies || !ct.introduced {
-		first = members
+	// The first transmission goes to copies members from the contact on;
+	// mask names them where that is not every member.
+	n, rank := len(members), ct.rank
+	copies, mask := 1, uint8(0)
+	switch {
+	case !ct.introduced:
+		copies = n
 		ct.introduced = true
+	case info.DirectCopies && need < n && n <= 8: // Request.Copies has a bit per member
+		copies = need
+		for k := range need {
+			mask |= 1 << ((rank + k) % n)
+		}
+	case info.DirectCopies:
+		copies = n
 	}
 	c.reqSeq++
 	// The group layer names the call by (self, call number); the replicas
@@ -370,6 +385,7 @@ func (c *Client) invoke(group wire.GroupID, method string, args []byte, policy R
 		Method:  method,
 		Args:    args,
 		Kind:    replica.KindClient,
+		Copies:  mask,
 		ReplyTo: c.self,
 		Call:    callNo,
 		Trace:   ctx,
@@ -384,8 +400,8 @@ func (c *Client) invoke(group wire.GroupID, method string, args []byte, policy R
 	// Boxed once: every member (and every retransmission) gets the same
 	// interface value.
 	var sub any = gcs.Submit{Group: group, Origin: c.self, Call: callNo, Payload: req}
-	for _, m := range first {
-		c.ep.Send(m, sub)
+	for k := range copies {
+		c.ep.Send(members[(rank+k)%n], sub)
 	}
 
 	deadline := c.rt.Now() + c.timeout

@@ -470,17 +470,59 @@ func TestOneCopyToTheContactAfterIntroduction(t *testing.T) {
 	})
 }
 
-// TestDirectCopyGroupKeepsTheFanOut: members of a direct-copy group act on
-// the client's own copy, so every request goes to all of them.
-func TestDirectCopyGroupKeepsTheFanOut(t *testing.T) {
+// TestDirectCopiesGoToTheReplyQuorum: members of a direct-copy group act on
+// the client's own copy, but only the answers the reply policy waits for
+// gain by it, so after the introduction a request goes to the contact and
+// the need − 1 members after it, and names them. A retransmission that
+// moves the contact moves the set with it.
+func TestDirectCopiesGoToTheReplyQuorum(t *testing.T) {
 	rt, fg, _, c := contactHarness(t, true)
 	vtime.Run(rt, "main", func() {
 		defer fg.close()
 		defer c.Close()
-		for call := 1; call <= 3; call++ {
-			invokeTimed(t, rt, c)
-			wantCopies(t, fg, call, 1, 1, 1)
+		wantSet := func(call int, mask uint8, copies ...int) {
+			t.Helper()
+			wantCopies(t, fg, call, copies...)
+			rt.Lock()
+			got := fg.first[call-1].Payload.(replica.Request).Copies
+			rt.Unlock()
+			if got != mask {
+				t.Errorf("call %d names copy set %03b, want %03b", call, got, mask)
+			}
 		}
+		invokeTimed(t, rt, c)
+		wantSet(1, 0, 1, 1, 1) // the introduction: every member
+		invokeTimed(t, rt, c)
+		wantSet(2, 0b011, 1, 1, 0) // Majority: the contact and one more
+		c.policy = First
+		invokeTimed(t, rt, c)
+		wantSet(3, 0b001, 1, 0, 0)
+		c.policy = Majority
+		if _, err := c.InvokeAll("g", "m", nil); err != nil {
+			t.Fatal(err)
+		}
+		wantSet(4, 0, 1, 1, 1)
+
+		// Rank 0 stays silent and so, until the second retransmission, do
+		// the others: ranks 1 and 2 answer it, and the contact moves to 1.
+		rt.Lock()
+		for _, id := range fg.ids {
+			fg.mute[id] = true
+		}
+		rt.Unlock()
+		rt.Go("unmute", func() {
+			rt.Sleep(30 * time.Millisecond)
+			rt.Lock()
+			fg.mute[fg.ids[1]], fg.mute[fg.ids[2]] = false, false
+			rt.Unlock()
+		})
+		invokeTimed(t, rt, c)
+		wantSet(5, 0b011, 3, 3, 2)
+		rt.Lock()
+		clear(fg.mute)
+		rt.Unlock()
+		invokeTimed(t, rt, c)
+		wantSet(6, 0b110, 0, 1, 1)
 	})
 }
 

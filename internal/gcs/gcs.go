@@ -120,6 +120,22 @@ func traceCtx(payload any) tracing.Context {
 	return tracing.Context{}
 }
 
+// CopySet is implemented by a payload whose origin names the members it
+// sent its own copy to, by rank in Config.Members. It matters in a
+// direct-copy group (Config.OptimisticDeliver): a member outside the set has
+// no copy of its own on the way, so the origin's later copies are
+// retransmissions; and when the set leaves out the sequencer, the first
+// member of the set passes its copy on. A payload that does not implement
+// it went to every member.
+type CopySet interface {
+	CopiedTo(rank int) bool
+}
+
+func copiedTo(payload any, rank int) bool {
+	s, ok := payload.(CopySet)
+	return !ok || s.CopiedTo(rank)
+}
+
 // Ordered is a sequenced message broadcast by the sequencer: one message
 // and the position it takes. An Ordered without Payload and View fills a
 // sequence number whose message was lost with a crashed sequencer.
@@ -290,9 +306,11 @@ type Config struct {
 	// orders a submit as it arrives does not surface it: it delivers the
 	// submit in the same event. Setting the hook makes the group a
 	// direct-copy group: members act on a submitter's own copy, so
-	// submitters send every submit to every member, members never relay one
-	// to the sequencer, and a member whose copy lost the race against the
-	// sequencer's Ordered does not mistake it for a retransmission.
+	// submitters send a submit to every member its payload's CopySet names
+	// (every member, without one), members relay one to the sequencer only
+	// when that set leaves it out, and a member whose copy lost the race
+	// against the sequencer's Ordered does not mistake it for a
+	// retransmission.
 	OptimisticDeliver func(sub Submit)
 
 	// Stats receives protocol metrics. May be nil (all recordings no-op).

@@ -21,6 +21,7 @@ type Member struct {
 
 	view       View
 	installing *View // adopted proposal, not yet installed via view event
+	rank       int   // this member's position in cfg.Members (see CopySet)
 
 	// Sequencer state, and what this member knows of message ids (see
 	// "message ids" below): one row per origin of numbered ids, and the named
@@ -79,6 +80,7 @@ func NewMember(rt vtime.Runtime, cfg Config) *Member {
 		cfg:         cfg,
 		deliveries:  vtime.NewMailbox[Delivery](rt, "gcs/"+string(cfg.Self)),
 		view:        View{Epoch: 0, Members: append([]wire.NodeID(nil), cfg.Members...)},
+		rank:        slices.Index(cfg.Members, cfg.Self),
 		nextSeq:     1,
 		nextDeliver: 1,
 		log:         window{lo: 1},
@@ -392,10 +394,12 @@ type submitVerdict uint8
 const (
 	// hold: nothing beyond the cache. The copy is a relay (never relayed
 	// again) or a later copy from the origin (a retransmission, which goes to
-	// every member anyway — as does the first copy in a direct-copy group);
-	// or there is no sequencer to pass it to: a view is being installed, or
-	// this member is the sequencer, suspended, and must not forward to itself
-	// — it orders its backlog when it resumes or a new view arrives.
+	// every member anyway — as does the first copy in a direct-copy group to
+	// every member of its copy set, the sequencer's included unless this
+	// member is to pass it on); or there is no sequencer to pass it to: a
+	// view is being installed, or this member is the sequencer, suspended,
+	// and must not forward to itself — it orders its backlog when it resumes
+	// or a new view arrives.
 	hold submitVerdict = iota
 	// settled: a copy of an ordered id not from the origin it was ordered
 	// for — a relay, or another sender's copy of an id a whole group submits
@@ -409,11 +413,13 @@ const (
 	superseded
 	// overtakenFirstCopy: in a direct-copy group this member's copy from the
 	// origin lost the race against the sequencer's Ordered — its own, or a
-	// later call's. The execution replies on its own, so only the report is
-	// withheld (a replay would be a second reply); the mark is spent, the log
-	// resent from the position, if known, as for a retransmission. When the
-	// copy and the reply were both lost, the replay waits for the client's
-	// second retransmission.
+	// later call's — and the copy's CopySet names this member (outside it no
+	// first copy was sent: the origin's copy is a retransmission). The
+	// execution replies on its own, so only the report is withheld (a replay
+	// would be a second reply); the mark is spent, the log resent from the
+	// position, if known, as for a retransmission. When the copy and the
+	// reply were both lost, the replay waits for the client's second
+	// retransmission.
 	overtakenFirstCopy
 	// retransmission: the origin an id was ordered for sent it again, so it
 	// still waits. The owner hears of it through DuplicateSubmit (the stream
@@ -427,7 +433,9 @@ const (
 	// member's own broadcast, or the first copy its origin hands this member:
 	// a client sends a request to one member, the sequencer unless its
 	// knowledge is stale, so the copy may be the only one, and with failure
-	// detection off nothing else would ever pass it on.
+	// detection off nothing else would ever pass it on. In a direct-copy
+	// group only the lowest-ranked member of a copy set that leaves out the
+	// sequencer passes its copy on (passOn).
 	relayToSequencer
 )
 
@@ -435,7 +443,7 @@ const (
 type submitCase struct {
 	ordered           bool // the id has its position in the order: a named id's is known, a numbered call is at or below its origin's row
 	below             bool // ...a numbered call below the row, whose position is not kept
-	overtaken         bool // ...which got here before the origin's direct copy (see deliverLocked)
+	overtaken         bool // ...which got here before the origin's direct copy, and one was sent here (see deliverLocked)
 	fromOrigin        bool // sent by the origin itself (a client, a member of another group, this member's Broadcast), not passed on by a member
 	fromOrderedOrigin bool // ...the origin the id was ordered for: a numbered id's own, a named id's retained Ordered's, or any once the log has let go of it
 	own               bool // this member is the origin
@@ -444,6 +452,7 @@ type submitCase struct {
 	suspended         bool // it is the installed view's sequencer and may not: quorum lost, or a superseded epoch seen
 	installing        bool // a view change is in progress
 	directCopies      bool // a direct-copy group (cfg.OptimisticDeliver set)
+	passOn            bool // ...whose copy set leaves out the sequencer and names no member ranked below this one (see passesOnLocked)
 }
 
 func (c submitCase) verdict() submitVerdict {
@@ -460,10 +469,27 @@ func (c submitCase) verdict() submitVerdict {
 		return orderHere
 	case !c.fromOrigin, c.installing, c.suspended:
 		return hold
-	case c.own, c.first && !c.directCopies:
+	case c.own, c.first && (!c.directCopies || c.passOn):
 		return relayToSequencer
 	}
 	return hold
+}
+
+// passesOnLocked reports whether a direct-copy group's first copy of
+// payload is this member's to pass on: its origin's CopySet leaves out the
+// sequencer — a client whose contact moved off it, see client.contact — and
+// this member is the lowest-ranked member the set names.
+func (m *Member) passesOnLocked(payload any) bool {
+	seq := slices.Index(m.cfg.Members, m.view.Sequencer())
+	if seq < 0 || copiedTo(payload, seq) {
+		return false
+	}
+	for r := range m.rank {
+		if copiedTo(payload, r) {
+			return false
+		}
+	}
+	return copiedTo(payload, m.rank)
 }
 
 // handleSubmitLocked takes in a copy of a submit that `from` sent.
@@ -472,17 +498,21 @@ func (m *Member) handleSubmitLocked(from wire.NodeID, sub Submit, act *actions) 
 	e, below := m.entryLocked(k)
 	_, cached := m.submitCache[k]
 	orders := m.isSequencerLocked()
+	direct := m.cfg.OptimisticDeliver != nil
 	c := submitCase{
-		ordered:      e.seq != 0 || below,
-		below:        below,
-		overtaken:    e.overtaken,
+		ordered: e.seq != 0 || below,
+		below:   below,
+		// A call below the row may be the first copy a later call's Ordered
+		// overtook — if a first copy was sent here (see entryLocked).
+		overtaken:    e.overtaken || below && direct && copiedTo(sub.Payload, m.rank),
 		fromOrigin:   from == sub.Origin,
 		own:          sub.Origin == m.cfg.Self,
 		first:        !cached,
 		sequencer:    orders,
 		suspended:    !orders && m.view.Sequencer() == m.cfg.Self,
 		installing:   m.installing != nil,
-		directCopies: m.cfg.OptimisticDeliver != nil,
+		directCopies: direct,
+		passOn:       direct && m.passesOnLocked(sub.Payload),
 	}
 	if c.ordered && c.fromOrigin {
 		// A numbered id's Ordered names its own origin; a named id's the one
@@ -666,12 +696,14 @@ func (m *Member) deliverLocked(o Ordered, act *actions) {
 	}
 	if k != (key{}) {
 		// overtaken: the Ordered copy got here before the submitter's own,
-		// which in a direct-copy group is on its way. A member's own
-		// broadcast goes to the sequencer alone, and so does a client's
-		// request in any other group: there the first direct copy of an
-		// ordered id is a retransmission, and a mark would only make its
-		// replay wait for the second.
-		e.seq, e.overtaken = o.Seq, m.cfg.OptimisticDeliver != nil && !direct && !m.view.Contains(o.Origin)
+		// which in a direct-copy group is on its way — to the members of the
+		// payload's copy set. A member's own broadcast goes to the sequencer
+		// alone, and so does a client's request in any other group: there,
+		// and outside the copy set, the first direct copy of an ordered id is
+		// a retransmission, and a mark would only make its replay wait for
+		// the second.
+		e.seq = o.Seq
+		e.overtaken = m.cfg.OptimisticDeliver != nil && !direct && !m.view.Contains(o.Origin) && copiedTo(o.Payload, m.rank)
 		m.putEntryLocked(k, e)
 		delete(m.submitCache, k)
 	}
@@ -860,7 +892,8 @@ type cachedSubmit struct {
 // nothing above it, below it that the call is superseded. In a direct-copy
 // group a copy of a call below the row may be the first this member sees,
 // overtaken by a later call's Ordered; nothing tells it from a repeat, and
-// its client, which has moved on, waits for neither: it is marked overtaken.
+// its client, which has moved on, waits for neither: handleSubmitLocked
+// takes it for overtaken when the copy's CopySet names this member.
 func (m *Member) entryLocked(k key) (e idEntry, below bool) {
 	if k.call == 0 {
 		return m.ids[k.id], false
@@ -872,7 +905,7 @@ func (m *Member) entryLocked(k key) (e idEntry, below bool) {
 	case k.call == row.call:
 		return idEntry{seq: row.seq, overtaken: row.overtaken}, false
 	}
-	return idEntry{overtaken: m.cfg.OptimisticDeliver != nil}, true
+	return idEntry{}, true
 }
 
 // putEntryLocked stores e for k: a named id's entry, a new name joining the

@@ -24,7 +24,7 @@ func TestSubmitVerdictTable(t *testing.T) {
 
 		numbered                                                      tri
 		ordered, below, overtaken, fromOrigin, fromOrderedOrigin, own tri
-		first, sequencer, suspended, installing, directCopies         tri
+		first, sequencer, suspended, installing, directCopies, passOn tri
 
 		want submitVerdict
 	}{
@@ -46,10 +46,10 @@ func TestSubmitVerdictTable(t *testing.T) {
 			numbered: yes, ordered: yes, below: no, fromOrigin: yes, overtaken: no, want: retransmission},
 		{name: "the row's own call, overtaken by its Ordered in a direct-copy group (TestNumberedCallsAgainstTheRow)",
 			numbered: yes, below: no, fromOrigin: yes, overtaken: yes, want: overtakenFirstCopy},
-		{name: "a call below the row from its client is superseded (TestNumberedCallsAgainstTheRow, TestAbandonedCallNeverRunsAfterALaterOne)",
-			numbered: yes, below: yes, fromOrigin: yes, directCopies: no, want: superseded},
-		{name: "a call below the row in a direct-copy group may be a first copy a later call overtook (TestNumberedCallsAgainstTheRow, TestInvokeMessageBudget)",
-			numbered: yes, below: yes, fromOrigin: yes, directCopies: yes, want: overtakenFirstCopy},
+		{name: "a call below the row from its client is superseded — in a direct-copy group too where its copy set leaves this member out (TestNumberedCallsAgainstTheRow, TestAbandonedCallNeverRunsAfterALaterOne, TestCopySetOutsiderTakesRetransmissions)",
+			numbered: yes, below: yes, fromOrigin: yes, overtaken: no, want: superseded},
+		{name: "a call below the row in a direct-copy group may be a first copy a later call overtook, where its copy set names this member (TestNumberedCallsAgainstTheRow, TestCopySetOutsiderTakesRetransmissions, TestInvokeMessageBudget)",
+			numbered: yes, below: yes, fromOrigin: yes, overtaken: yes, want: overtakenFirstCopy},
 		{name: "a relay is never relayed again (TestFollowerRelaysFreshClientSubmit)",
 			ordered: no, sequencer: no, fromOrigin: no, want: hold},
 		{name: "no relay while a view is installed (TestNoRelayDuringViewInstall)",
@@ -62,30 +62,35 @@ func TestSubmitVerdictTable(t *testing.T) {
 			ordered: no, sequencer: no, fromOrigin: yes, installing: no, suspended: no, own: no, first: yes, directCopies: no, want: relayToSequencer},
 		{name: "a later copy from the origin went to every member (TestFollowerRelaysFreshClientSubmit)",
 			ordered: no, sequencer: no, fromOrigin: yes, installing: no, suspended: no, own: no, first: no, want: hold},
-		{name: "a direct-copy group relays nothing (TestDirectCopyGroupRelaysNothing)",
-			ordered: no, sequencer: no, fromOrigin: yes, installing: no, suspended: no, own: no, first: yes, directCopies: yes, want: hold},
+		{name: "a direct-copy group relays nothing the sequencer has its own copy of (TestDirectCopyGroupRelaysNothing, TestCopySetWithoutTheSequencerIsPassedOn)",
+			ordered: no, sequencer: no, fromOrigin: yes, installing: no, suspended: no, own: no, first: yes, directCopies: yes, passOn: no, want: hold},
+		{name: "the lowest-ranked member of a copy set that leaves out the sequencer passes its copy on (TestCopySetWithoutTheSequencerIsPassedOn, TestSpeculatingClientPointedAtFollower)",
+			ordered: no, sequencer: no, fromOrigin: yes, installing: no, suspended: no, own: no, first: yes, directCopies: yes, passOn: yes, want: relayToSequencer},
 	}
 	for _, numbered := range []bool{false, true} {
-		for bits := 0; bits < 1<<11; bits++ {
+		for bits := 0; bits < 1<<12; bits++ {
 			bit := func(i int) bool { return bits>>i&1 != 0 }
 			c := submitCase{
 				ordered: bit(0), overtaken: bit(1), fromOrigin: bit(2), own: bit(3), first: bit(4),
 				sequencer: bit(5), suspended: bit(6), installing: bit(7), directCopies: bit(8),
-				fromOrderedOrigin: bit(9), below: bit(10),
+				fromOrderedOrigin: bit(9), below: bit(10), passOn: bit(11),
 			}
 			// What cannot occur: the overtaken mark is set on delivery, in
 			// direct-copy groups, for origins outside the view; a member that
 			// orders is neither suspended nor installing a view; only an ordered
 			// id has an ordered origin, and only the origin's own copy is from it.
 			// A numbered id is a client's, ordered for that client, and below its
-			// row only if ordered — marked overtaken there exactly in a
-			// direct-copy group; a named id is never below a row.
+			// row only if ordered — marked overtaken there only in a
+			// direct-copy group; a named id is never below a row. A copy is
+			// passed on only in a direct-copy group, by a member that is not
+			// the sequencer.
 			if c.overtaken && !(c.ordered && c.directCopies && !c.own) ||
 				c.sequencer && (c.suspended || c.installing) ||
 				c.fromOrderedOrigin && !(c.ordered && c.fromOrigin) ||
 				numbered && (c.own || c.fromOrderedOrigin != (c.ordered && c.fromOrigin) ||
-					c.below && (!c.ordered || c.overtaken != c.directCopies)) ||
-				!numbered && c.below {
+					c.below && !c.ordered) ||
+				!numbered && c.below ||
+				c.passOn && (!c.directCopies || c.sequencer || c.suspended) {
 				continue
 			}
 			matched := -1
@@ -95,7 +100,8 @@ func TestSubmitVerdictTable(t *testing.T) {
 					r.fromOrigin.admits(c.fromOrigin) && r.fromOrderedOrigin.admits(c.fromOrderedOrigin) &&
 					r.own.admits(c.own) && r.first.admits(c.first) &&
 					r.sequencer.admits(c.sequencer) && r.suspended.admits(c.suspended) &&
-					r.installing.admits(c.installing) && r.directCopies.admits(c.directCopies) {
+					r.installing.admits(c.installing) && r.directCopies.admits(c.directCopies) &&
+					r.passOn.admits(c.passOn) {
 					if matched >= 0 {
 						t.Errorf("numbered=%v %+v: rows %q and %q both apply", numbered, c, rows[matched].name, r.name)
 					}

@@ -18,7 +18,7 @@ import (
 //
 //	Request := presence ID Group Method Args Kind ReplyTo Origin
 //	           [trace: TraceID Span] [shard: ShardEpoch ShardKey]
-//	           [cross: count key...] [call: Call]
+//	           [cross: count key...] [call: Call] [copies: Copies]
 //	Reply   := presence ID From Result
 //	           [outcome: Code Err] [trace: TraceID Span] [epoch: ShardEpoch]
 //
@@ -40,6 +40,7 @@ const (
 	reqHasShard
 	reqHasCross
 	reqHasCall
+	reqHasCopies
 	reqPresenceMask = 1<<iota - 1
 )
 
@@ -132,6 +133,9 @@ func encRequest(b *wire.Buffer, q Request) error {
 	if q.Call != 0 {
 		presence |= reqHasCall
 	}
+	if q.Copies != 0 {
+		presence |= reqHasCopies
+	}
 	b.Byte(presence)
 	encInvocationID(b, q.ID)
 	b.String(string(q.Group))
@@ -155,6 +159,9 @@ func encRequest(b *wire.Buffer, q Request) error {
 	}
 	if presence&reqHasCall != 0 {
 		b.Uvarint(q.Call)
+	}
+	if presence&reqHasCopies != 0 {
+		b.Byte(q.Copies)
 	}
 	return nil
 }
@@ -192,6 +199,11 @@ func decRequest(r *wire.Reader) Request {
 	}
 	if presence&reqHasCall != 0 {
 		if q.Call = r.Uvarint(); q.Call == 0 {
+			r.Fail(errEmptyGroup)
+		}
+	}
+	if presence&reqHasCopies != 0 {
+		if q.Copies = r.Byte(); q.Copies == 0 {
 			r.Fail(errEmptyGroup)
 		}
 	}

@@ -142,6 +142,7 @@ func TestEnvelopeDecodersRejectNonCanonicalFrames(t *testing.T) {
 		{"request: cross bit, no keys", patch(req, reqHasCross, 0), "empty field group"},
 		{"request: call bit, call 0", patch(req, reqHasCall, 0), "empty field group"},
 		{"request: call without its bit", patch(req, 0, 5), "trailing"},
+		{"request: copies bit, empty set", patch(req, reqHasCopies, 0), "empty field group"},
 		{"request: bit set, group missing", patch(req, reqHasShard), "varint"},
 		{"request: unknown kind", badKind, "unknown request kind"},
 		{"reply: undefined presence bit", patch(rep, repPresenceMask+1), "undefined presence bit"},

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -43,9 +44,10 @@ type GroupInfo struct {
 	Members []wire.NodeID
 	// DirectCopies marks a group whose members act on a client's own copy
 	// of a request before the sequencer's ordered copy reaches them
-	// (speculative execution). Clients send every request to all members of
-	// such a group; elsewhere one copy to one member suffices and the total
-	// order carries it to the rest.
+	// (speculative execution). Clients send each request to as many members
+	// of such a group as their reply policy waits for (Request.Copies);
+	// elsewhere one copy to one member suffices and the total order carries
+	// it to the rest.
 	DirectCopies bool
 }
 
@@ -96,6 +98,7 @@ type Request struct {
 	Method  string
 	Args    []byte
 	Kind    RequestKind
+	Copies  uint8        // the members the client sent its own copy to (see CopiedTo)
 	ReplyTo wire.NodeID  // client endpoint (KindClient)
 	Origin  wire.GroupID // originating group (KindNested)
 	// Call numbers a client's invocations: this is the Call-th one ReplyTo
@@ -120,6 +123,15 @@ type Request struct {
 
 // TraceCtx implements tracing.Traced.
 func (req Request) TraceCtx() tracing.Context { return req.Trace }
+
+// CopiedTo implements gcs.CopySet. Copies has bit i set when the client
+// sent the member at position i of the group's Directory entry its own copy
+// of the request; 0 is every member. Only requests to a direct-copy group
+// of up to eight members name a smaller set. The byte sits beside Kind, in
+// what would be padding, so Request stays in its size class.
+func (req Request) CopiedTo(rank int) bool {
+	return req.Copies == 0 || uint(rank) < 8 && req.Copies>>rank&1 != 0
+}
 
 // Code is the runtime's verdict on a request it answered without (or
 // instead of) the handler's own result. Only the runtime sets one — at the
@@ -199,6 +211,7 @@ func (p Reply) TraceCtx() tracing.Context { return p.Trace }
 var (
 	_ tracing.Traced = Request{}
 	_ tracing.Traced = Reply{}
+	_ gcs.CopySet    = Request{}
 )
 
 // Handler executes one method; it may use every Invocation facility
@@ -364,6 +377,9 @@ type Replica struct {
 	// at or below it are answered with a typed expired-duplicate error.
 	specMgr    *spec.Manager
 	evictFloor uint64
+	// rank is this replica's position in its group's Directory entry, the
+	// bit a client's Request.Copies sets for it.
+	rank int
 	// The image gate (see speculate.go): imaging while a speculation copies
 	// the state off the lock, gateBusy while the dispatch goroutine accesses
 	// it off the lock itself; the dispatch goroutine waits on gate.
@@ -468,6 +484,7 @@ func New(cfg Config) *Replica {
 	g.Group = cfg.Group
 	g.Self = cfg.Self
 	g.Members = cfg.Directory.Members(cfg.Group)
+	r.rank = slices.Index(g.Members, cfg.Self)
 	g.Send = r.ep.Send
 	g.Spans = cfg.Spans
 	g.Shard = r.shardLabel
@@ -510,8 +527,9 @@ func New(cfg Config) *Replica {
 	// Without forkable state (or on a sharded group) speculation proper is
 	// off, but conflict classes are still fed to an early-scheduling-capable
 	// scheduler at arrival time. Either way the members act on the clients'
-	// own copies, so clients keep sending one to each (the Directory entry
-	// says the same to them) and, the hook being set, no member passes one on.
+	// own copies, so clients send them to the members whose replies they wait
+	// for (the Directory entry says the same to them) and, the hook being
+	// set, a member passes one on only when that set leaves out the sequencer.
 	if cfg.Speculative {
 		g.OptimisticDeliver = r.onOptimisticSubmit
 	}

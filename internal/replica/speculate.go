@@ -11,12 +11,15 @@ import (
 
 // Speculative execution on optimistic delivery.
 //
-// Clients send every Submit to every member of a speculating group (a
-// direct-copy group, see Directory), so each follower sees a request the
-// moment it arrives — long before the sequencer's Ordered reaches it. (The
-// member that orders the request on arrival delivers it at once and does not
-// speculate.) With Config.Speculative set, the replica uses that window: it
-// executes the request immediately against a private fork of the object
+// Clients send a Submit to the members of a speculating group (a
+// direct-copy group, see Directory) whose replies they wait for — the
+// contact and the next need − 1 members (Request.Copies) — so each of those
+// followers sees a request the moment it arrives, long before the
+// sequencer's Ordered reaches it. (The member that orders the request on
+// arrival delivers it at once and does not speculate; a member the client
+// sent no copy learns the request from the Ordered and does not either.)
+// With Config.Speculative set, the replica uses that window: it executes
+// the request immediately against a private fork of the object
 // state, and when the total order confirms the request it releases the
 // precomputed reply at once if no conflicting request was dispatched in
 // between (a hit). The ordered execution still runs unchanged on every
@@ -299,7 +302,10 @@ func (r *Replica) specDispatchLocked(req *Request, seq uint64, classes []string)
 		act.abort = true
 		fallthrough
 	case spec.Miss:
-		act.catchUp = r.specMgr.CanCatchUp(classes, act.floor, seq)
+		// A client sends its later requests where it sent this one: a member
+		// it sent no copy of its own speculates on none of them, and a
+		// catch-up would keep a fork current for no reply.
+		act.catchUp = req.CopiedTo(r.rank) && r.specMgr.CanCatchUp(classes, act.floor, seq)
 	case spec.Hit, spec.Pending:
 		// Pending: the running handler releases the reply on finish (or the
 		// ordered execution outruns it — counted there).

@@ -131,6 +131,12 @@ func exemplarMessages() []wire.Message {
 			Group: "g", From: "g/2", Epoch: 3, Delivered: 42,
 			Tail:    []gcs.Ordered{{Group: "g", Epoch: 3, Seq: 43, Origin: "client/c1", Call: 7}},
 			Pending: []gcs.Submit{{Group: "g", Origin: "client/c2", Call: 1}}}},
+		// The copy set a speculating group's client names, on its submit
+		// and on the Ordered that carries the request on.
+		{From: "client/c1", To: "g/1", Payload: gcs.Submit{Group: "g", Origin: "client/c1", Call: 8,
+			Payload: request(func(q *replica.Request) { q.Call, q.Copies = 8, 0b011 })}},
+		{From: "g/0", To: "g/2", Payload: gcs.Ordered{Group: "g", Epoch: 3, Seq: 44, Origin: "client/c1", Call: 8,
+			Payload: request(func(q *replica.Request) { q.Trace, q.Call, q.Copies = trace, 8, 0b110 })}},
 	}
 }
 

@@ -515,20 +515,26 @@ func WithCheckpointEvery(n int) GroupOption {
 }
 
 // WithSpeculation enables speculative execution on optimistic delivery:
-// every follower executes an arriving request immediately against a forked
-// copy of its state (clients send each submit to every member of a
-// speculating group, not to the sequencer alone, so arrival precedes
-// ordering) and releases the precomputed reply the moment
+// a follower executes an arriving request immediately against a forked
+// copy of its state and releases the precomputed reply the moment
 // the total order confirms it as conflict-free — the reply leaves after one
 // network delay instead of waiting for the full ordering round. The ordered
 // execution still runs unchanged, so committed state, schedule-trace
 // digests and at-most-once semantics are identical to a non-speculative
 // run; a stale speculation's reply is simply discarded. Also enables early
-// scheduling (conflict classes reach ADETS-CC at arrival time). The
+// scheduling (conflict classes reach ADETS-CC at arrival time).
+//
+// A client of a speculating group sends a request not to the sequencer
+// alone but to as many members as its reply policy waits for — the
+// sequencer and the next follower under Majority, every member under All,
+// the sequencer alone under First — so their copies arrive before the
+// order; the other members learn the request from the total order, as in
+// any group, and do not speculate on it. The first request a client sends
+// to the group and every retransmission go to every member. The
 // sequencer orders a request the moment its copy arrives and delivers it in
 // the same step, so it neither speculates nor schedules early: a client
-// that takes the first reply (ReplyPolicy First) gives up the few
-// microseconds the sequencer's own speculation could have saved it.
+// that takes the first reply (ReplyPolicy First) gets no speculation at
+// all.
 //
 // Speculation requires WithState (the factory builds the forks) and
 // handlers that confine their reads and writes to their declared conflict
@@ -542,7 +548,7 @@ func WithCheckpointEvery(n int) GroupOption {
 //
 // A client process that only declares the group (NewGroup without Start,
 // the replicas being remote) must pass WithSpeculation too: the option is
-// how the client stub learns that every member wants its own copy of each
+// how the client stub learns that the members want their own copies of a
 // request. A client that omits it still gets correct answers — the
 // sequencer's copy reaches the followers through the total order — but the
 // followers have nothing to speculate on.

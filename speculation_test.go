@@ -76,8 +76,9 @@ func kcounterGroup(t *testing.T, c *replobj.Cluster, name string, n int, opts ..
 // must be discarded). The oracles are exact effect counts (no speculation
 // may be lost or applied twice) and cross-replica schedule-digest equality
 // (speculation must not perturb the deterministic ordered run). Only the
-// followers speculate: the sequencer orders each request as its copy
-// arrives.
+// followers that get a copy of their own speculate: the sequencer orders
+// each request as its copy arrives, and a Majority client sends its copies
+// to the sequencer and follower 1 alone.
 func TestSpeculationChaosDigestsAndAtMostOnce(t *testing.T) {
 	for _, kind := range []replobj.SchedulerKind{replobj.SEQ, replobj.CC, replobj.ADAPT} {
 		kind := kind
@@ -95,7 +96,24 @@ func TestSpeculationChaosDigestsAndAtMostOnce(t *testing.T) {
 				replobj.WithSchedTrace(0),
 				replobj.WithCheckpointEvery(16))
 			g := kcounterGroup(t, c, "spec", replicas, opts...)
+			perNode := func(name string) (n [replicas]uint64) {
+				for i := range n {
+					n[i] = reg.Counter(fmt.Sprintf(`replobj_replica_spec_%s_total{node="spec/%d"}`, name, i)).Value()
+				}
+				return n
+			}
 			run(rt, c, func() {
+				// A client's first request goes to every member, so every
+				// follower may speculate on it; from then on a Majority
+				// client's copies go to the sequencer and follower 1 alone.
+				cls := make([]*replobj.Client, clients)
+				for ci := range cls {
+					cls[ci] = c.NewClient(fmt.Sprintf("c%d", ci))
+					if _, err := cls[ci].Invoke("spec", "get", []byte{'H'}); err != nil {
+						t.Fatalf("introduction: %v", err)
+					}
+				}
+				introduced, caughtUp := perNode("attempts"), perNode("catchups")
 				results := vtime.NewMailbox[error](rt, "results")
 				for ci := 0; ci < clients; ci++ {
 					ci := ci
@@ -103,7 +121,7 @@ func TestSpeculationChaosDigestsAndAtMostOnce(t *testing.T) {
 					priv := []byte{byte('a' + ci), 1}
 					hot := []byte{'H', 1}
 					rt.Go("client/"+name, func() {
-						cl := c.NewClient(name)
+						cl := cls[ci]
 						var err error
 						for i := 0; i < rounds && err == nil; i++ {
 							if _, err = cl.Invoke("spec", "add", priv); err == nil {
@@ -118,6 +136,22 @@ func TestSpeculationChaosDigestsAndAtMostOnce(t *testing.T) {
 					if err, _ := results.Get(); err != nil {
 						t.Fatalf("client error: %v", err)
 					}
+				}
+				attempts, catchUps := perNode("attempts"), perNode("catchups")
+				for i := range attempts {
+					switch n := attempts[i] - introduced[i]; {
+					case i == 0 && attempts[i] != 0:
+						t.Errorf("the sequencer speculated %d times on requests it ordered as they arrived", attempts[i])
+					case i == 1 && n == 0:
+						t.Error("follower 1, in every copy set, never speculated")
+					case i == 2 && n != 0:
+						t.Errorf("follower 2, in no copy set, speculated %d times", n)
+					}
+				}
+				// Follower 2 holds forks from the introductions; keeping them
+				// current would re-run every request for no reply.
+				if n := catchUps[2] - caughtUp[2]; n != 0 {
+					t.Errorf("follower 2, in no copy set, caught its forks up %d times", n)
 				}
 				// Exact effect counts on every replica: nothing lost, nothing
 				// doubled — mis-speculated forks left no trace.
@@ -143,14 +177,6 @@ func TestSpeculationChaosDigestsAndAtMostOnce(t *testing.T) {
 				for i := 1; i < replicas; i++ {
 					if d := replobj.FirstTraceDivergence(g.Trace(0), g.Trace(i)); d != nil {
 						t.Errorf("trace divergence rank0 vs rank%d: %+v", i, d)
-					}
-				}
-				for i := 0; i < replicas; i++ {
-					attempts := reg.Counter(fmt.Sprintf(`replobj_replica_spec_attempts_total{node="spec/%d"}`, i)).Value()
-					if i == 0 && attempts != 0 {
-						t.Errorf("the sequencer speculated %d times on requests it ordered as they arrived", attempts)
-					} else if i > 0 && attempts == 0 {
-						t.Errorf("follower %d never speculated", i)
 					}
 				}
 			})
@@ -543,8 +569,9 @@ func (s *snapKV) Restore(b []byte) error {
 
 // TestSpeculationDuringSnapshotRejoin: a follower of a speculating group is
 // cut off until the log has been truncated past it and rejoins by snapshot,
-// while clients keep sending every member their own copy of each request and
-// checkpoints come every four positions. Speculations then want images
+// while clients keep sending it their own copy of each request (it is rank
+// 1, in every Majority client's copy set while the contact is the
+// sequencer) and checkpoints come every four positions. Speculations then want images
 // while the dispatch goroutine checkpoints and installs the snapshot off the
 // runtime lock; the image gate keeps the two apart (under -race, a Snapshot
 // beside a Restore or another Snapshot is reported). Effects stay exact and
@@ -588,7 +615,9 @@ func TestSpeculationDuringSnapshotRejoin(t *testing.T) {
 		return u64(inv.State().(*snapKV).Slots[string(inv.Args()[:1])]), nil
 	})
 	g.Start()
-	rejoiner := g.Members()[2]
+	rejoiner := g.Members()[1]
+	attempts := reg.Counter(`replobj_replica_spec_attempts_total{node="` + string(rejoiner) + `"}`)
+	var restored uint64 // the rejoiner's attempts when it came back
 	installed := reg.Counter(`replobj_gcs_snapshots_installed_total{node="` + string(rejoiner) + `"}`)
 	total := make(map[byte]uint64)
 	var errs []error
@@ -619,6 +648,7 @@ func TestSpeculationDuringSnapshotRejoin(t *testing.T) {
 		rt.Sleep(200 * time.Millisecond)
 		net.Crash(rejoiner)
 		rt.Sleep(600 * time.Millisecond) // excluded, and the log truncated past it
+		restored = attempts.Value()
 		net.Restore(rejoiner)
 		for installed.Value() == 0 && int64(rt.Now()) < stop.Load() {
 			rt.Sleep(10 * time.Millisecond)
@@ -659,8 +689,8 @@ func TestSpeculationDuringSnapshotRejoin(t *testing.T) {
 			t.Errorf("trace divergence rank0 vs rank%d: %+v", i, d)
 		}
 	}
-	if n := reg.Counter(`replobj_replica_spec_attempts_total{node="` + string(rejoiner) + `"}`).Value(); n == 0 {
-		t.Error("the rejoiner never speculated")
+	if attempts.Value() == restored {
+		t.Error("the rejoiner never speculated after it came back")
 	}
 	if n := specCounter(reg, "kv", "mismatches", replicas); n != 0 {
 		t.Errorf("%d speculative replies differed from the ordered ones", n)

@@ -9,7 +9,6 @@ import (
 	replobj "github.com/replobj/replobj"
 	"github.com/replobj/replobj/internal/adets/adaptive"
 	"github.com/replobj/replobj/internal/faultnet"
-	"github.com/replobj/replobj/internal/gcs"
 	"github.com/replobj/replobj/internal/transport"
 	"github.com/replobj/replobj/internal/vtime"
 )
@@ -67,7 +66,7 @@ func TestChaosAdaptiveSwitch(t *testing.T) {
 		replobj.WithAdaptive(replobj.AdaptiveConfig{Epoch: 6, MinWindow: 1, Plan: adaptivePlan(64)}),
 		replobj.WithSchedTrace(0),
 		replobj.WithFailureDetection(true),
-		replobj.WithGCSConfig(gcs.Config{Quorum: true}),
+		replobj.WithQuorum(),
 		replobj.WithCheckpointEvery(every))
 	members := g.Members()
 
@@ -187,7 +186,7 @@ func TestAdaptiveSwitchTimingIndependent(t *testing.T) {
 	}
 	runOnce := func(jitter time.Duration, seed int64) outcome {
 		rt := vtime.Virtual()
-		c := replobj.NewCluster(rt, replobj.WithJitter(jitter, seed))
+		c := replobj.NewCluster(rt, replobj.WithNetwork(transport.NewInproc(rt, transport.WithJitter(jitter, seed))))
 		g := ckptCounterGroup(t, c, "cnt", 3,
 			replobj.WithAdaptive(replobj.AdaptiveConfig{Epoch: 5, MinWindow: 1}))
 		var out outcome

@@ -10,7 +10,6 @@ import (
 	"github.com/replobj/replobj/internal/adets/pds"
 	"github.com/replobj/replobj/internal/adets/sat"
 	"github.com/replobj/replobj/internal/faultnet"
-	"github.com/replobj/replobj/internal/gcs"
 	"github.com/replobj/replobj/internal/transport"
 	"github.com/replobj/replobj/internal/vtime"
 )
@@ -42,7 +41,7 @@ func chaosCluster(rt *vtime.VirtualRuntime, prof faultnet.Profile, seed int64) (
 // delivery the binding (and so the __queue grant trace) legitimately
 // differs, while round-robin derives it from the totally ordered submit
 // sequence alone. The paper's Section 4.2 "artificial requests" option
-// (replobj.WithPDSArtificialRequests) removes that caveat for synchronized
+// (pds.Config.ArtificialRequests) removes that caveat for synchronized
 // assignment too — queue-mutex grants are rationed to workers in fixed
 // rotation at totally ordered points — and
 // TestPDSArtificialRequestsFullStreamDeterminism holds the full trace
@@ -52,7 +51,7 @@ func chaosGroupOpts(kind replobj.SchedulerKind, clients int) []replobj.GroupOpti
 	opts := append(groupOptsFor(kind, clients),
 		replobj.WithSchedTrace(0),
 		replobj.WithFailureDetection(true),
-		replobj.WithGCSConfig(gcs.Config{Quorum: true}))
+		replobj.WithQuorum())
 	if kind == replobj.PDS || kind == replobj.PDS2 {
 		opts = append(opts, replobj.WithPDSConfig(pds.Config{
 			PoolSize:   clients,
@@ -250,7 +249,7 @@ func TestChaosCCConflictClasses(t *testing.T) {
 		replobj.WithCCLanes(ccLanes),
 		replobj.WithSchedTrace(0),
 		replobj.WithFailureDetection(true),
-		replobj.WithGCSConfig(gcs.Config{Quorum: true}),
+		replobj.WithQuorum(),
 		replobj.WithState(func() any { return &shardLedger{} }))
 	if err != nil {
 		t.Fatal(err)

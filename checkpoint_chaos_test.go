@@ -230,9 +230,8 @@ func TestPDSArtificialRequestsFullStreamDeterminism(t *testing.T) {
 				replobj.WithState(func() any { return &counter{} }),
 				replobj.WithSchedTrace(0),
 				replobj.WithFailureDetection(true),
-				replobj.WithGCSConfig(gcs.Config{Quorum: true}),
-				replobj.WithPDSConfig(pds.Config{PoolSize: clients}),
-				replobj.WithPDSArtificialRequests(true))
+				replobj.WithQuorum(),
+				replobj.WithPDSConfig(pds.Config{PoolSize: clients, ArtificialRequests: true}))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -74,7 +74,7 @@ func run(rt *vtime.VirtualRuntime, c *replobj.Cluster, fn func()) {
 func groupOptsFor(kind replobj.SchedulerKind, clients int) []replobj.GroupOption {
 	opts := []replobj.GroupOption{replobj.WithScheduler(kind)}
 	if kind == replobj.PDS || kind == replobj.PDS2 {
-		opts = append(opts, replobj.WithPDSPool(clients))
+		opts = append(opts, replobj.WithPDSConfig(pds.Config{PoolSize: clients}))
 	}
 	return opts
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	replobj "github.com/replobj/replobj"
+	"github.com/replobj/replobj/internal/adets/pds"
 	"github.com/replobj/replobj/internal/vtime"
 )
 
@@ -41,7 +42,7 @@ const MaxClients = 10
 func groupOpts(kind replobj.SchedulerKind, clients int) []replobj.GroupOption {
 	opts := []replobj.GroupOption{replobj.WithScheduler(kind)}
 	if kind == replobj.PDS || kind == replobj.PDS2 {
-		opts = append(opts, replobj.WithPDSPool(clients))
+		opts = append(opts, replobj.WithPDSConfig(pds.Config{PoolSize: clients}))
 	}
 	return opts
 }

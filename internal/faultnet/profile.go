@@ -16,9 +16,9 @@ import (
 // network's latency so later messages on the link genuinely overtake the
 // held one. Partition episodes are measured in messages, not time, to keep
 // them seed-deterministic; profiles keep episodes short relative to the
-// failure detector's SuspectAfter so PRNG partitions perturb ordering
-// without tripping spurious view changes — long outages belong to the
-// test script's explicit Crash/Partition calls.
+// failure detector's suspicion threshold (100 ms) so PRNG partitions
+// perturb ordering without tripping spurious view changes — long outages
+// belong to the test script's explicit Crash/Partition calls.
 type Profile struct {
 	Name string
 

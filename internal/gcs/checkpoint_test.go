@@ -87,7 +87,7 @@ func TestSnapshotSettlesCachedSubmits(t *testing.T) {
 				cl := h.net.Endpoint(wire.ClientID("c1"))
 				defer cl.Close()
 				h.rt.Sleep(30 * time.Millisecond) // establish liveness
-				// Shorter than SuspectAfter, so no view change: member 2 sees
+				// Shorter than suspectAfter, so no view change: member 2 sees
 				// none of the sequencer's frames while its broadcast and three
 				// client requests are ordered.
 				h.net.SetDropRule(func(from, to wire.NodeID) bool { return from == h.ids[0] && to == h.ids[2] })

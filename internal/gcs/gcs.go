@@ -254,17 +254,11 @@ type Config struct {
 	// guarantees the latter.
 	Send func(to wire.NodeID, payload any)
 
-	// FailureDetection enables heartbeats and view changes.
+	// FailureDetection enables heartbeats (every heartbeatEvery) and view
+	// changes (a member silent for suspectAfter is suspected).
 	FailureDetection bool
-	// HeartbeatEvery is the heartbeat period (default 25ms).
-	HeartbeatEvery time.Duration
-	// SuspectAfter is the silence threshold for suspicion (default 100ms).
-	// A view change's grace periods derive from it: a new sequencer waits
-	// 2×SuspectAfter for the tails of members that stay silent, any other
-	// member twice that for the view before it abandons the install.
-	SuspectAfter time.Duration
 	// ResubmitAfter is how long a cached submit may stay unordered before
-	// the FD tick re-sends it to the sequencer (default 2×HeartbeatEvery).
+	// the FD tick re-sends it to the sequencer (default 2×heartbeatEvery).
 	// Repairs submits lost between a replica and the sequencer. Only active
 	// with FailureDetection.
 	ResubmitAfter time.Duration
@@ -274,6 +268,7 @@ type Config struct {
 	// trades the ability to shrink below a majority (cascading-crash
 	// tolerance) for split-brain safety under network partitions — an
 	// isolated minority can neither form its own view nor order messages.
+	// Ignored without FailureDetection.
 	Quorum bool
 
 	// LogRetain is how many delivered messages are kept for retransmission
@@ -326,15 +321,18 @@ type Config struct {
 	Shard string
 }
 
+// The failure detector's timing. A view change's grace periods derive from
+// suspectAfter: a new sequencer waits 2×suspectAfter for the tails of
+// members that stay silent, any other member twice that for the view before
+// it abandons the install.
+const (
+	heartbeatEvery = 25 * time.Millisecond  // heartbeat period
+	suspectAfter   = 100 * time.Millisecond // silence before suspicion
+)
+
 func (c *Config) applyDefaults() {
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = 25 * time.Millisecond
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 100 * time.Millisecond
-	}
 	if c.ResubmitAfter <= 0 {
-		c.ResubmitAfter = 2 * c.HeartbeatEvery
+		c.ResubmitAfter = 2 * heartbeatEvery
 	}
 	if c.LogRetain <= 0 {
 		c.LogRetain = 4096

@@ -379,7 +379,7 @@ func (m *Member) quorumOKLocked(now time.Duration) bool {
 	}
 	alive := 0
 	for _, peer := range m.view.Members {
-		if seen, heard := m.lastSeen[peer]; peer == m.cfg.Self || !heard || now-seen <= m.cfg.SuspectAfter {
+		if seen, heard := m.lastSeen[peer]; peer == m.cfg.Self || !heard || now-seen <= suspectAfter {
 			alive++
 		}
 	}

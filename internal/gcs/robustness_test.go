@@ -49,7 +49,7 @@ func TestStaleSubmitResent(t *testing.T) {
 	h := newHarness(3, true)
 	h.run(func() {
 		h.rt.Sleep(30 * time.Millisecond)
-		// Cut member1→sequencer for less than SuspectAfter so no suspicion
+		// Cut member1→sequencer for less than suspectAfter so no suspicion
 		// fires, losing the forwarded submit.
 		h.net.SetDropRule(func(from, to wire.NodeID) bool {
 			return from == h.ids[1] && to == h.ids[0]
@@ -81,7 +81,7 @@ func TestQuorumBlocksMinorityProgress(t *testing.T) {
 		h.rt.Sleep(50 * time.Millisecond)
 		h.net.Crash(h.ids[1])
 		h.net.Crash(h.ids[2])
-		h.rt.Sleep(300 * time.Millisecond) // well past SuspectAfter
+		h.rt.Sleep(300 * time.Millisecond) // well past suspectAfter
 		h.submitFromClient(cl, "stuck", "x")
 		if d, ok, timedOut := h.members[0].DeliverTimeout(300 * time.Millisecond); ok && !timedOut {
 			t.Fatalf("minority sequencer ordered %+v without a quorum", d)
@@ -116,7 +116,7 @@ func TestResumedSequencerOrdersItsBacklogFromTheTick(t *testing.T) {
 		h.rt.Sleep(50 * time.Millisecond)
 		h.net.Crash(h.ids[1])
 		h.net.Crash(h.ids[2])
-		h.rt.Sleep(300 * time.Millisecond) // well past SuspectAfter
+		h.rt.Sleep(300 * time.Millisecond) // well past suspectAfter
 		h.submitCall(cl, 1, "x")
 		h.submitCall(cl, 2, "x")
 		h.rt.Sleep(100 * time.Millisecond)

@@ -14,7 +14,7 @@ import (
 
 func (m *Member) scheduleFDTick() {
 	if m.enter() {
-		m.fdTimer = m.rt.AfterLocked(m.cfg.HeartbeatEvery, "gcs-fd/"+string(m.cfg.Self), m.fdTick)
+		m.fdTimer = m.rt.AfterLocked(heartbeatEvery, "gcs-fd/"+string(m.cfg.Self), m.fdTick)
 	}
 	m.rt.Unlock()
 }
@@ -44,7 +44,7 @@ func (m *Member) fdTickLocked(act *actions) {
 	}
 	next := membership{
 		view: m.view, installing: m.installing != nil, initial: m.cfg.Members, self: m.cfg.Self,
-		lastSeen: m.lastSeen, now: now, suspectAfter: m.cfg.SuspectAfter, quorum: m.cfg.Quorum,
+		lastSeen: m.lastSeen, now: now, suspectAfter: suspectAfter, quorum: m.cfg.Quorum,
 	}.nextMembers()
 	if st := m.cfg.Stats; st != nil {
 		st.Heartbeats.Add(uint64(sent))
@@ -123,7 +123,7 @@ func (m *Member) adoptProposalLocked(v View, act *actions) {
 	// The proposed sequencer waits that long for silent members' tails; any
 	// other member twice as long before it abandons the install (a dead
 	// proposer would leave it installing for ever: no tick proposes then).
-	grace := 2 * m.cfg.SuspectAfter
+	grace := 2 * suspectAfter
 	if vv.Sequencer() != m.cfg.Self {
 		grace *= 2
 	}

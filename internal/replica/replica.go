@@ -240,13 +240,6 @@ type Config struct {
 	// retrievable in handlers via Invocation.State. Each replica gets its
 	// own instance; handlers must guard access with scheduler locks.
 	State func() any
-	// Classes, if non-nil, maps a request to its declared conflict classes
-	// for conflict-aware scheduling (ADETS-CC). It must be a pure function
-	// of (method, args) — it is evaluated at the totally-ordered dispatch
-	// point and every replica must compute the same set. Nil or an empty
-	// result marks the request "global" (conflicts with everything). When
-	// nil, a State instance implementing ConflictClasser is used instead.
-	Classes func(method string, args []byte) []string
 	// CheckpointEvery, when positive, takes a deterministic checkpoint at
 	// every n-th position of the totally-ordered stream: the scheduler is
 	// quiesced, the object state is serialized (via Snapshotter, or gob for
@@ -260,8 +253,8 @@ type Config struct {
 	// speculate.go): arriving submits are executed immediately against a
 	// fork of the state and the precomputed reply is released when the total
 	// order confirms the speculation as conflict-free. Requires State (the
-	// factory builds the forks); ignored on sharded groups, whose requests
-	// are validated and possibly redirected at their ordered position. Also
+	// factory builds the forks) and no Shard: a shard group validates and
+	// may redirect a request at its ordered position. Also
 	// enables early scheduling (conflict classes fed to ADETS-CC at arrival
 	// time), and makes the group a direct-copy group
 	// (gcs.Config.OptimisticDeliver). The group's Directory entry must be
@@ -414,16 +407,13 @@ func New(cfg Config) *Replica {
 		r.shard = cfg.Shard
 		r.shardLabel = string(cfg.Group)
 	}
-	if cfg.Speculative && cfg.State != nil && cfg.Shard == nil {
+	if cfg.Speculative {
 		r.stateFactory = cfg.State
 		r.specMgr = spec.NewManager()
 	}
 	r.gate.SetName("image-gate", string(cfg.Self))
-	r.classes = cfg.Classes
-	if r.classes == nil {
-		if cc, ok := r.state.(ConflictClasser); ok {
-			r.classes = cc.ConflictClasses
-		}
+	if cc, ok := r.state.(ConflictClasser); ok {
+		r.classes = cc.ConflictClasses
 	}
 	r.ep = cfg.Network.Endpoint(cfg.Self)
 	r.trace = cfg.Trace
@@ -524,12 +514,10 @@ func New(cfg Config) *Replica {
 			r.dupReplies.Inc()
 		}
 	}
-	// Without forkable state (or on a sharded group) speculation proper is
-	// off, but conflict classes are still fed to an early-scheduling-capable
-	// scheduler at arrival time. Either way the members act on the clients'
-	// own copies, so clients send them to the members whose replies they wait
-	// for (the Directory entry says the same to them) and, the hook being
-	// set, a member passes one on only when that set leaves out the sequencer.
+	// A speculating group's members act on the clients' own copies, so
+	// clients send them to the members whose replies they wait for (the
+	// Directory entry says the same to them) and, the hook being set, a
+	// member passes one on only when that set leaves out the sequencer.
 	if cfg.Speculative {
 		g.OptimisticDeliver = r.onOptimisticSubmit
 	}

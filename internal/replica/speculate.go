@@ -78,9 +78,6 @@ func (r *Replica) onOptimisticSubmit(sub gcs.Submit) {
 	if es, ok := r.sched.(adets.EarlyScheduler); ok {
 		es.EarlySubmit(req.ID, classes)
 	}
-	if r.specMgr == nil {
-		return
-	}
 	if h, ok := r.handlers[req.Method]; ok {
 		id := req.ID.String()
 		r.rt.Go("spec", func() { r.runSpeculation(id, req, h, classes) })

@@ -42,6 +42,7 @@ package replobj
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -164,10 +165,10 @@ const (
 	PDS   SchedulerKind = "ADETS-PDS"
 	PDS2  SchedulerKind = "ADETS-PDS-2"
 	// CC is conflict-class parallel dispatch: requests with disjoint
-	// declared conflict classes (WithConflictClasses or a ConflictClasser
-	// state) execute in parallel on deterministic worker lanes; undeclared
-	// requests are global barriers, so existing applications run unchanged
-	// (serialized). See internal/adets/cc.
+	// conflict classes (declared by a ConflictClasser state) execute in
+	// parallel on deterministic worker lanes; undeclared requests are
+	// global barriers, so existing applications run unchanged (serialized).
+	// See internal/adets/cc.
 	CC SchedulerKind = "ADETS-CC"
 	// ADAPT is adaptive strategy switching: a meta-scheduler wraps the
 	// static kinds, samples a metrics window computed purely from the
@@ -190,8 +191,6 @@ type ClusterOption func(*clusterConfig)
 
 type clusterConfig struct {
 	latency time.Duration
-	jitter  time.Duration
-	seed    int64
 	network transport.Network
 	metrics *obs.Registry
 	spans   *tracing.Collector
@@ -203,14 +202,9 @@ func WithLatency(d time.Duration) ClusterOption {
 	return func(c *clusterConfig) { c.latency = d }
 }
 
-// WithJitter adds deterministic pseudo-random jitter in [0, j) to every
-// delivery.
-func WithJitter(j time.Duration, seed int64) ClusterOption {
-	return func(c *clusterConfig) { c.jitter = j; c.seed = seed }
-}
-
 // WithNetwork substitutes a custom transport (e.g. transport.NewTCP for a
-// real deployment). The latency/jitter options are ignored then.
+// real deployment, or transport.NewInproc with jitter). WithLatency is
+// ignored then: the network brings its own latency.
 func WithNetwork(n transport.Network) ClusterOption {
 	return func(c *clusterConfig) { c.network = n }
 }
@@ -301,11 +295,7 @@ func NewCluster(rt vtime.Runtime, opts ...ClusterOption) *Cluster {
 			}
 		}
 	} else {
-		iopts := []transport.InprocOption{transport.WithLatency(cfg.latency)}
-		if cfg.jitter > 0 {
-			iopts = append(iopts, transport.WithJitter(cfg.jitter, cfg.seed))
-		}
-		c.inproc = transport.NewInproc(rt, iopts...)
+		c.inproc = transport.NewInproc(rt, transport.WithLatency(cfg.latency))
 		if instrumented {
 			c.inproc.SetStats(newStats("inproc"))
 		}
@@ -371,107 +361,85 @@ func (c *Cluster) Close() {
 	}
 }
 
-// GroupOption configures a replica group.
+// GroupOption configures a replica group. NewGroup and NewSharded apply the
+// options in order, then refuse every combination in which one of them
+// would be ignored, with an error that names both sides.
 type GroupOption func(*groupConfig)
 
+// groupConfig is a group's parsed options.
 type groupConfig struct {
-	kind             SchedulerKind
+	kind             SchedulerKind // WithScheduler or WithAdaptive (default ADSAT)
+	sched            SchedulerKind // WithScheduler's kind alone
 	state            func() any
 	factory          func(rank int) adets.Scheduler
 	lsaPeriod        time.Duration
 	pds              pds.Config
-	pdsSet           bool
-	matYield         bool
-	matYieldSet      bool
-	failureDetection bool
-	gcs              gcs.Config
-	traceRetain      int
 	ccLanes          int
-	conflictClasses  map[string][]string
+	adaptive         AdaptiveConfig
+	failureDetection bool
+	quorum           bool
+	logRetain        int // gcs.Config.LogRetain; set by tests only
+	traceRetain      int
 	checkpointEvery  int
 	speculative      bool
-	adaptive         AdaptiveConfig
 	shards           int
-	shardVNodes      int
-	// shardTable marks a group as one shard of a sharded object; set
-	// internally by NewSharded, never by a GroupOption.
+	// given names the options passed that parseGroupOptions checks by
+	// presence.
+	given map[string]bool
+	// shardTable marks a group as one shard of a sharded object; set by
+	// NewSharded and Reshard, never by a GroupOption.
 	shardTable *shard.Table
 }
 
 // WithScheduler selects the scheduling strategy (default ADETS-SAT).
 func WithScheduler(kind SchedulerKind) GroupOption {
-	return func(g *groupConfig) { g.kind = kind }
+	return func(g *groupConfig) { g.kind, g.sched = kind, kind; g.given["WithScheduler"] = true }
 }
 
 // WithState installs a per-replica object-state factory; handlers retrieve
 // the instance via Invocation.State and must guard access with scheduler
-// locks.
+// locks. A state that implements ConflictClasser declares the conflict
+// classes ADETS-CC schedules by.
 func WithState(factory func() any) GroupOption {
 	return func(g *groupConfig) { g.state = factory }
 }
 
-// WithSchedulerFactory installs a custom scheduler constructor, overriding
-// WithScheduler (rank is the replica's position in the group).
+// WithSchedulerFactory installs a custom scheduler constructor in place of a
+// kind (rank is the replica's position in the group). It cannot be combined
+// with WithScheduler, WithAdaptive or an option that configures a kind.
 func WithSchedulerFactory(f func(rank int) adets.Scheduler) GroupOption {
 	return func(g *groupConfig) { g.factory = f }
 }
 
-// WithLSAPeriod sets ADETS-LSA's mutex-table broadcast period.
+// WithLSAPeriod sets ADETS-LSA's mutex-table broadcast period. Only the LSA
+// and ADAPT kinds accept it.
 func WithLSAPeriod(d time.Duration) GroupOption {
-	return func(g *groupConfig) { g.lsaPeriod = d }
+	return func(g *groupConfig) { g.lsaPeriod = d; g.given["WithLSAPeriod"] = true }
 }
 
-// WithPDSConfig overrides the full ADETS-PDS configuration (variant is
-// still forced by the chosen SchedulerKind).
+// WithPDSConfig sets the ADETS-PDS configuration: the thread-pool size (the
+// paper sizes it to the number of clients), request assignment, nested-call
+// strategy and the paper's "artificial requests" (Section 4.2). The variant
+// follows the kind. Only the PDS, PDS2 and ADAPT kinds accept it.
 func WithPDSConfig(cfg pds.Config) GroupOption {
-	return func(g *groupConfig) { g.pds = cfg; g.pdsSet = true }
-}
-
-// WithPDSPool sets the ADETS-PDS thread-pool size (the paper sizes it to
-// the number of clients).
-func WithPDSPool(n int) GroupOption {
-	return func(g *groupConfig) { g.pds.PoolSize = n; g.pdsSet = true }
-}
-
-// WithPDSArtificialRequests enables the paper's "artificial requests"
-// remedy (Section 4.2) for ADETS-PDS: a worker that finds the request
-// queue empty completes the round as if it had executed an empty request
-// instead of waiting greedily, so every assignment decision happens at a
-// totally-ordered point and the documented empty-queue nondeterminism of
-// the greedy variant disappears.
-func WithPDSArtificialRequests(enabled bool) GroupOption {
-	return func(g *groupConfig) { g.pds.ArtificialRequests = enabled; g.pdsSet = true }
-}
-
-// WithConflictClasses statically declares conflict classes per method for
-// conflict-aware scheduling (ADETS-CC): requests of methods with disjoint
-// class sets execute in parallel; methods absent from the map (or mapped to
-// an empty set) are global and conflict with everything. For per-request
-// (argument-dependent) classes, implement ConflictClasser on the state
-// instead; an explicit WithConflictClasses takes precedence.
-func WithConflictClasses(classes map[string][]string) GroupOption {
-	cp := make(map[string][]string, len(classes))
-	for m, cs := range classes {
-		cp[m] = append([]string(nil), cs...)
-	}
-	return func(g *groupConfig) { g.conflictClasses = cp }
+	return func(g *groupConfig) { g.pds = cfg; g.given["WithPDSConfig"] = true }
 }
 
 // WithCCLanes sets ADETS-CC's worker-lane pool size (default 8). The lane
 // count is an input of the deterministic class→lane mapping, so every
-// replica of a group must use the same value.
+// replica of a group must use the same value. Only the CC and ADAPT kinds
+// accept it.
 func WithCCLanes(n int) GroupOption {
-	return func(g *groupConfig) { g.ccLanes = n }
+	return func(g *groupConfig) { g.ccLanes = n; g.given["WithCCLanes"] = true }
 }
 
 // AdaptiveConfig tunes the ADETS-ADAPT meta-scheduler (see WithAdaptive).
 // The zero value selects the defaults; all replicas of a group must use the
 // same configuration — it is an input of the replicated switch decision.
+// ADETS-SAT is active before the first switch.
 type AdaptiveConfig struct {
 	// Epoch is the boundary spacing in total-order positions (default 64).
 	Epoch int
-	// Initial is the kind active before the first switch (default ADSAT).
-	Initial SchedulerKind
 	// MinWindow keeps the current kind when a window saw fewer requests
 	// (default 8) — hysteresis against flapping on sparse epochs.
 	MinWindow int
@@ -483,22 +451,28 @@ type AdaptiveConfig struct {
 }
 
 // WithAdaptive selects the ADETS-ADAPT meta-scheduler with the given
-// configuration. Equivalent to WithScheduler(ADAPT) plus tuning; the other
-// strategy options (WithCCLanes, WithPDSPool, WithLSAPeriod, ...) configure
-// the wrapped kinds the meta-scheduler switches between.
+// configuration. Equivalent to WithScheduler(ADAPT) plus tuning, so a
+// WithScheduler of another kind is refused beside it; the other strategy
+// options (WithCCLanes, WithPDSConfig, WithLSAPeriod) configure the wrapped
+// kinds the meta-scheduler switches between.
 func WithAdaptive(cfg AdaptiveConfig) GroupOption {
-	return func(g *groupConfig) { g.kind = ADAPT; g.adaptive = cfg }
-}
-
-// WithMATYield enables or disables honouring Yield under ADETS-MAT.
-func WithMATYield(enabled bool) GroupOption {
-	return func(g *groupConfig) { g.matYield = enabled; g.matYieldSet = true }
+	return func(g *groupConfig) { g.kind = ADAPT; g.adaptive = cfg; g.given["WithAdaptive"] = true }
 }
 
 // WithFailureDetection enables heartbeats and view changes (required for
 // the LSA fail-over experiments; off by default to keep simulations lean).
 func WithFailureDetection(enabled bool) GroupOption {
 	return func(g *groupConfig) { g.failureDetection = enabled }
+}
+
+// WithQuorum restricts the group to majority partitions: a view must keep a
+// strict majority of the one before it, and the sequencer stops ordering
+// while it cannot hear a majority. That trades shrinking below a majority
+// (surviving cascading crashes) for split-brain safety under partitions.
+// Views change only under failure detection, so it requires
+// WithFailureDetection(true).
+func WithQuorum() GroupOption {
+	return func(g *groupConfig) { g.quorum = true }
 }
 
 // WithCheckpointEvery makes every replica take a deterministic checkpoint
@@ -536,22 +510,23 @@ func WithCheckpointEvery(n int) GroupOption {
 // that takes the first reply (ReplyPolicy First) gets no speculation at
 // all.
 //
-// Speculation requires WithState (the factory builds the forks) and
-// handlers that confine their reads and writes to their declared conflict
-// classes and are pure functions of (state, args). The forks are few and
-// long-lived — each carries confirmed speculative writes on to later
-// requests — so a handler that strays outside its classes spoils a fork
-// for every request after it; the spec-mismatch counter fires and all
-// forks are discarded. Handlers using condition variables or nested
-// invocations abort their speculation harmlessly. Ignored on sharded
-// objects.
+// Speculation requires WithState (the factory builds the forks; the group
+// is refused without it) and handlers that confine their reads and writes
+// to their declared conflict classes and are pure functions of (state,
+// args). The forks are few and long-lived — each carries confirmed
+// speculative writes on to later requests — so a handler that strays
+// outside its classes spoils a fork for every request after it; the
+// spec-mismatch counter fires and all forks are discarded. Handlers using
+// condition variables or nested invocations abort their speculation
+// harmlessly. NewSharded refuses it: shard groups validate and may redirect
+// a request at its ordered position, which a speculation cannot anticipate.
 //
 // A client process that only declares the group (NewGroup without Start,
-// the replicas being remote) must pass WithSpeculation too: the option is
-// how the client stub learns that the members want their own copies of a
-// request. A client that omits it still gets correct answers — the
-// sequencer's copy reaches the followers through the total order — but the
-// followers have nothing to speculate on.
+// the replicas being remote) must pass WithSpeculation too, beside a
+// WithState it never calls: the option is how the client stub learns that
+// the members want their own copies of a request. A client that omits it
+// still gets correct answers — the sequencer's copy reaches the followers
+// through the total order — but the followers have nothing to speculate on.
 func WithSpeculation() GroupOption {
 	return func(g *groupConfig) { g.speculative = true }
 }
@@ -571,25 +546,12 @@ func WithSchedTrace(retain int) GroupOption {
 	}
 }
 
-// WithGCSConfig overrides group communication tuning (heartbeat period,
-// suspicion threshold, retention).
-func WithGCSConfig(cfg gcs.Config) GroupOption {
-	return func(g *groupConfig) { g.gcs = cfg }
-}
-
 // WithShards partitions the object space of a sharded object across n
 // independent replica groups (each with its own sequencer, log,
-// checkpoints and scheduler). Honoured by NewSharded only; plain NewGroup
-// ignores it. Default 1.
+// checkpoints and scheduler). Default 1. NewSharded only: NewGroup refuses
+// it.
 func WithShards(n int) GroupOption {
-	return func(g *groupConfig) { g.shards = n }
-}
-
-// WithShardVNodes sets the number of virtual nodes each shard places on
-// the consistent-hash ring (default shard.DefaultVNodes = 64). More
-// vnodes smooth the key distribution at the cost of a larger ring.
-func WithShardVNodes(n int) GroupOption {
-	return func(g *groupConfig) { g.shardVNodes = n }
+	return func(g *groupConfig) { g.shards = n; g.given["WithShards"] = true }
 }
 
 // Group is a replicated object group. Replica instances are created when
@@ -609,27 +571,86 @@ type Group struct {
 // NewGroup creates a group of n replicas with the configured scheduler.
 // Register handlers, then call Start.
 func (c *Cluster) NewGroup(name string, n int, opts ...GroupOption) (*Group, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("replobj: group %q needs at least one replica", name)
+	cfg, err := parseGroupOptions(opts, false)
+	if err != nil {
+		return nil, err
 	}
 	id := GroupID(name)
-	if _, dup := c.groups[id]; dup {
-		return nil, fmt.Errorf("replobj: group %q already exists", name)
+	if err := c.checkNewGroup(id, n); err != nil {
+		return nil, err
 	}
-	cfg := groupConfig{kind: ADSAT}
+	return c.newGroup(id, n, cfg), nil
+}
+
+// parseGroupOptions applies opts and refuses every combination in which an
+// option would be ignored. sharded says whether NewSharded is the caller.
+func parseGroupOptions(opts []GroupOption, sharded bool) (groupConfig, error) {
+	cfg := groupConfig{kind: ADSAT, given: make(map[string]bool)}
 	for _, o := range opts {
 		o(&cfg)
 	}
+	given := cfg.given
+	// strategy names the option that chose the scheduler.
+	strategy := fmt.Sprintf("WithScheduler(%s)", cfg.kind)
+	switch {
+	case cfg.factory != nil:
+		strategy = "WithSchedulerFactory"
+	case !given["WithScheduler"] && !given["WithAdaptive"]:
+		strategy += " (the default)"
+	}
+	configures := func(opt string, kinds ...SchedulerKind) bool {
+		return given[opt] && (cfg.factory != nil || !slices.Contains(kinds, cfg.kind))
+	}
+	var why string
+	switch {
+	case given["WithShards"] && !sharded:
+		why = "WithShards needs NewSharded, not NewGroup"
+	case cfg.speculative && sharded:
+		why = "WithSpeculation is not supported by NewSharded"
+	case cfg.speculative && cfg.state == nil:
+		why = "WithSpeculation needs WithState to fork"
+	case given["WithAdaptive"] && given["WithScheduler"] && cfg.sched != ADAPT:
+		why = fmt.Sprintf("WithAdaptive selects ADETS-ADAPT, WithScheduler(%s) another kind", cfg.sched)
+	case cfg.factory != nil && given["WithAdaptive"]:
+		why = "WithSchedulerFactory replaces the kind WithAdaptive selects"
+	case cfg.factory != nil && given["WithScheduler"]:
+		why = fmt.Sprintf("WithSchedulerFactory replaces the kind WithScheduler(%s) selects", cfg.sched)
+	case configures("WithCCLanes", CC, ADAPT):
+		why = "WithCCLanes configures ADETS-CC, not " + strategy
+	case configures("WithLSAPeriod", LSA, ADAPT):
+		why = "WithLSAPeriod configures ADETS-LSA, not " + strategy
+	case configures("WithPDSConfig", PDS, PDS2, ADAPT):
+		why = "WithPDSConfig configures ADETS-PDS, not " + strategy
+	case cfg.quorum && !cfg.failureDetection:
+		why = "WithQuorum needs WithFailureDetection(true)"
+	}
+	if why != "" {
+		return cfg, fmt.Errorf("replobj: %s", why)
+	}
+	_, err := cfg.scheduler(0)
+	return cfg, err
+}
+
+// checkNewGroup reports why a group of n replicas named id cannot be
+// created, or nil.
+func (c *Cluster) checkNewGroup(id GroupID, n int) error {
+	if n <= 0 {
+		return fmt.Errorf("replobj: group %q needs at least one replica", id)
+	}
+	if _, dup := c.groups[id]; dup {
+		return fmt.Errorf("replobj: group %q already exists", id)
+	}
+	return nil
+}
+
+// newGroup creates a group from parsed options, once checkNewGroup has
+// passed. NewGroup, NewSharded and Reshard all create groups here.
+func (c *Cluster) newGroup(id GroupID, n int, cfg groupConfig) *Group {
 	members := make([]NodeID, n)
-	for i := 0; i < n; i++ {
+	for i := range members {
 		members[i] = wire.ReplicaID(id, i)
 	}
 	c.dir.Add(id, members, cfg.speculative)
-
-	// Validate the scheduler configuration eagerly.
-	if _, err := cfg.scheduler(0); err != nil {
-		return nil, err
-	}
 	g := &Group{
 		id:       id,
 		cluster:  c,
@@ -640,7 +661,7 @@ func (c *Cluster) NewGroup(name string, n int, opts ...GroupOption) (*Group, err
 		traces:   make(map[int]*obs.Trace),
 	}
 	c.groups[id] = g
-	return g, nil
+	return g
 }
 
 func (cfg *groupConfig) scheduler(rank int) (adets.Scheduler, error) {
@@ -657,11 +678,7 @@ func (cfg *groupConfig) scheduler(rank int) (adets.Scheduler, error) {
 	case ADSAT, "":
 		return sat.New(), nil
 	case MAT:
-		var opts []mat.Option
-		if cfg.matYieldSet {
-			opts = append(opts, mat.WithYield(cfg.matYield))
-		}
-		return mat.New(opts...), nil
+		return mat.New(), nil
 	case LSA:
 		var opts []lsa.Option
 		if cfg.lsaPeriod > 0 {
@@ -698,10 +715,6 @@ func (cfg *groupConfig) adaptiveScheduler(rank int) (adets.Scheduler, error) {
 	for _, k := range statics {
 		sub := *cfg
 		sub.kind = k
-		sub.factory = nil
-		if _, err := sub.scheduler(rank); err != nil {
-			return nil, err
-		}
 		factories[string(k)] = func() adets.Scheduler {
 			s, _ := sub.scheduler(rank)
 			return s
@@ -710,9 +723,6 @@ func (cfg *groupConfig) adaptiveScheduler(rank int) (adets.Scheduler, error) {
 	acfg := adaptive.Config{Factories: factories}
 	if cfg.adaptive.Epoch > 0 {
 		acfg.Epoch = uint64(cfg.adaptive.Epoch)
-	}
-	if cfg.adaptive.Initial != "" {
-		acfg.Initial = string(cfg.adaptive.Initial)
 	}
 	if cfg.adaptive.MinWindow > 0 {
 		acfg.MinWindow = uint64(cfg.adaptive.MinWindow)
@@ -749,8 +759,6 @@ func (g *Group) StartRank(rank int) {
 	if err != nil {
 		return // validated at NewGroup; unreachable
 	}
-	gcfg := g.cfg.gcs
-	gcfg.FailureDetection = g.cfg.failureDetection
 	rcfg := replica.Config{
 		RT:              g.cluster.nodeRuntime(),
 		Group:           g.id,
@@ -761,9 +769,13 @@ func (g *Group) StartRank(rank int) {
 		State:           g.cfg.state,
 		CheckpointEvery: g.cfg.checkpointEvery,
 		Speculative:     g.cfg.speculative,
-		GCS:             gcfg,
-		Metrics:         g.cluster.metrics,
-		Spans:           g.cluster.spans,
+		GCS: gcs.Config{
+			FailureDetection: g.cfg.failureDetection,
+			Quorum:           g.cfg.quorum,
+			LogRetain:        g.cfg.logRetain,
+		},
+		Metrics: g.cluster.metrics,
+		Spans:   g.cluster.spans,
 	}
 	if g.cfg.shardTable != nil {
 		// Each rank gets its own GroupState: the routing table is replicated
@@ -774,12 +786,6 @@ func (g *Group) StartRank(rank int) {
 		tr := obs.NewTrace(g.cfg.traceRetain)
 		g.traces[rank] = tr
 		rcfg.Trace = tr
-	}
-	if g.cfg.conflictClasses != nil {
-		classes := g.cfg.conflictClasses
-		rcfg.Classes = func(method string, _ []byte) []string {
-			return classes[method]
-		}
 	}
 	r := replica.New(rcfg)
 	for m, h := range g.handlers {

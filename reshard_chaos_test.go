@@ -8,7 +8,6 @@ import (
 
 	replobj "github.com/replobj/replobj"
 	"github.com/replobj/replobj/internal/faultnet"
-	"github.com/replobj/replobj/internal/gcs"
 	"github.com/replobj/replobj/internal/transport"
 	"github.com/replobj/replobj/internal/vtime"
 	"github.com/replobj/replobj/internal/wire"
@@ -27,7 +26,7 @@ func reshardChaosOpts(extra ...replobj.GroupOption) []replobj.GroupOption {
 	opts := []replobj.GroupOption{
 		replobj.WithSchedTrace(0),
 		replobj.WithFailureDetection(true),
-		replobj.WithGCSConfig(gcs.Config{Quorum: true}),
+		replobj.WithQuorum(),
 	}
 	return append(opts, extra...)
 }
@@ -290,7 +289,7 @@ func TestReshardChaosRejoinerDuringMigration(t *testing.T) {
 	c := replobj.NewCluster(rt, replobj.WithNetwork(fnet), replobj.WithMetrics(reg))
 	s := shardedKV(t, c, "kv", 2, replicas, reshardChaosOpts(
 		replobj.WithCheckpointEvery(every),
-		replobj.WithGCSConfig(gcs.Config{Quorum: true, LogRetain: 16}))...)
+		replobj.WithLogRetain(16))...)
 
 	run(rt, c, func() {
 		names, want := seedReshardKV(t, c, "kv", keys, perKey)

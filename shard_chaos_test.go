@@ -7,7 +7,6 @@ import (
 
 	replobj "github.com/replobj/replobj"
 	"github.com/replobj/replobj/internal/faultnet"
-	"github.com/replobj/replobj/internal/gcs"
 	"github.com/replobj/replobj/internal/vtime"
 )
 
@@ -40,7 +39,7 @@ func TestShardChaosCrossShardBank(t *testing.T) {
 	s := shardedKV(t, c, "bank", shards, replicas,
 		replobj.WithSchedTrace(0),
 		replobj.WithFailureDetection(true),
-		replobj.WithGCSConfig(gcs.Config{Quorum: true}))
+		replobj.WithQuorum())
 
 	run(rt, c, func() {
 		cl := c.NewClient("c0",

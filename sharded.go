@@ -52,7 +52,7 @@ type Sharded struct {
 	// Creation parameters retained so Reshard can stamp out additional
 	// shard groups configured exactly like the originals.
 	replicasPer int
-	groupOpts   []GroupOption
+	groupCfg    groupConfig
 	handlers    map[string]Handler
 	// retired holds groups a shrinking Reshard removed from the shard set.
 	// They keep running as redirect tombstones (see Reshard step 5) until
@@ -61,46 +61,38 @@ type Sharded struct {
 }
 
 // NewSharded creates a sharded object with n replicas per shard group.
-// The shard count comes from WithShards (default 1) and the ring
-// weighting from WithShardVNodes; all other group options apply to every
-// shard group. The directory group is created alongside with the same
-// replica count and a lean serial scheduler.
+// The shard count comes from WithShards (default 1); all other group
+// options apply to every shard group. WithSpeculation is refused. The
+// directory group is created alongside with the same replica count, the
+// shard groups' failure detection and quorum, and a lean serial scheduler.
+// A refused call creates nothing.
 func (c *Cluster) NewSharded(object string, n int, opts ...GroupOption) (*Sharded, error) {
 	if strings.ContainsAny(object, "@") {
 		return nil, fmt.Errorf("replobj: sharded object name %q must not contain '@'", object)
 	}
-	cfg := groupConfig{kind: ADSAT}
-	for _, o := range opts {
-		o(&cfg)
+	cfg, err := parseGroupOptions(opts, true)
+	if err != nil {
+		return nil, err
 	}
-	shards := cfg.shards
-	if shards <= 0 {
-		shards = 1
-	}
-	table := shard.NewTable(object, shards, cfg.shardVNodes)
-	// Pre-check names so a duplicate cannot leave a half-created object.
-	if _, dup := c.groups[shard.DirGroup(object)]; dup {
-		return nil, fmt.Errorf("replobj: group %q already exists", shard.DirGroup(object))
-	}
-	for _, gid := range table.Shards {
-		if _, dup := c.groups[gid]; dup {
-			return nil, fmt.Errorf("replobj: group %q already exists", gid)
+	table := shard.NewTable(object, max(cfg.shards, 1), 0)
+	dirID := shard.DirGroup(object)
+	for _, gid := range append([]GroupID{dirID}, table.Shards...) {
+		if err := c.checkNewGroup(gid, n); err != nil {
+			return nil, err
 		}
 	}
 
 	// The directory group: a small replicated object holding the routing
-	// table. It inherits the failure-detection and GCS tuning of the data
+	// table. It inherits the failure detection and quorum of the data
 	// groups (a crashed directory sequencer must fail over like any other)
 	// but keeps the default serial scheduler — its workload is tiny.
-	dirOpts := []GroupOption{
-		WithState(shard.StateFactory(table)),
-		WithFailureDetection(cfg.failureDetection),
-		WithGCSConfig(cfg.gcs),
-	}
-	dir, err := c.NewGroup(string(shard.DirGroup(object)), n, dirOpts...)
-	if err != nil {
-		return nil, err
-	}
+	dir := c.newGroup(dirID, n, groupConfig{
+		kind:             ADSAT,
+		state:            shard.StateFactory(table),
+		failureDetection: cfg.failureDetection,
+		quorum:           cfg.quorum,
+		logRetain:        cfg.logRetain,
+	})
 	dir.Register("get", func(inv *Invocation) ([]byte, error) {
 		if err := inv.Lock("table"); err != nil {
 			return nil, err
@@ -129,19 +121,21 @@ func (c *Cluster) NewSharded(object string, n int, opts ...GroupOption) (*Sharde
 		cluster:     c,
 		dir:         dir,
 		replicasPer: n,
-		groupOpts:   append([]GroupOption(nil), opts...),
+		groupCfg:    cfg,
 		handlers:    make(map[string]Handler),
 	}
 	for _, gid := range table.Shards {
-		g, err := c.NewGroup(string(gid), n, opts...)
-		if err != nil {
-			return nil, err // unreachable: names pre-checked, opts validated above
-		}
-		t := table
-		g.cfg.shardTable = &t
-		s.shards = append(s.shards, g)
+		s.shards = append(s.shards, c.newGroup(gid, n, cfg.forShard(table)))
 	}
 	return s, nil
+}
+
+// forShard returns the options of one shard group of a sharded object
+// whose replicas boot under table.
+func (cfg *groupConfig) forShard(table ShardTable) groupConfig {
+	sub := *cfg
+	sub.shardTable = &table
+	return sub
 }
 
 // Object returns the sharded object's name.
@@ -309,12 +303,10 @@ func (s *Sharded) Reshard(cl *Client, shards int) error {
 			groups[gid] = g
 			continue
 		}
-		g, err := s.cluster.NewGroup(string(gid), s.replicasPer, s.groupOpts...)
-		if err != nil {
+		if err := s.cluster.checkNewGroup(gid, s.replicasPer); err != nil {
 			return fmt.Errorf("replobj: reshard: %w", err)
 		}
-		t := cur
-		g.cfg.shardTable = &t
+		g := s.cluster.newGroup(gid, s.replicasPer, s.groupCfg.forShard(cur))
 		for m, h := range s.handlers {
 			g.Register(m, h)
 		}

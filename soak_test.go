@@ -12,6 +12,7 @@ import (
 	"time"
 
 	replobj "github.com/replobj/replobj"
+	"github.com/replobj/replobj/internal/adets/pds"
 	"github.com/replobj/replobj/internal/vtime"
 )
 
@@ -87,7 +88,7 @@ func runSoak(t *testing.T, kind replobj.SchedulerKind, seed int64, lossy bool) {
 	}
 	const clients = 4
 	if kind == replobj.PDS || kind == replobj.PDS2 {
-		opts = append(opts, replobj.WithPDSPool(clients))
+		opts = append(opts, replobj.WithPDSConfig(pds.Config{PoolSize: clients}))
 	}
 	g, err := c.NewGroup("soak", 3, opts...)
 	if err != nil {
@@ -239,7 +240,7 @@ func TestSoakCheckpointTruncation(t *testing.T) {
 				replobj.WithCheckpointEvery(every),
 			}
 			if kind == replobj.PDS || kind == replobj.PDS2 {
-				opts = append(opts, replobj.WithPDSPool(clients))
+				opts = append(opts, replobj.WithPDSConfig(pds.Config{PoolSize: clients}))
 			}
 			g, err := c.NewGroup("soak", 3, opts...)
 			if err != nil {

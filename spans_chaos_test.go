@@ -7,14 +7,13 @@ import (
 
 	replobj "github.com/replobj/replobj"
 	"github.com/replobj/replobj/internal/faultnet"
-	"github.com/replobj/replobj/internal/gcs"
 	"github.com/replobj/replobj/internal/transport"
 	"github.com/replobj/replobj/internal/vtime"
 )
 
 // spanChaosGroupOpts is chaosGroupOpts with the quorum guard kept.
 func spanChaosGroupOpts(kind replobj.SchedulerKind, clients int) []replobj.GroupOption {
-	return append(chaosGroupOpts(kind, clients), replobj.WithGCSConfig(gcs.Config{Quorum: true}))
+	return append(chaosGroupOpts(kind, clients), replobj.WithQuorum())
 }
 
 // assertSpanChains checks every completed invocation's trace in the

@@ -47,6 +47,17 @@ func byTrace(spans []replobj.Span) map[uint64][]replobj.Span {
 	return out
 }
 
+// classedCounter is a counter whose methods a and b declare one conflict
+// class each, ca and cb. Only ADETS-CC reads them.
+type classedCounter struct{ counter }
+
+func (*classedCounter) ConflictClasses(method string, _ []byte) []string {
+	if method == "a" || method == "b" {
+		return []string{"c" + method}
+	}
+	return nil
+}
+
 // TestSpanChainEndToEnd runs a contended workload on a 5-replica group
 // under SEQ and ADETS-CC with request tracing on and asserts, per
 // completed invocation, the full span chain of the pipeline — submit
@@ -73,21 +84,15 @@ func TestSpanChainEndToEnd(t *testing.T) {
 			rt := vtime.Virtual()
 			spans := replobj.NewSpanCollector(1 << 16)
 			c := replobj.NewCluster(rt, replobj.WithSpans(spans))
-			gopts := []replobj.GroupOption{
+			g, err := c.NewGroup("obj", replicas,
 				replobj.WithScheduler(tc.kind),
-				replobj.WithState(func() any { return &counter{} }),
-			}
-			if tc.kind == replobj.CC {
-				gopts = append(gopts, replobj.WithConflictClasses(
-					map[string][]string{"a": {"ca"}, "b": {"cb"}}))
-			}
-			g, err := c.NewGroup("obj", replicas, gopts...)
+				replobj.WithState(func() any { return &classedCounter{} }))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, m := range []string{"a", "b"} {
 				g.Register(m, func(inv *replobj.Invocation) ([]byte, error) {
-					st := inv.State().(*counter)
+					st := inv.State().(*classedCounter)
 					if err := inv.Lock("state"); err != nil {
 						return nil, err
 					}

@@ -594,7 +594,7 @@ func TestSpeculationDuringSnapshotRejoin(t *testing.T) {
 		replobj.WithSchedTrace(0),
 		replobj.WithCheckpointEvery(4),
 		replobj.WithFailureDetection(true),
-		replobj.WithGCSConfig(gcs.Config{Quorum: true}),
+		replobj.WithQuorum(),
 		replobj.WithState(func() any {
 			// Padded, so that an image takes a while.
 			st := &snapKV{kcounter: kcounter{Slots: make(map[string]uint64)}}

@@ -125,6 +125,9 @@ func (s *Scheduler) Submit(req adets.Request) {
 		return
 	}
 	if !s.busy {
+		// Claim the worker as the spawn path does: a second Submit before
+		// it runs must not unpark it again (see adets.Thread).
+		s.busy = true
 		s.worker.Unpark(s.env.RT)
 	}
 }

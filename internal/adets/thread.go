@@ -21,6 +21,16 @@ import (
 // as (role, logical id) until printed, and a scheduler's own per-thread
 // record embeds the Thread (Registry.Init). Records are not recycled: wait
 // queues, reentrancy tables and timers may hold a *Thread past its request.
+//
+// Unpark on a thread that is not parked leaves a permit, and the thread's
+// next Park returns at once, whatever it parks for. So every Park site keeps
+// one of two rules: either the park loops on its own condition (MAT's token
+// wait, CC's lane start, PDS's own queue), or the waker claims the thread
+// under the runtime lock before it unparks it, so that no second waker can
+// unpark it for the same park (the Monitor's parked reason, cleared by Grant
+// and EndNested; SAT's active thread; SEQ's busy worker; PDS's worker state).
+// A thread parked for a nested reply must never be woken by anything else:
+// the permit would return BeginNested before the reply is there.
 type Thread struct {
 	// ID is the replica-deterministic creation index (see type comment).
 	ID uint64

@@ -70,7 +70,7 @@ func (v View) String() string {
 //     calls take positions in call order, and a member keeps one row per
 //     origin: the highest call it has seen ordered (see member.go).
 //   - named: ID, a string unique group-wide (Call 0) — a timeout, a nested
-//     request or reply, a migration chunk, an LSA table update, a view event.
+//     request or reply, an LSA table update, a view event.
 //     Every member that submits one submits it alike, whatever its origin,
 //     so a member remembers a window of the names it has seen.
 

@@ -45,12 +45,6 @@ type Member struct {
 	peerAcked map[wire.NodeID]uint64
 	snapSeq   uint64 // latest checkpoint position (0 = none)
 	snapData  []byte // latest checkpoint state image
-	// holdSeq, when non-zero, pins the truncation floor below it: entries
-	// at or above holdSeq survive checkpoints, the stability watermark and
-	// the retention count. The replica holds its shard-migration prepare
-	// position so the prepare→fence tail (including handoff chunks) stays
-	// replayable for rejoiners until the fence releases the hold.
-	holdSeq uint64
 
 	// Submits seen but possibly not yet ordered, in arrival order in
 	// cacheOrder; resubmitted on view change and re-sent by the FD tick once
@@ -157,37 +151,6 @@ func (m *Member) Broadcast(id string, payload any) {
 func (m *Member) SetCheckpoint(seq uint64, data []byte) {
 	if m.enter() && seq > m.snapSeq && len(data) > 0 {
 		m.snapSeq, m.snapData = seq, data
-		m.trimLocked()
-	}
-	m.rt.Unlock()
-}
-
-// HoldTruncation pins the truncation floor strictly below seq: ordered
-// messages at or above seq are retained regardless of later checkpoints,
-// the stability watermark, or the retention count. Holds do not stack — a
-// second call only lowers the pin — and Release resumes normal
-// truncation. The shard-migration protocol holds its prepare position so
-// a replica that rejoins mid-handoff recovers by snapshot (necessarily
-// pre-prepare, checkpoints being suppressed during migration) plus a tail
-// that still contains the prepare, the source cut and every chunk.
-func (m *Member) HoldTruncation(seq uint64) {
-	if m.enter() && seq > 0 && (m.holdSeq == 0 || seq < m.holdSeq) {
-		m.holdSeq = seq
-		if st := m.cfg.Stats; st != nil {
-			st.TruncationHold.Set(int64(seq))
-		}
-	}
-	m.rt.Unlock()
-}
-
-// ReleaseTruncation lifts the HoldTruncation pin and immediately trims the
-// log to the floor the pin kept it from.
-func (m *Member) ReleaseTruncation() {
-	if m.enter() && m.holdSeq != 0 {
-		m.holdSeq = 0
-		if st := m.cfg.Stats; st != nil {
-			st.TruncationHold.Set(0)
-		}
 		m.trimLocked()
 	}
 	m.rt.Unlock()
@@ -403,8 +366,8 @@ const (
 	hold submitVerdict = iota
 	// settled: a copy of an ordered id not from the origin it was ordered
 	// for — a relay, or another sender's copy of an id a whole group submits
-	// (a timeout, a nested request or reply, a migration chunk). Only that
-	// origin's copy says it still waits: neither report nor log re-broadcast.
+	// (a timeout, a nested request or reply). Only that origin's copy says
+	// it still waits: neither report nor log re-broadcast.
 	settled
 	// superseded: a client's copy of a call below its row — the client gave
 	// up on it, and a later call of its is ordered. It never will be, and its
@@ -987,7 +950,7 @@ func (m *Member) cacheSubmitLocked(k key, sub Submit) {
 
 // floorLocked is the highest sequence number the log lets go of:
 //
-//	min(hold − 1, max(stable, delivered − LogRetain))
+//	max(stable, delivered − LogRetain)
 //
 // stable is what no member can ask for again. With failure detection that is
 // min(checkpoint, watermark), the watermark being the lowest delivery
@@ -997,7 +960,7 @@ func (m *Member) cacheSubmitLocked(k key, sub Submit) {
 // are no acks and the checkpoint alone decides: NACKs below the floor are
 // answered with the snapshot instead of the dropped entries. Above stable
 // the log keeps cfg.LogRetain delivered messages, and everything not yet
-// delivered. A HoldTruncation pin wins over both.
+// delivered.
 func (m *Member) floorLocked() uint64 {
 	floor := m.snapSeq
 	if m.cfg.FailureDetection && floor != 0 {
@@ -1006,18 +969,12 @@ func (m *Member) floorLocked() uint64 {
 	if retain := uint64(m.cfg.LogRetain); m.nextDeliver-1 > retain {
 		floor = max(floor, m.nextDeliver-1-retain)
 	}
-	if m.holdSeq != 0 && floor >= m.holdSeq {
-		floor = m.holdSeq - 1
-		if st := m.cfg.Stats; st != nil {
-			st.TruncationHeld.Inc()
-		}
-	}
 	return floor
 }
 
 // trimLocked cuts the log back to floorLocked. It runs after whatever can
 // move the floor: a put (the frontier), a checkpoint, a peer's ack, a view
-// change, the release of a hold.
+// change.
 func (m *Member) trimLocked() {
 	removed := m.log.dropBelow(m.floorLocked() + 1)
 	if st := m.cfg.Stats; st != nil {

@@ -27,12 +27,6 @@ type Stats struct {
 	// counts the entries the log has let go of (see Member.floorLocked).
 	LogLength *obs.Gauge
 	Truncated *obs.Counter
-	// TruncationHold is the current HoldTruncation pin (0 = none);
-	// TruncationHeld counts truncation rounds whose floor was clamped by
-	// an active hold — a growing count during a migration is the watermark
-	// trying to advance past the handoff tail and being stopped.
-	TruncationHold *obs.Gauge
-	TruncationHeld *obs.Counter
 	// SnapshotsSent/SnapshotsInstalled count checkpoint state transfers to
 	// (resp. from) peers whose requested tail was truncated.
 	SnapshotsSent      *obs.Counter
@@ -76,8 +70,6 @@ func newStats(reg *obs.Registry, label string) *Stats {
 		DeliverLatency:     reg.Histogram("replobj_gcs_deliver_latency_seconds"+label, obs.LatencyBuckets()),
 		LogLength:          reg.Gauge("replobj_gcs_log_length" + label),
 		Truncated:          reg.Counter("replobj_gcs_log_truncated_total" + label),
-		TruncationHold:     reg.Gauge("replobj_gcs_log_truncation_hold" + label),
-		TruncationHeld:     reg.Counter("replobj_gcs_log_truncation_held_total" + label),
 		SnapshotsSent:      reg.Counter("replobj_gcs_snapshots_sent_total" + label),
 		SnapshotsInstalled: reg.Counter("replobj_gcs_snapshots_installed_total" + label),
 	}

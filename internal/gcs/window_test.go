@@ -80,8 +80,7 @@ func TestOrderedAheadOfTheFrontierWaitsInTheLog(t *testing.T) {
 
 // TestLogKeepsLogRetainBelowTheFrontier: Config.LogRetain means what its doc
 // says. Without a checkpoint the log holds that many delivered messages — not
-// up to twice as many — plus whatever waits above the frontier; a
-// HoldTruncation pin wins over the count until it is released.
+// up to twice as many — plus whatever waits above the frontier.
 func TestLogKeepsLogRetainBelowTheFrontier(t *testing.T) {
 	const retain = 8
 	h := newHarness(3, false)
@@ -109,49 +108,9 @@ func TestLogKeepsLogRetainBelowTheFrontier(t *testing.T) {
 		expect("after 3×LogRetain deliveries", 2*retain+1, retain)
 		feed(3*retain + 2)
 		expect("with one message above a gap", 2*retain+1, retain+1)
-		m.HoldTruncation(2*retain + 3)
-		for seq := uint64(3*retain + 1); seq <= 4*retain+2; seq++ {
-			feed(seq)
-		}
-		take(t, h.rt, m, retain+2)
-		expect("under a hold", 2*retain+3, 2*retain)
-		m.ReleaseTruncation()
-		expect("after the release", 3*retain+3, retain)
-	})
-}
-
-// TestHoldSurvivesTheRetentionCap: without checkpoints the log keeps
-// cfg.LogRetain delivered messages — but never cuts past a held position,
-// and is back at the count once the hold is released.
-func TestHoldSurvivesTheRetentionCap(t *testing.T) {
-	const retain = 4
-	h := newHarness(1, false)
-	h.members[0].cfg.LogRetain = retain
-	h.run(func() {
-		cl := h.net.Endpoint(wire.ClientID("c1"))
-		defer cl.Close()
-		m := h.members[0]
-		send := func(from, to int) {
-			for i := from; i < to; i++ {
-				h.submitFromClient(cl, fmt.Sprintf("m%03d", i), "x")
-			}
-			take(t, h.rt, m, to-from)
-		}
-		send(0, 6)
-		m.HoldTruncation(3)
-		send(6, 30)
-		h.rt.Lock()
-		_, below := m.log.get(2)
-		_, at := m.log.get(3)
-		h.rt.Unlock()
-		if got := m.LogLen(); got != 28 || below || !at {
-			t.Errorf("held log has %d messages (seq 2 held: %v, seq 3 held: %v), want 28 from seq 3 up", got, below, at)
-		}
-		m.ReleaseTruncation()
-		send(30, 31)
-		if got := m.LogLen(); got != retain {
-			t.Errorf("log has %d messages after the release, want %d", got, retain)
-		}
+		feed(3*retain + 1)
+		take(t, h.rt, m, 2)
+		expect("after the gap is filled", 2*retain+3, retain)
 	})
 }
 

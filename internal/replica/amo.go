@@ -10,20 +10,17 @@ import (
 // only its latest call can still be retransmitted: the replica keeps one row
 // per client — that call's number, position and, once done, reply — and the
 // number alone says of any other copy that it is older. Requests without a
-// number (nested invocations, dual-home forwards, hand-built ones) are
-// remembered by id in a window of the last maxSeen. Every change is made at
+// number (nested invocations, hand-built ones) are remembered by id in a window of the last maxSeen. Every change is made at
 // an ordered position under the runtime lock, so the table is a pure
 // function of the stream: every replica keeps the same rows.
 
 const maxSeen = 1 << 14
 
 // amoEntry is what the replica remembers of one request it has ordered: its
-// position, its shard key (so a migration can select the entries riding a
-// key move) and, once done, its reply less the id and sender. (The fields
-// are exported for the checkpoint envelope's gob.)
+// position and, once done, its reply less the id and sender. (The fields are
+// exported for the checkpoint envelope's gob.)
 type amoEntry struct {
 	At     uint64
-	Key    string
 	Result []byte
 	Err    string
 	Trace  tracing.Context
@@ -69,7 +66,7 @@ const (
 )
 
 // classifyLocked is the three-way comparison dispatch, the duplicate-submit
-// hook, speculation and migration install all decide by. The entry is the
+// hook and speculation decide by. The entry is the
 // remembered request's (amoDuplicate) or the superseding call's (amoExpired).
 func (r *Replica) classifyLocked(c callRef) (amoVerdict, amoEntry) {
 	if c.Call == 0 {
@@ -90,10 +87,10 @@ func (r *Replica) classifyLocked(c callRef) (amoVerdict, amoEntry) {
 
 // enterLocked remembers a fresh request at stream position seq. Rows beyond
 // maxSeen go oldest first: ids in arrival order, clients by position (then
-// name — migrated rows share one), so every replica drops the same one.
-func (r *Replica) enterLocked(c callRef, seq uint64, key string) {
+// name), so every replica drops the same one.
+func (r *Replica) enterLocked(c callRef, seq uint64) {
 	if c.Call == 0 {
-		r.amo[c.ID] = amoEntry{At: seq, Key: key}
+		r.amo[c.ID] = amoEntry{At: seq}
 		r.amoOrder.Push(c.ID)
 		if r.amoOrder.Len() > maxSeen {
 			old, _ := r.amoOrder.Pop()
@@ -118,14 +115,13 @@ func (r *Replica) enterLocked(c callRef, seq uint64, key string) {
 		r.clients[c.Client] = row
 	}
 	r.countHeldLocked(&row.Entry, -1)
-	*row = clientRow{c.Call, c.ID, amoEntry{At: seq, Key: key}}
+	*row = clientRow{c.Call, c.ID, amoEntry{At: seq}}
 	r.exportTableLocked()
 }
 
 // storeReplyLocked records the outcome of a request if the table still
 // remembers it: a completion whose call its client has since superseded
-// stores nothing. A redirected request never executed; its key must not ride
-// a migration's reply-cache handoff.
+// stores nothing.
 func (r *Replica) storeReplyLocked(c callRef, reply Reply) {
 	if c.Call != 0 {
 		if row := r.clients[c.Client]; row != nil && row.Call == c.Call {
@@ -143,9 +139,6 @@ func (r *Replica) fillLocked(e *amoEntry, reply Reply) {
 		return
 	}
 	e.Done = true
-	if reply.Code == CodeRedirect {
-		e.Key = ""
-	}
 	e.Result, e.Err, e.Trace, e.Epoch, e.Code = reply.Result, reply.Err, reply.Trace, reply.ShardEpoch, reply.Code
 	r.countHeldLocked(e, +1)
 	r.exportTableLocked()

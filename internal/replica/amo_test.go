@@ -113,8 +113,8 @@ func TestSupersededWhileExecutingKeepsNoReply(t *testing.T) {
 	second := callRef{ID: wire.InvocationID{Logical: "client/c#2"}, Client: "client/c", Call: 2}
 	h.rt.Lock()
 	defer h.rt.Unlock()
-	h.r.enterLocked(first, 1, "")
-	h.r.enterLocked(second, 2, "")
+	h.r.enterLocked(first, 1)
+	h.r.enterLocked(second, 2)
 	h.r.storeReplyLocked(first, Reply{ID: first.ID, Result: []byte("late")})
 	if row := h.r.clients["client/c"]; row.Call != 2 || row.Entry.Done || h.r.held != 0 {
 		t.Errorf("after the superseded call completed: row %+v, %d replies held; want call 2 executing, none", row, h.r.held)
@@ -201,7 +201,7 @@ func TestQuickClientTableMatchesPerRequestModel(t *testing.T) {
 			got := outcome{verdict: verdict}
 			switch {
 			case verdict == amoFresh:
-				r.enterLocked(ref, seq, "")
+				r.enterLocked(ref, seq)
 				pending = append(pending, ref)
 			case verdict == amoDuplicate && e.Done:
 				got.reply = string(e.Result)
@@ -243,7 +243,7 @@ func BenchmarkAdmitFresh(b *testing.B) {
 				if v, _ := r.classifyLocked(*ref); v != amoFresh {
 					b.Fatalf("call %d of %s classified %v", ref.Call, ref.Client, v)
 				}
-				r.enterLocked(*ref, uint64(i+1), "")
+				r.enterLocked(*ref, uint64(i+1))
 				r.storeReplyLocked(*ref, reply)
 			}
 		})

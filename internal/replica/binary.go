@@ -29,9 +29,8 @@ import (
 // when it is Valid; a context with a span but no trace id does not travel.
 
 const (
-	tagRequest      = 20
-	tagReply        = 21
-	tagMigrateChunk = 27
+	tagRequest = 20
+	tagReply   = 21
 )
 
 // Presence bits of a Request frame.
@@ -57,66 +56,14 @@ var (
 	errEmptyGroup   = errors.New("replica: presence bit set over an empty field group")
 )
 
-// Bounds on the counts a frame may announce, beside wire.Reader.Count's
-// rule that a count fits the frame: sanity against hostile or corrupted
-// length prefixes (a migration's sender chunks at shard.DefaultChunkKeys,
-// far below either chunk bound).
-const (
-	maxCrossKeys  = 1 << 12
-	maxChunkKeys  = 1 << 20
-	maxChunkCache = 1 << 16
-)
+// maxCrossKeys bounds the cross-shard keys a frame may announce, beside
+// wire.Reader.Count's rule that a count fits the frame: sanity against
+// hostile or corrupted length prefixes.
+const maxCrossKeys = 1 << 12
 
 func init() {
 	wire.Register(tagRequest, encRequest, decRequest)
 	wire.Register(tagReply, encReply, decReply)
-	wire.Register(tagMigrateChunk, encMigrateChunk, decMigrateChunk)
-}
-
-func encMigrateChunk(b *wire.Buffer, ck MigrateChunk) error {
-	b.String(ck.Object)
-	b.Uvarint(ck.Epoch)
-	b.String(string(ck.Source))
-	b.String(string(ck.Target))
-	b.Uvarint(uint64(ck.Index))
-	b.Uvarint(uint64(ck.Count))
-	b.Uvarint(ck.Cut)
-	b.Uvarint(uint64(len(ck.Keys)))
-	for _, k := range ck.Keys {
-		b.String(k.Key)
-		b.Bytes(k.Data)
-	}
-	b.Uvarint(uint64(len(ck.Cache)))
-	for _, ce := range ck.Cache {
-		encInvocationID(b, ce.ID)
-		b.String(ce.Key)
-		_ = encReply(b, ce.Reply) // a reply has no nested payload: it cannot fail
-		b.String(string(ce.Client))
-		b.Uvarint(ce.Call)
-	}
-	return nil
-}
-
-func decMigrateChunk(r *wire.Reader) MigrateChunk {
-	ck := MigrateChunk{Object: r.Ident(), Epoch: r.Uvarint(), Source: wire.GroupID(r.Ident()), Target: wire.GroupID(r.Ident()),
-		Index: int(r.Uvarint()), Count: int(r.Uvarint()), Cut: r.Uvarint()}
-	if n := r.Count("migration chunk key"); n > maxChunkKeys {
-		r.Fail(errors.New("replica: implausible migration chunk key count"))
-	} else if n > 0 {
-		ck.Keys = make([]KeyState, n)
-		for i := range ck.Keys {
-			ck.Keys[i] = KeyState{Key: r.String(), Data: r.Bytes()}
-		}
-	}
-	if n := r.Count("migration cache entry"); n > maxChunkCache {
-		r.Fail(errors.New("replica: implausible migration cache entry count"))
-	} else if n > 0 {
-		ck.Cache = make([]CacheEntry, n)
-		for i := range ck.Cache {
-			ck.Cache[i] = CacheEntry{ID: decInvocationID(r), Key: r.String(), Reply: decReply(r), Client: wire.NodeID(r.Ident()), Call: r.Uvarint()}
-		}
-	}
-	return ck
 }
 
 func encRequest(b *wire.Buffer, q Request) error {

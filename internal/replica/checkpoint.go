@@ -11,7 +11,6 @@ import (
 	"github.com/replobj/replobj/internal/gcs"
 	"github.com/replobj/replobj/internal/obs"
 	"github.com/replobj/replobj/internal/ring"
-	"github.com/replobj/replobj/internal/shard"
 	"github.com/replobj/replobj/internal/vtime"
 	"github.com/replobj/replobj/internal/wire"
 )
@@ -42,8 +41,7 @@ type Snapshotter interface {
 }
 
 // seenEntry is one row of the at-most-once table as a checkpoint carries
-// it. The shard keys in the rows keep a rejoiner's migration reply-cache
-// handoffs byte-identical to its peers'.
+// it.
 type seenEntry struct {
 	Ref   callRef
 	Entry amoEntry
@@ -61,10 +59,6 @@ type snapshotEnvelope struct {
 	// — the adaptive meta-scheduler's epoch, window and active kind), nil
 	// for stateless schedulers.
 	Sched []byte
-	// Shard carries the encoded shard routing table installed at the
-	// checkpoint (nil on unsharded groups), so a rejoiner restored past a
-	// truncated EpochMethod delivery still adopts the donor's epoch.
-	Shard []byte
 }
 
 // checkpoint runs at a checkpoint boundary (stream position seq, the
@@ -77,20 +71,6 @@ type snapshotEnvelope struct {
 // every replica records the same event (checkpoint or skip marker) and any
 // disagreement surfaces as a digest divergence.
 func (r *Replica) checkpoint(seq uint64) {
-	// No snapshot may cover a half-done ring transition: the handoff state
-	// (buffered chunks, parked requests, pending cut) is reconstructed by
-	// rejoiners from the ordered tail instead, which the migration's
-	// truncation hold keeps available. The verdict is a pure function of
-	// the stream (the migration is armed and disarmed at ordered
-	// positions), so every replica defers the same boundaries.
-	r.rt.Lock()
-	migrating := r.mig != nil || len(r.earlyChunks) > 0
-	r.rt.Unlock()
-	if migrating {
-		r.ckptSkipped.Inc()
-		r.trace.Record("order", obs.KindCheckpoint, "ckpt", strconv.FormatUint(seq, 10)+"/defer")
-		return
-	}
 	start := r.rt.Now()
 	if !r.quiesce("ckpt") {
 		r.ckptSkipped.Inc()
@@ -128,12 +108,9 @@ func (r *Replica) checkpoint(seq uint64) {
 		}
 		env.Sched = sched
 	}
-	if r.shard != nil {
-		env.Shard = r.shard.Current().Table.Encode()
-	}
 	// Sized up front: grown by doubling, a multi-megabyte envelope leaves
 	// several times its size in dead buffers for the collector.
-	buf := bytes.NewBuffer(make([]byte, 0, len(state)+len(env.Sched)+len(env.Shard)+heldBytes+64*len(entries)+4096))
+	buf := bytes.NewBuffer(make([]byte, 0, len(state)+len(env.Sched)+heldBytes+64*len(entries)+4096))
 	if err := gob.NewEncoder(buf).Encode(env); err != nil {
 		return
 	}
@@ -221,8 +198,8 @@ func (r *Replica) evictStableLocked(seq uint64) {
 	r.exportTableLocked()
 }
 
-// seenEntriesLocked copies the at-most-once table for the envelope (and a
-// migration's cut) in a deterministic order: the ids as first seen, then the
+// seenEntriesLocked copies the at-most-once table for the envelope in a
+// deterministic order: the ids as first seen, then the
 // clients' rows by stream position, rows installed at one position by name.
 func (r *Replica) seenEntriesLocked() []seenEntry {
 	entries := make([]seenEntry, 0, r.amoOrder.Len()+len(r.clients))
@@ -278,27 +255,12 @@ func (r *Replica) installSnapshot(d gcs.Delivery) {
 	}
 	r.exportTableLocked()
 	r.threads = make(map[wire.LogicalID]logicalThread)
-	// Checkpoints are never taken mid-migration, so the donor had no
-	// handoff state; any local leftovers are stale by construction. The
-	// ordered tail past the snapshot replays prepare/chunks/fence and
-	// rebuilds them deterministically.
-	r.mig = nil
-	r.earlyChunks = nil
 	if r.specMgr != nil {
 		// The primary state was rewritten wholesale: no fork taken before
 		// this point can be valid.
 		r.specMgr.Reset(env.Seq)
 	}
 	r.rt.Unlock()
-	if r.shard != nil && len(env.Shard) > 0 {
-		// Restore, not Install: the donor's table may be any number of
-		// epochs (and reshapes) ahead of this rejoiner's.
-		if t, err := shard.DecodeTable(env.Shard); err == nil {
-			if r.shard.Restore(t) == nil {
-				r.shardEpochG.Set(int64(t.Epoch))
-			}
-		}
-	}
 	if len(env.Sched) > 0 {
 		if ss, ok := r.sched.(adets.StatefulScheduler); ok {
 			// The rejoiner adopts the donor's scheduler epoch/kind: the

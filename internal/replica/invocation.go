@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/replobj/replobj/internal/adets"
-	"github.com/replobj/replobj/internal/shard"
 	"github.com/replobj/replobj/internal/wire"
 )
 
@@ -22,11 +21,6 @@ type Invocation struct {
 	r   *Replica
 	t   *adets.Thread
 	req Request
-	// epoch is the shard routing snapshot captured at this request's
-	// totally ordered dispatch point (nil on unsharded groups). InvokeShard
-	// routes against it, never against the live table, so a table installed
-	// mid-execution cannot make replicas pick different nested targets.
-	epoch *shard.Epoch
 	// The two counters share a word so that a dispatched stays in its size
 	// class (one invocation makes far fewer than 2^32 nested calls).
 	nestedSeq uint32
@@ -37,11 +31,7 @@ type Invocation struct {
 	// that cannot run without the scheduler — condition variables, nested
 	// invocations — abort the speculation via a sentinel panic.
 	speculative bool
-	// forward marks a dual-home relay (see executeForward): epoch is the
-	// transition's next epoch, and the thread invokes the key's home under
-	// it instead of the local handler.
-	forward bool
-	fork    any
+	fork        any
 }
 
 // Args returns the marshalled invocation arguments.
@@ -160,40 +150,30 @@ func (inv *Invocation) ShardKey() string { return inv.req.ShardKey }
 // this invocation (see Request.CrossKeys); empty for single-shard calls.
 func (inv *Invocation) CrossKeys() []string { return inv.req.CrossKeys }
 
-// ShardEpoch returns the routing epoch this request executes under (0 on
-// unsharded groups).
-func (inv *Invocation) ShardEpoch() uint64 {
-	if inv.epoch == nil {
-		return 0
-	}
-	return inv.epoch.Table.Epoch
-}
-
 // ShardHome returns the shard group a key class is homed on under the
-// routing table captured at this request's ordered dispatch point. The
-// result is a pure function of (captured table, key), so every replica
-// resolves the same home.
+// group's routing table. The result is a pure function of (table, key), so
+// every replica resolves the same home.
 func (inv *Invocation) ShardHome(key string) (wire.GroupID, error) {
-	if inv.epoch == nil {
+	if inv.r.shard == nil {
 		return "", errors.New("replica: ShardHome on an unsharded group")
 	}
-	return inv.epoch.Ring.HomeGroup(key), nil
+	return inv.r.shard.Ring.HomeGroup(key), nil
 }
 
 // InvokeShard performs a nested invocation on the shard group owning key,
-// under the routing table captured at this request's ordered dispatch
-// point — the cross-shard path. The nested request is ordered in the
-// target group (validated there against the same epoch), its reply is
-// ordered back into this group's stream, and the resume position is the
-// deterministic merge point: identical on every replica of both groups.
-// A key homed on this very group loops through the same ordered nested
-// path, which is legal but wasteful — co-homed keys should be accessed
-// directly under a scheduler lock instead.
+// under the group's routing table — the cross-shard path. The nested
+// request is ordered in the target group (validated there against the same
+// epoch), its reply is ordered back into this group's stream, and the
+// resume position is the deterministic merge point: identical on every
+// replica of both groups. A key homed on this very group loops through the
+// same ordered nested path, which is legal but wasteful — co-homed keys
+// should be accessed directly under a scheduler lock instead.
 func (inv *Invocation) InvokeShard(key, method string, args []byte) ([]byte, error) {
-	if inv.epoch == nil {
+	e := inv.r.shard
+	if e == nil {
 		return nil, errors.New("replica: InvokeShard on an unsharded group")
 	}
-	return inv.invoke(Request{Group: inv.epoch.Ring.HomeGroup(key), Method: method, Args: args, ShardEpoch: inv.epoch.Table.Epoch, ShardKey: key})
+	return inv.invoke(Request{Group: e.Ring.HomeGroup(key), Method: method, Args: args, ShardEpoch: e.Table.Epoch, ShardKey: key})
 }
 
 // Invoke performs a nested invocation of another replicated object. The

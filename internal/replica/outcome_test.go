@@ -9,15 +9,9 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 	"unsafe"
 
-	"github.com/replobj/replobj/internal/adets/sat"
-	"github.com/replobj/replobj/internal/gcs"
 	"github.com/replobj/replobj/internal/obs/tracing"
-	"github.com/replobj/replobj/internal/shard"
-	"github.com/replobj/replobj/internal/transport"
-	"github.com/replobj/replobj/internal/vtime"
 	"github.com/replobj/replobj/internal/wire"
 )
 
@@ -162,19 +156,11 @@ func TestEnvelopeDecodersRejectNonCanonicalFrames(t *testing.T) {
 	}
 	// A count beyond the bytes left in the frame is refused before anything
 	// is sized by it: a frame of a few bytes cannot make the decoder allocate
-	// megabytes, though each count is within its fixed cap.
-	chunk := frame(t, MigrateChunk{Object: "o", Source: "s", Target: "t"}) // ... keys 0, cache 0
-	refit := func(body []byte, count uint64) []byte {
-		out := append(append([]byte{0}, body...), binary.AppendUvarint(nil, count)...)
-		out[0] = byte(len(out) - 1)
-		return out
-	}
+	// megabytes, though the count is within its fixed cap.
 	for _, tc := range []struct {
 		name  string
 		frame []byte
 	}{
-		{"chunk: key count beyond the frame", refit(chunk[1:len(chunk)-2], maxChunkKeys)},
-		{"chunk: cache count beyond the frame", refit(chunk[1:len(chunk)-1], maxChunkCache)},
 		{"request: cross-key count beyond the frame", patch(req, reqHasCross, binary.AppendUvarint(nil, maxCrossKeys)...)},
 	} {
 		var before, after runtime.MemStats
@@ -202,7 +188,7 @@ func TestEnvelopeDecodersRejectNonCanonicalFrames(t *testing.T) {
 
 // TestPerRequestValuesStayInTheirSizeClasses: a Reply is boxed into an
 // interface on every send and a dispatched is allocated for every request;
-// what this PR added to them (the code byte, the classes, the relay flag)
+// what was added to them (the code byte, the classes)
 // must not push either into the next allocation class.
 func TestPerRequestValuesStayInTheirSizeClasses(t *testing.T) {
 	if size := reflect.TypeOf(Reply{}).Size(); size > 112 {
@@ -230,106 +216,6 @@ func TestPerRequestValuesStayInTheirSizeClasses(t *testing.T) {
 	if size := unsafe.Sizeof(logicalThread{}); size > 128 {
 		t.Errorf("logicalThread is %d bytes, want <= 128", size)
 	}
-}
-
-// keyedState is the least a state needs to take part in a ring transition.
-type keyedState struct{}
-
-func (keyedState) ExportKeys(func(string) bool) (map[string][]byte, error) { return nil, nil }
-func (keyedState) InstallKeys(map[string][]byte) error                     { return nil }
-func (keyedState) DropKeys([]string) error                                 { return nil }
-
-// TestForwardedRedirectKeepsItsCode: in the dual-home window a source
-// replica relays an old-epoch request to the key's new home over a nested
-// invocation. When the new home bounces it, the verdict is the runtime's
-// and must come out of the relay as a code, not as text to be recognised
-// again; a mere application error with the same text must not turn into one.
-func TestForwardedRedirectKeepsItsCode(t *testing.T) {
-	cur := shard.NewTable("kv", 1, 16)
-	next := cur.Reshape(2)
-	plan, err := shard.PlanMigration(cur, next)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, dst := cur.Shards[0], next.Shards[1]
-	var key string
-	for i := 0; key == ""; i++ {
-		if mv, moved := plan.MoveOf(fmt.Sprintf("k%d", i)); moved && mv.Source == src {
-			key = fmt.Sprintf("k%d", i)
-		}
-	}
-
-	rt := vtime.Virtual()
-	defer rt.Stop()
-	net := transport.NewInproc(rt)
-	dir := NewDirectory()
-	self, newHome := wire.ReplicaID(src, 0), wire.ReplicaID(dst, 0)
-	dir.Add(src, []wire.NodeID{self}, false)
-	dir.Add(dst, []wire.NodeID{newHome}, false)
-	r := New(Config{
-		RT: rt, Group: src, Self: self, Directory: dir, Network: net,
-		Scheduler: sat.New(),
-		State:     func() any { return keyedState{} },
-		Shard:     shard.NewGroupState(src, cur),
-	})
-	r.Start()
-	cl, target := net.Endpoint(wire.ClientID("t")), net.Endpoint(newHome)
-	recv := func(ep transport.Endpoint) any {
-		t.Helper()
-		msg, ok := recvOne(rt, ep, 5*time.Second)
-		if !ok {
-			t.Fatalf("%s: nothing arrived", ep.ID())
-		}
-		return msg.Payload
-	}
-	submit := func(req Request) {
-		req.Group, req.Kind, req.ReplyTo = src, KindClient, cl.ID()
-		cl.Send(self, gcs.Submit{Group: src, ID: req.ID.String(), Origin: cl.ID(), Payload: req})
-	}
-
-	vtime.Run(rt, "main", func() {
-		defer r.Stop()
-		defer cl.Close()
-		defer target.Close()
-		// Arm the transition through the control plane; the idle scheduler
-		// lets the cut happen at the same position, and the (empty) handoff
-		// stream reaches the new home.
-		submit(Request{ID: wire.InvocationID{Logical: "client/t#1"}, Method: shard.PrepareMethod, Args: next.Encode()})
-		ack := recv(cl).(Reply)
-		if ack.Err != "" || ack.Code != CodeNone || ack.ShardEpoch != cur.Epoch || !bytes.Equal(ack.Result, cur.Encode()) {
-			t.Fatalf("prepare ack = %+v", ack)
-		}
-		if _, ok := recv(target).(gcs.Submit).Payload.(MigrateChunk); !ok {
-			t.Fatal("the cut sent no handoff chunk to the new home")
-		}
-
-		bounce := shard.RedirectError(next.Epoch+1, key, "kv@7")
-		for i, tc := range []struct {
-			answer   Reply // the new home's, less ID and From
-			wantCode Code
-			wantEp   uint64
-		}{
-			{Reply{Code: CodeRedirect, Err: bounce, ShardEpoch: next.Epoch + 1}, CodeRedirect, next.Epoch},
-			{Reply{Err: bounce}, CodeNone, 0},
-		} {
-			id := wire.InvocationID{Logical: wire.LogicalID(fmt.Sprintf("client/t#%d", 2+i))}
-			submit(Request{ID: id, Method: "get", ShardEpoch: cur.Epoch, ShardKey: key})
-			relayed := recv(target).(gcs.Submit).Payload.(Request)
-			if relayed.Kind != KindNested || relayed.Origin != src || relayed.ShardEpoch != next.Epoch || relayed.ShardKey != key {
-				t.Fatalf("relayed request = %+v", relayed)
-			}
-			answer := tc.answer
-			answer.ID, answer.From = relayed.ID, newHome
-			target.Send(self, gcs.Submit{Group: src, ID: "nested-reply/" + relayed.ID.String(), Origin: newHome, Payload: answer})
-			got := recv(cl).(Reply)
-			if got.ID != id || got.Err != bounce || got.Code != tc.wantCode || got.ShardEpoch != tc.wantEp {
-				t.Errorf("relay of %+v came out as %+v, want code %d epoch %d", tc.answer, got, tc.wantCode, tc.wantEp)
-			}
-			if err := got.Failure(); hasCode(err, CodeRedirect) != (tc.wantCode == CodeRedirect) {
-				t.Errorf("Failure() = %#v", err)
-			}
-		}
-	})
 }
 
 // TestFailureCarriesTheCode: the error an invoker gets keeps the reply's

@@ -109,7 +109,7 @@ type Request struct {
 	Trace tracing.Context
 	// ShardEpoch is the directory epoch the submitter routed under; 0 marks
 	// unrouted traffic, which skips shard validation. A sharded replica
-	// redirects requests whose epoch differs from its installed table.
+	// redirects requests whose epoch differs from its table's.
 	ShardEpoch uint64
 	// ShardKey is the key class the request was routed by; sharded replicas
 	// verify at the ordered dispatch point that they are its home.
@@ -135,9 +135,9 @@ func (req Request) CopiedTo(rank int) bool {
 
 // Code is the runtime's verdict on a request it answered without (or
 // instead of) the handler's own result. Only the runtime sets one — at the
-// ordered dispatch point, in the duplicate-submit hook, when relaying a
-// dual-home forward — and never by looking at a handler's error: whatever
-// text a handler returns, its reply carries CodeNone.
+// ordered dispatch point or in the duplicate-submit hook — and never by
+// looking at a handler's error: whatever text a handler returns, its reply
+// carries CodeNone.
 type Code uint8
 
 // Reply codes.
@@ -146,7 +146,7 @@ const (
 	CodeNone Code = iota
 	// CodeRedirect: a shard replica validated the request against another
 	// routing table than the sender's (or is not the key's home); ShardEpoch
-	// is its installed epoch. The request did not execute.
+	// is its table's epoch. The request did not execute.
 	CodeRedirect
 	// CodeExpiredDuplicate: a copy of a request older than its client's
 	// latest call, or one whose reply has aged out of the duplicate-detection
@@ -166,9 +166,8 @@ type Reply struct {
 	// Trace carries the request's trace id and the executing replica's
 	// exec span, so the client links its reply span under the execution.
 	Trace tracing.Context
-	// ShardEpoch, when non-zero, is the replying shard's installed routing
-	// epoch: what a router refreshes towards on a CodeRedirect, information
-	// on the acks of the _shard/* control methods.
+	// ShardEpoch, when non-zero, is the redirecting shard's routing epoch
+	// (see CodeRedirect).
 	ShardEpoch uint64
 	Code       Code
 }
@@ -263,11 +262,11 @@ type Config struct {
 	// it orders as it arrives.
 	Speculative bool
 	// Shard, if non-nil, marks this replica a member of a sharded object's
-	// shard group: requests routed with a shard epoch are validated against
-	// the installed table at their ordered dispatch point (wrong epoch or
-	// wrong home → deterministic redirect reply), and the reserved
-	// shard.EpochMethod control request installs table updates in-stream.
-	Shard *shard.GroupState
+	// shard group and is the group's routing table, fixed for the replica's
+	// life: requests routed with a shard epoch are validated against it at
+	// their ordered dispatch point (wrong epoch or wrong home → deterministic
+	// redirect reply).
+	Shard *shard.Epoch
 	// GCS carries the group communication knobs (failure detection etc.);
 	// Group/Self/Members/Send are filled in by the replica.
 	GCS gcs.Config
@@ -303,7 +302,7 @@ type Replica struct {
 	// shard is non-nil on shard-group members (see Config.Shard);
 	// shardLabel tags this replica's spans with its shard group id so the
 	// latency breakdown decomposes per shard.
-	shard      *shard.GroupState
+	shard      *shard.Epoch
 	shardLabel string
 
 	// ckptEvery is Config.CheckpointEvery (0 = checkpointing off).
@@ -339,15 +338,6 @@ type Replica struct {
 	shardRouted    *obs.Counter
 	shardRedirects *obs.Counter
 	shardCross     *obs.Counter
-	shardEpochG    *obs.Gauge
-
-	// Migration metrics (see migrate.go).
-	migActive          *obs.Gauge
-	migParked          *obs.Gauge
-	migKeysMoved       *obs.Counter
-	migChunksSent      *obs.Counter
-	migChunksInstalled *obs.Counter
-	migForwarded       *obs.Counter
 
 	handlers map[string]Handler
 
@@ -378,12 +368,6 @@ type Replica struct {
 	// it off the lock itself; the dispatch goroutine waits on gate.
 	imaging, gateBusy bool
 	gate              vtime.Parker
-
-	// mig is the in-progress ring transition (nil outside migrations);
-	// earlyChunks buffers handoff chunks delivered before this group's own
-	// prepare. Both are mutated only at ordered dispatch positions.
-	mig         *migration
-	earlyChunks []MigrateChunk
 }
 
 // New wires a replica together: transport endpoint, group member,
@@ -460,14 +444,6 @@ func New(cfg Config) *Replica {
 			r.shardRouted = cfg.Metrics.Counter("replobj_shard_routed_requests_total" + slabel)
 			r.shardRedirects = cfg.Metrics.Counter("replobj_shard_redirects_total" + slabel)
 			r.shardCross = cfg.Metrics.Counter("replobj_shard_cross_requests_total" + slabel)
-			r.shardEpochG = cfg.Metrics.Gauge("replobj_shard_directory_epoch" + slabel)
-			r.shardEpochG.Set(int64(r.shard.Current().Table.Epoch))
-			r.migActive = cfg.Metrics.Gauge("replobj_shard_migration_active" + slabel)
-			r.migParked = cfg.Metrics.Gauge("replobj_shard_migration_parked" + slabel)
-			r.migKeysMoved = cfg.Metrics.Counter("replobj_shard_migration_keys_total" + slabel)
-			r.migChunksSent = cfg.Metrics.Counter("replobj_shard_migration_chunks_sent_total" + slabel)
-			r.migChunksInstalled = cfg.Metrics.Counter("replobj_shard_migration_chunks_installed_total" + slabel)
-			r.migForwarded = cfg.Metrics.Counter("replobj_shard_migration_forwarded_total" + slabel)
 		}
 	}
 	g := cfg.GCS
@@ -610,8 +586,6 @@ func (r *Replica) dispatchLoop() {
 			r.dispatchRequest(p, d.Seq)
 		case Reply:
 			r.dispatchNestedReply(p)
-		case MigrateChunk:
-			r.dispatchMigrateChunk(p)
 		default:
 			if p != nil {
 				r.sched.HandleOrdered(d.ID, p)
@@ -620,18 +594,14 @@ func (r *Replica) dispatchLoop() {
 		if r.ckptEvery > 0 && d.Seq%r.ckptEvery == 0 {
 			r.checkpoint(d.Seq)
 		}
-		// While a ring transition is armed, retry its pending quiesced work
-		// (source cut, target installs) after every delivery.
-		r.migrationStep(d.Seq)
 	}
 }
 
 // dispatched carries one request from its ordered dispatch point through
-// the scheduler to its handler: the request, the routing epoch captured at
-// dispatch and the Invocation the handler will see, in a single allocation
-// whose exec method is the scheduler's Exec callback. It is also the form
-// in which a request waits where it cannot be scheduled yet — parked behind
-// a migration's handoff, or as a callback deferred behind its originator.
+// the scheduler to its handler: the request and the Invocation the handler
+// will see, in a single allocation whose exec method is the scheduler's
+// Exec callback. It is also the form in which a callback deferred behind
+// its originator waits.
 type dispatched struct {
 	inv     Invocation
 	seq     uint64
@@ -657,12 +627,12 @@ func (r *Replica) newReply(req *Request) Reply {
 	return reply
 }
 
-// dispatchRequest applies at-most-once semantics, asks shard admission for
-// its verdict and acts on it. Everything here happens at a totally ordered
-// point under one hold of the runtime lock, so the classification
-// (duplicate? redirect? callback?) and the routing table an accepted
-// request executes against are pure functions of the stream — identical on
-// every replica.
+// dispatchRequest applies at-most-once semantics and shard admission, then
+// hands the request to speculation's verdict, the logical thread's arrive
+// and the scheduler. Everything up to the hand-off happens at a totally
+// ordered point under one hold of the runtime lock, so the classification
+// (duplicate? redirect? callback?) is a pure function of the stream —
+// identical on every replica.
 func (r *Replica) dispatchRequest(req Request, seq uint64) {
 	d := &dispatched{inv: Invocation{r: r, req: req}, seq: seq, classes: r.conflictClasses(&req)}
 	r.rt.Lock()
@@ -678,186 +648,55 @@ func (r *Replica) dispatchRequest(req Request, seq uint64) {
 		r.answerDuplicate(&req, verdict, e)
 		return
 	}
-	r.enterLocked(ref, seq, req.ShardKey)
-	verdict, redirect := r.admission(d)
-	if verdict == verdictAccept {
-		r.admit(d)
-		return
-	}
-	r.rt.Unlock()
-	switch verdict {
-	case verdictControl:
-		r.applyControl(req, seq)
-	case verdictRedirect:
+	r.enterLocked(ref, seq)
+	if redirect, ok := r.misroutedLocked(&d.inv.req); ok {
+		r.rt.Unlock()
 		r.shardRedirects.Inc()
 		r.sendReply(req, redirect)
-	case verdictPark:
-		r.migParked.Inc()
+		return
+	}
+	var act specAction
+	if r.specMgr != nil {
+		act = r.specDispatchLocked(&d.inv.req, seq, d.classes)
+	}
+	callback, deferred := r.arriveLocked(d)
+	r.rt.Unlock()
+	r.specDispatchFinish(&d.inv.req, act)
+	if !deferred {
+		r.submit(d, callback)
 	}
 }
 
-// verdictKind is what shard admission decides about a fresh request at its
-// ordered position.
-type verdictKind uint8
-
-const (
-	// verdictAccept: schedule it — to execute under d.inv.epoch, or, with
-	// d.inv.forward set, to be relayed to the key's new home.
-	verdictAccept verdictKind = iota
-	// verdictControl: a reserved _shard/* method, applied inline.
-	verdictControl
-	// verdictRedirect: wrong epoch or wrong home; admission returns the
-	// reply, already cached.
-	verdictRedirect
-	// verdictPark: accepted under the next epoch, held on the stream whose
-	// handoff still carries its key.
-	verdictPark
-)
-
-// admission validates a fresh request against the installed routing table
-// and a ring transition in progress, fills in what an accepted request
-// executes under (d.inv.epoch, d.inv.forward) and does the verdict's
-// bookkeeping. Called under the runtime lock; unsharded groups and unrouted
-// requests (ShardEpoch 0) are accepted unexamined.
-func (r *Replica) admission(d *dispatched) (verdictKind, Reply) {
-	if r.shard == nil {
-		return verdictAccept, Reply{}
+// misroutedLocked is shard admission: a request routed under another epoch
+// than the group's table, or for a key homed on another shard group, is
+// answered with a redirect, cached like any reply, and reported true.
+// Unsharded groups and unrouted requests (ShardEpoch 0) pass unexamined.
+// Called under the runtime lock.
+func (r *Replica) misroutedLocked(req *Request) (Reply, bool) {
+	if r.shard == nil || req.ShardEpoch == 0 {
+		return Reply{}, false
 	}
-	req := &d.inv.req
-	if controlMethods[req.Method] != nil {
-		return verdictControl, Reply{}
-	}
-	cur := r.shard.Current()
-	d.inv.epoch = cur
-	if req.ShardEpoch == 0 {
-		return verdictAccept, Reply{}
-	}
-	m := r.mig
-	// under is the table the sender routed by, if this replica holds it: the
-	// installed one or, during a transition, the next (the client refreshed
-	// ahead of this group's fence).
-	var under *shard.Epoch
-	switch {
-	case req.ShardEpoch == cur.Table.Epoch:
-		under = cur
-	case m != nil && req.ShardEpoch == m.next.Table.Epoch:
-		under = m.next
-	}
+	epoch := r.shard.Table.Epoch
 	var home wire.GroupID // where the request belongs; none under a foreign epoch
-	if under != nil {
+	if req.ShardEpoch == epoch {
 		home = r.group
 		if req.ShardKey != "" {
-			home = under.Ring.HomeGroup(req.ShardKey)
+			home = r.shard.Ring.HomeGroup(req.ShardKey)
 		}
 	}
 	if home != r.group {
 		reply := r.newReply(req)
 		reply.Code = CodeRedirect
-		reply.Err = shard.RedirectError(cur.Table.Epoch, req.ShardKey, home)
-		reply.ShardEpoch = cur.Table.Epoch
+		reply.Err = shard.RedirectError(epoch, req.ShardKey, home)
+		reply.ShardEpoch = epoch
 		r.storeReplyLocked(req.ref(), reply)
-		return verdictRedirect, reply
-	}
-	d.inv.epoch = under
-	if m != nil && req.ShardKey != "" {
-		mv, moved := m.plan.MoveOf(req.ShardKey)
-		switch {
-		case !moved:
-		case under == cur && m.cutDone && mv.Source == r.group:
-			// Dual-home window: the key's state has already left with the
-			// cut, but the fence has not flipped this request's epoch yet.
-			// Relay it over the ordered cross-shard path to its new home
-			// instead of redirecting — the client keeps its in-flight call.
-			m.forwarded++
-			r.migForwarded.Inc()
-			d.inv.epoch, d.inv.forward = m.next, true
-		case under == m.next && mv.Target == r.group:
-			// Valid on the new home, but parked while the key's handoff is
-			// still in flight.
-			if s := m.incoming[mv.Source]; s != nil && !s.done {
-				s.parked = append(s.parked, d)
-				return verdictPark, Reply{}
-			}
-		}
+		return reply, true
 	}
 	r.shardRouted.Inc()
 	if len(req.CrossKeys) > 0 {
 		r.shardCross.Inc()
 	}
-	return verdictAccept, Reply{}
-}
-
-// controlFunc applies one reserved control method at its ordered position
-// and returns the ack's result.
-type controlFunc func(r *Replica, req Request, seq uint64) ([]byte, error)
-
-// controlMethods is the ordered control plane of a shard-group member.
-// Every verdict depends only on (installed tables, migration progress,
-// args), all of them functions of the stream, so each replica accepts or
-// rejects identically.
-var controlMethods = map[string]controlFunc{
-	shard.EpochMethod:   (*Replica).installTable,
-	shard.PrepareMethod: (*Replica).prepareMigration,
-	shard.StatusMethod:  (*Replica).migrationProgress,
-	shard.FenceMethod:   (*Replica).fenceMigration,
-}
-
-// applyControl runs a control method inline at its request's ordered
-// position — outside the scheduler: the control plane must not contend
-// with application threads — and acknowledges it like any invocation, with
-// the table epoch the method left installed, so the orchestrator learns
-// the outcome.
-func (r *Replica) applyControl(req Request, seq uint64) {
-	reply := r.newReply(&req)
-	result, err := controlMethods[req.Method](r, req, seq)
-	if err != nil {
-		reply.Err = err.Error()
-	} else {
-		reply.Result = result
-	}
-	reply.ShardEpoch = r.shard.Current().Table.Epoch
-	r.rt.Lock()
-	r.storeReplyLocked(req.ref(), reply)
-	r.rt.Unlock()
-	r.sendReply(req, reply)
-}
-
-// installedTable is the ack of a control method that leaves a table
-// installed: that table, encoded.
-func (r *Replica) installedTable() ([]byte, error) {
-	return r.shard.Current().Table.Encode(), nil
-}
-
-// installTable applies a shard.EpochMethod table update. Install is
-// idempotent for replayed epochs.
-func (r *Replica) installTable(req Request, _ uint64) ([]byte, error) {
-	t, err := shard.DecodeTable(req.Args)
-	if err == nil {
-		err = r.shard.Install(t)
-	}
-	if err != nil {
-		return nil, err
-	}
-	r.shardEpochG.Set(int64(r.shard.Current().Table.Epoch))
-	return r.installedTable()
-}
-
-// admit is the tail of every accepted request's dispatch, whether it comes
-// straight from the ordered stream or out of a migration's parking lot:
-// speculation's verdict, the logical thread's arrive, scheduler hand-off. It
-// is entered with the runtime lock held and releases it.
-func (r *Replica) admit(d *dispatched) {
-	req := &d.inv.req
-	var act specAction
-	if r.specMgr != nil {
-		act = r.specDispatchLocked(req, d.seq, d.classes)
-	}
-	callback, deferred := r.arriveLocked(d)
-	r.rt.Unlock()
-	r.specDispatchFinish(req, act)
-	if !deferred {
-		r.submit(d, callback)
-	}
+	return Reply{}, false
 }
 
 // submit hands a request to the scheduler.
@@ -888,11 +727,7 @@ func (d *dispatched) exec(t *adets.Thread) {
 	}
 	r.inflight.Inc()
 	defer r.inflight.Dec()
-	if d.inv.forward {
-		r.executeForward(&d.inv)
-	} else {
-		r.execute(&d.inv)
-	}
+	r.execute(&d.inv)
 }
 
 // Logical returns the logical thread of a request.

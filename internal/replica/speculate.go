@@ -91,10 +91,10 @@ func (r *Replica) onOptimisticSubmit(sub gcs.Submit) {
 // while the state is quiescent: no request thread live and the dispatch
 // goroutine outside the gate. The dispatch goroutine makes every other
 // off-lock access to the state — it hands requests to their threads,
-// checkpoints, installs snapshots, cuts and installs migrations — and waits at
-// the gate before each. gateBusy marks it inside for the accesses it makes
-// itself; a request it hands over needs no mark, its thread being live from
-// the lock hold that waited.
+// checkpoints and installs snapshots — and waits at the gate before each.
+// gateBusy marks it inside for the accesses it makes itself; a request it
+// hands over needs no mark, its thread being live from the lock hold that
+// waited.
 
 // waitImageLocked parks the dispatch goroutine while an image is being taken.
 func (r *Replica) waitImageLocked() {

@@ -1,16 +1,11 @@
 package shard
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // DirectoryState is the replicated state of a shard directory group: the
-// current routing table of one sharded object. It is an ordinary
-// replicated object state — mutated only by totally ordered handler
-// invocations — so every directory replica holds the same table at the
-// same point of its stream. The mutex only guards against the replica's
-// checkpoint machinery reading concurrently with a handler.
+// routing table of one sharded object, fixed at creation. Routers read it
+// through the directory's "get" method. The mutex only guards against a
+// snapshot install writing while a handler reads.
 type DirectoryState struct {
 	mu    sync.Mutex
 	table Table
@@ -24,34 +19,11 @@ func StateFactory(initial Table) func() any {
 	return func() any { return &DirectoryState{table: initial} }
 }
 
-// Get returns the current table.
+// Get returns the table.
 func (d *DirectoryState) Get() Table {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.table
-}
-
-// Apply installs the next table. Updates must advance the epoch by
-// exactly one and keep the object name; the shard set may change — the
-// directory flip is the first half of a resharding fence (Sharded.Reshard
-// flips the directory only after every handoff has drained, and shard
-// replicas guard the migration-free EpochMethod path with their own
-// SameShards check). The error strings are deterministic, so a rejected
-// update rejects identically on every replica.
-func (d *DirectoryState) Apply(next Table) error {
-	if err := next.Validate(); err != nil {
-		return err
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if next.Object != d.table.Object {
-		return fmt.Errorf("shard: table object %q does not match directory object %q", next.Object, d.table.Object)
-	}
-	if next.Epoch != d.table.Epoch+1 {
-		return fmt.Errorf("shard: table epoch %d does not follow directory epoch %d", next.Epoch, d.table.Epoch)
-	}
-	d.table = next
-	return nil
 }
 
 // Snapshot implements the replica Snapshotter shape: directory state

@@ -62,15 +62,10 @@ func NewRing(t Table) *Ring {
 // Table returns the table the ring was built from.
 func (r *Ring) Table() Table { return r.table }
 
-// Home returns the shard index owning a key.
+// Home returns the shard index owning a key: the owner of the first point
+// at or clockwise of the key's hash.
 func (r *Ring) Home(key string) int {
-	return r.homeHash(hashKey(key))
-}
-
-// homeHash returns the shard index owning a raw ring position — the first
-// point at or clockwise of h. The migration planner diffs two rings arc by
-// arc through this, so it must match Home exactly.
-func (r *Ring) homeHash(h uint64) int {
+	h := hashKey(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0 // wrap: first point clockwise of the top of the circle

@@ -29,10 +29,8 @@ func TestRingPurityAcrossDecode(t *testing.T) {
 // move no keys at all: virtual-node placement is independent of epoch.
 func TestRingEpochBumpMovesNothing(t *testing.T) {
 	tab := NewTable("kv", 4, 0)
-	next := tab.Next(0)
-	if next.Epoch != tab.Epoch+1 {
-		t.Fatalf("Next epoch = %d, want %d", next.Epoch, tab.Epoch+1)
-	}
+	next := tab
+	next.Epoch++
 	a, b := NewRing(tab), NewRing(next)
 	for i := 0; i < 20000; i++ {
 		k := fmt.Sprintf("k%07d", i)

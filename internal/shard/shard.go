@@ -7,25 +7,24 @@
 // own sequencer, ordered log, scheduler and checkpoints, and clients route
 // each invocation to its home group by key class.
 //
-// Routing is a consistent-hash ring with virtual nodes, derived from an
-// epoch-numbered Table. The table itself lives in a *shard directory* that
-// is a replicated object like any other (the middleware eats its own
-// dogfood), so all clients and replicas converge on the same routing
-// epoch; a replica that receives a request routed with a stale epoch — or
-// with a key it does not own under the current table — answers with a
-// deterministic redirect carrying its current epoch, and the client
-// refreshes and retries with bounded backoff.
+// Routing is a consistent-hash ring with virtual nodes, derived from a
+// Table that is fixed when the object is created. The table lives in a
+// *shard directory* that is a replicated object like any other (the
+// middleware eats its own dogfood), from which clients bootstrap their
+// routers; a replica that receives a request routed under another epoch —
+// or with a key it does not own — answers with a deterministic redirect
+// carrying its epoch, which the client reports as an error.
 //
 // Cross-shard invocations take a first-cut blocking two-group ordered
 // path: the request is ordered in the primary key's home group, and the
 // handler reaches the other shards through nested invocations routed by
-// the table captured at the request's totally ordered dispatch point
-// (Invocation.InvokeShard), so the merge point — the nested reply's
-// position in the originating order — is identical on every replica.
+// the same table (Invocation.InvokeShard), so the merge point — the nested
+// reply's position in the originating order — is identical on every
+// replica.
 //
 // This package holds the pure routing machinery (table, ring, directory
-// state, per-replica group state); the replica/client integration lives in
-// internal/replica and internal/client, the public API in replobj.go.
+// state); the replica/client integration lives in internal/replica and
+// internal/client, the public API in replobj.go.
 package shard
 
 import (
@@ -33,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"github.com/replobj/replobj/internal/wire"
 )
@@ -43,13 +41,6 @@ import (
 // the per-shard load variance; 64 keeps rebalance deltas near the
 // theoretical 1/(S+1) bound without bloating ring construction.
 const DefaultVNodes = 64
-
-// EpochMethod is the reserved control method that installs a new routing
-// table on a shard group. It travels through the group's own total order
-// and is applied inline at its ordered dispatch position — never through
-// the scheduler — so every replica switches epochs at exactly the same
-// point of the stream. Application handlers cannot be registered under it.
-const EpochMethod = "_shard/epoch"
 
 // GroupName returns the group id of the i-th shard of an object.
 func GroupName(object string, i int) wire.GroupID {
@@ -61,31 +52,16 @@ func DirGroup(object string) wire.GroupID {
 	return wire.GroupID(object + ".dir")
 }
 
-// SplitGroup parses a shard group id back into (object, shard index).
-// ok is false for unsharded group ids (including directory groups).
-func SplitGroup(g wire.GroupID) (object string, index int, ok bool) {
-	s := string(g)
-	at := strings.LastIndexByte(s, '@')
-	if at <= 0 || at == len(s)-1 {
-		return "", 0, false
-	}
-	idx, err := strconv.Atoi(s[at+1:])
-	if err != nil || idx < 0 {
-		return "", 0, false
-	}
-	return s[:at], idx, true
-}
-
 // Table is the epoch-numbered routing table of one sharded object: the
 // shard groups in rank order plus the virtual-node count of the ring
-// derived from it. Tables are immutable values; a rebalance installs a
-// whole new table under the next epoch.
+// derived from it. Tables are immutable values, fixed when the object is
+// created.
 type Table struct {
 	// Object is the sharded object's base name.
 	Object string
-	// Epoch numbers the table, starting at 1; every routed request carries
-	// the epoch it was routed under, and shard replicas redirect requests
-	// whose epoch differs from the installed one.
+	// Epoch numbers the table (1 for every table NewTable builds); every
+	// routed request carries the epoch it was routed under, and shard
+	// replicas redirect requests whose epoch differs from theirs.
 	Epoch uint64
 	// Shards lists the shard group ids in rank order.
 	Shards []wire.GroupID
@@ -106,21 +82,15 @@ func NewTable(object string, n, vnodes int) Table {
 	return t
 }
 
-// Next returns the table of the following epoch with a new virtual-node
-// count — the only rebalance shape supported without state migration: the
-// shard set is unchanged, but key→shard assignment may shift with the
-// vnode weighting.
-func (t Table) Next(vnodes int) Table {
-	if vnodes <= 0 {
-		vnodes = t.VNodes
-	}
-	return Table{
-		Object: t.Object,
-		Epoch:  t.Epoch + 1,
-		Shards: append([]wire.GroupID(nil), t.Shards...),
-		VNodes: vnodes,
-	}
+// Epoch is a shard group replica's routing view: its table plus the ring
+// derived from it, built once and never changed.
+type Epoch struct {
+	Table Table
+	Ring  *Ring
 }
+
+// NewEpoch builds the routing view of a table.
+func NewEpoch(t Table) *Epoch { return &Epoch{Table: t, Ring: NewRing(t)} }
 
 // Validate checks structural invariants.
 func (t Table) Validate() error {
@@ -146,23 +116,8 @@ func (t Table) Validate() error {
 	return nil
 }
 
-// SameShards reports whether o covers exactly the same shard set in the
-// same order — the precondition for a migration-free table update.
-func (t Table) SameShards(o Table) bool {
-	if len(t.Shards) != len(o.Shards) {
-		return false
-	}
-	for i := range t.Shards {
-		if t.Shards[i] != o.Shards[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Encode serializes the table into the canonical binary form that rides
-// directory replies, EpochMethod control requests and checkpoint
-// envelopes: uvarint epoch, uvarint vnodes, object, uvarint shard count,
+// directory replies and the directory's checkpoints: uvarint epoch, uvarint vnodes, object, uvarint shard count,
 // shards — all strings length-prefixed.
 func (t Table) Encode() []byte {
 	out := make([]byte, 0, 16+len(t.Object)+16*len(t.Shards))
@@ -243,8 +198,7 @@ func readString(b []byte) (string, []byte, error) {
 
 // RedirectError formats the message of a wrong-shard reply for whoever
 // reads it — the protocol goes by the reply's code, never by this text: the
-// replica's installed epoch and, when the key itself is misrouted, the
-// key's current home.
+// replica's epoch and, when the key itself is misrouted, the key's home.
 func RedirectError(epoch uint64, key string, home wire.GroupID) string {
 	if home != "" {
 		return fmt.Sprintf("shard: wrong shard (epoch %d; key %q is homed on %s)", epoch, key, home)

@@ -2,7 +2,7 @@ package shard
 
 import (
 	"bytes"
-	"strings"
+	"slices"
 	"testing"
 
 	"github.com/replobj/replobj/internal/wire"
@@ -15,15 +15,6 @@ func TestGroupNaming(t *testing.T) {
 	if d := DirGroup("kv"); d != "kv.dir" {
 		t.Fatalf("DirGroup = %s", d)
 	}
-	obj, idx, ok := SplitGroup("kv@3")
-	if !ok || obj != "kv" || idx != 3 {
-		t.Fatalf("SplitGroup(kv@3) = %q %d %v", obj, idx, ok)
-	}
-	for _, bad := range []wire.GroupID{"kv.dir", "kv", "@3", "kv@", "kv@x", "kv@-1"} {
-		if _, _, ok := SplitGroup(bad); ok {
-			t.Fatalf("SplitGroup(%q) unexpectedly ok", bad)
-		}
-	}
 }
 
 func TestTableEncodeRoundTrip(t *testing.T) {
@@ -35,7 +26,7 @@ func TestTableEncodeRoundTrip(t *testing.T) {
 	if dec.Object != "bank" || dec.Epoch != 1 || dec.VNodes != 32 || len(dec.Shards) != 4 {
 		t.Fatalf("round trip mangled table: %+v", dec)
 	}
-	if !dec.SameShards(tab) {
+	if !slices.Equal(dec.Shards, tab.Shards) {
 		t.Fatalf("shard set mangled: %v vs %v", dec.Shards, tab.Shards)
 	}
 	// Canonical: re-encoding a decoded table is byte-identical.
@@ -83,51 +74,8 @@ func TestTableValidate(t *testing.T) {
 	}
 }
 
-func TestDirectoryStateApply(t *testing.T) {
-	d := StateFactory(NewTable("kv", 2, 16))().(*DirectoryState)
-	if d.Get().Epoch != 1 {
-		t.Fatalf("initial epoch %d", d.Get().Epoch)
-	}
-	next := d.Get().Next(32)
-	if err := d.Apply(next); err != nil {
-		t.Fatalf("apply next: %v", err)
-	}
-	if d.Get().Epoch != 2 || d.Get().VNodes != 32 {
-		t.Fatalf("apply did not install: %+v", d.Get())
-	}
-	// Epoch must advance by exactly one.
-	skip := d.Get().Next(32)
-	skip.Epoch++
-	if err := d.Apply(skip); err == nil || !strings.Contains(err.Error(), "does not follow") {
-		t.Fatalf("epoch skip accepted: %v", err)
-	}
-	// Replays of the current epoch are rejected too (epoch 2 again).
-	if err := d.Apply(next); err == nil {
-		t.Fatalf("epoch replay accepted")
-	}
-	// Object renames and shard-set changes are rejected.
-	wrongObj := d.Get().Next(0)
-	wrongObj.Object = "other"
-	if err := d.Apply(wrongObj); err == nil {
-		t.Fatalf("object rename accepted")
-	}
-	// Shard-set changes are allowed — the directory flip is half of the
-	// resharding fence; the shard replicas' own EpochMethod path keeps its
-	// SameShards guard.
-	grown := d.Get().Reshape(3)
-	if err := d.Apply(grown); err != nil {
-		t.Fatalf("shard-set change rejected: %v", err)
-	}
-	if got := d.Get(); len(got.Shards) != 3 || got.Epoch != grown.Epoch {
-		t.Fatalf("reshape did not install: %+v", got)
-	}
-}
-
 func TestDirectoryStateSnapshotRestore(t *testing.T) {
-	d := StateFactory(NewTable("kv", 2, 16))().(*DirectoryState)
-	if err := d.Apply(d.Get().Next(8)); err != nil {
-		t.Fatalf("apply: %v", err)
-	}
+	d := StateFactory(NewTable("kv", 3, 8))().(*DirectoryState)
 	img, err := d.Snapshot()
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
@@ -136,45 +84,22 @@ func TestDirectoryStateSnapshotRestore(t *testing.T) {
 	if err := fresh.Restore(img); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	if fresh.Get().Epoch != 2 || fresh.Get().VNodes != 8 {
-		t.Fatalf("restore mangled table: %+v", fresh.Get())
+	if got := fresh.Get(); len(got.Shards) != 3 || got.VNodes != 8 {
+		t.Fatalf("restore mangled table: %+v", got)
 	}
 	if err := fresh.Restore([]byte{0xff}); err == nil {
 		t.Fatalf("garbage restore accepted")
 	}
 }
 
-func TestGroupStateInstall(t *testing.T) {
+func TestNewEpoch(t *testing.T) {
 	tab := NewTable("kv", 2, 16)
-	g := NewGroupState(GroupName("kv", 0), tab)
-	if g.Self() != "kv@0" {
-		t.Fatalf("Self = %s", g.Self())
+	e := NewEpoch(tab)
+	if e.Table.Epoch != 1 || e.Ring.Table().VNodes != 16 {
+		t.Fatalf("epoch view %+v", e.Table)
 	}
-	if g.Current().Table.Epoch != 1 || g.Current().Ring == nil {
-		t.Fatalf("initial epoch not installed")
-	}
-	// Same epoch: idempotent no-op.
-	if err := g.Install(tab); err != nil {
-		t.Fatalf("idempotent install: %v", err)
-	}
-	// Forward: installs, with a fresh ring.
-	if err := g.Install(tab.Next(32)); err != nil {
-		t.Fatalf("forward install: %v", err)
-	}
-	if e := g.Current(); e.Table.Epoch != 2 || e.Ring.Table().VNodes != 32 {
-		t.Fatalf("install did not switch: %+v", e.Table)
-	}
-	// Backward: rejected.
-	if err := g.Install(tab); err == nil {
-		t.Fatalf("backward install accepted")
-	}
-	// Wrong object: rejected.
-	if err := g.Install(NewTable("other", 2, 16)); err == nil {
-		t.Fatalf("cross-object install accepted")
-	}
-	// Invalid table: rejected.
-	if err := g.Install(Table{}); err == nil {
-		t.Fatalf("invalid install accepted")
+	if e.Ring.HomeGroup("k") != NewRing(tab).HomeGroup("k") {
+		t.Fatalf("epoch ring differs from the table's")
 	}
 }
 

@@ -28,28 +28,36 @@ func TestMailboxPutGetDoesNotAllocate(t *testing.T) {
 }
 
 // TestMailboxBlockingGetDoesNotAllocate: a reader that has to park costs
-// nothing either, once the mailbox owns a parker for it.
+// nothing either, once the mailbox owns a parker for it. An echo goroutine
+// answers every item only once the reader is parked on the answer, so every
+// Get below blocks: the echo's on the request, the reader's on the reply.
 func TestMailboxBlockingGetDoesNotAllocate(t *testing.T) {
 	onBothRuntimes(t, func(t *testing.T, rt Runtime) {
-		m := NewMailbox[int](rt, "m")
-		rt.Go("producer", func() {
-			// Puts only while a reader is parked, so every Get below blocks.
+		in, out := NewMailbox[int](rt, "in"), NewMailbox[int](rt, "out")
+		rt.Go("echo", func() {
 			for {
-				rt.Lock()
-				if m.closed {
-					rt.Unlock()
+				if _, ok := in.Get(); !ok {
 					return
 				}
-				if m.waitHead != nil {
-					m.PutLocked(1)
+				for answered := false; !answered; {
+					rt.Lock()
+					if answered = out.waitHead != nil; answered {
+						out.PutLocked(1)
+					}
+					rt.Unlock()
+					if !answered {
+						runtime.Gosched()
+					}
 				}
-				rt.Unlock()
-				runtime.Gosched()
 			}
 		})
-		defer m.Close()
-		m.Get() // the first blocked reader allocates the parker
-		if n := testing.AllocsPerRun(200, func() { m.Get() }); n != 0 {
+		defer in.Close()
+		in.Put(1)
+		out.Get() // the first blocked readers allocate the parkers
+		if n := testing.AllocsPerRun(200, func() {
+			in.Put(1)
+			out.Get()
+		}); n != 0 {
 			t.Errorf("blocking Get: %v allocs, want 0", n)
 		}
 	})

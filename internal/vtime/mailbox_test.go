@@ -340,13 +340,15 @@ func TestParkerByValue(t *testing.T) {
 			rt.Unlock()
 			woke.Put(timedOut)
 		})
+		// Sleep, not spin: on the virtual kernel the parker runs only once
+		// this goroutine parks.
 		for parked := false; !parked; {
 			rt.Lock()
 			if parked = p.parked; parked {
 				rt.Unpark(p)
 			}
 			rt.Unlock()
-			runtime.Gosched()
+			rt.Sleep(time.Millisecond)
 		}
 		if timedOut, _ := woke.Get(); timedOut || p.ch == nil {
 			t.Errorf("blocking park: timedOut=%v, channel made=%v", timedOut, p.ch != nil)

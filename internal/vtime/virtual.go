@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/replobj/replobj/internal/ring"
 )
 
 // DeadlockInfo describes a global deadlock detected by the virtual kernel:
@@ -27,15 +29,29 @@ func (d DeadlockInfo) String() string {
 
 // VirtualRuntime is the discrete-event implementation of Runtime.
 // Create one with Virtual.
+//
+// Inside a Run, tracked goroutines take turns: one executes at a time, and
+// a goroutine woken while another executes (by Unpark, Go or a fired timer)
+// waits in a queue, in the order the wakeups were issued, until the one
+// executing parks, sleeps or exits. A simulation then follows one
+// interleaving, whatever GOMAXPROCS, the race detector or the machine's
+// load: goroutines woken at the same virtual instant run in wake order, not
+// in the order the Go scheduler happens to pick. Outside every Run the
+// untracked owner works beside the tracked goroutines, and woken goroutines
+// run at once, as they would on the real runtime.
 type VirtualRuntime struct {
 	mu       sync.Mutex
 	now      time.Duration
-	runnable int
+	runnable int // tracked goroutines executing or waiting for their turn
 	live     int
-	seq      uint64
-	timers   timerHeap
-	parked   map[*Parker]struct{}
-	stopped  bool
+	// active counts the woken goroutines that are executing; ready holds
+	// the turn channels of those waiting, oldest wakeup first.
+	active  int
+	ready   ring.Queue[chan struct{}]
+	seq     uint64
+	timers  timerHeap
+	parked  map[*Parker]struct{}
+	stopped bool
 	// runs counts Run calls in progress. Outside Run the untracked owner of
 	// the runtime (main, a test) is presumed to be at work — building a
 	// cluster, between two Runs — and counts as runnable: it can still wake
@@ -91,20 +107,62 @@ func (rt *VirtualRuntime) Go(name string, fn func()) {
 
 // GoLocked implements Runtime.
 func (rt *VirtualRuntime) GoLocked(_ string, fn func()) {
-	rt.runnable++
 	rt.live++
+	var turn chan struct{}
+	if rt.mustWaitLocked() {
+		turn = make(chan struct{}, 1)
+	}
+	rt.wakeLocked(turn)
 	go func() {
+		if turn != nil {
+			<-turn
+		}
 		defer func() {
 			rt.mu.Lock()
-			rt.runnable--
 			rt.live--
-			if rt.runnable == 0 {
-				rt.advanceLocked()
-			}
+			rt.yieldLocked()
 			rt.mu.Unlock()
 		}()
 		fn()
 	}()
+}
+
+// mustWaitLocked reports whether a goroutine woken now has to wait for its
+// turn: inside a Run, while another one executes.
+func (rt *VirtualRuntime) mustWaitLocked() bool { return rt.runs > 0 && rt.active > 0 }
+
+// wakeLocked makes a goroutine runnable. It executes at once, through turn,
+// unless it has to wait (mustWaitLocked): then it joins the ready queue.
+// A nil turn stands for a goroutine not yet started that never has to wait.
+func (rt *VirtualRuntime) wakeLocked(turn chan struct{}) {
+	rt.runnable++
+	if rt.mustWaitLocked() {
+		rt.ready.Push(turn)
+		return
+	}
+	rt.active++
+	if turn != nil {
+		turn <- struct{}{}
+	}
+}
+
+// yieldLocked is an executing goroutine's park, sleep or exit: the oldest
+// waiting goroutine takes its turn (outside every Run, all of them do), and
+// with nothing runnable left virtual time advances.
+func (rt *VirtualRuntime) yieldLocked() {
+	rt.runnable--
+	rt.active--
+	for rt.active <= 0 || rt.runs == 0 {
+		turn, ok := rt.ready.Pop()
+		if !ok {
+			break
+		}
+		rt.active++
+		turn <- struct{}{}
+	}
+	if rt.runnable == 0 {
+		rt.advanceLocked()
+	}
 }
 
 // Lock implements Runtime.
@@ -172,16 +230,12 @@ func (rt *VirtualRuntime) parkTimeoutLocked(p *Parker, d time.Duration) bool {
 				p.parked = false
 				p.timedOut = true
 				delete(rt.parked, p)
-				rt.runnable++
-				ch <- struct{}{}
+				rt.wakeLocked(ch)
 			}
 		})
 	}
 	rt.parked[p] = struct{}{}
-	rt.runnable--
-	if rt.runnable == 0 {
-		rt.advanceLocked()
-	}
+	rt.yieldLocked()
 	rt.mu.Unlock()
 	<-ch
 	rt.mu.Lock()
@@ -200,8 +254,7 @@ func (rt *VirtualRuntime) Unpark(p *Parker) {
 	}
 	p.parked = false
 	delete(rt.parked, p)
-	rt.runnable++
-	p.ch <- struct{}{}
+	rt.wakeLocked(p.ch)
 }
 
 // Sleep implements Runtime.
@@ -226,23 +279,8 @@ func (rt *VirtualRuntime) AfterLocked(d time.Duration, name string, fn func()) *
 	if rt.stopped {
 		return &Timer{cancelled: true}
 	}
-	return rt.addTimerLocked(d, name, func() {
-		// goLocked-equivalent: we already hold the kernel lock.
-		rt.runnable++
-		rt.live++
-		go func() {
-			defer func() {
-				rt.mu.Lock()
-				rt.runnable--
-				rt.live--
-				if rt.runnable == 0 {
-					rt.advanceLocked()
-				}
-				rt.mu.Unlock()
-			}()
-			fn()
-		}()
-	})
+	// The callback runs with the kernel lock held, from advanceLocked.
+	return rt.addTimerLocked(d, name, func() { rt.GoLocked(name, fn) })
 }
 
 // Stop implements Runtime.

@@ -1,6 +1,7 @@
 package vtime
 
 import (
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -393,4 +394,44 @@ func TestVirtualManyGoroutinesStress(t *testing.T) {
 			t.Errorf("latest finish = %v, want 34ms", max)
 		}
 	})
+}
+
+// TestVirtualWakeOrderIsRunOrder: goroutines woken at one virtual instant
+// run one at a time, in the order they were woken, on every run — not in
+// the order the Go scheduler happens to pick.
+func TestVirtualWakeOrderIsRunOrder(t *testing.T) {
+	wakes := []int{5, 2, 7, 0, 3, 6, 1, 4}
+	for round := 0; round < 50; round++ {
+		rt := Virtual()
+		var order []int
+		Run(rt, "main", func() {
+			done := NewMailbox[int](rt, "done")
+			ps := make([]*Parker, len(wakes))
+			for i := range ps {
+				p := NewParker("w")
+				ps[i] = p
+				rt.Go("w", func() {
+					rt.Lock()
+					rt.Park(p)
+					rt.Unlock()
+					// Unlocked: only the goroutine whose turn it is runs.
+					order = append(order, i)
+					done.Put(i)
+				})
+			}
+			rt.Sleep(time.Millisecond) // every worker has parked
+			rt.Lock()
+			for _, i := range wakes {
+				rt.Unpark(ps[i])
+			}
+			rt.Unlock()
+			for range ps {
+				done.Get()
+			}
+		})
+		rt.Stop()
+		if !reflect.DeepEqual(order, wakes) {
+			t.Fatalf("round %d: ran in order %v, want the wake order %v", round, order, wakes)
+		}
+	}
 }

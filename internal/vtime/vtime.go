@@ -28,6 +28,10 @@
 //     returning, like sync.Cond.Wait.
 //   - Sleep and Now must be called without holding the runtime lock.
 //   - Timer callbacks run as fresh tracked goroutines.
+//   - Inside a Run on the virtual kernel, tracked goroutines execute one at
+//     a time (see VirtualRuntime). One that waits for another must wait
+//     through the runtime — Park, Sleep, a Mailbox — never by spinning or
+//     on a plain channel: the one it waits for runs only once it parks.
 package vtime
 
 import "time"

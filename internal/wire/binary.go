@@ -50,7 +50,8 @@ package wire
 //	 0– 7  reserved (gob fallback, nil payload)
 //	10–19  internal/gcs (10–18: submit, ordered, nack, heartbeat, propose,
 //	       sync request/response, snapshot, hint)
-//	20–29  internal/replica (20 request, 21 reply, 27 migration chunk)
+//	20–29  internal/replica (20 request, 21 reply; 27, the migration chunk
+//	       of live resharding, is retired and decodes as an unknown tag)
 //	30–39  internal/adets (30 timeout, 31 LSA table update)
 
 import (

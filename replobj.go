@@ -92,11 +92,6 @@ type (
 	// deterministic checkpointing with an explicit serialization (see
 	// WithCheckpointEvery); states without it fall back to encoding/gob.
 	Snapshotter = replica.Snapshotter
-	// KeyedSnapshotter is implemented by object states that support
-	// per-key export/install/drop — the requirement for elastic resharding
-	// (Sharded.Reshard): a migration moves a key subset between two live
-	// shard groups, which a whole-state Snapshotter cannot express.
-	KeyedSnapshotter = replica.KeyedSnapshotter
 	// MetricsRegistry collects counters, gauges and latency histograms and
 	// renders them in Prometheus text format (see internal/obs).
 	MetricsRegistry = obs.Registry
@@ -378,7 +373,6 @@ type groupConfig struct {
 	adaptive         AdaptiveConfig
 	failureDetection bool
 	quorum           bool
-	logRetain        int // gcs.Config.LogRetain; set by tests only
 	traceRetain      int
 	checkpointEvery  int
 	speculative      bool
@@ -386,9 +380,10 @@ type groupConfig struct {
 	// given names the options passed that parseGroupOptions checks by
 	// presence.
 	given map[string]bool
-	// shardTable marks a group as one shard of a sharded object; set by
-	// NewSharded and Reshard, never by a GroupOption.
-	shardTable *shard.Table
+	// shard marks a group as one shard of a sharded object and is the
+	// object's routing table, which every replica of every shard group
+	// shares; set by NewSharded, never by a GroupOption.
+	shard *shard.Epoch
 }
 
 // WithScheduler selects the scheduling strategy (default ADETS-SAT).
@@ -644,7 +639,7 @@ func (c *Cluster) checkNewGroup(id GroupID, n int) error {
 }
 
 // newGroup creates a group from parsed options, once checkNewGroup has
-// passed. NewGroup, NewSharded and Reshard all create groups here.
+// passed. NewGroup and NewSharded create groups here.
 func (c *Cluster) newGroup(id GroupID, n int, cfg groupConfig) *Group {
 	members := make([]NodeID, n)
 	for i := range members {
@@ -769,18 +764,13 @@ func (g *Group) StartRank(rank int) {
 		State:           g.cfg.state,
 		CheckpointEvery: g.cfg.checkpointEvery,
 		Speculative:     g.cfg.speculative,
+		Shard:           g.cfg.shard,
 		GCS: gcs.Config{
 			FailureDetection: g.cfg.failureDetection,
 			Quorum:           g.cfg.quorum,
-			LogRetain:        g.cfg.logRetain,
 		},
 		Metrics: g.cluster.metrics,
 		Spans:   g.cluster.spans,
-	}
-	if g.cfg.shardTable != nil {
-		// Each rank gets its own GroupState: the routing table is replicated
-		// state, installed per replica at the ordered dispatch position.
-		rcfg.Shard = shard.NewGroupState(g.id, *g.cfg.shardTable)
 	}
 	if g.cfg.traceRetain > 0 {
 		tr := obs.NewTrace(g.cfg.traceRetain)

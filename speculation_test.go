@@ -531,7 +531,9 @@ func TestSpeculationImageOffRuntimeLock(t *testing.T) {
 	g.Start()
 	cl := c.NewClient("c0", replobj.WithInvocationTimeout(10*time.Second), replobj.WithReplyPolicy(replobj.All))
 	replobj.Run(rt, func() {
-		for i := 0; i < 50 && err == nil; i++ {
+		// A speculation images only when it runs before its request is
+		// ordered, a race on the real clock: invoke on past 50 until one has.
+		for i := 0; (i < 50 || images.Load() == 0) && i < 2000 && err == nil; i++ {
 			_, err = cl.Invoke("img", "add", []byte{1})
 		}
 	})

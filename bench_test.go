@@ -2,7 +2,7 @@ package replobj_test
 
 // BenchmarkExperiments regenerates every entry of internal/bench's experiment
 // table — the paper's figures (Fig. 4(a-d), Fig. 5(a), Fig. 5(b), Fig. 6(a),
-// Fig. 6(b)), the ablations and the scenario suite — one sub-benchmark per
+// Fig. 6(b)) and the ablations — one sub-benchmark per
 // id, reporting the headline metric of each as ms/invocation of virtual
 // time. `go test -bench Experiments` therefore reproduces the entire
 // evaluation section; cmd/replbench prints the full tables.

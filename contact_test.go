@@ -205,3 +205,37 @@ func TestSpeculatingClientPointedAtFollower(t *testing.T) {
 		}
 	})
 }
+
+// TestSpeculatingClientCutFromSequencer: a speculating group's client cut off
+// from the sequencer in both directions. Its first copy reaches rank 1 only,
+// which holds it: the copy set names the sequencer. The retransmission goes
+// to every member; rank 2, outside the copy set, holds it as a first copy
+// the sequencer is assumed to have, but rank 1 passes it on as a later copy
+// of a request not yet ordered, so the call completes after one retransmit
+// interval.
+func TestSpeculatingClientCutFromSequencer(t *testing.T) {
+	const retransmit = 100 * time.Millisecond
+	rt := vtime.Virtual()
+	c := replobj.NewCluster(rt)
+	g := counterGroup(t, c, "cnt", 3, replobj.WithScheduler(replobj.SEQ), replobj.WithSpeculation())
+	run(rt, c, func() {
+		cl := c.NewClient("c1", replobj.WithInvocationTimeout(2*time.Second), replobj.WithRetransmit(retransmit))
+		add := func() time.Duration {
+			t0 := rt.Now()
+			if _, err := cl.Invoke("cnt", "add", []byte{1}); err != nil {
+				t.Fatal(err)
+			}
+			return rt.Now() - t0
+		}
+		add() // introduction
+		seq0, self := g.Members()[0], cl.NodeID()
+		if err := c.SetDropRule(func(from, to replobj.NodeID) bool {
+			return from == self && to == seq0 || from == seq0 && to == self
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if took := add(); took < retransmit || took >= 2*retransmit {
+			t.Errorf("call with the sequencer unreachable took %v, want one retransmit interval (%v)", took, retransmit)
+		}
+	})
+}

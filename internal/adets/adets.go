@@ -222,23 +222,6 @@ type EarlyScheduler interface {
 	EarlySubmit(id wire.InvocationID, classes []string)
 }
 
-// StatefulScheduler is implemented by schedulers whose scheduling decisions
-// depend on replicated meta-state beyond the current delivery — e.g. the
-// adaptive meta-scheduler's epoch counter, metrics window and active-kind
-// history. That state is itself a pure function of the ordered stream, so it
-// must ride checkpoints: a replica restored by snapshot state transfer has
-// not seen the truncated prefix and could otherwise never re-derive it. The
-// replica layer calls MarshalSchedulerState at every drained checkpoint
-// boundary and UnmarshalSchedulerState right after installing a snapshot.
-type StatefulScheduler interface {
-	// MarshalSchedulerState serializes the replicated scheduler state at a
-	// quiesced (drained) cut.
-	MarshalSchedulerState() ([]byte, error)
-	// UnmarshalSchedulerState adopts a donor's state, exactly as if this
-	// replica had delivered the whole prefix itself.
-	UnmarshalSchedulerState(data []byte) error
-}
-
 // Capabilities is one row of the paper's Table 1 plus the feature flags the
 // extended algorithms add.
 type Capabilities struct {

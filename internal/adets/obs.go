@@ -42,8 +42,6 @@ type SchedObs struct {
 	requests *obs.Counter
 	rounds   *obs.Counter
 	views    *obs.Counter
-	epochs   *obs.Counter
-	switches *obs.Counter
 
 	waitQueue *obs.Gauge
 
@@ -82,8 +80,6 @@ func NewSchedObs(reg *obs.Registry, tr *obs.Trace, strategy, node string) *Sched
 		requests:   reg.Counter("replobj_sched_requests_total" + l),
 		rounds:     reg.Counter("replobj_sched_rounds_total" + l),
 		views:      reg.Counter("replobj_sched_view_changes_total" + l),
-		epochs:     reg.Counter("replobj_sched_adaptive_epochs_total" + l),
-		switches:   reg.Counter("replobj_sched_adaptive_switches_total" + l),
 		waitQueue:  reg.Gauge("replobj_sched_wait_queue_depth" + l),
 		grantLat:   reg.Histogram("replobj_sched_grant_wait_seconds"+l, obs.LatencyBuckets()),
 		reentDepth: reg.Histogram("replobj_sched_reentrancy_depth"+l, obs.DepthBuckets()),
@@ -233,24 +229,6 @@ func (s *SchedObs) Round(n uint64) {
 		s.rounds.Inc()
 		s.roundsStream.RecordN(obs.KindRound, "", n)
 	}
-}
-
-// AdaptiveEpoch records an adaptive-scheduler epoch boundary: the window was
-// sampled at a quiesced cut and the decision was verdict ("keep", "switch"
-// or "skip" when the cut was not drained), moving the active strategy from
-// from to to (equal unless switching). The boundary position, the sampled
-// window and the decision are all pure functions of the ordered stream, so
-// the event is traced ("sched" stream) and digest-compared across replicas.
-func (s *SchedObs) AdaptiveEpoch(epoch uint64, from, to, verdict string) {
-	if s == nil {
-		return
-	}
-	s.epochs.Inc()
-	if verdict == "switch" {
-		s.switches.Inc()
-	}
-	s.schedStream.Record(obs.KindSwitch, from+">"+to,
-		strconv.FormatUint(epoch, 10)+"/"+verdict)
 }
 
 // ViewChange records a membership change reaching the scheduler.

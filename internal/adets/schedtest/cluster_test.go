@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/replobj/replobj/internal/adets"
-	"github.com/replobj/replobj/internal/adets/adaptive"
 	"github.com/replobj/replobj/internal/adets/cc"
 	"github.com/replobj/replobj/internal/adets/lsa"
 	"github.com/replobj/replobj/internal/adets/mat"
@@ -35,28 +34,7 @@ var factories = map[string]func(i int) adets.Scheduler{
 	"ADETS-PDS-RR": func(int) adets.Scheduler {
 		return pds.New(pds.Config{Variant: pds.PDS1, PoolSize: 12, Assignment: pds.RoundRobin})
 	},
-	"ADETS-CC":    func(int) adets.Scheduler { return cc.New() },
-	"ADETS-ADAPT": func(int) adets.Scheduler { return newSwitchingAdaptive() },
-}
-
-// newSwitchingAdaptive builds an ADETS-ADAPT instance aggressive enough for
-// the generic tests to cross strategy switches mid-workload: a short epoch
-// and a plan alternating between the two full-capability kinds at every
-// boundary (ADETS-SAT on even epochs, ADETS-MAT on odd ones).
-func newSwitchingAdaptive() adets.Scheduler {
-	plan := make([]adaptive.PlanStep, 0, 16)
-	for e := uint64(1); e <= 16; e++ {
-		kind := adaptive.KindSAT
-		if e%2 == 1 {
-			kind = adaptive.KindMAT
-		}
-		plan = append(plan, adaptive.PlanStep{Epoch: e, Kind: kind})
-	}
-	s, err := adaptive.New(adaptive.Config{Epoch: 3, MinWindow: 1, Plan: plan})
-	if err != nil {
-		panic(err)
-	}
-	return s
+	"ADETS-CC": func(int) adets.Scheduler { return cc.New() },
 }
 
 func caps(name string) adets.Capabilities {

@@ -62,8 +62,8 @@ type Experiment struct {
 }
 
 // Experiments returns the one ordered experiment table — the paper's eight
-// figures, the seven ablations (DESIGN.md AB1–AB7) and the production
-// scenario suite. All, cmd/replbench and the root figure benchmarks read it.
+// figures and the seven ablations (DESIGN.md AB1–AB7). All, cmd/replbench
+// and the root figure benchmarks read it.
 func Experiments() []Experiment {
 	return []Experiment{
 		{"fig4a", func(c Config) (Result, error) { return Fig4(c, PatternA) }},
@@ -81,7 +81,6 @@ func Experiments() []Experiment {
 		{"ab-pdsnested", AB5PDSNested},
 		{"ab-pdsassign", AB6PDSAssignment},
 		{"ab-matpredict", AB7MATPredict},
-		{"scenarios", ProductionScenarios},
 	}
 }
 
@@ -118,9 +117,6 @@ type Result struct {
 	XLabel string
 	YLabel string
 	Series []Series
-	// Scenarios carries the SLO rows of the production scenario suite
-	// (empty for every other result).
-	Scenarios []ScenarioSLO `json:",omitempty"`
 }
 
 // Format renders a result as an aligned text table (clients × strategies),
@@ -156,14 +152,6 @@ func (r Result) Format() string {
 			fmt.Fprintf(&b, "%12.2f", y)
 		}
 		b.WriteByte('\n')
-	}
-	if len(r.Scenarios) > 0 {
-		fmt.Fprintf(&b, "\n%-16s %-12s %8s %10s %10s %10s %9s\n",
-			"scenario", "scheduler", "reqs", "p50 ms", "p99 ms", "p99.9 ms", "switches")
-		for _, sc := range r.Scenarios {
-			fmt.Fprintf(&b, "%-16s %-12s %8d %10.3f %10.3f %10.3f %9d\n",
-				sc.Scenario, sc.Scheduler, sc.Requests, sc.P50ms, sc.P99ms, sc.P999ms, sc.Switches)
-		}
 	}
 	return b.String()
 }

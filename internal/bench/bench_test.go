@@ -6,13 +6,12 @@ import (
 )
 
 // TestExperimentTable holds the one experiment table: it lists the paper's
-// eight figures, the seven ablations and the scenario suite, in that order,
-// and All runs exactly those experiments in table order.
+// eight figures and the seven ablations, in that order, and All runs exactly
+// those experiments in table order.
 func TestExperimentTable(t *testing.T) {
 	want := []string{
 		"fig4a", "fig4b", "fig4c", "fig4d", "fig5a", "fig5b", "fig6a", "fig6b",
 		"ab-pds2", "ab-lsaperiod", "ab-reply", "ab-yield", "ab-pdsnested", "ab-pdsassign", "ab-matpredict",
-		"scenarios",
 	}
 	var ids []string
 	for _, e := range Experiments() {

@@ -398,7 +398,9 @@ const (
 	// knowledge is stale, so the copy may be the only one, and with failure
 	// detection off nothing else would ever pass it on. In a direct-copy
 	// group only the lowest-ranked member of a copy set that leaves out the
-	// sequencer passes its copy on (passOn).
+	// sequencer passes its first copy on (passOn), but every member passes on
+	// a later copy of an id not yet ordered: a retransmission, whose client
+	// may be cut off from the sequencer, which then has no copy of its own.
 	relayToSequencer
 )
 
@@ -432,7 +434,7 @@ func (c submitCase) verdict() submitVerdict {
 		return orderHere
 	case !c.fromOrigin, c.installing, c.suspended:
 		return hold
-	case c.own, c.first && (!c.directCopies || c.passOn):
+	case c.own, c.first && (!c.directCopies || c.passOn), !c.first && c.directCopies:
 		return relayToSequencer
 	}
 	return hold

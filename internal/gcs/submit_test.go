@@ -61,7 +61,9 @@ func TestSubmitVerdictTable(t *testing.T) {
 		{name: "a follower relays the first copy its origin hands it (TestFollowerRelaysFreshClientSubmit)",
 			ordered: no, sequencer: no, fromOrigin: yes, installing: no, suspended: no, own: no, first: yes, directCopies: no, want: relayToSequencer},
 		{name: "a later copy from the origin went to every member (TestFollowerRelaysFreshClientSubmit)",
-			ordered: no, sequencer: no, fromOrigin: yes, installing: no, suspended: no, own: no, first: no, want: hold},
+			ordered: no, sequencer: no, fromOrigin: yes, installing: no, suspended: no, own: no, first: no, directCopies: no, want: hold},
+		{name: "a direct-copy group passes on a later copy from the origin: the sequencer may not have one (TestSpeculatingClientCutFromSequencer)",
+			ordered: no, sequencer: no, fromOrigin: yes, installing: no, suspended: no, own: no, first: no, directCopies: yes, want: relayToSequencer},
 		{name: "a direct-copy group relays nothing the sequencer has its own copy of (TestDirectCopyGroupRelaysNothing, TestCopySetWithoutTheSequencerIsPassedOn)",
 			ordered: no, sequencer: no, fromOrigin: yes, installing: no, suspended: no, own: no, first: yes, directCopies: yes, passOn: no, want: hold},
 		{name: "the lowest-ranked member of a copy set that leaves out the sequencer passes its copy on (TestCopySetWithoutTheSequencerIsPassedOn, TestSpeculatingClientPointedAtFollower)",

@@ -72,12 +72,6 @@ const (
 	// checkpoint another replica takes diverges in the digest — the trace
 	// doubles as the oracle for checkpoint determinism.
 	KindCheckpoint
-	// KindSwitch: an adaptive-scheduler epoch boundary (kept, switched or
-	// skipped; the detail distinguishes them). The switch decision is a pure
-	// function of the ordered stream, so a replica that switches strategies
-	// at a boundary another replica keeps diverges in the digest — the trace
-	// is the oracle for switch determinism.
-	KindSwitch
 )
 
 func (k Kind) String() string {
@@ -98,8 +92,6 @@ func (k Kind) String() string {
 		return "view"
 	case KindCheckpoint:
 		return "checkpoint"
-	case KindSwitch:
-		return "switch"
 	}
 	return "?"
 }

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strconv"
 
-	"github.com/replobj/replobj/internal/adets"
 	"github.com/replobj/replobj/internal/gcs"
 	"github.com/replobj/replobj/internal/obs"
 	"github.com/replobj/replobj/internal/ring"
@@ -55,10 +54,6 @@ type snapshotEnvelope struct {
 	UsedGob bool
 	Entries []seenEntry
 	Streams map[string]obs.StreamState
-	// Sched carries replicated scheduler meta-state (adets.StatefulScheduler
-	// — the adaptive meta-scheduler's epoch, window and active kind), nil
-	// for stateless schedulers.
-	Sched []byte
 }
 
 // checkpoint runs at a checkpoint boundary (stream position seq, the
@@ -101,16 +96,9 @@ func (r *Replica) checkpoint(seq uint64) {
 		Entries: entries,
 		Streams: r.trace.ExportStreams(),
 	}
-	if ss, ok := r.sched.(adets.StatefulScheduler); ok {
-		sched, err := ss.MarshalSchedulerState()
-		if err != nil {
-			return // deterministic: the same state fails on every replica
-		}
-		env.Sched = sched
-	}
 	// Sized up front: grown by doubling, a multi-megabyte envelope leaves
 	// several times its size in dead buffers for the collector.
-	buf := bytes.NewBuffer(make([]byte, 0, len(state)+len(env.Sched)+heldBytes+64*len(entries)+4096))
+	buf := bytes.NewBuffer(make([]byte, 0, len(state)+heldBytes+64*len(entries)+4096))
 	if err := gob.NewEncoder(buf).Encode(env); err != nil {
 		return
 	}
@@ -261,14 +249,6 @@ func (r *Replica) installSnapshot(d gcs.Delivery) {
 		r.specMgr.Reset(env.Seq)
 	}
 	r.rt.Unlock()
-	if len(env.Sched) > 0 {
-		if ss, ok := r.sched.(adets.StatefulScheduler); ok {
-			// The rejoiner adopts the donor's scheduler epoch/kind: the
-			// boundary submissions that produced them are in the truncated
-			// prefix and can never be replayed here.
-			_ = ss.UnmarshalSchedulerState(env.Sched)
-		}
-	}
 	r.trace.RestoreStreams(env.Streams)
 }
 

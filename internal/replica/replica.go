@@ -540,7 +540,7 @@ func (r *Replica) Stop() {
 // runs on the reader that decoded the frame and must not block: Handle is
 // one event under the runtime lock whose finish only enqueues sends and
 // calls DuplicateSubmit (sends a reply) and OptimisticDeliver (starts the
-// speculation goroutine); every HandleDirect returns false (ADAPT forwards).
+// speculation goroutine); every HandleDirect returns false.
 func (r *Replica) receive(msg wire.Message) {
 	if r.member.Handle(msg.From, msg.Payload) || r.sched.HandleDirect(msg.From, msg.Payload) {
 		return

@@ -43,7 +43,6 @@ func tableOptions() []tableOption {
 		{"WithLSAPeriod", replobj.WithLSAPeriod(5 * time.Millisecond)},
 		{"WithPDSConfig", replobj.WithPDSConfig(pds.Config{PoolSize: tablePool})},
 		{"WithCCLanes", replobj.WithCCLanes(tableLanes)},
-		{"WithAdaptive", replobj.WithAdaptive(replobj.AdaptiveConfig{Epoch: 16})},
 		{"WithFailureDetection", replobj.WithFailureDetection(true)},
 		{"WithQuorum", replobj.WithQuorum()},
 		{"WithCheckpointEvery", replobj.WithCheckpointEvery(8)},
@@ -91,28 +90,20 @@ func expect(ctor string, pair []tableOption) tableCase {
 	if has["WithSpeculation"] && !has["WithState"] {
 		refuse("WithSpeculation", "WithState")
 	}
-	if has["WithAdaptive"] && kind != "" && kind != replobj.ADAPT {
-		refuse("WithAdaptive", fmt.Sprintf("WithScheduler(%s)", kind))
-	}
 	if has["WithSchedulerFactory"] && kind != "" {
 		refuse("WithSchedulerFactory", fmt.Sprintf("WithScheduler(%s)", kind))
-	}
-	if has["WithSchedulerFactory"] && has["WithAdaptive"] {
-		refuse("WithSchedulerFactory", "WithAdaptive")
 	}
 	effective, strategy := kind, "WithScheduler("
 	switch {
 	case has["WithSchedulerFactory"]:
 		effective, strategy = "", "WithSchedulerFactory"
-	case has["WithAdaptive"]:
-		effective = replobj.ADAPT
 	case kind == "":
 		effective = replobj.ADSAT
 	}
 	for opt, kinds := range map[string][]replobj.SchedulerKind{
-		"WithCCLanes":   {replobj.CC, replobj.ADAPT},
-		"WithLSAPeriod": {replobj.LSA, replobj.ADAPT},
-		"WithPDSConfig": {replobj.PDS, replobj.PDS2, replobj.ADAPT},
+		"WithCCLanes":   {replobj.CC},
+		"WithLSAPeriod": {replobj.LSA},
+		"WithPDSConfig": {replobj.PDS, replobj.PDS2},
 	} {
 		if has[opt] && !slices.Contains(kinds, effective) {
 			refuse(opt, strategy)
@@ -153,7 +144,7 @@ func expect(ctor string, pair []tableOption) tableCase {
 // that holds it and does not mend it.
 func TestGroupOptionsComposeOrRefuse(t *testing.T) {
 	opts := tableOptions()
-	strategy := []string{"WithScheduler", "WithSchedulerFactory", "WithAdaptive", "WithCCLanes", "WithPDSConfig", "WithLSAPeriod"}
+	strategy := []string{"WithScheduler", "WithSchedulerFactory", "WithCCLanes", "WithPDSConfig", "WithLSAPeriod"}
 	refused := map[[2]string]bool{}
 	for _, ctor := range []string{"NewGroup", "NewSharded"} {
 		for i, a := range opts {
@@ -199,8 +190,7 @@ func TestGroupOptionsComposeOrRefuse(t *testing.T) {
 	// Every rule of the list is reached.
 	for _, r := range [][2]string{
 		{"WithShards", "NewGroup"}, {"WithSpeculation", "NewSharded"},
-		{"WithSpeculation", "WithState"}, {"WithAdaptive", "WithScheduler(ADETS-MAT)"},
-		{"WithSchedulerFactory", "WithScheduler(SEQ)"}, {"WithSchedulerFactory", "WithAdaptive"},
+		{"WithSpeculation", "WithState"}, {"WithSchedulerFactory", "WithScheduler(SEQ)"},
 		{"WithCCLanes", "WithScheduler("}, {"WithLSAPeriod", "WithScheduler("},
 		{"WithPDSConfig", "WithScheduler("}, {"WithCCLanes", "WithSchedulerFactory"},
 		{"WithQuorum", "WithFailureDetection"},

@@ -18,8 +18,6 @@
 //	ADETS-PDS  round-based preemptive deterministic scheduling (PDS-1/PDS-2)
 //	ADETS-CC   conflict-class parallel dispatch (this reproduction's
 //	           extension after Early Scheduling in Parallel SMR)
-//	ADETS-ADAPT adaptive strategy switching at deterministic epoch
-//	           boundaries of the total order (see WithAdaptive)
 //
 // A Cluster hosts replica groups and clients over a shared network —
 // in-process with simulated latency under vtime.Virtual() (the evaluation
@@ -47,7 +45,6 @@ import (
 	"time"
 
 	"github.com/replobj/replobj/internal/adets"
-	"github.com/replobj/replobj/internal/adets/adaptive"
 	"github.com/replobj/replobj/internal/adets/cc"
 	"github.com/replobj/replobj/internal/adets/lsa"
 	"github.com/replobj/replobj/internal/adets/mat"
@@ -165,20 +162,12 @@ const (
 	// global barriers, so existing applications run unchanged (serialized).
 	// See internal/adets/cc.
 	CC SchedulerKind = "ADETS-CC"
-	// ADAPT is adaptive strategy switching: a meta-scheduler wraps the
-	// static kinds, samples a metrics window computed purely from the
-	// ordered stream, and switches the active strategy at deterministic
-	// epoch boundaries (quiesced cuts). The switch decision is replicated
-	// state — every replica swaps identically and trace digests stay equal
-	// across the swap. Configure with WithAdaptive; see
-	// internal/adets/adaptive.
-	ADAPT SchedulerKind = "ADETS-ADAPT"
 )
 
 // Kinds lists every scheduler kind in the paper's Table 1 order, followed
-// by this reproduction's extensions.
+// by this reproduction's conflict-class extension.
 func Kinds() []SchedulerKind {
-	return []SchedulerKind{SEQ, SL, SAT, ADSAT, MAT, LSA, PDS, PDS2, CC, ADAPT}
+	return []SchedulerKind{SEQ, SL, SAT, ADSAT, MAT, LSA, PDS, PDS2, CC}
 }
 
 // ClusterOption configures a Cluster.
@@ -363,14 +352,12 @@ type GroupOption func(*groupConfig)
 
 // groupConfig is a group's parsed options.
 type groupConfig struct {
-	kind             SchedulerKind // WithScheduler or WithAdaptive (default ADSAT)
-	sched            SchedulerKind // WithScheduler's kind alone
+	kind             SchedulerKind // WithScheduler's kind (default ADSAT)
 	state            func() any
 	factory          func(rank int) adets.Scheduler
 	lsaPeriod        time.Duration
 	pds              pds.Config
 	ccLanes          int
-	adaptive         AdaptiveConfig
 	failureDetection bool
 	quorum           bool
 	traceRetain      int
@@ -388,7 +375,7 @@ type groupConfig struct {
 
 // WithScheduler selects the scheduling strategy (default ADETS-SAT).
 func WithScheduler(kind SchedulerKind) GroupOption {
-	return func(g *groupConfig) { g.kind, g.sched = kind, kind; g.given["WithScheduler"] = true }
+	return func(g *groupConfig) { g.kind = kind; g.given["WithScheduler"] = true }
 }
 
 // WithState installs a per-replica object-state factory; handlers retrieve
@@ -401,13 +388,13 @@ func WithState(factory func() any) GroupOption {
 
 // WithSchedulerFactory installs a custom scheduler constructor in place of a
 // kind (rank is the replica's position in the group). It cannot be combined
-// with WithScheduler, WithAdaptive or an option that configures a kind.
+// with WithScheduler or an option that configures a kind.
 func WithSchedulerFactory(f func(rank int) adets.Scheduler) GroupOption {
 	return func(g *groupConfig) { g.factory = f }
 }
 
 // WithLSAPeriod sets ADETS-LSA's mutex-table broadcast period. Only the LSA
-// and ADAPT kinds accept it.
+// kind accepts it.
 func WithLSAPeriod(d time.Duration) GroupOption {
 	return func(g *groupConfig) { g.lsaPeriod = d; g.given["WithLSAPeriod"] = true }
 }
@@ -415,43 +402,16 @@ func WithLSAPeriod(d time.Duration) GroupOption {
 // WithPDSConfig sets the ADETS-PDS configuration: the thread-pool size (the
 // paper sizes it to the number of clients), request assignment, nested-call
 // strategy and the paper's "artificial requests" (Section 4.2). The variant
-// follows the kind. Only the PDS, PDS2 and ADAPT kinds accept it.
+// follows the kind. Only the PDS and PDS2 kinds accept it.
 func WithPDSConfig(cfg pds.Config) GroupOption {
 	return func(g *groupConfig) { g.pds = cfg; g.given["WithPDSConfig"] = true }
 }
 
 // WithCCLanes sets ADETS-CC's worker-lane pool size (default 8). The lane
 // count is an input of the deterministic class→lane mapping, so every
-// replica of a group must use the same value. Only the CC and ADAPT kinds
-// accept it.
+// replica of a group must use the same value. Only the CC kind accepts it.
 func WithCCLanes(n int) GroupOption {
 	return func(g *groupConfig) { g.ccLanes = n; g.given["WithCCLanes"] = true }
-}
-
-// AdaptiveConfig tunes the ADETS-ADAPT meta-scheduler (see WithAdaptive).
-// The zero value selects the defaults; all replicas of a group must use the
-// same configuration — it is an input of the replicated switch decision.
-// ADETS-SAT is active before the first switch.
-type AdaptiveConfig struct {
-	// Epoch is the boundary spacing in total-order positions (default 64).
-	Epoch int
-	// MinWindow keeps the current kind when a window saw fewer requests
-	// (default 8) — hysteresis against flapping on sparse epochs.
-	MinWindow int
-	// Plan, when non-empty, overrides the built-in policy with a fixed
-	// switching schedule: at every boundary the entry with the largest
-	// epoch index <= the boundary's applies. Used by tests that need
-	// switches at exact positions.
-	Plan map[uint64]SchedulerKind
-}
-
-// WithAdaptive selects the ADETS-ADAPT meta-scheduler with the given
-// configuration. Equivalent to WithScheduler(ADAPT) plus tuning, so a
-// WithScheduler of another kind is refused beside it; the other strategy
-// options (WithCCLanes, WithPDSConfig, WithLSAPeriod) configure the wrapped
-// kinds the meta-scheduler switches between.
-func WithAdaptive(cfg AdaptiveConfig) GroupOption {
-	return func(g *groupConfig) { g.kind = ADAPT; g.adaptive = cfg; g.given["WithAdaptive"] = true }
 }
 
 // WithFailureDetection enables heartbeats and view changes (required for
@@ -590,7 +550,7 @@ func parseGroupOptions(opts []GroupOption, sharded bool) (groupConfig, error) {
 	switch {
 	case cfg.factory != nil:
 		strategy = "WithSchedulerFactory"
-	case !given["WithScheduler"] && !given["WithAdaptive"]:
+	case !given["WithScheduler"]:
 		strategy += " (the default)"
 	}
 	configures := func(opt string, kinds ...SchedulerKind) bool {
@@ -604,17 +564,13 @@ func parseGroupOptions(opts []GroupOption, sharded bool) (groupConfig, error) {
 		why = "WithSpeculation is not supported by NewSharded"
 	case cfg.speculative && cfg.state == nil:
 		why = "WithSpeculation needs WithState to fork"
-	case given["WithAdaptive"] && given["WithScheduler"] && cfg.sched != ADAPT:
-		why = fmt.Sprintf("WithAdaptive selects ADETS-ADAPT, WithScheduler(%s) another kind", cfg.sched)
-	case cfg.factory != nil && given["WithAdaptive"]:
-		why = "WithSchedulerFactory replaces the kind WithAdaptive selects"
 	case cfg.factory != nil && given["WithScheduler"]:
-		why = fmt.Sprintf("WithSchedulerFactory replaces the kind WithScheduler(%s) selects", cfg.sched)
-	case configures("WithCCLanes", CC, ADAPT):
+		why = fmt.Sprintf("WithSchedulerFactory replaces the kind WithScheduler(%s) selects", cfg.kind)
+	case configures("WithCCLanes", CC):
 		why = "WithCCLanes configures ADETS-CC, not " + strategy
-	case configures("WithLSAPeriod", LSA, ADAPT):
+	case configures("WithLSAPeriod", LSA):
 		why = "WithLSAPeriod configures ADETS-LSA, not " + strategy
-	case configures("WithPDSConfig", PDS, PDS2, ADAPT):
+	case configures("WithPDSConfig", PDS, PDS2):
 		why = "WithPDSConfig configures ADETS-PDS, not " + strategy
 	case cfg.quorum && !cfg.failureDetection:
 		why = "WithQuorum needs WithFailureDetection(true)"
@@ -694,38 +650,8 @@ func (cfg *groupConfig) scheduler(rank int) (adets.Scheduler, error) {
 			opts = append(opts, cc.WithLanes(cfg.ccLanes))
 		}
 		return cc.New(opts...), nil
-	case ADAPT:
-		return cfg.adaptiveScheduler(rank)
 	}
 	return nil, fmt.Errorf("replobj: unknown scheduler kind %q", cfg.kind)
-}
-
-// adaptiveScheduler builds the ADETS-ADAPT meta-scheduler: every static kind
-// becomes a candidate factory, each constructed with this group's own
-// strategy options (lane counts, PDS pools, LSA periods), so a switch lands
-// on a scheduler configured exactly as a static deployment would be.
-func (cfg *groupConfig) adaptiveScheduler(rank int) (adets.Scheduler, error) {
-	statics := []SchedulerKind{SEQ, SL, SAT, ADSAT, MAT, LSA, PDS, PDS2, CC}
-	factories := make(map[string]func() adets.Scheduler, len(statics))
-	for _, k := range statics {
-		sub := *cfg
-		sub.kind = k
-		factories[string(k)] = func() adets.Scheduler {
-			s, _ := sub.scheduler(rank)
-			return s
-		}
-	}
-	acfg := adaptive.Config{Factories: factories}
-	if cfg.adaptive.Epoch > 0 {
-		acfg.Epoch = uint64(cfg.adaptive.Epoch)
-	}
-	if cfg.adaptive.MinWindow > 0 {
-		acfg.MinWindow = uint64(cfg.adaptive.MinWindow)
-	}
-	for e, k := range cfg.adaptive.Plan {
-		acfg.Plan = append(acfg.Plan, adaptive.PlanStep{Epoch: e, Kind: string(k)})
-	}
-	return adaptive.New(acfg)
 }
 
 // Register binds a method handler on every (future) replica. Must precede
@@ -859,14 +785,8 @@ func Table1() string {
 		adets.Row("LSA", lsa.New().Capabilities()),
 		adets.Row("PDS", pds.New(pds.Config{}).Capabilities()),
 		adets.Row("ADETS-CC", cc.New().Capabilities()),
-		adets.Row("ADETS-ADAPT", adaptiveRowCaps()),
 	}
 	return adets.FormatTable1(rows)
-}
-
-func adaptiveRowCaps() adets.Capabilities {
-	s, _ := adaptive.New(adaptive.Config{})
-	return s.Capabilities()
 }
 
 // Runtime is the execution substrate interface (virtual or real time).

@@ -70,7 +70,7 @@ func kcounterGroup(t *testing.T, c *replobj.Cluster, name string, n int, opts ..
 }
 
 // TestSpeculationChaosDigestsAndAtMostOnce drives a speculative group for
-// SEQ, CC and ADAPT with a mixed workload — each client alternating between
+// SEQ and CC with a mixed workload — each client alternating between
 // a private key (conflict ratio 0: speculations can hit) and a shared hot
 // key all clients contend on (seeded mis-speculation: forks go stale and
 // must be discarded). The oracles are exact effect counts (no speculation
@@ -80,7 +80,7 @@ func kcounterGroup(t *testing.T, c *replobj.Cluster, name string, n int, opts ..
 // each request as its copy arrives, and a Majority client sends its copies
 // to the sequencer and follower 1 alone.
 func TestSpeculationChaosDigestsAndAtMostOnce(t *testing.T) {
-	for _, kind := range []replobj.SchedulerKind{replobj.SEQ, replobj.CC, replobj.ADAPT} {
+	for _, kind := range []replobj.SchedulerKind{replobj.SEQ, replobj.CC} {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			const (
@@ -271,7 +271,7 @@ func TestSpeculationForksFollowTheOrder(t *testing.T) {
 		t.Skip("needs the full workload")
 	}
 	keys := []byte{'x', 'y', 'z'}
-	for _, kind := range []replobj.SchedulerKind{replobj.SEQ, replobj.CC, replobj.ADAPT} {
+	for _, kind := range []replobj.SchedulerKind{replobj.SEQ, replobj.CC} {
 		kind := kind
 		t.Run(string(kind)+"/chaos", func(t *testing.T) {
 			const (

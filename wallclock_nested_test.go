@@ -24,9 +24,9 @@ import (
 // invokes B; B calls back into A once under SAT, ADETS-SAT and ADETS-MAT,
 // and answers at once under the other kinds. SEQ and PDS's default nested
 // strategy deadlock on a callback by design (the paper's Section 2). Under
-// SL, ADETS-CC, ADETS-LSA and ADETS-ADAPT a callback can still be running on
-// a lagging replica when its originator resumes there, and the replicas
-// then disagree (ROADMAP item 17). Three clients make 30 calls each: every
+// SL, ADETS-CC and ADETS-LSA a callback can still be running on a lagging
+// replica when its originator resumes there, and the replicas then
+// disagree (ROADMAP item 17). Three clients make 30 calls each: every
 // reply must echo its own argument, both groups must count every call on
 // every replica (read with InvokeAll), and each group's replicas must agree
 // on their order and sched digests.

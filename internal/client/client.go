@@ -86,8 +86,7 @@ type Config struct {
 	// span per replica answer.
 	Spans *tracing.Collector
 	// Metrics, when non-nil, receives the client-side shard routing series
-	// (routed/redirect/cross counters, directory epoch gauge) from Routers
-	// created off this client.
+	// (routed and redirect counters) from Routers created off this client.
 	Metrics *obs.Registry
 }
 
@@ -253,7 +252,7 @@ func (c *Client) slotLocked(reply replica.Reply) *replySlot {
 // reply policy is satisfied or the timeout expires. It must run on a
 // tracked goroutine.
 func (c *Client) Invoke(group wire.GroupID, method string, args []byte) ([]byte, error) {
-	best, err := c.invokeReply(group, method, args, nil)
+	best, err := c.invokeReply(group, method, args, "")
 	if err != nil {
 		return nil, err
 	}
@@ -263,13 +262,10 @@ func (c *Client) Invoke(group wire.GroupID, method string, args []byte) ([]byte,
 // invokeReply runs an invocation and returns the deterministically chosen
 // reply — the lowest-ranked responder; all correct replicas answer
 // identically. Unlike Invoke it surfaces the whole Reply, which the shard
-// Router needs: a wrong-shard redirect is a reply Code plus the replica's
-// current ShardEpoch. mod, when non-nil, edits the request
-// before submission (the Router stamps shard routing fields with it); it
-// maps a value to a value so the request stays off the heap until it is
-// boxed into the submit.
-func (c *Client) invokeReply(group wire.GroupID, method string, args []byte, mod func(replica.Request) replica.Request) (replica.Reply, error) {
-	cl, err := c.invoke(group, method, args, c.policy, mod)
+// Router needs: a wrong-shard redirect is a reply Code. shardKey, when
+// non-empty, is the key the Router routed the request by.
+func (c *Client) invokeReply(group wire.GroupID, method string, args []byte, shardKey string) (replica.Reply, error) {
+	cl, err := c.invoke(group, method, args, c.policy, shardKey)
 	if err != nil {
 		return replica.Reply{}, err
 	}
@@ -286,7 +282,7 @@ func (c *Client) invokeReply(group wire.GroupID, method string, args []byte, mod
 // InvokeAll waits for every replica's reply (policy All for this call) and
 // returns them per node — used by consistency checks and tooling.
 func (c *Client) InvokeAll(group wire.GroupID, method string, args []byte) (map[wire.NodeID]replica.Reply, error) {
-	cl, err := c.invoke(group, method, args, All, nil)
+	cl, err := c.invoke(group, method, args, All, "")
 	if err != nil {
 		return nil, err
 	}
@@ -302,8 +298,9 @@ func (c *Client) InvokeAll(group wire.GroupID, method string, args []byte) (map[
 }
 
 // invoke runs the request/retransmit/collect loop until policy is
-// satisfied. mod, when non-nil, edits the request before submission. The returned call is the client's
-// reusable one: read it under the runtime lock, before the next invoke.
+// satisfied. A non-empty shardKey is stamped on the request for the shard's
+// admission check. The returned call is the client's reusable one: read it
+// under the runtime lock, before the next invoke.
 //
 // The first transmission is one copy to the group's contact, whose total
 // order carries the request to the other members. The first time this
@@ -315,7 +312,7 @@ func (c *Client) InvokeAll(group wire.GroupID, method string, args []byte) (map[
 // other member would arrive after the policy was met. Every retransmission
 // goes to every member, so a dead contact, a lost copy, a lost Ordered and
 // lost replies all cost one retransmit interval and no more.
-func (c *Client) invoke(group wire.GroupID, method string, args []byte, policy ReplyPolicy, mod func(replica.Request) replica.Request) (*call, error) {
+func (c *Client) invoke(group wire.GroupID, method string, args []byte, policy ReplyPolicy, shardKey string) (*call, error) {
 	info := c.dir.Group(group)
 	if info == nil || len(info.Members) == 0 {
 		return nil, fmt.Errorf("client: unknown group %q", group)
@@ -380,21 +377,19 @@ func (c *Client) invoke(group wire.GroupID, method string, args []byte, policy R
 	c.rt.Unlock()
 
 	req := replica.Request{
-		ID:      id,
-		Group:   group,
-		Method:  method,
-		Args:    args,
-		Kind:    replica.KindClient,
-		Copies:  mask,
-		ReplyTo: c.self,
-		Call:    callNo,
-		Trace:   ctx,
-	}
-	if mod != nil {
-		req = mod(req)
+		ID:       id,
+		Group:    group,
+		Method:   method,
+		Args:     args,
+		Kind:     replica.KindClient,
+		Copies:   mask,
+		ReplyTo:  c.self,
+		Call:     callNo,
+		Trace:    ctx,
+		ShardKey: shardKey,
 	}
 	shardLabel := ""
-	if req.ShardEpoch != 0 {
+	if shardKey != "" {
 		shardLabel = string(group)
 	}
 	// Boxed once: every member (and every retransmission) gets the same

@@ -30,7 +30,6 @@ type Router struct {
 
 	routed    *obs.Counter
 	redirects *obs.Counter
-	cross     *obs.Counter
 }
 
 // Router returns a routing stub for a sharded object. The first Invoke
@@ -42,14 +41,9 @@ func (c *Client) Router(object string) *Router {
 		label := `{client="` + string(c.self) + `",object="` + object + `"}`
 		r.routed = c.metrics.Counter("replobj_shard_client_routed_total" + label)
 		r.redirects = c.metrics.Counter("replobj_shard_client_redirects_total" + label)
-		r.cross = c.metrics.Counter("replobj_shard_client_cross_total" + label)
 	}
 	return r
 }
-
-// Epoch returns the epoch of the cached routing table (0 before the
-// first refresh).
-func (r *Router) Epoch() uint64 { return r.table.Epoch }
 
 // Table returns the cached routing table.
 func (r *Router) Table() shard.Table { return r.table }
@@ -69,7 +63,7 @@ func (r *Router) Home(key string) (wire.GroupID, error) {
 // the ring. Must run on a tracked goroutine (it invokes the directory
 // group like any replicated object).
 func (r *Router) Refresh() error {
-	rep, err := r.c.invokeReply(r.dir, "get", nil, nil)
+	rep, err := r.c.invokeReply(r.dir, "get", nil, "")
 	if err != nil {
 		return fmt.Errorf("client: shard directory %s: %w", r.dir, err)
 	}
@@ -89,8 +83,7 @@ func (r *Router) Refresh() error {
 type InvokeOption func(*invokeOpts)
 
 type invokeOpts struct {
-	key       string
-	crossKeys []string
+	key string
 }
 
 // WithShardKey declares the key class the invocation is routed by — its
@@ -98,15 +91,6 @@ type invokeOpts struct {
 // Invoke.
 func WithShardKey(key string) InvokeOption {
 	return func(o *invokeOpts) { o.key = key }
-}
-
-// WithCrossKey declares an additional key class the invocation touches.
-// The request still executes on the primary key's home shard; the handler
-// reaches cross keys homed elsewhere through Invocation.InvokeShard (the
-// blocking two-group ordered path) and co-homed ones directly. May be
-// repeated.
-func WithCrossKey(key string) InvokeOption {
-	return func(o *invokeOpts) { o.crossKeys = append(o.crossKeys, key) }
 }
 
 // Invoke routes a method invocation to its key's home shard group. A
@@ -125,13 +109,7 @@ func (r *Router) Invoke(method string, args []byte, opts ...InvokeOption) ([]byt
 			return nil, err
 		}
 	}
-	epoch := r.table.Epoch
-	rep, err := r.c.invokeReply(r.ring.HomeGroup(o.key), method, args, func(q replica.Request) replica.Request {
-		q.ShardEpoch = epoch
-		q.ShardKey = o.key
-		q.CrossKeys = o.crossKeys
-		return q
-	})
+	rep, err := r.c.invokeReply(r.ring.HomeGroup(o.key), method, args, o.key)
 	if err != nil {
 		return nil, err
 	}
@@ -139,9 +117,6 @@ func (r *Router) Invoke(method string, args []byte, opts ...InvokeOption) ([]byt
 		r.redirects.Inc()
 	} else {
 		r.routed.Inc()
-		if len(o.crossKeys) > 0 {
-			r.cross.Inc()
-		}
 	}
 	return rep.Result, rep.Failure()
 }

@@ -16,32 +16,29 @@ import (
 
 // fakeShardWorld simulates a sharded object at the protocol level — a
 // directory replica serving encoded tables and one fake replica per shard
-// group that validates the stamped epoch exactly as a real replica does —
-// enough to unit-test the Router in isolation.
+// group that validates the stamped key's home exactly as a real replica
+// does — enough to unit-test the Router in isolation.
 type fakeShardWorld struct {
 	rt  vtime.Runtime
 	net *transport.Inproc
 	eps []transport.Endpoint
 
 	// guarded by the runtime lock
-	table     shard.Table             // what the directory serves
-	installed map[wire.GroupID]uint64 // per shard group epoch
-	attempts  map[wire.GroupID]int    // routed-request deliveries per group
-	gets      int                     // directory reads
+	table    shard.Table          // what the directory serves
+	homes    *shard.Ring          // what the shard groups validate against
+	attempts map[wire.GroupID]int // routed-request deliveries per group
+	gets     int                  // directory reads
 }
 
 func newFakeShardWorld(t *testing.T, rt vtime.Runtime, net *transport.Inproc, shards int) *fakeShardWorld {
 	t.Helper()
 	w := &fakeShardWorld{
-		rt:        rt,
-		net:       net,
-		table:     shard.NewTable("o", shards, 0),
-		installed: make(map[wire.GroupID]uint64),
-		attempts:  make(map[wire.GroupID]int),
+		rt:       rt,
+		net:      net,
+		table:    shard.NewTable("o", shards, 0),
+		attempts: make(map[wire.GroupID]int),
 	}
-	for _, gid := range w.table.Shards {
-		w.installed[gid] = w.table.Epoch
-	}
+	w.homes = shard.NewRing(w.table)
 
 	dirID := wire.ReplicaID(shard.DirGroup("o"), 0)
 	dirEP := net.Endpoint(dirID)
@@ -81,16 +78,11 @@ func newFakeShardWorld(t *testing.T, rt vtime.Runtime, net *transport.Inproc, sh
 				}
 				rt.Lock()
 				w.attempts[gid]++
-				epoch := w.installed[gid]
+				home := w.homes.HomeGroup(req.ShardKey)
 				rt.Unlock()
-				rep := replica.Reply{ID: req.ID, From: id}
-				switch {
-				case req.ShardEpoch == epoch:
-					rep.Result = []byte("ok@" + string(gid))
-				default:
-					rep.Code = replica.CodeRedirect
-					rep.Err = shard.RedirectError(epoch, req.ShardKey, gid)
-					rep.ShardEpoch = epoch
+				rep := replica.Reply{ID: req.ID, From: id, Result: []byte("ok@" + string(gid))}
+				if home != gid {
+					rep.Result, rep.Code, rep.Err = nil, replica.CodeRedirect, shard.RedirectError(req.ShardKey, home)
 				}
 				ep.Send(req.ReplyTo, rep)
 			}
@@ -148,9 +140,6 @@ func TestRouterRoutesToHome(t *testing.T) {
 		if string(out) != "ok@"+string(home) {
 			t.Errorf("Invoke answered by %q, ring says home is %q", out, home)
 		}
-		if r.Epoch() != 1 {
-			t.Errorf("Epoch = %d, want 1", r.Epoch())
-		}
 		rt.Lock()
 		other := 0
 		for gid, n := range w.attempts {
@@ -180,8 +169,9 @@ func TestRouterRequiresShardKey(t *testing.T) {
 	})
 }
 
-// TestRouterReturnsARedirectAtOnce: the shard groups answer under epoch 2
-// while the directory serves epoch 1, so every routed request is misrouted.
+// TestRouterReturnsARedirectAtOnce: the shard groups validate against
+// another object's ring than the one the directory serves, so every routed
+// request is misrouted.
 // Invoke returns the redirect as a CodeRedirect error after one delivery: no
 // backoff sleep, no second read of the directory, no retry.
 func TestRouterReturnsARedirectAtOnce(t *testing.T) {
@@ -200,14 +190,12 @@ func TestRouterReturnsARedirectAtOnce(t *testing.T) {
 		}
 		rtt := rt.Now() - t0
 		rt.Lock()
-		for _, gid := range w.table.Shards {
-			w.installed[gid] = 2
-		}
+		w.homes = shard.NewRing(shard.NewTable("p", 2, 0))
 		rt.Unlock()
 		t0 = rt.Now()
 		_, err := r.Invoke("m", nil, WithShardKey("k1"))
 		var e *replica.Error
-		if !errors.As(err, &e) || e.Code != replica.CodeRedirect || !strings.Contains(e.Msg, "wrong shard (epoch 2") {
+		if !errors.As(err, &e) || e.Code != replica.CodeRedirect || !strings.Contains(e.Msg, "is homed on p@") {
 			t.Fatalf("Invoke: %v, want the shard's CodeRedirect", err)
 		}
 		if waited := rt.Now() - t0; waited > rtt {

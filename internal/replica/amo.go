@@ -24,7 +24,6 @@ type amoEntry struct {
 	Result []byte
 	Err    string
 	Trace  tracing.Context
-	Epoch  uint64
 	Code   Code
 	Done   bool
 }
@@ -139,7 +138,7 @@ func (r *Replica) fillLocked(e *amoEntry, reply Reply) {
 		return
 	}
 	e.Done = true
-	e.Result, e.Err, e.Trace, e.Epoch, e.Code = reply.Result, reply.Err, reply.Trace, reply.ShardEpoch, reply.Code
+	e.Result, e.Err, e.Trace, e.Code = reply.Result, reply.Err, reply.Trace, reply.Code
 	r.countHeldLocked(e, +1)
 	r.exportTableLocked()
 }
@@ -175,5 +174,5 @@ func (r *Replica) exportTableLocked() {
 
 // reply rebuilds the cached reply of a done entry, as this replica's own.
 func (r *Replica) reply(id wire.InvocationID, e *amoEntry) Reply {
-	return Reply{ID: id, From: r.self, Result: e.Result, Err: e.Err, Trace: e.Trace, ShardEpoch: e.Epoch, Code: e.Code}
+	return Reply{ID: id, From: r.self, Result: e.Result, Err: e.Err, Trace: e.Trace, Code: e.Code}
 }

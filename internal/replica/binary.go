@@ -17,10 +17,9 @@ import (
 // then one group of fields per bit set in the presence byte, in bit order.
 //
 //	Request := presence ID Group Method Args Kind ReplyTo Origin
-//	           [trace: TraceID Span] [shard: ShardEpoch ShardKey]
-//	           [cross: count key...] [call: Call] [copies: Copies]
-//	Reply   := presence ID From Result
-//	           [outcome: Code Err] [trace: TraceID Span] [epoch: ShardEpoch]
+//	           [trace: TraceID Span] [shard: ShardKey] [call: Call]
+//	           [copies: Copies]
+//	Reply   := presence ID From Result [outcome: Code Err] [trace: TraceID Span]
 //
 // A group is present exactly when it holds something: the decoder rejects a
 // set bit over an all-zero group, a bit outside the defined set and a value
@@ -37,7 +36,6 @@ const (
 const (
 	reqHasTrace = 1 << iota
 	reqHasShard
-	reqHasCross
 	reqHasCall
 	reqHasCopies
 	reqPresenceMask = 1<<iota - 1
@@ -47,7 +45,6 @@ const (
 const (
 	repHasOutcome = 1 << iota
 	repHasTrace
-	repHasEpoch
 	repPresenceMask = 1<<iota - 1
 )
 
@@ -55,11 +52,6 @@ var (
 	errPresenceBits = errors.New("replica: undefined presence bit")
 	errEmptyGroup   = errors.New("replica: presence bit set over an empty field group")
 )
-
-// maxCrossKeys bounds the cross-shard keys a frame may announce, beside
-// wire.Reader.Count's rule that a count fits the frame: sanity against
-// hostile or corrupted length prefixes.
-const maxCrossKeys = 1 << 12
 
 func init() {
 	wire.Register(tagRequest, encRequest, decRequest)
@@ -71,11 +63,8 @@ func encRequest(b *wire.Buffer, q Request) error {
 	if q.Trace.Valid() {
 		presence |= reqHasTrace
 	}
-	if q.ShardEpoch != 0 || q.ShardKey != "" {
+	if q.ShardKey != "" {
 		presence |= reqHasShard
-	}
-	if len(q.CrossKeys) > 0 {
-		presence |= reqHasCross
 	}
 	if q.Call != 0 {
 		presence |= reqHasCall
@@ -95,14 +84,7 @@ func encRequest(b *wire.Buffer, q Request) error {
 		encTrace(b, q.Trace)
 	}
 	if presence&reqHasShard != 0 {
-		b.Uvarint(q.ShardEpoch)
 		b.String(q.ShardKey)
-	}
-	if presence&reqHasCross != 0 {
-		b.Uvarint(uint64(len(q.CrossKeys)))
-		for _, k := range q.CrossKeys {
-			b.String(k)
-		}
 	}
 	if presence&reqHasCall != 0 {
 		b.Uvarint(q.Call)
@@ -127,21 +109,8 @@ func decRequest(r *wire.Reader) Request {
 		q.Trace = decTrace(r)
 	}
 	if presence&reqHasShard != 0 {
-		if q.ShardEpoch, q.ShardKey = r.Uvarint(), r.String(); q.ShardEpoch == 0 && q.ShardKey == "" {
+		if q.ShardKey = r.String(); q.ShardKey == "" {
 			r.Fail(errEmptyGroup)
-		}
-	}
-	if presence&reqHasCross != 0 {
-		switch n := r.Count("cross-shard key"); {
-		case n == 0:
-			r.Fail(errEmptyGroup)
-		case n > maxCrossKeys:
-			r.Fail(errors.New("replica: implausible cross-shard key count"))
-		default:
-			q.CrossKeys = make([]string, n)
-			for i := range q.CrossKeys {
-				q.CrossKeys[i] = r.String()
-			}
 		}
 	}
 	if presence&reqHasCall != 0 {
@@ -165,9 +134,6 @@ func encReply(b *wire.Buffer, p Reply) error {
 	if p.Trace.Valid() {
 		presence |= repHasTrace
 	}
-	if p.ShardEpoch != 0 {
-		presence |= repHasEpoch
-	}
 	b.Byte(presence)
 	encInvocationID(b, p.ID)
 	b.String(string(p.From))
@@ -178,9 +144,6 @@ func encReply(b *wire.Buffer, p Reply) error {
 	}
 	if presence&repHasTrace != 0 {
 		encTrace(b, p.Trace)
-	}
-	if presence&repHasEpoch != 0 {
-		b.Uvarint(p.ShardEpoch)
 	}
 	return nil
 }
@@ -201,11 +164,6 @@ func decReply(r *wire.Reader) Reply {
 	}
 	if presence&repHasTrace != 0 {
 		p.Trace = decTrace(r)
-	}
-	if presence&repHasEpoch != 0 {
-		if p.ShardEpoch = r.Uvarint(); p.ShardEpoch == 0 {
-			r.Fail(errEmptyGroup)
-		}
 	}
 	return p
 }

@@ -146,10 +146,6 @@ func (inv *Invocation) Compute(d time.Duration) { inv.r.rt.Sleep(d) }
 // unrouted traffic and unsharded groups).
 func (inv *Invocation) ShardKey() string { return inv.req.ShardKey }
 
-// CrossKeys returns the additional key classes the client declared for
-// this invocation (see Request.CrossKeys); empty for single-shard calls.
-func (inv *Invocation) CrossKeys() []string { return inv.req.CrossKeys }
-
 // ShardHome returns the shard group a key class is homed on under the
 // group's routing table. The result is a pure function of (table, key), so
 // every replica resolves the same home.
@@ -157,23 +153,22 @@ func (inv *Invocation) ShardHome(key string) (wire.GroupID, error) {
 	if inv.r.shard == nil {
 		return "", errors.New("replica: ShardHome on an unsharded group")
 	}
-	return inv.r.shard.Ring.HomeGroup(key), nil
+	return inv.r.shard.HomeGroup(key), nil
 }
 
 // InvokeShard performs a nested invocation on the shard group owning key,
 // under the group's routing table — the cross-shard path. The nested
 // request is ordered in the target group (validated there against the same
-// epoch), its reply is ordered back into this group's stream, and the
+// table), its reply is ordered back into this group's stream, and the
 // resume position is the deterministic merge point: identical on every
 // replica of both groups. A key homed on this very group loops through the
 // same ordered nested path, which is legal but wasteful — co-homed keys
 // should be accessed directly under a scheduler lock instead.
 func (inv *Invocation) InvokeShard(key, method string, args []byte) ([]byte, error) {
-	e := inv.r.shard
-	if e == nil {
+	if inv.r.shard == nil {
 		return nil, errors.New("replica: InvokeShard on an unsharded group")
 	}
-	return inv.invoke(Request{Group: e.Ring.HomeGroup(key), Method: method, Args: args, ShardEpoch: e.Table.Epoch, ShardKey: key})
+	return inv.invoke(Request{Group: inv.r.shard.HomeGroup(key), Method: method, Args: args, ShardKey: key})
 }
 
 // Invoke performs a nested invocation of another replicated object. The

@@ -41,10 +41,7 @@ func TestEnvelopeFramesAreCanonical(t *testing.T) {
 			q.Trace = tracing.Context{TraceID: 7, Span: 9}
 		}
 		if mask&reqHasShard != 0 {
-			q.ShardEpoch, q.ShardKey = 3, "k"
-		}
-		if mask&reqHasCross != 0 {
-			q.CrossKeys = []string{"x", "y"}
+			q.ShardKey = "k"
 		}
 		if mask&reqHasCall != 0 {
 			q.Call = 1<<32 | 5 // the fifth call of a name's second bearer
@@ -54,20 +51,16 @@ func TestEnvelopeFramesAreCanonical(t *testing.T) {
 	for mask := 0; mask <= repPresenceMask; mask++ {
 		p := Reply{ID: id, From: "g/0", Result: []byte{4}}
 		if mask&repHasOutcome != 0 {
-			p.Code, p.Err = CodeRedirect, "shard: wrong shard (epoch 3)"
+			p.Code, p.Err = CodeRedirect, `shard: wrong shard (key "k" is homed on g@1)`
 		}
 		if mask&repHasTrace != 0 {
 			p.Trace = tracing.Context{TraceID: 7, Span: 9}
-		}
-		if mask&repHasEpoch != 0 {
-			p.ShardEpoch = 3
 		}
 		payloads = append(payloads, p)
 	}
 	// Half-filled groups are present too.
 	payloads = append(payloads,
 		Request{ID: id, ShardKey: "k"},
-		Request{ID: id, ShardEpoch: 1},
 		Reply{ID: id, Err: "app error"},
 		Reply{ID: id, Code: CodeExpiredDuplicate},
 		Reply{ID: id, Trace: tracing.Context{TraceID: 7}})
@@ -132,8 +125,7 @@ func TestEnvelopeDecodersRejectNonCanonicalFrames(t *testing.T) {
 		{"request: undefined presence bit", patch(req, reqPresenceMask+1), "undefined presence bit"},
 		{"request: every bit set", patch(req, 0xff), "undefined presence bit"},
 		{"request: trace bit, zero trace id", patch(req, reqHasTrace, 0, 5), "empty field group"},
-		{"request: shard bit, empty group", patch(req, reqHasShard, 0, 0), "empty field group"},
-		{"request: cross bit, no keys", patch(req, reqHasCross, 0), "empty field group"},
+		{"request: shard bit, empty key", patch(req, reqHasShard, 0), "empty field group"},
 		{"request: call bit, call 0", patch(req, reqHasCall, 0), "empty field group"},
 		{"request: call without its bit", patch(req, 0, 5), "trailing"},
 		{"request: copies bit, empty set", patch(req, reqHasCopies, 0), "empty field group"},
@@ -143,7 +135,6 @@ func TestEnvelopeDecodersRejectNonCanonicalFrames(t *testing.T) {
 		{"reply: outcome bit, empty group", patch(rep, repHasOutcome, byte(CodeNone), 0), "empty field group"},
 		{"reply: unknown code", patch(rep, repHasOutcome, byte(CodeExpiredDuplicate)+1, 1, 'e'), "unknown reply code"},
 		{"reply: trace bit, zero trace id", patch(rep, repHasTrace, 0, 0), "empty field group"},
-		{"reply: epoch bit, zero epoch", patch(rep, repHasEpoch, 0), "empty field group"},
 		{"reply: group without its bit", patch(rep, 0, 3), "trailing"},
 	}
 	for _, tc := range cases {
@@ -154,14 +145,16 @@ func TestEnvelopeDecodersRejectNonCanonicalFrames(t *testing.T) {
 			t.Errorf("%s: refused with %q, want mention of %q", tc.name, err, tc.want)
 		}
 	}
-	// A count beyond the bytes left in the frame is refused before anything
+	// A length beyond the bytes left in the frame is refused before anything
 	// is sized by it: a frame of a few bytes cannot make the decoder allocate
-	// megabytes, though the count is within its fixed cap.
+	// megabytes. (The args length sits just before the kind byte.)
+	bigArgs := append(append(append([]byte(nil), req[:kindAt-1]...), binary.AppendUvarint(nil, 1<<24)...), req[kindAt:]...)
+	bigArgs[0] += byte(len(bigArgs) - len(req))
 	for _, tc := range []struct {
 		name  string
 		frame []byte
 	}{
-		{"request: cross-key count beyond the frame", patch(req, reqHasCross, binary.AppendUvarint(nil, maxCrossKeys)...)},
+		{"request: args length beyond the frame", bigArgs},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -176,7 +169,7 @@ func TestEnvelopeDecodersRejectNonCanonicalFrames(t *testing.T) {
 	}
 	// The patching itself is sound: well-formed groups do decode.
 	for name, f := range map[string][]byte{
-		"request shard group": patch(req, reqHasShard, 2, 1, 'k'),
+		"request shard group": patch(req, reqHasShard, 1, 'k'),
 		"request call group":  patch(req, reqHasCall, 5),
 		"reply outcome group": patch(rep, repHasOutcome, byte(CodeRedirect), 1, 'e'),
 	} {

@@ -107,18 +107,10 @@ type Request struct {
 	// Trace is the optional trace context allocated at client submit; the
 	// zero value (tracing off) takes no room on the wire (see binary.go).
 	Trace tracing.Context
-	// ShardEpoch is the directory epoch the submitter routed under; 0 marks
-	// unrouted traffic, which skips shard validation. A sharded replica
-	// redirects requests whose epoch differs from its table's.
-	ShardEpoch uint64
 	// ShardKey is the key class the request was routed by; sharded replicas
-	// verify at the ordered dispatch point that they are its home.
+	// verify at the ordered dispatch point that they are its home. Empty
+	// marks unrouted traffic, which skips shard validation.
 	ShardKey string
-	// CrossKeys lists additional key classes the invocation touches that may
-	// be homed on other shards; the handler reaches them through
-	// Invocation.InvokeShard (or locally when co-homed). Non-empty CrossKeys
-	// mark the request as a cross-shard operation.
-	CrossKeys []string
 }
 
 // TraceCtx implements tracing.Traced.
@@ -144,9 +136,8 @@ type Code uint8
 const (
 	// CodeNone: no runtime verdict; Err, if set, is the handler's.
 	CodeNone Code = iota
-	// CodeRedirect: a shard replica validated the request against another
-	// routing table than the sender's (or is not the key's home); ShardEpoch
-	// is its table's epoch. The request did not execute.
+	// CodeRedirect: a shard replica is not the home of the request's shard
+	// key. The request did not execute.
 	CodeRedirect
 	// CodeExpiredDuplicate: a copy of a request older than its client's
 	// latest call, or one whose reply has aged out of the duplicate-detection
@@ -166,10 +157,7 @@ type Reply struct {
 	// Trace carries the request's trace id and the executing replica's
 	// exec span, so the client links its reply span under the execution.
 	Trace tracing.Context
-	// ShardEpoch, when non-zero, is the redirecting shard's routing epoch
-	// (see CodeRedirect).
-	ShardEpoch uint64
-	Code       Code
+	Code  Code
 }
 
 // Failure returns the reply's error as an invoker sees it: nil for a
@@ -262,11 +250,10 @@ type Config struct {
 	// it orders as it arrives.
 	Speculative bool
 	// Shard, if non-nil, marks this replica a member of a sharded object's
-	// shard group and is the group's routing table, fixed for the replica's
-	// life: requests routed with a shard epoch are validated against it at
-	// their ordered dispatch point (wrong epoch or wrong home → deterministic
-	// redirect reply).
-	Shard *shard.Epoch
+	// shard group and is the ring of the object's table, fixed at creation:
+	// requests routed with a shard key are validated against it at their
+	// ordered dispatch point (wrong home → deterministic redirect reply).
+	Shard *shard.Ring
 	// GCS carries the group communication knobs (failure detection etc.);
 	// Group/Self/Members/Send are filled in by the replica.
 	GCS gcs.Config
@@ -302,7 +289,7 @@ type Replica struct {
 	// shard is non-nil on shard-group members (see Config.Shard);
 	// shardLabel tags this replica's spans with its shard group id so the
 	// latency breakdown decomposes per shard.
-	shard      *shard.Epoch
+	shard      *shard.Ring
 	shardLabel string
 
 	// ckptEvery is Config.CheckpointEvery (0 = checkpointing off).
@@ -337,7 +324,6 @@ type Replica struct {
 	ckptDuration   *obs.Histogram
 	shardRouted    *obs.Counter
 	shardRedirects *obs.Counter
-	shardCross     *obs.Counter
 
 	handlers map[string]Handler
 
@@ -443,7 +429,6 @@ func New(cfg Config) *Replica {
 			slabel := `{node="` + string(cfg.Self) + `",shard="` + r.shardLabel + `"}`
 			r.shardRouted = cfg.Metrics.Counter("replobj_shard_routed_requests_total" + slabel)
 			r.shardRedirects = cfg.Metrics.Counter("replobj_shard_redirects_total" + slabel)
-			r.shardCross = cfg.Metrics.Counter("replobj_shard_cross_requests_total" + slabel)
 		}
 	}
 	g := cfg.GCS
@@ -667,35 +652,22 @@ func (r *Replica) dispatchRequest(req Request, seq uint64) {
 	}
 }
 
-// misroutedLocked is shard admission: a request routed under another epoch
-// than the group's table, or for a key homed on another shard group, is
-// answered with a redirect, cached like any reply, and reported true.
-// Unsharded groups and unrouted requests (ShardEpoch 0) pass unexamined.
-// Called under the runtime lock.
+// misroutedLocked is shard admission: a request for a key homed on another
+// shard group is answered with a redirect, cached like any reply, and
+// reported true. Unsharded groups and unrouted requests (no ShardKey) pass
+// unexamined. Called under the runtime lock.
 func (r *Replica) misroutedLocked(req *Request) (Reply, bool) {
-	if r.shard == nil || req.ShardEpoch == 0 {
+	if r.shard == nil || req.ShardKey == "" {
 		return Reply{}, false
 	}
-	epoch := r.shard.Table.Epoch
-	var home wire.GroupID // where the request belongs; none under a foreign epoch
-	if req.ShardEpoch == epoch {
-		home = r.group
-		if req.ShardKey != "" {
-			home = r.shard.Ring.HomeGroup(req.ShardKey)
-		}
-	}
-	if home != r.group {
+	if home := r.shard.HomeGroup(req.ShardKey); home != r.group {
 		reply := r.newReply(req)
 		reply.Code = CodeRedirect
-		reply.Err = shard.RedirectError(epoch, req.ShardKey, home)
-		reply.ShardEpoch = epoch
+		reply.Err = shard.RedirectError(req.ShardKey, home)
 		r.storeReplyLocked(req.ref(), reply)
 		return reply, true
 	}
 	r.shardRouted.Inc()
-	if len(req.CrossKeys) > 0 {
-		r.shardCross.Inc()
-	}
 	return Reply{}, false
 }
 

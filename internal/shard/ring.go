@@ -17,12 +17,10 @@ import (
 // process. Two deliberate consequences:
 //
 //   - A virtual node's position depends only on its shard group id and
-//     vnode index, never on the epoch. Bumping the epoch without changing
-//     the shard set or vnode count therefore moves no keys at all, and
-//     growing the shard set from S to S+1 moves only the keys captured by
-//     the new shard's points — about 1/(S+1) of the space (the classic
-//     consistent-hashing rebalance bound, property-tested in this
-//     package).
+//     vnode index. A table with S+1 shards therefore homes elsewhere only
+//     the keys captured by the extra shard's points — about 1/(S+1) of the
+//     space (the classic consistent-hashing rebalance bound,
+//     property-tested in this package).
 //   - Hash-point ties break by (shard rank, vnode index), both taken from
 //     the table, so even colliding points resolve identically everywhere.
 type Ring struct {

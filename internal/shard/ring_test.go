@@ -25,21 +25,6 @@ func TestRingPurityAcrossDecode(t *testing.T) {
 	}
 }
 
-// Bumping the epoch without changing the shard set or vnode count must
-// move no keys at all: virtual-node placement is independent of epoch.
-func TestRingEpochBumpMovesNothing(t *testing.T) {
-	tab := NewTable("kv", 4, 0)
-	next := tab
-	next.Epoch++
-	a, b := NewRing(tab), NewRing(next)
-	for i := 0; i < 20000; i++ {
-		k := fmt.Sprintf("k%07d", i)
-		if a.Home(k) != b.Home(k) {
-			t.Fatalf("epoch bump moved key %q: %d -> %d", k, a.Home(k), b.Home(k))
-		}
-	}
-}
-
 // Growing the shard set from S to S+1 moves only the keys the new
 // shard's virtual nodes capture — about 1/(S+1) of the space. Assert the
 // classic consistent-hashing rebalance-delta bound with generous slack
@@ -104,8 +89,8 @@ func TestRingHomeGroup(t *testing.T) {
 			t.Fatalf("HomeGroup(%q) = %s, want %s", k, got, want)
 		}
 	}
-	if r.Table().Epoch != 1 {
-		t.Fatalf("Table() epoch = %d", r.Table().Epoch)
+	if got := r.Table(); got.VNodes != DefaultVNodes || len(got.Shards) != 4 {
+		t.Fatalf("Table() = %+v", got)
 	}
 }
 

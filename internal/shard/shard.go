@@ -8,22 +8,21 @@
 // each invocation to its home group by key class.
 //
 // Routing is a consistent-hash ring with virtual nodes, derived from a
-// Table that is fixed when the object is created. The table lives in a
-// *shard directory* that is a replicated object like any other (the
-// middleware eats its own dogfood), from which clients bootstrap their
-// routers; a replica that receives a request routed under another epoch —
-// or with a key it does not own — answers with a deterministic redirect
-// carrying its epoch, which the client reports as an error.
+// Table that is fixed when the object is created. A *shard directory*
+// group serves the table's encoding like any replicated object's reply,
+// and clients bootstrap their routers from it; a replica that receives a
+// request for a key it does not own answers with a deterministic redirect,
+// which the client reports as an error.
 //
 // Cross-shard invocations take a first-cut blocking two-group ordered
-// path: the request is ordered in the primary key's home group, and the
+// path: the request is ordered in the routed key's home group, and the
 // handler reaches the other shards through nested invocations routed by
 // the same table (Invocation.InvokeShard), so the merge point — the nested
 // reply's position in the originating order — is identical on every
 // replica.
 //
-// This package holds the pure routing machinery (table, ring, directory
-// state); the replica/client integration lives in internal/replica and
+// This package holds the pure routing machinery (table and ring); the
+// replica/client integration lives in internal/replica and
 // internal/client, the public API in replobj.go.
 package shard
 
@@ -52,59 +51,48 @@ func DirGroup(object string) wire.GroupID {
 	return wire.GroupID(object + ".dir")
 }
 
-// Table is the epoch-numbered routing table of one sharded object: the
-// shard groups in rank order plus the virtual-node count of the ring
-// derived from it. Tables are immutable values, fixed when the object is
-// created.
+// Table is the routing table of one sharded object: the shard groups in
+// rank order plus the virtual-node count of the ring derived from it.
+// Tables are immutable values, fixed when the object is created.
 type Table struct {
 	// Object is the sharded object's base name.
 	Object string
-	// Epoch numbers the table (1 for every table NewTable builds); every
-	// routed request carries the epoch it was routed under, and shard
-	// replicas redirect requests whose epoch differs from theirs.
-	Epoch uint64
 	// Shards lists the shard group ids in rank order.
 	Shards []wire.GroupID
 	// VNodes is the virtual-node count per shard on the ring.
 	VNodes int
 }
 
-// NewTable builds the epoch-1 table of an object with n shards. vnodes <= 0
+// NewTable builds the table of an object with n shards. vnodes <= 0
 // selects DefaultVNodes.
 func NewTable(object string, n, vnodes int) Table {
 	if vnodes <= 0 {
 		vnodes = DefaultVNodes
 	}
-	t := Table{Object: object, Epoch: 1, VNodes: vnodes}
+	t := Table{Object: object, VNodes: vnodes}
 	for i := 0; i < n; i++ {
 		t.Shards = append(t.Shards, GroupName(object, i))
 	}
 	return t
 }
 
-// Epoch is a shard group replica's routing view: its table plus the ring
-// derived from it, built once and never changed.
-type Epoch struct {
-	Table Table
-	Ring  *Ring
-}
-
-// NewEpoch builds the routing view of a table.
-func NewEpoch(t Table) *Epoch { return &Epoch{Table: t, Ring: NewRing(t)} }
+// Bounds on a table's ring: NewRing allocates one point per shard per
+// virtual node, so a table decoded from a reply must not ask for more.
+const (
+	maxVNodes     = 1 << 10
+	maxRingPoints = 1 << 20
+)
 
 // Validate checks structural invariants.
 func (t Table) Validate() error {
 	if t.Object == "" {
 		return errors.New("shard: table without object name")
 	}
-	if t.Epoch == 0 {
-		return errors.New("shard: table epoch 0")
-	}
 	if len(t.Shards) == 0 {
 		return errors.New("shard: table without shards")
 	}
-	if t.VNodes <= 0 {
-		return errors.New("shard: table without virtual nodes")
+	if t.VNodes <= 0 || t.VNodes > maxVNodes || len(t.Shards)*t.VNodes > maxRingPoints {
+		return fmt.Errorf("shard: %d virtual nodes on %d shards out of bounds", t.VNodes, len(t.Shards))
 	}
 	seen := make(map[wire.GroupID]bool, len(t.Shards))
 	for _, g := range t.Shards {
@@ -117,11 +105,10 @@ func (t Table) Validate() error {
 }
 
 // Encode serializes the table into the canonical binary form that rides
-// directory replies and the directory's checkpoints: uvarint epoch, uvarint vnodes, object, uvarint shard count,
-// shards — all strings length-prefixed.
+// directory replies: uvarint vnodes, object, uvarint shard count, shards —
+// all strings length-prefixed.
 func (t Table) Encode() []byte {
 	out := make([]byte, 0, 16+len(t.Object)+16*len(t.Shards))
-	out = binary.AppendUvarint(out, t.Epoch)
 	out = binary.AppendUvarint(out, uint64(t.VNodes))
 	out = appendString(out, t.Object)
 	out = binary.AppendUvarint(out, uint64(len(t.Shards)))
@@ -134,10 +121,6 @@ func (t Table) Encode() []byte {
 // DecodeTable parses an encoded table and validates it.
 func DecodeTable(b []byte) (Table, error) {
 	var t Table
-	epoch, b, err := readUvarint(b)
-	if err != nil {
-		return t, err
-	}
 	vn, b, err := readUvarint(b)
 	if err != nil {
 		return t, err
@@ -153,7 +136,7 @@ func DecodeTable(b []byte) (Table, error) {
 	if n > 1<<16 {
 		return t, fmt.Errorf("shard: implausible shard count %d", n)
 	}
-	t = Table{Object: obj, Epoch: epoch, VNodes: int(vn)}
+	t = Table{Object: obj, VNodes: int(vn)}
 	for i := uint64(0); i < n; i++ {
 		var g string
 		if g, b, err = readString(b); err != nil {
@@ -197,11 +180,7 @@ func readString(b []byte) (string, []byte, error) {
 }
 
 // RedirectError formats the message of a wrong-shard reply for whoever
-// reads it — the protocol goes by the reply's code, never by this text: the
-// replica's epoch and, when the key itself is misrouted, the key's home.
-func RedirectError(epoch uint64, key string, home wire.GroupID) string {
-	if home != "" {
-		return fmt.Sprintf("shard: wrong shard (epoch %d; key %q is homed on %s)", epoch, key, home)
-	}
-	return fmt.Sprintf("shard: wrong shard (epoch %d)", epoch)
+// reads it — the protocol goes by the reply's code, never by this text.
+func RedirectError(key string, home wire.GroupID) string {
+	return fmt.Sprintf("shard: wrong shard (key %q is homed on %s)", key, home)
 }

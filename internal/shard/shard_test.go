@@ -23,7 +23,7 @@ func TestTableEncodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if dec.Object != "bank" || dec.Epoch != 1 || dec.VNodes != 32 || len(dec.Shards) != 4 {
+	if dec.Object != "bank" || dec.VNodes != 32 || len(dec.Shards) != 4 {
 		t.Fatalf("round trip mangled table: %+v", dec)
 	}
 	if !slices.Equal(dec.Shards, tab.Shards) {
@@ -48,11 +48,7 @@ func TestTableDecodeRejectsGarbage(t *testing.T) {
 		}
 	}
 	// Structurally invalid tables are rejected even when well-framed.
-	bad := Table{Object: "bank", Epoch: 0, Shards: []wire.GroupID{"bank@0"}, VNodes: 8}
-	if _, err := DecodeTable(bad.Encode()); err == nil {
-		t.Fatalf("epoch-0 table decoded without error")
-	}
-	dup := Table{Object: "bank", Epoch: 1, Shards: []wire.GroupID{"bank@0", "bank@0"}, VNodes: 8}
+	dup := Table{Object: "bank", Shards: []wire.GroupID{"bank@0", "bank@0"}, VNodes: 8}
 	if _, err := DecodeTable(dup.Encode()); err == nil {
 		t.Fatalf("duplicate-shard table decoded without error")
 	}
@@ -64,9 +60,9 @@ func TestTableValidate(t *testing.T) {
 		t.Fatalf("valid table rejected: %v", err)
 	}
 	for name, tab := range map[string]Table{
-		"no-object": {Epoch: 1, Shards: []wire.GroupID{"a@0"}, VNodes: 1},
-		"no-shards": {Object: "kv", Epoch: 1, VNodes: 1},
-		"no-vnodes": {Object: "kv", Epoch: 1, Shards: []wire.GroupID{"kv@0"}},
+		"no-object": {Shards: []wire.GroupID{"a@0"}, VNodes: 1},
+		"no-shards": {Object: "kv", VNodes: 1},
+		"no-vnodes": {Object: "kv", Shards: []wire.GroupID{"kv@0"}},
 	} {
 		if err := tab.Validate(); err == nil {
 			t.Fatalf("%s: Validate unexpectedly passed", name)
@@ -74,48 +70,38 @@ func TestTableValidate(t *testing.T) {
 	}
 }
 
-func TestDirectoryStateSnapshotRestore(t *testing.T) {
-	d := StateFactory(NewTable("kv", 3, 8))().(*DirectoryState)
-	img, err := d.Snapshot()
-	if err != nil {
-		t.Fatalf("snapshot: %v", err)
-	}
-	fresh := StateFactory(NewTable("kv", 2, 16))().(*DirectoryState)
-	if err := fresh.Restore(img); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	if got := fresh.Get(); len(got.Shards) != 3 || got.VNodes != 8 {
-		t.Fatalf("restore mangled table: %+v", got)
-	}
-	if err := fresh.Restore([]byte{0xff}); err == nil {
-		t.Fatalf("garbage restore accepted")
-	}
-}
-
-func TestNewEpoch(t *testing.T) {
-	tab := NewTable("kv", 2, 16)
-	e := NewEpoch(tab)
-	if e.Table.Epoch != 1 || e.Ring.Table().VNodes != 16 {
-		t.Fatalf("epoch view %+v", e.Table)
-	}
-	if e.Ring.HomeGroup("k") != NewRing(tab).HomeGroup("k") {
-		t.Fatalf("epoch ring differs from the table's")
-	}
-}
-
-// TestRedirectError pins the operator-facing texts of a wrong-shard reply
+// TestRedirectError pins the operator-facing text of a wrong-shard reply
 // (the protocol itself goes by the reply code).
 func TestRedirectError(t *testing.T) {
-	if e, want := RedirectError(3, "k", "kv@1"), `shard: wrong shard (epoch 3; key "k" is homed on kv@1)`; e != want {
+	if e, want := RedirectError("k", "kv@1"), `shard: wrong shard (key "k" is homed on kv@1)`; e != want {
 		t.Fatalf("redirect error %q, want %q", e, want)
-	}
-	if e, want := RedirectError(2, "k", ""), "shard: wrong shard (epoch 2)"; e != want {
-		t.Fatalf("epoch-only redirect %q, want %q", e, want)
 	}
 }
 
-// FuzzDecodeTable: arbitrary bytes never panic the decoder, and anything
-// that decodes re-encodes byte-identically (canonical form).
+// TestDecodeTableBoundsTheRing: a directory reply is bytes off the wire, and
+// NewRing allocates one point per shard per virtual node. A short table
+// asking for 2^40 virtual nodes (or more points than the bound in all) is
+// refused, not handed to NewRing.
+func TestDecodeTableBoundsTheRing(t *testing.T) {
+	for name, tab := range map[string]Table{
+		"vnodes 2^40":     {Object: "kv", Shards: []wire.GroupID{"kv@0", "kv@1"}, VNodes: 1 << 40},
+		"vnodes above":    {Object: "kv", Shards: []wire.GroupID{"kv@0"}, VNodes: maxVNodes + 1},
+		"points above":    NewTable("kv", maxRingPoints/maxVNodes+1, maxVNodes),
+		"negative vnodes": {Object: "kv", Shards: []wire.GroupID{"kv@0"}, VNodes: -1},
+	} {
+		if dec, err := DecodeTable(tab.Encode()); err == nil {
+			t.Errorf("%s: decoded a table of %d shards x %d vnodes without error", name, len(dec.Shards), dec.VNodes)
+		}
+	}
+	at := NewTable("kv", maxRingPoints/maxVNodes, maxVNodes)
+	if _, err := DecodeTable(at.Encode()); err != nil {
+		t.Fatalf("table at the bound refused: %v", err)
+	}
+}
+
+// FuzzDecodeTable: arbitrary bytes never panic the decoder, anything that
+// decodes re-encodes byte-identically (canonical form), and its ring can be
+// built.
 func FuzzDecodeTable(f *testing.F) {
 	f.Add(NewTable("kv", 4, 16).Encode())
 	f.Add([]byte{})
@@ -128,5 +114,6 @@ func FuzzDecodeTable(f *testing.F) {
 		if !bytes.Equal(tab.Encode(), b) {
 			t.Fatalf("non-canonical table encoding accepted: %x", b)
 		}
+		NewRing(tab)
 	})
 }

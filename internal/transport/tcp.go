@@ -35,7 +35,6 @@ const (
 type TCPNetwork struct {
 	rt             vtime.Runtime
 	sendQueueDepth int
-	coalesceBytes  int
 
 	// stats is read on every Send of every endpoint of the network, so it
 	// is published without a lock.
@@ -57,13 +56,6 @@ func WithSendQueueDepth(n int) TCPOption {
 	return func(t *TCPNetwork) { t.sendQueueDepth = n }
 }
 
-// WithCoalesceBytes sets the byte budget a connection's writer goroutine
-// coalesces into a single flush (default 64 KiB). Lower values trade
-// throughput for latency under sustained load.
-func WithCoalesceBytes(n int) TCPOption {
-	return func(t *TCPNetwork) { t.coalesceBytes = n }
-}
-
 // NewTCP returns a TCP network using the given node→address registry.
 func NewTCP(rt vtime.Runtime, addrs map[wire.NodeID]string, opts ...TCPOption) *TCPNetwork {
 	cp := make(map[wire.NodeID]string, len(addrs))
@@ -74,16 +66,12 @@ func NewTCP(rt vtime.Runtime, addrs map[wire.NodeID]string, opts ...TCPOption) *
 		rt:             rt,
 		addrs:          cp,
 		sendQueueDepth: defaultSendQueueDepth,
-		coalesceBytes:  defaultCoalesceBytes,
 	}
 	for _, o := range opts {
 		o(n)
 	}
 	if n.sendQueueDepth < 1 {
 		n.sendQueueDepth = 1
-	}
-	if n.coalesceBytes < 1 {
-		n.coalesceBytes = 1
 	}
 	return n
 }
@@ -297,7 +285,7 @@ func (e *TCPEndpoint) writeLoop(to wire.NodeID, c *tcpConn) {
 			batch++
 			track(m)
 		coalesce:
-			for enc.Buffered() < e.net.coalesceBytes {
+			for enc.Buffered() < defaultCoalesceBytes {
 				select {
 				case m2, ok := <-c.q:
 					if !ok {

@@ -31,9 +31,6 @@ func (w *WrappedNetwork) Endpoint(id wire.NodeID) Endpoint {
 	return &wrappedEndpoint{Endpoint: w.inner.Endpoint(id), net: w}
 }
 
-// Inner returns the wrapped network (e.g. to reach Inproc's Crash switch).
-func (w *WrappedNetwork) Inner() Network { return w.inner }
-
 // SetStats forwards the metric/span sink to the inner network when it
 // supports one, so instrumentation sees the traffic that actually survives
 // the interceptor (post-fault, for faultnet).

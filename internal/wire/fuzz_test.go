@@ -60,18 +60,22 @@ func exemplarMessages() []wire.Message {
 			From:    "g/0",
 			Entries: []lsa.TableEntry{{M: "state", L: "client/c1"}}}},
 		// The envelopes' optional field groups, one at a time and all at
-		// once: trace context, shard routing, cross-shard keys on a request;
-		// outcome, trace context, shard epoch on a reply.
+		// once: trace context and shard key on a request (a client's, and a
+		// handler's InvokeShard); outcome and trace context on a reply.
 		{From: "client/c1", To: "g/0", Payload: request(func(q *replica.Request) { q.Trace = trace })},
-		{From: "client/c1", To: "kv@0/0", Payload: request(func(q *replica.Request) { q.ShardEpoch, q.ShardKey = 2, "acct-4" })},
-		{From: "client/c1", To: "kv@0/0", Payload: request(func(q *replica.Request) { q.CrossKeys = []string{"acct-12", "acct-9"} })},
+		{From: "client/c1", To: "kv@0/0", Payload: request(func(q *replica.Request) { q.ShardKey = "acct-4" })},
+		{From: "kv@0/1", To: "kv@2/0", Payload: request(func(q *replica.Request) {
+			q.Kind, q.ReplyTo, q.Origin, q.ShardKey = replica.KindNested, "", "kv@0", "acct-12"
+		})},
 		{From: "kv@0/1", To: "kv@2/0", Payload: request(func(q *replica.Request) {
 			q.Kind, q.ReplyTo, q.Origin = replica.KindNested, "", "kv@0"
-			q.Trace, q.ShardEpoch, q.ShardKey, q.CrossKeys = trace, 2, "acct-4", []string{"acct-12"}
+			q.Trace, q.ShardKey = trace, "acct-4"
 		})},
 		{From: "g/0", To: "client/c1", Payload: reply(func(p *replica.Reply) { p.Result, p.Err = nil, "insufficient funds on acct-4" })},
 		{From: "g/0", To: "client/c1", Payload: reply(func(p *replica.Reply) { p.Trace = trace })},
-		{From: "kv@0/0", To: "client/c1", Payload: reply(func(p *replica.Reply) { p.ShardEpoch = 2 })},
+		{From: "kv@0/0", To: "client/c1", Payload: reply(func(p *replica.Reply) {
+			p.Result, p.Code, p.Err = nil, replica.CodeRedirect, `shard: wrong shard (key "acct-9" is homed on kv@1)`
+		})},
 		{From: "g/0", To: "client/c1", Payload: reply(func(p *replica.Reply) {
 			p.Result, p.Code = nil, replica.CodeExpiredDuplicate
 			p.Err = "replica: duplicate expired: reply evicted at stream position 41"
@@ -82,7 +86,7 @@ func exemplarMessages() []wire.Message {
 		// bit 32).
 		{From: "client/c1", To: "g/0", Payload: request(func(q *replica.Request) { q.Call = 7 })},
 		{From: "client/c1", To: "kv@0/0", Payload: request(func(q *replica.Request) {
-			q.Trace, q.ShardEpoch, q.ShardKey, q.CrossKeys, q.Call = trace, 2, "acct-4", []string{"acct-12"}, 1<<32|7
+			q.Trace, q.ShardKey, q.Call = trace, "acct-4", 1<<32|7
 		})},
 		// Message ids by number: a client's call is (origin, call) on the
 		// Submit, the Ordered and the Hint, with no text; a named id keeps
@@ -111,8 +115,8 @@ var trace = tracing.Context{TraceID: 0x9e3779b97f4a7c15, Span: 77}
 
 // redirect has every optional group of a reply set.
 var redirect = reply(func(p *replica.Reply) {
-	p.Result, p.Code, p.Trace, p.ShardEpoch = nil, replica.CodeRedirect, trace, 2
-	p.Err = `shard: wrong shard (epoch 2; key "acct-4" is homed on kv@2)`
+	p.Result, p.Code, p.Trace = nil, replica.CodeRedirect, trace
+	p.Err = `shard: wrong shard (key "acct-4" is homed on kv@2)`
 })
 
 // request and reply return the plain client envelopes, edited.

@@ -367,10 +367,10 @@ type groupConfig struct {
 	// given names the options passed that parseGroupOptions checks by
 	// presence.
 	given map[string]bool
-	// shard marks a group as one shard of a sharded object and is the
-	// object's routing table, which every replica of every shard group
+	// shard marks a group as one shard of a sharded object and is the ring
+	// of the object's table, which every replica of every shard group
 	// shares; set by NewSharded, never by a GroupOption.
-	shard *shard.Epoch
+	shard *shard.Ring
 }
 
 // WithScheduler selects the scheduling strategy (default ADETS-SAT).

@@ -76,8 +76,7 @@ func TestShardChaosCrossShardBank(t *testing.T) {
 
 		xfer := func(from, to string, amount uint64) {
 			args := append(u64(amount), []byte(to)...)
-			if _, err := r.Invoke("xfer", args,
-				replobj.WithShardKey(from), replobj.WithCrossKey(to)); err != nil {
+			if _, err := r.Invoke("xfer", args, replobj.WithShardKey(from)); err != nil {
 				t.Fatalf("chaos seed %d: xfer %s->%s: %v", shardChaosSeed, from, to, err)
 			}
 		}

@@ -2,6 +2,7 @@ package replobj
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/replobj/replobj/internal/client"
@@ -21,7 +22,7 @@ type (
 	// to its key's home shard group. Obtain one with Client.Router(object).
 	ShardRouter = client.Router
 	// ShardInvokeOption parameterizes one routed invocation (see
-	// WithShardKey, WithCrossKey).
+	// WithShardKey).
 	ShardInvokeOption = client.InvokeOption
 )
 
@@ -29,18 +30,12 @@ type (
 // required on every ShardRouter.Invoke.
 func WithShardKey(key string) ShardInvokeOption { return client.WithShardKey(key) }
 
-// WithCrossKey declares an additional key class the invocation touches.
-// The request executes on the primary key's home shard; the handler
-// reaches keys homed elsewhere through Invocation.InvokeShard. May be
-// repeated.
-func WithCrossKey(key string) ShardInvokeOption { return client.WithCrossKey(key) }
-
 // Sharded is a sharded replicated object: the object space is partitioned
 // across S independent replica groups — each with its own sequencer,
 // totally ordered log, checkpoints and deterministic scheduler — by a
 // consistent-hash ring over key classes. The shard count and the routing
-// table are fixed at creation. The table lives in a shard directory that is
-// itself a replicated object (group "<object>.dir"), so routers bootstrap
+// table are fixed at creation. A shard directory, itself a replicated
+// object (group "<object>.dir"), serves the table, so routers bootstrap
 // through the same invocation path as any other object.
 type Sharded struct {
 	object string
@@ -53,8 +48,8 @@ type Sharded struct {
 // The shard count comes from WithShards (default 1); all other group
 // options apply to every shard group. WithSpeculation is refused. The
 // directory group is created alongside with the same replica count, the
-// shard groups' failure detection and quorum, and a lean serial scheduler.
-// A refused call creates nothing.
+// shard groups' failure detection and quorum, and ADETS-SAT. A refused call
+// creates nothing.
 func (c *Cluster) NewSharded(object string, n int, opts ...GroupOption) (*Sharded, error) {
 	if strings.ContainsAny(object, "@") {
 		return nil, fmt.Errorf("replobj: sharded object name %q must not contain '@'", object)
@@ -71,22 +66,21 @@ func (c *Cluster) NewSharded(object string, n int, opts ...GroupOption) (*Sharde
 		}
 	}
 
-	// The directory group: a small replicated object holding the routing
-	// table. It inherits the failure detection and quorum of the data
-	// groups (a crashed directory sequencer must fail over like any other)
-	// but keeps the default serial scheduler — its workload is tiny.
+	// The directory group: a small stateless replicated object whose "get"
+	// answers a copy of the table's encoding, captured once. It inherits the failure
+	// detection and quorum of the data groups (a crashed directory
+	// sequencer must fail over like any other) but keeps the default
+	// scheduler — its workload is tiny.
 	dir := c.newGroup(dirID, n, groupConfig{
 		kind:             ADSAT,
-		state:            shard.StateFactory(table),
 		failureDetection: cfg.failureDetection,
 		quorum:           cfg.quorum,
 	})
-	dir.Register("get", func(inv *Invocation) ([]byte, error) {
-		return inv.State().(*shard.DirectoryState).Get().Encode(), nil
-	})
+	enc := table.Encode()
+	dir.Register("get", func(*Invocation) ([]byte, error) { return slices.Clone(enc), nil })
 
 	s := &Sharded{object: object, table: table, dir: dir}
-	cfg.shard = shard.NewEpoch(table)
+	cfg.shard = shard.NewRing(table)
 	for _, gid := range table.Shards {
 		s.shards = append(s.shards, c.newGroup(gid, n, cfg))
 	}
@@ -115,7 +109,7 @@ func (s *Sharded) Groups() []GroupID {
 // Dir returns the shard-directory group.
 func (s *Sharded) Dir() *Group { return s.dir }
 
-// Table returns the table the shard groups were created with (epoch 1).
+// Table returns the table the shard groups were created with.
 func (s *Sharded) Table() ShardTable { return s.table }
 
 // Register binds a method handler on every shard group. Must precede

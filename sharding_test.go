@@ -62,10 +62,19 @@ func (st *kvState) Restore(b []byte) error {
 	return nil
 }
 
-// shardedKV builds a sharded key/value object: "put" adds to the keyed
-// slot, "get" reads it, "sum" totals the local shard's slots (used by
+// shardedKV builds and starts a sharded key/value object: "put" adds to the
+// keyed slot, "get" reads it, "sum" totals the local shard's slots (used by
 // conservation checks — it is invoked per shard group, unsharded).
 func shardedKV(t *testing.T, c *replobj.Cluster, object string, shards, replicas int, opts ...replobj.GroupOption) *replobj.Sharded {
+	t.Helper()
+	s := newShardedKV(t, c, object, shards, replicas, opts...)
+	s.Start()
+	return s
+}
+
+// newShardedKV is shardedKV without the start, for callers that start only
+// some ranks.
+func newShardedKV(t *testing.T, c *replobj.Cluster, object string, shards, replicas int, opts ...replobj.GroupOption) *replobj.Sharded {
 	t.Helper()
 	opts = append(opts,
 		replobj.WithShards(shards),
@@ -104,7 +113,7 @@ func shardedKV(t *testing.T, c *replobj.Cluster, object string, shards, replicas
 		}
 		return u64(total), nil
 	})
-	// "xfer" moves amount from the primary key to the cross key: co-homed
+	// "xfer" moves amount from the routed key to the key in its args: co-homed
 	// pairs update locally, remote pairs go through the blocking two-group
 	// ordered path (InvokeShard), whose "credit" leg is ordered in the
 	// destination shard's own stream.
@@ -150,7 +159,6 @@ func shardedKV(t *testing.T, c *replobj.Cluster, object string, shards, replicas
 		st.m[inv.ShardKey()] += fromU64(inv.Args())
 		return u64(st.m[inv.ShardKey()]), nil
 	})
-	s.Start()
 	return s
 }
 
@@ -182,8 +190,8 @@ func TestShardedRoutedInvokes(t *testing.T) {
 				}
 			}
 		}
-		if got, want := r.Epoch(), uint64(1); got != want {
-			t.Errorf("router epoch = %d, want %d", got, want)
+		if got, want := r.Table(), s.Table(); !reflect.DeepEqual(got, want) {
+			t.Errorf("router table = %+v, want %+v", got, want)
 		}
 		for i := 0; i < keys; i++ {
 			key := fmt.Sprintf("acct-%d", i)
@@ -454,11 +462,11 @@ func TestShardedMisroutedRequestRedirected(t *testing.T) {
 	run(rt, c, func() {
 		rc := rawClient{t, net.Endpoint("raw")}
 		req := replica.Request{ID: wire.InvocationID{Logical: "raw#1"}, Group: wrong, Method: "put", Args: u64(1),
-			Call: 1, ShardEpoch: s.Table().Epoch, ShardKey: key}
+			Call: 1, ShardKey: key}
 		first := rc.call(c, req)
 		var want replica.Reply
 		for node, rep := range first {
-			if rep.Code != replica.CodeRedirect || rep.ShardEpoch != s.Table().Epoch || !strings.Contains(rep.Err, string(home)) {
+			if rep.Code != replica.CodeRedirect || !strings.Contains(rep.Err, string(home)) {
 				t.Errorf("%s answered the misrouted request with %+v, want a redirect naming %s", node, rep, home)
 			}
 			rep.From = ""
@@ -585,8 +593,7 @@ func TestShardedCrossShardTransfer(t *testing.T) {
 
 		xfer := func(from, to string, amount uint64) {
 			args := append(u64(amount), []byte(to)...)
-			if _, err := r.Invoke("xfer", args,
-				replobj.WithShardKey(from), replobj.WithCrossKey(to)); err != nil {
+			if _, err := r.Invoke("xfer", args, replobj.WithShardKey(from)); err != nil {
 				t.Fatalf("xfer %s->%s: %v", from, to, err)
 			}
 		}
@@ -659,7 +666,7 @@ func TestShardedNamingRejectsAt(t *testing.T) {
 func TestHandlerErrorCannotSpoofRuntimeCodes(t *testing.T) {
 	texts := []string{
 		"replica: duplicate expired: made up",
-		`shard: wrong shard (epoch 1; key "k" is homed on kv@1)`,
+		`shard: wrong shard (key "k" is homed on kv@1)`,
 	}
 	spoof := func(inv *replobj.Invocation) ([]byte, error) {
 		return nil, errors.New(string(inv.Args()))

@@ -3,6 +3,8 @@
 package replobj_test
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -190,4 +192,29 @@ func TestLockedInvokeAllocationBudget(t *testing.T) {
 	if allocs > budget {
 		t.Errorf("one Invoke allocates %v times, budget %d", allocs, budget)
 	}
+}
+
+// TestTCPConnectionMemoryBudget pins what a connected client costs the
+// process: 64 clients, each connected to three SEQ replicas over loopback
+// TCP after one call, both ends of every connection in this process. A
+// connection end holds what it carries — a send queue grown on demand, an
+// encode buffer only while it writes a burst, an 8 KiB read buffer — and
+// the budget is a fifth of the 1 230 KiB a client cost while each end
+// reserved a 128 KiB encoder, a 512-slot queue and a 32 KiB reader.
+func TestTCPConnectionMemoryBudget(t *testing.T) {
+	const clients, budget = 64, 256 << 10
+	connect := tcpCounterCluster(t)
+	connect("warm").Close()
+	goroutines, heap := runtime.NumGoroutine(), heapInuse()
+	cls := make([]*replobj.Client, clients)
+	for i := range cls {
+		cls[i] = connect(fmt.Sprintf("c%d", i))
+	}
+	perClient := (int64(heapInuse()) - int64(heap)) / clients
+	t.Logf("%d connected clients: %d KiB of heap and %.1f goroutines each (budget %d KiB)",
+		clients, perClient>>10, float64(runtime.NumGoroutine()-goroutines)/clients, budget>>10)
+	if perClient > budget {
+		t.Errorf("a connected client costs %d KiB of heap, budget %d KiB", perClient>>10, budget>>10)
+	}
+	runtime.KeepAlive(cls)
 }

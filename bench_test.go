@@ -9,6 +9,9 @@ package replobj_test
 
 import (
 	"fmt"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -116,17 +119,50 @@ func benchInvokeTCP(b *testing.B, clients int) {
 		return first
 	}
 	var err error
+	var io0, io1 sysIO
 	replobj.Run(rt, func() {
 		err = drive(200 * clients) // connections dialed, pools and maps warm
+		io0 = readSysIO()
 		b.ReportAllocs()
 		b.ResetTimer()
 		if err == nil {
 			err = drive(b.N)
 		}
 		b.StopTimer()
+		io1 = readSysIO()
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
+	if io0.ok && io1.ok {
+		b.ReportMetric(float64(io1.reads-io0.reads)/float64(b.N), "read-syscalls/op")
+		b.ReportMetric(float64(io1.writes-io0.writes)/float64(b.N), "write-syscalls/op")
+	}
+}
+
+// sysIO is the process's read and write syscall counts so far (syscr and
+// syscw of /proc/self/io); ok is false where that file cannot be read.
+type sysIO struct {
+	reads, writes uint64
+	ok            bool
+}
+
+func readSysIO() (s sysIO) {
+	b, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		return s
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		k, v, _ := strings.Cut(line, ": ")
+		n, err := strconv.ParseUint(v, 10, 64)
+		switch {
+		case k == "syscr" && err == nil:
+			s.reads = n
+		case k == "syscw" && err == nil:
+			s.writes = n
+		}
+	}
+	s.ok = true
+	return s
 }

@@ -190,7 +190,7 @@ func TestServeHandsNothingAfterClose(t *testing.T) {
 		want := 1
 		// On TCP, also a connection from a that b reads but does not send on
 		// (b dialed a first), kept open on a's side across b.Close.
-		var raw *wire.Encoder
+		var raw net.Conn
 		if tb, ok := b.(*TCPEndpoint); ok {
 			b.Send("a", ping{N: 0})
 			conn, err := net.Dial("tcp", tb.Addr())
@@ -199,8 +199,8 @@ func TestServeHandsNothingAfterClose(t *testing.T) {
 				return
 			}
 			defer conn.Close()
-			raw = wire.NewEncoder(conn)
-			if err := raw.Encode(&wire.Message{From: "a", To: "b", Payload: ping{N: 2}}); err != nil {
+			raw = conn
+			if err := writeFrame(raw, ping{N: 2}); err != nil {
 				t.Errorf("write to b: %v", err)
 				return
 			}
@@ -213,7 +213,7 @@ func TestServeHandsNothingAfterClose(t *testing.T) {
 		b.Close()
 		a.Send("b", ping{N: 3})
 		if raw != nil {
-			_ = raw.Encode(&wire.Message{From: "a", To: "b", Payload: ping{N: 4}}) // may fail: b closed it
+			_ = writeFrame(raw, ping{N: 4}) // may fail: b closed it
 		}
 		rt.Sleep(50 * time.Millisecond)
 		if n := got.len(); n != want {
@@ -247,7 +247,7 @@ func TestTCPCloseEndsAcceptedConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := wire.NewEncoder(conn).Encode(&wire.Message{From: "a", To: "b", Payload: ping{N: 2}}); err != nil {
+	if err := writeFrame(conn, ping{N: 2}); err != nil {
 		t.Fatal(err)
 	}
 	got := make(chan wire.Message, 1)
@@ -270,4 +270,15 @@ func TestTCPCloseEndsAcceptedConnections(t *testing.T) {
 	if _, err := conn.Read(make([]byte, 1)); errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatal("the connection b accepted is still open 2 s after b.Close")
 	}
+}
+
+// writeFrame writes one frame from a to b carrying p straight to conn, as
+// a peer outside the transport would.
+func writeFrame(conn net.Conn, p ping) error {
+	frame, err := wire.AppendMessage(nil, &wire.Message{From: "a", To: "b", Payload: p})
+	if err != nil {
+		return err
+	}
+	_, err = conn.Write(frame)
+	return err
 }

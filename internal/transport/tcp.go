@@ -3,19 +3,19 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/replobj/replobj/internal/obs/tracing"
+	"github.com/replobj/replobj/internal/ring"
 	"github.com/replobj/replobj/internal/vtime"
 	"github.com/replobj/replobj/internal/wire"
 )
 
-// Per-connection send-path defaults. Both are tunable through TCPOptions;
-// EXPERIMENTS.md documents the trade-offs.
+// Per-connection send-path defaults. The queue depth is tunable through
+// WithSendQueueDepth; EXPERIMENTS.md documents the trade-offs.
 const (
 	// defaultSendQueueDepth bounds the per-connection send queue. Send is
 	// best-effort: when the writer goroutine falls behind and the queue
@@ -23,8 +23,8 @@ const (
 	// blocking the protocol layers.
 	defaultSendQueueDepth = 512
 	// defaultCoalesceBytes caps how many encoded bytes the writer
-	// goroutine accumulates before forcing a Flush, bounding both memory
-	// and the latency a frame can sit buffered behind a burst.
+	// goroutine accumulates before it writes, bounding both memory and the
+	// latency a frame can sit buffered behind a burst.
 	defaultCoalesceBytes = 64 << 10
 )
 
@@ -198,7 +198,7 @@ var _ Endpoint = (*TCPEndpoint)(nil)
 
 // queuedMsg is one send-queue element: the message plus its enqueue time
 // (zero unless span tracing is enabled), so the writer goroutine can record
-// how long a frame sat queued before its flush hit the socket.
+// how long a frame sat queued before its write hit the socket.
 type queuedMsg struct {
 	msg wire.Message
 	at  time.Duration
@@ -207,63 +207,99 @@ type queuedMsg struct {
 // tcpConn pairs a socket with its bounded send queue. All writes go
 // through the queue to a dedicated writer goroutine (see writeLoop), so
 // protocol layers never block on — or interleave frames over — the socket.
+// The queue grows with what is waiting, up to the network's depth; an idle
+// connection holds an empty ring and no encode buffer.
 type tcpConn struct {
-	c net.Conn
-	q chan queuedMsg
+	c    net.Conn
+	wake chan struct{} // one slot: the queue went non-empty, or shutdown
 
 	mu     sync.Mutex
+	q      ring.Queue[queuedMsg]
 	closed bool
 }
 
 // enqueue offers m to the writer goroutine without blocking. It reports
-// false when the connection is shut down or the queue is full.
-func (c *tcpConn) enqueue(m queuedMsg) bool {
+// false when the connection is shut down or depth frames are queued.
+func (c *tcpConn) enqueue(m queuedMsg, depth int) bool {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
+	if c.closed || c.q.Len() >= depth {
+		c.mu.Unlock()
 		return false
 	}
+	c.q.Push(m)
+	idle := c.q.Len() == 1 // the writer drains until empty before it waits
+	c.mu.Unlock()
+	if idle {
+		c.signal()
+	}
+	return true
+}
+
+func (c *tcpConn) signal() {
 	select {
-	case c.q <- m:
-		return true
+	case c.wake <- struct{}{}:
 	default:
-		return false
 	}
 }
 
-// shutdown closes the socket and the send queue, releasing the writer
-// goroutine. Idempotent.
-func (c *tcpConn) shutdown() {
+// next pops the oldest queued frame; more reports whether frames remain
+// behind it. With wait it blocks while the queue is empty. ok is false
+// once the connection is shut down, or, without wait, on an empty queue.
+func (c *tcpConn) next(wait bool) (m queuedMsg, ok, more bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for !c.closed {
+		if m, ok = c.q.Pop(); ok || !wait {
+			return m, ok, c.q.Len() > 0
+		}
+		c.mu.Unlock()
+		<-c.wake
+		c.mu.Lock()
+	}
+	return m, false, false
+}
+
+// shutdown closes the socket and ends the writer goroutine, which counts
+// the frames still queued as dropped. It reports whether this call did it.
+func (c *tcpConn) shutdown() bool {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return
+		return false
 	}
 	c.closed = true
-	close(c.q)
 	c.mu.Unlock()
+	c.signal()
 	_ = c.c.Close()
+	return true
 }
 
 // newConn registers a writer goroutine for raw and returns its queue
 // handle.
 func (e *TCPEndpoint) newConn(to wire.NodeID, raw net.Conn) *tcpConn {
-	c := &tcpConn{c: raw, q: make(chan queuedMsg, e.net.sendQueueDepth)}
+	c := &tcpConn{c: raw, wake: make(chan struct{}, 1)}
 	e.net.rt.Go("tcp-write/"+string(e.id)+"->"+string(to), func() { e.writeLoop(to, c) })
 	return c
 }
 
+// burstPool holds the writers' encode buffers, shared by every connection
+// of the process: a writer holds one only while it encodes and writes a
+// burst.
+var burstPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, 4<<10)
+	return &b
+}}
+
 // writeLoop drains the connection's send queue, coalescing every frame
-// already queued into a single Flush — one syscall per burst rather than
-// one per message. A frame never waits on future traffic: the loop flushes
-// as soon as the queue goes idle or the coalesce byte budget fills.
-// Messages count as sent only once their flush succeeds. On any encode or
-// flush error the connection is retired and everything still queued is
-// counted dropped.
+// already queued into one Write — one syscall per burst rather than one
+// per message. A frame never waits on future traffic: the loop writes as
+// soon as the queue goes idle or the coalesce byte budget fills. Messages
+// count as sent only once their write succeeds. On any encode or write
+// error the connection is retired; frames still queued when it shuts down
+// are counted dropped.
 func (e *TCPEndpoint) writeLoop(to wire.NodeID, c *tcpConn) {
 	st := e.net.stats.Load()
-	enc := wire.NewEncoder(c.c)
-	var inflight []queuedMsg // traced frames awaiting flush (spans on only)
+	var inflight []queuedMsg // traced frames awaiting their write (spans on only)
 	track := func(qm queuedMsg) {
 		if st == nil || st.Spans == nil {
 			return
@@ -274,74 +310,77 @@ func (e *TCPEndpoint) writeLoop(to wire.NodeID, c *tcpConn) {
 			}
 		}
 	}
-	for m := range c.q {
+	for m, ok, more := c.next(true); ok; m, ok, more = c.next(true) {
 		inflight = inflight[:0]
-		batch := 0 // frames encoded into the buffer, awaiting flush
-		lost := 0  // frames that failed to encode
-		err := enc.EncodeBuffered(&m.msg)
-		if err != nil {
-			lost = 1
-		} else {
-			batch++
+		bp := burstPool.Get().(*[]byte)
+		buf := (*bp)[:0]
+		batch := 0 // frames encoded into buf
+		var err error
+		for {
+			buf, err = wire.AppendMessage(buf, &m.msg)
+			batch++ // a frame that fails to encode is lost with its burst
+			if err != nil {
+				break
+			}
 			track(m)
-		coalesce:
-			for enc.Buffered() < defaultCoalesceBytes {
-				select {
-				case m2, ok := <-c.q:
-					if !ok {
-						break coalesce
-					}
-					if err = enc.EncodeBuffered(&m2.msg); err != nil {
-						lost = 1
-						break coalesce
-					}
-					batch++
-					track(m2)
-				default:
-					break coalesce // queue idle: flush what we have
-				}
+			if !more || len(buf) >= defaultCoalesceBytes {
+				break
+			}
+			if m, ok, more = c.next(false); !ok {
+				break
 			}
 		}
 		if err == nil {
-			err = enc.Flush()
+			_, err = c.c.Write(buf)
+		}
+		*bp = buf
+		if cap(buf) <= maxPooledBurst {
+			burstPool.Put(bp)
 		}
 		if err != nil {
 			if st != nil {
-				st.Dropped.Add(uint64(batch + lost))
+				st.Dropped.Add(uint64(batch))
 			}
-			e.dropConn(to, c)
-			for range c.q { // drained: shutdown closed the queue
-				if st != nil {
-					st.Dropped.Inc()
-				}
-			}
-			return
+			e.dropConn(to, c) // shuts c down: the loop ends at the next call
+			continue
 		}
 		if st != nil {
 			st.MsgsSent.Add(uint64(batch))
-			if st.Spans != nil && len(inflight) > 0 {
-				// Enqueue→flush residency of every traced frame in the
-				// coalesced burst (socket flight time is not observable
-				// from one side; the queue wait is the tunable part).
-				now := e.net.rt.Now()
-				for _, qm := range inflight {
-					ctx := qm.msg.Payload.(tracing.Traced).TraceCtx()
-					st.Spans.Record(tracing.Span{
-						Trace:  ctx.TraceID,
-						ID:     tracing.NewSpanID(ctx.TraceID, "xport", string(e.id), qm.at),
-						Parent: ctx.Span,
-						Name:   "xport",
-						Node:   string(e.id),
-						Detail: string(qm.msg.To),
-						Start:  qm.at,
-						Dur:    now - qm.at,
-					})
-				}
+		}
+		if len(inflight) > 0 {
+			// Enqueue→write residency of every traced frame in the burst
+			// (socket flight time is not observable from one side; the
+			// queue wait is the tunable part).
+			now := e.net.rt.Now()
+			for _, qm := range inflight {
+				ctx := qm.msg.Payload.(tracing.Traced).TraceCtx()
+				st.Spans.Record(tracing.Span{
+					Trace:  ctx.TraceID,
+					ID:     tracing.NewSpanID(ctx.TraceID, "xport", string(e.id), qm.at),
+					Parent: ctx.Span,
+					Name:   "xport",
+					Node:   string(e.id),
+					Detail: string(qm.msg.To),
+					Start:  qm.at,
+					Dur:    now - qm.at,
+				})
 			}
+			clear(inflight) // an idle writer pins no payload
 		}
 	}
-	_ = enc.Flush() // clean shutdown: best-effort final flush
+	c.mu.Lock()
+	left := c.q.Len()
+	c.q = ring.Queue[queuedMsg]{}
+	c.mu.Unlock()
+	if st != nil {
+		st.Dropped.Add(uint64(left))
+	}
 }
+
+// maxPooledBurst bounds the encode buffers burstPool keeps: a burst is at
+// most the coalesce budget plus one frame, and a snapshot-sized frame's
+// buffer is left to the collector.
+const maxPooledBurst = 4 * defaultCoalesceBytes
 
 // ID implements Endpoint.
 func (e *TCPEndpoint) ID() wire.NodeID { return e.id }
@@ -375,7 +414,7 @@ func (e *TCPEndpoint) Send(to wire.NodeID, payload any) {
 		}
 		return
 	}
-	if !conn.enqueue(qm) && st != nil {
+	if !conn.enqueue(qm, e.net.sendQueueDepth) && st != nil {
 		st.Dropped.Inc()
 	}
 }
@@ -470,20 +509,31 @@ func (e *TCPEndpoint) connTo(to wire.NodeID) (*tcpConn, error) {
 
 	// Outgoing connections are also read: the peer may reply on the same
 	// socket or, more commonly here, simply never write. Reading reaps EOFs.
-	e.net.rt.Go("tcp-read/"+string(e.id), func() { e.readLoop(raw) })
+	e.net.rt.Go("tcp-read/"+string(e.id), func() { e.readLoop(raw, to, c) })
 	return c, nil
 }
 
+// dropConn retires a connection whose write failed, counting it in
+// ConnDrops unless it was already shut down (by Close, or by its reader).
 func (e *TCPEndpoint) dropConn(to wire.NodeID, c *tcpConn) {
+	if e.retire(to, c) {
+		if st := e.net.stats.Load(); st != nil {
+			st.ConnDrops.Inc()
+		}
+	}
+}
+
+// retire removes c from the connection table if it is still there and
+// shuts it down; it reports whether this call shut it down. The next Send
+// to the node dials again, or waits in pending while the node has no
+// address.
+func (e *TCPEndpoint) retire(to wire.NodeID, c *tcpConn) bool {
 	e.mu.Lock()
 	if e.conns[to] == c {
 		delete(e.conns, to)
 	}
 	e.mu.Unlock()
-	c.shutdown()
-	if st := e.net.stats.Load(); st != nil {
-		st.ConnDrops.Inc()
-	}
+	return c.shutdown()
 }
 
 func (e *TCPEndpoint) acceptLoop() {
@@ -493,11 +543,15 @@ func (e *TCPEndpoint) acceptLoop() {
 			return // listener closed
 		}
 		wrapped := e.net.wrapConn(conn)
-		e.net.rt.Go("tcp-read/"+string(e.id), func() { e.readLoop(wrapped) })
+		e.net.rt.Go("tcp-read/"+string(e.id), func() { e.readLoop(wrapped, "", nil) })
 	}
 }
 
-func (e *TCPEndpoint) readLoop(conn net.Conn) {
+// readLoop decodes conn's frames and hands them to the handler. own is the
+// connection that writes on the same socket, to node to — the one this
+// endpoint dialed, or the one it learns from the first frame — and is
+// retired when the socket ends, so a departed peer leaves no writer behind.
+func (e *TCPEndpoint) readLoop(conn net.Conn, to wire.NodeID, own *tcpConn) {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -512,12 +566,13 @@ func (e *TCPEndpoint) readLoop(conn net.Conn) {
 	for {
 		var m wire.Message
 		if err := dec.Decode(&m); err != nil {
-			if err != io.EOF {
-				_ = conn.Close()
-			}
 			e.mu.Lock()
 			delete(e.reading, conn)
 			e.mu.Unlock()
+			if own != nil {
+				e.retire(to, own)
+			}
+			_ = conn.Close()
 			return
 		}
 		if st != nil {
@@ -535,12 +590,13 @@ func (e *TCPEndpoint) readLoop(conn net.Conn) {
 			if !exists && !e.closed {
 				target = e.newConn(m.From, conn)
 				e.conns[m.From] = target
+				to, own = m.From, target
 			}
 			flush := e.pending[m.From]
 			delete(e.pending, m.From)
 			e.mu.Unlock()
 			for i := range flush {
-				if target == nil || !target.enqueue(flush[i]) {
+				if target == nil || !target.enqueue(flush[i], e.net.sendQueueDepth) {
 					if st != nil {
 						st.Dropped.Inc()
 					}

@@ -10,7 +10,7 @@ import (
 )
 
 // Allocation budgets of the stream codec on the frames every invocation is
-// made of. They are upper bounds on a warm Encoder/Decoder; the race
+// made of. They are upper bounds on a warm Decoder and burst buffer; the race
 // detector allocates on its own, hence the build tag.
 
 // hotFrames returns the frames every invocation is made of, from the codec
@@ -73,23 +73,28 @@ func TestDecodeAllocationBudget(t *testing.T) {
 	}
 }
 
-func TestEncodeBufferedDoesNotAllocate(t *testing.T) {
+// TestAppendMessageDoesNotAllocate holds the TCP writer's encode path to
+// zero allocations: frames appended into a reused burst buffer, written
+// once the buffer passes the coalesce budget.
+func TestAppendMessageDoesNotAllocate(t *testing.T) {
 	submit, ordered, hint, reply := hotFrames(t)
 	for _, m := range []wire.Message{submit, ordered, hint, reply} {
-		enc := wire.NewEncoder(io.Discard)
+		burst := make([]byte, 0, 128<<10)
 		encode := func() {
-			if err := enc.EncodeBuffered(&m); err != nil {
+			var err error
+			if burst, err = wire.AppendMessage(burst, &m); err != nil {
 				t.Fatal(err)
 			}
-			if enc.Buffered() > 64<<10 {
-				if err := enc.Flush(); err != nil {
+			if len(burst) >= 64<<10 {
+				if _, err := io.Discard.Write(burst); err != nil {
 					t.Fatal(err)
 				}
+				burst = burst[:0]
 			}
 		}
 		encode()
 		if n := testing.AllocsPerRun(1000, encode); n != 0 {
-			t.Errorf("EncodeBuffered %T: %v allocs, want 0", m.Payload, n)
+			t.Errorf("AppendMessage %T: %v allocs, want 0", m.Payload, n)
 		}
 	}
 }

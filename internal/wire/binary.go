@@ -249,8 +249,8 @@ func appendBody(b *Buffer, m *Message) error {
 }
 
 // AppendMessage appends one complete encoded frame for m to dst and
-// returns the extended slice. It is the allocation-free core the stream
-// Encoder, the benchmarks and the batching layer share.
+// returns the extended slice. It is the allocation-free encoder the TCP
+// transport's writer appends each burst with; the benchmarks use it too.
 func AppendMessage(dst []byte, m *Message) ([]byte, error) {
 	body := getBuffer()
 	defer putBuffer(body)

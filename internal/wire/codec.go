@@ -12,66 +12,6 @@ import (
 // protocol error rather than an allocation request.
 const maxFrame = 16 << 20 // 16 MiB
 
-// Encoder writes length-prefixed frames to an underlying writer: a minimal
-// uvarint body length, then the self-describing body (see binary.go). It is
-// not safe for concurrent use; callers serialize writes per connection.
-type Encoder struct {
-	w *bufio.Writer
-	// hdr is the frame-length scratch. bufio.Writer.Write may hand its
-	// argument to the underlying io.Writer, so a header array local to
-	// EncodeBuffered would move to the heap once per frame.
-	hdr [binary.MaxVarintLen64]byte
-}
-
-// NewEncoder returns an Encoder writing to w. The buffer is sized above
-// the transport's coalesce budget so bufio never auto-flushes mid-batch;
-// the writer loop decides when frames hit the socket.
-func NewEncoder(w io.Writer) *Encoder {
-	return &Encoder{w: bufio.NewWriterSize(w, 128<<10)}
-}
-
-// Encode writes one message frame and flushes it — the one-shot form for
-// callers without their own coalescing loop.
-func (e *Encoder) Encode(m *Message) error {
-	if err := e.EncodeBuffered(m); err != nil {
-		return err
-	}
-	return e.Flush()
-}
-
-// EncodeBuffered writes one message frame into the encoder's buffer
-// without flushing. The transport's writer goroutine uses it to coalesce a
-// burst of frames into a single Flush (one syscall).
-func (e *Encoder) EncodeBuffered(m *Message) error {
-	body := getBuffer()
-	defer putBuffer(body)
-	if err := appendBody(body, m); err != nil {
-		return err
-	}
-	if len(body.b) > maxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit", len(body.b))
-	}
-	hn := binary.PutUvarint(e.hdr[:], uint64(len(body.b)))
-	if _, err := e.w.Write(e.hdr[:hn]); err != nil {
-		return fmt.Errorf("wire: write frame header: %w", err)
-	}
-	if _, err := e.w.Write(body.b); err != nil {
-		return fmt.Errorf("wire: write frame body: %w", err)
-	}
-	return nil
-}
-
-// Flush writes all buffered frames to the underlying writer.
-func (e *Encoder) Flush() error {
-	if err := e.w.Flush(); err != nil {
-		return fmt.Errorf("wire: flush frames: %w", err)
-	}
-	return nil
-}
-
-// Buffered returns the number of encoded bytes awaiting a Flush.
-func (e *Encoder) Buffered() int { return e.w.Buffered() }
-
 // framePool holds frame-sized scratch slices for the decoder.
 var framePool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 4096)
@@ -89,9 +29,11 @@ type Decoder struct {
 	rd Reader
 }
 
-// NewDecoder returns a Decoder reading from r.
+// NewDecoder returns a Decoder reading from r through an 8 KiB buffer: it
+// holds a burst of small frames, and a frame bigger than it is read
+// straight into the pooled frame buffer.
 func NewDecoder(r io.Reader) *Decoder {
-	br := bufio.NewReaderSize(r, 32<<10)
+	br := bufio.NewReaderSize(r, 8<<10)
 	return &Decoder{r: br, hdr: headerReader{r: br}, rd: Reader{idents: make(map[string]string)}}
 }
 

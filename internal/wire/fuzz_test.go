@@ -138,12 +138,12 @@ func reply(edit func(*replica.Reply)) replica.Reply {
 // protocol message bit for bit.
 func TestRoundTripAllMessageTypes(t *testing.T) {
 	for _, in := range exemplarMessages() {
-		var buf bytes.Buffer
-		if err := wire.NewEncoder(&buf).Encode(&in); err != nil {
-			t.Fatalf("%T: Encode: %v", in.Payload, err)
+		frame, err := wire.AppendMessage(nil, &in)
+		if err != nil {
+			t.Fatalf("%T: AppendMessage: %v", in.Payload, err)
 		}
 		var out wire.Message
-		if err := wire.NewDecoder(&buf).Decode(&out); err != nil {
+		if err := wire.NewDecoder(bytes.NewReader(frame)).Decode(&out); err != nil {
 			t.Fatalf("%T: Decode: %v", in.Payload, err)
 		}
 		if !reflect.DeepEqual(in, out) {

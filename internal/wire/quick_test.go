@@ -22,9 +22,8 @@ func init() { RegisterPayload(propPayload{}) }
 func TestQuickCodecRoundTrip(t *testing.T) {
 	f := func(from, to string, p propPayload) bool {
 		var buf bytes.Buffer
-		enc := NewEncoder(&buf)
 		in := Message{From: NodeID(from), To: NodeID(to), Payload: p}
-		if err := enc.Encode(&in); err != nil {
+		if err := writeFrame(&buf, &in); err != nil {
 			return false
 		}
 		var out Message
@@ -56,14 +55,13 @@ func equalMaps(a, b map[string]uint32) bool {
 	return true
 }
 
-// TestQuickCodecStream: sequences of messages decode in order through one
-// persistent encoder/decoder pair (gob type descriptors amortized).
+// TestQuickCodecStream: sequences of frames written back to back decode in
+// order through one persistent decoder.
 func TestQuickCodecStream(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		count := int(n%32) + 1
 		var buf bytes.Buffer
-		enc := NewEncoder(&buf)
 		var want []Message
 		for i := 0; i < count; i++ {
 			m := Message{
@@ -72,7 +70,7 @@ func TestQuickCodecStream(t *testing.T) {
 				Payload: propPayload{A: rng.Int63(), B: randStr(rng)},
 			}
 			want = append(want, m)
-			if err := enc.Encode(&m); err != nil {
+			if err := writeFrame(&buf, &m); err != nil {
 				return false
 			}
 		}

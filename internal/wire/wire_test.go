@@ -35,9 +35,19 @@ func TestIDHelpers(t *testing.T) {
 	}
 }
 
+// writeFrame writes m's frame to w in one Write, as the TCP transport's
+// writer does for a burst.
+func writeFrame(w io.Writer, m *Message) error {
+	frame, err := AppendMessage(nil, m)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(frame)
+	return err
+}
+
 func TestCodecRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
 	dec := NewDecoder(&buf)
 
 	in := Message{
@@ -45,8 +55,8 @@ func TestCodecRoundTrip(t *testing.T) {
 		To:      "b",
 		Payload: testPayload{N: 42, Text: "hello", Data: []byte{1, 2, 3}},
 	}
-	if err := enc.Encode(&in); err != nil {
-		t.Fatalf("Encode: %v", err)
+	if err := writeFrame(&buf, &in); err != nil {
+		t.Fatalf("writeFrame: %v", err)
 	}
 	var out Message
 	if err := dec.Decode(&out); err != nil {
@@ -63,7 +73,6 @@ func TestCodecRoundTrip(t *testing.T) {
 
 func TestCodecMultipleFramesAndTypes(t *testing.T) {
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
 	dec := NewDecoder(&buf)
 	msgs := []Message{
 		{From: "a", To: "b", Payload: testPayload{N: 1}},
@@ -71,8 +80,8 @@ func TestCodecMultipleFramesAndTypes(t *testing.T) {
 		{From: "a", To: "b", Payload: testPayload{N: 2, Text: strings.Repeat("x", 10000)}},
 	}
 	for i := range msgs {
-		if err := enc.Encode(&msgs[i]); err != nil {
-			t.Fatalf("Encode[%d]: %v", i, err)
+		if err := writeFrame(&buf, &msgs[i]); err != nil {
+			t.Fatalf("writeFrame[%d]: %v", i, err)
 		}
 	}
 	for i := range msgs {
@@ -102,8 +111,7 @@ func TestCodecRejectsOversizedHeader(t *testing.T) {
 
 func TestCodecTruncatedBody(t *testing.T) {
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
-	if err := enc.Encode(&Message{From: "a", To: "b", Payload: testPayload{N: 5}}); err != nil {
+	if err := writeFrame(&buf, &Message{From: "a", To: "b", Payload: testPayload{N: 5}}); err != nil {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()-3]

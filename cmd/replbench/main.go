@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"time"
@@ -65,30 +66,16 @@ func main() {
 		}
 	}()
 
-	show := func(r bench.Result) {
-		if *csv {
-			fmt.Printf("# %s — %s\n%s\n", r.ID, r.Title, r.CSV())
-		} else {
-			fmt.Println(r.Format())
-		}
-	}
-
 	var collected []bench.Result
 	switch *exp {
 	case "table1":
 		fmt.Println("Table 1 — multithreading algorithms and their properties")
 		fmt.Print(replobj.Table1())
 	case "all":
-		fmt.Println("Table 1 — multithreading algorithms and their properties")
-		fmt.Print(replobj.Table1())
-		fmt.Println()
-		results, err := bench.All(cfg)
+		results, err := writeAll(os.Stdout, cfg, *csv)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "replbench: %v\n", err)
 			os.Exit(1)
-		}
-		for _, r := range results {
-			show(r)
 		}
 		collected = results
 	default:
@@ -102,7 +89,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "replbench: %v\n", err)
 			os.Exit(1)
 		}
-		show(r)
+		show(os.Stdout, r, *csv)
 		collected = []bench.Result{r}
 	}
 	if *jsonOut != "" {
@@ -111,6 +98,29 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonOut)
+	}
+}
+
+// writeAll prints what -exp all prints: Table 1, then every experiment.
+func writeAll(w io.Writer, cfg bench.Config, csv bool) ([]bench.Result, error) {
+	fmt.Fprintln(w, "Table 1 — multithreading algorithms and their properties")
+	fmt.Fprint(w, replobj.Table1())
+	fmt.Fprintln(w)
+	results, err := bench.All(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range results {
+		show(w, r, csv)
+	}
+	return results, nil
+}
+
+func show(w io.Writer, r bench.Result, csv bool) {
+	if csv {
+		fmt.Fprintf(w, "# %s — %s\n%s\n", r.ID, r.Title, r.CSV())
+	} else {
+		fmt.Fprintln(w, r.Format())
 	}
 }
 

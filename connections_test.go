@@ -78,3 +78,58 @@ func TestTCPDepartedClientsLeaveNothing(t *testing.T) {
 		t.Errorf("each departed client left %d KiB of heap, want at most %d KiB", kept>>10, heapBudget>>10)
 	}
 }
+
+// TestPoolWorkersEndWithTheCluster: scheduler threads run on pooled worker
+// goroutines that outlive their requests, idle between them. A TCP cluster
+// with an ADETS-MAT and an ADETS-CC group serves concurrent clients, and
+// once it is closed the process is back to the goroutines it had before it:
+// stopping a scheduler ends its idle workers too.
+func TestPoolWorkersEndWithTheCluster(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-clock TCP test")
+	}
+	const clients, calls, slack = 4, 20, 5
+	before := runtime.NumGoroutine()
+	rt := vtime.Real()
+	addrs := map[wire.NodeID]string{}
+	for i := 0; i < 3; i++ {
+		addrs[wire.ReplicaID("mat", i)] = "127.0.0.1:0"
+		addrs[wire.ReplicaID("cc", i)] = "127.0.0.1:0"
+	}
+	for i := range clients {
+		addrs[wire.ClientID(fmt.Sprintf("c%d", i))] = "127.0.0.1:0"
+	}
+	c := replobj.NewCluster(rt, replobj.WithNetwork(transport.NewTCP(rt, addrs)))
+	counterGroup(t, c, "mat", 3, replobj.WithScheduler(replobj.MAT))
+	counterGroup(t, c, "cc", 3, replobj.WithScheduler(replobj.CC))
+	errs := make(chan error, clients)
+	for i := range clients {
+		cl := c.NewClient(fmt.Sprintf("c%d", i), replobj.WithInvocationTimeout(10*time.Second))
+		go func() {
+			var err error
+			for j := 0; j < calls && err == nil; j++ {
+				if _, err = cl.Invoke("mat", "add", []byte{1}); err == nil {
+					_, err = cl.Invoke("cc", "add", []byte{1})
+				}
+			}
+			errs <- err
+		}()
+	}
+	for range clients {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	during := runtime.NumGoroutine()
+	c.Close()
+	rt.Stop()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before+slack && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	after := runtime.NumGoroutine()
+	t.Logf("goroutines: %d before the cluster, %d serving, %d after Close", before, during, after)
+	if after > before+slack {
+		t.Errorf("%d goroutines after Close, %d before: want at most %d more", after, before, slack)
+	}
+}

@@ -108,9 +108,9 @@ type Env struct {
 	// in rank order (including Self).
 	Self  wire.NodeID
 	Peers []wire.NodeID
-	// SendPeer sends a scheduler-private message directly (FIFO, unordered
-	// with respect to the request stream) to another replica. Used by
-	// ADETS-LSA's mutex-table distribution.
+	// SendPeer sends a message directly (FIFO, unordered with respect to
+	// the request stream) to another replica. No scheduler uses it: LSA's
+	// mutex tables travel through the total order.
 	SendPeer func(to wire.NodeID, payload any)
 	// BroadcastOrdered submits a scheduler message into the group's total
 	// order. All replicas (including this one) receive it via
@@ -200,9 +200,6 @@ type Scheduler interface {
 	// the total order (deterministic timeouts). It must return true if
 	// consumed.
 	HandleOrdered(id string, payload any) bool
-	// HandleDirect processes a scheduler-private peer message (LSA mutex
-	// tables). It must return true if consumed.
-	HandleDirect(from wire.NodeID, payload any) bool
 }
 
 // EarlyScheduler is implemented by schedulers that can use a request's

@@ -23,6 +23,8 @@
 // digests (only the deterministic lane *assignment* is traced, never the
 // cross-lane start order).
 //
+// A ticket gets a pooled worker, and joins the live threads, when it starts.
+//
 // View changes insert a fence — a ticket spanning every lane — at their
 // totally-ordered delivery point: all requests ordered before the view
 // drain from their lanes before any request ordered after it starts, giving
@@ -55,15 +57,26 @@ func WithLanes(n int) Option {
 }
 
 // ticket is one lane-queue entry: a request's thread occupying its assigned
-// lanes, one allocation a request, or a fence, which spans every lane and
-// whose Thread is never started.
+// lanes, one allocation a request and the job a worker runs once it starts,
+// or a fence, which spans every lane and whose Thread is never started.
 type ticket struct {
 	adets.Thread
-	lanes []int // sorted, duplicate-free; empty for callbacks (lane bypass)
-	fence bool
+	lanes   []int  // sorted, duplicate-free; empty for callbacks (lane bypass)
+	one     [1]int // lanes of a single-class request
+	fence   bool
+	started bool // given a worker (or fence completed)
+	s       *Scheduler
+	exec    func(*adets.Thread)
+}
 
-	started bool // allowed to run (or fence completed)
-	parked  bool // goroutine parked awaiting first activation
+// Run implements adets.Job: the request, then the ticket leaves its lanes
+// and the next heads start.
+func (tk *ticket) Run() {
+	s := tk.s
+	s.Execute(&tk.Thread, tk.exec)
+	s.removeLocked(tk)
+	s.pumpLocked()
+	s.Exit(&tk.Thread)
 }
 
 // Scheduler implements adets.Scheduler with conflict-class parallel
@@ -73,7 +86,6 @@ type ticket struct {
 type Scheduler struct {
 	adets.Monitor
 	env       adets.Env
-	reg       *adets.Registry
 	laneCount int
 
 	// All fields below are guarded by the runtime lock.
@@ -124,7 +136,6 @@ func (s *Scheduler) Capabilities() adets.Capabilities {
 // Start implements adets.Scheduler.
 func (s *Scheduler) Start(env adets.Env) {
 	s.env = env
-	s.reg = adets.NewRegistry(env.RT)
 	s.Init(env, s)
 	s.queues = make([][]*ticket, s.laneCount)
 	env.Obs.Lanes(s.laneCount)
@@ -147,43 +158,24 @@ func (s *Scheduler) Submit(req adets.Request) {
 		return
 	}
 	s.env.Obs.Submitted()
-	tk := &ticket{}
-	t := s.reg.Init(&tk.Thread, "cc", req.Logical, tk)
-	s.Enter(t)
+	tk := &ticket{s: s, exec: req.Exec}
+	s.Registry.Init(&tk.Thread, "cc", req.Logical, tk)
 	if req.Callback {
 		tk.started = true // lane bypass: run immediately
-	} else {
-		// The trace position is the total-order seq of the delivery, not a
-		// local submission count — a replica restored from a checkpoint never
-		// saw the truncated prefix, but its lane trace must still line up
-		// with replicas that executed it.
-		tk.lanes = s.takeEarlyPlanLocked(req.ID, req.Classes)
-		for _, l := range tk.lanes {
-			s.queues[l] = append(s.queues[l], tk)
-			s.env.Obs.LaneAssign(l, string(req.Logical), req.Seq)
-		}
+		s.Enter(&tk.Thread)
+		s.Registry.Start(tk)
+		return
 	}
-	s.reg.Spawn(t, func() {
-		rt.Lock()
-		for !tk.started && !s.Stopped() {
-			tk.parked = true
-			s.CheckQuiesce()
-			t.Park(rt)
-			tk.parked = false
-		}
-		rt.Unlock()
-		if s.Alive() {
-			req.Exec(t)
-		}
-		rt.Lock()
-		s.removeLocked(tk)
-		s.pumpLocked()
-		s.Exit(t)
-		rt.Unlock()
-	})
-	if !tk.started {
-		s.pumpLocked()
+	// The trace position is the total-order seq of the delivery, not a
+	// local submission count — a replica restored from a checkpoint never
+	// saw the truncated prefix, but its lane trace must still line up with
+	// replicas that executed it.
+	s.planLocked(tk, req.ID, req.Classes)
+	for _, l := range tk.lanes {
+		s.queues[l] = append(s.queues[l], tk)
+		s.env.Obs.LaneAssign(l, string(req.Logical), req.Seq)
 	}
+	s.pumpLocked()
 }
 
 // removeLocked deletes a ticket from every lane it occupies.
@@ -240,9 +232,8 @@ func (s *Scheduler) pumpLocked() {
 			for _, hl := range h.lanes {
 				s.env.Obs.LaneStart(hl)
 			}
-			if h.parked {
-				h.Unpark(s.env.RT)
-			}
+			s.Enter(&h.Thread)
+			s.Registry.Start(h)
 		}
 	}
 }
@@ -262,15 +253,10 @@ func (s *Scheduler) Runnable(t *adets.Thread) { t.Unpark(s.env.RT) }
 // the lanes (see Submit) and therefore still make progress.
 func (s *Scheduler) Blocked(*adets.Thread) {}
 
-// Stable implements adets.Strategy. CC is stable when every ticket is parked
-// for good until a future delivery: awaiting its lane activation (which,
-// with dispatch paused, only a completing earlier ticket can trigger —
-// covered by the re-check when that one exits), blocked on a lock, or parked
-// in a nested invocation.
-func (s *Scheduler) Stable(t *adets.Thread) bool {
-	tk := st(t)
-	return (!tk.started && tk.parked) || t.Parked() != adets.NotParked
-}
+// Stable implements adets.Strategy: a started ticket blocked on a lock or in
+// a nested invocation. A queued one is not live: with dispatch paused only a
+// completing earlier ticket starts it, and Exit re-checks then.
+func (s *Scheduler) Stable(t *adets.Thread) bool { return t.Parked() != adets.NotParked }
 
 // Wait implements adets.Scheduler: unsupported. A deterministic
 // notification order across concurrently executing lanes would require a
@@ -330,14 +316,18 @@ func (s *Scheduler) EarlySubmit(id wire.InvocationID, classes []string) {
 	s.earlyOrder = append(s.earlyOrder, id)
 }
 
-// takeEarlyPlanLocked consumes the cached early lane plan for id, falling
-// back to computing it fresh — both paths yield the same plan.
-func (s *Scheduler) takeEarlyPlanLocked(id wire.InvocationID, classes []string) []int {
+// planLocked sets tk's lanes: the cached early plan for id, or the same plan
+// computed fresh, a single class's inside the ticket.
+func (s *Scheduler) planLocked(tk *ticket, id wire.InvocationID, classes []string) {
 	if plan, ok := s.early[id]; ok {
 		delete(s.early, id)
-		return plan
+		tk.lanes = plan
+	} else if len(classes) == 1 {
+		tk.one[0] = LaneOf(classes[0], s.laneCount)
+		tk.lanes = tk.one[:]
+	} else {
+		tk.lanes = AssignLanes(classes, s.laneCount)
 	}
-	return AssignLanes(classes, s.laneCount)
 }
 
 // ViewChanged implements adets.Scheduler: a fence spanning every lane is
@@ -364,8 +354,8 @@ func (s *Scheduler) ViewChanged(v gcs.View) {
 }
 
 // Quiesce implements adets.Scheduler. Fences carry no thread and are removed
-// eagerly by pumpLocked, so an empty thread set implies empty lanes — the
-// all-lane drain the barrier semantics require.
+// eagerly by pumpLocked, and a queued ticket waits behind a started one, so
+// an empty thread set implies empty lanes — the all-lane drain.
 func (s *Scheduler) Quiesce(report func(drained bool)) {
 	s.Monitor.Quiesce(func(drained bool) {
 		if drained {
@@ -383,6 +373,3 @@ func (s *Scheduler) Quiesce(report func(drained bool)) {
 
 // HandleOrdered implements adets.Scheduler.
 func (s *Scheduler) HandleOrdered(string, any) bool { return false }
-
-// HandleDirect implements adets.Scheduler.
-func (s *Scheduler) HandleDirect(wire.NodeID, any) bool { return false }

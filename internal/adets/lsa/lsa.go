@@ -71,7 +71,6 @@ func WithPeriod(d time.Duration) Option {
 type Scheduler struct {
 	adets.Monitor
 	env    adets.Env
-	reg    *adets.Registry
 	period time.Duration
 
 	leader wire.NodeID
@@ -84,6 +83,19 @@ type Scheduler struct {
 }
 
 var _ adets.Strategy = (*Scheduler)(nil)
+
+// thread is a request's thread and the job a pooled worker runs for it.
+type thread struct {
+	adets.Thread
+	s    *Scheduler
+	exec func(*adets.Thread)
+}
+
+// Run implements adets.Job.
+func (t *thread) Run() {
+	t.s.Execute(&t.Thread, t.exec)
+	t.s.Exit(&t.Thread)
+}
 
 // New returns an ADETS-LSA scheduler.
 func New(opts ...Option) *Scheduler {
@@ -118,7 +130,6 @@ func (s *Scheduler) Capabilities() adets.Capabilities {
 // Start implements adets.Scheduler.
 func (s *Scheduler) Start(env adets.Env) {
 	s.env = env
-	s.reg = adets.NewRegistry(env.RT)
 	s.Init(env, s)
 	if len(env.Peers) > 0 {
 		s.leader = env.Peers[0]
@@ -151,16 +162,9 @@ func (s *Scheduler) Submit(req adets.Request) {
 		return
 	}
 	s.env.Obs.Submitted()
-	t := s.reg.NewThread("lsa", req.Logical)
-	s.Enter(t)
-	s.reg.Spawn(t, func() {
-		if s.Alive() {
-			req.Exec(t)
-		}
-		s.env.RT.Lock() // not rt: the closure stays in its size class
-		s.Exit(t)
-		s.env.RT.Unlock()
-	})
+	th := &thread{s: s, exec: req.Exec}
+	s.Enter(s.Registry.Init(&th.Thread, "lsa", req.Logical, nil))
+	s.Registry.Start(th)
 }
 
 func (s *Scheduler) lock(m adets.MutexID) *lockState {
@@ -372,9 +376,6 @@ func (s *Scheduler) Quiesce(report func(drained bool)) {
 		report(drained && len(s.pendingLog) == 0 && s.inflight == 0)
 	})
 }
-
-// HandleDirect implements adets.Scheduler.
-func (s *Scheduler) HandleDirect(wire.NodeID, any) bool { return false }
 
 // scheduleFlush arms the periodic mutex-table broadcast.
 func (s *Scheduler) scheduleFlush() {

@@ -17,7 +17,6 @@ func newBare(self wire.NodeID, leader wire.NodeID) (*Scheduler, *vtime.VirtualRu
 	rt := vtime.Virtual()
 	s := New()
 	s.env = adets.Env{RT: rt, Self: self, Peers: []wire.NodeID{"g/0", "g/1"}}
-	s.reg = adets.NewRegistry(rt)
 	s.Init(s.env, s)
 	s.leader = leader
 	return s, rt
@@ -26,7 +25,7 @@ func newBare(self wire.NodeID, leader wire.NodeID) (*Scheduler, *vtime.VirtualRu
 func mkThread(s *Scheduler, rt *vtime.VirtualRuntime, logical wire.LogicalID) *adets.Thread {
 	rt.Lock()
 	defer rt.Unlock()
-	t := s.reg.NewThread("lsa", logical)
+	t := s.Registry.Init(new(adets.Thread), "lsa", logical, nil)
 	s.Enter(t)
 	return t
 }

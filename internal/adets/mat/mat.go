@@ -21,14 +21,23 @@ package mat
 import (
 	"github.com/replobj/replobj/internal/adets"
 	"github.com/replobj/replobj/internal/gcs"
-	"github.com/replobj/replobj/internal/wire"
 )
 
-// matThread is a request's thread and MAT's state for it in one allocation.
+// matThread is a request's thread and MAT's state for it in one allocation,
+// and the job a pooled worker runs for it.
 type matThread struct {
 	adets.Thread
 	wantToken   bool // parked in Lock until the token reaches it
 	noMoreLocks bool
+	s           *Scheduler
+	exec        func(*adets.Thread)
+}
+
+// Run implements adets.Job: the request, then the end, a scheduling point.
+func (mt *matThread) Run() {
+	mt.s.Execute(&mt.Thread, mt.exec)
+	mt.s.Blocked(&mt.Thread)
+	mt.s.Exit(&mt.Thread)
 }
 
 // Option configures the scheduler.
@@ -46,7 +55,6 @@ func WithYield(enabled bool) Option {
 type Scheduler struct {
 	adets.Monitor
 	env          adets.Env
-	reg          *adets.Registry
 	yieldEnabled bool
 
 	succession adets.FIFO // head holds the primary token
@@ -87,7 +95,6 @@ func (s *Scheduler) Capabilities() adets.Capabilities {
 // Start implements adets.Scheduler.
 func (s *Scheduler) Start(env adets.Env) {
 	s.env = env
-	s.reg = adets.NewRegistry(env.RT)
 	s.Init(env, s)
 }
 
@@ -104,23 +111,15 @@ func (s *Scheduler) Submit(req adets.Request) {
 		return
 	}
 	s.env.Obs.Submitted()
-	mt := &matThread{}
-	t := s.reg.Init(&mt.Thread, "mat", req.Logical, mt)
+	mt := &matThread{s: s, exec: req.Exec}
+	t := s.Registry.Init(&mt.Thread, "mat", req.Logical, mt)
 	s.Enter(t)
 	if req.Callback {
 		s.succession.PushFront(t)
 	} else {
 		s.succession.Push(t)
 	}
-	s.reg.Spawn(t, func() {
-		if s.Alive() {
-			req.Exec(t)
-		}
-		s.env.RT.Lock() // not rt: the closure stays in its size class
-		s.Blocked(t)
-		s.Exit(t)
-		s.env.RT.Unlock()
-	})
+	s.Registry.Start(mt)
 }
 
 // Blocked implements adets.Strategy: every block (and a thread's end) is a
@@ -219,6 +218,3 @@ func (s *Scheduler) Yield(t *adets.Thread) {
 // ViewChanged implements adets.Scheduler (MAT needs no membership info —
 // one of its advantages over LSA, Section 5.6).
 func (s *Scheduler) ViewChanged(gcs.View) {}
-
-// HandleDirect implements adets.Scheduler.
-func (s *Scheduler) HandleDirect(wire.NodeID, any) bool { return false }

@@ -25,6 +25,7 @@ import (
 type Monitor struct {
 	env      Env
 	strategy Strategy
+	Registry Registry // numbers the threads and runs them; Stop stops it
 
 	mutexes map[MutexID]*Mutex
 	conds   map[condKey]*FIFO
@@ -108,6 +109,7 @@ func (m *Monitor) Init(env Env, s Strategy) {
 	*m = Monitor{
 		env:      env,
 		strategy: s,
+		Registry: Registry{rt: env.RT},
 		mutexes:  make(map[MutexID]*Mutex),
 		conds:    make(map[condKey]*FIFO),
 		waiting:  make(map[wire.LogicalID]*Thread),
@@ -131,8 +133,16 @@ func (m *Monitor) Exit(t *Thread) {
 // Stopped reports whether Stop was called.
 func (m *Monitor) Stopped() bool { return m.stopped }
 
-// Alive is !Stopped for callers that do not hold the runtime lock: a thread
-// body asks before it runs its request.
+// Execute runs exec on t without the runtime lock, unless Stop was called.
+func (m *Monitor) Execute(t *Thread, exec func(*Thread)) {
+	if !m.stopped {
+		m.env.RT.Unlock()
+		exec(t)
+		m.env.RT.Lock()
+	}
+}
+
+// Alive is !Stopped for callers that do not hold the runtime lock.
 func (m *Monitor) Alive() bool {
 	m.env.RT.Lock()
 	defer m.env.RT.Unlock()
@@ -140,11 +150,12 @@ func (m *Monitor) Alive() bool {
 }
 
 // Stop implements Scheduler: every live thread is unparked and the operation
-// it was parked in fails with ErrStopped; no timeout is sent any more.
+// it was parked in fails with ErrStopped; no timeout is sent, no worker kept.
 func (m *Monitor) Stop() {
 	rt := m.env.RT
 	rt.Lock()
 	m.stopped = true
+	m.Registry.Stop()
 	for t := range m.threads {
 		t.Unpark(rt)
 	}

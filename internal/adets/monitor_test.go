@@ -17,7 +17,6 @@ import (
 type bare struct {
 	Monitor
 	rt     *vtime.VirtualRuntime
-	reg    *Registry
 	hooks  []string // "blocked a", "runnable a", in call order
 	events []string // what the scripts observed, in virtual-time order
 	sent   []string // ids handed to BroadcastOrdered
@@ -33,29 +32,32 @@ func (b *bare) Stable(t *Thread) bool { return t.Parked() != NotParked }
 
 func (b *bare) Submit(req Request) {
 	b.rt.Lock()
-	t := b.reg.NewThread("bare", req.Logical)
-	b.Enter(t)
-	b.reg.Spawn(t, func() {
-		if b.Alive() {
-			req.Exec(t)
-		}
-		b.rt.Lock()
-		b.Exit(t)
-		b.rt.Unlock()
-	})
+	j := &bareJob{b: b, exec: req.Exec}
+	b.Enter(b.Registry.Init(&j.Thread, "bare", req.Logical, nil))
+	b.Registry.Start(j)
 	b.rt.Unlock()
 }
 
-func (b *bare) Name() string                       { return "bare" }
-func (b *bare) Capabilities() Capabilities         { return Capabilities{} }
-func (b *bare) Start(Env)                          {}
-func (b *bare) Yield(*Thread)                      {}
-func (b *bare) ViewChanged(gcs.View)               {}
-func (b *bare) HandleDirect(wire.NodeID, any) bool { return false }
+// bareJob is bare's thread record.
+type bareJob struct {
+	Thread
+	b    *bare
+	exec func(*Thread)
+}
+
+func (j *bareJob) Run() {
+	j.b.Execute(&j.Thread, j.exec)
+	j.b.Exit(&j.Thread)
+}
+
+func (b *bare) Name() string               { return "bare" }
+func (b *bare) Capabilities() Capabilities { return Capabilities{} }
+func (b *bare) Start(Env)                  {}
+func (b *bare) Yield(*Thread)              {}
+func (b *bare) ViewChanged(gcs.View)       {}
 
 func newBare() *bare {
 	b := &bare{rt: vtime.Virtual()}
-	b.reg = NewRegistry(b.rt)
 	b.Init(Env{
 		RT:       b.rt,
 		Self:     "r/0",

@@ -92,7 +92,12 @@ const (
 	stRetired
 )
 
+// pdsThread is a pool thread and PDS's state for it in one allocation, and
+// the job a pooled worker runs for it.
 type pdsThread struct {
+	adets.Thread
+	s *Scheduler
+
 	state    threadState
 	inActive bool            // member of the round's active set
 	reqMutex adets.MutexID   // pending mutex request while suspended
@@ -169,7 +174,6 @@ func (c *Config) applyDefaults() {
 type Scheduler struct {
 	adets.Monitor
 	env adets.Env
-	reg *adets.Registry
 	cfg Config
 
 	pool  []*adets.Thread
@@ -220,7 +224,6 @@ func (s *Scheduler) Capabilities() adets.Capabilities {
 // worker immediately requests the queue mutex, forming the first round.
 func (s *Scheduler) Start(env adets.Env) {
 	s.env = env
-	s.reg = adets.NewRegistry(env.RT)
 	s.Init(env, s)
 	rt := env.RT
 	rt.Lock()
@@ -233,18 +236,22 @@ func (s *Scheduler) Start(env adets.Env) {
 // addWorkerLocked creates and starts one pool thread. Between requests a
 // worker acts — takes the queue mutex — under an identity of its own.
 func (s *Scheduler) addWorkerLocked() *adets.Thread {
-	t := s.reg.NewThread("pds-worker", "")
+	pt := &pdsThread{s: s, state: stRunning, inActive: true}
+	t := s.Registry.Init(&pt.Thread, "pds-worker", "", pt)
 	t.Logical = wire.LogicalID("pds-worker-" + strconv.FormatUint(t.ID, 10))
-	t.Sched = &pdsThread{state: stRunning, inActive: true, between: t.Logical}
+	pt.between = t.Logical
 	s.pool = append(s.pool, t)
 	s.Enter(t)
-	s.reg.Spawn(t, func() {
-		s.workerLoop(t)
-		s.env.RT.Lock()
-		s.Exit(t)
-		s.env.RT.Unlock()
-	})
+	s.Registry.Start(pt)
 	return t
+}
+
+// Run implements adets.Job: the worker loop, until Stop or retirement.
+func (pt *pdsThread) Run() {
+	pt.s.env.RT.Unlock()
+	pt.s.workerLoop(&pt.Thread)
+	pt.s.env.RT.Lock()
+	pt.s.Exit(&pt.Thread)
 }
 
 // Stop implements adets.Scheduler.
@@ -871,6 +878,3 @@ func (s *Scheduler) Stable(t *adets.Thread) bool {
 	}
 	return true
 }
-
-// HandleDirect implements adets.Scheduler.
-func (s *Scheduler) HandleDirect(wire.NodeID, any) bool { return false }

@@ -18,13 +18,12 @@ func newBare(variant Variant, n int) (*Scheduler, *vtime.VirtualRuntime, []*adet
 	rt := vtime.Virtual()
 	s := New(Config{Variant: variant, PoolSize: n})
 	s.env = adets.Env{RT: rt, Self: "g/0", Peers: []wire.NodeID{"g/0"}}
-	s.reg = adets.NewRegistry(rt)
 	s.Init(s.env, s)
 	threads := make([]*adets.Thread, n)
 	rt.Lock()
 	for i := 0; i < n; i++ {
-		t := s.reg.NewThread("w", wire.LogicalID(rune('a'+i)))
-		t.Sched = &pdsThread{state: stRunning, inActive: true}
+		pt := &pdsThread{s: s, state: stRunning, inActive: true}
+		t := s.Registry.Init(&pt.Thread, "w", wire.LogicalID(rune('a'+i)), pt)
 		s.pool = append(s.pool, t)
 		threads[i] = t
 	}

@@ -21,7 +21,6 @@ import (
 
 	"github.com/replobj/replobj/internal/adets"
 	"github.com/replobj/replobj/internal/gcs"
-	"github.com/replobj/replobj/internal/wire"
 )
 
 // Option configures the scheduler.
@@ -39,7 +38,6 @@ func Basic() Option {
 type Scheduler struct {
 	adets.Monitor
 	env   adets.Env
-	reg   *adets.Registry
 	basic bool
 
 	active *adets.Thread
@@ -47,6 +45,21 @@ type Scheduler struct {
 }
 
 var _ adets.Strategy = (*Scheduler)(nil)
+
+// thread is a request's thread and the job a pooled worker runs for it.
+type thread struct {
+	adets.Thread
+	s    *Scheduler
+	exec func(*adets.Thread)
+}
+
+// Run implements adets.Job: first activation, request, end (scheduling point).
+func (t *thread) Run() {
+	t.Park(t.s.env.RT)
+	t.s.Execute(&t.Thread, t.exec)
+	t.s.Blocked(&t.Thread)
+	t.s.Exit(&t.Thread)
+}
 
 // New returns an ADETS-SAT scheduler (or basic SAT with the Basic option).
 func New(opts ...Option) *Scheduler {
@@ -93,7 +106,6 @@ func (s *Scheduler) Capabilities() adets.Capabilities {
 // Start implements adets.Scheduler.
 func (s *Scheduler) Start(env adets.Env) {
 	s.env = env
-	s.reg = adets.NewRegistry(env.RT)
 	s.Init(env, s)
 }
 
@@ -108,25 +120,15 @@ func (s *Scheduler) Submit(req adets.Request) {
 		return
 	}
 	s.env.Obs.Submitted()
-	t := s.reg.NewThread("sat", req.Logical)
+	th := &thread{s: s, exec: req.Exec}
+	t := s.Registry.Init(&th.Thread, "sat", req.Logical, nil)
 	s.Enter(t)
 	if req.Callback {
 		s.ready.PushFront(t)
 	} else {
 		s.ready.Push(t)
 	}
-	s.reg.Spawn(t, func() {
-		rt.Lock()
-		t.Park(rt) // await first activation
-		rt.Unlock()
-		if s.Alive() {
-			req.Exec(t)
-		}
-		rt.Lock()
-		s.Blocked(t)
-		s.Exit(t)
-		rt.Unlock()
-	})
+	s.Registry.Start(th)
 	s.scheduleLocked()
 }
 
@@ -203,6 +205,3 @@ func (s *Scheduler) Yield(*adets.Thread) {}
 
 // ViewChanged implements adets.Scheduler (SAT needs no membership info).
 func (s *Scheduler) ViewChanged(gcs.View) {}
-
-// HandleDirect implements adets.Scheduler.
-func (s *Scheduler) HandleDirect(wire.NodeID, any) bool { return false }

@@ -21,7 +21,6 @@ import (
 	"github.com/replobj/replobj/internal/adets"
 	"github.com/replobj/replobj/internal/gcs"
 	"github.com/replobj/replobj/internal/ring"
-	"github.com/replobj/replobj/internal/wire"
 )
 
 // Scheduler is the sequential worker.
@@ -40,6 +39,13 @@ type Scheduler struct {
 }
 
 var _ adets.Scheduler = (*Scheduler)(nil)
+
+// thread is the sequential worker's record, or an SL callback's (exec set).
+type thread struct {
+	adets.Thread
+	s    *Scheduler
+	exec func(*adets.Thread)
+}
 
 // New returns a SEQ scheduler.
 func New() *Scheduler { return &Scheduler{} }
@@ -84,6 +90,7 @@ func (s *Scheduler) Start(env adets.Env) {
 func (s *Scheduler) Stop() {
 	s.env.RT.Lock()
 	s.stopped = true
+	s.reg.Stop()
 	s.queue = ring.Queue[adets.Request]{}
 	if s.worker != nil && !s.busy {
 		s.worker.Unpark(s.env.RT)
@@ -102,26 +109,21 @@ func (s *Scheduler) Submit(req adets.Request) {
 	}
 	s.env.Obs.Submitted()
 	if s.sl && req.Callback {
-		t := s.reg.NewThread("seq-callback", req.Logical)
+		cb := &thread{s: s, exec: req.Exec}
+		s.reg.Init(&cb.Thread, "seq-callback", req.Logical, nil)
 		s.cbLive++
-		s.reg.Spawn(t, func() {
-			req.Exec(t)
-			s.env.RT.Lock()
-			s.cbLive--
-			s.checkQuiesceLocked()
-			s.env.RT.Unlock()
-		})
+		s.reg.Start(cb)
 		return
 	}
 	s.queue.Push(req)
 	if s.worker == nil {
-		s.worker = s.reg.NewThread("seq-worker", "")
+		w := &thread{s: s}
+		s.worker = s.reg.Init(&w.Thread, "seq-worker", "", nil)
 		// Busy from birth: the worker drains the queue before it first
-		// parks, so a Submit racing with the spawn must not Unpark it — the
+		// parks, so a Submit racing with the start must not Unpark it — the
 		// stale permit would make a later BeginNested return early.
 		s.busy = true
-		w := s.worker
-		s.reg.Spawn(w, func() { s.loop(w) })
+		s.reg.Start(w)
 		return
 	}
 	if !s.busy {
@@ -132,14 +134,19 @@ func (s *Scheduler) Submit(req adets.Request) {
 	}
 }
 
-func (s *Scheduler) loop(w *adets.Thread) {
-	rt := s.env.RT
-	rt.Lock()
-	for {
-		if s.stopped {
-			rt.Unlock()
-			return
-		}
+// Run implements adets.Job: an SL callback runs its request, the worker
+// every request in delivery order until Stop.
+func (w *thread) Run() {
+	s, rt := w.s, w.s.env.RT
+	if w.exec != nil {
+		rt.Unlock()
+		w.exec(&w.Thread)
+		rt.Lock()
+		s.cbLive--
+		s.checkQuiesceLocked()
+		return
+	}
+	for !s.stopped {
 		req, ok := s.queue.Pop()
 		if !ok {
 			s.busy = false
@@ -151,7 +158,7 @@ func (s *Scheduler) loop(w *adets.Thread) {
 		w.Logical = req.Logical
 		rt.Unlock()
 		s.env.Obs.Exec(string(req.Logical))
-		req.Exec(w)
+		req.Exec(&w.Thread)
 		rt.Lock()
 	}
 }
@@ -243,6 +250,3 @@ func (s *Scheduler) checkQuiesceLocked() {
 
 // HandleOrdered implements adets.Scheduler.
 func (s *Scheduler) HandleOrdered(string, any) bool { return false }
-
-// HandleDirect implements adets.Scheduler.
-func (s *Scheduler) HandleDirect(wire.NodeID, any) bool { return false }

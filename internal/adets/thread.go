@@ -19,16 +19,18 @@ import (
 //
 // A thread is one allocation: the parker is held by value, the name is kept
 // as (role, logical id) until printed, and a scheduler's own per-thread
-// record embeds the Thread (Registry.Init). Records are not recycled: wait
+// record embeds the Thread (Registry.Init) and is the Job a pooled worker
+// runs (Registry.Start). Goroutines are pooled, records are not: wait
 // queues, reentrancy tables and timers may hold a *Thread past its request.
 //
 // Unpark on a thread that is not parked leaves a permit, and the thread's
 // next Park returns at once, whatever it parks for. So every Park site keeps
 // one of two rules: either the park loops on its own condition (MAT's token
-// wait, CC's lane start, PDS's own queue), or the waker claims the thread
-// under the runtime lock before it unparks it, so that no second waker can
-// unpark it for the same park (the Monitor's parked reason, cleared by Grant
-// and EndNested; SAT's active thread; SEQ's busy worker; PDS's worker state).
+// wait, PDS's own queue), or the waker claims the thread under the runtime
+// lock before it unparks it, so that no second waker can unpark it for the
+// same park (the Monitor's parked reason, cleared by Grant and EndNested;
+// SAT's active thread; SEQ's busy worker; PDS's worker state; the idle list
+// of a pool worker, which parks on a parker of its own).
 // A thread parked for a nested reply must never be woken by anything else:
 // the permit would return BeginNested before the reply is there.
 type Thread struct {
@@ -37,8 +39,7 @@ type Thread struct {
 	// Logical is the logical thread this physical thread executes for.
 	Logical wire.LogicalID
 
-	role   string // diagnostic name: role, or role/Logical
-	parker vtime.Parker
+	parker vtime.Parker // named role/Logical
 
 	// Scheduler-private per-thread state; owned by the algorithm (the
 	// enclosing record, where that embeds the Thread).
@@ -87,12 +88,26 @@ func (t *Thread) String() string {
 	return fmt.Sprintf("thread{%d %s}", t.ID, t.parker.Name())
 }
 
-// Registry assigns deterministic thread IDs and spawns the backing
-// goroutines. One per scheduler instance; all methods require the runtime
-// lock unless stated otherwise.
+// Registry assigns deterministic thread IDs and runs the threads on a pool
+// of tracked worker goroutines. One per scheduler instance; all methods
+// require the runtime lock unless stated otherwise.
 type Registry struct {
-	rt   vtime.Runtime
-	next uint64
+	rt      vtime.Runtime
+	next    uint64
+	idle    []*worker // parked between jobs, most recently idle last
+	stopped bool
+}
+
+// Job is a thread's record as a worker runs it. Run is the thread's body,
+// called holding the runtime lock and returning holding it, so that the
+// thread's exit and the worker's park share one lock hold.
+type Job interface{ Run() }
+
+// worker is a pooled goroutine. Start and Stop take it off the idle list
+// before they unpark it, so no second waker reaches the same park.
+type worker struct {
+	parker *vtime.Parker
+	job    Job
 }
 
 // NewRegistry returns a Registry on rt.
@@ -100,26 +115,49 @@ func NewRegistry(rt vtime.Runtime) *Registry {
 	return &Registry{rt: rt}
 }
 
-// NewThread allocates a thread record (no goroutine yet); see Init.
-func (r *Registry) NewThread(role string, logical wire.LogicalID) *Thread {
-	return r.Init(new(Thread), role, logical, nil)
-}
-
 // Init makes the zero Thread t — embedded in sched, the scheduler's record
 // for it — the registry's next thread, named role/logical. Runtime lock
 // required: the ID must be taken at a deterministic point.
 func (r *Registry) Init(t *Thread, role string, logical wire.LogicalID, sched any) *Thread {
-	t.ID, t.Logical, t.role, t.Sched = r.next, logical, role, sched
+	t.ID, t.Logical, t.Sched = r.next, logical, sched
 	r.next++
 	t.parker.SetName(role, string(logical))
 	return t
 }
 
-// Spawn starts the thread body on a tracked goroutine. Runtime lock
-// required (schedulers spawn threads at deterministic points while holding
-// it).
-func (r *Registry) Spawn(t *Thread, body func()) {
-	r.rt.GoLocked(t.role, body)
+// Start runs job on the most recently idle worker, or a new one, runnable
+// here as a fresh goroutine was: virtual time keeps its wake order.
+func (r *Registry) Start(job Job) {
+	if n := len(r.idle); n > 0 {
+		w := r.idle[n-1]
+		r.idle, w.job = r.idle[:n-1], job
+		r.rt.Unpark(w.parker)
+		return
+	}
+	w := &worker{parker: vtime.NewParker("adets-worker"), job: job}
+	r.rt.GoLocked("adets-worker", func() { r.work(w) })
+}
+
+// work runs jobs, parked in between, until Stop finds it idle or done.
+func (r *Registry) work(w *worker) {
+	r.rt.Lock()
+	for w.job != nil {
+		w.job.Run()
+		if w.job = nil; !r.stopped {
+			r.idle = append(r.idle, w)
+			r.rt.Park(w.parker)
+		}
+	}
+	r.rt.Unlock()
+}
+
+// Stop ends the idle workers now and the busy ones when their job returns.
+func (r *Registry) Stop() {
+	r.stopped = true
+	for _, w := range r.idle {
+		r.rt.Unpark(w.parker)
+	}
+	r.idle = nil
 }
 
 // FIFO is a deterministic queue of threads — the building block for lock

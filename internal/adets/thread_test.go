@@ -93,7 +93,7 @@ func TestRegistryAssignsSequentialIDs(t *testing.T) {
 	r := NewRegistry(rt)
 	rt.Lock()
 	for i := uint64(0); i < 5; i++ {
-		th := r.NewThread("t", "l")
+		th := r.Init(new(Thread), "t", "l", nil)
 		if th.ID != i {
 			t.Errorf("thread %d got ID %d", i, th.ID)
 		}
@@ -106,11 +106,11 @@ func TestThreadString(t *testing.T) {
 	defer rt.Stop()
 	r := NewRegistry(rt)
 	r.next = 3
-	th := r.NewThread("w", "cl1")
+	th := r.Init(new(Thread), "w", "cl1", nil)
 	if s := th.String(); s != "thread{3 w/cl1}" {
 		t.Errorf("String = %q", s)
 	}
-	if s := r.NewThread("pool-worker", "").String(); s != "thread{4 pool-worker}" {
+	if s := r.Init(new(Thread), "pool-worker", "", nil).String(); s != "thread{4 pool-worker}" {
 		t.Errorf("String = %q", s)
 	}
 }
@@ -211,9 +211,6 @@ func (c *countingSched) Yield(*Thread)                            {}
 func (c *countingSched) BeginNested(*Thread)                      {}
 func (c *countingSched) EndNested(*Thread)                        {}
 func (c *countingSched) HandleOrdered(string, any) bool           { return false }
-func (c *countingSched) HandleDirect(wire.NodeID, any) bool {
-	return false
-}
 
 func TestTable1FormatContainsPaperRows(t *testing.T) {
 	out := FormatTable1(PaperTable1)

@@ -168,7 +168,7 @@ func TestLogicalThreadProtocol(t *testing.T) {
 		{
 			name: "pre: the thread waits and its reply is delivered; post: a second copy resumes nothing and is dropped",
 			run: func(t *testing.T, p *protoReplica) {
-				waiter := adets.NewRegistry(p.rt).NewThread("t", protoLogical)
+				waiter := adets.NewRegistry(p.rt).Init(new(adets.Thread), "t", protoLogical, nil)
 				p.locked(func(threads map[wire.LogicalID]logicalThread) {
 					p.r.arriveLocked(p.request(0, 1))
 					p.r.enterNestedLocked(call(1), waiter)

@@ -521,16 +521,16 @@ func (r *Replica) Stop() {
 	r.ep.Close()
 }
 
-// receive feeds one message to the group member or the scheduler. On TCP it
-// runs on the reader that decoded the frame and must not block: Handle is
-// one event under the runtime lock whose finish only enqueues sends and
-// calls DuplicateSubmit (sends a reply) and OptimisticDeliver (starts the
-// speculation goroutine); every HandleDirect returns false.
+// receive feeds one message to the group member. On TCP it runs on the
+// reader that decoded the frame and must not block: Handle is one event
+// under the runtime lock whose finish only enqueues sends and calls
+// DuplicateSubmit (sends a reply) and OptimisticDeliver (starts the
+// speculation goroutine).
 func (r *Replica) receive(msg wire.Message) {
-	if r.member.Handle(msg.From, msg.Payload) || r.sched.HandleDirect(msg.From, msg.Payload) {
+	if r.member.Handle(msg.From, msg.Payload) {
 		return
 	}
-	// Neither layer knows the payload. In a cluster built from one tree
+	// The member does not know the payload. In a cluster built from one tree
 	// that does not happen; a rate here is the first sign of a peer that
 	// frames its messages differently.
 	r.unknownMsgs.Inc()

@@ -1,6 +1,7 @@
 package replobj_test
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -16,9 +17,8 @@ import (
 	"github.com/replobj/replobj/internal/wire"
 )
 
-// ckptCounter is the counter state with an explicit serialization, so
-// checkpoint runs exercise the Snapshotter path (the gob fallback cannot
-// see the unexported field and would deterministically skip checkpoints).
+// ckptCounter is the counter state of the checkpoint suites, with a "wait"
+// method beside add and get.
 type ckptCounter struct{ v uint64 }
 
 func (c *ckptCounter) Snapshot() ([]byte, error) { return u64(c.v), nil }
@@ -62,6 +62,70 @@ func ckptCounterGroup(t *testing.T, c *replobj.Cluster, name string, n int, opts
 	})
 	g.Start()
 	return g
+}
+
+// TestCheckpointImagesEqualOnEveryReplica: three replicas of a group whose
+// state holds a map, traced, cut a checkpoint every four positions. At each
+// of eight checkpoints, the envelope every member serves for a NACK below
+// its truncated log is the same bytes: state, at-most-once table and trace
+// streams in one canonical form, whatever order a map iterates in.
+func TestCheckpointImagesEqualOnEveryReplica(t *testing.T) {
+	const (
+		every       = 4
+		checkpoints = 8
+	)
+	rt := vtime.Virtual()
+	net := transport.NewInproc(rt)
+	c := replobj.NewCluster(rt, replobj.WithNetwork(net))
+	g := kcounterGroup(t, c, "kv", 3, replobj.WithScheduler(replobj.CC),
+		replobj.WithSchedTrace(0), replobj.WithCheckpointEvery(every))
+	run(rt, c, func() {
+		probe := net.Endpoint("probe")
+		defer probe.Close()
+		// snapshot draws member m's checkpoint: the log below it is gone, so
+		// a NACK for position 1 is answered with the envelope.
+		snapshot := func(m replobj.NodeID) gcs.Snapshot {
+			probe.Send(m, gcs.Nack{Group: "kv", From: probe.ID(), Want: 1})
+			got := vtime.NewMailbox[gcs.Snapshot](rt, "probe")
+			rt.Go("probe-recv", func() {
+				for {
+					msg, ok := probe.Recv()
+					if !ok {
+						return
+					}
+					if s, ok := msg.Payload.(gcs.Snapshot); ok {
+						got.Put(s)
+						return
+					}
+				}
+			})
+			s, ok, _ := got.GetTimeout(time.Second)
+			if !ok {
+				t.Fatalf("%s served no snapshot", m)
+			}
+			return s
+		}
+		cl := c.NewClient("c0")
+		for k := 1; k <= checkpoints; k++ {
+			for i := 0; i < every; i++ {
+				key := 'a' + byte((k*every+i)%8)
+				if _, err := cl.Invoke("kv", "add", []byte{key, byte(k)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rt.Sleep(50 * time.Millisecond) // every replica reaches the checkpoint
+			first := snapshot(g.Members()[0])
+			if first.Seq != uint64(k*every) {
+				t.Fatalf("checkpoint %d served at position %d, want %d", k, first.Seq, k*every)
+			}
+			for _, m := range g.Members()[1:] {
+				if s := snapshot(m); s.Seq != first.Seq || !bytes.Equal(s.Data, first.Data) {
+					t.Errorf("at position %d, %s serves %d bytes at %d, %s %d bytes: not the same image",
+						first.Seq, m, len(s.Data), s.Seq, g.Members()[0], len(first.Data))
+				}
+			}
+		}
+	})
 }
 
 // TestChaosTruncatedLogRejoinViaSnapshot: a follower crashes, the cluster

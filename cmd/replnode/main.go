@@ -42,16 +42,12 @@ import (
 type counter struct{ value uint64 }
 
 // Snapshot/Restore make the demo counter checkpointable (-checkpoint-every):
-// the gob fallback cannot serialize the unexported field.
-func (c *counter) Snapshot() ([]byte, error) {
-	out := make([]byte, 8)
-	binary.BigEndian.PutUint64(out, c.value)
-	return out, nil
-}
+// the image is the value as 8 big-endian bytes.
+func (c *counter) Snapshot() ([]byte, error) { return binary.BigEndian.AppendUint64(nil, c.value), nil }
 
 func (c *counter) Restore(b []byte) error {
-	c.value = binary.BigEndian.Uint64(b)
-	return nil
+	_, err := binary.Decode(b, binary.BigEndian, &c.value) // refuses a short image
+	return err
 }
 
 var _ replobj.Snapshotter = (*counter)(nil)

@@ -15,9 +15,14 @@ import (
 
 // submitsRelayed sums replobj_gcs_submits_relayed_total over a group's
 // replicas.
-func submitsRelayed(reg *replobj.MetricsRegistry, group string, replicas int) (n uint64) {
+func submitsRelayed(reg *replobj.MetricsRegistry, group string, replicas int) uint64 {
+	return groupCounter(reg, "replobj_gcs_submits_relayed_total", group, replicas)
+}
+
+// groupCounter sums the per-node counter metric over a group's replicas.
+func groupCounter(reg *replobj.MetricsRegistry, metric, group string, replicas int) (n uint64) {
 	for i := 0; i < replicas; i++ {
-		n += reg.Counter(fmt.Sprintf(`replobj_gcs_submits_relayed_total{node="%s/%d"}`, group, i)).Value()
+		n += reg.Counter(fmt.Sprintf(`%s{node="%s/%d"}`, metric, group, i)).Value()
 	}
 	return n
 }
@@ -203,6 +208,9 @@ func TestSpeculatingClientPointedAtFollower(t *testing.T) {
 		if d := sent.Value() - msgs; d != 8 {
 			t.Errorf("%d messages for a request sent to ranks 1 and 2, want 8", d)
 		}
+		if groupCounter(reg, "replobj_replica_spec_attempts_total", "cnt", 3) == 0 {
+			t.Error("no member speculated on a copy")
+		}
 	})
 }
 
@@ -216,7 +224,8 @@ func TestSpeculatingClientPointedAtFollower(t *testing.T) {
 func TestSpeculatingClientCutFromSequencer(t *testing.T) {
 	const retransmit = 100 * time.Millisecond
 	rt := vtime.Virtual()
-	c := replobj.NewCluster(rt)
+	reg := replobj.NewMetricsRegistry()
+	c := replobj.NewCluster(rt, replobj.WithMetrics(reg))
 	g := counterGroup(t, c, "cnt", 3, replobj.WithScheduler(replobj.SEQ), replobj.WithSpeculation())
 	run(rt, c, func() {
 		cl := c.NewClient("c1", replobj.WithInvocationTimeout(2*time.Second), replobj.WithRetransmit(retransmit))
@@ -236,6 +245,9 @@ func TestSpeculatingClientCutFromSequencer(t *testing.T) {
 		}
 		if took := add(); took < retransmit || took >= 2*retransmit {
 			t.Errorf("call with the sequencer unreachable took %v, want one retransmit interval (%v)", took, retransmit)
+		}
+		if groupCounter(reg, "replobj_replica_spec_attempts_total", "cnt", 3) == 0 {
+			t.Error("no member speculated on a copy")
 		}
 	})
 }

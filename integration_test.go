@@ -19,6 +19,18 @@ import (
 // counter is the canonical per-replica object state.
 type counter struct{ v uint64 }
 
+// Snapshot/Restore (Snapshotter): the value as 8 big-endian bytes, so that
+// groups of counters checkpoint and speculate.
+func (c *counter) Snapshot() ([]byte, error) { return u64(c.v), nil }
+
+func (c *counter) Restore(b []byte) error {
+	if len(b) != 8 {
+		return fmt.Errorf("counter: image of %d bytes, want 8", len(b))
+	}
+	c.v = fromU64(b)
+	return nil
+}
+
 func counterGroup(t testing.TB, c *replobj.Cluster, name string, n int, opts ...replobj.GroupOption) *replobj.Group {
 	t.Helper()
 	opts = append(opts, replobj.WithState(func() any { return &counter{} }))

@@ -17,8 +17,7 @@ import (
 const maxSeen = 1 << 14
 
 // amoEntry is what the replica remembers of one request it has ordered: its
-// position and, once done, its reply less the id and sender. (The fields are
-// exported for the checkpoint envelope's gob.)
+// position and, once done, its reply less the id and sender.
 type amoEntry struct {
 	At     uint64
 	Result []byte

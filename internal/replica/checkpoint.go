@@ -1,14 +1,16 @@
 package replica
 
 import (
-	"bytes"
 	"cmp"
-	"encoding/gob"
+	"errors"
+	"fmt"
+	"maps"
 	"slices"
 	"strconv"
 
 	"github.com/replobj/replobj/internal/gcs"
 	"github.com/replobj/replobj/internal/obs"
+	"github.com/replobj/replobj/internal/obs/tracing"
 	"github.com/replobj/replobj/internal/ring"
 	"github.com/replobj/replobj/internal/vtime"
 	"github.com/replobj/replobj/internal/wire"
@@ -25,11 +27,10 @@ import (
 // snapshot instead — so a replica that rejoins after the log has moved past
 // its position is restored by state transfer rather than replay.
 
-// Snapshotter is implemented by object states that support checkpointing
-// with an explicit serialization. States that do not implement it are
-// checkpointed with encoding/gob, which requires a pointer state with
-// exported fields; when neither works the checkpoint is skipped (the same
-// way on every replica) and the log falls back to the retention cap.
+// Snapshotter is the only way an object state is imaged, for a checkpoint
+// or a speculation's fork: a group that checkpoints or speculates refuses a
+// state without it. Equal states must give equal bytes (a map goes in key
+// order, say), so that replicas cut at one position write one image.
 type Snapshotter interface {
 	// Snapshot serializes the state. It is called only with no request
 	// threads live — at a quiesced checkpoint boundary, or for a speculation's
@@ -47,13 +48,73 @@ type seenEntry struct {
 }
 
 // snapshotEnvelope is the serialized form of a checkpoint: everything a
-// rejoiner needs to resume as if it had delivered the whole prefix itself.
+// rejoiner needs to resume as if it had delivered the whole prefix itself,
+// in the wire codec's primitives and one canonical form: entries in
+// seenEntriesLocked's order, streams by name (the decoder refuses any other).
+//
+//	Envelope := Seq State n×(ID Client Call At Result Err TraceID Span Code Done)
+//	            m×(Name Count Digest)
 type snapshotEnvelope struct {
 	Seq     uint64
 	State   []byte
-	UsedGob bool
 	Entries []seenEntry
 	Streams map[string]obs.StreamState
+}
+
+var errBadEnvelope = errors.New("replica: undecodable snapshot envelope") // decodeEnvelope's errors wrap it
+
+func (e *snapshotEnvelope) encode(dst []byte) []byte {
+	return wire.Append(dst, func(b *wire.Buffer) {
+		b.Uvarint(e.Seq)
+		b.Bytes(e.State)
+		b.Uvarint(uint64(len(e.Entries)))
+		for _, s := range e.Entries {
+			encInvocationID(b, s.Ref.ID)
+			b.String(string(s.Ref.Client))
+			b.Uvarint(s.Ref.Call)
+			b.Uvarint(s.Entry.At)
+			b.Bytes(s.Entry.Result)
+			b.String(s.Entry.Err)
+			encTrace(b, s.Entry.Trace)
+			b.Byte(byte(s.Entry.Code))
+			b.Bool(s.Entry.Done)
+		}
+		names := slices.Sorted(maps.Keys(e.Streams))
+		b.Uvarint(uint64(len(names)))
+		for _, name := range names {
+			b.String(name)
+			b.Uvarint(e.Streams[name].Count)
+			b.Uvarint(e.Streams[name].Digest)
+		}
+	})
+}
+
+// decodeEnvelope reads an envelope encode wrote, and nothing else.
+func decodeEnvelope(data []byte) (e snapshotEnvelope, err error) {
+	err = wire.Decode(data, func(r *wire.Reader) {
+		e.Seq, e.State = r.Uvarint(), r.Bytes()
+		e.Entries = make([]seenEntry, r.Count("entry"))
+		for i := range e.Entries {
+			e.Entries[i] = seenEntry{
+				callRef{decInvocationID(r), wire.NodeID(r.String()), r.Uvarint()},
+				amoEntry{At: r.Uvarint(), Result: r.Bytes(), Err: r.String(),
+					Trace: tracing.Context{TraceID: r.Uvarint(), Span: r.Uvarint()}, Code: Code(r.Byte()), Done: r.Bool()},
+			}
+		}
+		n := r.Count("stream")
+		e.Streams = make(map[string]obs.StreamState, n)
+		for i, prev := 0, ""; i < n; i++ {
+			name := r.String()
+			if i > 0 && name <= prev {
+				r.Fail(errors.New("replica: snapshot streams out of order"))
+			}
+			e.Streams[name], prev = obs.StreamState{Count: r.Uvarint(), Digest: r.Uvarint()}, name
+		}
+	})
+	if err != nil {
+		err = fmt.Errorf("%w: %w", errBadEnvelope, err)
+	}
+	return e, err
 }
 
 // checkpoint runs at a checkpoint boundary (stream position seq, the
@@ -81,28 +142,18 @@ func (r *Replica) checkpoint(seq uint64) {
 	// checkpoint event itself, so a replica restored from this snapshot
 	// continues with digests identical to the donors'.
 	r.trace.Record("order", obs.KindCheckpoint, "ckpt", strconv.FormatUint(seq, 10))
-	state, usedGob, err := r.snapshotState()
+	state, err := r.snapshotState()
 	r.leaveGate()
 	if err != nil {
-		// Same state type on every replica, so the failure (e.g. gob meeting
-		// unexported fields) is deterministic: nobody records a checkpoint
-		// and the log stays bounded only by the retention cap.
+		// Marked on the order stream: a failure here alone parts the digests.
+		r.ckptSkipped.Inc()
+		r.trace.Record("order", obs.KindCheckpoint, "ckpt", strconv.FormatUint(seq, 10)+"/snapshot-failed")
 		return
 	}
-	env := snapshotEnvelope{
-		Seq:     seq,
-		State:   state,
-		UsedGob: usedGob,
-		Entries: entries,
-		Streams: r.trace.ExportStreams(),
-	}
+	env := snapshotEnvelope{Seq: seq, State: state, Entries: entries, Streams: r.trace.ExportStreams()}
 	// Sized up front: grown by doubling, a multi-megabyte envelope leaves
 	// several times its size in dead buffers for the collector.
-	buf := bytes.NewBuffer(make([]byte, 0, len(state)+heldBytes+64*len(entries)+4096))
-	if err := gob.NewEncoder(buf).Encode(env); err != nil {
-		return
-	}
-	data := buf.Bytes()
+	data := env.encode(make([]byte, 0, len(state)+heldBytes+64*len(entries)+4096))
 	r.member.SetCheckpoint(seq, data)
 	r.checkpoints.Inc()
 	r.snapSize.Set(int64(len(data)))
@@ -125,31 +176,15 @@ func (r *Replica) quiesce(role string) bool {
 	return drained
 }
 
-// snapshotState serializes the object state: Snapshotter when implemented,
-// gob otherwise (nil state yields a nil image).
-func (r *Replica) snapshotState() (data []byte, usedGob bool, err error) {
+// snapshotState images the object state; a state-less replica's is empty.
+func (r *Replica) snapshotState() ([]byte, error) {
 	switch s := r.state.(type) {
 	case nil:
-		return nil, false, nil
+		return nil, nil
 	case Snapshotter:
-		data, err = s.Snapshot()
-		return data, false, err
-	default:
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(r.state); err != nil {
-			return nil, true, err
-		}
-		return buf.Bytes(), true, nil
+		return s.Snapshot()
 	}
-}
-
-// restoreInto replaces the contents of state st with an image produced by
-// snapshotState.
-func restoreInto(st any, data []byte, usedGob bool) error {
-	if s, ok := st.(Snapshotter); ok && !usedGob {
-		return s.Restore(data)
-	}
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(st)
+	return nil, fmt.Errorf("replica: state %T is not a Snapshotter", r.state)
 }
 
 // evictStableLocked drops the rows that have aged out of the
@@ -210,8 +245,15 @@ func (r *Replica) seenEntriesLocked() []seenEntry {
 // are only taken fully drained, so the donor had no live threads — local
 // nested-invocation bookkeeping (necessarily stale) is cleared outright.
 func (r *Replica) installSnapshot(d gcs.Delivery) {
-	var env snapshotEnvelope
-	if err := gob.NewDecoder(bytes.NewReader(d.Snapshot)).Decode(&env); err != nil {
+	env, err := decodeEnvelope(d.Snapshot)
+	r.rt.Lock()
+	r.enterGateLocked()
+	r.rt.Unlock()
+	if s, ok := r.state.(Snapshotter); ok && err == nil {
+		err = s.Restore(env.State)
+	}
+	if err != nil {
+		r.leaveGate()
 		// The member has already moved the delivery frontier past the
 		// snapshot, so this replica's state now lacks that prefix. Say so
 		// where it is looked for: in the count, and in the order digest,
@@ -219,12 +261,6 @@ func (r *Replica) installSnapshot(d gcs.Delivery) {
 		r.snapErrors.Inc()
 		r.trace.Record("order", obs.KindCheckpoint, "snapshot-install-failed", strconv.FormatUint(d.Seq, 10))
 		return
-	}
-	r.rt.Lock()
-	r.enterGateLocked()
-	r.rt.Unlock()
-	if len(env.State) > 0 && r.state != nil {
-		_ = restoreInto(r.state, env.State, env.UsedGob) // same type, same image: it fails alike everywhere
 	}
 	r.rt.Lock()
 	r.gateBusy = false

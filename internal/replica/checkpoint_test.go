@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -14,8 +15,9 @@ import (
 	"github.com/replobj/replobj/internal/wire"
 )
 
-// newCkptReplica is newOneReplica with checkpointing enabled.
-func newCkptReplica(t *testing.T, execCount *int, every int) *oneReplica {
+// newCkptReplica is newOneReplica with checkpointing enabled and the state
+// factory state (nil: state-less).
+func newCkptReplica(t *testing.T, execCount *int, every int, state func() any) *oneReplica {
 	t.Helper()
 	rt := vtime.Virtual()
 	net := transport.NewInproc(rt)
@@ -30,6 +32,7 @@ func newCkptReplica(t *testing.T, execCount *int, every int) *oneReplica {
 		Scheduler:       sat.New(),
 		Metrics:         obs.NewRegistry(),
 		Trace:           obs.NewTrace(0),
+		State:           state,
 		CheckpointEvery: every,
 	})
 	r.Register("echo", func(inv *Invocation) ([]byte, error) {
@@ -54,7 +57,7 @@ func TestReplyCacheEvictedAtCheckpoints(t *testing.T) {
 func testReplyCacheEvicted(t *testing.T, numbered bool) {
 	execs := 0
 	const every = 4
-	h := newCkptReplica(t, &execs, every)
+	h := newCkptReplica(t, &execs, every, nil)
 	defer h.rt.Stop()
 	vtime.Run(h.rt, "main", func() {
 		defer h.r.Stop()
@@ -101,7 +104,7 @@ func testReplyCacheEvicted(t *testing.T, numbered bool) {
 func TestCheckpointHandsSnapshotToMember(t *testing.T) {
 	execs := 0
 	const every = 4
-	h := newCkptReplica(t, &execs, every)
+	h := newCkptReplica(t, &execs, every, nil)
 	defer h.rt.Stop()
 	vtime.Run(h.rt, "main", func() {
 		defer h.r.Stop()
@@ -135,7 +138,7 @@ func TestCheckpointHandsSnapshotToMember(t *testing.T) {
 func TestInstallSnapshotCarriesTheTable(t *testing.T) {
 	const every = 4
 	var execs, execs2 int
-	donor, rejoiner := newCkptReplica(t, &execs, every), newCkptReplica(t, &execs2, every)
+	donor, rejoiner := newCkptReplica(t, &execs, every, nil), newCkptReplica(t, &execs2, every, nil)
 	defer donor.rt.Stop()
 	defer rejoiner.rt.Stop()
 	request := func(ep transport.Endpoint, k int) Request {
@@ -206,6 +209,89 @@ func TestInstallSnapshotCarriesTheTable(t *testing.T) {
 		if c2, d2 := r.trace.Digest("order"); r.snapErrors.Value() != 1 || c2 != count+1 || d2 == digest {
 			t.Errorf("undecodable snapshot: %d errors counted, order stream (%d, %x) -> (%d, %x)",
 				r.snapErrors.Value(), count, digest, c2, d2)
+		}
+	})
+}
+
+// flakyState is a one-byte state whose Snapshot and Restore fail on demand.
+type flakyState struct {
+	v                         byte
+	failSnapshot, failRestore bool
+}
+
+func (s *flakyState) Snapshot() ([]byte, error) {
+	if s.failSnapshot {
+		return nil, errors.New("snapshot refused")
+	}
+	return []byte{s.v}, nil
+}
+
+func (s *flakyState) Restore(b []byte) error {
+	if s.failRestore || len(b) != 1 {
+		return errors.New("restore refused")
+	}
+	s.v = b[0]
+	return nil
+}
+
+// TestImageFailuresAreCounted: a checkpoint whose Snapshot fails is counted
+// as skipped and marked in the order stream, and a snapshot whose Restore
+// fails is counted and marked like one that does not decode. Neither passes
+// in silence, and neither leaves the dispatch goroutine stuck at the gate.
+func TestImageFailuresAreCounted(t *testing.T) {
+	const every = 4
+	execs := 0
+	h := newCkptReplica(t, &execs, every, func() any { return &flakyState{} })
+	defer h.rt.Stop()
+	vtime.Run(h.rt, "main", func() {
+		defer h.r.Stop()
+		defer h.cl.Close()
+		r := h.r
+		st := r.state.(*flakyState)
+		marked := func(subject, detail string) bool {
+			for _, e := range r.trace.Snapshot()["order"].Events {
+				if e.Kind == obs.KindCheckpoint && e.Subject == subject && e.Detail == detail {
+					return true
+				}
+			}
+			return false
+		}
+		call := 0
+		invoke := func() {
+			call++
+			h.submit(wire.InvocationID{Logical: wire.LogicalID(fmt.Sprintf("client/t#%d", call))}, "echo", []byte("x"))
+			h.recvReply(t)
+		}
+
+		h.rt.Lock()
+		st.failSnapshot = true
+		h.rt.Unlock()
+		for range every {
+			invoke()
+		}
+		h.rt.Sleep(10 * time.Millisecond) // the checkpoint follows the reply
+		if r.ckptSkipped.Value() != 1 || r.checkpoints.Value() != 0 || !marked("ckpt", "4/snapshot-failed") {
+			t.Errorf("failed snapshot: %d skipped, %d taken, marked %v; want 1, 0, true",
+				r.ckptSkipped.Value(), r.checkpoints.Value(), marked("ckpt", "4/snapshot-failed"))
+		}
+
+		env := snapshotEnvelope{Seq: 8, State: []byte{7}}
+		h.rt.Lock()
+		st.failSnapshot, st.failRestore = false, true
+		h.rt.Unlock()
+		r.installSnapshot(gcs.Delivery{Seq: 8, Snapshot: env.encode(nil)})
+		if r.snapErrors.Value() != 1 || !marked("snapshot-install-failed", "8") {
+			t.Errorf("failed restore: %d install errors, marked %v; want 1, true",
+				r.snapErrors.Value(), marked("snapshot-install-failed", "8"))
+		}
+		invoke() // the gate is free again
+
+		h.rt.Lock()
+		st.failRestore = false
+		h.rt.Unlock()
+		r.installSnapshot(gcs.Delivery{Seq: 8, Snapshot: env.encode(nil)})
+		if r.snapErrors.Value() != 1 || st.v != 7 {
+			t.Errorf("install: %d install errors, state %d; want 1, 7", r.snapErrors.Value(), st.v)
 		}
 	})
 }

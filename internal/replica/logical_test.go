@@ -1,8 +1,6 @@
 package replica
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
 	"time"
 
@@ -218,12 +216,8 @@ func TestLogicalThreadProtocol(t *testing.T) {
 					p.r.arriveLocked(p.request(0, 1))
 					p.r.deliverReplyLocked(Reply{ID: call(1)})
 				})
-				var env bytes.Buffer
-				if err := gob.NewEncoder(&env).Encode(snapshotEnvelope{Seq: 5}); err != nil {
-					t.Error(err)
-					return
-				}
-				p.r.installSnapshot(gcs.Delivery{Seq: 5, Snapshot: env.Bytes()})
+				env := snapshotEnvelope{Seq: 5}
+				p.r.installSnapshot(gcs.Delivery{Seq: 5, Snapshot: env.encode(nil)})
 				p.locked(func(threads map[wire.LogicalID]logicalThread) {
 					if len(threads) != 0 {
 						t.Errorf("records after the install: %+v", threads)

@@ -229,8 +229,8 @@ type Config struct {
 	State func() any
 	// CheckpointEvery, when positive, takes a deterministic checkpoint at
 	// every n-th position of the totally-ordered stream: the scheduler is
-	// quiesced, the object state is serialized (via Snapshotter, or gob for
-	// plain pointer states with exported fields), and the group member
+	// quiesced, the object state is serialized by its Snapshotter (empty
+	// without State), and the group member
 	// learns the checkpoint so it can truncate its retransmission log and
 	// serve snapshot-based state transfer to rejoiners whose tail has been
 	// truncated. The trigger is a pure function of the stream, so every
@@ -240,10 +240,10 @@ type Config struct {
 	// speculate.go): arriving submits are executed immediately against a
 	// fork of the state and the precomputed reply is released when the total
 	// order confirms the speculation as conflict-free. Requires State (the
-	// factory builds the forks) and no Shard: a shard group validates and
-	// may redirect a request at its ordered position. Also
-	// enables early scheduling (conflict classes fed to ADETS-CC at arrival
-	// time), and makes the group a direct-copy group
+	// factory builds the forks, each Restored from an image) and no Shard:
+	// a shard group validates and may redirect a request at its ordered
+	// position. Also enables early scheduling (conflict classes fed to
+	// ADETS-CC at arrival time), and makes the group a direct-copy group
 	// (gcs.Config.OptimisticDeliver). The group's Directory entry must be
 	// registered with DirectCopies set alongside, or clients send the
 	// followers nothing to act on. The sequencer does neither with a request

@@ -119,26 +119,22 @@ func (r *Replica) leaveGate() {
 // imageOffLock is the snapshot a quiescent replica offers Speculate, which
 // calls it under the runtime lock: it copies the state with the lock
 // released, imaging keeping the dispatch goroutine at the gate.
-func (r *Replica) imageOffLock() ([]byte, bool, error) {
+func (r *Replica) imageOffLock() ([]byte, error) {
 	r.imaging = true
 	r.rt.Unlock()
-	data, usedGob, err := r.snapshotState()
+	data, err := r.snapshotState()
 	r.rt.Lock()
 	r.imaging = false
 	r.rt.Unpark(&r.gate)
-	return data, usedGob, err
+	return data, err
 }
 
-// restoreFork gives f a fresh state instance restored from img. (Fresh:
-// gob decodes into what is there, it does not replace it.)
+// restoreFork gives f a fresh state instance restored from img.
 func (r *Replica) restoreFork(f *spec.Fork, img *spec.Image) error {
-	st := r.stateFactory()
-	if len(img.Data) > 0 {
-		if err := restoreInto(st, img.Data, img.Gob); err != nil {
-			return err
-		}
+	f.State = r.stateFactory()
+	if s, ok := f.State.(Snapshotter); ok {
+		return s.Restore(img.Data)
 	}
-	f.State = st
 	return nil
 }
 
@@ -186,7 +182,7 @@ func (r *Replica) runSpeculation(id string, req Request, h Handler, classes []st
 	// request is between submission and completed execution, and the
 	// dispatch goroutine is outside the gate, so the primary state is exactly
 	// the ordered prefix up to the last dispatch and stays so (see the gate).
-	var snapshot func() ([]byte, bool, error)
+	var snapshot func() ([]byte, error)
 	if len(r.threads) == 0 && !r.gateBusy && !r.imaging {
 		snapshot = r.imageOffLock
 	}

@@ -27,7 +27,6 @@
 package shard
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"strconv"
@@ -105,78 +104,31 @@ func (t Table) Validate() error {
 }
 
 // Encode serializes the table into the canonical binary form that rides
-// directory replies: uvarint vnodes, object, uvarint shard count, shards —
-// all strings length-prefixed.
+// directory replies, in the wire codec's primitives: uvarint vnodes, object,
+// uvarint shard count, shards — all strings length-prefixed.
 func (t Table) Encode() []byte {
-	out := make([]byte, 0, 16+len(t.Object)+16*len(t.Shards))
-	out = binary.AppendUvarint(out, uint64(t.VNodes))
-	out = appendString(out, t.Object)
-	out = binary.AppendUvarint(out, uint64(len(t.Shards)))
-	for _, g := range t.Shards {
-		out = appendString(out, string(g))
-	}
-	return out
-}
-
-// DecodeTable parses an encoded table and validates it.
-func DecodeTable(b []byte) (Table, error) {
-	var t Table
-	vn, b, err := readUvarint(b)
-	if err != nil {
-		return t, err
-	}
-	obj, b, err := readString(b)
-	if err != nil {
-		return t, err
-	}
-	n, b, err := readUvarint(b)
-	if err != nil {
-		return t, err
-	}
-	if n > 1<<16 {
-		return t, fmt.Errorf("shard: implausible shard count %d", n)
-	}
-	t = Table{Object: obj, VNodes: int(vn)}
-	for i := uint64(0); i < n; i++ {
-		var g string
-		if g, b, err = readString(b); err != nil {
-			return t, err
+	return wire.Append(make([]byte, 0, 16+len(t.Object)+16*len(t.Shards)), func(b *wire.Buffer) {
+		b.Uvarint(uint64(t.VNodes))
+		b.String(t.Object)
+		b.Uvarint(uint64(len(t.Shards)))
+		for _, g := range t.Shards {
+			b.String(string(g))
 		}
-		t.Shards = append(t.Shards, wire.GroupID(g))
-	}
-	if len(b) != 0 {
-		return t, errors.New("shard: trailing bytes after table")
-	}
-	if err := t.Validate(); err != nil {
-		return t, err
-	}
-	return t, nil
+	})
 }
 
-var errTruncated = errors.New("shard: truncated table encoding")
-
-func appendString(out []byte, s string) []byte {
-	out = binary.AppendUvarint(out, uint64(len(s)))
-	return append(out, s...)
-}
-
-func readUvarint(b []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, b, errTruncated
-	}
-	return v, b[n:], nil
-}
-
-func readString(b []byte) (string, []byte, error) {
-	n, b, err := readUvarint(b)
-	if err != nil {
-		return "", b, err
-	}
-	if n > uint64(len(b)) {
-		return "", b, errTruncated
-	}
-	return string(b[:n]), b[n:], nil
+// DecodeTable parses an encoded table and validates it. It refuses
+// non-minimal varints and trailing bytes: what decodes re-encodes alike.
+func DecodeTable(data []byte) (t Table, err error) {
+	err = wire.Decode(data, func(r *wire.Reader) {
+		t.VNodes, t.Object = int(r.Uvarint()), r.String()
+		t.Shards = make([]wire.GroupID, r.Count("shard"))
+		for i := range t.Shards {
+			t.Shards[i] = wire.GroupID(r.String())
+		}
+		r.Fail(t.Validate())
+	})
+	return t, err
 }
 
 // RedirectError formats the message of a wrong-shard reply for whoever

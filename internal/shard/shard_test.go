@@ -106,6 +106,10 @@ func FuzzDecodeTable(f *testing.F) {
 	f.Add(NewTable("kv", 4, 16).Encode())
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x01, 0x00, 0x00})
+	// NewTable("kv", 2, 16) but for vnodes 16 written as a two-byte varint:
+	// it decodes only if the reader takes non-minimal varints, and then
+	// re-encodes to other bytes.
+	f.Add([]byte("\x90\x00\x02kv\x02\x04kv@0\x04kv@1"))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		tab, err := DecodeTable(b)
 		if err != nil {

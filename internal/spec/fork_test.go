@@ -14,15 +14,15 @@ type snapshots struct {
 	size int // bytes an image holds; 0 = a few
 }
 
-func (s *snapshots) take() ([]byte, bool, error) {
+func (s *snapshots) take() ([]byte, error) {
 	if s.fail {
-		return nil, false, errors.New("unserializable")
+		return nil, errors.New("unserializable")
 	}
 	s.n++
 	if s.size > 0 {
-		return make([]byte, s.size), false, nil
+		return make([]byte, s.size), nil
 	}
-	return []byte("image"), false, nil
+	return []byte("image"), nil
 }
 
 var (
@@ -328,7 +328,7 @@ func TestSnapshotMayReleaseTheLock(t *testing.T) {
 	m.Release(held[0])
 	m.TrackDispatch(1, clsA)
 	var other *Fork
-	unlocked := func() ([]byte, bool, error) {
+	unlocked := func() ([]byte, error) {
 		other, _ = m.Speculate("other", []string{"k0"}, nil)
 		return snap.take()
 	}

@@ -141,7 +141,6 @@ const maxForks = 4
 // position Seq with no executions in flight.
 type Image struct {
 	Data []byte
-	Gob  bool // encoded with gob rather than the state's own Snapshot
 	Seq  uint64
 }
 
@@ -307,9 +306,9 @@ func (m *Manager) TrackDispatch(seq uint64, classes []string) {
 }
 
 // SetImage installs a fresh image snapshotted at stream position seq, and
-// charges the copy it took to the budget.
-func (m *Manager) SetImage(data []byte, usedGob bool, seq uint64) {
-	m.image = &Image{Data: data, Gob: usedGob, Seq: seq}
+// charges the copy it took to the budget. The bool is ignored.
+func (m *Manager) SetImage(data []byte, _ bool, seq uint64) {
+	m.image = &Image{Data: data, Seq: seq}
 	m.copyBudget -= len(data)
 }
 
@@ -373,7 +372,7 @@ func (m *Manager) evictOldest() bool {
 // the speculation cannot start: a duplicate id, the record cap, every fork
 // busy, the copy budget overdrawn, or a stale image with the state in motion
 // — running then would only produce a certain Stale.
-func (m *Manager) Speculate(id string, classes []string, snapshot func() ([]byte, bool, error)) (f *Fork, restore *Image) {
+func (m *Manager) Speculate(id string, classes []string, snapshot func() ([]byte, error)) (f *Fork, restore *Image) {
 	if !m.admit(id) {
 		return nil, nil
 	}
@@ -387,11 +386,11 @@ func (m *Manager) Speculate(id string, classes []string, snapshot func() ([]byte
 				return nil, nil
 			}
 			seq := m.lastSeq
-			data, usedGob, err := snapshot()
+			data, err := snapshot()
 			if err != nil {
 				return nil, nil
 			}
-			m.SetImage(data, usedGob, seq)
+			m.SetImage(data, false, seq)
 		}
 		// Other runs may have taken forks while the snapshot had the lock
 		// released.

@@ -114,16 +114,6 @@ func Register[T any](tag uint64, enc func(*Buffer, T) error, dec func(r *Reader)
 	binByType[t] = c
 }
 
-// HasBinaryCodec reports whether v's type has a registered binary fast
-// path (nil counts: it has a dedicated tag).
-func HasBinaryCodec(v any) bool {
-	if v == nil {
-		return true
-	}
-	_, ok := binByType[reflect.TypeOf(v)]
-	return ok
-}
-
 // uvarintLen returns the number of bytes of the minimal uvarint encoding.
 func uvarintLen(v uint64) int {
 	n := 1
@@ -221,6 +211,15 @@ func (b *Buffer) Any(v any) error {
 	}
 	b.Bytes(blob.Bytes())
 	return nil
+}
+
+// Append appends to dst what fn writes through a Buffer: the entry point for
+// a blob that is not a frame (a checkpoint envelope, a shard table) but is
+// written in a frame's primitives. Size dst to spare the copies of growing.
+func Append(dst []byte, fn func(*Buffer)) []byte {
+	b := Buffer{b: dst}
+	fn(&b)
+	return b.b
 }
 
 // appendBody encodes m's frame body (everything after the length header).
@@ -448,6 +447,18 @@ func (r *Reader) Any() any {
 		return nil
 	}
 	return c.dec(r)
+}
+
+// Decode reads a blob written by Append through fn: the first error a read
+// or fn's Fail met, or bytes fn left unread, refuse it. A fn that refuses
+// what its encoder never writes thus decodes only canonical blobs.
+func Decode(data []byte, fn func(*Reader)) error {
+	r := Reader{b: data}
+	fn(&r)
+	if r.err == nil && r.Remaining() != 0 {
+		r.err = fmt.Errorf("wire: %d trailing bytes", r.Remaining())
+	}
+	return r.err
 }
 
 // parseBody decodes the frame body r holds. It reports (via binaryClean)

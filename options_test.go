@@ -55,6 +55,9 @@ func tableOptions() []tableOption {
 	return opts
 }
 
+// plainState is a state that is not a Snapshotter.
+type plainState struct{ v uint64 }
+
 // tableCase is what the pair table expects of one ordered pair of options
 // passed to one constructor.
 type tableCase struct {
@@ -185,6 +188,31 @@ func TestGroupOptionsComposeOrRefuse(t *testing.T) {
 				c.Close()
 				rt.Stop()
 			}
+		}
+	}
+	// A state that cannot snapshot itself is refused beside either option
+	// that images it, by both constructors, with an error that names the
+	// option, WithState and the state's type.
+	plain := replobj.WithState(func() any { return &plainState{} })
+	for _, ctor := range []string{"NewGroup", "NewSharded"} {
+		for _, o := range opts {
+			if o.family != "WithCheckpointEvery" && o.family != "WithSpeculation" {
+				continue
+			}
+			rt := vtime.Virtual()
+			c := replobj.NewCluster(rt)
+			var err error
+			if ctor == "NewGroup" {
+				_, err = c.NewGroup("obj", 3, o.opt, plain)
+			} else {
+				_, err = c.NewSharded("obj", 3, o.opt, plain)
+			}
+			if err == nil || !strings.Contains(err.Error(), o.family) || !strings.Contains(err.Error(), "WithState") ||
+				!strings.Contains(err.Error(), "*replobj_test.plainState") {
+				t.Errorf("%s(%s, WithState(plainState)): %v; want a refusal naming both and the state's type", ctor, o.name, err)
+			}
+			c.Close()
+			rt.Stop()
 		}
 	}
 	// Every rule of the list is reached.

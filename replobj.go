@@ -85,9 +85,9 @@ type (
 	// conflict classes per request for conflict-aware scheduling
 	// (ADETS-CC). The result must be a pure function of (method, args).
 	ConflictClasser = replica.ConflictClasser
-	// Snapshotter is implemented by object states that support
-	// deterministic checkpointing with an explicit serialization (see
-	// WithCheckpointEvery); states without it fall back to encoding/gob.
+	// Snapshotter is implemented by object states that can be imaged: it
+	// is the only way a state is checkpointed (WithCheckpointEvery) or
+	// forked (WithSpeculation), and equal states must give equal bytes.
 	Snapshotter = replica.Snapshotter
 	// MetricsRegistry collects counters, gauges and latency histograms and
 	// renders them in Prometheus text format (see internal/obs).
@@ -381,7 +381,9 @@ func WithScheduler(kind SchedulerKind) GroupOption {
 // WithState installs a per-replica object-state factory; handlers retrieve
 // the instance via Invocation.State and must guard access with scheduler
 // locks. A state that implements ConflictClasser declares the conflict
-// classes ADETS-CC schedules by.
+// classes ADETS-CC schedules by. Beside WithCheckpointEvery or
+// WithSpeculation, NewGroup calls the factory once, to refuse a state that
+// is not a Snapshotter.
 func WithState(factory func() any) GroupOption {
 	return func(g *groupConfig) { g.state = factory }
 }
@@ -432,13 +434,13 @@ func WithQuorum() GroupOption {
 
 // WithCheckpointEvery makes every replica take a deterministic checkpoint
 // at every n-th position of the totally-ordered stream: the scheduler is
-// quiesced, the object state is serialized (Snapshotter when implemented,
-// gob otherwise), and the group layer truncates its retransmission log up
-// to the checkpoint (bounded by the group-wide stability watermark). A
-// replica that rejoins after the log has moved past its position is
-// restored by snapshot state transfer instead of replay. n <= 0 disables
-// checkpointing (the default); all replicas of a group must use the same
-// value.
+// quiesced, the object state is serialized by its Snapshotter (a state
+// that is none is refused; without WithState the image is empty), and the
+// group layer truncates its retransmission log up to the checkpoint
+// (bounded by the group-wide stability watermark). A replica that rejoins
+// after the log has moved past its position is restored by snapshot state
+// transfer instead of replay. n <= 0 disables checkpointing (the default);
+// all replicas of a group must use the same value.
 func WithCheckpointEvery(n int) GroupOption {
 	return func(g *groupConfig) { g.checkpointEvery = n }
 }
@@ -465,23 +467,25 @@ func WithCheckpointEvery(n int) GroupOption {
 // that takes the first reply (ReplyPolicy First) gets no speculation at
 // all.
 //
-// Speculation requires WithState (the factory builds the forks; the group
-// is refused without it) and handlers that confine their reads and writes
-// to their declared conflict classes and are pure functions of (state,
-// args). The forks are few and long-lived — each carries confirmed
-// speculative writes on to later requests — so a handler that strays
-// outside its classes spoils a fork for every request after it; the
-// spec-mismatch counter fires and all forks are discarded. Handlers using
-// condition variables or nested invocations abort their speculation
-// harmlessly. NewSharded refuses it: shard groups validate and may redirect
-// a request at its ordered position, which a speculation cannot anticipate.
+// Speculation requires a WithState whose state is a Snapshotter (forks
+// are restored from its images; the group is refused without one) and
+// handlers that confine their reads and writes to their declared conflict
+// classes and are pure functions of (state, args). The forks are few and
+// long-lived — each carries confirmed speculative writes on to later
+// requests — so a handler that strays outside its classes spoils a fork for
+// every request after it; the spec-mismatch counter fires and all forks are
+// discarded. Handlers using condition variables or nested invocations abort
+// their speculation harmlessly. NewSharded refuses it: shard groups validate
+// and may redirect a request at its ordered position, which a speculation
+// cannot anticipate.
 //
 // A client process that only declares the group (NewGroup without Start,
 // the replicas being remote) must pass WithSpeculation too, beside a
-// WithState it never calls: the option is how the client stub learns that
-// the members want their own copies of a request. A client that omits it
-// still gets correct answers — the sequencer's copy reaches the followers
-// through the total order — but the followers have nothing to speculate on.
+// WithState whose state it never uses: the option is how the client stub
+// learns that the members want their own copies of a request. A client that
+// omits it still gets correct answers — the sequencer's copy reaches the
+// followers through the total order — but the followers have nothing to
+// speculate on.
 func WithSpeculation() GroupOption {
 	return func(g *groupConfig) { g.speculative = true }
 }
@@ -556,10 +560,17 @@ func parseGroupOptions(opts []GroupOption, sharded bool) (groupConfig, error) {
 	configures := func(opt string, kinds ...SchedulerKind) bool {
 		return given[opt] && (cfg.factory != nil || !slices.Contains(kinds, cfg.kind))
 	}
+	var state any // one instance, to learn whether it can be imaged
+	if cfg.state != nil && (cfg.speculative || cfg.checkpointEvery > 0) {
+		state = cfg.state()
+	}
+	_, snapshots := state.(replica.Snapshotter)
 	var why string
 	switch {
 	case given["WithShards"] && !sharded:
 		why = "WithShards needs NewSharded, not NewGroup"
+	case state != nil && !snapshots:
+		why = fmt.Sprintf("WithCheckpointEvery and WithSpeculation need a WithState whose state is a Snapshotter, not %T", state)
 	case cfg.speculative && sharded:
 		why = "WithSpeculation is not supported by NewSharded"
 	case cfg.speculative && cfg.state == nil:

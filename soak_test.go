@@ -21,9 +21,8 @@ type soakState struct {
 	ledgers [4][]byte
 }
 
-// Snapshot/Restore make the soak state checkpointable (the gob fallback
-// cannot see the unexported field), so the truncation soak below actually
-// takes checkpoints instead of deterministically skipping them.
+// Snapshot/Restore make the soak state checkpointable: a group that
+// checkpoints refuses a state without them.
 func (s *soakState) Snapshot() ([]byte, error) {
 	var out []byte
 	for i := 0; i < 4; i++ {

@@ -19,11 +19,23 @@ import (
 
 // kcounter is a keyed counter with per-key conflict classes: operations on
 // distinct keys commute (conflict ratio 0), operations on a shared key
-// conflict — the workload knob for speculation tests. Exported field so the
-// gob fallback can serialize fork images and checkpoints.
+// conflict — the workload knob for speculation tests.
 type kcounter struct{ Slots map[string]uint64 }
 
 func newKCounter() any { return &kcounter{Slots: make(map[string]uint64)} }
+
+// Snapshot/Restore (Snapshotter): kvState's encoding, slots in key order,
+// for fork images and checkpoints.
+func (k *kcounter) Snapshot() ([]byte, error) { return (&kvState{m: k.Slots}).Snapshot() }
+
+func (k *kcounter) Restore(b []byte) error {
+	var st kvState
+	if err := st.Restore(b); err != nil {
+		return err
+	}
+	k.Slots = st.m
+	return nil
+}
 
 // ConflictClasses implements replobj.ConflictClasser: the key byte is the
 // class — a pure function of the arguments.
@@ -511,10 +523,11 @@ func TestSpeculationImageOffRuntimeLock(t *testing.T) {
 	defer c.Close()
 	var images, stalls, made atomic.Int32
 	var g *replobj.Group
-	// Start builds rank i's state i-th; later instances are speculation
-	// forks, which are restored, never imaged.
+	// NewGroup builds one instance to learn the state's type, then Start
+	// builds rank i's state (i+1)-th; later instances are speculation forks,
+	// which are restored, never imaged.
 	newProbe := func() any {
-		rank := int(made.Add(1)) - 1
+		rank := int(made.Add(1)) - 2
 		return &lockProbe{images: &images, stalls: &stalls,
 			owner: func() vtime.Runtime { return g.Replica(rank).Runtime() }}
 	}
@@ -798,6 +811,9 @@ func TestDuplicateAfterEvictionReturnsTypedError(t *testing.T) {
 		}
 		if expired == 0 {
 			t.Error("duplicate_expired_total not incremented")
+		}
+		if groupCounter(reg, "replobj_replica_checkpoints_total", "cnt", 3) == 0 {
+			t.Error("no replica took a checkpoint")
 		}
 	})
 }

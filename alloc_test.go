@@ -16,18 +16,20 @@ import (
 // whole stack — client stub, group communication on three replicas,
 // dispatch, SEQ scheduler, mailboxes — over the zero-latency in-process
 // network on the real clock (no codec and no sockets: the wire package
-// holds its own budgets). The bound is the figure measured when the
-// "order" stream stopped formatting a decimal per delivery (52) plus 10 %;
-// the same run read 55 before that, 68 while the client's request travelled
-// to every member and 151 before the per-request allocation diet. It still
-// reads 52 since the group layer names a client's call by number: nothing
-// is decoded in process, and the id table that numbering replaced did not
-// allocate once full — the three id strings it saves a call are decoded
-// ones (BenchmarkInvokeTCP, 40 → 37). Much of what is left is the in-process
-// network's timer per message, which TCP deployments do not pay. The race
-// detector allocates on its own, hence the build tag.
+// holds its own budgets). The bound is the figure measured when each
+// replica began to reuse its dispatch records (46) plus 10 %; the same run
+// read 52 while every request allocated its record and the record's bound
+// Exec func on each replica, 55 while the "order" stream formatted a
+// decimal per delivery, 68 while the client's request travelled to every
+// member and 151 before the per-request allocation diet. Naming a client's
+// call by number did not move it: nothing is decoded in process, and the
+// id table that numbering replaced did not allocate once full — the three
+// id strings it saves a call are decoded ones (BenchmarkInvokeTCP, 40 →
+// 37). Much of what is left is the in-process network's timer per message,
+// which TCP deployments do not pay. The race detector allocates on its own,
+// hence the build tag.
 func TestInvokeAllocationBudget(t *testing.T) {
-	const budget = 57
+	const budget = 50
 	rt := vtime.Real()
 	defer rt.Stop()
 	c := replobj.NewCluster(rt, replobj.WithLatency(0))
@@ -142,12 +144,13 @@ func TestInvokeMessageBudget(t *testing.T) {
 // with the schedule trace on, over the zero-latency in-process network on
 // the real clock. On top of the fixed path each replica pays for one
 // scheduler thread and sixteen traced lock operations. The bound is the
-// figure measured when a thread became its record alone, run by a pooled
-// worker (52), plus 10 %; the same run read 55 while each thread had a
-// goroutine and a closure of its own, and 118 when every grant and unlock
-// built its stream's name and a thread was six objects.
+// figure measured when each replica began to reuse its dispatch records
+// (46) plus 10 %; the same run read 52 while every request allocated its
+// record and the record's bound Exec func on each replica, 55 while each
+// thread had a goroutine and a closure of its own, and 118 when every
+// grant and unlock built its stream's name and a thread was six objects.
 func TestLockedInvokeAllocationBudget(t *testing.T) {
-	const budget = 57
+	const budget = 50
 	rt := vtime.Real()
 	defer rt.Stop()
 	c := replobj.NewCluster(rt, replobj.WithLatency(0))
@@ -189,6 +192,34 @@ func TestLockedInvokeAllocationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("one Invoke of 8 nested mutexes, 3 ADETS-MAT replicas, traced, zero-latency inproc: %v allocs (budget %d)", allocs, budget)
+	if allocs > budget {
+		t.Errorf("one Invoke allocates %v times, budget %d", allocs, budget)
+	}
+}
+
+// TestInvokeTCPAllocationBudget pins what one invocation allocates over
+// loopback TCP, BenchmarkInvokeTCP's shape: one client, three SEQ
+// replicas, the real clock, a 1-byte add, every codec and socket on the
+// path. The bound is the figure measured when each replica began to reuse
+// its dispatch records (31) plus 10 %; the benchmark read 37 before.
+func TestInvokeTCPAllocationBudget(t *testing.T) {
+	const budget = 34
+	cl := tcpCounterCluster(t)("c0") // connections dialed
+	args := []byte{1}
+	var err error
+	invoke := func() {
+		if _, ierr := cl.Invoke("cnt", "add", args); ierr != nil && err == nil {
+			err = ierr
+		}
+	}
+	for i := 0; i < 200; i++ { // rings, maps, pools and free lists warm
+		invoke()
+	}
+	allocs := testing.AllocsPerRun(2000, invoke)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("one Invoke, 3 SEQ replicas, loopback TCP: %v allocs (budget %d)", allocs, budget)
 	if allocs > budget {
 		t.Errorf("one Invoke allocates %v times, budget %d", allocs, budget)
 	}

@@ -22,12 +22,9 @@ func init() {
 		return nil
 	}, func(r *wire.Reader) TableUpdate {
 		u := TableUpdate{From: wire.NodeID(r.Ident())}
-		if n := r.Count("table entry"); n > 0 {
-			u.Entries = make([]TableEntry, n)
-			for i := range u.Entries {
-				u.Entries[i] = TableEntry{M: adets.MutexID(r.Ident()), L: wire.LogicalID(r.String())}
-			}
-		}
+		u.Entries = wire.Elems(r, "table entry", 2, func(r *wire.Reader) TableEntry {
+			return TableEntry{M: adets.MutexID(r.Ident()), L: wire.LogicalID(r.String())}
+		})
 		return u
 	})
 }

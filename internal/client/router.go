@@ -79,8 +79,10 @@ func (r *Router) Refresh() error {
 	return nil
 }
 
-// InvokeOption parameterizes one routed invocation.
-type InvokeOption func(*invokeOpts)
+// InvokeOption parameterizes one routed invocation. It takes the options
+// and returns them changed, by value, so that Invoke keeps them on its
+// stack.
+type InvokeOption func(invokeOpts) invokeOpts
 
 type invokeOpts struct {
 	key string
@@ -90,7 +92,7 @@ type invokeOpts struct {
 // home shard orders and executes the request. Required on every routed
 // Invoke.
 func WithShardKey(key string) InvokeOption {
-	return func(o *invokeOpts) { o.key = key }
+	return func(o invokeOpts) invokeOpts { o.key = key; return o }
 }
 
 // Invoke routes a method invocation to its key's home shard group. A
@@ -99,7 +101,7 @@ func WithShardKey(key string) InvokeOption {
 func (r *Router) Invoke(method string, args []byte, opts ...InvokeOption) ([]byte, error) {
 	var o invokeOpts
 	for _, opt := range opts {
-		opt(&o)
+		o = opt(o)
 	}
 	if o.key == "" {
 		return nil, errors.New("client: routed invoke requires WithShardKey")

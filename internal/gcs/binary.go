@@ -117,12 +117,7 @@ func encView(b *wire.Buffer, v View) {
 
 func decView(r *wire.Reader) View {
 	v := View{Epoch: r.Uvarint()}
-	if n := r.Count("view members"); n > 0 {
-		v.Members = make([]wire.NodeID, n)
-		for i := range v.Members {
-			v.Members[i] = wire.NodeID(r.Ident())
-		}
-	}
+	v.Members = wire.Elems(r, "view member", 1, func(r *wire.Reader) wire.NodeID { return wire.NodeID(r.Ident()) })
 	return v
 }
 
@@ -195,18 +190,10 @@ func encSyncResp(b *wire.Buffer, s SyncResp) error {
 
 func decSyncResp(r *wire.Reader) SyncResp {
 	s := SyncResp{Group: wire.GroupID(r.Ident()), From: wire.NodeID(r.Ident()), Epoch: r.Uvarint(), Delivered: r.Uvarint()}
-	if n := r.Count("sync tail"); n > 0 {
-		s.Tail = make([]Ordered, n)
-		for i := range s.Tail {
-			s.Tail[i] = decOrdered(r)
-		}
-	}
-	if n := r.Count("sync pending"); n > 0 {
-		s.Pending = make([]Submit, n)
-		for i := range s.Pending {
-			s.Pending[i] = decSubmit(r)
-		}
-	}
+	// The least sizes: an Ordered is five varints or strings, a payload tag
+	// and the view flag; a Submit three, and the tag.
+	s.Tail = wire.Elems(r, "sync tail", 7, decOrdered)
+	s.Pending = wire.Elems(r, "sync pending", 4, decSubmit)
 	s.SnapSeq, s.Snap = r.Uvarint(), r.Bytes()
 	return s
 }

@@ -61,7 +61,10 @@ type snapshotEnvelope struct {
 	Streams map[string]obs.StreamState
 }
 
-var errBadEnvelope = errors.New("replica: undecodable snapshot envelope") // decodeEnvelope's errors wrap it
+var (
+	errBadEnvelope  = errors.New("replica: undecodable snapshot envelope") // decodeEnvelope's errors wrap it
+	errStreamsOrder = errors.New("replica: snapshot streams out of order")
+)
 
 func (e *snapshotEnvelope) encode(dst []byte) []byte {
 	return wire.Append(dst, func(b *wire.Buffer) {
@@ -93,20 +96,22 @@ func (e *snapshotEnvelope) encode(dst []byte) []byte {
 func decodeEnvelope(data []byte) (e snapshotEnvelope, err error) {
 	err = wire.Decode(data, func(r *wire.Reader) {
 		e.Seq, e.State = r.Uvarint(), r.Bytes()
-		e.Entries = make([]seenEntry, r.Count("entry"))
-		for i := range e.Entries {
-			e.Entries[i] = seenEntry{
+		// An entry's least size: its eleven fields, a byte each.
+		e.Entries = wire.Elems(r, "entry", 11, func(r *wire.Reader) seenEntry {
+			return seenEntry{
 				callRef{decInvocationID(r), wire.NodeID(r.String()), r.Uvarint()},
 				amoEntry{At: r.Uvarint(), Result: r.Bytes(), Err: r.String(),
 					Trace: tracing.Context{TraceID: r.Uvarint(), Span: r.Uvarint()}, Code: Code(r.Byte()), Done: r.Bool()},
 			}
-		}
-		n := r.Count("stream")
-		e.Streams = make(map[string]obs.StreamState, n)
+		})
+		// A stream is a name and two varints. The map grows as they decode:
+		// sized by the count, it would be many times the bytes they take.
+		n := r.Count("stream", 3)
+		e.Streams = make(map[string]obs.StreamState)
 		for i, prev := 0, ""; i < n; i++ {
 			name := r.String()
 			if i > 0 && name <= prev {
-				r.Fail(errors.New("replica: snapshot streams out of order"))
+				r.Fail(errStreamsOrder)
 			}
 			e.Streams[name], prev = obs.StreamState{Count: r.Uvarint(), Digest: r.Uvarint()}, name
 		}

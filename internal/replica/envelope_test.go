@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -34,7 +35,7 @@ func exemplarEnvelope() snapshotEnvelope {
 }
 
 // envelopeSeeds are FuzzSnapshotEnvelope's seed corpus: two envelopes that
-// decode, and three near misses that must not.
+// decode, and three near misses and two forged counts that must not.
 func envelopeSeeds() map[string][]byte {
 	full, empty := exemplarEnvelope(), snapshotEnvelope{}
 	good := full.encode(nil)
@@ -50,12 +51,60 @@ func envelopeSeeds() map[string][]byte {
 			b.Uvarint(1)
 		}
 	})
-	return map[string][]byte{
+	seeds := map[string][]byte{
 		"seed-full":             good,
 		"seed-empty":            empty.encode(nil),
 		"seed-unsorted-streams": unsorted,
 		"seed-non-minimal-seq":  append([]byte{0xa8, 0x00}, good[1:]...),
 		"seed-trailing-byte":    append(bytes.Clone(good), 0),
+	}
+	for name, data := range claimingEnvelopes() {
+		seeds["seed-claims-"+name] = data
+	}
+	return seeds
+}
+
+// claimingEnvelopes returns envelopes whose count of at-most-once entries,
+// or of trace streams, claims more elements than follow: as many as the
+// filler after it could hold at the element's least size (11 bytes an
+// entry, 3 a stream), and one per filler byte, the most the reader took
+// before. The filler is 2 KiB of 0xff, on which the first element already
+// fails.
+func claimingEnvelopes() map[string][]byte {
+	const filler = 2048
+	claim := func(entries bool, count int) []byte {
+		return wire.Append(nil, func(b *wire.Buffer) {
+			b.Uvarint(1)
+			b.Bytes(nil)
+			if !entries {
+				b.Uvarint(0)
+			}
+			b.Uvarint(uint64(count))
+			b.Write(bytes.Repeat([]byte{0xff}, filler))
+		})
+	}
+	return map[string][]byte{
+		"entries-fit": claim(true, filler/11), "entries-per-byte": claim(true, filler),
+		"streams-fit": claim(false, filler/3), "streams-per-byte": claim(false, filler),
+	}
+}
+
+// TestEnvelopeCountsClaimOnlyWhatItHolds: an envelope whose count claims
+// more rows or streams than follow is refused, and decoding it allocates
+// in proportion to its length, not to the count (an entry is 11 bytes at
+// the least and 120 in memory).
+func TestEnvelopeCountsClaimOnlyWhatItHolds(t *testing.T) {
+	for name, data := range claimingEnvelopes() {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := decodeEnvelope(data)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: decoded", name)
+		}
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > 4*uint64(len(data)) {
+			t.Errorf("%s: a %d-byte envelope allocated %d bytes (bound %d)", name, len(data), grown, 4*len(data))
+		}
 	}
 }
 

@@ -17,6 +17,11 @@ var ErrStopped = errors.New("replica: stopped")
 // counterpart of the paper's transformed synchronization operations: every
 // lock, condition-variable and nested-invocation operation is routed
 // through the deterministic scheduler.
+//
+// An Invocation is valid only until its handler returns, and the handler
+// must not keep it, nor hand it to a goroutine that outlives the call: the
+// replica reuses the memory for a later request, so a kept Invocation
+// reads another request's method, arguments and thread.
 type Invocation struct {
 	r   *Replica
 	t   *adets.Thread

@@ -180,9 +180,10 @@ func TestEnvelopeDecodersRejectNonCanonicalFrames(t *testing.T) {
 }
 
 // TestPerRequestValuesStayInTheirSizeClasses: a Reply is boxed into an
-// interface on every send and a dispatched is allocated for every request;
-// what was added to them (the code byte, the classes)
-// must not push either into the next allocation class.
+// interface on every send, and a dispatched is allocated whenever a
+// replica's free list of them is empty (and up to 64 are kept); what was
+// added to them (the code byte, the classes, the bound exec func) must not
+// push either into the next allocation class.
 func TestPerRequestValuesStayInTheirSizeClasses(t *testing.T) {
 	if size := reflect.TypeOf(Reply{}).Size(); size > 112 {
 		t.Errorf("Reply is %d bytes, want <= 112", size)

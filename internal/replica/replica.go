@@ -339,6 +339,8 @@ type Replica struct {
 	// threads holds one record per live logical thread (see logical.go).
 	threads map[wire.LogicalID]logicalThread
 	stopped bool
+	// free holds up to maxFree dispatch records for reuse (see dispatched).
+	free []*dispatched
 
 	// specMgr holds the speculation bookkeeping (nil when Config.Speculative
 	// is off or unusable). evictFloor is the highest stream position whose
@@ -584,14 +586,49 @@ func (r *Replica) dispatchLoop() {
 
 // dispatched carries one request from its ordered dispatch point through
 // the scheduler to its handler: the request and the Invocation the handler
-// will see, in a single allocation whose exec method is the scheduler's
-// Exec callback. It is also the form in which a callback deferred behind
-// its originator waits.
+// will see. It is also the form in which a callback deferred behind its
+// originator waits. Records are reused: a replica keeps up to maxFree of
+// them, and run, the record's exec method bound once when it was
+// allocated, is the scheduler's Exec callback for every request it
+// carries, so a warm replica allocates neither per request. complete
+// returns the record, zeroed but for run, once it has stored the reply: no
+// path may keep the record, its Invocation or a pointer into its request
+// past that point. Whatever outlives the execution (a catch-up's request,
+// the reply's addressee) is copied out first.
 type dispatched struct {
 	inv     Invocation
 	seq     uint64
-	classes []string      // conflict classes, computed once at dispatch
-	tSubmit time.Duration // scheduler hand-off time (traced requests only)
+	classes []string            // conflict classes, computed once at dispatch
+	tSubmit time.Duration       // scheduler hand-off time (traced requests only)
+	run     func(*adets.Thread) // exec, bound once
+}
+
+// maxFree bounds a replica's free dispatch records: enough for the
+// requests one replica has in its scheduler at a time, so that a burst
+// pins little once it has drained.
+const maxFree = 64
+
+// takeLocked returns a record to carry an admitted request: a free one, or
+// a new one with its exec method bound.
+func (r *Replica) takeLocked() *dispatched {
+	if n := len(r.free); n > 0 {
+		d := r.free[n-1]
+		r.free = r.free[:n-1]
+		return d
+	}
+	d := new(dispatched)
+	d.run = d.exec
+	return d
+}
+
+// releaseLocked takes d back once its request is complete. The record is
+// zeroed, so that it holds on to neither the request's bytes nor its
+// thread while it waits.
+func (r *Replica) releaseLocked(d *dispatched) {
+	if len(r.free) < maxFree {
+		*d = dispatched{run: d.run}
+		r.free = append(r.free, d)
+	}
 }
 
 // conflictClasses evaluates the group's class function on req (nil: global).
@@ -618,8 +655,13 @@ func (r *Replica) newReply(req *Request) Reply {
 // ordered point under one hold of the runtime lock, so the classification
 // (duplicate? redirect? callback?) is a pure function of the stream —
 // identical on every replica.
+//
+// The record is taken only once the request is admitted, and the paths past
+// the hand-off read the request from req, never from the record: a deferred
+// callback's record can be flushed, run and reused by its originator's
+// thread as soon as the lock is released.
 func (r *Replica) dispatchRequest(req Request, seq uint64) {
-	d := &dispatched{inv: Invocation{r: r, req: req}, seq: seq, classes: r.conflictClasses(&req)}
+	classes := r.conflictClasses(&req)
 	r.rt.Lock()
 	r.waitImageLocked()
 	if r.stopped {
@@ -634,7 +676,7 @@ func (r *Replica) dispatchRequest(req Request, seq uint64) {
 		return
 	}
 	r.enterLocked(ref, seq)
-	if redirect, ok := r.misroutedLocked(&d.inv.req); ok {
+	if redirect, ok := r.misroutedLocked(&req); ok {
 		r.rt.Unlock()
 		r.shardRedirects.Inc()
 		r.sendReply(req, redirect)
@@ -642,11 +684,13 @@ func (r *Replica) dispatchRequest(req Request, seq uint64) {
 	}
 	var act specAction
 	if r.specMgr != nil {
-		act = r.specDispatchLocked(&d.inv.req, seq, d.classes)
+		act = r.specDispatchLocked(&req, seq, classes)
 	}
+	d := r.takeLocked()
+	d.inv, d.seq, d.classes = Invocation{r: r, req: req}, seq, classes
 	callback, deferred := r.arriveLocked(d)
 	r.rt.Unlock()
-	r.specDispatchFinish(&d.inv.req, act)
+	r.specDispatchFinish(&req, act)
 	if !deferred {
 		r.submit(d, callback)
 	}
@@ -686,26 +730,28 @@ func (r *Replica) submit(d *dispatched, callback bool) {
 		Callback: callback,
 		Classes:  d.classes,
 		Seq:      d.seq,
-		Exec:     d.exec,
+		Exec:     d.run,
 	})
 }
 
 // exec runs the request on the scheduler thread t.
 func (d *dispatched) exec(t *adets.Thread) {
-	r, req := d.inv.r, &d.inv.req
+	r := d.inv.r
 	d.inv.t = t
-	if r.spans != nil && req.Trace.Valid() {
-		r.recordSpan(req, "sched.wait", d.seq, d.tSubmit)
+	if r.spans != nil && d.inv.req.Trace.Valid() {
+		r.recordSpan(&d.inv.req, "sched.wait", d.seq, d.tSubmit)
 	}
 	r.inflight.Inc()
 	defer r.inflight.Dec()
-	r.execute(&d.inv)
+	r.execute(d)
 }
 
 // Logical returns the logical thread of a request.
 func (req Request) Logical() wire.LogicalID { return req.ID.Logical }
 
-func (r *Replica) execute(inv *Invocation) {
+// execute runs d's handler and completes the request, which releases d.
+func (r *Replica) execute(d *dispatched) {
+	inv := &d.inv
 	req := &inv.req
 	traced := r.spans != nil && req.Trace.Valid()
 	var tStart time.Duration
@@ -725,7 +771,7 @@ func (r *Replica) execute(inv *Invocation) {
 		// Replies (cached ones included) link back to this execution.
 		reply.Trace = tracing.Context{TraceID: req.Trace.TraceID, Span: r.recordSpan(req, "exec", 0, tStart)}
 	}
-	r.complete(req, reply)
+	r.complete(d, reply)
 }
 
 // recordSpan records req's span name on this replica, from start until now
@@ -739,11 +785,14 @@ func (r *Replica) recordSpan(req *Request, name string, seq uint64, start time.D
 
 // complete publishes the reply of a request that went through the
 // scheduler: reply cache, the logical thread's leave, speculation's account
-// of an early reply, and the send.
-func (r *Replica) complete(req *Request, reply Reply) {
+// of an early reply, and the send. d is released under the lock hold that
+// stores the reply: everything after it goes by a copy of the request.
+func (r *Replica) complete(d *dispatched, reply Reply) {
 	r.rt.Lock()
+	req := d.inv.req
+	r.releaseLocked(d)
 	r.storeReplyLocked(req.ref(), reply)
-	r.leaveLocked(req)
+	r.leaveLocked(&req)
 	var suppress, mismatch, late bool
 	if r.specMgr != nil && req.Kind == KindClient {
 		srep, released, l := r.specMgr.Resolve(req.ID.String())
@@ -773,7 +822,7 @@ func (r *Replica) complete(req *Request, reply Reply) {
 		r.specAborts.Inc()
 	}
 	if !suppress {
-		r.sendReply(*req, reply)
+		r.sendReply(req, reply)
 	}
 }
 

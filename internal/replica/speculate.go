@@ -317,14 +317,16 @@ func (r *Replica) specDispatchFinish(req *Request, act specAction) {
 		r.sendReply(*req, act.reply)
 	}
 	if act.catchUp {
-		r.startCatchUp(req, act)
+		r.startCatchUp(*req, act)
 	}
 }
 
 // startCatchUp is a function of its own so that only dispatches that do
-// catch up pay for moving act to the heap for the goroutine.
-func (r *Replica) startCatchUp(req *Request, act specAction) {
+// catch up pay for moving req and act to the heap for the goroutine. The
+// goroutine gets a copy of the request: the one the dispatch read from is
+// gone by the time it runs (see dispatched).
+func (r *Replica) startCatchUp(req Request, act specAction) {
 	if h, ok := r.handlers[req.Method]; ok {
-		r.rt.Go("spec-catchup", func() { r.runCatchUp(*req, h, act) })
+		r.rt.Go("spec-catchup", func() { r.runCatchUp(req, h, act) })
 	}
 }

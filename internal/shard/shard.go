@@ -122,10 +122,7 @@ func (t Table) Encode() []byte {
 func DecodeTable(data []byte) (t Table, err error) {
 	err = wire.Decode(data, func(r *wire.Reader) {
 		t.VNodes, t.Object = int(r.Uvarint()), r.String()
-		t.Shards = make([]wire.GroupID, r.Count("shard"))
-		for i := range t.Shards {
-			t.Shards[i] = wire.GroupID(r.String())
-		}
+		t.Shards = wire.Elems(r, "shard", 1, func(r *wire.Reader) wire.GroupID { return wire.GroupID(r.String()) })
 		r.Fail(t.Validate())
 	})
 	return t, err

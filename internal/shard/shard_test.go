@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -99,11 +100,43 @@ func TestDecodeTableBoundsTheRing(t *testing.T) {
 	}
 }
 
+// claimingTable is a table whose shard count claims one shard per byte
+// after it, the most the reader took, over 2 KiB of 0xff on which the
+// first shard name already fails.
+func claimingTable() []byte {
+	const filler = 2048
+	return wire.Append(nil, func(b *wire.Buffer) {
+		b.Uvarint(16)
+		b.String("kv")
+		b.Uvarint(filler)
+		b.Write(bytes.Repeat([]byte{0xff}, filler))
+	})
+}
+
+// TestTableCountClaimsOnlyWhatItHolds: a table whose shard count claims
+// more shards than follow is refused, and decoding it allocates in
+// proportion to its length, not to the count (a shard takes one byte at
+// the least and 16 in memory).
+func TestTableCountClaimsOnlyWhatItHolds(t *testing.T) {
+	data := claimingTable()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeTable(data)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("decoded")
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 4*uint64(len(data)) {
+		t.Errorf("a %d-byte table allocated %d bytes (bound %d)", len(data), grown, 4*len(data))
+	}
+}
+
 // FuzzDecodeTable: arbitrary bytes never panic the decoder, anything that
 // decodes re-encodes byte-identically (canonical form), and its ring can be
 // built.
 func FuzzDecodeTable(f *testing.F) {
 	f.Add(NewTable("kv", 4, 16).Encode())
+	f.Add(claimingTable())
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x01, 0x00, 0x00})
 	// NewTable("kv", 2, 16) but for vnodes 16 written as a two-byte varint:

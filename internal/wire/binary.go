@@ -337,19 +337,38 @@ func (r *Reader) Uvarint() uint64 {
 	return v
 }
 
-// Count reads the length of a slice of what. Every element takes at least
-// one byte, so a count beyond the bytes left in the frame is refused before
-// anything is sized by it: corrupt input cannot request an absurd
-// allocation.
-func (r *Reader) Count(what string) int {
+// Count reads the length of a slice of what whose elements each take at
+// least least bytes in the frame: a count whose elements could not fit in
+// the bytes left is refused before anything is sized by it.
+func (r *Reader) Count(what string, least int) int {
 	n := r.Uvarint()
-	if r.err == nil && n > uint64(r.Remaining()) {
+	if r.err == nil && n > uint64(r.Remaining()/least) {
 		r.err = fmt.Errorf("wire: %s count %d exceeds frame", what, n)
 	}
 	if r.err != nil {
 		return 0
 	}
 	return int(n)
+}
+
+// Elems reads a count of what, each element at least least bytes in the
+// frame (see Count), and decodes that many with dec, stopping at the first
+// error. No count, or a count of zero, is a nil slice. An element takes
+// fewer bytes in the frame than in memory, so a count that fits the frame
+// can still ask for many times its size: room is made up front for no more
+// elements than the bytes left would fill, and past that the slice grows
+// with the elements that really decode.
+func Elems[T any](r *Reader, what string, least int, dec func(*Reader) T) []T {
+	n := r.Count(what, least)
+	if n == 0 {
+		return nil
+	}
+	size := max(int(reflect.TypeFor[T]().Size()), 1)
+	s := make([]T, 0, min(n, r.Remaining()/size+1))
+	for ; n > 0 && r.err == nil; n-- {
+		s = append(s, dec(r))
+	}
+	return s
 }
 
 // span reads a length prefix and returns the bytes it covers — a window

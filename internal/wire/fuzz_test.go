@@ -303,6 +303,9 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{2, 1, 0}) // frame of size 2: tag nil, empty From — short
 	f.Add([]byte{1, 1})    // frame of size 1: tag nil alone
 	f.Add(nonMinimalHeaderFrame)
+	for _, frame := range claimingFrames(f) {
+		f.Add(frame)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The stream decoder must agree with the one-shot parser.

@@ -65,7 +65,8 @@ import (
 // Re-exported vocabulary so applications need only this package.
 type (
 	// Invocation is the method execution context (locks, condition
-	// variables, nested invocations, simulated computation).
+	// variables, nested invocations, simulated computation). It is valid
+	// only until the handler returns and must not be kept past it.
 	Invocation = replica.Invocation
 	// Handler executes one method of a replicated object.
 	Handler = replica.Handler

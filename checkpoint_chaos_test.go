@@ -85,7 +85,7 @@ func TestCheckpointImagesEqualOnEveryReplica(t *testing.T) {
 		// snapshot draws member m's checkpoint: the log below it is gone, so
 		// a NACK for position 1 is answered with the envelope.
 		snapshot := func(m replobj.NodeID) gcs.Snapshot {
-			probe.Send(m, gcs.Nack{Group: "kv", From: probe.ID(), Want: 1})
+			probe.Send(m, &gcs.Nack{Group: "kv", From: probe.ID(), Want: 1})
 			got := vtime.NewMailbox[gcs.Snapshot](rt, "probe")
 			rt.Go("probe-recv", func() {
 				for {
@@ -93,8 +93,8 @@ func TestCheckpointImagesEqualOnEveryReplica(t *testing.T) {
 					if !ok {
 						return
 					}
-					if s, ok := msg.Payload.(gcs.Snapshot); ok {
-						got.Put(s)
+					if s, ok := msg.Payload.(*gcs.Snapshot); ok {
+						got.Put(*s)
 						return
 					}
 				}
@@ -384,7 +384,7 @@ func TestChaosRejoinerBroadcastDuringPartition(t *testing.T) {
 	rejoiner := wire.ReplicaID("cnt", 2)
 	var counting, resent atomic.Int64
 	watched := transport.NewWrappedNetwork(fnet, func(from, _ wire.NodeID, p any, _ func()) bool {
-		if _, ok := p.(gcs.Submit); ok && from == rejoiner && counting.Load() == 1 {
+		if _, ok := p.(*gcs.Submit); ok && from == rejoiner && counting.Load() == 1 {
 			resent.Add(1)
 		}
 		return false

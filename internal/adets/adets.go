@@ -111,6 +111,7 @@ type Env struct {
 	// SendPeer sends a message directly (FIFO, unordered with respect to
 	// the request stream) to another replica. No scheduler uses it: LSA's
 	// mutex tables travel through the total order.
+	// Pinned by benchmark/probes.go.
 	SendPeer func(to wire.NodeID, payload any)
 	// BroadcastOrdered submits a scheduler message into the group's total
 	// order. All replicas (including this one) receive it via

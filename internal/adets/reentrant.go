@@ -39,6 +39,7 @@ type holdKey struct {
 }
 
 // NewReentrancy returns a reentrancy layer over sched.
+// Pinned by benchmark/probes.go.
 func NewReentrancy(rt interface {
 	Lock()
 	Unlock()

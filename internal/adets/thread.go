@@ -33,6 +33,8 @@ import (
 // of a pool worker, which parks on a parker of its own).
 // A thread parked for a nested reply must never be woken by anything else:
 // the permit would return BeginNested before the reply is there.
+//
+// Pinned by benchmark/probes.go.
 type Thread struct {
 	// ID is the replica-deterministic creation index (see type comment).
 	ID uint64

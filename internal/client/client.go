@@ -192,11 +192,13 @@ func (c *Client) Close() {
 // receive files a replica's reply and wakes the caller once the policy is
 // met. On TCP it runs on the reader that decoded the frame and must not
 // block: it fills a slot and unparks the caller, under the runtime lock.
+// The reply is lent until receive returns; the slot keeps a copy.
 func (c *Client) receive(msg wire.Message) {
-	reply, ok := msg.Payload.(replica.Reply)
+	p, ok := msg.Payload.(*replica.Reply)
 	if !ok {
 		return
 	}
+	reply := *p
 	now := c.rt.Now() // before taking the lock: Now() locks internally
 	c.rt.Lock()
 	defer c.rt.Unlock()
@@ -392,9 +394,9 @@ func (c *Client) invoke(group wire.GroupID, method string, args []byte, policy R
 	if shardKey != "" {
 		shardLabel = string(group)
 	}
-	// Boxed once: every member (and every retransmission) gets the same
-	// interface value.
-	var sub any = gcs.Submit{Group: group, Origin: c.self, Call: callNo, Payload: req}
+	// Made once: every member (and every retransmission) gets the same
+	// payload.
+	sub := &gcs.Submit{Group: group, Origin: c.self, Call: callNo, Payload: req}
 	for k := range copies {
 		c.ep.Send(members[(rank+k)%n], sub)
 	}

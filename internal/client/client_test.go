@@ -87,10 +87,11 @@ func (fg *fakeGroup) serve(rank int) {
 		if !ok {
 			return
 		}
-		sub, ok := msg.Payload.(gcs.Submit)
+		p, ok := msg.Payload.(*gcs.Submit)
 		if !ok {
 			continue
 		}
+		sub := *p
 		req, ok := sub.Payload.(replica.Request)
 		if !ok {
 			continue
@@ -127,7 +128,7 @@ func (fg *fakeGroup) answer(rank int, req replica.Request) {
 	}
 	fg.rt.Go("fake-reply/"+string(id), func() {
 		fg.rt.Sleep(d)
-		fg.eps[rank].Send(req.ReplyTo, replica.Reply{ID: req.ID, From: id, Result: []byte(req.ID.Logical)})
+		fg.eps[rank].Send(req.ReplyTo, &replica.Reply{ID: req.ID, From: id, Result: []byte(req.ID.Logical)})
 	})
 }
 
@@ -300,9 +301,9 @@ func TestClientErrorReplyPropagates(t *testing.T) {
 			if !ok {
 				return
 			}
-			if sub, ok := msg.Payload.(gcs.Submit); ok {
+			if sub, ok := msg.Payload.(*gcs.Submit); ok {
 				req := sub.Payload.(replica.Request)
-				ep.Send(req.ReplyTo, replica.Reply{ID: req.ID, From: ids[0], Err: "boom"})
+				ep.Send(req.ReplyTo, &replica.Reply{ID: req.ID, From: ids[0], Err: "boom"})
 			}
 		}
 	})

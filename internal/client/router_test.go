@@ -57,7 +57,7 @@ func newFakeShardWorld(t *testing.T, rt vtime.Runtime, net *transport.Inproc, sh
 			w.gets++
 			enc := w.table.Encode()
 			rt.Unlock()
-			dirEP.Send(req.ReplyTo, replica.Reply{ID: req.ID, From: dirID, Result: enc})
+			dirEP.Send(req.ReplyTo, &replica.Reply{ID: req.ID, From: dirID, Result: enc})
 		}
 	})
 
@@ -84,7 +84,7 @@ func newFakeShardWorld(t *testing.T, rt vtime.Runtime, net *transport.Inproc, sh
 				if home != gid {
 					rep.Result, rep.Code, rep.Err = nil, replica.CodeRedirect, shard.RedirectError(req.ShardKey, home)
 				}
-				ep.Send(req.ReplyTo, rep)
+				ep.Send(req.ReplyTo, &rep)
 			}
 		})
 	}
@@ -92,7 +92,7 @@ func newFakeShardWorld(t *testing.T, rt vtime.Runtime, net *transport.Inproc, sh
 }
 
 func submitRequest(payload any) (replica.Request, bool) {
-	sub, ok := payload.(gcs.Submit)
+	sub, ok := payload.(*gcs.Submit)
 	if !ok {
 		return replica.Request{}, false
 	}

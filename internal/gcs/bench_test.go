@@ -40,7 +40,7 @@ func BenchmarkSequencerRound(b *testing.B) {
 	var call uint64
 	round := func() {
 		call++
-		cl.Send(ids[0], Submit{Group: "g", Origin: cl.ID(), Call: call, Payload: appMsg{Body: "x"}})
+		cl.Send(ids[0], &Submit{Group: "g", Origin: cl.ID(), Call: call, Payload: appMsg{Body: "x"}})
 		for _, m := range members {
 			if _, ok := m.Deliver(); !ok {
 				b.Fatal("delivery stream closed")

@@ -100,7 +100,7 @@ func TestSnapshotSettlesCachedSubmits(t *testing.T) {
 				if truncated {
 					seqr.SetCheckpoint(4, []byte("snapimage"))
 				}
-				m2.Handle(h.ids[0], Snapshot{Group: h.group, Seq: 4, Data: []byte("snapimage")})
+				m2.Handle(h.ids[0], &Snapshot{Group: h.group, Seq: 4, Data: []byte("snapimage")})
 				h.rt.Lock()
 				held := len(m2.submitCache)
 				h.rt.Unlock()
@@ -166,13 +166,13 @@ func TestRepairFrom(t *testing.T) {
 			sent := append(act.first[:act.nfirst:act.nfirst], act.rest...)
 			gotSnap := false
 			if len(sent) > 0 {
-				_, gotSnap = sent[0].payload.(Snapshot)
+				_, gotSnap = sent[0].payload.(*Snapshot)
 			}
 			if gotSnap != tc.wantSnap {
 				t.Fatalf("checkpoint sent first: %v, want %v", gotSnap, tc.wantSnap)
 			}
 			if gotSnap {
-				if p := sent[0].payload.(Snapshot); p.Seq != tc.snap {
+				if p := sent[0].payload.(*Snapshot); p.Seq != tc.snap {
 					t.Errorf("checkpoint at %d, want %d", p.Seq, tc.snap)
 				}
 				sent = sent[1:]
@@ -181,7 +181,7 @@ func TestRepairFrom(t *testing.T) {
 				t.Fatalf("%d Ordered messages sent, want %d", len(sent), tc.nO)
 			}
 			for i, s := range sent {
-				if o := s.payload.(Ordered); s.to != "b" || o.Seq != tc.wantFirst+uint64(i) {
+				if o := s.payload.(*Ordered); s.to != "b" || o.Seq != tc.wantFirst+uint64(i) {
 					t.Errorf("message %d: seq %d to %s, want seq %d to b", i, o.Seq, s.to, tc.wantFirst+uint64(i))
 				}
 			}

@@ -229,18 +229,21 @@ type SyncResp struct {
 	Snap      []byte    // checkpoint state image
 }
 
-// group names the group a protocol payload belongs to (Member.Handle).
-func (p Submit) group() wire.GroupID    { return p.Group }
-func (p Ordered) group() wire.GroupID   { return p.Group }
-func (p Nack) group() wire.GroupID      { return p.Group }
-func (p Heartbeat) group() wire.GroupID { return p.Group }
-func (p Snapshot) group() wire.GroupID  { return p.Group }
-func (p Hint) group() wire.GroupID      { return p.Group }
-func (p Propose) group() wire.GroupID   { return p.Group }
-func (p SyncReq) group() wire.GroupID   { return p.Group }
-func (p SyncResp) group() wire.GroupID  { return p.Group }
+// group names the group a protocol payload belongs to (Member.Handle). The
+// receivers are pointers, as every top-level payload is: a value payload is
+// no group message, so Handle refuses it and the replica counts it unknown.
+func (p *Submit) group() wire.GroupID    { return p.Group }
+func (p *Ordered) group() wire.GroupID   { return p.Group }
+func (p *Nack) group() wire.GroupID      { return p.Group }
+func (p *Heartbeat) group() wire.GroupID { return p.Group }
+func (p *Snapshot) group() wire.GroupID  { return p.Group }
+func (p *Hint) group() wire.GroupID      { return p.Group }
+func (p *Propose) group() wire.GroupID   { return p.Group }
+func (p *SyncReq) group() wire.GroupID   { return p.Group }
+func (p *SyncResp) group() wire.GroupID  { return p.Group }
 
 // Config configures a group member.
+// Pinned by benchmark/probes.go, with NewMember.
 type Config struct {
 	// Group is the group identifier; messages for other groups are ignored.
 	Group wire.GroupID

@@ -89,7 +89,7 @@ func (h *harness) run(fn func()) {
 func (h *harness) submitFromClient(cl transport.Endpoint, id, body string) {
 	sub := Submit{Group: h.group, ID: id, Origin: cl.ID(), Payload: appMsg{Body: body}}
 	for _, m := range h.ids {
-		cl.Send(m, sub)
+		cl.Send(m, &sub)
 	}
 }
 
@@ -97,7 +97,7 @@ func (h *harness) submitFromClient(cl transport.Endpoint, id, body string) {
 func (h *harness) submitCall(cl transport.Endpoint, call uint64, body string) {
 	sub := Submit{Group: h.group, Origin: cl.ID(), Call: call, Payload: appMsg{Body: body}}
 	for _, m := range h.ids {
-		cl.Send(m, sub)
+		cl.Send(m, &sub)
 	}
 }
 

@@ -66,7 +66,7 @@ func TestNumberedCallsAgainstTheRow(t *testing.T) {
 					t.Errorf("%s reported the retransmission at %v, want [1]", id, got)
 				}
 			}
-			cl.Send(seqr, Submit{Group: h.group, Origin: cl.ID(), Call: 2, Payload: appMsg{Body: "y"}})
+			cl.Send(seqr, &Submit{Group: h.group, Origin: cl.ID(), Call: 2, Payload: appMsg{Body: "y"}})
 			for _, m := range h.members {
 				take(t, h.rt, m, 1)
 			}
@@ -93,8 +93,8 @@ func TestNumberedCallsAgainstTheRow(t *testing.T) {
 		h.run(func() {
 			cl := h.net.Endpoint(wire.ClientID("c1"))
 			defer cl.Close()
-			call := func(n uint64) Submit {
-				return Submit{Group: h.group, Origin: cl.ID(), Call: n, Payload: appMsg{Body: "x"}}
+			call := func(n uint64) *Submit {
+				return &Submit{Group: h.group, Origin: cl.ID(), Call: n, Payload: appMsg{Body: "x"}}
 			}
 			// Follower 2's copy of call 1 comes after the Ordered.
 			cl.Send(h.ids[0], call(1))

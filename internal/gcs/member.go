@@ -67,6 +67,7 @@ type Member struct {
 }
 
 // NewMember creates a member. Call Start before use and Stop when done.
+// Pinned by benchmark/probes.go.
 func NewMember(rt vtime.Runtime, cfg Config) *Member {
 	cfg.applyDefaults()
 	return &Member{
@@ -166,7 +167,9 @@ func (m *Member) LogLen() int {
 
 // Handle processes an incoming payload, returning true if it was a group
 // communication message for this member's group (consumed), false
-// otherwise.
+// otherwise. The payload is a *T the caller lends until Handle returns:
+// each case reads it or passes a copy of it on, and nothing the member keeps
+// or sends points into it.
 func (m *Member) Handle(from wire.NodeID, payload any) bool {
 	if p, isGCS := payload.(interface{ group() wire.GroupID }); !isGCS || p.group() != m.cfg.Group {
 		return false
@@ -177,17 +180,17 @@ func (m *Member) Handle(from wire.NodeID, payload any) bool {
 			m.lastSeen[from] = m.rt.NowLocked() // any member's message is a sign of life
 		}
 		switch p := payload.(type) {
-		case Submit:
-			m.handleSubmitLocked(from, p, &act)
-		case Ordered:
+		case *Submit:
+			m.handleSubmitLocked(from, *p, &act)
+		case *Ordered:
 			m.noteEpochLocked(p.Epoch)
-			m.handleOrderedLocked(p, &act)
-		case Nack:
+			m.handleOrderedLocked(*p, &act)
+		case *Nack:
 			if st := m.cfg.Stats; st != nil {
 				st.Nacks.Inc()
 			}
 			m.repairLocked(p.From, p.Want, &act)
-		case Heartbeat:
+		case *Heartbeat:
 			m.noteEpochLocked(p.Epoch)
 			if p.Acked > m.peerAcked[p.From] {
 				m.peerAcked[p.From] = p.Acked
@@ -198,28 +201,32 @@ func (m *Member) Handle(from wire.NodeID, payload any) bool {
 			if m.installing == nil && p.Epoch == m.view.Epoch && p.MaxSeq >= m.nextDeliver {
 				m.nackLocked(&act)
 			}
-		case Snapshot:
-			m.handleSnapshotLocked(p, &act)
-		case Hint:
+		case *Snapshot:
+			m.handleSnapshotLocked(*p, &act)
+		case *Hint:
 			if p.Seq < m.nextDeliver {
 				m.settleLocked(p.key(), p.Seq) // an answer to a copy of an ordered id
 			}
-		case Propose:
+		case *Propose:
 			m.noteEpochLocked(p.View.Epoch)
 			m.adoptProposalLocked(p.View, &act)
-		case SyncReq:
+		case *SyncReq:
 			m.noteEpochLocked(p.View.Epoch)
 			m.adoptProposalLocked(p.View, &act)
 			if p.View.Epoch > m.view.Epoch { // not installed yet: the requester waits for this tail
-				act.send(p.From, m.tailLocked(p.View.Epoch))
+				act.send(p.From, ptr(m.tailLocked(p.View.Epoch)))
 			}
-		case SyncResp:
-			m.handleSyncRespLocked(p, &act)
+		case *SyncResp:
+			m.handleSyncRespLocked(*p, &act)
 		}
 	}
 	m.leave(&act)
 	return true
 }
+
+// ptr returns a pointer to a new copy of v: a payload to send, made where
+// it is sent.
+func ptr[T any](v T) *T { return &v }
 
 // --- events ---
 //
@@ -280,8 +287,8 @@ func (a *actions) send(to wire.NodeID, payload any) {
 }
 
 // sendAll queues payload for every one of members but m itself and reports
-// how many that is. The payload is boxed by the caller, once, not once per
-// peer.
+// how many that is. The payload is a pointer the caller made, once, not
+// once per peer.
 func (a *actions) sendAll(m *Member, members []wire.NodeID, payload any) (n int) {
 	for _, peer := range members {
 		if peer != m.cfg.Self {
@@ -515,7 +522,7 @@ func (m *Member) handleSubmitLocked(from wire.NodeID, sub Submit, act *actions) 
 		if st := m.cfg.Stats; st != nil && !c.own {
 			st.SubmitsRelayed.Inc()
 		}
-		act.send(m.view.Sequencer(), sub)
+		act.send(m.view.Sequencer(), ptr(sub))
 	}
 }
 
@@ -526,7 +533,7 @@ func (m *Member) handleSubmitLocked(from wire.NodeID, sub Submit, act *actions) 
 // forward from there, or from the log's floor.
 func (m *Member) answerLocked(from wire.NodeID, k key, seq uint64, resend bool, act *actions) {
 	if from != m.cfg.Self && m.view.Contains(from) {
-		act.send(from, k.hint(m.cfg.Group, seq))
+		act.send(from, ptr(k.hint(m.cfg.Group, seq)))
 	}
 	if !resend || seq == 0 {
 		return
@@ -557,7 +564,7 @@ func (m *Member) orderLocked(sub Submit, view *View, act *actions) {
 	}
 	m.nextSeq++
 	m.markOrderedLocked(k, o.Seq)
-	act.sendAll(m, m.view.Members, o)
+	act.sendAll(m, m.view.Members, &o)
 	m.handleOrderedLocked(o, act)
 }
 
@@ -595,7 +602,7 @@ func (m *Member) nackLocked(act *actions) {
 	}
 	if !act.nacked && to != m.cfg.Self {
 		act.nacked = true
-		act.send(to, Nack{Group: m.cfg.Group, From: m.cfg.Self, Want: m.nextDeliver})
+		act.send(to, &Nack{Group: m.cfg.Group, From: m.cfg.Self, Want: m.nextDeliver})
 	}
 }
 
@@ -724,7 +731,7 @@ const repairBurst = 256 // a peer further behind asks again
 // if the checkpoint falls short).
 func (m *Member) repairLocked(to wire.NodeID, from uint64, act *actions) {
 	if from < m.log.lo && from <= m.snapSeq {
-		act.send(to, Snapshot{Group: m.cfg.Group, Seq: m.snapSeq, Data: m.snapData})
+		act.send(to, &Snapshot{Group: m.cfg.Group, Seq: m.snapSeq, Data: m.snapData})
 		if st := m.cfg.Stats; st != nil {
 			st.SnapshotsSent.Inc()
 		}
@@ -733,7 +740,7 @@ func (m *Member) repairLocked(to wire.NodeID, from uint64, act *actions) {
 	sent := 0
 	for seq := max(from, m.log.lo); seq < m.log.hi() && sent < repairBurst; seq++ {
 		if o, ok := m.log.get(seq); ok {
-			act.send(to, o)
+			act.send(to, ptr(o))
 			sent++
 		}
 	}
@@ -758,7 +765,7 @@ func (m *Member) resubmitLocked(age time.Duration, act *actions) {
 		if m.isSequencerLocked() {
 			m.orderLocked(c.sub, nil, act)
 		} else if m.view.Sequencer() != m.cfg.Self {
-			act.send(m.view.Sequencer(), c.sub)
+			act.send(m.view.Sequencer(), ptr(c.sub))
 		}
 	}
 }

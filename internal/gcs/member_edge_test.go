@@ -89,7 +89,7 @@ func TestDuplicateOrderedIgnored(t *testing.T) {
 		if !ok {
 			t.Fatal("seq 1 not retained")
 		}
-		h.members[1].Handle(h.ids[0], o)
+		h.members[1].Handle(h.ids[0], &o)
 		if d, ok, timedOut := h.members[1].DeliverTimeout(10 * time.Millisecond); ok && !timedOut {
 			t.Errorf("duplicate ordered redelivered: %+v", d)
 		}
@@ -106,9 +106,31 @@ func TestBroadcastAfterStopIsNoop(t *testing.T) {
 		if _, ok := h.members[1].Deliver(); ok {
 			t.Error("delivery after Stop")
 		}
-		ok := h.members[1].Handle(h.ids[0], Ordered{Group: h.group, Seq: 99, ID: "z"})
+		ok := h.members[1].Handle(h.ids[0], &Ordered{Group: h.group, Seq: 99, ID: "z"})
 		if !ok {
 			t.Error("stopped member should still consume gcs traffic silently")
+		}
+	})
+}
+
+// TestHandleRefusesValuePayloads: a top-level payload is a *T. A value T
+// is no group message, so Handle leaves it to the caller (which counts it
+// unknown) instead of consuming it unseen.
+func TestHandleRefusesValuePayloads(t *testing.T) {
+	h := newHarness(3, false)
+	h.run(func() {
+		m := h.members[1]
+		for _, p := range []any{
+			Submit{Group: h.group}, Ordered{Group: h.group}, Nack{Group: h.group},
+			Heartbeat{Group: h.group}, Snapshot{Group: h.group}, Hint{Group: h.group},
+			Propose{Group: h.group}, SyncReq{Group: h.group}, SyncResp{Group: h.group},
+		} {
+			if m.Handle(h.ids[0], p) {
+				t.Errorf("Handle consumed a value %T", p)
+			}
+		}
+		if !m.Handle(h.ids[0], &Hint{Group: h.group}) {
+			t.Error("Handle refused a *Hint")
 		}
 	})
 }
@@ -219,12 +241,12 @@ func TestOvertakenSubmitIsNotADuplicate(t *testing.T) {
 		defer cl.Close()
 		sub := Submit{Group: h.group, ID: "m1", Origin: cl.ID(), Payload: appMsg{Body: "x"}}
 		// Only the sequencer and follower 1 get the direct copy in time.
-		cl.Send(h.ids[0], sub)
-		cl.Send(h.ids[1], sub)
+		cl.Send(h.ids[0], &sub)
+		cl.Send(h.ids[1], &sub)
 		for _, m := range h.members {
 			take(t, h.rt, m, 1)
 		}
-		cl.Send(h.ids[2], sub) // follower 2's copy, overtaken by the Ordered
+		cl.Send(h.ids[2], &sub) // follower 2's copy, overtaken by the Ordered
 		h.rt.Sleep(10 * time.Millisecond)
 		if n := dc.count(h.ids[2]); n != 0 {
 			t.Errorf("overtaken first arrival reported %d times through DuplicateSubmit, want 0", n)
@@ -267,9 +289,9 @@ func TestCopySetOutsiderTakesRetransmissions(t *testing.T) {
 	h.run(func() {
 		cl := h.net.Endpoint(wire.ClientID("c1"))
 		defer cl.Close()
-		call := func(n uint64) Submit {
+		call := func(n uint64) *Submit {
 			// A Majority client's set: the contact, rank 0, and rank 1.
-			return Submit{Group: h.group, Origin: cl.ID(), Call: n, Payload: copied{Body: "x", Set: 0b011}}
+			return &Submit{Group: h.group, Origin: cl.ID(), Call: n, Payload: copied{Body: "x", Set: 0b011}}
 		}
 		// Call 1 reaches the sequencer; member 1's copy comes after the Ordered.
 		cl.Send(h.ids[0], call(1))
@@ -338,7 +360,7 @@ func TestCopySetWithoutTheSequencerIsPassedOn(t *testing.T) {
 		} {
 			sub := Submit{Group: h.group, Origin: cl.ID(), Call: uint64(i + 1), Payload: copied{Body: "x", Set: tc.set}}
 			for _, r := range tc.to {
-				cl.Send(h.ids[r], sub)
+				cl.Send(h.ids[r], &sub)
 			}
 			for _, m := range h.members {
 				take(t, h.rt, m, 1)
@@ -382,11 +404,11 @@ func TestPlainGroupReplaysFirstDirectArrival(t *testing.T) {
 		cl := h.net.Endpoint(wire.ClientID("c1"))
 		defer cl.Close()
 		sub := Submit{Group: h.group, ID: "m1", Origin: cl.ID(), Payload: appMsg{Body: "x"}}
-		cl.Send(h.ids[0], sub)
+		cl.Send(h.ids[0], &sub)
 		for _, m := range h.members {
 			take(t, h.rt, m, 1)
 		}
-		cl.Send(h.ids[2], sub)
+		cl.Send(h.ids[2], &sub)
 		h.rt.Sleep(10 * time.Millisecond)
 		if n := dc.count(h.ids[2]); n != 1 {
 			t.Errorf("first direct arrival of an ordered id reported %d times, want 1", n)

@@ -2,6 +2,7 @@ package gcs
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -10,6 +11,7 @@ import (
 
 	"github.com/replobj/replobj/internal/obs"
 	"github.com/replobj/replobj/internal/transport"
+	"github.com/replobj/replobj/internal/vtime"
 	"github.com/replobj/replobj/internal/wire"
 )
 
@@ -25,7 +27,7 @@ func TestFollowerRelaysFreshClientSubmit(t *testing.T) {
 	h.run(func() {
 		cl := h.net.Endpoint(wire.ClientID("c1"))
 		defer cl.Close()
-		cl.Send(h.ids[1], Submit{Group: h.group, ID: "m1", Origin: cl.ID(), Payload: appMsg{Body: "x"}})
+		cl.Send(h.ids[1], &Submit{Group: h.group, ID: "m1", Origin: cl.ID(), Payload: appMsg{Body: "x"}})
 		for i, m := range h.members {
 			if got := ids(take(t, h.rt, m, 1)); got[0] != "m1" {
 				t.Errorf("member %d delivered %v, want [m1]", i, got)
@@ -59,13 +61,13 @@ type frame struct {
 func (f *frames) hook(c *Config) {
 	send, self := c.Send, c.Self
 	c.Send = func(to wire.NodeID, p any) {
-		fr := frame{from: self, kind: strings.TrimPrefix(fmt.Sprintf("%T", p), "gcs.")}
+		fr := frame{from: self, kind: strings.TrimPrefix(fmt.Sprintf("%T", p), "*gcs.")}
 		switch p := p.(type) {
-		case Submit:
+		case *Submit:
 			fr.id = p.key().name()
-		case Ordered:
+		case *Ordered:
 			fr.id = p.key().name()
-		case Hint:
+		case *Hint:
 			fr.id = p.key().name()
 		}
 		f.mu.Lock()
@@ -203,7 +205,7 @@ func TestDirectCopyGroupRelaysNothing(t *testing.T) {
 	h.run(func() {
 		cl := h.net.Endpoint(wire.ClientID("c1"))
 		defer cl.Close()
-		cl.Send(h.ids[1], Submit{Group: h.group, ID: "m1", Origin: cl.ID(), Payload: appMsg{Body: "x"}})
+		cl.Send(h.ids[1], &Submit{Group: h.group, ID: "m1", Origin: cl.ID(), Payload: appMsg{Body: "x"}})
 		h.rt.Sleep(50 * time.Millisecond)
 		if n := fr.count(h.ids[1], "", ""); n != 0 {
 			t.Errorf("follower of a direct-copy group sent %d messages, want 0", n)
@@ -278,7 +280,7 @@ func TestNoRelayDuringViewInstall(t *testing.T) {
 		h.rt.Lock()
 		h.members[2].installing = &next
 		h.rt.Unlock()
-		cl.Send(h.ids[2], Submit{Group: h.group, ID: "m1", Origin: cl.ID(), Payload: appMsg{Body: "x"}})
+		cl.Send(h.ids[2], &Submit{Group: h.group, ID: "m1", Origin: cl.ID(), Payload: appMsg{Body: "x"}})
 		h.rt.Sleep(10 * time.Millisecond)
 		if n := fr.count(h.ids[2], "", ""); n != 0 {
 			t.Errorf("member sent %d messages while installing a view, want 0", n)
@@ -291,4 +293,57 @@ func TestNoRelayDuringViewInstall(t *testing.T) {
 			t.Error("submit received during a view install was not cached")
 		}
 	})
+}
+
+// TestRelayedSubmitOutlivesItsTCPFrame: a follower serves its endpoint over
+// TCP, where the reader lends it each Submit in a cell the next frame of the
+// connection is decoded into. What it relays to the sequencer must be its
+// own copy: the first relay still carries call 1 after calls 2 and 3 have
+// come through the same connection.
+func TestRelayedSubmitOutlivesItsTCPFrame(t *testing.T) {
+	rt := vtime.Real()
+	defer rt.Stop()
+	ids := []wire.NodeID{"g/0", "g/1", "g/2"}
+	client := wire.ClientID("c1")
+	nw := transport.NewTCP(rt, map[wire.NodeID]string{ids[1]: "127.0.0.1:0", client: "127.0.0.1:0"})
+	ep, err := nw.Listen(ids[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	cl, err := nw.Listen(client)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	relayed := make(chan any, 3)
+	m := NewMember(rt, Config{Group: "g", Self: ids[1], Members: ids, Send: func(to wire.NodeID, p any) {
+		if to == ids[0] {
+			relayed <- p
+		}
+	}})
+	defer m.Stop()
+	ep.Serve(func(msg wire.Message) { m.Handle(msg.From, msg.Payload) })
+	for call := uint64(1); call <= 3; call++ {
+		cl.Send(ids[1], &Submit{Group: "g", Origin: client, Call: call, Payload: appMsg{Body: fmt.Sprint("body ", call)}})
+	}
+	var got []*Submit
+	for len(got) < 3 {
+		select {
+		case p := <-relayed:
+			sub, ok := p.(*Submit)
+			if !ok {
+				t.Fatalf("relayed a %T", p)
+			}
+			got = append(got, sub)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of 3 submits relayed", len(got))
+		}
+	}
+	for i, sub := range got {
+		want := Submit{Group: "g", Origin: client, Call: uint64(i + 1), Payload: appMsg{Body: fmt.Sprint("body ", i+1)}}
+		if !reflect.DeepEqual(*sub, want) {
+			t.Errorf("relay %d carries %+v, want %+v", i, *sub, want)
+		}
+	}
 }

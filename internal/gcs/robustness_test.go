@@ -263,7 +263,7 @@ func TestDeposedSequencerStopsOrdering(t *testing.T) {
 	h.run(func() {
 		m := h.members[0]
 		// Simulate hearing a heartbeat from a higher epoch.
-		m.Handle(h.ids[1], Heartbeat{Group: h.group, From: h.ids[1], Epoch: 5})
+		m.Handle(h.ids[1], &Heartbeat{Group: h.group, From: h.ids[1], Epoch: 5})
 		m.Broadcast("late", appMsg{Body: "x"})
 		if d, ok, timedOut := m.DeliverTimeout(50 * time.Millisecond); ok && !timedOut {
 			t.Fatalf("deposed sequencer delivered %+v", d)

@@ -33,7 +33,7 @@ func TestIDRowsStayPerOrigin(t *testing.T) {
 		}
 		for call := uint64(1); call <= calls; call++ {
 			for _, ep := range eps {
-				ep.Send(h.ids[0], Submit{Group: h.group, Origin: ep.ID(), Call: call, Payload: appMsg{Body: "x"}})
+				ep.Send(h.ids[0], &Submit{Group: h.group, Origin: ep.ID(), Call: call, Payload: appMsg{Body: "x"}})
 			}
 			n := origins
 			if call%(calls/names) == 0 {

@@ -36,7 +36,7 @@ func (m *Member) fdTick() {
 func (m *Member) fdTickLocked(act *actions) {
 	now := m.rt.NowLocked()
 	hb := Heartbeat{Group: m.cfg.Group, From: m.cfg.Self, Epoch: m.view.Epoch, MaxSeq: m.nextSeq - 1, Acked: m.nextDeliver - 1}
-	sent := act.sendAll(m, m.view.Members, hb)
+	sent := act.sendAll(m, m.view.Members, &hb)
 	for _, peer := range m.view.Members {
 		if _, heard := m.lastSeen[peer]; !heard && peer != m.cfg.Self {
 			m.lastSeen[peer] = now // never heard from it: start the clock
@@ -56,7 +56,7 @@ func (m *Member) fdTickLocked(act *actions) {
 			}
 		}
 		v := View{Epoch: m.view.Epoch + 1, Members: next}
-		act.sendAll(m, next, Propose{Group: m.cfg.Group, From: m.cfg.Self, View: v})
+		act.sendAll(m, next, &Propose{Group: m.cfg.Group, From: m.cfg.Self, View: v})
 		m.adoptProposalLocked(v, act)
 	}
 	m.resubmitLocked(m.cfg.ResubmitAfter, act)
@@ -129,7 +129,7 @@ func (m *Member) adoptProposalLocked(v View, act *actions) {
 	}
 	m.syncTimer = m.rt.AfterLocked(grace, "gcs-grace/"+string(m.cfg.Self), func() { m.graceExpired(vv.Epoch) })
 	if vv.Sequencer() == m.cfg.Self {
-		act.sendAll(m, vv.Members, SyncReq{Group: m.cfg.Group, From: m.cfg.Self, View: vv})
+		act.sendAll(m, vv.Members, &SyncReq{Group: m.cfg.Group, From: m.cfg.Self, View: vv})
 		m.handleSyncRespLocked(m.tailLocked(vv.Epoch), act)
 	}
 }

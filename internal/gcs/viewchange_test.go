@@ -18,7 +18,7 @@ func TestLastSeenKeepsOnlyMembers(t *testing.T) {
 	h.run(func() {
 		for i := range 10000 {
 			origin := wire.ClientID(fmt.Sprint("c", i))
-			h.members[0].Handle(origin, Submit{Group: h.group, Origin: origin, Call: 1, Payload: appMsg{Body: "x"}})
+			h.members[0].Handle(origin, &Submit{Group: h.group, Origin: origin, Call: 1, Payload: appMsg{Body: "x"}})
 		}
 		take(t, h.rt, h.members[2], 10000)
 		h.rt.Lock()

@@ -59,8 +59,8 @@ func TestOrderedAheadOfTheFrontierWaitsInTheLog(t *testing.T) {
 	h.run(func() {
 		m := h.members[1]
 		m.cfg.LogRetain = 8
-		ordered := func(seq uint64) Ordered {
-			return Ordered{Group: h.group, Seq: seq, ID: fmt.Sprint("m", seq), Origin: "client/c1", Payload: appMsg{Body: "x"}}
+		ordered := func(seq uint64) *Ordered {
+			return &Ordered{Group: h.group, Seq: seq, ID: fmt.Sprint("m", seq), Origin: "client/c1", Payload: appMsg{Body: "x"}}
 		}
 		for _, seq := range []uint64{3, 2, 100} {
 			m.Handle(h.ids[0], ordered(seq))
@@ -89,7 +89,7 @@ func TestLogKeepsLogRetainBelowTheFrontier(t *testing.T) {
 		m.cfg.LogRetain = retain
 		feed := func(seqs ...uint64) {
 			for _, seq := range seqs {
-				m.Handle(h.ids[0], Ordered{Group: h.group, Seq: seq, ID: fmt.Sprint("m", seq), Origin: "client/c1", Payload: appMsg{Body: "x"}})
+				m.Handle(h.ids[0], &Ordered{Group: h.group, Seq: seq, ID: fmt.Sprint("m", seq), Origin: "client/c1", Payload: appMsg{Body: "x"}})
 			}
 		}
 		expect := func(when string, lo uint64, n int) {

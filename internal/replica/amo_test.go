@@ -36,12 +36,13 @@ func TestRepliesKeptPerClient(t *testing.T) {
 			return gcs.Submit{Group: "g", ID: id.String(), Origin: ep.ID(), Payload: req}
 		}
 		invoke := func(ep transport.Endpoint, k int) Reply {
-			ep.Send(self, submitFor(ep, k))
+			sub := submitFor(ep, k)
+			ep.Send(self, &sub)
 			msg, ok := recvOne(h.rt, ep, 5*time.Second)
 			if !ok {
 				t.Fatalf("%s: no reply to request %d", ep.ID(), k)
 			}
-			return msg.Payload.(Reply)
+			return *msg.Payload.(*Reply)
 		}
 		var eps []transport.Endpoint
 		last := make(map[wire.NodeID]Reply)
@@ -88,7 +89,7 @@ func TestRepliesKeptPerClient(t *testing.T) {
 		// The same refusal at the ordered dispatch point, should the group
 		// layer ever let such a duplicate through.
 		h.r.dispatchRequest(submitFor(eps[0], 1).Payload.(Request), 999)
-		if msg, ok := recvOne(h.rt, eps[0], 5*time.Second); !ok || msg.Payload.(Reply).Code != CodeExpiredDuplicate {
+		if msg, ok := recvOne(h.rt, eps[0], 5*time.Second); !ok || msg.Payload.(*Reply).Code != CodeExpiredDuplicate {
 			t.Errorf("ordered duplicate of a superseded request answered %+v", msg.Payload)
 		}
 		h.rt.Lock()

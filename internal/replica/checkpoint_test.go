@@ -72,7 +72,7 @@ func testReplyCacheEvicted(t *testing.T, numbered bool) {
 			ep := h.net.Endpoint(wire.ClientID(fmt.Sprintf("c%d", i)))
 			id := wire.InvocationID{Logical: wire.LogicalID(ep.ID() + "#1")}
 			req := Request{ID: id, Group: "g", Method: "echo", Args: []byte("x"), Kind: KindClient, ReplyTo: ep.ID(), Call: 1}
-			ep.Send(wire.ReplicaID("g", 0), gcs.Submit{Group: "g", ID: id.String(), Origin: ep.ID(), Payload: req})
+			ep.Send(wire.ReplicaID("g", 0), &gcs.Submit{Group: "g", ID: id.String(), Origin: ep.ID(), Payload: req})
 			if _, ok := recvOne(h.rt, ep, 5*time.Second); !ok {
 				t.Fatalf("%s: no reply", ep.ID())
 			}
@@ -157,16 +157,18 @@ func TestInstallSnapshotCarriesTheTable(t *testing.T) {
 			if k == 0 {
 				req.Call = 0 // one unnumbered request: a row of the id window
 			}
-			ep.Send(wire.ReplicaID("g", 0), gcs.Submit{Group: "g", ID: req.ID.String(), Origin: ep.ID(), Payload: req})
+			ep.Send(wire.ReplicaID("g", 0), &gcs.Submit{Group: "g", ID: req.ID.String(), Origin: ep.ID(), Payload: req})
 			if _, ok := recvOne(donor.rt, ep, 5*time.Second); !ok {
 				t.Fatalf("no reply to %v", req.ID)
 			}
 		}
 		donor.rt.Sleep(10 * time.Millisecond)
 		// The log below the checkpoint is gone: a NACK draws the snapshot.
-		donor.cl.Send(wire.ReplicaID("g", 0), gcs.Nack{Group: "g", From: donor.cl.ID(), Want: 1})
+		donor.cl.Send(wire.ReplicaID("g", 0), &gcs.Nack{Group: "g", From: donor.cl.ID(), Want: 1})
 		msg, _ := recvOne(donor.rt, donor.cl, 5*time.Second)
-		snap, _ = msg.Payload.(gcs.Snapshot)
+		if p, ok := msg.Payload.(*gcs.Snapshot); ok {
+			snap = *p
+		}
 	})
 	if snap.Seq != 2*every {
 		t.Fatalf("donor served snapshot %d, want the checkpoint at %d", snap.Seq, 2*every)
@@ -192,12 +194,12 @@ func TestInstallSnapshotCarriesTheTable(t *testing.T) {
 			latest, older := request(ep, every-1), request(ep, every-2)
 			r.dispatchRequest(latest, 99)
 			msg, _ := recvOne(rejoiner.rt, ep, 5*time.Second)
-			if rep, _ := msg.Payload.(Reply); string(rep.Result) != latest.ID.String() || rep.From != r.self {
+			if rep, _ := msg.Payload.(*Reply); rep == nil || string(rep.Result) != latest.ID.String() || rep.From != r.self {
 				t.Errorf("%s: latest request answered %+v after the restore", ep.ID(), rep)
 			}
 			r.dispatchRequest(older, 99)
 			msg, _ = recvOne(rejoiner.rt, ep, 5*time.Second)
-			if rep, _ := msg.Payload.(Reply); rep.Code != CodeExpiredDuplicate {
+			if rep, _ := msg.Payload.(*Reply); rep == nil || rep.Code != CodeExpiredDuplicate {
 				t.Errorf("%s: superseded request answered %+v after the restore", ep.ID(), rep)
 			}
 		}

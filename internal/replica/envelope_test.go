@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -92,8 +93,21 @@ func claimingEnvelopes() map[string][]byte {
 // TestEnvelopeCountsClaimOnlyWhatItHolds: an envelope whose count claims
 // more rows or streams than follow is refused, and decoding it allocates
 // in proportion to its length, not to the count (an entry is 11 bytes at
-// the least and 120 in memory).
+// the least and 120 in memory). TotalAlloc counts every goroutine of the
+// process, and goroutines that earlier tests leave running would be
+// counted against the decode (a full `go test ./...` once added 5.6 KiB to
+// a 2.7 KiB decode), so the test measures in a fresh process: it runs the
+// test binary again with only itself selected.
 func TestEnvelopeCountsClaimOnlyWhatItHolds(t *testing.T) {
+	if os.Getenv(freshProcessEnv) == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestEnvelopeCountsClaimOnlyWhatItHolds$", "-test.count=1", "-test.v")
+		cmd.Env = append(os.Environ(), freshProcessEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		if err != nil || !bytes.Contains(out, []byte("--- PASS: TestEnvelopeCountsClaimOnlyWhatItHolds")) {
+			t.Fatalf("in a fresh process: %v\n%s", err, out)
+		}
+		return
+	}
 	for name, data := range claimingEnvelopes() {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -107,6 +121,10 @@ func TestEnvelopeCountsClaimOnlyWhatItHolds(t *testing.T) {
 		}
 	}
 }
+
+// freshProcessEnv marks a test binary run again by a test that measures
+// its allocations alone in the process.
+const freshProcessEnv = "REPLOBJ_FRESH_PROCESS"
 
 // TestSnapshotEnvelopeRoundTrip: the exemplar decodes to itself, and each
 // near miss is refused with an error that wraps errBadEnvelope.

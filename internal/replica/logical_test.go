@@ -135,7 +135,7 @@ func TestLogicalThreadProtocol(t *testing.T) {
 					}
 				})
 				p.gate.Put(struct{}{})
-				if rep, _ := p.recv(t, p.cl).(Reply); string(rep.Result) != "early" {
+				if rep, _ := p.recv(t, p.cl).(*Reply); rep == nil || string(rep.Result) != "early" {
 					t.Errorf("client reply %+v", rep)
 				}
 				if msg, ok := recvOne(p.rt, p.o, time.Second); ok {
@@ -148,8 +148,11 @@ func TestLogicalThreadProtocol(t *testing.T) {
 			run: func(t *testing.T, p *protoReplica) {
 				p.gate.Put(struct{}{})
 				p.nest()
-				sub, _ := p.recv(t, p.o).(gcs.Submit)
-				if q, _ := sub.Payload.(Request); q.ID != call(1) || q.Kind != KindNested || q.Origin != "g" {
+				var q Request
+				if sub, _ := p.recv(t, p.o).(*gcs.Submit); sub != nil {
+					q, _ = sub.Payload.(Request)
+				}
+				if q.ID != call(1) || q.Kind != KindNested || q.Origin != "g" {
 					t.Errorf("nested request %+v", q)
 				}
 				p.locked(func(threads map[wire.LogicalID]logicalThread) {
@@ -158,7 +161,7 @@ func TestLogicalThreadProtocol(t *testing.T) {
 					}
 				})
 				p.r.dispatchNestedReply(Reply{ID: call(1), From: "o/0", Result: []byte("answer")})
-				if rep, _ := p.recv(t, p.cl).(Reply); string(rep.Result) != "answer" {
+				if rep, _ := p.recv(t, p.cl).(*Reply); rep == nil || string(rep.Result) != "answer" {
 					t.Errorf("client reply %+v", rep)
 				}
 			},

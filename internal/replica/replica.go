@@ -831,7 +831,8 @@ func (r *Replica) complete(d *dispatched, reply Reply) {
 func (r *Replica) sendReply(req Request, reply Reply) {
 	switch req.Kind {
 	case KindClient:
-		r.ep.Send(req.ReplyTo, reply)
+		rep := reply // a pointer to reply would move the parameter to the heap on every call
+		r.ep.Send(req.ReplyTo, &rep)
 	case KindNested:
 		r.submitTo(req.Origin, "nested-reply/"+req.ID.String(), reply)
 	}
@@ -841,7 +842,7 @@ func (r *Replica) sendReply(req Request, reply Reply) {
 // copy to every member, since any replica of this group may be the one that
 // crashed and the target dedups the group-wide resubmissions by id.
 func (r *Replica) submitTo(group wire.GroupID, id string, payload any) {
-	var sub any = gcs.Submit{Group: group, ID: id, Origin: r.self, Payload: payload}
+	sub := &gcs.Submit{Group: group, ID: id, Origin: r.self, Payload: payload}
 	for _, m := range r.dir.Members(group) {
 		r.ep.Send(m, sub)
 	}

@@ -122,7 +122,7 @@ func newOneReplicaWithMetrics(t *testing.T, execCount *int, reg *obs.Registry) *
 
 func (h *oneReplica) submit(id wire.InvocationID, method string, args []byte) {
 	req := Request{ID: id, Group: "g", Method: method, Args: args, Kind: KindClient, ReplyTo: h.cl.ID()}
-	h.cl.Send(wire.ReplicaID("g", 0), gcs.Submit{Group: "g", ID: id.String(), Origin: h.cl.ID(), Payload: req})
+	h.cl.Send(wire.ReplicaID("g", 0), &gcs.Submit{Group: "g", ID: id.String(), Origin: h.cl.ID(), Payload: req})
 }
 
 func (h *oneReplica) recvReply(t *testing.T) Reply {
@@ -132,8 +132,8 @@ func (h *oneReplica) recvReply(t *testing.T) Reply {
 		if !ok {
 			t.Fatal("no reply")
 		}
-		if rep, ok := msg.Payload.(Reply); ok {
-			return rep
+		if rep, ok := msg.Payload.(*Reply); ok {
+			return *rep
 		}
 	}
 }
@@ -225,7 +225,7 @@ func TestUnknownDirectMessageIsCounted(t *testing.T) {
 		defer h.r.Stop()
 		defer h.cl.Close()
 		// A bare Reply is nothing a replica expects outside a gcs.Submit.
-		h.cl.Send(wire.ReplicaID("g", 0), Reply{ID: wire.InvocationID{Logical: "client/t#9"}})
+		h.cl.Send(wire.ReplicaID("g", 0), &Reply{ID: wire.InvocationID{Logical: "client/t#9"}})
 		// The echo's reply is behind it in the replica's mailbox.
 		h.submit(wire.InvocationID{Logical: "client/t#1"}, "echo", []byte("x"))
 		h.recvReply(t)

@@ -143,10 +143,12 @@ func (p *reuseReplica) replies(t *testing.T, ep transport.Endpoint, n int) []str
 			t.Errorf("%s: %d replies, want %d", ep.ID(), len(got), n)
 			return got
 		}
-		if sub, ok := msg.Payload.(gcs.Submit); ok {
-			msg.Payload = sub.Payload
+		if sub, ok := msg.Payload.(*gcs.Submit); ok {
+			if rep, ok := sub.Payload.(Reply); ok { // a nested reply, a value
+				msg.Payload = &rep
+			}
 		}
-		if rep, ok := msg.Payload.(Reply); ok {
+		if rep, ok := msg.Payload.(*Reply); ok {
 			got = append(got, fmt.Sprintf("%s %s", rep.ID, rep.Result))
 		}
 	}

@@ -89,7 +89,7 @@ const (
 	Miss Outcome = iota
 	// Hit: the speculation finished and its fork base is at or above every
 	// conflicting dispatch — the precomputed reply equals what the ordered
-	// execution will compute.
+	// execution will compute. Pinned by benchmark/probes.go.
 	Hit
 	// Stale: a conflicting request was dispatched after the fork base; the
 	// precomputed reply may be wrong and must be discarded.
@@ -272,6 +272,9 @@ type Manager struct {
 }
 
 // NewManager returns an empty speculation manager.
+//
+// Pinned by benchmark/probes.go (DESIGN.md "Pinned by the ruler"), with
+// SetImage, Begin, Finish, Confirm, Resolve and Hit.
 func NewManager() *Manager {
 	return &Manager{
 		copyBudget: copyBurst,
@@ -307,6 +310,7 @@ func (m *Manager) TrackDispatch(seq uint64, classes []string) {
 
 // SetImage installs a fresh image snapshotted at stream position seq, and
 // charges the copy it took to the budget. The bool is ignored.
+// Pinned by benchmark/probes.go.
 func (m *Manager) SetImage(data []byte, _ bool, seq uint64) {
 	m.image = &Image{Data: data, Seq: seq}
 	m.copyBudget -= len(data)
@@ -317,6 +321,7 @@ func (m *Manager) SetImage(data []byte, _ bool, seq uint64) {
 // exists, or when too many are in flight and none can be evicted (only
 // unconfirmed records — speculations whose request was never ordered, e.g.
 // a submit lost before the sequencer — are evictable).
+// Pinned by benchmark/probes.go.
 func (m *Manager) Begin(id string, base uint64, classes []string) bool {
 	if !m.admit(id) {
 		return false
@@ -494,6 +499,7 @@ func (m *Manager) carry(rec *Record) {
 // order already confirmed this speculation as valid (a Pending confirm):
 // the caller must send the reply now — the deferred-hit path — and the
 // speculation's fork moves to the confirmed position.
+// Pinned by benchmark/probes.go.
 func (m *Manager) Finish(id string, reply any) (release, ok bool) {
 	rec := m.records[id]
 	if rec == nil || rec.Aborted {
@@ -555,6 +561,7 @@ func (m *Manager) Dispatch(id string, seq uint64, classes []string) (reply any, 
 // (Finish releases it); on Stale/Aborted the speculation is discarded and
 // the ordered execution alone produces the reply. Hit/Pending records
 // survive until Resolve.
+// Pinned by benchmark/probes.go.
 func (m *Manager) Confirm(id string, classes []string) (reply any, out Outcome) {
 	reply, out, _ = m.confirm(id, classes)
 	return reply, out
@@ -590,6 +597,7 @@ func (m *Manager) confirm(id string, classes []string) (any, Outcome, *Record) {
 // compares it against the authoritative reply and suppresses its own send
 // on a match. late reports a confirmed-valid speculation that the ordered
 // execution outran: no reply was released early.
+// Pinned by benchmark/probes.go.
 func (m *Manager) Resolve(id string) (reply any, released, late bool) {
 	rec := m.records[id]
 	if rec == nil {

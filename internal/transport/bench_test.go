@@ -47,7 +47,7 @@ func BenchmarkTCPLoopbackRoundTrip(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Send("b", ping{N: i})
+		a.Send("b", &ping{N: i})
 		if _, ok := a.Recv(); !ok {
 			b.Fatal("endpoint closed mid-benchmark")
 		}
@@ -79,7 +79,7 @@ func BenchmarkTCPLoopbackBurst(b *testing.B) {
 			<-got
 			inFlight--
 		}
-		a.Send("b", ping{N: i})
+		a.Send("b", &ping{N: i})
 		inFlight++
 	}
 	for inFlight > 0 {

@@ -45,12 +45,12 @@ func TestInprocDeliveryWithLatency(t *testing.T) {
 	a := net.Endpoint("a")
 	b := net.Endpoint("b")
 	vtime.Run(rt, "main", func() {
-		a.Send("b", ping{N: 1})
+		a.Send("b", &ping{N: 1})
 		m, ok := b.Recv()
 		if !ok {
 			t.Fatal("Recv: closed")
 		}
-		if m.From != "a" || m.To != "b" || m.Payload.(ping).N != 1 {
+		if m.From != "a" || m.To != "b" || m.Payload.(*ping).N != 1 {
 			t.Errorf("got %+v", m)
 		}
 		if now := rt.Now(); now != time.Millisecond {
@@ -67,14 +67,14 @@ func TestInprocFIFOPerSender(t *testing.T) {
 	b := net.Endpoint("b")
 	vtime.Run(rt, "main", func() {
 		for i := 0; i < 20; i++ {
-			a.Send("b", ping{N: i})
+			a.Send("b", &ping{N: i})
 		}
 		for i := 0; i < 20; i++ {
 			m, ok := b.Recv()
 			if !ok {
 				t.Fatal("closed early")
 			}
-			if got := m.Payload.(ping).N; got != i {
+			if got := m.Payload.(*ping).N; got != i {
 				t.Fatalf("message %d arrived as %d: FIFO violated", i, got)
 			}
 		}
@@ -87,7 +87,7 @@ func TestInprocSendToUnknownNodeIsDropped(t *testing.T) {
 	net := NewInproc(rt)
 	a := net.Endpoint("a")
 	vtime.Run(rt, "main", func() {
-		a.Send("ghost", ping{N: 1}) // must not panic or wedge
+		a.Send("ghost", &ping{N: 1}) // must not panic or wedge
 		rt.Sleep(10 * time.Millisecond)
 	})
 }
@@ -102,8 +102,8 @@ func TestInprocCrashDropsBothDirections(t *testing.T) {
 		pa, pb := pump(rt, a), pump(rt, b)
 		defer func() { a.Close(); b.Close() }()
 		net.Crash("b")
-		a.Send("b", ping{N: 1})
-		b.Send("a", ping{N: 2})
+		a.Send("b", &ping{N: 1})
+		b.Send("a", &ping{N: 2})
 		if m, ok, _ := pa.GetTimeout(10 * time.Millisecond); ok {
 			t.Errorf("a received %+v from crashed node", m)
 		}
@@ -111,9 +111,9 @@ func TestInprocCrashDropsBothDirections(t *testing.T) {
 			t.Errorf("crashed b received %+v", m)
 		}
 		net.Restore("b")
-		a.Send("b", ping{N: 3})
+		a.Send("b", &ping{N: 3})
 		m, ok, timedOut := pb.GetTimeout(10 * time.Millisecond)
-		if !ok || timedOut || m.Payload.(ping).N != 3 {
+		if !ok || timedOut || m.Payload.(*ping).N != 3 {
 			t.Errorf("after restore: got (%+v, %v, %v)", m, ok, timedOut)
 		}
 	})
@@ -128,7 +128,7 @@ func TestInprocCrashedMessagesInFlightDropped(t *testing.T) {
 	vtime.Run(rt, "main", func() {
 		pb := pump(rt, b)
 		defer func() { a.Close(); b.Close() }()
-		a.Send("b", ping{N: 1}) // in flight for 5ms
+		a.Send("b", &ping{N: 1}) // in flight for 5ms
 		rt.Sleep(time.Millisecond)
 		net.Crash("b") // crashes before delivery
 		if _, ok, _ := pb.GetTimeout(20 * time.Millisecond); ok {
@@ -147,14 +147,14 @@ func TestInprocDropRule(t *testing.T) {
 		pb := pump(rt, b)
 		defer func() { a.Close(); b.Close() }()
 		net.SetDropRule(func(from, to wire.NodeID) bool { return from == "a" })
-		a.Send("b", ping{N: 1})
+		a.Send("b", &ping{N: 1})
 		if _, ok, _ := pb.GetTimeout(10 * time.Millisecond); ok {
 			t.Error("dropped message was delivered")
 		}
 		net.SetDropRule(nil)
-		a.Send("b", ping{N: 2})
+		a.Send("b", &ping{N: 2})
 		m, ok, _ := pb.GetTimeout(10 * time.Millisecond)
-		if !ok || m.Payload.(ping).N != 2 {
+		if !ok || m.Payload.(*ping).N != 2 {
 			t.Errorf("after clearing rule: got (%+v, %v)", m, ok)
 		}
 	})
@@ -187,9 +187,9 @@ func TestInprocRebindReplacesEndpoint(t *testing.T) {
 	old := net.Endpoint("b")
 	fresh := net.Endpoint("b") // replaces old binding
 	vtime.Run(rt, "main", func() {
-		a.Send("b", ping{N: 7})
+		a.Send("b", &ping{N: 7})
 		m, ok := fresh.Recv()
-		if !ok || m.Payload.(ping).N != 7 {
+		if !ok || m.Payload.(*ping).N != 7 {
 			t.Errorf("fresh binding got (%+v, %v)", m, ok)
 		}
 		_ = old
@@ -206,7 +206,7 @@ func TestInprocJitterIsDeterministic(t *testing.T) {
 		var times []time.Duration
 		vtime.Run(rt, "main", func() {
 			for i := 0; i < 10; i++ {
-				a.Send("b", ping{N: i})
+				a.Send("b", &ping{N: i})
 			}
 			for i := 0; i < 10; i++ {
 				if _, ok := b.Recv(); ok {

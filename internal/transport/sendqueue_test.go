@@ -88,7 +88,7 @@ func sendAll(t *testing.T, a *TCPEndpoint, frames, big int) {
 				p.B = body
 			}
 			start := time.Now()
-			a.Send("peer", p)
+			a.Send("peer", &p)
 			slowest = max(slowest, time.Since(start))
 		}
 		done <- slowest
@@ -174,7 +174,7 @@ func TestTCPSendQueueFIFOBehindBlockedWrite(t *testing.T) {
 		if err := dec.Decode(&m); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if got := m.Payload.(blob).N; got != i {
+		if got := m.Payload.(*blob).N; got != i {
 			t.Fatalf("frame %d carried blob %d: the connection is not FIFO", i, got)
 		}
 	}

@@ -97,13 +97,15 @@ func queued(ep Endpoint) int {
 	return 0
 }
 
-// recorder is a handler that keeps what it is handed.
+// recorder is a handler that keeps what it is handed: a copy of the
+// payload, which it only borrows.
 type recorder struct {
 	mu   sync.Mutex
 	msgs []wire.Message
 }
 
 func (r *recorder) handle(m wire.Message) {
+	m.Payload = wire.Own(m.Payload)
 	r.mu.Lock()
 	r.msgs = append(r.msgs, m)
 	r.mu.Unlock()
@@ -120,7 +122,7 @@ func TestServeHandsQueuedMessagesFirst(t *testing.T) {
 		a, b := eps[0], eps[1]
 		const n0 = 20 // sent before Serve
 		for i := range n0 {
-			a.Send("b", ping{N: i})
+			a.Send("b", &ping{N: i})
 		}
 		if !waitFor(rt, func() bool { return queued(b) == n0 }) {
 			t.Errorf("%d of %d messages queued before Serve", queued(b), n0)
@@ -129,14 +131,14 @@ func TestServeHandsQueuedMessagesFirst(t *testing.T) {
 		var got recorder
 		b.Serve(got.handle)
 		for i := n0; i < 2*n0; i++ {
-			a.Send("b", ping{N: i})
+			a.Send("b", &ping{N: i})
 		}
 		if !waitFor(rt, func() bool { return got.len() == 2*n0 }) {
 			t.Errorf("handler got %d of %d messages", got.len(), 2*n0)
 			return
 		}
 		for i, m := range got.msgs {
-			n := m.Payload.(ping).N
+			n := m.Payload.(*ping).N
 			if early := n < n0; early != (i < n0) || fifo && n != i {
 				t.Errorf("message %d handed over as %+v", i, m)
 				return
@@ -160,7 +162,7 @@ func TestServeOneAtATimeInOrderPerSender(t *testing.T) {
 		})
 		for i := range per {
 			for _, s := range eps[:senders] {
-				s.Send("b", ping{N: i})
+				s.Send("b", &ping{N: i})
 			}
 		}
 		if !waitFor(rt, func() bool { return got.len() == senders*per }) {
@@ -172,7 +174,7 @@ func TestServeOneAtATimeInOrderPerSender(t *testing.T) {
 		}
 		next := make(map[wire.NodeID]int)
 		for _, m := range got.msgs {
-			if n := m.Payload.(ping).N; fifo && n != next[m.From] {
+			if n := m.Payload.(*ping).N; fifo && n != next[m.From] {
 				t.Errorf("from %s: message %d handed over where %d was due", m.From, n, next[m.From])
 				return
 			}
@@ -186,13 +188,13 @@ func TestServeHandsNothingAfterClose(t *testing.T) {
 		a, b := eps[0], eps[1]
 		var got recorder
 		b.Serve(got.handle)
-		a.Send("b", ping{N: 1})
+		a.Send("b", &ping{N: 1})
 		want := 1
 		// On TCP, also a connection from a that b reads but does not send on
 		// (b dialed a first), kept open on a's side across b.Close.
 		var raw net.Conn
 		if tb, ok := b.(*TCPEndpoint); ok {
-			b.Send("a", ping{N: 0})
+			b.Send("a", &ping{N: 0})
 			conn, err := net.Dial("tcp", tb.Addr())
 			if err != nil {
 				t.Errorf("dial b: %v", err)
@@ -211,7 +213,7 @@ func TestServeHandsNothingAfterClose(t *testing.T) {
 			return
 		}
 		b.Close()
-		a.Send("b", ping{N: 3})
+		a.Send("b", &ping{N: 3})
 		if raw != nil {
 			_ = writeFrame(raw, ping{N: 4}) // may fail: b closed it
 		}
@@ -240,7 +242,7 @@ func TestTCPCloseEndsAcceptedConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	b.Send("a", ping{N: 1}) // b dials a
+	b.Send("a", &ping{N: 1}) // b dials a
 
 	conn, err := net.Dial("tcp", b.Addr())
 	if err != nil {
@@ -258,7 +260,7 @@ func TestTCPCloseEndsAcceptedConnections(t *testing.T) {
 	})
 	select {
 	case m := <-got:
-		if m.From != "a" || m.Payload.(ping).N != 2 {
+		if m.From != "a" || m.Payload.(*ping).N != 2 {
 			t.Fatalf("b received %+v", m)
 		}
 	case <-time.After(5 * time.Second):

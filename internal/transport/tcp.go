@@ -159,7 +159,7 @@ func (n *TCPNetwork) Listen(id wire.NodeID) (*TCPEndpoint, error) {
 		reading: make(map[net.Conn]struct{}),
 		pending: make(map[wire.NodeID][]queuedMsg),
 	}
-	ep.handler = ep.inbox.Put
+	ep.handler = ep.keep
 	// If the registry used port 0, record the actual bound address so peers
 	// in the same process can reach this node.
 	n.mu.Lock()
@@ -177,7 +177,7 @@ type TCPEndpoint struct {
 	inbox *vtime.Mailbox[wire.Message] // while nobody serves the endpoint
 
 	serveMu sync.Mutex         // held by a reader to deliver; taken before mu and the runtime lock
-	handler func(wire.Message) // inbox.Put until Serve, a no-op after Close
+	handler func(wire.Message) // keep until Serve, a no-op after Close
 
 	mu    sync.Mutex
 	conns map[wire.NodeID]*tcpConn
@@ -419,13 +419,21 @@ func (e *TCPEndpoint) Send(to wire.NodeID, payload any) {
 	}
 }
 
+// keep queues m for Recv, or for Serve to hand over first, with a copy of
+// its payload: the reader lends the payload only until the handler returns.
+func (e *TCPEndpoint) keep(m wire.Message) {
+	m.Payload = wire.Own(m.Payload)
+	e.inbox.Put(m)
+}
+
 // Recv implements Endpoint.
 func (e *TCPEndpoint) Recv() (wire.Message, bool) {
 	return e.inbox.Get()
 }
 
-// Serve implements Endpoint: each connection's reader calls h itself. The
-// inbox is drained into h first, so no reader overtakes a queued message.
+// Serve implements Endpoint: each connection's reader calls h itself with
+// the payload its decoder lends, and clears it once h returns. The inbox is
+// drained into h first, so no reader overtakes a queued message.
 func (e *TCPEndpoint) Serve(h func(wire.Message)) {
 	e.serveMu.Lock()
 	defer e.serveMu.Unlock()
@@ -547,10 +555,13 @@ func (e *TCPEndpoint) acceptLoop() {
 	}
 }
 
-// readLoop decodes conn's frames and hands them to the handler. own is the
-// connection that writes on the same socket, to node to — the one this
-// endpoint dialed, or the one it learns from the first frame — and is
-// retired when the socket ends, so a departed peer leaves no writer behind.
+// readLoop decodes conn's frames and hands them to the handler, lending it
+// the payload: once the handler returns, the decoder's cell is cleared (a
+// handler that kept the pointer reads zeros, and an idle connection pins no
+// payload) and the next frame is decoded into it. own is the connection
+// that writes on the same socket, to node to — the one this endpoint
+// dialed, or the one it learns from the first frame — and is retired when
+// the socket ends, so a departed peer leaves no writer behind.
 func (e *TCPEndpoint) readLoop(conn net.Conn, to wire.NodeID, own *tcpConn) {
 	e.mu.Lock()
 	if e.closed {
@@ -606,6 +617,7 @@ func (e *TCPEndpoint) readLoop(conn net.Conn, to wire.NodeID, own *tcpConn) {
 		e.serveMu.Lock()
 		e.handler(m)
 		e.serveMu.Unlock()
+		dec.Release()
 	}
 }
 

@@ -26,7 +26,7 @@ func TestTCPRoundTrip(t *testing.T) {
 	}
 	defer b.Close()
 
-	a.Send("b", ping{N: 5})
+	a.Send("b", &ping{N: 5})
 	got := make(chan wire.Message, 1)
 	rt.Go("recv", func() {
 		m, ok := b.Recv()
@@ -36,7 +36,7 @@ func TestTCPRoundTrip(t *testing.T) {
 	})
 	select {
 	case m := <-got:
-		if m.From != "a" || m.Payload.(ping).N != 5 {
+		if m.From != "a" || m.Payload.(*ping).N != 5 {
 			t.Errorf("got %+v", m)
 		}
 	case <-time.After(5 * time.Second):
@@ -69,15 +69,15 @@ func TestTCPManyMessagesBothDirections(t *testing.T) {
 			if !ok {
 				return
 			}
-			out <- m.Payload.(ping).N
+			out <- m.Payload.(*ping).N
 		}
 	}
 	fromA, fromB := make(chan int, n), make(chan int, n)
 	rt.Go("recvB", func() { recvAll(b, n, fromA) })
 	rt.Go("recvA", func() { recvAll(a, n, fromB) })
 	for i := 0; i < n; i++ {
-		a.Send("b", ping{N: i})
-		b.Send("a", ping{N: i + 1000})
+		a.Send("b", &ping{N: i})
+		b.Send("a", &ping{N: i + 1000})
 	}
 	deadline := time.After(10 * time.Second)
 	seenA, seenB := 0, 0
@@ -108,7 +108,7 @@ func TestTCPSendToUnknownNodeIsDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	a.Send("ghost", ping{N: 1}) // best-effort: no panic, no block
+	a.Send("ghost", &ping{N: 1}) // best-effort: no panic, no block
 }
 
 func TestTCPEndpointErr(t *testing.T) {
@@ -120,7 +120,7 @@ func TestTCPEndpointErr(t *testing.T) {
 		t.Error("EndpointErr = nil for unregistered node, want error")
 	}
 	// broken endpoint operations are inert
-	ep.Send("x", ping{})
+	ep.Send("x", &ping{})
 	if _, ok := ep.Recv(); ok {
 		t.Error("broken endpoint Recv = ok")
 	}

@@ -8,8 +8,15 @@
 //     default one-way latency approximates a small CORBA message on that
 //     LAN, and EXPERIMENTS.md compares curve shapes, not absolute values.
 //
-//   - TCP — a real network transport (gob-framed, length-prefixed) for
-//     deployments on actual machines, normally combined with vtime.Real().
+//   - TCP — a real network transport (length-prefixed frames in the binary
+//     encoding of internal/wire) for deployments on actual machines,
+//     normally combined with vtime.Real().
+//
+// A payload is a pointer to one of the protocol structs (wire.Message). The
+// sender hands over a new one and never writes through it again; Inproc
+// passes that pointer through. A TCP reader decodes into a payload it owns
+// and lends it to the handler, which borrows it until it returns and copies
+// out what it keeps.
 package transport
 
 import (
@@ -22,16 +29,21 @@ type Endpoint interface {
 	ID() wire.NodeID
 
 	// Send enqueues a message for asynchronous, best-effort delivery.
-	// It never blocks on the destination.
+	// It never blocks on the destination. payload is a *T of a registered
+	// T (a T is encoded alike), not written through after the call.
 	Send(to wire.NodeID, payload any)
 
-	// Recv blocks until a message arrives; ok is false after Close.
+	// Recv blocks until a message arrives; ok is false after Close. The
+	// payload is the caller's to keep. Pinned by benchmark/probes.go.
 	Recv() (wire.Message, bool)
 
 	// Serve pushes instead: from the call on, every message goes to h, the
 	// ones already queued for Recv first, one at a time, in arrival order
 	// per sender. h runs on a goroutine of the transport and must not block
-	// (it may Send). Serve is called at most once, without the runtime
+	// (it may Send). It borrows the payload until it returns: it never
+	// writes through it, and copies out (by dereferencing it) whatever it
+	// keeps — over TCP the reader zeroes the payload and decodes the next
+	// frame into it. Serve is called at most once, without the runtime
 	// lock; nothing reaches h after Close, which h must not call.
 	Serve(h func(wire.Message))
 

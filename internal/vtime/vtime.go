@@ -118,6 +118,7 @@ type Parker struct {
 }
 
 // NewParker returns a parker with the given diagnostic name.
+// Pinned by benchmark/probes.go.
 func NewParker(name string) *Parker {
 	return &Parker{name: name}
 }

@@ -10,8 +10,9 @@ import (
 )
 
 // Allocation budgets of the stream codec on the frames every invocation is
-// made of. They are upper bounds on a warm Decoder and burst buffer; the race
-// detector allocates on its own, hence the build tag.
+// made of. They are upper bounds on a warm Decoder (its payload cells made,
+// identifiers interned) and burst buffer; the race detector allocates on
+// its own, hence the build tag.
 
 // hotFrames returns the frames every invocation is made of, from the codec
 // benchmarks' cases.
@@ -42,16 +43,18 @@ func TestDecodeAllocationBudget(t *testing.T) {
 		msg    wire.Message
 		budget float64
 	}{
-		// Logical thread id, args, and the Request and Submit boxed into
-		// their interfaces. A client's call is named by number: no id text
-		// (5 while the submit id was a string).
-		{"Submit{Request}", submit, 4},
-		// The same, the Ordered boxed (5 before).
-		{"Ordered{Request}", ordered, 4},
-		// The boxed Hint (2 before).
-		{"Hint", hint, 1},
-		// Logical thread id, result, and the boxed Reply.
-		{"Reply", reply, 4},
+		// Logical thread id, args, and the nested Request boxed into its
+		// interface; the Submit is decoded into the Decoder's cell (4 while
+		// it was boxed too, 5 while the submit id was a string).
+		{"Submit{Request}", submit, 3},
+		// The same, the Ordered in its cell (4 while boxed, 5 before).
+		{"Ordered{Request}", ordered, 3},
+		// Nothing: the Hint is decoded into its cell (1 while boxed, 2
+		// before).
+		{"Hint", hint, 0},
+		// Logical thread id and result; the Reply in its cell (budget 4
+		// while it was boxed, reading 3).
+		{"Reply", reply, 2},
 	} {
 		frame, err := wire.AppendMessage(nil, &tc.msg)
 		if err != nil {

@@ -72,46 +72,124 @@ const (
 
 type binaryCodec struct {
 	tag uint64
-	typ reflect.Type
-	enc func(*Buffer, any) error
-	dec func(*Reader) any // nil once the Reader has failed
+	typ reflect.Type             // T
+	enc func(*Buffer, any) error // takes a T or a *T
+	dec func(*Reader) any        // a nested payload: an owned T; nil once the Reader has failed
+	// into decodes a top-level payload into cell, a *T (nil: a new one),
+	// and returns the *T; nil once the Reader has failed.
+	into  func(r *Reader, cell any) any
+	own   func(any) any  // a new *T holding what the T or *T argument holds
+	clear func(cell any) // zeroes the *T
 }
 
+// maxTag bounds the tags Register accepts: codecs and a Decoder's cells are
+// found by indexing a slice with the tag, not through a map.
+const maxTag = 255
+
 var (
-	binByType = map[reflect.Type]*binaryCodec{}
-	binByTag  = map[uint64]*binaryCodec{}
+	binByType = map[reflect.Type]*binaryCodec{} // T and *T alike
+	binByTag  []*binaryCodec                    // indexed by tag
 )
+
+// codecFor returns the codec registered for tag, or nil.
+func codecFor(tag uint64) *binaryCodec {
+	if tag < uint64(len(binByTag)) {
+		return binByTag[tag]
+	}
+	return nil
+}
 
 // Register installs T's two codecs: the binary one under tag, and the gob
 // twin (RegisterPayload) the differential tests and the fuzzer hold it
 // against. Call it from an init function (registration is not
-// synchronized); a reserved tag, or a second codec for a tag or a type,
-// panics. enc receives a value of exactly T; dec must consume exactly the
-// bytes enc produced, reading them through r, and what it returns is
-// dropped, for r's error, once a read has failed.
+// synchronized); a reserved tag, a tag above 255, or a second codec for a
+// tag or a type, panics. enc receives a value of exactly T; dec must
+// consume exactly the bytes enc produced, reading them through r, and what
+// it returns is dropped, for r's error, once a read has failed.
+//
+// A payload of T is sent as a *T or a T: both encode through enc, to the
+// same bytes. A top-level payload decodes as a *T — on a stream Decoder one
+// that is lent (see Decoder.Decode), from ConsumeMessage an owned one — and
+// a nested payload (Buffer.Any / Reader.Any) as an owned T. dec must
+// return fresh storage for every slice it decodes: a lent *T is decoded
+// into again, and a copy of it (Own) shares its slices. That T encodes
+// like *T is pinned by benchmark/probes.go, which sends T values.
 func Register[T any](tag uint64, enc func(*Buffer, T) error, dec func(r *Reader) T) {
 	var prototype T
 	RegisterPayload(prototype)
-	if tag < TagUserMin {
-		panic(fmt.Sprintf("wire: binary payload tag %d is reserved", tag))
+	if tag < TagUserMin || tag > maxTag {
+		panic(fmt.Sprintf("wire: binary payload tag %d is reserved or out of range", tag))
 	}
 	t := reflect.TypeOf(prototype)
-	if _, dup := binByTag[tag]; dup {
+	if codecFor(tag) != nil {
 		panic(fmt.Sprintf("wire: binary payload tag %d registered twice", tag))
 	}
 	if _, dup := binByType[t]; dup {
 		panic(fmt.Sprintf("wire: binary payload type %v registered twice", t))
 	}
 	c := &binaryCodec{tag: tag, typ: t,
-		enc: func(b *Buffer, v any) error { return enc(b, v.(T)) },
+		enc: func(b *Buffer, v any) error {
+			if p, ok := v.(*T); ok {
+				if p == nil {
+					return fmt.Errorf("wire: nil %T payload", p)
+				}
+				return enc(b, *p)
+			}
+			return enc(b, v.(T))
+		},
 		dec: func(r *Reader) any {
 			if v := dec(r); r.err == nil {
 				return v
 			}
 			return nil
+		},
+		into: func(r *Reader, cell any) any {
+			v := dec(r)
+			if r.err != nil {
+				return nil
+			}
+			p, _ := cell.(*T)
+			if p == nil {
+				p = new(T)
+			}
+			*p = v
+			return p
+		},
+		own: func(v any) any {
+			p := new(T)
+			if q, ok := v.(*T); ok {
+				*p = *q
+			} else {
+				*p = v.(T)
+			}
+			return p
+		},
+		clear: func(cell any) {
+			var zero T
+			*cell.(*T) = zero
 		}}
+	if int(tag) >= len(binByTag) {
+		binByTag = append(binByTag, make([]*binaryCodec, int(tag)+1-len(binByTag))...)
+	}
 	binByTag[tag] = c
 	binByType[t] = c
+	binByType[reflect.PointerTo(t)] = c
+}
+
+// Own returns a copy of a top-level payload for the caller to keep: a new
+// *T holding what payload, a *T or a T of a registered T, holds. A payload
+// of any other type is returned as it is. The copy is shallow, and that is
+// enough: a payload is never written through once it has been sent or
+// decoded, and decoding into a lent cell replaces its slices rather than
+// writing into them.
+func Own(payload any) any {
+	if payload == nil {
+		return nil
+	}
+	if c, ok := binByType[reflect.TypeOf(payload)]; ok {
+		return c.own(payload)
+	}
+	return payload
 }
 
 // uvarintLen returns the number of bytes of the minimal uvarint encoding.
@@ -250,6 +328,7 @@ func appendBody(b *Buffer, m *Message) error {
 // AppendMessage appends one complete encoded frame for m to dst and
 // returns the extended slice. It is the allocation-free encoder the TCP
 // transport's writer appends each burst with; the benchmarks use it too.
+// Pinned by benchmark/probes.go.
 func AppendMessage(dst []byte, m *Message) ([]byte, error) {
 	body := getBuffer()
 	defer putBuffer(body)
@@ -460,8 +539,8 @@ func (r *Reader) Any() any {
 		}
 		return v
 	}
-	c, ok := binByTag[tag]
-	if !ok {
+	c := codecFor(tag)
+	if c == nil {
 		r.Fail(fmt.Errorf("wire: unknown nested payload tag %d", tag))
 		return nil
 	}
@@ -480,46 +559,58 @@ func Decode(data []byte, fn func(*Reader)) error {
 	return r.err
 }
 
-// parseBody decodes the frame body r holds. It reports (via binaryClean)
-// whether the whole frame took the binary fast path — no gob fallback at any
-// nesting level — which is when byte-identical re-encoding is guaranteed.
-func parseBody(r *Reader, m *Message) (binaryClean bool, err error) {
+// parseBody decodes the frame body r holds into m. A payload of a
+// registered type is decoded into the *T cells holds for its tag, made on
+// first use, and lent is its codec; with cells nil (ConsumeMessage) into a
+// new *T, which the caller owns, as a gob frame's payload always is. It
+// reports (via binaryClean) whether the whole frame took the binary fast
+// path — no gob fallback at any nesting level — which is when
+// byte-identical re-encoding is guaranteed.
+func parseBody(r *Reader, m *Message, cells []any) (lent *binaryCodec, binaryClean bool, err error) {
 	tag := r.Uvarint()
 	if r.err == nil && tag == tagGob {
 		// gob decodes into a local: handing it m would make every caller's
 		// message escape, whichever branch runs.
 		var gm Message
 		if err := gob.NewDecoder(bytes.NewReader(r.b[r.off:])).Decode(&gm); err != nil {
-			return false, fmt.Errorf("wire: decode message: %w", err)
+			return nil, false, fmt.Errorf("wire: decode message: %w", err)
 		}
+		gm.Payload = Own(gm.Payload) // gob decodes a registered T as a value
 		*m = gm
-		return false, nil
+		return nil, false, nil
 	}
 	from, to := r.Ident(), r.Ident()
 	var payload any
 	if r.err == nil && tag != tagNil {
-		c, ok := binByTag[tag]
-		if !ok {
-			return false, fmt.Errorf("wire: unknown payload tag %d", tag)
+		c := codecFor(tag)
+		if c == nil {
+			return nil, false, fmt.Errorf("wire: unknown payload tag %d", tag)
 		}
-		payload = c.dec(r)
+		if tag < uint64(len(cells)) {
+			payload, lent = c.into(r, cells[tag]), c
+			cells[tag] = payload
+		} else {
+			payload = c.into(r, nil)
+		}
 	}
 	if r.err != nil {
-		return false, r.err
+		return nil, false, r.err
 	}
 	if r.Remaining() != 0 {
-		return false, fmt.Errorf("wire: %d trailing bytes after payload", r.Remaining())
+		return nil, false, fmt.Errorf("wire: %d trailing bytes after payload", r.Remaining())
 	}
 	m.From = NodeID(from)
 	m.To = NodeID(to)
 	m.Payload = payload
-	return !r.sawGob, nil
+	return lent, !r.sawGob, nil
 }
 
 // ConsumeMessage decodes the first frame of data, returning the decoded
 // message, the number of bytes the frame occupied, and whether the frame
 // decoded entirely through the binary fast path (in which case re-encoding
-// the message reproduces data[:n] bit for bit).
+// the message reproduces data[:n] bit for bit). A payload of a registered
+// type is a *T the caller owns. Pinned by benchmark/probes.go, with its
+// four results.
 func ConsumeMessage(data []byte) (m Message, n int, binaryClean bool, err error) {
 	size, hn := binary.Uvarint(data)
 	if hn <= 0 {
@@ -534,7 +625,7 @@ func ConsumeMessage(data []byte) (m Message, n int, binaryClean bool, err error)
 	if size > uint64(len(data)-hn) {
 		return m, 0, false, fmt.Errorf("wire: frame body of %d bytes exceeds remaining %d", size, len(data)-hn)
 	}
-	clean, err := parseBody(&Reader{b: data[hn : hn+int(size)]}, &m)
+	_, clean, err := parseBody(&Reader{b: data[hn : hn+int(size)]}, &m, nil)
 	if err != nil {
 		return m, 0, false, err
 	}

@@ -27,6 +27,11 @@ type Decoder struct {
 	// heap-allocated per frame. It carries the stream's intern table (see
 	// Reader.Ident).
 	rd Reader
+	// cells holds, indexed by tag, the *T this Decoder decodes every
+	// payload of that tag into and lends out (nil until the first one);
+	// lent is the codec of the one the last Decode lent, until Release.
+	cells []any
+	lent  *binaryCodec
 }
 
 // NewDecoder returns a Decoder reading from r through an 8 KiB buffer: it
@@ -34,14 +39,21 @@ type Decoder struct {
 // straight into the pooled frame buffer.
 func NewDecoder(r io.Reader) *Decoder {
 	br := bufio.NewReaderSize(r, 8<<10)
-	return &Decoder{r: br, hdr: headerReader{r: br}, rd: Reader{idents: make(map[string]string)}}
+	return &Decoder{r: br, hdr: headerReader{r: br}, rd: Reader{idents: make(map[string]string)},
+		cells: make([]any, len(binByTag))}
 }
 
-// Decode reads the next message frame into m. The frame buffer is pooled;
-// decoded messages never alias it (all strings and byte slices are
-// copies). Identifier strings may be shared with earlier messages of the
-// same stream (see Reader.Ident).
+// Decode reads the next message frame into m. A payload of a registered
+// type T is a *T that d lends: d owns it and decodes the next payload of
+// that type into it, so it is valid until Release or the next Decode, it
+// is never written through, and whatever must outlive the loan is copied
+// out of it (dereference it, or Own it). Its nested payloads are owned
+// values and may be kept. The frame buffer is pooled; decoded messages
+// never alias it (all strings and byte slices are copies). Identifier
+// strings may be shared with earlier messages of the same stream (see
+// Reader.Ident).
 func (d *Decoder) Decode(m *Message) error {
+	d.lent = nil
 	n, err := d.readHeader()
 	if err != nil {
 		return err
@@ -60,9 +72,20 @@ func (d *Decoder) Decode(m *Message) error {
 		return fmt.Errorf("wire: read frame body: %w", err)
 	}
 	d.rd.b, d.rd.off, d.rd.err, d.rd.sawGob = buf, 0, nil, false
-	_, err = parseBody(&d.rd, m)
+	d.lent, _, err = parseBody(&d.rd, m, d.cells)
 	d.rd.b = nil // the frame buffer goes back to the pool
 	return err
+}
+
+// Release ends the loan of the payload the last Decode lent: its cell is
+// zeroed, so a holder that kept the pointer reads zeros at once rather than
+// a later frame's payload, and an idle stream pins nothing the payload
+// referenced (a snapshot image, say).
+func (d *Decoder) Release() {
+	if c := d.lent; c != nil {
+		c.clear(d.cells[c.tag])
+		d.lent = nil
+	}
 }
 
 // readHeader reads and validates the uvarint frame-length header, minimal

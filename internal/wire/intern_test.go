@@ -50,9 +50,10 @@ func corpusFrames(t *testing.T) [][]byte {
 
 // TestInternedStreamMatchesOneShot: one long-lived Decoder — its intern
 // table filling up and then hitting — must decode the fuzz corpus to exactly
-// what the table-less one-shot parser yields. Every message is held until
-// the whole stream is read, so a decoded string that aliased the pooled
-// frame buffer, or an interned one that was later overwritten, would show.
+// what the table-less one-shot parser yields. A copy of every message (its
+// lent payload dereferenced) is held until the whole stream is read, so a
+// decoded string or slice that aliased the pooled frame buffer, or an
+// interned one that was later overwritten, would show.
 func TestInternedStreamMatchesOneShot(t *testing.T) {
 	frames := corpusFrames(t)
 	const passes = 3 // the second and third see a warm table
@@ -65,9 +66,11 @@ func TestInternedStreamMatchesOneShot(t *testing.T) {
 	dec := wire.NewDecoder(&stream)
 	streamed := make([]wire.Message, passes*len(frames))
 	for i := range streamed {
-		if err := dec.Decode(&streamed[i]); err != nil {
+		var m wire.Message
+		if err := dec.Decode(&m); err != nil {
 			t.Fatalf("frame %d: Decode: %v", i, err)
 		}
+		streamed[i] = value(m)
 	}
 	if dec.InternedIdents() == 0 {
 		t.Error("the corpus interned nothing: the test exercises no table hit")
@@ -77,7 +80,7 @@ func TestInternedStreamMatchesOneShot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
+		if want = value(want); !reflect.DeepEqual(got, want) {
 			t.Errorf("frame %d: stream decoder and one-shot parser disagree:\n stream:   %+v\n one-shot: %+v", i, got, want)
 		}
 	}

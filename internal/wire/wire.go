@@ -35,13 +35,13 @@ func ClientID(name string) NodeID {
 // calls back into the originating object — carries a single LogicalID, which
 // is what lets a replica (a) detect callbacks and run them on an extra
 // physical thread, and (b) grant reentrant locks owned by the same logical
-// thread.
+// thread. Pinned by benchmark/probes.go.
 type LogicalID string
 
 // InvocationID uniquely identifies one method invocation for at-most-once
 // semantics: the logical thread plus a per-thread invocation counter.
 // Retransmissions reuse the same InvocationID and are answered from the
-// reply cache.
+// reply cache. Pinned by benchmark/probes.go, which sets Logical.
 type InvocationID struct {
 	Logical LogicalID
 	Seq     uint64
@@ -57,7 +57,17 @@ func (id InvocationID) String() string {
 // Message is the transport envelope. Payload is one of the protocol structs
 // registered with the codec: over TCP it travels in the binary encoding
 // registered for its type (Register), or as gob where there is none; the
-// in-process transport passes the value through untouched.
+// in-process transport passes it through untouched.
+//
+// A top-level payload is a pointer, *T. The sender passes a new one and
+// never writes through it once sent. A receiver borrows it: a TCP reader
+// decodes into a *T it owns and lends it to the handler until the handler
+// returns, so a handler never writes through it and copies out
+// (dereferences) whatever it keeps; Own makes a copy to keep whole. A nested
+// payload — the Payload of a gcs Submit or Ordered — is an owned value.
+//
+// Pinned by benchmark/probes.go, which encodes T values (Register) and
+// echoes what Recv returned.
 type Message struct {
 	From    NodeID
 	To      NodeID

@@ -487,6 +487,8 @@ func WithCheckpointEvery(n int) GroupOption {
 // omits it still gets correct answers — the sequencer's copy reaches the
 // followers through the total order — but the followers have nothing to
 // speculate on.
+//
+// Pinned by benchmark/workload_kv.go (DESIGN.md "Pinned by the ruler").
 func WithSpeculation() GroupOption {
 	return func(g *groupConfig) { g.speculative = true }
 }

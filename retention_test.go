@@ -35,7 +35,7 @@ func (rc rawClient) call(c *replobj.Cluster, req replica.Request) map[replobj.No
 		sub.ID = req.ID.String()
 	}
 	for _, m := range members {
-		rc.ep.Send(m, sub)
+		rc.ep.Send(m, &sub)
 	}
 	got := make(map[replobj.NodeID]replica.Reply, len(members))
 	for len(got) < len(members) {
@@ -43,8 +43,8 @@ func (rc rawClient) call(c *replobj.Cluster, req replica.Request) map[replobj.No
 		if !ok {
 			rc.t.Fatalf("%s: endpoint closed with %d of %d replies to %v", rc.ep.ID(), len(got), len(members), req.ID)
 		}
-		if rep, isReply := msg.Payload.(replica.Reply); isReply && rep.ID == req.ID {
-			got[rep.From] = rep
+		if rep, isReply := msg.Payload.(*replica.Reply); isReply && rep.ID == req.ID {
+			got[rep.From] = *rep
 		}
 	}
 	return got

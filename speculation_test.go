@@ -714,8 +714,8 @@ func TestSpeculationDuringSnapshotRejoin(t *testing.T) {
 
 // submitFor builds the raw wire Submit a client would send for a request —
 // the injection vehicle for the duplicate-retransmission regressions.
-func submitFor(group replobj.GroupID, id wire.InvocationID, method string, args []byte, replyTo replobj.NodeID) gcs.Submit {
-	return gcs.Submit{
+func submitFor(group replobj.GroupID, id wire.InvocationID, method string, args []byte, replyTo replobj.NodeID) *gcs.Submit {
+	return &gcs.Submit{
 		Group:  group,
 		ID:     id.String(),
 		Origin: replyTo,
@@ -770,7 +770,7 @@ func TestDuplicateAfterEvictionReturnsTypedError(t *testing.T) {
 			if !ok {
 				t.Fatal("endpoint closed before the original replies arrived")
 			}
-			if rep := msg.Payload.(replica.Reply); rep.Err != "" {
+			if rep := msg.Payload.(*replica.Reply); rep.Err != "" {
 				t.Fatalf("original invoke failed: %s", rep.Err)
 			}
 		}
@@ -792,7 +792,7 @@ func TestDuplicateAfterEvictionReturnsTypedError(t *testing.T) {
 			if !ok {
 				t.Fatal("retransmission was silently dropped (no reply before watchdog)")
 			}
-			rep := msg.Payload.(replica.Reply)
+			rep := msg.Payload.(*replica.Reply)
 			if rep.Err == "" {
 				t.Fatalf("expected a typed expired-duplicate error, got success %v", rep.Result)
 			}
@@ -852,7 +852,7 @@ func TestDuplicateSubmitMetricSplit(t *testing.T) {
 			if !ok {
 				t.Fatal("endpoint closed")
 			}
-			rep := msg.Payload.(replica.Reply)
+			rep := msg.Payload.(*replica.Reply)
 			if rep.Err != "" || fromU64(rep.Result) != 1 {
 				t.Fatalf("replayed reply = %v/%q, want the cached result 1", rep.Result, rep.Err)
 			}
@@ -902,7 +902,7 @@ func TestOvertakenSubmitDrawsNoSecondReply(t *testing.T) {
 				if !ok {
 					return
 				}
-				replies.Put(msg.Payload.(replica.Reply))
+				replies.Put(*msg.Payload.(*replica.Reply))
 			}
 		})
 		defer inj.Close()

@@ -65,35 +65,27 @@ func TestInvokeAllocationBudget(t *testing.T) {
 }
 
 // TestInvokeMessageBudget pins what one invocation sends, beside what it
-// allocates: in a plain group one Submit to the sequencer, an Ordered to
-// each follower and three replies — the client's request travels once (8
-// before it did: the test fails there). In a speculating group the
-// followers execute on the client's own copy, so the Submit goes to as many
-// members as the reply policy waits for: all three under All, 8 (10 while
-// the sequencer also announced each position to both followers ahead of the
-// Ordered); the sequencer and one follower under Majority, 7 (8 while every
-// request went to every member).
+// allocates: one Submit to the sequencer, an Ordered to each follower and
+// three replies — the client's request travels once (8 before it did: the
+// test fails there), whatever reply policy the client waits by.
 func TestInvokeMessageBudget(t *testing.T) {
 	const calls = 500
 	for _, tc := range []struct {
 		name   string
-		opts   []replobj.GroupOption
 		policy replobj.ReplyPolicy
 		want   float64
 	}{
-		{"plain", nil, replobj.All, 6},
-		{"speculating", []replobj.GroupOption{replobj.WithSpeculation()}, replobj.All, 8},
-		{"speculating, Majority", []replobj.GroupOption{replobj.WithSpeculation()}, replobj.Majority, 7},
+		{"plain", replobj.All, 6},
+		{"Majority", replobj.Majority, 6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// The wall clock, where a late direct copy can really be
-			// overtaken by a later call's Ordered. Policy All: every reply
-			// of one invocation is sent before the next begins, so no frame
-			// of one call is in flight beside the next call's. Under
-			// Majority a call overlaps the previous call's last reply, and
-			// the zero-latency network on the wall clock may reorder two
-			// frames of one sender, so the NACKs that draws would be counted
-			// too: that row runs on virtual time.
+			// The wall clock, where frames of consecutive calls really
+			// race. Policy All: every reply of one invocation is sent before
+			// the next begins, so no frame of one call is in flight beside
+			// the next call's. Under Majority a call overlaps the previous
+			// call's last reply, and the zero-latency network on the wall
+			// clock may reorder two frames of one sender, so the NACKs that
+			// draws would be counted too: that row runs on virtual time.
 			var rt vtime.Runtime = vtime.Real()
 			if tc.policy != replobj.All {
 				rt = vtime.Virtual()
@@ -102,7 +94,7 @@ func TestInvokeMessageBudget(t *testing.T) {
 			reg := replobj.NewMetricsRegistry()
 			c := replobj.NewCluster(rt, replobj.WithLatency(0), replobj.WithMetrics(reg))
 			defer c.Close()
-			counterGroup(t, c, "cnt", 3, append(tc.opts, replobj.WithScheduler(replobj.SEQ))...)
+			counterGroup(t, c, "cnt", 3, replobj.WithScheduler(replobj.SEQ))
 			cl := c.NewClient("c0", replobj.WithInvocationTimeout(10*time.Second),
 				replobj.WithReplyPolicy(tc.policy))
 			sent := reg.Counter(`replobj_transport_msgs_sent_total{net="inproc"}`)

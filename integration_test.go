@@ -20,7 +20,7 @@ import (
 type counter struct{ v uint64 }
 
 // Snapshot/Restore (Snapshotter): the value as 8 big-endian bytes, so that
-// groups of counters checkpoint and speculate.
+// groups of counters checkpoint.
 func (c *counter) Snapshot() ([]byte, error) { return u64(c.v), nil }
 
 func (c *counter) Restore(b []byte) error {

@@ -203,23 +203,6 @@ type Scheduler interface {
 	HandleOrdered(id string, payload any) bool
 }
 
-// EarlyScheduler is implemented by schedulers that can use a request's
-// declared conflict classes before the total order assigns it a position —
-// the "early scheduling" of Alchieri et al.: the replica feeds every
-// optimistically delivered submit to EarlySubmit at arrival time, so the
-// class→lane assignment is already computed (and the lane plan cached)
-// when the ordered Submit arrives. Early plans are pure functions of the
-// request content, identical to what Submit would compute, so consuming a
-// cached plan never changes a scheduling decision — only when it is made.
-// Plans for requests that are never ordered are dropped by a bounded cache
-// and at quiesce boundaries.
-type EarlyScheduler interface {
-	// EarlySubmit announces a request's conflict classes ahead of its
-	// ordered submission. Safe to call any number of times per id; calls
-	// after the ordered Submit are ignored.
-	EarlySubmit(id wire.InvocationID, classes []string)
-}
-
 // Capabilities is one row of the paper's Table 1 plus the feature flags the
 // extended algorithms add.
 type Capabilities struct {

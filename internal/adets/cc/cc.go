@@ -36,7 +36,6 @@ import (
 
 	"github.com/replobj/replobj/internal/adets"
 	"github.com/replobj/replobj/internal/gcs"
-	"github.com/replobj/replobj/internal/wire"
 )
 
 // DefaultLanes is the worker-lane pool size when none is configured.
@@ -82,7 +81,9 @@ func (tk *ticket) Run() {
 // Scheduler implements adets.Scheduler with conflict-class parallel
 // dispatch (MA over declared classes). Mutexes, nested-invocation parking,
 // Stop and Quiesce are the embedded Monitor's; CC adds the lanes: when a
-// request may start.
+// request may start. The Monitor's Quiesce is the all-lane drain: fences
+// carry no thread and are removed eagerly by pumpLocked, and a queued ticket
+// waits behind a started one, so an empty thread set implies empty lanes.
 type Scheduler struct {
 	adets.Monitor
 	env       adets.Env
@@ -90,17 +91,9 @@ type Scheduler struct {
 
 	// All fields below are guarded by the runtime lock.
 	queues [][]*ticket // one FIFO of tickets per lane
-
-	// early caches lane plans computed at optimistic-delivery time (see
-	// adets.EarlyScheduler); earlyOrder bounds it FIFO.
-	early      map[wire.InvocationID][]int
-	earlyOrder []wire.InvocationID
 }
 
-var (
-	_ adets.Strategy       = (*Scheduler)(nil)
-	_ adets.EarlyScheduler = (*Scheduler)(nil)
-)
+var _ adets.Strategy = (*Scheduler)(nil)
 
 // New returns an ADETS-CC scheduler.
 func New(opts ...Option) *Scheduler {
@@ -170,7 +163,7 @@ func (s *Scheduler) Submit(req adets.Request) {
 	// local submission count — a replica restored from a checkpoint never
 	// saw the truncated prefix, but its lane trace must still line up with
 	// replicas that executed it.
-	s.planLocked(tk, req.ID, req.Classes)
+	s.planLocked(tk, req.Classes)
 	for _, l := range tk.lanes {
 		s.queues[l] = append(s.queues[l], tk)
 		s.env.Obs.LaneAssign(l, string(req.Logical), req.Seq)
@@ -281,48 +274,9 @@ func (s *Scheduler) NotifyAll(*adets.Thread, adets.MutexID, adets.CondID) error 
 // per-class total order).
 func (s *Scheduler) Yield(*adets.Thread) {}
 
-// maxEarlyPlans bounds the early-plan cache: requests that are optimistically
-// delivered but never ordered (lost submits) must not pin memory.
-const maxEarlyPlans = 1 << 12
-
-// EarlySubmit implements adets.EarlyScheduler: the class→lane assignment is
-// computed at optimistic-delivery time and cached for the ordered Submit.
-// AssignLanes is a pure function of (classes, laneCount), so the cached
-// plan is byte-identical to what Submit would compute — early scheduling
-// moves work off the ordered path without entering any scheduling state,
-// and nothing is recorded into the (ordered-only) trace streams.
-func (s *Scheduler) EarlySubmit(id wire.InvocationID, classes []string) {
-	rt := s.env.RT
-	if rt == nil {
-		return // not started
-	}
-	rt.Lock()
-	defer rt.Unlock()
-	if s.Stopped() {
-		return
-	}
-	if _, ok := s.early[id]; ok {
-		return
-	}
-	if s.early == nil {
-		s.early = make(map[wire.InvocationID][]int)
-	}
-	if len(s.earlyOrder) >= maxEarlyPlans {
-		old := s.earlyOrder[0]
-		s.earlyOrder = s.earlyOrder[1:]
-		delete(s.early, old)
-	}
-	s.early[id] = AssignLanes(classes, s.laneCount)
-	s.earlyOrder = append(s.earlyOrder, id)
-}
-
-// planLocked sets tk's lanes: the cached early plan for id, or the same plan
-// computed fresh, a single class's inside the ticket.
-func (s *Scheduler) planLocked(tk *ticket, id wire.InvocationID, classes []string) {
-	if plan, ok := s.early[id]; ok {
-		delete(s.early, id)
-		tk.lanes = plan
-	} else if len(classes) == 1 {
+// planLocked sets tk's lanes, a single class's inside the ticket.
+func (s *Scheduler) planLocked(tk *ticket, classes []string) {
+	if len(classes) == 1 {
 		tk.one[0] = LaneOf(classes[0], s.laneCount)
 		tk.lanes = tk.one[:]
 	} else {
@@ -351,24 +305,6 @@ func (s *Scheduler) ViewChanged(v gcs.View) {
 		s.queues[l] = append(s.queues[l], f)
 	}
 	s.pumpLocked()
-}
-
-// Quiesce implements adets.Scheduler. Fences carry no thread and are removed
-// eagerly by pumpLocked, and a queued ticket waits behind a started one, so
-// an empty thread set implies empty lanes — the all-lane drain.
-func (s *Scheduler) Quiesce(report func(drained bool)) {
-	s.Monitor.Quiesce(func(drained bool) {
-		if drained {
-			// Drained boundary: drop cached early plans. They are arrival-time
-			// hints, not ordered state — a checkpoint cut (and any replica
-			// restored from it) must not depend on what happened to arrive
-			// optimistically here; un-ordered requests recompute their plan at
-			// their ordered Submit.
-			s.early = nil
-			s.earlyOrder = nil
-		}
-		report(drained)
-	})
 }
 
 // HandleOrdered implements adets.Scheduler.

@@ -153,7 +153,7 @@ func (fg *fakeGroup) close() {
 
 func (fg *fakeGroup) directory() *replica.Directory {
 	d := replica.NewDirectory()
-	d.Add("g", fg.ids, false)
+	d.Add("g", fg.ids)
 	return d
 }
 
@@ -308,7 +308,7 @@ func TestClientErrorReplyPropagates(t *testing.T) {
 		}
 	})
 	d := replica.NewDirectory()
-	d.Add("g", ids, false)
+	d.Add("g", ids)
 	c := New(Config{RT: rt, Name: "c1", Directory: d, Network: net, Policy: First, Timeout: time.Second})
 	vtime.Run(rt, "main", func() {
 		defer ep.Close()
@@ -422,14 +422,14 @@ func TestClientRejectsConcurrentInvocations(t *testing.T) {
 
 // contactHarness is a three-member fake group and a Majority client with a
 // 20 ms retransmit interval.
-func contactHarness(t *testing.T, directCopies bool) (*vtime.VirtualRuntime, *fakeGroup, *replica.Directory, *Client) {
+func contactHarness(t *testing.T) (*vtime.VirtualRuntime, *fakeGroup, *replica.Directory, *Client) {
 	t.Helper()
 	rt := vtime.Virtual()
 	t.Cleanup(rt.Stop)
 	net := transport.NewInproc(rt)
 	fg := newFakeGroup(rt, net, 3)
 	dir := replica.NewDirectory()
-	dir.Add("g", fg.ids, directCopies)
+	dir.Add("g", fg.ids)
 	c := New(Config{RT: rt, Name: "c1", Directory: dir, Network: net, Policy: Majority,
 		Timeout: time.Second, Retransmit: 20 * time.Millisecond})
 	return rt, fg, dir, c
@@ -458,7 +458,7 @@ func wantCopies(t *testing.T, fg *fakeGroup, call int, want ...int) {
 // to a group goes to every member (each must have heard from the client
 // before it can answer it over TCP); from then on one copy goes to rank 0.
 func TestOneCopyToTheContactAfterIntroduction(t *testing.T) {
-	rt, fg, _, c := contactHarness(t, false)
+	rt, fg, _, c := contactHarness(t)
 	vtime.Run(rt, "main", func() {
 		defer fg.close()
 		defer c.Close()
@@ -471,66 +471,10 @@ func TestOneCopyToTheContactAfterIntroduction(t *testing.T) {
 	})
 }
 
-// TestDirectCopiesGoToTheReplyQuorum: members of a direct-copy group act on
-// the client's own copy, but only the answers the reply policy waits for
-// gain by it, so after the introduction a request goes to the contact and
-// the need − 1 members after it, and names them. A retransmission that
-// moves the contact moves the set with it.
-func TestDirectCopiesGoToTheReplyQuorum(t *testing.T) {
-	rt, fg, _, c := contactHarness(t, true)
-	vtime.Run(rt, "main", func() {
-		defer fg.close()
-		defer c.Close()
-		wantSet := func(call int, mask uint8, copies ...int) {
-			t.Helper()
-			wantCopies(t, fg, call, copies...)
-			rt.Lock()
-			got := fg.first[call-1].Payload.(replica.Request).Copies
-			rt.Unlock()
-			if got != mask {
-				t.Errorf("call %d names copy set %03b, want %03b", call, got, mask)
-			}
-		}
-		invokeTimed(t, rt, c)
-		wantSet(1, 0, 1, 1, 1) // the introduction: every member
-		invokeTimed(t, rt, c)
-		wantSet(2, 0b011, 1, 1, 0) // Majority: the contact and one more
-		c.policy = First
-		invokeTimed(t, rt, c)
-		wantSet(3, 0b001, 1, 0, 0)
-		c.policy = Majority
-		if _, err := c.InvokeAll("g", "m", nil); err != nil {
-			t.Fatal(err)
-		}
-		wantSet(4, 0, 1, 1, 1)
-
-		// Rank 0 stays silent and so, until the second retransmission, do
-		// the others: ranks 1 and 2 answer it, and the contact moves to 1.
-		rt.Lock()
-		for _, id := range fg.ids {
-			fg.mute[id] = true
-		}
-		rt.Unlock()
-		rt.Go("unmute", func() {
-			rt.Sleep(30 * time.Millisecond)
-			rt.Lock()
-			fg.mute[fg.ids[1]], fg.mute[fg.ids[2]] = false, false
-			rt.Unlock()
-		})
-		invokeTimed(t, rt, c)
-		wantSet(5, 0b011, 3, 3, 2)
-		rt.Lock()
-		clear(fg.mute)
-		rt.Unlock()
-		invokeTimed(t, rt, c)
-		wantSet(6, 0b110, 0, 1, 1)
-	})
-}
-
 // TestRetransmissionGoesToEveryMember: whatever was lost — the one copy,
 // its Ordered, the replies — a retransmission reaches all members.
 func TestRetransmissionGoesToEveryMember(t *testing.T) {
-	rt, fg, _, c := contactHarness(t, false)
+	rt, fg, _, c := contactHarness(t)
 	vtime.Run(rt, "main", func() {
 		defer fg.close()
 		defer c.Close()
@@ -558,7 +502,7 @@ func TestRetransmissionGoesToEveryMember(t *testing.T) {
 // moves to the lowest-ranked member that answered, so the next call pays
 // nothing. Registering the group again forgets all of it.
 func TestDeadContactCostsOneRetransmitOnce(t *testing.T) {
-	rt, fg, dir, c := contactHarness(t, false)
+	rt, fg, dir, c := contactHarness(t)
 	vtime.Run(rt, "main", func() {
 		defer fg.close()
 		defer c.Close()
@@ -574,7 +518,7 @@ func TestDeadContactCostsOneRetransmitOnce(t *testing.T) {
 		wantCopies(t, fg, 3, 0, 1, 0)
 
 		fg.net.Restore(fg.ids[0])
-		dir.Add("g", fg.ids, false)
+		dir.Add("g", fg.ids)
 		invokeTimed(t, rt, c)
 		wantCopies(t, fg, 4, 1, 1, 1) // introduced again
 		invokeTimed(t, rt, c)

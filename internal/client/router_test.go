@@ -108,9 +108,9 @@ func (w *fakeShardWorld) close() {
 
 func (w *fakeShardWorld) directory() *replica.Directory {
 	d := replica.NewDirectory()
-	d.Add(shard.DirGroup("o"), []wire.NodeID{wire.ReplicaID(shard.DirGroup("o"), 0)}, false)
+	d.Add(shard.DirGroup("o"), []wire.NodeID{wire.ReplicaID(shard.DirGroup("o"), 0)})
 	for _, gid := range w.table.Shards {
-		d.Add(gid, []wire.NodeID{wire.ReplicaID(gid, 0)}, false)
+		d.Add(gid, []wire.NodeID{wire.ReplicaID(gid, 0)})
 	}
 	return d
 }

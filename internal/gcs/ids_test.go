@@ -38,8 +38,7 @@ func (r *reports) of(id wire.NodeID) []uint64 {
 // the row's own call from its client again is a retransmission, reported at
 // its position; a call below the row is superseded — reported with no
 // position, never ordered, no log re-broadcast; a member's copy of any of
-// them is settled. In a direct-copy group a copy the Ordered overtook — its
-// own call's, or a later call's — is reported nowhere.
+// them is settled.
 func TestNumberedCallsAgainstTheRow(t *testing.T) {
 	t.Run("plain group", func(t *testing.T) {
 		var rep reports
@@ -84,45 +83,6 @@ func TestNumberedCallsAgainstTheRow(t *testing.T) {
 			}
 			if got := fr.count(seqr, "Ordered", ""); got != ordered {
 				t.Errorf("the superseded call drew %d Ordered frames, want none", got-ordered)
-			}
-		})
-	})
-	t.Run("direct-copy group", func(t *testing.T) {
-		var rep reports
-		h := newHarnessCfg(3, false, func(c *Config) { c.OptimisticDeliver = func(Submit) {}; rep.hook(c) })
-		h.run(func() {
-			cl := h.net.Endpoint(wire.ClientID("c1"))
-			defer cl.Close()
-			call := func(n uint64) *Submit {
-				return &Submit{Group: h.group, Origin: cl.ID(), Call: n, Payload: appMsg{Body: "x"}}
-			}
-			// Follower 2's copy of call 1 comes after the Ordered.
-			cl.Send(h.ids[0], call(1))
-			cl.Send(h.ids[1], call(1))
-			for _, m := range h.members {
-				take(t, h.rt, m, 1)
-			}
-			cl.Send(h.ids[2], call(1))
-			h.rt.Sleep(10 * time.Millisecond)
-			// And after call 2's Ordered too.
-			cl.Send(h.ids[0], call(2))
-			cl.Send(h.ids[1], call(2))
-			for _, m := range h.members {
-				take(t, h.rt, m, 1)
-			}
-			cl.Send(h.ids[2], call(1))
-			cl.Send(h.ids[2], call(2))
-			h.rt.Sleep(10 * time.Millisecond)
-			for _, id := range h.ids {
-				if got := rep.of(id); len(got) != 0 {
-					t.Errorf("%s reported overtaken first copies at %v, want none", id, got)
-				}
-			}
-			h.rt.Lock()
-			left := overtakenMarks(h.members[2])
-			h.rt.Unlock()
-			if left != 0 {
-				t.Errorf("follower still holds %d overtaken marks after the direct copies arrived", left)
 			}
 		})
 	})

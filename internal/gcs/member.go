@@ -21,7 +21,6 @@ type Member struct {
 
 	view       View
 	installing *View // adopted proposal, not yet installed via view event
-	rank       int   // this member's position in cfg.Members (see CopySet)
 
 	// Sequencer state, and what this member knows of message ids (see
 	// "message ids" below): one row per origin of numbered ids, and the named
@@ -75,7 +74,6 @@ func NewMember(rt vtime.Runtime, cfg Config) *Member {
 		cfg:         cfg,
 		deliveries:  vtime.NewMailbox[Delivery](rt, "gcs/"+string(cfg.Self)),
 		view:        View{Epoch: 0, Members: append([]wire.NodeID(nil), cfg.Members...)},
-		rank:        slices.Index(cfg.Members, cfg.Self),
 		nextSeq:     1,
 		nextDeliver: 1,
 		log:         window{lo: 1},
@@ -266,8 +264,6 @@ type actions struct {
 	// dups are already-ordered submits, with the position each was ordered
 	// at, to surface through the DuplicateSubmit hook.
 	dups []dupSubmit
-	// opts are fresh submits to surface through the OptimisticDeliver hook.
-	opts []Submit
 	// nacked dedups gap NACKs within one event (see handleOrderedLocked).
 	nacked bool
 }
@@ -300,8 +296,8 @@ func (a *actions) sendAll(m *Member, members []wire.NodeID, payload any) (n int)
 }
 
 // finish is the only way out of an event: the queued sends, then the
-// duplicate-submit / optimistic-delivery notifications (each queued only
-// where its hook is set), which may call back into the replica layer.
+// duplicate-submit notifications (queued only where the hook is set), which
+// may call back into the replica layer.
 func (a *actions) finish(m *Member) {
 	for _, s := range a.first[:a.nfirst] {
 		m.cfg.Send(s.to, s.payload)
@@ -311,9 +307,6 @@ func (a *actions) finish(m *Member) {
 	}
 	for _, d := range a.dups {
 		m.cfg.DuplicateSubmit(d.sub, d.seq)
-	}
-	for _, s := range a.opts {
-		m.cfg.OptimisticDeliver(s)
 	}
 }
 
@@ -364,12 +357,10 @@ type submitVerdict uint8
 const (
 	// hold: nothing beyond the cache. The copy is a relay (never relayed
 	// again) or a later copy from the origin (a retransmission, which goes to
-	// every member anyway — as does the first copy in a direct-copy group to
-	// every member of its copy set, the sequencer's included unless this
-	// member is to pass it on); or there is no sequencer to pass it to: a
-	// view is being installed, or this member is the sequencer, suspended,
-	// and must not forward to itself — it orders its backlog when it resumes
-	// or a new view arrives.
+	// every member anyway); or there is no sequencer to pass it to: a view is
+	// being installed, or this member is the sequencer, suspended, and must
+	// not forward to itself — it orders its backlog when it resumes or a new
+	// view arrives.
 	hold submitVerdict = iota
 	// settled: a copy of an ordered id not from the origin it was ordered
 	// for — a relay, or another sender's copy of an id a whole group submits
@@ -381,16 +372,6 @@ const (
 	// position (if it had one) is not kept: reported with none, so the owner
 	// refuses it, and no log re-broadcast.
 	superseded
-	// overtakenFirstCopy: in a direct-copy group this member's copy from the
-	// origin lost the race against the sequencer's Ordered — its own, or a
-	// later call's — and the copy's CopySet names this member (outside it no
-	// first copy was sent: the origin's copy is a retransmission). The
-	// execution replies on its own, so only the report is withheld (a replay
-	// would be a second reply); the mark is spent, the log resent from the
-	// position, if known, as for a retransmission. When the copy and the
-	// reply were both lost, the replay waits for the client's second
-	// retransmission.
-	overtakenFirstCopy
 	// retransmission: the origin an id was ordered for sent it again, so it
 	// still waits. The owner hears of it through DuplicateSubmit (the stream
 	// carries no second delivery) and the sequencer resends the log from that
@@ -403,11 +384,7 @@ const (
 	// member's own broadcast, or the first copy its origin hands this member:
 	// a client sends a request to one member, the sequencer unless its
 	// knowledge is stale, so the copy may be the only one, and with failure
-	// detection off nothing else would ever pass it on. In a direct-copy
-	// group only the lowest-ranked member of a copy set that leaves out the
-	// sequencer passes its first copy on (passOn), but every member passes on
-	// a later copy of an id not yet ordered: a retransmission, whose client
-	// may be cut off from the sequencer, which then has no copy of its own.
+	// detection off nothing else would ever pass it on.
 	relayToSequencer
 )
 
@@ -415,7 +392,6 @@ const (
 type submitCase struct {
 	ordered           bool // the id has its position in the order: a named id's is known, a numbered call is at or below its origin's row
 	below             bool // ...a numbered call below the row, whose position is not kept
-	overtaken         bool // ...which got here before the origin's direct copy, and one was sent here (see deliverLocked)
 	fromOrigin        bool // sent by the origin itself (a client, a member of another group, this member's Broadcast), not passed on by a member
 	fromOrderedOrigin bool // ...the origin the id was ordered for: a numbered id's own, a named id's retained Ordered's, or any once the log has let go of it
 	own               bool // this member is the origin
@@ -423,16 +399,12 @@ type submitCase struct {
 	sequencer         bool // this member orders now (isSequencerLocked)
 	suspended         bool // it is the installed view's sequencer and may not: quorum lost, or a superseded epoch seen
 	installing        bool // a view change is in progress
-	directCopies      bool // a direct-copy group (cfg.OptimisticDeliver set)
-	passOn            bool // ...whose copy set leaves out the sequencer and names no member ranked below this one (see passesOnLocked)
 }
 
 func (c submitCase) verdict() submitVerdict {
 	switch {
 	case c.ordered && !c.fromOrderedOrigin:
 		return settled
-	case c.overtaken:
-		return overtakenFirstCopy
 	case c.below:
 		return superseded
 	case c.ordered:
@@ -441,27 +413,10 @@ func (c submitCase) verdict() submitVerdict {
 		return orderHere
 	case !c.fromOrigin, c.installing, c.suspended:
 		return hold
-	case c.own, c.first && (!c.directCopies || c.passOn), !c.first && c.directCopies:
+	case c.own, c.first:
 		return relayToSequencer
 	}
 	return hold
-}
-
-// passesOnLocked reports whether a direct-copy group's first copy of
-// payload is this member's to pass on: its origin's CopySet leaves out the
-// sequencer — a client whose contact moved off it, see client.contact — and
-// this member is the lowest-ranked member the set names.
-func (m *Member) passesOnLocked(payload any) bool {
-	seq := slices.Index(m.cfg.Members, m.view.Sequencer())
-	if seq < 0 || copiedTo(payload, seq) {
-		return false
-	}
-	for r := range m.rank {
-		if copiedTo(payload, r) {
-			return false
-		}
-	}
-	return copiedTo(payload, m.rank)
 }
 
 // handleSubmitLocked takes in a copy of a submit that `from` sent.
@@ -470,21 +425,15 @@ func (m *Member) handleSubmitLocked(from wire.NodeID, sub Submit, act *actions) 
 	e, below := m.entryLocked(k)
 	_, cached := m.submitCache[k]
 	orders := m.isSequencerLocked()
-	direct := m.cfg.OptimisticDeliver != nil
 	c := submitCase{
-		ordered: e.seq != 0 || below,
-		below:   below,
-		// A call below the row may be the first copy a later call's Ordered
-		// overtook — if a first copy was sent here (see entryLocked).
-		overtaken:    e.overtaken || below && direct && copiedTo(sub.Payload, m.rank),
-		fromOrigin:   from == sub.Origin,
-		own:          sub.Origin == m.cfg.Self,
-		first:        !cached,
-		sequencer:    orders,
-		suspended:    !orders && m.view.Sequencer() == m.cfg.Self,
-		installing:   m.installing != nil,
-		directCopies: direct,
-		passOn:       direct && m.passesOnLocked(sub.Payload),
+		ordered:    e.seq != 0 || below,
+		below:      below,
+		fromOrigin: from == sub.Origin,
+		own:        sub.Origin == m.cfg.Self,
+		first:      !cached,
+		sequencer:  orders,
+		suspended:  !orders && m.view.Sequencer() == m.cfg.Self,
+		installing: m.installing != nil,
 	}
 	if c.ordered && c.fromOrigin {
 		// A numbered id's Ordered names its own origin; a named id's the one
@@ -494,26 +443,17 @@ func (m *Member) handleSubmitLocked(from wire.NodeID, sub Submit, act *actions) 
 	}
 	v := c.verdict()
 	switch v {
-	case settled, superseded, overtakenFirstCopy, retransmission:
-		if v == overtakenFirstCopy {
-			e.overtaken = false
-			m.putEntryLocked(k, e)
-		} else if v != settled && m.cfg.DuplicateSubmit != nil {
+	case settled, superseded, retransmission:
+		if v != settled && m.cfg.DuplicateSubmit != nil {
 			act.dups = append(act.dups, dupSubmit{sub: sub, seq: e.seq})
 		}
 		if c.sequencer {
-			m.answerLocked(from, k, e.seq, v == overtakenFirstCopy || v == retransmission, act)
+			m.answerLocked(from, k, e.seq, v == retransmission, act)
 		}
 		return
 	}
 	if c.first {
 		m.cacheSubmitLocked(k, sub)
-		if m.cfg.OptimisticDeliver != nil && v != orderHere {
-			// Surface it on the optimistic-delivery stream, once per id — not
-			// here where it is ordered: the delivery is queued in this event,
-			// and acting on the copy first would win nothing.
-			act.opts = append(act.opts, sub)
-		}
 	}
 	switch v {
 	case orderHere:
@@ -630,7 +570,7 @@ func (m *Member) deliverReadyLocked(act *actions) {
 func (m *Member) deliverLocked(o Ordered, act *actions) {
 	k := o.key()
 	e, _ := m.entryLocked(k)
-	cached, direct := m.submitCache[k]
+	cached, seen := m.submitCache[k]
 	if st := m.cfg.Stats; st != nil {
 		st.Delivered.Inc()
 		if e.sent && o.Origin == m.cfg.Self {
@@ -641,15 +581,15 @@ func (m *Member) deliverLocked(o Ordered, act *actions) {
 	if m.cfg.Spans != nil && o.Payload != nil {
 		// Ordering span: from this member first seeing the submit (cached
 		// on its way to the sequencer) to total-order delivery here. A
-		// member that never saw the submit — every follower of a group
-		// without direct copies — starts the span at the Ordered's arrival,
-		// so its span is empty and the time the request spent reaching and
-		// leaving the sequencer shows on the sequencer's span alone.
+		// member that never saw the submit — a follower the client sent no
+		// copy to — starts the span at the Ordered's arrival, so its span is
+		// empty and the time the request spent reaching and leaving the
+		// sequencer shows on the sequencer's span alone.
 		if t, ok := o.Payload.(tracing.Traced); ok {
 			if ctx := t.TraceCtx(); ctx.Valid() {
 				now := m.rt.NowLocked()
 				start := now
-				if direct {
+				if seen {
 					start = cached.at
 				}
 				m.cfg.Spans.Record(tracing.Span{
@@ -667,15 +607,7 @@ func (m *Member) deliverLocked(o Ordered, act *actions) {
 		}
 	}
 	if k != (key{}) {
-		// overtaken: the Ordered copy got here before the submitter's own,
-		// which in a direct-copy group is on its way — to the members of the
-		// payload's copy set. A member's own broadcast goes to the sequencer
-		// alone, and so does a client's request in any other group: there,
-		// and outside the copy set, the first direct copy of an ordered id is
-		// a retransmission, and a mark would only make its replay wait for
-		// the second.
 		e.seq = o.Seq
-		e.overtaken = m.cfg.OptimisticDeliver != nil && !direct && !m.view.Contains(o.Origin) && copiedTo(o.Payload, m.rank)
 		m.putEntryLocked(k, e)
 		delete(m.submitCache, k)
 	}
@@ -837,19 +769,15 @@ func (k key) hint(g wire.GroupID, seq uint64) Hint {
 // idEntry is what a member knows of one id. seq is the position the id was
 // ordered at, 0 while this member has only broadcast it; sentAt is when it
 // did (own ids, with cfg.Stats), until the delivery has been timed.
-// overtaken marks an id this member delivered before it saw the origin's
-// direct copy (only in direct-copy groups, see handleSubmitLocked).
 type idEntry struct {
-	seq       uint64
-	sentAt    time.Duration
-	sent      bool
-	overtaken bool
+	seq    uint64
+	sentAt time.Duration
+	sent   bool
 }
 
 // originRow is the highest call of one origin this member saw ordered.
 type originRow struct {
 	call, seq uint64
-	overtaken bool
 }
 
 // cachedSubmit is a submit not known to be ordered and when it last went
@@ -861,11 +789,7 @@ type cachedSubmit struct {
 
 // entryLocked is what this member knows of k: a named id's entry, or what
 // its origin's row says of a call — the row's entry for its own call,
-// nothing above it, below it that the call is superseded. In a direct-copy
-// group a copy of a call below the row may be the first this member sees,
-// overtaken by a later call's Ordered; nothing tells it from a repeat, and
-// its client, which has moved on, waits for neither: handleSubmitLocked
-// takes it for overtaken when the copy's CopySet names this member.
+// nothing above it, below it that the call is superseded.
 func (m *Member) entryLocked(k key) (e idEntry, below bool) {
 	if k.call == 0 {
 		return m.ids[k.id], false
@@ -875,7 +799,7 @@ func (m *Member) entryLocked(k key) (e idEntry, below bool) {
 	case !ok || k.call > row.call:
 		return idEntry{}, false
 	case k.call == row.call:
-		return idEntry{seq: row.seq, overtaken: row.overtaken}, false
+		return idEntry{seq: row.seq}, false
 	}
 	return idEntry{}, true
 }
@@ -911,7 +835,7 @@ func (m *Member) putEntryLocked(k key, e idEntry) {
 			}
 			delete(m.origins, oldest)
 		}
-		m.origins[k.origin] = originRow{k.call, e.seq, e.overtaken}
+		m.origins[k.origin] = originRow{k.call, e.seq}
 		if known {
 			return
 		}

@@ -223,180 +223,10 @@ func (d *dupCounter) count(id wire.NodeID) int {
 	return d.reported[id]
 }
 
-// TestOvertakenSubmitIsNotADuplicate: in a direct-copy group the submitter
-// sends to every member, and a follower that receives the sequencer's
-// Ordered copy before the submitter's own does not report that late first
-// arrival through DuplicateSubmit; the second arrival is a retransmission
-// and is reported, like every arrival on a member that saw the direct copy
-// in time.
-func TestOvertakenSubmitIsNotADuplicate(t *testing.T) {
-	var dc dupCounter
-	h := newHarnessCfg(3, false, func(c *Config) {
-		c.OptimisticDeliver = func(Submit) {}
-		dc.hook(c)
-	})
-
-	h.run(func() {
-		cl := h.net.Endpoint(wire.ClientID("c1"))
-		defer cl.Close()
-		sub := Submit{Group: h.group, ID: "m1", Origin: cl.ID(), Payload: appMsg{Body: "x"}}
-		// Only the sequencer and follower 1 get the direct copy in time.
-		cl.Send(h.ids[0], &sub)
-		cl.Send(h.ids[1], &sub)
-		for _, m := range h.members {
-			take(t, h.rt, m, 1)
-		}
-		cl.Send(h.ids[2], &sub) // follower 2's copy, overtaken by the Ordered
-		h.rt.Sleep(10 * time.Millisecond)
-		if n := dc.count(h.ids[2]); n != 0 {
-			t.Errorf("overtaken first arrival reported %d times through DuplicateSubmit, want 0", n)
-		}
-		h.submitFromClient(cl, "m1", "x") // a real retransmission, to everyone
-		h.rt.Sleep(10 * time.Millisecond)
-		for _, id := range h.ids {
-			if n := dc.count(id); n != 1 {
-				t.Errorf("%s: retransmission reported %d times, want 1", id, n)
-			}
-		}
-		h.rt.Lock()
-		left := overtakenMarks(h.members[2])
-		h.rt.Unlock()
-		if left != 0 {
-			t.Errorf("follower still holds %d overtaken marks after the direct copy arrived", left)
-		}
-	})
-}
-
-// copied is a payload that names its copy set, as a client's request in a
-// direct-copy group does (replica.Request.Copies).
-type copied struct {
-	Body string
-	Set  uint8
-}
-
-func (c copied) CopiedTo(rank int) bool { return c.Set == 0 || c.Set&(1<<rank) != 0 }
-
-// TestCopySetOutsiderTakesRetransmissions: in a direct-copy group a client
-// sends its copies to the members its request names. A member in that set
-// whose copy the Ordered overtook marks the id and reports neither that copy
-// nor, for a call below the row, a late first copy; a member outside the set
-// expects no copy, delivers the id unmarked, and reports the client's copy
-// through DuplicateSubmit the first time it arrives — the row's own call at
-// its position, a call below the row without one.
-func TestCopySetOutsiderTakesRetransmissions(t *testing.T) {
-	var rep reports
-	h := newHarnessCfg(3, false, func(c *Config) { c.OptimisticDeliver = func(Submit) {}; rep.hook(c) })
-	h.run(func() {
-		cl := h.net.Endpoint(wire.ClientID("c1"))
-		defer cl.Close()
-		call := func(n uint64) *Submit {
-			// A Majority client's set: the contact, rank 0, and rank 1.
-			return &Submit{Group: h.group, Origin: cl.ID(), Call: n, Payload: copied{Body: "x", Set: 0b011}}
-		}
-		// Call 1 reaches the sequencer; member 1's copy comes after the Ordered.
-		cl.Send(h.ids[0], call(1))
-		for _, m := range h.members {
-			take(t, h.rt, m, 1)
-		}
-		h.rt.Lock()
-		in, out := overtakenMarks(h.members[1]), overtakenMarks(h.members[2])
-		h.rt.Unlock()
-		if in != 1 || out != 0 {
-			t.Errorf("overtaken marks: %d in the set, %d outside it; want 1 and 0", in, out)
-		}
-		cl.Send(h.ids[1], call(1))
-		h.rt.Sleep(10 * time.Millisecond)
-		if got := rep.of(h.ids[1]); len(got) != 0 {
-			t.Errorf("member 1 reported its overtaken copy at %v, want nothing", got)
-		}
-		for _, id := range h.ids { // the client's retransmission
-			cl.Send(id, call(1))
-		}
-		h.rt.Sleep(10 * time.Millisecond)
-		for _, id := range h.ids {
-			if got := rep.of(id); !reflect.DeepEqual(got, []uint64{1}) {
-				t.Errorf("%s reported the first retransmission at %v, want [1]", id, got)
-			}
-		}
-
-		// Below the row: call 2 is ordered, then copies of call 1 arrive.
-		cl.Send(h.ids[0], call(2))
-		for _, m := range h.members {
-			take(t, h.rt, m, 1)
-		}
-		cl.Send(h.ids[1], call(2))
-		cl.Send(h.ids[1], call(1)) // may be a first copy call 2 overtook
-		cl.Send(h.ids[2], call(1)) // a retransmission: none was sent here
-		h.rt.Sleep(10 * time.Millisecond)
-		if got := rep.of(h.ids[1]); !reflect.DeepEqual(got, []uint64{1}) {
-			t.Errorf("member 1 reported %v, want [1]: nothing for copies the Ordered overtook", got)
-		}
-		if got := rep.of(h.ids[2]); !reflect.DeepEqual(got, []uint64{1, 0}) {
-			t.Errorf("member 2 reported %v, want [1 0]: the superseded call without a position", got)
-		}
-	})
-}
-
-// TestCopySetWithoutTheSequencerIsPassedOn: a client whose contact moved off
-// the sequencer names a copy set that leaves it out; the lowest-ranked member
-// of the set passes its copy on, the others hold theirs, as in a plain group.
-// The rule reads the set alone: a set no client builds is passed on the
-// same way.
-func TestCopySetWithoutTheSequencerIsPassedOn(t *testing.T) {
-	var fr frames
-	h := newHarnessCfg(4, false, func(c *Config) { c.OptimisticDeliver = func(Submit) {}; fr.hook(c) })
-	h.run(func() {
-		cl := h.net.Endpoint(wire.ClientID("c1"))
-		defer cl.Close()
-		for i, tc := range []struct {
-			set    uint8
-			to     []int
-			passer int // 0: no one
-		}{
-			{0b1110, []int{1, 2, 3}, 1}, // a Majority client whose contact is rank 1
-			{0b0100, []int{2}, 2},       // a First client whose contact is rank 2
-			{0b1011, []int{3, 0, 1}, 0}, // wrapping round to the sequencer: nothing to pass on
-			{0b1010, []int{3, 1}, 1},    // a set no client builds
-		} {
-			sub := Submit{Group: h.group, Origin: cl.ID(), Call: uint64(i + 1), Payload: copied{Body: "x", Set: tc.set}}
-			for _, r := range tc.to {
-				cl.Send(h.ids[r], &sub)
-			}
-			for _, m := range h.members {
-				take(t, h.rt, m, 1)
-			}
-			for r := 1; r < len(h.ids); r++ {
-				want := 0
-				if r == tc.passer {
-					want = 1
-				}
-				if n := fr.count(h.ids[r], "Submit", sub.key().name()); n != want {
-					t.Errorf("set %04b: member %d passed the copy on %d times, want %d", tc.set, r, n, want)
-				}
-			}
-		}
-	})
-}
-
-// overtakenMarks counts the ids m still expects a direct copy of.
-func overtakenMarks(m *Member) (n int) {
-	for _, e := range m.ids {
-		if e.overtaken {
-			n++
-		}
-	}
-	for _, row := range m.origins {
-		if row.overtaken {
-			n++
-		}
-	}
-	return n
-}
-
-// TestPlainGroupReplaysFirstDirectArrival is the twin: outside direct-copy
-// groups a client sends its one copy to the sequencer, so a follower never
-// sees a first copy race its Ordered — the first direct arrival of an
-// ordered id is the client's retransmission and is reported at once.
+// TestPlainGroupReplaysFirstDirectArrival: a client sends its one copy to
+// its contact, so a follower never sees a first copy race its Ordered — the
+// first direct arrival of an ordered id is the client's retransmission and
+// is reported at once.
 func TestPlainGroupReplaysFirstDirectArrival(t *testing.T) {
 	var dc dupCounter
 	h := newHarnessCfg(3, false, dc.hook)
@@ -412,33 +242,6 @@ func TestPlainGroupReplaysFirstDirectArrival(t *testing.T) {
 		h.rt.Sleep(10 * time.Millisecond)
 		if n := dc.count(h.ids[2]); n != 1 {
 			t.Errorf("first direct arrival of an ordered id reported %d times, want 1", n)
-		}
-		h.rt.Lock()
-		marks := overtakenMarks(h.members[2])
-		h.rt.Unlock()
-		if marks != 0 {
-			t.Errorf("follower of a plain group holds %d overtaken marks, want 0", marks)
-		}
-	})
-}
-
-// TestMemberBroadcastLeavesNoOvertakenMark: a member's own broadcast goes to
-// the sequencer only, so the other members deliver it without ever seeing a
-// direct copy — and must not keep a mark waiting for one, direct-copy group
-// or not.
-func TestMemberBroadcastLeavesNoOvertakenMark(t *testing.T) {
-	h := newHarnessCfg(3, false, func(c *Config) { c.OptimisticDeliver = func(Submit) {} })
-	h.run(func() {
-		h.members[1].Broadcast("nested", appMsg{Body: "x"})
-		for _, m := range h.members {
-			take(t, h.rt, m, 1)
-		}
-		h.rt.Lock()
-		defer h.rt.Unlock()
-		for i, m := range h.members {
-			if n := overtakenMarks(m); n != 0 {
-				t.Errorf("member %d holds %d overtaken marks after a member broadcast, want 0", i, n)
-			}
 		}
 	})
 }

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -194,76 +193,6 @@ func TestGroupWideSubmitIsNotARetransmission(t *testing.T) {
 			// sequencer answers that stale relay with the position.
 			check(t, h, &dc, &fr, 2)
 		})
-	})
-}
-
-// TestDirectCopyGroupRelaysNothing: members of a direct-copy group expect
-// the submitter to address all of them, the sequencer included.
-func TestDirectCopyGroupRelaysNothing(t *testing.T) {
-	var fr frames
-	h := newHarnessCfg(3, false, func(c *Config) { c.OptimisticDeliver = func(Submit) {}; fr.hook(c) })
-	h.run(func() {
-		cl := h.net.Endpoint(wire.ClientID("c1"))
-		defer cl.Close()
-		cl.Send(h.ids[1], &Submit{Group: h.group, ID: "m1", Origin: cl.ID(), Payload: appMsg{Body: "x"}})
-		h.rt.Sleep(50 * time.Millisecond)
-		if n := fr.count(h.ids[1], "", ""); n != 0 {
-			t.Errorf("follower of a direct-copy group sent %d messages, want 0", n)
-		}
-		// Its own broadcasts still go to the sequencer.
-		h.members[1].Broadcast("own", appMsg{Body: "y"})
-		if got := ids(take(t, h.rt, h.members[2], 1)); got[0] != "own" {
-			t.Errorf("delivered %v, want [own]", got)
-		}
-	})
-}
-
-// TestOptimisticDeliverySkipsTheOrderingMember: a direct-copy group surfaces
-// each fresh submit once on every follower's optimistic stream and never on
-// the member that orders it as it arrives — after a view change the new
-// sequencer no longer surfaces either; a retransmission surfaces nowhere.
-func TestOptimisticDeliverySkipsTheOrderingMember(t *testing.T) {
-	var surfaced [3]atomic.Int32
-	h := newHarnessCfg(3, true, func(c *Config) {
-		for rank := range surfaced {
-			if c.Self == wire.ReplicaID(c.Group, rank) {
-				c.OptimisticDeliver = func(Submit) { surfaced[rank].Add(1) }
-			}
-		}
-	})
-	h.run(func() {
-		cl := h.net.Endpoint(wire.ClientID("c1"))
-		defer cl.Close()
-		check := func(when string, want [3]int32) {
-			t.Helper()
-			for rank := range surfaced {
-				if n := surfaced[rank].Load(); n != want[rank] {
-					t.Errorf("%s: member %d surfaced %d submits, want %d", when, rank, n, want[rank])
-				}
-			}
-		}
-		for call := uint64(1); call <= 3; call++ {
-			h.submitCall(cl, call, "x")
-		}
-		for _, m := range h.members {
-			take(t, h.rt, m, 3)
-		}
-		h.submitCall(cl, 3, "x") // the client asks again
-		h.rt.Sleep(10 * time.Millisecond)
-		check("first view", [3]int32{0, 3, 3})
-
-		h.net.Crash(h.ids[0])
-		h.rt.Sleep(500 * time.Millisecond) // view change to {1, 2}
-		if v := h.members[1].View(); v.Sequencer() != h.ids[1] {
-			t.Fatalf("member 1 installed %v, want it the sequencer", v)
-		}
-		for call := uint64(4); call <= 6; call++ {
-			h.submitCall(cl, call, "x")
-		}
-		for _, m := range h.members[1:] {
-			take(t, h.rt, m, 3)
-		}
-		check("second view", [3]int32{0, 3, 6})
 	})
 }
 

@@ -63,9 +63,9 @@ const (
 	amoExpired
 )
 
-// classifyLocked is the three-way comparison dispatch, the duplicate-submit
-// hook and speculation decide by. The entry is the
-// remembered request's (amoDuplicate) or the superseding call's (amoExpired).
+// classifyLocked is the three-way comparison dispatch and the
+// duplicate-submit hook decide by. The entry is the remembered request's
+// (amoDuplicate) or the superseding call's (amoExpired).
 func (r *Replica) classifyLocked(c callRef) (amoVerdict, amoEntry) {
 	if c.Call == 0 {
 		if e, seen := r.amo[c.ID]; seen {

@@ -18,7 +18,6 @@ import (
 //
 //	Request := presence ID Group Method Args Kind ReplyTo Origin
 //	           [trace: TraceID Span] [shard: ShardKey] [call: Call]
-//	           [copies: Copies]
 //	Reply   := presence ID From Result [outcome: Code Err] [trace: TraceID Span]
 //
 // A group is present exactly when it holds something: the decoder rejects a
@@ -37,8 +36,10 @@ const (
 	reqHasTrace = 1 << iota
 	reqHasShard
 	reqHasCall
+	// reqHasCopies marked a direct-copy set, since retired: no encoder sets
+	// it, and a frame that does is refused like any undefined bit.
 	reqHasCopies
-	reqPresenceMask = 1<<iota - 1
+	reqPresenceMask = reqHasCopies - 1
 )
 
 // Presence bits of a Reply frame.
@@ -69,9 +70,6 @@ func encRequest(b *wire.Buffer, q Request) error {
 	if q.Call != 0 {
 		presence |= reqHasCall
 	}
-	if q.Copies != 0 {
-		presence |= reqHasCopies
-	}
 	b.Byte(presence)
 	encInvocationID(b, q.ID)
 	b.String(string(q.Group))
@@ -88,9 +86,6 @@ func encRequest(b *wire.Buffer, q Request) error {
 	}
 	if presence&reqHasCall != 0 {
 		b.Uvarint(q.Call)
-	}
-	if presence&reqHasCopies != 0 {
-		b.Byte(q.Copies)
 	}
 	return nil
 }
@@ -115,11 +110,6 @@ func decRequest(r *wire.Reader) Request {
 	}
 	if presence&reqHasCall != 0 {
 		if q.Call = r.Uvarint(); q.Call == 0 {
-			r.Fail(errEmptyGroup)
-		}
-	}
-	if presence&reqHasCopies != 0 {
-		if q.Copies = r.Byte(); q.Copies == 0 {
 			r.Fail(errEmptyGroup)
 		}
 	}

@@ -27,14 +27,15 @@ import (
 // snapshot instead — so a replica that rejoins after the log has moved past
 // its position is restored by state transfer rather than replay.
 
-// Snapshotter is the only way an object state is imaged, for a checkpoint
-// or a speculation's fork: a group that checkpoints or speculates refuses a
-// state without it. Equal states must give equal bytes (a map goes in key
-// order, say), so that replicas cut at one position write one image.
+// Snapshotter is the only way an object state is imaged, for a checkpoint:
+// a group that checkpoints refuses a state without it. Equal states must
+// give equal bytes (a map goes in key order, say), so that replicas cut at
+// one position write one image.
 type Snapshotter interface {
 	// Snapshot serializes the state. It is called only with no request
-	// threads live — at a quiesced checkpoint boundary, or for a speculation's
-	// image — and never while another Snapshot or Restore of the state runs.
+	// threads live, at a quiesced checkpoint boundary, and never while
+	// another Snapshot or Restore of the state runs: the dispatch goroutine
+	// makes both calls, one at a time.
 	Snapshot() ([]byte, error)
 	// Restore replaces the state with a previously snapshotted image.
 	Restore(data []byte) error
@@ -139,7 +140,6 @@ func (r *Replica) checkpoint(seq uint64) {
 		return
 	}
 	r.rt.Lock()
-	r.enterGateLocked()
 	r.evictStableLocked(seq)
 	entries, heldBytes := r.seenEntriesLocked(), r.heldBytes
 	r.rt.Unlock()
@@ -148,7 +148,6 @@ func (r *Replica) checkpoint(seq uint64) {
 	// continues with digests identical to the donors'.
 	r.trace.Record("order", obs.KindCheckpoint, "ckpt", strconv.FormatUint(seq, 10))
 	state, err := r.snapshotState()
-	r.leaveGate()
 	if err != nil {
 		// Marked on the order stream: a failure here alone parts the digests.
 		r.ckptSkipped.Inc()
@@ -251,14 +250,10 @@ func (r *Replica) seenEntriesLocked() []seenEntry {
 // nested-invocation bookkeeping (necessarily stale) is cleared outright.
 func (r *Replica) installSnapshot(d gcs.Delivery) {
 	env, err := decodeEnvelope(d.Snapshot)
-	r.rt.Lock()
-	r.enterGateLocked()
-	r.rt.Unlock()
 	if s, ok := r.state.(Snapshotter); ok && err == nil {
 		err = s.Restore(env.State)
 	}
 	if err != nil {
-		r.leaveGate()
 		// The member has already moved the delivery frontier past the
 		// snapshot, so this replica's state now lacks that prefix. Say so
 		// where it is looked for: in the count, and in the order digest,
@@ -268,7 +263,6 @@ func (r *Replica) installSnapshot(d gcs.Delivery) {
 		return
 	}
 	r.rt.Lock()
-	r.gateBusy = false
 	r.clients = make(map[wire.NodeID]*clientRow)
 	r.amo = make(map[wire.InvocationID]amoEntry)
 	r.amoOrder = ring.Queue[wire.InvocationID]{}
@@ -284,11 +278,6 @@ func (r *Replica) installSnapshot(d gcs.Delivery) {
 	}
 	r.exportTableLocked()
 	r.threads = make(map[wire.LogicalID]logicalThread)
-	if r.specMgr != nil {
-		// The primary state was rewritten wholesale: no fork taken before
-		// this point can be valid.
-		r.specMgr.Reset(env.Seq)
-	}
 	r.rt.Unlock()
 	r.trace.RestoreStreams(env.Streams)
 }

@@ -22,7 +22,7 @@ func newCkptReplica(t *testing.T, execCount *int, every int, state func() any) *
 	rt := vtime.Virtual()
 	net := transport.NewInproc(rt)
 	dir := NewDirectory()
-	dir.Add("g", []wire.NodeID{wire.ReplicaID("g", 0)}, false)
+	dir.Add("g", []wire.NodeID{wire.ReplicaID("g", 0)})
 	r := New(Config{
 		RT:              rt,
 		Group:           "g",

@@ -30,26 +30,13 @@ type Invocation struct {
 	// class (one invocation makes far fewer than 2^32 nested calls).
 	nestedSeq uint32
 	anonSeq   uint32
-	// speculative marks an execution against a private fork (see
-	// speculate.go): t is nil, State returns fork, lock operations are
-	// no-ops (the fork is single-threaded by construction), and facilities
-	// that cannot run without the scheduler — condition variables, nested
-	// invocations — abort the speculation via a sentinel panic.
-	speculative bool
-	fork        any
 }
 
 // Args returns the marshalled invocation arguments.
 func (inv *Invocation) Args() []byte { return inv.req.Args }
 
-// State returns this replica's private object state (see Config.State) —
-// or, under speculative execution, the invocation's private fork of it.
-func (inv *Invocation) State() any {
-	if inv.speculative {
-		return inv.fork
-	}
-	return inv.r.state
-}
+// State returns this replica's private object state (see Config.State).
+func (inv *Invocation) State() any { return inv.r.state }
 
 // Method returns the invoked method name.
 func (inv *Invocation) Method() string { return inv.req.Method }
@@ -61,21 +48,13 @@ func (inv *Invocation) Logical() wire.LogicalID { return inv.req.Logical() }
 // not branch behaviour on it, or replicas diverge).
 func (inv *Invocation) Replica() wire.NodeID { return inv.r.self }
 
-// Lock acquires the named reentrant mutex through the scheduler. Under
-// speculative execution it is a no-op: the fork is private to this one
-// goroutine, so mutual exclusion is vacuous.
+// Lock acquires the named reentrant mutex through the scheduler.
 func (inv *Invocation) Lock(m adets.MutexID) error {
-	if inv.speculative {
-		return nil
-	}
 	return inv.r.reent.Lock(inv.t, m)
 }
 
 // Unlock releases one hold of m.
 func (inv *Invocation) Unlock(m adets.MutexID) error {
-	if inv.speculative {
-		return nil
-	}
 	return inv.r.reent.Unlock(inv.t, m)
 }
 
@@ -92,34 +71,22 @@ func (inv *Invocation) NewMutex() adets.MutexID {
 // Java-style condition variable); d > 0 bounds the wait and the result
 // reports whether the deterministic timeout fired.
 func (inv *Invocation) Wait(m adets.MutexID, c adets.CondID, d time.Duration) (timedOut bool, err error) {
-	if inv.speculative {
-		panic(specAbort{}) // needs other threads: cannot run on a fork
-	}
 	return inv.r.reent.Wait(inv.t, m, c, d)
 }
 
 // Notify wakes the deterministically-first waiter of (m, c).
 func (inv *Invocation) Notify(m adets.MutexID, c adets.CondID) error {
-	if inv.speculative {
-		panic(specAbort{})
-	}
 	return inv.r.reent.Notify(inv.t, m, c)
 }
 
 // NotifyAll wakes all waiters of (m, c).
 func (inv *Invocation) NotifyAll(m adets.MutexID, c adets.CondID) error {
-	if inv.speculative {
-		panic(specAbort{})
-	}
 	return inv.r.reent.NotifyAll(inv.t, m, c)
 }
 
 // Yield offers the scheduler a voluntary scheduling point (ADETS-MAT's
 // remedy for trailing computations, paper Section 5.3).
 func (inv *Invocation) Yield() {
-	if inv.speculative {
-		return
-	}
 	inv.r.sched.Yield(inv.t)
 }
 
@@ -129,9 +96,6 @@ func (inv *Invocation) Yield() {
 // schedulers it is a no-op. A later Lock fails with
 // adets.ErrLockAfterDeclaration.
 func (inv *Invocation) DeclareNoMoreLocks() {
-	if inv.speculative {
-		return
-	}
 	if lp, ok := inv.r.sched.(adets.LockPredictor); ok {
 		lp.NoMoreLocks(inv.t)
 	}
@@ -198,11 +162,6 @@ const maxNestedCalls = 1000
 // invoke sends req, addressed and filled in by the caller, as this
 // invocation's next nested call and waits for its ordered reply.
 func (inv *Invocation) invoke(req Request) ([]byte, error) {
-	if inv.speculative {
-		// A nested invocation would leak the speculation into another
-		// group's total order; abort and leave it to the ordered run.
-		panic(specAbort{})
-	}
 	n, parent := uint64(inv.nestedSeq)+1, inv.req.ID.Seq
 	if n > maxNestedCalls || parent > (math.MaxUint64-n)/maxNestedCalls {
 		return nil, &Error{Msg: fmt.Sprintf("replica: nested call %d of %s has no unique id (at most %d per invocation, ids of 64 bits)",

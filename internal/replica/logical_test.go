@@ -27,8 +27,8 @@ func newProtoReplica() *protoReplica {
 	rt := vtime.Virtual()
 	net := transport.NewInproc(rt)
 	dir := NewDirectory()
-	dir.Add("g", []wire.NodeID{"g/0"}, false)
-	dir.Add("o", []wire.NodeID{"o/0"}, false)
+	dir.Add("g", []wire.NodeID{"g/0"})
+	dir.Add("o", []wire.NodeID{"o/0"})
 	p := &protoReplica{rt: rt, gate: vtime.NewMailbox[struct{}](rt, "gate"), o: net.Endpoint("o/0"), cl: net.Endpoint(wire.ClientID("t"))}
 	p.r = New(Config{RT: rt, Group: "g", Self: "g/0", Directory: dir, Network: net, Scheduler: sat.New()})
 	p.r.Register("nest", func(inv *Invocation) ([]byte, error) {

@@ -107,8 +107,8 @@ func TestEnvelopeFramesAreCanonical(t *testing.T) {
 }
 
 // TestEnvelopeDecodersRejectNonCanonicalFrames: what reaches a decoder comes
-// from outside the process. An undefined presence bit, a bit set over an
-// empty group, a request kind or reply code outside its enum are all
+// from outside the process. An undefined or retired presence bit, a bit set
+// over an empty group, a request kind or reply code outside its enum are all
 // refused — none of them is a frame an encoder of this tree produces.
 func TestEnvelopeDecodersRejectNonCanonicalFrames(t *testing.T) {
 	id := wire.InvocationID{Logical: "l", Seq: 1}
@@ -133,13 +133,15 @@ func TestEnvelopeDecodersRejectNonCanonicalFrames(t *testing.T) {
 		frame []byte
 		want  string // in the error
 	}{
-		{"request: undefined presence bit", patch(req, reqPresenceMask+1), "undefined presence bit"},
+		{"request: undefined presence bit", patch(req, reqHasCopies<<1), "undefined presence bit"},
 		{"request: every bit set", patch(req, 0xff), "undefined presence bit"},
 		{"request: trace bit, zero trace id", patch(req, reqHasTrace, 0, 5), "empty field group"},
 		{"request: shard bit, empty key", patch(req, reqHasShard, 0), "empty field group"},
 		{"request: call bit, call 0", patch(req, reqHasCall, 0), "empty field group"},
 		{"request: call without its bit", patch(req, 0, 5), "trailing"},
-		{"request: copies bit, empty set", patch(req, reqHasCopies, 0), "empty field group"},
+		// The retired direct-copy set, as a sender from before its retirement
+		// framed it: refused, not skipped.
+		{"request: retired copies bit", patch(req, reqHasCopies, 0b011), "undefined presence bit"},
 		{"request: bit set, group missing", patch(req, reqHasShard), "varint"},
 		{"request: unknown kind", badKind, "unknown request kind"},
 		{"reply: undefined presence bit", patch(rep, repPresenceMask+1), "undefined presence bit"},

@@ -7,10 +7,8 @@
 package replica
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -21,7 +19,6 @@ import (
 	"github.com/replobj/replobj/internal/obs/tracing"
 	"github.com/replobj/replobj/internal/ring"
 	"github.com/replobj/replobj/internal/shard"
-	"github.com/replobj/replobj/internal/spec"
 	"github.com/replobj/replobj/internal/transport"
 	"github.com/replobj/replobj/internal/vtime"
 	"github.com/replobj/replobj/internal/wire"
@@ -42,13 +39,6 @@ type Directory struct {
 type GroupInfo struct {
 	// Members are the replica nodes in rank order.
 	Members []wire.NodeID
-	// DirectCopies marks a group whose members act on a client's own copy
-	// of a request before the sequencer's ordered copy reaches them
-	// (speculative execution). Clients send each request to as many members
-	// of such a group as their reply policy waits for (Request.Copies);
-	// elsewhere one copy to one member suffices and the total order carries
-	// it to the rest.
-	DirectCopies bool
 }
 
 // NewDirectory returns an empty directory.
@@ -56,10 +46,9 @@ func NewDirectory() *Directory {
 	return &Directory{m: make(map[wire.GroupID]*GroupInfo)}
 }
 
-// Add registers (or replaces) a group's membership in rank order;
-// directCopies is GroupInfo.DirectCopies.
-func (d *Directory) Add(g wire.GroupID, members []wire.NodeID, directCopies bool) {
-	info := &GroupInfo{Members: append([]wire.NodeID(nil), members...), DirectCopies: directCopies}
+// Add registers (or replaces) a group's membership in rank order.
+func (d *Directory) Add(g wire.GroupID, members []wire.NodeID) {
+	info := &GroupInfo{Members: append([]wire.NodeID(nil), members...)}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.m[g] = info
@@ -98,7 +87,6 @@ type Request struct {
 	Method  string
 	Args    []byte
 	Kind    RequestKind
-	Copies  uint8        // the members the client sent its own copy to (see CopiedTo)
 	ReplyTo wire.NodeID  // client endpoint (KindClient)
 	Origin  wire.GroupID // originating group (KindNested)
 	// Call numbers a client's invocations: this is the Call-th one ReplyTo
@@ -115,15 +103,6 @@ type Request struct {
 
 // TraceCtx implements tracing.Traced.
 func (req Request) TraceCtx() tracing.Context { return req.Trace }
-
-// CopiedTo implements gcs.CopySet. Copies has bit i set when the client
-// sent the member at position i of the group's Directory entry its own copy
-// of the request; 0 is every member. Only requests to a direct-copy group
-// of up to eight members name a smaller set. The byte sits beside Kind, in
-// what would be padding, so Request stays in its size class.
-func (req Request) CopiedTo(rank int) bool {
-	return req.Copies == 0 || uint(rank) < 8 && req.Copies>>rank&1 != 0
-}
 
 // Code is the runtime's verdict on a request it answered without (or
 // instead of) the handler's own result. Only the runtime sets one — at the
@@ -198,7 +177,6 @@ func (p Reply) TraceCtx() tracing.Context { return p.Trace }
 var (
 	_ tracing.Traced = Request{}
 	_ tracing.Traced = Reply{}
-	_ gcs.CopySet    = Request{}
 )
 
 // Handler executes one method; it may use every Invocation facility
@@ -236,19 +214,6 @@ type Config struct {
 	// truncated. The trigger is a pure function of the stream, so every
 	// replica checkpoints (or deterministically skips) the same boundaries.
 	CheckpointEvery int
-	// Speculative enables speculative execution on optimistic delivery (see
-	// speculate.go): arriving submits are executed immediately against a
-	// fork of the state and the precomputed reply is released when the total
-	// order confirms the speculation as conflict-free. Requires State (the
-	// factory builds the forks, each Restored from an image) and no Shard:
-	// a shard group validates and may redirect a request at its ordered
-	// position. Also enables early scheduling (conflict classes fed to
-	// ADETS-CC at arrival time), and makes the group a direct-copy group
-	// (gcs.Config.OptimisticDeliver). The group's Directory entry must be
-	// registered with DirectCopies set alongside, or clients send the
-	// followers nothing to act on. The sequencer does neither with a request
-	// it orders as it arrives.
-	Speculative bool
 	// Shard, if non-nil, marks this replica a member of a sharded object's
 	// shard group and is the ring of the object's table, fixed at creation:
 	// requests routed with a shard key are validated against it at their
@@ -272,19 +237,16 @@ type Config struct {
 
 // Replica is one member of a replicated object group.
 type Replica struct {
-	rt     vtime.Runtime
-	group  wire.GroupID
-	self   wire.NodeID
-	dir    *Directory
-	ep     transport.Endpoint
-	member *gcs.Member
-	sched  adets.Scheduler
-	reent  *adets.Reentrancy
-	state  any
-	// stateFactory is Config.State, retained so speculative executions can
-	// build private fork instances (nil when speculation is off).
-	stateFactory func() any
-	classes      func(method string, args []byte) []string
+	rt      vtime.Runtime
+	group   wire.GroupID
+	self    wire.NodeID
+	dir     *Directory
+	ep      transport.Endpoint
+	member  *gcs.Member
+	sched   adets.Scheduler
+	reent   *adets.Reentrancy
+	state   any
+	classes func(method string, args []byte) []string
 
 	// shard is non-nil on shard-group members (see Config.Shard);
 	// shardLabel tags this replica's spans with its shard group id so the
@@ -305,14 +267,6 @@ type Replica struct {
 	dupReplies     *obs.Counter
 	dupExpired     *obs.Counter
 	unknownMsgs    *obs.Counter
-	specAttempts   *obs.Counter
-	specHits       *obs.Counter
-	specAborts     *obs.Counter
-	specMismatches *obs.Counter
-	specRefreshes  *obs.Counter
-	specForkReuses *obs.Counter
-	specCatchUps   *obs.Counter
-	specSkipped    *obs.Counter
 	cacheEntries   *obs.Gauge
 	cacheBytes     *obs.Gauge
 	clientRows     *obs.Gauge
@@ -341,21 +295,10 @@ type Replica struct {
 	stopped bool
 	// free holds up to maxFree dispatch records for reuse (see dispatched).
 	free []*dispatched
-
-	// specMgr holds the speculation bookkeeping (nil when Config.Speculative
-	// is off or unusable). evictFloor is the highest stream position whose
-	// reply-cache entries evictStableLocked has dropped; duplicates ordered
-	// at or below it are answered with a typed expired-duplicate error.
-	specMgr    *spec.Manager
+	// evictFloor is the highest stream position whose reply-cache entries
+	// evictStableLocked has dropped; duplicates ordered at or below it are
+	// answered with a typed expired-duplicate error.
 	evictFloor uint64
-	// rank is this replica's position in its group's Directory entry, the
-	// bit a client's Request.Copies sets for it.
-	rank int
-	// The image gate (see speculate.go): imaging while a speculation copies
-	// the state off the lock, gateBusy while the dispatch goroutine accesses
-	// it off the lock itself; the dispatch goroutine waits on gate.
-	imaging, gateBusy bool
-	gate              vtime.Parker
 }
 
 // New wires a replica together: transport endpoint, group member,
@@ -379,11 +322,6 @@ func New(cfg Config) *Replica {
 		r.shard = cfg.Shard
 		r.shardLabel = string(cfg.Group)
 	}
-	if cfg.Speculative {
-		r.stateFactory = cfg.State
-		r.specMgr = spec.NewManager()
-	}
-	r.gate.SetName("image-gate", string(cfg.Self))
 	if cc, ok := r.state.(ConflictClasser); ok {
 		r.classes = cc.ConflictClasses
 	}
@@ -403,20 +341,6 @@ func New(cfg Config) *Replica {
 		r.dupReplies = cfg.Metrics.Counter("replobj_replica_duplicate_submit_replies_total" + label)
 		r.dupExpired = cfg.Metrics.Counter("replobj_replica_duplicate_expired_total" + label)
 		r.unknownMsgs = cfg.Metrics.Counter("replobj_replica_unknown_messages_total" + label)
-		if r.specMgr != nil {
-			r.specAttempts = cfg.Metrics.Counter("replobj_replica_spec_attempts_total" + label)
-			r.specHits = cfg.Metrics.Counter("replobj_replica_spec_hits_total" + label)
-			r.specAborts = cfg.Metrics.Counter("replobj_replica_spec_aborts_total" + label)
-			r.specMismatches = cfg.Metrics.Counter("replobj_replica_spec_mismatches_total" + label)
-			// An attempt runs either on a fork restored for it (a refresh:
-			// one copy of the whole state, sometimes a snapshot too) or on
-			// one reused as it stands; a submit that got no fork is skipped,
-			// and a catch-up is a re-run, not an attempt.
-			r.specRefreshes = cfg.Metrics.Counter("replobj_replica_spec_refreshes_total" + label)
-			r.specForkReuses = cfg.Metrics.Counter("replobj_replica_spec_fork_reuses_total" + label)
-			r.specCatchUps = cfg.Metrics.Counter("replobj_replica_spec_catchups_total" + label)
-			r.specSkipped = cfg.Metrics.Counter("replobj_replica_spec_skipped_total" + label)
-		}
 		r.checkpoints = cfg.Metrics.Counter("replobj_replica_checkpoints_total" + label)
 		r.ckptSkipped = cfg.Metrics.Counter("replobj_replica_checkpoints_skipped_total" + label)
 		r.snapSize = cfg.Metrics.Gauge("replobj_replica_snapshot_bytes" + label)
@@ -437,7 +361,6 @@ func New(cfg Config) *Replica {
 	g.Group = cfg.Group
 	g.Self = cfg.Self
 	g.Members = cfg.Directory.Members(cfg.Group)
-	r.rank = slices.Index(g.Members, cfg.Self)
 	g.Send = r.ep.Send
 	g.Spans = cfg.Spans
 	g.Shard = r.shardLabel
@@ -476,13 +399,6 @@ func New(cfg Config) *Replica {
 		if !stopped && verdict != amoFresh && r.answerDuplicate(&req, verdict, e) {
 			r.dupReplies.Inc()
 		}
-	}
-	// A speculating group's members act on the clients' own copies, so
-	// clients send them to the members whose replies they wait for (the
-	// Directory entry says the same to them) and, the hook being set, a
-	// member passes one on only when that set leaves out the sequencer.
-	if cfg.Speculative {
-		g.OptimisticDeliver = r.onOptimisticSubmit
 	}
 	r.member = gcs.NewMember(cfg.RT, g)
 	r.reent = adets.NewReentrancy(cfg.RT, cfg.Scheduler)
@@ -526,8 +442,7 @@ func (r *Replica) Stop() {
 // receive feeds one message to the group member. On TCP it runs on the
 // reader that decoded the frame and must not block: Handle is one event
 // under the runtime lock whose finish only enqueues sends and calls
-// DuplicateSubmit (sends a reply) and OptimisticDeliver (starts the
-// speculation goroutine).
+// DuplicateSubmit (sends a reply).
 func (r *Replica) receive(msg wire.Message) {
 	if r.member.Handle(msg.From, msg.Payload) {
 		return
@@ -593,8 +508,8 @@ func (r *Replica) dispatchLoop() {
 // carries, so a warm replica allocates neither per request. complete
 // returns the record, zeroed but for run, once it has stored the reply: no
 // path may keep the record, its Invocation or a pointer into its request
-// past that point. Whatever outlives the execution (a catch-up's request,
-// the reply's addressee) is copied out first.
+// past that point. Whatever outlives the execution (the reply's addressee)
+// is copied out first.
 type dispatched struct {
 	inv     Invocation
 	seq     uint64
@@ -650,8 +565,7 @@ func (r *Replica) newReply(req *Request) Reply {
 }
 
 // dispatchRequest applies at-most-once semantics and shard admission, then
-// hands the request to speculation's verdict, the logical thread's arrive
-// and the scheduler. Everything up to the hand-off happens at a totally
+// hands the request to the logical thread's arrive and the scheduler. Everything up to the hand-off happens at a totally
 // ordered point under one hold of the runtime lock, so the classification
 // (duplicate? redirect? callback?) is a pure function of the stream —
 // identical on every replica.
@@ -663,7 +577,6 @@ func (r *Replica) newReply(req *Request) Reply {
 func (r *Replica) dispatchRequest(req Request, seq uint64) {
 	classes := r.conflictClasses(&req)
 	r.rt.Lock()
-	r.waitImageLocked()
 	if r.stopped {
 		r.rt.Unlock()
 		return
@@ -682,15 +595,10 @@ func (r *Replica) dispatchRequest(req Request, seq uint64) {
 		r.sendReply(req, redirect)
 		return
 	}
-	var act specAction
-	if r.specMgr != nil {
-		act = r.specDispatchLocked(&req, seq, classes)
-	}
 	d := r.takeLocked()
 	d.inv, d.seq, d.classes = Invocation{r: r, req: req}, seq, classes
 	callback, deferred := r.arriveLocked(d)
 	r.rt.Unlock()
-	r.specDispatchFinish(&req, act)
 	if !deferred {
 		r.submit(d, callback)
 	}
@@ -784,46 +692,17 @@ func (r *Replica) recordSpan(req *Request, name string, seq uint64, start time.D
 }
 
 // complete publishes the reply of a request that went through the
-// scheduler: reply cache, the logical thread's leave, speculation's account
-// of an early reply, and the send. d is released under the lock hold that
-// stores the reply: everything after it goes by a copy of the request.
+// scheduler: reply cache, the logical thread's leave, and the send. d is
+// released under the lock hold that stores the reply: everything after it
+// goes by a copy of the request.
 func (r *Replica) complete(d *dispatched, reply Reply) {
 	r.rt.Lock()
 	req := d.inv.req
 	r.releaseLocked(d)
 	r.storeReplyLocked(req.ref(), reply)
 	r.leaveLocked(&req)
-	var suppress, mismatch, late bool
-	if r.specMgr != nil && req.Kind == KindClient {
-		srep, released, l := r.specMgr.Resolve(req.ID.String())
-		late = l
-		if released {
-			if sr, ok := srep.(Reply); ok && sr.Code == reply.Code && sr.Err == reply.Err && bytes.Equal(sr.Result, reply.Result) {
-				// The released speculative reply matches: the client has it
-				// already, suppress the duplicate send.
-				suppress = true
-			} else {
-				// The speculative reply differed from the ordered one — the
-				// handler broke the purity/class-confinement contract. Send
-				// the authoritative reply too, surface the event, and trust
-				// no fork any further: they carry such writes along.
-				mismatch = true
-				r.specMgr.DropForks()
-			}
-		}
-	}
 	r.rt.Unlock()
-	if mismatch {
-		r.specMismatches.Inc()
-	}
-	if late {
-		// Confirmed-valid speculation outrun by the ordered execution: the
-		// early reply never left, so it counts as a (cheap) abort.
-		r.specAborts.Inc()
-	}
-	if !suppress {
-		r.sendReply(req, reply)
-	}
+	r.sendReply(req, reply)
 }
 
 // sendReply routes a reply: directly to the client, or into the

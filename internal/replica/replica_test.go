@@ -20,8 +20,8 @@ func TestDirectoryBasics(t *testing.T) {
 	if got := d.Members("ghost"); len(got) != 0 {
 		t.Errorf("Members(ghost) = %v", got)
 	}
-	d.Add("a", []wire.NodeID{"a/0", "a/1"}, false)
-	d.Add("b", []wire.NodeID{"b/0"}, false)
+	d.Add("a", []wire.NodeID{"a/0", "a/1"})
+	d.Add("b", []wire.NodeID{"b/0"})
 	got := d.Members("a")
 	if !reflect.DeepEqual(got, []wire.NodeID{"a/0", "a/1"}) {
 		t.Errorf("Members(a) = %v", got)
@@ -34,14 +34,14 @@ func TestDirectoryBasics(t *testing.T) {
 		t.Errorf("Group(b) = %+v", b)
 	}
 	before := d.Group("a")
-	d.Add("a", []wire.NodeID{"a/0"}, true) // replacement
+	d.Add("a", []wire.NodeID{"a/0"}) // replacement
 	if n := len(d.Members("a")); n != 1 {
 		t.Errorf("after replacement: %d members", n)
 	}
 	// An entry is replaced, never edited: holders of the old one see what
 	// they saw, and learn of the change by comparing pointers.
 	after := d.Group("a")
-	if after == before || len(before.Members) != 2 || before.DirectCopies || !after.DirectCopies {
+	if after == before || len(before.Members) != 2 || len(after.Members) != 1 {
 		t.Errorf("replacement edited the published entry: before %+v, after %+v", before, after)
 	}
 	if d.Group("ghost") != nil {
@@ -57,7 +57,7 @@ func TestQuickDirectoryConcurrentSafety(t *testing.T) {
 		go func() {
 			defer close(done)
 			for _, n := range names {
-				d.Add(wire.GroupID(n), []wire.NodeID{wire.NodeID(n)}, false)
+				d.Add(wire.GroupID(n), []wire.NodeID{wire.NodeID(n)})
 			}
 		}()
 		for _, n := range names {
@@ -97,7 +97,7 @@ func newOneReplicaWithMetrics(t *testing.T, execCount *int, reg *obs.Registry) *
 	rt := vtime.Virtual()
 	net := transport.NewInproc(rt)
 	dir := NewDirectory()
-	dir.Add("g", []wire.NodeID{wire.ReplicaID("g", 0)}, false)
+	dir.Add("g", []wire.NodeID{wire.ReplicaID("g", 0)})
 	r := New(Config{
 		RT:        rt,
 		Group:     "g",

@@ -1,6 +1,10 @@
 package spec
 
-import "testing"
+import (
+	"runtime"
+	"strconv"
+	"testing"
+)
 
 func TestHitWhenNoConflictingDispatch(t *testing.T) {
 	m := NewManager()
@@ -149,28 +153,40 @@ func itoa(i int) string {
 	return string(b[p:])
 }
 
-func TestReset(t *testing.T) {
-	m := NewManager()
-	m.TrackDispatch(4, []string{"a"})
-	m.SetImage([]byte("s"), false, 4)
-	m.Begin("x", 4, []string{"a"})
-	m.Reset(10)
-	if m.image != nil {
-		t.Fatal("Reset must drop the image")
+// The record table must not remember finished requests: one id string per
+// request for the life of the replica is an unbounded leak.
+func TestRecordsLeaveNothingBehind(t *testing.T) {
+	m, cls := NewManager(), []string{"a"}
+	cycle := func(i int) {
+		id := "client/c0#" + strconv.Itoa(i) + "#0"
+		m.Begin(id, uint64(i-1), cls)
+		m.Finish(id, "r")
+		if _, out := m.Confirm(id, cls); out != Hit {
+			t.Fatalf("cycle %d: %v", i, out)
+		}
+		m.TrackDispatch(uint64(i), cls)
+		m.Resolve(id)
 	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	for i := 1; i <= 1000; i++ {
+		cycle(i)
+	}
+	before := heap()
+	for i := 1001; i <= 101000; i++ {
+		cycle(i)
+	}
+	after := heap()
 	if m.Pending() != 0 {
-		t.Fatal("Reset must drop records")
+		t.Fatalf("%d open records", m.Pending())
 	}
-	// All floors raised to the reset position: a fork from below never hits.
-	m.Begin("y", 4, []string{"zz"})
-	m.Finish("y", "r")
-	if _, out := m.Confirm("y", []string{"zz"}); out != Stale {
-		t.Fatal("fork below the reset floor must be stale")
+	// 10^5 retained ids would be over 3 MB.
+	if after > before+256<<10 {
+		t.Fatalf("heap grew %d KiB over 10^5 cycles", (after-before)>>10)
 	}
-	// A fork at the reset position hits again.
-	m.Begin("z", 10, []string{"zz"})
-	m.Finish("z", "r")
-	if _, out := m.Confirm("z", []string{"zz"}); out != Hit {
-		t.Fatal("fork at the reset floor should hit")
-	}
+	runtime.KeepAlive(m)
 }

@@ -192,6 +192,34 @@ func Own(payload any) any {
 	return payload
 }
 
+// canonical re-reads v, a value the gob fallback decoded, through its
+// type's binary codec, so that gob yields only what a binary frame can carry
+// and refuses what the binary decoder refuses: a trace context with a span
+// and no trace id, which does not travel, is dropped on both paths alike.
+// top asks for a top-level payload, a new *T; a nested payload is a T. A
+// value of an unregistered type is returned as it is.
+func canonical(v any, top bool) (any, error) {
+	c, ok := binByType[reflect.TypeOf(v)]
+	if !ok {
+		return v, nil
+	}
+	b := getBuffer()
+	defer putBuffer(b)
+	if err := c.enc(b, v); err != nil {
+		return nil, err
+	}
+	r := Reader{b: b.b}
+	if top {
+		v = c.into(&r, nil)
+	} else {
+		v = c.dec(&r)
+	}
+	if r.err == nil && r.Remaining() != 0 {
+		r.err = fmt.Errorf("wire: %d trailing bytes", r.Remaining())
+	}
+	return v, r.err
+}
+
 // uvarintLen returns the number of bytes of the minimal uvarint encoding.
 func uvarintLen(v uint64) int {
 	n := 1
@@ -535,6 +563,8 @@ func (r *Reader) Any() any {
 		if r.err == nil {
 			if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&v); err != nil {
 				r.Fail(fmt.Errorf("wire: gob-decode nested payload: %w", err))
+			} else if v, err = canonical(v, false); err != nil {
+				r.Fail(err)
 			}
 		}
 		return v
@@ -575,7 +605,10 @@ func parseBody(r *Reader, m *Message, cells []any) (lent *binaryCodec, binaryCle
 		if err := gob.NewDecoder(bytes.NewReader(r.b[r.off:])).Decode(&gm); err != nil {
 			return nil, false, fmt.Errorf("wire: decode message: %w", err)
 		}
-		gm.Payload = Own(gm.Payload) // gob decodes a registered T as a value
+		// gob decodes a registered T as a value; the message holds a *T.
+		if gm.Payload, err = canonical(gm.Payload, true); err != nil {
+			return nil, false, fmt.Errorf("wire: decode message: %w", err)
+		}
 		*m = gm
 		return nil, false, nil
 	}

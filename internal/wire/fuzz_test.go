@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"io"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -23,8 +24,10 @@ import (
 // scheduler timeout and LSA table messages. New exemplars go at the end:
 // the checked-in corpus files are numbered by position. (The corpus was
 // generated while migration chunks, tag 27, were a payload too; their
-// files stay as frames of an unknown tag, which both decoders refuse. The
-// frames those exemplars encoded to are kept in retiredFrames.)
+// files stay as frames of an unknown tag, which both decoders refuse. So do
+// seed-bin-27 and -28, a Submit and an Ordered whose request named its
+// direct-copy set, a presence bit since retired. The frames of both kinds
+// are kept in retiredFrames, so a regenerated corpus loses neither.)
 func exemplarMessages() []wire.Message {
 	view := gcs.View{Epoch: 3, Members: []wire.NodeID{"g/0", "g/1", "g/2"}}
 	sub := gcs.Submit{Group: "g", ID: "inv-1", Origin: "client/c1",
@@ -102,12 +105,6 @@ func exemplarMessages() []wire.Message {
 			Group: "g", From: "g/2", Epoch: 3, Delivered: 42,
 			Tail:    []gcs.Ordered{{Group: "g", Epoch: 3, Seq: 43, Origin: "client/c1", Call: 7}},
 			Pending: []gcs.Submit{{Group: "g", Origin: "client/c2", Call: 1}}}},
-		// The copy set a speculating group's client names, on its submit
-		// and on the Ordered that carries the request on.
-		{From: "client/c1", To: "g/1", Payload: gcs.Submit{Group: "g", Origin: "client/c1", Call: 8,
-			Payload: request(func(q *replica.Request) { q.Call, q.Copies = 8, 0b011 })}},
-		{From: "g/0", To: "g/2", Payload: gcs.Ordered{Group: "g", Epoch: 3, Seq: 44, Origin: "client/c1", Call: 8,
-			Payload: request(func(q *replica.Request) { q.Trace, q.Call, q.Copies = trace, 8, 0b110 })}},
 		// A checkpoint sent in place of a truncated tail.
 		{From: "g/0", To: "g/2", Payload: gcs.Snapshot{Group: "g", Seq: 40, Data: []byte("image")}},
 	}
@@ -216,12 +213,16 @@ func TestDifferentialBinaryVsGob(t *testing.T) {
 	}
 }
 
-// retiredFrames returns the frames of the exemplars that carried a
-// migration chunk (tag 27) when live resharding still existed, in
-// testdata/retired-migrate-chunks.frames: four messages, each as its binary
-// frame followed by its gob twin.
-func retiredFrames(tb testing.TB) [][]byte {
-	data, err := os.ReadFile("testdata/retired-migrate-chunks.frames")
+// retiredFrames returns the want frames of testdata/name: exemplars of
+// what an earlier build sent and this one refuses, each message as its
+// binary frame followed by its gob twin.
+//   - retired-migrate-chunks.frames: four messages that carried a migration
+//     chunk (tag 27) when live resharding still existed.
+//   - retired-request-copies.frames: a client's Submit and the sequencer's
+//     Ordered whose Request named the direct-copy set (the request frame's
+//     fourth presence bit) when speculation still existed.
+func retiredFrames(tb testing.TB, name string, want int) [][]byte {
+	data, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -229,13 +230,13 @@ func retiredFrames(tb testing.TB) [][]byte {
 	for len(data) > 0 {
 		size, n := binary.Uvarint(data)
 		if n <= 0 || uint64(len(data)-n) < size {
-			tb.Fatalf("retired frames: bad frame header after %d frames", len(frames))
+			tb.Fatalf("%s: bad frame header after %d frames", name, len(frames))
 		}
 		frames = append(frames, data[:n+int(size)])
 		data = data[n+int(size):]
 	}
-	if len(frames) != 8 {
-		tb.Fatalf("retired frames: %d frames, want 8", len(frames))
+	if len(frames) != want {
+		tb.Fatalf("%s: %d frames, want %d", name, len(frames), want)
 	}
 	return frames
 }
@@ -244,7 +245,7 @@ func retiredFrames(tb testing.TB) [][]byte {
 // payload this build no longer registers, is an error on both codec paths
 // and on the stream decoder, never a panic or a misread payload.
 func TestRetiredMigrationFramesRefused(t *testing.T) {
-	for i, frame := range retiredFrames(t) {
+	for i, frame := range retiredFrames(t, "retired-migrate-chunks.frames", 8) {
 		if m, _, _, err := wire.ConsumeMessage(frame); err == nil {
 			t.Errorf("frame %d: ConsumeMessage accepted a retired payload: %+v", i, m)
 		}
@@ -308,7 +309,7 @@ func FuzzDecode(f *testing.F) {
 		f.Add(gobbed)
 		f.Add(append(append([]byte(nil), bin...), gobbed...)) // two frames back to back
 	}
-	retired := retiredFrames(f)
+	retired := append(retiredFrames(f, "retired-migrate-chunks.frames", 8), retiredFrames(f, "retired-request-copies.frames", 4)...)
 	for i := 0; i < len(retired); i += 2 {
 		bin, gobbed := retired[i], retired[i+1]
 		f.Add(bin)

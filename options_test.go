@@ -87,12 +87,6 @@ func expect(ctor string, pair []tableOption) tableCase {
 	if has["WithShards"] && ctor == "NewGroup" {
 		refuse("WithShards", "NewGroup")
 	}
-	if has["WithSpeculation"] && ctor == "NewSharded" {
-		refuse("WithSpeculation", "NewSharded")
-	}
-	if has["WithSpeculation"] && !has["WithState"] {
-		refuse("WithSpeculation", "WithState")
-	}
 	if has["WithSchedulerFactory"] && kind != "" {
 		refuse("WithSchedulerFactory", fmt.Sprintf("WithScheduler(%s)", kind))
 	}
@@ -190,13 +184,13 @@ func TestGroupOptionsComposeOrRefuse(t *testing.T) {
 			}
 		}
 	}
-	// A state that cannot snapshot itself is refused beside either option
-	// that images it, by both constructors, with an error that names the
-	// option, WithState and the state's type.
+	// A state that cannot snapshot itself is refused beside the option that
+	// images it, by both constructors, with an error that names the option,
+	// WithState and the state's type.
 	plain := replobj.WithState(func() any { return &plainState{} })
 	for _, ctor := range []string{"NewGroup", "NewSharded"} {
 		for _, o := range opts {
-			if o.family != "WithCheckpointEvery" && o.family != "WithSpeculation" {
+			if o.family != "WithCheckpointEvery" {
 				continue
 			}
 			rt := vtime.Virtual()
@@ -217,8 +211,7 @@ func TestGroupOptionsComposeOrRefuse(t *testing.T) {
 	}
 	// Every rule of the list is reached.
 	for _, r := range [][2]string{
-		{"WithShards", "NewGroup"}, {"WithSpeculation", "NewSharded"},
-		{"WithSpeculation", "WithState"}, {"WithSchedulerFactory", "WithScheduler(SEQ)"},
+		{"WithShards", "NewGroup"}, {"WithSchedulerFactory", "WithScheduler(SEQ)"},
 		{"WithCCLanes", "WithScheduler("}, {"WithLSAPeriod", "WithScheduler("},
 		{"WithPDSConfig", "WithScheduler("}, {"WithCCLanes", "WithSchedulerFactory"},
 		{"WithQuorum", "WithFailureDetection"},
@@ -277,7 +270,7 @@ func TestRefusedNewShardedCreatesNothing(t *testing.T) {
 	ids := []replobj.GroupID{replobj.ShardDirGroup("kv"), replobj.ShardGroupName("kv", 0), replobj.ShardGroupName("kv", 1)}
 	for _, opts := range [][]replobj.GroupOption{
 		{replobj.WithScheduler("bogus"), replobj.WithShards(2)},
-		{replobj.WithShards(2), replobj.WithSpeculation(), replobj.WithState(func() any { return &counter{} })},
+		{replobj.WithShards(2), replobj.WithCheckpointEvery(8), replobj.WithState(func() any { return &plainState{} })},
 	} {
 		if _, err := c.NewSharded("kv", 3, opts...); err == nil {
 			t.Fatal("NewSharded accepted options it must refuse")

@@ -87,8 +87,8 @@ type (
 	// (ADETS-CC). The result must be a pure function of (method, args).
 	ConflictClasser = replica.ConflictClasser
 	// Snapshotter is implemented by object states that can be imaged: it
-	// is the only way a state is checkpointed (WithCheckpointEvery) or
-	// forked (WithSpeculation), and equal states must give equal bytes.
+	// is the only way a state is checkpointed (WithCheckpointEvery), and
+	// equal states must give equal bytes.
 	Snapshotter = replica.Snapshotter
 	// MetricsRegistry collects counters, gauges and latency histograms and
 	// renders them in Prometheus text format (see internal/obs).
@@ -363,7 +363,6 @@ type groupConfig struct {
 	quorum           bool
 	traceRetain      int
 	checkpointEvery  int
-	speculative      bool
 	shards           int
 	// given names the options passed that parseGroupOptions checks by
 	// presence.
@@ -382,9 +381,8 @@ func WithScheduler(kind SchedulerKind) GroupOption {
 // WithState installs a per-replica object-state factory; handlers retrieve
 // the instance via Invocation.State and must guard access with scheduler
 // locks. A state that implements ConflictClasser declares the conflict
-// classes ADETS-CC schedules by. Beside WithCheckpointEvery or
-// WithSpeculation, NewGroup calls the factory once, to refuse a state that
-// is not a Snapshotter.
+// classes ADETS-CC schedules by. Beside WithCheckpointEvery, NewGroup calls
+// the factory once, to refuse a state that is not a Snapshotter.
 func WithState(factory func() any) GroupOption {
 	return func(g *groupConfig) { g.state = factory }
 }
@@ -446,51 +444,15 @@ func WithCheckpointEvery(n int) GroupOption {
 	return func(g *groupConfig) { g.checkpointEvery = n }
 }
 
-// WithSpeculation enables speculative execution on optimistic delivery:
-// a follower executes an arriving request immediately against a forked
-// copy of its state and releases the precomputed reply the moment
-// the total order confirms it as conflict-free — the reply leaves after one
-// network delay instead of waiting for the full ordering round. The ordered
-// execution still runs unchanged, so committed state, schedule-trace
-// digests and at-most-once semantics are identical to a non-speculative
-// run; a stale speculation's reply is simply discarded. Also enables early
-// scheduling (conflict classes reach ADETS-CC at arrival time).
+// WithSpeculation does nothing: speculation was deleted, since
+// the one workload that ran it was faster without it, and every group now
+// runs each request once, at its total-order position. Every constructor
+// accepts the option beside any other.
 //
-// A client of a speculating group sends a request not to the sequencer
-// alone but to as many members as its reply policy waits for — the
-// sequencer and the next follower under Majority, every member under All,
-// the sequencer alone under First — so their copies arrive before the
-// order; the other members learn the request from the total order, as in
-// any group, and do not speculate on it. The first request a client sends
-// to the group and every retransmission go to every member. The
-// sequencer orders a request the moment its copy arrives and delivers it in
-// the same step, so it neither speculates nor schedules early: a client
-// that takes the first reply (ReplyPolicy First) gets no speculation at
-// all.
-//
-// Speculation requires a WithState whose state is a Snapshotter (forks
-// are restored from its images; the group is refused without one) and
-// handlers that confine their reads and writes to their declared conflict
-// classes and are pure functions of (state, args). The forks are few and
-// long-lived — each carries confirmed speculative writes on to later
-// requests — so a handler that strays outside its classes spoils a fork for
-// every request after it; the spec-mismatch counter fires and all forks are
-// discarded. Handlers using condition variables or nested invocations abort
-// their speculation harmlessly. NewSharded refuses it: shard groups validate
-// and may redirect a request at its ordered position, which a speculation
-// cannot anticipate.
-//
-// A client process that only declares the group (NewGroup without Start,
-// the replicas being remote) must pass WithSpeculation too, beside a
-// WithState whose state it never uses: the option is how the client stub
-// learns that the members want their own copies of a request. A client that
-// omits it still gets correct answers — the sequencer's copy reaches the
-// followers through the total order — but the followers have nothing to
-// speculate on.
-//
-// Pinned by benchmark/workload_kv.go (DESIGN.md "Pinned by the ruler").
+// Deprecated: the option is kept only because benchmark/workload_kv.go
+// passes it (DESIGN.md "Pinned by the ruler"). Leave it out.
 func WithSpeculation() GroupOption {
-	return func(g *groupConfig) { g.speculative = true }
+	return func(*groupConfig) {}
 }
 
 // WithSchedTrace enables the deterministic schedule trace on every replica
@@ -564,7 +526,7 @@ func parseGroupOptions(opts []GroupOption, sharded bool) (groupConfig, error) {
 		return given[opt] && (cfg.factory != nil || !slices.Contains(kinds, cfg.kind))
 	}
 	var state any // one instance, to learn whether it can be imaged
-	if cfg.state != nil && (cfg.speculative || cfg.checkpointEvery > 0) {
+	if cfg.state != nil && cfg.checkpointEvery > 0 {
 		state = cfg.state()
 	}
 	_, snapshots := state.(replica.Snapshotter)
@@ -573,11 +535,7 @@ func parseGroupOptions(opts []GroupOption, sharded bool) (groupConfig, error) {
 	case given["WithShards"] && !sharded:
 		why = "WithShards needs NewSharded, not NewGroup"
 	case state != nil && !snapshots:
-		why = fmt.Sprintf("WithCheckpointEvery and WithSpeculation need a WithState whose state is a Snapshotter, not %T", state)
-	case cfg.speculative && sharded:
-		why = "WithSpeculation is not supported by NewSharded"
-	case cfg.speculative && cfg.state == nil:
-		why = "WithSpeculation needs WithState to fork"
+		why = fmt.Sprintf("WithCheckpointEvery needs a WithState whose state is a Snapshotter, not %T", state)
 	case cfg.factory != nil && given["WithScheduler"]:
 		why = fmt.Sprintf("WithSchedulerFactory replaces the kind WithScheduler(%s) selects", cfg.kind)
 	case configures("WithCCLanes", CC):
@@ -615,7 +573,7 @@ func (c *Cluster) newGroup(id GroupID, n int, cfg groupConfig) *Group {
 	for i := range members {
 		members[i] = wire.ReplicaID(id, i)
 	}
-	c.dir.Add(id, members, cfg.speculative)
+	c.dir.Add(id, members)
 	g := &Group{
 		id:       id,
 		cluster:  c,
@@ -703,7 +661,6 @@ func (g *Group) StartRank(rank int) {
 		Scheduler:       sched,
 		State:           g.cfg.state,
 		CheckpointEvery: g.cfg.checkpointEvery,
-		Speculative:     g.cfg.speculative,
 		Shard:           g.cfg.shard,
 		GCS: gcs.Config{
 			FailureDetection: g.cfg.failureDetection,

@@ -46,10 +46,9 @@ type Sharded struct {
 
 // NewSharded creates a sharded object with n replicas per shard group.
 // The shard count comes from WithShards (default 1); all other group
-// options apply to every shard group. WithSpeculation is refused. The
-// directory group is created alongside with the same replica count, the
-// shard groups' failure detection and quorum, and ADETS-SAT. A refused call
-// creates nothing.
+// options apply to every shard group. The directory group is created
+// alongside with the same replica count, the shard groups' failure
+// detection and quorum, and ADETS-SAT. A refused call creates nothing.
 func (c *Cluster) NewSharded(object string, n int, opts ...GroupOption) (*Sharded, error) {
 	if strings.ContainsAny(object, "@") {
 		return nil, fmt.Errorf("replobj: sharded object name %q must not contain '@'", object)

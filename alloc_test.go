@@ -27,9 +27,11 @@ import (
 // id strings it saves a call are decoded ones (BenchmarkInvokeTCP, 40 →
 // 37), and neither did sending every top-level payload as a pointer: a new
 // *T costs what boxing the T did, and nothing in process is decoded into a
-// lent cell. Much of what is left is the in-process network's timer per
-// message, which TCP deployments do not pay. The race detector allocates on
-// its own, hence the build tag.
+// lent cell. Since Send borrows its payload it reads 47: the senders' cells
+// are reused, but the in-process network keeps a copy of every payload it
+// delivers — the sequencer's Ordered once per follower. Much of what is
+// left is that network's timer per message, which TCP deployments do not
+// pay. The race detector allocates on its own, hence the build tag.
 func TestInvokeAllocationBudget(t *testing.T) {
 	const budget = 50
 	rt := vtime.Real()
@@ -143,6 +145,7 @@ func TestInvokeMessageBudget(t *testing.T) {
 // record and the record's bound Exec func on each replica, 55 while each
 // thread had a goroutine and a closure of its own, and 118 when every
 // grant and unlock built its stream's name and a thread was six objects.
+// Since Send borrows its payload it reads 47 (see TestInvokeAllocationBudget).
 func TestLockedInvokeAllocationBudget(t *testing.T) {
 	const budget = 50
 	rt := vtime.Real()
@@ -194,12 +197,15 @@ func TestLockedInvokeAllocationBudget(t *testing.T) {
 // TestInvokeTCPAllocationBudget pins what one invocation allocates over
 // loopback TCP, BenchmarkInvokeTCP's shape: one client, three SEQ
 // replicas, the real clock, a 1-byte add, every codec and socket on the
-// path. The bound is the figure measured once each TCP reader decoded into
-// payload cells it lends (25) plus 10 %. It was 34 when each replica began
-// to reuse its dispatch records (31 measured, the six top-level payloads
-// still boxed on receipt); the benchmark read 37 before that.
+// path. The bound is the figure measured once Send borrowed its payload and
+// the client's Submit, the sequencer's Ordered and each replica's Reply
+// were sent from reused cells (20) plus 3. It was 28 when each TCP reader
+// began to decode into payload cells it lends (25 measured, every sent
+// payload still a new one), 34 when each replica began to reuse its
+// dispatch records (31 measured, the six top-level payloads still boxed on
+// receipt); the benchmark read 37 before that.
 func TestInvokeTCPAllocationBudget(t *testing.T) {
-	const budget = 28
+	const budget = 23
 	cl := tcpCounterCluster(t)("c0") // connections dialed
 	args := []byte{1}
 	var err error
@@ -224,8 +230,8 @@ func TestInvokeTCPAllocationBudget(t *testing.T) {
 // TestTCPConnectionMemoryBudget pins what a connected client costs the
 // process: 64 clients, each connected to three SEQ replicas over loopback
 // TCP after one call, both ends of every connection in this process. A
-// connection end holds what it carries — a send queue grown on demand, an
-// encode buffer only while it writes a burst, an 8 KiB read buffer — and
+// connection end holds what it carries — a buffer of encoded frames only
+// while frames wait or are being written, an 8 KiB read buffer — and
 // the budget is a fifth of the 1 230 KiB a client cost while each end
 // reserved a 128 KiB encoder, a 512-slot queue and a 32 KiB reader.
 func TestTCPConnectionMemoryBudget(t *testing.T) {

@@ -69,26 +69,33 @@ func BenchmarkExperiments(b *testing.B) {
 //	go test -run xxx -bench 'InvokeTCP$' -benchmem -memprofile mem.out -memprofilerate 1 .
 //
 // attributes the end-to-end allocs_per_op figure to source lines.
-func BenchmarkInvokeTCP(b *testing.B) { benchInvokeTCP(b, 1) }
+func BenchmarkInvokeTCP(b *testing.B) { benchInvokeTCP(b, 1, 3) }
+
+// BenchmarkInvokeTCPSingle is BenchmarkInvokeTCP on a one-replica group:
+// one Submit and one reply, no Ordered and no follower. Beside
+// BenchmarkTCPLoopbackRoundTrip (internal/transport) it splits the fixed
+// per-request cost into the transport floor, what one replica adds, and
+// what replication adds on top.
+func BenchmarkInvokeTCPSingle(b *testing.B) { benchInvokeTCP(b, 1, 1) }
 
 // BenchmarkInvokeTCPClients is the same cluster under load: 32 closed-loop
 // clients keep the sequencer's queue full, which is where per-round costs
 // (and anything that claims to amortise them) show on the ops/s axis.
-func BenchmarkInvokeTCPClients(b *testing.B) { benchInvokeTCP(b, 32) }
+func BenchmarkInvokeTCPClients(b *testing.B) { benchInvokeTCP(b, 32, 3) }
 
-func benchInvokeTCP(b *testing.B, clients int) {
+func benchInvokeTCP(b *testing.B, clients, replicas int) {
 	rt := vtime.Real()
 	defer rt.Stop()
 	addrs := map[wire.NodeID]string{}
 	for i := 0; i < clients; i++ {
 		addrs[wire.ClientID(fmt.Sprintf("c%d", i))] = "127.0.0.1:0"
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < replicas; i++ {
 		addrs[wire.ReplicaID("cnt", i)] = "127.0.0.1:0"
 	}
 	c := replobj.NewCluster(rt, replobj.WithNetwork(transport.NewTCP(rt, addrs)))
 	defer c.Close()
-	counterGroup(b, c, "cnt", 3, replobj.WithScheduler(replobj.SEQ))
+	counterGroup(b, c, "cnt", replicas, replobj.WithScheduler(replobj.SEQ))
 	cls := make([]*replobj.Client, clients)
 	for i := range cls {
 		cls[i] = c.NewClient(fmt.Sprintf("c%d", i), replobj.WithInvocationTimeout(10*time.Second))

@@ -144,6 +144,9 @@ type call struct {
 	done    bool
 	ctx     tracing.Context // zero when tracing is off
 	t0      time.Duration   // submit time (tracing only)
+	// sub is the request's one Submit cell, sent to the contact and again
+	// on every retransmission: Send borrows it, and only invoke writes it.
+	sub gcs.Submit
 }
 
 type replySlot struct {
@@ -363,9 +366,7 @@ func (c *Client) invoke(group wire.GroupID, method string, args []byte, policy R
 		cl.t0 = c.rt.NowLocked()
 	}
 	ctx, t0 := cl.ctx, cl.t0
-	c.rt.Unlock()
-
-	req := replica.Request{
+	cl.sub = gcs.Submit{Group: group, Origin: c.self, Call: callNo, Payload: replica.Request{
 		ID:       id,
 		Group:    group,
 		Method:   method,
@@ -375,14 +376,14 @@ func (c *Client) invoke(group wire.GroupID, method string, args []byte, policy R
 		Call:     callNo,
 		Trace:    ctx,
 		ShardKey: shardKey,
-	}
+	}}
+	sub := &cl.sub
+	c.rt.Unlock()
+
 	shardLabel := ""
 	if shardKey != "" {
 		shardLabel = string(group)
 	}
-	// Made once: every member (and every retransmission) gets the same
-	// payload.
-	sub := &gcs.Submit{Group: group, Origin: c.self, Call: callNo, Payload: req}
 	for k := range copies {
 		c.ep.Send(members[(rank+k)%n], sub)
 	}
@@ -390,7 +391,7 @@ func (c *Client) invoke(group wire.GroupID, method string, args []byte, policy R
 	deadline := c.rt.Now() + c.timeout
 	defer func() {
 		c.rt.Lock()
-		cl.active = false
+		cl.active, cl.sub = false, gcs.Submit{} // an idle client pins no arguments
 		c.rt.Unlock()
 	}()
 	retransmitted := false

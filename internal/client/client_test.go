@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/replobj/replobj/internal/faultnet"
 	"github.com/replobj/replobj/internal/gcs"
 	"github.com/replobj/replobj/internal/replica"
 	"github.com/replobj/replobj/internal/transport"
@@ -51,7 +52,7 @@ func TestReplyPolicyNeed(t *testing.T) {
 // retransmission and timeout logic in isolation.
 type fakeGroup struct {
 	rt  vtime.Runtime
-	net *transport.Inproc
+	net transport.Network
 	ids []wire.NodeID
 	eps []transport.Endpoint
 
@@ -59,10 +60,11 @@ type fakeGroup struct {
 	mute   map[wire.NodeID]bool // muted replicas never reply
 	delay  map[wire.NodeID]time.Duration
 	first  []gcs.Submit                // each request's first copy, in order of arrival
+	all    []gcs.Submit                // every copy that reached any member
 	copies map[wire.InvocationID][]int // copies[id][rank]: copies that reached the member
 }
 
-func newFakeGroup(rt vtime.Runtime, net *transport.Inproc, n int) *fakeGroup {
+func newFakeGroup(rt vtime.Runtime, net transport.Network, n int) *fakeGroup {
 	fg := &fakeGroup{
 		rt:     rt,
 		net:    net,
@@ -93,10 +95,12 @@ func (fg *fakeGroup) serve(rank int) {
 		}
 		sub := *p
 		req, ok := sub.Payload.(replica.Request)
+		fg.rt.Lock()
+		fg.all = append(fg.all, sub)
 		if !ok {
+			fg.rt.Unlock()
 			continue
 		}
-		fg.rt.Lock()
 		got := fg.copies[req.ID]
 		fresh := got == nil
 		if fresh {
@@ -507,7 +511,7 @@ func TestDeadContactCostsOneRetransmitOnce(t *testing.T) {
 		defer fg.close()
 		defer c.Close()
 		invokeTimed(t, rt, c)
-		fg.net.Crash(fg.ids[0])
+		fg.net.(*transport.Inproc).Crash(fg.ids[0])
 		if took := invokeTimed(t, rt, c); took < 20*time.Millisecond || took >= 40*time.Millisecond {
 			t.Errorf("call to a dead contact took %v, want one retransmit interval (20ms)", took)
 		}
@@ -517,11 +521,84 @@ func TestDeadContactCostsOneRetransmitOnce(t *testing.T) {
 		}
 		wantCopies(t, fg, 3, 0, 1, 0)
 
-		fg.net.Restore(fg.ids[0])
+		fg.net.(*transport.Inproc).Restore(fg.ids[0])
 		dir.Add("g", fg.ids)
 		invokeTimed(t, rt, c)
 		wantCopies(t, fg, 4, 1, 1, 1) // introduced again
 		invokeTimed(t, rt, c)
 		wantCopies(t, fg, 5, 1, 0, 0) // contact back at rank 0
 	})
+}
+
+// reuseNets are the networks a reused cell's copies cross: TCP encodes
+// each at Send, Inproc keeps a copy to deliver later, and faultnet forwards
+// delayed and duplicated copies later still.
+var reuseNets = []struct {
+	name string
+	open func(ids ...wire.NodeID) (vtime.Runtime, transport.Network)
+}{
+	{"tcp", func(ids ...wire.NodeID) (vtime.Runtime, transport.Network) {
+		rt := vtime.Real()
+		addrs := map[wire.NodeID]string{}
+		for _, id := range ids {
+			addrs[id] = "127.0.0.1:0"
+		}
+		return rt, transport.NewTCP(rt, addrs)
+	}},
+	{"inproc", func(...wire.NodeID) (vtime.Runtime, transport.Network) {
+		rt := vtime.Virtual()
+		return rt, transport.NewInproc(rt)
+	}},
+	{"faultnet delay and duplicate", func(...wire.NodeID) (vtime.Runtime, transport.Network) {
+		rt := vtime.Virtual()
+		// Copies held up to 5 ms: some are forwarded after their call has
+		// returned.
+		prof := faultnet.Profile{Name: "reuse", DupPerMill: 500, DelayPerMill: 500,
+			DelayMin: 100 * time.Microsecond, DelayMax: 5 * time.Millisecond}
+		return rt, faultnet.New(rt, transport.NewInproc(rt), prof, 1)
+	}},
+}
+
+// TestSubmitCellReuse: a request's Submit goes out from the one cell of the
+// client's call, is sent from it again on every retransmission, and is
+// overwritten as soon as the invocation returns. Every copy a member
+// receives — the first, a retransmission, a delayed or duplicated one that
+// arrives after its call returned — carries the request it was sent for:
+// over TCP, over Inproc, and through faultnet.
+func TestSubmitCellReuse(t *testing.T) {
+	const calls = 8
+	for _, nc := range reuseNets {
+		t.Run(nc.name, func(t *testing.T) {
+			rt, net := nc.open(wire.ReplicaID("g", 0), wire.ReplicaID("g", 1), wire.ReplicaID("g", 2), wire.ClientID("c1"))
+			defer rt.Stop()
+			fg := newFakeGroup(rt, net, 3)
+			// A retransmit interval shorter than a round trip on Inproc:
+			// every call there is sent again from the same cell.
+			c := New(Config{RT: rt, Name: "c1", Directory: fg.directory(), Network: net, Policy: Majority,
+				Timeout: 5 * time.Second, Retransmit: time.Millisecond})
+			vtime.Run(rt, "main", func() {
+				defer fg.close()
+				defer c.Close()
+				for i := range calls {
+					if _, err := c.Invoke("g", "m", []byte(fmt.Sprint("args ", i))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				rt.Sleep(20 * time.Millisecond) // late copies arrive
+			})
+			fg.rt.Lock()
+			defer fg.rt.Unlock()
+			for _, sub := range fg.all {
+				req, _ := sub.Payload.(replica.Request)
+				call := sub.Call // numbered from 1: incarnation 0
+				if sub.Origin != c.self || call < 1 || call > calls || req.Call != call ||
+					string(req.Args) != fmt.Sprint("args ", call-1) {
+					t.Errorf("a member received %+v: the cell was read after Send returned", sub)
+				}
+			}
+			if len(fg.all) < calls {
+				t.Errorf("%d copies reached the group for %d calls", len(fg.all), calls)
+			}
+		})
+	}
 }

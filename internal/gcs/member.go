@@ -2,6 +2,7 @@ package gcs
 
 import (
 	"slices"
+	"sync"
 	"time"
 
 	"github.com/replobj/replobj/internal/obs/tracing"
@@ -56,6 +57,9 @@ type Member struct {
 	// superseded (e.g. it was partitioned away and deposed) and must not
 	// order messages until it catches up to the newer view.
 	maxSeenEpoch uint64
+
+	// cells are the Ordered payloads orderLocked sends from.
+	cells orderedCells
 
 	// Failure detection; lastSeen keeps rows of cfg.Members only.
 	lastSeen  map[wire.NodeID]time.Duration
@@ -131,11 +135,6 @@ func (m *Member) Broadcast(id string, payload any) {
 	if m.enter() {
 		if st := m.cfg.Stats; st != nil {
 			st.Broadcasts.Inc()
-			// Remember when, so the delivery latency can be observed.
-			if e := m.ids[id]; !e.sent && id != "" {
-				e.sent, e.sentAt = true, m.rt.NowLocked()
-				m.putEntryLocked(key{id: id}, e)
-			}
 		}
 		m.handleSubmitLocked(m.cfg.Self, sub, &act)
 	}
@@ -266,6 +265,10 @@ type actions struct {
 	dups []dupSubmit
 	// nacked dedups gap NACKs within one event (see handleOrderedLocked).
 	nacked bool
+	// cell, then cells, are the Ordered cells the event took, to release
+	// once its sends have returned.
+	cell  *Ordered
+	cells []*Ordered
 }
 
 type dupSubmit struct {
@@ -304,6 +307,12 @@ func (a *actions) finish(m *Member) {
 	}
 	for _, s := range a.rest {
 		m.cfg.Send(s.to, s.payload)
+	}
+	if a.cell != nil {
+		m.cells.release(a.cell)
+		for _, o := range a.cells {
+			m.cells.release(o)
+		}
 	}
 	for _, d := range a.dups {
 		m.cfg.DuplicateSubmit(d.sub, d.seq)
@@ -492,7 +501,8 @@ func (m *Member) orderLocked(sub Submit, view *View, act *actions) {
 	if m.orderedLocked(k) {
 		return
 	}
-	o := Ordered{
+	o := m.cells.take()
+	*o = Ordered{
 		Group:   m.cfg.Group,
 		Epoch:   m.view.Epoch,
 		Seq:     m.nextSeq,
@@ -502,10 +512,51 @@ func (m *Member) orderLocked(sub Submit, view *View, act *actions) {
 		Payload: sub.Payload,
 		View:    view,
 	}
+	if act.cell == nil {
+		act.cell = o
+	} else {
+		act.cells = append(act.cells, o)
+	}
 	m.nextSeq++
 	m.markOrderedLocked(k, o.Seq)
-	act.sendAll(m, m.view.Members, &o)
-	m.handleOrderedLocked(o, act)
+	act.sendAll(m, m.view.Members, o)
+	m.handleOrderedLocked(*o, act)
+}
+
+// orderedCells is a member's free list of Ordered cells. orderLocked takes
+// one per message it orders and the event's finish releases it once the
+// sends have returned (Send only borrows a payload). An event can order
+// while another event's finish is still sending — a tick beside a reader —
+// so one cell per member would not do; finish runs without the runtime
+// lock, so the list has a lock of its own.
+type orderedCells struct {
+	mu   sync.Mutex
+	free []*Ordered
+}
+
+// maxFreeOrdered bounds the cells a member keeps: a resubmission burst
+// orders more at once than the steady state ever holds.
+const maxFreeOrdered = 16
+
+func (f *orderedCells) take() *Ordered {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if n := len(f.free); n > 0 {
+		o := f.free[n-1]
+		f.free = f.free[:n-1]
+		return o
+	}
+	return new(Ordered)
+}
+
+// release zeroes o, so a kept cell pins no payload, and keeps it.
+func (f *orderedCells) release(o *Ordered) {
+	*o = Ordered{}
+	f.mu.Lock()
+	if len(f.free) < maxFreeOrdered {
+		f.free = append(f.free, o)
+	}
+	f.mu.Unlock()
 }
 
 func (m *Member) handleOrderedLocked(o Ordered, act *actions) {
@@ -573,9 +624,8 @@ func (m *Member) deliverLocked(o Ordered, act *actions) {
 	cached, seen := m.submitCache[k]
 	if st := m.cfg.Stats; st != nil {
 		st.Delivered.Inc()
-		if e.sent && o.Origin == m.cfg.Self {
-			e.sent = false
-			st.DeliverLatency.Observe((m.rt.NowLocked() - e.sentAt).Seconds())
+		if seen { // submit to delivery, for every submit this member held
+			st.DeliverLatency.Observe((m.rt.NowLocked() - cached.seen).Seconds())
 		}
 	}
 	if m.cfg.Spans != nil && o.Payload != nil {
@@ -590,7 +640,7 @@ func (m *Member) deliverLocked(o Ordered, act *actions) {
 				now := m.rt.NowLocked()
 				start := now
 				if seen {
-					start = cached.at
+					start = cached.seen
 				}
 				m.cfg.Spans.Record(tracing.Span{
 					Trace:  ctx.TraceID,
@@ -766,13 +816,9 @@ func (k key) hint(g wire.GroupID, seq uint64) Hint {
 	return Hint{Group: g, ID: k.id, Origin: k.origin, Call: k.call, Seq: seq}
 }
 
-// idEntry is what a member knows of one id. seq is the position the id was
-// ordered at, 0 while this member has only broadcast it; sentAt is when it
-// did (own ids, with cfg.Stats), until the delivery has been timed.
+// idEntry is what a member knows of one id: the position it was ordered at.
 type idEntry struct {
-	seq    uint64
-	sentAt time.Duration
-	sent   bool
+	seq uint64
 }
 
 // originRow is the highest call of one origin this member saw ordered.
@@ -780,11 +826,11 @@ type originRow struct {
 	call, seq uint64
 }
 
-// cachedSubmit is a submit not known to be ordered and when it last went
-// toward the sequencer.
+// cachedSubmit is a submit not known to be ordered, when this member first
+// saw it, and when it last went toward the sequencer.
 type cachedSubmit struct {
-	sub Submit
-	at  time.Duration
+	sub      Submit
+	seen, at time.Duration
 }
 
 // entryLocked is what this member knows of k: a named id's entry, or what
@@ -865,7 +911,8 @@ func (m *Member) markOrderedLocked(k key, seq uint64) {
 // cacheSubmitLocked remembers a not-yet-ordered submit, which k names, that
 // this member sees for the first time.
 func (m *Member) cacheSubmitLocked(k key, sub Submit) {
-	m.submitCache[k] = cachedSubmit{sub: sub, at: m.rt.NowLocked()}
+	now := m.rt.NowLocked()
+	m.submitCache[k] = cachedSubmit{sub: sub, seen: now, at: now}
 	m.cacheOrder.Push(k)
 	// Submits are ordered about as they came, so what the head of the queue
 	// names has mostly left the cache since — or been superseded, for a

@@ -20,8 +20,9 @@ type Stats struct {
 	// and its retransmissions a steady non-zero rate means clients are
 	// pointed at a non-sequencer member (one extra hop per request).
 	SubmitsRelayed *obs.Counter
-	// DeliverLatency measures broadcast-to-self-delivery time in seconds
-	// for messages this member originated.
+	// DeliverLatency measures submit-to-delivery time in seconds: from this
+	// member first seeing a submit (its own broadcast, a client's copy, a
+	// relay) to delivering it, for every submit it held.
 	DeliverLatency *obs.Histogram
 	// LogLength tracks the number of retained ordered messages; Truncated
 	// counts the entries the log has let go of (see Member.floorLocked).

@@ -705,13 +705,20 @@ func (r *Replica) complete(d *dispatched, reply Reply) {
 	r.sendReply(req, reply)
 }
 
+// replyCells holds the cells client replies are sent from: Send only
+// borrows its payload, so the cell goes back as soon as Send returns.
+var replyCells = sync.Pool{New: func() any { return new(Reply) }}
+
 // sendReply routes a reply: directly to the client, or into the
 // originating group's total order for nested invocations.
 func (r *Replica) sendReply(req Request, reply Reply) {
 	switch req.Kind {
 	case KindClient:
-		rep := reply // a pointer to reply would move the parameter to the heap on every call
-		r.ep.Send(req.ReplyTo, &rep)
+		rep := replyCells.Get().(*Reply)
+		*rep = reply
+		r.ep.Send(req.ReplyTo, rep)
+		*rep = Reply{} // a pooled cell pins no result
+		replyCells.Put(rep)
 	case KindNested:
 		r.submitTo(req.Origin, "nested-reply/"+req.ID.String(), reply)
 	}

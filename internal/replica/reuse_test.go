@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/replobj/replobj/internal/adets/mat"
+	"github.com/replobj/replobj/internal/faultnet"
 	"github.com/replobj/replobj/internal/gcs"
 	"github.com/replobj/replobj/internal/transport"
 	"github.com/replobj/replobj/internal/vtime"
@@ -35,7 +36,7 @@ func (p *reuseReplica) clientRequest(n int, method, args string) Request {
 // is the endpoint o), "gated-nest" after the gate and then that call. cl
 // plays the clients.
 type reuseReplica struct {
-	rt    *vtime.VirtualRuntime
+	rt    vtime.Runtime
 	r     *Replica
 	gate  *vtime.Mailbox[struct{}]
 	o, cl transport.Endpoint
@@ -44,7 +45,12 @@ type reuseReplica struct {
 
 func newReuseReplica() *reuseReplica {
 	rt := vtime.Virtual()
-	net := transport.NewInproc(rt)
+	return newReuseReplicaOn(rt, transport.NewInproc(rt))
+}
+
+// newReuseReplicaOn is newReuseReplica on a network of the caller's, which
+// knows the nodes g/0, o/0 and client/t.
+func newReuseReplicaOn(rt vtime.Runtime, net transport.Network) *reuseReplica {
 	dir := NewDirectory()
 	dir.Add("g", []wire.NodeID{"g/0"})
 	dir.Add("o", []wire.NodeID{"o/0"})
@@ -186,6 +192,61 @@ func TestDispatchRecordReuse(t *testing.T) {
 				defer p.o.Close()
 				if seen, want := tc.run(t, p); !slices.Equal(seen, want) {
 					t.Errorf("handlers read\n %q\nwant\n %q", seen, want)
+				}
+			})
+		})
+	}
+}
+
+// TestReplyCellReuse: a client reply goes out from a pooled cell, which
+// sendReply zeroes and puts back as soon as Send has returned, and the next
+// reply takes it again. Every copy a client receives — a delayed or
+// duplicated one included — is the reply it was sent: over TCP, over
+// Inproc, and through faultnet.
+func TestReplyCellReuse(t *testing.T) {
+	const n = 8
+	lo := "127.0.0.1:0"
+	for _, nc := range []struct {
+		name string
+		open func() (vtime.Runtime, transport.Network)
+	}{
+		{"tcp", func() (vtime.Runtime, transport.Network) {
+			rt := vtime.Real()
+			return rt, transport.NewTCP(rt, map[wire.NodeID]string{"g/0": lo, "o/0": lo, wire.ClientID("t"): lo})
+		}},
+		{"inproc", func() (vtime.Runtime, transport.Network) {
+			rt := vtime.Virtual()
+			return rt, transport.NewInproc(rt)
+		}},
+		{"faultnet delay and duplicate", func() (vtime.Runtime, transport.Network) {
+			rt := vtime.Virtual()
+			prof := faultnet.Profile{Name: "reuse", DupPerMill: 500, DelayPerMill: 500}
+			return rt, faultnet.New(rt, transport.NewInproc(rt), prof, 1)
+		}},
+	} {
+		t.Run(nc.name, func(t *testing.T) {
+			p := newReuseReplicaOn(nc.open())
+			defer p.rt.Stop()
+			vtime.Run(p.rt, "main", func() {
+				defer p.r.Stop()
+				defer p.cl.Close()
+				defer p.o.Close()
+				sent := map[string]bool{}
+				for i := range n {
+					req := p.clientRequest(200+i, "echo", fmt.Sprintf("reply-%d", i))
+					sent[fmt.Sprintf("%s %s", req.ID, req.Args)] = true
+					p.r.dispatchRequest(req, uint64(i+1))
+				}
+				got := map[string]bool{}
+				for len(got) < n {
+					rep := p.replies(t, p.cl, 1)
+					if len(rep) == 0 {
+						return // replies reported the timeout
+					}
+					if !sent[rep[0]] {
+						t.Errorf("the client read %q, which no reply was: the cell was read after Send returned", rep[0])
+					}
+					got[rep[0]] = true
 				}
 			})
 		})

@@ -30,8 +30,8 @@ func benchPair(b *testing.B, opts ...TCPOption) (*TCPEndpoint, *TCPEndpoint, fun
 }
 
 // BenchmarkTCPLoopbackRoundTrip measures one full send→recv→echo→recv
-// cycle over loopback TCP: framing, codec, send queue, writer goroutine and
-// kernel socket in both directions.
+// cycle over loopback TCP: framing, the encode at Send, writer goroutine
+// and kernel socket in both directions.
 func BenchmarkTCPLoopbackRoundTrip(b *testing.B) {
 	a, bb, stop := benchPair(b)
 	defer stop()
@@ -55,9 +55,10 @@ func BenchmarkTCPLoopbackRoundTrip(b *testing.B) {
 }
 
 // BenchmarkTCPLoopbackBurst measures pipelined one-way throughput: the
-// sender enqueues a window of messages and the writer goroutine coalesces
-// them into large flushes. This is the path the coalescing transport
-// optimizes — compare ns/op with the round-trip benchmark's serial sends.
+// sender encodes a window of messages into the connection's pending bytes
+// and the writer goroutine writes whatever is pending at once. This is the
+// path that batching optimizes — compare ns/op with the round-trip
+// benchmark's serial sends.
 func BenchmarkTCPLoopbackBurst(b *testing.B) {
 	const window = 256
 	a, bb, stop := benchPair(b, WithSendQueueDepth(2*window))

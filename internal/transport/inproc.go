@@ -163,7 +163,8 @@ func (n *Inproc) send(from, to wire.NodeID, payload any) {
 		}
 	}
 
-	msg := wire.Message{From: from, To: to, Payload: payload}
+	// Delivered later: the payload is only lent for the call, so keep a copy.
+	msg := wire.Message{From: from, To: to, Payload: wire.Own(payload)}
 	n.rt.After(d, "deliver/"+string(to), func() {
 		n.mu.Lock()
 		dst, ok := n.nodes[to]

@@ -3,10 +3,12 @@ package transport
 import (
 	"net"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"github.com/replobj/replobj/internal/obs"
+	"github.com/replobj/replobj/internal/obs/tracing"
 	"github.com/replobj/replobj/internal/vtime"
 	"github.com/replobj/replobj/internal/wire"
 )
@@ -17,6 +19,11 @@ import (
 type blob struct {
 	N int
 	B []byte
+}
+
+// TraceCtx makes a blob a traced payload: trace N, a valid context from 1.
+func (p blob) TraceCtx() tracing.Context {
+	return tracing.Context{TraceID: uint64(p.N), Span: uint64(p.N)}
 }
 
 func init() {
@@ -74,11 +81,10 @@ func stalledSender(t *testing.T, depth int) (a *TCPEndpoint, st *Stats, accepted
 }
 
 // sendAll sends frames numbered blobs to "peer", every big-th one carrying
-// 64 KiB (one frame per write: the writer's coalesce budget), and fails the
-// test if the sends do not all return within 5 s.
+// 64 KiB, and fails the test if the sends do not all return within 5 s.
 func sendAll(t *testing.T, a *TCPEndpoint, frames, big int) {
 	t.Helper()
-	body := make([]byte, defaultCoalesceBytes)
+	body := make([]byte, 64<<10)
 	done := make(chan time.Duration, 1)
 	go func() {
 		var slowest time.Duration
@@ -124,8 +130,8 @@ func settle(t *testing.T, st *Stats) uint64 {
 
 // TestTCPSendToStalledPeerNeverBlocks pins the send contract against a
 // peer that accepts and never reads: every Send returns at once, the
-// connection holds at most its queue depth beyond the frame stuck in the
-// socket write, the overflow is counted in Stats.Dropped, and Close ends
+// connection holds at most its queue depth, the frames stuck in the socket
+// write included, the overflow is counted in Stats.Dropped, and Close ends
 // the writer and counts what it still held as dropped.
 func TestTCPSendToStalledPeerNeverBlocks(t *testing.T) {
 	const depth, frames = 8, 256
@@ -137,8 +143,8 @@ func TestTCPSendToStalledPeerNeverBlocks(t *testing.T) {
 		t.Fatalf("all %d frames of 64 KiB were written: the peer never stalled the writer", frames)
 	}
 	dropped := st.Dropped.Value()
-	if held := frames - sent - dropped; held > depth+1 {
-		t.Errorf("%d frames held (%d written, %d dropped), want at most the queue depth %d plus the one in the stalled write",
+	if held := frames - sent - dropped; held > depth {
+		t.Errorf("%d frames held (%d written, %d dropped), want at most the queue depth %d, the stalled write's included",
 			held, sent, dropped, depth)
 	}
 	if dropped == 0 {
@@ -180,5 +186,56 @@ func TestTCPSendQueueFIFOBehindBlockedWrite(t *testing.T) {
 	}
 	if d := st.Dropped.Value(); d != 0 {
 		t.Errorf("%d frames dropped with a queue as deep as the burst", d)
+	}
+}
+
+// TestTCPFrameThatFailsToEncodeIsDroppedAlone: a payload that does not
+// encode (a nil *blob) is dropped and counted on its own at Send, with
+// spans on too, where Send reads a traced payload's context. The frames
+// around it arrive, each with its xport span, and the connection stays up.
+func TestTCPFrameThatFailsToEncodeIsDroppedAlone(t *testing.T) {
+	rt := vtime.Real()
+	t.Cleanup(rt.Stop)
+	nw := NewTCP(rt, map[wire.NodeID]string{"a": "127.0.0.1:0", "b": "127.0.0.1:0"})
+	st := NewStats(obs.NewRegistry(), "tcp")
+	st.Spans = tracing.NewCollector(16)
+	nw.SetStats(st)
+	a, err := nw.Listen("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(a.Close)
+	b, err := nw.Listen("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(b.Close)
+	got := make(chan int, 3)
+	b.Serve(func(m wire.Message) { got <- m.Payload.(*blob).N })
+	a.Send("b", &blob{N: 1})
+	a.Send("b", (*blob)(nil))
+	a.Send("b", &blob{N: 2})
+	for _, want := range []int{1, 2} {
+		select {
+		case n := <-got:
+			if n != want {
+				t.Fatalf("b received blob %d, want %d", n, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("blob %d never arrived: the frame that failed to encode took it along", want)
+		}
+	}
+	if d, cd := st.Dropped.Value(), st.ConnDrops.Value(); d != 1 || cd != 0 {
+		t.Errorf("%d frames dropped and %d connections retired, want the one that failed to encode and none", d, cd)
+	}
+	settle(t, st) // the spans are recorded once the writes have returned
+	var traces []uint64
+	for _, sp := range st.Spans.Snapshot() {
+		if sp.Name == "xport" {
+			traces = append(traces, sp.Trace)
+		}
+	}
+	if !slices.Equal(traces, []uint64{1, 2}) {
+		t.Errorf("xport spans of traces %v, want 1 and 2", traces)
 	}
 }

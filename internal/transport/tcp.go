@@ -9,23 +9,21 @@ import (
 	"time"
 
 	"github.com/replobj/replobj/internal/obs/tracing"
-	"github.com/replobj/replobj/internal/ring"
 	"github.com/replobj/replobj/internal/vtime"
 	"github.com/replobj/replobj/internal/wire"
 )
 
-// Per-connection send-path defaults. The queue depth is tunable through
+// Per-connection send-path bounds. The depth is tunable through
 // WithSendQueueDepth; EXPERIMENTS.md documents the trade-offs.
 const (
-	// defaultSendQueueDepth bounds the per-connection send queue. Send is
-	// best-effort: when the writer goroutine falls behind and the queue
-	// fills, further messages are dropped (and counted) rather than
-	// blocking the protocol layers.
+	// defaultSendQueueDepth bounds the frames waiting on a connection:
+	// encoded by Send and not yet written. Send is best-effort: when the
+	// writer goroutine falls behind and that many wait, further messages
+	// are dropped (and counted) rather than blocking the protocol layers.
 	defaultSendQueueDepth = 512
-	// defaultCoalesceBytes caps how many encoded bytes the writer
-	// goroutine accumulates before it writes, bounding both memory and the
-	// latency a frame can sit buffered behind a burst.
-	defaultCoalesceBytes = 64 << 10
+	// maxPooledBurst bounds the buffers burstPool keeps: a backlog of
+	// snapshot-sized frames is left to the collector.
+	maxPooledBurst = 256 << 10
 )
 
 // TCPNetwork is a Network over real TCP connections. Node addresses come
@@ -49,9 +47,10 @@ var _ Network = (*TCPNetwork)(nil)
 // TCPOption tunes a TCPNetwork at construction time.
 type TCPOption func(*TCPNetwork)
 
-// WithSendQueueDepth sets the length of each connection's bounded send
-// queue (default 512 messages). Send enqueues without blocking; when the
-// queue is full the message is dropped and counted in Stats.Dropped.
+// WithSendQueueDepth sets how many frames may wait on each connection,
+// encoded by Send and not yet written (default 512). Send never blocks;
+// when that many wait, the message is dropped and counted in
+// Stats.Dropped.
 func WithSendQueueDepth(n int) TCPOption {
 	return func(t *TCPNetwork) { t.sendQueueDepth = n }
 }
@@ -188,51 +187,77 @@ type TCPEndpoint struct {
 	// (broadcast by the sequencer) overtook its own direct connection. A
 	// client dials every replica with its first request to a group and
 	// with every retransmission, not with each request, so a replica that
-	// missed those holds its replies here until the next one. The buffer
-	// flushes as soon as the sender's connection is learned.
+	// missed those holds its replies here, as copies, until the next one.
+	// The buffer flushes as soon as the sender's connection is learned.
 	pending map[wire.NodeID][]queuedMsg
 	closed  bool
 }
 
 var _ Endpoint = (*TCPEndpoint)(nil)
 
-// queuedMsg is one send-queue element: the message plus its enqueue time
-// (zero unless span tracing is enabled), so the writer goroutine can record
-// how long a frame sat queued before its write hit the socket.
+// queuedMsg is a message on its way into a connection and, with span
+// tracing on, when it was sent: its frame's xport span ends when the write
+// returns.
 type queuedMsg struct {
-	msg wire.Message
+	msg    wire.Message
+	traced bool
+	at     time.Duration
+}
+
+// traceStamp is the xport span of a frame waiting for its write.
+type traceStamp struct {
+	ctx tracing.Context
 	at  time.Duration
 }
 
-// tcpConn pairs a socket with its bounded send queue. All writes go
-// through the queue to a dedicated writer goroutine (see writeLoop), so
-// protocol layers never block on — or interleave frames over — the socket.
-// The queue grows with what is waiting, up to the network's depth; an idle
-// connection holds an empty ring and no encode buffer.
+// tcpConn pairs a socket with the frames waiting for it. Send encodes each
+// frame into pending; the connection's one writer goroutine (see writeLoop)
+// takes the whole buffer and writes it, so protocol layers never block on
+// — or interleave frames over — the socket, and a payload is read only
+// while Send runs. A connection with nothing to write holds no buffer.
 type tcpConn struct {
 	c    net.Conn
-	wake chan struct{} // one slot: the queue went non-empty, or shutdown
+	wake chan struct{} // one slot: frames went pending, or shutdown
 
-	mu     sync.Mutex
-	q      ring.Queue[queuedMsg]
-	closed bool
+	mu      sync.Mutex
+	pending *[]byte      // encoded frames, from burstPool; nil while none wait
+	frames  int          // frames in pending
+	writing int          // frames in the writer's current Write
+	stamps  []traceStamp // of the traced frames in pending (spans on only)
+	closed  bool
 }
 
-// enqueue offers m to the writer goroutine without blocking. It reports
-// false when the connection is shut down or depth frames are queued.
-func (c *tcpConn) enqueue(m queuedMsg, depth int) bool {
+// enqueue encodes m into the connection's pending bytes without blocking.
+// It reports false when the connection is shut down, depth frames wait, or
+// m does not encode: that frame alone is lost.
+func (c *tcpConn) enqueue(m *queuedMsg, depth int) bool {
 	c.mu.Lock()
-	if c.closed || c.q.Len() >= depth {
+	if c.closed || c.frames+c.writing >= depth {
 		c.mu.Unlock()
 		return false
 	}
-	c.q.Push(m)
-	idle := c.q.Len() == 1 // the writer drains until empty before it waits
+	if c.pending == nil {
+		c.pending = burstPool.Get().(*[]byte)
+	}
+	b, err := wire.AppendMessage(*c.pending, &m.msg)
+	if err == nil {
+		*c.pending = b
+		c.frames++
+		if m.traced { // read once encoded: the payload is no nil *T
+			if t, ok := m.msg.Payload.(tracing.Traced); ok && t.TraceCtx().Valid() {
+				c.stamps = append(c.stamps, traceStamp{ctx: t.TraceCtx(), at: m.at})
+			}
+		}
+	} else if c.frames == 0 {
+		putBurst(c.pending)
+		c.pending = nil
+	}
+	idle := c.frames == 1 && err == nil // the writer takes until none wait before it waits
 	c.mu.Unlock()
 	if idle {
 		c.signal()
 	}
-	return true
+	return err == nil
 }
 
 func (c *tcpConn) signal() {
@@ -242,25 +267,29 @@ func (c *tcpConn) signal() {
 	}
 }
 
-// next pops the oldest queued frame; more reports whether frames remain
-// behind it. With wait it blocks while the queue is empty. ok is false
-// once the connection is shut down, or, without wait, on an empty queue.
-func (c *tcpConn) next(wait bool) (m queuedMsg, ok, more bool) {
+// take waits until frames are pending and hands them to the writer, which
+// has finished its previous Write: the buffer, its frame count and their
+// stamps, swapped for spare, the stamps the writer is done with. ok is false
+// once the connection is shut down.
+func (c *tcpConn) take(spare []traceStamp) (buf *[]byte, n int, stamps []traceStamp, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.writing = 0
 	for !c.closed {
-		if m, ok = c.q.Pop(); ok || !wait {
-			return m, ok, c.q.Len() > 0
+		if c.frames > 0 {
+			buf, n, stamps = c.pending, c.frames, c.stamps
+			c.pending, c.frames, c.writing, c.stamps = nil, 0, n, spare[:0]
+			return buf, n, stamps, true
 		}
 		c.mu.Unlock()
 		<-c.wake
 		c.mu.Lock()
 	}
-	return m, false, false
+	return nil, 0, spare, false
 }
 
 // shutdown closes the socket and ends the writer goroutine, which counts
-// the frames still queued as dropped. It reports whether this call did it.
+// the frames still pending as dropped. It reports whether this call did it.
 func (c *tcpConn) shutdown() bool {
 	c.mu.Lock()
 	if c.closed {
@@ -274,113 +303,80 @@ func (c *tcpConn) shutdown() bool {
 	return true
 }
 
-// newConn registers a writer goroutine for raw and returns its queue
-// handle.
+// newConn registers a writer goroutine for raw and returns its handle.
 func (e *TCPEndpoint) newConn(to wire.NodeID, raw net.Conn) *tcpConn {
 	c := &tcpConn{c: raw, wake: make(chan struct{}, 1)}
 	e.net.rt.Go("tcp-write/"+string(e.id)+"->"+string(to), func() { e.writeLoop(to, c) })
 	return c
 }
 
-// burstPool holds the writers' encode buffers, shared by every connection
-// of the process: a writer holds one only while it encodes and writes a
-// burst.
-var burstPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 4<<10)
-	return &b
-}}
+// burstPool holds the connections' pending buffers, shared by every
+// connection of the process: a connection holds one only while frames wait
+// or are being written.
+var burstPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// writeLoop drains the connection's send queue, coalescing every frame
-// already queued into one Write — one syscall per burst rather than one
-// per message. A frame never waits on future traffic: the loop writes as
-// soon as the queue goes idle or the coalesce byte budget fills. Messages
-// count as sent only once their write succeeds. On any encode or write
-// error the connection is retired; frames still queued when it shuts down
-// are counted dropped.
+func putBurst(b *[]byte) {
+	if b != nil && cap(*b) <= maxPooledBurst {
+		*b = (*b)[:0]
+		burstPool.Put(b)
+	}
+}
+
+// writeLoop writes what Send encoded: every frame pending when it looks,
+// in one Write — one syscall per burst rather than one per message. A frame
+// never waits on future traffic: the loop takes the buffer as soon as a
+// frame is pending and its previous Write has returned. Messages count as
+// sent only once their write succeeds. On a write error the connection is
+// retired; frames still pending when it shuts down are counted dropped.
 func (e *TCPEndpoint) writeLoop(to wire.NodeID, c *tcpConn) {
 	st := e.net.stats.Load()
-	var inflight []queuedMsg // traced frames awaiting their write (spans on only)
-	track := func(qm queuedMsg) {
-		if st == nil || st.Spans == nil {
-			return
+	var stamps []traceStamp
+	for {
+		buf, n, taken, ok := c.take(stamps)
+		stamps = taken
+		if !ok {
+			break
 		}
-		if t, ok := qm.msg.Payload.(tracing.Traced); ok {
-			if t.TraceCtx().Valid() {
-				inflight = append(inflight, qm)
-			}
-		}
-	}
-	for m, ok, more := c.next(true); ok; m, ok, more = c.next(true) {
-		inflight = inflight[:0]
-		bp := burstPool.Get().(*[]byte)
-		buf := (*bp)[:0]
-		batch := 0 // frames encoded into buf
-		var err error
-		for {
-			buf, err = wire.AppendMessage(buf, &m.msg)
-			batch++ // a frame that fails to encode is lost with its burst
-			if err != nil {
-				break
-			}
-			track(m)
-			if !more || len(buf) >= defaultCoalesceBytes {
-				break
-			}
-			if m, ok, more = c.next(false); !ok {
-				break
-			}
-		}
-		if err == nil {
-			_, err = c.c.Write(buf)
-		}
-		*bp = buf
-		if cap(buf) <= maxPooledBurst {
-			burstPool.Put(bp)
-		}
+		_, err := c.c.Write(*buf)
+		putBurst(buf)
 		if err != nil {
 			if st != nil {
-				st.Dropped.Add(uint64(batch))
+				st.Dropped.Add(uint64(n))
 			}
-			e.dropConn(to, c) // shuts c down: the loop ends at the next call
+			e.dropConn(to, c) // shuts c down: the loop ends at the next take
 			continue
 		}
 		if st != nil {
-			st.MsgsSent.Add(uint64(batch))
+			st.MsgsSent.Add(uint64(n))
 		}
-		if len(inflight) > 0 {
-			// Enqueue→write residency of every traced frame in the burst
+		if len(stamps) > 0 {
+			// Send→write residency of every traced frame in the burst
 			// (socket flight time is not observable from one side; the
-			// queue wait is the tunable part).
+			// wait for the writer is the tunable part).
 			now := e.net.rt.Now()
-			for _, qm := range inflight {
-				ctx := qm.msg.Payload.(tracing.Traced).TraceCtx()
+			for _, f := range stamps {
 				st.Spans.Record(tracing.Span{
-					Trace:  ctx.TraceID,
-					ID:     tracing.NewSpanID(ctx.TraceID, "xport", string(e.id), qm.at),
-					Parent: ctx.Span,
+					Trace:  f.ctx.TraceID,
+					ID:     tracing.NewSpanID(f.ctx.TraceID, "xport", string(e.id), f.at),
+					Parent: f.ctx.Span,
 					Name:   "xport",
 					Node:   string(e.id),
-					Detail: string(qm.msg.To),
-					Start:  qm.at,
-					Dur:    now - qm.at,
+					Detail: string(to),
+					Start:  f.at,
+					Dur:    now - f.at,
 				})
 			}
-			clear(inflight) // an idle writer pins no payload
 		}
 	}
 	c.mu.Lock()
-	left := c.q.Len()
-	c.q = ring.Queue[queuedMsg]{}
+	left := c.frames
+	putBurst(c.pending)
+	c.pending, c.frames, c.stamps = nil, 0, nil
 	c.mu.Unlock()
 	if st != nil {
 		st.Dropped.Add(uint64(left))
 	}
 }
-
-// maxPooledBurst bounds the encode buffers burstPool keeps: a burst is at
-// most the coalesce budget plus one frame, and a snapshot-sized frame's
-// buffer is left to the collector.
-const maxPooledBurst = 4 * defaultCoalesceBytes
 
 // ID implements Endpoint.
 func (e *TCPEndpoint) ID() wire.NodeID { return e.id }
@@ -388,15 +384,16 @@ func (e *TCPEndpoint) ID() wire.NodeID { return e.id }
 // Addr returns the actual listening address.
 func (e *TCPEndpoint) Addr() string { return e.ln.Addr().String() }
 
-// Send implements Endpoint: best-effort and non-blocking. The message is
-// handed to the connection's writer goroutine; if that queue is full or
-// the connection is gone, the message is dropped and counted. Messages to
-// nodes that are neither registered nor connected yet are buffered briefly
-// (see pending).
+// Send implements Endpoint: best-effort and non-blocking. The frame is
+// encoded into the connection's pending bytes before Send returns, so the
+// payload is only borrowed; if too many frames wait, the connection is
+// gone or the payload does not encode, the message is dropped and counted.
+// Messages to nodes that are neither registered nor connected yet are
+// buffered briefly, as copies (see pending).
 func (e *TCPEndpoint) Send(to wire.NodeID, payload any) {
 	st := e.net.stats.Load()
-	qm := queuedMsg{msg: wire.Message{From: e.id, To: to, Payload: payload}}
-	if st != nil && st.Spans != nil {
+	qm := queuedMsg{msg: wire.Message{From: e.id, To: to, Payload: payload}, traced: st != nil && st.Spans != nil}
+	if qm.traced {
 		qm.at = e.net.rt.Now()
 	}
 	conn, err := e.connTo(to)
@@ -405,6 +402,7 @@ func (e *TCPEndpoint) Send(to wire.NodeID, payload any) {
 		buffered := false
 		e.mu.Lock()
 		if !e.closed && len(e.pending[to]) < maxPending {
+			qm.msg.Payload = wire.Own(payload)
 			e.pending[to] = append(e.pending[to], qm)
 			buffered = true
 		}
@@ -414,7 +412,7 @@ func (e *TCPEndpoint) Send(to wire.NodeID, payload any) {
 		}
 		return
 	}
-	if !conn.enqueue(qm, e.net.sendQueueDepth) && st != nil {
+	if !conn.enqueue(&qm, e.net.sendQueueDepth) && st != nil {
 		st.Dropped.Inc()
 	}
 }
@@ -593,8 +591,8 @@ func (e *TCPEndpoint) readLoop(conn net.Conn, to wire.NodeID, own *tcpConn) {
 			// Remember the sender's connection so replies can travel back
 			// over it — this is how replicas answer clients that have no
 			// entry in the static address registry — and flush anything
-			// buffered for that sender through the normal send queue, so
-			// flushed messages get the same stats accounting as Send.
+			// buffered for that sender into that connection, so flushed
+			// messages get the same stats accounting as Send.
 			learned = true
 			e.mu.Lock()
 			target, exists := e.conns[m.From]
@@ -607,10 +605,8 @@ func (e *TCPEndpoint) readLoop(conn net.Conn, to wire.NodeID, own *tcpConn) {
 			delete(e.pending, m.From)
 			e.mu.Unlock()
 			for i := range flush {
-				if target == nil || !target.enqueue(flush[i], e.net.sendQueueDepth) {
-					if st != nil {
-						st.Dropped.Inc()
-					}
+				if (target == nil || !target.enqueue(&flush[i], e.net.sendQueueDepth)) && st != nil {
+					st.Dropped.Inc()
 				}
 			}
 		}

@@ -12,11 +12,12 @@
 //     encoding of internal/wire) for deployments on actual machines,
 //     normally combined with vtime.Real().
 //
-// A payload is a pointer to one of the protocol structs (wire.Message). The
-// sender hands over a new one and never writes through it again; Inproc
-// passes that pointer through. A TCP reader decodes into a payload it owns
-// and lends it to the handler, which borrows it until it returns and copies
-// out what it keeps.
+// A payload is a pointer to one of the protocol structs (wire.Message), lent
+// on both sides. Send borrows the sender's until it returns: TCP encodes it
+// there, and Inproc and WrappedNetwork, which deliver or forward later, keep
+// a wire.Own copy. A TCP reader decodes into a payload it owns and lends it
+// to the handler, which borrows it until it returns and copies out what it
+// keeps.
 package transport
 
 import (
@@ -30,7 +31,7 @@ type Endpoint interface {
 
 	// Send enqueues a message for asynchronous, best-effort delivery.
 	// It never blocks on the destination. payload is a *T of a registered
-	// T (a T is encoded alike), not written through after the call.
+	// T (a T is encoded alike), borrowed until Send returns.
 	Send(to wire.NodeID, payload any)
 
 	// Recv blocks until a message arrives; ok is false after Close. The

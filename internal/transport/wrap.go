@@ -21,7 +21,8 @@ var _ Network = (*WrappedNetwork)(nil)
 // message plus a forward closure that performs the real send; it returns
 // true if it consumed the message (i.e. the wrapper must NOT forward it
 // itself — the interceptor either dropped it or called forward, possibly
-// several times or from a timer).
+// several times or from a timer). The payload the interceptor sees and
+// forwards is the wrapper's copy, so the sender's is only borrowed.
 func NewWrappedNetwork(inner Network, intercept func(from, to wire.NodeID, payload any, forward func()) bool) *WrappedNetwork {
 	return &WrappedNetwork{inner: inner, intercept: intercept}
 }
@@ -48,6 +49,7 @@ type wrappedEndpoint struct {
 
 func (e *wrappedEndpoint) Send(to wire.NodeID, payload any) {
 	if e.net.intercept != nil {
+		payload = wire.Own(payload) // forward may run after Send has returned
 		consumed := e.net.intercept(e.ID(), to, payload, func() {
 			e.Endpoint.Send(to, payload)
 		})

@@ -76,9 +76,9 @@ func TestDecodeAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestAppendMessageDoesNotAllocate holds the TCP writer's encode path to
-// zero allocations: frames appended into a reused burst buffer, written
-// once the buffer passes the coalesce budget.
+// TestAppendMessageDoesNotAllocate holds the TCP send path's encode to
+// zero allocations: frames appended into a reused pending buffer, written
+// once it passes 64 KiB.
 func TestAppendMessageDoesNotAllocate(t *testing.T) {
 	submit, ordered, hint, reply := hotFrames(t)
 	for _, m := range []wire.Message{submit, ordered, hint, reply} {

@@ -354,8 +354,9 @@ func appendBody(b *Buffer, m *Message) error {
 }
 
 // AppendMessage appends one complete encoded frame for m to dst and
-// returns the extended slice. It is the allocation-free encoder the TCP
-// transport's writer appends each burst with; the benchmarks use it too.
+// returns the extended slice; on an error dst comes back as it was. It is
+// the allocation-free encoder the TCP transport's Send appends each frame
+// to a connection's pending bytes with; the benchmarks use it too.
 // Pinned by benchmark/probes.go.
 func AppendMessage(dst []byte, m *Message) ([]byte, error) {
 	body := getBuffer()

@@ -59,12 +59,14 @@ func (id InvocationID) String() string {
 // registered for its type (Register), or as gob where there is none; the
 // in-process transport passes it through untouched.
 //
-// A top-level payload is a pointer, *T. The sender passes a new one and
-// never writes through it once sent. A receiver borrows it: a TCP reader
-// decodes into a *T it owns and lends it to the handler until the handler
-// returns, so a handler never writes through it and copies out
-// (dereferences) whatever it keeps; Own makes a copy to keep whole. A nested
-// payload — the Payload of a gcs Submit or Ordered — is an owned value.
+// A top-level payload is a pointer, *T, lent at both ends. A sender lends
+// it to Send until Send returns — the TCP transport encodes the frame there,
+// a transport that delivers later keeps an Own copy — and may then write the
+// cell again. A receiver borrows it too: a TCP reader decodes into a *T it
+// owns and lends it to the handler until the handler returns, so a handler
+// never writes through it and copies out (dereferences) whatever it keeps;
+// Own makes a copy to keep whole. A nested payload — the Payload of a gcs
+// Submit or Ordered — is an owned value that nobody writes.
 //
 // Pinned by benchmark/probes.go, which encodes T values (Register) and
 // echoes what Recv returned.

@@ -140,6 +140,15 @@ func TestMetricsEndToEnd(t *testing.T) {
 				t.Errorf("gcs id_rows on cnt/%d: %d origin rows after one client's five calls; want 1", i, rows)
 			}
 		}
+		// Every member times submit to delivery for each submit it held:
+		// the sequencer every call's, a follower the first call's, which
+		// went to every member.
+		for i, want := range []uint64{5, 1, 1} {
+			h := reg.Histogram(fmt.Sprintf(`replobj_gcs_deliver_latency_seconds{node="cnt/%d"}`, i), obs.LatencyBuckets())
+			if n := h.Count(); n < want {
+				t.Errorf("gcs deliver_latency_seconds on cnt/%d has %d samples after one client's five calls; want at least %d", i, n, want)
+			}
+		}
 	})
 	out := reg.Render()
 	for _, want := range []string{

@@ -197,15 +197,17 @@ func TestLockedInvokeAllocationBudget(t *testing.T) {
 // TestInvokeTCPAllocationBudget pins what one invocation allocates over
 // loopback TCP, BenchmarkInvokeTCP's shape: one client, three SEQ
 // replicas, the real clock, a 1-byte add, every codec and socket on the
-// path. The bound is the figure measured once Send borrowed its payload and
-// the client's Submit, the sequencer's Ordered and each replica's Reply
-// were sent from reused cells (20) plus 3. It was 28 when each TCP reader
+// path. The bound is the figure measured once a logical thread was named by
+// (client, call), so that no id text is built or decoded per request (13),
+// plus 3. It was 23 when Send borrowed its payload and the client's Submit,
+// the sequencer's Ordered and each replica's Reply were sent from reused
+// cells (20 measured, six ids decoded as strings), 28 when each TCP reader
 // began to decode into payload cells it lends (25 measured, every sent
 // payload still a new one), 34 when each replica began to reuse its
 // dispatch records (31 measured, the six top-level payloads still boxed on
 // receipt); the benchmark read 37 before that.
 func TestInvokeTCPAllocationBudget(t *testing.T) {
-	const budget = 23
+	const budget = 16
 	cl := tcpCounterCluster(t)("c0") // connections dialed
 	args := []byte{1}
 	var err error

@@ -73,8 +73,12 @@ type CondID string
 type Request struct {
 	// ID is the invocation id (at-most-once identity).
 	ID wire.InvocationID
-	// Logical is the logical thread this request belongs to.
+	// Logical and Call name the logical thread this request belongs to
+	// (see wire.ThreadID): for a client's call and the nested calls it
+	// makes, the client and the call's number; Call 0 names the thread by
+	// Logical alone.
 	Logical wire.LogicalID
+	Call    uint64
 	// Callback is true when the logical thread already has a live blocked
 	// physical thread on this replica — i.e. a nested invocation chain has
 	// called back into its originating object (paper Section 3.1).
@@ -98,6 +102,9 @@ type Request struct {
 	// assigns. It must be called exactly once.
 	Exec func(t *Thread)
 }
+
+// Thread returns the logical thread the request belongs to.
+func (r *Request) Thread() wire.ThreadID { return wire.ThreadID{Logical: r.Logical, Call: r.Call} }
 
 // Env is the set of middleware services a scheduler may use.
 type Env struct {

@@ -152,7 +152,7 @@ func (s *Scheduler) Submit(req adets.Request) {
 	}
 	s.env.Obs.Submitted()
 	tk := &ticket{s: s, exec: req.Exec}
-	s.Registry.Init(&tk.Thread, "cc", req.Logical, tk)
+	s.Registry.Init(&tk.Thread, "cc", req.Thread(), tk)
 	if req.Callback {
 		tk.started = true // lane bypass: run immediately
 		s.Enter(&tk.Thread)
@@ -166,7 +166,7 @@ func (s *Scheduler) Submit(req adets.Request) {
 	s.planLocked(tk, req.Classes)
 	for _, l := range tk.lanes {
 		s.queues[l] = append(s.queues[l], tk)
-		s.env.Obs.LaneAssign(l, string(req.Logical), req.Seq)
+		s.env.Obs.LaneAssign(l, tk.Logical, req.Seq)
 	}
 	s.pumpLocked()
 }

@@ -37,7 +37,7 @@ const DefaultPeriod = 5 * time.Millisecond
 // TableEntry is one grant record: mutex m was granted to logical thread l.
 type TableEntry struct {
 	M adets.MutexID
-	L wire.LogicalID
+	L wire.ThreadID
 }
 
 // TableUpdate carries a batch of grant records from the leader.
@@ -49,10 +49,10 @@ type TableUpdate struct {
 // lockState is what LSA's grant rule keeps per mutex beside the Monitor's
 // row (which says who owns it).
 type lockState struct {
-	schedule []wire.LogicalID // applied table entries, grant order
-	nextIdx  int              // next schedule position to grant
-	pending  map[wire.LogicalID]*adets.Thread
-	arrival  []wire.LogicalID // request arrival order (leader grant order)
+	schedule []wire.ThreadID // applied table entries, grant order
+	nextIdx  int             // next schedule position to grant
+	pending  map[wire.ThreadID]*adets.Thread
+	arrival  []wire.ThreadID // request arrival order (leader grant order)
 }
 
 // Option configures the scheduler.
@@ -163,14 +163,14 @@ func (s *Scheduler) Submit(req adets.Request) {
 	}
 	s.env.Obs.Submitted()
 	th := &thread{s: s, exec: req.Exec}
-	s.Enter(s.Registry.Init(&th.Thread, "lsa", req.Logical, nil))
+	s.Enter(s.Registry.Init(&th.Thread, "lsa", req.Thread(), nil))
 	s.Registry.Start(th)
 }
 
 func (s *Scheduler) lock(m adets.MutexID) *lockState {
 	ls, ok := s.locks[m]
 	if !ok {
-		ls = &lockState{pending: make(map[wire.LogicalID]*adets.Thread)}
+		ls = &lockState{pending: make(map[wire.ThreadID]*adets.Thread)}
 		s.locks[m] = ls
 	}
 	return ls
@@ -209,7 +209,7 @@ func (s *Scheduler) requestLocked(t *adets.Thread, m adets.MutexID) {
 //     grant for the next table broadcast.
 func (s *Scheduler) tryGrantLocked(m adets.MutexID) {
 	ls, mu := s.lock(m), s.Mutex(m)
-	for mu.Owner == "" {
+	for mu.Owner == (wire.ThreadID{}) {
 		if ls.nextIdx < len(ls.schedule) {
 			next := ls.schedule[ls.nextIdx]
 			th := ls.pending[next]
@@ -261,7 +261,7 @@ func (s *Scheduler) grantLocked(ls *lockState, th *adets.Thread, mu *adets.Mutex
 // Release implements adets.Strategy: the next owner is whoever the table —
 // or, on the leader, arrival order — says.
 func (s *Scheduler) Release(mu *adets.Mutex) {
-	mu.Owner = ""
+	mu.Owner = wire.ThreadID{}
 	s.tryGrantLocked(mu.ID)
 }
 

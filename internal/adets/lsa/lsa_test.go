@@ -25,7 +25,7 @@ func newBare(self wire.NodeID, leader wire.NodeID) (*Scheduler, *vtime.VirtualRu
 func mkThread(s *Scheduler, rt *vtime.VirtualRuntime, logical wire.LogicalID) *adets.Thread {
 	rt.Lock()
 	defer rt.Unlock()
-	t := s.Registry.Init(new(adets.Thread), "lsa", logical, nil)
+	t := s.Registry.Init(new(adets.Thread), "lsa", wire.ThreadID{Logical: logical}, nil)
 	s.Enter(t)
 	return t
 }
@@ -37,20 +37,20 @@ func TestLeaderGrantsFCFSAndLogs(t *testing.T) {
 	b := mkThread(s, rt, "b")
 	rt.Lock()
 	s.requestLocked(a, "m")
-	if got := s.Mutex("m").Owner; got != "a" {
+	if got := s.Mutex("m").Owner; got != (wire.ThreadID{Logical: "a"}) {
 		t.Errorf("owner = %q, want a (immediate leader grant)", got)
 	}
 	s.requestLocked(b, "m") // held: must queue
-	if got := s.Mutex("m").Owner; got != "a" {
+	if got := s.Mutex("m").Owner; got != (wire.ThreadID{Logical: "a"}) {
 		t.Errorf("owner = %q after second request", got)
 	}
 	// Release: b granted next, both grants logged in order.
-	s.Mutex("m").Owner = ""
+	s.Mutex("m").Owner = wire.ThreadID{}
 	s.tryGrantLocked("m")
-	if got := s.Mutex("m").Owner; got != "b" {
+	if got := s.Mutex("m").Owner; got != (wire.ThreadID{Logical: "b"}) {
 		t.Errorf("owner = %q, want b", got)
 	}
-	if len(s.pendingLog) != 2 || s.pendingLog[0].L != "a" || s.pendingLog[1].L != "b" {
+	if len(s.pendingLog) != 2 || s.pendingLog[0].L.Logical != "a" || s.pendingLog[1].L.Logical != "b" {
 		t.Errorf("pendingLog = %+v, want [a b] on m", s.pendingLog)
 	}
 	rt.Unlock()
@@ -65,21 +65,21 @@ func TestFollowerWaitsForSchedule(t *testing.T) {
 	// Requests arrive in the "wrong" order locally; the schedule decides.
 	s.requestLocked(b, "m")
 	s.requestLocked(a, "m")
-	if got := s.Mutex("m").Owner; got != "" {
+	if got := s.Mutex("m").Owner; got != (wire.ThreadID{}) {
 		t.Errorf("follower granted %q without a schedule", got)
 	}
 	// Apply the leader's table: a first, then b.
-	s.lock("m").schedule = append(s.lock("m").schedule, "a", "b")
+	s.lock("m").schedule = append(s.lock("m").schedule, wire.ThreadID{Logical: "a"}, wire.ThreadID{Logical: "b"})
 	s.tryGrantLocked("m")
-	if got := s.Mutex("m").Owner; got != "a" {
+	if got := s.Mutex("m").Owner; got != (wire.ThreadID{Logical: "a"}) {
 		t.Errorf("owner = %q, want a (schedule order)", got)
 	}
 	if len(s.pendingLog) != 0 {
 		t.Errorf("follower logged grants: %+v", s.pendingLog)
 	}
-	s.Mutex("m").Owner = ""
+	s.Mutex("m").Owner = wire.ThreadID{}
 	s.tryGrantLocked("m")
-	if got := s.Mutex("m").Owner; got != "b" {
+	if got := s.Mutex("m").Owner; got != (wire.ThreadID{Logical: "b"}) {
 		t.Errorf("owner = %q, want b", got)
 	}
 	rt.Unlock()
@@ -94,13 +94,13 @@ func TestFollowerBlocksOnScheduleForAbsentThread(t *testing.T) {
 	s.requestLocked(b, "m")
 	// Schedule says "a" goes first, but a has not requested locally yet:
 	// b must keep waiting (the grant order is sacrosanct).
-	s.lock("m").schedule = append(s.lock("m").schedule, "a", "b")
+	s.lock("m").schedule = append(s.lock("m").schedule, wire.ThreadID{Logical: "a"}, wire.ThreadID{Logical: "b"})
 	s.tryGrantLocked("m")
-	if got := s.Mutex("m").Owner; got != "" {
+	if got := s.Mutex("m").Owner; got != (wire.ThreadID{}) {
 		t.Errorf("owner = %q; follower must wait for thread a", got)
 	}
 	s.requestLocked(a, "m")
-	if got := s.Mutex("m").Owner; got != "a" {
+	if got := s.Mutex("m").Owner; got != (wire.ThreadID{Logical: "a"}) {
 		t.Errorf("owner = %q, want a once it arrives", got)
 	}
 	rt.Unlock()
@@ -117,9 +117,9 @@ func TestPromotionFinishesScheduleThenGrantsFresh(t *testing.T) {
 	s.requestLocked(b, "m")
 	s.requestLocked(c, "m")
 	// Published schedule covers only a.
-	s.lock("m").schedule = append(s.lock("m").schedule, "a")
+	s.lock("m").schedule = append(s.lock("m").schedule, wire.ThreadID{Logical: "a"})
 	s.tryGrantLocked("m")
-	if got := s.Mutex("m").Owner; got != "a" {
+	if got := s.Mutex("m").Owner; got != (wire.ThreadID{Logical: "a"}) {
 		t.Errorf("owner = %q", got)
 	}
 	rt.Unlock()
@@ -130,10 +130,10 @@ func TestPromotionFinishesScheduleThenGrantsFresh(t *testing.T) {
 	rt.Lock()
 	// After a releases, the new leader grants the remaining requests
 	// fresh, logging them.
-	s.Mutex("m").Owner = ""
+	s.Mutex("m").Owner = wire.ThreadID{}
 	s.tryGrantLocked("m")
 	owner := s.Mutex("m").Owner
-	if owner != "b" && owner != "c" {
+	if owner.Logical != "b" && owner.Logical != "c" {
 		t.Errorf("owner = %q, want one of the pending requesters", owner)
 	}
 	if len(s.pendingLog) != 1 || s.pendingLog[0].M != "m" {

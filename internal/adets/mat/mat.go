@@ -112,7 +112,7 @@ func (s *Scheduler) Submit(req adets.Request) {
 	}
 	s.env.Obs.Submitted()
 	mt := &matThread{s: s, exec: req.Exec}
-	t := s.Registry.Init(&mt.Thread, "mat", req.Logical, mt)
+	t := s.Registry.Init(&mt.Thread, "mat", req.Thread(), mt)
 	s.Enter(t)
 	if req.Callback {
 		s.succession.PushFront(t)

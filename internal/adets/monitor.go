@@ -29,8 +29,8 @@ type Monitor struct {
 
 	mutexes map[MutexID]*Mutex
 	conds   map[condKey]*FIFO
-	waiting map[wire.LogicalID]*Thread // logical thread → its thread parked ForCond
-	waitSeq map[wire.LogicalID]uint64
+	waiting map[wire.ThreadID]*Thread // logical thread → its thread parked ForCond
+	waitSeq map[wire.ThreadID]uint64
 	threads map[*Thread]struct{} // live threads
 	quiesce func(drained bool)
 	stopped bool
@@ -71,8 +71,9 @@ type Strategy interface {
 // Mutex is one row of the mutex table.
 type Mutex struct {
 	ID MutexID
-	// Owner is the logical thread holding the mutex, "" when it is free.
-	Owner wire.LogicalID
+	// Owner is the logical thread holding the mutex, the zero ThreadID when
+	// it is free.
+	Owner wire.ThreadID
 	entry FIFO // threads parked ForMutex, in arrival order
 }
 
@@ -89,7 +90,7 @@ type condKey struct {
 // exactly once.
 type TimeoutMsg struct {
 	// Target identifies the waiting logical thread.
-	Target wire.LogicalID
+	Target wire.ThreadID
 	// Mutex and Cond identify the condition variable waited on.
 	Mutex MutexID
 	Cond  CondID
@@ -112,8 +113,8 @@ func (m *Monitor) Init(env Env, s Strategy) {
 		Registry: Registry{rt: env.RT},
 		mutexes:  make(map[MutexID]*Mutex),
 		conds:    make(map[condKey]*FIFO),
-		waiting:  make(map[wire.LogicalID]*Thread),
-		waitSeq:  make(map[wire.LogicalID]uint64),
+		waiting:  make(map[wire.ThreadID]*Thread),
+		waitSeq:  make(map[wire.ThreadID]uint64),
 		threads:  make(map[*Thread]struct{}),
 	}
 }
@@ -220,7 +221,7 @@ func (m *Monitor) held(t *Thread, id MutexID) (*Mutex, error) {
 func (m *Monitor) Grant(mu *Mutex, t *Thread) {
 	mu.Owner = t.Logical
 	t.parked = NotParked
-	m.env.Obs.Grant(mu.ID, string(t.Logical))
+	m.env.Obs.Grant(mu.ID, t.Logical)
 }
 
 // Lock implements Scheduler for a strategy in which any running thread may
@@ -240,7 +241,7 @@ func (m *Monitor) Acquire(t *Thread, id MutexID) error {
 		return ErrStopped
 	}
 	mu := m.Mutex(id)
-	if mu.Owner == "" {
+	if mu.Owner == (wire.ThreadID{}) {
 		m.Grant(mu, t)
 		return nil
 	}
@@ -264,7 +265,7 @@ func (m *Monitor) AwaitGrant(t *Thread, mu *Mutex) error {
 		return ErrStopped
 	}
 	if m.env.Obs != nil {
-		m.env.Obs.GrantedAfterBlock(mu.ID, string(t.Logical), rt.NowLocked()-t0)
+		m.env.Obs.GrantedAfterBlock(mu.ID, t.Logical, rt.NowLocked()-t0)
 	}
 	return nil
 }
@@ -287,7 +288,7 @@ func (m *Monitor) Unlock(t *Thread, id MutexID) error {
 	if err != nil {
 		return err
 	}
-	m.env.Obs.Unlock(id, string(t.Logical))
+	m.env.Obs.Unlock(id, t.Logical)
 	m.strategy.Release(mu)
 	return nil
 }
@@ -297,7 +298,7 @@ func (m *Monitor) Unlock(t *Thread, id MutexID) error {
 func (m *Monitor) Release(mu *Mutex) {
 	w := mu.entry.Pop()
 	if w == nil {
-		mu.Owner = ""
+		mu.Owner = wire.ThreadID{}
 		return
 	}
 	m.Grant(mu, w)
@@ -343,13 +344,13 @@ func (m *Monitor) Wait(t *Thread, id MutexID, c CondID, d time.Duration) (timedO
 	var timer *vtime.Timer
 	if d > 0 {
 		msg := TimeoutMsg{Target: t.Logical, Mutex: id, Cond: c, WaitSeq: t.waitSeq}
-		timer = rt.AfterLocked(d, "adets-timeout/"+string(t.Logical), func() {
+		timer = rt.AfterLocked(d, "adets-timeout/"+t.Logical.String(), func() {
 			if m.Alive() {
 				m.strategy.Expired(msg)
 			}
 		})
 	}
-	m.env.Obs.WaitStart(id, c, string(t.Logical))
+	m.env.Obs.WaitStart(id, c, t.Logical)
 	m.strategy.Release(mu)
 	m.park(t, ForCond)
 	delete(m.waiting, t.Logical)
@@ -398,7 +399,7 @@ func (m *Monitor) notify(t *Thread, id MutexID, c CondID, all bool) error {
 func (m *Monitor) wake(w *Thread, mu *Mutex, c CondID, timedOut bool) {
 	w.timedOut = timedOut
 	w.parked = ForMutex
-	m.env.Obs.Wake(mu.ID, c, string(w.Logical), timedOut)
+	m.env.Obs.Wake(mu.ID, c, w.Logical, timedOut)
 	m.strategy.Reacquire(w, mu)
 }
 

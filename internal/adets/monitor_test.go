@@ -24,16 +24,16 @@ type bare struct {
 }
 
 func (b *bare) Runnable(t *Thread) {
-	b.hooks = append(b.hooks, "runnable "+string(t.Logical))
+	b.hooks = append(b.hooks, "runnable "+t.Logical.String())
 	t.Unpark(b.rt)
 }
-func (b *bare) Blocked(t *Thread)     { b.hooks = append(b.hooks, "blocked "+string(t.Logical)) }
+func (b *bare) Blocked(t *Thread)     { b.hooks = append(b.hooks, "blocked "+t.Logical.String()) }
 func (b *bare) Stable(t *Thread) bool { return t.Parked() != NotParked }
 
 func (b *bare) Submit(req Request) {
 	b.rt.Lock()
 	j := &bareJob{b: b, exec: req.Exec}
-	b.Enter(b.Registry.Init(&j.Thread, "bare", req.Logical, nil))
+	b.Enter(b.Registry.Init(&j.Thread, "bare", req.Thread(), nil))
 	b.Registry.Start(j)
 	b.rt.Unlock()
 }
@@ -93,7 +93,7 @@ func (b *bare) event(format string, args ...any) {
 func (b *bare) owner(m MutexID) wire.LogicalID {
 	b.rt.Lock()
 	defer b.rt.Unlock()
-	return b.Mutex(m).Owner
+	return wire.LogicalID(b.Mutex(m).Owner.String())
 }
 
 // waiter is the script "Lock m; Wait(m, c, d); Unlock m", reporting how the
@@ -206,7 +206,7 @@ func TestMonitor(t *testing.T) {
 				})
 				b.at(1*ms, "n1", b.notifier("m", "", false))
 				b.rt.Sleep(5 * ms)
-				stale := TimeoutMsg{Target: "a", Mutex: "m", WaitSeq: 1}
+				stale := TimeoutMsg{Target: wire.ThreadID{Logical: "a"}, Mutex: "m", WaitSeq: 1}
 				b.HandleOrdered(TimeoutID(stale), stale)
 				b.rt.Sleep(5 * ms)
 				b.event("stale timeout resolved")
@@ -313,7 +313,7 @@ func TestTimeoutsArmFiresBroadcast(t *testing.T) {
 		b.at(0, "cl1", b.waiter("m", "", 10*ms))
 		b.rt.Sleep(20 * ms)
 	})
-	if want := []string{TimeoutID(TimeoutMsg{Target: "cl1", WaitSeq: 1})}; !slices.Equal(b.sent, want) {
+	if want := []string{TimeoutID(TimeoutMsg{Target: wire.ThreadID{Logical: "cl1"}, WaitSeq: 1})}; !slices.Equal(b.sent, want) {
 		t.Errorf("broadcasts = %v, want %v", b.sent, want)
 	}
 	if want := []string{"cl1 woke timedOut=true err=<nil> owner=cl1"}; !slices.Equal(b.events, want) {
@@ -358,10 +358,18 @@ func TestTimeoutsPerLogicalSequencing(t *testing.T) {
 }
 
 func TestTimeoutIDUniquePerWait(t *testing.T) {
-	a := TimeoutID(TimeoutMsg{Target: "x", WaitSeq: 1})
-	b := TimeoutID(TimeoutMsg{Target: "x", WaitSeq: 2})
-	c := TimeoutID(TimeoutMsg{Target: "y", WaitSeq: 1})
-	if a == b || a == c || b == c {
-		t.Errorf("timeout ids collide: %q %q %q", a, b, c)
+	a := TimeoutID(TimeoutMsg{Target: wire.ThreadID{Logical: "x"}, WaitSeq: 1})
+	b := TimeoutID(TimeoutMsg{Target: wire.ThreadID{Logical: "x"}, WaitSeq: 2})
+	c := TimeoutID(TimeoutMsg{Target: wire.ThreadID{Logical: "y"}, WaitSeq: 1})
+	// Two calls of one client are two threads, and so two waits.
+	d := TimeoutID(TimeoutMsg{Target: wire.ThreadID{Logical: "client/c1", Call: 1}, WaitSeq: 1})
+	e := TimeoutID(TimeoutMsg{Target: wire.ThreadID{Logical: "client/c1", Call: 2}, WaitSeq: 1})
+	if ids := []string{a, b, c, d, e}; len(slices.Compact(slices.Sorted(slices.Values(ids)))) != len(ids) {
+		t.Errorf("timeout ids collide: %q", ids)
+	}
+	// The id is the one the thread's text gave: the ordered message keeps
+	// its place in every digest.
+	if d != "adets-timeout/client/c1#1/1" {
+		t.Errorf("timeout id of a numbered thread = %q", d)
 	}
 }

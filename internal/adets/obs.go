@@ -7,6 +7,7 @@ import (
 
 	"github.com/replobj/replobj/internal/obs"
 	"github.com/replobj/replobj/internal/obs/tracing"
+	"github.com/replobj/replobj/internal/wire"
 )
 
 // SchedObs bundles the metrics and the deterministic schedule trace of one
@@ -24,7 +25,10 @@ import (
 //
 // Recording allocates nothing: the hooks keep one stream handle per mutex
 // (in a table guarded by the runtime lock every recording hook runs under),
-// per lane and for "sched" and "rounds", and pass numeric details as numbers.
+// per lane and for "sched" and "rounds", and pass numeric details and the
+// call number of a logical thread as numbers. A thread's subject is folded
+// as its text, "<logical>#<call>" (wire.ThreadID.String), without the text
+// being built.
 type SchedObs struct {
 	tr     *obs.Trace
 	reg    *obs.Registry
@@ -54,7 +58,7 @@ type SchedObs struct {
 	fences      *obs.Counter
 
 	// Span instrumentation (see WithSpans). The collector resolves logical
-	// thread ids to trace contexts, so grant hooks can attach spans without
+	// threads to trace contexts, so grant hooks can attach spans without
 	// threading a context through the scheduler.
 	spans   *tracing.Collector
 	spanNow func() time.Duration
@@ -116,17 +120,17 @@ func (s *SchedObs) Submitted() {
 }
 
 // Exec records an execution-order decision of a sequential strategy.
-func (s *SchedObs) Exec(logical string) {
+func (s *SchedObs) Exec(th wire.ThreadID) {
 	if s != nil {
-		s.schedStream.Record(obs.KindExec, logical, "")
+		s.schedStream.RecordThread(obs.KindExec, string(th.Logical), th.Call, "")
 	}
 }
 
 // Grant records mutex m being granted to a logical thread.
-func (s *SchedObs) Grant(m MutexID, logical string) {
+func (s *SchedObs) Grant(m MutexID, th wire.ThreadID) {
 	if s != nil {
 		s.grants.Inc()
-		s.mutex(m).Record(obs.KindGrant, logical, "")
+		s.mutex(m).RecordThread(obs.KindGrant, string(th.Logical), th.Call, "")
 	}
 }
 
@@ -157,14 +161,14 @@ func (s *SchedObs) WithSpans(col *tracing.Collector, now func() time.Duration, n
 
 // GrantedAfterBlock records how long the logical thread blocked on mutex m
 // waited for its grant.
-func (s *SchedObs) GrantedAfterBlock(m MutexID, logical string, wait time.Duration) {
+func (s *SchedObs) GrantedAfterBlock(m MutexID, th wire.ThreadID, wait time.Duration) {
 	if s == nil {
 		return
 	}
 	s.waitQueue.Dec()
 	s.grantLat.ObserveDuration(wait)
 	if s.spans != nil {
-		if ctx := s.spans.Lookup(logical); ctx.Valid() {
+		if ctx := s.spans.Lookup(th); ctx.Valid() {
 			start := s.spanNow() - wait
 			s.spans.Record(tracing.Span{
 				Trace:  ctx.TraceID,
@@ -190,29 +194,29 @@ func (s *SchedObs) Unblocked() {
 }
 
 // Unlock records mutex m being released by a logical thread.
-func (s *SchedObs) Unlock(m MutexID, logical string) {
+func (s *SchedObs) Unlock(m MutexID, th wire.ThreadID) {
 	if s != nil {
-		s.mutex(m).Record(obs.KindUnlock, logical, "")
+		s.mutex(m).RecordThread(obs.KindUnlock, string(th.Logical), th.Call, "")
 	}
 }
 
 // WaitStart records the owner releasing m to wait on condition c.
-func (s *SchedObs) WaitStart(m MutexID, c CondID, logical string) {
+func (s *SchedObs) WaitStart(m MutexID, c CondID, th wire.ThreadID) {
 	if s != nil {
-		s.mutex(m).Record(obs.KindWait, logical, string(c))
+		s.mutex(m).RecordThread(obs.KindWait, string(th.Logical), th.Call, string(c))
 	}
 }
 
 // Wake records a waiter of (m, c) being woken by a notification or a
 // deterministic timeout.
-func (s *SchedObs) Wake(m MutexID, c CondID, logical string, timedOut bool) {
+func (s *SchedObs) Wake(m MutexID, c CondID, th wire.ThreadID, timedOut bool) {
 	if s != nil {
 		s.wakes.Inc()
 		detail := string(c)
 		if timedOut {
 			detail += "/timeout"
 		}
-		s.mutex(m).Record(obs.KindWake, logical, detail)
+		s.mutex(m).RecordThread(obs.KindWake, string(th.Logical), th.Call, detail)
 	}
 }
 
@@ -271,9 +275,9 @@ func (s *SchedObs) Lanes(n int) {
 // point and is a pure function of the ordered stream, so it is traced (stream
 // "lane/<i>"); execution start order across lanes is real-time dependent and
 // is deliberately metrics-only (see LaneStart).
-func (s *SchedObs) LaneAssign(lane int, logical string, seq uint64) {
+func (s *SchedObs) LaneAssign(lane int, th wire.ThreadID, seq uint64) {
 	if s != nil && lane < len(s.laneStreams) {
-		s.laneStreams[lane].RecordN(obs.KindExec, logical, seq)
+		s.laneStreams[lane].RecordCall(obs.KindExec, string(th.Logical), th.Call, seq)
 		s.laneAssigns[lane].Inc()
 		s.laneDepth[lane].Inc()
 	}

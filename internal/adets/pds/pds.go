@@ -103,7 +103,7 @@ type pdsThread struct {
 	reqMutex adets.MutexID   // pending mutex request while suspended
 	eligible bool            // request may be granted in the current round
 	resume   adets.MutexID   // mutex to reacquire when resuming ("" = none)
-	between  wire.LogicalID  // the worker's own identity between requests (queue-mutex owner)
+	between  wire.ThreadID   // the worker's own identity between requests (queue-mutex owner)
 	ownQueue []adets.Request // round-robin assignment
 
 	// PDS-2 per-round bookkeeping.
@@ -237,8 +237,8 @@ func (s *Scheduler) Start(env adets.Env) {
 // worker acts — takes the queue mutex — under an identity of its own.
 func (s *Scheduler) addWorkerLocked() *adets.Thread {
 	pt := &pdsThread{s: s, state: stRunning, inActive: true}
-	t := s.Registry.Init(&pt.Thread, "pds-worker", "", pt)
-	t.Logical = wire.LogicalID("pds-worker-" + strconv.FormatUint(t.ID, 10))
+	t := s.Registry.Init(&pt.Thread, "pds-worker", wire.ThreadID{}, pt)
+	t.Logical = wire.ThreadID{Logical: wire.LogicalID("pds-worker-" + strconv.FormatUint(t.ID, 10))}
 	pt.between = t.Logical
 	s.pool = append(s.pool, t)
 	s.Enter(t)
@@ -354,7 +354,7 @@ func (s *Scheduler) workerLoop(t *adets.Thread) {
 		if !ok {
 			return // stopped or retired
 		}
-		t.Logical = req.Logical
+		t.Logical = req.Thread()
 		req.Exec(t)
 		rt.Lock()
 		t.Logical = st(t).between
@@ -408,7 +408,7 @@ func (s *Scheduler) nextSynchronized(t *adets.Thread) (adets.Request, bool) {
 			pt := st(t)
 			pt.state = stIdle
 			pt.committed = true
-			s.env.Obs.Unlock(QueueMutex, string(t.Logical))
+			s.env.Obs.Unlock(QueueMutex, t.Logical)
 			s.Release(s.Mutex(QueueMutex))
 			s.roundCheckLocked()
 			s.CheckQuiesce()
@@ -540,8 +540,8 @@ func (s *Scheduler) roundCheck(force bool) {
 		pt := st(w)
 		pt.state = stIdle
 		pt.committed = true
-		s.env.Obs.Unlock(QueueMutex, string(w.Logical))
-		s.Mutex(QueueMutex).Owner = ""
+		s.env.Obs.Unlock(QueueMutex, w.Logical)
+		s.Mutex(QueueMutex).Owner = wire.ThreadID{}
 		// The freed queue mutex is re-granted by the round (or by
 		// releaseLocked below the round) to a suspended requester.
 	}
@@ -624,7 +624,7 @@ func (s *Scheduler) startRoundLocked(nonWaiting int) {
 func (s *Scheduler) tryGrantThreadLocked(t *adets.Thread) {
 	pt := st(t)
 	mu := s.Mutex(pt.reqMutex)
-	if mu.Owner != "" {
+	if mu.Owner != (wire.ThreadID{}) {
 		return
 	}
 	if pt.reqMutex == QueueMutex && s.cfg.ArtificialRequests && !s.artTurnLocked(t) {
@@ -676,7 +676,7 @@ func (s *Scheduler) evalSecondGrantsLocked() {
 				continue
 			}
 			mu := s.Mutex(pt.reqMutex)
-			if mu.Owner != "" {
+			if mu.Owner != (wire.ThreadID{}) {
 				continue
 			}
 			s.Grant(mu, t)
@@ -713,12 +713,12 @@ func (s *Scheduler) allLowerCommittedLocked(t *adets.Thread) bool {
 // unlocks m, T2 may execute concurrently"); pending PDS-2 second requests get
 // the leftovers.
 func (s *Scheduler) Release(mu *adets.Mutex) {
-	mu.Owner = ""
+	mu.Owner = wire.ThreadID{}
 	for _, t := range s.pool {
 		pt := st(t)
 		if pt.inActive && pt.state == stSuspended && pt.eligible && pt.reqMutex == mu.ID {
 			s.tryGrantThreadLocked(t)
-			if mu.Owner != "" {
+			if mu.Owner != (wire.ThreadID{}) {
 				return
 			}
 			// Refused (artificial-requests rotation): keep looking for the

@@ -23,7 +23,7 @@ func newBare(variant Variant, n int) (*Scheduler, *vtime.VirtualRuntime, []*adet
 	rt.Lock()
 	for i := 0; i < n; i++ {
 		pt := &pdsThread{s: s, state: stRunning, inActive: true}
-		t := s.Registry.Init(&pt.Thread, "w", wire.LogicalID(rune('a'+i)), pt)
+		t := s.Registry.Init(&pt.Thread, "w", wire.ThreadID{Logical: wire.LogicalID(rune('a' + i))}, pt)
 		s.pool = append(s.pool, t)
 		threads[i] = t
 	}
@@ -71,7 +71,7 @@ func TestSecondGrantRequiresFreeMutex(t *testing.T) {
 	st(th[0]).got1 = true
 	st(th[0]).committed = true
 	st(th[0]).state = stSuspended
-	s.Mutex("m").Owner = "someone-else"
+	s.Mutex("m").Owner = wire.ThreadID{Logical: "someone-else"}
 	st(th[1]).got1 = true
 	st(th[1]).state = stSuspended
 	st(th[1]).reqMutex = "m"
@@ -81,7 +81,7 @@ func TestSecondGrantRequiresFreeMutex(t *testing.T) {
 		t.Error("second grant given for a held mutex")
 	}
 	// Free it: grant must follow.
-	s.Mutex("m").Owner = ""
+	s.Mutex("m").Owner = wire.ThreadID{}
 	s.evalSecondGrantsLocked()
 	if st(th[1]).secondPending {
 		t.Error("second grant withheld for a free mutex")

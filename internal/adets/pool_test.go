@@ -163,9 +163,9 @@ func TestPoolQueuedTicketHoldsNoWorker(t *testing.T) {
 	s.Submit(request("a", func(t *adets.Thread) {
 		nested <- t
 		s.BeginNested(t)
-		ran <- t.Logical
+		ran <- t.Logical.Logical
 	}))
-	s.Submit(request("b", func(t *adets.Thread) { ran <- t.Logical }))
+	s.Submit(request("b", func(t *adets.Thread) { ran <- t.Logical.Logical }))
 	if quiesce(t, s) {
 		t.Fatal("drained with a thread parked in a nested invocation")
 	}

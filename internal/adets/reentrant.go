@@ -34,7 +34,7 @@ type Reentrancy struct {
 }
 
 type holdKey struct {
-	logical wire.LogicalID
+	logical wire.ThreadID
 	mutex   MutexID
 }
 

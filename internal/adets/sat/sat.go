@@ -121,7 +121,7 @@ func (s *Scheduler) Submit(req adets.Request) {
 	}
 	s.env.Obs.Submitted()
 	th := &thread{s: s, exec: req.Exec}
-	t := s.Registry.Init(&th.Thread, "sat", req.Logical, nil)
+	t := s.Registry.Init(&th.Thread, "sat", req.Thread(), nil)
 	s.Enter(t)
 	if req.Callback {
 		s.ready.PushFront(t)

@@ -295,7 +295,7 @@ func (ic *Ictx) Compute(d time.Duration) { ic.c.RT.Sleep(d) }
 func (ic *Ictx) Nested(d time.Duration) {
 	ic.nestedCt++
 	id := fmt.Sprintf("reply/%s/%d", ic.t.Logical, ic.nestedCt)
-	logical := ic.t.Logical
+	logical := ic.t.Logical.Logical // schedtest names its threads by text alone
 	c := ic.c
 	c.RT.Lock()
 	c.nested[ic.replica][logical] = append(c.nested[ic.replica][logical], ic.t)

@@ -21,6 +21,7 @@ import (
 	"github.com/replobj/replobj/internal/adets"
 	"github.com/replobj/replobj/internal/gcs"
 	"github.com/replobj/replobj/internal/ring"
+	"github.com/replobj/replobj/internal/wire"
 )
 
 // Scheduler is the sequential worker.
@@ -110,7 +111,7 @@ func (s *Scheduler) Submit(req adets.Request) {
 	s.env.Obs.Submitted()
 	if s.sl && req.Callback {
 		cb := &thread{s: s, exec: req.Exec}
-		s.reg.Init(&cb.Thread, "seq-callback", req.Logical, nil)
+		s.reg.Init(&cb.Thread, "seq-callback", req.Thread(), nil)
 		s.cbLive++
 		s.reg.Start(cb)
 		return
@@ -118,7 +119,7 @@ func (s *Scheduler) Submit(req adets.Request) {
 	s.queue.Push(req)
 	if s.worker == nil {
 		w := &thread{s: s}
-		s.worker = s.reg.Init(&w.Thread, "seq-worker", "", nil)
+		s.worker = s.reg.Init(&w.Thread, "seq-worker", wire.ThreadID{}, nil)
 		// Busy from birth: the worker drains the queue before it first
 		// parks, so a Submit racing with the start must not Unpark it — the
 		// stale permit would make a later BeginNested return early.
@@ -155,9 +156,9 @@ func (w *thread) Run() {
 			continue
 		}
 		s.busy = true
-		w.Logical = req.Logical
+		w.Logical = req.Thread()
 		rt.Unlock()
-		s.env.Obs.Exec(string(req.Logical))
+		s.env.Obs.Exec(req.Thread())
 		req.Exec(&w.Thread)
 		rt.Lock()
 	}

@@ -108,7 +108,7 @@ func TestCallbackRunsWhileOriginatorNested(t *testing.T) {
 			Logical:  "origin",
 			Callback: true,
 			Exec: func(th *adets.Thread) {
-				if th.Logical != "origin" {
+				if th.Logical != (wire.ThreadID{Logical: "origin"}) {
 					t.Errorf("callback thread logical = %q, want origin", th.Logical)
 				}
 				rt.Lock()

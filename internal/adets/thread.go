@@ -15,10 +15,10 @@ import (
 // the numbering is identical on every replica and may be used for
 // deterministic choices (PDS grants mutexes in increasing thread-ID order).
 // Threads whose creation is not delivery-ordered (LSA's timeout threads)
-// are identified by their deterministic LogicalID instead.
+// are identified by their deterministic logical thread instead.
 //
 // A thread is one allocation: the parker is held by value, the name is kept
-// as (role, logical id) until printed, and a scheduler's own per-thread
+// as (role, logical thread) until printed, and a scheduler's own per-thread
 // record embeds the Thread (Registry.Init) and is the Job a pooled worker
 // runs (Registry.Start). Goroutines are pooled, records are not: wait
 // queues, reentrancy tables and timers may hold a *Thread past its request.
@@ -39,7 +39,7 @@ type Thread struct {
 	// ID is the replica-deterministic creation index (see type comment).
 	ID uint64
 	// Logical is the logical thread this physical thread executes for.
-	Logical wire.LogicalID
+	Logical wire.ThreadID
 
 	parker vtime.Parker // named role/Logical
 
@@ -120,10 +120,10 @@ func NewRegistry(rt vtime.Runtime) *Registry {
 // Init makes the zero Thread t — embedded in sched, the scheduler's record
 // for it — the registry's next thread, named role/logical. Runtime lock
 // required: the ID must be taken at a deterministic point.
-func (r *Registry) Init(t *Thread, role string, logical wire.LogicalID, sched any) *Thread {
+func (r *Registry) Init(t *Thread, role string, logical wire.ThreadID, sched any) *Thread {
 	t.ID, t.Logical, t.Sched = r.next, logical, sched
 	r.next++
-	t.parker.SetName(role, string(logical))
+	t.parker.SetName(role, &t.Logical)
 	return t
 }
 

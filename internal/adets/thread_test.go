@@ -93,7 +93,7 @@ func TestRegistryAssignsSequentialIDs(t *testing.T) {
 	r := NewRegistry(rt)
 	rt.Lock()
 	for i := uint64(0); i < 5; i++ {
-		th := r.Init(new(Thread), "t", "l", nil)
+		th := r.Init(new(Thread), "t", wire.ThreadID{Logical: "l"}, nil)
 		if th.ID != i {
 			t.Errorf("thread %d got ID %d", i, th.ID)
 		}
@@ -106,11 +106,14 @@ func TestThreadString(t *testing.T) {
 	defer rt.Stop()
 	r := NewRegistry(rt)
 	r.next = 3
-	th := r.Init(new(Thread), "w", "cl1", nil)
+	th := r.Init(new(Thread), "w", wire.ThreadID{Logical: "cl1"}, nil)
 	if s := th.String(); s != "thread{3 w/cl1}" {
 		t.Errorf("String = %q", s)
 	}
-	if s := r.Init(new(Thread), "pool-worker", "", nil).String(); s != "thread{4 pool-worker}" {
+	if s := r.Init(new(Thread), "pool-worker", wire.ThreadID{}, nil).String(); s != "thread{4 pool-worker}" {
+		t.Errorf("String = %q", s)
+	}
+	if s := r.Init(new(Thread), "mat", wire.ThreadID{Logical: "client/c1", Call: 7}, nil).String(); s != "thread{5 mat/client/c1#7}" {
 		t.Errorf("String = %q", s)
 	}
 }
@@ -134,7 +137,7 @@ func TestParkedThreadIsReportedByRoleAndLogical(t *testing.T) {
 	})
 	vtime.Run(rt, "main", func() {
 		rt.Lock()
-		r.Init(&rec.Thread, "mat", "client/c1#7", &rec)
+		r.Init(&rec.Thread, "mat", wire.ThreadID{Logical: "client/c1", Call: 7}, &rec)
 		rec.Park(rt) // nobody unparks it: the kernel reports, the handler resolves
 		rt.Unlock()
 	})
@@ -153,7 +156,7 @@ func TestQuickReentrancyDepth(t *testing.T) {
 		defer rt.Stop()
 		sched := &countingSched{}
 		re := NewReentrancy(rt, sched)
-		th := &Thread{ID: 0, Logical: wire.LogicalID("l")}
+		th := &Thread{ID: 0, Logical: wire.ThreadID{Logical: "l"}}
 		for _, raw := range depthsRaw {
 			depth := int(raw%5) + 1
 			for i := 0; i < depth; i++ {

@@ -15,7 +15,6 @@ package client
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"time"
 
 	"github.com/replobj/replobj/internal/gcs"
@@ -88,6 +87,9 @@ type Config struct {
 	// Metrics, when non-nil, receives the client-side shard routing series
 	// (routed and redirect counters) from Routers created off this client.
 	Metrics *obs.Registry
+	// Closed, when non-nil, is called by the first Close once the client is
+	// detached: whoever keeps a set of clients (a Cluster) lets go of it.
+	Closed func(*Client)
 }
 
 // Client is a replication-aware stub. Safe for use by one goroutine at a
@@ -102,12 +104,12 @@ type Client struct {
 	retry   time.Duration
 	spans   *tracing.Collector
 	metrics *obs.Registry
+	closed  func(*Client)
 
 	// guarded by the runtime lock
 	groups  map[wire.GroupID]*contact
 	cur     call          // the one invocation in flight; reused by the next
 	parker  *vtime.Parker // the invoking goroutine waits here, call after call
-	idBuf   []byte        // scratch the invocation ids are built in
 	reqSeq  uint64
 	stopped bool
 }
@@ -171,6 +173,7 @@ func New(cfg Config) *Client {
 		retry:   cfg.Retransmit,
 		spans:   cfg.Spans,
 		metrics: cfg.Metrics,
+		closed:  cfg.Closed,
 		groups:  make(map[wire.GroupID]*contact),
 		reqSeq:  cfg.Incarnation << 32,
 	}
@@ -183,12 +186,16 @@ func New(cfg Config) *Client {
 // Close detaches the client.
 func (c *Client) Close() {
 	c.rt.Lock()
+	first := !c.stopped
 	c.stopped = true
 	if c.cur.active {
 		c.rt.Unpark(c.parker)
 	}
 	c.rt.Unlock()
 	c.ep.Close()
+	if first && c.closed != nil {
+		c.closed(c)
+	}
 }
 
 // receive files a replica's reply and wakes the caller once the policy is
@@ -343,37 +350,30 @@ func (c *Client) invoke(group wire.GroupID, method string, args []byte, policy R
 		ct.introduced = true
 	}
 	c.reqSeq++
-	// The group layer names the call by (self, call number); the replicas
-	// need the logical thread id "<self>#<call>" as text.
-	buf := append(c.idBuf[:0], c.self...)
-	buf = append(buf, '#')
-	buf = strconv.AppendUint(buf, c.reqSeq, 10)
-	c.idBuf = buf
-	callNo := c.reqSeq
-	logical := wire.LogicalID(buf)
-	id := wire.InvocationID{Logical: logical, Seq: 0}
+	// The group layer and the replicas alike name the call, and the logical
+	// thread it starts, by (self, call number): no text is built for it.
+	id := wire.InvocationID{Logical: wire.LogicalID(c.self), Call: c.reqSeq}
 	slots := cl.slots[:0]
 	for range members {
 		slots = append(slots, replySlot{})
 	}
 	*cl = call{active: true, id: id, members: members, slots: slots, need: need}
 	if c.spans != nil {
-		// The trace id is a pure function of the logical thread id —
-		// deterministic from (member, submit seq), identical on every
-		// process that sees the request. The root span's id is the trace id.
-		tid := tracing.TraceID(string(logical))
+		// The trace id is a pure function of the logical thread's text —
+		// deterministic from (client, call), identical on every process
+		// that sees the request. The root span's id is the trace id.
+		tid := tracing.TraceID(id.Thread().String())
 		cl.ctx = tracing.Context{TraceID: tid, Span: tid}
 		cl.t0 = c.rt.NowLocked()
 	}
 	ctx, t0 := cl.ctx, cl.t0
-	cl.sub = gcs.Submit{Group: group, Origin: c.self, Call: callNo, Payload: replica.Request{
+	cl.sub = gcs.Submit{Group: group, Origin: c.self, Call: id.Call, Payload: replica.Request{
 		ID:       id,
 		Group:    group,
 		Method:   method,
 		Args:     args,
 		Kind:     replica.KindClient,
 		ReplyTo:  c.self,
-		Call:     callNo,
 		Trace:    ctx,
 		ShardKey: shardKey,
 	}}

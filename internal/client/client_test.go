@@ -9,6 +9,7 @@ import (
 
 	"github.com/replobj/replobj/internal/faultnet"
 	"github.com/replobj/replobj/internal/gcs"
+	"github.com/replobj/replobj/internal/obs/tracing"
 	"github.com/replobj/replobj/internal/replica"
 	"github.com/replobj/replobj/internal/transport"
 	"github.com/replobj/replobj/internal/vtime"
@@ -132,7 +133,7 @@ func (fg *fakeGroup) answer(rank int, req replica.Request) {
 	}
 	fg.rt.Go("fake-reply/"+string(id), func() {
 		fg.rt.Sleep(d)
-		fg.eps[rank].Send(req.ReplyTo, &replica.Reply{ID: req.ID, From: id, Result: []byte(req.ID.Logical)})
+		fg.eps[rank].Send(req.ReplyTo, &replica.Reply{ID: req.ID, From: id, Result: []byte(req.ID.Thread().String())})
 	})
 }
 
@@ -324,16 +325,18 @@ func TestClientErrorReplyPropagates(t *testing.T) {
 	})
 }
 
-// TestClientIDsKeepTheirWireForm: the logical thread id is built in a
-// reused buffer; what goes on the wire must still be "<client>#<n>" for the
-// logical thread, across a change in the counter's width, and the submit is
-// the client's n-th call by number, with no text.
+// TestClientIDsKeepTheirWireForm: the n-th call names its logical thread
+// (client, n) by number, with no text built, and its text is still
+// "<client>#<n>", across a change in the counter's width; the submit is the
+// client's n-th call by number too, and the trace id is still the one the
+// text gives.
 func TestClientIDsKeepTheirWireForm(t *testing.T) {
 	rt := vtime.Virtual()
 	defer rt.Stop()
 	net := transport.NewInproc(rt)
 	fg := newFakeGroup(rt, net, 3)
-	c := New(Config{RT: rt, Name: "c1", Directory: fg.directory(), Network: net, Policy: All, Timeout: time.Second})
+	c := New(Config{RT: rt, Name: "c1", Directory: fg.directory(), Network: net, Policy: All, Timeout: time.Second,
+		Spans: tracing.NewCollector(0)})
 	vtime.Run(rt, "main", func() {
 		defer fg.close()
 		defer c.Close()
@@ -351,10 +354,14 @@ func TestClientIDsKeepTheirWireForm(t *testing.T) {
 	}
 	for i, sub := range subs {
 		req := sub.Payload.(replica.Request)
-		wantID := wire.InvocationID{Logical: wire.LogicalID(fmt.Sprintf("client/c1#%d", i+1))}
-		if n := uint64(i + 1); req.ID != wantID || req.Call != n || sub.ID != "" || sub.Call != n || sub.Origin != "client/c1" {
-			t.Errorf("submit %d: id %q call %d, request id %+v call %d, origin %q; want no id, call %d, %+v, client/c1",
-				i+1, sub.ID, sub.Call, req.ID, req.Call, sub.Origin, n, wantID)
+		n := uint64(i + 1)
+		wantID := wire.InvocationID{Logical: "client/c1", Call: n}
+		if req.ID != wantID || sub.ID != "" || sub.Call != n || sub.Origin != "client/c1" {
+			t.Errorf("submit %d: id %q call %d, request id %+v, origin %q; want no id, call %d, %+v, client/c1",
+				i+1, sub.ID, sub.Call, req.ID, sub.Origin, n, wantID)
+		}
+		if tid := tracing.TraceID(fmt.Sprintf("client/c1#%d", n)); req.Trace != (tracing.Context{TraceID: tid, Span: tid}) {
+			t.Errorf("submit %d: trace %+v, want id and span %x", n, req.Trace, tid)
 		}
 	}
 }
@@ -591,7 +598,7 @@ func TestSubmitCellReuse(t *testing.T) {
 			for _, sub := range fg.all {
 				req, _ := sub.Payload.(replica.Request)
 				call := sub.Call // numbered from 1: incarnation 0
-				if sub.Origin != c.self || call < 1 || call > calls || req.Call != call ||
+				if sub.Origin != c.self || call < 1 || call > calls || req.ID.Call != call ||
 					string(req.Args) != fmt.Sprint("args ", call-1) {
 					t.Errorf("a member received %+v: the cell was read after Send returned", sub)
 				}

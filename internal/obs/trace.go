@@ -31,7 +31,8 @@
 // sequence number, a round, an epoch — goes in as a number (RecordN) that
 // folds the decimal bytes strconv.FormatUint would contribute, so digests
 // are those of the string form; the string is built when an event is read.
-// A numbered subject — a client's call — goes in the same way (RecordCall).
+// A numbered subject — a client's call, a logical thread it started — goes
+// in the same way (RecordCall, RecordThread).
 package obs
 
 import (
@@ -252,9 +253,17 @@ func (s *Stream) RecordN(kind Kind, subject string, n uint64) {
 
 // RecordCall is RecordN with the subject origin + "#" +
 // strconv.FormatUint(call, 10): a client's call, named by its origin and
-// call number (call > 0), without building the string.
+// call number, without building the string. A call of 0 leaves the subject
+// origin alone.
 func (s *Stream) RecordCall(kind Kind, origin string, call, n uint64) {
 	s.record(slot{kind: kind, subject: origin, call: call, n: n, numeric: true})
+}
+
+// RecordThread is Record with the subject a logical thread named by
+// (logical, call), folded as RecordCall folds it — logical + "#" + call, or
+// logical alone for a call of 0 — without building the string.
+func (s *Stream) RecordThread(kind Kind, logical string, call uint64, detail string) {
+	s.record(slot{kind: kind, subject: logical, call: call, detail: detail})
 }
 
 // record is the one place an event is folded into a digest and retained.

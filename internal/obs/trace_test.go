@@ -297,7 +297,8 @@ func TestStreamHandleSurvivesRestore(t *testing.T) {
 }
 
 // TestQuickNumericDetailMatchesString: RecordN(kind, subject, n) and
-// Record(kind, subject, FormatUint(n)) are one event — equal digests, equal
+// Record(kind, subject, FormatUint(n)) are one event, and so are a numbered
+// subject (RecordCall, RecordThread) and its text — equal digests, equal
 // rendered Detail — so a trace recorded with numeric details compares by
 // FirstDivergence against one recorded with strings.
 func TestQuickNumericDetailMatchesString(t *testing.T) {
@@ -311,6 +312,12 @@ func TestQuickNumericDetailMatchesString(t *testing.T) {
 			c := uint64(call) + 1
 			ns.RecordCall(Kind(kind), subject, c, v)
 			ss.Record(Kind(kind), subject+"#"+strconv.FormatUint(c, 10), strconv.FormatUint(v, 10))
+			// A logical thread as the subject, with a text detail: numbered,
+			// and named by its text alone (call 0).
+			ns.RecordThread(Kind(kind), subject, c, subject)
+			ss.Record(Kind(kind), subject+"#"+strconv.FormatUint(c, 10), subject)
+			ns.RecordThread(Kind(kind), subject, 0, subject)
+			ss.Record(Kind(kind), subject, subject)
 		}
 		a, b := num.Snapshot()["s"], str.Snapshot()["s"]
 		return a.Digest == b.Digest && a.Events[len(a.Events)-1] == b.Events[len(b.Events)-1] &&

@@ -25,6 +25,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/replobj/replobj/internal/wire"
 )
 
 // Context is the trace context carried by a request and its reply: the
@@ -119,8 +121,8 @@ type Span struct {
 // Snapshot, the JSON/Chrome exporters and the /spans endpoint read
 // concurrently without stopping writers.
 //
-// The collector also keeps a small bounded map from live logical thread ids
-// to their trace contexts (Bind/Lookup/Unbind) so instrumentation that only
+// The collector also keeps a small bounded map from live logical threads to
+// their trace contexts (Bind/Lookup/Unbind) so instrumentation that only
 // knows the logical thread — the schedulers' grant hooks — can attach
 // spans to the right trace.
 type Collector struct {
@@ -133,8 +135,8 @@ type Collector struct {
 	observer atomic.Pointer[func(Span)]
 
 	mu        sync.RWMutex
-	bind      map[string]Context
-	bindOrder []string
+	bind      map[wire.ThreadID]Context
+	bindOrder []wire.ThreadID
 }
 
 // maxBindings bounds the logical→context map against leaks when threads
@@ -152,7 +154,7 @@ func NewCollector(n int) *Collector {
 	}
 	return &Collector{
 		slots: make([]atomic.Pointer[Span], n),
-		bind:  make(map[string]Context),
+		bind:  make(map[wire.ThreadID]Context),
 	}
 }
 
@@ -184,42 +186,42 @@ func (c *Collector) SetObserver(fn func(Span)) {
 
 // Bind associates a live logical thread with its trace context so hooks
 // that only see the logical id can attach spans (see SchedObs).
-func (c *Collector) Bind(logical string, ctx Context) {
+func (c *Collector) Bind(th wire.ThreadID, ctx Context) {
 	if c == nil || !ctx.Valid() {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.bind[logical]; !ok {
-		c.bindOrder = append(c.bindOrder, logical)
+	if _, ok := c.bind[th]; !ok {
+		c.bindOrder = append(c.bindOrder, th)
 		if len(c.bindOrder) > maxBindings {
 			old := c.bindOrder[0]
 			c.bindOrder = c.bindOrder[1:]
 			delete(c.bind, old)
 		}
 	}
-	c.bind[logical] = ctx
+	c.bind[th] = ctx
 }
 
 // Lookup returns the context bound to a logical thread (zero when none).
-func (c *Collector) Lookup(logical string) Context {
+func (c *Collector) Lookup(th wire.ThreadID) Context {
 	if c == nil {
 		return Context{}
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.bind[logical]
+	return c.bind[th]
 }
 
 // Unbind drops a logical thread's binding (the order slice is pruned
 // lazily by the Bind cap).
-func (c *Collector) Unbind(logical string) {
+func (c *Collector) Unbind(th wire.ThreadID) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(c.bind, logical)
+	delete(c.bind, th)
 }
 
 // Len returns the number of spans currently retained.

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/replobj/replobj/internal/wire"
 )
 
 func TestTraceIDDeterministicAndNonZero(t *testing.T) {
@@ -112,20 +114,21 @@ func TestCollectorConcurrentRecord(t *testing.T) {
 func TestBindLookupUnbind(t *testing.T) {
 	c := NewCollector(4)
 	ctx := Context{TraceID: 42, Span: 7}
-	c.Bind("client/c0#1", ctx)
-	if got := c.Lookup("client/c0#1"); got != ctx {
+	th := wire.ThreadID{Logical: "client/c0", Call: 1}
+	c.Bind(th, ctx)
+	if got := c.Lookup(th); got != ctx {
 		t.Fatalf("Lookup = %+v, want %+v", got, ctx)
 	}
-	if got := c.Lookup("client/cX#9"); got.Valid() {
+	if got := c.Lookup(wire.ThreadID{Logical: "client/c0", Call: 9}); got.Valid() {
 		t.Fatalf("unknown logical resolved to %+v", got)
 	}
-	c.Unbind("client/c0#1")
-	if got := c.Lookup("client/c0#1"); got.Valid() {
+	c.Unbind(th)
+	if got := c.Lookup(th); got.Valid() {
 		t.Fatalf("Lookup after Unbind = %+v", got)
 	}
 	// Zero contexts must not bind (they would shadow real ones).
-	c.Bind("x", Context{})
-	if c.Lookup("x").Valid() {
+	c.Bind(wire.ThreadID{Logical: "x"}, Context{})
+	if c.Lookup(wire.ThreadID{Logical: "x"}).Valid() {
 		t.Fatal("zero context bound")
 	}
 }
@@ -133,10 +136,10 @@ func TestBindLookupUnbind(t *testing.T) {
 func TestNilCollectorIsSafe(t *testing.T) {
 	var c *Collector
 	c.Record(Span{})
-	c.Bind("x", Context{TraceID: 1})
-	c.Unbind("x")
+	c.Bind(wire.ThreadID{Logical: "x"}, Context{TraceID: 1})
+	c.Unbind(wire.ThreadID{Logical: "x"})
 	c.SetObserver(func(Span) {})
-	if c.Lookup("x").Valid() || c.Len() != 0 || c.Dropped() != 0 || c.Snapshot() != nil {
+	if c.Lookup(wire.ThreadID{Logical: "x"}).Valid() || c.Len() != 0 || c.Dropped() != 0 || c.Snapshot() != nil {
 		t.Fatal("nil collector leaked state")
 	}
 	if err := c.WriteJSON(&bytes.Buffer{}); err != nil {

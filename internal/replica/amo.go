@@ -6,11 +6,12 @@ import (
 )
 
 // At-most-once in O(clients). A Client has one call outstanding at a time
-// and numbers its calls (Request.Call), so of everything a client ever sent
-// only its latest call can still be retransmitted: the replica keeps one row
-// per client — that call's number, position and, once done, reply — and the
-// number alone says of any other copy that it is older. Requests without a
-// number (nested invocations, hand-built ones) are remembered by id in a window of the last maxSeen. Every change is made at
+// and numbers its calls (a client request's ID.Call), so of everything a
+// client ever sent only its latest call can still be retransmitted: the
+// replica keeps one row per client — that call's number, position and, once
+// done, reply — and the number alone says of any other copy that it is
+// older. Requests without a number (nested invocations, hand-built ones) are
+// remembered by id in a window of the last maxSeen. Every change is made at
 // an ordered position under the runtime lock, so the table is a pure
 // function of the stream: every replica keeps the same rows.
 
@@ -27,27 +28,26 @@ type amoEntry struct {
 	Done   bool
 }
 
-// clientRow is a client's latest call. Entering the next one overwrites it:
-// the reply is given up at that ordered position, executed here yet or not.
+// clientRow is a client's latest call, ID.Call its number. Entering the
+// next one overwrites it: the reply is given up at that ordered position,
+// executed here yet or not.
 type clientRow struct {
-	Call  uint64
 	ID    wire.InvocationID
 	Entry amoEntry
 }
 
-// callRef names a request in the table: the Call-th invocation of Client
-// when numbered, the id otherwise (Call 0).
+// callRef names a request in the table: the ID.Call-th invocation of Client
+// when numbered, the id otherwise (Client empty).
 type callRef struct {
 	ID     wire.InvocationID
 	Client wire.NodeID
-	Call   uint64
 }
 
 func (req *Request) ref() callRef {
-	if req.Kind != KindClient || req.Call == 0 {
+	if req.Kind != KindClient || req.ID.Call == 0 {
 		return callRef{ID: req.ID}
 	}
-	return callRef{req.ID, req.ReplyTo, req.Call}
+	return callRef{req.ID, req.ReplyTo}
 }
 
 // amoVerdict classifies a request against the table: amoFresh is to be
@@ -67,7 +67,7 @@ const (
 // duplicate-submit hook decide by. The entry is the remembered request's
 // (amoDuplicate) or the superseding call's (amoExpired).
 func (r *Replica) classifyLocked(c callRef) (amoVerdict, amoEntry) {
-	if c.Call == 0 {
+	if c.Client == "" {
 		if e, seen := r.amo[c.ID]; seen {
 			return amoDuplicate, e
 		}
@@ -75,9 +75,9 @@ func (r *Replica) classifyLocked(c callRef) (amoVerdict, amoEntry) {
 	}
 	row := r.clients[c.Client]
 	switch {
-	case row == nil || c.Call > row.Call:
+	case row == nil || c.ID.Call > row.ID.Call:
 		return amoFresh, amoEntry{}
-	case c.Call == row.Call:
+	case c.ID.Call == row.ID.Call:
 		return amoDuplicate, row.Entry
 	}
 	return amoExpired, row.Entry
@@ -87,7 +87,7 @@ func (r *Replica) classifyLocked(c callRef) (amoVerdict, amoEntry) {
 // maxSeen go oldest first: ids in arrival order, clients by position (then
 // name), so every replica drops the same one.
 func (r *Replica) enterLocked(c callRef, seq uint64) {
-	if c.Call == 0 {
+	if c.Client == "" {
 		r.amo[c.ID] = amoEntry{At: seq}
 		r.amoOrder.Push(c.ID)
 		if r.amoOrder.Len() > maxSeen {
@@ -113,7 +113,7 @@ func (r *Replica) enterLocked(c callRef, seq uint64) {
 		r.clients[c.Client] = row
 	}
 	r.countHeldLocked(&row.Entry, -1)
-	*row = clientRow{c.Call, c.ID, amoEntry{At: seq}}
+	*row = clientRow{c.ID, amoEntry{At: seq}}
 	r.exportTableLocked()
 }
 
@@ -121,8 +121,8 @@ func (r *Replica) enterLocked(c callRef, seq uint64) {
 // remembers it: a completion whose call its client has since superseded
 // stores nothing.
 func (r *Replica) storeReplyLocked(c callRef, reply Reply) {
-	if c.Call != 0 {
-		if row := r.clients[c.Client]; row != nil && row.Call == c.Call {
+	if c.Client != "" {
+		if row := r.clients[c.Client]; row != nil && row.ID.Call == c.ID.Call {
 			r.fillLocked(&row.Entry, reply)
 		}
 	} else if e, ok := r.amo[c.ID]; ok {

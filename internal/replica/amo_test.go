@@ -31,8 +31,8 @@ func TestRepliesKeptPerClient(t *testing.T) {
 		defer h.cl.Close()
 		self := wire.ReplicaID("g", 0)
 		submitFor := func(ep transport.Endpoint, k int) gcs.Submit {
-			id := wire.InvocationID{Logical: wire.LogicalID(fmt.Sprintf("%s#%d", ep.ID(), k))}
-			req := Request{ID: id, Group: "g", Method: "echo", Args: []byte(id.String()), Kind: KindClient, ReplyTo: ep.ID(), Call: uint64(k)}
+			id := wire.InvocationID{Logical: wire.LogicalID(ep.ID()), Call: uint64(k)}
+			req := Request{ID: id, Group: "g", Method: "echo", Args: []byte(id.String()), Kind: KindClient, ReplyTo: ep.ID()}
 			return gcs.Submit{Group: "g", ID: id.String(), Origin: ep.ID(), Payload: req}
 		}
 		invoke := func(ep transport.Endpoint, k int) Reply {
@@ -110,14 +110,14 @@ func TestSupersededWhileExecutingKeepsNoReply(t *testing.T) {
 	execs := 0
 	h := newOneReplica(t, &execs)
 	defer h.rt.Stop()
-	first := callRef{ID: wire.InvocationID{Logical: "client/c#1"}, Client: "client/c", Call: 1}
-	second := callRef{ID: wire.InvocationID{Logical: "client/c#2"}, Client: "client/c", Call: 2}
+	first := callRef{ID: wire.InvocationID{Logical: "client/c", Call: 1}, Client: "client/c"}
+	second := callRef{ID: wire.InvocationID{Logical: "client/c", Call: 2}, Client: "client/c"}
 	h.rt.Lock()
 	defer h.rt.Unlock()
 	h.r.enterLocked(first, 1)
 	h.r.enterLocked(second, 2)
 	h.r.storeReplyLocked(first, Reply{ID: first.ID, Result: []byte("late")})
-	if row := h.r.clients["client/c"]; row.Call != 2 || row.Entry.Done || h.r.held != 0 {
+	if row := h.r.clients["client/c"]; row.ID.Call != 2 || row.Entry.Done || h.r.held != 0 {
 		t.Errorf("after the superseded call completed: row %+v, %d replies held; want call 2 executing, none", row, h.r.held)
 	}
 	h.r.storeReplyLocked(second, Reply{ID: second.ID, Result: []byte("kept")})
@@ -159,7 +159,7 @@ func TestQuickClientTableMatchesPerRequestModel(t *testing.T) {
 		replies := make(map[wire.InvocationID]string) // present = seen, "" = executing
 		var pending, unnumbered []callRef
 		numbered := func(c wire.NodeID, call uint64) callRef {
-			return callRef{ID: wire.InvocationID{Logical: wire.LogicalID(fmt.Sprintf("%s#%d", c, call))}, Client: c, Call: call}
+			return callRef{ID: wire.InvocationID{Logical: wire.LogicalID(c), Call: call}, Client: c}
 		}
 		for seq := uint64(1); seq <= steps; seq++ {
 			c := wire.ClientID(fmt.Sprint(rng.Intn(clients)))
@@ -180,7 +180,9 @@ func TestQuickClientTableMatchesPerRequestModel(t *testing.T) {
 			case op < 8:
 				ref = numbered(c, 1+uint64(rng.Int63n(int64(high[c]+1))))
 			case op < 9 || len(unnumbered) == 0:
-				ref = callRef{ID: wire.InvocationID{Logical: "nested", Seq: seq}}
+				// A nested call: remembered by id, though its thread is a
+				// client's numbered one.
+				ref = callRef{ID: wire.InvocationID{Logical: wire.LogicalID(wire.ClientID("0")), Call: 1, Seq: seq}}
 				unnumbered = append(unnumbered, ref)
 			default:
 				ref = unnumbered[rng.Intn(len(unnumbered))]
@@ -188,14 +190,14 @@ func TestQuickClientTableMatchesPerRequestModel(t *testing.T) {
 			var want outcome
 			reply, seen := replies[ref.ID]
 			switch {
-			case ref.Call != 0 && ref.Call < high[ref.Client]:
+			case ref.Client != "" && ref.ID.Call < high[ref.Client]:
 				want.verdict = amoExpired
-			case ref.Call == 0 && seen || ref.Call != 0 && ref.Call == high[ref.Client]:
+			case ref.Client == "" && seen || ref.Client != "" && ref.ID.Call == high[ref.Client]:
 				want = outcome{amoDuplicate, reply}
 			default:
 				replies[ref.ID] = ""
-				if ref.Call != 0 {
-					high[ref.Client] = ref.Call
+				if ref.Client != "" {
+					high[ref.Client] = ref.ID.Call
 				}
 			}
 			verdict, e := r.classifyLocked(ref)
@@ -233,16 +235,16 @@ func BenchmarkAdmitFresh(b *testing.B) {
 			refs := make([]callRef, clients)
 			for i := range refs {
 				name := wire.ClientID(fmt.Sprint(i))
-				refs[i] = callRef{ID: wire.InvocationID{Logical: wire.LogicalID(name + "#1")}, Client: name}
+				refs[i] = callRef{ID: wire.InvocationID{Logical: wire.LogicalID(name)}, Client: name}
 			}
 			reply := Reply{Result: make([]byte, 8)}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ref := &refs[i%clients]
-				ref.Call++
+				ref.ID.Call++
 				if v, _ := r.classifyLocked(*ref); v != amoFresh {
-					b.Fatalf("call %d of %s classified %v", ref.Call, ref.Client, v)
+					b.Fatalf("call %d of %s classified %v", ref.ID.Call, ref.Client, v)
 				}
 				r.enterLocked(*ref, uint64(i+1))
 				r.storeReplyLocked(*ref, reply)

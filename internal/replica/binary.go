@@ -17,8 +17,13 @@ import (
 // then one group of fields per bit set in the presence byte, in bit order.
 //
 //	Request := presence ID Group Method Args Kind ReplyTo Origin
-//	           [trace: TraceID Span] [shard: ShardKey] [call: Call]
+//	           [trace: TraceID Span] [shard: ShardKey]
 //	Reply   := presence ID From Result [outcome: Code Err] [trace: TraceID Span]
+//	ID      := Logical Call Seq
+//
+// An id names its logical thread by the pair (Logical, Call): for a
+// client's call, the client's node name — an identifier the decoder interns
+// — and the call's number, so no id text is built or decoded per request.
 //
 // A group is present exactly when it holds something: the decoder rejects a
 // set bit over an all-zero group, a bit outside the defined set and a value
@@ -35,11 +40,12 @@ const (
 const (
 	reqHasTrace = 1 << iota
 	reqHasShard
+	// reqHasCall marked the at-most-once call number, since carried by the
+	// id; reqHasCopies marked a direct-copy set, since retired. No encoder
+	// sets either, and a frame that does is refused like any undefined bit.
 	reqHasCall
-	// reqHasCopies marked a direct-copy set, since retired: no encoder sets
-	// it, and a frame that does is refused like any undefined bit.
 	reqHasCopies
-	reqPresenceMask = reqHasCopies - 1
+	reqPresenceMask = reqHasCall - 1
 )
 
 // Presence bits of a Reply frame.
@@ -67,9 +73,6 @@ func encRequest(b *wire.Buffer, q Request) error {
 	if q.ShardKey != "" {
 		presence |= reqHasShard
 	}
-	if q.Call != 0 {
-		presence |= reqHasCall
-	}
 	b.Byte(presence)
 	encInvocationID(b, q.ID)
 	b.String(string(q.Group))
@@ -83,9 +86,6 @@ func encRequest(b *wire.Buffer, q Request) error {
 	}
 	if presence&reqHasShard != 0 {
 		b.String(q.ShardKey)
-	}
-	if presence&reqHasCall != 0 {
-		b.Uvarint(q.Call)
 	}
 	return nil
 }
@@ -105,11 +105,6 @@ func decRequest(r *wire.Reader) Request {
 	}
 	if presence&reqHasShard != 0 {
 		if q.ShardKey = r.String(); q.ShardKey == "" {
-			r.Fail(errEmptyGroup)
-		}
-	}
-	if presence&reqHasCall != 0 {
-		if q.Call = r.Uvarint(); q.Call == 0 {
 			r.Fail(errEmptyGroup)
 		}
 	}
@@ -174,9 +169,10 @@ func decTrace(r *wire.Reader) tracing.Context {
 
 func encInvocationID(b *wire.Buffer, id wire.InvocationID) {
 	b.String(string(id.Logical))
+	b.Uvarint(id.Call)
 	b.Uvarint(id.Seq)
 }
 
 func decInvocationID(r *wire.Reader) wire.InvocationID {
-	return wire.InvocationID{Logical: wire.LogicalID(r.String()), Seq: r.Uvarint()}
+	return wire.InvocationID{Logical: wire.LogicalID(r.Ident()), Call: r.Uvarint(), Seq: r.Uvarint()}
 }

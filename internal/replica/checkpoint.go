@@ -53,7 +53,8 @@ type seenEntry struct {
 // in the wire codec's primitives and one canonical form: entries in
 // seenEntriesLocked's order, streams by name (the decoder refuses any other).
 //
-//	Envelope := Seq State n×(ID Client Call At Result Err TraceID Span Code Done)
+//	Envelope := Seq State n×(ID Client At Result Err TraceID Span Code Done)
+//	ID       := Logical Call Seq
 //	            m×(Name Count Digest)
 type snapshotEnvelope struct {
 	Seq     uint64
@@ -75,7 +76,6 @@ func (e *snapshotEnvelope) encode(dst []byte) []byte {
 		for _, s := range e.Entries {
 			encInvocationID(b, s.Ref.ID)
 			b.String(string(s.Ref.Client))
-			b.Uvarint(s.Ref.Call)
 			b.Uvarint(s.Entry.At)
 			b.Bytes(s.Entry.Result)
 			b.String(s.Entry.Err)
@@ -100,7 +100,7 @@ func decodeEnvelope(data []byte) (e snapshotEnvelope, err error) {
 		// An entry's least size: its eleven fields, a byte each.
 		e.Entries = wire.Elems(r, "entry", 11, func(r *wire.Reader) seenEntry {
 			return seenEntry{
-				callRef{decInvocationID(r), wire.NodeID(r.String()), r.Uvarint()},
+				callRef{decInvocationID(r), wire.NodeID(r.String())},
 				amoEntry{At: r.Uvarint(), Result: r.Bytes(), Err: r.String(),
 					Trace: tracing.Context{TraceID: r.Uvarint(), Span: r.Uvarint()}, Code: Code(r.Byte()), Done: r.Bool()},
 			}
@@ -234,7 +234,7 @@ func (r *Replica) seenEntriesLocked() []seenEntry {
 		entries = append(entries, seenEntry{callRef{ID: id}, r.amo[id]})
 	}
 	for name, row := range r.clients {
-		entries = append(entries, seenEntry{callRef{row.ID, name, row.Call}, row.Entry})
+		entries = append(entries, seenEntry{callRef{row.ID, name}, row.Entry})
 	}
 	slices.SortFunc(entries[r.amoOrder.Len():], func(a, b seenEntry) int {
 		return cmp.Or(cmp.Compare(a.Entry.At, b.Entry.At), cmp.Compare(a.Ref.Client, b.Ref.Client))
@@ -268,8 +268,8 @@ func (r *Replica) installSnapshot(d gcs.Delivery) {
 	r.amoOrder = ring.Queue[wire.InvocationID]{}
 	r.held, r.heldBytes = 0, 0
 	for _, e := range env.Entries {
-		if e.Ref.Call != 0 {
-			r.clients[e.Ref.Client] = &clientRow{e.Ref.Call, e.Ref.ID, e.Entry}
+		if e.Ref.Client != "" {
+			r.clients[e.Ref.Client] = &clientRow{e.Ref.ID, e.Entry}
 		} else {
 			r.amo[e.Ref.ID] = e.Entry
 			r.amoOrder.Push(e.Ref.ID)
@@ -277,7 +277,7 @@ func (r *Replica) installSnapshot(d gcs.Delivery) {
 		r.countHeldLocked(&e.Entry, +1)
 	}
 	r.exportTableLocked()
-	r.threads = make(map[wire.LogicalID]logicalThread)
+	r.threads = make(map[wire.ThreadID]logicalThread)
 	r.rt.Unlock()
 	r.trace.RestoreStreams(env.Streams)
 }

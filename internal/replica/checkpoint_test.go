@@ -70,8 +70,8 @@ func testReplyCacheEvicted(t *testing.T, numbered bool) {
 				continue
 			}
 			ep := h.net.Endpoint(wire.ClientID(fmt.Sprintf("c%d", i)))
-			id := wire.InvocationID{Logical: wire.LogicalID(ep.ID() + "#1")}
-			req := Request{ID: id, Group: "g", Method: "echo", Args: []byte("x"), Kind: KindClient, ReplyTo: ep.ID(), Call: 1}
+			id := wire.InvocationID{Logical: wire.LogicalID(ep.ID()), Call: 1}
+			req := Request{ID: id, Group: "g", Method: "echo", Args: []byte("x"), Kind: KindClient, ReplyTo: ep.ID()}
 			ep.Send(wire.ReplicaID("g", 0), &gcs.Submit{Group: "g", ID: id.String(), Origin: ep.ID(), Payload: req})
 			if _, ok := recvOne(h.rt, ep, 5*time.Second); !ok {
 				t.Fatalf("%s: no reply", ep.ID())
@@ -142,8 +142,8 @@ func TestInstallSnapshotCarriesTheTable(t *testing.T) {
 	defer donor.rt.Stop()
 	defer rejoiner.rt.Stop()
 	request := func(ep transport.Endpoint, k int) Request {
-		id := wire.InvocationID{Logical: wire.LogicalID(fmt.Sprintf("%s#%d", ep.ID(), k))}
-		return Request{ID: id, Group: "g", Method: "echo", Args: []byte(id.String()), Kind: KindClient, ReplyTo: ep.ID(), Call: uint64(k + 1)}
+		id := wire.InvocationID{Logical: wire.LogicalID(ep.ID()), Call: uint64(k + 1)}
+		return Request{ID: id, Group: "g", Method: "echo", Args: []byte(id.String()), Kind: KindClient, ReplyTo: ep.ID()}
 	}
 	const clients = 2
 	var snap gcs.Snapshot
@@ -155,7 +155,7 @@ func TestInstallSnapshotCarriesTheTable(t *testing.T) {
 			ep := eps[k%clients]
 			req := request(ep, k/clients)
 			if k == 0 {
-				req.Call = 0 // one unnumbered request: a row of the id window
+				req.ID.Call = 0 // one unnumbered request: a row of the id window
 			}
 			ep.Send(wire.ReplicaID("g", 0), &gcs.Submit{Group: "g", ID: req.ID.String(), Origin: ep.ID(), Payload: req})
 			if _, ok := recvOne(donor.rt, ep, 5*time.Second); !ok {

@@ -17,15 +17,16 @@ import (
 )
 
 // exemplarEnvelope holds every field of the envelope grammar: a state, an
-// id-window row still executing, a client row with its reply, error, code
-// and trace context, and three streams.
+// id-window row still executing (a nested call of a client's thread), a
+// client row with its reply, error, code and trace context, and three
+// streams.
 func exemplarEnvelope() snapshotEnvelope {
 	return snapshotEnvelope{
 		Seq:   40,
 		State: []byte("state image"),
 		Entries: []seenEntry{
-			{callRef{ID: wire.InvocationID{Logical: "g/1#3", Seq: 2}}, amoEntry{At: 33}},
-			{callRef{wire.InvocationID{Logical: "client/c#9"}, "client/c", 9},
+			{callRef{ID: wire.InvocationID{Logical: "client/d", Call: 3, Seq: 3002}}, amoEntry{At: 33}},
+			{callRef{wire.InvocationID{Logical: "client/c", Call: 9}, "client/c"},
 				amoEntry{At: 38, Result: []byte{1, 2}, Err: "boom", Trace: tracing.Context{TraceID: 7, Span: 300},
 					Code: CodeExpiredDuplicate, Done: true}},
 		},
@@ -93,7 +94,7 @@ func claimingEnvelopes() map[string][]byte {
 // TestEnvelopeCountsClaimOnlyWhatItHolds: an envelope whose count claims
 // more rows or streams than follow is refused, and decoding it allocates
 // in proportion to its length, not to the count (an entry is 11 bytes at
-// the least and 120 in memory). TotalAlloc counts every goroutine of the
+// the least and 128 in memory). TotalAlloc counts every goroutine of the
 // process, and goroutines that earlier tests leave running would be
 // counted against the decode (a full `go test ./...` once added 5.6 KiB to
 // a 2.7 KiB decode), so the test measures in a fresh process: it runs the

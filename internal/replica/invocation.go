@@ -41,7 +41,9 @@ func (inv *Invocation) State() any { return inv.r.state }
 // Method returns the invoked method name.
 func (inv *Invocation) Method() string { return inv.req.Method }
 
-// Logical returns the logical thread id of this invocation chain.
+// Logical returns the text of this invocation chain's logical thread id,
+// "<client>#<call>" for a chain a client's call started. It is built on
+// every call.
 func (inv *Invocation) Logical() wire.LogicalID { return inv.req.Logical() }
 
 // Replica returns the executing replica's node id (diagnostics only; do
@@ -141,7 +143,7 @@ func (inv *Invocation) InvokeShard(key, method string, args []byte) ([]byte, err
 }
 
 // Invoke performs a nested invocation of another replicated object. The
-// request carries this chain's logical thread id, so the target detects
+// request carries this chain's logical thread, so the target detects
 // callbacks; the reply is delivered through this group's total order and
 // resumes the thread at the same position on every replica.
 //
@@ -168,7 +170,8 @@ func (inv *Invocation) invoke(req Request) ([]byte, error) {
 			n, inv.req.ID, maxNestedCalls)}
 	}
 	inv.nestedSeq++
-	id := wire.InvocationID{Logical: inv.req.Logical(), Seq: parent*maxNestedCalls + n}
+	id := inv.req.ID // the nested call runs on its caller's logical thread
+	id.Seq = parent*maxNestedCalls + n
 	req.ID, req.Kind, req.Origin, req.Trace = id, KindNested, inv.r.group, inv.req.Trace
 	r := inv.r
 	r.rt.Lock()

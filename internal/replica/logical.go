@@ -49,7 +49,7 @@ func (th *logicalThread) call(seq uint64) int {
 // Invoke either. A deferred callback waits off the ordered stream (seq 0),
 // so no scheduler keys a decision on a position it does not run at.
 func (r *Replica) arriveLocked(d *dispatched) (callback, deferred bool) {
-	l := d.inv.req.Logical()
+	l := d.inv.req.ID.Thread()
 	th := r.threads[l]
 	callback = th.live > 0
 	th.live++
@@ -64,7 +64,7 @@ func (r *Replica) arriveLocked(d *dispatched) (callback, deferred bool) {
 // leaveLocked takes a complete request out of its record; the last one
 // deletes it and unbinds the logical thread's spans.
 func (r *Replica) leaveLocked(req *Request) {
-	l := req.Logical()
+	l := req.ID.Thread()
 	th := r.threads[l]
 	if th.live--; th.live > 0 {
 		r.threads[l] = th
@@ -72,7 +72,7 @@ func (r *Replica) leaveLocked(req *Request) {
 	}
 	delete(r.threads, l)
 	if r.spans != nil && req.Trace.Valid() {
-		r.spans.Unbind(string(l))
+		r.spans.Unbind(l)
 	}
 }
 
@@ -80,7 +80,8 @@ func (r *Replica) leaveLocked(req *Request) {
 // at its Invoke now: it takes the deferred callbacks, to submit in arrival
 // order, and the call's reply if that came early.
 func (r *Replica) enterNestedLocked(id wire.InvocationID, t *adets.Thread) (flush []*dispatched, early *Reply) {
-	th := r.threads[id.Logical]
+	l := id.Thread()
+	th := r.threads[l]
 	th.nesting++
 	flush, th.deferred = th.deferred, nil
 	if i := th.call(id.Seq); i >= 0 {
@@ -88,23 +89,24 @@ func (r *Replica) enterNestedLocked(id wire.InvocationID, t *adets.Thread) (flus
 	} else {
 		th.calls = append(th.calls, nestedCall{seq: id.Seq, thread: t})
 	}
-	r.threads[id.Logical] = th
+	r.threads[l] = th
 	return flush, early
 }
 
 // exitNestedLocked ends the nested call id and returns its reply, nil for a
 // thread woken without one (the replica stopped).
 func (r *Replica) exitNestedLocked(id wire.InvocationID) (reply *Reply) {
-	th := r.threads[id.Logical]
+	l := id.Thread()
+	th := r.threads[l]
 	if i := th.call(id.Seq); i >= 0 {
 		reply = th.calls[i].reply
 		th.calls = slices.Delete(th.calls, i, i+1)
 	}
 	th.nesting--
 	if th.live > 0 {
-		r.threads[id.Logical] = th
+		r.threads[l] = th
 	} else {
-		delete(r.threads, id.Logical) // a snapshot install reset its requests
+		delete(r.threads, l) // a snapshot install reset its requests
 	}
 	return reply
 }
@@ -113,14 +115,15 @@ func (r *Replica) exitNestedLocked(id wire.InvocationID) (reply *Reply) {
 // resumes, if one waits. A reply ahead of its call is kept as early; a second
 // copy, or a reply for a logical thread without a record, is dropped.
 func (r *Replica) deliverReplyLocked(reply Reply) *adets.Thread {
-	th, ok := r.threads[reply.ID.Logical]
+	l := reply.ID.Thread()
+	th, ok := r.threads[l]
 	if !ok {
 		return nil
 	}
 	i := th.call(reply.ID.Seq)
 	if i < 0 {
 		th.calls = append(th.calls, nestedCall{seq: reply.ID.Seq, reply: &reply})
-		r.threads[reply.ID.Logical] = th
+		r.threads[l] = th
 		return nil
 	}
 	if c := &th.calls[i]; c.reply == nil {

@@ -39,14 +39,17 @@ func newProtoReplica() *protoReplica {
 	return p
 }
 
-const protoLogical = wire.LogicalID("client/t#1")
+// protoThread is the logical thread client t's first call starts.
+var protoThread = wire.ThreadID{Logical: wire.LogicalID(wire.ClientID("t")), Call: 1}
 
 // call is the id of the n-th nested call of the logical thread's request.
-func call(n uint64) wire.InvocationID { return wire.InvocationID{Logical: protoLogical, Seq: n} }
+func call(n uint64) wire.InvocationID {
+	return wire.InvocationID{Logical: protoThread.Logical, Call: protoThread.Call, Seq: n}
+}
 
 // request is a dispatched request of the logical thread, ordered at seq.
 func (p *protoReplica) request(id, seq uint64) *dispatched {
-	return &dispatched{inv: Invocation{r: p.r, req: Request{ID: wire.InvocationID{Logical: protoLogical, Seq: id}}}, seq: seq}
+	return &dispatched{inv: Invocation{r: p.r, req: Request{ID: call(id)}}, seq: seq}
 }
 
 // nest dispatches the client request whose handler makes call(1).
@@ -54,7 +57,7 @@ func (p *protoReplica) nest() {
 	p.r.dispatchRequest(Request{ID: call(0), Group: "g", Method: "nest", Kind: KindClient, ReplyTo: p.cl.ID()}, 1)
 }
 
-func (p *protoReplica) locked(f func(threads map[wire.LogicalID]logicalThread)) {
+func (p *protoReplica) locked(f func(threads map[wire.ThreadID]logicalThread)) {
 	p.rt.Lock()
 	defer p.rt.Unlock()
 	f(p.r.threads)
@@ -85,10 +88,10 @@ func TestLogicalThreadProtocol(t *testing.T) {
 		{
 			name: "pre: no record; post: the first request of a logical thread is no callback, and its record is created",
 			run: func(t *testing.T, p *protoReplica) {
-				p.locked(func(threads map[wire.LogicalID]logicalThread) {
+				p.locked(func(threads map[wire.ThreadID]logicalThread) {
 					callback, deferred := p.r.arriveLocked(p.request(0, 1))
-					if callback || deferred || threads[protoLogical].live != 1 {
-						t.Errorf("callback %v deferred %v, record %+v", callback, deferred, threads[protoLogical])
+					if callback || deferred || threads[protoThread].live != 1 {
+						t.Errorf("callback %v deferred %v, record %+v", callback, deferred, threads[protoThread])
 					}
 				})
 			},
@@ -96,7 +99,7 @@ func TestLogicalThreadProtocol(t *testing.T) {
 		{
 			name: "pre: the logical thread is live and its originator inside Invoke; post: a request of it is a callback that runs at once",
 			run: func(t *testing.T, p *protoReplica) {
-				p.locked(func(threads map[wire.LogicalID]logicalThread) {
+				p.locked(func(threads map[wire.ThreadID]logicalThread) {
 					p.r.arriveLocked(p.request(0, 1))
 					p.r.enterNestedLocked(call(1), nil)
 					cb := p.request(1001, 2)
@@ -109,7 +112,7 @@ func TestLogicalThreadProtocol(t *testing.T) {
 		{
 			name: "pre: the logical thread is live, its originator not yet inside Invoke; post: callbacks are deferred with seq 0, and enterNested flushes them in arrival order",
 			run: func(t *testing.T, p *protoReplica) {
-				p.locked(func(threads map[wire.LogicalID]logicalThread) {
+				p.locked(func(threads map[wire.ThreadID]logicalThread) {
 					p.r.arriveLocked(p.request(0, 1))
 					a, b := p.request(1001, 2), p.request(1002, 3)
 					for _, d := range []*dispatched{a, b} {
@@ -118,8 +121,8 @@ func TestLogicalThreadProtocol(t *testing.T) {
 						}
 					}
 					flush, early := p.r.enterNestedLocked(call(1), nil)
-					if len(flush) != 2 || flush[0] != a || flush[1] != b || early != nil || threads[protoLogical].deferred != nil {
-						t.Errorf("flushed %v (early %v), record %+v", flush, early, threads[protoLogical])
+					if len(flush) != 2 || flush[0] != a || flush[1] != b || early != nil || threads[protoThread].deferred != nil {
+						t.Errorf("flushed %v (early %v), record %+v", flush, early, threads[protoThread])
 					}
 				})
 			},
@@ -129,8 +132,8 @@ func TestLogicalThreadProtocol(t *testing.T) {
 			run: func(t *testing.T, p *protoReplica) {
 				p.nest() // the handler waits at the gate
 				p.r.dispatchNestedReply(Reply{ID: call(1), From: "o/0", Result: []byte("early")})
-				p.locked(func(threads map[wire.LogicalID]logicalThread) {
-					if c := threads[protoLogical].calls; len(c) != 1 || c[0].reply == nil || c[0].thread != nil {
+				p.locked(func(threads map[wire.ThreadID]logicalThread) {
+					if c := threads[protoThread].calls; len(c) != 1 || c[0].reply == nil || c[0].thread != nil {
 						t.Errorf("calls after the early reply: %+v", c)
 					}
 				})
@@ -155,8 +158,8 @@ func TestLogicalThreadProtocol(t *testing.T) {
 				if q.ID != call(1) || q.Kind != KindNested || q.Origin != "g" {
 					t.Errorf("nested request %+v", q)
 				}
-				p.locked(func(threads map[wire.LogicalID]logicalThread) {
-					if th := threads[protoLogical]; th.nesting != 1 || len(th.calls) != 1 || th.calls[0].thread == nil || th.calls[0].reply != nil {
+				p.locked(func(threads map[wire.ThreadID]logicalThread) {
+					if th := threads[protoThread]; th.nesting != 1 || len(th.calls) != 1 || th.calls[0].thread == nil || th.calls[0].reply != nil {
 						t.Errorf("record while waiting: %+v", th)
 					}
 				})
@@ -169,13 +172,13 @@ func TestLogicalThreadProtocol(t *testing.T) {
 		{
 			name: "pre: the thread waits and its reply is delivered; post: a second copy resumes nothing and is dropped",
 			run: func(t *testing.T, p *protoReplica) {
-				waiter := adets.NewRegistry(p.rt).Init(new(adets.Thread), "t", protoLogical, nil)
-				p.locked(func(threads map[wire.LogicalID]logicalThread) {
+				waiter := adets.NewRegistry(p.rt).Init(new(adets.Thread), "t", protoThread, nil)
+				p.locked(func(threads map[wire.ThreadID]logicalThread) {
 					p.r.arriveLocked(p.request(0, 1))
 					p.r.enterNestedLocked(call(1), waiter)
 					first := p.r.deliverReplyLocked(Reply{ID: call(1), Result: []byte("first")})
 					second := p.r.deliverReplyLocked(Reply{ID: call(1), Result: []byte("second")})
-					if c := threads[protoLogical].calls; first != waiter || second != nil || len(c) != 1 || string(c[0].reply.Result) != "first" {
+					if c := threads[protoThread].calls; first != waiter || second != nil || len(c) != 1 || string(c[0].reply.Result) != "first" {
 						t.Errorf("resumed %v then %v, calls %+v", first, second, c)
 					}
 				})
@@ -184,7 +187,7 @@ func TestLogicalThreadProtocol(t *testing.T) {
 		{
 			name: "pre: every request of the logical thread completed; post: a reply for it finds no record and nothing is kept",
 			run: func(t *testing.T, p *protoReplica) {
-				p.locked(func(threads map[wire.LogicalID]logicalThread) {
+				p.locked(func(threads map[wire.ThreadID]logicalThread) {
 					d := p.request(0, 1)
 					p.r.arriveLocked(d)
 					p.r.leaveLocked(&d.inv.req)
@@ -197,12 +200,12 @@ func TestLogicalThreadProtocol(t *testing.T) {
 		{
 			name: "pre: two requests of the logical thread live; post: the first leave keeps the record, the last deletes it",
 			run: func(t *testing.T, p *protoReplica) {
-				p.locked(func(threads map[wire.LogicalID]logicalThread) {
+				p.locked(func(threads map[wire.ThreadID]logicalThread) {
 					a, b := p.request(0, 1), p.request(1001, 2)
 					p.r.arriveLocked(a)
 					p.r.arriveLocked(b)
 					p.r.leaveLocked(&a.inv.req)
-					if th, ok := threads[protoLogical]; !ok || th.live != 1 {
+					if th, ok := threads[protoThread]; !ok || th.live != 1 {
 						t.Errorf("after the first leave: %+v (present %v)", th, ok)
 					}
 					p.r.leaveLocked(&b.inv.req)
@@ -213,15 +216,31 @@ func TestLogicalThreadProtocol(t *testing.T) {
 			},
 		},
 		{
+			name: "pre: a client's call is live and inside Invoke; post: the client's next call is a logical thread of its own, no callback",
+			run: func(t *testing.T, p *protoReplica) {
+				p.locked(func(threads map[wire.ThreadID]logicalThread) {
+					p.r.arriveLocked(p.request(0, 1))
+					p.r.enterNestedLocked(call(1), nil)
+					next := &dispatched{inv: Invocation{r: p.r, req: Request{ID: wire.InvocationID{Logical: protoThread.Logical, Call: 2}}}, seq: 2}
+					if callback, deferred := p.r.arriveLocked(next); callback || deferred || next.seq != 2 {
+						t.Errorf("callback %v deferred %v seq %d", callback, deferred, next.seq)
+					}
+					if len(threads) != 2 || threads[protoThread].live != 1 || threads[next.inv.req.ID.Thread()].live != 1 {
+						t.Errorf("records %+v", threads)
+					}
+				})
+			},
+		},
+		{
 			name: "pre: records live, one holding an early reply; post: a snapshot install leaves no record",
 			run: func(t *testing.T, p *protoReplica) {
-				p.locked(func(map[wire.LogicalID]logicalThread) {
+				p.locked(func(map[wire.ThreadID]logicalThread) {
 					p.r.arriveLocked(p.request(0, 1))
 					p.r.deliverReplyLocked(Reply{ID: call(1)})
 				})
 				env := snapshotEnvelope{Seq: 5}
 				p.r.installSnapshot(gcs.Delivery{Seq: 5, Snapshot: env.encode(nil)})
-				p.locked(func(threads map[wire.LogicalID]logicalThread) {
+				p.locked(func(threads map[wire.ThreadID]logicalThread) {
 					if len(threads) != 0 {
 						t.Errorf("records after the install: %+v", threads)
 					}

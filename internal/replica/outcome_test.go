@@ -44,7 +44,7 @@ const payloadStart = 1 + 1 + 2 + 2
 // round-trips and re-encodes to the same bytes, and each group costs
 // nothing when absent.
 func TestEnvelopeFramesAreCanonical(t *testing.T) {
-	id := wire.InvocationID{Logical: "client/c#1", Seq: 2}
+	id := wire.InvocationID{Logical: "client/c", Call: 1<<32 | 5, Seq: 2} // the fifth call of a name's second bearer
 	var payloads []any
 	for mask := 0; mask <= reqPresenceMask; mask++ {
 		q := Request{ID: id, Group: "g", Method: "m", Args: []byte{1}, Kind: KindNested, ReplyTo: "client/c", Origin: "h"}
@@ -53,9 +53,6 @@ func TestEnvelopeFramesAreCanonical(t *testing.T) {
 		}
 		if mask&reqHasShard != 0 {
 			q.ShardKey = "k"
-		}
-		if mask&reqHasCall != 0 {
-			q.Call = 1<<32 | 5 // the fifth call of a name's second bearer
 		}
 		payloads = append(payloads, q)
 	}
@@ -96,13 +93,13 @@ func TestEnvelopeFramesAreCanonical(t *testing.T) {
 			t.Errorf("gob twin:\n in:  %+v\n out: %+v (%v)", in, deref(twin.Payload), err)
 		}
 	}
-	// An unnumbered request pays nothing for the group; a numbered one its
-	// varint.
-	plain := Request{ID: id, Group: "g", Method: "m", ReplyTo: "client/c"}
+	// A thread named by text alone pays one byte for its call number, a
+	// numbered one its varint.
+	plain := Request{ID: wire.InvocationID{Logical: "client/c"}, Group: "g", Method: "m", ReplyTo: "client/c"}
 	numbered := plain
-	numbered.Call = 100
-	if a, b := len(frame(t, plain)), len(frame(t, numbered)); b != a+1 {
-		t.Errorf("call 100 costs %d bytes on the wire, want 1", b-a)
+	numbered.ID.Call = 100
+	if a, b := len(frame(t, plain)), len(frame(t, numbered)); b != a {
+		t.Errorf("call 100 costs %d bytes more on the wire than call 0, want none", b-a)
 	}
 }
 
@@ -122,9 +119,9 @@ func TestEnvelopeDecodersRejectNonCanonicalFrames(t *testing.T) {
 		out[payloadStart] = presence
 		return out
 	}
-	// kindAt is the offset of Request.Kind in req: presence, id ("l", 1),
-	// group, method, empty args.
-	const kindAt = payloadStart + 1 + 3 + 2 + 2 + 1
+	// kindAt is the offset of Request.Kind in req: presence, id ("l", 0,
+	// 1), group, method, empty args.
+	const kindAt = payloadStart + 1 + 4 + 2 + 2 + 1
 	badKind := append([]byte(nil), req...)
 	badKind[kindAt] = byte(KindNested) + 1
 
@@ -137,10 +134,11 @@ func TestEnvelopeDecodersRejectNonCanonicalFrames(t *testing.T) {
 		{"request: every bit set", patch(req, 0xff), "undefined presence bit"},
 		{"request: trace bit, zero trace id", patch(req, reqHasTrace, 0, 5), "empty field group"},
 		{"request: shard bit, empty key", patch(req, reqHasShard, 0), "empty field group"},
-		{"request: call bit, call 0", patch(req, reqHasCall, 0), "empty field group"},
 		{"request: call without its bit", patch(req, 0, 5), "trailing"},
-		// The retired direct-copy set, as a sender from before its retirement
-		// framed it: refused, not skipped.
+		// The retired call group (the call number is the id's now) and
+		// direct-copy set, as a sender from before their retirement framed
+		// them: refused, not skipped.
+		{"request: retired call bit", patch(req, reqHasCall, 5), "undefined presence bit"},
 		{"request: retired copies bit", patch(req, reqHasCopies, 0b011), "undefined presence bit"},
 		{"request: bit set, group missing", patch(req, reqHasShard), "varint"},
 		{"request: unknown kind", badKind, "unknown request kind"},
@@ -183,7 +181,6 @@ func TestEnvelopeDecodersRejectNonCanonicalFrames(t *testing.T) {
 	// The patching itself is sound: well-formed groups do decode.
 	for name, f := range map[string][]byte{
 		"request shard group": patch(req, reqHasShard, 1, 'k'),
-		"request call group":  patch(req, reqHasCall, 5),
 		"reply outcome group": patch(rep, repHasOutcome, byte(CodeRedirect), 1, 'e'),
 	} {
 		if _, _, _, err := wire.ConsumeMessage(f); err != nil {

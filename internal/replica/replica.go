@@ -82,6 +82,10 @@ const (
 
 // Request is a method invocation travelling through the total order.
 type Request struct {
+	// ID names the invocation and its logical thread. A client numbers its
+	// calls: a client's request is the ID.Call-th one ReplyTo made, the
+	// number at-most-once compares (see amo.go), and ID.Logical is ReplyTo.
+	// A nested request inherits its caller's thread. Call 0 is unnumbered.
 	ID      wire.InvocationID
 	Group   wire.GroupID
 	Method  string
@@ -89,9 +93,6 @@ type Request struct {
 	Kind    RequestKind
 	ReplyTo wire.NodeID  // client endpoint (KindClient)
 	Origin  wire.GroupID // originating group (KindNested)
-	// Call numbers a client's invocations: this is the Call-th one ReplyTo
-	// made, the number at-most-once compares (see amo.go). 0 is unnumbered.
-	Call uint64
 	// Trace is the optional trace context allocated at client submit; the
 	// zero value (tracing off) takes no room on the wire (see binary.go).
 	Trace tracing.Context
@@ -291,7 +292,7 @@ type Replica struct {
 	amoOrder        ring.Queue[wire.InvocationID]
 	held, heldBytes int
 	// threads holds one record per live logical thread (see logical.go).
-	threads map[wire.LogicalID]logicalThread
+	threads map[wire.ThreadID]logicalThread
 	stopped bool
 	// free holds up to maxFree dispatch records for reuse (see dispatched).
 	free []*dispatched
@@ -313,7 +314,7 @@ func New(cfg Config) *Replica {
 		handlers: make(map[string]Handler),
 		clients:  make(map[wire.NodeID]*clientRow),
 		amo:      make(map[wire.InvocationID]amoEntry),
-		threads:  make(map[wire.LogicalID]logicalThread),
+		threads:  make(map[wire.ThreadID]logicalThread),
 	}
 	if cfg.State != nil {
 		r.state = cfg.State()
@@ -627,14 +628,15 @@ func (r *Replica) misroutedLocked(req *Request) (Reply, bool) {
 func (r *Replica) submit(d *dispatched, callback bool) {
 	req := &d.inv.req
 	if r.spans != nil && req.Trace.Valid() {
-		// The grant hooks only see the logical thread id; the binding lets
+		// The grant hooks only see the logical thread; the binding lets
 		// them resolve it back to this request's trace (see SchedObs).
-		r.spans.Bind(string(req.Logical()), req.Trace)
+		r.spans.Bind(req.ID.Thread(), req.Trace)
 		d.tSubmit = r.rt.Now()
 	}
 	r.sched.Submit(adets.Request{
 		ID:       req.ID,
-		Logical:  req.Logical(),
+		Logical:  req.ID.Logical,
+		Call:     req.ID.Call,
 		Callback: callback,
 		Classes:  d.classes,
 		Seq:      d.seq,
@@ -654,8 +656,9 @@ func (d *dispatched) exec(t *adets.Thread) {
 	r.execute(d)
 }
 
-// Logical returns the logical thread of a request.
-func (req Request) Logical() wire.LogicalID { return req.ID.Logical }
+// Logical returns the text of a request's logical thread (see
+// wire.ThreadID.String), built on every call.
+func (req Request) Logical() wire.LogicalID { return wire.LogicalID(req.ID.Thread().String()) }
 
 // execute runs d's handler and completes the request, which releases d.
 func (r *Replica) execute(d *dispatched) {

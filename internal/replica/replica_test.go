@@ -248,7 +248,9 @@ func TestSeenCacheBounded(t *testing.T) {
 		for i := 0; i < maxSeen+100; i++ {
 			id := wire.InvocationID{Logical: wire.LogicalID(fmt.Sprintf("l%d", i))}
 			h.r.enterLocked(callRef{ID: id}, uint64(2*i+1))
-			h.r.enterLocked(callRef{ID: id, Client: wire.NodeID(id.Logical), Call: 1}, uint64(2*i+2))
+			call := id
+			call.Call = 1
+			h.r.enterLocked(callRef{ID: call, Client: wire.NodeID(id.Logical)}, uint64(2*i+2))
 		}
 		if len(h.r.amo) > maxSeen {
 			t.Errorf("at-most-once table grew to %d (cap %d)", len(h.r.amo), maxSeen)

@@ -310,6 +310,11 @@ func TestMailboxReleasesPoppedItem(t *testing.T) {
 	})
 }
 
+// text is a parker name's second part, as is.
+type text string
+
+func (s text) String() string { return string(s) }
+
 // TestParkerByValue: the zero Parker works in place inside its owner's
 // record on both runtimes, its two-part name is joined only by Name, and
 // its channel is made by the first park that blocks — a park that finds a
@@ -321,7 +326,7 @@ func TestParkerByValue(t *testing.T) {
 			p  Parker
 		}
 		p := &owner.p
-		p.SetName("mat", "client/c1#7")
+		p.SetName("mat", text("client/c1#7"))
 		if p.Name() != "mat/client/c1#7" || NewParker("worker").Name() != "worker" {
 			t.Errorf("names %q, %q", p.Name(), NewParker("worker").Name())
 		}

@@ -107,14 +107,15 @@ type Runtime interface {
 // (like java.util.concurrent.LockSupport). The zero value is a usable,
 // unnamed parker: its owner can hold it by value and name it in place.
 type Parker struct {
-	name, sub string        // diagnostic name: name, or name/sub (see Name)
-	ch        chan struct{} // made by the first park that blocks (see wake)
-	parked    bool
-	permit    bool
-	timedOut  bool
-	timer     *Timer      // virtual mode: pending ParkTimeout deadline
-	wall      *time.Timer // real mode: ParkTimeout deadline, reused across parks
-	next      *Parker     // link in a Mailbox's waiter or free list
+	name     string        // diagnostic name: name, or name/sub (see Name)
+	sub      Namer         // nil for a name alone
+	ch       chan struct{} // made by the first park that blocks (see wake)
+	parked   bool
+	permit   bool
+	timedOut bool
+	timer    *Timer      // virtual mode: pending ParkTimeout deadline
+	wall     *time.Timer // real mode: ParkTimeout deadline, reused across parks
+	next     *Parker     // link in a Mailbox's waiter or free list
 }
 
 // NewParker returns a parker with the given diagnostic name.
@@ -123,16 +124,25 @@ func NewParker(name string) *Parker {
 	return &Parker{name: name}
 }
 
-// SetName names the parker name/sub (name alone with no sub), the parts
-// joined only when Name or the kernel's deadlock report asks.
-func (p *Parker) SetName(name, sub string) { p.name, p.sub = name, sub }
+// Namer is the second part of a parker's name: its text is read only when
+// the name is, so an owner names a parker after a value it holds (a
+// pointer to it) without building the text.
+type Namer interface{ String() string }
+
+// SetName names the parker name/sub (name alone with no sub, or one whose
+// text is empty), the parts joined only when Name or the kernel's deadlock
+// report asks.
+func (p *Parker) SetName(name string, sub Namer) { p.name, p.sub = name, sub }
 
 // Name returns the parker's diagnostic name.
 func (p *Parker) Name() string {
-	if p.sub == "" {
+	if p.sub == nil {
 		return p.name
 	}
-	return p.name + "/" + p.sub
+	if s := p.sub.String(); s != "" {
+		return p.name + "/" + s
+	}
+	return p.name
 }
 
 // wake returns the channel a blocked park is woken through, made by the

@@ -43,18 +43,20 @@ func TestDecodeAllocationBudget(t *testing.T) {
 		msg    wire.Message
 		budget float64
 	}{
-		// Logical thread id, args, and the nested Request boxed into its
-		// interface; the Submit is decoded into the Decoder's cell (4 while
-		// it was boxed too, 5 while the submit id was a string).
-		{"Submit{Request}", submit, 3},
-		// The same, the Ordered in its cell (4 while boxed, 5 before).
-		{"Ordered{Request}", ordered, 3},
+		// Args, and the nested Request boxed into its interface; the Submit
+		// is decoded into the Decoder's cell, the logical thread's name is
+		// interned (3 while it was a string, 4 while the Submit was boxed
+		// too, 5 while the submit id was a string).
+		{"Submit{Request}", submit, 2},
+		// The same, the Ordered in its cell (3 with the thread's text, 4
+		// while boxed, 5 before).
+		{"Ordered{Request}", ordered, 2},
 		// Nothing: the Hint is decoded into its cell (1 while boxed, 2
 		// before).
 		{"Hint", hint, 0},
-		// Logical thread id and result; the Reply in its cell (budget 4
-		// while it was boxed, reading 3).
-		{"Reply", reply, 2},
+		// The result; the Reply in its cell, its id interned (2 with the
+		// thread's text, budget 4 while it was boxed, reading 3).
+		{"Reply", reply, 1},
 	} {
 		frame, err := wire.AppendMessage(nil, &tc.msg)
 		if err != nil {

@@ -19,14 +19,13 @@ func benchCases() []struct {
 	msg  wire.Message
 } {
 	req := replica.Request{
-		ID:      wire.InvocationID{Logical: "client/c1#7"},
+		ID:      wire.InvocationID{Logical: "client/c1", Call: 7},
 		Group:   "g",
 		Method:  "add",
 		Args:    []byte{1, 2, 3, 4, 5, 6, 7, 8},
 		ReplyTo: "client/c1",
-		Call:    7,
 	}
-	sub := gcs.Submit{Group: "g", Origin: "client/c1", Call: req.Call, Payload: req}
+	sub := gcs.Submit{Group: "g", Origin: "client/c1", Call: req.ID.Call, Payload: req}
 	return []struct {
 		name string
 		msg  wire.Message

@@ -498,12 +498,13 @@ func (r *Reader) span(what string) []byte {
 func (r *Reader) String() string { return string(r.span("string")) }
 
 // Ident reads a length-prefixed string that names something long-lived — a
-// node, a group, a method, a mutex — and so repeats from frame to frame. On
-// a stream Decoder the result is interned: every occurrence after the first
-// is the same string, found without allocating. Fields that differ per
-// request (message names, logical thread ids, shard keys) belong to String;
-// routed through here they would only churn the table. Like String, the
-// result never aliases the frame buffer.
+// node, a group, a method, a mutex, the text of a logical thread id (a
+// client's node name: its call number travels as a number) — and so repeats
+// from frame to frame. On a stream Decoder the result is interned: every
+// occurrence after the first is the same string, found without allocating.
+// Fields that differ per request (message names, shard keys, error texts)
+// belong to String; routed through here they would only churn the table.
+// Like String, the result never aliases the frame buffer.
 func (r *Reader) Ident() string {
 	raw := r.span("string")
 	if r.err != nil || r.idents == nil || len(raw) > maxIdentLen {

@@ -22,17 +22,16 @@ import (
 // with the codec: gcs ordering and view-change traffic, replica
 // request/reply envelopes with each of their optional field groups,
 // scheduler timeout and LSA table messages. New exemplars go at the end:
-// the checked-in corpus files are numbered by position. (The corpus was
-// generated while migration chunks, tag 27, were a payload too; their
-// files stay as frames of an unknown tag, which both decoders refuse. So do
-// seed-bin-27 and -28, a Submit and an Ordered whose request named its
-// direct-copy set, a presence bit since retired. The frames of both kinds
-// are kept in retiredFrames, so a regenerated corpus loses neither.)
+// the checked-in corpus files are numbered by position, and those past the
+// exemplars are frames an earlier build generated, kept as inputs. Frames
+// an earlier build sent and this one refuses — migration chunks (tag 27), a
+// request naming its direct-copy set, ids whose logical thread was text —
+// are kept in retiredFrames too, so a regenerated corpus loses none of them.
 func exemplarMessages() []wire.Message {
 	view := gcs.View{Epoch: 3, Members: []wire.NodeID{"g/0", "g/1", "g/2"}}
 	sub := gcs.Submit{Group: "g", ID: "inv-1", Origin: "client/c1",
 		Payload: replica.Request{
-			ID:      wire.InvocationID{Logical: "client/c1", Seq: 7},
+			ID:      wire.InvocationID{Logical: "client/c1", Call: 7},
 			Group:   "g",
 			Method:  "add",
 			Args:    []byte{1, 2, 3},
@@ -55,13 +54,13 @@ func exemplarMessages() []wire.Message {
 			Tail:    []gcs.Ordered{{Group: "g", Epoch: 3, Seq: 41, ID: "inv-1", Origin: "client/c1"}},
 			Pending: []gcs.Submit{{Group: "g", ID: "inv-2", Origin: "client/c2"}}}},
 		{From: "g/0", To: "client/c1", Payload: replica.Reply{
-			ID: wire.InvocationID{Logical: "client/c1", Seq: 7}, From: "g/0",
+			ID: wire.InvocationID{Logical: "client/c1", Call: 7}, From: "g/0",
 			Result: []byte{9}, Err: ""}},
 		{From: "g/0", To: "g/1", Payload: adets.TimeoutMsg{
-			Target: "client/c1", Mutex: "state", Cond: "ready", WaitSeq: 2}},
+			Target: wire.ThreadID{Logical: "client/c1", Call: 7}, Mutex: "state", Cond: "ready", WaitSeq: 2}},
 		{From: "g/0", To: "g/1", Payload: lsa.TableUpdate{
 			From:    "g/0",
-			Entries: []lsa.TableEntry{{M: "state", L: "client/c1"}}}},
+			Entries: []lsa.TableEntry{{M: "state", L: wire.ThreadID{Logical: "client/c1", Call: 7}}}}},
 		// The envelopes' optional field groups, one at a time and all at
 		// once: trace context and shard key on a request (a client's, and a
 		// handler's InvokeShard); outcome and trace context on a reply.
@@ -84,21 +83,23 @@ func exemplarMessages() []wire.Message {
 			p.Err = "replica: duplicate expired: reply evicted at stream position 41"
 		})},
 		{From: "kv@0/0", To: "client/c1", Payload: redirect},
-		// The call number: on a client's plain request, and beside every
+		// The call number: of a nested call's thread, and beside every
 		// other group (a name's second bearer: the incarnation sits above
 		// bit 32).
-		{From: "client/c1", To: "g/0", Payload: request(func(q *replica.Request) { q.Call = 7 })},
+		{From: "g/0", To: "h/0", Payload: request(func(q *replica.Request) {
+			q.ID.Seq, q.Kind, q.ReplyTo, q.Origin = 7001, replica.KindNested, "", "g"
+		})},
 		{From: "client/c1", To: "kv@0/0", Payload: request(func(q *replica.Request) {
-			q.Trace, q.ShardKey, q.Call = trace, "acct-4", 1<<32|7
+			q.Trace, q.ShardKey, q.ID.Call = trace, "acct-4", 1<<32|7
 		})},
 		// Message ids by number: a client's call is (origin, call) on the
 		// Submit, the Ordered and the Hint, with no text; a named id keeps
 		// its string, on a Hint too (the answer to a copy of an ordered
 		// nested reply).
 		{From: "client/c1", To: "g/0", Payload: gcs.Submit{Group: "g", Origin: "client/c1", Call: 7,
-			Payload: request(func(q *replica.Request) { q.Call = 7 })}},
+			Payload: request(func(*replica.Request) {})}},
 		{From: "g/0", To: "g/1", Payload: gcs.Ordered{Group: "g", Epoch: 3, Seq: 43, Origin: "client/c1", Call: 1<<32 | 7,
-			Payload: request(func(q *replica.Request) { q.Call = 1<<32 | 7 })}},
+			Payload: request(func(q *replica.Request) { q.ID.Call = 1<<32 | 7 })}},
 		{From: "g/0", To: "g/1", Payload: gcs.Hint{Group: "g", Origin: "client/c1", Call: 7, Seq: 43}},
 		{From: "g/0", To: "g/2", Payload: gcs.Hint{Group: "g", ID: "nested-reply/g/0#3#1", Seq: 44}},
 		{From: "g/2", To: "g/1", Payload: gcs.SyncResp{
@@ -121,14 +122,14 @@ var redirect = reply(func(p *replica.Reply) {
 // request and reply return the plain client envelopes, edited.
 func request(edit func(*replica.Request)) replica.Request {
 	q := replica.Request{
-		ID:    wire.InvocationID{Logical: "client/c1", Seq: 7},
+		ID:    wire.InvocationID{Logical: "client/c1", Call: 7},
 		Group: "g", Method: "add", Args: []byte{1, 2, 3}, ReplyTo: "client/c1"}
 	edit(&q)
 	return q
 }
 
 func reply(edit func(*replica.Reply)) replica.Reply {
-	p := replica.Reply{ID: wire.InvocationID{Logical: "client/c1", Seq: 7}, From: "g/0", Result: []byte{9}}
+	p := replica.Reply{ID: wire.InvocationID{Logical: "client/c1", Call: 7}, From: "g/0", Result: []byte{9}}
 	edit(&p)
 	return p
 }
@@ -221,6 +222,10 @@ func TestDifferentialBinaryVsGob(t *testing.T) {
 //   - retired-request-copies.frames: a client's Submit and the sequencer's
 //     Ordered whose Request named the direct-copy set (the request frame's
 //     fourth presence bit) when speculation still existed.
+//   - retired-text-ids.frames: the 20 messages of the corpus that carried a
+//     logical thread id as text, "<client>#<call>" — requests, replies,
+//     the Submits and Ordereds around them, a timeout and an LSA table
+//     update — before an id named its thread by (client, call).
 func retiredFrames(tb testing.TB, name string, want int) [][]byte {
 	data, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
@@ -252,6 +257,24 @@ func TestRetiredMigrationFramesRefused(t *testing.T) {
 		var m wire.Message
 		if err := wire.NewDecoder(bytes.NewReader(frame)).Decode(&m); err == nil || err == io.EOF {
 			t.Errorf("frame %d: Decode of a retired payload: %v, want a refusal", i, err)
+		}
+	}
+}
+
+// TestRetiredTextIDFramesRefused: a frame whose ids name their logical
+// thread by text, as builds before the (client, call) form sent them, is
+// refused by both decoders, never misread as an id of the new form. (Its
+// gob twin may decode: gob is self-describing, and a thread named by its
+// text alone is still a legal id.)
+func TestRetiredTextIDFramesRefused(t *testing.T) {
+	frames := retiredFrames(t, "retired-text-ids.frames", 40)
+	for i := 0; i < len(frames); i += 2 {
+		if m, _, _, err := wire.ConsumeMessage(frames[i]); err == nil {
+			t.Errorf("frame %d: ConsumeMessage accepted an id in text form: %+v", i, value(m))
+		}
+		var m wire.Message
+		if err := wire.NewDecoder(bytes.NewReader(frames[i])).Decode(&m); err == nil || err == io.EOF {
+			t.Errorf("frame %d: Decode of an id in text form: %v, want a refusal", i, err)
 		}
 	}
 }
@@ -310,6 +333,7 @@ func FuzzDecode(f *testing.F) {
 		f.Add(append(append([]byte(nil), bin...), gobbed...)) // two frames back to back
 	}
 	retired := append(retiredFrames(f, "retired-migrate-chunks.frames", 8), retiredFrames(f, "retired-request-copies.frames", 4)...)
+	retired = append(retired, retiredFrames(f, "retired-text-ids.frames", 40)...)
 	for i := 0; i < len(retired); i += 2 {
 		bin, gobbed := retired[i], retired[i+1]
 		f.Add(bin)

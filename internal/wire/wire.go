@@ -30,28 +30,68 @@ func ClientID(name string) NodeID {
 	return NodeID("client/" + name)
 }
 
-// LogicalID identifies a logical thread of execution (paper Section 3.1,
-// the SL and SA+L models). A chain of nested invocations — even one that
-// calls back into the originating object — carries a single LogicalID, which
-// is what lets a replica (a) detect callbacks and run them on an extra
-// physical thread, and (b) grant reentrant locks owned by the same logical
-// thread. Pinned by benchmark/probes.go.
+// LogicalID is the text half of a logical thread's name (paper Section
+// 3.1, the SL and SA+L models; see ThreadID). For the thread a client's call
+// starts it is the client's node name, which frames carry as an interned
+// identifier; an id with no call number (Call 0: hand-built ids, tests, a
+// scheduler's own timeout requests) is named by this text alone. Pinned by
+// benchmark/probes.go.
 type LogicalID string
 
+// ThreadID names a logical thread. A chain of nested invocations — even one
+// that calls back into the originating object — carries a single ThreadID,
+// which is what lets a replica (a) detect callbacks and run them on an extra
+// physical thread, and (b) grant reentrant locks owned by the same logical
+// thread. A client's call starts the thread (client node name, call number);
+// equality is all the middleware asks of it, so no text is built for it on
+// the request path.
+type ThreadID struct {
+	Logical LogicalID
+	// Call is the number of the client call that started the thread; 0
+	// names the thread by Logical alone.
+	Call uint64
+}
+
+// String returns the thread's text: "<Logical>#<Call>", or Logical alone
+// when Call is 0. It is built on every call.
+func (t ThreadID) String() string {
+	if t.Call == 0 {
+		return string(t.Logical)
+	}
+	return string(t.AppendText(nil))
+}
+
+// AppendText appends the thread's text (see String) to b.
+func (t ThreadID) AppendText(b []byte) []byte {
+	b = append(b, t.Logical...)
+	if t.Call == 0 {
+		return b
+	}
+	return strconv.AppendUint(append(b, '#'), t.Call, 10)
+}
+
 // InvocationID uniquely identifies one method invocation for at-most-once
-// semantics: the logical thread plus a per-thread invocation counter.
-// Retransmissions reuse the same InvocationID and are answered from the
-// reply cache. Pinned by benchmark/probes.go, which sets Logical.
+// semantics: the logical thread (Logical, Call) plus a per-thread invocation
+// counter, Seq — 0 for the client's call itself, derived from the caller's
+// for a nested one. For a client's call, Call is also the number
+// at-most-once compares. Retransmissions reuse the same InvocationID and are
+// answered from the reply cache. Pinned by benchmark/probes.go, which sets
+// Logical.
 type InvocationID struct {
 	Logical LogicalID
+	Call    uint64
 	Seq     uint64
 }
 
+// Thread returns the logical thread the invocation belongs to.
+func (id InvocationID) Thread() ThreadID { return ThreadID{Logical: id.Logical, Call: id.Call} }
+
+// String returns the invocation's text, "<thread>#<Seq>" (see
+// ThreadID.String). It is built on every call.
 func (id InvocationID) String() string {
-	var buf [48]byte
-	b := append(buf[:0], id.Logical...)
-	b = append(b, '#')
-	return string(strconv.AppendUint(b, id.Seq, 10))
+	var buf [64]byte
+	b := id.Thread().AppendText(buf[:0])
+	return string(strconv.AppendUint(append(b, '#'), id.Seq, 10))
 }
 
 // Message is the transport envelope. Payload is one of the protocol structs

@@ -29,9 +29,62 @@ func TestIDHelpers(t *testing.T) {
 	if got := ClientID("c7"); got != "client/c7" {
 		t.Errorf("ClientID = %q, want client/c7", got)
 	}
-	id := InvocationID{Logical: "client/c7#3", Seq: 9}
+	// A client's call names its thread by number; the text is what a
+	// thread named by text alone (Call 0) spells out.
+	id := InvocationID{Logical: "client/c7", Call: 3, Seq: 9}
 	if got := id.String(); got != "client/c7#3#9" {
 		t.Errorf("InvocationID.String = %q", got)
+	}
+	if got := id.Thread().String(); got != "client/c7#3" {
+		t.Errorf("ThreadID.String = %q", got)
+	}
+	text := InvocationID{Logical: "client/c7#3", Seq: 9}
+	if got := text.String(); got != id.String() {
+		t.Errorf("text-named InvocationID.String = %q, want %q", got, id.String())
+	}
+	if text.Thread() == id.Thread() {
+		t.Error("a thread named by text equals the numbered thread it spells")
+	}
+	if got := (ThreadID{Logical: "probe"}).String(); got != "probe" {
+		t.Errorf("ThreadID.String of an unnumbered thread = %q", got)
+	}
+}
+
+// TestAppendMessageFrames: a frame appended after the caller's bytes is its
+// length prefix, minimal, and the body, for bodies on both sides of every
+// prefix length up to three bytes; the caller's bytes stay, and a frame over
+// the limit leaves dst as it was.
+func TestAppendMessageFrames(t *testing.T) {
+	head := []byte("xyz")
+	for _, n := range []int{0, 60, 126, 127, 128, 200, 16300, 16383, 16384, 16500, 1 << 20} {
+		m := Message{From: "a", To: "b", Payload: testPayload{N: n, Data: make([]byte, n)}}
+		body := getBuffer()
+		if err := appendBody(body, &m); err != nil {
+			t.Fatal(err)
+		}
+		want := append(binaryAppendUvarint(append([]byte(nil), head...), len(body.b)), body.b...)
+		putBuffer(body)
+		got, err := AppendMessage(append([]byte(nil), head...), &m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("payload of %d bytes: frame differs from prefix+body", n)
+		}
+	}
+	big := Message{From: "a", To: "b", Payload: testPayload{Data: make([]byte, maxFrame)}}
+	dst := append(make([]byte, 0, 64), head...)
+	if got, err := AppendMessage(dst, &big); err == nil || !bytes.Equal(got, head) {
+		t.Errorf("oversized frame: %d bytes back, %v; want the caller's 3 and an error", len(got), err)
+	}
+}
+
+func binaryAppendUvarint(b []byte, n int) []byte {
+	for v := uint64(n); ; v >>= 7 {
+		if v < 0x80 {
+			return append(b, byte(v))
+		}
+		b = append(b, byte(v)|0x80)
 	}
 }
 

@@ -149,6 +149,43 @@ func TestMetricsEndToEnd(t *testing.T) {
 				t.Errorf("gcs deliver_latency_seconds on cnt/%d has %d samples after one client's five calls; want at least %d", i, n, want)
 			}
 		}
+		// A sixth call that every replica answers: none is still running one.
+		if _, err := cl.InvokeAll("cnt", "get", nil); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			node := fmt.Sprintf(`{node="cnt/%d"}`, i)
+			sched := fmt.Sprintf(`{node="cnt/%d",strategy="ADETS-MAT"}`, i)
+			// Every call takes the counter's mutex once.
+			if n := reg.Counter("replobj_sched_grants_total" + sched).Value(); n < 6 {
+				t.Errorf("cnt/%d granted %d mutexes for six calls", i, n)
+			}
+			// A grant that waited is timed once: the wait histogram counts
+			// the blocks that no longer wait.
+			blocks, waiting := reg.Counter("replobj_sched_blocks_total"+sched).Value(), reg.Gauge("replobj_sched_wait_queue_depth"+sched).Value()
+			if n := reg.Histogram("replobj_sched_grant_wait_seconds"+sched, obs.LatencyBuckets()).Count(); waiting != 0 || n != blocks {
+				t.Errorf("cnt/%d timed %d grant waits for %d blocks, %d still waiting", i, n, blocks, waiting)
+			}
+			if n := reg.Counter("replobj_gcs_delivered_total" + node).Value(); n < 6 {
+				t.Errorf("cnt/%d delivered %d messages for six calls", i, n)
+			}
+			if n := reg.Gauge("replobj_replica_invocations_in_flight" + node).Value(); n != 0 {
+				t.Errorf("cnt/%d has %d invocations in flight once every replica answered", i, n)
+			}
+			// Client calls are numbered ids: no named id is kept.
+			if n := reg.Gauge(fmt.Sprintf(`replobj_gcs_id_rows{node="cnt/%d",kind="name"}`, i)).Value(); n != 0 {
+				t.Errorf("cnt/%d keeps %d named ids, want none", i, n)
+			}
+		}
+		// The group orders the client's submits; under MAT no member
+		// broadcasts a message of its own (a timeout, an LSA table).
+		if n := groupCounter(reg, "replobj_gcs_broadcasts_total", "cnt", 3); n != 0 {
+			t.Errorf("the members broadcast %d messages of their own, want none", n)
+		}
+		// A call is at least a submit, two ordered copies and two replies.
+		if n := reg.Counter(`replobj_transport_msgs_sent_total{net="inproc"}`).Value(); n < 6*5 {
+			t.Errorf("%d messages sent for six calls", n)
+		}
 	})
 	out := reg.Render()
 	for _, want := range []string{

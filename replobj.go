@@ -222,7 +222,9 @@ type Cluster struct {
 
 	// clientsMu guards clients: drivers create their clients from concurrent
 	// goroutines, and a lost append is a client that Close never stops.
-	// incarnations counts the clients made per name (client.Config.Incarnation).
+	// clients holds the clients not yet closed; a closed Client leaves at
+	// once (client.Config.Closed). incarnations counts the clients made per
+	// name (client.Config.Incarnation).
 	clientsMu    sync.Mutex
 	clients      []*client.Client
 	incarnations map[string]uint64
@@ -336,7 +338,7 @@ func (c *Cluster) SetDropRule(f func(from, to NodeID) bool) error {
 // Close stops all groups and clients and shuts the runtime down.
 func (c *Cluster) Close() {
 	c.clientsMu.Lock()
-	clients := c.clients
+	clients := slices.Clone(c.clients)
 	c.clientsMu.Unlock()
 	for _, cl := range clients {
 		cl.Close()
@@ -728,6 +730,7 @@ func (c *Cluster) NewClient(name string, opts ...ClientOption) *Client {
 		Network:   c.net,
 		Spans:     c.spans,
 		Metrics:   c.metrics,
+		Closed:    c.forget,
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -739,6 +742,13 @@ func (c *Cluster) NewClient(name string, opts ...ClientOption) *Client {
 	cl := client.New(cfg)
 	c.clients = append(c.clients, cl)
 	return cl
+}
+
+// forget lets go of a closed client.
+func (c *Cluster) forget(cl *client.Client) {
+	c.clientsMu.Lock()
+	c.clients = slices.DeleteFunc(c.clients, func(x *client.Client) bool { return x == cl })
+	c.clientsMu.Unlock()
 }
 
 // Client is the replication-aware stub.

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
+	"weak"
 
 	replobj "github.com/replobj/replobj"
 	"github.com/replobj/replobj/internal/client"
@@ -30,8 +32,8 @@ func (rc rawClient) call(c *replobj.Cluster, req replica.Request) map[replobj.No
 	rc.t.Helper()
 	req.Kind, req.ReplyTo = replica.KindClient, rc.ep.ID()
 	members := c.Directory().Members(req.Group)
-	sub := gcs.Submit{Group: req.Group, Origin: rc.ep.ID(), Call: req.Call, Payload: req}
-	if req.Call == 0 {
+	sub := gcs.Submit{Group: req.Group, Origin: rc.ep.ID(), Call: req.ID.Call, Payload: req}
+	if req.ID.Call == 0 {
 		sub.ID = req.ID.String()
 	}
 	for _, m := range members {
@@ -65,8 +67,8 @@ func TestRetransmissionAnsweredAlikeByAllReplicas(t *testing.T) {
 	g := ckptCounterGroup(t, c, "cnt", replicas, replobj.WithCheckpointEvery(every), replobj.WithSchedTrace(0))
 	run(rt, c, func() {
 		add := func(rc rawClient, k int) map[replobj.NodeID]replica.Reply {
-			id := wire.InvocationID{Logical: wire.LogicalID(fmt.Sprintf("%s#%d", rc.ep.ID(), k))}
-			return rc.call(c, replica.Request{ID: id, Group: "cnt", Method: "add", Args: []byte{1}, Call: uint64(k)})
+			id := wire.InvocationID{Logical: wire.LogicalID(rc.ep.ID()), Call: uint64(k)}
+			return rc.call(c, replica.Request{ID: id, Group: "cnt", Method: "add", Args: []byte{1}})
 		}
 		var rcs []rawClient
 		for i := 0; i < clients; i++ {
@@ -238,4 +240,49 @@ func TestAbandonedCallNeverRunsAfterALaterOne(t *testing.T) {
 			t.Errorf("order stream has %d events, want 2 (call 2 and the get): the abandoned call is never ordered", count)
 		}
 	})
+}
+
+// TestClosedClientLeavesTheCluster: a Cluster lets go of a Client as soon as
+// it is closed, not at Cluster.Close. Clients made, used and closed in a
+// loop can all be collected while the cluster stays open and serves the
+// next one; the cluster still closes whatever is left open.
+func TestClosedClientLeavesTheCluster(t *testing.T) {
+	const clients = 16
+	rt := vtime.Virtual()
+	c := replobj.NewCluster(rt)
+	counterGroup(t, c, "cnt", 3)
+	var closed []weak.Pointer[replobj.Client]
+	var open *replobj.Client
+	vtime.Run(rt, "main", func() {
+		for i := range clients {
+			cl := c.NewClient(fmt.Sprintf("c%d", i))
+			if _, err := cl.Invoke("cnt", "add", []byte{1}); err != nil {
+				t.Fatal(err)
+			}
+			cl.Close()
+			closed = append(closed, weak.Make(cl))
+		}
+		open = c.NewClient("open")
+		if _, err := open.Invoke("cnt", "add", []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	runtime.GC()
+	runtime.GC()
+	alive := 0
+	for _, w := range closed {
+		if w.Value() != nil {
+			alive++
+		}
+	}
+	if alive != 0 {
+		t.Errorf("%d of %d closed clients are still reachable while the cluster is open", alive, clients)
+	}
+	vtime.Run(rt, "close", func() {
+		c.Close()
+		if _, err := open.Invoke("cnt", "add", []byte{1}); err == nil {
+			t.Error("Cluster.Close left a client open")
+		}
+	})
+	rt.Stop()
 }

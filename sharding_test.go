@@ -461,8 +461,8 @@ func TestShardedMisroutedRequestRedirected(t *testing.T) {
 
 	run(rt, c, func() {
 		rc := rawClient{t, net.Endpoint("raw")}
-		req := replica.Request{ID: wire.InvocationID{Logical: "raw#1"}, Group: wrong, Method: "put", Args: u64(1),
-			Call: 1, ShardKey: key}
+		req := replica.Request{ID: wire.InvocationID{Logical: "raw", Call: 1}, Group: wrong, Method: "put", Args: u64(1),
+			ShardKey: key}
 		first := rc.call(c, req)
 		var want replica.Reply
 		for node, rep := range first {

@@ -15,7 +15,13 @@ type appMsg struct {
 	Body string
 }
 
-func init() { wire.RegisterPayload(appMsg{}) }
+// appMsg takes tag 100, above every tag the product registers.
+func init() {
+	wire.Register(100, func(b *wire.Buffer, m appMsg) error {
+		b.String(m.Body)
+		return nil
+	}, func(r *wire.Reader) appMsg { return appMsg{Body: r.String()} })
+}
 
 // harness wires n members of one group over an in-process network.
 type harness struct {

@@ -75,15 +75,15 @@ func envelopeSeeds() map[string][]byte {
 func claimingEnvelopes() map[string][]byte {
 	const filler = 2048
 	claim := func(entries bool, count int) []byte {
-		return wire.Append(nil, func(b *wire.Buffer) {
+		head := wire.Append(nil, func(b *wire.Buffer) {
 			b.Uvarint(1)
 			b.Bytes(nil)
 			if !entries {
 				b.Uvarint(0)
 			}
 			b.Uvarint(uint64(count))
-			b.Write(bytes.Repeat([]byte{0xff}, filler))
 		})
+		return append(head, bytes.Repeat([]byte{0xff}, filler)...)
 	}
 	return map[string][]byte{
 		"entries-fit": claim(true, filler/11), "entries-per-byte": claim(true, filler),

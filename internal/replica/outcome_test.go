@@ -84,14 +84,6 @@ func TestEnvelopeFramesAreCanonical(t *testing.T) {
 		if re := frame(t, out.Payload); !bytes.Equal(re, bin) {
 			t.Errorf("%+v: re-encoding differs:\n first:  %x\n second: %x", in, bin, re)
 		}
-		// The gob twin carries the same value.
-		gobbed, err := wire.AppendMessageGob(nil, &wire.Message{From: "a", To: "b", Payload: in})
-		if err != nil {
-			t.Fatalf("%+v: gob encode: %v", in, err)
-		}
-		if twin, _, _, err := wire.ConsumeMessage(gobbed); err != nil || !reflect.DeepEqual(deref(twin.Payload), in) {
-			t.Errorf("gob twin:\n in:  %+v\n out: %+v (%v)", in, deref(twin.Payload), err)
-		}
 	}
 	// A thread named by text alone pays one byte for its call number, a
 	// numbered one its varint.

@@ -105,12 +105,12 @@ func TestDecodeTableBoundsTheRing(t *testing.T) {
 // first shard name already fails.
 func claimingTable() []byte {
 	const filler = 2048
-	return wire.Append(nil, func(b *wire.Buffer) {
+	head := wire.Append(nil, func(b *wire.Buffer) {
 		b.Uvarint(16)
 		b.String("kv")
 		b.Uvarint(filler)
-		b.Write(bytes.Repeat([]byte{0xff}, filler))
 	})
+	return append(head, bytes.Repeat([]byte{0xff}, filler)...)
 }
 
 // TestTableCountClaimsOnlyWhatItHolds: a table whose shard count claims

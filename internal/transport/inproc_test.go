@@ -10,9 +10,7 @@ import (
 
 type ping struct{ N int }
 
-// ping gets a binary codec so the transport benchmarks exercise the same
-// fast path production payloads take; unregistered types would fall back to
-// per-frame gob and measure the codec fallback instead of the transport.
+// ping gets a codec, as every payload that crosses TCP must.
 func init() {
 	wire.Register(100, func(b *wire.Buffer, p ping) error {
 		b.Uvarint(uint64(int64(p.N)))

@@ -26,12 +26,20 @@ func (p blob) TraceCtx() tracing.Context {
 	return tracing.Context{TraceID: uint64(p.N), Span: uint64(p.N)}
 }
 
+// unregistered has no codec, so it does not encode, top-level or nested.
+type unregistered struct{ N int }
+
+// wrapper carries a nested payload, which its codec writes with Buffer.Any.
+type wrapper struct{ Inner any }
+
 func init() {
 	wire.Register(101, func(b *wire.Buffer, p blob) error {
 		b.Uvarint(uint64(p.N))
 		b.Bytes(p.B)
 		return nil
 	}, func(r *wire.Reader) blob { return blob{N: int(r.Uvarint()), B: r.Bytes()} })
+	wire.Register(102, func(b *wire.Buffer, w wrapper) error { return b.Any(w.Inner) },
+		func(r *wire.Reader) wrapper { return wrapper{Inner: r.Any()} })
 }
 
 // rawPeer listens on loopback and hands over every connection it accepts
@@ -190,9 +198,11 @@ func TestTCPSendQueueFIFOBehindBlockedWrite(t *testing.T) {
 }
 
 // TestTCPFrameThatFailsToEncodeIsDroppedAlone: a payload that does not
-// encode (a nil *blob) is dropped and counted on its own at Send, with
-// spans on too, where Send reads a traced payload's context. The frames
-// around it arrive, each with its xport span, and the connection stays up.
+// encode — a nil *blob, a payload of a type without a codec, or one nested
+// in a payload that has one — is dropped and counted on its own at Send,
+// with spans on too, where Send reads a traced payload's context. The
+// frames around them arrive, each with its xport span, and the connection
+// stays up.
 func TestTCPFrameThatFailsToEncodeIsDroppedAlone(t *testing.T) {
 	rt := vtime.Real()
 	t.Cleanup(rt.Stop)
@@ -210,10 +220,18 @@ func TestTCPFrameThatFailsToEncodeIsDroppedAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(b.Close)
-	got := make(chan int, 3)
-	b.Serve(func(m wire.Message) { got <- m.Payload.(*blob).N })
+	got := make(chan int, 5)
+	b.Serve(func(m wire.Message) {
+		n := -1 // a payload that should not have encoded
+		if p, ok := m.Payload.(*blob); ok {
+			n = p.N
+		}
+		got <- n
+	})
 	a.Send("b", &blob{N: 1})
 	a.Send("b", (*blob)(nil))
+	a.Send("b", &unregistered{N: 3})
+	a.Send("b", &wrapper{Inner: unregistered{N: 4}})
 	a.Send("b", &blob{N: 2})
 	for _, want := range []int{1, 2} {
 		select {
@@ -222,11 +240,11 @@ func TestTCPFrameThatFailsToEncodeIsDroppedAlone(t *testing.T) {
 				t.Fatalf("b received blob %d, want %d", n, want)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatalf("blob %d never arrived: the frame that failed to encode took it along", want)
+			t.Fatalf("blob %d never arrived: a frame that failed to encode took it along", want)
 		}
 	}
-	if d, cd := st.Dropped.Value(), st.ConnDrops.Value(); d != 1 || cd != 0 {
-		t.Errorf("%d frames dropped and %d connections retired, want the one that failed to encode and none", d, cd)
+	if d, cd := st.Dropped.Value(), st.ConnDrops.Value(); d != 3 || cd != 0 {
+		t.Errorf("%d frames dropped and %d connections retired, want the three that failed to encode and none", d, cd)
 	}
 	settle(t, st) // the spans are recorded once the writes have returned
 	var traces []uint64

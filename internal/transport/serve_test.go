@@ -1,6 +1,9 @@
 package transport
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"net"
 	"os"
@@ -271,6 +274,63 @@ func TestTCPCloseEndsAcceptedConnections(t *testing.T) {
 	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := conn.Read(make([]byte, 1)); errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatal("the connection b accepted is still open 2 s after b.Close")
+	}
+}
+
+// TestTCPTagZeroFrameDropsItsConnection: a frame with tag 0 — a whole
+// message as one gob stream, as builds with a gob fallback sent it — is
+// refused: the handler never sees it, and the reader drops the connection
+// it came on. A well-formed frame on a new connection is still served.
+func TestTCPTagZeroFrameDropsItsConnection(t *testing.T) {
+	rt := vtime.Real()
+	t.Cleanup(rt.Stop)
+	b, err := NewTCP(rt, map[wire.NodeID]string{"b": "127.0.0.1:0"}).Listen("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(b.Close)
+	got := make(chan int, 2)
+	b.Serve(func(m wire.Message) {
+		n := -1
+		if p, ok := m.Payload.(*ping); ok {
+			n = p.N
+		}
+		got <- n
+	})
+
+	gob.Register(ping{})
+	body := bytes.NewBuffer([]byte{0})
+	if err := gob.NewEncoder(body).Encode(&wire.Message{From: "a", To: "b", Payload: ping{N: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(append(binary.AppendUvarint(nil, uint64(body.Len())), body.Bytes()...)); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("the connection that sent tag 0 is still open: %v", err)
+	}
+
+	good, err := net.Dial("tcp", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer good.Close()
+	if err := writeFrame(good, ping{N: 2}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case n := <-got:
+		if n != 2 {
+			t.Fatalf("the handler was handed ping %d, want only the well-formed ping 2", n)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the well-formed frame on a new connection was never served")
 	}
 }
 

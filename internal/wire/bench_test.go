@@ -11,9 +11,7 @@ import (
 // benchCases are the hot payloads of the protocol: every client invocation
 // crosses the wire as a Request inside a Submit, is rebroadcast inside an
 // Ordered (a copy of one already ordered is answered with a Hint), and
-// returns as a Reply; Heartbeats dominate message count at idle. Each is benchmarked
-// through the binary fast path and through the gob fallback so the speedup
-// is measured, not assumed.
+// returns as a Reply; Heartbeats dominate message count at idle.
 func benchCases() []struct {
 	name string
 	msg  wire.Message
@@ -60,17 +58,6 @@ func BenchmarkEncode(b *testing.B) {
 			}
 			b.SetBytes(int64(len(buf)))
 		})
-		b.Run(tc.name+"/gob", func(b *testing.B) {
-			b.ReportAllocs()
-			var buf []byte
-			var err error
-			for i := 0; i < b.N; i++ {
-				if buf, err = wire.AppendMessageGob(buf[:0], &m); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.SetBytes(int64(len(buf)))
-		})
 	}
 }
 
@@ -86,18 +73,14 @@ func (r *replay) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// BenchmarkDecode decodes each hot payload three ways: one-shot from a byte
-// slice (binary), the same through the gob fallback, and through a
-// long-lived stream Decoder (stream) — what a TCP connection runs, with the
-// frame reader reused and identifiers interned.
+// BenchmarkDecode decodes each hot payload two ways: one-shot from a byte
+// slice (binary), and through a long-lived stream Decoder (stream) — what
+// a TCP connection runs, with the frame reader reused and identifiers
+// interned.
 func BenchmarkDecode(b *testing.B) {
 	for _, tc := range benchCases() {
 		m := tc.msg
 		bin, err := wire.AppendMessage(nil, &m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gobbed, err := wire.AppendMessageGob(nil, &m)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -106,15 +89,6 @@ func BenchmarkDecode(b *testing.B) {
 			b.SetBytes(int64(len(bin)))
 			for i := 0; i < b.N; i++ {
 				if _, _, _, err := wire.ConsumeMessage(bin); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(tc.name+"/gob", func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(gobbed)))
-			for i := 0; i < b.N; i++ {
-				if _, _, _, err := wire.ConsumeMessage(gobbed); err != nil {
 					b.Fatal(err)
 				}
 			}

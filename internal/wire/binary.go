@@ -1,18 +1,15 @@
 package wire
 
-// This file implements the self-describing binary fast path of the codec.
+// This file implements the self-describing binary codec, the one format
+// on the wire.
 //
 // Frame layout (see codec.go for the stream framing):
 //
 //	frame := uvarint(len(body)) body
 //	body  := uvarint(tag) rest
 //
-//	tag 0 (gob):  rest = one self-contained gob stream encoding the whole
-//	              Message — the fallback for payload types without a
-//	              registered binary codec. Every payload type of this tree
-//	              has one; the path stays as the reference the differential
-//	              tests and the fuzzer decode every binary frame's twin
-//	              through (and carries a new type until it gets a codec).
+//	tag 0:        reserved, refused like any unknown tag (builds before
+//	              the codec was the only format sent a gob stream here).
 //	tag 1 (nil):  rest = string(From) string(To); the payload is nil.
 //	tag >= 8:     rest = string(From) string(To) payload, where the payload
 //	              encoding is owned by the codec registered for the tag. A
@@ -28,26 +25,24 @@ package wire
 // table — a decode-side choice the bytes on the wire do not show. The
 // decoder rejects non-minimal varints, out-of-range bools and trailing
 // bytes, and payload codecs reject whatever else their encoder never
-// writes, so every decodable binary frame re-encodes to the identical byte
-// string — the property the differential fuzzer pins down.
+// writes, so every decodable frame re-encodes to the identical byte
+// string — the property the fuzzer pins down.
 //
-// Every codec of the tree is installed with Register[T], which also
-// registers the type's gob twin, and decodes through the one frame reader,
-// Reader: the first error sticks, later reads return zero values, and the
-// decoder's result is dropped for that one error. A decoder states its own
-// refusals with Reader.Fail, and reads every slice length with
-// Reader.Count, which refuses a count beyond the bytes left in the frame
-// before anything is sized by it.
+// Every codec of the tree is installed with Register[T] and decodes
+// through the one frame reader, Reader: the first error sticks, later
+// reads return zero values, and the decoder's result is dropped for that
+// one error. A decoder states its own refusals with Reader.Fail, and reads
+// every slice length with Reader.Count, which refuses a count beyond the
+// bytes left in the frame before anything is sized by it.
 //
 // Nested payloads (the Payload any fields of gcs.Submit and gcs.Ordered)
-// recurse with the same tagging through Buffer.Any / Reader.Any; an
-// unregistered nested payload becomes a length-prefixed gob blob without
-// forcing the enclosing message off the fast path.
+// recurse with the same tagging through Buffer.Any / Reader.Any. A payload
+// of a type without a codec, top-level or nested, does not encode.
 //
 // Tag ranges are assigned statically so both ends of a connection agree
 // without negotiation:
 //
-//	 0– 7  reserved (gob fallback, nil payload)
+//	 0– 7  reserved (1: nil payload)
 //	10–19  internal/gcs (10–18: submit, ordered, nack, heartbeat, propose,
 //	       sync request/response, snapshot, hint)
 //	20–29  internal/replica (20 request, 21 reply; 27, the migration chunk
@@ -55,16 +50,13 @@ package wire
 //	30–39  internal/adets (30 timeout, 31 LSA table update)
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"reflect"
 	"sync"
 )
 
 const (
-	tagGob uint64 = 0
 	tagNil uint64 = 1
 	// TagUserMin is the lowest tag value available to payload codecs.
 	TagUserMin uint64 = 8
@@ -99,9 +91,8 @@ func codecFor(tag uint64) *binaryCodec {
 	return nil
 }
 
-// Register installs T's two codecs: the binary one under tag, and the gob
-// twin (RegisterPayload) the differential tests and the fuzzer hold it
-// against. Call it from an init function (registration is not
+// Register installs T's codec under tag: a payload of a type without one
+// does not encode. Call it from an init function (registration is not
 // synchronized); a reserved tag, a tag above 255, or a second codec for a
 // tag or a type, panics. enc receives a value of exactly T; dec must
 // consume exactly the bytes enc produced, reading them through r, and what
@@ -115,12 +106,10 @@ func codecFor(tag uint64) *binaryCodec {
 // into again, and a copy of it (Own) shares its slices. That T encodes
 // like *T is pinned by benchmark/probes.go, which sends T values.
 func Register[T any](tag uint64, enc func(*Buffer, T) error, dec func(r *Reader) T) {
-	var prototype T
-	RegisterPayload(prototype)
 	if tag < TagUserMin || tag > maxTag {
 		panic(fmt.Sprintf("wire: binary payload tag %d is reserved or out of range", tag))
 	}
-	t := reflect.TypeOf(prototype)
+	t := reflect.TypeFor[T]()
 	if codecFor(tag) != nil {
 		panic(fmt.Sprintf("wire: binary payload tag %d registered twice", tag))
 	}
@@ -192,34 +181,6 @@ func Own(payload any) any {
 	return payload
 }
 
-// canonical re-reads v, a value the gob fallback decoded, through its
-// type's binary codec, so that gob yields only what a binary frame can carry
-// and refuses what the binary decoder refuses: a trace context with a span
-// and no trace id, which does not travel, is dropped on both paths alike.
-// top asks for a top-level payload, a new *T; a nested payload is a T. A
-// value of an unregistered type is returned as it is.
-func canonical(v any, top bool) (any, error) {
-	c, ok := binByType[reflect.TypeOf(v)]
-	if !ok {
-		return v, nil
-	}
-	b := getBuffer()
-	defer putBuffer(b)
-	if err := c.enc(b, v); err != nil {
-		return nil, err
-	}
-	r := Reader{b: b.b}
-	if top {
-		v = c.into(&r, nil)
-	} else {
-		v = c.dec(&r)
-	}
-	if r.err == nil && r.Remaining() != 0 {
-		r.err = fmt.Errorf("wire: %d trailing bytes", r.Remaining())
-	}
-	return v, r.err
-}
-
 // uvarintLen returns the number of bytes of the minimal uvarint encoding.
 func uvarintLen(v uint64) int {
 	n := 1
@@ -257,13 +218,6 @@ func putBuffer(b *Buffer) {
 // huge frame does not pin its allocation forever.
 const maxPooledBuf = 1 << 20
 
-// Write implements io.Writer (gob fallback encodes straight into the
-// frame buffer).
-func (b *Buffer) Write(p []byte) (int, error) {
-	b.b = append(b.b, p...)
-	return len(p), nil
-}
-
 // Uvarint appends v as a minimal unsigned varint.
 func (b *Buffer) Uvarint(v uint64) {
 	b.b = binary.AppendUvarint(b.b, v)
@@ -276,7 +230,7 @@ func (b *Buffer) String(s string) {
 }
 
 // Bytes appends a length-prefixed byte slice (nil and empty encode
-// identically, like gob).
+// identically).
 func (b *Buffer) Bytes(p []byte) {
 	b.b = binary.AppendUvarint(b.b, uint64(len(p)))
 	b.b = append(b.b, p...)
@@ -296,27 +250,19 @@ func (b *Buffer) Bool(v bool) {
 	}
 }
 
-// Any appends a nested payload: its tag, then its encoding. Unregistered
-// payloads become a length-prefixed self-contained gob blob.
+// Any appends a nested payload: its tag, then its encoding. A payload of a
+// type without a codec is an error naming the type.
 func (b *Buffer) Any(v any) error {
 	if v == nil {
 		b.Uvarint(tagNil)
 		return nil
 	}
-	if c, ok := binByType[reflect.TypeOf(v)]; ok {
-		b.Uvarint(c.tag)
-		return c.enc(b, v)
+	c, ok := binByType[reflect.TypeOf(v)]
+	if !ok {
+		return fmt.Errorf("wire: no codec registered for nested payload type %T", v)
 	}
-	b.Uvarint(tagGob)
-	// gob takes the value's address; taking v's own would move the
-	// parameter to the heap on every call, fast path included.
-	gv := v
-	var blob bytes.Buffer
-	if err := gob.NewEncoder(&blob).Encode(&gv); err != nil {
-		return fmt.Errorf("wire: gob-encode nested %T: %w", v, err)
-	}
-	b.Bytes(blob.Bytes())
-	return nil
+	b.Uvarint(c.tag)
+	return c.enc(b, v)
 }
 
 // Append appends to dst what fn writes through a Buffer: the entry point for
@@ -338,14 +284,7 @@ func appendBody(b *Buffer, m *Message) error {
 	}
 	c, ok := binByType[reflect.TypeOf(m.Payload)]
 	if !ok {
-		b.Uvarint(tagGob)
-		// gob gets a copy: handing it m would make every caller's message
-		// escape, whichever branch runs.
-		gm := *m
-		if err := gob.NewEncoder(b).Encode(&gm); err != nil {
-			return fmt.Errorf("wire: gob-encode message with %T payload: %w", m.Payload, err)
-		}
-		return nil
+		return fmt.Errorf("wire: no codec registered for payload type %T", m.Payload)
 	}
 	b.Uvarint(c.tag)
 	b.String(string(m.From))
@@ -371,23 +310,6 @@ func AppendMessage(dst []byte, m *Message) ([]byte, error) {
 	return append(dst, body.b...), nil
 }
 
-// AppendMessageGob is AppendMessage with the binary fast path disabled:
-// the frame always takes the gob fallback. It exists for the codec
-// benchmarks and the differential fuzzer, which compare the two paths.
-func AppendMessageGob(dst []byte, m *Message) ([]byte, error) {
-	body := getBuffer()
-	defer putBuffer(body)
-	body.Uvarint(tagGob)
-	if err := gob.NewEncoder(body).Encode(m); err != nil {
-		return dst, fmt.Errorf("wire: gob-encode message: %w", err)
-	}
-	if len(body.b) > maxFrame {
-		return dst, fmt.Errorf("wire: frame of %d bytes exceeds limit", len(body.b))
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(body.b)))
-	return append(dst, body.b...), nil
-}
-
 // --- decode side ---
 
 // Reader is the one frame reader of the tree: every payload codec decodes
@@ -396,10 +318,9 @@ func AppendMessageGob(dst []byte, m *Message) ([]byte, error) {
 // reads straight through without a branch per field, and the frame is
 // refused with that one error.
 type Reader struct {
-	b      []byte
-	off    int
-	err    error
-	sawGob bool // a gob fallback was taken somewhere in this frame
+	b   []byte
+	off int
+	err error
 	// idents is the intern table of the stream this frame came from; nil
 	// when the frame is decoded on its own (ConsumeMessage).
 	idents map[string]string
@@ -555,21 +476,8 @@ func (r *Reader) Bool() bool {
 // Any reads a nested payload written by Buffer.Any.
 func (r *Reader) Any() any {
 	tag := r.Uvarint()
-	switch {
-	case r.err != nil || tag == tagNil:
+	if r.err != nil || tag == tagNil {
 		return nil
-	case tag == tagGob:
-		r.sawGob = true
-		blob := r.Bytes()
-		var v any
-		if r.err == nil {
-			if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&v); err != nil {
-				r.Fail(fmt.Errorf("wire: gob-decode nested payload: %w", err))
-			} else if v, err = canonical(v, false); err != nil {
-				r.Fail(err)
-			}
-		}
-		return v
 	}
 	c := codecFor(tag)
 	if c == nil {
@@ -594,33 +502,19 @@ func Decode(data []byte, fn func(*Reader)) error {
 // parseBody decodes the frame body r holds into m. A payload of a
 // registered type is decoded into the *T cells holds for its tag, made on
 // first use, and lent is its codec; with cells nil (ConsumeMessage) into a
-// new *T, which the caller owns, as a gob frame's payload always is. It
-// reports (via binaryClean) whether the whole frame took the binary fast
-// path — no gob fallback at any nesting level — which is when
-// byte-identical re-encoding is guaranteed.
-func parseBody(r *Reader, m *Message, cells []any) (lent *binaryCodec, binaryClean bool, err error) {
+// new *T, which the caller owns. An unknown tag is refused before anything
+// after it is read.
+func parseBody(r *Reader, m *Message, cells []any) (lent *binaryCodec, err error) {
 	tag := r.Uvarint()
-	if r.err == nil && tag == tagGob {
-		// gob decodes into a local: handing it m would make every caller's
-		// message escape, whichever branch runs.
-		var gm Message
-		if err := gob.NewDecoder(bytes.NewReader(r.b[r.off:])).Decode(&gm); err != nil {
-			return nil, false, fmt.Errorf("wire: decode message: %w", err)
+	var c *binaryCodec
+	if r.err == nil && tag != tagNil {
+		if c = codecFor(tag); c == nil {
+			return nil, fmt.Errorf("wire: unknown payload tag %d", tag)
 		}
-		// gob decodes a registered T as a value; the message holds a *T.
-		if gm.Payload, err = canonical(gm.Payload, true); err != nil {
-			return nil, false, fmt.Errorf("wire: decode message: %w", err)
-		}
-		*m = gm
-		return nil, false, nil
 	}
 	from, to := r.Ident(), r.Ident()
 	var payload any
-	if r.err == nil && tag != tagNil {
-		c := codecFor(tag)
-		if c == nil {
-			return nil, false, fmt.Errorf("wire: unknown payload tag %d", tag)
-		}
+	if r.err == nil && c != nil {
 		if tag < uint64(len(cells)) {
 			payload, lent = c.into(r, cells[tag]), c
 			cells[tag] = payload
@@ -629,23 +523,22 @@ func parseBody(r *Reader, m *Message, cells []any) (lent *binaryCodec, binaryCle
 		}
 	}
 	if r.err != nil {
-		return nil, false, r.err
+		return nil, r.err
 	}
 	if r.Remaining() != 0 {
-		return nil, false, fmt.Errorf("wire: %d trailing bytes after payload", r.Remaining())
+		return nil, fmt.Errorf("wire: %d trailing bytes after payload", r.Remaining())
 	}
 	m.From = NodeID(from)
 	m.To = NodeID(to)
 	m.Payload = payload
-	return lent, !r.sawGob, nil
+	return lent, nil
 }
 
 // ConsumeMessage decodes the first frame of data, returning the decoded
-// message, the number of bytes the frame occupied, and whether the frame
-// decoded entirely through the binary fast path (in which case re-encoding
-// the message reproduces data[:n] bit for bit). A payload of a registered
-// type is a *T the caller owns. Pinned by benchmark/probes.go, with its
-// four results.
+// message and the number of bytes the frame occupied. A payload of a
+// registered type is a *T the caller owns. binaryClean is true whenever err
+// is nil, since every frame that decodes re-encodes to data[:n] bit for
+// bit; it stays because benchmark/probes.go pins the four results.
 func ConsumeMessage(data []byte) (m Message, n int, binaryClean bool, err error) {
 	size, hn := binary.Uvarint(data)
 	if hn <= 0 {
@@ -660,9 +553,8 @@ func ConsumeMessage(data []byte) (m Message, n int, binaryClean bool, err error)
 	if size > uint64(len(data)-hn) {
 		return m, 0, false, fmt.Errorf("wire: frame body of %d bytes exceeds remaining %d", size, len(data)-hn)
 	}
-	_, clean, err := parseBody(&Reader{b: data[hn : hn+int(size)]}, &m, nil)
-	if err != nil {
+	if _, err := parseBody(&Reader{b: data[hn : hn+int(size)]}, &m, nil); err != nil {
 		return m, 0, false, err
 	}
-	return m, hn + int(size), clean, nil
+	return m, hn + int(size), true, nil
 }

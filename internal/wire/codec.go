@@ -71,8 +71,8 @@ func (d *Decoder) Decode(m *Message) error {
 	if _, err := io.ReadFull(d.r, buf); err != nil {
 		return fmt.Errorf("wire: read frame body: %w", err)
 	}
-	d.rd.b, d.rd.off, d.rd.err, d.rd.sawGob = buf, 0, nil, false
-	d.lent, _, err = parseBody(&d.rd, m, d.cells)
+	d.rd.b, d.rd.off, d.rd.err = buf, 0, nil
+	d.lent, err = parseBody(&d.rd, m, d.cells)
 	d.rd.b = nil // the frame buffer goes back to the pool
 	return err
 }

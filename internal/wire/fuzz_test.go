@@ -168,55 +168,10 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 	}
 }
 
-// TestDifferentialBinaryVsGob cross-checks the two codec paths on every
-// exemplar: the hand-marshalled binary frame and its gob twin must decode
-// to deeply equal messages, and the binary frame must survive a
-// decode→re-encode cycle bit for bit (the canonical-encoding guarantee).
-func TestDifferentialBinaryVsGob(t *testing.T) {
-	for _, in := range exemplarMessages() {
-		bin, err := wire.AppendMessage(nil, &in)
-		if err != nil {
-			t.Fatalf("%T: binary encode: %v", in.Payload, err)
-		}
-		gobbed, err := wire.AppendMessageGob(nil, &in)
-		if err != nil {
-			t.Fatalf("%T: gob encode: %v", in.Payload, err)
-		}
-		fromBin, n, clean, err := wire.ConsumeMessage(bin)
-		if err != nil {
-			t.Fatalf("%T: binary decode: %v", in.Payload, err)
-		}
-		if n != len(bin) {
-			t.Errorf("%T: binary frame consumed %d of %d bytes", in.Payload, n, len(bin))
-		}
-		fromGob, _, _, err := wire.ConsumeMessage(gobbed)
-		if err != nil {
-			t.Fatalf("%T: gob decode: %v", in.Payload, err)
-		}
-		if !reflect.DeepEqual(value(fromBin), value(fromGob)) {
-			t.Errorf("%T: codec paths disagree:\n binary: %+v\n gob:    %+v",
-				in.Payload, value(fromBin), value(fromGob))
-		}
-		if !reflect.DeepEqual(value(fromBin), in) {
-			t.Errorf("%T: binary round trip mismatch:\n in:  %+v\n out: %+v",
-				in.Payload, in, value(fromBin))
-		}
-		if clean {
-			re, err := wire.AppendMessage(nil, &fromBin)
-			if err != nil {
-				t.Fatalf("%T: re-encode: %v", in.Payload, err)
-			}
-			if !bytes.Equal(re, bin) {
-				t.Errorf("%T: binary-clean frame is not byte-stable:\n first:  %x\n second: %x",
-					in.Payload, bin, re)
-			}
-		}
-	}
-}
-
-// retiredFrames returns the want frames of testdata/name: exemplars of
-// what an earlier build sent and this one refuses, each message as its
-// binary frame followed by its gob twin.
+// readFrames returns the want frames written back to back in
+// testdata/name:
+//   - exemplars.frames: the golden frame of each exemplarMessages() entry,
+//     in order (TestGenerateFuzzCorpus writes it).
 //   - retired-migrate-chunks.frames: four messages that carried a migration
 //     chunk (tag 27) when live resharding still existed.
 //   - retired-request-copies.frames: a client's Submit and the sequencer's
@@ -226,7 +181,11 @@ func TestDifferentialBinaryVsGob(t *testing.T) {
 //     logical thread id as text, "<client>#<call>" — requests, replies,
 //     the Submits and Ordereds around them, a timeout and an LSA table
 //     update — before an id named its thread by (client, call).
-func retiredFrames(tb testing.TB, name string, want int) [][]byte {
+//
+// The retired-*.frames files hold what an earlier build sent and this one
+// refuses, each message as its binary frame followed by its gob twin (tag
+// 0, the second format the codec had then, refused now too).
+func readFrames(tb testing.TB, name string, want int) [][]byte {
 	data, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		tb.Fatal(err)
@@ -247,10 +206,11 @@ func retiredFrames(tb testing.TB, name string, want int) [][]byte {
 }
 
 // TestRetiredMigrationFramesRefused: a frame carrying a migration chunk, a
-// payload this build no longer registers, is an error on both codec paths
-// and on the stream decoder, never a panic or a misread payload.
+// payload this build no longer registers, and its gob twin are errors on
+// the one-shot parser and on the stream decoder, never a panic or a
+// misread payload.
 func TestRetiredMigrationFramesRefused(t *testing.T) {
-	for i, frame := range retiredFrames(t, "retired-migrate-chunks.frames", 8) {
+	for i, frame := range readFrames(t, "retired-migrate-chunks.frames", 8) {
 		if m, _, _, err := wire.ConsumeMessage(frame); err == nil {
 			t.Errorf("frame %d: ConsumeMessage accepted a retired payload: %+v", i, m)
 		}
@@ -263,18 +223,49 @@ func TestRetiredMigrationFramesRefused(t *testing.T) {
 
 // TestRetiredTextIDFramesRefused: a frame whose ids name their logical
 // thread by text, as builds before the (client, call) form sent them, is
-// refused by both decoders, never misread as an id of the new form. (Its
-// gob twin may decode: gob is self-describing, and a thread named by its
-// text alone is still a legal id.)
+// refused by both decoders, never misread as an id of the new form, and so
+// is its gob twin.
 func TestRetiredTextIDFramesRefused(t *testing.T) {
-	frames := retiredFrames(t, "retired-text-ids.frames", 40)
-	for i := 0; i < len(frames); i += 2 {
-		if m, _, _, err := wire.ConsumeMessage(frames[i]); err == nil {
+	for i, frame := range readFrames(t, "retired-text-ids.frames", 40) {
+		if m, _, _, err := wire.ConsumeMessage(frame); err == nil {
 			t.Errorf("frame %d: ConsumeMessage accepted an id in text form: %+v", i, value(m))
 		}
 		var m wire.Message
-		if err := wire.NewDecoder(bytes.NewReader(frames[i])).Decode(&m); err == nil || err == io.EOF {
+		if err := wire.NewDecoder(bytes.NewReader(frame)).Decode(&m); err == nil || err == io.EOF {
 			t.Errorf("frame %d: Decode of an id in text form: %v, want a refusal", i, err)
+		}
+	}
+}
+
+// TestExemplarFramesAreGolden: every exemplar encodes byte for byte to its
+// frame in testdata/exemplars.frames, and the frame decodes to the
+// exemplar, on its own and as part of one stream. The round-trip tests
+// encode and decode with the same build, so a format change made to both
+// sides at once passes them; this one fails it.
+func TestExemplarFramesAreGolden(t *testing.T) {
+	exemplars := exemplarMessages()
+	golden := readFrames(t, "exemplars.frames", len(exemplars))
+	var stream []byte
+	for i, in := range exemplars {
+		frame, err := wire.AppendMessage(nil, &in)
+		if err != nil {
+			t.Fatalf("exemplar %d (%T): %v", i, in.Payload, err)
+		}
+		if !bytes.Equal(frame, golden[i]) {
+			t.Errorf("exemplar %d (%T) encodes to\n %x\nwant the golden\n %x", i, in.Payload, frame, golden[i])
+		}
+		m, n, clean, err := wire.ConsumeMessage(golden[i])
+		if err != nil || n != len(golden[i]) || !clean || !reflect.DeepEqual(value(m), in) {
+			t.Errorf("golden frame %d decodes to %+v (%d of %d bytes, clean %v, %v), want %+v",
+				i, value(m), n, len(golden[i]), clean, err, in)
+		}
+		stream = append(stream, golden[i]...)
+	}
+	dec := wire.NewDecoder(bytes.NewReader(stream))
+	for i, in := range exemplars {
+		var m wire.Message
+		if err := dec.Decode(&m); err != nil || !reflect.DeepEqual(value(m), in) {
+			t.Errorf("golden frame %d streams to %+v (%v), want %+v", i, value(m), err, in)
 		}
 	}
 }
@@ -314,26 +305,27 @@ func TestStreamDecoderRejectsNonMinimalHeader(t *testing.T) {
 }
 
 // FuzzDecode is a differential fuzzer over the frame decoder. Arbitrary
-// bytes must never panic; any frame that does decode must (a) re-encode
-// and decode to the same envelope, (b) if it decoded entirely through the
-// binary fast path, re-encode to the identical bytes (canonical encoding),
-// and (c) decode to the same message through the gob fallback twin.
+// bytes must never panic, and the stream decoder must agree with the
+// one-shot parser; any frame that does decode must (a) re-encode and
+// decode to the same envelope, and (b) re-encode to the identical bytes
+// (canonical encoding).
 func FuzzDecode(f *testing.F) {
-	for _, m := range exemplarMessages() {
-		bin, err := wire.AppendMessage(nil, &m)
-		if err != nil {
+	exemplars := exemplarMessages()
+	frames := make([][]byte, len(exemplars))
+	for i := range exemplars {
+		var err error
+		if frames[i], err = wire.AppendMessage(nil, &exemplars[i]); err != nil {
 			f.Fatalf("seed encode: %v", err)
 		}
-		f.Add(bin)
-		gobbed, err := wire.AppendMessageGob(nil, &m)
-		if err != nil {
-			f.Fatalf("seed gob encode: %v", err)
-		}
-		f.Add(gobbed)
-		f.Add(append(append([]byte(nil), bin...), gobbed...)) // two frames back to back
 	}
-	retired := append(retiredFrames(f, "retired-migrate-chunks.frames", 8), retiredFrames(f, "retired-request-copies.frames", 4)...)
-	retired = append(retired, retiredFrames(f, "retired-text-ids.frames", 40)...)
+	for i, bin := range frames {
+		f.Add(bin)
+		f.Add(bin[:len(bin)-1])                                       // cut short
+		f.Add(append(bytes.Clone(bin), frames[(i+1)%len(frames)]...)) // two frames back to back
+	}
+	// The retired frames and their gob twins are refusal inputs.
+	retired := append(readFrames(f, "retired-migrate-chunks.frames", 8), readFrames(f, "retired-request-copies.frames", 4)...)
+	retired = append(retired, readFrames(f, "retired-text-ids.frames", 40)...)
 	for i := 0; i < len(retired); i += 2 {
 		bin, gobbed := retired[i], retired[i+1]
 		f.Add(bin)
@@ -387,26 +379,11 @@ func FuzzDecode(f *testing.F) {
 			if !reflect.DeepEqual(value(m), value(again)) {
 				t.Fatalf("re-encode round trip mismatch:\n got:  %+v\n want: %+v", value(again), value(m))
 			}
-			// (b) Binary-clean frames re-encode bit for bit: the canonical
-			// rules (minimal varints, 0/1 bools, no trailing bytes) leave
-			// exactly one encoding per message.
-			if clean && !bytes.Equal(re, frame) {
-				t.Fatalf("binary-clean frame is not byte-stable:\n in:  %x\n out: %x", frame, re)
-			}
-			// (c) The gob twin must decode to the same message. Nil payloads
-			// are skipped: gob cannot encode a nil interface.
-			if m.Payload != nil {
-				gb, err := wire.AppendMessageGob(nil, &m)
-				if err != nil {
-					t.Fatalf("gob twin encode failed: %v (%+v)", err, m)
-				}
-				fromGob, _, _, err := wire.ConsumeMessage(gb)
-				if err != nil {
-					t.Fatalf("gob twin decode failed: %v (%+v)", err, m)
-				}
-				if !reflect.DeepEqual(value(m), value(fromGob)) {
-					t.Fatalf("codec paths disagree:\n binary: %+v\n gob:    %+v", value(m), value(fromGob))
-				}
+			// (b) Every frame that decodes re-encodes bit for bit: the
+			// canonical rules (minimal varints, 0/1 bools, no trailing
+			// bytes) leave exactly one encoding per message.
+			if !clean || !bytes.Equal(re, frame) {
+				t.Fatalf("decoded frame (clean %v) is not byte-stable:\n in:  %x\n out: %x", clean, frame, re)
 			}
 			if len(rest) == 0 {
 				return

@@ -11,8 +11,10 @@ import (
 )
 
 // TestGenerateFuzzCorpus refreshes the checked-in FuzzDecode corpus with
-// frames in the current binary format. Run with REPLOBJ_GEN_CORPUS=1; it is
-// a no-op otherwise.
+// frames in the current binary format, and writes the same frames back to
+// back as testdata/exemplars.frames, the golden frames
+// TestExemplarFramesAreGolden holds the codec to. Run with
+// REPLOBJ_GEN_CORPUS=1; it is a no-op otherwise.
 func TestGenerateFuzzCorpus(t *testing.T) {
 	if os.Getenv("REPLOBJ_GEN_CORPUS") == "" {
 		t.Skip("corpus generator; set REPLOBJ_GEN_CORPUS=1 to run")
@@ -35,12 +37,10 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 		}
 		write(fmt.Sprintf("seed-bin-%02d", i), bin)
 		all = append(all, bin...)
-		gobbed, err := wire.AppendMessageGob(nil, &m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		write(fmt.Sprintf("seed-gob-%02d", i), gobbed)
 	}
 	write("seed-stream", all)
 	write("seed-non-minimal-header", nonMinimalHeaderFrame)
+	if err := os.WriteFile(filepath.Join("testdata", "exemplars.frames"), all, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }

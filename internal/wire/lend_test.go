@@ -12,8 +12,7 @@ import (
 )
 
 // TestValueAndPointerEncodeAlike: a payload sent as a T and as a *T is the
-// same frame, and a binary one (a registered tag, not the gob fallback's
-// tag 0), for every registered type. Senders pass a *T; benchmark/probes.go
+// same frame, under its codec's tag, for every registered type. Senders pass a *T; benchmark/probes.go
 // encodes T values.
 func TestValueAndPointerEncodeAlike(t *testing.T) {
 	seen := make(map[reflect.Type]bool)

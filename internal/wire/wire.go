@@ -1,17 +1,13 @@
 // Package wire defines the shared vocabulary of the middleware: node,
 // group and invocation identifiers, the transport message envelope, and the
-// framed codec used by the TCP transport — a hand-rolled binary fast path
-// for the hot protocol payloads (see binary.go) with a gob fallback for
-// everything else.
+// framed codec used by the TCP transport — one hand-rolled binary format,
+// with a codec registered for every payload type (see binary.go).
 //
 // It corresponds to the IIOP/GIOP layer of the paper's CORBA-based FTflex
 // infrastructure: a small, stable set of types every other layer speaks.
 package wire
 
-import (
-	"encoding/gob"
-	"strconv"
-)
+import "strconv"
 
 // NodeID identifies a process endpoint: a replica ("groupA/0") or a client
 // ("client/c1").
@@ -96,8 +92,8 @@ func (id InvocationID) String() string {
 
 // Message is the transport envelope. Payload is one of the protocol structs
 // registered with the codec: over TCP it travels in the binary encoding
-// registered for its type (Register), or as gob where there is none; the
-// in-process transport passes it through untouched.
+// registered for its type (Register), and a payload of a type without one
+// does not encode; the in-process transport passes it through untouched.
 //
 // A top-level payload is a pointer, *T, lent at both ends. A sender lends
 // it to Send until Send returns — the TCP transport encodes the frame there,
@@ -114,12 +110,4 @@ type Message struct {
 	From    NodeID
 	To      NodeID
 	Payload any
-}
-
-// RegisterPayload registers a payload type with the codec's gob fallback
-// only. Every protocol message of this tree is registered with Register,
-// which installs its binary encoding and calls this for the gob twin the
-// codec tests compare that encoding against.
-func RegisterPayload(v any) {
-	gob.Register(v)
 }

@@ -17,9 +17,21 @@ type otherPayload struct {
 	Flag bool
 }
 
+// The payloads of this package's tests take tags from 100 up, above every
+// tag the product registers.
 func init() {
-	RegisterPayload(testPayload{})
-	RegisterPayload(otherPayload{})
+	Register(100, func(b *Buffer, p testPayload) error {
+		b.Uvarint(uint64(int64(p.N)))
+		b.String(p.Text)
+		b.Bytes(p.Data)
+		return nil
+	}, func(r *Reader) testPayload {
+		return testPayload{N: int(int64(r.Uvarint())), Text: r.String(), Data: r.Bytes()}
+	})
+	Register(101, func(b *Buffer, p otherPayload) error {
+		b.Bool(p.Flag)
+		return nil
+	}, func(r *Reader) otherPayload { return otherPayload{Flag: r.Bool()} })
 }
 
 func TestIDHelpers(t *testing.T) {
@@ -115,9 +127,9 @@ func TestCodecRoundTrip(t *testing.T) {
 	if err := dec.Decode(&out); err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	p, ok := out.Payload.(testPayload)
+	p, ok := out.Payload.(*testPayload)
 	if !ok {
-		t.Fatalf("payload type = %T, want testPayload", out.Payload)
+		t.Fatalf("payload type = %T, want *testPayload", out.Payload)
 	}
 	if out.From != "a" || out.To != "b" || p.N != 42 || p.Text != "hello" || !bytes.Equal(p.Data, []byte{1, 2, 3}) {
 		t.Errorf("round trip mismatch: %+v", out)

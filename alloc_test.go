@@ -29,9 +29,13 @@ import (
 // *T costs what boxing the T did, and nothing in process is decoded into a
 // lent cell. Since Send borrows its payload it reads 47: the senders' cells
 // are reused, but the in-process network keeps a copy of every payload it
-// delivers — the sequencer's Ordered once per follower. Much of what is
-// left is that network's timer per message, which TCP deployments do not
-// pay. The race detector allocates on its own, hence the build tag.
+// delivers — the sequencer's Ordered once per follower. It read 46 until
+// the client began to hand the caller a copy of the result it returns
+// (47): the in-process network's copy of the Submit now boxes the nested
+// Request the client no longer boxes, and a reply's result is copied into
+// a slot buffer the client reuses. Much of what is left is that network's
+// timer per message, which TCP deployments do not pay. The race detector
+// allocates on its own, hence the build tag.
 func TestInvokeAllocationBudget(t *testing.T) {
 	const budget = 50
 	rt := vtime.Real()
@@ -145,7 +149,9 @@ func TestInvokeMessageBudget(t *testing.T) {
 // record and the record's bound Exec func on each replica, 55 while each
 // thread had a goroutine and a closure of its own, and 118 when every
 // grant and unlock built its stream's name and a thread was six objects.
-// Since Send borrows its payload it reads 47 (see TestInvokeAllocationBudget).
+// It read 47 when Send began to borrow its payload, and 46 both before and
+// after the client began to copy the result it returns: this handler
+// returns none (see TestInvokeAllocationBudget).
 func TestLockedInvokeAllocationBudget(t *testing.T) {
 	const budget = 50
 	rt := vtime.Real()
@@ -197,17 +203,20 @@ func TestLockedInvokeAllocationBudget(t *testing.T) {
 // TestInvokeTCPAllocationBudget pins what one invocation allocates over
 // loopback TCP, BenchmarkInvokeTCP's shape: one client, three SEQ
 // replicas, the real clock, a 1-byte add, every codec and socket on the
-// path. The bound is the figure measured once a logical thread was named by
-// (client, call), so that no id text is built or decoded per request (13),
-// plus 3. It was 23 when Send borrowed its payload and the client's Submit,
-// the sequencer's Ordered and each replica's Reply were sent from reused
-// cells (20 measured, six ids decoded as strings), 28 when each TCP reader
-// began to decode into payload cells it lends (25 measured, every sent
-// payload still a new one), 34 when each replica began to reuse its
+// path. It reads 10 since a TCP reader lends a Reply's result from its
+// frame, the client copies only the result it returns, and the client's
+// Request lives in its call; the bound, 13, is what it read before (three
+// results copied, the Request boxed). It was 16 once a logical thread was
+// named by (client, call), so that no id text is built or decoded per
+// request (13 measured), 23 when Send borrowed its payload and the client's
+// Submit, the sequencer's Ordered and each replica's Reply were sent from
+// reused cells (20 measured, six ids decoded as strings), 28 when each TCP
+// reader began to decode into payload cells it lends (25 measured, every
+// sent payload still a new one), 34 when each replica began to reuse its
 // dispatch records (31 measured, the six top-level payloads still boxed on
 // receipt); the benchmark read 37 before that.
 func TestInvokeTCPAllocationBudget(t *testing.T) {
-	const budget = 16
+	const budget = 13
 	cl := tcpCounterCluster(t)("c0") // connections dialed
 	args := []byte{1}
 	var err error

@@ -8,6 +8,8 @@ package replobj_test
 // evaluation section; cmd/replbench prints the full tables.
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"strconv"
@@ -69,21 +71,119 @@ func BenchmarkExperiments(b *testing.B) {
 //	go test -run xxx -bench 'InvokeTCP$' -benchmem -memprofile mem.out -memprofilerate 1 .
 //
 // attributes the end-to-end allocs_per_op figure to source lines.
-func BenchmarkInvokeTCP(b *testing.B) { benchInvokeTCP(b, 1, 3) }
+func BenchmarkInvokeTCP(b *testing.B) { benchInvokeTCP(b, 1, 3, counterCell) }
 
 // BenchmarkInvokeTCPSingle is BenchmarkInvokeTCP on a one-replica group:
 // one Submit and one reply, no Ordered and no follower. Beside
 // BenchmarkTCPLoopbackRoundTrip (internal/transport) it splits the fixed
 // per-request cost into the transport floor, what one replica adds, and
 // what replication adds on top.
-func BenchmarkInvokeTCPSingle(b *testing.B) { benchInvokeTCP(b, 1, 1) }
+func BenchmarkInvokeTCPSingle(b *testing.B) { benchInvokeTCP(b, 1, 1, counterCell) }
 
 // BenchmarkInvokeTCPClients is the same cluster under load: 32 closed-loop
 // clients keep the sequencer's queue full, which is where per-round costs
 // (and anything that claims to amortise them) show on the ops/s axis.
-func BenchmarkInvokeTCPClients(b *testing.B) { benchInvokeTCP(b, 32, 3) }
+func BenchmarkInvokeTCPClients(b *testing.B) { benchInvokeTCP(b, 32, 3, counterCell) }
 
-func benchInvokeTCP(b *testing.B, clients, replicas int) {
+// BenchmarkInvokeTCPKV is BenchmarkInvokeTCP on a key/value object, the
+// benchmark's kv cells in small: three ADETS-CC replicas, a 2-byte get that
+// locks its key's class and returns a stored 256-byte value. Every reply
+// carries one, so B/op shows what the path pays per result byte.
+func BenchmarkInvokeTCPKV(b *testing.B) { benchInvokeTCP(b, 1, 3, kvCell) }
+
+// tcpCell is the object a TCP microbench invokes: the group it builds and
+// the call each client makes, args[j % len(args)] on its j-th.
+type tcpCell struct {
+	group  func(b *testing.B, c *replobj.Cluster, name string, replicas int)
+	method string
+	args   [][]byte
+}
+
+// counterCell adds 1 to a counter on SEQ replicas.
+var counterCell = tcpCell{
+	group: func(b *testing.B, c *replobj.Cluster, name string, replicas int) {
+		counterGroup(b, c, name, replicas, replobj.WithScheduler(replobj.SEQ))
+	},
+	method: "add",
+	args:   [][]byte{{1}},
+}
+
+// Shape of kvCell's object: benchKVKeys keys of benchKVValSize bytes; key
+// k is in conflict class k % 8, under that class's mutex.
+const (
+	benchKVKeys    = 64
+	benchKVValSize = 256
+)
+
+var (
+	benchKVClasses [8][]string
+	benchKVMutexes [8]replobj.MutexID
+)
+
+func init() {
+	for i := range benchKVClasses {
+		benchKVClasses[i] = []string{fmt.Sprintf("b%d", i)}
+		benchKVMutexes[i] = replobj.MutexID(benchKVClasses[i][0])
+	}
+}
+
+// kvCell gets the keys in turn from a benchKV on ADETS-CC replicas.
+var kvCell = tcpCell{
+	group: func(b *testing.B, c *replobj.Cluster, name string, replicas int) {
+		g, err := c.NewGroup(name, replicas, replobj.WithScheduler(replobj.CC),
+			replobj.WithState(func() any { return newBenchKV() }))
+		if err != nil {
+			b.Fatal(err)
+		}
+		g.Register("get", func(inv *replobj.Invocation) ([]byte, error) {
+			args := inv.Args()
+			if len(args) != 2 {
+				return nil, errors.New("get: bad args")
+			}
+			k := int(args[1]) % benchKVKeys
+			m := benchKVMutexes[k%len(benchKVMutexes)]
+			if err := inv.Lock(m); err != nil {
+				return nil, err
+			}
+			v := inv.State().(*benchKV).vals[k]
+			if err := inv.Unlock(m); err != nil {
+				return nil, err
+			}
+			return v, nil
+		})
+		g.Start()
+	},
+	method: "get",
+	args: func() [][]byte {
+		keys := make([][]byte, benchKVKeys)
+		for k := range keys {
+			keys[k] = []byte{0, byte(k)}
+		}
+		return keys
+	}(),
+}
+
+// benchKV is kvCell's state. Values are stored once and never written, so
+// get returns the stored slice.
+type benchKV struct{ vals [benchKVKeys][]byte }
+
+func newBenchKV() *benchKV {
+	s := &benchKV{}
+	for k := range s.vals {
+		s.vals[k] = bytes.Repeat([]byte{byte(k)}, benchKVValSize)
+	}
+	return s
+}
+
+// ConflictClasses puts a get in its key's class.
+func (s *benchKV) ConflictClasses(method string, args []byte) []string {
+	if method == "get" && len(args) == 2 {
+		return benchKVClasses[int(args[1])%benchKVKeys%len(benchKVClasses)]
+	}
+	return nil
+}
+
+func benchInvokeTCP(b *testing.B, clients, replicas int, cell tcpCell) {
 	rt := vtime.Real()
 	defer rt.Stop()
 	addrs := map[wire.NodeID]string{}
@@ -95,12 +195,11 @@ func benchInvokeTCP(b *testing.B, clients, replicas int) {
 	}
 	c := replobj.NewCluster(rt, replobj.WithNetwork(transport.NewTCP(rt, addrs)))
 	defer c.Close()
-	counterGroup(b, c, "cnt", replicas, replobj.WithScheduler(replobj.SEQ))
+	cell.group(b, c, "cnt", replicas)
 	cls := make([]*replobj.Client, clients)
 	for i := range cls {
 		cls[i] = c.NewClient(fmt.Sprintf("c%d", i), replobj.WithInvocationTimeout(10*time.Second))
 	}
-	args := []byte{1}
 	// Invoke parks on the runtime, so the clients run on its goroutines.
 	// drive splits n invocations over them and returns the first error.
 	errs := vtime.NewMailbox[error](rt, "bench-clients")
@@ -113,7 +212,7 @@ func benchInvokeTCP(b *testing.B, clients, replicas int) {
 			rt.Go("bench-client", func() {
 				var err error
 				for j := 0; j < share && err == nil; j++ {
-					_, err = cl.Invoke("cnt", "add", args)
+					_, err = cl.Invoke("cnt", cell.method, cell.args[j%len(cell.args)])
 				}
 				errs.Put(err)
 			})

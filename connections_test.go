@@ -133,3 +133,50 @@ func TestPoolWorkersEndWithTheCluster(t *testing.T) {
 		t.Errorf("%d goroutines after Close, %d before: want at most %d more", after, before, slack)
 	}
 }
+
+// TestTCPResultsOwnedByTheCaller: a TCP reader lends a reply's result from
+// the frame it read, and the client copies it into a slot buffer it reuses
+// call after call, so what Invoke and InvokeAll return must be copies of
+// their own. One client keeps every result and every map over 60 calls;
+// each still reads what its call returned once all later replies arrived —
+// over the same connections, into the same frames and slots.
+func TestTCPResultsOwnedByTheCaller(t *testing.T) {
+	cl := tcpCounterCluster(t)("c0") // the counter reads 1
+	const calls = 60
+	results := make([][]byte, 0, calls)
+	all := make([]map[wire.NodeID][]byte, 0, calls)
+	for i := range calls {
+		if i%2 == 0 {
+			out, err := cl.Invoke("cnt", "add", []byte{1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			results = append(results, out)
+			continue
+		}
+		replies, err := cl.InvokeAll("cnt", "get", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := make(map[wire.NodeID][]byte, len(replies))
+		for node, rep := range replies {
+			m[node] = rep.Result
+		}
+		all = append(all, m)
+	}
+	for i, out := range results {
+		if want := uint64(i + 2); fromU64(out) != want {
+			t.Errorf("add %d: the kept result reads %d (%x), want %d", i, fromU64(out), out, want)
+		}
+	}
+	for i, m := range all {
+		if len(m) != 3 {
+			t.Errorf("InvokeAll %d: %d replies, want 3", i, len(m))
+		}
+		for node, out := range m {
+			if want := uint64(i + 2); fromU64(out) != want {
+				t.Errorf("InvokeAll %d: %s's kept result reads %d (%x), want %d", i, node, fromU64(out), out, want)
+			}
+		}
+	}
+}

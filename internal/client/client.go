@@ -13,8 +13,10 @@
 package client
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/replobj/replobj/internal/gcs"
@@ -147,14 +149,23 @@ type call struct {
 	ctx     tracing.Context // zero when tracing is off
 	t0      time.Duration   // submit time (tracing only)
 	// sub is the request's one Submit cell, sent to the contact and again
-	// on every retransmission: Send borrows it, and only invoke writes it.
+	// on every retransmission, and req the Request it nests (as &req): Send
+	// borrows both, and only invoke writes them.
 	sub gcs.Submit
+	req replica.Request
 }
 
+// replySlot holds one replica's answer to the call. Its Result is a copy in
+// buf, the slot's own buffer, reused from call to call: the reply was lent.
 type replySlot struct {
 	reply replica.Reply
 	ok    bool
+	buf   []byte
 }
+
+// maxSlotBuf bounds the result buffer a slot keeps for the next call, so
+// one large result is not pinned by an idle client for good.
+const maxSlotBuf = 64 << 10
 
 // New builds a client stub.
 func New(cfg Config) *Client {
@@ -201,13 +212,14 @@ func (c *Client) Close() {
 // receive files a replica's reply and wakes the caller once the policy is
 // met. On TCP it runs on the reader that decoded the frame and must not
 // block: it fills a slot and unparks the caller, under the runtime lock.
-// The reply is lent until receive returns; the slot keeps a copy.
+// The reply is lent until receive returns, its Result a window into the
+// frame: a slot it fills keeps a copy in the slot's buffer, and a reply it
+// drops costs no copy.
 func (c *Client) receive(msg wire.Message) {
-	p, ok := msg.Payload.(*replica.Reply)
+	reply, ok := msg.Payload.(*replica.Reply)
 	if !ok {
 		return
 	}
-	reply := *p
 	now := c.rt.Now() // before taking the lock: Now() locks internally
 	c.rt.Lock()
 	defer c.rt.Unlock()
@@ -234,7 +246,11 @@ func (c *Client) receive(msg wire.Message) {
 			Dur:    now - cl.t0,
 		})
 	}
-	slot.reply, slot.ok = reply, true
+	slot.reply, slot.ok = *reply, true
+	if reply.Result != nil {
+		slot.buf = append(slot.buf[:0], reply.Result...)
+		slot.reply.Result = slot.buf
+	}
 	cl.got++
 	if cl.got >= cl.need {
 		cl.done = true
@@ -246,7 +262,7 @@ func (c *Client) receive(msg wire.Message) {
 // not (or no longer) wanted: an answer to an earlier call, one that arrives
 // after the policy was met, one from a node outside the invoked group, or a
 // second one from the same replica.
-func (c *Client) slotLocked(reply replica.Reply) *replySlot {
+func (c *Client) slotLocked(reply *replica.Reply) *replySlot {
 	cl := &c.cur
 	if !cl.active || cl.done || cl.id != reply.ID {
 		return nil
@@ -272,9 +288,10 @@ func (c *Client) Invoke(group wire.GroupID, method string, args []byte) ([]byte,
 
 // invokeReply runs an invocation and returns the deterministically chosen
 // reply — the lowest-ranked responder; all correct replicas answer
-// identically. Unlike Invoke it surfaces the whole Reply, which the shard
-// Router needs: a wrong-shard redirect is a reply Code. shardKey, when
-// non-empty, is the key the Router routed the request by.
+// identically — with a Result of its own (see owned). Unlike Invoke it
+// surfaces the whole Reply, which the shard Router needs: a wrong-shard
+// redirect is a reply Code. shardKey, when non-empty, is the key the Router
+// routed the request by.
 func (c *Client) invokeReply(group wire.GroupID, method string, args []byte, shardKey string) (replica.Reply, error) {
 	cl, err := c.invoke(group, method, args, c.policy, shardKey)
 	if err != nil {
@@ -284,7 +301,7 @@ func (c *Client) invokeReply(group wire.GroupID, method string, args []byte, sha
 	defer c.rt.Unlock()
 	for i := range cl.slots {
 		if cl.slots[i].ok {
-			return cl.slots[i].reply, nil
+			return cl.slots[i].owned(), nil
 		}
 	}
 	return replica.Reply{}, errors.New("client: no reply recorded")
@@ -301,11 +318,19 @@ func (c *Client) InvokeAll(group wire.GroupID, method string, args []byte) (map[
 	out := make(map[wire.NodeID]replica.Reply, cl.got)
 	for i, slot := range cl.slots {
 		if slot.ok {
-			out[cl.members[i]] = slot.reply
+			out[cl.members[i]] = slot.owned()
 		}
 	}
 	c.rt.Unlock()
 	return out, nil
+}
+
+// owned returns the slot's reply with a Result the caller owns: the slot's
+// buffer is written again by the next call.
+func (s *replySlot) owned() replica.Reply {
+	r := s.reply
+	r.Result = bytes.Clone(r.Result)
+	return r
 }
 
 // invoke runs the request/retransmit/collect loop until policy is
@@ -353,9 +378,13 @@ func (c *Client) invoke(group wire.GroupID, method string, args []byte, policy R
 	// The group layer and the replicas alike name the call, and the logical
 	// thread it starts, by (self, call number): no text is built for it.
 	id := wire.InvocationID{Logical: wire.LogicalID(c.self), Call: c.reqSeq}
-	slots := cl.slots[:0]
-	for range members {
-		slots = append(slots, replySlot{})
+	slots := slices.Grow(cl.slots[:0], len(members))[:len(members)]
+	for i := range slots {
+		buf := slots[i].buf
+		if cap(buf) > maxSlotBuf {
+			buf = nil
+		}
+		slots[i] = replySlot{buf: buf[:0]}
 	}
 	*cl = call{active: true, id: id, members: members, slots: slots, need: need}
 	if c.spans != nil {
@@ -367,7 +396,7 @@ func (c *Client) invoke(group wire.GroupID, method string, args []byte, policy R
 		cl.t0 = c.rt.NowLocked()
 	}
 	ctx, t0 := cl.ctx, cl.t0
-	cl.sub = gcs.Submit{Group: group, Origin: c.self, Call: id.Call, Payload: replica.Request{
+	cl.req = replica.Request{
 		ID:       id,
 		Group:    group,
 		Method:   method,
@@ -376,7 +405,10 @@ func (c *Client) invoke(group wire.GroupID, method string, args []byte, policy R
 		ReplyTo:  c.self,
 		Trace:    ctx,
 		ShardKey: shardKey,
-	}}
+	}
+	// A pointer to the call's own Request crosses the interface without
+	// boxing it; Own makes receivers that keep a copy hold a value.
+	cl.sub = gcs.Submit{Group: group, Origin: c.self, Call: id.Call, Payload: &cl.req}
 	sub := &cl.sub
 	c.rt.Unlock()
 
@@ -391,7 +423,7 @@ func (c *Client) invoke(group wire.GroupID, method string, args []byte, policy R
 	deadline := c.rt.Now() + c.timeout
 	defer func() {
 		c.rt.Lock()
-		cl.active, cl.sub = false, gcs.Submit{} // an idle client pins no arguments
+		cl.active, cl.sub, cl.req = false, gcs.Submit{}, replica.Request{} // an idle client pins no arguments
 		c.rt.Unlock()
 	}()
 	retransmitted := false

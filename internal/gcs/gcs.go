@@ -100,7 +100,9 @@ type Delivery struct {
 
 // --- protocol payloads ---
 
-// Submit asks the sequencer to order a payload.
+// Submit asks the sequencer to order a payload. A sender may nest a *T of
+// its own (the client nests its call's Request); a receiver holds a T
+// value, which TCP decodes and wire.Own makes of a nested *T, and keeps it.
 type Submit struct {
 	Group   wire.GroupID
 	ID      string

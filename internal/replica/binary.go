@@ -138,7 +138,9 @@ func decReply(r *wire.Reader) Reply {
 	if presence&^repPresenceMask != 0 {
 		r.Fail(errPresenceBits)
 	}
-	p := Reply{ID: decInvocationID(r), From: wire.NodeID(r.Ident()), Result: r.Bytes()}
+	// Result is lent from the frame of a top-level Reply: the client, its one
+	// receiver, copies it only into a reply it keeps (see Client.receive).
+	p := Reply{ID: decInvocationID(r), From: wire.NodeID(r.Ident()), Result: r.Lend()}
 	if presence&repHasOutcome != 0 {
 		if p.Code = Code(r.Byte()); p.Code > CodeExpiredDuplicate {
 			r.Fail(errors.New("replica: unknown reply code"))

@@ -1,6 +1,7 @@
 package transport_test
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"sync"
@@ -78,6 +79,17 @@ func borrowCells() []borrowCell {
 	}
 }
 
+// keepLent copies a payload a Serve handler was lent so that it outlives
+// the loan: an Own copy, and over TCP a Reply's Result, which the reader
+// lends from the frame, copied too.
+func keepLent(p any) any {
+	p = wire.Own(p)
+	if r, ok := p.(*replica.Reply); ok {
+		r.Result = bytes.Clone(r.Result)
+	}
+	return p
+}
+
 // TestSendBorrowsPayload pins the send contract every reused cell relies
 // on: Send borrows its payload only until it returns. The sender fills one
 // cell, sends it to two receivers, and overwrites it at once, round after
@@ -98,7 +110,7 @@ func TestSendBorrowsPayload(t *testing.T) {
 					defer ep.Close()
 					ep.Serve(func(m wire.Message) {
 						mu.Lock()
-						got[m.To] = append(got[m.To], wire.Own(m.Payload))
+						got[m.To] = append(got[m.To], keepLent(m.Payload))
 						mu.Unlock()
 					})
 				}

@@ -1,6 +1,7 @@
 package transport_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -33,10 +34,12 @@ func tcpPair(t *testing.T, rt vtime.Runtime) (a, b *transport.TCPEndpoint, st *t
 }
 
 // TestTCPRecvBeforeServeOwnsPayloads: the reader decodes every Reply of a
-// connection into the one payload it lends, so what waits in the inbox for
-// Recv (or for Serve to hand over first) must be a copy. Two different
-// replies that have both arrived before anyone serves the endpoint read
-// back intact.
+// connection into the one payload it lends, its Result a window into the
+// frame, so what waits in the inbox for Recv (or for Serve to hand over
+// first) must be a copy that shares neither. Replies that have all arrived
+// before anyone serves the endpoint read back intact, results and all —
+// each sent once the one before it was read, so its frame lands where the
+// last one lay in the reader's buffer.
 func TestTCPRecvBeforeServeOwnsPayloads(t *testing.T) {
 	rt := vtime.Real()
 	defer rt.Stop()
@@ -45,14 +48,18 @@ func TestTCPRecvBeforeServeOwnsPayloads(t *testing.T) {
 		{ID: wire.InvocationID{Logical: "client/b#1", Seq: 1}, From: "a", Result: []byte("first")},
 		{ID: wire.InvocationID{Logical: "client/b#2", Seq: 2}, From: "a", Err: "second", Code: replica.CodeRedirect},
 	}
-	for _, rep := range want {
-		a.Send("b", &rep)
+	for i := 3; i <= 8; i++ {
+		want = append(want, replica.Reply{ID: wire.InvocationID{Logical: "client/b", Call: uint64(i), Seq: 1}, From: "a",
+			Result: []byte(fmt.Sprintf("result of call %d", i))})
 	}
-	for deadline := time.Now().Add(5 * time.Second); st.MsgsRecv.Value() < uint64(len(want)); {
-		if time.Now().After(deadline) {
-			t.Fatalf("b received %d of %d frames", st.MsgsRecv.Value(), len(want))
+	for i, rep := range want {
+		a.Send("b", &rep)
+		for deadline := time.Now().Add(5 * time.Second); st.MsgsRecv.Value() < uint64(i+1); {
+			if time.Now().After(deadline) {
+				t.Fatalf("b received %d of %d frames", st.MsgsRecv.Value(), i+1)
+			}
+			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(time.Millisecond)
 	}
 	for i := range want {
 		m, ok := b.Recv()

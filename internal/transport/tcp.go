@@ -158,7 +158,6 @@ func (n *TCPNetwork) Listen(id wire.NodeID) (*TCPEndpoint, error) {
 		reading: make(map[net.Conn]struct{}),
 		pending: make(map[wire.NodeID][]queuedMsg),
 	}
-	ep.handler = ep.keep
 	// If the registry used port 0, record the actual bound address so peers
 	// in the same process can reach this node.
 	n.mu.Lock()
@@ -176,7 +175,7 @@ type TCPEndpoint struct {
 	inbox *vtime.Mailbox[wire.Message] // while nobody serves the endpoint
 
 	serveMu sync.Mutex         // held by a reader to deliver; taken before mu and the runtime lock
-	handler func(wire.Message) // keep until Serve, a no-op after Close
+	handler func(wire.Message) // nil until Serve (the reader queues a copy), a no-op after Close
 
 	mu    sync.Mutex
 	conns map[wire.NodeID]*tcpConn
@@ -417,13 +416,6 @@ func (e *TCPEndpoint) Send(to wire.NodeID, payload any) {
 	}
 }
 
-// keep queues m for Recv, or for Serve to hand over first, with a copy of
-// its payload: the reader lends the payload only until the handler returns.
-func (e *TCPEndpoint) keep(m wire.Message) {
-	m.Payload = wire.Own(m.Payload)
-	e.inbox.Put(m)
-}
-
 // Recv implements Endpoint.
 func (e *TCPEndpoint) Recv() (wire.Message, bool) {
 	return e.inbox.Get()
@@ -556,7 +548,8 @@ func (e *TCPEndpoint) acceptLoop() {
 // readLoop decodes conn's frames and hands them to the handler, lending it
 // the payload: once the handler returns, the decoder's cell is cleared (a
 // handler that kept the pointer reads zeros, and an idle connection pins no
-// payload) and the next frame is decoded into it. own is the connection
+// payload), the frame the payload may lend bytes from is let go, and the
+// next frame is decoded into the cell. own is the connection
 // that writes on the same socket, to node to — the one this endpoint
 // dialed, or the one it learns from the first frame — and is retired when
 // the socket ends, so a departed peer leaves no writer behind.
@@ -611,7 +604,14 @@ func (e *TCPEndpoint) readLoop(conn net.Conn, to wire.NodeID, own *tcpConn) {
 			}
 		}
 		e.serveMu.Lock()
-		e.handler(m)
+		if e.handler != nil {
+			e.handler(m)
+		} else {
+			// Nobody serves the endpoint yet: queue the message for Recv, or
+			// for Serve to hand over first, decoded again into a payload
+			// that survives the loan, lent bytes and all.
+			e.inbox.Put(dec.Keep())
+		}
 		e.serveMu.Unlock()
 		dec.Release()
 	}

@@ -15,9 +15,10 @@
 // A payload is a pointer to one of the protocol structs (wire.Message), lent
 // on both sides. Send borrows the sender's until it returns: TCP encodes it
 // there, and Inproc and WrappedNetwork, which deliver or forward later, keep
-// a wire.Own copy. A TCP reader decodes into a payload it owns and lends it
-// to the handler, which borrows it until it returns and copies out what it
-// keeps.
+// a wire.Own copy, whose nested payloads are values. A TCP reader decodes
+// into a payload it owns and lends it to the handler, which borrows it
+// until it returns and copies out what it keeps: a Reply's Result is a
+// window into the frame the reader read (see wire.Decoder.Decode).
 package transport
 
 import (
@@ -42,9 +43,10 @@ type Endpoint interface {
 	// ones already queued for Recv first, one at a time, in arrival order
 	// per sender. h runs on a goroutine of the transport and must not block
 	// (it may Send). It borrows the payload until it returns: it never
-	// writes through it, and copies out (by dereferencing it) whatever it
-	// keeps — over TCP the reader zeroes the payload and decodes the next
-	// frame into it. Serve is called at most once, without the runtime
+	// writes through it, and copies out (by dereferencing it, and copying
+	// a Reply's Result, which TCP lends from the frame) whatever it keeps —
+	// over TCP the reader zeroes the payload, lets the frame go and decodes
+	// the next one into it. Serve is called at most once, without the runtime
 	// lock; nothing reaches h after Close, which h must not call.
 	Serve(h func(wire.Message))
 

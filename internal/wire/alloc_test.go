@@ -3,9 +3,14 @@
 package wire_test
 
 import (
+	"bytes"
 	"io"
+	"reflect"
+	"runtime"
 	"testing"
 
+	"github.com/replobj/replobj/internal/gcs"
+	"github.com/replobj/replobj/internal/replica"
 	"github.com/replobj/replobj/internal/wire"
 )
 
@@ -54,9 +59,10 @@ func TestDecodeAllocationBudget(t *testing.T) {
 		// Nothing: the Hint is decoded into its cell (1 while boxed, 2
 		// before).
 		{"Hint", hint, 0},
-		// The result; the Reply in its cell, its id interned (2 with the
-		// thread's text, budget 4 while it was boxed, reading 3).
-		{"Reply", reply, 1},
+		// Nothing: the Reply in its cell, its id interned, its result lent
+		// from the frame (1 while the result was copied, 2 with the thread's
+		// text, budget 4 while it was boxed, reading 3).
+		{"Reply", reply, 0},
 	} {
 		frame, err := wire.AppendMessage(nil, &tc.msg)
 		if err != nil {
@@ -69,7 +75,7 @@ func TestDecodeAllocationBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		decode() // warm: identifiers interned, frame buffer pooled
+		decode() // warm: identifiers interned, payload cell made
 		n := testing.AllocsPerRun(1000, decode)
 		t.Logf("Decode %s: %v allocs (budget %v)", tc.name, n, tc.budget)
 		if n > tc.budget {
@@ -101,5 +107,81 @@ func TestAppendMessageDoesNotAllocate(t *testing.T) {
 		if n := testing.AllocsPerRun(1000, encode); n != 0 {
 			t.Errorf("AppendMessage %T: %v allocs, want 0", m.Payload, n)
 		}
+	}
+}
+
+// TestTagZeroRefusalsAllocateInProportion: refusing a tag-0 frame (see
+// TestTagZeroFramesRefused) allocates at most four times the frame, in
+// ConsumeMessage and in one Decode on a warm Decoder. One refusal is
+// measured: the least of ten was taken while the Decoder's frame buffer
+// came from a pool that could miss.
+func TestTagZeroRefusalsAllocateInProportion(t *testing.T) {
+	for name, frame := range tagZeroFrames(t) {
+		bound := 4 * uint64(len(frame))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, _, err := wire.ConsumeMessage(frame)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: ConsumeMessage accepted tag 0", name)
+		}
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > bound {
+			t.Errorf("%s: ConsumeMessage of a %d-byte frame allocated %d bytes (bound %d)", name, len(frame), grown, bound)
+		}
+		dec := afterGoodFrame(t, frame)
+		var m wire.Message
+		runtime.ReadMemStats(&before)
+		err = dec.Decode(&m)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: Decode accepted tag 0", name)
+		}
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > bound {
+			t.Errorf("%s: Decode of a %d-byte frame allocated %d bytes (bound %d)", name, len(frame), grown, bound)
+		}
+	}
+}
+
+// TestDecodeAfterALargerFrameAllocatesNothing: a Decoder decodes a frame
+// where its buffered reader holds it, so a small frame read right after a
+// larger one costs no frame buffer. Until the Decoder did so it took one
+// from a process-wide pool for every frame, and a miss cost 4 KiB.
+func TestDecodeAfterALargerFrameAllocatesNothing(t *testing.T) {
+	small := wire.Message{From: "accounts/0", To: "accounts/1", Payload: &gcs.Hint{Group: "accounts", Origin: "client/clerk-7", Call: 7, Seq: 41}}
+	large := wire.Message{From: "g/0", To: "client/c1", Payload: &replica.Reply{
+		ID: wire.InvocationID{Logical: "client/c1", Call: 7}, From: "g/0", Result: bytes.Repeat([]byte{7}, 504)}}
+	smallFrame, err := wire.AppendMessage(nil, &small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	largeFrame, err := wire.AppendMessage(nil, &large)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("a %d-byte frame after a %d-byte one", len(smallFrame), len(largeFrame))
+	var stream []byte
+	for range 2 { // the first pass makes the cells and interns the names
+		stream = append(append(stream, smallFrame...), largeFrame...)
+	}
+	stream = append(stream, smallFrame...)
+	dec := wire.NewDecoder(bytes.NewReader(stream))
+	var m wire.Message
+	for range 4 {
+		if err := dec.Decode(&m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = dec.Decode(&m)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown != 0 {
+		t.Errorf("Decode of a %d-byte frame after a %d-byte one allocated %d bytes, want 0", len(smallFrame), len(largeFrame), grown)
+	}
+	if !reflect.DeepEqual(value(m), value(small)) {
+		t.Errorf("decoded %+v, want %+v", value(m), value(small))
 	}
 }

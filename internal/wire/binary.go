@@ -70,7 +70,7 @@ type binaryCodec struct {
 	// into decodes a top-level payload into cell, a *T (nil: a new one),
 	// and returns the *T; nil once the Reader has failed.
 	into  func(r *Reader, cell any) any
-	own   func(any) any  // a new *T holding what the T or *T argument holds
+	own   func(any) any  // a new *T holding what the T or *T argument holds, its nested payloads values
 	clear func(cell any) // zeroes the *T
 }
 
@@ -99,12 +99,16 @@ func codecFor(tag uint64) *binaryCodec {
 // it returns is dropped, for r's error, once a read has failed.
 //
 // A payload of T is sent as a *T or a T: both encode through enc, to the
-// same bytes. A top-level payload decodes as a *T — on a stream Decoder one
-// that is lent (see Decoder.Decode), from ConsumeMessage an owned one — and
-// a nested payload (Buffer.Any / Reader.Any) as an owned T. dec must
-// return fresh storage for every slice it decodes: a lent *T is decoded
-// into again, and a copy of it (Own) shares its slices. That T encodes
-// like *T is pinned by benchmark/probes.go, which sends T values.
+// same bytes, and so does a nested one (an exported field of T of type
+// any, written with Buffer.Any). A top-level payload decodes as a *T — on
+// a stream Decoder one that is lent (see Decoder.Decode), from
+// ConsumeMessage an owned one — and a nested payload (Buffer.Any /
+// Reader.Any) as an owned T. dec must return fresh storage for every slice
+// it decodes, but for one read with Reader.Lend: a lent *T is decoded into
+// again, and a copy of it (Own) shares its slices. Lend is for a byte field
+// every receiver of a top-level T copies or drops before the loan ends;
+// the receiver that keeps it says so where it copies. That T encodes like
+// *T is pinned by benchmark/probes.go, which sends T values.
 func Register[T any](tag uint64, enc func(*Buffer, T) error, dec func(r *Reader) T) {
 	if tag < TagUserMin || tag > maxTag {
 		panic(fmt.Sprintf("wire: binary payload tag %d is reserved or out of range", tag))
@@ -116,6 +120,7 @@ func Register[T any](tag uint64, enc func(*Buffer, T) error, dec func(r *Reader)
 	if _, dup := binByType[t]; dup {
 		panic(fmt.Sprintf("wire: binary payload type %v registered twice", t))
 	}
+	nested := nestedFields(t)
 	c := &binaryCodec{tag: tag, typ: t,
 		enc: func(b *Buffer, v any) error {
 			if p, ok := v.(*T); ok {
@@ -151,6 +156,10 @@ func Register[T any](tag uint64, enc func(*Buffer, T) error, dec func(r *Reader)
 			} else {
 				*p = v.(T)
 			}
+			for _, i := range nested {
+				f := reflect.ValueOf(p).Elem().Field(i).Addr().Interface().(*any)
+				*f = nestedValue(*f)
+			}
 			return p
 		},
 		clear: func(cell any) {
@@ -167,10 +176,16 @@ func Register[T any](tag uint64, enc func(*Buffer, T) error, dec func(r *Reader)
 
 // Own returns a copy of a top-level payload for the caller to keep: a new
 // *T holding what payload, a *T or a T of a registered T, holds. A payload
-// of any other type is returned as it is. The copy is shallow, and that is
-// enough: a payload is never written through once it has been sent or
-// decoded, and decoding into a lent cell replaces its slices rather than
-// writing into them.
+// of any other type is returned as it is. A nested payload the copy holds
+// as a *U — a sender may nest a cell of its own, as the client nests its
+// call's Request — becomes a U holding what it holds, so no receiver of
+// the copy shares the sender's cell. Otherwise the copy is shallow, and
+// that is enough for a payload a sender lends to Send: it is never written
+// through once it has been sent or decoded, and decoding into a lent cell
+// replaces its slices rather than writing into them. It is not enough for
+// a payload a stream Decoder lent: a byte field its codec read with
+// Reader.Lend still shares the frame, so the one holder that keeps such a
+// payload whole, the TCP inbox, takes Decoder.Keep instead.
 func Own(payload any) any {
 	if payload == nil {
 		return nil
@@ -179,6 +194,32 @@ func Own(payload any) any {
 		return c.own(payload)
 	}
 	return payload
+}
+
+// nestedValue returns a nested payload as a value: a U holding what a *U
+// of a registered U points at, and anything else as it is.
+func nestedValue(v any) any {
+	if p := reflect.ValueOf(v); p.Kind() == reflect.Pointer && !p.IsNil() {
+		if _, ok := binByType[p.Type()]; ok {
+			return p.Elem().Interface()
+		}
+	}
+	return v
+}
+
+// nestedFields returns the indexes of t's exported fields of type any: the
+// nested payloads Own makes values of.
+func nestedFields(t reflect.Type) []int {
+	if t.Kind() != reflect.Struct {
+		return nil
+	}
+	var idx []int
+	for i := range t.NumField() {
+		if f := t.Field(i); f.IsExported() && f.Type == reflect.TypeFor[any]() {
+			idx = append(idx, i)
+		}
+	}
+	return idx
 }
 
 // uvarintLen returns the number of bytes of the minimal uvarint encoding.
@@ -324,6 +365,9 @@ type Reader struct {
 	// idents is the intern table of the stream this frame came from; nil
 	// when the frame is decoded on its own (ConsumeMessage).
 	idents map[string]string
+	// lend is set while a stream Decoder decodes a top-level payload into
+	// the cell it lends: Lend returns windows into the frame then.
+	lend bool
 }
 
 // Caps of a stream's intern table. Node, group and method names are a few
@@ -401,7 +445,7 @@ func Elems[T any](r *Reader, what string, least int, dec func(*Reader) T) []T {
 }
 
 // span reads a length prefix and returns the bytes it covers — a window
-// into the frame buffer, for the caller to copy.
+// into the frame, for the caller to copy or lend.
 func (r *Reader) span(what string) []byte {
 	n := r.Uvarint()
 	if r.err == nil && n > uint64(r.Remaining()) {
@@ -425,7 +469,7 @@ func (r *Reader) String() string { return string(r.span("string")) }
 // occurrence after the first is the same string, found without allocating.
 // Fields that differ per request (message names, shard keys, error texts)
 // belong to String; routed through here they would only churn the table.
-// Like String, the result never aliases the frame buffer.
+// Like String, the result never aliases the frame.
 func (r *Reader) Ident() string {
 	raw := r.span("string")
 	if r.err != nil || r.idents == nil || len(raw) > maxIdentLen {
@@ -443,13 +487,30 @@ func (r *Reader) Ident() string {
 }
 
 // Bytes reads a length-prefixed byte slice. The result is a copy, never an
-// alias of the (pooled) frame buffer; zero length decodes as nil.
+// alias of the frame; zero length decodes as nil.
 func (r *Reader) Bytes() []byte {
 	raw := r.span("byte slice")
 	if len(raw) == 0 {
 		return nil
 	}
 	return append([]byte(nil), raw...)
+}
+
+// Lend reads a length-prefixed byte slice like Bytes, without copying it
+// where it can: in a top-level payload a stream Decoder lends, the result
+// is a window into the frame, valid until the Decoder's Release (its
+// capacity ends with it, so an append copies). In a nested payload, and in
+// a frame decoded on its own (ConsumeMessage, Decode), it is a copy. See
+// Register for the fields that may use it.
+func (r *Reader) Lend() []byte {
+	if !r.lend {
+		return r.Bytes()
+	}
+	raw := r.span("byte slice")
+	if len(raw) == 0 {
+		return nil
+	}
+	return raw[:len(raw):len(raw)]
 }
 
 // Byte reads one raw byte.
@@ -484,7 +545,11 @@ func (r *Reader) Any() any {
 		r.Fail(fmt.Errorf("wire: unknown nested payload tag %d", tag))
 		return nil
 	}
-	return c.dec(r)
+	lend := r.lend // a nested payload is owned: it lends nothing
+	r.lend = false
+	v := c.dec(r)
+	r.lend = lend
+	return v
 }
 
 // Decode reads a blob written by Append through fn: the first error a read
@@ -501,7 +566,8 @@ func Decode(data []byte, fn func(*Reader)) error {
 
 // parseBody decodes the frame body r holds into m. A payload of a
 // registered type is decoded into the *T cells holds for its tag, made on
-// first use, and lent is its codec; with cells nil (ConsumeMessage) into a
+// first use, and lent is its codec: its Lend fields are windows into r's
+// bytes. With cells nil (ConsumeMessage, Decoder.Keep) it is decoded into a
 // new *T, which the caller owns. An unknown tag is refused before anything
 // after it is read.
 func parseBody(r *Reader, m *Message, cells []any) (lent *binaryCodec, err error) {
@@ -516,7 +582,9 @@ func parseBody(r *Reader, m *Message, cells []any) (lent *binaryCodec, err error
 	var payload any
 	if r.err == nil && c != nil {
 		if tag < uint64(len(cells)) {
+			r.lend = true
 			payload, lent = c.into(r, cells[tag]), c
+			r.lend = false
 			cells[tag] = payload
 		} else {
 			payload = c.into(r, nil)

@@ -5,18 +5,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sync"
 )
 
 // maxFrame bounds a single encoded message; anything larger is treated as a
 // protocol error rather than an allocation request.
 const maxFrame = 16 << 20 // 16 MiB
-
-// framePool holds frame-sized scratch slices for the decoder.
-var framePool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 4096)
-	return &b
-}}
 
 // Decoder reads length-prefixed frames.
 type Decoder struct {
@@ -32,60 +25,83 @@ type Decoder struct {
 	// lent is the codec of the one the last Decode lent, until Release.
 	cells []any
 	lent  *binaryCodec
+	// frame is the body the last Decode read, until Release: held bytes
+	// peeked in r's buffer, or a buffer of its own when it is larger.
+	frame []byte
+	held  int
 }
 
 // NewDecoder returns a Decoder reading from r through an 8 KiB buffer: it
-// holds a burst of small frames, and a frame bigger than it is read
-// straight into the pooled frame buffer.
+// holds a burst of small frames, and a frame that fits is decoded where it
+// lies. A larger frame is read into a buffer of its own, dropped when its
+// loan ends.
 func NewDecoder(r io.Reader) *Decoder {
 	br := bufio.NewReaderSize(r, 8<<10)
 	return &Decoder{r: br, hdr: headerReader{r: br}, rd: Reader{idents: make(map[string]string)},
 		cells: make([]any, len(binByTag))}
 }
 
-// Decode reads the next message frame into m. A payload of a registered
-// type T is a *T that d lends: d owns it and decodes the next payload of
-// that type into it, so it is valid until Release or the next Decode, it
-// is never written through, and whatever must outlive the loan is copied
-// out of it (dereference it, or Own it). Its nested payloads are owned
-// values and may be kept. The frame buffer is pooled; decoded messages
-// never alias it (all strings and byte slices are copies). Identifier
-// strings may be shared with earlier messages of the same stream (see
-// Reader.Ident).
+// Decode reads the next message frame into m, ending the loan of the last
+// one (see Release). A payload of a registered type T is a *T that d
+// lends: d owns it and decodes the next payload of that type into it, so
+// it is valid until Release or the next Decode, it is never written
+// through, and whatever must outlive the loan is copied out of it. Its
+// strings are copies, and identifier strings may be shared with earlier
+// messages of the same stream (see Reader.Ident). A byte field its codec
+// reads with Reader.Lend — a Reply's Result — is a window into the frame,
+// valid only as long as the loan: a holder that keeps it copies it
+// (Client.receive into its slot), and a holder that keeps the whole
+// message takes Keep instead of an Own copy. Every other byte field, and
+// every nested payload, is an owned copy.
 func (d *Decoder) Decode(m *Message) error {
-	d.lent = nil
+	d.Release()
 	n, err := d.readHeader()
 	if err != nil {
 		return err
 	}
-	bufp := framePool.Get().(*[]byte)
-	defer func() {
-		if cap(*bufp) <= maxPooledBuf {
-			framePool.Put(bufp)
-		}
-	}()
-	if cap(*bufp) < int(n) {
-		*bufp = make([]byte, n)
+	if n <= uint64(d.r.Size()) {
+		d.frame, err = d.r.Peek(int(n))
+		d.held = len(d.frame)
+	} else {
+		d.frame = make([]byte, n)
+		_, err = io.ReadFull(d.r, d.frame)
 	}
-	buf := (*bufp)[:n]
-	if _, err := io.ReadFull(d.r, buf); err != nil {
+	if err != nil {
 		return fmt.Errorf("wire: read frame body: %w", err)
 	}
-	d.rd.b, d.rd.off, d.rd.err = buf, 0, nil
+	d.rd.b, d.rd.off, d.rd.err = d.frame, 0, nil
 	d.lent, err = parseBody(&d.rd, m, d.cells)
-	d.rd.b = nil // the frame buffer goes back to the pool
+	d.rd.b = nil
 	return err
+}
+
+// Keep returns the message the last Decode read, decoded again from its
+// frame into storage the caller owns: a new *T whose byte fields are all
+// copies, where an Own copy of the lent payload would still share the
+// frame. Call it after a Decode that succeeded, before Release.
+func (d *Decoder) Keep() Message {
+	var m Message
+	d.rd.b, d.rd.off, d.rd.err = d.frame, 0, nil
+	_, _ = parseBody(&d.rd, &m, nil) // it cannot fail: the frame decoded once already
+	d.rd.b = nil
+	return m
 }
 
 // Release ends the loan of the payload the last Decode lent: its cell is
 // zeroed, so a holder that kept the pointer reads zeros at once rather than
 // a later frame's payload, and an idle stream pins nothing the payload
-// referenced (a snapshot image, say).
+// referenced (a snapshot image, say); and the frame is let go, so the
+// bytes it lent may be overwritten by the next read.
 func (d *Decoder) Release() {
 	if c := d.lent; c != nil {
 		c.clear(d.cells[c.tag])
 		d.lent = nil
 	}
+	if d.held > 0 {
+		_, _ = d.r.Discard(d.held) // peeked, so buffered: it cannot fail
+		d.held = 0
+	}
+	d.frame = nil
 }
 
 // readHeader reads and validates the uvarint frame-length header, minimal

@@ -143,6 +143,18 @@ func value(m wire.Message) wire.Message {
 	return m
 }
 
+// kept is value(m) for a message a stream Decoder lent, made to outlive
+// the loan: a Reply's Result, which the decoder lends from the frame, is
+// copied, as a receiver that keeps it must.
+func kept(m wire.Message) wire.Message {
+	m = value(m)
+	if r, ok := m.Payload.(replica.Reply); ok {
+		r.Result = bytes.Clone(r.Result)
+		m.Payload = r
+	}
+	return m
+}
+
 // TestRoundTripAllMessageTypes: encode→decode preserves every registered
 // protocol message bit for bit. The payload comes back as a *T, and the
 // *T re-encodes to the frame it came from.
@@ -305,8 +317,9 @@ func TestStreamDecoderRejectsNonMinimalHeader(t *testing.T) {
 }
 
 // FuzzDecode is a differential fuzzer over the frame decoder. Arbitrary
-// bytes must never panic, and the stream decoder must agree with the
-// one-shot parser; any frame that does decode must (a) re-encode and
+// bytes must never panic, and the stream decoder — the message it lends
+// and the one Keep decodes again — must agree with the one-shot parser;
+// any frame that does decode must (a) re-encode and
 // decode to the same envelope, and (b) re-encode to the identical bytes
 // (canonical encoding).
 func FuzzDecode(f *testing.F) {
@@ -363,6 +376,9 @@ func FuzzDecode(f *testing.F) {
 			}
 			if !reflect.DeepEqual(value(m), value(streamed)) {
 				t.Fatalf("stream and one-shot decoders disagree:\n stream:   %+v\n one-shot: %+v", value(streamed), value(m))
+			}
+			if kept := dec.Keep(); !reflect.DeepEqual(value(m), value(kept)) {
+				t.Fatalf("Keep and the one-shot parser disagree:\n Keep:     %+v\n one-shot: %+v", value(kept), value(m))
 			}
 			frame := rest[:n]
 			rest = rest[n:]

@@ -51,9 +51,10 @@ func corpusFrames(t *testing.T) [][]byte {
 // TestInternedStreamMatchesOneShot: one long-lived Decoder — its intern
 // table filling up and then hitting — must decode the fuzz corpus to exactly
 // what the table-less one-shot parser yields. A copy of every message (its
-// lent payload dereferenced) is held until the whole stream is read, so a
-// decoded string or slice that aliased the pooled frame buffer, or an
-// interned one that was later overwritten, would show.
+// lent payload dereferenced, and the bytes it lends from the frame copied)
+// is held until the whole stream is read, so a decoded string or slice that
+// aliased the frame where it should not, or an interned one that was later
+// overwritten, would show.
 func TestInternedStreamMatchesOneShot(t *testing.T) {
 	frames := corpusFrames(t)
 	const passes = 3 // the second and third see a warm table
@@ -70,7 +71,7 @@ func TestInternedStreamMatchesOneShot(t *testing.T) {
 		if err := dec.Decode(&m); err != nil {
 			t.Fatalf("frame %d: Decode: %v", i, err)
 		}
-		streamed[i] = value(m)
+		streamed[i] = kept(m)
 	}
 	if dec.InternedIdents() == 0 {
 		t.Error("the corpus interned nothing: the test exercises no table hit")

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"reflect"
 	"testing"
+	"testing/iotest"
 
 	"github.com/replobj/replobj/internal/gcs"
 	"github.com/replobj/replobj/internal/replica"
@@ -46,8 +47,11 @@ func TestValueAndPointerEncodeAlike(t *testing.T) {
 }
 
 // TestDecoderLendsOneCellPerTag: a stream Decoder decodes every payload of
-// a type into the one *T it lends; Release zeroes it, and Own makes a copy
-// that neither touches.
+// a type into the one *T it lends; Release zeroes it. A Reply's Result is a
+// window into the frame: an Own copy of the Reply shares it, so a holder
+// that keeps the Result copies it, and Keep decodes the frame again into a
+// message that shares nothing. Neither copy is touched by later frames,
+// read one byte at a time so that each lands where the last one lay.
 func TestDecoderLendsOneCellPerTag(t *testing.T) {
 	first := wire.Message{From: "g/0", To: "client/c1", Payload: &replica.Reply{From: "g/0", Result: []byte("one")}}
 	hint := wire.Message{From: "g/0", To: "g/1", Payload: &gcs.Hint{Group: "g", Origin: "client/c1", Call: 7, Seq: 41}}
@@ -59,7 +63,7 @@ func TestDecoderLendsOneCellPerTag(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dec := wire.NewDecoder(bytes.NewReader(stream))
+	dec := wire.NewDecoder(iotest.OneByteReader(bytes.NewReader(stream)))
 	var m wire.Message
 	if err := dec.Decode(&m); err != nil {
 		t.Fatal(err)
@@ -68,9 +72,17 @@ func TestDecoderLendsOneCellPerTag(t *testing.T) {
 	if !ok || !reflect.DeepEqual(*lent, *first.Payload.(*replica.Reply)) {
 		t.Fatalf("first frame decoded to %#v", m.Payload)
 	}
+	if cap(lent.Result) != len(lent.Result) {
+		t.Errorf("the lent Result has room for %d more bytes: an append would write into the frame", cap(lent.Result)-len(lent.Result))
+	}
 	kept := wire.Own(m.Payload).(*replica.Reply)
 	if kept == lent {
 		t.Fatal("Own returned the lent cell")
+	}
+	kept.Result = bytes.Clone(kept.Result)
+	whole := dec.Keep()
+	if whole.Payload == any(lent) || !reflect.DeepEqual(value(whole), value(first)) {
+		t.Fatalf("Keep returned %+v (the lent cell: %v)", whole, whole.Payload == any(lent))
 	}
 	dec.Release()
 	if !reflect.DeepEqual(*lent, replica.Reply{}) {
@@ -87,5 +99,8 @@ func TestDecoderLendsOneCellPerTag(t *testing.T) {
 	}
 	if string(lent.Result) != "two" || string(kept.Result) != "one" {
 		t.Errorf("cell holds %q and the copy %q, want \"two\" and \"one\"", lent.Result, kept.Result)
+	}
+	if got := whole.Payload.(*replica.Reply).Result; string(got) != "one" {
+		t.Errorf("Keep's copy holds %q after later frames, want \"one\"", got)
 	}
 }

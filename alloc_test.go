@@ -33,9 +33,14 @@ import (
 // the client began to hand the caller a copy of the result it returns
 // (47): the in-process network's copy of the Submit now boxes the nested
 // Request the client no longer boxes, and a reply's result is copied into
-// a slot buffer the client reuses. Much of what is left is that network's
-// timer per message, which TCP deployments do not pay. The race detector
-// allocates on its own, hence the build tag.
+// a slot buffer the client reuses. It reads 49 since a nested payload is a
+// *T everywhere: the in-process network's copy of the sequencer's Ordered
+// copies the nested *Request once per follower, where the Request value
+// it held before was shared — wire.Own cannot tell the log's Request,
+// which nobody writes, from the client's cell, which the client writes
+// again. Much of what is left is that network's timer per message, which
+// TCP deployments do not pay. The race detector allocates on its own,
+// hence the build tag.
 func TestInvokeAllocationBudget(t *testing.T) {
 	const budget = 50
 	rt := vtime.Real()
@@ -151,7 +156,9 @@ func TestInvokeMessageBudget(t *testing.T) {
 // grant and unlock built its stream's name and a thread was six objects.
 // It read 47 when Send began to borrow its payload, and 46 both before and
 // after the client began to copy the result it returns: this handler
-// returns none (see TestInvokeAllocationBudget).
+// returns none. It reads 48 since nested payloads are pointers, for the
+// in-process network's copy of each follower's nested Request (see
+// TestInvokeAllocationBudget).
 func TestLockedInvokeAllocationBudget(t *testing.T) {
 	const budget = 50
 	rt := vtime.Real()
@@ -203,10 +210,13 @@ func TestLockedInvokeAllocationBudget(t *testing.T) {
 // TestInvokeTCPAllocationBudget pins what one invocation allocates over
 // loopback TCP, BenchmarkInvokeTCP's shape: one client, three SEQ
 // replicas, the real clock, a 1-byte add, every codec and socket on the
-// path. It reads 10 since a TCP reader lends a Reply's result from its
-// frame, the client copies only the result it returns, and the client's
-// Request lives in its call; the bound, 13, is what it read before (three
-// results copied, the Request boxed). It was 16 once a logical thread was
+// path. It reads 4 since each TCP reader carves the nested Request of a
+// Submit or an Ordered, and its Args, from its stream's slab: what is left
+// is the handler's result on each replica and the copy the client returns.
+// The bound, 5, is that plus one. It was 13 once a TCP reader lent a
+// Reply's result from its frame, the client copied only the result it
+// returned and the client's Request lived in its call (10 measured; three
+// Requests boxed and their Args copied). It was 16 once a logical thread was
 // named by (client, call), so that no id text is built or decoded per
 // request (13 measured), 23 when Send borrowed its payload and the client's
 // Submit, the sequencer's Ordered and each replica's Reply were sent from
@@ -216,7 +226,7 @@ func TestLockedInvokeAllocationBudget(t *testing.T) {
 // dispatch records (31 measured, the six top-level payloads still boxed on
 // receipt); the benchmark read 37 before that.
 func TestInvokeTCPAllocationBudget(t *testing.T) {
-	const budget = 13
+	const budget = 5
 	cl := tcpCounterCluster(t)("c0") // connections dialed
 	args := []byte{1}
 	var err error

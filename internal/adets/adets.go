@@ -121,9 +121,9 @@ type Env struct {
 	// Pinned by benchmark/probes.go.
 	SendPeer func(to wire.NodeID, payload any)
 	// BroadcastOrdered submits a scheduler message into the group's total
-	// order. All replicas (including this one) receive it via
-	// Scheduler.HandleOrdered exactly once per unique id. Used for
-	// deterministic wait-timeout handling (paper Section 4.2).
+	// order, as a *T of a registered T. All replicas (including this one)
+	// receive it via Scheduler.HandleOrdered exactly once per unique id, as
+	// a *T. Used for deterministic wait-timeout handling (paper Section 4.2).
 	BroadcastOrdered func(id string, payload any)
 	// Obs carries the metrics and schedule-trace hooks for this scheduler
 	// instance. May be nil (all hooks no-op).

@@ -324,7 +324,7 @@ func (s *Scheduler) ViewChanged(v gcs.View) {
 // HandleOrdered implements adets.Scheduler: mutex-table batches arrive
 // through the total order; followers apply them and grant accordingly.
 func (s *Scheduler) HandleOrdered(_ string, payload any) bool {
-	up, ok := payload.(TableUpdate)
+	up, ok := payload.(*TableUpdate)
 	if !ok {
 		return false
 	}
@@ -403,7 +403,7 @@ func (s *Scheduler) flush() {
 	}
 	rt.Unlock()
 	if batch != nil {
-		s.env.BroadcastOrdered(id, TableUpdate{From: s.env.Self, Entries: batch})
+		s.env.BroadcastOrdered(id, &TableUpdate{From: s.env.Self, Entries: batch})
 	}
 	s.scheduleFlush()
 }

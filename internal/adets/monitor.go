@@ -409,14 +409,14 @@ func (m *Monitor) wake(w *Thread, mu *Mutex, c CondID, timedOut bool) {
 // enters the total order under an id every replica's timer computes alike,
 // so it is ordered once and delivered to HandleOrdered at one position.
 func (m *Monitor) Expired(msg TimeoutMsg) {
-	m.env.BroadcastOrdered(TimeoutID(msg), msg)
+	m.env.BroadcastOrdered(TimeoutID(msg), &msg)
 }
 
 // HandleOrdered implements Scheduler for the ordered timeout.
 func (m *Monitor) HandleOrdered(id string, payload any) bool {
-	msg, ok := payload.(TimeoutMsg)
+	msg, ok := payload.(*TimeoutMsg)
 	if ok {
-		m.TimeoutRequest(wire.LogicalID(id), msg)
+		m.TimeoutRequest(wire.LogicalID(id), *msg)
 	}
 	return ok
 }

@@ -407,7 +407,8 @@ func (c *Client) invoke(group wire.GroupID, method string, args []byte, policy R
 		ShardKey: shardKey,
 	}
 	// A pointer to the call's own Request crosses the interface without
-	// boxing it; Own makes receivers that keep a copy hold a value.
+	// boxing it; Own gives receivers that keep a copy a *Request of their
+	// own.
 	cl.sub = gcs.Submit{Group: group, Origin: c.self, Call: id.Call, Payload: &cl.req}
 	sub := &cl.sub
 	c.rt.Unlock()

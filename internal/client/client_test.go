@@ -95,12 +95,10 @@ func (fg *fakeGroup) serve(rank int) {
 			continue
 		}
 		sub := *p
-		req, ok := sub.Payload.(replica.Request)
-		if cell, isCell := sub.Payload.(*replica.Request); isCell {
-			// The client's own Request cell, which a network that keeps a
-			// copy must not hand on (TestSubmitCellReuse): answer it all the
-			// same, so the test reports that rather than a timeout.
-			req, ok = *cell, true
+		var req replica.Request
+		q, ok := sub.Payload.(*replica.Request)
+		if ok {
+			req = *q
 		}
 		fg.rt.Lock()
 		fg.all = append(fg.all, sub)
@@ -151,7 +149,7 @@ func (fg *fakeGroup) received(n int) []int {
 	if n > len(fg.first) {
 		return nil
 	}
-	return append([]int(nil), fg.copies[fg.first[n-1].Payload.(replica.Request).ID]...)
+	return append([]int(nil), fg.copies[fg.first[n-1].Payload.(*replica.Request).ID]...)
 }
 
 // close releases the fake replicas' endpoints so their receive loops exit
@@ -313,7 +311,7 @@ func TestClientErrorReplyPropagates(t *testing.T) {
 				return
 			}
 			if sub, ok := msg.Payload.(*gcs.Submit); ok {
-				req := sub.Payload.(replica.Request)
+				req := sub.Payload.(*replica.Request)
 				ep.Send(req.ReplyTo, &replica.Reply{ID: req.ID, From: ids[0], Err: "boom"})
 			}
 		}
@@ -359,7 +357,7 @@ func TestClientIDsKeepTheirWireForm(t *testing.T) {
 		t.Fatalf("the group saw %d requests, want 12", len(subs))
 	}
 	for i, sub := range subs {
-		req := sub.Payload.(replica.Request)
+		req := sub.Payload.(*replica.Request)
 		n := uint64(i + 1)
 		wantID := wire.InvocationID{Logical: "client/c1", Call: n}
 		if req.ID != wantID || sub.ID != "" || sub.Call != n || sub.Origin != "client/c1" {
@@ -578,8 +576,8 @@ var reuseNets = []struct {
 // receives — the first, a retransmission, a delayed or duplicated one that
 // arrives after its call returned — carries the request it was sent for:
 // over TCP, over Inproc, and through faultnet. The Submit nests a pointer
-// to the call's Request cell; every copy a member holds nests a Request
-// value of its own.
+// to the call's Request cell; every copy a member holds nests a *Request
+// of its own.
 func TestSubmitCellReuse(t *testing.T) {
 	const calls = 8
 	for _, nc := range reuseNets {
@@ -604,10 +602,14 @@ func TestSubmitCellReuse(t *testing.T) {
 			fg.rt.Lock()
 			defer fg.rt.Unlock()
 			for _, sub := range fg.all {
-				if _, isCell := sub.Payload.(*replica.Request); isCell {
+				req, _ := sub.Payload.(*replica.Request)
+				if req == &c.cur.req {
 					t.Errorf("a member holds the client's Request cell in %+v: the network's copy did not own the nested payload", sub)
 				}
-				req, _ := sub.Payload.(replica.Request)
+				if req == nil {
+					t.Errorf("a member received %+v: no nested *Request", sub)
+					continue
+				}
 				call := sub.Call // numbered from 1: incarnation 0
 				if sub.Origin != c.self || call < 1 || call > calls || req.ID.Call != call ||
 					string(req.Args) != fmt.Sprint("args ", call-1) {

@@ -96,8 +96,11 @@ func submitRequest(payload any) (replica.Request, bool) {
 	if !ok {
 		return replica.Request{}, false
 	}
-	req, ok := sub.Payload.(replica.Request)
-	return req, ok
+	req, ok := sub.Payload.(*replica.Request)
+	if !ok {
+		return replica.Request{}, false
+	}
+	return *req, true
 }
 
 func (w *fakeShardWorld) close() {

@@ -100,9 +100,10 @@ type Delivery struct {
 
 // --- protocol payloads ---
 
-// Submit asks the sequencer to order a payload. A sender may nest a *T of
-// its own (the client nests its call's Request); a receiver holds a T
-// value, which TCP decodes and wire.Own makes of a nested *T, and keeps it.
+// Submit asks the sequencer to order a payload, a *T. A sender may nest a
+// *T of its own (the client nests its call's Request); a receiver holds a
+// *T of its own, which TCP carves from its stream's slab and wire.Own
+// copies, keeps it and never writes through it.
 type Submit struct {
 	Group   wire.GroupID
 	ID      string

@@ -254,7 +254,7 @@ func TestRelayedSubmitOutlivesItsTCPFrame(t *testing.T) {
 	defer m.Stop()
 	ep.Serve(func(msg wire.Message) { m.Handle(msg.From, msg.Payload) })
 	for call := uint64(1); call <= 3; call++ {
-		cl.Send(ids[1], &Submit{Group: "g", Origin: client, Call: call, Payload: appMsg{Body: fmt.Sprint("body ", call)}})
+		cl.Send(ids[1], &Submit{Group: "g", Origin: client, Call: call, Payload: &appMsg{Body: fmt.Sprint("body ", call)}})
 	}
 	var got []*Submit
 	for len(got) < 3 {
@@ -270,7 +270,7 @@ func TestRelayedSubmitOutlivesItsTCPFrame(t *testing.T) {
 		}
 	}
 	for i, sub := range got {
-		want := Submit{Group: "g", Origin: client, Call: uint64(i + 1), Payload: appMsg{Body: fmt.Sprint("body ", i+1)}}
+		want := Submit{Group: "g", Origin: client, Call: uint64(i + 1), Payload: &appMsg{Body: fmt.Sprint("body ", i+1)}}
 		if !reflect.DeepEqual(*sub, want) {
 			t.Errorf("relay %d carries %+v, want %+v", i, *sub, want)
 		}

@@ -78,13 +78,13 @@ func TestOrderedCellReuse(t *testing.T) {
 				}()
 				seq := members[0]
 				for _, id := range want[:n-2] {
-					seq.Broadcast(id, appMsg{Body: id})
+					seq.Broadcast(id, &appMsg{Body: id})
 				}
 				// Two orders in one event: two cells, released together.
 				var act actions
 				seq.rt.Lock()
 				for _, id := range want[n-2:] {
-					seq.orderLocked(Submit{Group: "g", ID: id, Origin: seq.cfg.Self, Payload: appMsg{Body: id}}, nil, &act)
+					seq.orderLocked(Submit{Group: "g", ID: id, Origin: seq.cfg.Self, Payload: &appMsg{Body: id}}, nil, &act)
 				}
 				seq.rt.Unlock()
 				act.finish(seq)
@@ -103,7 +103,7 @@ func TestOrderedCellReuse(t *testing.T) {
 			mu.Lock()
 			defer mu.Unlock()
 			for _, o := range received {
-				if body, _ := o.Payload.(appMsg); o.ID == "" || body.Body != o.ID {
+				if body, _ := o.Payload.(*appMsg); o.ID == "" || body == nil || body.Body != o.ID {
 					t.Errorf("a follower received %+v: the cell was read after Send returned", o)
 				}
 			}

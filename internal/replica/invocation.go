@@ -32,7 +32,14 @@ type Invocation struct {
 	anonSeq   uint32
 }
 
-// Args returns the marshalled invocation arguments.
+// Args returns the marshalled invocation arguments. They are the
+// handler's to read, never to write: arguments of up to 512 bytes that
+// came over TCP are carved from a chunk of at most 4 KiB the connection's
+// decoder shares among the requests it read, so a handler that keeps
+// them past its return (in the object's state, say) copies what it keeps,
+// as a store's put does, or it pins that chunk. A result may still be a
+// slice of them: the replica keeps a client's last reply, not the chunk's
+// other requests.
 func (inv *Invocation) Args() []byte { return inv.req.Args }
 
 // State returns this replica's private object state (see Config.State).
@@ -186,7 +193,7 @@ func (inv *Invocation) invoke(req Request) ([]byte, error) {
 		r.submit(cb, true)
 	}
 	if early == nil {
-		r.submitTo(req.Group, id.String(), req)
+		r.submitTo(req.Group, id.String(), &req)
 	} else {
 		// The reply raced ahead of this thread (it lagged structurally);
 		// deposit the resume so BeginNested returns immediately.

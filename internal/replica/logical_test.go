@@ -153,7 +153,9 @@ func TestLogicalThreadProtocol(t *testing.T) {
 				p.nest()
 				var q Request
 				if sub, _ := p.recv(t, p.o).(*gcs.Submit); sub != nil {
-					q, _ = sub.Payload.(Request)
+					if nested, _ := sub.Payload.(*Request); nested != nil {
+						q = *nested
+					}
 				}
 				if q.ID != call(1) || q.Kind != KindNested || q.Origin != "g" {
 					t.Errorf("nested request %+v", q)

@@ -386,7 +386,7 @@ func New(cfg Config) *Replica {
 	// has not been dispatched locally yet, and resolves when the delivery
 	// arrives.
 	g.DuplicateSubmit = func(sub gcs.Submit, seq uint64) {
-		req, ok := sub.Payload.(Request)
+		req, ok := sub.Payload.(*Request)
 		if !ok || req.Kind != KindClient {
 			return
 		}
@@ -397,7 +397,7 @@ func New(cfg Config) *Replica {
 		}
 		stopped := r.stopped
 		r.rt.Unlock()
-		if !stopped && verdict != amoFresh && r.answerDuplicate(&req, verdict, e) {
+		if !stopped && verdict != amoFresh && r.answerDuplicate(req, verdict, e) {
 			r.dupReplies.Inc()
 		}
 	}
@@ -485,10 +485,10 @@ func (r *Replica) dispatchLoop() {
 			}
 		}
 		switch p := d.Payload.(type) {
-		case Request:
-			r.dispatchRequest(p, d.Seq)
-		case Reply:
-			r.dispatchNestedReply(p)
+		case *Request:
+			r.dispatchRequest(*p, d.Seq)
+		case *Reply:
+			r.dispatchNestedReply(*p)
 		default:
 			if p != nil {
 				r.sched.HandleOrdered(d.ID, p)
@@ -723,7 +723,8 @@ func (r *Replica) sendReply(req Request, reply Reply) {
 		*rep = Reply{} // a pooled cell pins no result
 		replyCells.Put(rep)
 	case KindNested:
-		r.submitTo(req.Origin, "nested-reply/"+req.ID.String(), reply)
+		nested := reply // escapes on this branch only: a client's reply is not moved to the heap
+		r.submitTo(req.Origin, "nested-reply/"+req.ID.String(), &nested)
 	}
 }
 

@@ -113,9 +113,7 @@ func (p *reuseReplica) replies(t *testing.T, ep transport.Endpoint, n int) []str
 			return got
 		}
 		if sub, ok := msg.Payload.(*gcs.Submit); ok {
-			if rep, ok := sub.Payload.(Reply); ok { // a nested reply, a value
-				msg.Payload = &rep
-			}
+			msg.Payload = sub.Payload // a nested reply
 		}
 		if rep, ok := msg.Payload.(*Reply); ok {
 			got = append(got, fmt.Sprintf("%s %s", rep.ID, rep.Result))

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"bytes"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -111,24 +110,6 @@ func claimingTable() []byte {
 		b.Uvarint(filler)
 	})
 	return append(head, bytes.Repeat([]byte{0xff}, filler)...)
-}
-
-// TestTableCountClaimsOnlyWhatItHolds: a table whose shard count claims
-// more shards than follow is refused, and decoding it allocates in
-// proportion to its length, not to the count (a shard takes one byte at
-// the least and 16 in memory).
-func TestTableCountClaimsOnlyWhatItHolds(t *testing.T) {
-	data := claimingTable()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := DecodeTable(data)
-	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Error("decoded")
-	}
-	if grown := after.TotalAlloc - before.TotalAlloc; grown > 4*uint64(len(data)) {
-		t.Errorf("a %d-byte table allocated %d bytes (bound %d)", len(data), grown, 4*len(data))
-	}
 }
 
 // FuzzDecodeTable: arbitrary bytes never panic the decoder, anything that

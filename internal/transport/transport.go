@@ -15,7 +15,7 @@
 // A payload is a pointer to one of the protocol structs (wire.Message), lent
 // on both sides. Send borrows the sender's until it returns: TCP encodes it
 // there, and Inproc and WrappedNetwork, which deliver or forward later, keep
-// a wire.Own copy, whose nested payloads are values. A TCP reader decodes
+// a wire.Own copy, whose nested payloads are copies too. A TCP reader decodes
 // into a payload it owns and lends it to the handler, which borrows it
 // until it returns and copies out what it keeps: a Reply's Result is a
 // window into the frame the reader read (see wire.Decoder.Decode).

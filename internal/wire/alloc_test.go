@@ -23,22 +23,20 @@ import (
 // benchmarks' cases.
 func hotFrames(t *testing.T) (submit, ordered, hint, reply wire.Message) {
 	t.Helper()
+	submit, ordered, hint, reply = hotFrame(t, "Submit"), hotFrame(t, "Ordered"), hotFrame(t, "Hint"), hotFrame(t, "Reply")
+	return submit, ordered, hint, reply
+}
+
+// hotFrame returns the codec benchmarks' case of that name.
+func hotFrame(t *testing.T, name string) wire.Message {
+	t.Helper()
 	for _, tc := range benchCases() {
-		switch tc.name {
-		case "Submit":
-			submit = tc.msg
-		case "Ordered":
-			ordered = tc.msg
-		case "Hint":
-			hint = tc.msg
-		case "Reply":
-			reply = tc.msg
+		if tc.name == name {
+			return tc.msg
 		}
 	}
-	if submit.Payload == nil || ordered.Payload == nil || hint.Payload == nil || reply.Payload == nil {
-		t.Fatal("benchCases lost its Submit, Ordered, Hint or Reply case")
-	}
-	return submit, ordered, hint, reply
+	t.Fatalf("benchCases lost its %s case", name)
+	return wire.Message{}
 }
 
 func TestDecodeAllocationBudget(t *testing.T) {
@@ -48,14 +46,22 @@ func TestDecodeAllocationBudget(t *testing.T) {
 		msg    wire.Message
 		budget float64
 	}{
-		// Args, and the nested Request boxed into its interface; the Submit
-		// is decoded into the Decoder's cell, the logical thread's name is
-		// interned (3 while it was a string, 4 while the Submit was boxed
-		// too, 5 while the submit id was a string).
-		{"Submit{Request}", submit, 2},
-		// The same, the Ordered in its cell (3 with the thread's text, 4
-		// while boxed, 5 before).
-		{"Ordered{Request}", ordered, 2},
+		// Nothing: the Submit is decoded into the Decoder's cell, the
+		// nested Request and its Args are carved from the stream's slab
+		// (chunks of 51 Requests and of 4 KiB of bytes, once warm),
+		// the logical thread's name is interned (2 while the Request was
+		// boxed and its Args copied, 3 while the name was a string, 4
+		// while the Submit was boxed too, 5 while the submit id was a
+		// string).
+		{"Submit{Request}", submit, 0},
+		// The same, the Ordered in its cell (2 while boxed and copied, 3
+		// with the thread's text, 4 while the Ordered was boxed, 5 before).
+		{"Ordered{Request}", ordered, 0},
+		// One, the Ordered's id: a nested call's reply is ordered under a
+		// named id, text unique per message and so not interned. The Reply
+		// and its Result are carved like a Request and its Args (3 while
+		// boxed and copied).
+		{"Ordered{Reply}", hotFrame(t, "NestedReply"), 1},
 		// Nothing: the Hint is decoded into its cell (1 while boxed, 2
 		// before).
 		{"Hint", hint, 0},

@@ -11,7 +11,9 @@ import (
 // benchCases are the hot payloads of the protocol: every client invocation
 // crosses the wire as a Request inside a Submit, is rebroadcast inside an
 // Ordered (a copy of one already ordered is answered with a Hint), and
-// returns as a Reply; Heartbeats dominate message count at idle.
+// returns as a Reply — or, for a nested call, as a Reply nested in the
+// calling group's Submit and Ordered; Heartbeats dominate message count at
+// idle.
 func benchCases() []struct {
 	name string
 	msg  wire.Message
@@ -23,7 +25,7 @@ func benchCases() []struct {
 		Args:    []byte{1, 2, 3, 4, 5, 6, 7, 8},
 		ReplyTo: "client/c1",
 	}
-	sub := gcs.Submit{Group: "g", Origin: "client/c1", Call: req.ID.Call, Payload: req}
+	sub := gcs.Submit{Group: "g", Origin: "client/c1", Call: req.ID.Call, Payload: &req}
 	return []struct {
 		name string
 		msg  wire.Message
@@ -33,7 +35,10 @@ func benchCases() []struct {
 			ID: req.ID, From: "g/0", Result: []byte{42, 0, 0, 0, 0, 0, 0, 0}}}},
 		{"Submit", wire.Message{From: "client/c1", To: "g/0", Payload: sub}},
 		{"Ordered", wire.Message{From: "g/0", To: "g/1", Payload: gcs.Ordered{
-			Group: "g", Epoch: 3, Seq: 41, Origin: sub.Origin, Call: sub.Call, Payload: req}}},
+			Group: "g", Epoch: 3, Seq: 41, Origin: sub.Origin, Call: sub.Call, Payload: &req}}},
+		{"NestedReply", wire.Message{From: "g/0", To: "g/1", Payload: gcs.Ordered{
+			Group: "g", Epoch: 3, Seq: 42, ID: "nested-reply/client/c1#7#7001", Origin: "h/0", Payload: &replica.Reply{
+				ID: wire.InvocationID{Logical: "client/c1", Call: 7, Seq: 7001}, From: "h/0", Result: []byte{42, 0, 0, 0, 0, 0, 0, 0}}}}},
 		{"Hint", wire.Message{From: "g/0", To: "g/1", Payload: gcs.Hint{
 			Group: "g", Origin: sub.Origin, Call: sub.Call, Seq: 41}}},
 		{"Heartbeat", wire.Message{From: "g/2", To: "g/0", Payload: gcs.Heartbeat{

@@ -54,6 +54,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"unsafe"
 )
 
 const (
@@ -66,11 +67,13 @@ type binaryCodec struct {
 	tag uint64
 	typ reflect.Type             // T
 	enc func(*Buffer, any) error // takes a T or a *T
-	dec func(*Reader) any        // a nested payload: an owned T; nil once the Reader has failed
+	// nest decodes a nested payload into an owned *T (see carve); nil once
+	// the Reader has failed.
+	nest func(r *Reader) any
 	// into decodes a top-level payload into cell, a *T (nil: a new one),
 	// and returns the *T; nil once the Reader has failed.
 	into  func(r *Reader, cell any) any
-	own   func(any) any  // a new *T holding what the T or *T argument holds, its nested payloads values
+	own   func(any) any  // a new *T holding what the T or *T argument holds, its nested payloads owned
 	clear func(cell any) // zeroes the *T
 }
 
@@ -100,15 +103,22 @@ func codecFor(tag uint64) *binaryCodec {
 //
 // A payload of T is sent as a *T or a T: both encode through enc, to the
 // same bytes, and so does a nested one (an exported field of T of type
-// any, written with Buffer.Any). A top-level payload decodes as a *T — on
-// a stream Decoder one that is lent (see Decoder.Decode), from
-// ConsumeMessage an owned one — and a nested payload (Buffer.Any /
-// Reader.Any) as an owned T. dec must return fresh storage for every slice
-// it decodes, but for one read with Reader.Lend: a lent *T is decoded into
-// again, and a copy of it (Own) shares its slices. Lend is for a byte field
-// every receiver of a top-level T copies or drops before the loan ends;
-// the receiver that keeps it says so where it copies. That T encodes like
-// *T is pinned by benchmark/probes.go, which sends T values.
+// any, written with Buffer.Any). A payload decodes as a *T. A top-level
+// one on a stream Decoder is lent (see Decoder.Decode), from
+// ConsumeMessage owned. A nested one (Buffer.Any / Reader.Any) is always
+// owned: on a stream Decoder it is carved from the Decoder's slab for T, a
+// chunk of Ts that grows from 1 KiB to at most 8 KiB (6 to 51 Requests)
+// and is never reused, so a kept nested payload pins at most its chunk;
+// elsewhere it is a new(T). dec must return fresh storage for every
+// slice it decodes, but for one read with Reader.Lend: a lent *T is
+// decoded into again, and a copy of it (Own) shares its slices. Lend is
+// for a byte field every receiver of a top-level T copies or drops before
+// the loan ends; the receiver that keeps it says so where it copies. A
+// byte field of a nested payload read with Reader.Bytes (or Lend) of at
+// most 512 bytes is carved from the Decoder's byte chunk, at most 4 KiB,
+// so a holder that keeps such a slice long pins at most that chunk and
+// copies what it keeps. That T encodes like *T is pinned by
+// benchmark/probes.go, which sends T values.
 func Register[T any](tag uint64, enc func(*Buffer, T) error, dec func(r *Reader) T) {
 	if tag < TagUserMin || tag > maxTag {
 		panic(fmt.Sprintf("wire: binary payload tag %d is reserved or out of range", tag))
@@ -131,11 +141,14 @@ func Register[T any](tag uint64, enc func(*Buffer, T) error, dec func(r *Reader)
 			}
 			return enc(b, v.(T))
 		},
-		dec: func(r *Reader) any {
-			if v := dec(r); r.err == nil {
-				return v
+		nest: func(r *Reader) any {
+			v := dec(r)
+			if r.err != nil {
+				return nil
 			}
-			return nil
+			p := carve[T](r, tag)
+			*p = v
+			return p
 		},
 		into: func(r *Reader, cell any) any {
 			v := dec(r)
@@ -152,13 +165,16 @@ func Register[T any](tag uint64, enc func(*Buffer, T) error, dec func(r *Reader)
 		own: func(v any) any {
 			p := new(T)
 			if q, ok := v.(*T); ok {
+				if q == nil {
+					return v
+				}
 				*p = *q
 			} else {
 				*p = v.(T)
 			}
 			for _, i := range nested {
 				f := reflect.ValueOf(p).Elem().Field(i).Addr().Interface().(*any)
-				*f = nestedValue(*f)
+				*f = Own(*f)
 			}
 			return p
 		},
@@ -176,16 +192,17 @@ func Register[T any](tag uint64, enc func(*Buffer, T) error, dec func(r *Reader)
 
 // Own returns a copy of a top-level payload for the caller to keep: a new
 // *T holding what payload, a *T or a T of a registered T, holds. A payload
-// of any other type is returned as it is. A nested payload the copy holds
-// as a *U — a sender may nest a cell of its own, as the client nests its
-// call's Request — becomes a U holding what it holds, so no receiver of
-// the copy shares the sender's cell. Otherwise the copy is shallow, and
-// that is enough for a payload a sender lends to Send: it is never written
-// through once it has been sent or decoded, and decoding into a lent cell
-// replaces its slices rather than writing into them. It is not enough for
-// a payload a stream Decoder lent: a byte field its codec read with
-// Reader.Lend still shares the frame, so the one holder that keeps such a
-// payload whole, the TCP inbox, takes Decoder.Keep instead.
+// of any other type is returned as it is. A nested payload of a registered
+// U the copy holds — a *U or a U — becomes a fresh *U holding what it
+// holds (an Own copy itself): a sender may nest a cell of its own, as the
+// client nests its call's Request, and no receiver of the copy shares it.
+// Otherwise the copy is shallow, and that is enough for a payload a sender
+// lends to Send: it is never written through once it has been sent or
+// decoded, and decoding into a lent cell replaces its slices rather than
+// writing into them. It is not enough for a payload a stream Decoder lent:
+// a byte field its codec read with Reader.Lend still shares the frame, so
+// the one holder that keeps such a payload whole, the TCP inbox, takes
+// Decoder.Keep instead.
 func Own(payload any) any {
 	if payload == nil {
 		return nil
@@ -196,19 +213,8 @@ func Own(payload any) any {
 	return payload
 }
 
-// nestedValue returns a nested payload as a value: a U holding what a *U
-// of a registered U points at, and anything else as it is.
-func nestedValue(v any) any {
-	if p := reflect.ValueOf(v); p.Kind() == reflect.Pointer && !p.IsNil() {
-		if _, ok := binByType[p.Type()]; ok {
-			return p.Elem().Interface()
-		}
-	}
-	return v
-}
-
 // nestedFields returns the indexes of t's exported fields of type any: the
-// nested payloads Own makes values of.
+// nested payloads Own copies.
 func nestedFields(t reflect.Type) []int {
 	if t.Kind() != reflect.Struct {
 		return nil
@@ -368,6 +374,79 @@ type Reader struct {
 	// lend is set while a stream Decoder decodes a top-level payload into
 	// the cell it lends: Lend returns windows into the frame then.
 	lend bool
+	// nested is set while a nested payload is decoded (Any).
+	nested bool
+	// slabs holds, indexed by tag, the *slab[T] a stream Decoder carves
+	// nested payloads of that tag from, and chunk the unused rest of the
+	// byte chunk it carves their byte fields from, chunkSize bytes when
+	// new; slabs is nil when the frame is decoded on its own, and every
+	// nested payload and byte field is then a new allocation.
+	slabs     []any
+	chunk     []byte
+	chunkSize int
+}
+
+// Bounds of a stream's slabs (see carve and Reader.Bytes). A chunk is
+// allocated in bulk, handed out an element or a field at a time, never
+// written again once handed out and never reused: the collector frees it
+// when nothing it handed out is referenced, so a kept element pins at most
+// its chunk. Chunks grow geometrically, so a stream that carries a few
+// nested payloads pins a few small ones.
+const (
+	minSlab      = 1 << 10 // bytes of a stream's first chunk of Ts: 6 Requests
+	maxSlab      = 8 << 10 // bytes of its largest: 51 Requests
+	maxCarve     = 512     // the longest byte field carved; longer ones are slices of their own
+	minByteChunk = 512     // bytes of a stream's first byte chunk (≥ maxCarve)
+	maxByteChunk = 4 << 10 // bytes of its largest
+	// mallocHeader is what the runtime puts in front of an object of over
+	// 512 bytes that holds pointers. A chunk of Ts leaves room for it, so
+	// that it fills a power-of-two size class: without it 64 Requests,
+	// 10 240 bytes, take the 10 880-byte class, 10 bytes an element more
+	// than a new(T) each.
+	mallocHeader = 8
+)
+
+// slab is a stream's chunk of nested payloads of one type: rest are its
+// elements not handed out yet, and next is the size in bytes of the next
+// chunk.
+type slab[T any] struct {
+	rest []T
+	next int
+}
+
+// carve returns the storage of a nested payload of T, tagged tag: the next
+// element of r's slab for the tag on a stream Decoder, a new(T) otherwise.
+func carve[T any](r *Reader, tag uint64) *T {
+	if tag >= uint64(len(r.slabs)) {
+		return new(T)
+	}
+	s, _ := r.slabs[tag].(*slab[T])
+	if s == nil {
+		s = &slab[T]{next: minSlab}
+		r.slabs[tag] = s
+	}
+	if len(s.rest) == 0 {
+		var zero T
+		s.rest = make([]T, max((s.next-mallocHeader)/max(int(unsafe.Sizeof(zero)), 1), 1))
+		s.next = min(2*s.next, maxSlab)
+	}
+	p := &s.rest[0]
+	s.rest = s.rest[1:]
+	return p
+}
+
+// carveBytes returns a copy of raw, at most maxCarve bytes, cut from r's
+// byte chunk: its capacity ends with it, so an append copies.
+func (r *Reader) carveBytes(raw []byte) []byte {
+	n := len(raw)
+	if len(r.chunk) < n {
+		r.chunkSize = min(max(2*r.chunkSize, minByteChunk), maxByteChunk)
+		r.chunk = make([]byte, r.chunkSize)
+	}
+	b := r.chunk[:n:n]
+	copy(b, raw)
+	r.chunk = r.chunk[n:]
+	return b
 }
 
 // Caps of a stream's intern table. Node, group and method names are a few
@@ -487,21 +566,29 @@ func (r *Reader) Ident() string {
 }
 
 // Bytes reads a length-prefixed byte slice. The result is a copy, never an
-// alias of the frame; zero length decodes as nil.
+// alias of the frame, and its capacity is its length; zero length decodes
+// as nil. In a nested payload on a stream Decoder a field of at most 512
+// bytes is carved from the stream's byte chunk (see Register); anything
+// else is a slice of its own.
 func (r *Reader) Bytes() []byte {
 	raw := r.span("byte slice")
 	if len(raw) == 0 {
 		return nil
 	}
-	return append([]byte(nil), raw...)
+	if r.nested && r.slabs != nil && len(raw) <= maxCarve {
+		return r.carveBytes(raw)
+	}
+	b := make([]byte, len(raw))
+	copy(b, raw)
+	return b
 }
 
 // Lend reads a length-prefixed byte slice like Bytes, without copying it
 // where it can: in a top-level payload a stream Decoder lends, the result
 // is a window into the frame, valid until the Decoder's Release (its
 // capacity ends with it, so an append copies). In a nested payload, and in
-// a frame decoded on its own (ConsumeMessage, Decode), it is a copy. See
-// Register for the fields that may use it.
+// a frame decoded on its own (ConsumeMessage, Decode), it is what Bytes
+// returns. See Register for the fields that may use it.
 func (r *Reader) Lend() []byte {
 	if !r.lend {
 		return r.Bytes()
@@ -534,7 +621,8 @@ func (r *Reader) Bool() bool {
 	return c == 1
 }
 
-// Any reads a nested payload written by Buffer.Any.
+// Any reads a nested payload written by Buffer.Any: an owned *T (see
+// Register), or nil.
 func (r *Reader) Any() any {
 	tag := r.Uvarint()
 	if r.err != nil || tag == tagNil {
@@ -545,10 +633,10 @@ func (r *Reader) Any() any {
 		r.Fail(fmt.Errorf("wire: unknown nested payload tag %d", tag))
 		return nil
 	}
-	lend := r.lend // a nested payload is owned: it lends nothing
-	r.lend = false
-	v := c.dec(r)
-	r.lend = lend
+	lend, nested := r.lend, r.nested // a nested payload is owned: it lends nothing
+	r.lend, r.nested = false, true
+	v := c.nest(r)
+	r.lend, r.nested = lend, nested
 	return v
 }
 

@@ -37,7 +37,8 @@ type Decoder struct {
 // loan ends.
 func NewDecoder(r io.Reader) *Decoder {
 	br := bufio.NewReaderSize(r, 8<<10)
-	return &Decoder{r: br, hdr: headerReader{r: br}, rd: Reader{idents: make(map[string]string)},
+	return &Decoder{r: br, hdr: headerReader{r: br},
+		rd:    Reader{idents: make(map[string]string), slabs: make([]any, len(binByTag))},
 		cells: make([]any, len(binByTag))}
 }
 
@@ -51,8 +52,13 @@ func NewDecoder(r io.Reader) *Decoder {
 // reads with Reader.Lend — a Reply's Result — is a window into the frame,
 // valid only as long as the loan: a holder that keeps it copies it
 // (Client.receive into its slot), and a holder that keeps the whole
-// message takes Keep instead of an Own copy. Every other byte field, and
-// every nested payload, is an owned copy.
+// message takes Keep instead of an Own copy. Every other byte field is an
+// owned copy. A nested payload — the Payload of a gcs Submit or Ordered,
+// or of a SyncResp's tail or pending entry — is an owned *U carved from
+// d's slab for U, its small byte fields from d's byte chunk (see
+// Register): the holder may keep it as long as it likes, and the collector
+// frees a chunk once nothing carved from it is referenced. Nobody writes
+// through it.
 func (d *Decoder) Decode(m *Message) error {
 	d.Release()
 	n, err := d.readHeader()

@@ -24,3 +24,9 @@ func RegisteredTypes() []reflect.Type {
 	}
 	return ts
 }
+
+// Bounds of a stream's slabs (see Register).
+const (
+	MaxCarve     = maxCarve
+	MinByteChunk = minByteChunk
+)

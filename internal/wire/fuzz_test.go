@@ -30,7 +30,7 @@ import (
 func exemplarMessages() []wire.Message {
 	view := gcs.View{Epoch: 3, Members: []wire.NodeID{"g/0", "g/1", "g/2"}}
 	sub := gcs.Submit{Group: "g", ID: "inv-1", Origin: "client/c1",
-		Payload: replica.Request{
+		Payload: &replica.Request{
 			ID:      wire.InvocationID{Logical: "client/c1", Call: 7},
 			Group:   "g",
 			Method:  "add",
@@ -97,9 +97,9 @@ func exemplarMessages() []wire.Message {
 		// its string, on a Hint too (the answer to a copy of an ordered
 		// nested reply).
 		{From: "client/c1", To: "g/0", Payload: gcs.Submit{Group: "g", Origin: "client/c1", Call: 7,
-			Payload: request(func(*replica.Request) {})}},
+			Payload: ptr(request(func(*replica.Request) {}))}},
 		{From: "g/0", To: "g/1", Payload: gcs.Ordered{Group: "g", Epoch: 3, Seq: 43, Origin: "client/c1", Call: 1<<32 | 7,
-			Payload: request(func(q *replica.Request) { q.ID.Call = 1<<32 | 7 })}},
+			Payload: ptr(request(func(q *replica.Request) { q.ID.Call = 1<<32 | 7 }))}},
 		{From: "g/0", To: "g/1", Payload: gcs.Hint{Group: "g", Origin: "client/c1", Call: 7, Seq: 43}},
 		{From: "g/0", To: "g/2", Payload: gcs.Hint{Group: "g", ID: "nested-reply/g/0#3#1", Seq: 44}},
 		{From: "g/2", To: "g/1", Payload: gcs.SyncResp{
@@ -134,8 +134,13 @@ func reply(edit func(*replica.Reply)) replica.Reply {
 	return p
 }
 
+// ptr returns a pointer to a copy of v: an exemplar nests its payload as a
+// *T, the one form a nested payload has.
+func ptr[T any](v T) *T { return &v }
+
 // value returns m with its payload dereferenced: a decoded top-level
-// payload is a *T, an exemplar's a T.
+// payload is a *T, an exemplar's a T. A nested payload is a *T on both
+// sides, and DeepEqual compares what the pointers hold.
 func value(m wire.Message) wire.Message {
 	if v := reflect.ValueOf(m.Payload); v.Kind() == reflect.Pointer && !v.IsNil() {
 		m.Payload = v.Elem().Interface()
@@ -157,7 +162,9 @@ func kept(m wire.Message) wire.Message {
 
 // TestRoundTripAllMessageTypes: encode→decode preserves every registered
 // protocol message bit for bit. The payload comes back as a *T, and the
-// *T re-encodes to the frame it came from.
+// *T re-encodes to the frame it came from. A nested payload comes back as
+// a *T too: the exemplars nest one, and DeepEqual holds the dynamic types
+// equal and compares what the pointers hold.
 func TestRoundTripAllMessageTypes(t *testing.T) {
 	for _, in := range exemplarMessages() {
 		frame, err := wire.AppendMessage(nil, &in)

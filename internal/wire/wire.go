@@ -102,7 +102,8 @@ func (id InvocationID) String() string {
 // owns and lends it to the handler until the handler returns, so a handler
 // never writes through it and copies out (dereferences) whatever it keeps;
 // Own makes a copy to keep whole. A nested payload — the Payload of a gcs
-// Submit or Ordered — is an owned value that nobody writes.
+// Submit or Ordered — is a *T too, owned by whoever holds it and written
+// by nobody: a stream Decoder carves it from a slab (see Decoder.Decode).
 //
 // Pinned by benchmark/probes.go, which encodes T values (Register) and
 // echoes what Recv returned.

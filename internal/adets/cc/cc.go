@@ -23,7 +23,9 @@
 // digests (only the deterministic lane *assignment* is traced, never the
 // cross-lane start order).
 //
-// A ticket gets a pooled worker, and joins the live threads, when it starts.
+// A ticket gets a pooled worker, and joins the live threads, when it starts;
+// once its thread has exited it is retired to the scheduler's free list and
+// carries a later request.
 //
 // View changes insert a fence — a ticket spanning every lane — at their
 // totally-ordered delivery point: all requests ordered before the view
@@ -56,8 +58,9 @@ func WithLanes(n int) Option {
 }
 
 // ticket is one lane-queue entry: a request's thread occupying its assigned
-// lanes, one allocation a request and the job a worker runs once it starts,
-// or a fence, which spans every lane and whose Thread is never started.
+// lanes, one record a request, the job a worker runs once it starts and
+// retired and taken again once its thread has exited (see adets.Thread); or
+// a fence, which spans every lane and whose Thread is never started.
 type ticket struct {
 	adets.Thread
 	lanes   []int  // sorted, duplicate-free; empty for callbacks (lane bypass)
@@ -76,6 +79,7 @@ func (tk *ticket) Run() {
 	s.removeLocked(tk)
 	s.pumpLocked()
 	s.Exit(&tk.Thread)
+	s.records.Put(tk, &tk.Thread)
 }
 
 // Scheduler implements adets.Scheduler with conflict-class parallel
@@ -90,7 +94,8 @@ type Scheduler struct {
 	laneCount int
 
 	// All fields below are guarded by the runtime lock.
-	queues [][]*ticket // one FIFO of tickets per lane
+	queues  [][]*ticket // one FIFO of tickets per lane
+	records adets.Records[ticket]
 }
 
 var _ adets.Strategy = (*Scheduler)(nil)
@@ -151,7 +156,8 @@ func (s *Scheduler) Submit(req adets.Request) {
 		return
 	}
 	s.env.Obs.Submitted()
-	tk := &ticket{s: s, exec: req.Exec}
+	tk := s.records.Take()
+	tk.s, tk.exec = s, req.Exec
 	s.Registry.Init(&tk.Thread, "cc", req.Thread(), tk)
 	if req.Callback {
 		tk.started = true // lane bypass: run immediately
@@ -238,7 +244,10 @@ func (s *Scheduler) pumpLocked() {
 // one, and the grant order per mutex is the lane (= total) order. The
 // blocking path exists for defense in depth against mis-declared classes;
 // it grants FIFO, which the chaos digests then validate.)
-func (s *Scheduler) Runnable(t *adets.Thread) { t.Unpark(s.env.RT) }
+func (s *Scheduler) Runnable(t *adets.Thread) {
+	t.MustBeLive()
+	t.Unpark(s.env.RT)
+}
 
 // Blocked implements adets.Strategy: a blocked thread keeps occupying its
 // lanes, so later same-class requests stay queued behind it — per-class

@@ -23,8 +23,9 @@ import (
 	"github.com/replobj/replobj/internal/gcs"
 )
 
-// matThread is a request's thread and MAT's state for it in one allocation,
-// and the job a pooled worker runs for it.
+// matThread is a request's thread and MAT's state for it in one record,
+// and the job a pooled worker runs for it; retired and taken again once the
+// thread has exited (see adets.Thread).
 type matThread struct {
 	adets.Thread
 	wantToken   bool // parked in Lock until the token reaches it
@@ -35,9 +36,11 @@ type matThread struct {
 
 // Run implements adets.Job: the request, then the end, a scheduling point.
 func (mt *matThread) Run() {
-	mt.s.Execute(&mt.Thread, mt.exec)
-	mt.s.Blocked(&mt.Thread)
-	mt.s.Exit(&mt.Thread)
+	s := mt.s
+	s.Execute(&mt.Thread, mt.exec)
+	s.Blocked(&mt.Thread)
+	s.Exit(&mt.Thread)
+	s.records.Put(mt, &mt.Thread)
 }
 
 // Option configures the scheduler.
@@ -58,6 +61,7 @@ type Scheduler struct {
 	yieldEnabled bool
 
 	succession adets.FIFO // head holds the primary token
+	records    adets.Records[matThread]
 }
 
 var (
@@ -111,7 +115,8 @@ func (s *Scheduler) Submit(req adets.Request) {
 		return
 	}
 	s.env.Obs.Submitted()
-	mt := &matThread{s: s, exec: req.Exec}
+	mt := s.records.Take()
+	mt.s, mt.exec = s, req.Exec
 	t := s.Registry.Init(&mt.Thread, "mat", req.Thread(), mt)
 	s.Enter(t)
 	if req.Callback {
@@ -152,6 +157,7 @@ func (s *Scheduler) advanceTokenLocked() {
 // resumes immediately as a secondary, re-entering the token order at the
 // tail.
 func (s *Scheduler) Runnable(t *adets.Thread) {
+	t.MustBeLive()
 	s.succession.Push(t)
 	t.Unpark(s.env.RT)
 }

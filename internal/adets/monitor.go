@@ -217,8 +217,10 @@ func (m *Monitor) held(t *Thread, id MutexID) (*Mutex, error) {
 }
 
 // Grant makes t's logical thread the owner of the free mutex mu. Post: t is
-// NotParked; the grant is the next event of mu's trace stream.
+// NotParked; the grant is the next event of mu's trace stream. A retired
+// record is refused with a panic (see Thread).
 func (m *Monitor) Grant(mu *Mutex, t *Thread) {
+	t.MustBeLive()
 	mu.Owner = t.Logical
 	t.parked = NotParked
 	m.env.Obs.Grant(mu.ID, t.Logical)

@@ -40,13 +40,15 @@ type Scheduler struct {
 	env   adets.Env
 	basic bool
 
-	active *adets.Thread
-	ready  adets.FIFO
+	active  *adets.Thread
+	ready   adets.FIFO
+	records adets.Records[thread]
 }
 
 var _ adets.Strategy = (*Scheduler)(nil)
 
-// thread is a request's thread and the job a pooled worker runs for it.
+// thread is a request's thread and the job a pooled worker runs for it;
+// retired and taken again once the thread has exited (see adets.Thread).
 type thread struct {
 	adets.Thread
 	s    *Scheduler
@@ -55,10 +57,12 @@ type thread struct {
 
 // Run implements adets.Job: first activation, request, end (scheduling point).
 func (t *thread) Run() {
-	t.Park(t.s.env.RT)
-	t.s.Execute(&t.Thread, t.exec)
-	t.s.Blocked(&t.Thread)
-	t.s.Exit(&t.Thread)
+	s := t.s
+	t.Park(s.env.RT)
+	s.Execute(&t.Thread, t.exec)
+	s.Blocked(&t.Thread)
+	s.Exit(&t.Thread)
+	s.records.Put(t, &t.Thread)
 }
 
 // New returns an ADETS-SAT scheduler (or basic SAT with the Basic option).
@@ -120,7 +124,8 @@ func (s *Scheduler) Submit(req adets.Request) {
 		return
 	}
 	s.env.Obs.Submitted()
-	th := &thread{s: s, exec: req.Exec}
+	th := s.records.Take()
+	th.s, th.exec = s, req.Exec
 	t := s.Registry.Init(&th.Thread, "sat", req.Thread(), nil)
 	s.Enter(t)
 	if req.Callback {
@@ -147,6 +152,7 @@ func (s *Scheduler) scheduleLocked() {
 // Runnable implements adets.Strategy: the thread joins the ready queue and
 // runs when the activation reaches it.
 func (s *Scheduler) Runnable(t *adets.Thread) {
+	t.MustBeLive()
 	s.ready.Push(t)
 	s.scheduleLocked()
 }

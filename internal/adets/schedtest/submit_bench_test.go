@@ -6,19 +6,22 @@ import (
 	"github.com/replobj/replobj/internal/adets"
 	"github.com/replobj/replobj/internal/adets/cc"
 	"github.com/replobj/replobj/internal/adets/mat"
+	"github.com/replobj/replobj/internal/adets/sat"
 	"github.com/replobj/replobj/internal/adets/seq"
 	"github.com/replobj/replobj/internal/obs"
 	"github.com/replobj/replobj/internal/vtime"
 	"github.com/replobj/replobj/internal/wire"
 )
 
-// submitKinds are the scheduler kinds the wall-clock benchmark's cells run.
+// submitKinds are the scheduler kinds the wall-clock benchmark's cells run,
+// and SAT, the other strategy with a record per request.
 var submitKinds = []struct {
 	name string
 	mk   func() adets.Scheduler
 }{
 	{"SEQ", func() adets.Scheduler { return seq.New() }},
 	{"MAT", func() adets.Scheduler { return mat.New() }},
+	{"SAT", func() adets.Scheduler { return sat.New() }},
 	{"CC", func() adets.Scheduler { return cc.New() }},
 }
 

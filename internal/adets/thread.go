@@ -20,8 +20,36 @@ import (
 // A thread is one allocation: the parker is held by value, the name is kept
 // as (role, logical thread) until printed, and a scheduler's own per-thread
 // record embeds the Thread (Registry.Init) and is the Job a pooled worker
-// runs (Registry.Start). Goroutines are pooled, records are not: wait
-// queues, reentrancy tables and timers may hold a *Thread past its request.
+// runs (Registry.Start). Goroutines are pooled, and so are the records of
+// the strategies that make one per request (MAT, SAT, CC): once the thread
+// has exited, Records.Put retires its record under the runtime lock and a
+// later Submit takes it again (Records.Take). Retirement keeps only the
+// parker's wake channel and wall timer; until Registry.Init makes the record
+// a thread again it is not live, and Monitor.Grant and the strategies'
+// Runnable panic on it. That is safe because every holder of a *Thread lets
+// go of it before the thread's Monitor.Exit:
+//   - a mutex's entry FIFO holds it while it is parked ForMutex, and the
+//     grant pops it; a condition's FIFO and Monitor.waiting while it is
+//     parked ForCond, and the notify or the ordered timeout takes it off,
+//     the wait itself deleting waiting once it runs again; Monitor.threads
+//     from Enter to Exit;
+//   - MAT's succession queue until the thread's last scheduling point (the
+//     Blocked before Exit), SAT's ready queue and active thread likewise,
+//     CC's lane queues until its Run removes the ticket;
+//   - the replica's nestedCall.thread (and schedtest's nested stack) from
+//     the nested call's start to its end inside the request: the reply's
+//     EndNested is what lets the thread go on, and exitNestedLocked deletes
+//     the call before the request can return;
+//   - a timed wait's timer holds a TimeoutMsg, a value naming the logical
+//     thread, never the *Thread, and the wait stops it when it ends; the
+//     parker's own virtual timer (ParkTimeout) is cancelled when the park
+//     returns and its wall timer belongs to the parker for good.
+//
+// Only Stop breaks the rule: it wakes threads still in those queues, and
+// they exit in place. A stopped scheduler takes no record again. LSA and
+// SL keep a record per request: LSA's grant table names logical threads
+// and may still name one whose physical thread exited (ROADMAP item 17), and
+// SL's callbacks are rare.
 //
 // Unpark on a thread that is not parked leaves a permit, and the thread's
 // next Park returns at once, whatever it parks for. So every Park site keeps
@@ -32,7 +60,9 @@ import (
 // SAT's active thread; SEQ's busy worker; PDS's worker state; the idle list
 // of a pool worker, which parks on a parker of its own).
 // A thread parked for a nested reply must never be woken by anything else:
-// the permit would return BeginNested before the reply is there.
+// the permit would return BeginNested before the reply is there. A permit
+// left on a thread when it exits dies with it: retirement clears both the
+// parker's and the nested reply's.
 //
 // Pinned by benchmark/probes.go.
 type Thread struct {
@@ -54,6 +84,7 @@ type Thread struct {
 	parked   ParkReason // what the thread is parked for, NotParked once it has it
 	timedOut bool       // the last wait was ended by its timeout
 	permit   bool       // the nested reply arrived before the thread parked for it
+	live     bool       // from Registry.Init until the record is retired
 }
 
 // ParkReason says what a thread parked in the Monitor is waiting for.
@@ -85,6 +116,22 @@ func (t *Thread) ParkTimeout(rt vtime.Runtime, d time.Duration) bool {
 
 // Unpark resumes the thread; the runtime lock must be held.
 func (t *Thread) Unpark(rt vtime.Runtime) { rt.Unpark(&t.parker) }
+
+// MustBeLive panics unless t is a thread now, not a retired record: a use
+// after exit (a grant, a strategy's Runnable) must fail loudly rather than
+// wake the request that takes the record next.
+func (t *Thread) MustBeLive() {
+	if !t.live {
+		panic("adets: a retired thread record was granted a mutex or made runnable")
+	}
+}
+
+// retire zeroes t but for its parker's wake channel and wall timer. Runtime
+// lock required; t has exited.
+func (t *Thread) retire() {
+	t.parker.Reset()
+	*t = Thread{parker: t.parker}
+}
 
 func (t *Thread) String() string {
 	return fmt.Sprintf("thread{%d %s}", t.ID, t.parker.Name())
@@ -121,7 +168,7 @@ func NewRegistry(rt vtime.Runtime) *Registry {
 // for it — the registry's next thread, named role/logical. Runtime lock
 // required: the ID must be taken at a deterministic point.
 func (r *Registry) Init(t *Thread, role string, logical wire.ThreadID, sched any) *Thread {
-	t.ID, t.Logical, t.Sched = r.next, logical, sched
+	t.ID, t.Logical, t.Sched, t.live = r.next, logical, sched, true
 	r.next++
 	t.parker.SetName(role, &t.Logical)
 	return t
@@ -162,6 +209,35 @@ func (r *Registry) Stop() {
 	r.idle = nil
 }
 
+// Records is a scheduler's free list of its thread records, of type R
+// (which embeds the Thread), guarded by the runtime lock. It has no cap: it
+// never holds more records than the scheduler had at once, as the idle
+// worker pool never holds more goroutines.
+type Records[R any] struct{ free []*R }
+
+// Take returns a retired record, or a new one.
+func (rs *Records[R]) Take() *R {
+	n := len(rs.free)
+	if n == 0 {
+		return new(R)
+	}
+	rec := rs.free[n-1]
+	rs.free[n-1] = nil
+	rs.free = rs.free[:n-1]
+	return rec
+}
+
+// Put retires rec, whose Thread t has exited (Monitor.Exit), and keeps it
+// for Take: rec is zeroed but for t's parker's wake channel and wall timer.
+func (rs *Records[R]) Put(rec *R, t *Thread) {
+	t.retire()
+	kept := *t
+	var zero R
+	*rec = zero
+	*t = kept
+	rs.free = append(rs.free, rec)
+}
+
 // FIFO is a deterministic queue of threads — the building block for lock
 // wait queues, condition-variable queues, and ready queues. The zero value
 // is an empty queue.
@@ -178,14 +254,20 @@ func (q *FIFO) PushFront(t *Thread) {
 	q.items = append([]*Thread{t}, q.items...)
 }
 
-// Pop removes and returns the head, or nil if empty.
+// Pop removes and returns the head, or nil if empty. A queue it empties
+// keeps its whole array, so that one thread at a time passing through
+// (SAT's ready queue) allocates nothing.
 func (q *FIFO) Pop() *Thread {
 	if len(q.items) == 0 {
 		return nil
 	}
 	t := q.items[0]
 	q.items[0] = nil
-	q.items = q.items[1:]
+	if len(q.items) == 1 {
+		q.items = q.items[:0]
+	} else {
+		q.items = q.items[1:]
+	}
 	return t
 }
 

@@ -104,7 +104,7 @@ func decRequest(r *wire.Reader) Request {
 		q.Trace = decTrace(r)
 	}
 	if presence&reqHasShard != 0 {
-		if q.ShardKey = r.String(); q.ShardKey == "" {
+		if q.ShardKey = r.Key(); q.ShardKey == "" {
 			r.Fail(errEmptyGroup)
 		}
 	}

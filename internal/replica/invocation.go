@@ -121,7 +121,10 @@ func (inv *Invocation) Now() time.Duration { return inv.r.rt.Now() }
 func (inv *Invocation) Compute(d time.Duration) { inv.r.rt.Sleep(d) }
 
 // ShardKey returns the key class this request was routed by (empty for
-// unrouted traffic and unsharded groups).
+// unrouted traffic and unsharded groups). Like Args, a key that came over
+// TCP is carved from a chunk the connection's decoder shares among the
+// requests it read: a handler that keeps it past its return (as a map key,
+// say) keeps a strings.Clone of it, or pins that chunk.
 func (inv *Invocation) ShardKey() string { return inv.req.ShardKey }
 
 // ShardHome returns the shard group a key class is homed on under the

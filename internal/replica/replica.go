@@ -294,7 +294,7 @@ type Replica struct {
 	// threads holds one record per live logical thread (see logical.go).
 	threads map[wire.ThreadID]logicalThread
 	stopped bool
-	// free holds up to maxFree dispatch records for reuse (see dispatched).
+	// free holds the dispatch records not in use (see dispatched).
 	free []*dispatched
 	// evictFloor is the highest stream position whose reply-cache entries
 	// evictStableLocked has dropped; duplicates ordered at or below it are
@@ -503,10 +503,12 @@ func (r *Replica) dispatchLoop() {
 // dispatched carries one request from its ordered dispatch point through
 // the scheduler to its handler: the request and the Invocation the handler
 // will see. It is also the form in which a callback deferred behind its
-// originator waits. Records are reused: a replica keeps up to maxFree of
-// them, and run, the record's exec method bound once when it was
-// allocated, is the scheduler's Exec callback for every request it
-// carries, so a warm replica allocates neither per request. complete
+// originator waits. Records are reused: a replica keeps every record it
+// made — never more than it had requests in flight at once, as many as a
+// follower that lags has queued — and run, the record's exec method bound
+// once when it was allocated, is the scheduler's Exec callback for every
+// request it carries, so a warm replica allocates neither per request, nor
+// again at a lag no deeper than one it had before. complete
 // returns the record, zeroed but for run, once it has stored the reply: no
 // path may keep the record, its Invocation or a pointer into its request
 // past that point. Whatever outlives the execution (the reply's addressee)
@@ -518,11 +520,6 @@ type dispatched struct {
 	tSubmit time.Duration       // scheduler hand-off time (traced requests only)
 	run     func(*adets.Thread) // exec, bound once
 }
-
-// maxFree bounds a replica's free dispatch records: enough for the
-// requests one replica has in its scheduler at a time, so that a burst
-// pins little once it has drained.
-const maxFree = 64
 
 // takeLocked returns a record to carry an admitted request: a free one, or
 // a new one with its exec method bound.
@@ -541,10 +538,8 @@ func (r *Replica) takeLocked() *dispatched {
 // zeroed, so that it holds on to neither the request's bytes nor its
 // thread while it waits.
 func (r *Replica) releaseLocked(d *dispatched) {
-	if len(r.free) < maxFree {
-		*d = dispatched{run: d.run}
-		r.free = append(r.free, d)
-	}
+	*d = dispatched{run: d.run}
+	r.free = append(r.free, d)
 }
 
 // conflictClasses evaluates the group's class function on req (nil: global).

@@ -145,6 +145,18 @@ func (p *Parker) Name() string {
 	return p.name
 }
 
+// Reset readies p for its next owner: everything but its wake channel and
+// its wall timer is zeroed — the name, a permit an Unpark left, the
+// timed-out flag and the virtual timer — so that the owner's next Park
+// blocks until an Unpark of its own. p must not be parked. Runtime lock
+// required.
+func (p *Parker) Reset() {
+	if p.parked {
+		panic("vtime: Reset of a parked Parker " + p.Name())
+	}
+	*p = Parker{ch: p.ch, wall: p.wall}
+}
+
 // wake returns the channel a blocked park is woken through, made by the
 // first park that has to block (most scheduler threads never do). Runtime
 // lock required; Unpark sends only to a parker it found parked.

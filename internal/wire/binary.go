@@ -547,7 +547,8 @@ func (r *Reader) String() string { return string(r.span("string")) }
 // from frame to frame. On a stream Decoder the result is interned: every
 // occurrence after the first is the same string, found without allocating.
 // Fields that differ per request (message names, shard keys, error texts)
-// belong to String; routed through here they would only churn the table.
+// belong to String (or Key); routed through here they would only churn the
+// table.
 // Like String, the result never aliases the frame.
 func (r *Reader) Ident() string {
 	raw := r.span("string")
@@ -563,6 +564,21 @@ func (r *Reader) Ident() string {
 	s := string(raw)
 	r.idents[s] = s
 	return s
+}
+
+// Key reads a length-prefixed string that differs per request and is held
+// no longer than the payload it came in (a shard key). In a nested payload
+// on a stream Decoder one of at most 512 bytes is carved from the stream's
+// byte chunk, as Bytes carves a byte field: a carved chunk is never written
+// again, so the string is as safe as the field beside it, and pins its chunk
+// as that field does. Anywhere else it is what String returns.
+func (r *Reader) Key() string {
+	raw := r.span("string")
+	if r.nested && r.slabs != nil && len(raw) > 0 && len(raw) <= maxCarve {
+		b := r.carveBytes(raw)
+		return unsafe.String(unsafe.SliceData(b), len(b))
+	}
+	return string(raw)
 }
 
 // Bytes reads a length-prefixed byte slice. The result is a copy, never an

@@ -3,6 +3,7 @@ package wire_test
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -20,7 +21,8 @@ func slabRequest(i int) replica.Request {
 	}
 	return replica.Request{
 		ID:    wire.InvocationID{Logical: "client/c1", Call: uint64(i + 1)},
-		Group: "g", Method: "add", Args: bytes.Repeat([]byte{byte(i)}, n), ReplyTo: "client/c1"}
+		Group: "g", Method: "add", Args: bytes.Repeat([]byte{byte(i)}, n), ReplyTo: "client/c1",
+		ShardKey: strings.Repeat(string(rune('a'+i%26)), 1+i%13)}
 }
 
 // slabFrames returns a stream of frames that nest n requests — as Submits,
@@ -85,29 +87,34 @@ func nestedRequests(t *testing.T, m wire.Message) []*replica.Request {
 }
 
 // TestSlabKeptPayloads: a stream Decoder carves every nested payload, and
-// its small byte fields, from chunks it never writes again once it has
-// handed an element out. Thousands of Submits, Ordereds and SyncResps are
-// decoded on one Decoder, every nested *Request and its Args kept, and only
-// then is anything compared: each still holds what was encoded, each Args
-// ends at its length (an append copies rather than writing into the next
-// field), and a field over the carve limit is a slice of its own.
+// its small byte fields and shard key, from chunks it never writes again
+// once it has handed an element out. Thousands of Submits, Ordereds and
+// SyncResps are decoded on one Decoder, every nested *Request, its Args and
+// its ShardKey kept, and only then is anything compared: each still holds
+// what was encoded, each Args ends at its length (an append copies rather
+// than writing into the next field), and a field over the carve limit is a
+// slice of its own.
 func TestSlabKeptPayloads(t *testing.T) {
 	stream, want := slabFrames(t, 3000)
 	dec := wire.NewDecoder(bytes.NewReader(stream))
 	var kept []*replica.Request
 	var args [][]byte
+	var keys []string
 	for len(kept) < len(want) {
 		var m wire.Message
 		if err := dec.Decode(&m); err != nil {
 			t.Fatalf("after %d requests: %v", len(kept), err)
 		}
 		for _, q := range nestedRequests(t, m) {
-			kept, args = append(kept, q), append(args, q.Args)
+			kept, args, keys = append(kept, q), append(args, q.Args), append(keys, q.ShardKey)
 		}
 	}
 	for i, q := range kept {
 		if !reflect.DeepEqual(*q, want[i]) || !bytes.Equal(args[i], want[i].Args) {
 			t.Fatalf("request %d reads %+v (args %v), want %+v", i, *q, args[i], want[i])
+		}
+		if keys[i] != want[i].ShardKey {
+			t.Fatalf("request %d: shard key %q, want %q", i, keys[i], want[i].ShardKey)
 		}
 		if cap(args[i]) != len(args[i]) {
 			t.Errorf("request %d: args of %d bytes have capacity %d", i, len(args[i]), cap(args[i]))
